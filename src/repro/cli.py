@@ -49,12 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "(see --list-strategies)")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
     # Literal choices so building the parser stays import-light; validated
-    # again by set_default_kernel against repro.mapping.kernels.KERNELS.
-    parser.add_argument("--kernel",
-                        choices=("vectorized", "reference", "incremental"),
+    # again at mapper build against repro.mapping.kernels.KERNELS.
+    parser.add_argument("--kernel", choices=("vectorized", "reference"),
                         default=None,
-                        help="mapper kernel for this run (default: the "
-                             "process-wide default, i.e. vectorized)")
+                        help="mapper kernel for this run: vectorized (the "
+                             "production kernel, default) or reference "
+                             "(the scalar oracle); outputs are identical")
     parser.add_argument("--output", type=Path,
                         help="write placement JSON here (default: stdout report only)")
     parser.add_argument("--profile", type=Path,
@@ -163,7 +163,7 @@ def run_mapping(graph_path: Path, is_lb_dump: bool, topology_spec: str,
         average_distance_vector,
         centered_distance_matrix,
     )
-    from repro.mapping.kernels import get_default_kernel, set_default_kernel
+    from repro.mapping.kernels import resolve_kernel
     from repro.mapping.metrics import _MATRIX_LIMIT
     from repro.runtime.lbdb import LBDatabase
     from repro.runtime.simulation import replay_strategy
@@ -173,8 +173,8 @@ def run_mapping(graph_path: Path, is_lb_dump: bool, topology_spec: str,
     if simulate_iters is None:
         simulate_iters = 1 if profile is not None else 0
 
+    kernel = resolve_kernel(kernel)
     prof = obs.enable() if profile is not None else None
-    prev_kernel = set_default_kernel(kernel) if kernel is not None else None
     try:
         with obs.timer("cli.load"):
             if is_lb_dump:
@@ -193,7 +193,9 @@ def run_mapping(graph_path: Path, is_lb_dump: bool, topology_spec: str,
                 centered_distance_matrix(topology)
 
         with obs.timer("cli.map"):
-            report, mapping = replay_strategy(database, topology, strategy, seed=seed)
+            report, mapping = replay_strategy(
+                database, topology, strategy, seed=seed, kernel=kernel
+            )
 
         netsim_summary = None
         if simulate_iters > 0:
@@ -224,7 +226,7 @@ def run_mapping(graph_path: Path, is_lb_dump: bool, topology_spec: str,
                     "strategy": strategy,
                     "spec": canonical_mapper_spec(strategy),
                     "seed": seed,
-                    "kernel": get_default_kernel(),
+                    "kernel": kernel,
                     "num_objects": report["num_objects"],
                     "num_processors": report["num_processors"],
                     "simulate_iters": simulate_iters,
@@ -234,8 +236,6 @@ def run_mapping(graph_path: Path, is_lb_dump: bool, topology_spec: str,
             obs.save_profile(doc, profile)
             report["profile_written"] = str(profile)
     finally:
-        if prev_kernel is not None:
-            set_default_kernel(prev_kernel)
         if prof is not None:
             obs.disable()
     return report

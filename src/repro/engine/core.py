@@ -139,10 +139,10 @@ def canonical_command(mapper_spec: str, topology_spec: str, seed: int | None,
     Always includes the seed and kernel actually in effect — a recorded
     command replays the run exactly (the profile-reproducibility fix).
     """
-    from repro.mapping.kernels import get_default_kernel
+    from repro.mapping.kernels import resolve_kernel
 
     spec = parse_mapper_spec(mapper_spec).canonical
-    kernel = kernel if kernel is not None else get_default_kernel()
+    kernel = resolve_kernel(kernel)
     return (
         f"repro-map --strategy '{spec}' --topology {topology_spec} "
         f"--seed {0 if seed is None else seed} --kernel {kernel}"
@@ -272,7 +272,7 @@ class MappingEngine:
     def run(self, request: MappingRequest) -> MappingResult:
         from repro import obs
         from repro.mapping.context import context_for
-        from repro.mapping.kernels import get_default_kernel, set_default_kernel
+        from repro.mapping.kernels import resolve_kernel
         from repro.mapping.metrics import metrics_block
         from repro.taskgraph.graph import TaskGraph
         from repro.topology.factory import topology_from_spec
@@ -298,18 +298,14 @@ class MappingEngine:
             else getattr(topology, "name", type(topology).__name__)
         )
 
-        # The kernel knob binds at mapper *construction* (resolve_kernel),
-        # so spec-built mappers are constructed inside the override window.
-        prev_kernel = (
-            set_default_kernel(request.kernel)
-            if request.kernel is not None
-            else None
-        )
+        # The kernel binds at mapper construction: spec-built mappers (and
+        # the validation oracles' rebuilds) receive it as an argument.
+        kernel = resolve_kernel(request.kernel)
         own_prof = None
         try:
             if isinstance(request.mapper, str):
                 parsed = parse_mapper_spec(request.mapper)
-                mapper = parsed.build(request.seed)
+                mapper = parsed.build(request.seed, kernel)
                 spec = parsed.canonical
                 strategy = request.mapper
             else:
@@ -353,9 +349,6 @@ class MappingEngine:
             if request.validate != "off":
                 from repro.validate import validate_mapping
 
-                # Still inside the kernel-override window, so the oracles'
-                # mapper rebuilds resolve the same default kernel this run
-                # used.
                 with obs.timer("engine.validate"):
                     validate_mapping(
                         graph, topology, mapping.assignment,
@@ -368,7 +361,7 @@ class MappingEngine:
                         topology_spec=request.topology
                         if isinstance(request.topology, str) else None,
                         seed=request.seed,
-                        kernel=request.kernel or get_default_kernel(),
+                        kernel=kernel,
                         metrics=metrics,
                     )
 
@@ -377,13 +370,13 @@ class MappingEngine:
                 "spec": spec,
                 "topology": topology_spec,
                 "seed": request.seed,
-                "kernel": request.kernel or get_default_kernel(),
+                "kernel": kernel,
                 "num_objects": graph.num_tasks,
                 "num_processors": topology.num_nodes,
             }
             if spec is not None and isinstance(request.topology, str):
                 metadata["command"] = canonical_command(
-                    spec, topology_spec, request.seed, request.kernel
+                    spec, topology_spec, request.seed, kernel
                 )
 
             profile_doc = None
@@ -405,8 +398,6 @@ class MappingEngine:
         finally:
             if own_prof is not None:
                 obs.disable()
-            if prev_kernel is not None:
-                set_default_kernel(prev_kernel)
 
     def run_many(
         self,

@@ -170,7 +170,7 @@ def _nested_opt(name: str, doc: str, default: str) -> OptionSpec:
 
 _KERNEL_OPT = _choice(
     "kernel", "cycle-body implementation (bit-identical outputs)",
-    "process default", "vectorized", "reference", "incremental",
+    "build argument", "vectorized", "reference",
 )
 
 
@@ -183,9 +183,13 @@ class ParsedSpec:
     options: dict[str, object]
     canonical: str
 
-    def build(self, seed: int | None = None):
+    def build(self, seed: int | None = None, kernel: str | None = None):
         """Instantiate the mapper (see :func:`mapper_from_spec`)."""
-        return MAPPER_KINDS[self.kind].build(self.options, seed)
+        from repro.mapping.kernels import resolve_kernel
+
+        return MAPPER_KINDS[self.kind].build(
+            self.options, seed, resolve_kernel(kernel)
+        )
 
 
 @dataclass(frozen=True)
@@ -195,10 +199,14 @@ class MapperKind:
     kind: str
     doc: str
     options: tuple[OptionSpec, ...]
-    #: (parsed options, seed) -> Mapper. Seed conventions match the old
-    #: runtime registry exactly (bit-for-bit): mappers that used
-    #: ``seed or 0`` still do, RandomMapper still takes the raw seed.
-    build: Callable[[dict[str, object], int | None], object] = field(repr=False)
+    #: (parsed options, seed, kernel) -> Mapper. Seed conventions match the
+    #: old runtime registry exactly (bit-for-bit): mappers that used
+    #: ``seed or 0`` still do, RandomMapper still takes the raw seed. The
+    #: kernel is the build argument, overridden by an explicit ``kernel=``
+    #: option, and is passed on to every mapper built inside this one.
+    build: Callable[[dict[str, object], int | None, str], object] = field(
+        repr=False
+    )
 
     def option(self, name: str) -> OptionSpec:
         for opt in self.options:
@@ -210,24 +218,25 @@ class MapperKind:
         )
 
 
-def _kernel_arg(opts: dict[str, object]) -> str | None:
-    value = opts.get("kernel")
-    return None if value is None else str(value)
+def _kernel_arg(opts: dict[str, object], kernel: str) -> str:
+    """The kernel a spec runs with: its own ``kernel=`` option, if given,
+    wins over the one passed to :meth:`ParsedSpec.build`."""
+    return str(opts.get("kernel", kernel))
 
 
-def _build_random(opts, seed):
+def _build_random(opts, seed, kernel):
     from repro.mapping.random_map import RandomMapper
 
     return RandomMapper(seed=seed)
 
 
-def _build_identity(opts, seed):
+def _build_identity(opts, seed, kernel):
     from repro.mapping.random_map import IdentityMapper
 
     return IdentityMapper()
 
 
-def _build_topolb(opts, seed):
+def _build_topolb(opts, seed, kernel):
     from repro.mapping.estimation import EstimatorOrder
     from repro.mapping.topolb import TopoLB
 
@@ -235,30 +244,30 @@ def _build_topolb(opts, seed):
         order=EstimatorOrder(int(opts.get("order", 2))),
         dtype=np.float32 if opts.get("dtype") == "float32" else np.float64,
         selection=str(opts.get("selection", "gain")),
-        kernel=_kernel_arg(opts),
+        kernel=_kernel_arg(opts, kernel),
     )
 
 
-def _build_topocentlb(opts, seed):
+def _build_topocentlb(opts, seed, kernel):
     from repro.mapping.topocentlb import TopoCentLB
 
     return TopoCentLB()
 
 
-def _build_refine(opts, seed):
+def _build_refine(opts, seed, kernel):
     from repro.mapping.refine import RefineTopoLB
 
+    kernel = _kernel_arg(opts, kernel)
     base = opts.get("base")
     return RefineTopoLB(
-        base=base.build(seed) if base is not None else None,
+        base=base.build(seed, kernel) if base is not None else None,
         max_sweeps=int(opts.get("passes", 10)),
         seed=seed or 0,
-        kernel=_kernel_arg(opts),
-        block_size=int(opts.get("block", 64)),
+        kernel=kernel,
     )
 
 
-def _build_anneal(opts, seed):
+def _build_anneal(opts, seed, kernel):
     from repro.mapping.annealing import SimulatedAnnealingMapper
 
     return SimulatedAnnealingMapper(
@@ -266,7 +275,7 @@ def _build_anneal(opts, seed):
     )
 
 
-def _build_genetic(opts, seed):
+def _build_genetic(opts, seed, kernel):
     from repro.mapping.evolutionary import GeneticMapper
     from repro.mapping.topolb import TopoLB
 
@@ -275,41 +284,43 @@ def _build_genetic(opts, seed):
         population=int(opts.get("population", 40)),
         generations=int(opts.get("generations", 60)),
         seed=seed or 0,
-        seed_mapper=TopoLB(),
+        seed_mapper=TopoLB(kernel=kernel),
     )
 
 
-def _build_bokhari(opts, seed):
+def _build_bokhari(opts, seed, kernel):
     from repro.mapping.bokhari import BokhariMapper
 
     return BokhariMapper(jumps=int(opts.get("jumps", 4)), seed=seed or 0)
 
 
-def _build_recursive(opts, seed):
+def _build_recursive(opts, seed, kernel):
     from repro.mapping.recursive_embedding import RecursiveEmbeddingMapper
 
     return RecursiveEmbeddingMapper(seed=seed or 0)
 
 
-def _build_linear(opts, seed):
+def _build_linear(opts, seed, kernel):
     from repro.mapping.linear_order import LinearOrderingMapper
 
     return LinearOrderingMapper()
 
 
-def _build_sfc(opts, seed):
+def _build_sfc(opts, seed, kernel):
     from repro.mapping.sfc import SFCMapper
 
     return SFCMapper(curve=str(opts.get("curve", "hilbert")))
 
 
-def _build_hybrid(opts, seed):
+def _build_hybrid(opts, seed, kernel):
     from repro.mapping.hybrid import HybridTopoLB
 
-    return HybridTopoLB(num_blocks=int(opts.get("blocks", 8)), seed=seed or 0)
+    return HybridTopoLB(
+        num_blocks=int(opts.get("blocks", 8)), seed=seed or 0, kernel=kernel
+    )
 
 
-def _build_pipeline(opts, seed):
+def _build_pipeline(opts, seed, kernel):
     from repro.mapping.pipeline import TwoPhaseMapper
     from repro.mapping.refine import RefineTopoLB
 
@@ -323,28 +334,32 @@ def _build_pipeline(opts, seed):
         partitioner = MultilevelPartitioner()
     inner = opts.get("inner")
     if inner is not None:
-        mapper = inner.build(seed)
+        mapper = inner.build(seed, kernel)
     else:
         from repro.mapping.estimation import EstimatorOrder
         from repro.mapping.topolb import TopoLB
 
-        mapper = TopoLB(order=EstimatorOrder.SECOND)
-    refiner = RefineTopoLB(seed=seed or 0) if opts.get("refine") else None
+        mapper = TopoLB(order=EstimatorOrder.SECOND, kernel=kernel)
+    refiner = (
+        RefineTopoLB(seed=seed or 0, kernel=kernel)
+        if opts.get("refine") else None
+    )
     return TwoPhaseMapper(partitioner=partitioner, mapper=mapper, refiner=refiner)
 
 
-def _build_multilevel(opts, seed):
+def _build_multilevel(opts, seed, kernel):
     from repro.mapping.hierarchical import HierarchicalMapper
 
+    kernel = _kernel_arg(opts, kernel)
     inner = opts.get("inner")
     return HierarchicalMapper(
-        inner=inner.build(seed) if inner is not None else None,
+        inner=inner.build(seed, kernel) if inner is not None else None,
         levels=opts.get("levels", "auto"),
         refine_window=int(opts.get("refine_window", 2)),
         stop=int(opts.get("stop", 1024)),
         aggregate=str(opts.get("aggregate", "representative")),
         seed=seed or 0,
-        kernel=_kernel_arg(opts),
+        kernel=kernel,
     )
 
 
@@ -383,7 +398,6 @@ MAPPER_KINDS: dict[str, MapperKind] = {
                 _nested_opt("base", "mapper producing the initial mapping "
                             "(a spec with ',' separators)", "none"),
                 _int_opt("passes", "maximum full sweeps over the tasks", "10"),
-                _int_opt("block", "vectorized-kernel block size", "64"),
                 _KERNEL_OPT,
             ),
             _build_refine,
@@ -576,13 +590,17 @@ def canonical_mapper_spec(spec: str) -> str:
     return parse_mapper_spec(spec).canonical
 
 
-def mapper_from_spec(spec: str, seed: int | None = None):
+def mapper_from_spec(spec: str, seed: int | None = None,
+                     kernel: str | None = None):
     """Build a mapper from a spec string or Charm++ strategy alias.
 
     The single resolution path: the CLI, the experiment scripts, the runtime
     registry, and :class:`repro.engine.MappingEngine` all end up here.
+    ``kernel`` (``None`` = the default kernel) reaches every mapper the spec
+    builds, nested ones included; an explicit ``kernel=`` option in the
+    spec wins over it for that mapper and the mappers built inside it.
     """
-    return parse_mapper_spec(spec).build(seed)
+    return parse_mapper_spec(spec).build(seed, kernel)
 
 
 def describe_mappers() -> list[str]:

@@ -222,8 +222,7 @@ def run_flowcheck(quick: bool = True, seed: int = 0) -> ExperimentResult:
         rng = np.random.default_rng(seed + 17)
         mappings = [
             mapper_from_spec("topolb", seed).map(graph, topo),
-            mapper_from_spec("refine:base=topolb,kernel=incremental",
-                             seed).map(graph, topo),
+            mapper_from_spec("refine:base=topolb", seed).map(graph, topo),
             mapper_from_spec("topocentlb", seed).map(graph, topo),
         ]
         mappings += [

@@ -41,7 +41,6 @@ from repro.mapping.kernels import (
     KERNELS,
     DEFAULT_KERNEL,
     get_default_kernel,
-    set_default_kernel,
 )
 from repro.mapping.topolb import TopoLB
 from repro.mapping.topocentlb import TopoCentLB
@@ -75,7 +74,6 @@ __all__ = [
     "KERNELS",
     "DEFAULT_KERNEL",
     "get_default_kernel",
-    "set_default_kernel",
     "TopoLB",
     "TopoCentLB",
     "RefineTopoLB",

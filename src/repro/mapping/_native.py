@@ -1,4 +1,4 @@
-"""On-demand compiled kernel for the incremental refine sweep.
+"""On-demand compiled kernel for RefineTopoLB's production sweep.
 
 ``repro.mapping.refine_kernel.c`` holds a scalar C implementation of one
 RefineTopoLB sweep with the incremental delta structure. This module
@@ -8,9 +8,9 @@ keyed by a hash of the source and build flags, and loads it through
 :mod:`ctypes` — no third-party build dependency.
 
 The compiled path is strictly optional: :class:`~repro.mapping.refine.
-RefineTopoLB` falls back to the pure-NumPy incremental kernel when no
-toolchain is available (or when ``REPRO_NO_NATIVE`` is set, which the test
-suite uses to pin both paths). ``-ffp-contract=off`` keeps the C arithmetic
+RefineTopoLB`'s ``"vectorized"`` kernel falls back to the NumPy block sweep
+when no toolchain is available (or when ``REPRO_NO_NATIVE`` is set, which
+the test suite uses to pin both paths). ``-ffp-contract=off`` keeps the C arithmetic
 bitwise identical to the NumPy reference kernel — no fused multiply-adds.
 """
 

@@ -67,7 +67,8 @@ class HierarchicalMapper(Mapper):
     Parameters
     ----------
     inner:
-        Mapper for the coarsest level; defaults to second-order TopoLB.
+        Mapper for the coarsest level; defaults to second-order TopoLB
+        running ``kernel``.
         Must accept an ``allowed`` mask whenever the run is masked or
         non-bijective at the coarsest level (TopoLB and friends do).
     levels:
@@ -86,9 +87,9 @@ class HierarchicalMapper(Mapper):
     seed:
         Drives the matching visit order and the refiner sweep order.
     kernel:
-        Kernel override for the per-level refiners (``None`` = process
-        default, which is what the engine's kernel-differential oracle
-        toggles).
+        Kernel of the per-level refiners and of the default inner mapper
+        (``None`` = the default kernel; the engine's kernel-differential
+        oracle rebuilds the mapper with the other one).
     validate_levels:
         Run cheap-tier validation on every uncoarsened level (bounds,
         injectivity, mask, additivity, metrics consistency). Cheap relative
@@ -111,7 +112,7 @@ class HierarchicalMapper(Mapper):
         if inner is None:
             from repro.mapping.topolb import TopoLB
 
-            inner = TopoLB()
+            inner = TopoLB(kernel=kernel)
         if levels != "auto":
             try:
                 levels = int(levels)

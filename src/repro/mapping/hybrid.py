@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.exceptions import MappingError
 from repro.mapping.base import Mapper, Mapping
+from repro.mapping.kernels import resolve_kernel
 from repro.mapping.topolb import TopoLB
 from repro.partition.multilevel import MultilevelPartitioner
 from repro.taskgraph.coalesce import coalesce
@@ -116,17 +117,19 @@ class HybridTopoLB(Mapper):
     strategy_name = "HybridTopoLB"
 
     def __init__(self, num_blocks: int = 8,
-                 seed: int | np.random.Generator | None = 0):
+                 seed: int | np.random.Generator | None = 0,
+                 kernel: str | None = None):
         if num_blocks < 1:
             raise MappingError(f"num_blocks must be >= 1, got {num_blocks}")
         self._num_blocks = int(num_blocks)
         self._seed = seed
+        self._kernel = resolve_kernel(kernel)
 
     def map(self, graph: TaskGraph, topology: Topology) -> Mapping:
         n = self._check_sizes(graph, topology)
         blocks = min(self._num_blocks, n)
         if blocks == 1:
-            return TopoLB().map(graph, topology)
+            return TopoLB(kernel=self._kernel).map(graph, topology)
         rng = as_rng(self._seed)
 
         # --- level 1: blocks of processors, groups of tasks ---------------
@@ -144,7 +147,9 @@ class HybridTopoLB(Mapper):
         quotient = coalesce(graph, groups, blocks)
 
         block_machine = self._block_machine(topology, owner, blocks)
-        group_to_block = TopoLB().map(quotient, block_machine).assignment
+        group_to_block = (
+            TopoLB(kernel=self._kernel).map(quotient, block_machine).assignment
+        )
 
         # Force each group's size to equal its block's size (moves the
         # least-attached tasks of over-full groups toward under-full ones).
@@ -160,7 +165,7 @@ class HybridTopoLB(Mapper):
             member_tasks = np.flatnonzero(groups == g)
             sub = SubTopology(topology, block_procs)
             local_graph = graph.induced(member_tasks)
-            local = TopoLB().map(local_graph, sub).assignment
+            local = TopoLB(kernel=self._kernel).map(local_graph, sub).assignment
             assignment[member_tasks] = sub.parent_nodes[local]
         if (assignment < 0).any():
             raise MappingError("internal: hybrid mapping left tasks unassigned")

@@ -1,13 +1,17 @@
 """Kernel selection for the mapper hot paths.
 
 The performance-critical mappers (:class:`~repro.mapping.topolb.TopoLB`,
-:class:`~repro.mapping.refine.RefineTopoLB`) ship two implementations of
-their inner loops:
+:class:`~repro.mapping.refine.RefineTopoLB`) ship one production kernel plus
+one reference oracle for their inner loops:
 
-``"vectorized"`` (the default)
-    Batched NumPy kernels: neighbor-row updates, stale-argmin repair, and
-    swap-delta evaluation operate on whole index blocks per call instead of
-    one Python-level element at a time. Produces **bit-identical
+``"vectorized"`` (the default, the production kernel)
+    TopoLB: batched NumPy kernels — neighbor-row updates, stale-argmin
+    repair and score evaluation operate on whole index blocks per call
+    instead of one Python-level element at a time. RefineTopoLB: the
+    compiled incremental sweep (per-task best-swap caches repaired after
+    each accepted swap, :mod:`repro.mapping._native`), falling back to the
+    NumPy block sweep when no C compiler is available or
+    ``REPRO_NO_NATIVE`` is set. Every path produces **bit-identical
     assignments** to the reference kernel (enforced by
     ``tests/mapping/test_kernel_equivalence.py``).
 
@@ -17,21 +21,12 @@ their inner loops:
     pseudocode; the equivalence suite and the ``BENCH_kernels_*.json``
     before/after profiles are both recorded against this path.
 
-``"incremental"``
-    The sweep-to-sweep delta structure in
-    :class:`~repro.mapping.refine.RefineTopoLB`: per-task best-swap caches
-    plus a dirty set keyed by the tasks an accepted swap touched, so each
-    sweep after the first costs O(changed) instead of O(n^2). Also pinned
-    bit-identical to ``"reference"`` by the equivalence suite. Mappers
-    without an incremental formulation (TopoLB's cost-table construction
-    has no sweep-to-sweep state to reuse) treat ``"incremental"`` as
-    ``"vectorized"``, so the name is valid process-wide — e.g. for
-    ``multilevel`` specs, where only the per-level refine has a delta
-    structure to exploit.
-
-Mappers take ``kernel=None`` to mean "use the process-wide default", which
-:func:`set_default_kernel` flips (the CLI exposes it as ``--kernel``). See
-``docs/PERFORMANCE.md`` for the kernel design notes.
+The kernel is chosen at construction: mappers take ``kernel=None`` to mean
+:data:`DEFAULT_KERNEL`, and spec-built mappers receive it as an argument
+(:meth:`repro.engine.specs.ParsedSpec.build`), which the engine, the CLI's
+``--kernel`` and the validation oracles pass explicitly. There is no
+process-wide switch. See ``docs/PERFORMANCE.md`` for the kernel design
+notes.
 """
 
 from __future__ import annotations
@@ -42,42 +37,24 @@ __all__ = [
     "KERNELS",
     "DEFAULT_KERNEL",
     "get_default_kernel",
-    "set_default_kernel",
     "resolve_kernel",
 ]
 
 #: Every kernel name any mapper understands.
-KERNELS = ("vectorized", "reference", "incremental")
+KERNELS = ("vectorized", "reference")
 
 DEFAULT_KERNEL = "vectorized"
 
-_default_kernel = DEFAULT_KERNEL
-
 
 def get_default_kernel() -> str:
-    """The process-wide kernel used when a mapper is built with ``kernel=None``."""
-    return _default_kernel
+    """The kernel a mapper built with ``kernel=None`` uses."""
+    return DEFAULT_KERNEL
 
 
-def set_default_kernel(name: str) -> str:
-    """Set the process-wide default kernel; returns the previous default.
-
-    The choice only affects mappers constructed *after* the call (kernel is
-    resolved at construction time, so a mapper's behavior never changes
-    mid-run).
-    """
-    global _default_kernel
-    if name not in KERNELS:
-        raise MappingError(f"kernel must be one of {KERNELS}, got {name!r}")
-    previous = _default_kernel
-    _default_kernel = name
-    return previous
-
-
-def resolve_kernel(kernel: str | None, allowed: tuple[str, ...] = KERNELS) -> str:
-    """Resolve a constructor's ``kernel`` argument against ``allowed``."""
+def resolve_kernel(kernel: str | None) -> str:
+    """Resolve a constructor's ``kernel`` argument (``None`` = default)."""
     if kernel is None:
-        kernel = _default_kernel
-    if kernel not in allowed:
-        raise MappingError(f"kernel must be one of {allowed}, got {kernel!r}")
+        return DEFAULT_KERNEL
+    if kernel not in KERNELS:
+        raise MappingError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     return kernel

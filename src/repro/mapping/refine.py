@@ -18,34 +18,33 @@ sweep evaluates, for each task ``a``, the delta against *every* other task
 and greedily applies the best strictly-negative swap; sweeps repeat until a
 full pass makes no swap or ``max_sweeps`` is hit.
 
-Three kernels implement the sweep (see :mod:`repro.mapping.kernels`). The
-``"reference"`` kernel evaluates one task row at a time, exactly as above.
-The ``"vectorized"`` kernel (default) is the *block sweep*: it evaluates the
-delta rows for a whole block of ``block_size`` tasks as one ``(B, n)``
-matrix expression, then walks the block in sweep order consuming the
-precomputed rows. The precomputed rows are valid until the first accepted
-swap mutates ``assign``/``cost``; from that point the block is discarded and
-a fresh (small, re-doubling) window restarts just past the swap, so the
-block sweep visits the same tasks in the same order with the same deltas as
-the reference kernel — bit-identical refined mappings (converged sweeps,
-where no swap fires, collapse to ~``log(n / B)`` matrix operations total).
+Two kernels implement the sweep (see :mod:`repro.mapping.kernels`). The
+``"reference"`` kernel evaluates one task row at a time, exactly as above —
+the oracle the production kernel is pinned against.
 
-The ``"incremental"`` kernel replaces *discard* with *repair*: it caches
-each task's best swap partner ``(argmin, min)`` and, after an accepted swap
-of ``(a, b)``, only touches what actually changed. The dirty set is
+The ``"vectorized"`` kernel (default) is the production kernel. It runs the
+compiled *incremental sweep* (``refine_kernel.c``, loaded by
+:mod:`repro.mapping._native`): each task's best swap partner
+``(argmin, min)`` is cached across sweeps, and after an accepted swap of
+``(a, b)`` only what actually changed is repaired. The dirty set is
 ``{a, b} ∪ N(a) ∪ N(b)`` — exactly the tasks whose ``assign``/``cost``-row
 entries :meth:`RefineTopoLB._apply_swap` mutated — so a cached row outside
-the dirty set changed *only at the dirty columns*. Those entries are
-recomputed as one ``(rows, |dirty|)`` matrix in the reference term order
-(bitwise equal to a fresh evaluation) and folded into the cache under
-argmin's lowest-index tie-breaking; rows inside the dirty set, and rows
-whose cached argmin fell in it (their proof of minimality is gone), are
-recomputed in full on their next visit. Sweeps after the first therefore
-cost O(changed): a converged sweep is n cache reads, and each accepted swap
-repairs O(n · (deg a + deg b)) entries instead of discarding an O(n²)
-precomputation. On dense graphs (degree ~ n, e.g. all-to-all) the dirty set
-covers every column and the repair degenerates to vectorized-kernel cost —
-the win is for the sparse stencils the paper maps.
+the dirty set changed *only at the dirty columns*; those entries are
+recomputed in the reference term order and folded in under argmin's
+lowest-index tie-breaking, while rows inside the dirty set, and rows whose
+cached argmin fell in it, are recomputed in full. A converged sweep is n
+cache reads.
+
+Without a C compiler (or under ``REPRO_NO_NATIVE``) the production kernel
+falls back to the NumPy *block sweep*: it evaluates the delta rows for a
+block of ``_BLOCK_SIZE`` tasks as one ``(B, n)`` matrix expression, then
+walks the block in sweep order consuming the precomputed rows. The
+precomputed rows are valid until the first accepted swap mutates
+``assign``/``cost``; from that point the block is discarded and a fresh
+(small, re-doubling) window restarts just past the swap, so the block sweep
+visits the same tasks in the same order with the same deltas as the
+reference kernel (converged sweeps collapse to ~``log(n / B)`` matrix
+operations total). Both paths give bit-identical refined mappings.
 """
 
 from __future__ import annotations
@@ -64,6 +63,11 @@ from repro.utils.rng import as_rng
 
 __all__ = ["RefineTopoLB"]
 
+#: Tasks per ``(B, n)`` delta block in the block sweep. Larger blocks
+#: amortize better on converged sweeps but waste more precomputation when
+#: swaps fire early in a block; the block size never changes the result.
+_BLOCK_SIZE = 64
+
 
 class RefineTopoLB(Mapper):
     """Hop-bytes-decreasing pairwise-swap refiner.
@@ -80,33 +84,26 @@ class RefineTopoLB(Mapper):
         Sweep order is randomized (a fixed order can get stuck in the same
         local minimum every sweep); the seed makes runs reproducible.
     kernel:
-        ``"vectorized"`` (block sweep, the default), ``"reference"``
-        (row-at-a-time), ``"incremental"`` (cached best-swap rows with
-        dirty-set repair), or ``None`` for the process-wide default.
-    block_size:
-        Tasks per ``(B, n)`` delta block in the vectorized kernel. Larger
-        blocks amortize better on converged sweeps but waste more
-        precomputation when swaps fire early in a block.
+        ``"vectorized"`` (compiled incremental sweep with the block sweep as
+        fallback, the default), ``"reference"`` (row-at-a-time), or ``None``
+        for the default.
     """
 
     strategy_name = "RefineTopoLB"
 
     def __init__(self, base: Mapper | None = None, max_sweeps: int = 10,
                  seed: int | np.random.Generator | None = 0,
-                 kernel: str | None = None, block_size: int = 64):
+                 kernel: str | None = None):
         if max_sweeps < 1:
             raise MappingError(f"max_sweeps must be >= 1, got {max_sweeps}")
-        if block_size < 1:
-            raise MappingError(f"block_size must be >= 1, got {block_size}")
         self._base = base
         self._max_sweeps = int(max_sweeps)
         self._seed = seed
         self._kernel = resolve_kernel(kernel)
-        self._block_size = int(block_size)
 
     @property
     def kernel(self) -> str:
-        """The resolved kernel name ("vectorized", "reference" or "incremental")."""
+        """The resolved kernel name ("vectorized" or "reference")."""
         return self._kernel
 
     def map(
@@ -141,10 +138,12 @@ class RefineTopoLB(Mapper):
         shared per-(graph, topology) tables.
         """
         allowed = resolve_allowed(mapping.topology, allowed)
-        run = {
-            "reference": self._refine_reference,
-            "incremental": self._refine_incremental,
-        }.get(self._kernel, self._refine_vectorized)
+        if self._kernel == "reference":
+            run = self._refine_reference
+        elif _native.available():
+            run = self._refine_incremental_native
+        else:
+            run = self._refine_vectorized
         prof = obs.active()
         if prof is None:
             return run(mapping, allowed=allowed, ctx=ctx)
@@ -217,8 +216,9 @@ class RefineTopoLB(Mapper):
         allowed: np.ndarray | None = None,
         ctx: MappingContext | None = None,
     ) -> Mapping:
-        """Row-at-a-time sweep — the executable specification of the block
-        sweep; the equivalence suite pins the two to identical outputs.
+        """Row-at-a-time sweep — the executable specification of the
+        production kernel; the equivalence suite pins the two (native and
+        fallback) to identical outputs.
 
         Swaps only exchange the processors of two mapped tasks, so the sweep
         body is mask-oblivious: a mapping that starts on allowed processors
@@ -272,15 +272,16 @@ class RefineTopoLB(Mapper):
         allowed: np.ndarray | None = None,
         ctx: MappingContext | None = None,
     ) -> Mapping:
-        """Block sweep: precompute ``(B, n)`` delta rows, consume them until
-        the first accepted swap invalidates the block (see module docstring).
+        """Block sweep, the production kernel's fallback without a C
+        compiler: precompute ``(B, n)`` delta rows, consume them until the
+        first accepted swap invalidates the block (see module docstring).
         """
         n, rng, dist, indptr, indices, weights, assign, cost = self._setup(
             mapping, allowed, ctx
         )
 
         ids = np.arange(n)
-        bsize = min(self._block_size, n)
+        bsize = min(_BLOCK_SIZE, n)
         # Post-swap restart size. An accepted swap discards the precomputed
         # rows after it, so on swap-dense sweeps a large restart window
         # wastes almost all of its (B, n) block; restarting small and
@@ -391,38 +392,21 @@ class RefineTopoLB(Mapper):
             prof.count("refine.blocks_precomputed", blocks_precomputed)
         return mapping.with_assignment(assign)
 
-    def _refine_incremental(
-        self, mapping: Mapping, prof: obs.Profiler | None = None,
-        allowed: np.ndarray | None = None,
-        ctx: MappingContext | None = None,
-    ) -> Mapping:
-        """Incremental kernel dispatch: run the compiled sweep when a C
-        toolchain is available (see :mod:`repro.mapping._native`), otherwise
-        the pure-NumPy delta structure below. Both paths are bit-identical
-        to the reference kernel; the compiled one exists because the
-        per-swap bookkeeping is scalar work that NumPy call overhead
-        dominates at paper scales (n ~ 512)."""
-        native = _native.load()
-        if native is not None:
-            return self._refine_incremental_native(
-                native, mapping, prof, allowed=allowed, ctx=ctx
-            )
-        return self._refine_incremental_numpy(
-            mapping, prof, allowed=allowed, ctx=ctx
-        )
-
     def _refine_incremental_native(
-        self, native: "_native.NativeRefine", mapping: Mapping,
-        prof: obs.Profiler | None = None,
+        self, mapping: Mapping, prof: obs.Profiler | None = None,
         allowed: np.ndarray | None = None,
         ctx: MappingContext | None = None,
     ) -> Mapping:
         """Compiled incremental sweep. One C call runs one full sweep; the
         best-swap caches persist across calls and the C side repairs them
-        eagerly after each accepted swap (same dirty-set argument as the
-        NumPy path, same reference term order — see refine_kernel.c). The
-        sweep loop, RNG permutation draws, and obs accounting stay in
-        Python so all three kernels share their observable structure."""
+        eagerly after each accepted swap (dirty-set argument in the module
+        docstring, reference term order — see refine_kernel.c). The sweep
+        loop, RNG permutation draws, and obs accounting stay in Python so
+        every path shares its observable structure.
+
+        The compiled per-swap bookkeeping exists because it is scalar work
+        that NumPy call overhead dominates at paper scales (n ~ 512)."""
+        native = _native.load()
         n, rng, dist, indptr, indices, weights, assign, cost = self._setup(
             mapping, allowed, ctx
         )
@@ -462,270 +446,6 @@ class RefineTopoLB(Mapper):
             prof.count("refine.rows_computed", int(stats[2]))
             prof.count("refine.rows_folded", int(stats[3]))
         return mapping.with_assignment(c_assign.astype(assign.dtype, copy=False))
-
-    def _refine_incremental_numpy(
-        self, mapping: Mapping, prof: obs.Profiler | None = None,
-        allowed: np.ndarray | None = None,
-        ctx: MappingContext | None = None,
-    ) -> Mapping:
-        """Delta-structure sweep: cache every task's best swap partner and
-        lazily *fold* the columns moved by accepted swaps back into the
-        caches right before the sweep reads them (see module docstring for
-        the dirty-set argument). A swap itself only appends its dirty
-        columns to a pending list, so accepting a swap costs O(degree).
-
-        Invariant maintained throughout: whenever the sweep reads a cache
-        row it is the bitwise ``(argmin, min)`` of a fresh reference delta
-        row — the fold recomputes exactly the changed columns with the same
-        elementwise term order and merges them under argmin's lowest-index
-        tie-breaking, so the sweep makes the same swap decisions (hence
-        bit-identical refined mappings, pinned by the equivalence suite).
-        """
-        n, rng, dist, indptr, indices, weights, assign, cost = self._setup(
-            mapping, allowed, ctx
-        )
-
-        ids = np.arange(n)
-        bsize = min(self._block_size, n)
-        # Incrementally maintained diagonal, exactly as in the vectorized
-        # kernel (element copies only, never arithmetic).
-        diag = cost[ids, assign]
-
-        # The cache: per task, the index and value of its best swap partner
-        # plus a validity bit. Invalid rows are recomputed (in blocks) when
-        # the sweep reaches them.
-        best_b = np.zeros(n, dtype=np.int64)
-        best_val = np.zeros(n, dtype=np.float64)
-        valid = np.zeros(n, dtype=bool)
-
-        # Deferred-repair state. Columns whose delta entries moved since a
-        # row was last brought current sit in ``pend[:plen]`` (append-only,
-        # duplicates allowed); ``folded[r]`` is the pend length row ``r``
-        # has already absorbed. A swap with a dirty set >= dense_cutoff
-        # drops every cache instead (folding would cost a full recompute —
-        # the dense-graph regime, where this kernel degenerates to the
-        # vectorized one); once plen reaches fold_cap the pending list is
-        # folded into every valid row at once and reset, bounding fold
-        # width.
-        dense_cutoff = max(8, n // 8)
-        fold_cap = max(16, n // 8)
-        pend = np.empty(fold_cap + 2 * dense_cutoff + 4, dtype=np.int64)
-        plen = 0
-        folded = np.zeros(n, dtype=np.int64)
-        # Scratch row-position map reused across folds (reset after use).
-        pos_of = np.full(n, -1, dtype=np.int64)
-
-        sweeps = evaluations = accepted = 0
-        blocks_precomputed = rows_computed = rows_folded = 0
-
-        def compute_rows(block: np.ndarray) -> None:
-            """Fill the cache for ``block`` from scratch — the same (B, n)
-            expression as the vectorized kernel's ``block_deltas`` (identical
-            elementwise term order, hence bitwise-identical rows)."""
-            pa_blk = assign[block]
-            deltas = cost[block[:, None], assign[None, :]]  # C[a, pb]
-            deltas += cost[:, pa_blk].T                     # C[b, pa]
-            deltas -= diag[block][:, None]                  # C[a, pa]
-            deltas -= diag[None, :]                         # C[b, pb]
-            rows = np.arange(len(block))
-            los, his = indptr[block], indptr[block + 1]
-            degs = his - los
-            total = int(degs.sum())
-            if total:
-                offsets = np.repeat(his - np.cumsum(degs), degs)
-                flat = offsets + np.arange(total)
-                nbrs = indices[flat]
-                rows_rep = np.repeat(rows, degs)
-                deltas[rows_rep, nbrs] += (
-                    2.0 * weights[flat] * dist[assign[block[rows_rep]], assign[nbrs]]
-                )
-            deltas[rows, block] = 0.0
-            bmins = deltas.argmin(axis=1)
-            best_b[block] = bmins
-            best_val[block] = deltas[rows, bmins]
-            valid[block] = True
-            folded[block] = plen
-
-        def fold_rows(rows: np.ndarray) -> np.ndarray:
-            """Fold the pending (moved) columns into still-valid cache rows;
-            returns the rows that need a full recompute instead — their
-            cached argmin is itself among the moved columns, so the proof
-            of minimality over the unchanged columns is gone.
-
-            Rows are grouped by how much of the pending list they have
-            already absorbed; each group recomputes only its unabsorbed
-            columns, in the same term order as a full row, so the merged
-            values are bitwise identical. The cached argmin of a kept row is
-            outside its fold columns, hence still the exact lowest-index
-            minimum over the unchanged columns; a candidate wins on a
-            strictly smaller value, or an equal value at a smaller index
-            (np.argmin's tie-breaking). np.unique sorts the fold columns, so
-            the within-fold argmin is lowest-task-index as well.
-            """
-            nonlocal rows_folded
-            refetch = []
-            fu = folded[rows]
-            for u in np.unique(fu):
-                group = rows[fu == u]
-                cols = np.unique(pend[u:plen])
-                hit = np.isin(best_b[group], cols)
-                if hit.any():
-                    refetch.append(group[hit])
-                    group = group[~hit]
-                    if not len(group):
-                        continue
-                sub = cost[np.ix_(group, assign[cols])]     # C[a, pb]
-                sub += cost[np.ix_(cols, assign[group])].T  # C[b, pa]
-                sub -= diag[group][:, None]                 # C[a, pa]
-                sub -= diag[cols][None, :]                  # C[b, pb]
-                # Neighbor-edge corrections for all fold columns at once:
-                # the (row, column) pairs are unique (a neighbor appears
-                # once per CSR row), so the fancy-indexed += is exact. Edge
-                # weights are symmetric in the CSR (undirected graph), so
-                # reading w(t, d) from d's row matches the reference row's
-                # own slice bit-for-bit.
-                pos_of[group] = np.arange(len(group))
-                los, his = indptr[cols], indptr[cols + 1]
-                degs = his - los
-                total = int(degs.sum())
-                if total:
-                    offsets = np.repeat(his - np.cumsum(degs), degs)
-                    flat = offsets + np.arange(total)
-                    nbrs = indices[flat]
-                    ccol = np.repeat(np.arange(len(cols)), degs)
-                    rpos = pos_of[nbrs]
-                    sel = rpos >= 0
-                    if sel.any():
-                        sub[rpos[sel], ccol[sel]] += (
-                            2.0 * weights[flat[sel]]
-                            * dist[assign[nbrs[sel]], assign[cols[ccol[sel]]]]
-                        )
-                pos_of[group] = -1
-                jmin = sub.argmin(axis=1)
-                cand_val = sub[np.arange(len(group)), jmin]
-                cand_b = cols[jmin]
-                take = (cand_val < best_val[group]) | (
-                    (cand_val == best_val[group]) & (cand_b < best_b[group])
-                )
-                upd = group[take]
-                best_b[upd] = cand_b[take]
-                best_val[upd] = cand_val[take]
-                folded[group] = plen
-                rows_folded += len(group)
-            if refetch:
-                return np.concatenate(refetch)
-            return rows[:0]
-
-        floor = min(bsize, 4)
-        for _sweep in range(self._max_sweeps):
-            swapped = False
-            sweep_visits = sweep_accepted = 0
-            if prof is not None:
-                sweeps += 1
-            perm = rng.permutation(n)
-            pos = 0
-            chunk = bsize
-            while pos < n:
-                rest = perm[pos:]
-                # Trust scan: a visit with a current, non-improving cached
-                # row is a no-op, so the whole remaining permutation is
-                # scanned in a few vectorized comparisons and only the first
-                # row that is either untrusted (invalid / behind on pending
-                # folds) or a trusted improvement gets Python-level handling.
-                # A fully converged sweep collapses to ONE such scan — the
-                # structural win over the block sweep, which must still
-                # *compute* every row each sweep.
-                cand = ~valid[rest]
-                if plen:
-                    cand |= folded[rest] < plen
-                unready = cand.copy()
-                cand |= best_val[rest] < -1e-9
-                i = int(cand.argmax())
-                if not cand[i]:
-                    # Everything left is current and non-improving.
-                    if prof is not None:
-                        evaluations += len(rest)
-                        sweep_visits += len(rest)
-                    break
-                if unready[i]:
-                    # Rows before i are visited (current, non-improving);
-                    # bring a chunk starting at i current, then rescan. The
-                    # chunk doubles while no swap interrupts, so the fold
-                    # work between swaps stays proportional to the gap.
-                    if prof is not None:
-                        evaluations += i
-                        sweep_visits += i
-                    pos += i
-                    block = rest[i:i + chunk]
-                    bmask = valid[block]
-                    need = block[~bmask]
-                    if plen:
-                        behind = block[bmask]
-                        behind = behind[folded[behind] < plen]
-                        if len(behind):
-                            refetch = fold_rows(behind)
-                            if len(refetch):
-                                need = np.concatenate((need, refetch))
-                    if len(need):
-                        compute_rows(need)
-                        blocks_precomputed += 1
-                        rows_computed += len(need)
-                    chunk = min(chunk * 2, n)
-                    continue
-                if prof is not None:
-                    evaluations += i + 1
-                    sweep_visits += i + 1
-                    accepted += 1
-                    sweep_accepted += 1
-                a = int(rest[i])
-                b = int(best_b[a])
-                self._apply_swap(
-                    a, b, assign, cost, dist, indptr, indices, weights,
-                )
-                # Columns whose delta entries moved: a, b and their
-                # neighbors — exactly the tasks whose assign/cost-row state
-                # _apply_swap mutated. Everything else is untouched.
-                upd = np.concatenate((
-                    (a, b),
-                    indices[indptr[a]:indptr[a + 1]],
-                    indices[indptr[b]:indptr[b + 1]],
-                ))
-                diag[upd] = cost[upd, assign[upd]]
-                if len(upd) >= dense_cutoff:
-                    # Dense dirty set: drop every cache, as the vectorized
-                    # kernel does after a swap, to bound the wasted block
-                    # work.
-                    valid[:] = False
-                    plen = 0
-                    folded[:] = 0
-                else:
-                    valid[upd] = False
-                    pend[plen:plen + len(upd)] = upd
-                    plen += len(upd)
-                    if plen >= fold_cap:
-                        # Compact: bring every valid row current in one
-                        # batched fold, then reset the pending list.
-                        rows = np.flatnonzero(valid)
-                        rows = rows[folded[rows] < plen]
-                        if len(rows):
-                            refetch = fold_rows(rows)
-                            valid[refetch] = False
-                        plen = 0
-                        folded[:] = 0
-                swapped = True
-                chunk = floor
-                pos += i + 1
-            if prof is not None:
-                self._record_sweep(prof, n, sweeps, sweep_visits, sweep_accepted)
-            if not swapped:
-                break
-
-        self._record_totals(prof, n, sweeps, evaluations, accepted)
-        if prof is not None:
-            prof.count("refine.blocks_precomputed", blocks_precomputed)
-            prof.count("refine.rows_computed", rows_computed)
-            prof.count("refine.rows_folded", rows_folded)
-        return mapping.with_assignment(assign)
 
     @staticmethod
     def _apply_swap(a: int, b: int, assign: np.ndarray, cost: np.ndarray,

@@ -1,4 +1,4 @@
-/* refine_kernel.c — compiled sweep for RefineTopoLB's "incremental" kernel.
+/* refine_kernel.c — compiled sweep for RefineTopoLB's production kernel.
  *
  * One call runs ONE full sweep of the pairwise-swap refiner with the
  * incremental delta structure: per-task best-swap caches (best_b, best_val,
@@ -14,8 +14,8 @@
  * bitwise equal.
  *
  * Compiled on demand by repro.mapping._native via the system C compiler;
- * when no toolchain is available the pure-NumPy incremental path in
- * refine.py runs instead.
+ * when no toolchain is available the NumPy block sweep in refine.py
+ * (_refine_vectorized) runs instead.
  */
 
 #include <stdint.h>

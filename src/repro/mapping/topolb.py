@@ -73,7 +73,7 @@ class TopoLB(Mapper):
     kernel:
         ``"vectorized"`` (batched NumPy cycle body, the default),
         ``"reference"`` (the original scalar loops), or ``None`` for the
-        process-wide default (:func:`repro.mapping.kernels.get_default_kernel`).
+        default (:data:`repro.mapping.kernels.DEFAULT_KERNEL`).
     """
 
     strategy_name = "TopoLB"

@@ -42,14 +42,16 @@ def replay_strategy(
     topology: Topology,
     strategy: str,
     seed: int | None = None,
+    kernel: str | None = None,
 ) -> tuple[dict[str, float], Mapping]:
     """Like :func:`simulate_strategy` but also returns the produced mapping,
     so callers that need the placement (the CLI, the profiler's netsim
-    replay) run the strategy exactly once."""
+    replay) run the strategy exactly once. ``kernel`` is passed to the
+    strategy's construction (``None`` = the default kernel)."""
     if not isinstance(database, LBDatabase):
         database = LBDatabase.load(database)
     graph = database.to_taskgraph()
-    mapper = get_strategy(strategy, seed)
+    mapper = get_strategy(strategy, seed, kernel)
     ctx = context_for(graph, topology)
     mapping = mapper.map(graph, topology)
     placement = mapping.assignment

@@ -41,10 +41,11 @@ __all__ = ["STRATEGIES", "get_strategy", "run_strategy"]
 STRATEGIES: dict[str, str] = STRATEGY_SPECS
 
 
-def get_strategy(name: str, seed: int | None = None) -> Mapper:
+def get_strategy(name: str, seed: int | None = None,
+                 kernel: str | None = None) -> Mapper:
     """Instantiate a strategy by Charm++ name *or* mapper spec string."""
     try:
-        return mapper_from_spec(name, seed)
+        return mapper_from_spec(name, seed, kernel)
     except SpecError as exc:
         raise MappingError(str(exc)) from None
 

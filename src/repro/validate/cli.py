@@ -47,13 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
                         default="full", dest="level",
                         help="invariant tier to enforce (default: full)")
     parser.add_argument("--kernel",
-                        choices=("vectorized", "reference", "incremental",
-                                 "both", "all"),
+                        choices=("vectorized", "reference", "both"),
                         default=None,
-                        help="kernel(s) to replay under (default: process "
-                             "default; 'both' runs each golden under "
-                             "vectorized+reference, 'all' under every "
-                             "kernel)")
+                        help="kernel(s) to replay under (default: the "
+                             "default kernel; 'both' runs each golden under "
+                             "vectorized+reference)")
     parser.add_argument("--graph", help="graph spec for single-run mode, "
                                         "e.g. mesh2d:8x8;bytes=1024")
     parser.add_argument("--topology", help="topology spec, e.g. torus:8x8")
@@ -70,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _kernels(arg: str | None) -> list[str | None]:
     if arg == "both":
-        return ["vectorized", "reference"]
-    if arg == "all":
         from repro.mapping.kernels import KERNELS
         return list(KERNELS)
     return [arg]

@@ -324,10 +324,11 @@ def _check_link_load_conservation(s: _Session) -> None:
     s.record("link-load-conservation", "ok")
 
 
-def _map_with_spec(s: _Session, mapper_spec: str, seed: int | None):
+def _map_with_spec(s: _Session, mapper_spec: str, seed: int | None,
+                   kernel: str | None):
     from repro.engine.specs import mapper_from_spec
 
-    mapper = mapper_from_spec(mapper_spec, seed)
+    mapper = mapper_from_spec(mapper_spec, seed, kernel)
     if s.allowed is not None:
         return mapper.map(s.graph, s.topology, allowed=s.allowed)
     return mapper.map(s.graph, s.topology)
@@ -335,20 +336,16 @@ def _map_with_spec(s: _Session, mapper_spec: str, seed: int | None):
 
 def _check_kernel_differential(s: _Session, mapper_spec: str | None,
                                seed: int | None, kernel: str | None) -> None:
-    from repro.mapping.kernels import KERNELS, get_default_kernel, set_default_kernel
+    from repro.mapping.kernels import KERNELS, resolve_kernel
 
     if mapper_spec is None:
         s.record("kernel-differential", "skipped", "no mapper spec recorded")
         return
-    base_kernel = kernel if kernel is not None else get_default_kernel()
+    base_kernel = resolve_kernel(kernel)
     for other in KERNELS:
         if other == base_kernel:
             continue
-        prev = set_default_kernel(other)
-        try:
-            remapped = _map_with_spec(s, mapper_spec, seed)
-        finally:
-            set_default_kernel(prev)
+        remapped = _map_with_spec(s, mapper_spec, seed, other)
         if not np.array_equal(remapped.assignment, s.assignment):
             diff = np.flatnonzero(remapped.assignment != s.assignment)
             s.record(
@@ -361,14 +358,14 @@ def _check_kernel_differential(s: _Session, mapper_spec: str | None,
 
 
 def _check_spec_rebuild(s: _Session, mapper_spec: str | None,
-                        seed: int | None) -> None:
+                        seed: int | None, kernel: str | None) -> None:
     from repro.engine.specs import canonical_mapper_spec
 
     if mapper_spec is None:
         s.record("spec-rebuild-differential", "skipped", "no mapper spec recorded")
         return
     canonical = canonical_mapper_spec(mapper_spec)
-    remapped = _map_with_spec(s, canonical, seed)
+    remapped = _map_with_spec(s, canonical, seed, kernel)
     if not np.array_equal(remapped.assignment, s.assignment):
         diff = np.flatnonzero(remapped.assignment != s.assignment)
         s.record(
@@ -572,7 +569,7 @@ def validate_mapping(
     if level == "full":
         _check_link_load_conservation(s)
         _check_kernel_differential(s, mapper_spec, seed, kernel)
-        _check_spec_rebuild(s, mapper_spec, seed)
+        _check_spec_rebuild(s, mapper_spec, seed, kernel)
         _check_subtopology_distances(s)
         _check_relabel_invariance(s, seed)
         _check_scale_invariance(s)

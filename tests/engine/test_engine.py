@@ -66,19 +66,13 @@ def test_spec_vs_direct_bit_identical(spec, direct, topology_spec):
 
 
 def test_reference_kernel_request_matches_direct():
-    from repro.mapping.kernels import set_default_kernel
-
     graph = mesh2d_pattern(8, 8, message_bytes=1024)
     topology = Torus((8, 8))
     result = MappingEngine().run(
         MappingRequest(graph=graph, topology=topology, mapper="topolb",
                        seed=0, kernel="reference")
     )
-    prev = set_default_kernel("reference")
-    try:
-        direct = TopoLB().map(graph, topology).assignment
-    finally:
-        set_default_kernel(prev)
+    direct = TopoLB(kernel="reference").map(graph, topology).assignment
     assert np.array_equal(result.assignment, direct)
     assert result.metadata["kernel"] == "reference"
 

@@ -22,7 +22,7 @@ ROUND_TRIP_SPECS = [
     "topocentlb",
     "refine:passes=3",
     "refine:base=topocentlb;passes=3",
-    "refine:base=topolb,order=3;passes=2;block=32",
+    "refine:base=topolb,order=3;passes=2",
     "anneal:steps=500",
     "genetic:population=10;generations=5",
     "bokhari:jumps=2",

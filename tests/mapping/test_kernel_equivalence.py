@@ -5,7 +5,9 @@ interchangeable with the scalar reference paths: every test here pins the
 two to **bit-identical assignments** (not merely equal hop-bytes) across
 estimator orders, selection rules, fest dtypes, and instance shapes —
 including symmetric instances whose massive score ties are where a batched
-reimplementation would first diverge.
+reimplementation would first diverge. RefineTopoLB's production kernel has
+two paths — the compiled incremental sweep and, without a C compiler
+(``REPRO_NO_NATIVE=1``), the NumPy block sweep — and both are pinned.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import MappingError
+from repro.engine.specs import mapper_from_spec
 from repro.mapping import RandomMapper, RefineTopoLB, TopoLB
 from repro.mapping.estimation import EstimatorOrder
 from repro.mapping.kernels import (
@@ -21,8 +24,8 @@ from repro.mapping.kernels import (
     KERNELS,
     get_default_kernel,
     resolve_kernel,
-    set_default_kernel,
 )
+from repro.mapping import refine as refine_module
 from repro.taskgraph import mesh2d_pattern, mesh3d_pattern, random_taskgraph
 from repro.taskgraph.random_graphs import geometric_taskgraph
 from repro.topology import Hypercube, Mesh, Torus
@@ -79,26 +82,39 @@ class TestTopoLBEquivalence:
             np.testing.assert_array_equal(vec.assignment, ref.assignment)
 
 
+def _block_sweep(monkeypatch, block_size: int) -> None:
+    """Force the production kernel onto its NumPy block-sweep fallback with
+    the given block size."""
+    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    monkeypatch.setattr(refine_module, "_BLOCK_SIZE", block_size)
+
+
 class TestRefineEquivalence:
     @pytest.mark.parametrize("block_size", (1, 7, 64, 512))
-    def test_block_sweep_matches_reference(self, block_size):
+    def test_block_sweep_matches_reference(self, block_size, monkeypatch):
         graph = geometric_taskgraph(48, radius=0.3, seed=3)
         topo = Mesh((6, 8))
         # A random start leaves plenty of improving swaps, so the block
         # sweep's discard-and-restart machinery is exercised hard.
         start = RandomMapper(seed=11).map(graph, topo)
         ref = RefineTopoLB(kernel="reference", seed=1).refine(start)
-        vec = RefineTopoLB(kernel="vectorized", seed=1,
-                           block_size=block_size).refine(start)
+        _block_sweep(monkeypatch, block_size)
+        vec = RefineTopoLB(kernel="vectorized", seed=1).refine(start)
         np.testing.assert_array_equal(vec.assignment, ref.assignment)
 
-    def test_incremental_matches_reference(self):
+    def test_incremental_matches_reference(self, monkeypatch):
+        """The production kernel's compiled incremental sweep (when a C
+        compiler is around) and its block-sweep fallback both land on the
+        reference result."""
         graph = geometric_taskgraph(48, radius=0.3, seed=3)
         topo = Mesh((6, 8))
         start = RandomMapper(seed=11).map(graph, topo)
         ref = RefineTopoLB(kernel="reference", seed=1).refine(start)
-        inc = RefineTopoLB(kernel="incremental", seed=1).refine(start)
-        np.testing.assert_array_equal(inc.assignment, ref.assignment)
+        native = RefineTopoLB(kernel="vectorized", seed=1).refine(start)
+        np.testing.assert_array_equal(native.assignment, ref.assignment)
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        fallback = RefineTopoLB(kernel="vectorized", seed=1).refine(start)
+        np.testing.assert_array_equal(fallback.assignment, ref.assignment)
 
     def test_converged_input_is_noop_for_all(self):
         graph = mesh2d_pattern(4, 4)
@@ -112,9 +128,9 @@ class TestRefineEquivalence:
 
 
 class TestIncrementalNative:
-    """The compiled incremental kernel and its pure-numpy fallback are the
-    same algorithm twice; both must land bit-identically on the reference
-    path's result whether or not a C compiler is around."""
+    """The compiled incremental sweep and the block-sweep fallback are the
+    production kernel's two paths; both must land bit-identically on the
+    same result whether or not a C compiler is around."""
 
     def _instances(self):
         insts = [(geometric_taskgraph(48, radius=0.3, seed=3), Mesh((6, 8))),
@@ -124,10 +140,10 @@ class TestIncrementalNative:
 
     def test_fallback_matches_native(self, monkeypatch):
         for graph, topo, start in self._instances():
-            native = RefineTopoLB(kernel="incremental", seed=1).refine(start)
+            native = RefineTopoLB(kernel="vectorized", seed=1).refine(start)
             with monkeypatch.context() as m:
                 m.setenv("REPRO_NO_NATIVE", "1")
-                fallback = RefineTopoLB(kernel="incremental",
+                fallback = RefineTopoLB(kernel="vectorized",
                                         seed=1).refine(start)
             np.testing.assert_array_equal(
                 fallback.assignment, native.assignment)
@@ -181,26 +197,28 @@ class TestMaskedEquivalence:
         np.testing.assert_array_equal(vec.assignment, ref.assignment)
 
     @pytest.mark.parametrize("block_size", (1, 7, 64))
-    def test_refine_masked_bit_identical(self, block_size):
+    def test_refine_masked_bit_identical(self, block_size, monkeypatch):
         deg = self._degraded()
         graph = random_taskgraph(deg.num_healthy, edge_prob=0.3, seed=6)
         start = RandomMapper(seed=11).map(graph, deg)
         ref = RefineTopoLB(kernel="reference", seed=1).refine(start)
-        vec = RefineTopoLB(kernel="vectorized", seed=1,
-                           block_size=block_size).refine(start)
+        _block_sweep(monkeypatch, block_size)
+        vec = RefineTopoLB(kernel="vectorized", seed=1).refine(start)
         np.testing.assert_array_equal(vec.assignment, ref.assignment)
         assert deg.allowed_mask()[vec.assignment].all()
 
     def test_refine_masked_incremental(self, monkeypatch):
+        """Masked run: the compiled sweep and the block-sweep fallback both
+        match the reference kernel."""
         deg = self._degraded()
         graph = random_taskgraph(deg.num_healthy, edge_prob=0.3, seed=6)
         start = RandomMapper(seed=11).map(graph, deg)
         ref = RefineTopoLB(kernel="reference", seed=1).refine(start)
-        inc = RefineTopoLB(kernel="incremental", seed=1).refine(start)
-        np.testing.assert_array_equal(inc.assignment, ref.assignment)
-        assert deg.allowed_mask()[inc.assignment].all()
+        native = RefineTopoLB(kernel="vectorized", seed=1).refine(start)
+        np.testing.assert_array_equal(native.assignment, ref.assignment)
+        assert deg.allowed_mask()[native.assignment].all()
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-        fallback = RefineTopoLB(kernel="incremental", seed=1).refine(start)
+        fallback = RefineTopoLB(kernel="vectorized", seed=1).refine(start)
         np.testing.assert_array_equal(fallback.assignment, ref.assignment)
 
 
@@ -214,30 +232,73 @@ class TestKernelSelection:
             resolve_kernel("nope")
 
     def test_default_kernel_resolution(self):
-        assert DEFAULT_KERNEL == "vectorized"
-        assert get_default_kernel() in KERNELS
-        previous = set_default_kernel("reference")
-        try:
-            assert previous == "vectorized"
-            # kernel=None resolves against the process default at
-            # construction time; explicit names always win.
-            assert TopoLB().kernel == "reference"
-            assert RefineTopoLB().kernel == "reference"
-            assert TopoLB(kernel="vectorized").kernel == "vectorized"
-        finally:
-            set_default_kernel(previous)
+        assert KERNELS == ("vectorized", "reference")
+        assert DEFAULT_KERNEL == get_default_kernel() == "vectorized"
+        # kernel=None resolves to the default at construction time;
+        # explicit names always win.
         assert TopoLB().kernel == "vectorized"
+        assert RefineTopoLB().kernel == "vectorized"
+        assert TopoLB(kernel="reference").kernel == "reference"
+        assert RefineTopoLB(kernel="reference").kernel == "reference"
 
-    def test_set_default_kernel_validates(self):
+    def test_kernel_argument_validates(self):
         with pytest.raises(MappingError):
-            set_default_kernel("scalar")
-        assert get_default_kernel() == "vectorized"
+            mapper_from_spec("topolb", 0, kernel="scalar")
+        # Rejected even by a spec that runs no kernel-bearing mapper.
+        with pytest.raises(MappingError):
+            mapper_from_spec("random", 0, kernel="incremental")
 
     def test_kernel_fixed_at_construction(self):
-        mapper = TopoLB()
-        prev = set_default_kernel("reference")
-        try:
-            # Flipping the default later never changes an existing mapper.
-            assert mapper.kernel == "vectorized"
-        finally:
-            set_default_kernel(prev)
+        assert mapper_from_spec("topolb", 0).kernel == "vectorized"
+        assert mapper_from_spec("topolb", 0, kernel="reference").kernel \
+            == "reference"
+        # An explicit kernel= option in the spec wins over the argument.
+        assert mapper_from_spec("topolb:kernel=vectorized", 0,
+                                kernel="reference").kernel == "vectorized"
+
+
+class TestKernelArgumentReachesNestedMappers:
+    """``ParsedSpec.build(seed, kernel)`` hands the kernel to every mapper a
+    spec builds inside another one."""
+
+    def test_multilevel_inner_and_level_refiners(self, monkeypatch):
+        from repro.engine.specs import parse_mapper_spec
+
+        mapper = parse_mapper_spec("multilevel:inner=topolb").build(
+            0, kernel="reference")
+        assert mapper._inner.kernel == "reference"
+        assert parse_mapper_spec("multilevel").build(
+            0, kernel="reference")._inner.kernel == "reference"
+
+        # Run one with enough levels to refine, recording every per-level
+        # refiner's kernel.
+        seen = []
+        real = RefineTopoLB.refine
+
+        def spy(self, *args, **kwargs):
+            seen.append(self.kernel)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(RefineTopoLB, "refine", spy)
+        parse_mapper_spec("multilevel:inner=topolb;stop=16").build(
+            0, kernel="reference").map(mesh2d_pattern(8, 8), Torus((8, 8)))
+        assert seen and set(seen) == {"reference"}
+
+    def test_explicit_nested_option_wins(self):
+        refiner = mapper_from_spec("refine:base=topolb:kernel=reference", 0,
+                                   kernel="vectorized")
+        assert refiner.kernel == "vectorized"
+        assert refiner._base.kernel == "reference"
+
+    def test_every_composition_forwards_the_kernel(self):
+        pipe = mapper_from_spec("RefineTopoLB", 0, kernel="reference")
+        assert pipe._mapper.kernel == "reference"
+        assert pipe._refiner.kernel == "reference"
+        assert mapper_from_spec("pipeline", 0,
+                                kernel="reference")._mapper.kernel == "reference"
+        refiner = mapper_from_spec("refine:base=topolb", 0, kernel="reference")
+        assert refiner.kernel == refiner._base.kernel == "reference"
+        genetic = mapper_from_spec("genetic", 0, kernel="reference")
+        assert genetic._seed_mapper.kernel == "reference"
+        hybrid = mapper_from_spec("hybrid", 0, kernel="reference")
+        assert hybrid._kernel == "reference"

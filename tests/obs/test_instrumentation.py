@@ -91,7 +91,8 @@ class TestRefineSweepEvents:
     (bit-identity is enforced by the equivalence suite), so the event stream
     — one event per sweep with the sweep's accepted-swap and evaluated-pair
     counts — must be byte-for-byte identical no matter which kernel produced
-    it, native incremental and its numpy fallback included.
+    it, the production kernel's native sweep and block-sweep fallback
+    included.
     """
 
     def _instance(self):
@@ -109,11 +110,13 @@ class TestRefineSweepEvents:
         events = [e for e in prof.events if e["name"] == "refine.sweep"]
         return events, dict(prof.counters)
 
-    @pytest.mark.parametrize("kernel",
-                             ("reference", "vectorized", "incremental"))
-    def test_events_sum_to_totals(self, kernel):
+    @pytest.mark.parametrize("kernel", ("reference", "vectorized", "fallback"))
+    def test_events_sum_to_totals(self, kernel, monkeypatch):
         start = self._instance()
         n = start.graph.num_tasks
+        if kernel == "fallback":
+            monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+            kernel = "vectorized"
         events, counters = self._sweep_events(kernel, start)
 
         assert len(events) == counters["refine.sweeps"] >= 2
@@ -132,11 +135,11 @@ class TestRefineSweepEvents:
         start = self._instance()
         streams = {
             kernel: self._sweep_events(kernel, start)[0]
-            for kernel in ("reference", "vectorized", "incremental")
+            for kernel in ("reference", "vectorized")
         }
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-        streams["incremental-fallback"] = \
-            self._sweep_events("incremental", start)[0]
+        streams["vectorized-fallback"] = \
+            self._sweep_events("vectorized", start)[0]
         reference = streams.pop("reference")
         assert reference[0]["accepted"] > 0
         for kernel, events in streams.items():
