@@ -4,8 +4,7 @@ Bokhari (1981) optimized *cardinality* (edges landing on machine links);
 the paper optimizes *hop-bytes*. On uniform-weight stencils the two agree;
 on weight-skewed instances the cardinality objective is blind to where the
 heavy bytes go — which is precisely the historical motivation for
-hop-bytes. This bench measures both metrics under both optimizers, plus
-the GA's seeded-vs-random initialization (Orduña et al.'s 'seed' idea).
+hop-bytes. This bench measures both metrics under both optimizers.
 """
 
 from __future__ import annotations
@@ -15,12 +14,11 @@ import pytest
 
 from repro.mapping import (
     BokhariMapper,
-    GeneticMapper,
     RandomMapper,
     TopoLB,
     cardinality,
 )
-from repro.taskgraph import TaskGraph, mesh2d_pattern, random_taskgraph
+from repro.taskgraph import TaskGraph, random_taskgraph
 from repro.topology import Torus
 
 
@@ -61,21 +59,3 @@ def test_hop_bytes_objective_wins_on_skewed_weights(run_once):
     # ...but hop-bytes is what contention follows, and TopoLB wins it.
     assert out["topolb"][0] < out["bokhari"][0]
 
-
-def test_seeded_ga_converges_faster(run_once):
-    def measure():
-        topo = Torus((6, 6))
-        graph = mesh2d_pattern(6, 6)
-        out = {}
-        for name, mapper in (
-            ("random-init", GeneticMapper(generations=40, seed=0)),
-            ("seeded-init", GeneticMapper(generations=40, seed=0,
-                                          seed_mapper=TopoLB())),
-        ):
-            out[name] = mapper.map(graph, topo).hops_per_byte
-        return out
-
-    out = run_once(measure)
-    print(f"\nGA hops/byte: random-init {out['random-init']:.3f}, "
-          f"seeded-init {out['seeded-init']:.3f}")
-    assert out["seeded-init"] <= out["random-init"]

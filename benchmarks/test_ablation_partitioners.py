@@ -1,4 +1,4 @@
-"""Ablation: phase-1 partitioner choice (multilevel vs spectral vs greedy).
+"""Ablation: phase-1 partitioner choice (multilevel vs greedy).
 
 The paper is agnostic about the phase-1 partitioner ("any partitioning
 algorithm can be used ... a method that reduces intergroup communication
@@ -18,7 +18,6 @@ from repro.mapping import TopoLB
 from repro.partition import (
     GreedyPartitioner,
     MultilevelPartitioner,
-    SpectralPartitioner,
     edge_cut_bytes,
     partition_imbalance,
 )
@@ -28,7 +27,6 @@ from repro.topology import Torus
 PARTITIONERS = {
     "greedy": lambda: GreedyPartitioner(),
     "multilevel": lambda: MultilevelPartitioner(seed=0),
-    "spectral": lambda: SpectralPartitioner(seed=0),
 }
 
 
@@ -63,7 +61,6 @@ def test_partition_quality_flows_into_mapping(run_once):
     print()
     for name, (t, cut, hpb) in out.items():
         print(f"{name}: {t:.2f}s, cut={cut:.3g}, group hops/byte={hpb:.3f}")
-    # Comm-aware partitioners must cut far less than the load-only greedy;
+    # The comm-aware partitioner must cut far less than the load-only greedy;
     # cut bytes are the traffic the mapper then has to place.
     assert out["multilevel"][1] < out["greedy"][1]
-    assert out["spectral"][1] < out["greedy"][1]

@@ -60,7 +60,6 @@ from repro.partition import (
     GreedyPartitioner,
     RecursiveBisectionPartitioner,
     MultilevelPartitioner,
-    SpectralPartitioner,
 )
 from repro.engine import (
     MappingEngine,
@@ -127,7 +126,6 @@ __all__ = [
     "GreedyPartitioner",
     "RecursiveBisectionPartitioner",
     "MultilevelPartitioner",
-    "SpectralPartitioner",
     "MappingEngine",
     "MappingRequest",
     "MappingResult",

@@ -13,12 +13,9 @@ Option values that are themselves mapper specs (``refine:base=...``,
 ``pipeline:inner=...``, ``multilevel:inner=...``) use ``,`` instead of ``;``
 to separate their own options — one nesting level, which covers every
 composition the paper uses (``pipeline`` already owns the partition and
-refine stages, so nothing needs a nested pipeline). A fully ','-separated
-spelling such as ``multilevel:inner=topolb,levels=auto`` also parses:
-trailing ``key=value`` segments that fail to parse as nested options and
-name options of the *enclosing* kind spill back out to it (use the explicit
-``inner=topolb:kernel=reference`` colon form to force inner binding when a
-key exists on both sides).
+refine stages, so nothing needs a nested pipeline). Every ``,`` segment of
+such a value belongs to the nested spec; options of the enclosing kind
+follow a ``;`` (``multilevel:inner=topolb,order=3;levels=auto``).
 
 The classic Charm++ strategy names (``TopoLB``, ``RefineTopoLB``,
 ``GreedyLB``, ...) remain valid everywhere a spec is accepted: they are
@@ -40,8 +37,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.exceptions import SpecError
 
@@ -107,10 +102,6 @@ class OptionSpec:
     choices: tuple[str, ...] | None = None
     #: parsed value -> canonical string (identity-ish by default).
     canon: Callable[[object], str] = field(default=str, repr=False)
-    #: True when the value is itself a mapper spec (',' separators) — such
-    #: values may carry trailing options of the *enclosing* kind, which the
-    #: parser spills back out when the full value fails to parse.
-    nested: bool = False
 
     def parse_value(self, text: str) -> object:
         text = text.strip()
@@ -163,9 +154,7 @@ def _canon_nested(parsed: object) -> str:
 def _nested_opt(name: str, doc: str, default: str) -> OptionSpec:
     # The value is itself a mapper spec; parse eagerly so errors surface at
     # parse time, canonicalize recursively.
-    return OptionSpec(
-        name, doc, default, parse=_parse_nested, canon=_canon_nested, nested=True
-    )
+    return OptionSpec(name, doc, default, parse=_parse_nested, canon=_canon_nested)
 
 
 _KERNEL_OPT = _choice(
@@ -242,7 +231,6 @@ def _build_topolb(opts, seed, kernel):
 
     return TopoLB(
         order=EstimatorOrder(int(opts.get("order", 2))),
-        dtype=np.float32 if opts.get("dtype") == "float32" else np.float64,
         selection=str(opts.get("selection", "gain")),
         kernel=_kernel_arg(opts, kernel),
     )
@@ -272,19 +260,6 @@ def _build_anneal(opts, seed, kernel):
 
     return SimulatedAnnealingMapper(
         steps=int(opts.get("steps", 20_000)), seed=seed or 0
-    )
-
-
-def _build_genetic(opts, seed, kernel):
-    from repro.mapping.evolutionary import GeneticMapper
-    from repro.mapping.topolb import TopoLB
-
-    # Seeded population (Orduña-style) so the strategy is usable at LB time.
-    return GeneticMapper(
-        population=int(opts.get("population", 40)),
-        generations=int(opts.get("generations", 60)),
-        seed=seed or 0,
-        seed_mapper=TopoLB(kernel=kernel),
     )
 
 
@@ -357,7 +332,6 @@ def _build_multilevel(opts, seed, kernel):
         levels=opts.get("levels", "auto"),
         refine_window=int(opts.get("refine_window", 2)),
         stop=int(opts.get("stop", 1024)),
-        aggregate=str(opts.get("aggregate", "representative")),
         seed=seed or 0,
         kernel=kernel,
     )
@@ -382,8 +356,6 @@ MAPPER_KINDS: dict[str, MapperKind] = {
                         "2", "1", "2", "3"),
                 _choice("selection", "per-cycle task-selection rule",
                         "gain", "gain", "max_cost", "volume"),
-                _choice("dtype", "fest-table floating dtype",
-                        "float64", "float64", "float32"),
                 _KERNEL_OPT,
             ),
             _build_topolb,
@@ -406,14 +378,6 @@ MAPPER_KINDS: dict[str, MapperKind] = {
             "anneal", "simulated-annealing mapper",
             (_int_opt("steps", "annealing steps", "20000"),),
             _build_anneal,
-        ),
-        MapperKind(
-            "genetic", "genetic mapper with TopoLB-seeded population",
-            (
-                _int_opt("population", "population size", "40"),
-                _int_opt("generations", "generations", "60"),
-            ),
-            _build_genetic,
         ),
         MapperKind(
             "bokhari", "Bokhari-style pairwise-interchange with random jumps",
@@ -467,8 +431,6 @@ MAPPER_KINDS: dict[str, MapperKind] = {
                            "(0 disables)", "2", parse=_parse_nonnegative_int),
                 _int_opt("stop", "machine size the inner mapper runs at",
                          "1024"),
-                _choice("aggregate", "coarse-machine distance aggregation",
-                        "representative", "representative", "mean"),
                 _KERNEL_OPT,
             ),
             _build_multilevel,
@@ -489,7 +451,6 @@ STRATEGY_SPECS: dict[str, str] = {
     "RefineTopoLB": "pipeline:inner=topolb;refine=on",
     "RefineTopoLB3": "pipeline:inner=topolb,order=3;refine=on",
     "AnnealLB": "pipeline:inner=anneal",
-    "GeneticLB": "pipeline:inner=genetic",
     "BokhariLB": "pipeline:inner=bokhari",
     "RecursiveEmbedLB": "pipeline:inner=recursive",
     "LinearOrderLB": "pipeline:inner=linear",
@@ -499,29 +460,6 @@ STRATEGY_SPECS: dict[str, str] = {
 
 
 # -------------------------------------------------------------------- parsing
-def _split_nested_tail(
-    kind: MapperKind, value: str
-) -> tuple[str, list[str] | None]:
-    """Peel trailing ``key=value`` comma segments naming options of ``kind``.
-
-    Returns ``(head, spilled)`` where ``head`` is the remaining nested spec
-    and ``spilled`` the peeled segments — or ``(value, None)`` when nothing
-    peels (the caller then re-raises the original parse error).
-    """
-    segments = value.split(",")
-    names = {o.name for o in kind.options}
-    cut = len(segments)
-    while cut > 1:
-        seg_key, sep, _ = segments[cut - 1].partition("=")
-        if sep and seg_key.strip().lower() in names:
-            cut -= 1
-        else:
-            break
-    if cut == len(segments):
-        return value, None
-    return ",".join(segments[:cut]), segments[cut:]
-
-
 def parse_mapper_spec(spec: str) -> ParsedSpec:
     """Parse and validate a mapper spec (or strategy alias) string.
 
@@ -546,9 +484,10 @@ def parse_mapper_spec(spec: str) -> ParsedSpec:
         )
 
     options: dict[str, object] = {}
-    queue = [item.strip() for item in params.split(";") if item.strip()]
-    while queue:
-        item = queue.pop(0)
+    for item in params.split(";"):
+        item = item.strip()
+        if not item:
+            continue
         key, sep, value = item.partition("=")
         key = key.strip().lower()
         if not sep:
@@ -558,23 +497,7 @@ def parse_mapper_spec(spec: str) -> ParsedSpec:
         opt = kind.option(key)  # raises SpecError on unknown keys
         if key in options:
             raise SpecError(f"duplicate option {key!r} in {spec!r}")
-        try:
-            options[key] = opt.parse_value(value)
-        except SpecError:
-            # A nested value like ``inner=topolb,levels=auto`` may carry
-            # trailing ','-separated options of the *enclosing* kind (the
-            # natural spelling when the whole spec uses ','). Only re-split
-            # when the full value fails to parse, so every currently-valid
-            # spec keeps its meaning; within the tail, keys of the enclosing
-            # kind bind outward (use the explicit ':' nested form to force
-            # inner binding).
-            head, spilled = (None, None)
-            if opt.nested and "," in value:
-                head, spilled = _split_nested_tail(kind, value)
-            if spilled is None:
-                raise
-            options[key] = opt.parse_value(head)
-            queue.extend(seg.strip() for seg in spilled)
+        options[key] = opt.parse_value(value)
 
     canonical = kind_name
     given = [opt for opt in kind.options if opt.name in options]

@@ -57,7 +57,6 @@ from repro.mapping.hybrid import HybridTopoLB, grow_processor_blocks
 from repro.mapping.visualize import render_placement, render_link_heat
 from repro.mapping.bounds import hop_bytes_lower_bound, optimality_gap
 from repro.mapping.incremental import IncrementalRefineLB
-from repro.mapping.evolutionary import GeneticMapper
 from repro.mapping.bokhari import BokhariMapper, cardinality
 
 __all__ = [
@@ -96,7 +95,6 @@ __all__ = [
     "hop_bytes_lower_bound",
     "optimality_gap",
     "IncrementalRefineLB",
-    "GeneticMapper",
     "BokhariMapper",
     "cardinality",
 ]

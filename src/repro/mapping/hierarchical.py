@@ -81,19 +81,15 @@ class HierarchicalMapper(Mapper):
     stop:
         Machine size at which joint coarsening stops — the size the inner
         mapper actually runs at.
-    aggregate:
-        Coarse-machine distance aggregation, ``"representative"`` (exact,
-        scalable) or ``"mean"`` (dense-table bound).
     seed:
         Drives the matching visit order and the refiner sweep order.
     kernel:
         Kernel of the per-level refiners and of the default inner mapper
         (``None`` = the default kernel; the engine's kernel-differential
         oracle rebuilds the mapper with the other one).
-    validate_levels:
-        Run cheap-tier validation on every uncoarsened level (bounds,
-        injectivity, mask, additivity, metrics consistency). Cheap relative
-        to the mapping work; on by default.
+
+    Every uncoarsened level is checked by cheap-tier validation (bounds,
+    injectivity, mask, additivity, metrics consistency).
     """
 
     strategy_name = "Multilevel"
@@ -104,10 +100,8 @@ class HierarchicalMapper(Mapper):
         levels: int | str = "auto",
         refine_window: int = 2,
         stop: int = 1024,
-        aggregate: str = "representative",
         seed: int = 0,
         kernel: str | None = None,
-        validate_levels: bool = True,
     ):
         if inner is None:
             from repro.mapping.topolb import TopoLB
@@ -130,10 +124,8 @@ class HierarchicalMapper(Mapper):
         self._levels = levels
         self._refine_window = int(refine_window)
         self._stop = int(stop)
-        self._aggregate = aggregate
         self._seed = int(seed)
         self._kernel = kernel
-        self._validate_levels = bool(validate_levels)
         self._last_groups: np.ndarray | None = None
         self._last_group_mapping: Mapping | None = None
         #: per-level (num_tasks, num_procs, allowed, assignment) snapshots of
@@ -184,9 +176,7 @@ class HierarchicalMapper(Mapper):
         shape = topology.shape if isinstance(topology, GridTopology) else None
         with obs.timer("multilevel.coarsen_machine"):
             while self._keep_coarsening(topo, len(joint)):
-                ctopo, groups, cmask, shape = coarsen_machine(
-                    topo, mask, shape=shape, aggregate=self._aggregate
-                )
+                ctopo, groups, cmask, shape = coarsen_machine(topo, mask, shape=shape)
                 cap = ctopo.num_nodes if cmask is None else int(cmask.sum())
                 if g.num_tasks > cap:
                     g2, fine2coarse = coarsen_toward(
@@ -357,8 +347,6 @@ class HierarchicalMapper(Mapper):
         level: int,
     ) -> None:
         """Cheap-tier validation of one level's (injective) assignment."""
-        if not self._validate_levels:
-            return
         from repro.validate.core import validate_mapping
 
         validate_mapping(

@@ -57,9 +57,6 @@ class TopoLB(Mapper):
     order:
         Which estimation function to use (default: second order, the paper's
         shipped configuration).
-    dtype:
-        Floating dtype of the ``fest`` table; ``numpy.float32`` halves memory
-        for large machines at a tiny quality risk.
     selection:
         Which unplaced task each cycle picks — an ablation hook around the
         paper's core design decision:
@@ -81,14 +78,10 @@ class TopoLB(Mapper):
     def __init__(
         self,
         order: EstimatorOrder | int = EstimatorOrder.SECOND,
-        dtype: type = np.float64,
         selection: str = "gain",
         kernel: str | None = None,
     ):
         self._order = EstimatorOrder(order)
-        self._dtype = np.dtype(dtype)
-        if self._dtype.kind != "f":
-            raise MappingError(f"fest table dtype must be floating, got {dtype!r}")
         if selection not in _SELECTION_RULES:
             raise MappingError(
                 f"selection must be one of {_SELECTION_RULES}, got {selection!r}"
@@ -156,35 +149,31 @@ class TopoLB(Mapper):
         """Shared kernel state: fest table, selection vectors, reserve arrays."""
         if ctx is None:
             ctx = context_for(graph, topology)
-        dist = ctx.distance_matrix(self._dtype)
+        dist = ctx.distance_matrix(np.float64)
         indptr, indices, weights = ctx.csr_arrays()
 
         order = self._order
         # Bytes from each task to its not-yet-placed neighbors.
-        unplaced_comm = graph.comm_volumes().astype(self._dtype)
+        # comm_volumes() returns a fresh array, which the third-order path
+        # may mutate.
+        unplaced_comm = graph.comm_volumes()
 
-        # copy=False: the cast is a no-op for float64 tables, and avg_all is
-        # never mutated, so aliasing the shared read-only vector is safe
-        # (avg_free, which the third-order path does mutate, is a real copy).
-        # Masked runs take the expectation over the *allowed* set — the
-        # "arbitrary processor" a deferred task could land on is a healthy
-        # one — which is a per-fault-pattern vector, computed fresh (cheap,
-        # O(p * p'), and never shared-cached under the pristine key).
-        if allowed is None:
-            avg_all = ctx.average_distance_vector().astype(self._dtype, copy=False)
-        else:
-            avg_all = ctx.average_distance_vector(allowed).astype(
-                self._dtype, copy=False
-            )
+        # avg_all is never mutated, so aliasing the shared read-only vector
+        # is safe (avg_free, which the third-order path does mutate, is a
+        # real copy). Masked runs take the expectation over the *allowed*
+        # set — the "arbitrary processor" a deferred task could land on is a
+        # healthy one — which is a per-fault-pattern vector, computed fresh
+        # (cheap, O(p * p'), and never shared-cached under the pristine key).
+        avg_all = ctx.average_distance_vector(allowed)
         avg_free = avg_all.copy()  # only consulted by the third-order path
 
         # fest table: rows = tasks, columns = processors (p columns; equal to
         # n in the classic unmasked case).
         p = topology.num_nodes
         if order is EstimatorOrder.FIRST:
-            fest = np.zeros((n, p), dtype=self._dtype)
+            fest = np.zeros((n, p), dtype=np.float64)
         else:
-            # outer() of two dtype arrays is already dtype: no astype copy.
+            # outer() of two float64 arrays is already float64: no astype copy.
             fest = np.outer(unplaced_comm, avg_free)
         return dist, indptr, indices, weights, unplaced_comm, avg_all, avg_free, fest
 
@@ -209,13 +198,13 @@ class TopoLB(Mapper):
         avail_count = int(avail.sum())
         assignment = np.full(n, -1, dtype=np.int64)
         # Additive penalty pushing consumed processors out of row minima
-        # (dtype-aware so float32 tables don't overflow). Disallowed
+        # (a fraction of the float64 range, so sums never overflow). Disallowed
         # processors start penalized, which keeps them out of every reserve
         # and argmin for the whole run — the reserve never needs more than
         # n <= p' candidates, so the genuine (allowed) entries always fill it
         # ahead of penalized ones.
-        huge = np.finfo(self._dtype).max / 16
-        penalty = np.zeros(p, dtype=self._dtype)
+        huge = np.finfo(np.float64).max / 16
+        penalty = np.zeros(p, dtype=np.float64)
         if allowed is not None:
             penalty[~avail] = huge
 
@@ -226,12 +215,12 @@ class TopoLB(Mapper):
         if allowed is None:
             f_sum = fest.sum(axis=1)
         else:
-            f_sum = fest @ avail.astype(self._dtype)
-        f_min = np.empty(n, dtype=self._dtype)
+            f_sum = fest @ avail.astype(np.float64)
+        f_min = np.empty(n, dtype=np.float64)
         f_argmin = np.empty(n, dtype=np.int64)
 
         reserve = min(self._RESERVE, n)
-        res_vals = np.empty((n, reserve), dtype=self._dtype)
+        res_vals = np.empty((n, reserve), dtype=np.float64)
         res_ids = np.empty((n, reserve), dtype=np.int64)
         res_pos = np.zeros(n, dtype=np.int64)
 
@@ -330,7 +319,7 @@ class TopoLB(Mapper):
             dirty = np.unique(np.asarray(rescan + touched, dtype=np.int64))
             if len(dirty):
                 rebuild(dirty)
-                f_sum[dirty] = fest[dirty] @ avail.astype(self._dtype)
+                f_sum[dirty] = fest[dirty] @ avail.astype(np.float64)
             if prof is not None:
                 rows_rebuilt += len(dirty)
 
@@ -391,7 +380,7 @@ class TopoLB(Mapper):
         assignment = np.full(n, -1, dtype=np.int64)
         # Float view of the availability mask, maintained in O(1) per cycle
         # (the reference path re-casts the bool mask every cycle instead).
-        avail_f = avail.astype(self._dtype)
+        avail_f = avail.astype(np.float64)
 
         # f_sum feeds only the "gain" score; other selections never read it.
         # Masked runs sum over the allowed columns only — the same free-set
@@ -420,7 +409,7 @@ class TopoLB(Mapper):
         # within a row the extracted columns are distinct, so the
         # scatter-back is an exact inverse.
         res_ids = np.empty((n, reserve), dtype=np.int64)
-        res_vals = np.empty((n, reserve), dtype=self._dtype)
+        res_vals = np.empty((n, reserve), dtype=np.float64)
         if allowed is None:
             for k in range(reserve):
                 am = fest.argmin(axis=1)
@@ -469,16 +458,16 @@ class TopoLB(Mapper):
         # same elementwise dist[pk] - avg_all rows the reference computes.
         if order is EstimatorOrder.SECOND:
             if allowed is None:
-                dma = ctx.centered_distance_matrix(self._dtype)
+                dma = ctx.centered_distance_matrix(np.float64)
             else:
                 dma = dist - avg_all
         # unplaced_comm only feeds the third-order recentring term — for the
         # other orders it is never read, so skip maintaining it.
         track_comm = order is EstimatorOrder.THIRD
-        # Score buffer in the fest dtype — the reference's `f_sum / count`
-        # divides in that dtype, and matching its rounding is what keeps
+        # Score buffer in float64 — the reference's `f_sum / count`
+        # divides in float64, and matching its rounding is what keeps
         # near-tie argmax decisions identical.
-        sbuf = np.empty(n, dtype=self._dtype)
+        sbuf = np.empty(n, dtype=np.float64)
 
         cycles = reserve_hits = reserve_exhaustions = 0
         rows_rebuilt = neighbor_updates = 0

@@ -39,46 +39,9 @@ class TaskGraph:
         edges: Iterable[tuple[int, int, float]] = (),
         vertex_weights: Sequence[float] | None = None,
     ):
-        if num_tasks < 1:
-            raise TaskGraphError(f"task graph needs at least one task, got {num_tasks}")
-        self._n = int(num_tasks)
-
-        if vertex_weights is None:
-            self._vertex_weights = np.ones(self._n, dtype=np.float64)
-        else:
-            self._vertex_weights = np.asarray(vertex_weights, dtype=np.float64).copy()
-            if self._vertex_weights.shape != (self._n,):
-                raise TaskGraphError(
-                    f"vertex_weights must have shape ({self._n},), "
-                    f"got {self._vertex_weights.shape}"
-                )
-            if (self._vertex_weights < 0).any():
-                raise TaskGraphError("vertex weights must be non-negative")
-        self._vertex_weights.flags.writeable = False
-
-        # Accumulate undirected edges with canonical (min, max) keys.
-        acc: dict[tuple[int, int], float] = {}
-        for a, b, w in edges:
-            a, b = int(a), int(b)
-            if not (0 <= a < self._n and 0 <= b < self._n):
-                raise TaskGraphError(f"edge ({a},{b}) references unknown task")
-            if a == b:
-                raise TaskGraphError(f"self-edge at task {a} (intra-task bytes are free)")
-            w = float(w)
-            if w < 0:
-                raise TaskGraphError(f"edge ({a},{b}) has negative weight {w}")
-            key = (a, b) if a < b else (b, a)
-            acc[key] = acc.get(key, 0.0) + w
-
-        m = len(acc)
-        self._edge_u = np.empty(m, dtype=np.int64)
-        self._edge_v = np.empty(m, dtype=np.int64)
-        self._edge_w = np.empty(m, dtype=np.float64)
-        for i, ((a, b), w) in enumerate(sorted(acc.items())):
-            self._edge_u[i] = a
-            self._edge_v[i] = b
-            self._edge_w[i] = w
-        self._finish_edges()
+        cols = [(int(a), int(b), float(w)) for a, b, w in edges]
+        u, v, w = zip(*cols) if cols else ((), (), ())
+        self._build(num_tasks, u, v, w, vertex_weights)
 
     @classmethod
     def from_arrays(
@@ -92,15 +55,21 @@ class TaskGraph:
         """Vectorized constructor from parallel edge arrays.
 
         Produces exactly the graph ``TaskGraph(num_tasks, zip(u, v, w),
-        vertex_weights)`` would: duplicate pairs (in either orientation)
-        merge by summing in first-appearance order, and the stored edge list
-        is sorted by canonical ``(min, max)`` key. The per-edge Python loop
-        is replaced by a lexsort + reduceat, which is what makes repeated
-        graph contraction affordable at 10^5+ edges.
+        vertex_weights)`` would — ``__init__`` builds through the same path.
+        Duplicate pairs (in either orientation) merge by summing their
+        weights in ascending order, so the merged weight depends only on
+        which duplicates there are, never on their input order. The stored
+        edge list is sorted by canonical ``(min, max)`` key. A lexsort +
+        reduceat does the merge, which is what makes repeated graph
+        contraction affordable at 10^5+ edges.
         """
+        self = object.__new__(cls)
+        self._build(num_tasks, u, v, w, vertex_weights)
+        return self
+
+    def _build(self, num_tasks, u, v, w, vertex_weights) -> None:
         if num_tasks < 1:
             raise TaskGraphError(f"task graph needs at least one task, got {num_tasks}")
-        self = object.__new__(cls)
         self._n = int(num_tasks)
 
         if vertex_weights is None:
@@ -129,7 +98,7 @@ class TaskGraph:
             self._edge_v = np.empty(0, dtype=np.int64)
             self._edge_w = np.empty(0, dtype=np.float64)
             self._finish_edges()
-            return self
+            return
 
         bad = (u < 0) | (u >= self._n) | (v < 0) | (v >= self._n)
         if bad.any():
@@ -151,9 +120,9 @@ class TaskGraph:
 
         a = np.minimum(u, v)
         b = np.maximum(u, v)
-        # Stable lexsort keeps duplicates in input order, so reduceat sums
-        # them left-to-right exactly like the dict accumulator in __init__.
-        order = np.lexsort((b, a))
+        # Duplicates of one key sort by weight, so reduceat sums them in the
+        # same order whatever order they arrived in.
+        order = np.lexsort((w, b, a))
         a, b, wo = a[order], b[order], w[order]
         first = np.ones(len(a), dtype=bool)
         first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
@@ -162,7 +131,6 @@ class TaskGraph:
         self._edge_v = b[starts]
         self._edge_w = np.add.reduceat(wo, starts)
         self._finish_edges()
-        return self
 
     def _finish_edges(self) -> None:
         """Freeze the canonical edge arrays and derive the CSR adjacency."""

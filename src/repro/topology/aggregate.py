@@ -7,16 +7,11 @@ whose size matches its coarsened task graph. Like
 honest inter-group distances, but there are no physical links to route
 over, so :meth:`route` raises.
 
-Two distance aggregations are supported:
-
-* ``representative`` (default) — ``d(A, B) = d_parent(rep_A, rep_B)`` for
-  one designated member per group. Exact machine distances, never needs a
-  parent-sized dense table when the ancestry bottoms out in a grid (the
-  closed form runs on representative coordinates directly) — this is what
-  keeps 10^5+-processor tori coarsenable.
-* ``mean`` — ``d(A, B)`` is the mean parent distance over all member pairs
-  (diagonal forced to 0). Smoother, but requires the parent's dense matrix
-  and is therefore refused above the dense-table limit.
+Distances are representative: ``d(A, B) = d_parent(rep_A, rep_B)`` for
+one designated member per group. They are exact machine distances and never
+need a parent-sized dense table when the ancestry bottoms out in a grid (the
+closed form runs on representative coordinates directly) — this is what
+keeps 10^5+-processor tori coarsenable.
 
 :func:`coarsen_machine` builds the standard halving step: grid machines
 halve their largest extent (subtorus pairing, so groups stay geometric
@@ -50,8 +45,6 @@ class GroupedTopology(Topology):
     groups:
         ``(parent.num_nodes,)`` int array, ``groups[i]`` = coarse node of
         parent node ``i``. Every id in ``0..k-1`` must occur.
-    aggregate:
-        ``"representative"`` or ``"mean"`` (see module docstring).
     reps:
         Optional explicit representative per group (must be a member).
         Defaults to each group's smallest member id. :func:`coarsen_machine`
@@ -63,7 +56,6 @@ class GroupedTopology(Topology):
         self,
         parent: Topology,
         groups: np.ndarray,
-        aggregate: str = "representative",
         reps: np.ndarray | None = None,
     ):
         groups = np.asarray(groups, dtype=np.int64)
@@ -78,15 +70,10 @@ class GroupedTopology(Topology):
         if (counts == 0).any():
             missing = int(np.flatnonzero(counts == 0)[0])
             raise TopologyError(f"coarse node {missing} has no members")
-        if aggregate not in ("representative", "mean"):
-            raise TopologyError(
-                f"aggregate must be 'representative' or 'mean', got {aggregate!r}"
-            )
         super().__init__(k)
         self._parent = parent
         self._groups = groups.copy()
         self._groups.flags.writeable = False
-        self._aggregate = aggregate
 
         p = parent.num_nodes
         if reps is None:
@@ -109,7 +96,6 @@ class GroupedTopology(Topology):
         else:
             self._root = parent
             self._root_reps = self._reps
-        self._mean_matrix: np.ndarray | None = None
         self._neighbor_lists: list[list[int]] | None = None
 
     # ------------------------------------------------------------- structure
@@ -128,11 +114,6 @@ class GroupedTopology(Topology):
         """Read-only representative parent node per coarse node."""
         return self._reps
 
-    @property
-    def aggregate(self) -> str:
-        """The distance aggregation mode."""
-        return self._aggregate
-
     def member_lists(self) -> list[np.ndarray]:
         """Member parent-node ids per coarse node, each ascending."""
         order = np.argsort(self._groups, kind="stable")
@@ -146,30 +127,13 @@ class GroupedTopology(Topology):
         return (
             "GroupedTopology",
             parent_key,
-            self._aggregate,
             self._groups.tobytes(),
             self._reps.tobytes(),
         )
 
     # -------------------------------------------------------------- distances
-    def distance_matrix(self, dtype: np.dtype | type = np.int32) -> np.ndarray:
-        if self._aggregate != "mean":
-            return super().distance_matrix(dtype)
-        # Mean distances are fractional: every dtype must be cast from the
-        # exact float64 mean matrix, never derived from a truncated integer
-        # cache entry (which the base class would happily use as a source).
-        dt = np.dtype(dtype)
-        mat = self._distance_matrices.get(dt)
-        if mat is None:
-            mat = self._mean_distance_matrix().astype(dt)
-            mat.flags.writeable = False
-            self._distance_matrices[dt] = mat
-        return mat
-
     def distance_row(self, node: int) -> np.ndarray:
         node = self._check_node(node)
-        if self._aggregate == "mean":
-            return self._mean_distance_matrix()[node]
         root, rr = self._root, self._root_reps
         if isinstance(root, GridTopology):
             coords = root.coords_array()[rr]
@@ -181,35 +145,11 @@ class GroupedTopology(Topology):
         return np.asarray(root.distance_row(int(rr[node])))[rr]
 
     def _build_distance_matrix(self, dtype: np.dtype) -> np.ndarray:
-        if self._aggregate == "mean":
-            return self._mean_distance_matrix().astype(dtype)
         root, rr = self._root, self._root_reps
         if not isinstance(root, GridTopology) and root.num_nodes <= _PARENT_MATRIX_LIMIT:
             # One gather from the root's (cached) matrix beats k BFS rows.
             return root.distance_matrix()[np.ix_(rr, rr)].astype(dtype)
         return super()._build_distance_matrix(dtype)
-
-    def _mean_distance_matrix(self) -> np.ndarray:
-        if self._mean_matrix is None:
-            p = self._parent.num_nodes
-            if p > _PARENT_MATRIX_LIMIT:
-                raise TopologyError(
-                    f"mean aggregation needs the parent's dense distance "
-                    f"matrix, refused at p={p} > {_PARENT_MATRIX_LIMIT}; "
-                    "use aggregate='representative' on large machines"
-                )
-            mat = self._parent.distance_matrix(np.float64)
-            k = self._num_nodes
-            counts = np.bincount(self._groups, minlength=k).astype(np.float64)
-            ind = np.zeros((p, k), dtype=np.float64)
-            ind[np.arange(p), self._groups] = 1.0
-            mean = (ind.T @ mat @ ind) / np.outer(counts, counts)
-            # Intra-group traffic is free on the coarse machine (identity
-            # axiom); zeroing the diagonal keeps the triangle inequality.
-            np.fill_diagonal(mean, 0.0)
-            mean.flags.writeable = False
-            self._mean_matrix = mean
-        return self._mean_matrix
 
     # ------------------------------------------------------------ connectivity
     def neighbors(self, node: int) -> list[int]:
@@ -260,7 +200,6 @@ def coarsen_machine(
     topology: Topology,
     allowed: np.ndarray | None = None,
     shape: tuple[int, ...] | None = None,
-    aggregate: str = "representative",
 ) -> tuple[GroupedTopology, np.ndarray, np.ndarray | None, tuple[int, ...] | None]:
     """One machine-coarsening step: pair processors into coarse groups.
 
@@ -313,5 +252,5 @@ def coarsen_machine(
         np.minimum.at(all_min, groups, ids)
         reps = np.where(healthy_min < p, healthy_min, all_min)
 
-    coarse = GroupedTopology(topology, groups, aggregate=aggregate, reps=reps)
+    coarse = GroupedTopology(topology, groups, reps=reps)
     return coarse, groups, coarse_allowed, new_shape

@@ -24,7 +24,6 @@ ROUND_TRIP_SPECS = [
     "refine:base=topocentlb;passes=3",
     "refine:base=topolb,order=3;passes=2",
     "anneal:steps=500",
-    "genetic:population=10;generations=5",
     "bokhari:jumps=2",
     "recursive",
     "linear",
@@ -35,9 +34,6 @@ ROUND_TRIP_SPECS = [
     "multilevel",
     "multilevel:inner=topolb;levels=auto",
     "multilevel:inner=topolb,order=3;levels=3;stop=16",
-    "multilevel:inner=topolb,levels=auto",  # comma spillover form
-    "multilevel:inner=topolb,order=3,levels=2,refine_window=1",
-    "multilevel:aggregate=mean;stop=64;kernel=reference",
 ]
 
 
@@ -49,6 +45,37 @@ def test_canonical_is_fixed_point(spec):
     a, b = parse_mapper_spec(spec), parse_mapper_spec(canonical)
     assert a.kind == b.kind
     assert a.canonical == b.canonical
+
+
+#: Spellings the registry does not accept: no ``genetic`` kind, no
+#: ``aggregate=`` or ``dtype=`` option, and options of the enclosing kind
+#: follow a ';', never a ',' inside a nested value.
+REJECTED_SPECS = [
+    "genetic:population=10;generations=5",
+    "multilevel:inner=topolb,levels=auto",
+    "multilevel:inner=topolb,order=3,levels=2,refine_window=1",
+    "multilevel:aggregate=mean;stop=64;kernel=reference",
+    "topolb:dtype=float32",
+]
+
+
+@pytest.mark.parametrize("spec", REJECTED_SPECS)
+def test_rejected_spec_raises_spec_error(spec):
+    with pytest.raises(SpecError):
+        parse_mapper_spec(spec)
+
+
+def test_registry_contents_are_pinned():
+    assert sorted(MAPPER_KINDS) == [
+        "anneal", "bokhari", "hybrid", "identity", "linear", "multilevel",
+        "pipeline", "random", "recursive", "refine", "sfc", "topocentlb",
+        "topolb",
+    ]
+    assert sorted(STRATEGY_SPECS) == [
+        "AnnealLB", "BokhariLB", "GreedyLB", "HybridTopoLB", "LinearOrderLB",
+        "MultilevelLB", "RandomLB", "RecursiveEmbedLB", "RefineTopoLB",
+        "RefineTopoLB3", "TopoCentLB", "TopoLB", "TopoLB1", "TopoLB3",
+    ]
 
 
 @pytest.mark.parametrize("alias", sorted(STRATEGY_SPECS))

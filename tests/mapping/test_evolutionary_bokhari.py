@@ -1,4 +1,4 @@
-"""Tests for the genetic and Bokhari mappers."""
+"""Tests for the Bokhari mapper and its cardinality metric."""
 
 from __future__ import annotations
 
@@ -8,69 +8,12 @@ import pytest
 from repro.exceptions import MappingError
 from repro.mapping import (
     BokhariMapper,
-    GeneticMapper,
     RandomMapper,
     TopoLB,
     cardinality,
-    expected_random_hops_per_byte,
 )
-from repro.mapping.evolutionary import GeneticMapper as GM
 from repro.taskgraph import TaskGraph, mesh2d_pattern, random_taskgraph
 from repro.topology import Mesh, Torus
-
-
-class TestGeneticMapper:
-    def test_bijection_and_quality(self):
-        topo = Torus((4, 4))
-        g = mesh2d_pattern(4, 4)
-        mapping = GeneticMapper(seed=0).map(g, topo)
-        assert mapping.is_bijection()
-        assert mapping.hops_per_byte < expected_random_hops_per_byte(topo)
-
-    def test_deterministic(self):
-        topo = Torus((4, 4))
-        g = random_taskgraph(16, edge_prob=0.3, seed=1)
-        a = GeneticMapper(seed=9).map(g, topo).assignment
-        b = GeneticMapper(seed=9).map(g, topo).assignment
-        assert (a == b).all()
-
-    def test_more_generations_no_worse(self):
-        topo = Torus((4, 4))
-        g = random_taskgraph(16, edge_prob=0.4, seed=2)
-        short = GeneticMapper(generations=5, seed=0).map(g, topo)
-        long = GeneticMapper(generations=80, seed=0).map(g, topo)
-        assert long.hop_bytes <= short.hop_bytes * 1.05
-
-    def test_seeded_population_keeps_heuristic_quality(self):
-        """Orduña-style seeding: GA never loses the seed's quality (elitism)."""
-        topo = Torus((6, 6))
-        g = mesh2d_pattern(6, 6)
-        seed_hb = TopoLB().map(g, topo).hop_bytes
-        ga = GeneticMapper(seed=0, seed_mapper=TopoLB(), generations=20).map(g, topo)
-        assert ga.hop_bytes <= seed_hb + 1e-9
-
-    def test_seeded_beats_unseeded_at_equal_budget(self):
-        topo = Torus((6, 6))
-        g = mesh2d_pattern(6, 6)
-        unseeded = GeneticMapper(seed=0, generations=30).map(g, topo)
-        seeded = GeneticMapper(seed=0, seed_mapper=TopoLB(), generations=30).map(g, topo)
-        assert seeded.hop_bytes <= unseeded.hop_bytes
-
-    def test_pmx_produces_permutations(self, rng):
-        for _ in range(50):
-            a, b = rng.permutation(12), rng.permutation(12)
-            child = GM._pmx(a, b, rng)
-            assert sorted(child.tolist()) == list(range(12))
-
-    def test_validation(self):
-        with pytest.raises(MappingError):
-            GeneticMapper(population=2)
-        with pytest.raises(MappingError):
-            GeneticMapper(generations=0)
-        with pytest.raises(MappingError):
-            GeneticMapper(elite=40, population=40)
-        with pytest.raises(MappingError):
-            GeneticMapper(tournament=0)
 
 
 class TestBokhariMapper:

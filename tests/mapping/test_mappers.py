@@ -136,10 +136,6 @@ class TestTopoLB:
     def test_order_accessor(self):
         assert TopoLB(order=3).order is EstimatorOrder.THIRD
 
-    def test_bad_dtype_rejected(self):
-        with pytest.raises(MappingError):
-            TopoLB(dtype=np.int32)
-
     @pytest.mark.parametrize("rule", ["gain", "max_cost", "volume"])
     def test_selection_rules_valid(self, rule):
         topo = Torus((4, 4))
@@ -178,11 +174,6 @@ class TestTopoLB:
         g = TaskGraph(1)
         mapping = TopoLB().map(g, Mesh((1,)))
         assert mapping.assignment.tolist() == [0]
-
-    def test_float32_table(self):
-        topo = Torus((6, 6))
-        g = mesh2d_pattern(6, 6)
-        assert TopoLB(dtype=np.float32).map(g, topo).hops_per_byte == pytest.approx(1.0)
 
     def test_weighted_edges_respected(self):
         """A very heavy edge must end up at distance 1."""

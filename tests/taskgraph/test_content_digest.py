@@ -6,12 +6,13 @@ matter how the graph was built, any structural mutation must change the
 hash, and the value must be identical across processes.
 """
 
+import itertools
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.taskgraph import TaskGraph, mesh2d_pattern
@@ -43,8 +44,18 @@ def task_graphs(draw):
     return TaskGraph(n, edges, vw), edges, vw
 
 
+def _duplicate_edge_graph(weights):
+    edges = [(0, 1, w) for w in weights]
+    return TaskGraph(4, edges), edges, None
+
+
 @given(task_graphs())
 @settings(max_examples=60, deadline=None)
+# Five duplicate (0,1) edges of mixed magnitude: summing them in input order
+# gave the reversed clone a different last ulp, hence a different digest.
+@example(_duplicate_edge_graph(
+    [1.3797284338426514, 1e6, 48575.0, 1.0747139692306519, 0.0]
+))
 def test_digest_is_deterministic_and_build_path_independent(data):
     graph, edges, vw = data
     assert graph.content_digest() == graph.content_digest()
@@ -63,6 +74,15 @@ def test_digest_is_deterministic_and_build_path_independent(data):
         vw,
     )
     assert clone.content_digest() == graph.content_digest()
+
+
+def test_duplicate_merge_ignores_input_order():
+    weights = [1.3797284338426514, 1.0747139692306519, 48575, 1e6, 0, 0.1]
+    digests = {
+        TaskGraph(2, [(0, 1, w) for w in order]).content_digest()
+        for order in itertools.permutations(weights)
+    }
+    assert len(digests) == 1
 
 
 @given(task_graphs(), st.randoms(use_true_random=False))
