@@ -269,25 +269,15 @@ def _replay_network(mapping, report: dict, iterations: int,
         report["sim_max_link_bytes"] = flow.max_link_bytes
         return flow_summary(flow)
 
-    from repro.netsim.appsim import IterativeApplication
-    from repro.netsim.simulator import NetworkSimulator
+    from repro.netsim.appsim import replay_closed_loop
     from repro.netsim.stats import link_summary, tail_summary
 
+    kwargs = {}
+    if buffer_bytes is not None:
+        kwargs = {"buffer_bytes": buffer_bytes,
+                  "overload_policy": overload_policy}
     with obs.timer("cli.simulate"):
-        kwargs = {}
-        if buffer_bytes is not None:
-            # Buffered replay. The Jacobi loop is closed-loop — every task
-            # waits on its neighbor messages — so a finally-dropped message
-            # would wedge the app; make retransmission persistent (the
-            # closed loop self-limits, so retries drain) and keep the
-            # unroutable backstop as drop-and-count rather than abort.
-            kwargs = {"buffer_bytes": buffer_bytes,
-                      "overload_policy": overload_policy,
-                      "unroutable_policy": "drop",
-                      "max_retries": 64}
-        sim = NetworkSimulator(mapping.topology, **kwargs)
-        app = IterativeApplication(mapping, sim, iterations=iterations)
-        result = app.run()
+        sim, result = replay_closed_loop(mapping, iterations, **kwargs)
     report["sim_iterations"] = iterations
     report["sim_mode"] = "des"
     report["sim_time_us"] = result.total_time

@@ -5,8 +5,9 @@ One way to name, configure, and run a mapping anywhere in the codebase:
 * :func:`mapper_from_spec` / :data:`STRATEGY_SPECS` — the spec-string mapper
   factory and the Charm++ alias table (the single strategy registry);
 * :class:`MappingRequest` → :meth:`MappingEngine.run` →
-  :class:`MappingResult` — resolve, map, and measure through one path, with
-  :meth:`MappingEngine.run_many` for batches;
+  :class:`MappingResult` — resolve, map, and measure through one path, which
+  ``repro-map``, the ``+LBSim`` replay and the ``repro-serve`` workers all
+  call (the service and the experiment runner own batching);
 * :func:`graph_from_spec` — spec-string task graphs for fully declarative
   requests;
 * the shared :class:`~repro.mapping.context.MappingContext` (re-exported

@@ -11,22 +11,22 @@ specs through the single factories (:func:`graph_from_spec`,
 (one distance gather for all metrics), reproducibility metadata, and — when
 requested — a ``repro-profile-v1`` document.
 
-:meth:`MappingEngine.run_many` batches requests over a process pool with
-per-request retries (the same pool/retry discipline as
-``repro.experiments.runner``); within each worker process, same-shape
-topologies share distance tables through :mod:`repro.topology.cache`, so a
-batch over one machine pays the O(p^2) table cost once.
+Every entry point maps through :meth:`MappingEngine.run`: ``repro-map`` and
+the ``+LBSim`` replay (:mod:`repro.runtime.simulation`) in process, and the
+``repro-serve`` daemon inside its pool workers, which own batching and
+retries. Same-shape topologies share distance tables through
+:mod:`repro.topology.cache`, so repeated runs on one machine pay the O(p^2)
+table cost once per process.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.exceptions import SpecError, ValidationError
+from repro.exceptions import SpecError
 from repro.engine.specs import mapper_from_spec, parse_mapper_spec
 
 __all__ = [
@@ -155,7 +155,7 @@ class MappingRequest:
     """Everything needed to reproduce one mapping run.
 
     ``graph``/``topology``/``mapper`` accept live objects or spec strings;
-    spec strings keep the request picklable for :meth:`MappingEngine.run_many`
+    spec strings keep the request picklable for the service's pool workers
     and replayable from recorded metadata.
     """
 
@@ -217,13 +217,11 @@ _NETSIM_KEYS = frozenset({
 def _netsim_metrics(mapping, knobs: dict) -> dict[str, float]:
     """DES-replay a mapping per ``MappingRequest.netsim``; return des_* keys.
 
-    The replay mirrors the CLI's buffered evaluation: a Jacobi-style
-    closed-loop app, persistent retransmission when buffered (a final drop
-    would wedge the closed loop), and the tail summary flattened into
-    scalar metrics a golden triple can pin.
+    The replay is the CLI's closed-loop evaluation
+    (:func:`repro.netsim.appsim.replay_closed_loop`), with the tail summary
+    flattened into scalar metrics a golden triple can pin.
     """
-    from repro.netsim.appsim import IterativeApplication
-    from repro.netsim.simulator import NetworkSimulator
+    from repro.netsim.appsim import replay_closed_loop
     from repro.netsim.stats import tail_summary
 
     unknown = set(knobs) - _NETSIM_KEYS
@@ -232,20 +230,10 @@ def _netsim_metrics(mapping, knobs: dict) -> dict[str, float]:
             f"unknown MappingRequest.netsim key(s) {sorted(unknown)}; "
             f"recognized: {sorted(_NETSIM_KEYS)}"
         )
-    iterations = int(knobs.get("iterations", 2))
-    sim_kwargs = {
-        k: knobs[k]
-        for k in ("buffer_bytes", "overload_policy", "bandwidth", "alpha",
-                  "max_retries", "retry_delay", "retry_backoff",
-                  "retry_jitter", "seed", "stall_window")
-        if k in knobs
-    }
-    if knobs.get("buffer_bytes") is not None:
-        sim_kwargs.setdefault("max_retries", 64)
-        sim_kwargs["unroutable_policy"] = "drop"
-    sim = NetworkSimulator(mapping.topology, **sim_kwargs)
-    app = IterativeApplication(mapping, sim, iterations=iterations)
-    result = app.run()
+    sim_kwargs = {k: v for k, v in knobs.items() if k != "iterations"}
+    sim, result = replay_closed_loop(
+        mapping, int(knobs.get("iterations", 2)), **sim_kwargs
+    )
     tail = tail_summary(sim, iteration_times=result.iteration_times)
     return {
         "des_makespan_us": result.total_time,
@@ -398,123 +386,3 @@ class MappingEngine:
         finally:
             if own_prof is not None:
                 obs.disable()
-
-    def run_many(
-        self,
-        requests: list[MappingRequest],
-        jobs: int = 1,
-        retries: int = 0,
-        retry_delay: float = 0.0,
-        keep_mapping: bool = False,
-    ) -> list[MappingResult]:
-        """Run a batch; results come back in request order.
-
-        ``jobs > 1`` fans out over a process pool (requests must then be
-        spec-based so they pickle); each request is retried up to ``retries``
-        times on failure before the error propagates, mirroring the
-        experiment runner's resilience knobs. Serial runs share one
-        in-process topology/context cache across the whole batch; pooled
-        workers each warm their own shared cache.
-
-        ``keep_mapping`` makes the result-payload contract explicit and
-        identical on both paths: by default every result comes back with
-        ``mapping=None`` (serial runs included — only the assignment,
-        metrics and metadata survive the batch), while ``keep_mapping=True``
-        retains the full :class:`~repro.mapping.base.Mapping` object
-        everywhere, pickling it back from pooled workers.
-
-        Retry delays never block the dispatch loop: a failed request is
-        *rescheduled* with a deadline while already-finished futures keep
-        being collected, so one slow retry cannot delay unrelated results.
-
-        Each request's ``validate`` level travels with it, so pooled workers
-        enforce the same invariants as serial runs. Both paths fail fast on
-        :class:`~repro.exceptions.ValidationError`: a deterministic
-        invariant violation cannot be retried away, so it propagates
-        immediately without consuming the retry budget.
-        """
-        if jobs <= 1:
-            results = [
-                self._run_with_retries(req, retries, retry_delay)
-                for req in requests
-            ]
-            if not keep_mapping:
-                for result in results:
-                    result.mapping = None
-            return results
-
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-        results: list[MappingResult | None] = [None] * len(requests)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pending = {
-                pool.submit(_run_request, req, keep_mapping): (i, 0)
-                for i, req in enumerate(requests)
-            }
-            # Failed requests waiting out their retry delay: (ready_at,
-            # index, next_attempt). They are resubmitted when their deadline
-            # passes instead of sleeping inline, so collection never stalls.
-            delayed: list[tuple[float, int, int]] = []
-            while pending or delayed:
-                now = time.monotonic()
-                due = [entry for entry in delayed if entry[0] <= now]
-                if due:
-                    delayed = [entry for entry in delayed if entry[0] > now]
-                    for _, index, attempt in due:
-                        future = pool.submit(
-                            _run_request, requests[index], keep_mapping
-                        )
-                        pending[future] = (index, attempt)
-                if not pending:
-                    time.sleep(max(0.0, min(e[0] for e in delayed) - now))
-                    continue
-                timeout = (
-                    max(0.0, min(e[0] for e in delayed) - now)
-                    if delayed
-                    else None
-                )
-                done, _ = wait(
-                    pending, timeout=timeout, return_when=FIRST_COMPLETED
-                )
-                for future in done:
-                    index, attempt = pending.pop(future)
-                    exc = future.exception()
-                    if exc is None:
-                        results[index] = future.result()
-                    elif isinstance(exc, ValidationError):
-                        raise exc
-                    elif attempt < retries:
-                        delayed.append((
-                            time.monotonic() + retry_delay, index, attempt + 1,
-                        ))
-                    else:
-                        raise exc
-        return results  # type: ignore[return-value]
-
-    def _run_with_retries(
-        self, request: MappingRequest, retries: int, retry_delay: float
-    ) -> MappingResult:
-        attempt = 0
-        while True:
-            try:
-                return self.run(request)
-            except ValidationError:
-                raise
-            except Exception:
-                if attempt >= retries:
-                    raise
-                attempt += 1
-                if retry_delay:
-                    time.sleep(retry_delay)
-
-
-def _run_request(
-    request: MappingRequest, keep_mapping: bool = False
-) -> MappingResult:
-    """Pool worker: run one request; unless ``keep_mapping``, drop the
-    heavyweight Mapping object (the assignment/metrics/metadata travel back;
-    graph and topology do not)."""
-    result = MappingEngine().run(request)
-    if not keep_mapping:
-        result.mapping = None
-    return result

@@ -28,11 +28,12 @@ experiment (status, error, traceback, attempts) in the profile's
 experiment did not finish.
 
 ``--netsim-mode flow`` swaps the per-packet network simulator for the
-static flow-level contention estimator (:mod:`repro.netsim.flow`) in every
-simulator-backed experiment — orders of magnitude faster, but makespans
-become lower bounds and per-message latencies lose queueing delay. The
-``flowcheck`` supplementary experiment quantifies that trade on the
-small-machine suite.
+static flow-level contention estimator (:mod:`repro.netsim.flow`) in
+``fig7_8`` and ``fig9``, the two experiments that read the mode — orders of
+magnitude faster, but makespans become lower bounds and per-message
+latencies lose queueing delay. ``table1``, ``fig10_11``, ``flowcheck`` and
+``tailcheck`` always run the DES. The ``flowcheck`` supplementary
+experiment quantifies that trade on the small-machine suite.
 """
 
 from __future__ import annotations
@@ -273,8 +274,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="skip experiments recorded as completed in a "
                              "previous --profile artifact")
     parser.add_argument("--netsim-mode", choices=("des", "flow"), default=None,
-                        help="network evaluation for simulator-backed "
-                             "experiments: 'des' replays per-packet, 'flow' "
+                        help="network evaluation for fig7_8 and fig9 (the "
+                             "other simulator-backed experiments always run "
+                             "the DES): 'des' replays per-packet, 'flow' "
                              "uses the static flow-level estimator (fast; "
                              "makespans are lower bounds — see "
                              "docs/ARCHITECTURE.md). Default: "

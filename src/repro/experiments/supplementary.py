@@ -200,9 +200,8 @@ def run_flowcheck(quick: bool = True, seed: int = 0) -> ExperimentResult:
     import numpy as np
 
     from repro.mapping.base import Mapping as TaskMapping
-    from repro.netsim.appsim import IterativeApplication
+    from repro.netsim.appsim import replay_closed_loop
     from repro.netsim.flow import flow_evaluate, spearman
-    from repro.netsim.simulator import NetworkSimulator
     from repro.taskgraph.patterns import mesh3d_pattern
 
     iterations = 4 if quick else 16
@@ -234,10 +233,7 @@ def run_flowcheck(quick: bool = True, seed: int = 0) -> ExperimentResult:
         des_wall = flow_wall = 0.0
         for mapping in mappings:
             t0 = time.perf_counter()
-            sim = NetworkSimulator(topo)
-            res = IterativeApplication(
-                mapping, sim, iterations=iterations
-            ).run()
+            _, res = replay_closed_loop(mapping, iterations)
             des_wall += time.perf_counter() - t0
             t0 = time.perf_counter()
             flow = flow_evaluate(mapping, iterations=iterations)
@@ -276,8 +272,7 @@ def run_tailcheck(quick: bool = True, seed: int = 0) -> ExperimentResult:
     import numpy as np
 
     from repro.mapping.base import Mapping as TaskMapping
-    from repro.netsim.appsim import IterativeApplication
-    from repro.netsim.simulator import NetworkSimulator
+    from repro.netsim.appsim import replay_closed_loop
     from repro.netsim.stats import tail_summary
 
     iterations = 3 if quick else 10
@@ -303,25 +298,20 @@ def run_tailcheck(quick: bool = True, seed: int = 0) -> ExperimentResult:
             for i in range(randoms)
         ]
         for mapper_name, mapping in candidates:
-            # Tight buffers + slow links: the overload regime. Persistent
-            # retransmission because the closed Jacobi loop waits on every
-            # message (a final drop would wedge it); "drops" therefore
-            # reports tail-drop events at full buffers.
-            sim = NetworkSimulator(
-                topo,
+            # Tight buffers + slow links: the overload regime. The buffered
+            # replay retransmits persistently, so "drops" reports tail-drop
+            # events at full buffers, not lost messages.
+            sim, result = replay_closed_loop(
+                mapping,
+                iterations,
                 bandwidth=100.0,
                 buffer_bytes=8192.0,
                 overload_policy="drop",
-                max_retries=64,
                 retry_delay=2.0,
                 retry_jitter=0.25,
                 seed=seed,
-                unroutable_policy="drop",
                 stall_window=1e6,
             )
-            result = IterativeApplication(
-                mapping, sim, iterations=iterations
-            ).run()
             tail = tail_summary(sim,
                                 iteration_times=result.iteration_times)
             rows.append({

@@ -25,7 +25,7 @@ from repro.exceptions import SimulationError
 from repro.mapping.base import Mapping
 from repro.netsim.simulator import NetworkSimulator
 
-__all__ = ["IterativeApplication", "AppResult"]
+__all__ = ["IterativeApplication", "AppResult", "replay_closed_loop"]
 
 
 @dataclasses.dataclass
@@ -215,3 +215,25 @@ class IterativeApplication:
             self._begin_compute(task)
         else:
             self._finished += 1
+
+
+def replay_closed_loop(
+    mapping: Mapping, iterations: int, **sim_kwargs
+) -> tuple[NetworkSimulator, AppResult]:
+    """Replay ``iterations`` Jacobi rounds of ``mapping`` through a new
+    :class:`~repro.netsim.simulator.NetworkSimulator` built from
+    ``sim_kwargs``; return the simulator (for link and tail summaries) and
+    the application's result.
+
+    With ``buffer_bytes`` set the replay is buffered. The Jacobi loop is
+    closed — every task waits on its neighbour messages — so a finally
+    dropped message would wedge it: retransmission is made persistent
+    (``max_retries`` defaults to 64; the closed loop self-limits, so retries
+    drain) and the unroutable backstop drops and counts instead of raising.
+    """
+    if sim_kwargs.get("buffer_bytes") is not None:
+        sim_kwargs.setdefault("max_retries", 64)
+        sim_kwargs["unroutable_policy"] = "drop"
+    sim = NetworkSimulator(mapping.topology, **sim_kwargs)
+    result = IterativeApplication(mapping, sim, iterations=iterations).run()
+    return sim, result

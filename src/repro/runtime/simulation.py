@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.engine.core import MappingEngine, MappingRequest
 from repro.mapping.base import Mapping
-from repro.mapping.context import context_for
-from repro.mapping.metrics import metrics_block
 from repro.runtime.lbdb import LBDatabase
-from repro.runtime.strategies import get_strategy
 from repro.topology.base import Topology
 
 __all__ = ["simulate_strategy", "replay_strategy", "compare_strategies"]
@@ -47,35 +45,26 @@ def replay_strategy(
     """Like :func:`simulate_strategy` but also returns the produced mapping,
     so callers that need the placement (the CLI, the profiler's netsim
     replay) run the strategy exactly once. ``kernel`` is passed to the
-    strategy's construction (``None`` = the default kernel)."""
+    strategy's construction (``None`` = the default kernel).
+
+    The replay is one :meth:`~repro.engine.MappingEngine.run`, so the report
+    carries the engine's canonical metrics block (plus the paper's
+    group-level hop-bytes for pipeline strategies) under the same keys and
+    values as any other entry point.
+    """
     if not isinstance(database, LBDatabase):
         database = LBDatabase.load(database)
-    graph = database.to_taskgraph()
-    mapper = get_strategy(strategy, seed, kernel)
-    ctx = context_for(graph, topology)
-    mapping = mapper.map(graph, topology)
-    placement = mapping.assignment
-    # One shared-context metrics block instead of four separate distance
-    # gathers; values are bitwise identical to the individual metric calls.
-    block = metrics_block(graph, topology, placement, ctx=ctx)
+    result = MappingEngine().run(MappingRequest(
+        graph=database.to_taskgraph(), topology=topology, mapper=strategy,
+        seed=seed, kernel=kernel,
+    ))
     report = {
         "strategy": strategy,
-        "num_objects": graph.num_tasks,
-        "num_processors": topology.num_nodes,
-        "hop_bytes": block["hop_bytes"],
-        "hops_per_byte": block["hops_per_byte"],
-        "load_imbalance": block["load_imbalance"],
-        "max_dilation": block["max_dilation"],
-        "mean_dilation": block["mean_dilation"],
+        "num_objects": result.metadata["num_objects"],
+        "num_processors": result.metadata["num_processors"],
+        **result.metrics,
     }
-    # The paper evaluates hops-per-byte on the coalesced (group-level) graph
-    # — intra-group bytes never enter the network and are excluded. Report
-    # it whenever the strategy went through the two-phase pipeline.
-    group_mapping = getattr(mapper, "last_group_mapping", None)
-    if group_mapping is not None:
-        report["group_hops_per_byte"] = group_mapping.hops_per_byte
-        report["group_hop_bytes"] = group_mapping.hop_bytes
-    return report, mapping
+    return report, result.mapping
 
 
 def compare_strategies(

@@ -150,7 +150,9 @@ def _serve_batch(requests, retries, retry_delay, timeout):
     Runs inside a pool worker's main thread, so the experiment runner's
     SIGALRM machinery bounds each request's wall time individually; errors
     are captured per request (one poisoned request cannot take down its
-    batchmates). ValidationError fails fast via the engine's retry loop.
+    batchmates). A failed request is re-run up to ``retries`` times, waiting
+    ``retry_delay`` seconds between attempts, except that ValidationError —
+    a deterministic invariant violation — fails fast.
     """
     from repro.engine.core import MappingEngine
     from repro.experiments.runner import _alarm, _ExperimentTimeout
@@ -160,7 +162,19 @@ def _serve_batch(requests, retries, retry_delay, timeout):
     for request in requests:
         try:
             with _alarm(timeout):
-                result = engine._run_with_retries(request, retries, retry_delay)
+                attempt = 0
+                while True:
+                    try:
+                        result = engine.run(request)
+                        break
+                    except ValidationError:
+                        raise
+                    except Exception:
+                        if attempt >= retries:
+                            raise
+                        attempt += 1
+                        if retry_delay:
+                            time.sleep(retry_delay)
             outcomes.append({"ok": True, "payload": result_to_payload(result)})
         except _ExperimentTimeout:
             outcomes.append({

@@ -1,7 +1,6 @@
-"""Shared low-level utilities: heaps, union-find, RNG, validation."""
+"""Shared low-level utilities: heaps, RNG, validation."""
 
 from repro.utils.priority_queue import AddressableMaxHeap, AddressableMinHeap
-from repro.utils.union_find import UnionFind
 from repro.utils.rng import as_rng
 from repro.utils.validation import (
     check_nonnegative,
@@ -13,7 +12,6 @@ from repro.utils.validation import (
 __all__ = [
     "AddressableMaxHeap",
     "AddressableMinHeap",
-    "UnionFind",
     "as_rng",
     "check_nonnegative",
     "check_positive",

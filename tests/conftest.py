@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+
 import numpy as np
 import pytest
 
 from repro import Mesh, TaskGraph, Torus, mesh2d_pattern
+from repro.service.daemon import _serve_batch
 
 
 @pytest.fixture
@@ -36,3 +40,22 @@ def tiny_graph() -> TaskGraph:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def serve_in_pool():
+    """Run requests through the service's batch worker in a 2-process pool.
+
+    Returns ``run(requests, retries=0)``, which submits each request as its
+    own batch and gives back one outcome per request, in order. Workers are
+    spawned, so they start from fresh caches.
+    """
+
+    def run(requests, retries=0):
+        spawn = get_context("spawn")
+        with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+            futures = [pool.submit(_serve_batch, [request], retries, 0.0, None)
+                       for request in requests]
+            return [future.result()[0] for future in futures]
+
+    return run

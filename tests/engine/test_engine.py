@@ -1,4 +1,4 @@
-"""MappingEngine end-to-end tests: equivalence, batching, metadata."""
+"""MappingEngine end-to-end tests: equivalence, pooled parity, metadata."""
 
 import numpy as np
 import pytest
@@ -14,6 +14,7 @@ from repro.exceptions import SpecError
 from repro.mapping.refine import RefineTopoLB
 from repro.mapping.topocentlb import TopoCentLB
 from repro.mapping.topolb import TopoLB
+from repro.service.daemon import _serve_batch
 from repro.taskgraph.patterns import mesh2d_pattern
 from repro.topology.factory import topology_from_spec
 from repro.topology.torus import Torus
@@ -108,29 +109,29 @@ def test_metadata_round_trips_through_the_engine():
     assert first.metrics == again.metrics
 
 
-def test_run_many_serial_equals_parallel():
+def test_in_process_run_equals_pooled_service_batch(serve_in_pool):
+    """The service's pool workers map exactly as an in-process run does."""
     requests = [
         MappingRequest(graph="mesh2d:8x8;bytes=1024", topology="torus:8x8",
                        mapper=strategy, seed=0)
         for strategy in ("TopoLB", "TopoCentLB", "RefineTopoLB")
     ]
     engine = MappingEngine()
-    serial = engine.run_many(requests, jobs=1)
-    parallel = engine.run_many(requests, jobs=2)
-    for a, b in zip(serial, parallel):
-        assert np.array_equal(a.assignment, b.assignment)
-        assert a.metrics == b.metrics
-        assert b.mapping is None  # workers drop the heavyweight object
+    for request, outcome in zip(requests, serve_in_pool(requests)):
+        direct = engine.run(request)
+        assert outcome["ok"]
+        assert outcome["payload"]["assignment"] == direct.assignment.tolist()
+        assert outcome["payload"]["metrics"] == direct.metrics
 
 
-def test_run_many_retries_exhausted_raises():
-    engine = MappingEngine()
-    with pytest.raises(SpecError):
-        engine.run_many(
-            [MappingRequest(graph="mesh2d:8x8", topology="torus:8x8",
-                            mapper="NopeLB")],
-            retries=1,
-        )
+def test_service_batch_retries_exhausted_reports_error():
+    [outcome] = _serve_batch(
+        [MappingRequest(graph="mesh2d:8x8", topology="torus:8x8",
+                        mapper="NopeLB")],
+        1, 0.0, None,
+    )
+    assert not outcome["ok"]
+    assert outcome["kind"] == "SpecError"
 
 
 def test_engine_profile_document():

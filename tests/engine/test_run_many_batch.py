@@ -1,27 +1,18 @@
-"""Regression tests for the run_many batch contract.
+"""Retry contract of a batch of mapping requests run by ``_serve_batch``,
+the service's pool-worker entry point.
 
-Pins the three engine-batch bugfixes:
-
-* retry delays are deadlines, not inline sleeps — one slow retry neither
-  serializes with other retries nor delays collection of finished futures;
-* ``keep_mapping`` is honored identically on the serial and pooled paths
-  (default: both drop the Mapping; True: both keep it);
-* ``ValidationError`` fails fast on both paths instead of burning the retry
-  budget on a deterministic invariant violation (and survives the pickle
-  round-trip from a pool worker).
+Each request in a batch is retried up to ``retries`` times on a transient
+failure, while ``ValidationError`` — a deterministic invariant violation —
+fails fast without consuming the budget, in process ("serial") and from a
+pool worker ("pooled") alike, and survives the pickle round-trip back from
+the worker.
 """
 
 import pickle
-import threading
-import time
-
-import numpy as np
-import pytest
-
-from repro.engine import MappingEngine, MappingRequest
-from repro.exceptions import SpecError, ValidationError
-from repro.mapping.base import Mapping
-from repro.taskgraph import mesh2d_pattern, save_taskgraph
+from repro.engine import MappingRequest
+from repro.exceptions import ValidationError
+from repro.service.daemon import _serve_batch
+from repro.taskgraph import mesh2d_pattern
 
 
 # --------------------------------------------------------- failure injectors
@@ -54,150 +45,36 @@ def _attempts(path) -> int:
         return 0
 
 
-# ------------------------------------------------- retry-delay scheduling fix
-def test_pooled_retry_delays_overlap_instead_of_serializing(tmp_path):
-    """Four requests each fail once, then succeed after the file appears.
-
-    With the old inline ``time.sleep(retry_delay)`` the four delays
-    serialized in the dispatch loop (>= 4 * delay wall time); rescheduling
-    with deadlines lets them wait concurrently, so the batch finishes in
-    roughly one delay.
-    """
-    graph_path = tmp_path / "app.json"
-
-    def _materialize():
-        save_taskgraph(mesh2d_pattern(4, 4, message_bytes=1024), graph_path)
-
-    delay = 0.8
-    requests = [
-        MappingRequest(graph=f"file:{graph_path}", topology="torus:4x4",
-                       mapper="TopoLB", seed=0)
-        for _ in range(4)
-    ]
-    timer = threading.Timer(0.2, _materialize)
-    timer.start()
-    try:
-        started = time.monotonic()
-        results = MappingEngine().run_many(
-            requests, jobs=2, retries=2, retry_delay=delay
-        )
-        elapsed = time.monotonic() - started
-    finally:
-        timer.cancel()
-    assert all(r is not None for r in results)
-    assert all(
-        np.array_equal(r.assignment, results[0].assignment) for r in results
+def _flaky_request(tmp_path, kind):
+    attempts = tmp_path / "attempts.txt"
+    request = MappingRequest(
+        graph=mesh2d_pattern(4, 4, message_bytes=1024), topology="torus:4x4",
+        mapper=FlakyMapper(attempts, kind),
     )
-    # Old behavior: >= 4 * 0.8 = 3.2 s of serialized sleeps (plus compute).
-    # New behavior: one shared 0.8 s deadline. Generous CI margin below the
-    # old floor.
-    assert elapsed < 2.4, (
-        f"retry delays appear to serialize again: {elapsed:.2f}s for 4 "
-        f"concurrent {delay}s retries"
-    )
-
-
-def test_pooled_retry_delay_still_waits_before_resubmitting(tmp_path):
-    """The deadline reschedule must still honor the delay (no hot-loop retry)."""
-    graph_path = tmp_path / "app.json"
-
-    def _materialize():
-        save_taskgraph(mesh2d_pattern(4, 4, message_bytes=1024), graph_path)
-
-    # The graph file appears *after* an immediate retry would have fired:
-    # only a retry that actually waits out its 0.5 s delay can succeed.
-    timer = threading.Timer(0.25, _materialize)
-    timer.start()
-    try:
-        results = MappingEngine().run_many(
-            [MappingRequest(graph=f"file:{graph_path}", topology="torus:4x4",
-                            mapper="TopoLB", seed=0)],
-            jobs=2, retries=1, retry_delay=0.5,
-        )
-    finally:
-        timer.cancel()
-    assert results[0].metrics["hop_bytes"] > 0
-
-
-# ------------------------------------------------------- keep_mapping parity
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_run_many_drops_mapping_by_default(jobs):
-    requests = [
-        MappingRequest(graph="mesh2d:8x8;bytes=1024", topology="torus:8x8",
-                       mapper=strategy, seed=0)
-        for strategy in ("TopoLB", "TopoCentLB")
-    ]
-    results = MappingEngine().run_many(requests, jobs=jobs)
-    assert all(r.mapping is None for r in results)
-
-
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_run_many_keep_mapping_keeps_it(jobs):
-    requests = [
-        MappingRequest(graph="mesh2d:8x8;bytes=1024", topology="torus:8x8",
-                       mapper="TopoLB", seed=0)
-    ]
-    results = MappingEngine().run_many(requests, jobs=jobs, keep_mapping=True)
-    mapping = results[0].mapping
-    assert isinstance(mapping, Mapping)
-    assert np.array_equal(mapping.assignment, results[0].assignment)
-
-
-def test_run_many_serial_pooled_parity_both_settings():
-    """assignment/metrics/mapping-presence agree between jobs=1 and jobs=2."""
-    engine = MappingEngine()
-    requests = [
-        MappingRequest(graph="mesh2d:8x8;bytes=1024", topology="torus:8x8",
-                       mapper=strategy, seed=0)
-        for strategy in ("TopoLB", "RefineTopoLB")
-    ]
-    for keep in (False, True):
-        serial = engine.run_many(requests, jobs=1, keep_mapping=keep)
-        pooled = engine.run_many(requests, jobs=2, keep_mapping=keep)
-        for a, b in zip(serial, pooled):
-            assert np.array_equal(a.assignment, b.assignment)
-            assert a.metrics == b.metrics
-            assert (a.mapping is None) == (b.mapping is None) == (not keep)
-            if keep:
-                assert np.array_equal(
-                    a.mapping.assignment, b.mapping.assignment
-                )
+    return request, attempts
 
 
 # -------------------------------------------------- ValidationError fail-fast
 def test_serial_validation_error_not_retried(tmp_path):
-    attempts = tmp_path / "attempts.txt"
-    mapper = FlakyMapper(attempts, "validation")
-    graph = mesh2d_pattern(4, 4, message_bytes=1024)
-    with pytest.raises(ValidationError):
-        MappingEngine().run_many(
-            [MappingRequest(graph=graph, topology="torus:4x4", mapper=mapper)],
-            jobs=1, retries=5, retry_delay=0.0,
-        )
+    request, attempts = _flaky_request(tmp_path, "validation")
+    [outcome] = _serve_batch([request], 5, 0.0, None)
+    assert not outcome["ok"]
+    assert outcome["kind"] == "ValidationError"
     assert _attempts(attempts) == 1  # fail fast: the budget was not consumed
 
 
 def test_serial_transient_error_still_retried(tmp_path):
-    attempts = tmp_path / "attempts.txt"
-    mapper = FlakyMapper(attempts, "transient")
-    graph = mesh2d_pattern(4, 4, message_bytes=1024)
-    with pytest.raises(RuntimeError):
-        MappingEngine().run_many(
-            [MappingRequest(graph=graph, topology="torus:4x4", mapper=mapper)],
-            jobs=1, retries=2, retry_delay=0.0,
-        )
+    request, attempts = _flaky_request(tmp_path, "transient")
+    [outcome] = _serve_batch([request], 2, 0.0, None)
+    assert not outcome["ok"]
+    assert outcome["kind"] == "RuntimeError"
     assert _attempts(attempts) == 3  # initial attempt + both retries
 
 
-def test_pooled_validation_error_not_retried(tmp_path):
-    attempts = tmp_path / "attempts.txt"
-    mapper = FlakyMapper(attempts, "validation")
-    graph = mesh2d_pattern(4, 4, message_bytes=1024)
-    with pytest.raises(ValidationError):
-        MappingEngine().run_many(
-            [MappingRequest(graph=graph, topology="torus:4x4", mapper=mapper)],
-            jobs=2, retries=5, retry_delay=0.0,
-        )
+def test_pooled_validation_error_not_retried(tmp_path, serve_in_pool):
+    request, attempts = _flaky_request(tmp_path, "validation")
+    [outcome] = serve_in_pool([request], retries=5)
+    assert outcome["kind"] == "ValidationError"
     assert _attempts(attempts) == 1
 
 
@@ -214,12 +91,13 @@ def test_validation_error_pickle_round_trip():
     assert clone.details == {"processor": 3}
 
 
-def test_pooled_spec_error_still_respects_retry_budget():
-    # Non-validation deterministic errors keep the documented behavior:
-    # they consume the budget, then propagate.
-    with pytest.raises(SpecError):
-        MappingEngine().run_many(
-            [MappingRequest(graph="mesh2d:4x4", topology="torus:4x4",
-                            mapper="NopeLB")],
-            jobs=2, retries=1, retry_delay=0.0,
-        )
+def test_pooled_spec_error_still_respects_retry_budget(serve_in_pool):
+    # Non-validation deterministic errors keep the documented behavior: they
+    # consume the budget, then come back as that request's error outcome.
+    [outcome] = serve_in_pool(
+        [MappingRequest(graph="mesh2d:4x4", topology="torus:4x4",
+                        mapper="NopeLB")],
+        retries=1,
+    )
+    assert not outcome["ok"]
+    assert outcome["kind"] == "SpecError"

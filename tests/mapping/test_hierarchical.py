@@ -206,9 +206,9 @@ class TestDeterminism:
         ref = HierarchicalMapper(stop=16, kernel="reference").map(graph, topo)
         assert np.array_equal(vec.assignment, ref.assignment)
 
-    def test_engine_jobs1_vs_jobs2_identical(self):
-        """The same spec batch maps identically whether run serially or over
-        a process pool (fresh caches per worker)."""
+    def test_engine_jobs1_vs_jobs2_identical(self, serve_in_pool):
+        """The same spec batch maps identically in process and in the
+        service's 2-worker pool (fresh caches per worker)."""
         from repro.engine import MappingEngine, MappingRequest
 
         requests = [
@@ -221,12 +221,11 @@ class TestDeterminism:
             )
             for s in (0, 1)
         ]
-        engine = MappingEngine()
-        serial = engine.run_many(requests, jobs=1)
-        pooled = engine.run_many(requests, jobs=2)
-        for a, b in zip(serial, pooled):
-            assert np.array_equal(a.assignment, b.assignment)
-            assert a.metrics == b.metrics
+        for request, outcome in zip(requests, serve_in_pool(requests)):
+            direct = MappingEngine().run(request)
+            assert outcome["ok"]
+            assert outcome["payload"]["assignment"] == direct.assignment.tolist()
+            assert outcome["payload"]["metrics"] == direct.metrics
 
 
 # --------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from repro.exceptions import TaskGraphError
 from repro.taskgraph import (
@@ -13,14 +14,11 @@ from repro.taskgraph import (
     scale_free_taskgraph,
 )
 from repro.taskgraph.leanmd import LEANMD_BASE_CHARES
-from repro.utils.union_find import UnionFind
 
 
 def _is_connected(graph) -> bool:
-    uf = UnionFind(graph.num_tasks)
-    for a, b, _ in graph.edges():
-        uf.union(a, b)
-    return uf.num_components == 1
+    n_components, _ = connected_components(graph.adjacency_csr(), directed=False)
+    return n_components == 1
 
 
 class TestRandomTaskgraph:

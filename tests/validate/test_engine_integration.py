@@ -1,4 +1,5 @@
-"""MappingRequest.validate plumbed through MappingEngine.run / run_many."""
+"""MappingRequest.validate plumbed through MappingEngine.run and the
+service's pooled batch worker."""
 
 from __future__ import annotations
 
@@ -47,16 +48,20 @@ def test_validate_full_on_degraded_machine():
     assert result.metrics["hop_bytes"] > 0
 
 
-def test_run_many_carries_per_request_levels():
-    engine = MappingEngine()
-    results = engine.run_many([
+def test_pooled_batch_carries_per_request_levels(serve_in_pool):
+    """Each request's level travels with it into a pool worker, which maps
+    exactly as an in-process run does."""
+    requests = [
         _request(validate="cheap"),
         _request(mapper="TopoCentLB", validate="full"),
         _request(mapper="identity", validate="off"),
-    ])
-    assert len(results) == 3
-    for result in results:
-        assert result.metrics["hop_bytes"] > 0
+    ]
+    for request, outcome in zip(requests, serve_in_pool(requests)):
+        direct = MappingEngine().run(request)
+        assert outcome["ok"]
+        assert outcome["payload"]["metrics"]["hop_bytes"] > 0
+        assert outcome["payload"]["assignment"] == direct.assignment.tolist()
+        assert outcome["payload"]["metrics"] == direct.metrics
 
 
 def test_validation_error_reaches_caller(monkeypatch):
