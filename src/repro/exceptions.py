@@ -100,7 +100,7 @@ class ValidationError(ReproError):
         # The default Exception reduction calls ``type(self)(*self.args)``,
         # which cannot rebuild the two-positional-argument signature — and a
         # ValidationError must survive the pickle round-trip through a
-        # process pool so batch paths can fail fast on it.
+        # process pool.
         return (
             _rebuild_validation_error,
             (self.invariant, self.message, self.spec, self.replay,

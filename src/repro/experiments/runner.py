@@ -16,16 +16,17 @@ noise in the wall times, the same content) as a serial one. Reports are
 printed in submission order regardless of completion order.
 
 The runner is crash-resilient (see ``docs/ROBUSTNESS.md``): every
-experiment runs inside a per-experiment guard that captures the failure
-with its id and traceback instead of letting one crashed worker abort the
-sweep. ``--keep-going`` finishes the remaining experiments after a
-failure; ``--retries N`` re-runs a failed experiment with doubling delay;
-``--timeout S`` bounds each experiment's wall time; ``--resume PATH``
-reads a previous ``--profile`` artifact and re-executes only the
-experiments that did not complete in it. Failures are recorded per
-experiment (status, error, traceback, attempts) in the profile's
-``context.experiment_status``, and the exit code is nonzero whenever any
-experiment did not finish.
+experiment runs exactly once through :func:`repro.utils.guard.guarded_call`,
+which captures the failure with its traceback instead of letting one
+crashed experiment abort the sweep. Experiments are seeded, so a failure
+replays identically and is not retried. ``--keep-going`` finishes the
+remaining experiments after a failure; ``--timeout S`` is a deadline inside
+whichever process runs the experiment (the parent or a pool worker), so a
+timed-out experiment really stops; ``--resume PATH`` reads a previous
+``--profile`` artifact and re-executes only the experiments that did not
+complete in it. Failures are recorded per experiment (status, error,
+traceback) in the profile's ``context.experiment_status``, and the exit
+code is nonzero whenever any experiment did not finish.
 
 ``--netsim-mode flow`` swaps the per-packet network simulator for the
 static flow-level contention estimator (:mod:`repro.netsim.flow`) in
@@ -39,13 +40,9 @@ experiment quantifies that trade on the small-machine suite.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import os
-import signal
 import sys
-import threading
-import time
 import traceback as traceback_module
 from collections.abc import Callable
 from pathlib import Path
@@ -62,6 +59,7 @@ from repro.experiments import (
     table1,
 )
 from repro.experiments.common import NETSIM_MODE_ENV, ExperimentResult
+from repro.utils.guard import guarded_call
 
 __all__ = ["main", "EXPERIMENTS", "PAPER_EXPERIMENTS", "ExperimentOutcome"]
 
@@ -103,7 +101,6 @@ class ExperimentOutcome:
     snapshot: dict | None = None
     error: str | None = None
     traceback: str | None = None
-    attempts: int = 0
     resumed: bool = False  # ok carried over from a --resume profile
 
 
@@ -130,98 +127,6 @@ def _run_one(exp_id: str, quick: bool, seed: int, profiled: bool):
     finally:
         if prof is not None:
             obs.disable()
-
-
-class _ExperimentTimeout(Exception):
-    """Raised inside the serial path when --timeout expires."""
-
-
-@contextlib.contextmanager
-def _alarm(seconds: float | None):
-    """SIGALRM-based wall-clock bound for the serial path.
-
-    A no-op when no timeout is set, on platforms without ``SIGALRM``, or
-    off the main thread (signal handlers are main-thread only).
-    """
-    usable = (
-        seconds is not None
-        and hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not usable:
-        yield
-        return
-
-    def _handler(signum, frame):
-        raise _ExperimentTimeout()
-
-    previous = signal.signal(signal.SIGALRM, _handler)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _execute_serial(
-    exp_id: str,
-    quick: bool,
-    seed: int,
-    profiled: bool,
-    retries: int,
-    retry_delay: float,
-    timeout: float | None,
-) -> ExperimentOutcome:
-    """Run one experiment in-process with timeout + retry/backoff."""
-    delay = retry_delay
-    status, error, tb = "failed", None, None
-    for attempt in range(1, retries + 2):
-        try:
-            with _alarm(timeout):
-                result, snap = _run_one(exp_id, quick, seed, profiled)
-            return ExperimentOutcome(
-                exp_id, "ok", result=result, snapshot=snap, attempts=attempt
-            )
-        except _ExperimentTimeout:
-            status = "timeout"
-            error = f"timed out after {timeout}s"
-            tb = None
-        except Exception as exc:  # noqa: BLE001 - the guard is the point
-            status = "failed"
-            error = f"{type(exc).__name__}: {exc}"
-            tb = traceback_module.format_exc()
-        if attempt <= retries:
-            time.sleep(delay)
-            delay *= 2
-    return ExperimentOutcome(
-        exp_id, status, error=error, traceback=tb, attempts=retries + 1
-    )
-
-
-def _await_future(future, exp_id: str, timeout: float | None):
-    """Resolve one pool future into (status, result, snapshot, error, tb).
-
-    The per-future guard of the parallel path: a worker exception is
-    captured with the experiment id attached instead of propagating a bare
-    traceback that would abort every remaining experiment.
-    """
-    from concurrent.futures import TimeoutError as FuturesTimeout
-
-    try:
-        result, snap = future.result(timeout=timeout)
-        return "ok", result, snap, None, None
-    except FuturesTimeout:
-        future.cancel()
-        return "timeout", None, None, f"timed out after {timeout}s", None
-    except Exception as exc:  # noqa: BLE001 - the guard is the point
-        return (
-            "failed",
-            None,
-            None,
-            f"[{exp_id}] {type(exc).__name__}: {exc}",
-            traceback_module.format_exc(),
-        )
 
 
 def _load_completed(resume_path: Path) -> set[str]:
@@ -259,13 +164,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="run experiments in N worker processes (default: 1)")
     parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                        help="wall-clock bound per experiment")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="re-run a failed experiment up to N times "
-                             "(doubling delay between attempts)")
-    parser.add_argument("--retry-delay", type=float, default=1.0,
-                        metavar="SECONDS",
-                        help="initial delay before the first retry (default: 1)")
+                        help="wall-clock deadline per experiment, enforced "
+                             "inside the process that runs it")
     parser.add_argument("--keep-going", action="store_true",
                         help="continue the sweep past a failed experiment "
                              "(failures are still reported and reflected in "
@@ -284,12 +184,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.retries < 0:
-        parser.error("--retries must be >= 0")
     if args.timeout is not None and args.timeout <= 0:
         parser.error("--timeout must be positive")
-    if args.retry_delay <= 0:
-        parser.error("--retry-delay must be positive")
     if args.netsim_mode is not None:
         # Experiments read the mode from the environment (netsim_mode()), so
         # worker processes spawned by --jobs inherit it automatically.
@@ -314,53 +210,18 @@ def main(argv: list[str] | None = None) -> int:
     to_run = [exp_id for exp_id in ids if exp_id not in outcomes]
 
     aborted = False
+    pool, futures = None, {}
     if args.jobs > 1 and len(to_run) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=min(args.jobs, len(to_run)))
-        timed_out = False
-        try:
+    try:
+        if pool is not None:
             futures = {
-                exp_id: pool.submit(_run_one, exp_id, quick, args.seed, profiled)
+                exp_id: pool.submit(guarded_call, _run_one, exp_id, quick,
+                                    args.seed, profiled, timeout=args.timeout)
                 for exp_id in to_run
             }
-            for exp_id in to_run:
-                if aborted:
-                    futures[exp_id].cancel()
-                    outcomes[exp_id] = ExperimentOutcome(
-                        exp_id, "skipped",
-                        error="not run: earlier experiment failed "
-                              "(use --keep-going to finish the sweep)",
-                    )
-                    continue
-                status, result, snap, error, tb = _await_future(
-                    futures[exp_id], exp_id, args.timeout
-                )
-                attempts, delay = 1, args.retry_delay
-                while status != "ok" and attempts <= args.retries:
-                    if status == "timeout":
-                        timed_out = True
-                    time.sleep(delay)
-                    delay *= 2
-                    attempts += 1
-                    retry = pool.submit(_run_one, exp_id, quick, args.seed, profiled)
-                    status, result, snap, error, tb = _await_future(
-                        retry, exp_id, args.timeout
-                    )
-                if status == "timeout":
-                    timed_out = True
-                outcomes[exp_id] = ExperimentOutcome(
-                    exp_id, status, result=result, snapshot=snap,
-                    error=error, traceback=tb, attempts=attempts,
-                )
-                if status != "ok" and not args.keep_going:
-                    aborted = True
-        finally:
-            # A timed-out worker may still be computing; do not block the
-            # parent on it (the abandoned process exits with the worker
-            # pool's queues once its experiment finishes).
-            pool.shutdown(wait=not timed_out, cancel_futures=True)
-    else:
         for exp_id in to_run:
             if aborted:
                 outcomes[exp_id] = ExperimentOutcome(
@@ -369,13 +230,33 @@ def main(argv: list[str] | None = None) -> int:
                           "(use --keep-going to finish the sweep)",
                 )
                 continue
-            outcome = _execute_serial(
-                exp_id, quick, args.seed, profiled,
-                args.retries, args.retry_delay, args.timeout,
-            )
+            if pool is None:
+                call = guarded_call(_run_one, exp_id, quick, args.seed,
+                                    profiled, timeout=args.timeout)
+            else:
+                try:
+                    call = futures[exp_id].result()
+                except Exception as exc:  # noqa: BLE001 - dead worker, pickling
+                    call = {
+                        "ok": False,
+                        "kind": type(exc).__name__,
+                        "error": f"[{exp_id}] {type(exc).__name__}: {exc}",
+                        "traceback": traceback_module.format_exc(),
+                    }
+            if call["ok"]:
+                result, snap = call["value"]
+                outcome = ExperimentOutcome(exp_id, "ok", result=result,
+                                            snapshot=snap)
+            else:
+                status = "timeout" if call["kind"] == "timeout" else "failed"
+                outcome = ExperimentOutcome(exp_id, status, error=call["error"],
+                                            traceback=call["traceback"])
             outcomes[exp_id] = outcome
             if outcome.status != "ok" and not args.keep_going:
                 aborted = True
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     # ---- report in submission order; merge telemetry deterministically ----
     failed_ids: list[str] = []
@@ -394,8 +275,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             failed_ids.append(exp_id)
             print(
-                f"== {exp_id}: {outcome.status.upper()} "
-                f"after {outcome.attempts} attempt(s): {outcome.error} ==",
+                f"== {exp_id}: {outcome.status.upper()}: {outcome.error} ==",
                 file=sys.stderr,
             )
             if outcome.traceback:
@@ -410,8 +290,6 @@ def main(argv: list[str] | None = None) -> int:
             record: dict = {"status": outcome.status}
             if outcome.resumed:
                 record["resumed_from"] = str(args.resume)
-            else:
-                record["attempts"] = outcome.attempts
             if outcome.error is not None:
                 record["error"] = outcome.error
             if outcome.traceback is not None:

@@ -9,24 +9,21 @@ scenario. This package reproduces that contract:
   measures per-object loads and pairwise communication as the "program" runs,
 * :class:`LBDatabase` — the measured load/communication database with JSON
   dump/load (the ``+LBDump`` file analog),
-* :func:`get_strategy` / :data:`STRATEGIES` — the registry of load-balancing
-  strategies by their Charm++ names (RandomLB, GreedyLB, TopoCentLB, TopoLB,
-  RefineTopoLB, ...),
 * :func:`simulate_strategy` — the ``+LBSim`` analog: replay a database under
   a named strategy on a given machine and report mapping-quality metrics.
+  Strategies are resolved by the engine registry
+  (:data:`repro.engine.specs.STRATEGY_SPECS`): any Charm++ name (RandomLB,
+  GreedyLB, TopoCentLB, TopoLB, RefineTopoLB, ...) or mapper spec string.
 """
 
 from repro.runtime.chare import ChareArray
 from repro.runtime.lbdb import LBDatabase
-from repro.runtime.strategies import STRATEGIES, get_strategy
 from repro.runtime.simulation import simulate_strategy, compare_strategies
 from repro.runtime.dynamic import DriftingWorkload, LBStepReport, run_dynamic_lb
 
 __all__ = [
     "ChareArray",
     "LBDatabase",
-    "STRATEGIES",
-    "get_strategy",
     "simulate_strategy",
     "compare_strategies",
     "DriftingWorkload",

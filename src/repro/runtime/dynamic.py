@@ -244,12 +244,13 @@ def run_dynamic_lb(
                 )
                 new_placement = np.asarray(mapping.assignment, dtype=np.int64)
             else:
+                from repro.engine.specs import mapper_from_spec
                 from repro.runtime.lbdb import LBDatabase
-                from repro.runtime.strategies import run_strategy
 
                 db = LBDatabase.from_taskgraph(graph, placement)
+                mapper = mapper_from_spec(full_strategy, seed)
                 new_placement = np.asarray(
-                    run_strategy(full_strategy, db, topology, seed),
+                    mapper.map(db.to_taskgraph(), topology).assignment.copy(),
                     dtype=np.int64,
                 )
                 # Registry strategies remap over the pristine machine; any

@@ -12,7 +12,8 @@ Layers, bottom up:
   mapper spec × topology ``cache_key()`` × seed × kernel × evaluation
   knobs) and :class:`ResultCache` (LRU + optional disk tier).
 * :mod:`repro.service.daemon` — :class:`MappingService`: bounded queue,
-  batching into pool workers, backpressure, per-request timeouts/retries,
+  batching into pool workers, backpressure, a per-request deadline (each
+  request runs once through :func:`repro.utils.guard.guarded_call`),
   ``service.*`` telemetry.
 * :mod:`repro.service.http` — the four-route HTTP transport and
   :class:`ThreadedServer` harness.

@@ -39,10 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="max requests per worker batch")
     parser.add_argument("--timeout", type=float, default=30.0,
                         help="per-request wall bound in seconds (0 disables)")
-    parser.add_argument("--retries", type=int, default=0,
-                        help="per-request retry budget for transient failures")
-    parser.add_argument("--retry-delay", type=float, default=0.1,
-                        help="delay between request retries")
     parser.add_argument("--cache-entries", type=int, default=1024,
                         help="in-memory result-cache capacity")
     parser.add_argument("--cache-dir", type=Path, default=None,
@@ -58,8 +54,6 @@ async def _amain(args) -> None:
         queue_limit=args.queue_limit,
         batch_size=args.batch_size,
         timeout=None if args.timeout <= 0 else args.timeout,
-        retries=args.retries,
-        retry_delay=args.retry_delay,
         cache_entries=args.cache_entries,
         cache_dir=args.cache_dir,
         retry_after=args.retry_after,

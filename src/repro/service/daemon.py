@@ -11,9 +11,10 @@ travels::
            └─ enqueue    → batcher drains ≤ batch_size requests at a time
                            into a process-pool worker (jobs=0: thread
                            executor, for tests); each request inside the
-                           worker runs under the resilient-runner timeout +
-                           retry discipline (per-request SIGALRM bound,
-                           retries with delay, ValidationError fails fast)
+                           worker runs exactly once through
+                           repro.utils.guard.guarded_call (per-request
+                           SIGALRM deadline; a seeded request fails the
+                           same way every time, so nothing is retried)
 
 Everything is measured: ``service.*`` counters/timers accumulate in a
 dedicated :class:`~repro.obs.core.Profiler`, and
@@ -30,13 +31,14 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.exceptions import ReproError, SpecError, ValidationError
+from repro.exceptions import ReproError, SpecError
 from repro.obs.core import Profiler
 from repro.service.cache import (
     ResultCache,
     request_cache_key,
     result_to_payload,
 )
+from repro.utils.guard import guarded_call
 
 __all__ = [
     "ServiceConfig",
@@ -60,13 +62,9 @@ class ServiceConfig:
     #: Maximum requests handed to one pool worker in one call — a batch
     #: warms the worker's topology/context caches once for all its members.
     batch_size: int = 8
-    #: Per-request wall-clock bound inside the worker (SIGALRM, reusing the
-    #: experiment runner's machinery); ``None`` disables it.
+    #: Per-request wall-clock deadline inside the worker
+    #: (:func:`repro.utils.guard.deadline`); ``None`` disables it.
     timeout: float | None = 30.0
-    #: Per-request retry budget and delay inside the worker (transient
-    #: failures only — ValidationError always fails fast).
-    retries: int = 0
-    retry_delay: float = 0.1
     #: In-memory LRU capacity and optional on-disk tier of the result cache.
     cache_entries: int = 1024
     cache_dir: str | Path | None = None
@@ -144,54 +142,23 @@ def parse_request_body(body) -> tuple[object, bool]:
     return request, bool(body.get("wait", True))
 
 
-def _serve_batch(requests, retries, retry_delay, timeout):
+def _serve_batch(requests, timeout):
     """Worker: run a batch of requests, one guarded outcome per request.
 
-    Runs inside a pool worker's main thread, so the experiment runner's
-    SIGALRM machinery bounds each request's wall time individually; errors
-    are captured per request (one poisoned request cannot take down its
-    batchmates). A failed request is re-run up to ``retries`` times, waiting
-    ``retry_delay`` seconds between attempts, except that ValidationError —
-    a deterministic invariant violation — fails fast.
+    Runs inside a pool worker's main thread, so the SIGALRM deadline bounds
+    each request's wall time individually; errors are captured per request
+    (one poisoned request cannot take down its batchmates). Each request
+    runs exactly once: it is seeded, so a failure would only repeat.
     """
     from repro.engine.core import MappingEngine
-    from repro.experiments.runner import _alarm, _ExperimentTimeout
 
     engine = MappingEngine()
     outcomes = []
     for request in requests:
-        try:
-            with _alarm(timeout):
-                attempt = 0
-                while True:
-                    try:
-                        result = engine.run(request)
-                        break
-                    except ValidationError:
-                        raise
-                    except Exception:
-                        if attempt >= retries:
-                            raise
-                        attempt += 1
-                        if retry_delay:
-                            time.sleep(retry_delay)
-            outcomes.append({"ok": True, "payload": result_to_payload(result)})
-        except _ExperimentTimeout:
-            outcomes.append({
-                "ok": False,
-                "error": f"timed out after {timeout}s",
-                "kind": "timeout",
-            })
-        except ValidationError as exc:
-            outcomes.append({
-                "ok": False, "error": str(exc), "kind": "ValidationError",
-            })
-        except Exception as exc:  # noqa: BLE001 — per-request guard
-            outcomes.append({
-                "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "kind": type(exc).__name__,
-            })
+        outcome = guarded_call(engine.run, request, timeout=timeout)
+        if outcome["ok"]:
+            outcome = {"ok": True, "payload": result_to_payload(outcome["value"])}
+        outcomes.append(outcome)
     return outcomes
 
 
@@ -380,8 +347,7 @@ class MappingService:
         self.profiler.count("service.batched_requests", len(batch))
         try:
             worker_call = loop.run_in_executor(
-                self._executor, _serve_batch,
-                requests, cfg.retries, cfg.retry_delay, cfg.timeout,
+                self._executor, _serve_batch, requests, cfg.timeout,
             )
             # Belt over the per-request SIGALRM suspenders: a worker that
             # hangs in uninterruptible code still cannot wedge the daemon.

@@ -46,15 +46,15 @@ def rng() -> np.random.Generator:
 def serve_in_pool():
     """Run requests through the service's batch worker in a 2-process pool.
 
-    Returns ``run(requests, retries=0)``, which submits each request as its
-    own batch and gives back one outcome per request, in order. Workers are
-    spawned, so they start from fresh caches.
+    Returns ``run(requests)``, which submits each request as its own batch
+    and gives back one outcome per request, in order. Workers are spawned,
+    so they start from fresh caches.
     """
 
-    def run(requests, retries=0):
+    def run(requests):
         spawn = get_context("spawn")
         with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
-            futures = [pool.submit(_serve_batch, [request], retries, 0.0, None)
+            futures = [pool.submit(_serve_batch, [request], None)
                        for request in requests]
             return [future.result()[0] for future in futures]
 

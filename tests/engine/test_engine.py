@@ -128,7 +128,7 @@ def test_service_batch_retries_exhausted_reports_error():
     [outcome] = _serve_batch(
         [MappingRequest(graph="mesh2d:8x8", topology="torus:8x8",
                         mapper="NopeLB")],
-        1, 0.0, None,
+        None,
     )
     assert not outcome["ok"]
     assert outcome["kind"] == "SpecError"

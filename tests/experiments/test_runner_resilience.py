@@ -1,11 +1,21 @@
-"""Crash resilience of the experiment runner: keep-going, retries, resume.
+"""Crash resilience of the experiment runner: keep-going, timeouts, resume.
 
 Failures are injected through the ``REPRO_EXPERIMENTS_FAIL`` environment
 hook (a comma list of experiment ids that raise inside the worker body) —
-the same hook the CI fault-injection job uses.
+the same hook the CI fault-injection job uses. Pool timeouts and worker
+death run the runner in a subprocess, so the test sees when the whole
+process exits, not just when ``main`` returns.
 """
 
 from __future__ import annotations
+
+import contextlib
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -65,7 +75,6 @@ class TestFailureCapture:
         doc = obs.load_profile(out)
         record = doc["context"]["experiment_status"]["fig1_2"]
         assert "injected failure" in record["error"]
-        assert record["attempts"] == 1
         assert "traceback" in record or jobs == "2"
 
     def test_parallel_failure_carries_experiment_id(self, monkeypatch, capsys):
@@ -84,20 +93,11 @@ class TestFailureCapture:
 
 
 class TestRetries:
-    def test_retries_are_counted(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(runner.FAIL_ENV, "fig1_2")
-        out = tmp_path / "out.json"
-        code = runner.main(
-            ["fig1_2", "--retries", "2", "--retry-delay", "0.01",
-             "--profile", str(out)]
-        )
-        assert code == 1
-        doc = obs.load_profile(out)
-        assert doc["context"]["experiment_status"]["fig1_2"]["attempts"] == 3
-
-    def test_negative_retries_rejected(self):
-        with pytest.raises(SystemExit):
-            runner.main(["fig1_2", "--retries", "-1"])
+    def test_retries_flag_is_gone(self):
+        # Seeded experiments fail the same way every time: no retry option.
+        with pytest.raises(SystemExit) as exc:
+            runner.main(["fig1_2", "--retries", "1"])
+        assert exc.value.code == 2
 
     def test_bad_timeout_rejected(self):
         with pytest.raises(SystemExit):
@@ -119,6 +119,70 @@ class TestTimeout:
         assert code == 1
         assert _status(out) == {"fig1_2": "timeout"}
         assert "TIMEOUT" in capsys.readouterr().err
+
+
+_DRIVER = """
+import os, sys, time
+from repro.experiments import fig01_02, runner
+
+def slow(quick=True, seed=0):
+    time.sleep(60.0)
+
+def crash(quick=True, seed=0):
+    os._exit(3)
+
+fig01_02.QUICK_SIDES = (4,)
+runner.EXPERIMENTS.update(slow=slow, crash=crash)
+runner.PAPER_EXPERIMENTS = {
+    "fig1_2": runner.EXPERIMENTS["fig1_2"],
+    sys.argv[1]: runner.EXPERIMENTS[sys.argv[1]],
+}
+sys.exit(runner.main(sys.argv[2:]))
+"""
+
+
+def _drive(tmp_path, bad_id, *args):
+    """Run ``all --jobs 2 --keep-going`` with ``bad_id`` beside ``fig1_2``
+    in a fresh process (fork workers inherit the patched registry)."""
+    script = tmp_path / "driver.py"
+    script.write_text(_DRIVER)
+    src = Path(runner.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop(runner.FAIL_ENV, None)
+    t0 = time.monotonic()
+    # A session of its own, so a hung run and any pool worker it left
+    # behind are killed together.
+    proc = subprocess.Popen(
+        [sys.executable, str(script), bad_id, "all", "--jobs", "2",
+         "--keep-going", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
+    )
+    try:
+        _, stderr = proc.communicate(timeout=30)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+    return proc.returncode, stderr, time.monotonic() - t0
+
+
+class TestPooledGuard:
+    def test_pooled_timeout_stops_the_experiment(self, tmp_path):
+        out = tmp_path / "p.json"
+        returncode, stderr, elapsed = _drive(tmp_path, "slow", "--timeout", "1",
+                                             "--profile", str(out))
+        assert returncode == 1, stderr
+        assert elapsed < 10.0  # the worker stopped; the pool shut down
+        assert _status(out) == {"fig1_2": "ok", "slow": "timeout"}
+
+    def test_worker_death_is_recorded(self, tmp_path):
+        out = tmp_path / "p.json"
+        returncode, stderr, _ = _drive(tmp_path, "crash", "--profile", str(out))
+        assert returncode == 1, stderr
+        assert _status(out)["crash"] == "failed"
+        record = obs.load_profile(out)["context"]["experiment_status"]["crash"]
+        assert "BrokenProcessPool" in record["error"]
 
 
 class TestResume:

@@ -5,34 +5,34 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import MappingError
-from repro.runtime import (
-    LBDatabase,
-    STRATEGIES,
-    compare_strategies,
-    get_strategy,
-    simulate_strategy,
-)
-from repro.runtime.strategies import run_strategy
+from repro.engine.specs import STRATEGY_SPECS, mapper_from_spec
+from repro.exceptions import SpecError
+from repro.runtime import LBDatabase, compare_strategies, simulate_strategy
 from repro.taskgraph import leanmd_taskgraph, mesh2d_pattern, random_taskgraph
 from repro.topology import Torus
 
 
+def _placement(name, db, topology, seed=0):
+    """Map a load database's task graph with a registry strategy."""
+    mapper = mapper_from_spec(name, seed)
+    return mapper.map(db.to_taskgraph(), topology).assignment
+
+
 class TestRegistry:
     def test_all_names_instantiate(self):
-        for name in STRATEGIES:
-            assert get_strategy(name, seed=0) is not None
+        for name in STRATEGY_SPECS:
+            assert mapper_from_spec(name, seed=0) is not None
 
     def test_unknown_name(self):
-        with pytest.raises(MappingError, match="unknown strategy"):
-            get_strategy("MagicLB")
+        with pytest.raises(SpecError, match="unknown strategy"):
+            mapper_from_spec("MagicLB")
 
-    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    @pytest.mark.parametrize("name", sorted(STRATEGY_SPECS))
     def test_strategies_produce_valid_placement(self, name):
         g = random_taskgraph(20, edge_prob=0.2, seed=1)
         db = LBDatabase.from_taskgraph(g)
         topo = Torus((2, 4))
-        placement = run_strategy(name, db, topo, seed=0)
+        placement = _placement(name, db, topo)
         assert placement.shape == (20,)
         assert placement.min() >= 0 and placement.max() < 8
         # every processor used
@@ -41,7 +41,7 @@ class TestRegistry:
     def test_equal_sizes_direct_mapping(self):
         g = mesh2d_pattern(4, 4)
         db = LBDatabase.from_taskgraph(g)
-        placement = run_strategy("TopoLB", db, Torus((4, 4)), seed=0)
+        placement = _placement("TopoLB", db, Torus((4, 4)))
         assert sorted(placement.tolist()) == list(range(16))
 
 

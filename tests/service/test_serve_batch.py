@@ -1,14 +1,18 @@
-"""Retry contract of a batch of mapping requests run by ``_serve_batch``,
-the service's pool-worker entry point.
+"""Contract of ``_serve_batch``, the service's pool-worker entry point.
 
-Each request in a batch is retried up to ``retries`` times on a transient
-failure, while ``ValidationError`` — a deterministic invariant violation —
-fails fast without consuming the budget, in process ("serial") and from a
-pool worker ("pooled") alike, and survives the pickle round-trip back from
-the worker.
+Each request in a batch runs exactly once through
+:func:`repro.utils.guard.guarded_call` and comes back as its own outcome:
+requests are seeded, so a failure would only repeat and nothing is retried.
+A ``ValidationError`` outcome looks like every other failure kind, in
+process ("serial") and from a pool worker ("pooled") alike, and the
+exception survives the pickle round-trip back from the worker. On the main
+thread the per-request deadline turns a request that overruns into a
+``timeout`` outcome.
 """
 
 import pickle
+import time
+
 from repro.engine import MappingRequest
 from repro.exceptions import ValidationError
 from repro.service.daemon import _serve_batch
@@ -17,7 +21,8 @@ from repro.taskgraph import mesh2d_pattern
 
 # --------------------------------------------------------- failure injectors
 class FlakyMapper:
-    """Raise ``exc`` on every attempt, appending one line per call to a file.
+    """Fail on every call (after a long sleep for ``"sleepy"``), appending
+    one line per call to a file.
 
     Top-level class so pooled requests carrying it still pickle; the attempt
     file is the cross-process attempt counter.
@@ -35,6 +40,8 @@ class FlakyMapper:
                 "injected", "deterministic invariant violation",
                 spec={"mapper": "FlakyMapper"},
             )
+        if self.exc_factory_name == "sleepy":
+            time.sleep(30.0)
         raise RuntimeError("transient failure (injected)")
 
 
@@ -54,27 +61,21 @@ def _flaky_request(tmp_path, kind):
     return request, attempts
 
 
-# -------------------------------------------------- ValidationError fail-fast
+# ------------------------------------------------ ValidationError runs once
 def test_serial_validation_error_not_retried(tmp_path):
     request, attempts = _flaky_request(tmp_path, "validation")
-    [outcome] = _serve_batch([request], 5, 0.0, None)
+    [outcome] = _serve_batch([request], None)
     assert not outcome["ok"]
     assert outcome["kind"] == "ValidationError"
-    assert _attempts(attempts) == 1  # fail fast: the budget was not consumed
-
-
-def test_serial_transient_error_still_retried(tmp_path):
-    request, attempts = _flaky_request(tmp_path, "transient")
-    [outcome] = _serve_batch([request], 2, 0.0, None)
-    assert not outcome["ok"]
-    assert outcome["kind"] == "RuntimeError"
-    assert _attempts(attempts) == 3  # initial attempt + both retries
+    assert outcome["error"].startswith("ValidationError: ")
+    assert _attempts(attempts) == 1
 
 
 def test_pooled_validation_error_not_retried(tmp_path, serve_in_pool):
     request, attempts = _flaky_request(tmp_path, "validation")
-    [outcome] = serve_in_pool([request], retries=5)
+    [outcome] = serve_in_pool([request])
     assert outcome["kind"] == "ValidationError"
+    assert outcome["error"].startswith("ValidationError: ")
     assert _attempts(attempts) == 1
 
 
@@ -91,13 +92,22 @@ def test_validation_error_pickle_round_trip():
     assert clone.details == {"processor": 3}
 
 
-def test_pooled_spec_error_still_respects_retry_budget(serve_in_pool):
-    # Non-validation deterministic errors keep the documented behavior: they
-    # consume the budget, then come back as that request's error outcome.
+def test_pooled_spec_error_is_reported(serve_in_pool):
     [outcome] = serve_in_pool(
         [MappingRequest(graph="mesh2d:4x4", topology="torus:4x4",
                         mapper="NopeLB")],
-        retries=1,
     )
     assert not outcome["ok"]
     assert outcome["kind"] == "SpecError"
+
+
+# ------------------------------------------------------ per-request deadline
+def test_deadline_times_out_a_request_on_the_main_thread(tmp_path):
+    request, attempts = _flaky_request(tmp_path, "sleepy")
+    t0 = time.perf_counter()
+    [outcome] = _serve_batch([request], timeout=0.2)
+    assert time.perf_counter() - t0 < 5.0
+    assert not outcome["ok"]
+    assert outcome["kind"] == "timeout"
+    assert outcome["error"] == "timed out after 0.2s"
+    assert _attempts(attempts) == 1

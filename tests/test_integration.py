@@ -54,9 +54,11 @@ class TestFullPipeline:
         assert topolb_report["hop_bytes"] < random_report["hop_bytes"]
 
         # 3. migrate to the TopoLB placement
-        from repro.runtime.strategies import run_strategy
+        from repro.engine.specs import mapper_from_spec
 
-        placement = run_strategy("TopoLB", LBDatabase.load(dump), topo, seed=0)
+        placement = mapper_from_spec("TopoLB", 0).map(
+            LBDatabase.load(dump).to_taskgraph(), topo
+        ).assignment
         arr.migrate(placement)
         assert len(np.unique(arr.placement)) == p
 
