@@ -75,13 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "replay (default: unbounded FIFO queues); "
                              "overload behaviour is set by --overload-policy "
                              "and tail latencies are reported per size class")
-    parser.add_argument("--overload-policy", choices=("drop", "ecn", "credit"),
+    parser.add_argument("--overload-policy", choices=("drop", "ecn"),
                         default="drop",
                         help="what a full finite buffer does (only with "
                              "--buffer-bytes): 'drop' tail-drops and "
-                             "retransmits end-to-end, 'ecn' marks past a "
-                             "threshold and paces marked flows, 'credit' "
-                             "applies lossless hop-by-hop backpressure")
+                             "retransmits end-to-end, 'ecn' also marks past "
+                             "half occupancy and paces marked flows")
     parser.add_argument("--stats", type=Path, metavar="PROFILE",
                         help="summarize an existing profile JSON and exit")
     parser.add_argument("--list-strategies", action="store_true",
@@ -127,6 +126,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.buffer_bytes is not None and args.netsim_mode == "flow":
         parser.error("--buffer-bytes requires the DES (--netsim-mode des); "
                      "the flow estimator has no buffer model")
+    replays = args.simulate_iters
+    if replays is None:
+        replays = 1 if args.profile is not None else 0
+    if args.buffer_bytes is not None and replays == 0:
+        parser.error("--buffer-bytes needs a network replay "
+                     "(--simulate-iters N > 0 or --profile)")
 
     try:
         report = run_mapping(

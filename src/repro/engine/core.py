@@ -21,6 +21,7 @@ table cost once per process.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -212,6 +213,7 @@ _NETSIM_KEYS = frozenset({
     "max_retries", "retry_delay", "retry_backoff", "retry_jitter", "seed",
     "stall_window",
 })
+_NETSIM_INT_KEYS = frozenset({"iterations", "max_retries", "seed"})
 
 
 def _netsim_metrics(mapping, knobs: dict) -> dict[str, float]:
@@ -230,6 +232,18 @@ def _netsim_metrics(mapping, knobs: dict) -> dict[str, float]:
             f"unknown MappingRequest.netsim key(s) {sorted(unknown)}; "
             f"recognized: {sorted(_NETSIM_KEYS)}"
         )
+    for key, value in knobs.items():
+        if key == "overload_policy":
+            kind, want = str, "a string"
+        elif key in _NETSIM_INT_KEYS:
+            kind, want = numbers.Integral, "an integer"
+        else:
+            kind, want = numbers.Real, "a number"
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise SpecError(
+                f"MappingRequest.netsim key {key!r} must be {want}, "
+                f"got {value!r}"
+            )
     sim_kwargs = {k: v for k, v in knobs.items() if k != "iterations"}
     sim, result = replay_closed_loop(
         mapping, int(knobs.get("iterations", 2)), **sim_kwargs

@@ -33,7 +33,6 @@ from repro.netsim.simulator import (
 )
 from repro.netsim.appsim import IterativeApplication, AppResult
 from repro.netsim.traffic import make_pattern, run_open_loop, OpenLoopResult
-from repro.netsim.trace import ApplicationTrace, TracePhase, TraceReplayer, jacobi_trace
 from repro.netsim.collectives import (
     bfs_tree,
     binomial_tree,
@@ -59,10 +58,6 @@ __all__ = [
     "make_pattern",
     "run_open_loop",
     "OpenLoopResult",
-    "ApplicationTrace",
-    "TracePhase",
-    "TraceReplayer",
-    "jacobi_trace",
     "bfs_tree",
     "binomial_tree",
     "simulate_broadcast",

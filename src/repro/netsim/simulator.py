@@ -45,6 +45,20 @@ __all__ = [
     "channel_name",
 ]
 
+# FIFO backlog at which a link counts as saturated: when a link's queue first
+# grows to this depth a ``netsim.link_saturated`` event is recorded
+# (profiling only), cleared once the queue drains empty.
+_SATURATION_DEPTH = 8
+
+# ECN / AIMD pacing under ``OverloadPolicy.ECN``: a message queued at or past
+# this fraction of ``buffer_bytes`` is marked; each marked delivery multiplies
+# its flow's injection-gap stretch by the backoff (capped at the maximum), and
+# each unmarked delivery lowers it additively by the recovery step.
+_ECN_THRESHOLD = 0.5
+_ECN_BACKOFF = 2.0
+_ECN_RECOVER = 0.25
+_ECN_MAX_STRETCH = 64.0
+
 
 def channel_name(channel: tuple) -> str:
     """Stable printable name of a channel: ``"3->7"`` or ``"nic_out:3"``."""
@@ -87,30 +101,24 @@ class OverloadPolicy(enum.Enum):
     * ``DROP`` — tail-drop: a message arriving at a full buffer is discarded
       at that hop and retransmitted end-to-end after an exponential backoff
       (the fault-recovery knobs ``retry_delay`` / ``retry_backoff`` /
-      ``max_retries`` / ``retry_timeout`` govern the schedule; an optional
-      seeded ``retry_jitter`` desynchronizes colliding retransmits).
+      ``max_retries`` govern the schedule; an optional seeded
+      ``retry_jitter`` desynchronizes colliding retransmits).
     * ``ECN`` — tail-drop at a *full* buffer as above, but additionally mark
-      messages queued past ``ecn_threshold`` occupancy; once a sender sees a
-      marked delivery for a flow it multiplicatively stretches that flow's
-      inter-injection gap (minimal AIMD: multiply by ``ecn_backoff`` per
-      mark, recover additively by ``ecn_recover`` per unmarked delivery).
-    * ``CREDIT`` — hop-by-hop credit flow control: a hop may only start
-      forwarding when the downstream buffer has reserved room for the whole
-      message, so backpressure propagates upstream and nothing is ever
-      dropped. Injection at a full first hop waits for credit too.
+      messages queued past half the buffer; once a sender sees a marked
+      delivery for a flow it multiplicatively stretches that flow's
+      inter-injection gap (minimal AIMD: x2 per mark up to x64, recover
+      additively by 0.25 per unmarked delivery).
     """
 
     DROP = "drop"
     ECN = "ecn"
-    CREDIT = "credit"
 
 
 class _Link:
     """FIFO transmission state of one directed link."""
 
     __slots__ = ("busy", "queue", "busy_time", "bytes_carried", "max_queue",
-                 "saturated", "current", "buffered_bytes", "reserved",
-                 "blocked", "waiters", "entry_wait")
+                 "saturated", "current", "buffered_bytes")
 
     def __init__(self):
         self.busy = False
@@ -122,10 +130,6 @@ class _Link:
         self.current = None       # in-flight (msg, route, hop, cb), for faults
         # Finite-buffer state (untouched when buffer_bytes is None):
         self.buffered_bytes = 0.0   # bytes sitting in this link's input queue
-        self.reserved = 0.0         # credit mode: bytes promised to upstream
-        self.blocked = None         # credit mode: head waiting for downstream
-        self.waiters: deque = deque()     # upstream channels awaiting credit
-        self.entry_wait: deque = deque()  # injections awaiting first-hop room
 
 
 class NetworkSimulator:
@@ -149,21 +153,14 @@ class NetworkSimulator:
         Delivery latency of intra-processor messages (no links used).
     model:
         :class:`LinkModel`; virtual cut-through by default.
-    saturation_depth:
-        FIFO backlog at which a link counts as *saturated*: when a link's
-        queue first grows to this depth a ``netsim.link_saturated`` event is
-        recorded (profiling only; see below), cleared once the queue drains
-        empty.
-    max_retries / retry_delay / retry_backoff / retry_timeout:
+    max_retries / retry_delay / retry_backoff:
         Fault-recovery knobs (see :meth:`fail_link` / :meth:`fail_node`): a
         message interrupted by a fault with no surviving adaptive route is
         retransmitted end-to-end after ``retry_delay * retry_backoff**k``
-        microseconds on its ``k``-th attempt, up to ``max_retries`` times
-        and (when ``retry_timeout`` is set) only while the total elapsed
-        time since the original send stays within the timeout.
+        microseconds on its ``k``-th attempt, up to ``max_retries`` times.
     unroutable_policy:
         What happens when a message is truly undeliverable (dead endpoint,
-        retries exhausted, retry timeout): ``"raise"`` (default) surfaces a
+        retries exhausted): ``"raise"`` (default) surfaces a
         :class:`~repro.exceptions.SimulationError`; ``"drop"`` marks the
         message dropped and counts ``netsim.dropped``.
     buffer_bytes / overload_policy:
@@ -172,15 +169,10 @@ class NetworkSimulator:
         ordering, zero behavior drift. When set, a link whose queue already
         holds ``buffer_bytes`` of payload overloads, and
         :class:`OverloadPolicy` decides what happens: ``"drop"`` (tail-drop
-        + end-to-end retransmit), ``"ecn"`` (mark past ``ecn_threshold``
-        occupancy, marked flows stretch their injection gap by
-        ``ecn_backoff`` up to ``ecn_max_stretch`` and recover by
-        ``ecn_recover``; still tail-drops at completely full), or
-        ``"credit"`` (hop-by-hop credit flow control — lossless, but
-        incompatible with fault injection, and wrap rings can deadlock:
-        the run-end drain check reports a wedge instead of hanging).
-        NIC channels are treated as infinitely buffered (the endpoint
-        memory is the buffer).
+        + end-to-end retransmit) or ``"ecn"`` (mark past half occupancy,
+        marked flows stretch their injection gap; still tail-drops at
+        completely full). NIC channels are treated as infinitely buffered
+        (the endpoint memory is the buffer).
     retry_jitter / seed:
         Overload retransmits wait ``retry_delay * retry_backoff**k``
         multiplied by ``1 + retry_jitter * U[0, 1)`` — the uniform draw
@@ -192,7 +184,8 @@ class NetworkSimulator:
         raises :class:`~repro.exceptions.SimulationError` naming the oldest
         undelivered message if no delivery progress (deliveries + final
         drops) happened for a full window while events kept firing — so a
-        drop/retry loop cannot spin forever.
+        drop/retry loop cannot spin forever. The same setting arms the
+        post-run drain check (see :meth:`run`).
 
     Fault injection is deterministic: :meth:`schedule_link_failure` and
     :meth:`schedule_node_failure` go through the event queue, and recovery
@@ -219,18 +212,12 @@ class NetworkSimulator:
         nic_bandwidth: float | None = None,
         routing: RoutingPolicy = RoutingPolicy.DOR,
         link_bandwidths: dict[tuple[int, int], float] | None = None,
-        saturation_depth: int = 8,
         max_retries: int = 8,
         retry_delay: float = 5.0,
         retry_backoff: float = 2.0,
-        retry_timeout: float | None = None,
         unroutable_policy: str = "raise",
         buffer_bytes: float | None = None,
         overload_policy: OverloadPolicy | str = OverloadPolicy.DROP,
-        ecn_threshold: float = 0.5,
-        ecn_backoff: float = 2.0,
-        ecn_recover: float = 0.25,
-        ecn_max_stretch: float = 64.0,
         retry_jitter: float = 0.0,
         seed: int = 0,
         stall_window: float | None = None,
@@ -254,10 +241,6 @@ class NetworkSimulator:
             raise SimulationError(f"nic_bandwidth must be positive, got {nic_bandwidth}")
         if alpha < 0 or local_latency < 0:
             raise SimulationError("latencies must be non-negative")
-        if saturation_depth < 1:
-            raise SimulationError(
-                f"saturation_depth must be >= 1, got {saturation_depth}"
-            )
         if max_retries < 0:
             raise SimulationError(f"max_retries must be >= 0, got {max_retries}")
         if retry_delay <= 0:
@@ -265,10 +248,6 @@ class NetworkSimulator:
         if retry_backoff < 1.0:
             raise SimulationError(
                 f"retry_backoff must be >= 1.0, got {retry_backoff}"
-            )
-        if retry_timeout is not None and retry_timeout <= 0:
-            raise SimulationError(
-                f"retry_timeout must be positive, got {retry_timeout}"
             )
         if unroutable_policy not in ("raise", "drop"):
             raise SimulationError(
@@ -288,22 +267,6 @@ class NetworkSimulator:
                 f"overload_policy must be one of "
                 f"{[p.value for p in OverloadPolicy]}, got {overload_policy!r}"
             ) from None
-        if not 0.0 < ecn_threshold <= 1.0:
-            raise SimulationError(
-                f"ecn_threshold must be in (0, 1], got {ecn_threshold}"
-            )
-        if ecn_backoff < 1.0:
-            raise SimulationError(
-                f"ecn_backoff must be >= 1.0, got {ecn_backoff}"
-            )
-        if ecn_recover < 0.0:
-            raise SimulationError(
-                f"ecn_recover must be >= 0, got {ecn_recover}"
-            )
-        if ecn_max_stretch < 1.0:
-            raise SimulationError(
-                f"ecn_max_stretch must be >= 1.0, got {ecn_max_stretch}"
-            )
         if retry_jitter < 0.0:
             raise SimulationError(
                 f"retry_jitter must be >= 0, got {retry_jitter}"
@@ -333,13 +296,11 @@ class NetworkSimulator:
         self._route_choices: dict[tuple[int, int], list[list[tuple]]] = {}
         self._next_id = 0
         self.stats = MessageStats()
-        self._saturation_depth = int(saturation_depth)
         self._prof = obs.active()
         # Fault-injection state (see fail_link / fail_node / _on_fault).
         self._max_retries = int(max_retries)
         self._retry_delay = float(retry_delay)
         self._retry_backoff = float(retry_backoff)
-        self._retry_timeout = None if retry_timeout is None else float(retry_timeout)
         self._unroutable_policy = unroutable_policy
         self._failed_channels: set[tuple] = set()
         self._failed_nodes: set[int] = set()
@@ -352,14 +313,6 @@ class NetworkSimulator:
             self._buffer_bytes is not None
             and overload_policy is OverloadPolicy.ECN
         )
-        self._credit = (
-            self._buffer_bytes is not None
-            and overload_policy is OverloadPolicy.CREDIT
-        )
-        self._ecn_threshold = float(ecn_threshold)
-        self._ecn_backoff = float(ecn_backoff)
-        self._ecn_recover = float(ecn_recover)
-        self._ecn_max_stretch = float(ecn_max_stretch)
         self._retry_jitter = float(retry_jitter)
         self._seed = int(seed)
         self._rng = None  # lazily built np.random.Generator for retry jitter
@@ -578,29 +531,26 @@ class NetworkSimulator:
         link = self._link(route[hop])
         # NIC channels stay unbounded even under finite link buffers: the
         # endpoint's memory is the buffer.
-        if self._buffer_bytes is not None and not isinstance(route[hop][0], str):
-            if self._credit:
-                self._credit_arrival(link, msg, route, hop, on_delivery)
-            elif link.busy:
-                size = msg.size_bytes
-                if link.buffered_bytes + size > self._buffer_bytes:
-                    self._on_overflow(msg, route, hop, on_delivery)
-                    return
-                if (
-                    self._ecn
-                    and not msg.ecn_marked
-                    and link.buffered_bytes + size
-                    >= self._ecn_threshold * self._buffer_bytes
-                ):
-                    msg.ecn_marked = True
-                    self.stats.ecn_marks += 1
-                    if self._prof is not None:
-                        self._prof.count("netsim.ecn_marks")
-                link.buffered_bytes += size
-                self._enqueue(link, msg, route, hop, on_delivery)
-            else:
-                self._start_transmission(link, msg, route, hop, on_delivery)
-            return
+        if (
+            link.busy
+            and self._buffer_bytes is not None
+            and not isinstance(route[hop][0], str)
+        ):
+            size = msg.size_bytes
+            if link.buffered_bytes + size > self._buffer_bytes:
+                self._on_overflow(msg, route, hop, on_delivery)
+                return
+            if (
+                self._ecn
+                and not msg.ecn_marked
+                and link.buffered_bytes + size
+                >= _ECN_THRESHOLD * self._buffer_bytes
+            ):
+                msg.ecn_marked = True
+                self.stats.ecn_marks += 1
+                if self._prof is not None:
+                    self._prof.count("netsim.ecn_marks")
+            link.buffered_bytes += size
         if link.busy:
             self._enqueue(link, msg, route, hop, on_delivery)
         else:
@@ -616,7 +566,7 @@ class NetworkSimulator:
         if self._prof is not None:
             self._prof.count("netsim.enqueues")
             self._prof.count_max("netsim.max_queue_depth", depth)
-            if depth >= self._saturation_depth and not link.saturated:
+            if depth >= _SATURATION_DEPTH and not link.saturated:
                 link.saturated = True
                 self._prof.count("netsim.saturation_events")
                 self._prof.event(
@@ -628,10 +578,6 @@ class NetworkSimulator:
 
     def _start_transmission(self, link: _Link, msg: Message, route, hop: int,
                             on_delivery) -> None:
-        if self._credit and not self._reserve_downstream(
-            link, msg, route, hop, on_delivery
-        ):
-            return  # head blocked awaiting downstream credit
         now = self.queue.now
         channel = route[hop]
         is_nic = isinstance(channel[0], str)
@@ -676,10 +622,6 @@ class NetworkSimulator:
             self._start_transmission(link, msg, route, hop, on_delivery)
         else:
             link.saturated = False
-        if self._credit:
-            # Room opened up (head left the queue, or the wire went idle):
-            # admit waiting injections and grant credit to upstream heads.
-            self._credit_wake(link)
 
     # ------------------------------------------------------ finite buffers
     def _on_overflow(self, msg: Message, route, hop: int, on_delivery) -> None:
@@ -700,127 +642,11 @@ class NetworkSimulator:
             if self._rng is None:
                 self._rng = np.random.default_rng(self._seed)
             delay *= 1.0 + self._retry_jitter * float(self._rng.random())
-        if (
-            self._retry_timeout is not None
-            and (now + delay) - msg.send_time > self._retry_timeout
-        ):
-            self._drop(
-                msg,
-                f"retry timeout exceeded ({self._retry_timeout} us since send)",
-            )
-            return
         msg.attempts += 1
         self.stats.retransmits += 1
         if self._prof is not None:
             self._prof.count("netsim.retransmits")
         self.queue.schedule(now + delay, lambda: self._inject(msg, on_delivery))
-
-    def _credit_arrival(self, link: _Link, msg: Message, route, hop: int,
-                        on_delivery) -> None:
-        """Head reached a finite-buffered link under credit flow control.
-
-        An arrival off a *network* link was reserved by the upstream hop
-        before it started transmitting, so it always fits — the reservation
-        converts into queue occupancy (or frees up entirely if the wire is
-        idle). Injections and arrivals off a NIC channel hold no
-        reservation: they are admitted only while room remains, and
-        otherwise wait in ``entry_wait`` for credit.
-        """
-        size = msg.size_bytes
-        reserved = hop > 0 and not isinstance(route[hop - 1][0], str)
-        if reserved:
-            link.reserved -= size
-            if link.busy:
-                # Reservation becomes buffer occupancy: net room unchanged.
-                link.buffered_bytes += size
-                self._enqueue(link, msg, route, hop, on_delivery)
-            else:
-                self._start_transmission(link, msg, route, hop, on_delivery)
-                # The freed reservation is room other traffic can claim.
-                self._credit_wake(link)
-            return
-        if not link.busy:
-            self._start_transmission(link, msg, route, hop, on_delivery)
-        elif link.buffered_bytes + link.reserved + size <= self._buffer_bytes:
-            link.buffered_bytes += size
-            self._enqueue(link, msg, route, hop, on_delivery)
-        else:
-            link.entry_wait.append((msg, route, hop, on_delivery))
-            if self._prof is not None:
-                self._prof.count("netsim.injection_stalls")
-
-    def _reserve_downstream(self, link: _Link, msg: Message, route, hop: int,
-                            on_delivery) -> bool:
-        """Claim room for ``msg`` at the next network hop (credit mode).
-
-        Returns True when the transmission may start (room reserved, or the
-        next stage is a NIC/destination with unbounded buffering). On False
-        the link is parked busy with a blocked head and re-woken by
-        :meth:`_credit_wake` when the downstream buffer drains.
-        """
-        channel = route[hop]
-        if hop + 1 >= len(route) or isinstance(channel[0], str):
-            # Last hop delivers into endpoint memory; a NIC injection stage
-            # runs admission at the first network hop's arrival instead.
-            return True
-        nxt = route[hop + 1]
-        if isinstance(nxt[0], str):
-            return True  # destination NIC: unbounded
-        size = msg.size_bytes
-        if size > self._buffer_bytes:
-            raise SimulationError(
-                f"credit flow control cannot forward message {msg.msg_id}: "
-                f"size {size} exceeds buffer_bytes {self._buffer_bytes}"
-            )
-        down = self._link(nxt)
-        if down.buffered_bytes + down.reserved + size <= self._buffer_bytes:
-            down.reserved += size
-            return True
-        # Hold the wire: the head stays at this hop until credit arrives.
-        link.busy = True
-        link.current = None
-        link.blocked = (msg, route, hop, on_delivery)
-        down.waiters.append(channel)
-        if self._prof is not None:
-            self._prof.count("netsim.credit_stalls")
-        return False
-
-    def _credit_wake(self, link: _Link) -> None:
-        """Buffer room opened on ``link``; admit/grant in FIFO order.
-
-        Waiting injections (``entry_wait``) are admitted first, then
-        upstream links whose blocked heads wait for credit here retry their
-        reservations — backpressure releases in the order it built up.
-        """
-        while link.entry_wait:
-            msg, route, hop, cb = link.entry_wait[0]
-            if not link.busy:
-                link.entry_wait.popleft()
-                self._start_transmission(link, msg, route, hop, cb)
-            elif (
-                link.buffered_bytes + link.reserved + msg.size_bytes
-                <= self._buffer_bytes
-            ):
-                link.entry_wait.popleft()
-                link.buffered_bytes += msg.size_bytes
-                self._enqueue(link, msg, route, hop, cb)
-            else:
-                break
-        while link.waiters:
-            upstream = self._links.get(link.waiters[0])
-            if upstream is None or upstream.blocked is None:
-                link.waiters.popleft()  # stale waiter (already released)
-                continue
-            msg, route, hop, cb = upstream.blocked
-            size = msg.size_bytes
-            if link.buffered_bytes + link.reserved + size > self._buffer_bytes:
-                break  # no room yet; keep FIFO order
-            link.waiters.popleft()
-            upstream.blocked = None
-            upstream.busy = False
-            # _start_transmission re-runs _reserve_downstream, which claims
-            # the room we just checked for (nothing ran in between).
-            self._start_transmission(upstream, msg, route, hop, cb)
 
     def _ecn_update(self, msg: Message) -> None:
         """AIMD step for the flow of a just-delivered message."""
@@ -830,9 +656,9 @@ class NetworkSimulator:
             if state is None:
                 state = [1.0, 0.0]
                 self._flows[key] = state
-            state[0] = min(self._ecn_max_stretch, state[0] * self._ecn_backoff)
+            state[0] = min(_ECN_MAX_STRETCH, state[0] * _ECN_BACKOFF)
         elif state is not None and state[0] > 1.0:
-            state[0] = max(1.0, state[0] - self._ecn_recover)
+            state[0] = max(1.0, state[0] - _ECN_RECOVER)
 
     def _deliver(self, msg: Message, on_delivery) -> None:
         if msg.faulted:
@@ -859,14 +685,6 @@ class NetworkSimulator:
             on_delivery(msg)
 
     # ------------------------------------------------------------- faults
-    def _check_credit_faults(self) -> None:
-        if self._credit:
-            raise SimulationError(
-                "fault injection is not supported under credit flow control "
-                "(reserved buffer space on a dead link cannot be reclaimed); "
-                "use overload_policy='drop' or 'ecn' for fault studies"
-            )
-
     def _check_failure_time(self, at: float) -> float:
         at = float(at)
         if not math.isfinite(at) or at < 0:
@@ -888,11 +706,10 @@ class NetworkSimulator:
         The in-flight message (if any) and every queued message on the link
         take the fault path: adaptive reroute around the failure when a
         surviving minimal route exists, otherwise an end-to-end retransmit
-        with exponential backoff; retry/timeout exhaustion follows
+        with exponential backoff; retry exhaustion follows
         ``unroutable_policy``. Counted as ``faults.injected`` (one per
         undirected link) when profiling is enabled.
         """
-        self._check_credit_faults()
         a, b = self._check_link(int(a), int(b))
         if (a, b) in self._failed_channels:
             return
@@ -915,7 +732,6 @@ class NetworkSimulator:
         kills its links: traffic reroutes around it when a surviving
         minimal route exists.
         """
-        self._check_credit_faults()
         node = int(node)
         graph = self._topology.link_graph()
         if not 0 <= node < graph.num_nodes:
@@ -945,14 +761,12 @@ class NetworkSimulator:
         clear :class:`~repro.exceptions.SimulationError` instead of
         silently never firing (or detonating mid-run).
         """
-        self._check_credit_faults()
         at = self._check_failure_time(at)
         a, b = self._check_link(int(a), int(b))
         self.queue.schedule(at, lambda: self.fail_link(a, b))
 
     def schedule_node_failure(self, at: float, node: int) -> None:
         """Fail node ``node`` at simulation time ``at`` (validated now)."""
-        self._check_credit_faults()
         at = self._check_failure_time(at)
         node = int(node)
         limit = self._topology.link_graph().num_nodes
@@ -1013,15 +827,6 @@ class NetworkSimulator:
             self._drop(msg, f"retries exhausted after {msg.attempts} attempts")
             return
         delay = self._retry_delay * self._retry_backoff ** msg.attempts
-        if (
-            self._retry_timeout is not None
-            and (now + delay) - msg.send_time > self._retry_timeout
-        ):
-            self._drop(
-                msg,
-                f"retry timeout exceeded ({self._retry_timeout} us since send)",
-            )
-            return
         msg.attempts += 1
         self.stats.retransmits += 1
         if self._prof is not None:
@@ -1084,10 +889,9 @@ class NetworkSimulator:
 
         ``max_events`` / ``until`` bound the run (events / a simulation-time
         deadline); with a ``stall_window`` configured the livelock watchdog
-        is armed for the duration. After the queue drains, a wedge check
-        (credit mode, or any run with a stall window) raises if messages
-        remain undelivered with no event left to make progress — e.g. a
-        credit deadlock on a torus wrap ring.
+        is armed for the duration, and after the queue drains a wedge check
+        raises if messages remain undelivered with no event left to make
+        progress.
         """
         if (
             self._stall_window is not None
@@ -1102,7 +906,7 @@ class NetworkSimulator:
         if (
             self._inflight
             and self.queue.pending == 0
-            and (self._credit or self._stall_window is not None)
+            and self._stall_window is not None
         ):
             oldest = self._oldest_inflight()
             raise SimulationError(

@@ -1,4 +1,4 @@
-"""Finite-buffer link model: drop / ECN / credit policies and tail stats."""
+"""Finite-buffer link model: drop / ECN policies and tail stats."""
 
 from __future__ import annotations
 
@@ -33,14 +33,6 @@ class TestConstruction:
         with pytest.raises(SimulationError, match="overload_policy"):
             NetworkSimulator(topo, buffer_bytes=1024.0,
                              overload_policy="panic")
-        with pytest.raises(SimulationError, match="ecn_threshold"):
-            NetworkSimulator(topo, ecn_threshold=0.0)
-        with pytest.raises(SimulationError, match="ecn_backoff"):
-            NetworkSimulator(topo, ecn_backoff=0.9)
-        with pytest.raises(SimulationError, match="ecn_recover"):
-            NetworkSimulator(topo, ecn_recover=-0.1)
-        with pytest.raises(SimulationError, match="ecn_max_stretch"):
-            NetworkSimulator(topo, ecn_max_stretch=0.5)
         with pytest.raises(SimulationError, match="retry_jitter"):
             NetworkSimulator(topo, retry_jitter=-1.0)
         with pytest.raises(SimulationError, match="stall_window"):
@@ -52,10 +44,14 @@ class TestConstruction:
                                overload_policy=OverloadPolicy.ECN)
         assert sim.overload_policy is OverloadPolicy.ECN
         sim = NetworkSimulator(topo, buffer_bytes=1024.0,
-                               overload_policy="credit")
-        assert sim.overload_policy is OverloadPolicy.CREDIT
+                               overload_policy="ecn")
+        assert sim.overload_policy is OverloadPolicy.ECN
         assert sim.buffer_bytes == 1024.0
         assert NetworkSimulator(topo).buffer_bytes is None
+        with pytest.raises(SimulationError,
+                           match=r"\['drop', 'ecn'\]"):
+            NetworkSimulator(topo, buffer_bytes=1024.0,
+                             overload_policy="credit")
 
 
 class TestDropPolicy:
@@ -146,68 +142,22 @@ class TestEcnPolicy:
                                       overload_policy="ecn")
 
 
-class TestCreditPolicy:
-    def test_lossless_under_heavy_load(self):
-        sim = NetworkSimulator(Mesh((4, 4)), bandwidth=50.0,
-                               buffer_bytes=4096.0, overload_policy="credit")
-        _random_load(sim, max_size=4000)
-        sim.run()
-        assert sim.stats.dropped == 0
-        assert sim.stats.buffer_drops == 0
-        assert sim.stats.retransmits == 0
-        assert sim.stats.count == 200
-        assert sim.in_flight == 0
-
-    def test_oversized_message_rejected(self):
-        sim = NetworkSimulator(Mesh((4,)), buffer_bytes=1024.0,
-                               overload_policy="credit")
-        sim.send(0, 3, 4096.0)
-        with pytest.raises(SimulationError, match="exceeds buffer_bytes"):
-            sim.run()
-
-    def test_backpressure_stalls_counted(self):
-        prof = obs.enable()
-        try:
-            # Two flows merging mid-chain with one-message buffers: heads
-            # must block waiting for downstream credit, and injections must
-            # park in the entry queue — both backpressure paths fire.
-            sim = NetworkSimulator(Mesh((8,)), bandwidth=10.0,
-                                   buffer_bytes=600.0,
-                                   overload_policy="credit")
-            for i in range(20):
-                sim.send(0, 7, 500.0, at=float(i) * 0.1)
-                sim.send(3, 7, 500.0, at=float(i) * 0.1)
-            sim.run()
-            counters = prof.snapshot()["counters"]
-        finally:
-            obs.disable()
-        assert sim.stats.count == 40
-        assert counters.get("netsim.credit_stalls", 0) > 0
-        assert counters.get("netsim.injection_stalls", 0) > 0
-
-    def test_torus_wrap_deadlock_detected_not_hung(self):
-        """Credit + DOR on torus wrap rings can deadlock; the drain check
-        must convert that into a structured error, not a silent hang."""
-        sim = NetworkSimulator(Torus((4, 4)), bandwidth=50.0,
-                               buffer_bytes=4096.0, overload_policy="credit")
-        _random_load(sim, max_size=4000)
-        with pytest.raises(SimulationError, match="wedged"):
-            sim.run()
-
-
 class TestNicChannels:
     def test_nic_channels_not_buffered(self):
         """NIC serialization stages queue without buffer admission — only
         network links are capacity-limited."""
         sim = NetworkSimulator(Mesh((4,)), bandwidth=100.0,
-                               nic_bandwidth=100.0, buffer_bytes=128.0,
-                               overload_policy="credit")
-        # Many small messages from one node: they all pile into nic_out:0,
-        # whose queue is unbounded; each then trickles into the network.
+                               nic_bandwidth=10.0, buffer_bytes=128.0,
+                               overload_policy="drop")
+        # Many small messages from one node: they all pile into nic_out:0
+        # (2,000 B against a 128 B buffer), whose queue is unbounded; the
+        # slow NIC then trickles them into a link that never backs up.
         for i in range(20):
             sim.send(0, 1, 100.0)
         sim.run()
+        assert sim.link_queue_peaks()[("nic_out", 0)] == 19
         assert sim.stats.count == 20
+        assert sim.stats.buffer_drops == 0
         assert sim.stats.dropped == 0
 
 
@@ -310,6 +260,26 @@ class TestEngineIntegration:
                 netsim={"bufsz": 1024},
             ))
 
+    @pytest.mark.parametrize("knobs", [
+        {"iterations": "abc"},
+        {"buffer_bytes": "x"},
+        {"seed": 1.5},
+        {"iterations": 2.0},
+        {"max_retries": True},
+        {"bandwidth": None},
+        {"overload_policy": 1},
+    ])
+    def test_non_numeric_netsim_value_rejected(self, knobs):
+        from repro.engine import MappingEngine, MappingRequest
+
+        (key,) = knobs
+        with pytest.raises(SpecError, match=f"netsim key '{key}'"):
+            MappingEngine().run(MappingRequest(
+                graph="mesh2d:4x4",
+                topology="torus:4x4",
+                netsim=knobs,
+            ))
+
 
 class TestCli:
     def test_buffer_flags_reported(self, tmp_path, capsys):
@@ -336,3 +306,28 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["--taskgraph", str(path), "--topology", "torus:4x4",
                   "--netsim-mode", "flow", "--buffer-bytes", "1024"])
+
+    def test_buffer_bytes_requires_a_replay(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.taskgraph import mesh2d_pattern, save_taskgraph
+
+        path = tmp_path / "app.json"
+        save_taskgraph(mesh2d_pattern(4, 4), path)
+        with pytest.raises(SystemExit) as exc:
+            main(["--taskgraph", str(path), "--topology", "torus:4x4",
+                  "--buffer-bytes", "4096", "--overload-policy", "ecn"])
+        assert exc.value.code == 2
+        assert "--buffer-bytes needs a network replay" in (
+            capsys.readouterr().err)
+
+    def test_credit_policy_is_not_a_choice(self, tmp_path):
+        from repro.cli import main
+        from repro.taskgraph import mesh2d_pattern, save_taskgraph
+
+        path = tmp_path / "app.json"
+        save_taskgraph(mesh2d_pattern(4, 4), path)
+        with pytest.raises(SystemExit) as exc:
+            main(["--taskgraph", str(path), "--topology", "torus:4x4",
+                  "--simulate-iters", "1", "--buffer-bytes", "4096",
+                  "--overload-policy", "credit"])
+        assert exc.value.code == 2

@@ -28,7 +28,7 @@ def _seeded_traffic(sim, seed, n_msgs, nodes, max_size=400.0):
     n_msgs=st.integers(1, 30),
     routing=st.sampled_from(list(RoutingPolicy)),
     model=st.sampled_from(list(LinkModel)),
-    policy=st.sampled_from(("drop", "ecn", "credit")),
+    policy=st.sampled_from(("drop", "ecn")),
 )
 @settings(max_examples=40, deadline=None)
 def test_property_none_bit_identical_to_huge_buffer(
@@ -46,24 +46,6 @@ def test_property_none_bit_identical_to_huge_buffer(
         return end, sim.stats.snapshot()
 
     assert run() == run(buffer_bytes=1e9, overload_policy=policy)
-
-
-@given(seed=st.integers(0, 100_000), n_msgs=st.integers(1, 40))
-@settings(max_examples=40, deadline=None)
-def test_property_credit_never_drops(seed, n_msgs):
-    """Credit flow control is lossless by construction: on a mesh (no wrap
-    rings, so no credit deadlock) every message is delivered, none dropped,
-    none retransmitted, however small the buffers — as long as each message
-    individually fits."""
-    sim = NetworkSimulator(Mesh((4, 4)), bandwidth=40.0,
-                           buffer_bytes=512.0, overload_policy="credit")
-    _seeded_traffic(sim, seed, n_msgs, 16, max_size=500.0)
-    sim.run()
-    assert sim.stats.count == n_msgs
-    assert sim.stats.dropped == 0
-    assert sim.stats.buffer_drops == 0
-    assert sim.stats.retransmits == 0
-    assert sim.in_flight == 0
 
 
 @given(
@@ -95,18 +77,18 @@ def test_property_drop_mode_conserves_messages(seed, n_msgs, policy):
 
 @given(
     seed=st.integers(0, 10_000),
-    policy=st.sampled_from(("drop", "ecn", "credit")),
+    policy=st.sampled_from(("drop", "ecn")),
 )
 @settings(max_examples=25, deadline=None)
 def test_property_flow_bound_below_buffered_des(seed, policy):
     """The flow estimator's makespan lower bound assumes ideal (infinite)
-    buffering; finite buffers only add delay (retransmits, pacing,
-    backpressure), so the bound must still hold under every policy."""
+    buffering; finite buffers only add delay (retransmits, pacing), so the
+    bound must still hold under every policy."""
     rng = np.random.default_rng(seed)
-    # Fixed 4KiB messages (they must individually fit the credit buffer);
-    # the random placement is what varies the contention.
+    # Fixed 4KiB messages; the random placement is what varies the
+    # contention.
     graph = mesh2d_pattern(4, 4, message_bytes=4096.0)
-    topo = Mesh((4, 4))  # mesh: credit is deadlock-free here
+    topo = Mesh((4, 4))
     mapping = Mapping(graph, topo, rng.permutation(16))
     sim = NetworkSimulator(topo, bandwidth=100.0, buffer_bytes=8192.0,
                            overload_policy=policy, max_retries=64,

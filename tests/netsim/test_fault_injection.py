@@ -40,8 +40,6 @@ class TestConstruction:
         with pytest.raises(SimulationError):
             NetworkSimulator(topo, retry_backoff=0.5)
         with pytest.raises(SimulationError):
-            NetworkSimulator(topo, retry_timeout=-1.0)
-        with pytest.raises(SimulationError):
             NetworkSimulator(topo, unroutable_policy="ignore")
 
     def test_scheduled_failures_validated_eagerly(self):
@@ -59,18 +57,6 @@ class TestConstruction:
             with pytest.raises(SimulationError, match="failure time"):
                 sim.schedule_node_failure(bad, 0)
         assert sim.queue.pending == 0  # nothing half-scheduled
-
-    def test_faults_rejected_under_credit_flow_control(self):
-        sim = NetworkSimulator(Torus((4, 4)), buffer_bytes=4096.0,
-                               overload_policy="credit")
-        with pytest.raises(SimulationError, match="credit"):
-            sim.fail_link(0, 1)
-        with pytest.raises(SimulationError, match="credit"):
-            sim.fail_node(3)
-        with pytest.raises(SimulationError, match="credit"):
-            sim.schedule_link_failure(1.0, 0, 1)
-        with pytest.raises(SimulationError, match="credit"):
-            sim.schedule_node_failure(1.0, 3)
 
 
 class TestLinkFailure:
@@ -108,16 +94,6 @@ class TestLinkFailure:
         # attempts at ~t0, t0+4, t0+4+8, dropped on the third re-inject
         # (delay 4 * 2^2 = 16); the final event lands past t0 + 4 + 8 + 16.
         assert end >= 4.0 + 8.0 + 16.0
-
-    def test_retry_timeout_bounds_the_retry_storm(self, profiler):
-        sim = NetworkSimulator(Torus((4, 4)), max_retries=50, retry_delay=2.0,
-                               retry_timeout=20.0, unroutable_policy="drop")
-        msg = sim.send(0, 3, 4096.0, at=0.0)
-        sim.schedule_link_failure(0.5, 0, 3)
-        sim.run()
-        assert msg.dropped
-        # far fewer than 50 attempts: the 20us budget cuts the storm short
-        assert msg.attempts < 6
 
     def test_adaptive_reroutes_midflight_message(self, profiler):
         # 0 -> 5 has two minimal routes (via 1 and via 4); slow links keep

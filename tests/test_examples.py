@@ -44,11 +44,6 @@ class TestExamples:
         assert "bridge traffic" in out
         assert "torus(8x8)" in out
 
-    def test_trace_replay(self):
-        out = run_example("trace_replay.py")
-        assert "adaptive" in out
-        assert "jacobi.trace.json" in out
-
     def test_heterogeneous_machine(self):
         out = run_example("heterogeneous_machine.py")
         assert "uplink" in out
@@ -57,7 +52,7 @@ class TestExamples:
 
 @pytest.mark.parametrize(
     "name", ["quickstart.py", "leanmd_loadbalance.py",
-             "network_contention.py", "custom_machine.py", "trace_replay.py",
+             "network_contention.py", "custom_machine.py",
              "heterogeneous_machine.py"]
 )
 def test_examples_exist_and_have_docstrings(name):
