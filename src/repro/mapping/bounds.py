@@ -25,9 +25,23 @@ from __future__ import annotations
 import numpy as np
 
 from repro.taskgraph.graph import TaskGraph
+from repro.topology import cache
 from repro.topology.base import Topology
+from repro.topology.grid import GridTopology
+from repro.topology.hypercube import Hypercube
 
 __all__ = ["hop_bytes_lower_bound", "optimality_gap"]
+
+
+def _vertex_transitive(topology: Topology) -> bool:
+    """Whether every processor sees the same distance multiset.
+
+    A torus is translation-invariant on every axis and a hypercube under
+    XOR, so any processor's sorted distance row is every processor's.
+    """
+    return isinstance(topology, Hypercube) or (
+        isinstance(topology, GridTopology) and topology.wraparound
+    )
 
 
 def _distance_profile(topology: Topology) -> np.ndarray:
@@ -35,15 +49,25 @@ def _distance_profile(topology: Topology) -> np.ndarray:
 
     For the bound we may use, per task, the most favorable distance
     multiset any processor offers; taking the elementwise minimum over
-    processors of the sorted profiles keeps the bound valid (and on
-    vertex-transitive machines all profiles coincide anyway).
+    processors of the sorted profiles keeps the bound valid. On
+    vertex-transitive machines all profiles coincide, so one row is the
+    profile. Elsewhere the minimum is built one row at a time and memoized
+    in the shared topology cache when the machine has a ``cache_key()``.
     """
-    p = topology.num_nodes
-    profiles = np.empty((p, p - 1), dtype=np.float64)
-    for v in range(p):
-        row = np.sort(topology.distance_row(v))[1:]  # drop the self 0
-        profiles[v] = row
-    return profiles.min(axis=0)
+    profile = np.sort(topology.distance_row(0))[1:].astype(np.float64)
+    if _vertex_transitive(topology):
+        return profile
+    key = topology.cache_key()
+    skey = ("hb_profile", key) if key is not None else None
+    if skey is not None:
+        cached = cache.shared_get(skey)
+        if cached is not None:
+            return cached
+    for v in range(1, topology.num_nodes):
+        np.minimum(profile, np.sort(topology.distance_row(v))[1:], out=profile)
+    if skey is not None:
+        cache.shared_put(skey, profile)
+    return profile
 
 
 def hop_bytes_lower_bound(graph: TaskGraph, topology: Topology) -> float:

@@ -71,10 +71,6 @@ class MappingContext:
         """``(u, v, w)`` dedup'd undirected edge list of the task graph."""
         return self._graph.edge_arrays()
 
-    def adjacency_csr(self):
-        """The task graph's SciPy-compatible CSR adjacency operator."""
-        return self._graph.adjacency_csr()
-
     # ------------------------------------------------------- topology tables
     def distance_matrix(self, dtype: np.dtype | type = np.int32) -> np.ndarray:
         """The topology's hop-distance matrix in ``dtype`` (shared cache)."""

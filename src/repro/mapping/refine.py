@@ -50,6 +50,7 @@ operations total). Both paths give bit-identical refined mappings.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro import obs
 from repro.exceptions import MappingError
@@ -179,9 +180,15 @@ class RefineTopoLB(Mapper):
         indptr, indices, weights = ctx.csr_arrays()
         assign = mapping.assignment.copy()
 
-        # C[t, q] = first-order cost of task t if it sat on processor q.
-        csr = ctx.adjacency_csr()
-        cost = np.asarray(csr @ dist[assign])  # (n, p)
+        # C[t, q] = first-order cost of task t if it sat on processor q:
+        # the adjacency with each neighbor column relabelled to its processor,
+        # times the distance matrix. csr_matvecs accumulates the same rows in
+        # the same order as ``adjacency @ dist[assign]`` without the (n, p)
+        # gather.
+        placed = sp.csr_matrix(
+            (weights, assign[indices], indptr), shape=(n, dist.shape[0])
+        )
+        cost = np.asarray(placed @ dist)  # (n, p)
         return n, rng, dist, indptr, indices, weights, assign, cost
 
     @staticmethod

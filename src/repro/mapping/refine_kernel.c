@@ -60,11 +60,12 @@ static void compute_row(i64 n, i64 p, const double *cost, const double *dist,
 }
 
 /* Swap the processors of a and b and patch the cost table, mirroring
- * RefineTopoLB._apply_swap: cost[r, q] += (sign * w_r) * (d[pb,q] - d[pa,q])
- * for every neighbor r of a (sign +1) and of b (sign -1). */
+ * RefineTopoLB._apply_swap: move[q] = d[pb,q] - d[pa,q] once per swap, then
+ * cost[r, q] += (sign * w_r) * move[q] for every neighbor r of a (sign +1)
+ * and of b (sign -1). `move` is caller-owned scratch of p doubles. */
 static void apply_swap(i64 p, double *cost, const double *dist, i64 *assign,
                        const i64 *indptr, const i64 *indices,
-                       const double *weights, i64 a, i64 b)
+                       const double *weights, double *move, i64 a, i64 b)
 {
     const i64 pa = assign[a], pb = assign[b];
     if (a == b || pa == pb)
@@ -73,6 +74,8 @@ static void apply_swap(i64 p, double *cost, const double *dist, i64 *assign,
     assign[b] = pa;
     const double *db = dist + pb * p;
     const double *da = dist + pa * p;
+    for (i64 q = 0; q < p; q++)
+        move[q] = db[q] - da[q];
     for (int side = 0; side < 2; side++) {
         const i64 t = side ? b : a;
         const double sign = side ? -1.0 : 1.0;
@@ -80,7 +83,7 @@ static void apply_swap(i64 p, double *cost, const double *dist, i64 *assign,
             double *crow = cost + indices[k] * p;
             const double sw = sign * weights[k];
             for (i64 q = 0; q < p; q++)
-                crow[q] += sw * (db[q] - da[q]);
+                crow[q] += sw * move[q];
         }
     }
 }
@@ -106,8 +109,10 @@ i64 refine_sweep_incremental(i64 n, i64 p, double *cost, const double *dist,
     i64 *pos = (i64 *)calloc((size_t)n, sizeof(i64));
     double *corr = (double *)malloc((size_t)n * sizeof(double));
     unsigned char *cset = (unsigned char *)calloc((size_t)n, 1);
-    if (!buf || !touched || !pos || !corr || !cset) {
+    double *move = (double *)malloc((size_t)p * sizeof(double));
+    if (!buf || !touched || !pos || !corr || !cset || !move) {
         free(buf); free(touched); free(pos); free(corr); free(cset);
+        free(move);
         return -1;
     }
 
@@ -126,7 +131,7 @@ i64 refine_sweep_incremental(i64 n, i64 p, double *cost, const double *dist,
         const i64 b = best_b[a];
         stats[1]++;
         swapped = 1;
-        apply_swap(p, cost, dist, assign, indptr, indices, weights, a, b);
+        apply_swap(p, cost, dist, assign, indptr, indices, weights, move, a, b);
 
         /* Dirty set: a, b and their neighbors — sorted unique so the fold
          * scans candidates in ascending task order (argmin tie-break). */
@@ -216,5 +221,6 @@ i64 refine_sweep_incremental(i64 n, i64 p, double *cost, const double *dist,
     free(pos);
     free(corr);
     free(cset);
+    free(move);
     return swapped;
 }

@@ -32,20 +32,20 @@ def heavy_edge_matching(
     """Return ``match`` with ``match[v]`` = v's partner (or ``v`` if single)."""
     rng = as_rng(seed)
     n = graph.num_tasks
-    match = np.full(n, -1, dtype=np.int64)
-    for v in rng.permutation(n):
-        v = int(v)
+    # Plain lists: per-element NumPy indexing dominates this scalar loop.
+    indptr, indices, weights = (a.tolist() for a in graph.csr_arrays())
+    match = [-1] * n
+    for v in rng.permutation(n).tolist():
         if match[v] >= 0:
             continue
-        nbrs, wts = graph.neighbor_slice(v)
         best, best_w = v, -1.0
-        for j, w in zip(nbrs, wts):
-            j = int(j)
+        for k in range(indptr[v], indptr[v + 1]):
+            j, w = indices[k], weights[k]
             if match[j] < 0 and j != v and w > best_w:
-                best, best_w = j, float(w)
+                best, best_w = j, w
         match[v] = best
         match[best] = v
-    return match
+    return np.array(match, dtype=np.int64)
 
 
 def contract(graph: TaskGraph, match: np.ndarray) -> tuple[TaskGraph, np.ndarray]:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.mapping import (
     IdentityMapper,
     RandomMapper,
@@ -14,8 +17,11 @@ from repro.mapping import (
     hop_bytes_lower_bound,
     optimality_gap,
 )
-from repro.taskgraph import TaskGraph, mesh2d_pattern, random_taskgraph
-from repro.topology import Mesh, Torus
+from repro.mapping.bounds import _distance_profile
+from repro.taskgraph import TaskGraph, mesh2d_pattern, mesh3d_pattern, random_taskgraph
+from repro.topology import Hypercube, Mesh, Torus
+from repro.topology.aggregate import GroupedTopology
+from repro.topology.cache import clear_topology_cache
 
 
 class TestLowerBound:
@@ -76,3 +82,58 @@ def test_property_bound_below_every_bijection(seed):
     for s in range(3):
         mapping = RandomMapper(seed=seed + s).map(g, topo)
         assert bound <= mapping.hop_bytes + 1e-9
+
+
+def _min_over_rows_profile(topo) -> np.ndarray:
+    """The bound's definition: elementwise min of every sorted distance row."""
+    rows = np.sort(topo.distance_matrix(np.float64), axis=1)[:, 1:]
+    return rows.min(axis=0)
+
+
+class TestDistanceProfile:
+    @pytest.mark.parametrize("topo", [
+        Torus(shape) for shape in (
+            (2,), (5,), (8,), (3, 4), (5, 5), (4, 6), (3, 4, 5), (2, 2, 2), (4, 4, 3),
+        )
+    ] + [Hypercube(dim) for dim in range(1, 7)], ids=lambda t: t.name)
+    def test_vertex_transitive_one_row_equals_min_over_rows(self, topo):
+        profile = _distance_profile(topo)
+        assert profile.dtype == np.float64
+        assert profile.tobytes() == _min_over_rows_profile(topo).tobytes()
+
+    @pytest.mark.parametrize("make", [
+        lambda: Mesh((3, 4)),
+        lambda: GroupedTopology(Torus((4, 4)), np.arange(16) // 3 % 5),
+    ], ids=["mesh", "grouped"])
+    def test_memoized_profile_hits_shared_cache(self, make):
+        """Non-transitive machines keep the min-over-rows profile and memoize
+        it: a second bound on a fresh instance of the same shape is a hit."""
+        clear_topology_cache()
+        topo = make()
+        g = random_taskgraph(topo.num_nodes, edge_prob=0.5, seed=1)
+        prof = obs.enable()
+        try:
+            first = hop_bytes_lower_bound(g, topo)
+            hits = prof.counters.get("topology.cache.hits", 0)
+            assert hop_bytes_lower_bound(g, make()) == first
+            assert prof.counters.get("topology.cache.hits", 0) == hits + 1
+        finally:
+            obs.disable()
+            clear_topology_cache()
+        assert _distance_profile(topo).tobytes() == (
+            _min_over_rows_profile(topo).tobytes()
+        )
+
+    def test_torus_bound_allocates_no_distance_table(self):
+        """torus:16x16x16 has 4096 processors; the full profile table alone
+        would be 128 MiB. The one-row profile keeps the bound under 1 MiB."""
+        topo = Torus((16, 16, 16))
+        g = mesh3d_pattern(16, 16, 16)
+        tracemalloc.start()
+        try:
+            bound = hop_bytes_lower_bound(g, topo)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert bound == pytest.approx(g.total_bytes)
+        assert peak < 1 << 20

@@ -120,6 +120,42 @@ class TestRefineTopoLB:
         assert after.is_bijection()
 
 
+class TestSetupCostTable:
+    """``_setup`` builds C = A @ dist[assign] without the (n, p) gather; the
+    relabelled CSR product must equal the gather form bit for bit."""
+
+    @given(seed=st.integers(0, 5000))
+    @settings(max_examples=25, deadline=None)
+    def test_bijective_cost_table_is_bitwise_gather_product(self, seed):
+        topo = Torus((4, 5)) if seed % 2 else Mesh((4, 5))
+        g = random_taskgraph(20, edge_prob=0.3, seed=seed)
+        mapping = RandomMapper(seed=seed).map(g, topo)
+        *_, assign, cost = RefineTopoLB(seed=seed)._setup(mapping)
+        dist = topo.distance_matrix(np.float64)
+        expected = np.asarray(g.adjacency_csr() @ dist[assign])
+        assert cost.shape == (20, 20)
+        assert cost.tobytes() == expected.tobytes()
+
+    @given(seed=st.integers(0, 5000), n=st.integers(2, 29))
+    @settings(max_examples=25, deadline=None)
+    def test_masked_cost_table_is_bitwise_gather_product(self, seed, n):
+        """n < p on a masked machine: the table is (n, p) over every
+        processor, dead ones included."""
+        topo = Torus((5, 6))
+        rng = np.random.default_rng(seed)
+        allowed = np.zeros(30, dtype=bool)
+        allowed[rng.choice(30, size=n + int(rng.integers(0, 30 - n + 1)),
+                           replace=False)] = True
+        g = random_taskgraph(n, edge_prob=0.4, seed=seed)
+        placed = rng.choice(np.flatnonzero(allowed), size=n, replace=False)
+        mapping = Mapping(g, topo, placed)
+        *_, assign, cost = RefineTopoLB(seed=seed)._setup(mapping, allowed)
+        dist = topo.distance_matrix(np.float64)
+        expected = np.asarray(g.adjacency_csr() @ dist[assign])
+        assert cost.shape == (n, 30)
+        assert cost.tobytes() == expected.tobytes()
+
+
 class TestApplySwapDegenerateGuard:
     """Regression: a degenerate swap (same task, or two tasks already on the
     same processor, which non-bijective internal states can produce) must be

@@ -18,10 +18,48 @@ from repro.partition.coarsening import (
     pair_unmatched,
 )
 from repro.taskgraph import TaskGraph, mesh2d_pattern, random_taskgraph
+from repro.utils.rng import as_rng
 
 
 def _star(n: int) -> TaskGraph:
     return TaskGraph(n, [(0, i, float(i)) for i in range(1, n)])
+
+
+def _matching_oracle(graph: TaskGraph, seed) -> np.ndarray:
+    """The original per-vertex ``neighbor_slice`` greedy loop, kept as the
+    specification ``heavy_edge_matching`` is pinned to."""
+    rng = as_rng(seed)
+    n = graph.num_tasks
+    match = np.full(n, -1, dtype=np.int64)
+    for v in rng.permutation(n):
+        v = int(v)
+        if match[v] >= 0:
+            continue
+        nbrs, wts = graph.neighbor_slice(v)
+        best, best_w = v, -1.0
+        for j, w in zip(nbrs, wts):
+            j = int(j)
+            if match[j] < 0 and j != v and w > best_w:
+                best, best_w = j, float(w)
+        match[v] = best
+        match[best] = v
+    return match
+
+
+@st.composite
+def _tied_graphs(draw):
+    """Random graphs whose weights come from a tiny pool (many ties, zero
+    weights) and whose vertex count exceeds the edge endpoints' span
+    (isolated vertices)."""
+    n = draw(st.integers(1, 40))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]
+    )
+    edges = draw(st.lists(
+        st.tuples(pairs, st.sampled_from([0.0, 0.0, 1.0, 1.0, 2.0, 3.5])),
+        max_size=3 * n if n > 1 else 0,
+    ))
+    return TaskGraph(n, [(a, b, w) for (a, b), w in edges])
 
 
 class TestMatchingAndContraction:
@@ -61,6 +99,15 @@ class TestMatchingAndContraction:
                 slow[vtx] = slow[int(match[vtx])] = next_id
                 next_id += 1
         assert np.array_equal(fast, slow)
+
+    @given(graph=_tied_graphs(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matching_equals_neighbor_slice_oracle(self, graph, seed):
+        """Visit order, the strict ``w > best_w`` test and tie-breaking all
+        match the per-vertex loop, so the ``match`` arrays are identical."""
+        match = heavy_edge_matching(graph, seed=seed)
+        assert match.dtype == np.int64
+        assert np.array_equal(match, _matching_oracle(graph, seed))
 
     def test_forced_step_halves_exactly(self):
         graph = _star(11)
