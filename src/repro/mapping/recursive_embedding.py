@@ -18,7 +18,8 @@ from collections import deque
 import numpy as np
 
 from repro.mapping.base import Mapper, Mapping
-from repro.partition.recursive_bisection import RecursiveBisectionPartitioner
+from repro.partition.base import csr_lists
+from repro.partition.recursive_bisection import grow_bisection
 from repro.taskgraph.graph import TaskGraph
 from repro.topology.base import Topology
 from repro.utils.rng import as_rng
@@ -38,12 +39,13 @@ class RecursiveEmbeddingMapper(Mapper):
         n = self._check_sizes(graph, topology)
         rng = as_rng(self._seed)
         assignment = np.full(n, -1, dtype=np.int64)
-        self._embed(graph, topology, np.arange(n), np.arange(n), assignment, rng)
+        self._embed(graph, csr_lists(graph), topology, np.arange(n),
+                    np.arange(n), assignment, rng)
         return Mapping(graph, topology, assignment)
 
     # ------------------------------------------------------------------ core
-    def _embed(self, graph: TaskGraph, topology: Topology, tasks: np.ndarray,
-               procs: np.ndarray, assignment: np.ndarray,
+    def _embed(self, graph: TaskGraph, csr: tuple, topology: Topology,
+               tasks: np.ndarray, procs: np.ndarray, assignment: np.ndarray,
                rng: np.random.Generator) -> None:
         if len(tasks) == 1:
             assignment[tasks[0]] = procs[0]
@@ -52,16 +54,15 @@ class RecursiveEmbeddingMapper(Mapper):
         k2 = len(tasks) - k1
 
         # Task side: balanced mincut-ish bisection (graph growing).
-        splitter = RecursiveBisectionPartitioner(seed=rng)
-        side_a = splitter._grow_bisection(graph, tasks, k1, k2, rng)
+        side_a = grow_bisection(graph, csr, tasks, k1, k2, rng)
         tasks_a, tasks_b = tasks[side_a], tasks[~side_a]
 
         # Processor side: grow a compact region of matching size by BFS.
         procs_a_mask = self._grow_proc_region(topology, procs, len(tasks_a), rng)
         procs_a, procs_b = procs[procs_a_mask], procs[~procs_a_mask]
 
-        self._embed(graph, topology, tasks_a, procs_a, assignment, rng)
-        self._embed(graph, topology, tasks_b, procs_b, assignment, rng)
+        self._embed(graph, csr, topology, tasks_a, procs_a, assignment, rng)
+        self._embed(graph, csr, topology, tasks_b, procs_b, assignment, rng)
 
     @staticmethod
     def _grow_proc_region(topology: Topology, procs: np.ndarray, size: int,

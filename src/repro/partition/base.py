@@ -9,7 +9,14 @@ import numpy as np
 from repro.exceptions import PartitionError
 from repro.taskgraph.graph import TaskGraph
 
-__all__ = ["Partitioner"]
+__all__ = ["Partitioner", "csr_lists"]
+
+
+def csr_lists(graph: TaskGraph) -> tuple[list[int], list[int], list[float], list[float]]:
+    """``(indptr, indices, edge bytes, vertex weights)`` as plain lists, for
+    the scalar phase-1 loops that NumPy scalar indexing would dominate."""
+    indptr, indices, weights = graph.csr_arrays()
+    return indptr.tolist(), indices.tolist(), weights.tolist(), graph.vertex_weights.tolist()
 
 
 class Partitioner(abc.ABC):

@@ -13,11 +13,14 @@ from collections import deque
 
 import numpy as np
 
-from repro.partition.base import Partitioner
+from repro.partition.base import Partitioner, csr_lists
 from repro.taskgraph.graph import TaskGraph
 from repro.utils.rng import as_rng
 
-__all__ = ["RecursiveBisectionPartitioner"]
+__all__ = ["RecursiveBisectionPartitioner", "grow_bisection"]
+
+# Per-vertex growth state in ``grow_bisection``; zero is outside the subset.
+_FREE, _QUEUED, _PICKED = 1, 2, 3
 
 
 class RecursiveBisectionPartitioner(Partitioner):
@@ -33,98 +36,90 @@ class RecursiveBisectionPartitioner(Partitioner):
         n = graph.num_tasks
         rng = as_rng(self._seed)
         groups = np.zeros(n, dtype=np.int64)
-        self._split(graph, np.arange(n), k, 0, groups, rng)
+        self._split(graph, csr_lists(graph), np.arange(n), k, 0, groups, rng)
         return self._validate_result(groups, n, k)
 
     # ------------------------------------------------------------------ split
-    def _split(self, graph: TaskGraph, subset: np.ndarray, k: int, base: int,
-               groups: np.ndarray, rng: np.random.Generator) -> None:
+    def _split(self, graph: TaskGraph, csr: tuple, subset: np.ndarray, k: int,
+               base: int, groups: np.ndarray, rng: np.random.Generator) -> None:
         if k == 1:
             groups[subset] = base
             return
         k1 = k // 2
         k2 = k - k1
-        side_a = self._grow_bisection(graph, subset, k1, k2, rng)
-        self._split(graph, subset[side_a], k1, base, groups, rng)
-        self._split(graph, subset[~side_a], k2, base + k1, groups, rng)
+        side_a = grow_bisection(graph, csr, subset, k1, k2, rng)
+        self._split(graph, csr, subset[side_a], k1, base, groups, rng)
+        self._split(graph, csr, subset[~side_a], k2, base + k1, groups, rng)
 
-    def _grow_bisection(self, graph: TaskGraph, subset: np.ndarray,
-                        k1: int, k2: int, rng: np.random.Generator) -> np.ndarray:
-        """Boolean mask over ``subset``: True = side A (gets k1 groups).
 
-        Side A must end with at least ``k1`` vertices and leave at least
-        ``k2`` for side B; within those hard bounds growth stops once side A
-        holds its proportional share ``k1/k`` of the subset's load.
-        """
-        weights = graph.vertex_weights
-        total = float(weights[subset].sum())
-        target = total * k1 / (k1 + k2)
+def grow_bisection(graph: TaskGraph, csr: tuple, subset: np.ndarray,
+                   k1: int, k2: int, rng: np.random.Generator) -> np.ndarray:
+    """Boolean mask over ``subset``: True = side A (gets k1 groups).
 
-        in_subset = np.zeros(graph.num_tasks, dtype=bool)
-        in_subset[subset] = True
-        local_index = {int(t): i for i, t in enumerate(subset)}
+    ``csr`` is :func:`csr_lists` of ``graph``. Side A ends with at least
+    ``k1`` vertices and leaves at least ``k2`` (``k1 + k2 <= len(subset)``);
+    within those bounds growth stops once side A holds its share ``k1/k``
+    of the subset's load.
+    """
+    indptr, indices, _, weights = csr
+    total = float(graph.vertex_weights[subset].sum())
+    target = total * k1 / (k1 + k2)
 
-        picked = np.zeros(len(subset), dtype=bool)
-        seed = self._pseudo_peripheral(graph, subset, in_subset, rng)
-        queue: deque[int] = deque([seed])
-        queued = {seed}
-        acc_weight = 0.0
-        count = 0
-        max_count = len(subset) - k2
+    members = subset.tolist()
+    state = bytearray(graph.num_tasks)
+    np.frombuffer(state, dtype=np.uint8)[subset] = _FREE
 
-        while count < max_count:
-            if not queue:
-                # Disconnected remainder: restart from any unpicked vertex.
-                remaining = subset[~picked]
-                nxt = int(remaining[0])
-                queue.append(nxt)
-                queued.add(nxt)
-            v = queue.popleft()
-            i = local_index[v]
-            if picked[i]:
-                continue
-            # Stop at the load target once the count floor is satisfied.
-            if count >= k1 and acc_weight + 0.5 * float(weights[v]) >= target:
-                break
-            picked[i] = True
-            acc_weight += float(weights[v])
-            count += 1
-            for nbr in graph.neighbors(v):
-                if in_subset[nbr] and nbr not in queued and not picked[local_index[nbr]]:
-                    queue.append(nbr)
-                    queued.add(nbr)
+    seed = _pseudo_peripheral(indptr, indices, subset, state, rng)
+    queue: deque[int] = deque([seed])
+    state[seed] = _QUEUED
+    acc_weight = 0.0
+    count = 0
+    max_count = len(members) - k2
+    scan = 0  # every member before ``scan`` is picked
 
-        # Count floor may still be unmet if growth broke early on weight.
-        if count < k1:
-            for i in np.flatnonzero(~picked):
-                picked[i] = True
-                count += 1
-                if count >= k1:
-                    break
-        return picked
+    while count < max_count:
+        if not queue:
+            # Disconnected remainder: restart from the first unpicked member.
+            while state[members[scan]] == _PICKED:
+                scan += 1
+            queue.append(members[scan])
+            state[members[scan]] = _QUEUED
+        v = queue.popleft()
+        # Stop at the load target once the count floor is satisfied.
+        if count >= k1 and acc_weight + 0.5 * weights[v] >= target:
+            break
+        state[v] = _PICKED
+        acc_weight += weights[v]
+        count += 1
+        for nbr in indices[indptr[v]:indptr[v + 1]]:
+            if state[nbr] == _FREE:
+                queue.append(nbr)
+                state[nbr] = _QUEUED
+    return np.frombuffer(state, dtype=np.uint8)[subset] == _PICKED
 
-    @staticmethod
-    def _pseudo_peripheral(graph: TaskGraph, subset: np.ndarray,
-                           in_subset: np.ndarray, rng: np.random.Generator) -> int:
-        """A vertex far from the subset's 'center': two BFS sweeps.
 
-        Start from a random subset vertex, BFS to the farthest vertex, repeat
-        once — the standard cheap approximation of a peripheral seed.
-        """
-        start = int(subset[rng.integers(0, len(subset))])
-        for _ in range(2):
-            seen = {start}
-            frontier = [start]
-            last = start
-            while frontier:
-                nxt: list[int] = []
-                for v in frontier:
-                    for nbr in graph.neighbors(v):
-                        if in_subset[nbr] and nbr not in seen:
-                            seen.add(nbr)
-                            nxt.append(nbr)
-                if nxt:
-                    last = nxt[-1]
-                frontier = nxt
-            start = last
-        return start
+def _pseudo_peripheral(indptr: list[int], indices: list[int], subset: np.ndarray,
+                       state: bytearray, rng: np.random.Generator) -> int:
+    """A vertex far from the subset's 'center': two BFS sweeps.
+
+    Start from a random subset vertex, BFS to the farthest vertex, repeat
+    once — the standard cheap approximation of a peripheral seed.
+    """
+    start = int(subset[rng.integers(0, len(subset))])
+    for _ in range(2):
+        unseen = bytearray(state)  # non-zero exactly on the subset
+        unseen[start] = 0
+        frontier = [start]
+        last = start
+        while frontier:
+            nxt: list[int] = []
+            for v in frontier:
+                for nbr in indices[indptr[v]:indptr[v + 1]]:
+                    if unseen[nbr]:
+                        unseen[nbr] = 0
+                        nxt.append(nbr)
+            if nxt:
+                last = nxt[-1]
+            frontier = nxt
+        start = last
+    return start

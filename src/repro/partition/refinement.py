@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.partition.base import csr_lists
 from repro.taskgraph.graph import TaskGraph
 from repro.utils.rng import as_rng
 
@@ -34,34 +35,31 @@ def rebalance_kway(
     balance and are skipped; the loop is bounded by ``max_moves`` (default
     ``4 n``) so pathological inputs terminate.
     """
-    loads = np.bincount(groups, weights=graph.vertex_weights, minlength=k).astype(np.float64)
-    counts = np.bincount(groups, minlength=k)
-    weights = graph.vertex_weights
+    indptr, indices, edge_w, weights = csr_lists(graph)
+    loads = np.bincount(groups, weights=graph.vertex_weights, minlength=k).tolist()
+    counts = np.bincount(groups, minlength=k).tolist()
+    # ``groups`` serves the vectorized member scan, ``glist`` the scalar loop.
+    glist = groups.tolist()
     if max_moves is None:
         max_moves = 4 * graph.num_tasks
 
     for _ in range(max_moves):
         src = int(np.argmax(loads))
-        if loads[src] <= max_load:
+        if loads[src] <= max_load or counts[src] <= 1:
             break
         members = np.flatnonzero(groups == src)
-        if counts[src] <= 1:
-            break
+        order = members[np.argsort(graph.vertex_weights[members])[::-1]]  # heavy first
+        lightest = int(np.argmin(loads))
         best: tuple[float, int, int] | None = None  # (cut_delta, vertex, dst)
-        order = members[np.argsort(weights[members])[::-1]]  # heavy first
-        for v in order:
-            v = int(v)
-            w = float(weights[v])
-            nbrs, wts = graph.neighbor_slice(v)
+        for v in order.tolist():
+            w = weights[v]
             conn: dict[int, float] = {}
-            for j, c in zip(nbrs, wts):
-                g = int(groups[j])
-                conn[g] = conn.get(g, 0.0) + float(c)
+            for j in range(indptr[v], indptr[v + 1]):
+                g = glist[indices[j]]
+                conn[g] = conn.get(g, 0.0) + edge_w[j]
             internal = conn.get(src, 0.0)
-            # Candidate destinations: adjacent groups first, then the
-            # globally lightest group as a fallback.
+            # Candidate destinations: adjacent groups first, then the lightest.
             candidates = [g for g in conn if g != src]
-            lightest = int(np.argmin(loads))
             if lightest != src:
                 candidates.append(lightest)
             for g in candidates:
@@ -75,7 +73,7 @@ def rebalance_kway(
         if best is None:
             break
         _, v, dst = best
-        groups[v] = dst
+        groups[v] = glist[v] = dst
         loads[src] -= weights[v]
         loads[dst] += weights[v]
         counts[src] -= 1
@@ -98,40 +96,40 @@ def refine_kway(
     the source group, are rejected.
     """
     rng = as_rng(seed)
-    loads = np.bincount(groups, weights=graph.vertex_weights, minlength=k).astype(np.float64)
-    counts = np.bincount(groups, minlength=k)
-    weights = graph.vertex_weights
+    indptr, indices, edge_w, weights = csr_lists(graph)
+    loads = np.bincount(groups, weights=graph.vertex_weights, minlength=k).tolist()
+    counts = np.bincount(groups, minlength=k).tolist()
+    glist = groups.tolist()
 
     for _pass in range(passes):
         moved = False
-        for v in rng.permutation(graph.num_tasks):
-            v = int(v)
-            src = int(groups[v])
-            if counts[src] <= 1:
+        for v in rng.permutation(graph.num_tasks).tolist():
+            src = glist[v]
+            lo, hi = indptr[v], indptr[v + 1]
+            if counts[src] <= 1 or lo == hi:
                 continue
-            nbrs, wts = graph.neighbor_slice(v)
-            if len(nbrs) == 0:
-                continue
-            # Connectivity of v to each adjacent group.
             conn: dict[int, float] = {}
-            for j, w in zip(nbrs, wts):
-                g = int(groups[j])
-                conn[g] = conn.get(g, 0.0) + float(w)
+            for j in range(lo, hi):
+                g = glist[indices[j]]
+                conn[g] = conn.get(g, 0.0) + edge_w[j]
             internal = conn.get(src, 0.0)
+            w = weights[v]
             best_g, best_gain = -1, 0.0
             for g, c in conn.items():
                 if g == src:
                     continue
                 gain = c - internal
-                if gain > best_gain and loads[g] + weights[v] <= max_load:
+                if gain > best_gain and loads[g] + w <= max_load:
                     best_g, best_gain = g, gain
             if best_g >= 0:
-                groups[v] = best_g
-                loads[src] -= weights[v]
-                loads[best_g] += weights[v]
+                glist[v] = best_g
+                loads[src] -= w
+                loads[best_g] += w
                 counts[src] -= 1
                 counts[best_g] += 1
                 moved = True
         if not moved:
             break
+    groups[:] = glist
     return groups
+

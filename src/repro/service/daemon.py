@@ -28,6 +28,8 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import OrderedDict, deque
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -198,8 +200,6 @@ class MappingService:
             return
         self._queue = asyncio.Queue()
         if self.config.jobs > 0:
-            from concurrent.futures import ProcessPoolExecutor
-
             self._executor = ProcessPoolExecutor(max_workers=self.config.jobs)
         self._sem = asyncio.Semaphore(max(1, self.config.jobs))
         self._batcher = asyncio.create_task(self._batch_loop())
@@ -345,9 +345,10 @@ class MappingService:
         cfg = self.config
         self.profiler.count("service.batches")
         self.profiler.count("service.batched_requests", len(batch))
+        executor = self._executor
         try:
             worker_call = loop.run_in_executor(
-                self._executor, _serve_batch, requests, cfg.timeout,
+                executor, _serve_batch, requests, cfg.timeout,
             )
             # Belt over the per-request SIGALRM suspenders: a worker that
             # hangs in uninterruptible code still cannot wedge the daemon.
@@ -362,6 +363,8 @@ class MappingService:
                  "error": f"batch timed out after {cfg.timeout}s per request"}
             ] * len(batch)
         except Exception as exc:  # noqa: BLE001 — pool/pickling failures
+            if isinstance(exc, BrokenProcessPool):
+                self._replace_pool(executor)
             outcomes = [
                 {"ok": False, "kind": type(exc).__name__,
                  "error": f"{type(exc).__name__}: {exc}"}
@@ -387,6 +390,20 @@ class MappingService:
             future = self._inflight.pop(key, None)
             if future is not None and not future.done():
                 future.set_result(outcome)
+
+    def _replace_pool(self, broken) -> None:
+        """Swap a pool whose worker died for a fresh one.
+
+        A dead worker (``os._exit``, a signal, the OOM killer) breaks the
+        whole pool: it refuses every later submit. Only the batches that
+        were on it fail; with ``jobs=1`` that is the batch that crashed.
+        Concurrent batches on the same pool replace it once.
+        """
+        if self._executor is not broken:
+            return
+        broken.shutdown(wait=False, cancel_futures=True)
+        self._executor = ProcessPoolExecutor(max_workers=self.config.jobs)
+        self.profiler.count("service.pool_restarts")
 
     # ------------------------------------------------------------------ status
     def healthz(self) -> dict:

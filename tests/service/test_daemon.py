@@ -1,15 +1,18 @@
 """MappingService core: submit/coalesce/backpressure/error-replay/metrics.
 
-All tests run the service with ``jobs=0`` (thread executor in-process) so
-no pool spins up; each wraps its scenario in ``asyncio.run`` since the
-suite has no async test plugin.
+All tests but the dead-worker one run the service with ``jobs=0`` (thread
+executor in-process) so no pool spins up; each wraps its scenario in
+``asyncio.run`` since the suite has no async test plugin.
 """
 
 import asyncio
+import os
+import time
 
 import pytest
 
 from repro import obs
+from repro.engine import MappingRequest
 from repro.service import BackpressureError, MappingService, ServiceConfig
 from repro.service.daemon import ServiceRequestError, parse_request_body
 
@@ -187,6 +190,34 @@ def test_poisoned_request_does_not_take_down_batchmates():
     good, bad = run(scenario)
     assert good["status"] == "done"
     assert bad["status"] == "error"
+
+
+class ExitingMapper:
+    """Kill the pool worker that runs it, as a segfault or the OOM killer would."""
+
+    def map(self, graph, topology, allowed=None):
+        os._exit(1)
+
+
+def test_dead_pool_worker_fails_only_its_batch():
+    """The broken pool is replaced, so the next miss is served."""
+    crash = MappingRequest(graph="mesh2d:4x4", topology="torus:4x4",
+                           mapper=ExitingMapper())
+
+    async def scenario(service):
+        # Enqueued directly: submit() takes spec strings, not a live mapper.
+        crashed = asyncio.get_running_loop().create_future()
+        service._inflight["crash"] = crashed
+        service._queue.put_nowait(("crash", crash, time.perf_counter()))
+        outcome = await crashed
+        reply = await service.submit(dict(BODY))
+        return outcome, reply, service.profiler.snapshot()["counters"]
+
+    outcome, reply, counters = run(scenario, jobs=1)
+    assert outcome["ok"] is False
+    assert outcome["kind"] == "BrokenProcessPool"
+    assert reply["status"] == "done"
+    assert counters["service.pool_restarts"] == 1
 
 
 # ------------------------------------------------------------------ metrics

@@ -71,3 +71,8 @@ def test_one_des_model(rel):
         r"|TraceReplayer|jacobi_trace"
     )
     assert _grep(pattern, rel) == []
+
+
+def test_partitioner_walks_csr_lists():
+    """Phase-1 loops read ``csr_lists``, not a per-vertex accessor call."""
+    assert _grep(r"\.neighbors\(|\.neighbor_slice\(", "partition") == []
