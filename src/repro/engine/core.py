@@ -21,6 +21,7 @@ table cost once per process.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -242,6 +243,11 @@ def _netsim_metrics(mapping, knobs: dict) -> dict[str, float]:
         if not isinstance(value, kind) or isinstance(value, bool):
             raise SpecError(
                 f"MappingRequest.netsim key {key!r} must be {want}, "
+                f"got {value!r}"
+            )
+        if kind is numbers.Real and not math.isfinite(value):
+            raise SpecError(
+                f"MappingRequest.netsim key {key!r} must be finite, "
                 f"got {value!r}"
             )
     sim_kwargs = {k: v for k, v in knobs.items() if k != "iterations"}

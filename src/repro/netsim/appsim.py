@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import defaultdict
+from functools import partial
 
 import numpy as np
 
@@ -98,29 +99,34 @@ class IterativeApplication:
         graph = mapping.graph
         n = graph.num_tasks
 
-        self._compute = np.broadcast_to(
+        compute = np.broadcast_to(
             np.asarray(compute_time, dtype=np.float64), (n,)
-        ).copy()
-        if (self._compute < 0).any():
+        )
+        if (compute < 0).any():
             raise SimulationError("compute_time must be non-negative")
 
-        # Per-task outgoing message sizes, aligned with the CSR neighbor lists.
+        # Per-task outgoing message sizes, aligned with the CSR neighbor
+        # lists. The per-message state below is kept in Python lists: the
+        # replay reads it one element at a time.
         indptr, indices, weights = graph.csr_arrays()
-        self._indptr, self._indices = indptr, indices
         if message_bytes is None:
-            self._msg_sizes = weights / 2.0
+            sizes = weights / 2.0
         else:
             if message_bytes <= 0:
                 raise SimulationError(f"message_bytes must be positive, got {message_bytes}")
-            self._msg_sizes = np.full_like(weights, float(message_bytes))
+            sizes = np.full_like(weights, float(message_bytes))
+        self._compute = compute.tolist()
+        self._indptr, self._indices = indptr.tolist(), indices.tolist()
+        self._msg_sizes = sizes.tolist()
+        self._assign = mapping.assignment.tolist()
 
         # Execution state.
-        self._cur_iter = np.zeros(n, dtype=np.int64)
-        self._compute_done = np.zeros(n, dtype=bool)
+        self._cur_iter = [0] * n
+        self._compute_done = [False] * n
         self._arrived: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
-        self._expected = graph.degrees()
+        self._expected = graph.degrees().tolist()
         self._finished = 0
-        self._iter_remaining = np.full(self._iterations, n, dtype=np.int64)
+        self._iter_remaining = [n] * self._iterations
         self._iter_finish = np.zeros(self._iterations, dtype=np.float64)
         self._ran = False
 
@@ -168,39 +174,34 @@ class IterativeApplication:
     # ------------------------------------------------------------- mechanics
     def _begin_compute(self, task: int) -> None:
         self._compute_done[task] = False
-        self._sim.queue.schedule(
-            self._sim.now + float(self._compute[task]),
-            lambda: self._compute_finished(task),
+        self._sim.queue.call(
+            self._sim.now + self._compute[task], self._compute_finished, task
         )
 
     def _compute_finished(self, task: int) -> None:
         """Compute phase over: emit this iteration's messages, maybe advance."""
         self._compute_done[task] = True
-        k = int(self._cur_iter[task])
-        assign = self._mapping.assignment
-        src_proc = int(assign[task])
-        lo, hi = self._indptr[task], self._indptr[task + 1]
-        for idx in range(lo, hi):
-            nbr = int(self._indices[idx])
-            size = float(self._msg_sizes[idx])
+        k = self._cur_iter[task]
+        assign = self._assign
+        src_proc = assign[task]
+        for idx in range(self._indptr[task], self._indptr[task + 1]):
+            nbr = self._indices[idx]
             self._sim.send(
                 src_proc,
-                int(assign[nbr]),
-                size,
-                on_delivery=self._make_receiver(nbr, k),
+                assign[nbr],
+                self._msg_sizes[idx],
+                on_delivery=partial(self._received, nbr, k),
             )
         self._maybe_advance(task)
 
-    def _make_receiver(self, dst_task: int, iteration: int):
-        def _on_delivery(_msg) -> None:
-            self._arrived[dst_task][iteration] += 1
-            self._maybe_advance(dst_task)
-
-        return _on_delivery
+    def _received(self, dst_task: int, iteration: int, _msg) -> None:
+        """Delivery callback of one message to ``dst_task``."""
+        self._arrived[dst_task][iteration] += 1
+        self._maybe_advance(dst_task)
 
     def _maybe_advance(self, task: int) -> None:
         """Advance to the next iteration when compute + all receives are in."""
-        k = int(self._cur_iter[task])
+        k = self._cur_iter[task]
         if not self._compute_done[task]:
             return
         if self._arrived[task][k] < self._expected[task]:

@@ -1,13 +1,18 @@
 """Deterministic discrete-event queue.
 
-A thin wrapper over :mod:`heapq` holding ``(time, sequence, callback)``
-entries. The monotone sequence number makes simultaneous events fire in
-scheduling order, so every simulation is bit-for-bit reproducible.
+A thin wrapper over :mod:`heapq` holding ``(time, sequence, fn, args)``
+entries; firing an event calls ``fn(*args)``. Hot callers schedule a bound
+method and its arguments with :meth:`EventQueue.call`, so no closure is
+built per event; :meth:`EventQueue.schedule` keeps the zero-argument
+callback form (stored with ``args == ()``). The monotone sequence number
+makes simultaneous events fire in scheduling order, so every simulation is
+bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from collections.abc import Callable
 
 from repro.exceptions import SimulationError
@@ -19,15 +24,11 @@ class EventQueue:
     """Time-ordered callback queue with deterministic tie-breaking."""
 
     def __init__(self):
-        self._heap: list[tuple[float, int, Callable[[], None]]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
-        self._now = 0.0
+        #: Current simulation time (time of the last fired event).
+        self.now = 0.0
         self._processed = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time (time of the last fired event)."""
-        return self._now
 
     @property
     def pending(self) -> int:
@@ -39,18 +40,24 @@ class EventQueue:
         """Number of events fired so far."""
         return self._processed
 
-    def schedule(self, time: float, callback: Callable[[], None]) -> None:
-        """Fire ``callback`` at simulation ``time``.
+    def call(self, time: float, fn: Callable[..., None], *args) -> None:
+        """Fire ``fn(*args)`` at simulation ``time`` (a float).
 
-        Scheduling into the past is a causality violation and raises
-        :class:`~repro.exceptions.SimulationError`.
+        Scheduling into the past (a causality violation) or at a NaN time
+        raises :class:`~repro.exceptions.SimulationError`.
         """
-        if time < self._now:
+        if not time >= self.now:  # also true for NaN
+            if math.isnan(time):
+                raise SimulationError(f"cannot schedule an event at t={time}")
             raise SimulationError(
-                f"causality violation: scheduling at t={time} < now={self._now}"
+                f"causality violation: scheduling at t={time} < now={self.now}"
             )
-        heapq.heappush(self._heap, (float(time), self._seq, callback))
+        heapq.heappush(self._heap, (time, self._seq, fn, args))
         self._seq += 1
+
+    def schedule(self, time: float, callback: Callable[[], None]) -> None:
+        """Fire ``callback()`` at simulation ``time`` (see :meth:`call`)."""
+        self.call(float(time), callback)
 
     def run(self, max_events: int | None = None,
             until: float | None = None) -> float:
@@ -63,34 +70,34 @@ class EventQueue:
         deadline, inspect progress, decide whether to continue). Both limits
         may be combined; whichever trips first stops the run.
         """
+        heap = self._heap
+        pop = heapq.heappop
+        limit = math.inf if max_events is None else max_events
+        deadline = math.inf if until is None else until
         fired = 0
-        while self._heap:
-            if max_events is not None and fired >= max_events:
-                break
-            if until is not None and self._heap[0][0] > until:
-                break
-            time, _seq, callback = heapq.heappop(self._heap)
-            self._now = time
+        while heap and fired < limit and not heap[0][0] > deadline:
+            time, _seq, fn, args = pop(heap)
+            self.now = time
             self._processed += 1
             fired += 1
-            callback()
+            fn(*args)
         if (
             until is not None
-            and self._now < until
-            and (not self._heap or self._heap[0][0] > until)
+            and self.now < until
+            and (not heap or heap[0][0] > until)
         ):
             # Nothing left at or before the deadline: the interval is quiet,
             # so the clock legitimately advances to it (not past a pending
             # event — a max_events stop with earlier work queued stays put).
-            self._now = until
-        return self._now
+            self.now = until
+        return self.now
 
     def step(self) -> bool:
         """Fire exactly one event; False when the queue is empty."""
         if not self._heap:
             return False
-        time, _seq, callback = heapq.heappop(self._heap)
-        self._now = time
+        time, _seq, fn, args = heapq.heappop(self._heap)
+        self.now = time
         self._processed += 1
-        callback()
+        fn(*args)
         return True

@@ -26,7 +26,7 @@ def size_class_label(index: int,
     return f">{_fmt(edges[-1])}"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Message:
     """One point-to-point message tracked by the simulator.
 

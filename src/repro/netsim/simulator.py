@@ -114,20 +114,41 @@ class OverloadPolicy(enum.Enum):
     ECN = "ecn"
 
 
+def _knob(name: str, value, floor: float = 0.0, strict: bool = True) -> float:
+    """``float(value)`` if finite and above ``floor`` (or at it, when not
+    ``strict``); otherwise :class:`~repro.exceptions.SimulationError`."""
+    value = float(value)
+    above = value > floor if strict else value >= floor
+    if not (above and math.isfinite(value)):
+        bound = ">" if strict else ">="
+        raise SimulationError(f"{name} must be finite and {bound} {floor}, got {value}")
+    return value
+
+
 class _Link:
-    """FIFO transmission state of one directed link."""
+    """FIFO transmission state of one directed channel.
 
-    __slots__ = ("busy", "queue", "busy_time", "bytes_carried", "max_queue",
-                 "saturated", "current", "buffered_bytes")
+    ``bandwidth``, ``alpha`` and ``capacity`` are fixed when the channel is
+    first used: a NIC channel serializes at the NIC bandwidth with no routing
+    latency and no buffer limit; a network link takes its (possibly
+    overridden) bandwidth, the per-hop ``alpha`` and the configured
+    ``buffer_bytes`` (``None``: unbounded).
+    """
 
-    def __init__(self):
-        self.busy = False
+    __slots__ = ("queue", "busy_time", "bytes_carried", "max_queue",
+                 "saturated", "current", "buffered_bytes", "bandwidth",
+                 "alpha", "capacity")
+
+    def __init__(self, bandwidth: float, alpha: float, capacity: float | None):
+        self.bandwidth = bandwidth
+        self.alpha = alpha
+        self.capacity = capacity
         self.queue: deque = deque()
         self.busy_time = 0.0      # accumulated occupancy, for utilization
         self.bytes_carried = 0.0  # payload bytes that crossed this link
         self.max_queue = 0        # deepest FIFO backlog ever seen
         self.saturated = False    # currently past the saturation threshold
-        self.current = None       # in-flight (msg, route, hop, cb), for faults
+        self.current = None       # message in transmission; None when idle
         # Finite-buffer state (untouched when buffer_bytes is None):
         self.buffered_bytes = 0.0   # bytes sitting in this link's input queue
 
@@ -222,44 +243,43 @@ class NetworkSimulator:
         seed: int = 0,
         stall_window: float | None = None,
     ):
-        if bandwidth <= 0:
-            raise SimulationError(f"bandwidth must be positive, got {bandwidth}")
+        # Every real knob must be finite: a NaN would otherwise flow into
+        # event times and fire out of order. Checked once, here, so the
+        # per-hop path never re-validates.
+        self._bandwidth = _knob("bandwidth", bandwidth)
+        # Heterogeneous machines: per-directed-link overrides of the default
+        # bandwidth ((a, b) applies to both directions unless (b, a) is also
+        # given explicitly).
+        self._link_bandwidths: dict[tuple[int, int], float] = {}
         if link_bandwidths:
             graph = topology.link_graph()
             for link, bw in link_bandwidths.items():
-                if bw <= 0:
-                    raise SimulationError(
-                        f"link {link} bandwidth must be positive, got {bw}"
-                    )
+                bw = _knob(f"link {link} bandwidth", bw)
                 a, b = int(link[0]), int(link[1])
                 if not graph.has_link(a, b):
                     raise SimulationError(
                         f"link ({a}, {b}) in link_bandwidths is not a link "
                         f"of {topology.name}"
                     )
-        if nic_bandwidth is not None and nic_bandwidth <= 0:
-            raise SimulationError(f"nic_bandwidth must be positive, got {nic_bandwidth}")
-        if alpha < 0 or local_latency < 0:
-            raise SimulationError("latencies must be non-negative")
+                self._link_bandwidths[(a, b)] = bw
+                self._link_bandwidths.setdefault((b, a), bw)
+        self._nic_bandwidth = (
+            None if nic_bandwidth is None else _knob("nic_bandwidth", nic_bandwidth)
+        )
+        self._alpha = _knob("alpha", alpha, strict=False)
+        self._local = _knob("local_latency", local_latency, strict=False)
         if max_retries < 0:
             raise SimulationError(f"max_retries must be >= 0, got {max_retries}")
-        if retry_delay <= 0:
-            raise SimulationError(f"retry_delay must be positive, got {retry_delay}")
-        if retry_backoff < 1.0:
-            raise SimulationError(
-                f"retry_backoff must be >= 1.0, got {retry_backoff}"
-            )
+        self._retry_delay = _knob("retry_delay", retry_delay)
+        self._retry_backoff = _knob("retry_backoff", retry_backoff, 1.0, strict=False)
         if unroutable_policy not in ("raise", "drop"):
             raise SimulationError(
                 f"unroutable_policy must be 'raise' or 'drop', "
                 f"got {unroutable_policy!r}"
             )
-        if buffer_bytes is not None and (
-            not math.isfinite(float(buffer_bytes)) or buffer_bytes <= 0
-        ):
-            raise SimulationError(
-                f"buffer_bytes must be positive and finite, got {buffer_bytes}"
-            )
+        self._buffer_bytes = (
+            None if buffer_bytes is None else _knob("buffer_bytes", buffer_bytes)
+        )
         try:
             overload_policy = OverloadPolicy(overload_policy)
         except ValueError:
@@ -267,53 +287,38 @@ class NetworkSimulator:
                 f"overload_policy must be one of "
                 f"{[p.value for p in OverloadPolicy]}, got {overload_policy!r}"
             ) from None
-        if retry_jitter < 0.0:
-            raise SimulationError(
-                f"retry_jitter must be >= 0, got {retry_jitter}"
-            )
-        if stall_window is not None and stall_window <= 0:
-            raise SimulationError(
-                f"stall_window must be positive, got {stall_window}"
-            )
+        self._retry_jitter = _knob("retry_jitter", retry_jitter, strict=False)
+        self._stall_window = (
+            None if stall_window is None else _knob("stall_window", stall_window)
+        )
         self._topology = topology
-        self._bandwidth = float(bandwidth)
-        # Heterogeneous machines: per-directed-link overrides of the default
-        # bandwidth ((a, b) applies to both directions unless (b, a) is also
-        # given explicitly).
-        self._link_bandwidths: dict[tuple[int, int], float] = {}
-        if link_bandwidths:
-            for (a, b), bw in link_bandwidths.items():
-                self._link_bandwidths[(int(a), int(b))] = float(bw)
-                self._link_bandwidths.setdefault((int(b), int(a)), float(bw))
-        self._nic_bandwidth = None if nic_bandwidth is None else float(nic_bandwidth)
-        self._alpha = float(alpha)
-        self._local = float(local_latency)
         self._model = LinkModel(model)
+        self._cut_through = self._model is LinkModel.CUT_THROUGH
         self._routing = RoutingPolicy(routing)
+        # NIC channels wrap every network route, and do not count as hops.
+        self._nic_channels = 0 if self._nic_bandwidth is None else 2
         self.queue = EventQueue()
         self._links: dict[tuple, _Link] = {}
-        self._routes: dict[tuple[int, int], list[tuple]] = {}
-        self._route_choices: dict[tuple[int, int], list[list[tuple]]] = {}
+        # Routes are tuples of channel tuples: all-atomic, so the cyclic
+        # garbage collector stops tracking them.
+        self._routes: dict[tuple[int, int], tuple] = {}
+        self._route_choices: dict[tuple[int, int], list[tuple]] = {}
         self._next_id = 0
         self.stats = MessageStats()
         self._prof = obs.active()
         # Fault-injection state (see fail_link / fail_node / _on_fault).
         self._max_retries = int(max_retries)
-        self._retry_delay = float(retry_delay)
-        self._retry_backoff = float(retry_backoff)
         self._unroutable_policy = unroutable_policy
         self._failed_channels: set[tuple] = set()
         self._failed_nodes: set[int] = set()
         # Finite-buffer / overload state. Every code path below is gated on
         # buffer_bytes being set (or the specific policy), so the default
         # None configuration replays the seed model bit-for-bit.
-        self._buffer_bytes = None if buffer_bytes is None else float(buffer_bytes)
         self._overload = overload_policy
         self._ecn = (
             self._buffer_bytes is not None
             and overload_policy is OverloadPolicy.ECN
         )
-        self._retry_jitter = float(retry_jitter)
         self._seed = int(seed)
         self._rng = None  # lazily built np.random.Generator for retry jitter
         # Per-flow AIMD pacing state: (src, dst) -> [stretch, next_free_time].
@@ -322,7 +327,6 @@ class NetworkSimulator:
         # watchdog name the oldest stuck message and the drain check detect
         # wedges (queue empty but traffic undelivered).
         self._inflight: dict[int, Message] = {}
-        self._stall_window = None if stall_window is None else float(stall_window)
         self._watch_mark = -1
         self._watchdog_armed = False
 
@@ -357,7 +361,7 @@ class NetworkSimulator:
         """Messages sent but not yet delivered or finally dropped."""
         return len(self._inflight)
 
-    def _route(self, src: int, dst: int) -> list[tuple]:
+    def _route(self, src: int, dst: int) -> tuple:
         """Channel sequence for src -> dst: [NIC out], links..., [NIC in].
 
         When a finite ``nic_bandwidth`` is configured, every message also
@@ -376,13 +380,12 @@ class NetworkSimulator:
             self._routes[key] = route
         return route
 
-    def _wrap_nic(self, links, src: int, dst: int) -> list[tuple]:
-        route = list(links)
+    def _wrap_nic(self, links, src: int, dst: int) -> tuple:
         if self._nic_bandwidth is not None:
-            route = [("nic_out", src), *route, ("nic_in", dst)]
-        return route
+            return (("nic_out", src), *links, ("nic_in", dst))
+        return tuple(links)
 
-    def _route_choices_for(self, key: tuple[int, int]) -> list[list[tuple]]:
+    def _route_choices_for(self, key: tuple[int, int]) -> list[tuple]:
         """Cached minimal-route candidates for ``key = (src, dst)``.
 
         On grid topologies: one minimal route per axis order; elsewhere only
@@ -410,7 +413,7 @@ class NetworkSimulator:
             self._route_choices[key] = choices
         return choices
 
-    def _pick_adaptive_route(self, key: tuple[int, int]) -> list[tuple]:
+    def _pick_adaptive_route(self, key: tuple[int, int]) -> tuple:
         """Least-congested minimal route at injection time.
 
         Congestion score of a route = queued messages + busy flags over its
@@ -437,21 +440,19 @@ class NetworkSimulator:
             for channel in route:
                 link = self._links.get(channel)
                 if link is not None:
-                    score += len(link.queue) + (1 if link.busy else 0)
+                    score += len(link.queue) + (link.current is not None)
             if best_score is None or score < best_score:
                 best, best_score = route, score
         return best
 
-    def _channel_bandwidth(self, channel: tuple) -> float:
+    def _new_link(self, channel: tuple) -> _Link:
+        """Create the state of ``channel`` on its first use."""
         if isinstance(channel[0], str):  # NIC channel
-            return self._nic_bandwidth
-        return self._link_bandwidths.get(channel, self._bandwidth)
-
-    def _link(self, link_id: tuple[int, int]) -> _Link:
-        link = self._links.get(link_id)
-        if link is None:
-            link = _Link()
-            self._links[link_id] = link
+            link = _Link(self._nic_bandwidth, 0.0, None)
+        else:
+            link = _Link(self._link_bandwidths.get(channel, self._bandwidth),
+                         self._alpha, self._buffer_bytes)
+        self._links[channel] = link
         return link
 
     # ------------------------------------------------------------------ send
@@ -468,10 +469,11 @@ class NetworkSimulator:
         ``on_delivery`` fires (with the record) when the tail reaches ``dst``.
         ``at`` defaults to the current simulation time.
         """
-        if size_bytes <= 0:
-            raise SimulationError(f"message size must be positive, got {size_bytes}")
+        size_bytes = _knob("message size", size_bytes)
         send_time = self.queue.now if at is None else float(at)
-        msg = Message(self._next_id, int(src), int(dst), float(size_bytes), send_time)
+        if not math.isfinite(send_time):
+            raise SimulationError(f"send time must be finite, got {send_time}")
+        msg = Message(self._next_id, int(src), int(dst), size_bytes, send_time)
         self._next_id += 1
         self._inflight[msg.msg_id] = msg
         if self._prof is not None:
@@ -480,15 +482,13 @@ class NetworkSimulator:
                 self._prof.count("netsim.local_messages")
 
         if msg.src == msg.dst:  # same processor: no network involved
-            self.queue.schedule(
-                send_time + self._local, lambda: self._deliver(msg, on_delivery)
-            )
+            self.queue.call(send_time + self._local, self._deliver, msg, on_delivery)
             return msg
 
         # Route selection is deferred to the injection instant so the
         # adaptive policy sees the congestion state *then*, not at whatever
         # earlier time the caller scheduled the send.
-        self.queue.schedule(send_time, lambda: self._inject(msg, on_delivery))
+        self.queue.call(send_time, self._inject, msg, on_delivery)
         return msg
 
     def _inject(self, msg: Message, on_delivery) -> None:
@@ -505,15 +505,13 @@ class NetworkSimulator:
                 if free > now:
                     if self._prof is not None:
                         self._prof.count("netsim.ecn_paced")
-                    self.queue.schedule(
-                        free, lambda: self._inject_route(msg, on_delivery)
-                    )
+                    self.queue.call(free, self._inject_route, msg, on_delivery)
                     return
         self._inject_route(msg, on_delivery)
 
     def _inject_route(self, msg: Message, on_delivery) -> None:
         route = self._route(msg.src, msg.dst)
-        msg.hops = sum(1 for ch in route if not isinstance(ch[0], str))
+        msg.hops = len(route) - self._nic_channels
         self._head_arrival(msg, route, 0, on_delivery)
 
     # ------------------------------------------------------------ link logic
@@ -525,40 +523,35 @@ class NetworkSimulator:
             msg.faulted = False
             self._on_fault(msg, on_delivery)
             return
-        if self._failed_channels and route[hop] in self._failed_channels:
+        channel = route[hop]
+        if self._failed_channels and channel in self._failed_channels:
             self._on_fault(msg, on_delivery)
             return
-        link = self._link(route[hop])
-        # NIC channels stay unbounded even under finite link buffers: the
-        # endpoint's memory is the buffer.
-        if (
-            link.busy
-            and self._buffer_bytes is not None
-            and not isinstance(route[hop][0], str)
-        ):
+        link = self._links.get(channel)
+        if link is None:
+            link = self._new_link(channel)
+        if link.current is None:
+            self._start_transmission(link, msg, route, hop, on_delivery)
+            return
+        # NIC channels (capacity None) stay unbounded even under finite link
+        # buffers: the endpoint's memory is the buffer.
+        capacity = link.capacity
+        if capacity is not None:
             size = msg.size_bytes
-            if link.buffered_bytes + size > self._buffer_bytes:
-                self._on_overflow(msg, route, hop, on_delivery)
+            if link.buffered_bytes + size > capacity:
+                self._on_overflow(msg, channel, on_delivery)
                 return
             if (
                 self._ecn
                 and not msg.ecn_marked
-                and link.buffered_bytes + size
-                >= _ECN_THRESHOLD * self._buffer_bytes
+                and link.buffered_bytes + size >= _ECN_THRESHOLD * capacity
             ):
                 msg.ecn_marked = True
                 self.stats.ecn_marks += 1
                 if self._prof is not None:
                     self._prof.count("netsim.ecn_marks")
             link.buffered_bytes += size
-        if link.busy:
-            self._enqueue(link, msg, route, hop, on_delivery)
-        else:
-            self._start_transmission(link, msg, route, hop, on_delivery)
-
-    def _enqueue(self, link: _Link, msg: Message, route, hop: int,
-                 on_delivery) -> None:
-        """Append to a busy link's FIFO with depth/saturation bookkeeping."""
+        # Busy: append to the FIFO with depth/saturation bookkeeping.
         link.queue.append((msg, route, hop, on_delivery))
         depth = len(link.queue)
         if depth > link.max_queue:
@@ -572,48 +565,36 @@ class NetworkSimulator:
                 self._prof.event(
                     "netsim.link_saturated",
                     time_us=self.queue.now,
-                    link=channel_name(route[hop]),
+                    link=channel_name(channel),
                     depth=depth,
                 )
 
     def _start_transmission(self, link: _Link, msg: Message, route, hop: int,
                             on_delivery) -> None:
-        now = self.queue.now
-        channel = route[hop]
-        is_nic = isinstance(channel[0], str)
-        serialization = msg.size_bytes / self._channel_bandwidth(channel)
-        # NIC channels model pure serialization; routing latency applies to
-        # network links only.
-        alpha = 0.0 if is_nic else self._alpha
-        occupancy = alpha + serialization
-        link.busy = True
-        link.current = (msg, route, hop, on_delivery)
+        queue = self.queue
+        now = queue.now
+        size = msg.size_bytes
+        occupancy = link.alpha + size / link.bandwidth
+        link.current = msg
         link.busy_time += occupancy
-        link.bytes_carried += msg.size_bytes
+        link.bytes_carried += size
         if self._prof is not None:
             self._prof.count("netsim.transmissions")
             self._prof.sample(
-                f"link_bytes:{channel_name(channel)}", now, link.bytes_carried
+                f"link_bytes:{channel_name(route[hop])}", now, link.bytes_carried
             )
-
-        # When does the head reach the next stage?
-        if self._model is LinkModel.CUT_THROUGH:
-            head_out = now + alpha
-        else:
-            head_out = now + occupancy
-
-        last_hop = hop == len(route) - 1
-        if last_hop:
+        done = now + occupancy
+        if hop == len(route) - 1:
             # Tail fully received at the destination once serialization ends.
-            self.queue.schedule(now + occupancy, lambda: self._deliver(msg, on_delivery))
+            queue.call(done, self._deliver, msg, on_delivery)
         else:
-            self.queue.schedule(
-                head_out, lambda: self._head_arrival(msg, route, hop + 1, on_delivery)
-            )
-        self.queue.schedule(now + occupancy, lambda: self._link_free(link))
+            # Cut-through forwards the head after alpha; store-and-forward
+            # once the whole message arrived.
+            head_out = now + link.alpha if self._cut_through else done
+            queue.call(head_out, self._head_arrival, msg, route, hop + 1, on_delivery)
+        queue.call(done, self._link_free, link)
 
     def _link_free(self, link: _Link) -> None:
-        link.busy = False
         link.current = None
         if link.queue:
             msg, route, hop, on_delivery = link.queue.popleft()
@@ -624,29 +605,40 @@ class NetworkSimulator:
             link.saturated = False
 
     # ------------------------------------------------------ finite buffers
-    def _on_overflow(self, msg: Message, route, hop: int, on_delivery) -> None:
+    def _on_overflow(self, msg: Message, channel: tuple, on_delivery) -> None:
         """Tail-drop at a full buffer; retransmit end-to-end with backoff."""
-        now = self.queue.now
         self.stats.buffer_drops += 1
         if self._prof is not None:
             self._prof.count("netsim.buffer_drops")
+        self._retransmit(msg, on_delivery, "netsim.retransmits",
+                         self._retry_jitter, channel)
+
+    def _retransmit(self, msg: Message, on_delivery, counter: str,
+                    jitter: float, overflow_at: tuple | None = None) -> None:
+        """Re-inject ``msg`` after ``retry_delay * retry_backoff**attempts``.
+
+        A nonzero ``jitter`` (overflow retransmits only) stretches the delay
+        by ``1 + jitter * U[0, 1)`` from the seeded generator. ``counter``
+        names the profiler counter: ``netsim.retransmits`` for overflows,
+        ``netsim.retries`` for faults. Past ``max_retries`` the message is
+        dropped; ``overflow_at`` names the full link in the reason.
+        """
         if msg.attempts >= self._max_retries:
-            self._drop(
-                msg,
-                f"buffer overflow at link {channel_name(route[hop])}: "
-                f"retries exhausted after {msg.attempts} attempts",
-            )
+            reason = f"retries exhausted after {msg.attempts} attempts"
+            if overflow_at is not None:
+                reason = f"buffer overflow at link {channel_name(overflow_at)}: {reason}"
+            self._drop(msg, reason)
             return
         delay = self._retry_delay * self._retry_backoff ** msg.attempts
-        if self._retry_jitter:
+        if jitter:
             if self._rng is None:
                 self._rng = np.random.default_rng(self._seed)
-            delay *= 1.0 + self._retry_jitter * float(self._rng.random())
+            delay *= 1.0 + jitter * float(self._rng.random())
         msg.attempts += 1
         self.stats.retransmits += 1
         if self._prof is not None:
-            self._prof.count("netsim.retransmits")
-        self.queue.schedule(now + delay, lambda: self._inject(msg, on_delivery))
+            self._prof.count(counter)
+        self.queue.call(self.queue.now + delay, self._inject, msg, on_delivery)
 
     def _ecn_update(self, msg: Message) -> None:
         """AIMD step for the flow of a just-delivered message."""
@@ -763,7 +755,7 @@ class NetworkSimulator:
         """
         at = self._check_failure_time(at)
         a, b = self._check_link(int(a), int(b))
-        self.queue.schedule(at, lambda: self.fail_link(a, b))
+        self.queue.call(at, self.fail_link, a, b)
 
     def schedule_node_failure(self, at: float, node: int) -> None:
         """Fail node ``node`` at simulation time ``at`` (validated now)."""
@@ -772,7 +764,7 @@ class NetworkSimulator:
         limit = self._topology.link_graph().num_nodes
         if not 0 <= node < limit:
             raise SimulationError(f"node {node} out of range [0, {limit})")
-        self.queue.schedule(at, lambda: self.fail_node(node))
+        self.queue.call(at, self.fail_node, node)
 
     def _fail_channel(self, channel: tuple) -> None:
         """Mark one directed channel failed; evict its traffic."""
@@ -782,14 +774,14 @@ class NetworkSimulator:
         link = self._links.get(channel)
         if link is None:
             return
-        if link.busy and link.current is not None:
+        if link.current is not None:
             # The in-flight message already has a progression event scheduled
             # (next head arrival or final delivery); flag it so that event
             # takes the fault path instead of advancing a dead route. The
             # link's busy interval still completes via the pending
             # _link_free event, as on a real machine where the failure is
             # detected at the next hop.
-            link.current[0].faulted = True
+            link.current.faulted = True
         if link.queue:
             pending = list(link.queue)
             link.queue.clear()
@@ -806,7 +798,6 @@ class NetworkSimulator:
 
     def _on_fault(self, msg: Message, on_delivery) -> None:
         """A fault interrupted ``msg``; reroute, retry, or give up."""
-        now = self.queue.now
         if msg.src in self._failed_nodes or msg.dst in self._failed_nodes:
             self._drop(msg, "endpoint processor failed")
             return
@@ -820,18 +811,10 @@ class NetworkSimulator:
             # healthy candidate).
             if self._prof is not None:
                 self._prof.count("netsim.reroutes")
-            self.queue.schedule(now, lambda: self._inject(msg, on_delivery))
+            self.queue.call(self.queue.now, self._inject, msg, on_delivery)
             return
         # No route around it: end-to-end retransmit with exponential backoff.
-        if msg.attempts >= self._max_retries:
-            self._drop(msg, f"retries exhausted after {msg.attempts} attempts")
-            return
-        delay = self._retry_delay * self._retry_backoff ** msg.attempts
-        msg.attempts += 1
-        self.stats.retransmits += 1
-        if self._prof is not None:
-            self._prof.count("netsim.retries")
-        self.queue.schedule(now + delay, lambda: self._inject(msg, on_delivery))
+        self._retransmit(msg, on_delivery, "netsim.retries", 0.0)
 
     def _drop(self, msg: Message, reason: str) -> None:
         if self._unroutable_policy == "raise":

@@ -35,6 +35,12 @@ class GridTopology(Topology):
         self._coords = np.stack(
             np.unravel_index(np.arange(volume), self._shape), axis=1
         ).astype(np.int32)
+        # C-order strides: moving one step along axis k changes the id by
+        # _strides[k].
+        self._strides = tuple(
+            int(np.prod(self._shape[k + 1:], dtype=np.int64))
+            for k in range(len(self._shape))
+        )
 
     # ------------------------------------------------------------------ shape
     @property
@@ -149,21 +155,37 @@ class GridTopology(Topology):
 
         Every permutation of axes yields a (different) minimal path; the
         adaptive-routing mode of the network simulator picks among them at
-        injection time.
+        injection time. The walk is integer arithmetic on the coordinates:
+        each axis moves a fixed number of steps in one direction, and a hop
+        adds ``±stride`` to the node id (``∓(extent - 1) * stride`` across a
+        torus wrap link).
         """
         src = self._check_node(src)
         dst = self._check_node(dst)
         path = [src]
-        coords = list(self._coords[src])
-        target = self._coords[dst]
+        node = src
+        coords = self._coords[src].tolist()
+        target = self._coords[dst].tolist()
         for axis in axis_order:
-            extent = self._shape[axis]
-            while coords[axis] != target[axis]:
-                forward = (target[axis] - coords[axis]) % extent
-                if self.wraparound:
-                    step = 1 if forward <= extent - forward else -1
+            extent, stride = self._shape[axis], self._strides[axis]
+            here, there = coords[axis], target[axis]
+            forward = (there - here) % extent
+            if self.wraparound and forward > extent - forward:
+                steps, step = extent - forward, -1
+            elif self.wraparound or there > here:
+                steps, step = forward, 1
+            else:
+                steps, step = here - there, -1
+            for _ in range(steps):
+                here += step
+                if here == extent:
+                    here = 0
+                    node -= (extent - 1) * stride
+                elif here < 0:
+                    here = extent - 1
+                    node += (extent - 1) * stride
                 else:
-                    step = 1 if target[axis] > coords[axis] else -1
-                coords[axis] = (coords[axis] + step) % extent if self.wraparound else coords[axis] + step
-                path.append(int(np.ravel_multi_index(tuple(coords), self._shape)))
+                    node += step * stride
+                path.append(node)
+            coords[axis] = here
         return path

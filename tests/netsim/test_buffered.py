@@ -130,6 +130,19 @@ class TestEcnPolicy:
             results[policy] = sim.stats.buffer_drops
         assert results["ecn"] < results["drop"]
 
+    def test_backpressure_reduces_drops_on_random_load(self):
+        """The seeded random load of the drop tests: ECN drops less."""
+        drops = {}
+        for policy in ("drop", "ecn"):
+            sim = NetworkSimulator(Torus((4, 4)), bandwidth=50.0,
+                                   buffer_bytes=4096.0,
+                                   overload_policy=policy, max_retries=64,
+                                   unroutable_policy="drop")
+            _random_load(sim)
+            sim.run()
+            drops[policy] = sim.stats.buffer_drops
+        assert 0 < drops["ecn"] < drops["drop"]
+
     def test_unmarked_flows_not_paced(self):
         """Below the marking threshold ECN behaves exactly like no policy."""
         def snapshot(**kwargs):

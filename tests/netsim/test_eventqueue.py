@@ -83,3 +83,13 @@ def test_property_events_fire_sorted(times):
     q.run()
     assert fired == sorted(times)
     assert q.processed == len(times)
+
+
+def test_run_until_fires_events_at_the_deadline():
+    q = EventQueue()
+    fired = []
+    for t in (1.0, 2.0, 3.0):
+        q.schedule(t, lambda t=t: fired.append(t))
+    assert q.run(until=2.0) == 2.0
+    assert fired == [1.0, 2.0]
+    assert q.pending == 1

@@ -1,0 +1,91 @@
+"""Non-finite numbers are rejected at every DES entry point.
+
+A NaN that reached an event time used to fire out of time order, and a NaN
+bandwidth or latency silently produced a NaN makespan.
+"""
+
+from __future__ import annotations
+
+import math
+import re
+
+import pytest
+
+from repro.exceptions import SimulationError, SpecError
+from repro.netsim import EventQueue, NetworkSimulator
+from repro.topology import Torus
+
+NAN, INF = math.nan, math.inf
+
+#: Every real-valued simulator knob, with a non-finite value that used to
+#: slip through (NaN compares false against every bound).
+BAD_KNOBS = [
+    {"bandwidth": NAN},
+    {"bandwidth": INF},
+    {"alpha": NAN},
+    {"alpha": INF},
+    {"local_latency": NAN},
+    {"nic_bandwidth": NAN},
+    {"nic_bandwidth": INF},
+    {"link_bandwidths": {(0, 1): NAN}},
+    {"link_bandwidths": {(0, 1): INF}},
+    {"retry_delay": NAN},
+    {"retry_delay": INF},
+    {"retry_backoff": NAN},
+    {"retry_backoff": INF},
+    {"retry_jitter": NAN},
+    {"retry_jitter": INF},
+    {"stall_window": NAN},
+    {"stall_window": INF},
+    {"buffer_bytes": NAN},
+]
+
+
+@pytest.mark.parametrize("knobs", BAD_KNOBS, ids=lambda k: repr(k))
+def test_simulator_rejects_non_finite_knob(knobs):
+    (key,) = knobs
+    name = "link (0, 1) bandwidth" if key == "link_bandwidths" else key
+    with pytest.raises(SimulationError, match=f"{re.escape(name)} must be finite"):
+        NetworkSimulator(Torus((4, 4)), **knobs)
+
+
+@pytest.mark.parametrize("size", [NAN, INF])
+def test_send_rejects_non_finite_size(size):
+    sim = NetworkSimulator(Torus((4, 4)))
+    with pytest.raises(SimulationError, match="message size"):
+        sim.send(0, 5, size)
+    assert sim.in_flight == 0 and sim.queue.pending == 0
+
+
+@pytest.mark.parametrize("at", [NAN, INF, -INF])
+def test_send_rejects_non_finite_time(at):
+    sim = NetworkSimulator(Torus((4, 4)))
+    with pytest.raises(SimulationError, match="send time"):
+        sim.send(0, 5, 100.0, at=at)
+    assert sim.in_flight == 0 and sim.queue.pending == 0
+
+
+def test_schedule_rejects_nan_time():
+    q = EventQueue()
+    with pytest.raises(SimulationError, match="nan"):
+        q.schedule(NAN, lambda: None)
+    with pytest.raises(SimulationError, match="nan"):
+        q.call(NAN, print)
+    assert q.pending == 0
+
+
+@pytest.mark.parametrize("knobs", [
+    {"bandwidth": NAN},
+    {"alpha": NAN},
+    {"buffer_bytes": INF},
+    {"retry_jitter": NAN},
+    {"stall_window": INF},
+], ids=lambda k: repr(k))
+def test_engine_rejects_non_finite_netsim_value(knobs):
+    from repro.engine import MappingEngine, MappingRequest
+
+    (key,) = knobs
+    with pytest.raises(SpecError, match=f"netsim key '{key}' must be finite"):
+        MappingEngine().run(MappingRequest(
+            graph="mesh2d:4x4", topology="torus:4x4", netsim=knobs,
+        ))

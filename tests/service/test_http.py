@@ -101,6 +101,15 @@ def test_map_deterministic_failure_is_422(server):
     assert status == 422
 
 
+def test_map_nan_netsim_knob_is_4xx(server):
+    # json.dumps writes the NaN literal, which the server's json.loads takes.
+    body = {**BODY, "netsim": {"bandwidth": float("nan")}}
+    status, _, reply = _call(f"{server}/map", "POST", body)
+    assert status == 422
+    assert reply["status"] == "error"
+    assert "must be finite" in reply["error"]
+
+
 def test_method_mismatches_are_405(server):
     assert _call(f"{server}/map")[0] == 405
     assert _call(f"{server}/healthz", "POST", {})[0] == 405
