@@ -48,9 +48,16 @@ def _best_of(fn, repeats: int = 3) -> float:
     return best
 
 
+@pytest.mark.parametrize("native", ["compiled", "numpy"])
 @pytest.mark.parametrize("order", [EstimatorOrder.SECOND, EstimatorOrder.THIRD])
-def test_topolb_vectorized_not_slower(benchmark, instance, order):
+def test_topolb_vectorized_not_slower(benchmark, instance, order, native,
+                                      monkeypatch):
+    """Both vectorized paths must beat the reference: the compiled third-order
+    pass and its NumPy fallback (``REPRO_NO_NATIVE=1``). Second order has no
+    compiled step, so its two cases time the same code."""
     graph, topo = instance
+    if native == "numpy":
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
     ref = TopoLB(order=order, kernel="reference")
     vec = TopoLB(order=order, kernel="vectorized")
     # Warm the shared topology tables so neither kernel pays them.
@@ -66,7 +73,7 @@ def test_topolb_vectorized_not_slower(benchmark, instance, order):
 
     np.testing.assert_array_equal(vec_mapping.assignment, ref_mapping.assignment)
     assert t_vec <= t_ref * NOISE_MARGIN, (
-        f"vectorized TopoLB({order.name}) took {t_vec * 1e3:.1f} ms vs "
+        f"vectorized TopoLB({order.name}, {native}) took {t_vec * 1e3:.1f} ms vs "
         f"reference {t_ref * 1e3:.1f} ms"
     )
 

@@ -8,11 +8,13 @@ all mapper/netsim telemetry the run produced into a schema-validated
 ``repro-profile-v1`` artifact — the machine-readable baseline the
 ``BENCH_*.json`` trajectory consumes (see ``docs/OBSERVABILITY.md``).
 
-``--jobs N`` fans independent experiments across a process pool. Each
-worker runs with its own profiler; the parent folds the per-worker
-snapshots into one artifact via :meth:`repro.obs.Profiler.merge`, so the
-profile a parallel run writes has the same schema (and, up to scheduling
-noise in the wall times, the same content) as a serial one. Reports are
+``--jobs N`` fans independent experiments across a process pool, at most
+``N`` in flight; a worker that dies fails only the experiments in flight on
+its pool, which is replaced for the rest of the sweep. Each worker runs
+with its own profiler; the parent folds the per-worker snapshots into one
+artifact via :meth:`repro.obs.Profiler.merge`, so the profile a parallel
+run writes has the same schema (and, up to scheduling noise in the wall
+times, the same content) as a serial one. Reports are
 printed in submission order regardless of completion order.
 
 The runner is crash-resilient (see ``docs/ROBUSTNESS.md``): every
@@ -129,6 +131,98 @@ def _run_one(exp_id: str, quick: bool, seed: int, profiled: bool):
             obs.disable()
 
 
+def _outcome(exp_id: str, call: dict) -> ExperimentOutcome:
+    """The outcome of one :func:`guarded_call` record."""
+    if call["ok"]:
+        result, snap = call["value"]
+        return ExperimentOutcome(exp_id, "ok", result=result, snapshot=snap)
+    status = "timeout" if call["kind"] == "timeout" else "failed"
+    return ExperimentOutcome(exp_id, status, error=call["error"],
+                             traceback=call["traceback"])
+
+
+def _run_serial(to_run: list[str], run_args: tuple, timeout: float | None,
+                keep_going: bool) -> dict[str, ExperimentOutcome]:
+    """Run experiments in this process, stopping at the first failure unless
+    ``keep_going``; experiments never started are absent from the result."""
+    outcomes: dict[str, ExperimentOutcome] = {}
+    for exp_id in to_run:
+        outcome = _outcome(exp_id, guarded_call(_run_one, exp_id, *run_args,
+                                                timeout=timeout))
+        outcomes[exp_id] = outcome
+        if outcome.status != "ok" and not keep_going:
+            break
+    return outcomes
+
+
+def _run_pooled(to_run: list[str], jobs: int, run_args: tuple,
+                timeout: float | None,
+                keep_going: bool) -> dict[str, ExperimentOutcome]:
+    """Run experiments in a process pool, at most ``jobs`` in flight.
+
+    A worker that dies (``os._exit``, a signal, the OOM killer) breaks its
+    whole pool: the experiments in flight on it fail with
+    ``BrokenProcessPool``, the pool is shut down without waiting and a fresh
+    one runs the experiments still queued. Without ``keep_going`` the first
+    failure stops new submissions; what is in flight still finishes.
+    Experiments never started are absent from the result.
+    """
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    workers = min(jobs, len(to_run))
+    pool = ProcessPoolExecutor(max_workers=workers)
+
+    def replace(broken: ProcessPoolExecutor) -> None:
+        # Experiments failing on an already-replaced pool replace nothing.
+        nonlocal pool
+        if broken is pool:
+            broken.shutdown(wait=False, cancel_futures=True)
+            pool = ProcessPoolExecutor(max_workers=workers)
+
+    def submit(exp_id: str):
+        return pool.submit(guarded_call, _run_one, exp_id, *run_args,
+                           timeout=timeout)
+
+    rank = {exp_id: i for i, exp_id in enumerate(to_run)}
+    queued = list(reversed(to_run))
+    inflight: dict = {}  # future -> (experiment id, the pool it runs on)
+    outcomes: dict[str, ExperimentOutcome] = {}
+    stop = False
+    try:
+        while inflight or (queued and not stop):
+            while queued and not stop and len(inflight) < workers:
+                exp_id = queued.pop()
+                try:
+                    future = submit(exp_id)
+                except BrokenProcessPool:
+                    # The pool broke after the last wait: nothing of exp_id
+                    # ran, so it goes to the fresh pool.
+                    replace(pool)
+                    future = submit(exp_id)
+                inflight[future] = (exp_id, pool)
+            done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+            for future in sorted(done, key=lambda f: rank[inflight[f][0]]):
+                exp_id, owner = inflight.pop(future)
+                try:
+                    call = future.result()
+                except Exception as exc:  # noqa: BLE001 - dead worker, pickling
+                    if isinstance(exc, BrokenProcessPool):
+                        replace(owner)
+                    call = {
+                        "ok": False,
+                        "kind": type(exc).__name__,
+                        "error": f"[{exp_id}] {type(exc).__name__}: {exc}",
+                        "traceback": traceback_module.format_exc(),
+                    }
+                outcome = outcomes[exp_id] = _outcome(exp_id, call)
+                if outcome.status != "ok" and not keep_going:
+                    stop = True
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return outcomes
+
+
 def _load_completed(resume_path: Path) -> set[str]:
     """Experiment ids recorded as completed in a previous profile artifact."""
     from repro import obs
@@ -209,54 +303,19 @@ def main(argv: list[str] | None = None) -> int:
                 outcomes[exp_id] = ExperimentOutcome(exp_id, "ok", resumed=True)
     to_run = [exp_id for exp_id in ids if exp_id not in outcomes]
 
-    aborted = False
-    pool, futures = None, {}
+    run_args = (quick, args.seed, profiled)
     if args.jobs > 1 and len(to_run) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=min(args.jobs, len(to_run)))
-    try:
-        if pool is not None:
-            futures = {
-                exp_id: pool.submit(guarded_call, _run_one, exp_id, quick,
-                                    args.seed, profiled, timeout=args.timeout)
-                for exp_id in to_run
-            }
-        for exp_id in to_run:
-            if aborted:
-                outcomes[exp_id] = ExperimentOutcome(
-                    exp_id, "skipped",
-                    error="not run: earlier experiment failed "
-                          "(use --keep-going to finish the sweep)",
-                )
-                continue
-            if pool is None:
-                call = guarded_call(_run_one, exp_id, quick, args.seed,
-                                    profiled, timeout=args.timeout)
-            else:
-                try:
-                    call = futures[exp_id].result()
-                except Exception as exc:  # noqa: BLE001 - dead worker, pickling
-                    call = {
-                        "ok": False,
-                        "kind": type(exc).__name__,
-                        "error": f"[{exp_id}] {type(exc).__name__}: {exc}",
-                        "traceback": traceback_module.format_exc(),
-                    }
-            if call["ok"]:
-                result, snap = call["value"]
-                outcome = ExperimentOutcome(exp_id, "ok", result=result,
-                                            snapshot=snap)
-            else:
-                status = "timeout" if call["kind"] == "timeout" else "failed"
-                outcome = ExperimentOutcome(exp_id, status, error=call["error"],
-                                            traceback=call["traceback"])
-            outcomes[exp_id] = outcome
-            if outcome.status != "ok" and not args.keep_going:
-                aborted = True
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        outcomes.update(_run_pooled(to_run, args.jobs, run_args, args.timeout,
+                                    args.keep_going))
+    else:
+        outcomes.update(_run_serial(to_run, run_args, args.timeout,
+                                    args.keep_going))
+    for exp_id in to_run:
+        outcomes.setdefault(exp_id, ExperimentOutcome(
+            exp_id, "skipped",
+            error="not run: earlier experiment failed "
+                  "(use --keep-going to finish the sweep)",
+        ))
 
     # ---- report in submission order; merge telemetry deterministically ----
     failed_ids: list[str] = []

@@ -1,17 +1,20 @@
-"""On-demand compiled kernel for RefineTopoLB's production sweep.
+"""On-demand compiled kernels for the mappers' production paths.
 
-``repro.mapping.refine_kernel.c`` holds a scalar C implementation of one
-RefineTopoLB sweep with the incremental delta structure. This module
-compiles it with the system C compiler (``cc``/``gcc``/``clang``) the first
-time it is needed, caches the shared object under the system temp directory
-keyed by a hash of the source and build flags, and loads it through
-:mod:`ctypes` — no third-party build dependency.
+``repro.mapping.refine_kernel.c`` holds two scalar C functions: one
+RefineTopoLB sweep with the incremental delta structure, and the per-cycle
+recentre-and-argmin pass of third-order TopoLB. This module compiles the
+file with the system C compiler (``cc``/``gcc``/``clang``) the first time it
+is needed, caches the shared object under the system temp directory keyed by
+a hash of the source and build flags, and loads it through :mod:`ctypes` —
+no third-party build dependency.
 
-The compiled path is strictly optional: :class:`~repro.mapping.refine.
-RefineTopoLB`'s ``"vectorized"`` kernel falls back to the NumPy block sweep
-when no toolchain is available (or when ``REPRO_NO_NATIVE`` is set, which
-the test suite uses to pin both paths). ``-ffp-contract=off`` keeps the C arithmetic
-bitwise identical to the NumPy reference kernel — no fused multiply-adds.
+The compiled paths are strictly optional: :class:`~repro.mapping.refine.
+RefineTopoLB`'s ``"vectorized"`` kernel falls back to the NumPy block sweep,
+and third-order :class:`~repro.mapping.topolb.TopoLB` to its NumPy
+recentring, when no toolchain is available (or when ``REPRO_NO_NATIVE`` is
+set, which the test suite uses to pin both paths). ``-ffp-contract=off``
+keeps the C arithmetic bitwise identical to the NumPy reference kernels —
+no fused multiply-adds.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ _UNSET = object()
 _cached: object = _UNSET
 
 
-class NativeRefine:
-    """Thin typed wrapper around the compiled sweep function."""
+class NativeKernels:
+    """Thin typed wrappers around the compiled functions."""
 
     def __init__(self, lib: ctypes.CDLL):
         fn = lib.refine_sweep_incremental
@@ -60,6 +63,22 @@ class NativeRefine:
         ]
         self._fn = fn
 
+        recentre = lib.topolb3_recentre
+        recentre.restype = None
+        recentre.argtypes = [
+            i64,
+            arr(np.float64, flags="C_CONTIGUOUS"),  # fest (n, p)
+            arr(np.int64, flags="C_CONTIGUOUS"),    # rows (k)
+            i64,
+            arr(np.float64, flags="C_CONTIGUOUS"),  # uc (n)
+            arr(np.float64, flags="C_CONTIGUOUS"),  # delta (p)
+            arr(np.int64, flags="C_CONTIGUOUS"),    # free_ids (nfree)
+            i64,
+            arr(np.float64, flags="C_CONTIGUOUS"),  # f_min (n)
+            arr(np.int64, flags="C_CONTIGUOUS"),    # f_argmin (n)
+        ]
+        self._recentre = recentre
+
     def sweep(self, cost, dist, assign, indptr, indices, weights, perm,
               best_b, best_val, valid, stats) -> bool:
         n, p = cost.shape
@@ -68,6 +87,20 @@ class NativeRefine:
         if rc < 0:  # pragma: no cover - allocation failure inside C
             raise MemoryError("refine_sweep_incremental scratch allocation")
         return bool(rc)
+
+    def topolb3_recentre(self, fest, rows, uc, delta, free_ids,
+                         f_min, f_argmin) -> None:
+        """Third-order TopoLB's per-cycle pass, in place: recentre the
+        ``rows`` of ``fest`` over the free columns ``free_ids`` (ascending,
+        non-empty) and write each row's first minimum to ``f_min`` /
+        ``f_argmin``."""
+        n, p = fest.shape
+        if not (0 < free_ids.size <= p and rows.size <= n
+                and uc.size == f_min.size == f_argmin.size == n
+                and delta.size == p):
+            raise ValueError("topolb3_recentre: inconsistent array sizes")
+        self._recentre(p, fest, rows, rows.size, uc, delta,
+                       free_ids, free_ids.size, f_min, f_argmin)
 
 
 def _compiler() -> str | None:
@@ -86,7 +119,7 @@ def _cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
 
 
-def _build() -> NativeRefine | None:
+def _build() -> NativeKernels | None:
     cc = _compiler()
     if cc is None:
         return None
@@ -110,11 +143,11 @@ def _build() -> NativeRefine | None:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    return NativeRefine(ctypes.CDLL(so_path))
+    return NativeKernels(ctypes.CDLL(so_path))
 
 
-def load() -> NativeRefine | None:
-    """The compiled sweep, or ``None`` when unavailable.
+def load() -> NativeKernels | None:
+    """The compiled kernels, or ``None`` when unavailable.
 
     ``REPRO_NO_NATIVE`` is consulted on every call (so tests can flip the
     fallback path with a plain env monkeypatch); the build itself — including
@@ -133,5 +166,5 @@ def load() -> NativeRefine | None:
 
 
 def available() -> bool:
-    """True when the compiled sweep can be used in this process."""
+    """True when the compiled kernels can be used in this process."""
     return load() is not None

@@ -7,7 +7,9 @@ one reference oracle for their inner loops:
 ``"vectorized"`` (the default, the production kernel)
     TopoLB: batched NumPy kernels — neighbor-row updates, stale-argmin
     repair and score evaluation operate on whole index blocks per call
-    instead of one Python-level element at a time. RefineTopoLB: the
+    instead of one Python-level element at a time; the third-order
+    estimator's per-cycle recentring runs compiled
+    (:mod:`repro.mapping._native`) with a NumPy fallback. RefineTopoLB: the
     compiled incremental sweep (per-task best-swap caches repaired after
     each accepted swap, :mod:`repro.mapping._native`), falling back to the
     NumPy block sweep when no C compiler is available or

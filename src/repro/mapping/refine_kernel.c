@@ -1,21 +1,28 @@
-/* refine_kernel.c — compiled sweep for RefineTopoLB's production kernel.
+/* refine_kernel.c — compiled inner loops for the mapper production kernels.
  *
- * One call runs ONE full sweep of the pairwise-swap refiner with the
- * incremental delta structure: per-task best-swap caches (best_b, best_val,
- * valid) that persist across sweeps, invalidated/folded by the dirty set of
- * each accepted swap ({a, b} ∪ N(a) ∪ N(b) — exactly the rows/columns the
- * cost-table patch mutates).
+ * Two entry points, one shared object:
+ *
+ * refine_sweep_incremental — ONE full sweep of RefineTopoLB's pairwise-swap
+ * refiner with the incremental delta structure: per-task best-swap caches
+ * (best_b, best_val, valid) that persist across sweeps, invalidated/folded
+ * by the dirty set of each accepted swap ({a, b} ∪ N(a) ∪ N(b) — exactly
+ * the rows/columns the cost-table patch mutates).
+ *
+ * topolb3_recentre — the per-cycle O(n·p) step of third-order TopoLB:
+ * re-centre every unassigned fest row on the shrunken free-processor
+ * average and take its first minimum, over the free columns only.
  *
  * Bit-identity contract: every floating-point expression mirrors the
  * reference kernel's NumPy element order exactly (see
- * repro/mapping/refine.py, _refine_reference and _apply_swap), and the
- * build uses -ffp-contract=off so no fused-multiply-add changes rounding.
- * The equivalence suite pins compiled and reference assignments to be
- * bitwise equal.
+ * repro/mapping/refine.py, _refine_reference and _apply_swap, and
+ * repro/mapping/topolb.py, _run_reference), and the build uses
+ * -ffp-contract=off so no fused-multiply-add changes rounding. The
+ * equivalence suite pins compiled and reference assignments to be bitwise
+ * equal.
  *
  * Compiled on demand by repro.mapping._native via the system C compiler;
- * when no toolchain is available the NumPy block sweep in refine.py
- * (_refine_vectorized) runs instead.
+ * when no toolchain is available the NumPy paths in refine.py
+ * (_refine_vectorized) and topolb.py (_run_third_order) run instead.
  */
 
 #include <stdint.h>
@@ -223,4 +230,40 @@ i64 refine_sweep_incremental(i64 n, i64 p, double *cost, const double *dist,
     free(cset);
     free(move);
     return swapped;
+}
+
+/* Third-order TopoLB, one cycle: for each row r in rows[0..k) and each free
+ * column q in free_ids[0..nfree) (ascending ids),
+ *     fest[r, q] = fest[r, q] + uc[r] * delta[q]
+ * — the reference's `fest[rows] += np.outer(uc[rows], delta)` element — and
+ * the first minimum over those columns (np.argmin semantics: ties go to the
+ * lowest id) into f_min[r] / f_argmin[r]. Consumed columns are left stale:
+ * third order reads them again only through a zero weight in the free-set
+ * row sums. nfree must be >= 1. */
+void topolb3_recentre(i64 p, double *restrict fest,
+                      const i64 *restrict rows, i64 k,
+                      const double *restrict uc,
+                      const double *restrict delta,
+                      const i64 *restrict free_ids, i64 nfree,
+                      double *restrict f_min, i64 *restrict f_argmin)
+{
+    for (i64 i = 0; i < k; i++) {
+        const i64 r = rows[i];
+        double *restrict row = fest + r * p;
+        const double u = uc[r];
+        double bv = row[free_ids[0]] + u * delta[free_ids[0]];
+        row[free_ids[0]] = bv;
+        i64 bj = 0;
+        for (i64 j = 1; j < nfree; j++) {
+            const i64 q = free_ids[j];
+            const double v = row[q] + u * delta[q];
+            row[q] = v;
+            if (v < bv) {
+                bv = v;
+                bj = j;
+            }
+        }
+        f_min[r] = bv;
+        f_argmin[r] = free_ids[bj];
+    }
 }

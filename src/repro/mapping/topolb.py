@@ -24,9 +24,12 @@ re-reduced (lazy repair) instead of rescanning the whole table.
 Two kernels implement the cycle body (see :mod:`repro.mapping.kernels`):
 ``"vectorized"`` (default) batches the neighbor-row updates and the
 stale-argmin repair across whole index arrays per NumPy call;
-``"reference"`` keeps the original scalar loops. Both produce bit-identical
-assignments — the equivalence suite enforces it — so the reference path
-doubles as the executable specification of the fast one.
+``"reference"`` keeps the original scalar loops. Under ``"vectorized"`` the
+third-order estimator has a loop of its own, which drops the reserve it
+never reads and runs its per-cycle recentre-and-argmin pass compiled
+(:mod:`repro.mapping._native`), with a NumPy fallback. All paths produce
+bit-identical assignments — the equivalence suite enforces it — so the
+reference path doubles as the executable specification of the fast ones.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import numpy as np
 
 from repro import obs
 from repro.exceptions import MappingError
+from repro.mapping import _native
 from repro.mapping.base import Mapper, Mapping, resolve_allowed
 from repro.mapping.context import MappingContext, context_for
 from repro.mapping.estimation import EstimatorOrder
@@ -126,7 +130,12 @@ class TopoLB(Mapper):
         n = self._check_sizes(graph, topology, allowed)
         if ctx is None:
             ctx = context_for(graph, topology)
-        run = self._run_reference if self._kernel == "reference" else self._run_vectorized
+        if self._kernel == "reference":
+            run = self._run_reference
+        elif self._order is EstimatorOrder.THIRD:
+            run = self._run_third_order
+        else:
+            run = self._run_vectorized
         prof = obs.active()
         if prof is None:
             assignment = run(graph, topology, n, allowed=allowed, ctx=ctx)
@@ -368,8 +377,8 @@ class TopoLB(Mapper):
         """
         if ctx is None:
             ctx = context_for(graph, topology)
-        (dist, indptr, indices, weights, unplaced_comm,
-         avg_all, avg_free, fest) = self._setup(graph, topology, n, allowed, ctx)
+        (dist, indptr, indices, weights, _,
+         avg_all, _, fest) = self._setup(graph, topology, n, allowed, ctx)
         order = self._order
         selection = self._selection
         p = topology.num_nodes
@@ -452,8 +461,7 @@ class TopoLB(Mapper):
         free_ids = free_buf[:nfree]
         # Second-order rows subtract the same static baseline every cycle;
         # the whole (p, p) difference table is hoisted not just out of the
-        # loop but into the shared topology cache. (Third order recentres
-        # on avg_free, which moves every cycle.) The masked baseline is the
+        # loop but into the shared topology cache. The masked baseline is the
         # allowed-set average, a per-fault-pattern table built inline — the
         # same elementwise dist[pk] - avg_all rows the reference computes.
         if order is EstimatorOrder.SECOND:
@@ -461,9 +469,6 @@ class TopoLB(Mapper):
                 dma = ctx.centered_distance_matrix(np.float64)
             else:
                 dma = dist - avg_all
-        # unplaced_comm only feeds the third-order recentring term — for the
-        # other orders it is never read, so skip maintaining it.
-        track_comm = order is EstimatorOrder.THIRD
         # Score buffer in float64 — the reference's `f_sum / count`
         # divides in float64, and matching its rounding is what keeps
         # near-tie argmax decisions identical.
@@ -577,32 +582,19 @@ class TopoLB(Mapper):
                 ws = weights[lo:hi][sel]
                 if order is EstimatorOrder.FIRST:
                     upd = ws[:, None] * dist[pk]
-                elif order is EstimatorOrder.SECOND:
-                    upd = ws[:, None] * dma[pk]
                 else:
-                    upd = ws[:, None] * (dist[pk] - avg_free)
+                    upd = ws[:, None] * dma[pk]
                 rows_full = fest[touched]
                 rows_full += upd
                 fest[touched] = rows_full
-                if track_comm:
-                    unplaced_comm[touched] -= ws
             if prof is not None:
                 neighbor_updates += int(touched.size)
-
-            if order is EstimatorOrder.THIRD:
-                new_avg = (avg_free * (avail_count + 1) - dist[pk]) / avail_count
-                delta = new_avg - avg_free
-                avg_free = new_avg
-                rows = np.flatnonzero(unassigned)
-                fest[rows] += np.outer(unplaced_comm[rows], delta)
-                touched = rows
-                rows_full = None  # recentring rewrote more rows than touched
 
             # --- repair row reductions (mask union instead of np.unique) ---
             if rescan or touched.size:
                 if not rescan:
-                    # Common case: CSR neighbor ids are already unique (and
-                    # rows ⊇ rescan for third order), no union to take.
+                    # Common case: CSR neighbor ids are already unique, no
+                    # union to take.
                     dirty = touched
                 else:
                     dirty_mask[rescan] = True
@@ -629,6 +621,145 @@ class TopoLB(Mapper):
             prof.count("topolb.cycles", cycles)
             prof.count("topolb.reserve_hits", reserve_hits)
             prof.count("topolb.reserve_exhaustions", reserve_exhaustions)
+            prof.count("topolb.rows_rebuilt", rows_rebuilt)
+            prof.count("topolb.neighbor_updates", neighbor_updates)
+        return assignment
+
+    def _run_third_order(
+        self,
+        graph: TaskGraph,
+        topology: Topology,
+        n: int,
+        prof: obs.Profiler | None = None,
+        allowed: np.ndarray | None = None,
+        ctx: MappingContext | None = None,
+    ) -> np.ndarray:
+        """Third-order cycle body — bit-identical assignments to the reference.
+
+        Third order recentres every unplaced row on the free-processor
+        average each cycle, so every unplaced row is rebuilt every cycle and
+        the reserve machinery of :meth:`_run_vectorized` is never read:
+
+        * the initial ``f_min``/``f_argmin`` is one argmin over the free
+          columns — the head of the reference's reserve;
+        * a row whose argmin is consumed was rebuilt one cycle earlier, when
+          at least two processors were still free, so the reference's walk
+          always finds its next candidate one slot on: every stale row is a
+          reserve hit, and the row is overwritten by this cycle's rebuild
+          anyway.
+
+        The recentre-and-argmin pass runs over the ascending free columns
+        only (compiled, :mod:`repro.mapping._native`, with a NumPy fallback
+        that recentres whole rows). Consumed columns may go stale because
+        they are read again only through a zero weight in the free-set row
+        sums ``fest[rows] @ avail_f`` — which stay exactly that gather plus
+        matrix-vector product: BLAS rounding depends on the operand shape,
+        so ``(fest @ avail_f)[rows]`` would differ in the last bit.
+        """
+        (dist, indptr, indices, weights, unplaced_comm,
+         _, avg_free, fest) = self._setup(graph, topology, n, allowed, ctx)
+        selection = self._selection
+        p = topology.num_nodes
+        native = _native.load()
+
+        avail = np.ones(p, dtype=bool) if allowed is None else allowed
+        unassigned = np.ones(n, dtype=bool)
+        avail_count = int(avail.sum())
+        assignment = np.full(n, -1, dtype=np.int64)
+        avail_f = avail.astype(np.float64)
+        # Ascending free ids, consumed ids shifted out in place (ascending
+        # order is what makes "first minimum" mean "lowest id").
+        free_buf = np.flatnonzero(avail)
+        nfree = avail_count
+        free_ids = free_buf[:nfree]
+
+        ar = np.arange(n)
+        sub = fest if allowed is None else fest[:, free_ids]
+        posm = sub.argmin(axis=1)
+        f_min = sub[ar, posm]
+        f_argmin = free_ids[posm]
+        del sub
+        track_sum = selection == "gain"
+        if track_sum:
+            f_sum = fest.sum(axis=1) if allowed is None else fest @ avail_f
+        f_min_poison = -np.inf if selection == "max_cost" else np.inf
+        if selection == "volume":
+            vol_score = graph.comm_volumes().astype(np.float64)
+        sbuf = np.empty(n, dtype=np.float64)
+
+        cycles = reserve_hits = rows_rebuilt = neighbor_updates = 0
+        for _cycle in range(n):
+            if selection == "gain":
+                np.divide(f_sum, avail_count, out=sbuf)
+                sbuf -= f_min
+                tk = int(sbuf.argmax())
+            elif selection == "max_cost":
+                tk = int(f_min.argmax())
+            else:  # "volume"
+                tk = int(vol_score.argmax())
+            pk = int(f_argmin[tk])
+            assignment[tk] = pk
+            unassigned[tk] = False
+            avail_f[pk] = 0
+            avail_count -= 1
+            f_argmin[tk] = -1
+            f_min[tk] = f_min_poison
+            if selection == "volume":
+                vol_score[tk] = -np.inf
+            if prof is not None:
+                cycles += 1
+            if avail_count == 0:
+                break
+
+            pos_pk = int(np.searchsorted(free_ids, pk))
+            free_buf[pos_pk:nfree - 1] = free_buf[pos_pk + 1:nfree]
+            nfree -= 1
+            free_ids = free_buf[:nfree]
+            if prof is not None:
+                reserve_hits += int(np.count_nonzero(f_argmin == pk))
+
+            # --- neighbor rows: the (j, tk) edge cost becomes exact --------
+            lo, hi = indptr[tk], indptr[tk + 1]
+            nbrs = indices[lo:hi]
+            sel = unassigned[nbrs]
+            touched = nbrs[sel]
+            if touched.size:
+                ws = weights[lo:hi][sel]
+                fest[touched] += ws[:, None] * (dist[pk] - avg_free)
+                unplaced_comm[touched] -= ws
+            if prof is not None:
+                neighbor_updates += int(touched.size)
+
+            # --- recentre every unplaced row on the free average ----------
+            new_avg = (avg_free * (avail_count + 1) - dist[pk]) / avail_count
+            delta = new_avg - avg_free
+            avg_free = new_avg
+            rows = np.flatnonzero(unassigned)
+            k = rows.size
+            if not k:
+                continue
+            if native is not None:
+                native.topolb3_recentre(fest, rows, unplaced_comm, delta,
+                                        free_ids, f_min, f_argmin)
+                if track_sum:
+                    f_sum[rows] = fest[rows] @ avail_f
+            else:
+                rows_full = fest[rows]
+                rows_full += np.outer(unplaced_comm[rows], delta)
+                fest[rows] = rows_full
+                sub = rows_full[:, free_ids]
+                posm = sub.argmin(axis=1)
+                f_min[rows] = sub[ar[:k], posm]
+                f_argmin[rows] = free_ids[posm]
+                if track_sum:
+                    f_sum[rows] = rows_full @ avail_f
+            if prof is not None:
+                rows_rebuilt += k
+
+        if prof is not None:
+            prof.count("topolb.cycles", cycles)
+            prof.count("topolb.reserve_hits", reserve_hits)
+            prof.count("topolb.reserve_exhaustions", 0)
             prof.count("topolb.rows_rebuilt", rows_rebuilt)
             prof.count("topolb.neighbor_updates", neighbor_updates)
         return assignment

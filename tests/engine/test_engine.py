@@ -124,7 +124,7 @@ def test_in_process_run_equals_pooled_service_batch(serve_in_pool):
         assert outcome["payload"]["metrics"] == direct.metrics
 
 
-def test_service_batch_retries_exhausted_reports_error():
+def test_service_batch_unknown_mapper_reports_spec_error():
     [outcome] = _serve_batch(
         [MappingRequest(graph="mesh2d:8x8", topology="torus:8x8",
                         mapper="NopeLB")],

@@ -123,7 +123,7 @@ class TestTimeout:
 
 _DRIVER = """
 import os, sys, time
-from repro.experiments import fig01_02, runner
+from repro.experiments import fig01_02, fig05_06, runner
 
 def slow(quick=True, seed=0):
     time.sleep(60.0)
@@ -132,18 +132,22 @@ def crash(quick=True, seed=0):
     os._exit(3)
 
 fig01_02.QUICK_SIDES = (4,)
+fig05_06.QUICK_P_2D = (9,)
 runner.EXPERIMENTS.update(slow=slow, crash=crash)
 runner.PAPER_EXPERIMENTS = {
-    "fig1_2": runner.EXPERIMENTS["fig1_2"],
-    sys.argv[1]: runner.EXPERIMENTS[sys.argv[1]],
+    k: runner.EXPERIMENTS[k] for k in (sys.argv[1], "fig5", "fig1_2", "fig3_4")
 }
 sys.exit(runner.main(sys.argv[2:]))
 """
 
+#: Experiments queued behind ``bad_id`` and ``fig5``, the first two in flight.
+_QUEUED = ("fig1_2", "fig3_4")
+
 
 def _drive(tmp_path, bad_id, *args):
-    """Run ``all --jobs 2 --keep-going`` with ``bad_id`` beside ``fig1_2``
-    in a fresh process (fork workers inherit the patched registry)."""
+    """Run ``all --jobs 2 --keep-going`` over ``bad_id``, ``fig5`` and the
+    :data:`_QUEUED` experiments in a fresh process (fork workers inherit the
+    patched registry)."""
     script = tmp_path / "driver.py"
     script.write_text(_DRIVER)
     src = Path(runner.__file__).resolve().parents[2]
@@ -174,15 +178,21 @@ class TestPooledGuard:
                                              "--profile", str(out))
         assert returncode == 1, stderr
         assert elapsed < 10.0  # the worker stopped; the pool shut down
-        assert _status(out) == {"fig1_2": "ok", "slow": "timeout"}
+        assert _status(out) == {"slow": "timeout", "fig5": "ok",
+                                "fig1_2": "ok", "fig3_4": "ok"}
 
     def test_worker_death_is_recorded(self, tmp_path):
         out = tmp_path / "p.json"
         returncode, stderr, _ = _drive(tmp_path, "crash", "--profile", str(out))
         assert returncode == 1, stderr
-        assert _status(out)["crash"] == "failed"
+        status = _status(out)
+        assert status["crash"] == "failed"
         record = obs.load_profile(out)["context"]["experiment_status"]["crash"]
         assert "BrokenProcessPool" in record["error"]
+        # Only what was in flight on the broken pool fails; a fresh pool
+        # runs the experiments queued behind the crash.
+        assert {exp_id: status[exp_id] for exp_id in _QUEUED} == {
+            exp_id: "ok" for exp_id in _QUEUED}
 
 
 class TestResume:

@@ -15,9 +15,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.exceptions import MappingError
 from repro.engine.specs import mapper_from_spec
 from repro.mapping import RandomMapper, RefineTopoLB, TopoLB
+from repro.mapping.base import resolve_allowed
 from repro.mapping.estimation import EstimatorOrder
 from repro.mapping.kernels import (
     DEFAULT_KERNEL,
@@ -156,6 +158,77 @@ class TestIncrementalNative:
         if first is not None:  # no compiler on this host -> both stay None
             assert _native.load() is first
             assert _native.available()
+
+
+class TestThirdOrderPaths:
+    """Third-order TopoLB has its own cycle loop: a compiled
+    recentre-and-argmin pass over the free columns, and a NumPy fallback
+    (``REPRO_NO_NATIVE=1``). Both are pinned to the reference at a scale
+    where every cycle recentres over a hundred rows, on a pristine and a
+    degraded machine, down to the lazy-repair counters."""
+
+    COUNTERS = ("topolb.cycles", "topolb.reserve_hits",
+                "topolb.reserve_exhaustions", "topolb.rows_rebuilt",
+                "topolb.neighbor_updates")
+
+    @staticmethod
+    def _instances():
+        from repro.faults import DegradedTopology, FaultSet
+
+        base = Torus((8, 4, 4))
+        deg = DegradedTopology(
+            base, FaultSet(dead_nodes=[3, 17, 64, 100], dead_links=[(0, 1)]))
+        return [
+            ("torus8x4x4", geometric_taskgraph(128, radius=0.2, seed=42), base),
+            ("masked", geometric_taskgraph(deg.num_healthy, radius=0.2,
+                                           seed=42), deg),
+            ("masked-underfull", geometric_taskgraph(deg.num_healthy - 7,
+                                                     radius=0.2, seed=7), deg),
+        ]
+
+    def _map(self, graph, topo, selection, kernel):
+        with obs.profiled() as prof:
+            mapping = TopoLB(order=EstimatorOrder.THIRD, selection=selection,
+                             kernel=kernel).map(graph, topo)
+        return mapping.assignment, {c: prof.counters[c] for c in self.COUNTERS}
+
+    @pytest.mark.parametrize("label,graph,topo", _instances(),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    @pytest.mark.parametrize("selection", SELECTIONS)
+    @pytest.mark.parametrize("native", ("compiled", "numpy"))
+    def test_bit_identical_with_equal_counters(self, label, graph, topo,
+                                               selection, native,
+                                               monkeypatch):
+        ref, ref_counters = self._map(graph, topo, selection, "reference")
+        if native == "numpy":
+            monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        vec, vec_counters = self._map(graph, topo, selection, "vectorized")
+        np.testing.assert_array_equal(
+            vec, ref, err_msg=f"{label} selection={selection} {native}")
+        assert vec_counters == ref_counters
+        allowed = resolve_allowed(topo, None)
+        if allowed is not None:
+            assert allowed[vec].all()
+
+    def test_compiled_pass_skips_consumed_columns_and_checks_sizes(self):
+        from repro.mapping import _native
+
+        native = _native.load()
+        if native is None:
+            pytest.skip("no C compiler on this host")
+        fest = np.zeros((4, 6))
+        rows = np.arange(4)
+        uc, f_min = np.ones(4), np.zeros(4)
+        delta = np.arange(6.0, 0.0, -1.0)
+        argmin = np.zeros(4, dtype=np.int64)
+        native.topolb3_recentre(fest, rows, uc, delta, np.arange(1, 6), f_min,
+                                argmin)
+        np.testing.assert_array_equal(argmin, 5)
+        np.testing.assert_array_equal(fest[:, 0], 0.0)  # consumed: stale
+        for free_ids, d in ((np.arange(0), delta), (np.arange(6), uc)):
+            with pytest.raises(ValueError):
+                native.topolb3_recentre(fest, rows, uc, d, free_ids, f_min,
+                                        argmin)
 
 
 class TestMaskedEquivalence:
