@@ -59,6 +59,8 @@ def _parse_graph_options(items: list[str], spec: str,
             options[key] = float(value)
         except ValueError as exc:
             raise SpecError(f"bad graph option value {item!r}") from exc
+        if not math.isfinite(options[key]):
+            raise SpecError(f"graph option {item!r} must be finite")
     return options
 
 
@@ -82,14 +84,17 @@ def graph_from_spec(spec: str):
         )
     kind, _, params = spec.partition(":")
     kind = kind.strip().lower()
-    if kind == "file":
-        from repro.taskgraph.io import load_taskgraph
+    try:
+        if kind == "file":
+            from repro.taskgraph.io import load_taskgraph
 
-        return load_taskgraph(Path(params))
-    if kind == "lbdump":
-        from repro.runtime.lbdb import LBDatabase
+            return load_taskgraph(Path(params))
+        if kind == "lbdump":
+            from repro.runtime.lbdb import LBDatabase
 
-        return LBDatabase.load(Path(params)).to_taskgraph()
+            return LBDatabase.load(Path(params)).to_taskgraph()
+    except OSError as exc:
+        raise SpecError(f"cannot read graph {spec!r}: {exc}") from exc
 
     head, *rest = params.split(";")
     if kind in ("mesh2d", "mesh3d"):

@@ -1,20 +1,23 @@
-"""On-demand compiled kernels for the mappers' production paths.
+"""On-demand compiled kernels for the mappers' and partitioners' production paths.
 
-``repro.mapping.refine_kernel.c`` holds two scalar C functions: one
-RefineTopoLB sweep with the incremental delta structure, and the per-cycle
-recentre-and-argmin pass of third-order TopoLB. This module compiles the
-file with the system C compiler (``cc``/``gcc``/``clang``) the first time it
-is needed, caches the shared object under the system temp directory keyed by
-a hash of the source and build flags, and loads it through :mod:`ctypes` —
-no third-party build dependency.
+``repro.mapping.refine_kernel.c`` holds four scalar C functions: one
+RefineTopoLB sweep with the incremental delta structure, the per-cycle
+recentre-and-argmin pass of third-order TopoLB, and the two loops of the
+phase-1 partitioner — one graph-growing bisection over a range of an order
+array, and one FM refinement pass. This module compiles the file with the
+system C compiler (``cc``/``gcc``/``clang``) the first time it is needed,
+caches the shared object under the system temp directory keyed by a hash of
+the source and build flags, and loads it through :mod:`ctypes` — no
+third-party build dependency.
 
-The compiled paths are strictly optional: :class:`~repro.mapping.refine.
-RefineTopoLB`'s ``"vectorized"`` kernel falls back to the NumPy block sweep,
-and third-order :class:`~repro.mapping.topolb.TopoLB` to its NumPy
-recentring, when no toolchain is available (or when ``REPRO_NO_NATIVE`` is
-set, which the test suite uses to pin both paths). ``-ffp-contract=off``
-keeps the C arithmetic bitwise identical to the NumPy reference kernels —
-no fused multiply-adds.
+The compiled paths are strictly optional. Without a toolchain (or when
+``REPRO_NO_NATIVE`` is set, which the test suite uses to pin both paths):
+:class:`~repro.mapping.refine.RefineTopoLB`'s ``"vectorized"`` kernel runs
+the NumPy block sweep, third-order :class:`~repro.mapping.topolb.TopoLB`
+its NumPy recentring, and :mod:`repro.partition.recursive_bisection` and
+:func:`~repro.partition.refinement.refine_kway` their loops over
+``csr_lists``. ``-ffp-contract=off`` keeps the C arithmetic bitwise
+identical to the NumPy and Python paths — no fused multiply-adds.
 """
 
 from __future__ import annotations
@@ -79,6 +82,18 @@ class NativeKernels:
         ]
         self._recentre = recentre
 
+        bisect = lib.partition_bisect
+        bisect.restype = i64
+        bisect.argtypes = [i64, *[ctypes.c_void_p] * 6,
+                           i64, i64, i64, i64, i64, ctypes.c_double]
+        self._bisect = bisect
+
+        refine_pass = lib.partition_refine_pass
+        refine_pass.restype = i64
+        refine_pass.argtypes = [i64, *[ctypes.c_void_p] * 8, ctypes.c_double,
+                                *[ctypes.c_void_p] * 3]
+        self._refine_pass = refine_pass
+
     def sweep(self, cost, dist, assign, indptr, indices, weights, perm,
               best_b, best_val, valid, stats) -> bool:
         n, p = cost.shape
@@ -101,6 +116,98 @@ class NativeKernels:
             raise ValueError("topolb3_recentre: inconsistent array sizes")
         self._recentre(p, fest, rows, rows.size, uc, delta,
                        free_ids, free_ids.size, f_min, f_argmin)
+
+    def partition_bisector(self, indptr, indices, vertex_weights,
+                           order) -> "PartitionBisector":
+        """``partition_bisect`` bound to one graph and one ``order`` array
+        (see :class:`PartitionBisector`)."""
+        return PartitionBisector(self._bisect, indptr, indices,
+                                 vertex_weights, order)
+
+    def partition_refine_pass(self, indptr, indices, edge_weights,
+                              vertex_weights, groups, loads, counts, perm,
+                              max_load: float) -> bool:
+        """One ``refine_kway`` pass over ``perm``, in place on ``groups``
+        (int64), ``loads`` (float64) and ``counts`` (int64), both of length
+        k; True if a vertex moved."""
+        n = vertex_weights.size
+        k = loads.size
+        if not (counts.size == k and 0 <= groups.min() and groups.max() < k
+                and 0 <= perm.min() and perm.max() < n):
+            raise ValueError("partition_refine_pass: inconsistent array sizes")
+        ptrs = _graph_ptrs(indptr, indices, vertex_weights, edge_weights)
+        ptrs += [_ptr(groups, np.int64, n, "groups", out=True),
+                 _ptr(loads, np.float64, k, "loads", out=True),
+                 _ptr(counts, np.int64, k, "counts", out=True),
+                 _ptr(perm, np.int64, n, "perm")]
+        conn = np.zeros(k)
+        seen = np.zeros(k, dtype=np.uint8)
+        cand = np.empty(k, dtype=np.int64)
+        return bool(self._refine_pass(n, *ptrs, max_load, conn.ctypes.data,
+                                      seen.ctypes.data, cand.ctypes.data))
+
+
+class PartitionBisector:
+    """Graph-growing bisection over ranges of one ``order`` array.
+
+    ``bisect(lo, hi, r, k1, k2, target)`` splits ``order[lo:hi]`` in
+    place, stably, side A first, and returns |A|. Side A grows by BFS from
+    a pseudo-peripheral seed found from ``order[lo + r]`` until it holds
+    ``target`` load, with at least ``k1`` members and leaving at least
+    ``k2``. Array sizes and dtypes are checked once, here; each call passes
+    raw pointers. ``state`` is the all-zero scratch every call restores.
+    """
+
+    __slots__ = ("order", "state", "_fn", "_args", "_keep")
+
+    def __init__(self, fn, indptr, indices, vertex_weights, order):
+        n = vertex_weights.size
+        if not (0 < order.size <= n and 0 <= order.min()
+                and order.max() < n):
+            raise ValueError("partition_bisect: order must hold vertex ids")
+        graph = _graph_ptrs(indptr, indices, vertex_weights)
+        self.order = order
+        self.state = np.zeros(n, dtype=np.uint8)
+        queue = np.empty(n, dtype=np.int64)
+        self._fn = fn
+        self._keep = (indptr, indices, vertex_weights, queue)
+        self._args = (order.size, *graph,
+                      _ptr(order, np.int64, order.size, "order", out=True),
+                      self.state.ctypes.data, queue.ctypes.data)
+
+    def __call__(self, lo: int, hi: int, r: int, k1: int, k2: int,
+                 target: float) -> int:
+        na = self._fn(*self._args, lo, hi, r, k1, k2, target)
+        if na < 0:
+            raise ValueError(
+                f"partition_bisect: bad range [{lo}, {hi}) with r={r}, "
+                f"k1={k1}, k2={k2}")
+        return na
+
+
+def _ptr(arr: np.ndarray, dtype, size: int, name: str, out: bool = False) -> int:
+    """Raw data pointer of a C-contiguous ``dtype`` array of ``size``."""
+    if not (arr.dtype == dtype and arr.flags.c_contiguous and arr.size == size
+            and (arr.flags.writeable or not out)):
+        raise ValueError(
+            f"{name}: expected {size} contiguous "
+            f"{'writeable ' if out else ''}{np.dtype(dtype).name}")
+    return arr.ctypes.data
+
+
+def _graph_ptrs(indptr, indices, vertex_weights, edge_weights=None) -> list[int]:
+    """Pointers to the CSR adjacency of ``vertex_weights.size`` vertices.
+
+    Sizes are checked here; the contents are ``TaskGraph.csr_arrays()``,
+    read-only and valid by construction, as for the refine sweep."""
+    n = vertex_weights.size
+    nnz = int(indptr[-1]) if indptr.size == n + 1 else -1
+    ptrs = [_ptr(indptr, np.int64, n + 1, "indptr"),
+            _ptr(indices, np.int64, nnz, "indices"),
+            _ptr(vertex_weights, np.float64, n, "vertex_weights")]
+    if edge_weights is not None:
+        ptrs.append(_ptr(edge_weights, np.float64, nnz, "edge_weights"))
+    return ptrs
 
 
 def _compiler() -> str | None:

@@ -1,6 +1,7 @@
-/* refine_kernel.c — compiled inner loops for the mapper production kernels.
+/* refine_kernel.c — compiled inner loops for the mapper and partitioner
+ * production paths.
  *
- * Two entry points, one shared object:
+ * Four entry points, one shared object:
  *
  * refine_sweep_incremental — ONE full sweep of RefineTopoLB's pairwise-swap
  * refiner with the incremental delta structure: per-task best-swap caches
@@ -12,17 +13,24 @@
  * re-centre every unassigned fest row on the shrunken free-processor
  * average and take its first minimum, over the free columns only.
  *
+ * partition_bisect — one graph-growing bisection of the phase-1
+ * partitioner over a range of an order array, split stably in place.
+ *
+ * partition_refine_pass — one FM pass of the phase-1 k-way refinement.
+ *
  * Bit-identity contract: every floating-point expression mirrors the
- * reference kernel's NumPy element order exactly (see
- * repro/mapping/refine.py, _refine_reference and _apply_swap, and
- * repro/mapping/topolb.py, _run_reference), and the build uses
+ * reference path's element order exactly (see repro/mapping/refine.py,
+ * _refine_reference and _apply_swap; repro/mapping/topolb.py,
+ * _run_reference; and the list walks of repro/partition/
+ * recursive_bisection.py and refinement.py), and the build uses
  * -ffp-contract=off so no fused-multiply-add changes rounding. The
- * equivalence suite pins compiled and reference assignments to be bitwise
+ * equivalence suites pin compiled and reference results to be bitwise
  * equal.
  *
  * Compiled on demand by repro.mapping._native via the system C compiler;
  * when no toolchain is available the NumPy paths in refine.py
- * (_refine_vectorized) and topolb.py (_run_third_order) run instead.
+ * (_refine_vectorized) and topolb.py (_run_third_order) run instead, and
+ * the partitioner walks csr_lists in Python (_bisect_lists, refine_kway).
  */
 
 #include <stdint.h>
@@ -266,4 +274,161 @@ void topolb3_recentre(i64 p, double *restrict fest,
         f_min[r] = bv;
         f_argmin[r] = free_ids[bj];
     }
+}
+
+/* Phase-1 partitioner: one graph-growing bisection of order[lo..hi), the
+ * body of repro/partition/recursive_bisection.py's list walk. order holds
+ * m distinct vertex ids, all below the vertex count n of state and queue.
+ *
+ * 1. Pseudo-peripheral seed: two BFS sweeps, the first from order[lo + r];
+ *    each sweep ends on the last vertex it enqueued.
+ * 2. BFS growth from the seed while count < (hi - lo) - k2, stopping once
+ *    count >= k1 and acc + 0.5 * vw[v] >= target; an empty queue restarts
+ *    from the first unpicked member in order.
+ * 3. Stable in-place split: picked members first, each side in its
+ *    previous relative order.
+ *
+ * state (n bytes, all zero on entry and on return) marks the members:
+ * 1 free, 2 queued or seen by the first sweep, 3 picked. The second sweep
+ * walks the same component as the first, so it flips 2 back to 1 instead
+ * of needing its own marks. queue (n) is FIFO space for the sweeps and the
+ * growth, then the side-B buffer of the split. Returns |A|, or -1 when the
+ * range arguments are out of bounds. */
+i64 partition_bisect(i64 m, const i64 *restrict indptr,
+                     const i64 *restrict indices,
+                     const double *restrict vw, i64 *restrict order,
+                     unsigned char *restrict state, i64 *restrict queue,
+                     i64 lo, i64 hi, i64 r, i64 k1, i64 k2, double target)
+{
+    if (lo < 0 || hi > m || lo >= hi || r < 0 || r >= hi - lo || k1 < 0
+        || k2 < 0)
+        return -1;
+    const i64 size = hi - lo;
+    for (i64 i = lo; i < hi; i++)
+        state[order[i]] = 1;
+
+    i64 start = order[lo + r];
+    for (int sweep = 0; sweep < 2; sweep++) {
+        const unsigned char unseen = sweep ? 2 : 1;
+        const unsigned char seen = sweep ? 1 : 2;
+        i64 head = 0, tail = 0, last = start;
+        state[start] = seen;
+        queue[tail++] = start;
+        while (head < tail) {
+            const i64 v = queue[head++];
+            for (i64 j = indptr[v]; j < indptr[v + 1]; j++) {
+                const i64 u = indices[j];
+                if (state[u] == unseen) {
+                    state[u] = seen;
+                    queue[tail++] = u;
+                    last = u;
+                }
+            }
+        }
+        start = last;
+    }
+
+    i64 head = 0, tail = 0, count = 0, scan = lo;
+    const i64 max_count = size - k2;
+    double acc = 0.0;
+    state[start] = 2;
+    queue[tail++] = start;
+    while (count < max_count) {
+        if (head == tail) {
+            while (scan < hi && state[order[scan]] == 3)
+                scan++;
+            if (scan == hi) /* only with repeated ids in order */
+                break;
+            state[order[scan]] = 2;
+            queue[tail++] = order[scan];
+        }
+        const i64 v = queue[head++];
+        if (count >= k1 && acc + 0.5 * vw[v] >= target)
+            break;
+        state[v] = 3;
+        acc += vw[v];
+        count++;
+        for (i64 j = indptr[v]; j < indptr[v + 1]; j++) {
+            const i64 u = indices[j];
+            if (state[u] == 1) {
+                state[u] = 2;
+                queue[tail++] = u;
+            }
+        }
+    }
+
+    i64 na = 0, nb = 0;
+    for (i64 i = lo; i < hi; i++) {
+        const i64 v = order[i];
+        if (state[v] == 3)
+            order[lo + na++] = v;
+        else
+            queue[nb++] = v;
+        state[v] = 0;
+    }
+    memcpy(order + lo + na, queue, (size_t)nb * sizeof(i64));
+    return na;
+}
+
+/* One FM pass of repro/partition/refinement.py's refine_kway over
+ * perm[0..n): each vertex with a neighbour and a source group of two or
+ * more members moves to the group of its strictly largest gain
+ * conn[g] - conn[src] > 0 whose load stays within max_load. conn sums edge
+ * bytes per group in neighbour order into conn (k doubles, zero on entry
+ * and on return); cand (k) lists the groups in first-seen order, so a gain
+ * tie goes to the first-seen group, as in the dict of the list walk.
+ * groups, loads and counts update in place. Returns 1 if a vertex moved. */
+i64 partition_refine_pass(i64 n, const i64 *restrict indptr,
+                          const i64 *restrict indices,
+                          const double *restrict vw,
+                          const double *restrict ew, i64 *restrict groups,
+                          double *restrict loads, i64 *restrict counts,
+                          const i64 *restrict perm, double max_load,
+                          double *restrict conn, unsigned char *restrict seen,
+                          i64 *restrict cand)
+{
+    i64 moved = 0;
+    for (i64 i = 0; i < n; i++) {
+        const i64 v = perm[i];
+        const i64 src = groups[v];
+        const i64 lo = indptr[v], hi = indptr[v + 1];
+        if (counts[src] <= 1 || lo == hi)
+            continue;
+        i64 m = 0;
+        for (i64 j = lo; j < hi; j++) {
+            const i64 g = groups[indices[j]];
+            if (!seen[g]) {
+                seen[g] = 1;
+                cand[m++] = g;
+            }
+            conn[g] = conn[g] + ew[j];
+        }
+        const double internal = conn[src];
+        const double w = vw[v];
+        i64 best_g = -1;
+        double best_gain = 0.0;
+        for (i64 c = 0; c < m; c++) {
+            const i64 g = cand[c];
+            if (g == src)
+                continue;
+            const double gain = conn[g] - internal;
+            if (gain > best_gain && loads[g] + w <= max_load) {
+                best_g = g;
+                best_gain = gain;
+            }
+        }
+        for (i64 c = 0; c < m; c++) {
+            conn[cand[c]] = 0.0;
+            seen[cand[c]] = 0;
+        }
+        if (best_g >= 0) {
+            groups[v] = best_g;
+            loads[src] -= w;
+            loads[best_g] += w;
+            counts[src]--;
+            counts[best_g]++;
+            moved = 1;
+        }
+    }
+    return moved;
 }

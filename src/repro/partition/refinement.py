@@ -6,6 +6,13 @@ and greedily applies the best strictly-cut-reducing move that keeps every
 group within the load ceiling and non-empty. Passes repeat until quiescent
 or the pass budget runs out — the standard greedy simplification of
 Fiduccia–Mattheyses used by multilevel partitioners.
+
+Each ``refine_kway`` pass runs compiled (``partition_refine_pass`` in
+:mod:`repro.mapping._native`); Python keeps the pass count, the early stop
+and the ``rng.permutation`` draw of each pass. Without a C compiler, or
+with ``REPRO_NO_NATIVE`` set, the pass is a loop over :func:`csr_lists`.
+``rebalance_kway`` is only that loop: it costs about 2 ms per LeanMD
+request, and it depends on NumPy's unstable heavy-first ``argsort``.
 """
 
 from __future__ import annotations
@@ -93,17 +100,34 @@ def refine_kway(
 
     ``max_load`` is the hard per-group load ceiling (typically
     ``tolerance * total / k``); moves that would breach it, or would empty
-    the source group, are rejected.
+    the source group, are rejected. A gain tie goes to the neighbouring
+    group seen first in ``v``'s adjacency order.
     """
+    from repro.mapping import _native  # repro.mapping imports this package
+
     rng = as_rng(seed)
+    n = graph.num_tasks
+    loads = np.bincount(groups, weights=graph.vertex_weights, minlength=k)
+    counts = np.bincount(groups, minlength=k).astype(np.int64)
+    native = _native.load()
+    if native is not None:
+        work = np.ascontiguousarray(groups, dtype=np.int64)
+        indptr, indices, edge_w = graph.csr_arrays()
+        for _pass in range(passes):
+            if not native.partition_refine_pass(
+                    indptr, indices, edge_w, graph.vertex_weights, work,
+                    loads, counts, rng.permutation(n), float(max_load)):
+                break
+        groups[:] = work
+        return groups
+
     indptr, indices, edge_w, weights = csr_lists(graph)
-    loads = np.bincount(groups, weights=graph.vertex_weights, minlength=k).tolist()
-    counts = np.bincount(groups, minlength=k).tolist()
+    loads, counts = loads.tolist(), counts.tolist()
     glist = groups.tolist()
 
     for _pass in range(passes):
         moved = False
-        for v in rng.permutation(graph.num_tasks).tolist():
+        for v in rng.permutation(n).tolist():
             src = glist[v]
             lo, hi = indptr[v], indptr[v + 1]
             if counts[src] <= 1 or lo == hi:

@@ -33,7 +33,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.exceptions import ReproError, SpecError
+from repro.exceptions import ReproError, SpecError, TaskGraphError
 from repro.obs.core import Profiler
 from repro.service.cache import (
     ResultCache,
@@ -251,7 +251,9 @@ class MappingService:
             request, wait = parse_request_body(body)
             with self.profiler.timer("service.key"):
                 key = request_cache_key(request)
-        except (ServiceRequestError, SpecError) as exc:
+        except (ServiceRequestError, SpecError, TaskGraphError) as exc:
+            # Keying builds the graph: a spec or file that cannot make a
+            # valid task graph is the client's error, not the server's.
             self.profiler.count("service.bad_requests")
             raise ServiceRequestError(str(exc)) from exc
 

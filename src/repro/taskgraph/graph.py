@@ -81,6 +81,8 @@ class TaskGraph:
                     f"vertex_weights must have shape ({self._n},), "
                     f"got {self._vertex_weights.shape}"
                 )
+            if not np.isfinite(self._vertex_weights).all():
+                raise TaskGraphError("vertex weights must be finite")
             if (self._vertex_weights < 0).any():
                 raise TaskGraphError("vertex weights must be non-negative")
         self._vertex_weights.flags.writeable = False
@@ -112,10 +114,12 @@ class TaskGraph:
             raise TaskGraphError(
                 f"self-edge at task {u[i]} (intra-task bytes are free)"
             )
-        if (w < 0).any():
-            i = int(np.flatnonzero(w < 0)[0])
+        bad = ~np.isfinite(w) | (w < 0)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
             raise TaskGraphError(
-                f"edge ({u[i]},{v[i]}) has negative weight {w[i]}"
+                f"edge ({u[i]},{v[i]}) has weight {w[i]}; edge bytes must be "
+                "finite and non-negative"
             )
 
         a = np.minimum(u, v)

@@ -161,6 +161,17 @@ def test_graph_from_spec_errors(bad):
         graph_from_spec(bad)
 
 
+@pytest.mark.parametrize("bad", ["mesh2d:4x4;bytes=nan", "ring:16;bytes=inf",
+                                 "random:8;p=nan", "random:8;seed=inf"])
+def test_non_finite_graph_option_is_a_spec_error(bad):
+    with pytest.raises(SpecError, match="finite"):
+        graph_from_spec(bad)
+    # Never a mapping with NaN hop-bytes.
+    with pytest.raises(SpecError, match="finite"):
+        MappingEngine().run(MappingRequest(graph=bad, topology="torus:4x4",
+                                           mapper="random", seed=0))
+
+
 def test_canonical_command_includes_seed_and_kernel():
     line = canonical_command("TopoLB", "torus:8x8", None, None)
     assert "--strategy 'pipeline:inner=topolb'" in line

@@ -1,13 +1,15 @@
-"""Phase-1 partitioner equivalence: the CSR-list loops against their oracles.
+"""Phase-1 partitioner equivalence: both production paths against oracles.
 
-``grow_bisection``, ``_pseudo_peripheral``, ``refine_kway`` and
-``rebalance_kway`` walk plain Python lists built once from
-``TaskGraph.csr_arrays()``. The oracles below are the per-vertex-accessor
-versions they replaced, kept verbatim as test-only references: same visit
-order, same ``rng`` draws, same float operations. Every production result
-must be array-equal to its oracle's, including on disconnected graphs,
-isolated and zero-weight vertices, and vertices heavier than the load
-ceiling.
+Recursive bisection and ``refine_kway`` run compiled
+(``partition_bisect`` and ``partition_refine_pass`` in
+``repro.mapping._native``) and fall back to loops over plain Python lists
+built from ``TaskGraph.csr_arrays()`` under ``REPRO_NO_NATIVE=1``;
+``rebalance_kway`` has only the list walk. The oracles below are the
+per-vertex-accessor versions the list walks replaced, kept verbatim as
+test-only references: same visit order, same ``rng`` draws, same float
+operations. Every production result, on both paths, must be array-equal to
+its oracle's, including on disconnected graphs, isolated and zero-weight
+vertices, and vertices heavier than the load ceiling.
 """
 
 from __future__ import annotations
@@ -15,13 +17,19 @@ from __future__ import annotations
 from collections import deque
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.mapping import _native
 from repro.partition.base import csr_lists
 from repro.partition.coarsening import contract, heavy_edge_matching
 from repro.partition.multilevel import MultilevelPartitioner
-from repro.partition.recursive_bisection import RecursiveBisectionPartitioner, grow_bisection
+from repro.partition.recursive_bisection import (
+    RecursiveBisectionPartitioner,
+    _bisect_lists,
+    grow_bisection,
+)
 from repro.partition.refinement import rebalance_kway, refine_kway
 from repro.taskgraph import TaskGraph, leanmd_taskgraph, random_taskgraph
 from repro.utils.rng import as_rng
@@ -199,6 +207,21 @@ def _refine_kway_oracle(graph, groups, k, max_load, passes=4, seed=0):
     return groups
 
 
+# -------------------------------------------------------------------- paths
+def _assert_both_paths_equal(run, want):
+    """``run()`` must be array-equal to ``want`` on the compiled path (when
+    a C compiler exists) and on the ``REPRO_NO_NATIVE=1`` list walk.
+
+    The paths are a loop inside each test, not a parametrization, so the
+    hypothesis tests keep one id and draw the same examples for both."""
+    for no_native in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if no_native:
+                mp.setenv("REPRO_NO_NATIVE", "1")
+            np.testing.assert_array_equal(
+                run(), want, err_msg="list walk" if no_native else "compiled")
+
+
 # --------------------------------------------------------------- strategies
 @st.composite
 def graphs(draw, max_n: int = 24):
@@ -231,8 +254,9 @@ def graph_and_groups(draw):
 @settings(max_examples=150, deadline=None)
 def test_recursive_bisection_matches_oracle(g, data, seed):
     k = data.draw(st.integers(1, g.num_tasks))
-    got = RecursiveBisectionPartitioner(seed=seed).partition(g, k)
-    np.testing.assert_array_equal(got, _recursive_bisection_oracle(g, k, seed))
+    _assert_both_paths_equal(
+        lambda: RecursiveBisectionPartitioner(seed=seed).partition(g, k),
+        _recursive_bisection_oracle(g, k, seed))
 
 
 @given(graphs(), st.data(), st.integers(0, 2**16))
@@ -244,9 +268,10 @@ def test_grow_bisection_on_a_subset_matches_oracle(g, data, seed):
     subset = np.random.default_rng(seed).permutation(g.num_tasks)[:size]
     k1 = data.draw(st.integers(1, size - 1))
     k2 = data.draw(st.integers(1, size - k1))
-    got = grow_bisection(g, csr_lists(g), subset, k1, k2, np.random.default_rng(seed))
-    want = _grow_bisection_oracle(g, subset, k1, k2, np.random.default_rng(seed))
-    np.testing.assert_array_equal(got, want)
+    _assert_both_paths_equal(
+        lambda: grow_bisection(g, csr_lists(g), subset, k1, k2,
+                               np.random.default_rng(seed)),
+        _grow_bisection_oracle(g, subset, k1, k2, np.random.default_rng(seed)))
 
 
 @given(graph_and_groups(), st.sampled_from([1.0, 1.1, 1.5]), st.integers(0, 2**16))
@@ -254,9 +279,9 @@ def test_grow_bisection_on_a_subset_matches_oracle(g, data, seed):
 def test_refine_kway_matches_oracle(case, tol, seed):
     g, k, groups = case
     max_load = tol * g.total_vertex_weight / k
-    got = refine_kway(g, groups.copy(), k, max_load, passes=4, seed=seed)
-    want = _refine_kway_oracle(g, groups.copy(), k, max_load, passes=4, seed=seed)
-    np.testing.assert_array_equal(got, want)
+    _assert_both_paths_equal(
+        lambda: refine_kway(g, groups.copy(), k, max_load, passes=4, seed=seed),
+        _refine_kway_oracle(g, groups.copy(), k, max_load, passes=4, seed=seed))
 
 
 @given(graph_and_groups(), st.sampled_from([1.0, 1.1, 1.5]), st.booleans())
@@ -302,16 +327,17 @@ def _multilevel_oracle(graph, k, seed=0, tol=1.10, coarsen_factor=8, passes=4):
 def test_leanmd_phase1_matches_oracle():
     """The paper's regime: 3,752 tasks onto k = 512 never coarsens."""
     g = leanmd_taskgraph(512)
-    got = MultilevelPartitioner().partition(g, 512)
-    np.testing.assert_array_equal(got, _multilevel_oracle(g, 512))
+    _assert_both_paths_equal(lambda: MultilevelPartitioner().partition(g, 512),
+                             _multilevel_oracle(g, 512))
 
 
 def test_sparse_random_phase1_matches_oracle():
     """Isolated vertices, and both the coarsening and the flat regime."""
     g = random_taskgraph(200, edge_prob=0.01, seed=5)
     for k in (2, 7, 64, 200):
-        got = MultilevelPartitioner(seed=3).partition(g, k)
-        np.testing.assert_array_equal(got, _multilevel_oracle(g, k, seed=3))
+        _assert_both_paths_equal(
+            lambda: MultilevelPartitioner(seed=3).partition(g, k),
+            _multilevel_oracle(g, k, seed=3))
 
 
 def test_rebalance_large_overloaded_group_matches_oracle():
@@ -324,3 +350,88 @@ def test_rebalance_large_overloaded_group_matches_oracle():
     max_load = 1.05 * g.total_vertex_weight / 6
     got = rebalance_kway(g, groups.copy(), 6, max_load)
     np.testing.assert_array_equal(got, _rebalance_kway_oracle(g, groups.copy(), 6, max_load))
+
+
+# ------------------------------------------------------- compiled kernels
+@pytest.fixture
+def native():
+    kernels = _native.load()
+    if kernels is None:
+        pytest.skip("no C compiler on this host")
+    return kernels
+
+
+def _csr(g):
+    indptr, indices, edge_w = g.csr_arrays()
+    return indptr, indices, edge_w, g.vertex_weights
+
+
+def test_compiled_bisect_splits_stably_and_restores_its_scratch(native):
+    g = random_taskgraph(60, edge_prob=0.08, seed=4)
+    rng = np.random.default_rng(4)
+    order = rng.permutation(60).astype(np.int64)
+    before = order.copy()
+    lists = order.copy()
+    indptr, indices, _, vw = _csr(g)
+    bisect = native.partition_bisector(indptr, indices, vw, order)
+    lo, hi = 7, 51
+    target = float(vw[order[lo:hi]].sum()) * 3 / 7
+    na = bisect(lo, hi, 5, 3, 4, target)
+    assert na == _bisect_lists(csr_lists(g), lists, lo, hi, 5, 3, 4, target)
+    np.testing.assert_array_equal(order, lists)
+    # Outside the range nothing moves; inside, each side keeps its order.
+    np.testing.assert_array_equal(order[:lo], before[:lo])
+    np.testing.assert_array_equal(order[hi:], before[hi:])
+    side_a = np.isin(before[lo:hi], order[lo:lo + na])
+    np.testing.assert_array_equal(order[lo:lo + na], before[lo:hi][side_a])
+    np.testing.assert_array_equal(order[lo + na:hi], before[lo:hi][~side_a])
+    assert 3 <= na <= hi - lo - 4
+    assert not bisect.state.any()
+
+
+def test_compiled_refine_pass_breaks_gain_ties_toward_first_seen_group(native):
+    # Vertex 0 sits in group 0 beside group 2 (neighbour 1, seen first) and
+    # group 1 (neighbour 2), one byte each: equal gains, so group 2 wins.
+    g = TaskGraph(4, [(0, 1, 1.0), (0, 2, 1.0)])
+    indptr, indices, edge_w, vw = _csr(g)
+    groups = np.array([0, 2, 1, 0], dtype=np.int64)
+    loads = np.bincount(groups, weights=vw, minlength=3)
+    counts = np.bincount(groups, minlength=3).astype(np.int64)
+    moved = native.partition_refine_pass(indptr, indices, edge_w, vw, groups,
+                                         loads, counts, np.arange(4), np.inf)
+    assert moved
+    np.testing.assert_array_equal(groups, [2, 2, 1, 0])
+    np.testing.assert_array_equal(loads, [1.0, 1.0, 2.0])
+    np.testing.assert_array_equal(counts, [1, 1, 2])
+
+
+def test_compiled_partitioner_rejects_inconsistent_sizes(native):
+    g = random_taskgraph(10, edge_prob=0.3, seed=1)
+    indptr, indices, edge_w, vw = _csr(g)
+    order = np.arange(10, dtype=np.int64)
+    for args in ((indptr[:-1], indices, vw, order),           # short indptr
+                 (indptr, indices[:-1], vw, order),           # short indices
+                 (indptr, indices, vw, order.astype(np.int32)),
+                 (indptr, indices, vw, np.array([0, 10])),   # id out of range
+                 (indptr, indices, vw, np.arange(11))):       # too long
+        with pytest.raises(ValueError):
+            native.partition_bisector(*args)
+    bisect = native.partition_bisector(indptr, indices, vw, order)
+    for lo, hi, r in ((0, 11, 0), (4, 4, 0), (0, 5, 5), (-1, 5, 0)):
+        with pytest.raises(ValueError):
+            bisect(lo, hi, r, 1, 1, 1.0)
+
+    groups = np.zeros(10, dtype=np.int64)
+    groups[5:] = 1
+    loads = np.bincount(groups, weights=vw, minlength=2)
+    counts = np.bincount(groups, minlength=2).astype(np.int64)
+    perm = np.arange(10)
+    good = (indptr, indices, edge_w, vw, groups, loads, counts, perm, np.inf)
+    for i, bad in ((4, groups[:-1]), (4, groups + 1), (5, loads[:1]),
+                   (6, counts[:1]), (6, counts.astype(np.int32)),
+                   (7, perm[:-1]), (7, perm + 1), (2, edge_w[:-1])):
+        args = list(good)
+        args[i] = bad
+        with pytest.raises(ValueError):
+            native.partition_refine_pass(*args)
+    assert native.partition_refine_pass(*good) in (True, False)

@@ -110,6 +110,35 @@ def test_map_nan_netsim_knob_is_4xx(server):
     assert "must be finite" in reply["error"]
 
 
+@pytest.mark.parametrize("graph", ["ring:16;bytes=-1", "mesh2d:4x4;bytes=nan"])
+def test_map_invalid_graph_is_400(server, graph):
+    status, _, reply = _call(f"{server}/map", "POST",
+                             {**BODY, "graph": graph, "mapper": "random"})
+    assert status == 400
+    assert "finite" in reply["error"] or "non-negative" in reply["error"]
+
+
+def test_map_missing_graph_file_is_400(server, tmp_path):
+    status, _, reply = _call(f"{server}/map", "POST",
+                             {**BODY, "graph": f"file:{tmp_path / 'no.json'}"})
+    assert status == 400
+    assert "cannot read graph" in reply["error"]
+
+
+@pytest.mark.parametrize("doc", [
+    '{"format": "repro-taskgraph-v1", "num_tasks": 2}',
+    '{"format": "repro-taskgraph-v1", "num_tasks": 2, '
+    '"edges": [[0, 1, NaN]], "vertex_weights": [1.0, 1.0]}',
+], ids=["missing-fields", "nan-edge"])
+def test_map_malformed_graph_file_is_400(server, tmp_path, doc):
+    path = tmp_path / "app.json"
+    path.write_text(doc)
+    status, _, reply = _call(f"{server}/map", "POST",
+                             {**BODY, "graph": f"file:{path}"})
+    assert status == 400
+    assert "task-graph" in reply["error"] or "finite" in reply["error"]
+
+
 def test_method_mismatches_are_405(server):
     assert _call(f"{server}/map")[0] == 405
     assert _call(f"{server}/healthz", "POST", {})[0] == 405

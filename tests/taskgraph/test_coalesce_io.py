@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,19 @@ class TestIO:
     def test_rejects_wrong_format(self):
         with pytest.raises(TaskGraphError):
             taskgraph_from_json('{"format": "something-else"}')
+
+    @pytest.mark.parametrize("field", ["edges", "vertex_weights"])
+    def test_rejects_non_finite_weights(self, field):
+        # json.loads takes the NaN and Infinity literals json.dumps writes.
+        doc = {"format": "repro-taskgraph-v1", "num_tasks": 2,
+               "edges": [[0, 1, 1.0]], "vertex_weights": [1.0, 1.0]}
+        for bad in (float("nan"), float("inf")):
+            if field == "edges":
+                doc["edges"] = [[0, 1, bad]]
+            else:
+                doc["vertex_weights"] = [bad, 1.0]
+            with pytest.raises(TaskGraphError, match="finite"):
+                taskgraph_from_json(json.dumps(doc))
 
     def test_rejects_malformed_payload(self):
         with pytest.raises(TaskGraphError):

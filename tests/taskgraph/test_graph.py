@@ -50,6 +50,17 @@ class TestConstruction:
         with pytest.raises(TaskGraphError):
             TaskGraph(2, [], vertex_weights=[1.0, -1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(TaskGraphError, match="finite"):
+            TaskGraph(2, [(0, 1, bad)])
+        with pytest.raises(TaskGraphError, match="finite"):
+            TaskGraph(2, [], vertex_weights=[1.0, bad])
+        with pytest.raises(TaskGraphError, match="finite"):
+            TaskGraph.from_arrays(3, [0, 1], [1, 2], [1.0, bad])
+        with pytest.raises(TaskGraphError, match="finite"):
+            TaskGraph.from_arrays(2, [0], [1], [1.0], [bad, 1.0])
+
     def test_bad_vertex_weight_shape(self):
         with pytest.raises(TaskGraphError):
             TaskGraph(2, [], vertex_weights=[1.0])

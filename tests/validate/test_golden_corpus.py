@@ -1,5 +1,6 @@
 """Golden-regression corpus: every pinned triple replays bit-identically
-under both kernels, and tampered documents are rejected."""
+under both kernels, with and without the compiled kernels, and tampered
+documents are rejected."""
 
 from __future__ import annotations
 
@@ -46,9 +47,14 @@ def test_flow_metric_drift_detected(tmp_path):
 
 @pytest.mark.parametrize("path", GOLDEN_PATHS, ids=lambda p: p.stem)
 @pytest.mark.parametrize("kernel", ["vectorized", "reference"])
-def test_golden_replays_exactly(path, kernel):
-    metrics = check_golden(path, level="full", kernel=kernel)
-    assert metrics == load_golden(path)["metrics"]
+def test_golden_replays_exactly(path, kernel, monkeypatch):
+    """Each triple replays on the compiled kernels and again on their
+    ``REPRO_NO_NATIVE=1`` fallbacks (the block sweep, NumPy recentring and
+    the partitioner's list walk). Both paths run inside one test id."""
+    want = load_golden(path)["metrics"]
+    assert check_golden(path, level="full", kernel=kernel) == want
+    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+    assert check_golden(path, level="full", kernel=kernel) == want
 
 
 def _tampered(tmp_path, mutate):
