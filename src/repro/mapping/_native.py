@@ -8,16 +8,14 @@ array, and one FM refinement pass. This module compiles the file with the
 system C compiler (``cc``/``gcc``/``clang``) the first time it is needed,
 caches the shared object under the system temp directory keyed by a hash of
 the source and build flags, and loads it through :mod:`ctypes` — no
-third-party build dependency.
+third-party build dependency. ``-ffp-contract=off`` keeps the C arithmetic
+bitwise identical to the Python reference bodies — no fused multiply-adds.
 
-The compiled paths are strictly optional. Without a toolchain (or when
-``REPRO_NO_NATIVE`` is set, which the test suite uses to pin both paths):
-:class:`~repro.mapping.refine.RefineTopoLB`'s ``"vectorized"`` kernel runs
-the NumPy block sweep, third-order :class:`~repro.mapping.topolb.TopoLB`
-its NumPy recentring, and :mod:`repro.partition.recursive_bisection` and
-:func:`~repro.partition.refinement.refine_kway` their loops over
-``csr_lists``. ``-ffp-contract=off`` keeps the C arithmetic bitwise
-identical to the NumPy and Python paths — no fused multiply-adds.
+Every call site is compiled or reference, with nothing in between: when
+:func:`kernels_or_fallback` returns ``None`` (no C compiler, a failed build,
+or ``REPRO_NO_NATIVE`` set) it runs its bit-identical reference body — the
+``kernel="reference"`` loops of RefineTopoLB and third-order TopoLB, and the
+partitioner's walks over ``csr_lists``.
 """
 
 from __future__ import annotations
@@ -29,10 +27,13 @@ import shutil
 import subprocess
 import tempfile
 import threading
+import warnings
 
 import numpy as np
 
-__all__ = ["load", "available"]
+from repro import obs
+
+__all__ = ["load", "available", "kernels_or_fallback"]
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "refine_kernel.c")
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
@@ -40,6 +41,8 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _lock = threading.Lock()
 _UNSET = object()
 _cached: object = _UNSET
+_error: str | None = None  # why the build failed, once it has
+_warned = False
 
 
 class NativeKernels:
@@ -226,10 +229,10 @@ def _cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
 
 
-def _build() -> NativeKernels | None:
+def _build() -> NativeKernels:
     cc = _compiler()
     if cc is None:
-        return None
+        raise RuntimeError("no C compiler (cc, gcc or clang) on PATH")
     with open(_SOURCE, "rb") as fh:
         source = fh.read()
     key = hashlib.sha256(
@@ -247,6 +250,12 @@ def _build() -> NativeKernels | None:
                 check=True, capture_output=True, timeout=120,
             )
             os.replace(tmp, so_path)  # atomic: concurrent builds both win
+        except subprocess.CalledProcessError as exc:
+            tail = exc.stderr.decode(errors="replace").strip()[-800:]
+            raise RuntimeError(
+                f"{os.path.basename(cc)} failed to compile "
+                f"{os.path.basename(_SOURCE)} (exit {exc.returncode}): {tail}"
+            ) from None
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
@@ -257,21 +266,42 @@ def load() -> NativeKernels | None:
     """The compiled kernels, or ``None`` when unavailable.
 
     ``REPRO_NO_NATIVE`` is consulted on every call (so tests can flip the
-    fallback path with a plain env monkeypatch); the build itself — including
-    failure — runs once and is remembered for the life of the process.
+    reference route with a plain env monkeypatch); the build runs once per
+    process, and the cause of a failure is kept in ``_error``.
     """
-    global _cached
+    global _cached, _error
     if os.environ.get("REPRO_NO_NATIVE"):
         return None
     with _lock:
         if _cached is _UNSET:
             try:
                 _cached = _build()
-            except Exception:
-                _cached = None
+            except Exception as exc:
+                _cached, _error = None, str(exc) or type(exc).__name__
         return _cached  # type: ignore[return-value]
 
 
 def available() -> bool:
     """True when the compiled kernels can be used in this process."""
     return load() is not None
+
+
+def kernels_or_fallback() -> NativeKernels | None:
+    """The compiled kernels for a production call site, or ``None``, in
+    which case the caller runs its reference body. Each ``None`` counts
+    ``kernel.reference_fallbacks`` on the active profiler; the first one in
+    a process emits a :class:`RuntimeWarning` naming the cause."""
+    global _warned
+    native = load()
+    if native is None:
+        obs.count("kernel.reference_fallbacks")
+        with _lock:
+            first, _warned = not _warned, True
+        if first:
+            cause = ("REPRO_NO_NATIVE is set"
+                     if os.environ.get("REPRO_NO_NATIVE") else _error)
+            warnings.warn(
+                f"compiled kernels unavailable ({cause}); running the "
+                "reference bodies, which give the same results more slowly",
+                RuntimeWarning, stacklevel=2)
+    return native

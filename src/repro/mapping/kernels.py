@@ -5,17 +5,15 @@ The performance-critical mappers (:class:`~repro.mapping.topolb.TopoLB`,
 one reference oracle for their inner loops:
 
 ``"vectorized"`` (the default, the production kernel)
-    TopoLB: batched NumPy kernels — neighbor-row updates, stale-argmin
-    repair and score evaluation operate on whole index blocks per call
-    instead of one Python-level element at a time; the third-order
-    estimator's per-cycle recentring runs compiled
-    (:mod:`repro.mapping._native`) with a NumPy fallback. RefineTopoLB: the
-    compiled incremental sweep (per-task best-swap caches repaired after
-    each accepted swap, :mod:`repro.mapping._native`), falling back to the
-    NumPy block sweep when no C compiler is available or
-    ``REPRO_NO_NATIVE`` is set. Every path produces **bit-identical
+    TopoLB: batched NumPy kernels for first and second order (neighbor-row
+    updates, stale-argmin repair and score evaluation over whole index
+    blocks per call), and a third-order loop whose per-cycle recentring
+    runs compiled (:mod:`repro.mapping._native`). RefineTopoLB: the
+    compiled incremental sweep. Every path produces **bit-identical
     assignments** to the reference kernel (enforced by
-    ``tests/mapping/test_kernel_equivalence.py``).
+    ``tests/mapping/test_kernel_equivalence.py``); where the production
+    body is compiled and no C compiler is available (or ``REPRO_NO_NATIVE``
+    is set), the mapper runs its ``"reference"`` body instead.
 
 ``"reference"``
     The original scalar loops, kept verbatim as the executable

@@ -36,15 +36,7 @@ cached argmin fell in it, are recomputed in full. A converged sweep is n
 cache reads.
 
 Without a C compiler (or under ``REPRO_NO_NATIVE``) the production kernel
-falls back to the NumPy *block sweep*: it evaluates the delta rows for a
-block of ``_BLOCK_SIZE`` tasks as one ``(B, n)`` matrix expression, then
-walks the block in sweep order consuming the precomputed rows. The
-precomputed rows are valid until the first accepted swap mutates
-``assign``/``cost``; from that point the block is discarded and a fresh
-(small, re-doubling) window restarts just past the swap, so the block sweep
-visits the same tasks in the same order with the same deltas as the
-reference kernel (converged sweeps collapse to ~``log(n / B)`` matrix
-operations total). Both paths give bit-identical refined mappings.
+runs the reference sweep instead.
 """
 
 from __future__ import annotations
@@ -64,11 +56,6 @@ from repro.utils.rng import as_rng
 
 __all__ = ["RefineTopoLB"]
 
-#: Tasks per ``(B, n)`` delta block in the block sweep. Larger blocks
-#: amortize better on converged sweeps but waste more precomputation when
-#: swaps fire early in a block; the block size never changes the result.
-_BLOCK_SIZE = 64
-
 
 class RefineTopoLB(Mapper):
     """Hop-bytes-decreasing pairwise-swap refiner.
@@ -85,9 +72,9 @@ class RefineTopoLB(Mapper):
         Sweep order is randomized (a fixed order can get stuck in the same
         local minimum every sweep); the seed makes runs reproducible.
     kernel:
-        ``"vectorized"`` (compiled incremental sweep with the block sweep as
-        fallback, the default), ``"reference"`` (row-at-a-time), or ``None``
-        for the default.
+        ``"vectorized"`` (the compiled incremental sweep, the default; the
+        reference sweep without a C compiler), ``"reference"``
+        (row-at-a-time), or ``None`` for the default.
     """
 
     strategy_name = "RefineTopoLB"
@@ -139,12 +126,11 @@ class RefineTopoLB(Mapper):
         shared per-(graph, topology) tables.
         """
         allowed = resolve_allowed(mapping.topology, allowed)
-        if self._kernel == "reference":
-            run = self._refine_reference
-        elif _native.available():
+        if (self._kernel == "vectorized"
+                and _native.kernels_or_fallback() is not None):
             run = self._refine_incremental_native
         else:
-            run = self._refine_vectorized
+            run = self._refine_reference
         prof = obs.active()
         if prof is None:
             return run(mapping, allowed=allowed, ctx=ctx)
@@ -224,8 +210,8 @@ class RefineTopoLB(Mapper):
         ctx: MappingContext | None = None,
     ) -> Mapping:
         """Row-at-a-time sweep — the executable specification of the
-        production kernel; the equivalence suite pins the two (native and
-        fallback) to identical outputs.
+        production kernel, and its body wherever the compiled sweep is
+        unavailable; the equivalence suite pins the two to identical outputs.
 
         Swaps only exchange the processors of two mapped tasks, so the sweep
         body is mask-oblivious: a mapping that starts on allowed processors
@@ -272,131 +258,6 @@ class RefineTopoLB(Mapper):
                 break
 
         self._record_totals(prof, n, sweeps, evaluations, accepted)
-        return mapping.with_assignment(assign)
-
-    def _refine_vectorized(
-        self, mapping: Mapping, prof: obs.Profiler | None = None,
-        allowed: np.ndarray | None = None,
-        ctx: MappingContext | None = None,
-    ) -> Mapping:
-        """Block sweep, the production kernel's fallback without a C
-        compiler: precompute ``(B, n)`` delta rows, consume them until the
-        first accepted swap invalidates the block (see module docstring).
-        """
-        n, rng, dist, indptr, indices, weights, assign, cost = self._setup(
-            mapping, allowed, ctx
-        )
-
-        ids = np.arange(n)
-        bsize = min(_BLOCK_SIZE, n)
-        # Post-swap restart size. An accepted swap discards the precomputed
-        # rows after it, so on swap-dense sweeps a large restart window
-        # wastes almost all of its (B, n) block; restarting small and
-        # re-doubling bounds the waste per swap at O(floor * n) while
-        # converged sweeps still grow the window to n within a few blocks.
-        floor = min(bsize, 4)
-        sweeps = evaluations = accepted = 0
-        blocks_precomputed = 0
-
-        # diag[t] = cost[t, assign[t]], maintained incrementally: the full
-        # diagonal gather strides one row per element (a p-page walk), and
-        # paying it per block dominated swap-dense sweeps. A swap only moves
-        # the entries of a, b, and their neighbors (the only rows/columns of
-        # the gather that changed), so those are re-copied after each swap —
-        # pure element copies, never arithmetic, hence bitwise identical to
-        # regathering the whole diagonal.
-        diag = cost[ids, assign]
-
-        def block_deltas(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            """All delta rows of ``block`` in one (B, n) expression, reduced
-            to per-row (argmin, min). The elementwise term order matches the
-            reference kernel's row exactly (in-place +=/-= keep the same
-            left-to-right evaluation), so every precomputed row is bitwise
-            equal to a fresh one and argmin picks the same partner.
-            """
-            pa_blk = assign[block]
-            deltas = cost[block[:, None], assign[None, :]]  # C[a, pb]
-            deltas += cost[:, pa_blk].T                     # C[b, pa]
-            deltas -= diag[block][:, None]                  # C[a, pa]
-            deltas -= diag[None, :]                         # C[b, pb]
-            # Neighbor-edge correction for every block row at once: flatten
-            # the block's CSR slices, then scatter-add. (task-row, neighbor)
-            # pairs are unique, so the fancy-indexed += is exact.
-            rows = np.arange(len(block))
-            los, his = indptr[block], indptr[block + 1]
-            degs = his - los
-            total = int(degs.sum())
-            if total:
-                offsets = np.repeat(his - np.cumsum(degs), degs)
-                flat = offsets + np.arange(total)
-                nbrs = indices[flat]
-                rows_rep = np.repeat(rows, degs)
-                deltas[rows_rep, nbrs] += (
-                    2.0 * weights[flat] * dist[assign[block[rows_rep]], assign[nbrs]]
-                )
-            deltas[rows, block] = 0.0
-            bmins = deltas.argmin(axis=1)
-            return bmins, deltas[rows, bmins]
-
-        for _sweep in range(self._max_sweeps):
-            swapped = False
-            sweep_visits = sweep_accepted = 0
-            if prof is not None:
-                sweeps += 1
-            perm = rng.permutation(n)
-            pos = 0
-            window = bsize
-            while pos < n:
-                # Precompute a window of delta rows; consume them in sweep
-                # order until a swap mutates assign/cost, then restart the
-                # window just past the swap (an accepted swap invalidates
-                # every precomputed row after it). The window doubles after
-                # each swap-free block — converged sweeps collapse to a
-                # handful of precomputes — and snaps back to ``floor`` on a
-                # swap. Window size never changes the result, only how much
-                # precomputed work a swap throws away.
-                block = perm[pos:pos + window]
-                bmins, bvals = block_deltas(block)
-                blocks_precomputed += 1
-                consumed = len(block)
-                hit = False
-                for i, a in enumerate(block):
-                    improved = bvals[i] < -1e-9
-                    if prof is not None:
-                        evaluations += 1
-                        sweep_visits += 1
-                        if improved:
-                            accepted += 1
-                            sweep_accepted += 1
-                    if improved:
-                        a, b = int(a), int(bmins[i])
-                        self._apply_swap(
-                            a, b, assign, cost, dist, indptr, indices, weights,
-                        )
-                        # Entries of the diagonal the swap moved: a and b
-                        # (their assignment changed) and their neighbors
-                        # (their cost rows changed). Duplicate ids are fine —
-                        # this is plain assignment, not accumulation.
-                        upd = np.concatenate((
-                            (a, b),
-                            indices[indptr[a]:indptr[a + 1]],
-                            indices[indptr[b]:indptr[b + 1]],
-                        ))
-                        diag[upd] = cost[upd, assign[upd]]
-                        swapped = True
-                        hit = True
-                        consumed = i + 1
-                        break
-                pos += consumed
-                window = floor if hit else min(window * 2, n)
-            if prof is not None:
-                self._record_sweep(prof, n, sweeps, sweep_visits, sweep_accepted)
-            if not swapped:
-                break
-
-        self._record_totals(prof, n, sweeps, evaluations, accepted)
-        if prof is not None:
-            prof.count("refine.blocks_precomputed", blocks_precomputed)
         return mapping.with_assignment(assign)
 
     def _refine_incremental_native(

@@ -28,9 +28,9 @@
  * equal.
  *
  * Compiled on demand by repro.mapping._native via the system C compiler;
- * when no toolchain is available the NumPy paths in refine.py
- * (_refine_vectorized) and topolb.py (_run_third_order) run instead, and
- * the partitioner walks csr_lists in Python (_bisect_lists, refine_kway).
+ * when no toolchain is available each call site runs its reference body
+ * instead: the "reference" loops of refine.py and topolb.py, and the
+ * partitioner's walks over csr_lists (_bisect_lists, refine_kway).
  */
 
 #include <stdint.h>

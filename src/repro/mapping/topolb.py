@@ -27,9 +27,10 @@ stale-argmin repair across whole index arrays per NumPy call;
 ``"reference"`` keeps the original scalar loops. Under ``"vectorized"`` the
 third-order estimator has a loop of its own, which drops the reserve it
 never reads and runs its per-cycle recentre-and-argmin pass compiled
-(:mod:`repro.mapping._native`), with a NumPy fallback. All paths produce
-bit-identical assignments — the equivalence suite enforces it — so the
-reference path doubles as the executable specification of the fast ones.
+(:mod:`repro.mapping._native`); without a C compiler it runs the reference
+loop instead. All paths produce bit-identical assignments — the equivalence
+suite enforces it — so the reference path doubles as the executable
+specification of the fast ones.
 """
 
 from __future__ import annotations
@@ -132,10 +133,12 @@ class TopoLB(Mapper):
             ctx = context_for(graph, topology)
         if self._kernel == "reference":
             run = self._run_reference
-        elif self._order is EstimatorOrder.THIRD:
+        elif self._order is not EstimatorOrder.THIRD:
+            run = self._run_vectorized
+        elif _native.kernels_or_fallback() is not None:
             run = self._run_third_order
         else:
-            run = self._run_vectorized
+            run = self._run_reference
         prof = obs.active()
         if prof is None:
             assignment = run(graph, topology, n, allowed=allowed, ctx=ctx)
@@ -648,11 +651,11 @@ class TopoLB(Mapper):
           reserve hit, and the row is overwritten by this cycle's rebuild
           anyway.
 
-        The recentre-and-argmin pass runs over the ascending free columns
-        only (compiled, :mod:`repro.mapping._native`, with a NumPy fallback
-        that recentres whole rows). Consumed columns may go stale because
-        they are read again only through a zero weight in the free-set row
-        sums ``fest[rows] @ avail_f`` — which stay exactly that gather plus
+        The recentre-and-argmin pass runs compiled
+        (:mod:`repro.mapping._native`) over the ascending free columns only.
+        Consumed columns may go stale because they are read again only
+        through a zero weight in the free-set row sums
+        ``fest[rows] @ avail_f`` — which stay exactly that gather plus
         matrix-vector product: BLAS rounding depends on the operand shape,
         so ``(fest @ avail_f)[rows]`` would differ in the last bit.
         """
@@ -673,10 +676,9 @@ class TopoLB(Mapper):
         nfree = avail_count
         free_ids = free_buf[:nfree]
 
-        ar = np.arange(n)
         sub = fest if allowed is None else fest[:, free_ids]
         posm = sub.argmin(axis=1)
-        f_min = sub[ar, posm]
+        f_min = sub[np.arange(n), posm]
         f_argmin = free_ids[posm]
         del sub
         track_sum = selection == "gain"
@@ -735,26 +737,12 @@ class TopoLB(Mapper):
             delta = new_avg - avg_free
             avg_free = new_avg
             rows = np.flatnonzero(unassigned)
-            k = rows.size
-            if not k:
-                continue
-            if native is not None:
-                native.topolb3_recentre(fest, rows, unplaced_comm, delta,
-                                        free_ids, f_min, f_argmin)
-                if track_sum:
-                    f_sum[rows] = fest[rows] @ avail_f
-            else:
-                rows_full = fest[rows]
-                rows_full += np.outer(unplaced_comm[rows], delta)
-                fest[rows] = rows_full
-                sub = rows_full[:, free_ids]
-                posm = sub.argmin(axis=1)
-                f_min[rows] = sub[ar[:k], posm]
-                f_argmin[rows] = free_ids[posm]
-                if track_sum:
-                    f_sum[rows] = rows_full @ avail_f
+            native.topolb3_recentre(fest, rows, unplaced_comm, delta,
+                                    free_ids, f_min, f_argmin)
+            if track_sum:
+                f_sum[rows] = fest[rows] @ avail_f
             if prof is not None:
-                rows_rebuilt += k
+                rows_rebuilt += rows.size
 
         if prof is not None:
             prof.count("topolb.cycles", cycles)

@@ -8,12 +8,13 @@ comm-reducing property the paper asks of its phase-1 partitioner.
 
 The recursion works on ``(lo, hi)`` ranges of one ``order`` array: each
 bisection splits its range in place, stably, side A first, and the leaves'
-sizes fill ``groups`` once at the end. One bisection runs compiled
-(``partition_bisect`` in :mod:`repro.mapping._native`) and falls back to
-:func:`_bisect_lists`, a loop over :func:`csr_lists`, when no C compiler is
-available or ``REPRO_NO_NATIVE`` is set. Python keeps the two inputs that
-must stay bit-identical to the list walk: the seed draw
-``rng.integers(0, hi - lo)`` and the NumPy pairwise load sum of the range.
+sizes fill ``groups`` once at the end. One bisection is compiled or
+reference: it runs ``partition_bisect`` (:mod:`repro.mapping._native`), or,
+when no C compiler is available or ``REPRO_NO_NATIVE`` is set, its
+reference body :func:`_bisect_lists`, a loop over :func:`csr_lists`. Python
+keeps the two inputs that must stay bit-identical to the reference: the
+seed draw ``rng.integers(0, hi - lo)`` and the NumPy pairwise load sum of
+the range.
 """
 
 from __future__ import annotations
@@ -95,10 +96,10 @@ def _target(weights: np.ndarray, members: np.ndarray, k1: int, k2: int) -> float
 
 
 def _bisector(graph: TaskGraph, order: np.ndarray, csr: tuple | None = None) -> Bisect:
-    """The compiled bisection bound to ``order``, else the list walk."""
+    """The compiled bisection bound to ``order``, else the reference walk."""
     from repro.mapping import _native  # repro.mapping imports this package
 
-    native = _native.load()
+    native = _native.kernels_or_fallback()
     if native is not None:
         indptr, indices, _ = graph.csr_arrays()
         return native.partition_bisector(indptr, indices, graph.vertex_weights, order)
@@ -108,7 +109,7 @@ def _bisector(graph: TaskGraph, order: np.ndarray, csr: tuple | None = None) -> 
 def _bisect_lists(csr: tuple, order: np.ndarray, lo: int, hi: int, r: int,
                   k1: int, k2: int, target: float) -> int:
     """Grow side A over ``order[lo:hi]``, split the range stably, side A
-    first, and return |A| — the fallback of ``partition_bisect``."""
+    first, and return |A| — the reference body of ``partition_bisect``."""
     indptr, indices, _, weights = csr
     subset = order[lo:hi]
     members = subset.tolist()

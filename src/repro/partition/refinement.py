@@ -7,12 +7,13 @@ group within the load ceiling and non-empty. Passes repeat until quiescent
 or the pass budget runs out — the standard greedy simplification of
 Fiduccia–Mattheyses used by multilevel partitioners.
 
-Each ``refine_kway`` pass runs compiled (``partition_refine_pass`` in
-:mod:`repro.mapping._native`); Python keeps the pass count, the early stop
-and the ``rng.permutation`` draw of each pass. Without a C compiler, or
-with ``REPRO_NO_NATIVE`` set, the pass is a loop over :func:`csr_lists`.
-``rebalance_kway`` is only that loop: it costs about 2 ms per LeanMD
-request, and it depends on NumPy's unstable heavy-first ``argsort``.
+Each ``refine_kway`` pass is compiled or reference: it runs
+``partition_refine_pass`` (:mod:`repro.mapping._native`), or, without a C
+compiler or with ``REPRO_NO_NATIVE`` set, its reference body, a loop over
+:func:`csr_lists`. Python keeps the pass count, the early stop and the
+``rng.permutation`` draw of each pass. ``rebalance_kway`` is only such a
+loop: it costs about 2 ms per LeanMD request, and it depends on NumPy's
+unstable heavy-first ``argsort``.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def refine_kway(
     n = graph.num_tasks
     loads = np.bincount(groups, weights=graph.vertex_weights, minlength=k)
     counts = np.bincount(groups, minlength=k).astype(np.int64)
-    native = _native.load()
+    native = _native.kernels_or_fallback()
     if native is not None:
         work = np.ascontiguousarray(groups, dtype=np.int64)
         indptr, indices, edge_w = graph.csr_arrays()

@@ -5,12 +5,15 @@ interchangeable with the scalar reference paths: every test here pins the
 two to **bit-identical assignments** (not merely equal hop-bytes) across
 estimator orders, selection rules, and instance shapes —
 including symmetric instances whose massive score ties are where a batched
-reimplementation would first diverge. RefineTopoLB's production kernel has
-two paths — the compiled incremental sweep and, without a C compiler
-(``REPRO_NO_NATIVE=1``), the NumPy block sweep — and both are pinned.
+reimplementation would first diverge. Where the production body is
+compiled (RefineTopoLB's sweep, third-order TopoLB) it is compiled or
+reference: without a C compiler (``REPRO_NO_NATIVE=1``) ``"vectorized"``
+runs the reference body, and the routing itself is pinned here too.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from repro.mapping.kernels import (
     get_default_kernel,
     resolve_kernel,
 )
-from repro.mapping import refine as refine_module
+from repro.mapping import _native
 from repro.taskgraph import mesh2d_pattern, mesh3d_pattern, random_taskgraph
 from repro.taskgraph.random_graphs import geometric_taskgraph
 from repro.topology import Hypercube, Mesh, Torus
@@ -81,39 +84,16 @@ class TestTopoLBEquivalence:
             np.testing.assert_array_equal(vec.assignment, ref.assignment)
 
 
-def _block_sweep(monkeypatch, block_size: int) -> None:
-    """Force the production kernel onto its NumPy block-sweep fallback with
-    the given block size."""
-    monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-    monkeypatch.setattr(refine_module, "_BLOCK_SIZE", block_size)
-
-
 class TestRefineEquivalence:
-    @pytest.mark.parametrize("block_size", (1, 7, 64, 512))
-    def test_block_sweep_matches_reference(self, block_size, monkeypatch):
-        graph = geometric_taskgraph(48, radius=0.3, seed=3)
-        topo = Mesh((6, 8))
-        # A random start leaves plenty of improving swaps, so the block
-        # sweep's discard-and-restart machinery is exercised hard.
-        start = RandomMapper(seed=11).map(graph, topo)
-        ref = RefineTopoLB(kernel="reference", seed=1).refine(start)
-        _block_sweep(monkeypatch, block_size)
-        vec = RefineTopoLB(kernel="vectorized", seed=1).refine(start)
-        np.testing.assert_array_equal(vec.assignment, ref.assignment)
-
-    def test_incremental_matches_reference(self, monkeypatch):
-        """The production kernel's compiled incremental sweep (when a C
-        compiler is around) and its block-sweep fallback both land on the
-        reference result."""
+    def test_incremental_matches_reference(self):
+        """The production kernel's compiled incremental sweep lands on the
+        reference result from a swap-dense random start."""
         graph = geometric_taskgraph(48, radius=0.3, seed=3)
         topo = Mesh((6, 8))
         start = RandomMapper(seed=11).map(graph, topo)
         ref = RefineTopoLB(kernel="reference", seed=1).refine(start)
         native = RefineTopoLB(kernel="vectorized", seed=1).refine(start)
         np.testing.assert_array_equal(native.assignment, ref.assignment)
-        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-        fallback = RefineTopoLB(kernel="vectorized", seed=1).refine(start)
-        np.testing.assert_array_equal(fallback.assignment, ref.assignment)
 
     def test_converged_input_is_noop_for_all(self):
         graph = mesh2d_pattern(4, 4)
@@ -127,29 +107,69 @@ class TestRefineEquivalence:
 
 
 class TestIncrementalNative:
-    """The compiled incremental sweep and the block-sweep fallback are the
-    production kernel's two paths; both must land bit-identically on the
-    same result whether or not a C compiler is around."""
+    """The compiled kernels and the route to the reference bodies when they
+    are unavailable."""
 
-    def _instances(self):
-        insts = [(geometric_taskgraph(48, radius=0.3, seed=3), Mesh((6, 8))),
-                 (random_taskgraph(64, edge_prob=0.12, seed=8), Torus((8, 8))),
-                 (mesh3d_pattern(4, 4, 4), Torus((4, 4, 4)))]
-        return [(g, t, RandomMapper(seed=11).map(g, t)) for g, t in insts]
+    @staticmethod
+    def _calls():
+        """``(label, run)`` per routed call site, ``run(kernel)`` returning
+        the mapping: RefineTopoLB and third-order TopoLB, each unmasked and
+        masked."""
+        from repro.faults import DegradedTopology, FaultSet
 
-    def test_fallback_matches_native(self, monkeypatch):
-        for graph, topo, start in self._instances():
-            native = RefineTopoLB(kernel="vectorized", seed=1).refine(start)
-            with monkeypatch.context() as m:
-                m.setenv("REPRO_NO_NATIVE", "1")
-                fallback = RefineTopoLB(kernel="vectorized",
-                                        seed=1).refine(start)
-            np.testing.assert_array_equal(
-                fallback.assignment, native.assignment)
+        deg = DegradedTopology(Torus((4, 4)), FaultSet(dead_nodes=[5, 10]))
+        cases = [("torus4x4", mesh2d_pattern(4, 4), Torus((4, 4))),
+                 ("masked", random_taskgraph(deg.num_healthy, edge_prob=0.3,
+                                             seed=6), deg)]
+        for label, graph, topo in cases:
+            start = RandomMapper(seed=11).map(graph, topo)
+            yield f"refine-{label}", lambda k, s=start: RefineTopoLB(
+                kernel=k, seed=1).refine(s)
+            yield f"topolb3-{label}", lambda k, g=graph, t=topo: TopoLB(
+                order=EstimatorOrder.THIRD, kernel=k).map(g, t)
+
+    @staticmethod
+    def _profiled(run, kernel):
+        """Assignment, mapper counters and fallback count of one call."""
+        with obs.profiled() as prof:
+            assignment = run(kernel).assignment
+        counters = {name: v for name, v in prof.counters.items()
+                    if name.startswith(("topolb.", "refine."))}
+        return (assignment, counters,
+                prof.counters.get("kernel.reference_fallbacks", 0))
+
+    def test_no_native_runs_reference_bodies(self, monkeypatch):
+        """Under ``REPRO_NO_NATIVE=1`` a ``"vectorized"`` call returns the
+        reference's assignment and ``topolb.*``/``refine.*`` counters and
+        counts one ``kernel.reference_fallbacks``; the process warns once,
+        naming the cause."""
+        monkeypatch.setattr(_native, "_warned", False)
+        calls = list(self._calls())
+        want = {label: self._profiled(run, "reference") for label, run in calls}
+        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+        with pytest.warns(RuntimeWarning) as record:
+            for label, run in calls:
+                assignment, counters, fallbacks = self._profiled(run, "vectorized")
+                np.testing.assert_array_equal(assignment, want[label][0],
+                                              err_msg=label)
+                assert counters == want[label][1], label
+                assert (want[label][2], fallbacks) == (0, 1), label
+        warned = [w for w in record
+                  if "compiled kernels unavailable" in str(w.message)]
+        assert len(warned) == 1
+        assert "REPRO_NO_NATIVE is set" in str(warned[0].message)
+
+    def test_compiler_on_path_builds_the_kernels(self):
+        """A host with a C compiler must get the compiled kernels; a broken
+        ``refine_kernel.c`` build would otherwise pass every equivalence
+        test on the reference route."""
+        if _native._compiler() is None:
+            pytest.skip("no C compiler on this host")
+        if os.environ.get("REPRO_NO_NATIVE"):
+            pytest.skip("REPRO_NO_NATIVE is set")
+        assert _native.available(), _native._error
 
     def test_native_loader_is_memoized_and_gated(self, monkeypatch):
-        from repro.mapping import _native
-
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
         assert _native.load() is None
         assert not _native.available()
@@ -162,10 +182,9 @@ class TestIncrementalNative:
 
 class TestThirdOrderPaths:
     """Third-order TopoLB has its own cycle loop: a compiled
-    recentre-and-argmin pass over the free columns, and a NumPy fallback
-    (``REPRO_NO_NATIVE=1``). Both are pinned to the reference at a scale
-    where every cycle recentres over a hundred rows, on a pristine and a
-    degraded machine, down to the lazy-repair counters."""
+    recentre-and-argmin pass over the free columns. It is pinned to the
+    reference at a scale where every cycle recentres over a hundred rows, on
+    a pristine and a degraded machine, down to the lazy-repair counters."""
 
     COUNTERS = ("topolb.cycles", "topolb.reserve_hits",
                 "topolb.reserve_exhaustions", "topolb.rows_rebuilt",
@@ -195,24 +214,18 @@ class TestThirdOrderPaths:
     @pytest.mark.parametrize("label,graph,topo", _instances(),
                              ids=lambda v: v if isinstance(v, str) else "")
     @pytest.mark.parametrize("selection", SELECTIONS)
-    @pytest.mark.parametrize("native", ("compiled", "numpy"))
     def test_bit_identical_with_equal_counters(self, label, graph, topo,
-                                               selection, native,
-                                               monkeypatch):
+                                               selection):
         ref, ref_counters = self._map(graph, topo, selection, "reference")
-        if native == "numpy":
-            monkeypatch.setenv("REPRO_NO_NATIVE", "1")
         vec, vec_counters = self._map(graph, topo, selection, "vectorized")
         np.testing.assert_array_equal(
-            vec, ref, err_msg=f"{label} selection={selection} {native}")
+            vec, ref, err_msg=f"{label} selection={selection}")
         assert vec_counters == ref_counters
         allowed = resolve_allowed(topo, None)
         if allowed is not None:
             assert allowed[vec].all()
 
     def test_compiled_pass_skips_consumed_columns_and_checks_sizes(self):
-        from repro.mapping import _native
-
         native = _native.load()
         if native is None:
             pytest.skip("no C compiler on this host")
@@ -264,20 +277,8 @@ class TestMaskedEquivalence:
         vec = TopoLB(kernel="vectorized").map(graph, deg)
         np.testing.assert_array_equal(vec.assignment, ref.assignment)
 
-    @pytest.mark.parametrize("block_size", (1, 7, 64))
-    def test_refine_masked_bit_identical(self, block_size, monkeypatch):
-        deg = self._degraded()
-        graph = random_taskgraph(deg.num_healthy, edge_prob=0.3, seed=6)
-        start = RandomMapper(seed=11).map(graph, deg)
-        ref = RefineTopoLB(kernel="reference", seed=1).refine(start)
-        _block_sweep(monkeypatch, block_size)
-        vec = RefineTopoLB(kernel="vectorized", seed=1).refine(start)
-        np.testing.assert_array_equal(vec.assignment, ref.assignment)
-        assert deg.allowed_mask()[vec.assignment].all()
-
-    def test_refine_masked_incremental(self, monkeypatch):
-        """Masked run: the compiled sweep and the block-sweep fallback both
-        match the reference kernel."""
+    def test_refine_masked_incremental(self):
+        """Masked run: the compiled sweep matches the reference kernel."""
         deg = self._degraded()
         graph = random_taskgraph(deg.num_healthy, edge_prob=0.3, seed=6)
         start = RandomMapper(seed=11).map(graph, deg)
@@ -285,9 +286,6 @@ class TestMaskedEquivalence:
         native = RefineTopoLB(kernel="vectorized", seed=1).refine(start)
         np.testing.assert_array_equal(native.assignment, ref.assignment)
         assert deg.allowed_mask()[native.assignment].all()
-        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-        fallback = RefineTopoLB(kernel="vectorized", seed=1).refine(start)
-        np.testing.assert_array_equal(fallback.assignment, ref.assignment)
 
 
 class TestKernelSelection:

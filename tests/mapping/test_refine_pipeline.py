@@ -17,7 +17,6 @@ from repro.mapping import (
     TwoPhaseMapper,
     hop_bytes,
 )
-from repro.mapping import refine as refine_module
 from repro.mapping.analysis import (
     expected_random_hops_per_byte,
     expected_random_pair_distance,
@@ -99,23 +98,14 @@ class TestRefineTopoLB:
     @given(
         seed=st.integers(0, 10_000),
         kernel=st.sampled_from(["vectorized", "reference"]),
-        block_size=st.sampled_from([None, 1, 3, 16, 64]),
     )
     @settings(max_examples=25, deadline=None)
-    def test_property_never_worse_any_kernel(self, seed, kernel, block_size):
-        """Monotone improvement holds for both kernels, on the native sweep
-        (``block_size=None``) and on the block-sweep fallback at any block
-        size."""
+    def test_property_never_worse_any_kernel(self, seed, kernel):
+        """Monotone improvement holds for both kernels."""
         topo = Mesh((4, 3))
         g = random_taskgraph(12, edge_prob=0.35, seed=seed % 97)
         before = RandomMapper(seed=seed).map(g, topo)
-        with pytest.MonkeyPatch.context() as m:
-            if block_size is not None:
-                m.setenv("REPRO_NO_NATIVE", "1")
-                m.setattr(refine_module, "_BLOCK_SIZE", block_size)
-            after = RefineTopoLB(
-                max_sweeps=3, seed=seed, kernel=kernel
-            ).refine(before)
+        after = RefineTopoLB(max_sweeps=3, seed=seed, kernel=kernel).refine(before)
         assert after.hop_bytes <= before.hop_bytes + 1e-9
         assert after.is_bijection()
 

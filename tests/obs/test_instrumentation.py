@@ -91,8 +91,7 @@ class TestRefineSweepEvents:
     (bit-identity is enforced by the equivalence suite), so the event stream
     — one event per sweep with the sweep's accepted-swap and evaluated-pair
     counts — must be byte-for-byte identical no matter which kernel produced
-    it, the production kernel's native sweep and block-sweep fallback
-    included.
+    it.
     """
 
     def _instance(self):
@@ -110,13 +109,10 @@ class TestRefineSweepEvents:
         events = [e for e in prof.events if e["name"] == "refine.sweep"]
         return events, dict(prof.counters)
 
-    @pytest.mark.parametrize("kernel", ("reference", "vectorized", "fallback"))
-    def test_events_sum_to_totals(self, kernel, monkeypatch):
+    @pytest.mark.parametrize("kernel", ("reference", "vectorized"))
+    def test_events_sum_to_totals(self, kernel):
         start = self._instance()
         n = start.graph.num_tasks
-        if kernel == "fallback":
-            monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-            kernel = "vectorized"
         events, counters = self._sweep_events(kernel, start)
 
         assert len(events) == counters["refine.sweeps"] >= 2
@@ -131,19 +127,11 @@ class TestRefineSweepEvents:
         if len(events) < 10:
             assert events[-1]["accepted"] == 0
 
-    def test_event_stream_is_kernel_independent(self, monkeypatch):
+    def test_event_stream_is_kernel_independent(self):
         start = self._instance()
-        streams = {
-            kernel: self._sweep_events(kernel, start)[0]
-            for kernel in ("reference", "vectorized")
-        }
-        monkeypatch.setenv("REPRO_NO_NATIVE", "1")
-        streams["vectorized-fallback"] = \
-            self._sweep_events("vectorized", start)[0]
-        reference = streams.pop("reference")
+        reference = self._sweep_events("reference", start)[0]
         assert reference[0]["accepted"] > 0
-        for kernel, events in streams.items():
-            assert events == reference, f"{kernel} diverged from reference"
+        assert self._sweep_events("vectorized", start)[0] == reference
 
 
 class TestDisabledPath:

@@ -48,9 +48,9 @@ def test_flow_metric_drift_detected(tmp_path):
 @pytest.mark.parametrize("path", GOLDEN_PATHS, ids=lambda p: p.stem)
 @pytest.mark.parametrize("kernel", ["vectorized", "reference"])
 def test_golden_replays_exactly(path, kernel, monkeypatch):
-    """Each triple replays on the compiled kernels and again on their
-    ``REPRO_NO_NATIVE=1`` fallbacks (the block sweep, NumPy recentring and
-    the partitioner's list walk). Both paths run inside one test id."""
+    """Each triple replays on the compiled kernels and again under
+    ``REPRO_NO_NATIVE=1``, where every compiled call site runs its reference
+    body. Both routes run inside one test id."""
     want = load_golden(path)["metrics"]
     assert check_golden(path, level="full", kernel=kernel) == want
     monkeypatch.setenv("REPRO_NO_NATIVE", "1")
