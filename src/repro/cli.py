@@ -164,12 +164,7 @@ def run_mapping(graph_path: Path, is_lb_dump: bool, topology_spec: str,
     """Load inputs, run the strategy, optionally replay/profile/write."""
     from repro import obs
     from repro.engine import canonical_command, canonical_mapper_spec
-    from repro.mapping.estimation import (
-        average_distance_vector,
-        centered_distance_matrix,
-    )
     from repro.mapping.kernels import resolve_kernel
-    from repro.mapping.metrics import _MATRIX_LIMIT
     from repro.runtime.lbdb import LBDatabase
     from repro.runtime.simulation import replay_strategy
     from repro.taskgraph.io import load_taskgraph
@@ -187,15 +182,6 @@ def run_mapping(graph_path: Path, is_lb_dump: bool, topology_spec: str,
             else:
                 database = LBDatabase.from_taskgraph(load_taskgraph(graph_path))
             topology = topology_from_spec(topology_spec)
-            # Building the machine model is part of loading it: warm the
-            # shared distance tables here so the mapper timers below measure
-            # mapping, not O(p^2) table construction. Above the dense-table
-            # limit the mappers themselves never materialize a p x p matrix
-            # (they stream distance rows), so warming one here would be the
-            # only O(p^2) allocation in the whole run — skip it.
-            if topology.num_nodes <= _MATRIX_LIMIT:
-                average_distance_vector(topology)
-                centered_distance_matrix(topology)
 
         with obs.timer("cli.map"):
             report, mapping = replay_strategy(

@@ -117,13 +117,11 @@ class MappingContext:
         The single gather every metric shares; see
         :func:`repro.mapping.metrics.metrics_block`.
         """
-        from repro.mapping.metrics import _as_assignment, _edge_distances
+        from repro.mapping.metrics import _as_assignment
 
         arr = _as_assignment(self._graph, self._topology, assignment)
-        u, v, w = self.edge_arrays()
-        if len(w) == 0:
-            return np.zeros(0, dtype=np.float64)
-        return _edge_distances(self._topology, arr[u], arr[v])
+        u, v, _ = self.edge_arrays()
+        return self._topology.pair_distances(arr[u], arr[v]).astype(np.float64)
 
     def hop_bytes(self, assignment: Sequence[int]) -> float:
         """Total hop-bytes of ``assignment`` (the paper's Section 3 metric)."""

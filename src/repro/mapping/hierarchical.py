@@ -37,7 +37,6 @@ from repro import obs
 from repro.exceptions import MappingError
 from repro.mapping.base import Mapper, Mapping, resolve_allowed
 from repro.mapping.context import MappingContext, context_for
-from repro.mapping.metrics import _MATRIX_LIMIT
 from repro.mapping.refine import RefineTopoLB
 from repro.partition.coarsening import coarsen_toward
 from repro.taskgraph.graph import TaskGraph
@@ -46,6 +45,10 @@ from repro.topology.base import Topology
 from repro.topology.grid import GridTopology
 
 __all__ = ["HierarchicalMapper"]
+
+#: Above this processor count a level skips RefineTopoLB, which needs the
+#: dense p x p distance matrix and an n x p cost table.
+_MATRIX_LIMIT = 8192
 
 
 class _Level:
@@ -307,8 +310,10 @@ class HierarchicalMapper(Mapper):
                         "multilevel prolongation ran out of processors "
                         "(internal feasibility invariant violated)"
                     )
-                row = np.asarray(fine_topo.distance_row(anchor))
-                pick = int(candidates[int(np.argmin(row[candidates]))])
+                dist = fine_topo.pair_distances(
+                    np.full(len(candidates), anchor), candidates
+                )
+                pick = int(candidates[int(np.argmin(dist))])
                 out[t] = pick
                 free[pick] = False
         return out
@@ -320,9 +325,8 @@ class HierarchicalMapper(Mapper):
             return assignment
         fine_topo = level.topology
         if fine_topo.num_nodes > _MATRIX_LIMIT:
-            # RefineTopoLB materializes the p x p distance matrix and an
-            # n x p cost table; above the dense limit prolongation order is
-            # all the refinement this level gets.
+            # Above the dense limit prolongation order is all the
+            # refinement this level gets.
             return assignment
         graph = level.graph
         fctx = context_for(graph, fine_topo)

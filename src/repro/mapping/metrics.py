@@ -5,8 +5,11 @@ here minimizes::
 
     HB(Gt, Gp, P) = sum over edges e_ab of c_ab * d_p(P(a), P(b))
 
-Per-link loads additionally resolve each task-graph edge onto the links of
-its deterministic route — the quantity whose maximum drives contention.
+Each edge's distance comes from :meth:`~repro.topology.base.Topology.
+pair_distances` — one distance per task-graph edge, never the ``p x p``
+table — so the metrics cost the same on any machine size. Per-link loads
+additionally resolve each task-graph edge onto the links of its
+deterministic route — the quantity whose maximum drives contention.
 """
 
 from __future__ import annotations
@@ -36,10 +39,6 @@ __all__ = [
     "metrics_block",
 ]
 
-#: Above this processor count we avoid materializing the full distance matrix.
-_MATRIX_LIMIT = 8192
-
-
 def _as_assignment(graph: TaskGraph, topology: Topology, assignment: Sequence[int]) -> np.ndarray:
     arr = np.asarray(assignment, dtype=np.int64)
     if arr.shape != (graph.num_tasks,):
@@ -51,29 +50,14 @@ def _as_assignment(graph: TaskGraph, topology: Topology, assignment: Sequence[in
     return arr
 
 
-def _edge_distances(topology: Topology, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
-    """Hop distances for endpoint-processor arrays ``pu``/``pv`` (vectorized)."""
-    if topology.num_nodes <= _MATRIX_LIMIT:
-        mat = topology.distance_matrix()
-        return mat[pu, pv].astype(np.float64)
-    # Large machine: gather one distance row per distinct source processor.
-    dist = np.empty(len(pu), dtype=np.float64)
-    order = np.argsort(pu, kind="stable")
-    sorted_pu = pu[order]
-    boundaries = np.flatnonzero(np.diff(sorted_pu)) + 1
-    for chunk in np.split(order, boundaries):
-        row = topology.distance_row(int(pu[chunk[0]]))
-        dist[chunk] = row[pv[chunk]]
-    return dist
-
-
 def hop_bytes(graph: TaskGraph, topology: Topology, assignment: Sequence[int]) -> float:
     """Total hop-bytes of ``assignment`` (Section 3 metric)."""
     arr = _as_assignment(graph, topology, assignment)
     u, v, w = graph.edge_arrays()
     if len(w) == 0:
         return 0.0
-    return float(np.dot(w, _edge_distances(topology, arr[u], arr[v])))
+    dist = topology.pair_distances(arr[u], arr[v]).astype(np.float64)
+    return float(np.dot(w, dist))
 
 
 def hops_ratio(hop_bytes_value: float, total_bytes: float) -> float:
@@ -104,7 +88,7 @@ def per_task_hop_bytes(
     u, v, w = graph.edge_arrays()
     out = np.zeros(graph.num_tasks, dtype=np.float64)
     if len(w):
-        contrib = w * _edge_distances(topology, arr[u], arr[v])
+        contrib = w * topology.pair_distances(arr[u], arr[v]).astype(np.float64)
         np.add.at(out, u, contrib)
         np.add.at(out, v, contrib)
     return out
@@ -143,7 +127,7 @@ def dilation_stats(
     u, v, w = graph.edge_arrays()
     if len(w) == 0:
         return {"max": 0.0, "mean": 0.0, "weighted_mean": 0.0}
-    dist = _edge_distances(topology, arr[u], arr[v])
+    dist = topology.pair_distances(arr[u], arr[v]).astype(np.float64)
     return {
         "max": float(dist.max()),
         "mean": float(dist.mean()),
@@ -173,7 +157,7 @@ def dilation_histogram(
     u, v, w = graph.edge_arrays()
     if len(w) == 0:
         return {}
-    dist = _edge_distances(topology, arr[u], arr[v])
+    dist = topology.pair_distances(arr[u], arr[v]).astype(np.float64)
     out: dict[int | float, float] = {}
     for d in np.unique(dist):
         key = int(d) if float(d).is_integer() else float(d)
@@ -230,7 +214,7 @@ def metrics_block(
         hb = 0.0
         dil = {"max": 0.0, "mean": 0.0, "weighted_mean": 0.0}
     else:
-        dist = _edge_distances(topology, arr[u], arr[v])
+        dist = topology.pair_distances(arr[u], arr[v]).astype(np.float64)
         hb = float(np.dot(w, dist))
         dil = {
             "max": float(dist.max()),

@@ -336,20 +336,7 @@ def flow_evaluate(
     no_load = local_latency if (~remote).any() else 0.0
     lat_sum = float((~remote).sum()) * local_latency
     if len(r_src):
-        if isinstance(topo, GridTopology):
-            coords = topo.coords_array().astype(np.int64)
-            delta = np.abs(coords[r_src] - coords[r_dst])
-            if topo.wraparound:
-                delta = np.minimum(
-                    delta, np.asarray(topo.shape, dtype=np.int64) - delta
-                )
-            hops = delta.sum(axis=1).astype(np.float64)
-        else:
-            hops = np.fromiter(
-                (topo.distance(int(s), int(d))
-                 for s, d in zip(r_src, r_dst)),
-                dtype=np.float64, count=len(r_src),
-            )
+        hops = topo.pair_distances(r_src, r_dst).astype(np.float64)
         lats = hops * alpha + r_sizes / bandwidth
         no_load = max(no_load, float(lats.max()))
         lat_sum += float(lats.sum())

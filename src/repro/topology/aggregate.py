@@ -8,10 +8,11 @@ honest inter-group distances, but there are no physical links to route
 over, so :meth:`route` raises.
 
 Distances are representative: ``d(A, B) = d_parent(rep_A, rep_B)`` for
-one designated member per group. They are exact machine distances and never
-need a parent-sized dense table when the ancestry bottoms out in a grid (the
-closed form runs on representative coordinates directly) — this is what
-keeps 10^5+-processor tori coarsenable.
+one designated member per group. They are exact machine distances, answered
+by the root machine's :meth:`~repro.topology.base.Topology.pair_distances`
+on representative ids, so they never need a parent-sized dense table (on a
+grid root the closed form runs on representative coordinates directly) —
+this is what keeps 10^5+-processor tori coarsenable.
 
 :func:`coarsen_machine` builds the standard halving step: grid machines
 halve their largest extent (subtorus pairing, so groups stay geometric
@@ -28,10 +29,6 @@ from repro.topology.base import Topology
 from repro.topology.grid import GridTopology
 
 __all__ = ["GroupedTopology", "coarsen_machine"]
-
-#: Mirrors repro.mapping.metrics._MATRIX_LIMIT: above this parent size we
-#: refuse to materialize a parent-sized dense table for aggregation.
-_PARENT_MATRIX_LIMIT = 8192
 
 
 class GroupedTopology(Topology):
@@ -88,8 +85,8 @@ class GroupedTopology(Topology):
         reps_arr.flags.writeable = False
         self._reps = reps_arr
 
-        # Compose representative chains down to the non-grouped root so grid
-        # closed forms (and degraded BFS rows) always run on real machine ids.
+        # Compose representative chains down to the non-grouped root so
+        # pair_distances always runs on real machine ids.
         if isinstance(parent, GroupedTopology):
             self._root: Topology = parent._root
             self._root_reps = parent._root_reps[self._reps]
@@ -132,24 +129,18 @@ class GroupedTopology(Topology):
         )
 
     # -------------------------------------------------------------- distances
+    @property
+    def distance_dtype(self) -> np.dtype:
+        return self._root.distance_dtype
+
+    def pair_distances(self, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
+        return self._root.pair_distances(self._root_reps[pu], self._root_reps[pv])
+
     def distance_row(self, node: int) -> np.ndarray:
-        node = self._check_node(node)
-        root, rr = self._root, self._root_reps
-        if isinstance(root, GridTopology):
-            coords = root.coords_array()[rr]
-            delta = np.abs(coords - coords[node])
-            if root.wraparound:
-                shape = np.asarray(root.shape, dtype=np.int32)
-                delta = np.minimum(delta, shape - delta)
-            return delta.sum(axis=1, dtype=np.int32)
-        return np.asarray(root.distance_row(int(rr[node])))[rr]
+        return self._pair_row(node)
 
     def _build_distance_matrix(self, dtype: np.dtype) -> np.ndarray:
-        root, rr = self._root, self._root_reps
-        if not isinstance(root, GridTopology) and root.num_nodes <= _PARENT_MATRIX_LIMIT:
-            # One gather from the root's (cached) matrix beats k BFS rows.
-            return root.distance_matrix()[np.ix_(rr, rr)].astype(dtype)
-        return super()._build_distance_matrix(dtype)
+        return self._pair_matrix(dtype)
 
     # ------------------------------------------------------------ connectivity
     def neighbors(self, node: int) -> list[int]:

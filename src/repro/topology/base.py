@@ -16,11 +16,18 @@ class Topology(abc.ABC):
     """A machine interconnect: processors (nodes ``0..p-1``) plus links.
 
     Subclasses must implement :meth:`distance_row`, :meth:`neighbors` and
-    :meth:`route`. Everything else (distance matrix, diameter, average
-    distance, link enumeration) derives from those primitives, with grid
-    subclasses overriding the derived methods with closed forms where that
-    is cheaper.
+    :meth:`route`. Everything else (pairwise distances, distance matrix,
+    diameter, average distance, link enumeration) derives from those
+    primitives. :meth:`pair_distances` is the one hop-distance primitive
+    every consumer outside the dense mappers calls; machines with a closed
+    form (grid, hypercube, fat-tree, dragonfly) override it and derive
+    :meth:`distance_row` from it, so each formula is written once.
     """
+
+    #: dtype of :meth:`distance_matrix` and :meth:`pair_distances` when the
+    #: caller does not ask for one; metric-only machines with fractional
+    #: distances override it.
+    distance_dtype = np.dtype(np.int32)
 
     def __init__(self, num_nodes: int):
         if num_nodes < 1:
@@ -76,8 +83,45 @@ class Topology(abc.ABC):
             return int(mat[a, b])
         return int(self.distance_row(a)[b])
 
-    def distance_matrix(self, dtype: np.dtype | type = np.int32) -> np.ndarray:
-        """All-pairs distance matrix in ``dtype``, cached per dtype.
+    def pair_distances(self, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
+        """Hop distances ``d(pu[i], pv[i])`` for equal-length processor arrays.
+
+        Equals ``distance_matrix()[pu, pv]`` (same values, same dtype)
+        without building the ``p x p`` table. The default gathers one
+        :meth:`distance_row` per distinct source processor; closed-form
+        machines override it.
+        """
+        pu = np.asarray(pu, dtype=np.int64)
+        pv = np.asarray(pv, dtype=np.int64)
+        out = np.empty(len(pu), dtype=self.distance_dtype)
+        order = np.argsort(pu, kind="stable")
+        starts = np.flatnonzero(np.diff(pu[order])) + 1
+        for chunk in np.split(order, starts):
+            if len(chunk):
+                out[chunk] = self.distance_row(int(pu[chunk[0]]))[pv[chunk]]
+        return out
+
+    def _pair_row(self, node: int) -> np.ndarray:
+        """:meth:`distance_row` for machines that override :meth:`pair_distances`."""
+        p = self._num_nodes
+        return self.pair_distances(np.full(p, self._check_node(node)), np.arange(p))
+
+    def _pair_matrix(self, dtype: np.dtype) -> np.ndarray:
+        """The ``p x p`` table filled in row chunks from :meth:`pair_distances`."""
+        p = self._num_nodes
+        mat = np.empty((p, p), dtype=dtype)
+        rows = max(1, (1 << 16) // p)
+        cols = np.tile(np.arange(p, dtype=np.int64), min(rows, p))
+        for lo in range(0, p, rows):
+            hi = min(lo + rows, p)
+            src = np.repeat(np.arange(lo, hi, dtype=np.int64), p)
+            dist = self.pair_distances(src, cols[: len(src)])
+            mat[lo:hi] = dist.reshape(hi - lo, p)
+        return mat
+
+    def distance_matrix(self, dtype: np.dtype | type | None = None) -> np.ndarray:
+        """All-pairs distance matrix in ``dtype`` (default
+        :attr:`distance_dtype`), cached per dtype.
 
         The matrix is ``p x p``, symmetric and **read-only** (it is shared
         between callers — and, for shape-defined topologies, between
@@ -87,7 +131,7 @@ class Topology(abc.ABC):
         """
         from repro.topology import cache
 
-        dt = np.dtype(dtype)
+        dt = np.dtype(self.distance_dtype if dtype is None else dtype)
         mat = self._distance_matrices.get(dt)
         if mat is not None:
             return mat
@@ -118,8 +162,7 @@ class Topology(abc.ABC):
         return mat
 
     def _build_distance_matrix(self, dtype: np.dtype) -> np.ndarray:
-        """Compute the full matrix (no caching). The generic path stacks
-        :meth:`distance_row`; grid subclasses override with a closed form."""
+        """Compute the full matrix (no caching) by stacking :meth:`distance_row`."""
         mat = np.empty((self._num_nodes, self._num_nodes), dtype=dtype)
         for node in range(self._num_nodes):
             mat[node] = self.distance_row(node)

@@ -113,23 +113,25 @@ class Dragonfly(Topology):
         return (other - group - 1) % self._groups
 
     # ------------------------------------------------------------- distances
-    def distance_row(self, node: int) -> np.ndarray:
-        node = self._check_node(node)
-        r, h = self._routers, self._hosts
-        ids = np.arange(self._num_nodes, dtype=np.int64)
-        gy = ids // (r * h)
-        ry = (ids // h) % r
-        gx, rx = self._group_router(node)
-        dist = np.full(self._num_nodes, 3, dtype=np.int32)  # same group default
-        same_group = gy == gx
-        dist[same_group & (ry == rx)] = 2  # same router, host-router-host
-        dist[node] = 0
-        inter = ~same_group
-        if inter.any():
-            ax = (gy[inter] - gx - 1) % self._groups  # exit router in gx
-            ay = (gx - gy[inter] - 1) % self._groups  # entry router in gy
-            dist[inter] = 3 + (rx != ax) + (ry[inter] != ay)
+    def pair_distances(self, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
+        pu = np.asarray(pu, dtype=np.int64)
+        pv = np.asarray(pv, dtype=np.int64)
+        gx, rx = self._group_router(pu)
+        gy, ry = self._group_router(pv)
+        # Inter-group: 3 hops plus the exit hop in gx and the entry hop in gy
+        # when the endpoint's router does not hold the global link.
+        inter = (
+            3
+            + (rx != self._global_attach(gx, gy))
+            + (ry != self._global_attach(gy, gx))
+        )
+        local = np.where(rx == ry, 2, 3)  # same router: host-router-host
+        dist = np.where(gx == gy, local, inter).astype(np.int32)
+        dist[pu == pv] = 0
         return dist
+
+    def distance_row(self, node: int) -> np.ndarray:
+        return self._pair_row(node)
 
     def diameter(self) -> int:
         if self._num_nodes == 1:

@@ -78,19 +78,19 @@ class FatTree(Topology):
     def cache_key(self) -> tuple:
         return ("FatTree", self._arity, self._levels)
 
-    def distance_row(self, node: int) -> np.ndarray:
-        node = self._check_node(node)
-        ids = np.arange(self._num_nodes, dtype=np.int64)
-        dist = np.zeros(self._num_nodes, dtype=np.int32)
-        # Level of the lowest common ancestor: first l where the a**l-blocks match.
-        unresolved = ids != node
-        for level in range(1, self._levels + 1):
+    def pair_distances(self, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
+        # The lowest common ancestor sits one level above the last level l
+        # whose a**l-blocks still differ; two hops per level climbed.
+        pu = np.asarray(pu, dtype=np.int64)
+        pv = np.asarray(pv, dtype=np.int64)
+        levels = (pu != pv).astype(np.int32)
+        for level in range(1, self._levels):
             block = self._arity**level
-            same_block = (ids // block) == (node // block)
-            newly = unresolved & same_block
-            dist[newly] = 2 * level
-            unresolved &= ~same_block
-        return dist
+            levels += (pu // block) != (pv // block)
+        return 2 * levels
+
+    def distance_row(self, node: int) -> np.ndarray:
+        return self._pair_row(node)
 
     def neighbors(self, node: int) -> list[int]:
         """Processors under the same leaf switch (minimum positive distance, 2 hops).

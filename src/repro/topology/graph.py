@@ -52,6 +52,8 @@ class ArbitraryTopology(Topology):
             costs[key] = min(costs.get(key, np.inf), cost)
         self._edges = sorted(costs)
         self._weighted = any(c != 1.0 for c in costs.values())
+        if self._weighted:
+            self.distance_dtype = np.dtype(np.float64)
         rows = np.array([a for a, _ in self._edges] + [b for _, b in self._edges], dtype=np.int64)
         cols = np.array([b for _, b in self._edges] + [a for a, _ in self._edges], dtype=np.int64)
         data = np.array([costs[e] for e in self._edges] * 2, dtype=np.float64)
@@ -117,11 +119,6 @@ class ArbitraryTopology(Topology):
         a, b = self._check_node(a), self._check_node(b)
         value = self.distance_row(a)[b]
         return float(value) if self._weighted else int(value)
-
-    def distance_matrix(self, dtype=None) -> np.ndarray:
-        if dtype is None:
-            dtype = np.float64 if self._weighted else np.int32
-        return super().distance_matrix(dtype)
 
     def neighbors(self, node: int) -> list[int]:
         node = self._check_node(node)

@@ -31,10 +31,12 @@ class GridTopology(Topology):
         volume = check_shape_volume(shape, TopologyError)
         super().__init__(volume)
         self._shape = tuple(int(s) for s in shape)
-        # coordinate table: _coords[node] = n-dim coordinates (C order)
-        self._coords = np.stack(
-            np.unravel_index(np.arange(volume), self._shape), axis=1
+        # One contiguous coordinate column per axis (C order); _coords is
+        # the (p, ndim) view of the same table, _coords[node] = coordinates.
+        self._axes = np.stack(
+            np.unravel_index(np.arange(volume), self._shape)
         ).astype(np.int32)
+        self._coords = self._axes.T
         # C-order strides: moving one step along axis k changes the id by
         # _strides[k].
         self._strides = tuple(
@@ -79,31 +81,21 @@ class GridTopology(Topology):
         return view
 
     # -------------------------------------------------------------- distances
-    def _axis_deltas(self, node: int) -> np.ndarray:
-        """|a_k - b_k| per axis from ``node`` to every node, shape (p, ndim)."""
-        return np.abs(self._coords - self._coords[self._check_node(node)])
+    def pair_distances(self, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
+        pu, pv = np.asarray(pu), np.asarray(pv)
+        dist = np.zeros(len(pu), dtype=np.int32)
+        for column, extent in zip(self._axes, self._shape):
+            delta = np.abs(column[pu] - column[pv])
+            if self.wraparound:
+                delta = np.minimum(delta, extent - delta)
+            dist += delta
+        return dist
 
     def distance_row(self, node: int) -> np.ndarray:
-        delta = self._axis_deltas(node)
-        if self.wraparound:
-            shape = np.asarray(self._shape, dtype=np.int32)
-            delta = np.minimum(delta, shape - delta)
-        return delta.sum(axis=1, dtype=np.int32)
+        return self._pair_row(node)
 
     def _build_distance_matrix(self, dtype: np.dtype) -> np.ndarray:
-        # One broadcasted shot per row chunk instead of p distance_row calls;
-        # chunking keeps the (chunk, p, ndim) delta tensor small on big tori.
-        p = self._num_nodes
-        mat = np.empty((p, p), dtype=dtype)
-        shape = np.asarray(self._shape, dtype=np.int32)
-        chunk = max(1, (1 << 22) // max(p * self.ndim, 1))
-        for lo in range(0, p, chunk):
-            hi = min(lo + chunk, p)
-            delta = np.abs(self._coords[lo:hi, None, :] - self._coords[None, :, :])
-            if self.wraparound:
-                delta = np.minimum(delta, shape - delta)
-            mat[lo:hi] = delta.sum(axis=2, dtype=np.int32)
-        return mat
+        return self._pair_matrix(dtype)
 
     def diameter(self) -> int:
         # Closed form: sum over axes of the per-axis maximum displacement.

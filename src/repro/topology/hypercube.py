@@ -43,10 +43,12 @@ class Hypercube(Topology):
     def cache_key(self) -> tuple:
         return ("Hypercube", self._dim)
 
-    def distance_row(self, node: int) -> np.ndarray:
-        node = self._check_node(node)
-        xor = np.arange(self._num_nodes, dtype=np.uint32) ^ np.uint32(node)
+    def pair_distances(self, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
+        xor = np.asarray(pu, dtype=np.uint32) ^ np.asarray(pv, dtype=np.uint32)
         return np.bitwise_count(xor).astype(np.int32)
+
+    def distance_row(self, node: int) -> np.ndarray:
+        return self._pair_row(node)
 
     def neighbors(self, node: int) -> list[int]:
         node = self._check_node(node)

@@ -21,6 +21,8 @@ __all__ = ["MatrixTopology"]
 class MatrixTopology(Topology):
     """A processor metric given directly as a matrix."""
 
+    distance_dtype = np.dtype(np.float64)
+
     def __init__(self, distances: np.ndarray):
         mat = np.asarray(distances, dtype=np.float64).copy()
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -45,13 +47,16 @@ class MatrixTopology(Topology):
     def distance_row(self, node: int) -> np.ndarray:
         return self._mat[self._check_node(node)]
 
-    def distance_matrix(self, dtype=np.float64) -> np.ndarray:
+    def pair_distances(self, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
+        return self._mat[pu, pv]
+
+    def distance_matrix(self, dtype=None) -> np.ndarray:
         # Distances may be fractional (e.g. block-mean distances); serving
         # the stored float matrix avoids silent truncation to the default
         # integer dtype of the base implementation. Other dtypes are cast
         # once and kept in the per-instance cache (never the shared cache:
         # cache_key() is None — the name does not identify the contents).
-        dt = np.dtype(dtype)
+        dt = np.dtype(self.distance_dtype if dtype is None else dtype)
         if dt == np.float64:
             return self._mat
         mat = self._distance_matrices.get(dt)

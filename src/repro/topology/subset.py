@@ -81,10 +81,17 @@ class SubTopology(Topology):
     def name(self) -> str:
         return f"subset({self._num_nodes} of {self._parent.name})"
 
+    @property
+    def distance_dtype(self) -> np.dtype:
+        return self._parent.distance_dtype
+
     def distance_row(self, node: int) -> np.ndarray:
         node = self._check_node(node)
         parent_row = self._parent.distance_row(int(self._nodes[node]))
         return parent_row[self._nodes]
+
+    def pair_distances(self, pu: np.ndarray, pv: np.ndarray) -> np.ndarray:
+        return self._parent.pair_distances(self._nodes[pu], self._nodes[pv])
 
     def neighbors(self, node: int) -> list[int]:
         """Subset members at parent-distance 1 (may be empty for sparse subsets)."""

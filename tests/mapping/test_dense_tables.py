@@ -1,45 +1,84 @@
-"""Dense-table audit: above ``_MATRIX_LIMIT`` processors, no code path may
-materialize a full p x p distance matrix, and byte totals must stay exact
-past int32 range."""
+"""Dense-table audit: above ``_MATRIX_LIMIT`` processors, no code path
+outside the dense mappers may materialize a full p x p distance matrix, and
+byte totals must stay exact past int32 range."""
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.mapping import HierarchicalMapper
 from repro.mapping.context import context_for
-from repro.mapping.metrics import _MATRIX_LIMIT, hop_bytes, metrics_block
-from repro.taskgraph import TaskGraph, mesh2d_pattern
+from repro.mapping.hierarchical import _MATRIX_LIMIT
+from repro.mapping.metrics import hop_bytes, metrics_block
+from repro.taskgraph import TaskGraph, mesh2d_pattern, mesh3d_pattern
 from repro.topology import Torus
 from repro.topology.base import Topology
+from repro.topology.grid import GridTopology
+from repro.validate import validate_mapping
 
 BIG = (32, 32, 16)  # 16384 processors, 2x the dense-table limit
 
 
 @pytest.fixture
 def forbid_big_matrices(monkeypatch):
-    """Any dense-matrix build on a machine above the limit fails the test."""
-    original = Topology._build_distance_matrix
+    """Any dense-matrix request on a machine above the limit fails the test.
 
-    def guarded(self, dtype):
+    Guards the public :meth:`Topology.distance_matrix`, which no subclass
+    outside the metric-only matrix machine overrides, so grid machines
+    (whose table build is their own) are covered too.
+    """
+    original = Topology.distance_matrix
+
+    def guarded(self, dtype=None):
         assert self.num_nodes <= _MATRIX_LIMIT, (
             f"dense {self.num_nodes}x{self.num_nodes} distance matrix "
             f"materialized above the limit ({_MATRIX_LIMIT})"
         )
         return original(self, dtype)
 
-    monkeypatch.setattr(Topology, "_build_distance_matrix", guarded)
+    monkeypatch.setattr(Topology, "distance_matrix", guarded)
 
 
-def test_metrics_stream_rows_above_limit(forbid_big_matrices):
-    topo = Torus(BIG)
-    graph = mesh2d_pattern(8, 8, message_bytes=64)
-    rng = np.random.default_rng(0)
-    assignment = rng.integers(0, topo.num_nodes, size=64)
-    block = metrics_block(graph, topo, assignment)
+def test_guard_covers_grid_machines(forbid_big_matrices):
+    with pytest.raises(AssertionError, match="above the limit"):
+        Torus(BIG).distance_matrix()
+
+
+def test_metrics_and_cheap_validation_on_a_32k_torus(
+    forbid_big_matrices, monkeypatch
+):
+    """Metrics plus cheap validation of a 32,768-task mapping on
+    torus:32x32x32 build no dense table, read at most one distance row (the
+    lower bound's profile on a vertex-transitive machine) and stay small."""
+    topo = Torus((32, 32, 32))
+    graph = mesh3d_pattern(32, 32, 32, message_bytes=64)
+    assignment = np.random.default_rng(0).permutation(topo.num_nodes)
+    graph.edge_arrays()  # built here: an input, not the measured work
+    graph.csr_arrays()
+
+    rows: list[int] = []
+    original_row = GridTopology.distance_row
+
+    def counted(self, node):
+        rows.append(int(node))
+        assert len(rows) <= 1, "metrics gathered distance rows per source"
+        return original_row(self, node)
+
+    monkeypatch.setattr(GridTopology, "distance_row", counted)
+    tracemalloc.start()
+    try:
+        block = metrics_block(graph, topo, assignment)
+        report = validate_mapping(graph, topo, assignment, level="cheap")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert block["hop_bytes"] > 0
-    # The MappingContext gather path streams rows too.
+    assert not report.violations()
+    assert len(rows) <= 1
+    assert peak < 256 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
     ctx = context_for(graph, topo)
     dist = ctx.edge_distances(assignment)
     assert np.dot(graph.edge_arrays()[2], dist) == block["hop_bytes"]
@@ -55,37 +94,6 @@ def test_multilevel_never_materializes_big_tables(forbid_big_matrices):
     assert len(np.unique(mapping.assignment)) == 64
     # Levels above the limit were really traversed.
     assert any(p > _MATRIX_LIMIT for _, p, _, _ in mapper.last_level_assignments)
-
-
-def test_cli_warmup_gated_above_limit(tmp_path, monkeypatch):
-    """run_mapping warms the estimation tables only on machines whose dense
-    matrix is affordable."""
-    import repro.mapping.estimation as estimation
-    from repro.cli import run_mapping
-    from repro.taskgraph.io import save_taskgraph
-
-    warmed: list[int] = []
-    original = estimation.average_distance_vector
-
-    def recording(topology, subset=None):
-        warmed.append(topology.num_nodes)
-        return original(topology, subset)
-
-    monkeypatch.setattr(estimation, "average_distance_vector", recording)
-
-    graph_path = tmp_path / "graph.json"
-    save_taskgraph(mesh2d_pattern(4, 4, message_bytes=8), graph_path)
-
-    run_mapping(graph_path, False, "torus:4x4", "TopoLB", 0, None)
-    assert 16 in warmed
-
-    warmed.clear()
-    shape = "x".join(str(s) for s in BIG)
-    run_mapping(
-        graph_path, False, f"torus:{shape}",
-        "multilevel:inner=topolb;refine_window=0;stop=256", 0, None,
-    )
-    assert all(p <= _MATRIX_LIMIT for p in warmed)
 
 
 def test_hop_bytes_exact_beyond_int32():

@@ -64,22 +64,6 @@ class TestHopBytes:
         g = mesh2d_pattern(6, 6)
         assert hops_per_byte(g, topo, np.arange(36)) == pytest.approx(1.0)
 
-    def test_large_p_groupby_path_matches_matrix_path(self, rng):
-        """The no-distance-matrix code path gives identical results."""
-        import repro.mapping.metrics as metrics
-
-        g = random_taskgraph(40, edge_prob=0.2, seed=3)
-        topo = Torus((7, 6))
-        assign = rng.permutation(42)[:40]
-        expected = hop_bytes(g, topo, assign)
-        old = metrics._MATRIX_LIMIT
-        try:
-            metrics._MATRIX_LIMIT = 1  # force the group-by-source path
-            topo2 = Torus((7, 6))  # fresh topology: no cached matrix
-            assert hop_bytes(g, topo2, assign) == pytest.approx(expected)
-        finally:
-            metrics._MATRIX_LIMIT = old
-
 
 class TestPerTaskHopBytes:
     def test_additivity_identity(self, tiny_graph):

@@ -169,3 +169,27 @@ class TestProfileAndStats:
         rc = main(["--stats", str(bad)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("topology,rows,cols", [
+    ("fattree:arity=2;levels=3", 2, 4),
+    ("dragonfly:groups=4;routers=4;hosts=2", 4, 8),
+], ids=["fattree", "dragonfly"])
+@pytest.mark.parametrize("mode", ["des", "flow"])
+def test_indirect_network_end_to_end(topology, rows, cols, mode, tmp_path,
+                                     capsys):
+    """Map, then replay three iterations through the DES or the flow
+    estimator, on the switch-level machines. Full validation of TopoLB on
+    the same machines is pinned by the golden corpus."""
+    path = tmp_path / "app.json"
+    save_taskgraph(mesh2d_pattern(rows, cols, message_bytes=1024), path)
+    rc = main(["--taskgraph", str(path), "--topology", topology,
+               "--strategy", "TopoLB", "--netsim-mode", mode,
+               "--simulate-iters", "3"])
+    assert rc == 0
+    report = dict(line.split(None, 1) for line in
+                  capsys.readouterr().out.splitlines())
+    assert report["sim_mode"] == mode
+    assert report["sim_iterations"] == "3"
+    assert float(report["sim_time_us"]) > 0
+    assert float(report["hops_per_byte"]) > 1

@@ -1,0 +1,177 @@
+"""``Topology.pair_distances`` against oracles that never call it.
+
+Every machine class must return exactly ``distance_matrix()[pu, pv]`` —
+same values, same dtype. The expected distances come from outside the
+class: breadth-first search over ``link_graph()`` for the networks with
+links, the stored matrix for a matrix machine, Floyd-Warshall over the link
+costs for a weighted graph, and the oracle rows of the parent mapped by
+hand for the views (subset, grouped) and the degraded machine.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+
+import numpy as np
+import pytest
+
+from repro.faults import DegradedTopology, FaultSet
+from repro.topology import (
+    ArbitraryTopology,
+    Dragonfly,
+    FatTree,
+    Hypercube,
+    MatrixTopology,
+    Mesh,
+    SubTopology,
+    Torus,
+    coarsen_machine,
+)
+
+
+def bfs_oracle(topology, unreachable=None) -> np.ndarray:
+    """Processor-to-processor hop counts by BFS over ``link_graph()``."""
+    graph = topology.link_graph()
+    p = topology.num_nodes
+    out = np.full((p, p), -1 if unreachable is None else unreachable, np.int64)
+    for src in range(p):
+        seen = {src: 0}
+        frontier = deque([src])
+        while frontier:
+            node = frontier.popleft()
+            for nbr in graph.neighbors(node):
+                if nbr not in seen:
+                    seen[nbr] = seen[node] + 1
+                    frontier.append(nbr)
+        for dst, hops in seen.items():
+            if dst < p:
+                out[src, dst] = hops
+    assert (out >= 0).all(), "oracle found a disconnected pristine machine"
+    return out
+
+
+def floyd_warshall(num_nodes: int, edges) -> np.ndarray:
+    dist = np.full((num_nodes, num_nodes), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    for a, b, cost in edges:
+        dist[a, b] = dist[b, a] = min(dist[a, b], cost)
+    for k in range(num_nodes):
+        dist = np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :])
+    return dist
+
+
+LINKED = [
+    Mesh((1,)),
+    Mesh((2,)),
+    Mesh((5,)),
+    Mesh((2, 3)),
+    Mesh((3, 1, 4)),
+    Torus((1,)),
+    Torus((2, 2)),
+    Torus((1, 4)),
+    Torus((3, 5)),
+    Torus((4, 3, 2)),
+    Hypercube(0),
+    Hypercube(1),
+    Hypercube(4),
+    FatTree(2, 1),
+    FatTree(2, 3),
+    FatTree(3, 2),
+    Dragonfly(1, 1, 1),
+    Dragonfly(1, 3, 2),
+    Dragonfly(2, 1, 3),
+    Dragonfly(3, 2, 2),
+    Dragonfly(4, 4, 2),
+]
+
+
+def _cases():
+    for topo in LINKED:
+        yield topo.name, topo, bfs_oracle(topo)
+
+    rng = np.random.default_rng(5)
+    points = rng.uniform(0.0, 4.0, size=(7, 2))
+    metric = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2)
+    yield "matrix", MatrixTopology(metric), metric
+
+    edges = [(0, 1, 1.5), (1, 2, 0.25), (2, 3, 2.0), (3, 4, 1.0), (4, 0, 3.5),
+             (1, 3, 2.75)]
+    yield "weighted-graph", ArbitraryTopology(5, edges), floyd_warshall(5, edges)
+    ring = [(v, (v + 1) % 6, 1.0) for v in range(6)]
+    yield "unit-graph", ArbitraryTopology(6, ring), floyd_warshall(6, ring)
+
+    torus = Torus((4, 4))
+    nodes = [3, 0, 7, 12, 9, 10]
+    parent = bfs_oracle(torus)
+    yield "subset", SubTopology(torus, nodes), parent[np.ix_(nodes, nodes)]
+
+    torus = Torus((4, 6))
+    level, shape = torus, None
+    reps = np.arange(torus.num_nodes)
+    for _ in range(2):
+        level, _, _, shape = coarsen_machine(level, shape=shape)
+        reps = reps[level.representatives]
+    yield "grouped-grid", level, bfs_oracle(torus)[np.ix_(reps, reps)]
+
+    fattree = FatTree(2, 3)
+    grouped, _, _, _ = coarsen_machine(fattree)
+    reps = grouped.representatives
+    yield "grouped-fattree", grouped, bfs_oracle(fattree)[np.ix_(reps, reps)]
+
+    # A path 0-1-2-3-4-5 cut between 2 and 3 with node 5 dead: sentinel
+    # distances between the halves and to the dead node.
+    degraded = DegradedTopology(
+        Mesh((6,)), FaultSet(dead_nodes=[5], dead_links=[(2, 3)])
+    )
+    sentinel = degraded.unreachable_distance
+    truth = bfs_oracle(degraded, unreachable=sentinel)
+    truth[5, 5] = 0
+    assert (truth == sentinel).any()
+    yield "degraded", degraded, truth
+
+    dead = DegradedTopology(Torus((4, 4)), FaultSet(dead_nodes=[0, 6]))
+    allowed = dead.allowed_mask()
+    grouped, _, _, _ = coarsen_machine(dead, allowed=allowed)
+    reps = grouped.representatives
+    truth = bfs_oracle(dead, unreachable=dead.unreachable_distance)
+    for v in (0, 6):
+        truth[v, v] = 0
+    yield "grouped-degraded", grouped, truth[np.ix_(reps, reps)]
+
+
+CASES = list(_cases())
+
+
+@pytest.mark.parametrize(
+    "topology,truth", [c[1:] for c in CASES], ids=[c[0] for c in CASES]
+)
+def test_pair_distances_match_oracle(topology, truth):
+    p = topology.num_nodes
+    assert truth.shape == (p, p)
+    pu, pv = (a.ravel() for a in np.meshgrid(np.arange(p), np.arange(p)))
+    rng = np.random.default_rng(p)
+    shuffled = rng.permutation(len(pu))
+    pu, pv = pu[shuffled], pv[shuffled]
+
+    got = topology.pair_distances(pu, pv)
+    assert got.shape == (len(pu),)
+    np.testing.assert_array_equal(got, truth[pu, pv])
+
+    dense = topology.distance_matrix()
+    assert got.dtype == dense[pu, pv].dtype
+    np.testing.assert_array_equal(got, dense[pu, pv])
+    np.testing.assert_array_equal(
+        topology.distance_row(p - 1), truth[p - 1]
+    )
+
+    empty = np.zeros(0, dtype=np.int64)
+    none = topology.pair_distances(empty, empty)
+    assert none.shape == (0,)
+    assert none.dtype == dense.dtype
+
+
+def test_weighted_graph_keeps_fractional_distances():
+    topo = ArbitraryTopology(3, [(0, 1, 0.5), (1, 2, 0.25)])
+    got = topo.pair_distances(np.array([0, 2]), np.array([2, 1]))
+    assert got.dtype == np.float64
+    assert got.tolist() == [0.75, 0.25]
