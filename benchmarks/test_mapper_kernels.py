@@ -1,12 +1,15 @@
-"""Kernel micro-benchmark: vectorized vs reference mapper paths.
+"""Kernel micro-benchmark: production (compiled) vs reference mapper paths.
 
-CI's smoke job runs this to catch a vectorized-kernel performance
-regression: the batched kernels exist *only* to be faster, so "vectorized
-not slower than reference" is a hard invariant here (with a generous noise
-margin — CI boxes are shared and single runs jitter). ``docs/PERFORMANCE.md``
-documents the full measurement protocol behind the recorded
-``BENCH_kernels_*.json`` artifacts; this file is the cheap sentinel, not
-the recorded claim.
+CI's smoke job runs this to catch a production-kernel performance
+regression: the compiled kernels exist *only* to be faster. First- and
+second-order TopoLB run their whole cycle loop compiled and must beat the
+reference by at least :data:`MIN_SPEEDUP` (about 8× locally at this
+scale); third-order TopoLB and RefineTopoLB must not be slower (with a
+generous noise margin — CI boxes are shared and single runs jitter).
+Without a C compiler the production kernel *is* the reference, so the
+speedup gates skip. ``docs/PERFORMANCE.md`` documents the full measurement
+protocol behind the recorded ``BENCH_kernels_*.json`` artifacts; this file
+is the cheap sentinel, not the recorded claim.
 """
 
 from __future__ import annotations
@@ -16,15 +19,19 @@ import time
 import numpy as np
 import pytest
 
-from repro.mapping import RefineTopoLB, TopoLB
+from repro.mapping import RefineTopoLB, TopoLB, _native
 from repro.mapping.estimation import EstimatorOrder
 from repro.taskgraph.random_graphs import geometric_taskgraph
 from repro.topology import Torus
 
-#: Allowed vectorized/reference wall-time ratio. Anything under 1.0 means
-#: the vectorized path won; the slack only absorbs scheduler noise on the
-#: shared CI runner (locally the ratio sits well below 0.5).
+#: Allowed vectorized/reference wall-time ratio for the paths gated at "not
+#: slower". Anything under 1.0 means the vectorized path won; the slack only
+#: absorbs scheduler noise on the shared CI runner (locally the ratio sits
+#: well below 0.5).
 NOISE_MARGIN = 1.1
+
+#: Required reference/vectorized speedup of first- and second-order TopoLB.
+MIN_SPEEDUP = 3.0
 
 #: Smoke-scale copy of the recorded benchmark config (512 tasks there).
 N_TASKS = 128
@@ -48,10 +55,16 @@ def _best_of(fn, repeats: int = 3) -> float:
     return best
 
 
-@pytest.mark.parametrize("order", [EstimatorOrder.SECOND, EstimatorOrder.THIRD])
-def test_topolb_vectorized_not_slower(benchmark, instance, order):
-    """The vectorized kernel must beat the reference: batched NumPy for
-    second order, the compiled recentring pass for third."""
+@pytest.mark.parametrize("order,speedup", [
+    (EstimatorOrder.FIRST, MIN_SPEEDUP),
+    (EstimatorOrder.SECOND, MIN_SPEEDUP),
+    (EstimatorOrder.THIRD, 1 / NOISE_MARGIN),
+])
+def test_topolb_vectorized_faster(benchmark, instance, order, speedup):
+    """The compiled cycle loop must beat the reference by ``speedup``: the
+    whole loop for first and second order, the recentring pass for third."""
+    if speedup > 1 and not _native.available():
+        pytest.skip("no C compiler: the production kernel is the reference")
     graph, topo = instance
     ref = TopoLB(order=order, kernel="reference")
     vec = TopoLB(order=order, kernel="vectorized")
@@ -67,9 +80,9 @@ def test_topolb_vectorized_not_slower(benchmark, instance, order):
     )
 
     np.testing.assert_array_equal(vec_mapping.assignment, ref_mapping.assignment)
-    assert t_vec <= t_ref * NOISE_MARGIN, (
+    assert t_vec * speedup <= t_ref, (
         f"vectorized TopoLB({order.name}) took {t_vec * 1e3:.1f} ms vs "
-        f"reference {t_ref * 1e3:.1f} ms"
+        f"reference {t_ref * 1e3:.1f} ms (need {speedup:.2f}x)"
     )
 
 

@@ -1,21 +1,23 @@
 """On-demand compiled kernels for the mappers' and partitioners' production paths.
 
-``repro.mapping.refine_kernel.c`` holds four scalar C functions: one
-RefineTopoLB sweep with the incremental delta structure, the per-cycle
-recentre-and-argmin pass of third-order TopoLB, and the two loops of the
-phase-1 partitioner — one graph-growing bisection over a range of an order
-array, and one FM refinement pass. This module compiles the file with the
-system C compiler (``cc``/``gcc``/``clang``) the first time it is needed,
-caches the shared object under the system temp directory keyed by a hash of
-the source and build flags, and loads it through :mod:`ctypes` — no
+``repro.mapping.refine_kernel.c`` holds six scalar C functions: RefineTopoLB's
+cost table and one sweep with the incremental delta structure, the cycle
+loop of first- and second-order TopoLB, the per-cycle recentre-and-argmin
+pass of third-order TopoLB, and the two loops of the phase-1 partitioner —
+one graph-growing bisection over a range of an order array, and one FM
+refinement pass. This module compiles the file with the system C compiler
+(``cc``/``gcc``/``clang``) the first time it is needed, caches the shared
+object under the system temp directory keyed by a hash of the source and
+build flags, and loads it through :mod:`ctypes` — no
 third-party build dependency. ``-ffp-contract=off`` keeps the C arithmetic
 bitwise identical to the Python reference bodies — no fused multiply-adds.
 
 Every call site is compiled or reference, with nothing in between: when
 :func:`kernels_or_fallback` returns ``None`` (no C compiler, a failed build,
 or ``REPRO_NO_NATIVE`` set) it runs its bit-identical reference body — the
-``kernel="reference"`` loops of RefineTopoLB and third-order TopoLB, and the
-partitioner's walks over ``csr_lists``.
+``kernel="reference"`` loops of RefineTopoLB and TopoLB, and the
+partitioner's walks over ``csr_lists``. The wrappers check each array's size
+and dtype once, when a run binds them, and pass raw pointers on every call.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro import obs
 __all__ = ["load", "available", "kernels_or_fallback"]
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "refine_kernel.c")
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 _lock = threading.Lock()
 _UNSET = object()
@@ -46,79 +48,69 @@ _warned = False
 
 
 class NativeKernels:
-    """Thin typed wrappers around the compiled functions."""
+    """Typed entry points of the compiled functions. Each one checks its
+    arrays' sizes and dtypes once and passes raw pointers."""
 
     def __init__(self, lib: ctypes.CDLL):
-        fn = lib.refine_sweep_incremental
-        i64 = ctypes.c_int64
-        arr = np.ctypeslib.ndpointer
-        fn.restype = i64
-        fn.argtypes = [
-            i64, i64,
-            arr(np.float64, flags="C_CONTIGUOUS"),  # cost (n, p)
-            arr(np.float64, flags="C_CONTIGUOUS"),  # dist (p, p)
-            arr(np.int64, flags="C_CONTIGUOUS"),    # assign (n)
-            arr(np.int64, flags="C_CONTIGUOUS"),    # indptr (n + 1)
-            arr(np.int64, flags="C_CONTIGUOUS"),    # indices (nnz)
-            arr(np.float64, flags="C_CONTIGUOUS"),  # weights (nnz)
-            arr(np.int64, flags="C_CONTIGUOUS"),    # perm (n)
-            arr(np.int64, flags="C_CONTIGUOUS"),    # best_b (n)
-            arr(np.float64, flags="C_CONTIGUOUS"),  # best_val (n)
-            arr(np.uint8, flags="C_CONTIGUOUS"),    # valid (n)
-            arr(np.int64, flags="C_CONTIGUOUS"),    # stats (4)
-        ]
-        self._fn = fn
+        i64, ptr = ctypes.c_int64, ctypes.c_void_p
 
-        recentre = lib.topolb3_recentre
-        recentre.restype = None
-        recentre.argtypes = [
-            i64,
-            arr(np.float64, flags="C_CONTIGUOUS"),  # fest (n, p)
-            arr(np.int64, flags="C_CONTIGUOUS"),    # rows (k)
-            i64,
-            arr(np.float64, flags="C_CONTIGUOUS"),  # uc (n)
-            arr(np.float64, flags="C_CONTIGUOUS"),  # delta (p)
-            arr(np.int64, flags="C_CONTIGUOUS"),    # free_ids (nfree)
-            i64,
-            arr(np.float64, flags="C_CONTIGUOUS"),  # f_min (n)
-            arr(np.int64, flags="C_CONTIGUOUS"),    # f_argmin (n)
-        ]
-        self._recentre = recentre
+        def bind(name, restype, *argtypes):
+            fn = getattr(lib, name)
+            fn.restype = restype
+            fn.argtypes = list(argtypes)
+            return fn
 
-        bisect = lib.partition_bisect
-        bisect.restype = i64
-        bisect.argtypes = [i64, *[ctypes.c_void_p] * 6,
-                           i64, i64, i64, i64, i64, ctypes.c_double]
-        self._bisect = bisect
+        self._cost_table = bind("refine_cost_table", None,
+                                i64, i64, *[ptr] * 6)
+        self._sweep = bind("refine_sweep_incremental", i64,
+                           i64, i64, *[ptr] * 11)
+        self._cycles = bind("topolb_cycles", i64,
+                            *[i64] * 5, *[ptr] * 18)
+        self._recentre = bind("topolb3_recentre", None,
+                              i64, ptr, ptr, i64, *[ptr] * 3, i64,
+                              ptr, ptr)
+        self._bisect = bind("partition_bisect", i64,
+                            i64, *[ptr] * 6, *[i64] * 5, ctypes.c_double)
+        self._refine_pass = bind("partition_refine_pass", i64,
+                                 i64, *[ptr] * 8, ctypes.c_double,
+                                 *[ptr] * 3)
 
-        refine_pass = lib.partition_refine_pass
-        refine_pass.restype = i64
-        refine_pass.argtypes = [i64, *[ctypes.c_void_p] * 8, ctypes.c_double,
-                                *[ctypes.c_void_p] * 3]
-        self._refine_pass = refine_pass
+    def refine_cost_table(self, indptr, indices, weights, assign,
+                          dist) -> np.ndarray:
+        """RefineTopoLB's ``(n, p)`` cost table, bitwise equal to
+        ``csr_matrix((weights, assign[indices], indptr)) @ dist``."""
+        n, p = assign.size, dist.shape[0]
+        if not (0 <= assign.min() and assign.max() < p):
+            raise ValueError("refine_cost_table: assign must hold processors")
+        cost = np.empty((n, p))
+        self._cost_table(n, p, *_csr_ptrs(indptr, indices, n, weights),
+                         _ptr(assign, np.int64, n, "assign"),
+                         _ptr(dist, np.float64, p * p, "dist"),
+                         cost.ctypes.data)
+        return cost
 
-    def sweep(self, cost, dist, assign, indptr, indices, weights, perm,
-              best_b, best_val, valid, stats) -> bool:
-        n, p = cost.shape
-        rc = self._fn(n, p, cost, dist, assign, indptr, indices, weights,
-                      perm, best_b, best_val, valid, stats)
-        if rc < 0:  # pragma: no cover - allocation failure inside C
-            raise MemoryError("refine_sweep_incremental scratch allocation")
-        return bool(rc)
+    def refine_sweeper(self, cost, dist, assign, indptr,
+                       indices, weights) -> "RefineSweeper":
+        """``refine_sweep_incremental`` bound to one cost table (see
+        :class:`RefineSweeper`)."""
+        return RefineSweeper(self._sweep, cost, dist, assign, indptr,
+                             indices, weights)
 
-    def topolb3_recentre(self, fest, rows, uc, delta, free_ids,
-                         f_min, f_argmin) -> None:
-        """Third-order TopoLB's per-cycle pass, in place: recentre the
-        ``rows`` of ``fest`` over the free columns ``free_ids`` (ascending,
-        non-empty) and write each row's first minimum to ``f_min`` /
-        ``f_argmin``."""
-        n, p = fest.shape
-        if not (0 < free_ids.size <= p and rows.size <= n
-                and uc.size == f_min.size == f_argmin.size == n
-                and delta.size == p):
-            raise ValueError("topolb3_recentre: inconsistent array sizes")
-        self._recentre(p, fest, rows, rows.size, uc, delta,
-                       free_ids, free_ids.size, f_min, f_argmin)
+    def topolb_cycles(self, fest, dist, avg, indptr, indices, weights,
+                      order: int, selection: str, score, avail_f,
+                      reserve: int) -> "TopoLBCycles":
+        """``topolb_cycles`` bound to one first- or second-order run (see
+        :class:`TopoLBCycles`)."""
+        return TopoLBCycles(self._cycles, fest, dist, avg, indptr, indices,
+                            weights, order, selection, score, avail_f,
+                            reserve)
+
+    def topolb3_recentre(self, fest, uc, delta, free_buf, f_min,
+                         f_argmin) -> "Recentre":
+        """``topolb3_recentre`` bound to one third-order run (see
+        :class:`Recentre`)."""
+        return Recentre(self._recentre, fest, uc, delta, free_buf, f_min,
+                        f_argmin)
 
     def partition_bisector(self, indptr, indices, vertex_weights,
                            order) -> "PartitionBisector":
@@ -148,6 +140,135 @@ class NativeKernels:
         cand = np.empty(k, dtype=np.int64)
         return bool(self._refine_pass(n, *ptrs, max_load, conn.ctypes.data,
                                       seen.ctypes.data, cand.ctypes.data))
+
+
+class RefineSweeper:
+    """RefineTopoLB's incremental sweeps over one ``(n, p)`` cost table.
+
+    ``sweep(perm)`` runs one sweep in the order ``perm`` and returns True
+    if a swap was accepted; ``cost`` and ``assign`` update in place. The
+    best-swap caches persist across sweeps. ``stats`` is cumulative:
+    visits, accepted swaps, rows computed, rows folded.
+    """
+
+    __slots__ = ("stats", "_perm", "_fn", "_args", "_keep")
+
+    def __init__(self, fn, cost, dist, assign, indptr, indices, weights):
+        n, p = cost.shape
+        self.stats = np.zeros(4, dtype=np.int64)
+        self._perm = np.empty(n, dtype=np.int64)
+        best_b = np.zeros(n, dtype=np.int64)
+        best_val = np.zeros(n)
+        valid = np.zeros(n, dtype=np.uint8)
+        self._fn = fn
+        self._keep = (cost, dist, assign, indptr, indices, weights, best_b,
+                      best_val, valid)
+        self._args = (n, p, _ptr(cost, np.float64, n * p, "cost", out=True),
+                      _ptr(dist, np.float64, p * p, "dist"),
+                      _ptr(assign, np.int64, n, "assign", out=True),
+                      *_csr_ptrs(indptr, indices, n, weights),
+                      self._perm.ctypes.data, best_b.ctypes.data,
+                      best_val.ctypes.data, valid.ctypes.data,
+                      self.stats.ctypes.data)
+
+    def sweep(self, perm: np.ndarray) -> bool:
+        self._perm[:] = perm
+        rc = self._fn(*self._args)
+        if rc < 0:  # pragma: no cover - allocation failure inside C
+            raise MemoryError("refine_sweep_incremental scratch allocation")
+        return bool(rc)
+
+
+class TopoLBCycles:
+    """First- and second-order TopoLB's cycle loop over one ``fest`` table.
+
+    Each call runs cycles in C until the run ends, returning ``None``, or,
+    under the "gain" rule, until a cycle dirtied rows, returning their
+    ascending ids: the caller refreshes those rows' sums in ``score``
+    (``score[rows] = fest[rows] @ avail_f``) and calls again. ``score`` is
+    the free-column row sums under "gain", the static volumes under
+    "volume", and unread under "max_cost". ``avail_f`` (1.0 at a free
+    processor) and ``fest`` update in place. Afterwards ``assignment`` holds
+    the placement and :meth:`counters` the five ``topolb.*`` counters.
+    """
+
+    __slots__ = ("assignment", "_dirty", "_state", "_fn", "_args", "_keep")
+
+    _SELECTIONS = ("gain", "max_cost", "volume")
+
+    def __init__(self, fn, fest, dist, avg, indptr, indices, weights, order,
+                 selection, score, avail_f, reserve):
+        n, p = fest.shape
+        free_ids = np.flatnonzero(avail_f).astype(np.int64)
+        if not (order in (1, 2) and 0 < reserve and 0 < n <= free_ids.size):
+            raise ValueError("topolb_cycles: bad order, reserve or sizes")
+        self.assignment = np.full(n, -1, dtype=np.int64)
+        self._dirty = np.empty(2 * n, dtype=np.int64)
+        self._state = np.zeros(6, dtype=np.int64)
+        self._state[1] = free_ids.size
+        scratch = (np.empty(n), np.empty(n, dtype=np.int64),
+                   np.empty(n * reserve), np.empty(n * reserve, dtype=np.int64),
+                   np.empty(n, dtype=np.int64))
+        unassigned = np.ones(n, dtype=np.uint8)
+        self._fn = fn
+        self._keep = (fest, dist, avg, indptr, indices, weights, score,
+                      avail_f, free_ids, unassigned, scratch)
+        self._args = (n, p, reserve, order, self._SELECTIONS.index(selection),
+                      _ptr(fest, np.float64, n * p, "fest", out=True),
+                      _ptr(dist, np.float64, p * p, "dist"),
+                      _ptr(avg, np.float64, p, "avg"),
+                      *_csr_ptrs(indptr, indices, n, weights),
+                      _ptr(score, np.float64, n, "score", out=True),
+                      *(a.ctypes.data for a in scratch),
+                      _ptr(avail_f, np.float64, p, "avail_f", out=True),
+                      free_ids.ctypes.data, unassigned.ctypes.data,
+                      self.assignment.ctypes.data, self._dirty.ctypes.data,
+                      self._state.ctypes.data)
+
+    def __call__(self) -> np.ndarray | None:
+        k = self._fn(*self._args)
+        return self._dirty[:k] if k else None
+
+    def counters(self) -> dict[str, int]:
+        cycles, _, hits, exhaustions, rebuilt, updates = self._state.tolist()
+        return {"topolb.cycles": cycles, "topolb.reserve_hits": hits,
+                "topolb.reserve_exhaustions": exhaustions,
+                "topolb.rows_rebuilt": rebuilt,
+                "topolb.neighbor_updates": updates}
+
+
+class Recentre:
+    """Third-order TopoLB's per-cycle pass over one ``fest`` table.
+
+    ``recentre(rows, nfree)`` recentres ``rows`` of ``fest`` by
+    ``uc[r] * delta`` over the free columns ``free_buf[:nfree]``
+    (ascending, non-empty) and writes each row's first minimum to ``f_min``
+    / ``f_argmin``. The caller writes each cycle's ``delta`` in place.
+    """
+
+    __slots__ = ("_fn", "_args", "_keep", "_p", "_nfree_max")
+
+    def __init__(self, fn, fest, uc, delta, free_buf, f_min, f_argmin):
+        n, p = fest.shape
+        if not 0 < free_buf.size <= p:
+            raise ValueError("topolb3_recentre: free_buf must be non-empty")
+        self._fn = fn
+        self._p, self._nfree_max = p, free_buf.size
+        self._keep = (fest, uc, delta, free_buf, f_min, f_argmin)
+        self._args = (_ptr(fest, np.float64, n * p, "fest", out=True),
+                      _ptr(uc, np.float64, n, "uc"),
+                      _ptr(delta, np.float64, p, "delta"),
+                      _ptr(free_buf, np.int64, free_buf.size, "free_buf"),
+                      _ptr(f_min, np.float64, n, "f_min", out=True),
+                      _ptr(f_argmin, np.int64, n, "f_argmin", out=True))
+
+    def recentre(self, rows: np.ndarray, nfree: int) -> None:
+        fest, uc, delta, free, f_min, f_argmin = self._args
+        if not 0 < nfree <= self._nfree_max:
+            raise ValueError("topolb3_recentre: nfree out of range")
+        self._fn(self._p, fest,
+                 _ptr(rows, np.int64, rows.size, "rows"), rows.size,
+                 uc, delta, free, nfree, f_min, f_argmin)
 
 
 class PartitionBisector:
@@ -198,18 +319,26 @@ def _ptr(arr: np.ndarray, dtype, size: int, name: str, out: bool = False) -> int
     return arr.ctypes.data
 
 
-def _graph_ptrs(indptr, indices, vertex_weights, edge_weights=None) -> list[int]:
-    """Pointers to the CSR adjacency of ``vertex_weights.size`` vertices.
+def _csr_ptrs(indptr, indices, n: int, *weights) -> list[int]:
+    """Pointers to an ``n``-row CSR adjacency and its per-nonzero weights.
 
     Sizes are checked here; the contents are ``TaskGraph.csr_arrays()``,
-    read-only and valid by construction, as for the refine sweep."""
-    n = vertex_weights.size
+    read-only and valid by construction."""
     nnz = int(indptr[-1]) if indptr.size == n + 1 else -1
-    ptrs = [_ptr(indptr, np.int64, n + 1, "indptr"),
+    return [_ptr(indptr, np.int64, n + 1, "indptr"),
             _ptr(indices, np.int64, nnz, "indices"),
-            _ptr(vertex_weights, np.float64, n, "vertex_weights")]
+            *(_ptr(w, np.float64, nnz, "weights") for w in weights)]
+
+
+def _graph_ptrs(indptr, indices, vertex_weights, edge_weights=None) -> list[int]:
+    """Pointers to the CSR adjacency of ``vertex_weights.size`` vertices,
+    its vertex weights, then its edge weights if given."""
+    n = vertex_weights.size
+    ptrs = _csr_ptrs(indptr, indices, n)
+    ptrs.append(_ptr(vertex_weights, np.float64, n, "vertex_weights"))
     if edge_weights is not None:
-        ptrs.append(_ptr(edge_weights, np.float64, nnz, "edge_weights"))
+        ptrs.append(_ptr(edge_weights, np.float64, int(indptr[-1]),
+                         "edge_weights"))
     return ptrs
 
 

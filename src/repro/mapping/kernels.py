@@ -5,15 +5,13 @@ The performance-critical mappers (:class:`~repro.mapping.topolb.TopoLB`,
 one reference oracle for their inner loops:
 
 ``"vectorized"`` (the default, the production kernel)
-    TopoLB: batched NumPy kernels for first and second order (neighbor-row
-    updates, stale-argmin repair and score evaluation over whole index
-    blocks per call), and a third-order loop whose per-cycle recentring
-    runs compiled (:mod:`repro.mapping._native`). RefineTopoLB: the
-    compiled incremental sweep. Every path produces **bit-identical
-    assignments** to the reference kernel (enforced by
-    ``tests/mapping/test_kernel_equivalence.py``); where the production
-    body is compiled and no C compiler is available (or ``REPRO_NO_NATIVE``
-    is set), the mapper runs its ``"reference"`` body instead.
+    Compiled loops (:mod:`repro.mapping._native`). TopoLB: the whole cycle
+    loop for first and second order, and the per-cycle recentring for
+    third. RefineTopoLB: the cost table and the incremental sweep. Every
+    path produces **bit-identical assignments** to the reference kernel
+    (enforced by ``tests/mapping/test_kernel_equivalence.py``); without a C
+    compiler (or with ``REPRO_NO_NATIVE`` set) the mapper runs its
+    ``"reference"`` body instead.
 
 ``"reference"``
     The original scalar loops, kept verbatim as the executable

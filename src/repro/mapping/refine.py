@@ -42,7 +42,6 @@ runs the reference sweep instead.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import obs
 from repro.exceptions import MappingError
@@ -138,7 +137,8 @@ class RefineTopoLB(Mapper):
             return run(mapping, prof, allowed=allowed, ctx=ctx)
 
     def _setup(self, mapping: Mapping, allowed: np.ndarray | None = None,
-               ctx: MappingContext | None = None):
+               ctx: MappingContext | None = None,
+               native: _native.NativeKernels | None = None):
         """Shared kernel state: distance matrix, CSR arrays, cost table."""
         graph, topology = mapping.graph, mapping.topology
         if ctx is None:
@@ -168,13 +168,20 @@ class RefineTopoLB(Mapper):
 
         # C[t, q] = first-order cost of task t if it sat on processor q:
         # the adjacency with each neighbor column relabelled to its processor,
-        # times the distance matrix. csr_matvecs accumulates the same rows in
-        # the same order as ``adjacency @ dist[assign]`` without the (n, p)
-        # gather.
-        placed = sp.csr_matrix(
-            (weights, assign[indices], indptr), shape=(n, dist.shape[0])
-        )
-        cost = np.asarray(placed @ dist)  # (n, p)
+        # times the distance matrix. SciPy's csr_matvecs accumulates the same
+        # rows in the same order as ``adjacency @ dist[assign]`` without the
+        # (n, p) gather, and the compiled table repeats that order.
+        if native is None:
+            import scipy.sparse as sp
+
+            placed = sp.csr_matrix(
+                (weights, assign[indices], indptr), shape=(n, dist.shape[0])
+            )
+            cost = np.asarray(placed @ dist)  # (n, p)
+        else:
+            dist = np.ascontiguousarray(dist)
+            cost = native.refine_cost_table(indptr, indices, weights, assign,
+                                            dist)
         return n, rng, dist, indptr, indices, weights, assign, cost
 
     @staticmethod
@@ -276,28 +283,16 @@ class RefineTopoLB(Mapper):
         that NumPy call overhead dominates at paper scales (n ~ 512)."""
         native = _native.load()
         n, rng, dist, indptr, indices, weights, assign, cost = self._setup(
-            mapping, allowed, ctx
+            mapping, allowed, ctx, native
         )
-        cost = np.ascontiguousarray(cost, dtype=np.float64)
-        dist = np.ascontiguousarray(dist, dtype=np.float64)
-        c_assign = np.ascontiguousarray(assign, dtype=np.int64)
-        c_indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        c_indices = np.ascontiguousarray(indices, dtype=np.int64)
-        c_weights = np.ascontiguousarray(weights, dtype=np.float64)
-
-        best_b = np.zeros(n, dtype=np.int64)
-        best_val = np.zeros(n, dtype=np.float64)
-        valid = np.zeros(n, dtype=np.uint8)
-        stats = np.zeros(4, dtype=np.int64)  # visits, accepted, computed, folded
+        sweeper = native.refine_sweeper(cost, dist, assign, indptr, indices,
+                                        weights)
+        stats = sweeper.stats  # visits, accepted, computed, folded
 
         sweeps = 0
         seen_visits = seen_accepted = 0
         for _sweep in range(self._max_sweeps):
-            perm = np.ascontiguousarray(rng.permutation(n), dtype=np.int64)
-            swapped = native.sweep(
-                cost, dist, c_assign, c_indptr, c_indices, c_weights,
-                perm, best_b, best_val, valid, stats,
-            )
+            swapped = sweeper.sweep(rng.permutation(n))
             sweeps += 1
             if prof is not None:
                 visits, accepted = int(stats[0]), int(stats[1])
@@ -313,7 +308,7 @@ class RefineTopoLB(Mapper):
         if prof is not None:
             prof.count("refine.rows_computed", int(stats[2]))
             prof.count("refine.rows_folded", int(stats[3]))
-        return mapping.with_assignment(c_assign.astype(assign.dtype, copy=False))
+        return mapping.with_assignment(assign)
 
     @staticmethod
     def _apply_swap(a: int, b: int, assign: np.ndarray, cost: np.ndarray,

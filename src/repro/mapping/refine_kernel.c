@@ -1,13 +1,21 @@
 /* refine_kernel.c — compiled inner loops for the mapper and partitioner
  * production paths.
  *
- * Four entry points, one shared object:
+ * Six entry points, one shared object:
+ *
+ * refine_cost_table — RefineTopoLB's first-order cost table, accumulated
+ * in SciPy's csr_matvecs order.
  *
  * refine_sweep_incremental — ONE full sweep of RefineTopoLB's pairwise-swap
  * refiner with the incremental delta structure: per-task best-swap caches
  * (best_b, best_val, valid) that persist across sweeps, invalidated/folded
  * by the dirty set of each accepted swap ({a, b} ∪ N(a) ∪ N(b) — exactly
  * the rows/columns the cost-table patch mutates).
+ *
+ * topolb_cycles — the cycle loop of first- and second-order TopoLB: task
+ * selection, the stale-argmin walk over a sorted reserve, the neighbour-row
+ * updates and the reserve rebuilds. Under the "gain" rule it pauses after
+ * every cycle that dirtied rows so the caller can refresh their row sums.
  *
  * topolb3_recentre — the per-cycle O(n·p) step of third-order TopoLB:
  * re-centre every unassigned fest row on the shrunken free-processor
@@ -38,6 +46,28 @@
 #include <string.h>
 
 typedef int64_t i64;
+
+/* RefineTopoLB's cost table C[t, q] = sum over neighbours j of
+ * w_tj * dist[assign[j], q], row by row in CSR order: zero the row, then
+ * add w * dist[assign[j]] per nonzero — the order of SciPy's csr_matvecs,
+ * so the table is bitwise equal to `csr_matrix(...) @ dist`. */
+void refine_cost_table(i64 n, i64 p, const i64 *restrict indptr,
+                       const i64 *restrict indices,
+                       const double *restrict weights,
+                       const i64 *restrict assign,
+                       const double *restrict dist, double *restrict cost)
+{
+    for (i64 t = 0; t < n; t++) {
+        double *restrict row = cost + t * p;
+        memset(row, 0, (size_t)p * sizeof(double));
+        for (i64 k = indptr[t]; k < indptr[t + 1]; k++) {
+            const double w = weights[k];
+            const double *restrict d = dist + assign[indices[k]] * p;
+            for (i64 q = 0; q < p; q++)
+                row[q] += w * d[q];
+        }
+    }
+}
 
 /* Reference row evaluation for task `a`: delta against every candidate b,
  * written into buf[0..n), then first-minimum argmin (np.argmin semantics).
@@ -238,6 +268,189 @@ i64 refine_sweep_incremental(i64 n, i64 p, double *cost, const double *dist,
     free(cset);
     free(move);
     return swapped;
+}
+
+/* TopoLB, first and second order: the cycle loop of topolb.py's
+ * _run_reference.
+ *
+ * Per unassigned row t the reserve res_ids/res_vals[t * R ..] holds the
+ * row's min(R, nfree) smallest free (value, id) entries, ascending, padded
+ * with id -1; res_pos[t] is the entry f_min[t] / f_argmin[t] were read
+ * from. A cycle:
+ *
+ * 1. selects the unassigned task tk with the first maximum score
+ *    ("gain" f_sum / count - f_min, "max_cost" f_min, "volume" the static
+ *    volumes in `score`) and places it on f_argmin[tk];
+ * 2. takes pk out of the free set ("gain" also subtracts fest[:, pk] from
+ *    the row sums in `score`);
+ * 3. walks every unassigned row whose argmin was pk (ascending) to its
+ *    next still-free reserve entry; a walk past the filled entries is an
+ *    exhaustion (the reference's penalized padding), and the row joins the
+ *    rebuild set;
+ * 4. adds c * dist[pk] (first order) or c * (dist[pk] - avg) (second
+ *    order) to every unassigned neighbour row of tk, in CSR order;
+ * 5. rebuilds the reserve of every exhausted or touched row, ascending,
+ *    into dirty[0..k).
+ *
+ * Under "gain" the function returns k after a cycle with k > 0 dirty rows,
+ * so the caller can set score[dirty] = fest[dirty] @ avail_f (BLAS
+ * rounding depends on the batch shape, so that product stays the
+ * caller's). It returns 0 once all cycles are done. The resumable state:
+ * state[0] cycles run, [1] free processors, [2] reserve hits, [3] reserve
+ * exhaustions, [4] rows rebuilt, [5] neighbour updates. free_ids holds the
+ * state[1] free processors, ascending; avail_f is 1.0 at free processors
+ * and 0.0 elsewhere. CSR indices must ascend within each row. dirty needs
+ * room for 2n ids; its upper half is the exhaustion list. */
+enum { SEL_GAIN, SEL_MAX_COST, SEL_VOLUME };
+
+static void reserve_rebuild(i64 R, const double *restrict row,
+                            const i64 *restrict free_ids, i64 nfree,
+                            double *restrict vals, i64 *restrict ids)
+{
+    i64 m = 0;
+    for (i64 j = 0; j < nfree; j++) {
+        const i64 q = free_ids[j];
+        const double v = row[q];
+        if (m == R && !(v < vals[R - 1]))
+            continue;
+        i64 i = m < R ? m++ : R - 1;
+        /* strict <: an equal value stays behind the lower id (stable) */
+        for (; i > 0 && v < vals[i - 1]; i--) {
+            vals[i] = vals[i - 1];
+            ids[i] = ids[i - 1];
+        }
+        vals[i] = v;
+        ids[i] = q;
+    }
+    for (; m < R; m++)
+        ids[m] = -1;
+}
+
+i64 topolb_cycles(i64 n, i64 p, i64 R, i64 order, i64 selection,
+                  double *restrict fest, const double *restrict dist,
+                  const double *restrict avg, const i64 *restrict indptr,
+                  const i64 *restrict indices,
+                  const double *restrict weights, double *restrict score,
+                  double *restrict f_min, i64 *restrict f_argmin,
+                  double *restrict res_vals, i64 *restrict res_ids,
+                  i64 *restrict res_pos, double *restrict avail_f,
+                  i64 *restrict free_ids, unsigned char *restrict unassigned,
+                  i64 *restrict assignment, i64 *restrict dirty,
+                  i64 *restrict state)
+{
+    i64 cycle = state[0], count = state[1];
+    i64 *restrict rescan = dirty + n;
+    if (cycle == 0) {
+        for (i64 t = 0; t < n; t++) {
+            reserve_rebuild(R, fest + t * p, free_ids, count,
+                            res_vals + t * R, res_ids + t * R);
+            res_pos[t] = 0;
+            f_min[t] = res_vals[t * R];
+            f_argmin[t] = res_ids[t * R];
+        }
+    }
+    i64 k = 0;
+    while (cycle < n && count > 0) {
+        i64 tk = -1;
+        double best = 0.0;
+        for (i64 t = 0; t < n; t++) {
+            if (!unassigned[t])
+                continue;
+            const double s = selection == SEL_GAIN
+                                 ? score[t] / (double)count - f_min[t]
+                             : selection == SEL_MAX_COST ? f_min[t]
+                                                         : score[t];
+            if (tk < 0 || s > best) {
+                best = s;
+                tk = t;
+            }
+        }
+        const i64 pk = f_argmin[tk];
+        assignment[tk] = pk;
+        unassigned[tk] = 0;
+        avail_f[pk] = 0.0;
+        count--;
+        cycle++;
+        if (count == 0)
+            break;
+
+        i64 lo = 0, hi = count; /* pk's slot among count + 1 free ids */
+        while (lo < hi) {
+            const i64 mid = (lo + hi) / 2;
+            if (free_ids[mid] < pk)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        memmove(free_ids + lo, free_ids + lo + 1,
+                (size_t)(count - lo) * sizeof(i64));
+        if (selection == SEL_GAIN)
+            for (i64 t = 0; t < n; t++)
+                if (unassigned[t])
+                    score[t] -= fest[t * p + pk];
+
+        i64 nr = 0;
+        for (i64 t = 0; t < n; t++) {
+            if (!unassigned[t] || f_argmin[t] != pk)
+                continue;
+            const i64 *ids = res_ids + t * R;
+            i64 pos = res_pos[t] + 1;
+            while (pos < R && ids[pos] >= 0 && avail_f[ids[pos]] == 0.0)
+                pos++;
+            if (pos < R && ids[pos] >= 0) {
+                res_pos[t] = pos;
+                f_min[t] = res_vals[t * R + pos];
+                f_argmin[t] = ids[pos];
+                state[2]++;
+            } else {
+                rescan[nr++] = t;
+            }
+        }
+        state[3] += nr;
+
+        /* Neighbour rows, merged with the ascending exhaustion list into
+         * the ascending, duplicate-free rebuild set. */
+        const double *restrict dk = dist + pk * p;
+        i64 i = 0;
+        k = 0;
+        for (i64 e = indptr[tk]; e < indptr[tk + 1]; e++) {
+            const i64 j = indices[e];
+            if (!unassigned[j])
+                continue;
+            const double c = weights[e];
+            double *restrict row = fest + j * p;
+            if (order == 1)
+                for (i64 q = 0; q < p; q++)
+                    row[q] += c * dk[q];
+            else
+                for (i64 q = 0; q < p; q++)
+                    row[q] += c * (dk[q] - avg[q]);
+            state[5]++;
+            while (i < nr && rescan[i] < j)
+                dirty[k++] = rescan[i++];
+            if (i < nr && rescan[i] == j)
+                i++;
+            dirty[k++] = j;
+        }
+        while (i < nr)
+            dirty[k++] = rescan[i++];
+
+        for (i64 d = 0; d < k; d++) {
+            const i64 t = dirty[d];
+            reserve_rebuild(R, fest + t * p, free_ids, count,
+                            res_vals + t * R, res_ids + t * R);
+            res_pos[t] = 0;
+            f_min[t] = res_vals[t * R];
+            f_argmin[t] = res_ids[t * R];
+        }
+        state[4] += k;
+        if (selection == SEL_GAIN && k > 0)
+            break;
+        k = 0;
+    }
+    state[0] = cycle;
+    state[1] = count;
+    return k;
 }
 
 /* Third-order TopoLB, one cycle: for each row r in rows[0..k) and each free

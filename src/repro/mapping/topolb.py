@@ -21,16 +21,15 @@ Selection state (``FMin``, ``FAvg`` per row) is maintained across cycles;
 when the consumed processor was some row's argmin, only those rows are
 re-reduced (lazy repair) instead of rescanning the whole table.
 
-Two kernels implement the cycle body (see :mod:`repro.mapping.kernels`):
-``"vectorized"`` (default) batches the neighbor-row updates and the
-stale-argmin repair across whole index arrays per NumPy call;
-``"reference"`` keeps the original scalar loops. Under ``"vectorized"`` the
-third-order estimator has a loop of its own, which drops the reserve it
-never reads and runs its per-cycle recentre-and-argmin pass compiled
-(:mod:`repro.mapping._native`); without a C compiler it runs the reference
-loop instead. All paths produce bit-identical assignments — the equivalence
-suite enforces it — so the reference path doubles as the executable
-specification of the fast ones.
+Two kernels implement the cycle body (see :mod:`repro.mapping.kernels`).
+``"reference"`` keeps the original scalar loops, the executable
+specification. ``"vectorized"`` (the default) runs the cycle loop compiled
+(:mod:`repro.mapping._native`): for first and second order the whole loop,
+pausing only for the "gain" rule's BLAS row sums; for third order a loop
+that drops the reserve it never reads and runs its per-cycle
+recentre-and-argmin pass in C. Without a C compiler it runs the reference
+loop instead. All paths produce bit-identical assignments and counters — the
+equivalence suite enforces it.
 """
 
 from __future__ import annotations
@@ -73,9 +72,10 @@ class TopoLB(Mapper):
         * ``"volume"``: maximum total communication volume ("chattiest
           first", selection decoupled from the topology).
     kernel:
-        ``"vectorized"`` (batched NumPy cycle body, the default),
-        ``"reference"`` (the original scalar loops), or ``None`` for the
-        default (:data:`repro.mapping.kernels.DEFAULT_KERNEL`).
+        ``"vectorized"`` (the compiled cycle loop, the default; the
+        reference loop without a C compiler), ``"reference"`` (the original
+        scalar loops), or ``None`` for the default
+        (:data:`repro.mapping.kernels.DEFAULT_KERNEL`).
     """
 
     strategy_name = "TopoLB"
@@ -131,14 +131,13 @@ class TopoLB(Mapper):
         n = self._check_sizes(graph, topology, allowed)
         if ctx is None:
             ctx = context_for(graph, topology)
-        if self._kernel == "reference":
+        if (self._kernel == "reference"
+                or _native.kernels_or_fallback() is None):
             run = self._run_reference
-        elif self._order is not EstimatorOrder.THIRD:
-            run = self._run_vectorized
-        elif _native.kernels_or_fallback() is not None:
+        elif self._order is EstimatorOrder.THIRD:
             run = self._run_third_order
         else:
-            run = self._run_reference
+            run = self._run_compiled
         prof = obs.active()
         if prof is None:
             assignment = run(graph, topology, n, allowed=allowed, ctx=ctx)
@@ -198,8 +197,9 @@ class TopoLB(Mapper):
         allowed: np.ndarray | None = None,
         ctx: MappingContext | None = None,
     ) -> np.ndarray:
-        """The original scalar cycle body — kept verbatim as the executable
-        specification the vectorized kernel is tested against."""
+        """The original scalar cycle body — the executable specification the
+        compiled loops are tested against, and their body wherever the
+        compiled kernels are unavailable."""
         (dist, indptr, indices, weights, unplaced_comm,
          avg_all, avg_free, fest) = self._setup(graph, topology, n, allowed, ctx)
         order = self._order
@@ -343,7 +343,7 @@ class TopoLB(Mapper):
             prof.count("topolb.neighbor_updates", neighbor_updates)
         return assignment
 
-    def _run_vectorized(
+    def _run_compiled(
         self,
         graph: TaskGraph,
         topology: Topology,
@@ -352,281 +352,38 @@ class TopoLB(Mapper):
         allowed: np.ndarray | None = None,
         ctx: MappingContext | None = None,
     ) -> np.ndarray:
-        """Batched cycle body — bit-identical assignments to the reference.
+        """First- and second-order cycle body — bit-identical to the
+        reference, counters included.
 
-        Two structural changes over the reference, neither observable in the
-        output:
-
-        * **Lazy reserve.** The reference stable-sorts every dirty row each
-          cycle to refresh its cached candidate list, but a touched row only
-          ever *reads* that list on a later stale-argmin event — most sorts
-          are thrown away unread. Here a dirty row merely records its
-          rebuild epoch; ``f_min``/``f_argmin`` come from an O(free) argmin
-          (the head of the sorted list, without the sort). A stale event
-          then *replays* the walk the reference would have made: processors
-          are consumed one per cycle and never returned, so the consumption
-          log recovers any epoch's free set, and the walk's outcome is
-          decided by ranking the row's current free argmin against the
-          since-consumed candidates (see the inline proof). No candidate
-          list is ever materialized; per-row sorts disappear entirely.
-        * **Poisoned selection.** Assigned rows get sentinel scores
-          (``-inf``/``+inf``) instead of being masked out with ``np.where``
-          every cycle, and ``f_argmin`` is poisoned to ``-1`` so the stale
-          scan needs no ``unassigned &`` mask. Sentinels strictly lose every
-          argmax, so selection among unassigned rows is untouched.
-
-        All floating-point expressions keep the reference kernel's
-        elementwise evaluation order so tie-breaks cannot diverge.
+        The cycle loop runs compiled (``topolb_cycles`` in
+        ``refine_kernel.c``): the reference's plain algorithm, with a
+        reserve that holds only free candidates, so a walk past its filled
+        entries is the reference's walk into penalized padding. Python keeps
+        the one expression whose rounding C cannot reproduce: the "gain"
+        rule's free-set row sums ``fest[rows] @ avail_f``, a BLAS product
+        whose rounding depends on the batch shape. The loop pauses after
+        each "gain" cycle that dirtied rows and hands their ascending ids
+        back for exactly that product.
         """
-        if ctx is None:
-            ctx = context_for(graph, topology)
         (dist, indptr, indices, weights, _,
          avg_all, _, fest) = self._setup(graph, topology, n, allowed, ctx)
-        order = self._order
-        selection = self._selection
         p = topology.num_nodes
-
-        avail = np.ones(p, dtype=bool) if allowed is None else allowed.copy()
-        unassigned = np.ones(n, dtype=bool)
-        avail_count = int(avail.sum())
-        assignment = np.full(n, -1, dtype=np.int64)
-        # Float view of the availability mask, maintained in O(1) per cycle
-        # (the reference path re-casts the bool mask every cycle instead).
-        avail_f = avail.astype(np.float64)
-
-        # f_sum feeds only the "gain" score; other selections never read it.
-        # Masked runs sum over the allowed columns only — the same free-set
-        # sums the reference kernel maintains.
-        track_sum = selection == "gain"
-        if not track_sum:
-            f_sum = None
-        elif allowed is None:
-            f_sum = fest.sum(axis=1)
-        else:
-            f_sum = fest @ avail_f
-        # Sentinel written into f_min on assignment: +inf sends the gain
-        # score to -inf, -inf loses the max_cost argmax directly.
-        f_min_poison = -np.inf if selection == "max_cost" else np.inf
-        if selection == "volume":
-            vol_score = graph.comm_volumes().astype(np.float64)
-
-        reserve = min(self._RESERVE, n)
-        ar = np.arange(n)            # shared index scratch
-
-        # Initial reserve via `reserve` argmin-extraction passes: pass k
-        # yields every row's k-th smallest (value, id) entry — the head of
-        # the reference's stable initial sort, in O(reserve * n^2) instead
-        # of O(n^2 log n). Extracted entries are poisoned in fest itself
-        # (saving an n^2 working copy) and restored from res_vals after;
-        # within a row the extracted columns are distinct, so the
-        # scatter-back is an exact inverse.
-        res_ids = np.empty((n, reserve), dtype=np.int64)
-        res_vals = np.empty((n, reserve), dtype=np.float64)
-        if allowed is None:
-            for k in range(reserve):
-                am = fest.argmin(axis=1)
-                res_ids[:, k] = am
-                res_vals[:, k] = fest[ar, am]
-                fest[ar, am] = np.inf
-            fest[ar[:, None], res_ids] = res_vals
-        else:
-            # Masked: extract from a copied allowed-column sub-matrix so the
-            # disallowed columns (which the reference keeps out via its huge
-            # penalty) can never win an argmin. allowed_ids is ascending, so
-            # the sub-matrix argmin tie-breaks toward the lowest allowed id —
-            # the same (value, id) order the reference's stable sort uses.
-            allowed_ids0 = np.flatnonzero(avail)
-            work = fest[:, allowed_ids0]  # fancy index: already a copy
-            for k in range(reserve):
-                am = work.argmin(axis=1)
-                res_ids[:, k] = allowed_ids0[am]
-                res_vals[:, k] = work[ar, am]
-                work[ar, am] = np.inf
-        res_pos = np.zeros(n, dtype=np.int64)
-        f_min = res_vals[:, 0].copy()
-        f_argmin = res_ids[:, 0].copy()
-
-        # Lazy-reserve bookkeeping: the cycle at which the reference would
-        # last have rebuilt each row (-1 = the initial build, for which
-        # res_* above holds the actual candidate list) and the processors in
-        # consumption order — together they recover, for any row, the free
-        # set the reference's reserve was sorted over.
-        touch_epoch = np.full(n, -1, dtype=np.int64)
-        consumed_order = np.empty(n, dtype=np.int64)
-
-        cols = np.arange(reserve)
-        dirty_mask = np.zeros(n, dtype=bool)
-        # np.flatnonzero(avail), kept incrementally: consumed ids are shifted
-        # out of an ascending buffer in place (ascending order is load-bearing
-        # — it is what makes "first minimum position" mean "lowest id").
-        free_buf = np.flatnonzero(avail)
-        nfree = avail_count
-        free_ids = free_buf[:nfree]
-        # Second-order rows subtract the same static baseline every cycle;
-        # the whole (p, p) difference table is hoisted not just out of the
-        # loop but into the shared topology cache. The masked baseline is the
-        # allowed-set average, a per-fault-pattern table built inline — the
-        # same elementwise dist[pk] - avg_all rows the reference computes.
-        if order is EstimatorOrder.SECOND:
-            if allowed is None:
-                dma = ctx.centered_distance_matrix(np.float64)
-            else:
-                dma = dist - avg_all
-        # Score buffer in float64 — the reference's `f_sum / count`
-        # divides in float64, and matching its rounding is what keeps
-        # near-tie argmax decisions identical.
-        sbuf = np.empty(n, dtype=np.float64)
-
-        cycles = reserve_hits = reserve_exhaustions = 0
-        rows_rebuilt = neighbor_updates = 0
-        for cycle in range(n):
-            if selection == "gain":
-                np.divide(f_sum, avail_count, out=sbuf)
-                sbuf -= f_min
-                tk = int(sbuf.argmax())
-            elif selection == "max_cost":
-                tk = int(f_min.argmax())
-            else:  # "volume"
-                tk = int(vol_score.argmax())
-            pk = int(f_argmin[tk])
-            assignment[tk] = pk
-            unassigned[tk] = False
-            avail[pk] = False
-            avail_f[pk] = 0
-            avail_count -= 1
-            f_argmin[tk] = -1
-            f_min[tk] = f_min_poison
-            if selection == "volume":
-                vol_score[tk] = -np.inf
-            if prof is not None:
-                cycles += 1
-            if avail_count == 0:
-                break
-
-            # --- processor pk leaves the free set --------------------------
-            if track_sum:
-                f_sum -= fest[:, pk]
-            consumed_order[cycle] = pk
-            pos_pk = int(np.searchsorted(free_buf[:nfree], pk))
-            free_buf[pos_pk:nfree - 1] = free_buf[pos_pk + 1:nfree]
-            nfree -= 1
-            free_ids = free_buf[:nfree]
-            rescan: list[int] = []
-            stale = np.flatnonzero(f_argmin == pk)
-            if stale.size:
-                epochs = touch_epoch[stale]
-                vmask = epochs == -1
-                sv = stale[vmask]
-                if sv.size:
-                    # Rows never dirtied still hold their initial candidate
-                    # list: first still-free cached candidate after the
-                    # current position, all rows at once (argmax = first
-                    # True). This is the common case in the early cycles of
-                    # symmetric instances, where hundreds of rows share the
-                    # consumed argmin.
-                    ok = avail[res_ids[sv]]
-                    ok &= cols > res_pos[sv, None]
-                    first = ok.argmax(axis=1)
-                    found = ok[ar[: sv.size], first]
-                    hit = sv[found]
-                    if hit.size:
-                        pos = first[found]
-                        res_pos[hit] = pos
-                        f_min[hit] = res_vals[hit, pos]
-                        f_argmin[hit] = res_ids[hit, pos]
-                    rescan.extend(int(t) for t in sv[~found])
-                for t in stale[~vmask]:
-                    # Dirtied rows replay the walk the reference would have
-                    # made over the reserve it rebuilt at the row's epoch —
-                    # without materializing it. Whatever free candidate that
-                    # walk reaches is *preceded* in the epoch's (value, id)
-                    # order only by consumed entries (a free predecessor
-                    # would itself be a smaller free value), so the find is
-                    # exactly the row's current free argmin, sitting at
-                    # epoch-rank r = the number of since-consumed candidates
-                    # ordered ahead of it. The walk succeeds iff r fits
-                    # inside the reserve window; otherwise the reference
-                    # would have exhausted the reserve and rescanned.
-                    t = int(t)
-                    rowt = fest[t]
-                    fv = rowt[free_ids]
-                    j = int(fv.argmin())
-                    vmin = fv[j]
-                    cseq = consumed_order[touch_epoch[t] + 1: cycle + 1]
-                    cv = rowt[cseq]
-                    r = int(np.count_nonzero(cv < vmin))
-                    if r < reserve:
-                        # Ties with vmin can only push the rank further out;
-                        # resolve them by id only when one actually exists.
-                        eq = cv == vmin
-                        if eq.any():
-                            r += int(np.count_nonzero(cseq[eq] < free_ids[j]))
-                    if r < reserve:
-                        f_min[t] = vmin
-                        f_argmin[t] = free_ids[j]
-                    else:
-                        rescan.append(t)
-                if prof is not None:
-                    reserve_exhaustions += len(rescan)
-                    reserve_hits += int(stale.size) - len(rescan)
-
-            # --- neighbor rows: one broadcasted update for all of them -----
-            # The rows written here are exactly the rows repaired below, so
-            # the fancy-indexed `fest[touched] += ...` (gather, add, scatter)
-            # is opened up: gather once into rows_full, update in place,
-            # scatter back, and hand the already-gathered rows to the repair
-            # step. Same elementwise operations, one O(k*p) gather fewer.
-            lo, hi = indptr[tk], indptr[tk + 1]
-            nbrs = indices[lo:hi]
-            sel = unassigned[nbrs]
-            touched = nbrs[sel]
-            rows_full = None
-            if touched.size:
-                ws = weights[lo:hi][sel]
-                if order is EstimatorOrder.FIRST:
-                    upd = ws[:, None] * dist[pk]
-                else:
-                    upd = ws[:, None] * dma[pk]
-                rows_full = fest[touched]
-                rows_full += upd
-                fest[touched] = rows_full
-            if prof is not None:
-                neighbor_updates += int(touched.size)
-
-            # --- repair row reductions (mask union instead of np.unique) ---
-            if rescan or touched.size:
-                if not rescan:
-                    # Common case: CSR neighbor ids are already unique, no
-                    # union to take.
-                    dirty = touched
-                else:
-                    dirty_mask[rescan] = True
-                    dirty_mask[touched] = True
-                    dirty = np.flatnonzero(dirty_mask)
-                    dirty_mask[dirty] = False
-                    rows_full = None
-                touch_epoch[dirty] = cycle
-                k = dirty.size
-                if rows_full is None:
-                    rows_full = fest[dirty]
-                # Head of the reference's sorted reserve, without the sort:
-                # lowest-id minimum over the free columns.
-                sub = rows_full[:, free_ids]
-                posm = sub.argmin(axis=1)
-                f_min[dirty] = sub[ar[:k], posm]
-                f_argmin[dirty] = free_ids[posm]
-                if track_sum:
-                    f_sum[dirty] = rows_full @ avail_f
-                if prof is not None:
-                    rows_rebuilt += int(k)
-
+        avail_f = (np.ones(p) if allowed is None
+                   else allowed.astype(np.float64))
+        if self._selection == "gain":
+            score = fest.sum(axis=1) if allowed is None else fest @ avail_f
+        else:  # "max_cost" never reads it
+            score = graph.comm_volumes()
+        cycles = _native.load().topolb_cycles(
+            fest, np.ascontiguousarray(dist), avg_all, indptr, indices,
+            weights, int(self._order), self._selection, score, avail_f,
+            min(self._RESERVE, n))
+        while (rows := cycles()) is not None:
+            score[rows] = fest[rows] @ avail_f
         if prof is not None:
-            prof.count("topolb.cycles", cycles)
-            prof.count("topolb.reserve_hits", reserve_hits)
-            prof.count("topolb.reserve_exhaustions", reserve_exhaustions)
-            prof.count("topolb.rows_rebuilt", rows_rebuilt)
-            prof.count("topolb.neighbor_updates", neighbor_updates)
-        return assignment
+            for name, value in cycles.counters().items():
+                prof.count(name, value)
+        return cycles.assignment
 
     def _run_third_order(
         self,
@@ -641,7 +398,7 @@ class TopoLB(Mapper):
 
         Third order recentres every unplaced row on the free-processor
         average each cycle, so every unplaced row is rebuilt every cycle and
-        the reserve machinery of :meth:`_run_vectorized` is never read:
+        the reserve the reference keeps is never read:
 
         * the initial ``f_min``/``f_argmin`` is one argmin over the free
           columns — the head of the reference's reserve;
@@ -663,7 +420,6 @@ class TopoLB(Mapper):
          _, avg_free, fest) = self._setup(graph, topology, n, allowed, ctx)
         selection = self._selection
         p = topology.num_nodes
-        native = _native.load()
 
         avail = np.ones(p, dtype=bool) if allowed is None else allowed
         unassigned = np.ones(n, dtype=bool)
@@ -688,6 +444,9 @@ class TopoLB(Mapper):
         if selection == "volume":
             vol_score = graph.comm_volumes().astype(np.float64)
         sbuf = np.empty(n, dtype=np.float64)
+        delta = np.empty(p)
+        recentre = _native.load().topolb3_recentre(
+            fest, unplaced_comm, delta, free_buf, f_min, f_argmin).recentre
 
         cycles = reserve_hits = rows_rebuilt = neighbor_updates = 0
         for _cycle in range(n):
@@ -734,11 +493,10 @@ class TopoLB(Mapper):
 
             # --- recentre every unplaced row on the free average ----------
             new_avg = (avg_free * (avail_count + 1) - dist[pk]) / avail_count
-            delta = new_avg - avg_free
+            np.subtract(new_avg, avg_free, out=delta)
             avg_free = new_avg
             rows = np.flatnonzero(unassigned)
-            native.topolb3_recentre(fest, rows, unplaced_comm, delta,
-                                    free_ids, f_min, f_argmin)
+            recentre(rows, nfree)
             if track_sum:
                 f_sum[rows] = fest[rows] @ avail_f
             if prof is not None:

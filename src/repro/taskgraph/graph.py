@@ -11,7 +11,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.exceptions import TaskGraphError
 
@@ -142,15 +141,17 @@ class TaskGraph:
         for arr in (self._edge_u, self._edge_v, self._edge_w):
             arr.flags.writeable = False
 
-        # CSR adjacency (each undirected edge appears in both rows).
+        # CSR adjacency (each undirected edge appears in both rows), columns
+        # ascending within a row. The canonical edges are unique, so no two
+        # entries share a (row, column) and nothing needs summing.
         rows = np.concatenate([self._edge_u, self._edge_v])
         cols = np.concatenate([self._edge_v, self._edge_u])
         data = np.concatenate([self._edge_w, self._edge_w])
-        csr = sp.csr_matrix((data, (rows, cols)), shape=(self._n, self._n))
-        csr.sum_duplicates()
-        self._indptr = csr.indptr.astype(np.int64)
-        self._indices = csr.indices.astype(np.int64)
-        self._weights = csr.data.astype(np.float64)
+        order = np.lexsort((cols, rows))
+        self._indptr = np.zeros(self._n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self._n), out=self._indptr[1:])
+        self._indices = cols[order]
+        self._weights = data[order]
         for arr in (self._indptr, self._indices, self._weights):
             arr.flags.writeable = False
 
@@ -303,8 +304,11 @@ class TaskGraph:
             np.append(self._weights, 0.0), self._indptr[:-1]
         ) * (np.diff(self._indptr) > 0)
 
-    def adjacency_csr(self) -> sp.csr_matrix:
-        """Symmetric CSR byte-weight matrix (copy; safe to mutate)."""
+    def adjacency_csr(self):
+        """Symmetric ``scipy.sparse.csr_matrix`` of byte weights (copy; safe
+        to mutate)."""
+        import scipy.sparse as sp
+
         return sp.csr_matrix(
             (self._weights.copy(), self._indices.copy(), self._indptr.copy()),
             shape=(self._n, self._n),

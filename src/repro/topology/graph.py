@@ -15,8 +15,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from repro.exceptions import TopologyError
 from repro.topology.base import Topology
@@ -57,6 +55,8 @@ class ArbitraryTopology(Topology):
         rows = np.array([a for a, _ in self._edges] + [b for _, b in self._edges], dtype=np.int64)
         cols = np.array([b for _, b in self._edges] + [a for a, _ in self._edges], dtype=np.int64)
         data = np.array([costs[e] for e in self._edges] * 2, dtype=np.float64)
+        import scipy.sparse as sp
+
         self._adj = sp.csr_matrix((data, (rows, cols)), shape=(num_nodes, num_nodes))
         self._check_connected()
         # Predecessor/distance tables are built lazily per source and cached.
@@ -77,6 +77,8 @@ class ArbitraryTopology(Topology):
         return float(cost)
 
     def _check_connected(self) -> None:
+        from scipy.sparse import csgraph
+
         n_comp, _ = csgraph.connected_components(self._adj, directed=False)
         if n_comp != 1 and self._num_nodes > 1:
             raise TopologyError(f"topology is disconnected ({n_comp} components)")
@@ -96,6 +98,8 @@ class ArbitraryTopology(Topology):
     def _bfs(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         """Distances and shortest-path predecessors from ``node`` (cached)."""
         if node not in self._dist_cache:
+            from scipy.sparse import csgraph
+
             dist, pred = csgraph.shortest_path(
                 self._adj,
                 method="D" if self._weighted else "BF",

@@ -25,7 +25,7 @@ SimGrid-class simulators use to keep metric implementations honest:
   torus axis rotation leaves the metric bit-identical;
 * a **golden-regression corpus** (``tests/golden/*.json``) of small
   graph x topology x mapper triples with exact pinned metric blocks, checked
-  by the ``repro-validate`` CLI and the ``validate-smoke`` CI job.
+  by the ``repro-validate`` CLI and the tier-1 test suite.
 
 Every violation raises a structured
 :class:`~repro.exceptions.ValidationError` naming the invariant, the spec

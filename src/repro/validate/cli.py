@@ -16,8 +16,8 @@ Two modes:
                      --mapper TopoLB --seed 0 --validate full
 
 ``--report`` writes a ``repro-validate-report-v1`` JSON artifact with one
-record per (file, kernel) pass including the full violation text — CI
-uploads it so a red ``validate-smoke`` job ships its own diagnosis.
+record per (file, kernel) pass including the full violation text, so a red
+replay ships its own diagnosis.
 """
 
 from __future__ import annotations

@@ -179,3 +179,37 @@ def test_canonical_command_includes_seed_and_kernel():
     assert "--kernel vectorized" in line
     line = canonical_command("topolb:order=3", "mesh:4x4", 7, "reference")
     assert "--seed 7" in line and "--kernel reference" in line
+
+
+def test_request_path_never_imports_scipy():
+    """With the compiled kernels, serving TopoLB, refine, multilevel and
+    DES-replay requests on tori never imports SciPy: it is loaded only by
+    the reference cost table, ``adjacency_csr`` and irregular machines."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.mapping import _native
+
+    if not _native.available():
+        pytest.skip("no compiled kernels: the reference cost table uses SciPy")
+    code = """
+import sys
+from repro.engine import MappingEngine, MappingRequest
+engine = MappingEngine()
+for mapper, graph, topo, extra in [
+        ("topolb", "mesh2d:8x8", "torus:8x8", {}),
+        ("refine:base=topolb", "mesh2d:8x8", "torus:8x8",
+         {"flow_metrics": True, "validate": "cheap"}),
+        ("multilevel:inner=topolb;stop=16", "mesh3d:6x6x6", "torus:6x6x6", {}),
+        ("topolb", "mesh2d:4x4", "torus:4x4", {"netsim": {"iterations": 1}})]:
+    engine.run(MappingRequest(graph=graph, topology=topo, mapper=mapper,
+                              seed=0, **extra))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    root = Path(__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env, cwd=str(root))
+    assert out.stdout.strip() == "[]"

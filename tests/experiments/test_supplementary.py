@@ -1,4 +1,4 @@
-"""Tests for the supplementary experiments (zoo, bounds)."""
+"""Tests for the supplementary experiments (zoo, bounds, flowcheck)."""
 
 from __future__ import annotations
 
@@ -88,3 +88,18 @@ class TestBounds:
         for row in result.rows:
             assert row["topolb_gap"] <= row["random_gap"]
             assert row["topolb+ref_gap"] <= row["topolb_gap"] + 1e-9
+
+
+def test_flowcheck_runs_inside_its_validity_envelope(capsys):
+    """``repro-experiments flowcheck``: the flow estimator's makespan is a
+    lower bound on the DES one and ranks mappings like it does."""
+    import json
+
+    from repro.experiments.runner import main
+
+    assert main(["flowcheck", "--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 4
+    for row in rows:
+        assert row["max_bound_ratio"] <= 1.0, row
+        assert row["rank_corr"] >= 0.9, row

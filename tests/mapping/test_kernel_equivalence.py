@@ -113,8 +113,8 @@ class TestIncrementalNative:
     @staticmethod
     def _calls():
         """``(label, run)`` per routed call site, ``run(kernel)`` returning
-        the mapping: RefineTopoLB and third-order TopoLB, each unmasked and
-        masked."""
+        the mapping: RefineTopoLB and TopoLB of every order, each unmasked
+        and masked."""
         from repro.faults import DegradedTopology, FaultSet
 
         deg = DegradedTopology(Torus((4, 4)), FaultSet(dead_nodes=[5, 10]))
@@ -125,8 +125,10 @@ class TestIncrementalNative:
             start = RandomMapper(seed=11).map(graph, topo)
             yield f"refine-{label}", lambda k, s=start: RefineTopoLB(
                 kernel=k, seed=1).refine(s)
-            yield f"topolb3-{label}", lambda k, g=graph, t=topo: TopoLB(
-                order=EstimatorOrder.THIRD, kernel=k).map(g, t)
+            for order in ORDERS:
+                yield (f"topolb{int(order)}-{label}",
+                       lambda k, g=graph, t=topo, o=order: TopoLB(
+                           order=o, kernel=k).map(g, t))
 
     @staticmethod
     def _profiled(run, kernel):
@@ -180,50 +182,104 @@ class TestIncrementalNative:
             assert _native.available()
 
 
+COUNTERS = ("topolb.cycles", "topolb.reserve_hits",
+            "topolb.reserve_exhaustions", "topolb.rows_rebuilt",
+            "topolb.neighbor_updates")
+
+
+def _path_instances():
+    """A pristine, a masked and a masked-underfull machine, at a scale where
+    every cycle touches dozens of rows, plus a fully symmetric instance
+    whose run is all tie-breaking."""
+    from repro.faults import DegradedTopology, FaultSet
+
+    base = Torus((8, 4, 4))
+    deg = DegradedTopology(
+        base, FaultSet(dead_nodes=[3, 17, 64, 100], dead_links=[(0, 1)]))
+    return [
+        ("torus8x4x4", geometric_taskgraph(128, radius=0.2, seed=42), base),
+        ("masked", geometric_taskgraph(deg.num_healthy, radius=0.2,
+                                       seed=42), deg),
+        ("masked-underfull", geometric_taskgraph(deg.num_healthy - 7,
+                                                 radius=0.2, seed=7), deg),
+        ("symmetric", mesh3d_pattern(4, 4, 4, message_bytes=1.0),
+         Torus((4, 4, 4))),
+    ]
+
+
+def _map_counted(graph, topo, order, selection, kernel):
+    with obs.profiled() as prof:
+        mapping = TopoLB(order=order, selection=selection,
+                         kernel=kernel).map(graph, topo)
+    return mapping.assignment, {c: prof.counters[c] for c in COUNTERS}
+
+
+def _assert_paths_agree(label, graph, topo, order, selection):
+    ref, ref_counters = _map_counted(graph, topo, order, selection,
+                                     "reference")
+    vec, vec_counters = _map_counted(graph, topo, order, selection,
+                                     "vectorized")
+    np.testing.assert_array_equal(
+        vec, ref, err_msg=f"{label} order={order} selection={selection}")
+    assert vec_counters == ref_counters
+    allowed = resolve_allowed(topo, None)
+    if allowed is not None:
+        assert allowed[vec].all()
+
+
+class TestFirstSecondOrderPaths:
+    """First- and second-order TopoLB run their whole cycle loop compiled,
+    pausing only for the "gain" rule's BLAS row sums. Pinned to the
+    reference on every machine shape and selection rule, down to the
+    reserve hits and exhaustions."""
+
+    @pytest.mark.parametrize("label,graph,topo", _path_instances(),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    @pytest.mark.parametrize("order", ORDERS[:2])
+    @pytest.mark.parametrize("selection", SELECTIONS)
+    def test_bit_identical_with_equal_counters(self, label, graph, topo,
+                                               order, selection):
+        _assert_paths_agree(label, graph, topo, order, selection)
+
+    def test_walks_and_exhaustions_are_exercised(self):
+        """The instances reach both outcomes of the reserve walk."""
+        _, graph, topo = _path_instances()[0]
+        _, counters = _map_counted(graph, topo, EstimatorOrder.SECOND,
+                                   "gain", "vectorized")
+        assert counters["topolb.reserve_hits"] > 0
+        assert counters["topolb.reserve_exhaustions"] > 0
+
+    def test_bound_loop_checks_its_arguments(self):
+        native = _native.load()
+        if native is None:
+            pytest.skip("no C compiler on this host")
+        graph = mesh2d_pattern(2, 2)
+        fest, dist = np.zeros((4, 4)), np.zeros((4, 4))
+        csr = graph.csr_arrays()
+
+        def bind(order=1, score=np.zeros(4), avail_f=np.ones(4), reserve=2):
+            return native.topolb_cycles(fest, dist, np.zeros(4), *csr, order,
+                                        "gain", score, avail_f, reserve)
+
+        for bad in ({"order": 3}, {"reserve": 0}, {"score": np.zeros(3)},
+                    {"avail_f": np.array([1.0, 0, 0, 0])}):
+            with pytest.raises(ValueError):
+                bind(**bad)
+
+
 class TestThirdOrderPaths:
     """Third-order TopoLB has its own cycle loop: a compiled
     recentre-and-argmin pass over the free columns. It is pinned to the
     reference at a scale where every cycle recentres over a hundred rows, on
     a pristine and a degraded machine, down to the lazy-repair counters."""
 
-    COUNTERS = ("topolb.cycles", "topolb.reserve_hits",
-                "topolb.reserve_exhaustions", "topolb.rows_rebuilt",
-                "topolb.neighbor_updates")
-
-    @staticmethod
-    def _instances():
-        from repro.faults import DegradedTopology, FaultSet
-
-        base = Torus((8, 4, 4))
-        deg = DegradedTopology(
-            base, FaultSet(dead_nodes=[3, 17, 64, 100], dead_links=[(0, 1)]))
-        return [
-            ("torus8x4x4", geometric_taskgraph(128, radius=0.2, seed=42), base),
-            ("masked", geometric_taskgraph(deg.num_healthy, radius=0.2,
-                                           seed=42), deg),
-            ("masked-underfull", geometric_taskgraph(deg.num_healthy - 7,
-                                                     radius=0.2, seed=7), deg),
-        ]
-
-    def _map(self, graph, topo, selection, kernel):
-        with obs.profiled() as prof:
-            mapping = TopoLB(order=EstimatorOrder.THIRD, selection=selection,
-                             kernel=kernel).map(graph, topo)
-        return mapping.assignment, {c: prof.counters[c] for c in self.COUNTERS}
-
-    @pytest.mark.parametrize("label,graph,topo", _instances(),
+    @pytest.mark.parametrize("label,graph,topo", _path_instances()[:3],
                              ids=lambda v: v if isinstance(v, str) else "")
     @pytest.mark.parametrize("selection", SELECTIONS)
     def test_bit_identical_with_equal_counters(self, label, graph, topo,
                                                selection):
-        ref, ref_counters = self._map(graph, topo, selection, "reference")
-        vec, vec_counters = self._map(graph, topo, selection, "vectorized")
-        np.testing.assert_array_equal(
-            vec, ref, err_msg=f"{label} selection={selection}")
-        assert vec_counters == ref_counters
-        allowed = resolve_allowed(topo, None)
-        if allowed is not None:
-            assert allowed[vec].all()
+        _assert_paths_agree(label, graph, topo, EstimatorOrder.THIRD,
+                            selection)
 
     def test_compiled_pass_skips_consumed_columns_and_checks_sizes(self):
         native = _native.load()
@@ -234,14 +290,60 @@ class TestThirdOrderPaths:
         uc, f_min = np.ones(4), np.zeros(4)
         delta = np.arange(6.0, 0.0, -1.0)
         argmin = np.zeros(4, dtype=np.int64)
-        native.topolb3_recentre(fest, rows, uc, delta, np.arange(1, 6), f_min,
-                                argmin)
+        free = np.arange(1, 6)
+        native.topolb3_recentre(fest, uc, delta, free, f_min,
+                                argmin).recentre(rows, free.size)
         np.testing.assert_array_equal(argmin, 5)
         np.testing.assert_array_equal(fest[:, 0], 0.0)  # consumed: stale
-        for free_ids, d in ((np.arange(0), delta), (np.arange(6), uc)):
+        for free_buf, d in ((np.arange(0), delta), (np.arange(6), uc)):
             with pytest.raises(ValueError):
-                native.topolb3_recentre(fest, rows, uc, d, free_ids, f_min,
-                                        argmin)
+                native.topolb3_recentre(fest, uc, d, free_buf, f_min, argmin)
+        bound = native.topolb3_recentre(fest, uc, delta, free, f_min, argmin)
+        for nfree in (0, free.size + 1):
+            with pytest.raises(ValueError):
+                bound.recentre(rows, nfree)
+
+
+class TestCostTable:
+    """RefineTopoLB's compiled cost table against its SciPy oracle,
+    ``csr_matrix((w, assign[indices], indptr)) @ dist``, bit for bit."""
+
+    @staticmethod
+    def _machines():
+        from repro.faults import DegradedTopology, FaultSet
+        from repro.topology import ArbitraryTopology
+
+        rng = np.random.default_rng(5)
+        ring = [(i, (i + 1) % 24, float(c))
+                for i, c in enumerate(rng.uniform(0.5, 3.0, 24))]
+        chords = [(i, (i + 7) % 24, 1.7) for i in range(0, 24, 3)]
+        return [
+            ("weighted", Torus((4, 4, 2))),
+            ("degraded", DegradedTopology(
+                Torus((6, 4)), FaultSet(dead_nodes=[1, 9],
+                                        dead_links=[(4, 5)]))),
+            ("float-distances", ArbitraryTopology(24, ring + chords)),
+        ]
+
+    @pytest.mark.parametrize("label,topo", _machines(),
+                             ids=lambda v: v if isinstance(v, str) else "")
+    def test_matches_scipy(self, label, topo):
+        import scipy.sparse as sp
+
+        native = _native.load()
+        if native is None:
+            pytest.skip("no C compiler on this host")
+        allowed = resolve_allowed(topo, None)
+        slots = (np.arange(topo.num_nodes) if allowed is None
+                 else np.flatnonzero(allowed))
+        graph = geometric_taskgraph(slots.size, radius=0.4, seed=8)
+        indptr, indices, weights = graph.csr_arrays()
+        assign = np.random.default_rng(1).permutation(slots)
+        dist = np.ascontiguousarray(topo.distance_matrix(), dtype=np.float64)
+        want = sp.csr_matrix((weights, assign[indices], indptr),
+                             shape=(graph.num_tasks, topo.num_nodes)) @ dist
+        got = native.refine_cost_table(indptr, indices, weights, assign, dist)
+        np.testing.assert_array_equal(got, want, err_msg=label)
 
 
 class TestMaskedEquivalence:

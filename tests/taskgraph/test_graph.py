@@ -214,3 +214,40 @@ def test_property_csr_matches_edge_list(n, edges):
     assert set(from_csr) == set(from_edges)
     for k in from_csr:
         assert from_csr[k] == pytest.approx(from_edges[k])
+
+
+class TestCSRAgainstSciPy:
+    """The CSR adjacency is built with a lexsort and a bincount; SciPy's
+    COO-to-CSR conversion is the oracle."""
+
+    @staticmethod
+    def _scipy_csr(graph):
+        import scipy.sparse as sp
+
+        u, v, w = graph.edge_arrays()
+        n = graph.num_tasks
+        csr = sp.csr_matrix((np.concatenate([w, w]),
+                             (np.concatenate([u, v]), np.concatenate([v, u]))),
+                            shape=(n, n))
+        csr.sum_duplicates()
+        return csr.indptr, csr.indices, csr.data
+
+    @pytest.mark.parametrize("graph", [
+        # duplicate input pairs in both orientations, and a zero weight
+        TaskGraph(5, [(0, 1, 5.0), (1, 0, 7.0), (3, 1, 0.0), (4, 0, 2.5),
+                      (0, 4, 1.5), (2, 4, 3.0)]),
+        # isolated vertices at both ends and in the middle
+        TaskGraph(8, [(5, 2, 1.0), (2, 3, 4.0), (3, 5, 2.0)]),
+        TaskGraph(4),  # no edges
+        TaskGraph.from_arrays(
+            60, *(lambda r: (r.integers(0, 30, 400), r.integers(30, 60, 400),
+                             r.random(400)))(np.random.default_rng(3))),
+    ], ids=["duplicates", "isolated", "edgeless", "random"])
+    def test_matches_scipy(self, graph):
+        indptr, indices, weights = graph.csr_arrays()
+        want = self._scipy_csr(graph)
+        for got, ref in zip((indptr, indices, weights), want):
+            np.testing.assert_array_equal(got, ref)
+        assert (indptr.dtype, indices.dtype, weights.dtype) == (
+            np.int64, np.int64, np.float64)
+        assert not any(a.flags.writeable for a in (indptr, indices, weights))

@@ -158,6 +158,21 @@ class TestProfileAndStats:
         assert "makespan >=" in out
         assert "hottest links (bytes / messages):" in out
 
+    def test_flow_mode_replay_on_a_larger_torus(self, tmp_path, capsys):
+        """RefineTopoLB on a 3-D torus, replayed through the flow estimator
+        without a profile."""
+        path = tmp_path / "app8x8.json"
+        save_taskgraph(mesh2d_pattern(8, 8, message_bytes=1024), path)
+        rc = main(["--taskgraph", str(path), "--topology", "torus:4x4x4",
+                   "--strategy", "RefineTopoLB", "--netsim-mode", "flow",
+                   "--simulate-iters", "4"])
+        assert rc == 0
+        report = dict(line.split(None, 1) for line in
+                      capsys.readouterr().out.splitlines())
+        assert report["sim_mode"] == "flow"
+        assert report["sim_iterations"] == "4"
+        assert float(report["sim_time_us"]) > 0
+
     def test_stats_missing_file(self, tmp_path, capsys):
         rc = main(["--stats", str(tmp_path / "absent.json")])
         assert rc == 1

@@ -61,6 +61,15 @@ def test_single_run_mode(capsys):
     assert "hop_bytes=" in capsys.readouterr().out
 
 
+def test_single_run_replay_at_paper_scale(capsys):
+    """The replay command a ValidationError embeds, at the scale of the
+    paper's 8x8 jacobi runs: the full tier, differential oracles included."""
+    assert main(["--graph", "mesh2d:8x8;bytes=1024", "--topology", "torus:8x8",
+                 "--mapper", "TopoLB", "--seed", "0",
+                 "--validate", "full"]) == 0
+    assert "hop_bytes=" in capsys.readouterr().out
+
+
 def test_single_run_bad_spec_exits_2(capsys):
     assert main(["--graph", "nosuchpattern:4x4", "--topology", "torus:4x4",
                  "--validate", "cheap"]) == 2
