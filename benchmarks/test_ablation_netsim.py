@@ -1,65 +1,45 @@
-"""Ablation: network-model choices (cut-through vs store-and-forward, NIC).
+"""Ablation: network-model choices (cut-through at no load, NIC).
 
 The introduction's premise: with wormhole/cut-through routing, *no-load*
 latency barely depends on hop count — contention is what distance costs you.
-Store-and-forward, by contrast, charges full serialization per hop. This
-bench quantifies both regimes and the NIC bottleneck's effect.
+This bench checks that regime and quantifies the NIC bottleneck's effect
+(EXPERIMENTS.md model deviation #2).
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.mapping import IdentityMapper, RandomMapper
-from repro.netsim import IterativeApplication, LinkModel, NetworkSimulator
+from repro.mapping import RandomMapper, TopoLB
+from repro.netsim import IterativeApplication, NetworkSimulator
 from repro.taskgraph import mesh2d_pattern
 from repro.topology import Torus
 
 
-def _mean_latency(mapping, model, bandwidth=500.0, nic=None):
+def _mean_latency(mapping, bandwidth=500.0, nic=None):
     sim = NetworkSimulator(mapping.topology, bandwidth=bandwidth, alpha=0.1,
-                           model=model, nic_bandwidth=nic)
+                           nic_bandwidth=nic)
     app = IterativeApplication(mapping, sim, iterations=10,
                                message_bytes=2048.0, compute_time=1.0)
     return app.run().mean_message_latency
 
 
-@pytest.mark.parametrize("model", list(LinkModel), ids=lambda m: m.value)
-def test_link_model_hop_sensitivity(benchmark, model):
-    """Per-model latency of a random mapping (the hop-heavy case)."""
-    topo = Torus((4, 4, 4))
-    graph = mesh2d_pattern(8, 8)
-    rand = RandomMapper(seed=0).map(graph, topo)
-    lat_rand = benchmark.pedantic(
-        _mean_latency, args=(rand, model), rounds=1, iterations=1
-    )
-    print(f"\n{model.value}: random mapping mean latency {lat_rand:.2f}us")
-    assert lat_rand > 0
-
-
 def test_cut_through_hides_distance_at_no_load(run_once):
-    """Uncontended single messages: S&F latency grows ~linearly with hops,
-    cut-through only by alpha per hop — the paper's premise."""
+    """Uncontended single messages: cut-through latency grows only by
+    alpha per hop — the paper's premise."""
 
     def measure():
         topo = Torus((16,))
-        out = {}
-        for model in LinkModel:
-            lats = []
-            for dst in (1, 4, 8):
-                sim = NetworkSimulator(topo, bandwidth=100.0, alpha=0.1, model=model)
-                msg = sim.send(0, dst, 1000.0)
-                sim.run()
-                lats.append(msg.latency)
-            out[model] = lats
-        return out
+        lats = []
+        for dst in (1, 4, 8):
+            sim = NetworkSimulator(topo, bandwidth=100.0, alpha=0.1)
+            msg = sim.send(0, dst, 1000.0)
+            sim.run()
+            lats.append(msg.latency)
+        return lats
 
-    out = run_once(measure)
-    ct, sf = out[LinkModel.CUT_THROUGH], out[LinkModel.STORE_AND_FORWARD]
-    print(f"\ncut-through 1/4/8 hops: {ct}\nstore-and-forward: {sf}")
-    # 8-hop vs 1-hop growth: tiny for cut-through, ~8x for S&F.
+    ct = run_once(measure)
+    print(f"\ncut-through 1/4/8 hops: {ct}")
+    # 8-hop vs 1-hop growth is tiny.
     assert ct[2] / ct[0] < 1.2
-    assert sf[2] / sf[0] > 5.0
 
 
 def test_nic_bottleneck_compresses_mapping_gain(run_once):
@@ -69,15 +49,13 @@ def test_nic_bottleneck_compresses_mapping_gain(run_once):
     def measure():
         topo = Torus((4, 4, 4))
         graph = mesh2d_pattern(8, 8)
-        from repro.mapping import TopoLB
-
         rand = RandomMapper(seed=0).map(graph, topo)
         opt = TopoLB().map(graph, topo)
         gains = {}
         for nic in (None, 200.0):
             gains[nic] = (
-                _mean_latency(rand, LinkModel.CUT_THROUGH, bandwidth=100.0, nic=nic)
-                / _mean_latency(opt, LinkModel.CUT_THROUGH, bandwidth=100.0, nic=nic)
+                _mean_latency(rand, bandwidth=100.0, nic=nic)
+                / _mean_latency(opt, bandwidth=100.0, nic=nic)
             )
         return gains
 

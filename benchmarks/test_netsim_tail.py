@@ -34,7 +34,6 @@ ARTIFACT = Path(__file__).parent / "BENCH_netsim_tail_torus8x8.json"
 SIM_KNOBS = dict(
     bandwidth=100.0,
     buffer_bytes=8192.0,
-    overload_policy="drop",
     max_retries=64,
     retry_delay=2.0,
     retry_jitter=0.25,

@@ -72,15 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--buffer-bytes", type=float, default=None,
                         metavar="BYTES",
                         help="finite per-link buffer capacity for the DES "
-                             "replay (default: unbounded FIFO queues); "
-                             "overload behaviour is set by --overload-policy "
-                             "and tail latencies are reported per size class")
-    parser.add_argument("--overload-policy", choices=("drop", "ecn"),
-                        default="drop",
-                        help="what a full finite buffer does (only with "
-                             "--buffer-bytes): 'drop' tail-drops and "
-                             "retransmits end-to-end, 'ecn' also marks past "
-                             "half occupancy and paces marked flows")
+                             "replay (default: unbounded FIFO queues); a "
+                             "full buffer tail-drops and the message is "
+                             "retransmitted end-to-end, and tail latencies "
+                             "are reported per size class")
     parser.add_argument("--stats", type=Path, metavar="PROFILE",
                         help="summarize an existing profile JSON and exit")
     parser.add_argument("--list-strategies", action="store_true",
@@ -140,7 +135,6 @@ def main(argv: list[str] | None = None) -> int:
             simulate_iters=args.simulate_iters, kernel=args.kernel,
             netsim_mode=args.netsim_mode,
             buffer_bytes=args.buffer_bytes,
-            overload_policy=args.overload_policy,
         )
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -159,8 +153,7 @@ def run_mapping(graph_path: Path, is_lb_dump: bool, topology_spec: str,
                 simulate_iters: int | None = None,
                 kernel: str | None = None,
                 netsim_mode: str = "des",
-                buffer_bytes: float | None = None,
-                overload_policy: str = "drop") -> dict:
+                buffer_bytes: float | None = None) -> dict:
     """Load inputs, run the strategy, optionally replay/profile/write."""
     from repro import obs
     from repro.engine import canonical_command, canonical_mapper_spec
@@ -192,8 +185,7 @@ def run_mapping(graph_path: Path, is_lb_dump: bool, topology_spec: str,
         if simulate_iters > 0:
             netsim_summary = _replay_network(
                 mapping, report, simulate_iters, mode=netsim_mode,
-                buffer_bytes=buffer_bytes, overload_policy=overload_policy,
-            )
+                buffer_bytes=buffer_bytes)
 
         if output is not None:
             output.write_text(json.dumps({
@@ -234,8 +226,7 @@ def run_mapping(graph_path: Path, is_lb_dump: bool, topology_spec: str,
 
 def _replay_network(mapping, report: dict, iterations: int,
                     mode: str = "des",
-                    buffer_bytes: float | None = None,
-                    overload_policy: str = "drop") -> dict:
+                    buffer_bytes: float | None = None) -> dict:
     """Evaluate the mapped app's network behaviour; extend ``report`` and
     return the per-link load summary for the profile's ``netsim`` section.
 
@@ -243,9 +234,9 @@ def _replay_network(mapping, report: dict, iterations: int,
     runs the static flow-level estimator instead — same traffic, no event
     queue, makespan reported as a lower bound (``sim_time_us`` is then that
     bound, not a measured completion time). With ``buffer_bytes`` set the
-    DES models finite link buffers under ``overload_policy``, and the
-    summary gains a ``tail`` section with p50/p99/p999 latencies, size-class
-    rows, and overload counters.
+    DES models finite tail-drop link buffers, and the summary gains a
+    ``tail`` section with p50/p99/p999 latencies, size-class rows, and
+    overload counters.
     """
     from repro import obs
 
@@ -263,12 +254,9 @@ def _replay_network(mapping, report: dict, iterations: int,
     from repro.netsim.appsim import replay_closed_loop
     from repro.netsim.stats import link_summary, tail_summary
 
-    kwargs = {}
-    if buffer_bytes is not None:
-        kwargs = {"buffer_bytes": buffer_bytes,
-                  "overload_policy": overload_policy}
     with obs.timer("cli.simulate"):
-        sim, result = replay_closed_loop(mapping, iterations, **kwargs)
+        sim, result = replay_closed_loop(mapping, iterations,
+                                         buffer_bytes=buffer_bytes)
     report["sim_iterations"] = iterations
     report["sim_mode"] = "des"
     report["sim_time_us"] = result.total_time
@@ -283,7 +271,6 @@ def _replay_network(mapping, report: dict, iterations: int,
     if buffer_bytes is not None:
         report["sim_dropped"] = tail["dropped"]
         report["sim_retransmits"] = tail["retransmits"]
-        report["sim_ecn_marks"] = tail["ecn_marks"]
     return summary
 
 

@@ -186,14 +186,25 @@ class MappingRequest:
     validate: str = "off"
     #: Optional DES replay of the produced mapping: a dict of knobs merged
     #: into ``metrics`` under ``des_*`` keys (makespan, p50/p99/p999 tails,
-    #: drop/retransmit/ECN counters). Recognized keys: ``iterations``
-    #: (default 2), ``buffer_bytes``, ``overload_policy``, and the
+    #: drop/retransmit counters). Recognized keys: ``iterations``
+    #: (default 2), ``buffer_bytes``, ``overload_policy`` (only ``"drop"``,
+    #: tail-drop, which is what a full buffer always does; any other value
+    #: raises :class:`~repro.exceptions.SpecError` at construction), and the
     #: passthrough simulator knobs ``bandwidth``, ``alpha``, ``max_retries``,
     #: ``retry_delay``, ``retry_backoff``, ``retry_jitter``, ``seed``,
     #: ``stall_window``. Unknown keys raise
     #: :class:`~repro.exceptions.SpecError`. ``None`` (default) skips the
     #: replay entirely.
     netsim: dict | None = None
+
+    def __post_init__(self):
+        if isinstance(self.netsim, dict):
+            policy = self.netsim.get("overload_policy", "drop")
+            if policy != "drop":
+                raise SpecError(
+                    "MappingRequest.netsim key 'overload_policy' must be "
+                    f"'drop', the only policy, got {policy!r}"
+                )
 
 
 @dataclass
@@ -240,8 +251,8 @@ def _netsim_metrics(mapping, knobs: dict) -> dict[str, float]:
         )
     for key, value in knobs.items():
         if key == "overload_policy":
-            kind, want = str, "a string"
-        elif key in _NETSIM_INT_KEYS:
+            continue  # "drop", checked when the request was built
+        if key in _NETSIM_INT_KEYS:
             kind, want = numbers.Integral, "an integer"
         else:
             kind, want = numbers.Real, "a number"
@@ -255,7 +266,8 @@ def _netsim_metrics(mapping, knobs: dict) -> dict[str, float]:
                 f"MappingRequest.netsim key {key!r} must be finite, "
                 f"got {value!r}"
             )
-    sim_kwargs = {k: v for k, v in knobs.items() if k != "iterations"}
+    sim_kwargs = {k: v for k, v in knobs.items()
+                  if k not in ("iterations", "overload_policy")}
     sim, result = replay_closed_loop(
         mapping, int(knobs.get("iterations", 2)), **sim_kwargs
     )
@@ -269,7 +281,6 @@ def _netsim_metrics(mapping, knobs: dict) -> dict[str, float]:
         "des_dropped": float(tail["dropped"]),
         "des_retransmits": float(tail["retransmits"]),
         "des_buffer_drops": float(tail["buffer_drops"]),
-        "des_ecn_marks": float(tail["ecn_marks"]),
     }
 
 

@@ -306,7 +306,6 @@ def run_tailcheck(quick: bool = True, seed: int = 0) -> ExperimentResult:
                 iterations,
                 bandwidth=100.0,
                 buffer_bytes=8192.0,
-                overload_policy="drop",
                 retry_delay=2.0,
                 retry_jitter=0.25,
                 seed=seed,

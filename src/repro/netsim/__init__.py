@@ -7,8 +7,9 @@ in. This package provides the equivalent machinery:
 
 * :class:`EventQueue` — deterministic binary-heap DES core,
 * :class:`NetworkSimulator` — per-link FIFO contention with virtual
-  cut-through (default) or store-and-forward forwarding over the
-  deterministic routes of a direct :class:`~repro.topology.Topology`,
+  cut-through forwarding over dimension-ordered or adaptive routes, an
+  optional per-node NIC bottleneck, finite tail-drop buffers with seeded
+  retransmits, scheduled link/node faults and a livelock watchdog,
 * :class:`IterativeApplication` — dependency-honouring replay of Jacobi-style
   compute/communicate iterations under any task mapping,
 * latency / link-utilization statistics,
@@ -25,21 +26,8 @@ from repro.netsim.messages import (
     SIZE_CLASS_EDGES,
     size_class_label,
 )
-from repro.netsim.simulator import (
-    NetworkSimulator,
-    LinkModel,
-    RoutingPolicy,
-    OverloadPolicy,
-)
+from repro.netsim.simulator import NetworkSimulator, RoutingPolicy
 from repro.netsim.appsim import IterativeApplication, AppResult
-from repro.netsim.traffic import make_pattern, run_open_loop, OpenLoopResult
-from repro.netsim.collectives import (
-    bfs_tree,
-    binomial_tree,
-    simulate_allreduce,
-    simulate_broadcast,
-    simulate_reduce,
-)
 from repro.netsim.stats import summarize_latencies, link_utilization, tail_summary
 from repro.netsim.flow import FlowResult, flow_evaluate, flow_summary, spearman
 
@@ -50,19 +38,9 @@ __all__ = [
     "SIZE_CLASS_EDGES",
     "size_class_label",
     "NetworkSimulator",
-    "LinkModel",
     "RoutingPolicy",
-    "OverloadPolicy",
     "IterativeApplication",
     "AppResult",
-    "make_pattern",
-    "run_open_loop",
-    "OpenLoopResult",
-    "bfs_tree",
-    "binomial_tree",
-    "simulate_broadcast",
-    "simulate_reduce",
-    "simulate_allreduce",
     "summarize_latencies",
     "link_utilization",
     "tail_summary",

@@ -48,9 +48,6 @@ class Message:
     #: overflow retries; never set under the default
     #: unroutable_policy="raise")
     dropped: bool = False
-    #: ECN congestion-experienced mark: set when the message was queued past
-    #: a finite link buffer's marking threshold (overload_policy="ecn")
-    ecn_marked: bool = False
     #: transient flag: a fault hit this message's current link; consumed by
     #: the next already-scheduled progression event
     faulted: bool = dataclasses.field(default=False, repr=False, compare=False)
@@ -69,8 +66,8 @@ class MessageStats:
     Besides the seed-era aggregates (count, bytes, hops-per-byte, mean/max
     latency) this tracks everything the finite-buffer tail-latency report
     needs: per-message sizes (for size-class percentiles), end-to-end
-    retransmissions, buffer-overflow drop events, final drops, and ECN
-    marks. All counters update in event order, so two runs with the same
+    retransmissions, buffer-overflow drop events and final drops. All
+    counters update in event order, so two runs with the same
     seed produce bit-identical snapshots (the determinism guard in
     ``tests/netsim/test_buffered.py``).
     """
@@ -80,10 +77,6 @@ class MessageStats:
         self._sizes: list[float] = []
         self._hop_bytes = 0.0
         self._bytes = 0.0
-        #: delivered messages that carried an ECN mark
-        self.ecn_delivered = 0
-        #: ECN marks applied at enqueue time (mark rate = marks / enqueues)
-        self.ecn_marks = 0
         #: end-to-end retransmissions scheduled (buffer overflows + faults)
         self.retransmits = 0
         #: tail-drop events at a full finite buffer (each may retransmit)
@@ -98,8 +91,6 @@ class MessageStats:
         self._sizes.append(message.size_bytes)
         self._bytes += message.size_bytes
         self._hop_bytes += message.size_bytes * message.hops
-        if message.ecn_marked:
-            self.ecn_delivered += 1
 
     def record_drop(self, message: Message) -> None:
         """Account one finally-dropped (undeliverable) message."""
@@ -193,8 +184,6 @@ class MessageStats:
             "dropped_bytes": self.dropped_bytes,
             "retransmits": self.retransmits,
             "buffer_drops": self.buffer_drops,
-            "ecn_marks": self.ecn_marks,
-            "ecn_delivered": self.ecn_delivered,
             "latencies": list(self._latencies),
             "sizes": list(self._sizes),
         }

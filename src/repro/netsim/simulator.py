@@ -6,14 +6,14 @@ Model (all times in microseconds, sizes in bytes):
 * Transmitting a message of size ``S`` over one link takes
   ``alpha + S / bandwidth`` — a per-hop routing/arbitration latency plus the
   serialization time — and the link is occupied for that whole interval.
-* **Virtual cut-through** (default): the head is forwarded to the next link
-  after ``alpha``, so a multi-hop message pipelines — an uncontended L-hop
+* **Virtual cut-through**: the head is forwarded to the next link after
+  ``alpha``, so a multi-hop message pipelines — an uncontended L-hop
   delivery costs ``L * alpha + S / bandwidth`` (wormhole-style no-load
   latency, the regime the paper's introduction describes where hop count
   barely matters without contention).
-* **Store-and-forward**: the next hop begins only after the full message
-  arrived, costing ``L * (alpha + S / bandwidth)`` uncontended — kept as an
-  ablation contrast.
+* **Finite buffers** (optional ``buffer_bytes``): a message arriving at a
+  full link buffer is tail-dropped and retransmitted end-to-end after a
+  seeded exponential backoff.
 
 Contention is what the paper is about: a random mapping makes every message
 cross many links, multiplying the per-link offered load; once a link's
@@ -38,9 +38,7 @@ from repro.netsim.messages import Message, MessageStats
 from repro.topology.base import Topology
 
 __all__ = [
-    "LinkModel",
     "RoutingPolicy",
-    "OverloadPolicy",
     "NetworkSimulator",
     "channel_name",
 ]
@@ -50,28 +48,12 @@ __all__ = [
 # (profiling only), cleared once the queue drains empty.
 _SATURATION_DEPTH = 8
 
-# ECN / AIMD pacing under ``OverloadPolicy.ECN``: a message queued at or past
-# this fraction of ``buffer_bytes`` is marked; each marked delivery multiplies
-# its flow's injection-gap stretch by the backoff (capped at the maximum), and
-# each unmarked delivery lowers it additively by the recovery step.
-_ECN_THRESHOLD = 0.5
-_ECN_BACKOFF = 2.0
-_ECN_RECOVER = 0.25
-_ECN_MAX_STRETCH = 64.0
-
 
 def channel_name(channel: tuple) -> str:
     """Stable printable name of a channel: ``"3->7"`` or ``"nic_out:3"``."""
     if isinstance(channel[0], str):
         return f"{channel[0]}:{channel[1]}"
     return f"{channel[0]}->{channel[1]}"
-
-
-class LinkModel(enum.Enum):
-    """Forwarding discipline for multi-hop messages."""
-
-    CUT_THROUGH = "cut_through"
-    STORE_AND_FORWARD = "store_and_forward"
 
 
 class RoutingPolicy(enum.Enum):
@@ -90,28 +72,6 @@ class RoutingPolicy(enum.Enum):
 
     DOR = "dor"
     ADAPTIVE = "adaptive"
-
-
-class OverloadPolicy(enum.Enum):
-    """What a finite link buffer does when offered more than it can hold.
-
-    Only consulted when ``buffer_bytes`` is set; the default infinite-buffer
-    model never overloads.
-
-    * ``DROP`` — tail-drop: a message arriving at a full buffer is discarded
-      at that hop and retransmitted end-to-end after an exponential backoff
-      (the fault-recovery knobs ``retry_delay`` / ``retry_backoff`` /
-      ``max_retries`` govern the schedule; an optional seeded
-      ``retry_jitter`` desynchronizes colliding retransmits).
-    * ``ECN`` — tail-drop at a *full* buffer as above, but additionally mark
-      messages queued past half the buffer; once a sender sees a marked
-      delivery for a flow it multiplicatively stretches that flow's
-      inter-injection gap (minimal AIMD: x2 per mark up to x64, recover
-      additively by 0.25 per unmarked delivery).
-    """
-
-    DROP = "drop"
-    ECN = "ecn"
 
 
 def _knob(name: str, value, floor: float = 0.0, strict: bool = True) -> float:
@@ -149,8 +109,8 @@ class _Link:
         self.max_queue = 0        # deepest FIFO backlog ever seen
         self.saturated = False    # currently past the saturation threshold
         self.current = None       # message in transmission; None when idle
-        # Finite-buffer state (untouched when buffer_bytes is None):
-        self.buffered_bytes = 0.0   # bytes sitting in this link's input queue
+        # Bytes sitting in the input queue; tracked only with a capacity.
+        self.buffered_bytes = 0.0
 
 
 class NetworkSimulator:
@@ -164,16 +124,14 @@ class NetworkSimulator:
         (mesh/torus/hypercube/arbitrary) those are processor-processor
         links, on an indirect machine (fat-tree, dragonfly) they include
         switch-level links — switches forward traffic but never inject or
-        absorb it, and buffers, overload policies, and fault injection all
-        apply per switch link exactly as they do per processor link.
+        absorb it, and buffers and fault injection apply per switch link
+        exactly as they do per processor link.
     bandwidth:
         Link bandwidth in bytes per microsecond (1 byte/us == 1 MB/s).
     alpha:
         Per-hop routing latency in microseconds.
     local_latency:
         Delivery latency of intra-processor messages (no links used).
-    model:
-        :class:`LinkModel`; virtual cut-through by default.
     max_retries / retry_delay / retry_backoff:
         Fault-recovery knobs (see :meth:`fail_link` / :meth:`fail_node`): a
         message interrupted by a fault with no surviving adaptive route is
@@ -184,16 +142,15 @@ class NetworkSimulator:
         retries exhausted): ``"raise"`` (default) surfaces a
         :class:`~repro.exceptions.SimulationError`; ``"drop"`` marks the
         message dropped and counts ``netsim.dropped``.
-    buffer_bytes / overload_policy:
+    buffer_bytes:
         Per-link input buffer capacity in bytes. ``None`` (default) keeps
         the seed model's unbounded FIFO queues — bit-identical event
-        ordering, zero behavior drift. When set, a link whose queue already
-        holds ``buffer_bytes`` of payload overloads, and
-        :class:`OverloadPolicy` decides what happens: ``"drop"`` (tail-drop
-        + end-to-end retransmit) or ``"ecn"`` (mark past half occupancy,
-        marked flows stretch their injection gap; still tail-drops at
-        completely full). NIC channels are treated as infinitely buffered
-        (the endpoint memory is the buffer).
+        ordering, zero behavior drift. When set, a message arriving at a
+        link whose queue cannot take its payload is tail-dropped there and
+        retransmitted end-to-end under the retry knobs (``max_retries``,
+        ``retry_delay``, ``retry_backoff``, ``retry_jitter``). NIC
+        channels are treated as infinitely buffered (the endpoint memory is
+        the buffer).
     retry_jitter / seed:
         Overload retransmits wait ``retry_delay * retry_backoff**k``
         multiplied by ``1 + retry_jitter * U[0, 1)`` — the uniform draw
@@ -229,7 +186,6 @@ class NetworkSimulator:
         bandwidth: float = 1000.0,
         alpha: float = 0.1,
         local_latency: float = 0.05,
-        model: LinkModel = LinkModel.CUT_THROUGH,
         nic_bandwidth: float | None = None,
         routing: RoutingPolicy = RoutingPolicy.DOR,
         link_bandwidths: dict[tuple[int, int], float] | None = None,
@@ -238,7 +194,6 @@ class NetworkSimulator:
         retry_backoff: float = 2.0,
         unroutable_policy: str = "raise",
         buffer_bytes: float | None = None,
-        overload_policy: OverloadPolicy | str = OverloadPolicy.DROP,
         retry_jitter: float = 0.0,
         seed: int = 0,
         stall_window: float | None = None,
@@ -280,20 +235,12 @@ class NetworkSimulator:
         self._buffer_bytes = (
             None if buffer_bytes is None else _knob("buffer_bytes", buffer_bytes)
         )
-        try:
-            overload_policy = OverloadPolicy(overload_policy)
-        except ValueError:
-            raise SimulationError(
-                f"overload_policy must be one of "
-                f"{[p.value for p in OverloadPolicy]}, got {overload_policy!r}"
-            ) from None
         self._retry_jitter = _knob("retry_jitter", retry_jitter, strict=False)
         self._stall_window = (
             None if stall_window is None else _knob("stall_window", stall_window)
         )
         self._topology = topology
-        self._model = LinkModel(model)
-        self._cut_through = self._model is LinkModel.CUT_THROUGH
+        self._num_procs = topology.num_nodes
         self._routing = RoutingPolicy(routing)
         # NIC channels wrap every network route, and do not count as hops.
         self._nic_channels = 0 if self._nic_bandwidth is None else 2
@@ -311,18 +258,8 @@ class NetworkSimulator:
         self._unroutable_policy = unroutable_policy
         self._failed_channels: set[tuple] = set()
         self._failed_nodes: set[int] = set()
-        # Finite-buffer / overload state. Every code path below is gated on
-        # buffer_bytes being set (or the specific policy), so the default
-        # None configuration replays the seed model bit-for-bit.
-        self._overload = overload_policy
-        self._ecn = (
-            self._buffer_bytes is not None
-            and overload_policy is OverloadPolicy.ECN
-        )
         self._seed = int(seed)
         self._rng = None  # lazily built np.random.Generator for retry jitter
-        # Per-flow AIMD pacing state: (src, dst) -> [stretch, next_free_time].
-        self._flows: dict[tuple[int, int], list[float]] = {}
         # Every message from send() until delivery or final drop; lets the
         # watchdog name the oldest stuck message and the drain check detect
         # wedges (queue empty but traffic undelivered).
@@ -350,11 +287,6 @@ class NetworkSimulator:
     def buffer_bytes(self) -> float | None:
         """Per-link buffer capacity; None means the unbounded seed model."""
         return self._buffer_bytes
-
-    @property
-    def overload_policy(self) -> OverloadPolicy:
-        """Active :class:`OverloadPolicy` (meaningful when buffered)."""
-        return self._overload
 
     @property
     def in_flight(self) -> int:
@@ -467,13 +399,21 @@ class NetworkSimulator:
         """Inject a message; returns its :class:`Message` record.
 
         ``on_delivery`` fires (with the record) when the tail reaches ``dst``.
-        ``at`` defaults to the current simulation time.
+        ``at`` defaults to the current simulation time. Both endpoints must
+        be processors: switches of an indirect machine forward traffic but
+        never inject or absorb it.
         """
         size_bytes = _knob("message size", size_bytes)
         send_time = self.queue.now if at is None else float(at)
         if not math.isfinite(send_time):
             raise SimulationError(f"send time must be finite, got {send_time}")
-        msg = Message(self._next_id, int(src), int(dst), size_bytes, send_time)
+        src, dst = int(src), int(dst)
+        if not (0 <= src < self._num_procs and 0 <= dst < self._num_procs):
+            raise SimulationError(
+                f"send endpoints must be processors in [0, {self._num_procs}), "
+                f"got {src} -> {dst}"
+            )
+        msg = Message(self._next_id, src, dst, size_bytes, send_time)
         self._next_id += 1
         self._inflight[msg.msg_id] = msg
         if self._prof is not None:
@@ -492,24 +432,6 @@ class NetworkSimulator:
         return msg
 
     def _inject(self, msg: Message, on_delivery) -> None:
-        if self._ecn:
-            # AIMD pacing, decided at the injection instant (so the flow
-            # state reflects deliveries seen so far): a flow that saw
-            # ECN-marked deliveries spaces its injections by
-            # stretch * serialization time; unmarked flows are untouched.
-            state = self._flows.get((msg.src, msg.dst))
-            if state is not None and state[0] > 1.0:
-                now = self.queue.now
-                free = max(now, state[1])
-                state[1] = free + state[0] * msg.size_bytes / self._bandwidth
-                if free > now:
-                    if self._prof is not None:
-                        self._prof.count("netsim.ecn_paced")
-                    self.queue.call(free, self._inject_route, msg, on_delivery)
-                    return
-        self._inject_route(msg, on_delivery)
-
-    def _inject_route(self, msg: Message, on_delivery) -> None:
         route = self._route(msg.src, msg.dst)
         msg.hops = len(route) - self._nic_channels
         self._head_arrival(msg, route, 0, on_delivery)
@@ -541,15 +463,6 @@ class NetworkSimulator:
             if link.buffered_bytes + size > capacity:
                 self._on_overflow(msg, channel, on_delivery)
                 return
-            if (
-                self._ecn
-                and not msg.ecn_marked
-                and link.buffered_bytes + size >= _ECN_THRESHOLD * capacity
-            ):
-                msg.ecn_marked = True
-                self.stats.ecn_marks += 1
-                if self._prof is not None:
-                    self._prof.count("netsim.ecn_marks")
             link.buffered_bytes += size
         # Busy: append to the FIFO with depth/saturation bookkeeping.
         link.queue.append((msg, route, hop, on_delivery))
@@ -588,17 +501,16 @@ class NetworkSimulator:
             # Tail fully received at the destination once serialization ends.
             queue.call(done, self._deliver, msg, on_delivery)
         else:
-            # Cut-through forwards the head after alpha; store-and-forward
-            # once the whole message arrived.
-            head_out = now + link.alpha if self._cut_through else done
-            queue.call(head_out, self._head_arrival, msg, route, hop + 1, on_delivery)
+            # Cut-through: the head moves on after the routing latency.
+            queue.call(now + link.alpha, self._head_arrival, msg, route,
+                       hop + 1, on_delivery)
         queue.call(done, self._link_free, link)
 
     def _link_free(self, link: _Link) -> None:
         link.current = None
         if link.queue:
             msg, route, hop, on_delivery = link.queue.popleft()
-            if self._buffer_bytes is not None:
+            if link.capacity is not None:
                 link.buffered_bytes -= msg.size_bytes
             self._start_transmission(link, msg, route, hop, on_delivery)
         else:
@@ -640,18 +552,6 @@ class NetworkSimulator:
             self._prof.count(counter)
         self.queue.call(self.queue.now + delay, self._inject, msg, on_delivery)
 
-    def _ecn_update(self, msg: Message) -> None:
-        """AIMD step for the flow of a just-delivered message."""
-        key = (msg.src, msg.dst)
-        state = self._flows.get(key)
-        if msg.ecn_marked:
-            if state is None:
-                state = [1.0, 0.0]
-                self._flows[key] = state
-            state[0] = min(_ECN_MAX_STRETCH, state[0] * _ECN_BACKOFF)
-        elif state is not None and state[0] > 1.0:
-            state[0] = max(1.0, state[0] - _ECN_RECOVER)
-
     def _deliver(self, msg: Message, on_delivery) -> None:
         if msg.faulted:
             msg.faulted = False
@@ -669,10 +569,6 @@ class NetworkSimulator:
         self.stats.record(msg)
         if self._prof is not None:
             self._prof.count("netsim.delivered")
-        if self._ecn and msg.src != msg.dst:
-            # Update pacing state before the callback so reply traffic the
-            # callback injects sees the new stretch.
-            self._ecn_update(msg)
         if on_delivery is not None:
             on_delivery(msg)
 

@@ -48,7 +48,7 @@ def tail_summary(sim: NetworkSimulator,
     """Tail-latency report of one simulation — the overload scorecard.
 
     Returns a JSON-able dict with overall delivery percentiles
-    (p50/p99/p999), per-size-class percentile rows, drop/retransmit/ECN
+    (p50/p99/p999), per-size-class percentile rows, drop/retransmit
     counters, and (when ``iteration_times`` from an
     :class:`~repro.netsim.appsim.AppResult` is given) the
     barrier-synchronized iteration-tail distribution. This is the payload
@@ -62,8 +62,6 @@ def tail_summary(sim: NetworkSimulator,
         "dropped": int(stats.dropped),
         "retransmits": int(stats.retransmits),
         "buffer_drops": int(stats.buffer_drops),
-        "ecn_marks": int(stats.ecn_marks),
-        "ecn_delivered": int(stats.ecn_delivered),
         "latency": {
             "p50": pct["p50"],
             "p99": pct["p99"],

@@ -125,8 +125,6 @@ PROFILE_SCHEMA: dict[str, Any] = {
                         "dropped": {"type": "integer", "minimum": 0},
                         "retransmits": {"type": "integer", "minimum": 0},
                         "buffer_drops": {"type": "integer", "minimum": 0},
-                        "ecn_marks": {"type": "integer", "minimum": 0},
-                        "ecn_delivered": {"type": "integer", "minimum": 0},
                         "latency": {
                             "type": "object",
                             "required": ["p50", "p99", "p999"],
@@ -359,8 +357,7 @@ def summarize_profile(profile: dict[str, Any]) -> str:
                 f"p999={lat['p999']:.6g} us"
             )
             overload_bits = []
-            for key in ("dropped", "retransmits", "buffer_drops",
-                        "ecn_marks"):
+            for key in ("dropped", "retransmits", "buffer_drops"):
                 if tail_block.get(key):
                     overload_bits.append(f"{key}={tail_block[key]}")
             if overload_bits:

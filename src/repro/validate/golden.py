@@ -94,7 +94,7 @@ def write_golden(path: Path, *, graph: str, topology: str, mapper: str,
     keys — drift in the route accounting or the makespan bound then trips
     the corpus even when the assignment itself is unchanged. ``netsim`` (a
     ``MappingRequest.netsim`` knob dict, e.g. ``{"buffer_bytes": 4096,
-    "overload_policy": "ecn"}``) additionally pins the buffered DES replay's
+    "overload_policy": "drop"}``) additionally pins the buffered DES replay's
     ``des_*`` percentile/overload metrics — the finite-buffer timing model
     itself becomes regression-guarded.
     """

@@ -1,4 +1,5 @@
-"""Tests for the supplementary experiments (zoo, bounds, flowcheck)."""
+"""Tests for the supplementary experiments (zoo, bounds, flowcheck,
+tailcheck)."""
 
 from __future__ import annotations
 
@@ -103,3 +104,27 @@ def test_flowcheck_runs_inside_its_validity_envelope(capsys):
     for row in rows:
         assert row["max_bound_ratio"] <= 1.0, row
         assert row["rank_corr"] >= 0.9, row
+
+
+def test_tailcheck_profile_and_topolb_tail(capsys, tmp_path):
+    """``repro-experiments tailcheck --profile``: the profile is a valid
+    ``repro-profile-v1`` document, and on both instances TopoLB's p999
+    latency is below every random placement's."""
+    import json
+
+    from repro import obs
+    from repro.experiments.runner import main
+
+    path = tmp_path / "tailcheck.json"
+    assert main(["tailcheck", "--json", "--profile", str(path)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    doc = obs.load_profile(path)  # validates against repro-profile-v1
+    assert doc["format"] == "repro-profile-v1"
+    instances = {row["instance"] for row in rows}
+    assert len(instances) == 2
+    for instance in instances:
+        p999 = {row["mapper"]: row["p999_us"] for row in rows
+                if row["instance"] == instance}
+        randoms = [v for k, v in p999.items() if k.startswith("random")]
+        assert randoms, instance
+        assert p999["topolb"] < min(randoms), instance

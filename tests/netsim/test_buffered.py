@@ -1,4 +1,4 @@
-"""Finite-buffer link model: drop / ECN policies and tail stats."""
+"""Finite-buffer link model: tail-drop with retransmit, and tail stats."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 from repro import obs
 from repro.exceptions import SimulationError, SpecError
 from repro.netsim.messages import SIZE_CLASS_EDGES, size_class_label
-from repro.netsim.simulator import NetworkSimulator, OverloadPolicy
+from repro.netsim.simulator import NetworkSimulator
 from repro.netsim.stats import tail_summary
 from repro.topology import Mesh, Torus
 
@@ -30,35 +30,18 @@ class TestConstruction:
             NetworkSimulator(topo, buffer_bytes=0.0)
         with pytest.raises(SimulationError, match="buffer_bytes"):
             NetworkSimulator(topo, buffer_bytes=float("inf"))
-        with pytest.raises(SimulationError, match="overload_policy"):
-            NetworkSimulator(topo, buffer_bytes=1024.0,
-                             overload_policy="panic")
         with pytest.raises(SimulationError, match="retry_jitter"):
             NetworkSimulator(topo, retry_jitter=-1.0)
         with pytest.raises(SimulationError, match="stall_window"):
             NetworkSimulator(topo, stall_window=0.0)
-
-    def test_policy_accepts_enum_and_string(self):
-        topo = Mesh((4,))
-        sim = NetworkSimulator(topo, buffer_bytes=1024.0,
-                               overload_policy=OverloadPolicy.ECN)
-        assert sim.overload_policy is OverloadPolicy.ECN
-        sim = NetworkSimulator(topo, buffer_bytes=1024.0,
-                               overload_policy="ecn")
-        assert sim.overload_policy is OverloadPolicy.ECN
-        assert sim.buffer_bytes == 1024.0
+        assert NetworkSimulator(topo, buffer_bytes=1024.0).buffer_bytes == 1024.0
         assert NetworkSimulator(topo).buffer_bytes is None
-        with pytest.raises(SimulationError,
-                           match=r"\['drop', 'ecn'\]"):
-            NetworkSimulator(topo, buffer_bytes=1024.0,
-                             overload_policy="credit")
 
 
 class TestDropPolicy:
     def test_overflow_drops_and_retransmits_to_delivery(self):
         sim = NetworkSimulator(Torus((4, 4)), bandwidth=50.0,
-                               buffer_bytes=4096.0, overload_policy="drop",
-                               max_retries=64, unroutable_policy="drop")
+                               buffer_bytes=4096.0, max_retries=64, unroutable_policy="drop")
         _random_load(sim)
         sim.run()
         stats = sim.stats
@@ -71,7 +54,7 @@ class TestDropPolicy:
         def build(policy):
             sim = NetworkSimulator(
                 Torus((4, 4)), bandwidth=10.0, buffer_bytes=512.0,
-                overload_policy="drop", max_retries=0,
+                max_retries=0,
                 unroutable_policy=policy,
             )
             _random_load(sim, n=80, max_size=500)
@@ -89,7 +72,7 @@ class TestDropPolicy:
         try:
             sim = NetworkSimulator(Torus((4, 4)), bandwidth=50.0,
                                    buffer_bytes=4096.0,
-                                   overload_policy="drop", max_retries=64,
+                                   max_retries=64,
                                    unroutable_policy="drop")
             _random_load(sim)
             sim.run()
@@ -100,68 +83,12 @@ class TestDropPolicy:
         assert counters["netsim.retransmits"] == sim.stats.retransmits
 
 
-class TestEcnPolicy:
-    def test_marks_recorded_and_flows_paced(self):
-        sim = NetworkSimulator(Torus((4, 4)), bandwidth=50.0,
-                               buffer_bytes=4096.0, overload_policy="ecn",
-                               max_retries=64, unroutable_policy="drop")
-        _random_load(sim)
-        sim.run()
-        assert sim.stats.ecn_marks > 0
-        assert sim.stats.ecn_delivered > 0
-        assert sim.stats.count + sim.stats.dropped == 200
-
-    def test_backpressure_reduces_drops_vs_pure_drop(self):
-        """Same load, same buffers: pacing marked flows must not drop more."""
-        results = {}
-        for policy in ("drop", "ecn"):
-            sim = NetworkSimulator(Torus((4, 4)), bandwidth=50.0,
-                                   buffer_bytes=4096.0,
-                                   overload_policy=policy, max_retries=64,
-                                   unroutable_policy="drop")
-            # Repeating (src, dst) pairs so the per-flow AIMD state matters.
-            rng = np.random.default_rng(5)
-            pairs = [(int(a), int(b)) for a, b in rng.integers(0, 16, (8, 2))
-                     if a != b]
-            for i in range(400):
-                a, b = pairs[i % len(pairs)]
-                sim.send(a, b, 2048.0, at=float(i) * 0.3)
-            sim.run()
-            results[policy] = sim.stats.buffer_drops
-        assert results["ecn"] < results["drop"]
-
-    def test_backpressure_reduces_drops_on_random_load(self):
-        """The seeded random load of the drop tests: ECN drops less."""
-        drops = {}
-        for policy in ("drop", "ecn"):
-            sim = NetworkSimulator(Torus((4, 4)), bandwidth=50.0,
-                                   buffer_bytes=4096.0,
-                                   overload_policy=policy, max_retries=64,
-                                   unroutable_policy="drop")
-            _random_load(sim)
-            sim.run()
-            drops[policy] = sim.stats.buffer_drops
-        assert 0 < drops["ecn"] < drops["drop"]
-
-    def test_unmarked_flows_not_paced(self):
-        """Below the marking threshold ECN behaves exactly like no policy."""
-        def snapshot(**kwargs):
-            sim = NetworkSimulator(Torus((4, 4)), **kwargs)
-            _random_load(sim, n=60, max_size=600)
-            sim.run()
-            return sim.stats.snapshot()
-
-        assert snapshot() == snapshot(buffer_bytes=10_000_000.0,
-                                      overload_policy="ecn")
-
-
 class TestNicChannels:
     def test_nic_channels_not_buffered(self):
         """NIC serialization stages queue without buffer admission — only
         network links are capacity-limited."""
         sim = NetworkSimulator(Mesh((4,)), bandwidth=100.0,
-                               nic_bandwidth=10.0, buffer_bytes=128.0,
-                               overload_policy="drop")
+                               nic_bandwidth=10.0, buffer_bytes=128.0)
         # Many small messages from one node: they all pile into nic_out:0
         # (2,000 B against a 128 B buffer), whose queue is unbounded; the
         # slow NIC then trickles them into a link that never backs up.
@@ -179,7 +106,7 @@ class TestDeterminism:
         def run(seed):
             sim = NetworkSimulator(Torus((4, 4)), bandwidth=50.0,
                                    buffer_bytes=2048.0,
-                                   overload_policy="drop", max_retries=64,
+                                   max_retries=64,
                                    retry_jitter=0.5, seed=seed,
                                    unroutable_policy="drop")
             _random_load(sim)
@@ -190,18 +117,6 @@ class TestDeterminism:
         assert a == b
         assert a["retransmits"] > 0  # the stochastic path actually ran
         assert run(8) != a  # and the seed actually matters
-
-    def test_ecn_runs_bit_identical(self):
-        def run():
-            sim = NetworkSimulator(Torus((4, 4)), bandwidth=50.0,
-                                   buffer_bytes=4096.0,
-                                   overload_policy="ecn", max_retries=64,
-                                   unroutable_policy="drop")
-            _random_load(sim)
-            sim.run()
-            return sim.stats.snapshot()
-
-        assert run() == run()
 
 
 class TestTailStats:
@@ -225,8 +140,8 @@ class TestTailStats:
 
     def test_tail_summary_shape(self):
         sim = NetworkSimulator(Torus((4, 4)), bandwidth=50.0,
-                               buffer_bytes=4096.0, overload_policy="ecn",
-                               max_retries=64, unroutable_policy="drop")
+                               buffer_bytes=4096.0, max_retries=64,
+                               unroutable_policy="drop")
         _random_load(sim)
         sim.run()
         tail = tail_summary(sim, iteration_times=[1.0, 2.0, 1.5])
@@ -254,14 +169,22 @@ class TestEngineIntegration:
             topology="torus:4x4",
             mapper="TopoLB",
             seed=0,
-            netsim={"buffer_bytes": 2048.0, "overload_policy": "ecn",
+            netsim={"buffer_bytes": 2048.0, "overload_policy": "drop",
                     "iterations": 2, "bandwidth": 200.0},
         ))
         for key in ("des_makespan_us", "des_p50_us", "des_p99_us",
                     "des_p999_us", "des_delivered", "des_dropped",
-                    "des_retransmits", "des_buffer_drops", "des_ecn_marks"):
+                    "des_retransmits", "des_buffer_drops"):
             assert key in result.metrics
         assert result.metrics["des_delivered"] > 0
+
+    @pytest.mark.parametrize("policy", ["ecn", "credit"])
+    def test_only_drop_overload_policy_accepted(self, policy):
+        from repro.engine import MappingRequest
+
+        with pytest.raises(SpecError, match="'overload_policy' must be 'drop'"):
+            MappingRequest(graph="mesh2d:4x4", topology="torus:4x4",
+                           netsim={"overload_policy": policy})
 
     def test_unknown_netsim_key_rejected(self):
         from repro.engine import MappingEngine, MappingRequest
@@ -302,12 +225,10 @@ class TestCli:
         path = tmp_path / "app.json"
         save_taskgraph(mesh2d_pattern(4, 4, message_bytes=2048), path)
         rc = main(["--taskgraph", str(path), "--topology", "torus:4x4",
-                   "--simulate-iters", "2", "--buffer-bytes", "2048",
-                   "--overload-policy", "ecn"])
+                   "--simulate-iters", "2", "--buffer-bytes", "2048"])
         assert rc == 0
         out = capsys.readouterr().out
-        for key in ("sim_p999_us", "sim_dropped", "sim_retransmits",
-                    "sim_ecn_marks"):
+        for key in ("sim_p999_us", "sim_dropped", "sim_retransmits"):
             assert key in out
 
     def test_buffer_bytes_requires_des_mode(self, tmp_path, capsys):
@@ -328,7 +249,7 @@ class TestCli:
         save_taskgraph(mesh2d_pattern(4, 4), path)
         with pytest.raises(SystemExit) as exc:
             main(["--taskgraph", str(path), "--topology", "torus:4x4",
-                  "--buffer-bytes", "4096", "--overload-policy", "ecn"])
+                  "--buffer-bytes", "4096"])
         assert exc.value.code == 2
         assert "--buffer-bytes needs a network replay" in (
             capsys.readouterr().err)

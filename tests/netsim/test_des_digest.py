@@ -4,9 +4,10 @@ Each configuration replays a fixed workload and hashes everything the
 simulator exposes: ``stats.snapshot()``, the per-link byte, busy-time and
 queue-peak tables, the application's iteration finish times, the number of
 fired events and, for the profiled cases, the counters, events and series
-the profiler recorded. The pinned digests were computed before the event
-loop and route arithmetic were rewritten for speed; any change to event
-order, float arithmetic or telemetry changes a digest.
+the profiler recorded. The pinned digests were computed by the simulator
+that still carried ECN pacing and store-and-forward links, so they prove
+that deleting those features changed no surviving configuration; any
+change to event order, float arithmetic or telemetry changes a digest.
 
 Regenerate (only when a change of results is intended) with::
 
@@ -43,35 +44,31 @@ CASES = {
     "t444_random_adaptive": (
         "torus:4x4x4", "mesh3d:4x4x4;bytes=4096", "random",
         {"routing": "adaptive", "bandwidth": 200.0}, (), "app"),
-    "t444_random_saf_nic": (
+    "t444_random_nic": (
         "torus:4x4x4", "mesh3d:4x4x4;bytes=4096", "random",
-        {"model": "store_and_forward", "nic_bandwidth": 300.0}, (), "app"),
+        {"nic_bandwidth": 300.0}, (), "app"),
     "t444_oversubscribed_local": (
         "torus:4x4x4", "mesh3d:8x4x4;bytes=2048", "two_per_node",
         {"local_latency": 0.2, "alpha": 0.3}, (), "app"),
     "t444_random_drop_jitter": (
         "torus:4x4x4", "mesh3d:4x4x4;bytes=4096", "random",
-        {"buffer_bytes": 4096.0, "overload_policy": "drop", "max_retries": 64,
+        {"buffer_bytes": 4096.0, "max_retries": 64,
          "retry_jitter": 0.5, "seed": 7, "unroutable_policy": "drop",
          "bandwidth": 100.0}, (), "app"),
-    "t444_random_ecn_jitter": (
+    "t444_random_drop_adaptive_nic": (
         "torus:4x4x4", "mesh3d:4x4x4;bytes=4096", "random",
-        {"buffer_bytes": 4096.0, "overload_policy": "ecn", "max_retries": 64,
+        {"buffer_bytes": 4096.0, "max_retries": 64,
          "retry_jitter": 0.25, "seed": 3, "unroutable_policy": "drop",
-         "bandwidth": 100.0}, (), "app"),
-    "t444_topolb_ecn_adaptive_nic": (
-        "torus:4x4x4", "mesh3d:4x4x4;bytes=4096", "topolb",
-        {"buffer_bytes": 4096.0, "overload_policy": "ecn", "max_retries": 64,
-         "routing": "adaptive", "nic_bandwidth": 500.0, "bandwidth": 100.0,
-         "unroutable_policy": "drop"}, (), "app"),
+         "bandwidth": 100.0, "routing": "adaptive", "nic_bandwidth": 500.0},
+        (), "app"),
     "t444_random_stall_window": (
         "torus:4x4x4", "mesh3d:4x4x4;bytes=4096", "random",
-        {"buffer_bytes": 4096.0, "overload_policy": "drop", "max_retries": 64,
+        {"buffer_bytes": 4096.0, "max_retries": 64,
          "retry_jitter": 0.5, "seed": 1, "unroutable_policy": "drop",
          "bandwidth": 100.0, "stall_window": 300.0}, (), "app"),
     "t444_livelock_raises": (
         "torus:4x4x4", "mesh3d:4x4x4;bytes=4096", "random",
-        {"buffer_bytes": 4096.0, "overload_policy": "drop", "max_retries": 64,
+        {"buffer_bytes": 4096.0, "max_retries": 64,
          "retry_jitter": 0.5, "seed": 1, "unroutable_policy": "drop",
          "bandwidth": 100.0, "stall_window": 20.0}, (), "app"),
     "t444_dor_link_fault_raises": (
@@ -106,14 +103,9 @@ CASES = {
         {"routing": "adaptive"}, (), "app"),
     "t88_random_drop_jitter": (
         "torus:8x8", "mesh2d:8x8;bytes=4096", "random",
-        {"buffer_bytes": 8192.0, "overload_policy": "drop", "max_retries": 64,
+        {"buffer_bytes": 8192.0, "max_retries": 64,
          "retry_jitter": 0.3, "seed": 11, "unroutable_policy": "drop",
          "bandwidth": 80.0}, (), "app"),
-    "t88_random_ecn_saf": (
-        "torus:8x8", "mesh2d:8x8;bytes=4096", "random",
-        {"buffer_bytes": 8192.0, "overload_policy": "ecn", "max_retries": 64,
-         "retry_jitter": 0.1, "seed": 5, "unroutable_policy": "drop",
-         "model": "store_and_forward", "bandwidth": 80.0}, (), "app"),
     "t88_link_bandwidths": (
         "torus:8x8", "mesh2d:8x8;bytes=4096", "random",
         {"link_bandwidths": {(0, 1): 50.0, (9, 17): 20.0, (63, 7): 400.0}},
@@ -129,8 +121,8 @@ CASES = {
 #: Cases replayed with the profiler on, so counters, events and series
 #: (per-link byte timelines) are part of the digest.
 PROFILED = {
-    "t444_random_dor", "t444_random_saf_nic", "t444_random_drop_jitter",
-    "t444_random_ecn_jitter", "t444_random_stall_window",
+    "t444_random_dor", "t444_random_nic", "t444_random_drop_jitter",
+    "t444_random_stall_window",
     "t444_livelock_raises",
     "t444_dor_link_fault", "t444_adaptive_link_fault", "t444_node_fault_drop",
     "t444_link_fault_buffered_jitter",
@@ -202,28 +194,26 @@ def _digest(state: dict) -> str:
 
 
 DIGESTS = {
-    'mesh444_random_dor': '9c03ca7aa5b176cfe31cd03098fadde9f0ed1edc996522b21bdd84cc521f95b4',
-    't444_adaptive_link_fault': 'c51e45f9eb85d2b95f2ab00037f90a8d668119e0502ec6f5efe21da6954a612d',
-    't444_dor_link_fault': '7b8684272e681f56428c724a3f3a364637a36bc0d22d4dfa7063929f0a5ace0d',
-    't444_dor_link_fault_raises': 'aa29afaea6d8c1786cec4e4e9c28f6d93649141e9d82b17a19f62ebe5d50da5a',
-    't444_link_fault_buffered_jitter': 'f20896d2cf674603430a8be5be3dba505486f2c77bd39cb14376d812b739aa1f',
-    't444_livelock_raises': '5887e7b586594dc654b3ad368908606b77190a58580450902a9e4ac8103043da',
-    't444_node_fault_drop': '48987e54f18587b3c56228cdf1b7be5fd5c0ceb756499e0bcfbcd26691799951',
-    't444_oversubscribed_local': '8244385c9d0fe2c535741442cff62e1506decb8bcbe2eefff54543b106286a78',
-    't444_random_adaptive': 'f1cd03e2d9b5c65679384a02e62afb86bd235a92d3188d3e5bccba3e52202b5a',
-    't444_random_dor': '3304a121daac501812c92e3511810b74f9b9c90956a5d8cee1df4a40b0cace89',
-    't444_random_drop_jitter': 'e6f34b70da68dcbf1a3e1b1e8f6e26950cfce49b4f54b92b3fa47be8b7e59dbb',
-    't444_random_ecn_jitter': '16008ad5456e1602f42dc100db4dc96a7e4cc543ee2f1c9bf592e10df72f189b',
-    't444_random_saf_nic': '77ab14c9348d1dcd8d87746f854093209518a3af0cecd635f4fe9c80442170eb',
-    't444_random_stall_window': 'e3b8b7f8e3eb3f1082eb11283831a9f7d8b61083f8a81eb225e8c33bff2b40a7',
-    't444_topolb_dor': 'a4af292c616b2441c22b9542fdb3445d082ebc305ced69fd0e48353f9dbe6b4d',
-    't444_topolb_ecn_adaptive_nic': '5b2b56b7efb7598308be3ad86d7b183fd76cfab14cb70b833e7f4c28d43ae4c2',
-    't88_link_bandwidths': '2cf5de2f35c5e4a3824f4677b297c07f630936d658ecba58440adcfa3999c829',
-    't88_node_fault_dor': 'f7fdef7c2b4d1c879d403fa09f33bc1d0b5aa2a1821b3653f355f22252871aa4',
-    't88_random_dor': '365e37485f2a56a1be24da80d35b2bb5bbf3a45c318ca59891279691d6a5e6a1',
-    't88_random_drop_jitter': 'df0fbaf93a14e864a04c0dca7d84947228dc7b1af81186cc6bbf3b60b323a7fe',
-    't88_random_ecn_saf': 'db2e6f6b04bb09900dd7fd2ae6cc5558c591c9799870091ec3f8a12c76e40202',
-    't88_topolb_adaptive': '4c97c265a0fcb84ac3d42aed9319d62489b4f902302925eaf9ba4d74b699a933',
+    'mesh444_random_dor': 'e98c7ba67a7588958309147cffdd9e37a5d86eb925beb5c8f1951fe6c09e6dd1',
+    't444_adaptive_link_fault': '3f9f80a90a104f8f64421770c637cd64beabb1a39ae61a955ae0cefc7745c315',
+    't444_dor_link_fault': '70b82af3c01db1220a2f23737fa3f80706ff4a7979dd91343cf57280db2a6735',
+    't444_dor_link_fault_raises': '6210dfe66048e5791bb53aa90f60bf615912d4f608a5dbfa103fc4ca7f3e234f',
+    't444_link_fault_buffered_jitter': '9b7fa43426c3fab7d9472ae09d9fdc044487512c57dc04d1146483e30083d1c2',
+    't444_livelock_raises': '55b08b35ea292a0d8fbc2185492ddee7d9374225f9072021429df41b67239776',
+    't444_node_fault_drop': '98f86c18505a49788787f25eea4d43bc2e6f3f2ab715b57d88bd58bc0882b3d2',
+    't444_oversubscribed_local': 'dd2d6b5fa8aa9d9acaddf7425befe583b0c71bb49817379d5808d86bf0f7d5f8',
+    't444_random_adaptive': 'be28a932abc20124c752011d2c4628d0852412447f39c6e1ca832fdf7cdb10da',
+    't444_random_dor': '357b148f34bd5a7aae165f1323cc4ebd5ff608dba659aa07819d158ea48b34e1',
+    't444_random_drop_adaptive_nic': 'cc6c9bb61e12a404c51510bb7ba059274f836a7e292b2c0bcccc805b7d8b4149',
+    't444_random_drop_jitter': '59f9a1ef5ab1d019e5d546408bc950013f04bb0b812e90e76b7870f8f613475d',
+    't444_random_nic': '340e975b867fdacd08db97f745b9063d9d4e5c10965c877f9d9205dcb6b9f20e',
+    't444_random_stall_window': '1d6f479c4efc832e3143046cfd5b1ba3a9aeb6d7dfe1df66d1024801c524b982',
+    't444_topolb_dor': '4f8bf6f5836895b394c503022451a878e256d38d8f8b74acb34133c01fec059b',
+    't88_link_bandwidths': '02c87c48564d0e98fc19935d81aefa221fcf7fdca1376baca23196f51f6a42e0',
+    't88_node_fault_dor': '925d94c64eac013532273e1ef7182ad898e27cb927d5add145261250f8f0afb2',
+    't88_random_dor': 'cbf2a0780e634fd176a7aa86fa99a63274ddf8e243004cf561cd46d353edcb15',
+    't88_random_drop_jitter': 'fe08fbcf602e3b6654dd76a8542fb79430a78fa964c7663867dc35a58fc788fa',
+    't88_topolb_adaptive': '078328b7ac847b96474c992bb3ca0a8ceb05050e899feedc76b33bd53853e9e8',
 }
 
 

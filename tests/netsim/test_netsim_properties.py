@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim import LinkModel, NetworkSimulator, RoutingPolicy
+from repro.netsim import NetworkSimulator, RoutingPolicy
 from repro.topology import Mesh, Torus
 
 
@@ -54,15 +54,12 @@ def test_property_adaptive_routes_always_minimal(seed):
         assert msg.hops == topo.distance(a, b)
 
 
-@given(
-    seed=st.integers(0, 50_000),
-    model=st.sampled_from(list(LinkModel)),
-)
+@given(seed=st.integers(0, 50_000))
 @settings(max_examples=30, deadline=None)
-def test_property_link_bytes_match_hop_bytes(seed, model):
+def test_property_link_bytes_match_hop_bytes(seed):
     """Sum of per-link carried bytes == sum over messages of size * hops."""
     topo = Mesh((2, 5))
-    sim = NetworkSimulator(topo, bandwidth=60.0, alpha=0.1, model=model)
+    sim = NetworkSimulator(topo, bandwidth=60.0, alpha=0.1)
     rng = np.random.default_rng(seed)
     expected = 0.0
     for _ in range(15):

@@ -1,7 +1,10 @@
-"""Non-finite numbers are rejected at every DES entry point.
+"""Non-finite numbers and out-of-range endpoints are rejected at every DES
+entry point.
 
 A NaN that reached an event time used to fire out of time order, and a NaN
-bandwidth or latency silently produced a NaN makespan.
+bandwidth or latency silently produced a NaN makespan. A send to or from a
+node that is not a processor used to be delivered as a local message, or to
+fail from inside the event loop when its injection fired.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import pytest
 
 from repro.exceptions import SimulationError, SpecError
 from repro.netsim import EventQueue, NetworkSimulator
-from repro.topology import Torus
+from repro.topology import Torus, topology_from_spec
 
 NAN, INF = math.nan, math.inf
 
@@ -62,6 +65,20 @@ def test_send_rejects_non_finite_time(at):
     sim = NetworkSimulator(Torus((4, 4)))
     with pytest.raises(SimulationError, match="send time"):
         sim.send(0, 5, 100.0, at=at)
+    assert sim.in_flight == 0 and sim.queue.pending == 0
+
+
+@pytest.mark.parametrize("topology, src, dst, at", [
+    ("torus:4x4", 99, 99, None),     # delivered as a local message
+    ("torus:4x4", 0, 99, 5.0),       # failed at t=5 inside the event loop
+    ("fattree:4x2", 23, 0, None),    # a switch cannot inject
+    ("fattree:4x2", 23, 23, None),   # nor absorb
+    ("torus:4x4", -1, 3, None),
+])
+def test_send_rejects_non_processor_endpoint(topology, src, dst, at):
+    sim = NetworkSimulator(topology_from_spec(topology))
+    with pytest.raises(SimulationError, match="endpoints must be processors"):
+        sim.send(src, dst, 100.0, at=at)
     assert sim.in_flight == 0 and sim.queue.pending == 0
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
-from repro.netsim import LinkModel, NetworkSimulator
+from repro.netsim import NetworkSimulator, RoutingPolicy
 from repro.netsim.stats import link_utilization, summarize_latencies
 from repro.topology import Mesh, Torus
 
@@ -27,33 +27,6 @@ class TestNoLoadLatency:
         sim.run()
         assert msg.latency == pytest.approx(4 * 0.5 + 200.0 / 100.0)
         assert msg.hops == 4
-
-    def test_store_and_forward_formula(self):
-        """Uncontended L-hop S&F delivery = L*(alpha + size/bandwidth)."""
-        sim = make_sim(model=LinkModel.STORE_AND_FORWARD)
-        msg = sim.send(0, 3, 200.0)
-        sim.run()
-        assert msg.latency == pytest.approx(3 * (0.5 + 2.0))
-
-    def test_store_and_forward_slower_multihop(self):
-        lat = {}
-        for model in LinkModel:
-            sim = make_sim(model=model)
-            msg = sim.send(0, 7, 500.0)
-            sim.run()
-            lat[model] = msg.latency
-        assert lat[LinkModel.STORE_AND_FORWARD] > lat[LinkModel.CUT_THROUGH]
-
-    def test_one_hop_models_agree(self):
-        lat = {}
-        for model in LinkModel:
-            sim = make_sim(model=model)
-            msg = sim.send(2, 3, 100.0)
-            sim.run()
-            lat[model] = msg.latency
-        assert lat[LinkModel.STORE_AND_FORWARD] == pytest.approx(
-            lat[LinkModel.CUT_THROUGH]
-        )
 
     def test_local_message(self):
         sim = make_sim()
@@ -144,17 +117,6 @@ class TestNicModel:
             sim.run()
             lat.append(msg.latency)
         assert lat[1] == pytest.approx(lat[0])
-
-    def test_nic_adds_latency_store_and_forward(self):
-        lat = []
-        for nic in (None, 100.0):
-            sim = NetworkSimulator(Mesh((4,)), bandwidth=100.0, alpha=0.5,
-                                   nic_bandwidth=nic,
-                                   model=LinkModel.STORE_AND_FORWARD)
-            msg = sim.send(0, 1, 100.0)
-            sim.run()
-            lat.append(msg.latency)
-        assert lat[1] > lat[0]
 
 
 class TestHeterogeneousLinks:
@@ -255,16 +217,77 @@ class TestStats:
             _ = msg.latency
 
 
+def _uniform_poisson_latency(sim, offered_load, message_bytes, duration,
+                             seed):
+    """Mean latency of uniform-random Poisson traffic: each node injects
+    ``offered_load * bandwidth / message_bytes`` messages per microsecond
+    for ``duration`` microseconds (self-sends skipped)."""
+    rng = np.random.default_rng(seed)
+    nodes = sim.topology.num_nodes
+    rate = offered_load * sim.bandwidth / message_bytes
+    for src in range(nodes):
+        t = float(rng.exponential(1.0 / rate))
+        while t < duration:
+            dst = int(rng.integers(0, nodes))
+            if dst != src:
+                sim.send(src, dst, message_bytes, at=t)
+            t += float(rng.exponential(1.0 / rate))
+    sim.run()
+    return sim.stats.mean_latency
+
+
+class TestAdaptiveRouting:
+    def test_adaptive_never_lengthens_routes(self):
+        """Adaptive candidates are all minimal: observed hops == distance."""
+        topo = Torus((4, 4))
+        sim = NetworkSimulator(topo, bandwidth=100.0, alpha=0.1,
+                               routing=RoutingPolicy.ADAPTIVE)
+        msgs = [sim.send(0, 15, 100.0) for _ in range(10)]
+        sim.run()
+        for m in msgs:
+            assert m.hops == topo.distance(0, 15)
+
+    def test_adaptive_helps_under_congestion(self):
+        topo = Torus((4, 4, 4))
+        lat = {}
+        for routing in RoutingPolicy:
+            sim = NetworkSimulator(topo, bandwidth=100.0, alpha=0.1,
+                                   routing=routing)
+            lat[routing] = _uniform_poisson_latency(
+                sim, 0.8, message_bytes=256.0, duration=400.0, seed=0)
+        assert lat[RoutingPolicy.ADAPTIVE] < lat[RoutingPolicy.DOR]
+
+    def test_adaptive_equals_dor_on_1d(self):
+        """One axis: a single minimal route exists, policies coincide."""
+        topo = Torus((8,))
+        lat = {}
+        for routing in RoutingPolicy:
+            sim = NetworkSimulator(topo, bandwidth=100.0, alpha=0.1,
+                                   routing=routing)
+            lat[routing] = _uniform_poisson_latency(
+                sim, 0.4, message_bytes=128.0, duration=200.0, seed=0)
+        assert lat[RoutingPolicy.ADAPTIVE] == pytest.approx(lat[RoutingPolicy.DOR])
+
+    def test_deterministic(self):
+        topo = Torus((4, 4))
+        results = []
+        for _ in range(2):
+            sim = NetworkSimulator(topo, bandwidth=50.0, alpha=0.1,
+                                   routing=RoutingPolicy.ADAPTIVE)
+            results.append(_uniform_poisson_latency(
+                sim, 0.5, message_bytes=128.0, duration=200.0, seed=7))
+        assert results[0] == results[1]
+
+
 @given(
     seed=st.integers(0, 100_000),
     n_msgs=st.integers(1, 25),
-    model=st.sampled_from(list(LinkModel)),
 )
 @settings(max_examples=40, deadline=None)
-def test_property_latency_at_least_no_load(seed, n_msgs, model):
+def test_property_latency_at_least_no_load(seed, n_msgs):
     """Causality: no message beats its own no-load latency; all deliver."""
     topo = Torus((3, 3))
-    sim = NetworkSimulator(topo, bandwidth=50.0, alpha=0.3, model=model)
+    sim = NetworkSimulator(topo, bandwidth=50.0, alpha=0.3)
     rng = np.random.default_rng(seed)
     msgs = []
     for _ in range(n_msgs):
@@ -276,6 +299,4 @@ def test_property_latency_at_least_no_load(seed, n_msgs, model):
         if m.hops == 0:
             continue
         no_load = m.hops * 0.3 + m.size_bytes / 50.0
-        if model is LinkModel.STORE_AND_FORWARD:
-            no_load = m.hops * (0.3 + m.size_bytes / 50.0)
         assert m.latency >= no_load - 1e-9

@@ -110,6 +110,17 @@ def test_map_nan_netsim_knob_is_4xx(server):
     assert "must be finite" in reply["error"]
 
 
+def test_map_overload_policy_other_than_drop_is_400(server):
+    body = {**BODY, "netsim": {"overload_policy": "ecn"}}
+    status, _, reply = _call(f"{server}/map", "POST", body)
+    assert status == 400
+    assert "'overload_policy' must be 'drop'" in reply["error"]
+    body = {**BODY, "netsim": {"overload_policy": "drop", "iterations": 1}}
+    status, _, reply = _call(f"{server}/map", "POST", body)
+    assert status == 200
+    assert reply["result"]["metrics"]["des_delivered"] > 0
+
+
 @pytest.mark.parametrize("graph", ["ring:16;bytes=-1", "mesh2d:4x4;bytes=nan"])
 def test_map_invalid_graph_is_400(server, graph):
     status, _, reply = _call(f"{server}/map", "POST",

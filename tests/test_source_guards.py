@@ -65,10 +65,14 @@ def test_cli_and_lbsim_replay_go_through_engine():
 
 @pytest.mark.parametrize("rel", ["netsim", "cli.py"])
 def test_one_des_model(rel):
-    """No credit flow control, no trace replayer, no per-request DES knobs."""
+    """No credit flow control, no trace replayer, no per-request DES knobs,
+    no ECN pacing, no store-and-forward links, no open-loop traffic
+    generator and no collectives."""
     pattern = (
         r"credit|retry_timeout|saturation_depth|ecn_threshold"
         r"|TraceReplayer|jacobi_trace"
+        r"|(?i:\becn\b)|\bOverloadPolicy\b|\bLinkModel\b"
+        r"|\bstore_and_forward\b|\brun_open_loop\b|\ballreduce\b"
     )
     assert _grep(pattern, rel) == []
 
