@@ -86,8 +86,6 @@ from repro.mapping import (
     hops_per_byte,
     per_link_loads,
     expected_random_hops_per_byte,
-    render_placement,
-    render_link_heat,
 )
 
 __version__ = "1.0.0"
@@ -148,7 +146,5 @@ __all__ = [
     "hops_per_byte",
     "per_link_loads",
     "expected_random_hops_per_byte",
-    "render_placement",
-    "render_link_heat",
     "__version__",
 ]

@@ -48,13 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "TopoLB or pipeline:inner=topolb,order=3;refine=on "
                              "(see --list-strategies)")
     parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    # Literal choices so building the parser stays import-light; validated
-    # again at mapper build against repro.mapping.kernels.KERNELS.
-    parser.add_argument("--kernel", choices=("vectorized", "reference"),
-                        default=None,
-                        help="mapper kernel for this run: vectorized (the "
-                             "production kernel, default) or reference "
-                             "(the scalar oracle); outputs are identical")
     parser.add_argument("--output", type=Path,
                         help="write placement JSON here (default: stdout report only)")
     parser.add_argument("--profile", type=Path,
@@ -132,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
         report = run_mapping(
             args.taskgraph, args.lb_dump, args.topology, args.strategy,
             args.seed, args.output, profile=args.profile,
-            simulate_iters=args.simulate_iters, kernel=args.kernel,
+            simulate_iters=args.simulate_iters,
             netsim_mode=args.netsim_mode,
             buffer_bytes=args.buffer_bytes,
         )
@@ -151,13 +144,11 @@ def run_mapping(graph_path: Path, is_lb_dump: bool, topology_spec: str,
                 strategy: str, seed: int, output: Path | None,
                 profile: Path | None = None,
                 simulate_iters: int | None = None,
-                kernel: str | None = None,
                 netsim_mode: str = "des",
                 buffer_bytes: float | None = None) -> dict:
     """Load inputs, run the strategy, optionally replay/profile/write."""
     from repro import obs
     from repro.engine import canonical_command, canonical_mapper_spec
-    from repro.mapping.kernels import resolve_kernel
     from repro.runtime.lbdb import LBDatabase
     from repro.runtime.simulation import replay_strategy
     from repro.taskgraph.io import load_taskgraph
@@ -166,7 +157,6 @@ def run_mapping(graph_path: Path, is_lb_dump: bool, topology_spec: str,
     if simulate_iters is None:
         simulate_iters = 1 if profile is not None else 0
 
-    kernel = resolve_kernel(kernel)
     prof = obs.enable() if profile is not None else None
     try:
         with obs.timer("cli.load"):
@@ -178,7 +168,7 @@ def run_mapping(graph_path: Path, is_lb_dump: bool, topology_spec: str,
 
         with obs.timer("cli.map"):
             report, mapping = replay_strategy(
-                database, topology, strategy, seed=seed, kernel=kernel
+                database, topology, strategy, seed=seed
             )
 
         netsim_summary = None
@@ -200,16 +190,15 @@ def run_mapping(graph_path: Path, is_lb_dump: bool, topology_spec: str,
             doc = obs.build_profile(
                 prof,
                 # The full canonical invocation — strategy in canonical spec
-                # form plus the seed and kernel flags — so a recorded profile
-                # identifies the exact run that produced it.
-                command=canonical_command(strategy, topology_spec, seed, kernel),
+                # form plus the seed flag — so a recorded profile identifies
+                # the exact run that produced it.
+                command=canonical_command(strategy, topology_spec, seed),
                 context={
                     "taskgraph": str(graph_path),
                     "topology": topology_spec,
                     "strategy": strategy,
                     "spec": canonical_mapper_spec(strategy),
                     "seed": seed,
-                    "kernel": kernel,
                     "num_objects": report["num_objects"],
                     "num_processors": report["num_processors"],
                     "simulate_iters": simulate_iters,

@@ -2,7 +2,7 @@
 
 A :class:`MappingRequest` names the three inputs (task graph, topology,
 mapper) either as live objects or as spec strings, plus the run knobs (seed,
-kernel, allowed mask, profile flag). :meth:`MappingEngine.run` resolves the
+allowed mask, profile flag). :meth:`MappingEngine.run` resolves the
 specs through the single factories (:func:`graph_from_spec`,
 :func:`repro.topology.factory.topology_from_spec`,
 :func:`repro.engine.specs.mapper_from_spec`), builds the shared
@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import shlex
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro.exceptions import SpecError
-from repro.engine.specs import mapper_from_spec, parse_mapper_spec
+from repro.engine.specs import parse_mapper_spec
 
 __all__ = [
     "MappingRequest",
@@ -139,20 +140,19 @@ def graph_from_spec(spec: str):
     raise SpecError(f"unknown graph kind {kind!r}")
 
 
-def canonical_command(mapper_spec: str, topology_spec: str, seed: int | None,
-                      kernel: str | None) -> str:
+def canonical_command(mapper_spec: str, topology_spec: str,
+                      seed: int | None) -> str:
     """The fully reproducible ``repro-map`` command line for a run.
 
-    Always includes the seed and kernel actually in effect — a recorded
-    command replays the run exactly (the profile-reproducibility fix).
+    Always includes the seed actually in effect, and shell-quotes both specs
+    (a degraded topology spec carries ``;``), so a recorded command replays
+    the run exactly when pasted into a shell.
     """
-    from repro.mapping.kernels import resolve_kernel
-
     spec = parse_mapper_spec(mapper_spec).canonical
-    kernel = resolve_kernel(kernel)
     return (
-        f"repro-map --strategy '{spec}' --topology {topology_spec} "
-        f"--seed {0 if seed is None else seed} --kernel {kernel}"
+        f"repro-map --strategy {shlex.quote(spec)} "
+        f"--topology {shlex.quote(topology_spec)} "
+        f"--seed {0 if seed is None else seed}"
     )
 
 
@@ -170,7 +170,6 @@ class MappingRequest:
     topology: object  # Topology | str
     mapper: object = "TopoLB"  # Mapper | str (spec or Charm++ alias)
     seed: int | None = None
-    kernel: str | None = None
     allowed: np.ndarray | None = None
     profile: bool = False
     #: Also evaluate the flow-level contention estimator
@@ -214,7 +213,7 @@ class MappingResult:
     ``metrics`` is the canonical block of
     :func:`repro.mapping.metrics.metrics_block` plus, for pipeline mappers,
     the paper's group-level hop-byte metrics. ``metadata`` round-trips: its
-    ``spec``/``topology``/``seed``/``kernel`` entries rebuild an equivalent
+    ``spec``/``topology``/``seed`` entries rebuild an equivalent
     :class:`MappingRequest`, and ``command`` is the exact CLI line.
     """
 
@@ -296,7 +295,6 @@ class MappingEngine:
     def run(self, request: MappingRequest) -> MappingResult:
         from repro import obs
         from repro.mapping.context import context_for
-        from repro.mapping.kernels import resolve_kernel
         from repro.mapping.metrics import metrics_block
         from repro.taskgraph.graph import TaskGraph
         from repro.topology.factory import topology_from_spec
@@ -322,14 +320,11 @@ class MappingEngine:
             else getattr(topology, "name", type(topology).__name__)
         )
 
-        # The kernel binds at mapper construction: spec-built mappers (and
-        # the validation oracles' rebuilds) receive it as an argument.
-        kernel = resolve_kernel(request.kernel)
         own_prof = None
         try:
             if isinstance(request.mapper, str):
                 parsed = parse_mapper_spec(request.mapper)
-                mapper = parsed.build(request.seed, kernel)
+                mapper = parsed.build(request.seed)
                 spec = parsed.canonical
                 strategy = request.mapper
             else:
@@ -385,7 +380,6 @@ class MappingEngine:
                         topology_spec=request.topology
                         if isinstance(request.topology, str) else None,
                         seed=request.seed,
-                        kernel=kernel,
                         metrics=metrics,
                     )
 
@@ -394,13 +388,12 @@ class MappingEngine:
                 "spec": spec,
                 "topology": topology_spec,
                 "seed": request.seed,
-                "kernel": kernel,
                 "num_objects": graph.num_tasks,
                 "num_processors": topology.num_nodes,
             }
             if spec is not None and isinstance(request.topology, str):
                 metadata["command"] = canonical_command(
-                    spec, topology_spec, request.seed, kernel
+                    spec, topology_spec, request.seed
                 )
 
             profile_doc = None

@@ -157,12 +157,6 @@ def _nested_opt(name: str, doc: str, default: str) -> OptionSpec:
     return OptionSpec(name, doc, default, parse=_parse_nested, canon=_canon_nested)
 
 
-_KERNEL_OPT = _choice(
-    "kernel", "cycle-body implementation (bit-identical outputs)",
-    "build argument", "vectorized", "reference",
-)
-
-
 # ---------------------------------------------------------------------- kinds
 @dataclass(frozen=True)
 class ParsedSpec:
@@ -173,7 +167,12 @@ class ParsedSpec:
     canonical: str
 
     def build(self, seed: int | None = None, kernel: str | None = None):
-        """Instantiate the mapper (see :func:`mapper_from_spec`)."""
+        """Instantiate the mapper (see :func:`mapper_from_spec`).
+
+        ``kernel`` (``None`` = the production kernel) reaches every mapper
+        the spec builds, nested ones included. Only the full-tier
+        ``kernel-differential`` oracle and the tests pass ``"reference"``.
+        """
         from repro.mapping.kernels import resolve_kernel
 
         return MAPPER_KINDS[self.kind].build(
@@ -191,8 +190,8 @@ class MapperKind:
     #: (parsed options, seed, kernel) -> Mapper. Seed conventions match the
     #: old runtime registry exactly (bit-for-bit): mappers that used
     #: ``seed or 0`` still do, RandomMapper still takes the raw seed. The
-    #: kernel is the build argument, overridden by an explicit ``kernel=``
-    #: option, and is passed on to every mapper built inside this one.
+    #: kernel is the build argument, passed on to every mapper built inside
+    #: this one.
     build: Callable[[dict[str, object], int | None, str], object] = field(
         repr=False
     )
@@ -205,12 +204,6 @@ class MapperKind:
             f"unknown option {name!r} for mapper kind {self.kind!r}; "
             f"accepted: {tuple(o.name for o in self.options) or '(none)'}"
         )
-
-
-def _kernel_arg(opts: dict[str, object], kernel: str) -> str:
-    """The kernel a spec runs with: its own ``kernel=`` option, if given,
-    wins over the one passed to :meth:`ParsedSpec.build`."""
-    return str(opts.get("kernel", kernel))
 
 
 def _build_random(opts, seed, kernel):
@@ -232,7 +225,7 @@ def _build_topolb(opts, seed, kernel):
     return TopoLB(
         order=EstimatorOrder(int(opts.get("order", 2))),
         selection=str(opts.get("selection", "gain")),
-        kernel=_kernel_arg(opts, kernel),
+        kernel=kernel,
     )
 
 
@@ -245,7 +238,6 @@ def _build_topocentlb(opts, seed, kernel):
 def _build_refine(opts, seed, kernel):
     from repro.mapping.refine import RefineTopoLB
 
-    kernel = _kernel_arg(opts, kernel)
     base = opts.get("base")
     return RefineTopoLB(
         base=base.build(seed, kernel) if base is not None else None,
@@ -325,7 +317,6 @@ def _build_pipeline(opts, seed, kernel):
 def _build_multilevel(opts, seed, kernel):
     from repro.mapping.hierarchical import HierarchicalMapper
 
-    kernel = _kernel_arg(opts, kernel)
     inner = opts.get("inner")
     return HierarchicalMapper(
         inner=inner.build(seed, kernel) if inner is not None else None,
@@ -356,7 +347,6 @@ MAPPER_KINDS: dict[str, MapperKind] = {
                         "2", "1", "2", "3"),
                 _choice("selection", "per-cycle task-selection rule",
                         "gain", "gain", "max_cost", "volume"),
-                _KERNEL_OPT,
             ),
             _build_topolb,
         ),
@@ -370,7 +360,6 @@ MAPPER_KINDS: dict[str, MapperKind] = {
                 _nested_opt("base", "mapper producing the initial mapping "
                             "(a spec with ',' separators)", "none"),
                 _int_opt("passes", "maximum full sweeps over the tasks", "10"),
-                _KERNEL_OPT,
             ),
             _build_refine,
         ),
@@ -431,7 +420,6 @@ MAPPER_KINDS: dict[str, MapperKind] = {
                            "(0 disables)", "2", parse=_parse_nonnegative_int),
                 _int_opt("stop", "machine size the inner mapper runs at",
                          "1024"),
-                _KERNEL_OPT,
             ),
             _build_multilevel,
         ),
@@ -513,17 +501,13 @@ def canonical_mapper_spec(spec: str) -> str:
     return parse_mapper_spec(spec).canonical
 
 
-def mapper_from_spec(spec: str, seed: int | None = None,
-                     kernel: str | None = None):
+def mapper_from_spec(spec: str, seed: int | None = None):
     """Build a mapper from a spec string or Charm++ strategy alias.
 
     The single resolution path: the CLI, the experiment scripts, the runtime
     registry, and :class:`repro.engine.MappingEngine` all end up here.
-    ``kernel`` (``None`` = the default kernel) reaches every mapper the spec
-    builds, nested ones included; an explicit ``kernel=`` option in the
-    spec wins over it for that mapper and the mappers built inside it.
     """
-    return parse_mapper_spec(spec).build(seed, kernel)
+    return parse_mapper_spec(spec).build(seed)
 
 
 def describe_mappers() -> list[str]:

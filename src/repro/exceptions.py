@@ -61,7 +61,7 @@ class ValidationError(ReproError):
         The machine-readable invariant name (e.g. ``"injectivity"``,
         ``"kernel-differential"``, ``"golden-drift"``).
     ``spec``
-        The ``graph``/``topology``/``mapper``/``seed``/``kernel`` context the
+        The ``graph``/``topology``/``mapper``/``seed`` context the
         violation occurred under (whatever subset was known).
     ``replay``
         A ``repro-validate`` command line reproducing the failure, when the

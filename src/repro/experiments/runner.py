@@ -88,8 +88,9 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     "tailcheck": supplementary.run_tailcheck,
 }
 
-#: Environment hook for fault-injection testing (CI exercises it): a
-#: comma-separated list of experiment ids that raise instead of running.
+#: Environment hook for fault-injection testing (the runner-resilience
+#: tests exercise it): a comma-separated list of experiment ids that raise
+#: instead of running.
 FAIL_ENV = "REPRO_EXPERIMENTS_FAIL"
 
 

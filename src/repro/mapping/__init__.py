@@ -54,7 +54,6 @@ from repro.mapping.recursive_embedding import RecursiveEmbeddingMapper
 from repro.mapping.linear_order import LinearOrderingMapper, snake_order
 from repro.mapping.sfc import SFCMapper, hilbert_indices, morton_indices
 from repro.mapping.hybrid import HybridTopoLB, grow_processor_blocks
-from repro.mapping.visualize import render_placement, render_link_heat
 from repro.mapping.bounds import hop_bytes_lower_bound, optimality_gap
 from repro.mapping.incremental import IncrementalRefineLB
 from repro.mapping.bokhari import BokhariMapper, cardinality
@@ -90,8 +89,6 @@ __all__ = [
     "morton_indices",
     "HybridTopoLB",
     "grow_processor_blocks",
-    "render_placement",
-    "render_link_heat",
     "hop_bytes_lower_bound",
     "optimality_gap",
     "IncrementalRefineLB",

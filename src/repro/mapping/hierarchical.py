@@ -88,8 +88,8 @@ class HierarchicalMapper(Mapper):
         Drives the matching visit order and the refiner sweep order.
     kernel:
         Kernel of the per-level refiners and of the default inner mapper
-        (``None`` = the default kernel; the engine's kernel-differential
-        oracle rebuilds the mapper with the other one).
+        (``None`` = the default kernel; the full-tier kernel-differential
+        oracle rebuilds the mapper with ``"reference"``).
 
     Every uncoarsened level is checked by cheap-tier validation (bounds,
     injectivity, mask, additivity, metrics consistency).

@@ -19,12 +19,13 @@ one reference oracle for their inner loops:
     pseudocode; the equivalence suite and the ``BENCH_kernels_*.json``
     before/after profiles are both recorded against this path.
 
-The kernel is chosen at construction: mappers take ``kernel=None`` to mean
-:data:`DEFAULT_KERNEL`, and spec-built mappers receive it as an argument
-(:meth:`repro.engine.specs.ParsedSpec.build`), which the engine, the CLI's
-``--kernel`` and the validation oracles pass explicitly. There is no
-process-wide switch. See ``docs/PERFORMANCE.md`` for the kernel design
-notes.
+The kernel is the mapper's business, not the caller's: no request, spec,
+HTTP body or CLI flag selects it. Mappers take ``kernel=None`` to mean
+:data:`DEFAULT_KERNEL`, and the production body falls back to the reference
+body by itself when the compiled loops are unavailable. ``"reference"`` is
+built explicitly in two places only: the full-tier ``kernel-differential``
+oracle (through :meth:`repro.engine.specs.ParsedSpec.build`) and the tests.
+See ``docs/PERFORMANCE.md`` for the kernel design notes.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ DEFAULT_KERNEL = "vectorized"
 
 
 def get_default_kernel() -> str:
-    """The kernel a mapper built with ``kernel=None`` uses."""
+    """The kernel a mapper built with ``kernel=None`` uses (recorded in the
+    perfbench environment block)."""
     return DEFAULT_KERNEL
 
 

@@ -40,12 +40,10 @@ def replay_strategy(
     topology: Topology,
     strategy: str,
     seed: int | None = None,
-    kernel: str | None = None,
 ) -> tuple[dict[str, float], Mapping]:
     """Like :func:`simulate_strategy` but also returns the produced mapping,
     so callers that need the placement (the CLI, the profiler's netsim
-    replay) run the strategy exactly once. ``kernel`` is passed to the
-    strategy's construction (``None`` = the default kernel).
+    replay) run the strategy exactly once.
 
     The replay is one :meth:`~repro.engine.MappingEngine.run`, so the report
     carries the engine's canonical metrics block (plus the paper's
@@ -56,7 +54,7 @@ def replay_strategy(
         database = LBDatabase.load(database)
     result = MappingEngine().run(MappingRequest(
         graph=database.to_taskgraph(), topology=topology, mapper=strategy,
-        seed=seed, kernel=kernel,
+        seed=seed,
     ))
     report = {
         "strategy": strategy,

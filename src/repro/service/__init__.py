@@ -9,8 +9,8 @@ Layers, bottom up:
 
 * :mod:`repro.service.cache` — the content key
   (graph :meth:`~repro.taskgraph.TaskGraph.content_digest` × canonical
-  mapper spec × topology ``cache_key()`` × seed × kernel × evaluation
-  knobs) and :class:`ResultCache` (LRU + optional disk tier).
+  mapper spec × topology ``cache_key()`` × seed × evaluation knobs) and
+  :class:`ResultCache` (LRU + optional disk tier).
 * :mod:`repro.service.daemon` — :class:`MappingService`: bounded queue,
   batching into pool workers, backpressure, a per-request deadline (each
   request runs once through :func:`repro.utils.guard.guarded_call`),

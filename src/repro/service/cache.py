@@ -1,7 +1,7 @@
 """Content-addressed mapping results — cache keys and the result cache.
 
 The serving layer's scaling lever: a mapping is fully determined by
-*(task-graph content, canonical mapper spec, topology shape, seed, kernel,
+*(task-graph content, canonical mapper spec, topology shape, seed,
 evaluation knobs)*, so the request stream from many clients — which is
 mostly duplicates — collapses onto a small set of keys. The key is built
 from
@@ -15,8 +15,12 @@ from
 * the topology's :meth:`~repro.topology.base.Topology.cache_key` (the same
   shape identity the shared distance-table cache uses), falling back to the
   spec string for content-defined machines;
-* the seed, the resolved kernel, and the result-shaping knobs
-  (``flow_metrics`` / ``validate`` / ``netsim`` / ``allowed``).
+* the seed and the result-shaping knobs (``flow_metrics`` / ``validate`` /
+  ``netsim`` / ``allowed``).
+
+The mapper's kernel is not part of the key: the compiled and reference
+bodies produce identical assignments, no request can choose between them,
+and the full-tier ``kernel-differential`` oracle checks that they agree.
 
 :class:`ResultCache` stores JSON-able result payloads under those keys in a
 bounded in-memory LRU with an optional on-disk tier (one file per key,
@@ -107,7 +111,6 @@ def request_cache_key(request) -> str:
     canonical spec; a content-defined topology instance has no shape key).
     """
     from repro.engine.specs import canonical_mapper_spec
-    from repro.mapping.kernels import get_default_kernel
 
     if not isinstance(request.mapper, str):
         raise SpecError(
@@ -125,7 +128,6 @@ def request_cache_key(request) -> str:
         "topology": _topology_token(request.topology),
         "mapper": canonical_mapper_spec(request.mapper),
         "seed": request.seed,
-        "kernel": request.kernel or get_default_kernel(),
         "allowed": allowed_digest,
         "flow_metrics": bool(request.flow_metrics),
         "validate": request.validate,

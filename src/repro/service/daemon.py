@@ -92,7 +92,7 @@ class ServiceRequestError(ReproError):
 
 
 _BODY_KEYS = frozenset({
-    "graph", "topology", "mapper", "seed", "kernel", "flow_metrics",
+    "graph", "topology", "mapper", "seed", "flow_metrics",
     "validate", "netsim", "wait",
 })
 
@@ -119,9 +119,6 @@ def parse_request_body(body) -> tuple[object, bool]:
     seed = body.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ServiceRequestError(f"seed must be an integer, got {seed!r}")
-    kernel = body.get("kernel")
-    if kernel is not None and not isinstance(kernel, str):
-        raise ServiceRequestError(f"kernel must be a string, got {kernel!r}")
     netsim = body.get("netsim")
     if netsim is not None and not isinstance(netsim, dict):
         raise ServiceRequestError(f"netsim must be an object, got {netsim!r}")
@@ -136,7 +133,6 @@ def parse_request_body(body) -> tuple[object, bool]:
         topology=body["topology"],
         mapper=body.get("mapper", "TopoLB"),
         seed=seed,
-        kernel=kernel,
         flow_metrics=bool(body.get("flow_metrics", False)),
         validate=validate,
         netsim=netsim,

@@ -55,5 +55,5 @@ def coalesce(graph: TaskGraph, groups: Sequence[int], num_groups: int | None = N
     u, v, w = graph.edge_arrays()
     gu, gv = g[u], g[v]
     cross = gu != gv
-    edges = zip(gu[cross].tolist(), gv[cross].tolist(), w[cross].tolist())
-    return TaskGraph(num_groups, edges, loads)
+    return TaskGraph.from_arrays(num_groups, gu[cross], gv[cross], w[cross],
+                                 loads)

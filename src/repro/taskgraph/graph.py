@@ -354,19 +354,18 @@ class TaskGraph:
         leave the subproblem — callers tracking cross-traffic should account
         for it separately). Duplicate task ids are rejected.
         """
-        ids = [self._check_task(t) for t in tasks]
-        if len(set(ids)) != len(ids):
+        ids = np.asarray([self._check_task(t) for t in tasks], dtype=np.int64)
+        if len(np.unique(ids)) != len(ids):
             raise TaskGraphError("induced() requires distinct task ids")
-        local = {t: i for i, t in enumerate(ids)}
-        edges = []
-        for a, b, w in zip(self._edge_u.tolist(), self._edge_v.tolist(),
-                           self._edge_w.tolist()):
-            ia, ib = local.get(a), local.get(b)
-            if ia is not None and ib is not None:
-                edges.append((ia, ib, w))
-        sub = TaskGraph(len(ids), edges, self._vertex_weights[np.asarray(ids)])
+        local = np.full(self._n, -1, dtype=np.int64)
+        local[ids] = np.arange(len(ids))
+        lu, lv = local[self._edge_u], local[self._edge_v]
+        inside = (lu >= 0) & (lv >= 0)
+        sub = TaskGraph.from_arrays(len(ids), lu[inside], lv[inside],
+                                    self._edge_w[inside],
+                                    self._vertex_weights[ids])
         if self._coords is not None:
-            sub.attach_coords(self._coords[np.asarray(ids)])
+            sub.attach_coords(self._coords[ids])
         return sub
 
     def relabel(self, permutation: Sequence[int]) -> "TaskGraph":
@@ -376,11 +375,8 @@ class TaskGraph:
             raise TaskGraphError("relabel requires a permutation of 0..n-1")
         new_vw = np.empty_like(self._vertex_weights)
         new_vw[perm] = self._vertex_weights
-        edges = [
-            (int(perm[a]), int(perm[b]), float(w))
-            for a, b, w in zip(self._edge_u, self._edge_v, self._edge_w)
-        ]
-        out = TaskGraph(self._n, edges, new_vw)
+        out = TaskGraph.from_arrays(self._n, perm[self._edge_u],
+                                    perm[self._edge_v], self._edge_w, new_vw)
         if self._coords is not None:
             new_coords = np.empty_like(self._coords)
             new_coords[perm] = self._coords

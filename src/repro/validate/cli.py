@@ -3,10 +3,11 @@
 Two modes:
 
 * **golden-corpus mode** — replay every pinned triple in a corpus directory
-  (default ``tests/golden``) at the requested validation level, under one or
-  both kernels, and fail on any invariant violation or golden drift::
+  (default ``tests/golden``) at the requested validation level, and fail on
+  any invariant violation or golden drift (``full`` also rebuilds each
+  mapper on the reference kernel)::
 
-      repro-validate --golden tests/golden --validate full --kernel both
+      repro-validate --golden tests/golden --validate full
       repro-validate --regenerate --golden tests/golden   # intentional only
 
 * **single-run mode** — validate one spec-described mapping (this is the
@@ -16,7 +17,7 @@ Two modes:
                      --mapper TopoLB --seed 0 --validate full
 
 ``--report`` writes a ``repro-validate-report-v1`` JSON artifact with one
-record per (file, kernel) pass including the full violation text, so a red
+record per file including the full violation text, so a red
 replay ships its own diagnosis.
 """
 
@@ -46,12 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--validate", choices=("cheap", "full"),
                         default="full", dest="level",
                         help="invariant tier to enforce (default: full)")
-    parser.add_argument("--kernel",
-                        choices=("vectorized", "reference", "both"),
-                        default=None,
-                        help="kernel(s) to replay under (default: the "
-                             "default kernel; 'both' runs each golden under "
-                             "vectorized+reference)")
     parser.add_argument("--graph", help="graph spec for single-run mode, "
                                         "e.g. mesh2d:8x8;bytes=1024")
     parser.add_argument("--topology", help="topology spec, e.g. torus:8x8")
@@ -66,37 +61,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _kernels(arg: str | None) -> list[str | None]:
-    if arg == "both":
-        from repro.mapping.kernels import KERNELS
-        return list(KERNELS)
-    return [arg]
-
-
 def _run_single(args, records: list[dict]) -> int:
     from repro.engine import MappingEngine, MappingRequest
 
-    status = 0
-    for kernel in _kernels(args.kernel):
-        label = kernel or "default-kernel"
-        try:
-            result = MappingEngine().run(MappingRequest(
-                graph=args.graph, topology=args.topology, mapper=args.mapper,
-                seed=args.seed, kernel=kernel, validate=args.level,
-            ))
-        except ValidationError as exc:
-            print(f"FAIL [{label}] {exc}", file=sys.stderr)
-            records.append({"target": "single-run", "kernel": label,
-                            "status": "violated", "error": str(exc),
-                            "invariant": exc.invariant, "replay": exc.replay})
-            status = 1
-            continue
-        records.append({"target": "single-run", "kernel": label,
-                        "status": "ok", "metrics": result.metrics})
-        print(f"ok [{label}] {args.mapper} on {args.topology}: "
-              f"hop_bytes={result.metrics['hop_bytes']:g} "
-              f"hops_per_byte={result.metrics['hops_per_byte']:g}")
-    return status
+    try:
+        result = MappingEngine().run(MappingRequest(
+            graph=args.graph, topology=args.topology, mapper=args.mapper,
+            seed=args.seed, validate=args.level,
+        ))
+    except ValidationError as exc:
+        print(f"FAIL {exc}", file=sys.stderr)
+        records.append({"target": "single-run", "status": "violated",
+                        "error": str(exc), "invariant": exc.invariant,
+                        "replay": exc.replay})
+        return 1
+    records.append({"target": "single-run", "status": "ok",
+                    "metrics": result.metrics})
+    print(f"ok {args.mapper} on {args.topology}: "
+          f"hop_bytes={result.metrics['hop_bytes']:g} "
+          f"hops_per_byte={result.metrics['hops_per_byte']:g}")
+    return 0
 
 
 def _run_corpus(args, records: list[dict]) -> int:
@@ -109,21 +93,17 @@ def _run_corpus(args, records: list[dict]) -> int:
         return 2
     status = 0
     for path in paths:
-        for kernel in _kernels(args.kernel):
-            label = kernel or "default-kernel"
-            try:
-                check_golden(path, level=args.level, kernel=kernel)
-            except ValidationError as exc:
-                print(f"FAIL {path} [{label}] {exc}", file=sys.stderr)
-                records.append({"target": str(path), "kernel": label,
-                                "status": "violated", "error": str(exc),
-                                "invariant": exc.invariant,
-                                "replay": exc.replay})
-                status = 1
-                continue
-            records.append({"target": str(path), "kernel": label,
-                            "status": "ok"})
-            print(f"ok {path} [{label}]")
+        try:
+            check_golden(path, level=args.level)
+        except ValidationError as exc:
+            print(f"FAIL {path} {exc}", file=sys.stderr)
+            records.append({"target": str(path), "status": "violated",
+                            "error": str(exc), "invariant": exc.invariant,
+                            "replay": exc.replay})
+            status = 1
+            continue
+        records.append({"target": str(path), "status": "ok"})
+        print(f"ok {path}")
     return status
 
 

@@ -3,8 +3,7 @@
 Each ``tests/golden/*.json`` file records one fully spec-described mapping
 run — the three specs, the seed, the exact assignment, and the exact
 canonical metrics block. :func:`check_golden` replays the triple through the
-:class:`~repro.engine.MappingEngine` (at any validation level, under either
-kernel) and raises a structured ``golden-drift``
+:class:`~repro.engine.MappingEngine` (at any validation level) and raises a structured ``golden-drift``
 :class:`~repro.exceptions.ValidationError` if anything moved.
 
 Regenerate *intentionally* with ``repro-validate --regenerate --golden
@@ -69,7 +68,7 @@ def load_golden(path: Path) -> dict:
     return doc
 
 
-def _run_triple(doc: dict, *, validate: str, kernel: str | None):
+def _run_triple(doc: dict, *, validate: str):
     from repro.engine import MappingEngine, MappingRequest
 
     return MappingEngine().run(MappingRequest(
@@ -77,7 +76,6 @@ def _run_triple(doc: dict, *, validate: str, kernel: str | None):
         topology=doc["topology"],
         mapper=doc["mapper"],
         seed=doc["seed"],
-        kernel=kernel,
         validate=validate,
         flow_metrics=bool(doc.get("flow_metrics", False)),
         netsim=doc.get("netsim"),
@@ -101,7 +99,7 @@ def write_golden(path: Path, *, graph: str, topology: str, mapper: str,
     result = _run_triple(
         {"graph": graph, "topology": topology, "mapper": mapper, "seed": seed,
          "flow_metrics": flow_metrics, "netsim": netsim},
-        validate="full", kernel=None,
+        validate="full",
     )
     doc = {
         "format": GOLDEN_FORMAT,
@@ -120,8 +118,7 @@ def write_golden(path: Path, *, graph: str, topology: str, mapper: str,
     return doc
 
 
-def check_golden(path: Path, *, level: str = "full",
-                 kernel: str | None = None) -> dict:
+def check_golden(path: Path, *, level: str = "full") -> dict:
     """Replay one golden triple and compare against its pinned outputs.
 
     Runs the engine with per-request validation at ``level`` (so every
@@ -137,13 +134,12 @@ def check_golden(path: Path, *, level: str = "full",
         "topology": doc["topology"],
         "mapper": doc["mapper"],
         "seed": doc["seed"],
-        "kernel": kernel,
     }
     from repro.validate.core import replay_command
 
     replay = replay_command(doc["graph"], doc["topology"], doc["mapper"],
-                            doc["seed"], kernel, level)
-    result = _run_triple(doc, validate=level, kernel=kernel)
+                            doc["seed"], level)
+    result = _run_triple(doc, validate=level)
 
     pinned = np.asarray(doc["assignment"], dtype=np.int64)
     if not np.array_equal(result.assignment, pinned):

@@ -66,16 +66,18 @@ def test_spec_vs_direct_bit_identical(spec, direct, topology_spec):
     assert np.array_equal(via_spec, via_direct)
 
 
-def test_reference_kernel_request_matches_direct():
-    graph = mesh2d_pattern(8, 8, message_bytes=1024)
-    topology = Torus((8, 8))
+def test_request_has_no_kernel_field():
+    """The mapper picks its own kernel: a request cannot name one, and the
+    result's metadata does not echo one."""
+    with pytest.raises(TypeError, match="kernel"):
+        MappingRequest(graph="mesh2d:4x4", topology="torus:4x4",
+                       mapper="topolb", kernel="reference")
     result = MappingEngine().run(
-        MappingRequest(graph=graph, topology=topology, mapper="topolb",
-                       seed=0, kernel="reference")
+        MappingRequest(graph="mesh2d:4x4", topology="torus:4x4",
+                       mapper="topolb", seed=0)
     )
-    direct = TopoLB(kernel="reference").map(graph, topology).assignment
-    assert np.array_equal(result.assignment, direct)
-    assert result.metadata["kernel"] == "reference"
+    assert "kernel" not in result.metadata
+    assert "--kernel" not in result.metadata["command"]
 
 
 def test_engine_accepts_live_objects():
@@ -103,7 +105,7 @@ def test_metadata_round_trips_through_the_engine():
     again = MappingEngine().run(
         MappingRequest(graph="mesh2d:8x8;bytes=1024",
                        topology=meta["topology"], mapper=meta["spec"],
-                       seed=meta["seed"], kernel=meta["kernel"])
+                       seed=meta["seed"])
     )
     assert np.array_equal(first.assignment, again.assignment)
     assert first.metrics == again.metrics
@@ -172,13 +174,47 @@ def test_non_finite_graph_option_is_a_spec_error(bad):
                                            mapper="random", seed=0))
 
 
-def test_canonical_command_includes_seed_and_kernel():
-    line = canonical_command("TopoLB", "torus:8x8", None, None)
-    assert "--strategy 'pipeline:inner=topolb'" in line
+def test_canonical_command_includes_seed():
+    line = canonical_command("TopoLB", "torus:8x8", None)
+    assert "--strategy pipeline:inner=topolb" in line
     assert "--seed 0" in line
-    assert "--kernel vectorized" in line
-    line = canonical_command("topolb:order=3", "mesh:4x4", 7, "reference")
-    assert "--seed 7" in line and "--kernel reference" in line
+    line = canonical_command("topolb:order=3", "mesh:4x4", 7)
+    assert "--seed 7" in line
+
+
+def test_recorded_command_lines_survive_a_shell():
+    """Both recorded command lines split, in a shell, into exactly the
+    arguments their own parsers need: a degraded topology spec carries
+    ``;``, which an unquoted line would cut into two commands."""
+    import subprocess
+
+    from repro.cli import build_parser as map_parser
+    from repro.validate.cli import build_parser as validate_parser
+    from repro.validate.core import replay_command
+
+    graph = "mesh2d:8x8;bytes=1024"
+    topology = "degraded:torus:8x8;seed=3;nodes=0.05;links=0.02"
+    mapper = "pipeline:inner=topolb,order=3;refine=on"
+
+    def shell_argv(line):
+        program, _, rest = line.partition(" ")
+        out = subprocess.run(
+            ["sh", "-c", f"printf '%s\\n' {rest}"],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        return program, out.splitlines()
+
+    program, argv = shell_argv(canonical_command(mapper, topology, 3))
+    args = map_parser().parse_args(argv)
+    assert program == "repro-map"
+    assert (args.strategy, args.topology, args.seed) == (mapper, topology, 3)
+
+    program, argv = shell_argv(replay_command(graph, topology, mapper, 3,
+                                              "full"))
+    args = validate_parser().parse_args(argv)
+    assert program == "repro-validate"
+    assert (args.graph, args.topology, args.mapper, args.seed, args.level) \
+        == (graph, topology, mapper, 3, "full")
 
 
 def test_request_path_never_imports_scipy():

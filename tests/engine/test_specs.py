@@ -18,7 +18,7 @@ ROUND_TRIP_SPECS = [
     "identity",
     "topolb",
     "topolb:order=3",
-    "topolb:order=1;selection=max_cost;kernel=reference",
+    "topolb:order=1;selection=max_cost",
     "topocentlb",
     "refine:passes=3",
     "refine:base=topocentlb;passes=3",
@@ -62,6 +62,19 @@ REJECTED_SPECS = [
 @pytest.mark.parametrize("spec", REJECTED_SPECS)
 def test_rejected_spec_raises_spec_error(spec):
     with pytest.raises(SpecError):
+        parse_mapper_spec(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    "topolb:kernel=reference",
+    "refine:passes=2;kernel=vectorized",
+    "multilevel:kernel=reference",
+    "refine:base=topolb,kernel=reference",
+    "pipeline:inner=topolb,kernel=reference",
+])
+def test_kernel_is_not_a_spec_option(spec):
+    """The mapper picks its own kernel; no spec can."""
+    with pytest.raises(SpecError, match=r"unknown option 'kernel'.*accepted"):
         parse_mapper_spec(spec)
 
 

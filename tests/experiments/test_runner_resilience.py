@@ -1,8 +1,7 @@
 """Crash resilience of the experiment runner: keep-going, timeouts, resume.
 
 Failures are injected through the ``REPRO_EXPERIMENTS_FAIL`` environment
-hook (a comma list of experiment ids that raise inside the worker body) —
-the same hook the CI fault-injection job uses. Pool timeouts and worker
+hook (a comma list of experiment ids that raise inside the worker body). Pool timeouts and worker
 death run the runner in a subprocess, so the test sees when the whole
 process exits, not just when ``main`` returns.
 """
@@ -200,9 +199,11 @@ class TestResume:
         first = tmp_path / "first.json"
         monkeypatch.setenv(runner.FAIL_ENV, "fig1_2")
         assert runner.main(
-            ["all", "--keep-going", "--profile", str(first)]
+            ["all", "--jobs", "2", "--keep-going", "--profile", str(first)]
         ) == 1
         assert _status(first) == {"fig1_2": "failed", "fig5": "ok"}
+        failed = obs.load_profile(first)["context"]["experiment_status"]
+        assert "traceback" in failed["fig1_2"]
         capsys.readouterr()  # drain the first run's output
 
         monkeypatch.delenv(runner.FAIL_ENV)

@@ -20,7 +20,7 @@ import pytest
 
 from repro import obs
 from repro.exceptions import MappingError
-from repro.engine.specs import mapper_from_spec
+from repro.engine.specs import mapper_from_spec, parse_mapper_spec
 from repro.mapping import RandomMapper, RefineTopoLB, TopoLB
 from repro.mapping.base import resolve_allowed
 from repro.mapping.estimation import EstimatorOrder
@@ -411,18 +411,15 @@ class TestKernelSelection:
 
     def test_kernel_argument_validates(self):
         with pytest.raises(MappingError):
-            mapper_from_spec("topolb", 0, kernel="scalar")
+            parse_mapper_spec("topolb").build(0, "scalar")
         # Rejected even by a spec that runs no kernel-bearing mapper.
         with pytest.raises(MappingError):
-            mapper_from_spec("random", 0, kernel="incremental")
+            parse_mapper_spec("random").build(0, "incremental")
 
     def test_kernel_fixed_at_construction(self):
         assert mapper_from_spec("topolb", 0).kernel == "vectorized"
-        assert mapper_from_spec("topolb", 0, kernel="reference").kernel \
+        assert parse_mapper_spec("topolb").build(0, "reference").kernel \
             == "reference"
-        # An explicit kernel= option in the spec wins over the argument.
-        assert mapper_from_spec("topolb:kernel=vectorized", 0,
-                                kernel="reference").kernel == "vectorized"
 
 
 class TestKernelArgumentReachesNestedMappers:
@@ -430,8 +427,6 @@ class TestKernelArgumentReachesNestedMappers:
     spec builds inside another one."""
 
     def test_multilevel_inner_and_level_refiners(self, monkeypatch):
-        from repro.engine.specs import parse_mapper_spec
-
         mapper = parse_mapper_spec("multilevel:inner=topolb").build(
             0, kernel="reference")
         assert mapper._inner.kernel == "reference"
@@ -452,19 +447,14 @@ class TestKernelArgumentReachesNestedMappers:
             0, kernel="reference").map(mesh2d_pattern(8, 8), Torus((8, 8)))
         assert seen and set(seen) == {"reference"}
 
-    def test_explicit_nested_option_wins(self):
-        refiner = mapper_from_spec("refine:base=topolb:kernel=reference", 0,
-                                   kernel="vectorized")
-        assert refiner.kernel == "vectorized"
-        assert refiner._base.kernel == "reference"
-
     def test_every_composition_forwards_the_kernel(self):
-        pipe = mapper_from_spec("RefineTopoLB", 0, kernel="reference")
+        def reference(spec):
+            return parse_mapper_spec(spec).build(0, "reference")
+
+        pipe = reference("RefineTopoLB")
         assert pipe._mapper.kernel == "reference"
         assert pipe._refiner.kernel == "reference"
-        assert mapper_from_spec("pipeline", 0,
-                                kernel="reference")._mapper.kernel == "reference"
-        refiner = mapper_from_spec("refine:base=topolb", 0, kernel="reference")
+        assert reference("pipeline")._mapper.kernel == "reference"
+        refiner = reference("refine:base=topolb")
         assert refiner.kernel == refiner._base.kernel == "reference"
-        hybrid = mapper_from_spec("hybrid", 0, kernel="reference")
-        assert hybrid._kernel == "reference"
+        assert reference("hybrid")._kernel == "reference"

@@ -192,3 +192,32 @@ class TestDegradedEndToEnd:
         sim.run()
         c = _counters(profiler)
         assert c["netsim.delivered"] == c["netsim.messages"]
+
+    def test_mappers_and_adaptive_drop_on_a_spec_built_degraded_torus(
+            self, profiler):
+        """A spec-built degraded 8x8 torus: TopoLB, TopoCentLB and
+        RefineTopoLB each place every task on a healthy node, and adaptive
+        routing with the drop policy delivers traffic across a link that
+        fails mid-run."""
+        from repro.mapping import RefineTopoLB, TopoCentLB, TopoLB
+        from repro.taskgraph import random_taskgraph
+        from repro.topology import topology_from_spec
+
+        deg = topology_from_spec(
+            "degraded:torus:8x8;seed=3;nodes=0.05;links=0.02")
+        graph = random_taskgraph(deg.num_healthy, edge_prob=0.1, seed=0)
+        allowed = deg.allowed_mask()
+        for mapper in (TopoLB(), TopoCentLB(), RefineTopoLB(base=TopoLB())):
+            assign = np.asarray(mapper.map(graph, deg).assignment)
+            assert allowed[assign].all(), type(mapper).__name__
+
+        sim = NetworkSimulator(deg, routing="adaptive", bandwidth=1.0,
+                               unroutable_policy="drop")
+        for a, b, w in graph.edges():
+            sim.send(int(assign[a]), int(assign[b]), float(w))
+        link = next(link for link in deg.links() if allowed[[*link]].all())
+        sim.schedule_link_failure(10.0, *link)
+        sim.run()
+        c = _counters(profiler)
+        assert c["faults.injected"] == 1
+        assert c["netsim.delivered"] > 0

@@ -45,7 +45,7 @@ def test_key_is_stable_and_spelling_independent(tmp_path):
     {"mapper": "topocentlb"},
     {"mapper": "refine:base=topolb"},
     {"seed": 7},
-    {"kernel": "reference"},
+    {"mapper": "topolb:order=3"},
     {"flow_metrics": True},
     {"validate": "full"},
     {"netsim": {"buffer_packets": 4}},
@@ -53,6 +53,13 @@ def test_key_is_stable_and_spelling_independent(tmp_path):
 ])
 def test_key_changes_with_every_identity_field(overrides):
     assert request_cache_key(_req(**overrides)) != request_cache_key(_req())
+
+
+def test_kernel_is_not_part_of_the_request():
+    """No request names a kernel, so no kernel can split one result
+    across two cache keys."""
+    with pytest.raises(TypeError, match="kernel"):
+        _req(kernel="reference")
 
 
 def test_key_rejects_non_addressable_requests():

@@ -47,7 +47,7 @@ def run(scenario, **config_overrides):
     ({"graph": "mesh2d:4x4"}, "'topology' must be a spec string"),
     ({**BODY, "seed": "zero"}, "seed must be an integer"),
     ({**BODY, "seed": True}, "seed must be an integer"),
-    ({**BODY, "kernel": 3}, "kernel must be a string"),
+    ({**BODY, "kernel": "reference"}, "unknown request field"),
     ({**BODY, "netsim": "fast"}, "netsim must be an object"),
     ({**BODY, "validate": "always"}, "validate must be one of"),
 ])
@@ -164,12 +164,12 @@ def test_bad_request_raises_service_request_error():
 
 
 def test_deterministic_failure_is_replayed_not_recomputed():
-    bad = {**BODY, "kernel": "no-such-kernel"}
+    bad = {**BODY, "netsim": {"no_such_knob": 1}}
 
     async def scenario(service):
         first = await service.submit(dict(bad))
         assert first["status"] == "error"
-        assert "no-such-kernel" in first["error"]
+        assert "no_such_knob" in first["error"]
         second = await service.submit(dict(bad))
         polled = await service.result(first["id"])
         return first, second, polled, service.profiler.snapshot()["counters"]
@@ -184,7 +184,7 @@ def test_deterministic_failure_is_replayed_not_recomputed():
 def test_poisoned_request_does_not_take_down_batchmates():
     async def scenario(service):
         good = service.submit(dict(BODY))
-        bad = service.submit({**BODY, "kernel": "no-such-kernel"})
+        bad = service.submit({**BODY, "netsim": {"no_such_knob": 1}})
         return await asyncio.gather(good, bad)
 
     good, bad = run(scenario)

@@ -90,12 +90,20 @@ def test_map_unknown_mapper_is_400(server):
     assert status == 400
 
 
+def test_map_kernel_field_is_400(server):
+    """The mapper picks its own kernel; a body naming one is refused."""
+    status, _, reply = _call(f"{server}/map", "POST",
+                             {**BODY, "kernel": "reference"})
+    assert status == 400
+    assert "unknown request field(s) ['kernel']" in reply["error"]
+
+
 def test_map_deterministic_failure_is_422(server):
-    body = {**BODY, "kernel": "no-such-kernel"}
+    body = {**BODY, "netsim": {"no_such_knob": 1}}
     status, _, reply = _call(f"{server}/map", "POST", body)
     assert status == 422
     assert reply["status"] == "error"
-    assert "no-such-kernel" in reply["error"]
+    assert "no_such_knob" in reply["error"]
     # The error record also answers polls.
     status, _, polled = _call(f"{server}/result/{reply['id']}")
     assert status == 422

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.taskgraph import TaskGraph, mesh2d_pattern
+from repro.taskgraph import TaskGraph, coalesce, mesh2d_pattern
 
 
 @st.composite
@@ -94,6 +94,46 @@ def test_digest_invariant_under_relabel_round_trip(data, rnd):
     inverse = np.argsort(np.asarray(perm)).tolist()
     round_tripped = graph.relabel(perm).relabel(inverse)
     assert round_tripped.content_digest() == graph.content_digest()
+
+
+@given(task_graphs(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_derived_graphs_match_the_tuple_built_graph(data, rnd):
+    """relabel, induced and coalesce build through ``from_arrays``; each
+    gives exactly the graph the per-edge tuple constructor builds."""
+    graph, _, _ = data
+    n = graph.num_tasks
+    edges = list(graph.edges())
+    vw = graph.vertex_weights
+
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    permuted_vw = np.empty(n)
+    permuted_vw[perm] = vw
+    want = TaskGraph(n, [(perm[a], perm[b], w) for a, b, w in edges],
+                     permuted_vw)
+    assert graph.relabel(perm).content_digest() == want.content_digest()
+
+    subset = rnd.sample(range(n), rnd.randint(1, n))
+    local = {t: i for i, t in enumerate(subset)}
+    want = TaskGraph(
+        len(subset),
+        [(local[a], local[b], w) for a, b, w in edges
+         if a in local and b in local],
+        vw[subset],
+    )
+    assert graph.induced(subset).content_digest() == want.content_digest()
+
+    k = rnd.randint(1, n)
+    groups = list(range(k)) + [rnd.randrange(k) for _ in range(n - k)]
+    rnd.shuffle(groups)
+    want = TaskGraph(
+        k,
+        [(groups[a], groups[b], w) for a, b, w in edges
+         if groups[a] != groups[b]],
+        np.bincount(groups, weights=vw, minlength=k),
+    )
+    assert coalesce(graph, groups).content_digest() == want.content_digest()
 
 
 @given(task_graphs())

@@ -54,6 +54,13 @@ class TestReproMap:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_kernel_flag_is_gone(self, graph_file, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--taskgraph", str(graph_file), "--topology", "torus:4x4",
+                  "--kernel", "reference"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+
     def test_bad_topology_spec(self, graph_file, capsys):
         rc = main(["--taskgraph", str(graph_file), "--topology", "blob:9"])
         assert rc == 1

@@ -99,3 +99,25 @@ class TestRobustnessDoc:
                      "netsim.dropped", "runtime.evacuated_tasks",
                      "REPRO_EXPERIMENTS_FAIL"):
             assert name in text
+
+
+class TestArchitectureDoc:
+    def test_lifecycle_request_runs_as_written(self):
+        """docs/ARCHITECTURE.md's request-lifecycle snippet is a valid
+        request, and its result's metadata replays through the recorded
+        fields the doc names."""
+        import re
+
+        from repro.engine import MappingEngine, MappingRequest
+
+        text = (ROOT / "docs" / "ARCHITECTURE.md").read_text()
+        snippet = re.search(r"^MappingRequest\(.*?\)$", text,
+                            re.MULTILINE | re.DOTALL).group(0)
+        request = eval(snippet, {"MappingRequest": MappingRequest})
+        result = MappingEngine().run(request)
+        meta = result.metadata
+        again = MappingEngine().run(MappingRequest(
+            graph=request.graph, topology=meta["topology"],
+            mapper=meta["spec"], seed=meta["seed"]))
+        assert (again.assignment == result.assignment).all()
+        assert meta["command"].startswith("repro-map --strategy ")

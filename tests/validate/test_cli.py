@@ -26,15 +26,15 @@ def small_corpus(tmp_path):
 def test_corpus_mode_ok_with_report(small_corpus, tmp_path, capsys):
     report = tmp_path / "report.json"
     assert main(["--golden", str(small_corpus), "--validate", "cheap",
-                 "--kernel", "both", "--report", str(report)]) == 0
+                 "--report", str(report)]) == 0
     out = capsys.readouterr().out
-    assert "2/2 validation passes ok" in out
+    assert "1/1 validation passes ok" in out
 
     doc = json.loads(report.read_text())
     assert doc["format"] == REPORT_FORMAT
     assert doc["violations"] == 0
-    kernels = {r["kernel"] for r in doc["records"]}
-    assert kernels == {"vectorized", "reference"}
+    assert [r["target"] for r in doc["records"]] == [
+        str(small_corpus / "pinned.json")]
 
 
 def test_corrupt_golden_exits_1_and_reports(small_corpus, tmp_path, capsys):
@@ -90,6 +90,13 @@ def test_graph_and_golden_are_exclusive(small_corpus):
 def test_graph_requires_topology():
     with pytest.raises(SystemExit):
         main(["--graph", "mesh2d:4x4"])
+
+
+def test_kernel_flag_is_gone(small_corpus, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--golden", str(small_corpus), "--kernel", "both"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --kernel" in capsys.readouterr().err
 
 
 def test_regenerate_is_idempotent(small_corpus, capsys):

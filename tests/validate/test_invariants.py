@@ -138,15 +138,15 @@ class TestReportShape:
             validate_mapping(
                 graph, topo, bad, level="cheap",
                 graph_spec="mesh2d:4x4;bytes=512", topology_spec="torus:4x4",
-                mapper_spec="TopoLB", seed=0, kernel="vectorized",
+                mapper_spec="TopoLB", seed=0,
             )
         exc = err.value
         assert exc.invariant == "injectivity"
         assert exc.spec["mapper"] == "TopoLB"
         assert exc.replay == (
             "repro-validate --graph 'mesh2d:4x4;bytes=512' "
-            "--topology 'torus:4x4' --mapper 'TopoLB' --seed 0 "
-            "--kernel vectorized --validate cheap"
+            "--topology torus:4x4 --mapper TopoLB --seed 0 "
+            "--validate cheap"
         )
         assert exc.details["violations"][0]["invariant"] == "injectivity"
 

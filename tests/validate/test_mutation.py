@@ -40,7 +40,7 @@ def test_corrupted_assignment_caught_with_replay():
         validate_mapping(
             graph, topo, corrupted, level="full",
             mapper_spec=MAPPER, graph_spec=GRAPH, topology_spec=TOPOLOGY,
-            seed=SEED, kernel="vectorized",
+            seed=SEED,
         )
     exc = err.value
 
