@@ -4,8 +4,8 @@ The per-packet DES walks ~660k directed messages hop by hop through an
 event queue per iteration — minutes at the 10^5-task scale the multilevel
 mapper targets. The flow estimator must evaluate that same instance (48^3
 Jacobi stencil multilevel-mapped onto a 16x16x16 torus) in **under one
-second** (locally ~30 ms), or the fast ``--netsim-mode flow`` path loses
-its reason to exist. Contention results are deterministic and pinned in
+second** (locally ~30 ms), or the engine's ``flow_*`` metrics lose their
+reason to exist. Contention results are deterministic and pinned in
 ``BENCH_netsim_flow_torus16x16x16.json``; re-record with
 ``REPRO_RECORD_BENCH=1`` after an intentional change.
 """

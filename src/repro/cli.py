@@ -1,16 +1,25 @@
 """``repro-map`` — command-line mapping of task graphs onto machines.
 
-The tool a downstream user actually wants: feed it a task graph (JSON, as
-written by :func:`repro.taskgraph.save_taskgraph` or an LB dump from
-:class:`repro.runtime.LBDatabase`), a machine spec, and a strategy name;
-get a placement JSON plus a quality report.
+The tool a downstream user actually wants: feed it a task graph, a machine
+spec, and a strategy name; get a placement JSON plus a quality report. One
+invocation is one :class:`~repro.engine.MappingRequest` run through
+:meth:`~repro.engine.MappingEngine.run`, so the report carries exactly the
+engine's metrics: the canonical metrics block, the flow estimator's
+``flow_*`` scalars and, with ``--simulate-iters N``, the DES replay's
+``des_*`` scalars.
+
+``--taskgraph`` takes a graph spec in the grammar of
+:func:`repro.engine.graph_from_spec` (``file:app.json``, ``lbdump:dump.json``,
+``mesh2d:8x8;bytes=1024``, ...); a value whose text before the first ``:``
+is not a graph kind is a task-graph JSON path.
 
 Examples::
 
     repro-map --taskgraph app.json --topology torus:8x8 --strategy TopoLB
-    repro-map --taskgraph dump.json --lb-dump --topology mesh:4x4x4 \
+    repro-map --taskgraph lbdump:dump.json --topology mesh:4x4x4 \\
               --strategy RefineTopoLB --output placement.json
-    repro-map --taskgraph app.json --topology torus:8x8 --profile prof.json
+    repro-map --taskgraph 'mesh2d:8x8;bytes=1024' --topology torus:8x8 \\
+              --profile prof.json
     repro-map --stats prof.json
     repro-map --list-strategies
 
@@ -38,10 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-map",
         description="Map a task graph onto a machine topology (TopoLB et al.)",
     )
-    parser.add_argument("--taskgraph", type=Path,
-                        help="task-graph JSON (repro-taskgraph-v1)")
-    parser.add_argument("--lb-dump", action="store_true",
-                        help="input is an LB dump (repro-lbdump-v1) instead")
+    parser.add_argument("--taskgraph",
+                        help="graph spec, e.g. file:app.json, lbdump:dump.json "
+                             "or mesh2d:8x8;bytes=1024; a plain path means "
+                             "file:<path>")
     parser.add_argument("--topology", help="machine spec, e.g. torus:8x8x8")
     parser.add_argument("--strategy", default="TopoLB",
                         help="strategy name or mapper spec string, e.g. "
@@ -55,20 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--simulate-iters", type=int, default=None,
                         help="replay N Jacobi-style iterations through the network "
                              "simulator (default: 1 when --profile is set, else 0)")
-    parser.add_argument("--netsim-mode", choices=("des", "flow"),
-                        default="des",
-                        help="network evaluation for --simulate-iters: 'des' "
-                             "replays through the per-packet simulator, "
-                             "'flow' uses the static flow-level contention "
-                             "estimator (fast; lower-bound makespan — see "
-                             "docs/ARCHITECTURE.md for the validity envelope)")
     parser.add_argument("--buffer-bytes", type=float, default=None,
                         metavar="BYTES",
                         help="finite per-link buffer capacity for the DES "
                              "replay (default: unbounded FIFO queues); a "
                              "full buffer tail-drops and the message is "
-                             "retransmitted end-to-end, and tail latencies "
-                             "are reported per size class")
+                             "retransmitted end-to-end")
     parser.add_argument("--stats", type=Path, metavar="PROFILE",
                         help="summarize an existing profile JSON and exit")
     parser.add_argument("--list-strategies", action="store_true",
@@ -111,9 +112,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--simulate-iters must be >= 0")
     if args.buffer_bytes is not None and args.buffer_bytes <= 0:
         parser.error("--buffer-bytes must be positive")
-    if args.buffer_bytes is not None and args.netsim_mode == "flow":
-        parser.error("--buffer-bytes requires the DES (--netsim-mode des); "
-                     "the flow estimator has no buffer model")
     replays = args.simulate_iters
     if replays is None:
         replays = 1 if args.profile is not None else 0
@@ -123,11 +121,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run_mapping(
-            args.taskgraph, args.lb_dump, args.topology, args.strategy,
+            _graph_spec(args.taskgraph), args.topology, args.strategy,
             args.seed, args.output, profile=args.profile,
-            simulate_iters=args.simulate_iters,
-            netsim_mode=args.netsim_mode,
-            buffer_bytes=args.buffer_bytes,
+            simulate_iters=replays, buffer_bytes=args.buffer_bytes,
         )
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -140,127 +136,57 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def run_mapping(graph_path: Path, is_lb_dump: bool, topology_spec: str,
-                strategy: str, seed: int, output: Path | None,
-                profile: Path | None = None,
-                simulate_iters: int | None = None,
-                netsim_mode: str = "des",
+def _graph_spec(value: str) -> str:
+    """``--taskgraph`` as a graph spec: a value whose text before the first
+    ``:`` is not a graph kind is a plain path, i.e. ``file:<value>``."""
+    from repro.engine.core import GRAPH_KINDS
+
+    kind, sep, _ = value.partition(":")
+    if sep and kind.strip().lower() in GRAPH_KINDS:
+        return value
+    return f"file:{value}"
+
+
+def run_mapping(graph: str, topology: str, strategy: str, seed: int,
+                output: Path | None, profile: Path | None = None,
+                simulate_iters: int = 0,
                 buffer_bytes: float | None = None) -> dict:
-    """Load inputs, run the strategy, optionally replay/profile/write."""
-    from repro import obs
-    from repro.engine import canonical_command, canonical_mapper_spec
-    from repro.runtime.lbdb import LBDatabase
-    from repro.runtime.simulation import replay_strategy
-    from repro.taskgraph.io import load_taskgraph
-    from repro.topology.factory import topology_from_spec
+    """Run one engine request; write the placement and profile if asked.
 
-    if simulate_iters is None:
-        simulate_iters = 1 if profile is not None else 0
-
-    prof = obs.enable() if profile is not None else None
-    try:
-        with obs.timer("cli.load"):
-            if is_lb_dump:
-                database = LBDatabase.load(graph_path)
-            else:
-                database = LBDatabase.from_taskgraph(load_taskgraph(graph_path))
-            topology = topology_from_spec(topology_spec)
-
-        with obs.timer("cli.map"):
-            report, mapping = replay_strategy(
-                database, topology, strategy, seed=seed
-            )
-
-        netsim_summary = None
-        if simulate_iters > 0:
-            netsim_summary = _replay_network(
-                mapping, report, simulate_iters, mode=netsim_mode,
-                buffer_bytes=buffer_bytes)
-
-        if output is not None:
-            output.write_text(json.dumps({
-                "format": "repro-placement-v1",
-                "strategy": strategy,
-                "topology": topology_spec,
-                "placement": mapping.assignment.tolist(),
-            }))
-            report["placement_written"] = str(output)
-
-        if prof is not None:
-            doc = obs.build_profile(
-                prof,
-                # The full canonical invocation — strategy in canonical spec
-                # form plus the seed flag — so a recorded profile identifies
-                # the exact run that produced it.
-                command=canonical_command(strategy, topology_spec, seed),
-                context={
-                    "taskgraph": str(graph_path),
-                    "topology": topology_spec,
-                    "strategy": strategy,
-                    "spec": canonical_mapper_spec(strategy),
-                    "seed": seed,
-                    "num_objects": report["num_objects"],
-                    "num_processors": report["num_processors"],
-                    "simulate_iters": simulate_iters,
-                },
-                netsim=netsim_summary,
-            )
-            obs.save_profile(doc, profile)
-            report["profile_written"] = str(profile)
-    finally:
-        if prof is not None:
-            obs.disable()
-    return report
-
-
-def _replay_network(mapping, report: dict, iterations: int,
-                    mode: str = "des",
-                    buffer_bytes: float | None = None) -> dict:
-    """Evaluate the mapped app's network behaviour; extend ``report`` and
-    return the per-link load summary for the profile's ``netsim`` section.
-
-    ``mode="des"`` replays through the per-packet simulator; ``mode="flow"``
-    runs the static flow-level estimator instead — same traffic, no event
-    queue, makespan reported as a lower bound (``sim_time_us`` is then that
-    bound, not a measured completion time). With ``buffer_bytes`` set the
-    DES models finite tail-drop link buffers, and the summary gains a
-    ``tail`` section with p50/p99/p999 latencies, size-class rows, and
-    overload counters.
+    Returns the report ``repro-map`` prints: the strategy, the problem size
+    and every metric of the :class:`~repro.engine.MappingResult`.
     """
     from repro import obs
+    from repro.engine import MappingEngine, MappingRequest
 
-    if mode == "flow":
-        from repro.netsim.flow import flow_evaluate, flow_summary
+    netsim = None
+    if simulate_iters > 0:
+        netsim = {"iterations": simulate_iters}
+        if buffer_bytes is not None:
+            netsim["buffer_bytes"] = buffer_bytes
+    result = MappingEngine().run(MappingRequest(
+        graph=graph, topology=topology, mapper=strategy, seed=seed,
+        flow_metrics=True, netsim=netsim, profile=profile is not None,
+    ))
+    report = {
+        "strategy": strategy,
+        "num_objects": result.metadata["num_objects"],
+        "num_processors": result.metadata["num_processors"],
+        **result.metrics,
+    }
 
-        with obs.timer("cli.simulate"):
-            flow = flow_evaluate(mapping, iterations=iterations)
-        report["sim_iterations"] = iterations
-        report["sim_mode"] = "flow"
-        report["sim_time_us"] = flow.makespan_lower_bound
-        report["sim_max_link_bytes"] = flow.max_link_bytes
-        return flow_summary(flow)
-
-    from repro.netsim.appsim import replay_closed_loop
-    from repro.netsim.stats import link_summary, tail_summary
-
-    with obs.timer("cli.simulate"):
-        sim, result = replay_closed_loop(mapping, iterations,
-                                         buffer_bytes=buffer_bytes)
-    report["sim_iterations"] = iterations
-    report["sim_mode"] = "des"
-    report["sim_time_us"] = result.total_time
-    report["sim_mean_latency_us"] = result.mean_message_latency
-    report["sim_messages"] = result.messages_delivered
-    summary = link_summary(sim)
-    tail = tail_summary(sim, iteration_times=result.iteration_times)
-    summary["tail"] = tail
-    report["sim_p50_us"] = tail["latency"]["p50"]
-    report["sim_p99_us"] = tail["latency"]["p99"]
-    report["sim_p999_us"] = tail["latency"]["p999"]
-    if buffer_bytes is not None:
-        report["sim_dropped"] = tail["dropped"]
-        report["sim_retransmits"] = tail["retransmits"]
-    return summary
+    if output is not None:
+        output.write_text(json.dumps({
+            "format": "repro-placement-v1",
+            "strategy": strategy,
+            "topology": topology,
+            "placement": result.assignment.tolist(),
+        }))
+        report["placement_written"] = str(output)
+    if profile is not None:
+        obs.save_profile(result.profile, profile)
+        report["profile_written"] = str(profile)
+    return report
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests

@@ -65,6 +65,11 @@ def _parse_graph_options(items: list[str], spec: str,
     return options
 
 
+#: The ``kind`` of every graph spec :func:`graph_from_spec` accepts.
+GRAPH_KINDS = ("file", "lbdump", "mesh2d", "mesh3d", "ring", "alltoall",
+               "random")
+
+
 def graph_from_spec(spec: str):
     """Build a :class:`~repro.taskgraph.TaskGraph` from a spec string.
 
@@ -137,20 +142,23 @@ def graph_from_spec(spec: str):
             edge_prob=options.get("p", 0.1),
             seed=int(options.get("seed", 0)),
         )
-    raise SpecError(f"unknown graph kind {kind!r}")
+    raise SpecError(
+        f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}"
+    )
 
 
-def canonical_command(mapper_spec: str, topology_spec: str,
+def canonical_command(graph_spec: str, mapper_spec: str, topology_spec: str,
                       seed: int | None) -> str:
     """The fully reproducible ``repro-map`` command line for a run.
 
-    Always includes the seed actually in effect, and shell-quotes both specs
-    (a degraded topology spec carries ``;``), so a recorded command replays
-    the run exactly when pasted into a shell.
+    Always includes the seed actually in effect, and shell-quotes every spec
+    (a graph spec or a degraded topology spec carries ``;``), so a recorded
+    command replays the run exactly when pasted into a shell.
     """
     spec = parse_mapper_spec(mapper_spec).canonical
     return (
-        f"repro-map --strategy {shlex.quote(spec)} "
+        f"repro-map --taskgraph {shlex.quote(graph_spec)} "
+        f"--strategy {shlex.quote(spec)} "
         f"--topology {shlex.quote(topology_spec)} "
         f"--seed {0 if seed is None else seed}"
     )
@@ -171,6 +179,13 @@ class MappingRequest:
     mapper: object = "TopoLB"  # Mapper | str (spec or Charm++ alias)
     seed: int | None = None
     allowed: np.ndarray | None = None
+    #: Record telemetry for this run and return it as a ``repro-profile-v1``
+    #: document in :attr:`MappingResult.profile`: the ``engine.load``,
+    #: ``engine.map``, ``engine.flow`` and ``engine.netsim`` timers, the
+    #: mapper's own counters and, when ``netsim`` is set, a ``netsim``
+    #: section (per-link loads plus tail latencies). Ignored, with no
+    #: profile returned, when the caller already has a profiler enabled:
+    #: the telemetry then lands in the caller's profiler.
     profile: bool = False
     #: Also evaluate the flow-level contention estimator
     #: (:func:`repro.netsim.flow.flow_evaluate`) on the produced mapping and
@@ -232,15 +247,20 @@ _NETSIM_KEYS = frozenset({
 _NETSIM_INT_KEYS = frozenset({"iterations", "max_retries", "seed"})
 
 
-def _netsim_metrics(mapping, knobs: dict) -> dict[str, float]:
-    """DES-replay a mapping per ``MappingRequest.netsim``; return des_* keys.
+def _netsim_metrics(
+    mapping, knobs: dict, summarize: bool = False
+) -> tuple[dict[str, float], dict | None]:
+    """DES-replay a mapping per ``MappingRequest.netsim``.
 
-    The replay is the CLI's closed-loop evaluation
+    The replay is the closed-loop evaluation
     (:func:`repro.netsim.appsim.replay_closed_loop`), with the tail summary
-    flattened into scalar metrics a golden triple can pin.
+    flattened into scalar ``des_*`` metrics a golden triple can pin. With
+    ``summarize`` the second return value is the profile's ``netsim``
+    section (the per-link load summary plus the tail summary); otherwise it
+    is ``None``.
     """
     from repro.netsim.appsim import replay_closed_loop
-    from repro.netsim.stats import tail_summary
+    from repro.netsim.stats import link_summary, tail_summary
 
     unknown = set(knobs) - _NETSIM_KEYS
     if unknown:
@@ -271,7 +291,7 @@ def _netsim_metrics(mapping, knobs: dict) -> dict[str, float]:
         mapping, int(knobs.get("iterations", 2)), **sim_kwargs
     )
     tail = tail_summary(sim, iteration_times=result.iteration_times)
-    return {
+    metrics = {
         "des_makespan_us": result.total_time,
         "des_p50_us": tail["latency"]["p50"],
         "des_p99_us": tail["latency"]["p99"],
@@ -281,6 +301,8 @@ def _netsim_metrics(mapping, knobs: dict) -> dict[str, float]:
         "des_retransmits": float(tail["retransmits"]),
         "des_buffer_drops": float(tail["buffer_drops"]),
     }
+    summary = {**link_summary(sim), "tail": tail} if summarize else None
+    return metrics, summary
 
 
 # --------------------------------------------------------------------- engine
@@ -304,24 +326,27 @@ class MappingEngine:
                 "MappingRequest.validate must be one of ('off', 'cheap', "
                 f"'full'), got {request.validate!r}"
             )
-        graph = (
-            request.graph
-            if isinstance(request.graph, TaskGraph)
-            else graph_from_spec(request.graph)
+        own_prof = (
+            obs.enable() if request.profile and obs.active() is None else None
         )
-        topology = (
-            topology_from_spec(request.topology)
-            if isinstance(request.topology, str)
-            else request.topology
-        )
-        topology_spec = (
-            request.topology
-            if isinstance(request.topology, str)
-            else getattr(topology, "name", type(topology).__name__)
-        )
-
-        own_prof = None
         try:
+            with obs.timer("engine.load"):
+                graph = (
+                    request.graph
+                    if isinstance(request.graph, TaskGraph)
+                    else graph_from_spec(request.graph)
+                )
+                topology = (
+                    topology_from_spec(request.topology)
+                    if isinstance(request.topology, str)
+                    else request.topology
+                )
+            topology_spec = (
+                request.topology
+                if isinstance(request.topology, str)
+                else getattr(topology, "name", type(topology).__name__)
+            )
+
             if isinstance(request.mapper, str):
                 parsed = parse_mapper_spec(request.mapper)
                 mapper = parsed.build(request.seed)
@@ -333,8 +358,6 @@ class MappingEngine:
                 strategy = type(mapper).__name__
 
             ctx = context_for(graph, topology)
-            if request.profile and obs.active() is None:
-                own_prof = obs.enable()
             with obs.timer("engine.map"):
                 if request.allowed is not None:
                     mapping = mapper.map(graph, topology, allowed=request.allowed)
@@ -361,9 +384,13 @@ class MappingEngine:
                     flow.makespan_lower_bound
                 )
 
+            netsim_summary = None
             if request.netsim is not None:
                 with obs.timer("engine.netsim"):
-                    metrics.update(_netsim_metrics(mapping, request.netsim))
+                    des_metrics, netsim_summary = _netsim_metrics(
+                        mapping, request.netsim, summarize=own_prof is not None
+                    )
+                metrics.update(des_metrics)
 
             if request.validate != "off":
                 from repro.validate import validate_mapping
@@ -391,9 +418,10 @@ class MappingEngine:
                 "num_objects": graph.num_tasks,
                 "num_processors": topology.num_nodes,
             }
-            if spec is not None and isinstance(request.topology, str):
+            if (spec is not None and isinstance(request.graph, str)
+                    and isinstance(request.topology, str)):
                 metadata["command"] = canonical_command(
-                    spec, topology_spec, request.seed
+                    request.graph, spec, topology_spec, request.seed
                 )
 
             profile_doc = None
@@ -404,6 +432,7 @@ class MappingEngine:
                     context={
                         k: v for k, v in metadata.items() if v is not None
                     },
+                    netsim=netsim_summary,
                 )
             return MappingResult(
                 assignment=mapping.assignment.copy(),

@@ -255,12 +255,6 @@ def _build_anneal(opts, seed, kernel):
     )
 
 
-def _build_bokhari(opts, seed, kernel):
-    from repro.mapping.bokhari import BokhariMapper
-
-    return BokhariMapper(jumps=int(opts.get("jumps", 4)), seed=seed or 0)
-
-
 def _build_recursive(opts, seed, kernel):
     from repro.mapping.recursive_embedding import RecursiveEmbeddingMapper
 
@@ -369,11 +363,6 @@ MAPPER_KINDS: dict[str, MapperKind] = {
             _build_anneal,
         ),
         MapperKind(
-            "bokhari", "Bokhari-style pairwise-interchange with random jumps",
-            (_int_opt("jumps", "random restarts", "4"),),
-            _build_bokhari,
-        ),
-        MapperKind(
             "recursive", "recursive graph-bisection embedding",
             (), _build_recursive,
         ),
@@ -439,7 +428,6 @@ STRATEGY_SPECS: dict[str, str] = {
     "RefineTopoLB": "pipeline:inner=topolb;refine=on",
     "RefineTopoLB3": "pipeline:inner=topolb,order=3;refine=on",
     "AnnealLB": "pipeline:inner=anneal",
-    "BokhariLB": "pipeline:inner=bokhari",
     "RecursiveEmbedLB": "pipeline:inner=recursive",
     "LinearOrderLB": "pipeline:inner=linear",
     "HybridTopoLB": "pipeline:inner=hybrid",

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from collections.abc import Mapping, Sequence
 from typing import Any
 
@@ -12,26 +11,7 @@ __all__ = [
     "ExperimentResult",
     "format_table",
     "near_square_factors",
-    "netsim_mode",
-    "NETSIM_MODE_ENV",
 ]
-
-#: Environment knob selecting how experiments evaluate network behaviour:
-#: ``des`` (default) replays through the per-packet simulator, ``flow``
-#: uses the static flow-level estimator (:mod:`repro.netsim.flow`). The
-#: experiment runner's ``--netsim-mode`` flag sets it for a whole sweep.
-NETSIM_MODE_ENV = "REPRO_NETSIM_MODE"
-
-
-def netsim_mode() -> str:
-    """The network-evaluation mode for this process: ``"des"`` or ``"flow"``."""
-    mode = os.environ.get(NETSIM_MODE_ENV, "des")
-    if mode not in ("des", "flow"):
-        raise ValueError(
-            f"{NETSIM_MODE_ENV} must be 'des' or 'flow', got {mode!r}"
-        )
-    return mode
-
 
 def near_square_factors(p: int) -> tuple[int, int]:
     """Factor ``p = a * b`` with ``a <= b`` and ``a`` as large as possible.

@@ -12,9 +12,9 @@ bandwidth; the random curve blows up fastest as bandwidth decreases.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, netsim_mode
+from repro.experiments.common import ExperimentResult
 from repro.mapping.base import Mapping
-from repro.netsim.appsim import AppResult, IterativeApplication
+from repro.netsim.appsim import IterativeApplication
 from repro.netsim.simulator import NetworkSimulator
 from repro.engine import mapper_from_spec
 from repro.taskgraph.patterns import mesh2d_pattern
@@ -40,35 +40,8 @@ def simulate_latency(
     compute_time: float = COMPUTE_US,
     alpha: float = 0.1,
 ):
-    """Replay the Jacobi trace at one bandwidth; returns the AppResult.
-
-    Under ``REPRO_NETSIM_MODE=flow`` (the runner's ``--netsim-mode flow``)
-    the per-packet replay is replaced by the flow-level estimator: the
-    returned AppResult then carries the makespan *lower bound* as
-    ``total_time`` and *uncontended* message latencies — the no-queueing
-    limit of the DES numbers, useful for fast sweeps but blind to the
-    congestion blow-up the figures' low-bandwidth region shows (see
-    docs/ARCHITECTURE.md for the validity envelope).
-    """
-    if netsim_mode() == "flow":
-        import numpy as np
-
-        from repro.netsim.flow import flow_evaluate
-
-        flow = flow_evaluate(
-            mapping, iterations=iterations, message_bytes=message_bytes,
-            bandwidth=bandwidth, alpha=alpha, compute_time=compute_time,
-        )
-        per_iter = flow.makespan_lower_bound / iterations
-        return AppResult(
-            total_time=flow.makespan_lower_bound,
-            iterations=iterations,
-            mean_message_latency=flow.mean_no_load_latency_us,
-            max_message_latency=flow.no_load_latency_us,
-            messages_delivered=flow.messages_per_iteration * iterations,
-            hops_per_byte=mapping.hops_per_byte,
-            iteration_finish_times=per_iter * np.arange(1, iterations + 1),
-        )
+    """Replay the Jacobi trace through the DES at one bandwidth; returns the
+    :class:`~repro.netsim.appsim.AppResult`."""
     sim = NetworkSimulator(mapping.topology, bandwidth=bandwidth, alpha=alpha)
     app = IterativeApplication(
         mapping, sim, iterations=iterations,

@@ -29,14 +29,6 @@ timed-out experiment really stops; ``--resume PATH`` reads a previous
 complete in it. Failures are recorded per experiment (status, error,
 traceback) in the profile's ``context.experiment_status``, and the exit
 code is nonzero whenever any experiment did not finish.
-
-``--netsim-mode flow`` swaps the per-packet network simulator for the
-static flow-level contention estimator (:mod:`repro.netsim.flow`) in
-``fig7_8`` and ``fig9``, the two experiments that read the mode — orders of
-magnitude faster, but makespans become lower bounds and per-message
-latencies lose queueing delay. ``table1``, ``fig10_11``, ``flowcheck`` and
-``tailcheck`` always run the DES. The ``flowcheck`` supplementary
-experiment quantifies that trade on the small-machine suite.
 """
 
 from __future__ import annotations
@@ -60,7 +52,7 @@ from repro.experiments import (
     supplementary,
     table1,
 )
-from repro.experiments.common import NETSIM_MODE_ENV, ExperimentResult
+from repro.experiments.common import ExperimentResult
 from repro.utils.guard import guarded_call
 
 __all__ = ["main", "EXPERIMENTS", "PAPER_EXPERIMENTS", "ExperimentOutcome"]
@@ -82,8 +74,6 @@ EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
     **PAPER_EXPERIMENTS,
     "zoo": supplementary.run_zoo,
     "bounds": supplementary.run_bounds,
-    "objectives": supplementary.run_objectives,
-    "scaling": supplementary.run_scaling,
     "flowcheck": supplementary.run_flowcheck,
     "tailcheck": supplementary.run_tailcheck,
 }
@@ -268,23 +258,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--resume", type=Path, metavar="PROFILE",
                         help="skip experiments recorded as completed in a "
                              "previous --profile artifact")
-    parser.add_argument("--netsim-mode", choices=("des", "flow"), default=None,
-                        help="network evaluation for fig7_8 and fig9 (the "
-                             "other simulator-backed experiments always run "
-                             "the DES): 'des' replays per-packet, 'flow' "
-                             "uses the static flow-level estimator (fast; "
-                             "makespans are lower bounds — see "
-                             "docs/ARCHITECTURE.md). Default: "
-                             f"${NETSIM_MODE_ENV} or 'des'.")
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
     if args.timeout is not None and args.timeout <= 0:
         parser.error("--timeout must be positive")
-    if args.netsim_mode is not None:
-        # Experiments read the mode from the environment (netsim_mode()), so
-        # worker processes spawned by --jobs inherit it automatically.
-        os.environ[NETSIM_MODE_ENV] = args.netsim_mode
 
     from repro import obs
 

@@ -24,8 +24,6 @@ from repro.topology import FatTree, Hypercube, Mesh, Torus
 __all__ = [
     "run_zoo",
     "run_bounds",
-    "run_objectives",
-    "run_scaling",
     "run_flowcheck",
     "run_tailcheck",
 ]
@@ -69,81 +67,6 @@ def run_zoo(quick: bool = True, seed: int = 0) -> ExperimentResult:
         notes="grids reward topology-awareness most (TopoLB 4x below random "
         "on the torus); the fat-tree's flat metric compresses every mapper's "
         "advantage to ~1.5x — the introduction's motivation, quantified",
-    )
-
-
-def run_objectives(quick: bool = True, seed: int = 0) -> ExperimentResult:
-    """Cardinality (Bokhari 1981) vs hop-bytes as the optimization target.
-
-    On weight-skewed instances the cardinality objective is blind to where
-    the heavy bytes travel — the historical motivation for hop-bytes.
-    """
-    import numpy as np
-
-    from repro.mapping import cardinality
-    from repro.taskgraph import TaskGraph
-
-    rng = np.random.default_rng(seed)
-    instances = [
-        ("uniform stencil 6x6", mesh2d_pattern(6, 6), Torus((6, 6))),
-    ]
-    base = random_taskgraph(36, edge_prob=0.15, seed=seed + 7)
-    skewed = TaskGraph(
-        36,
-        [(a, b, w * float(rng.choice([1, 1, 1, 50]))) for a, b, w in base.edges()],
-    )
-    instances.append(("skewed random p=36", skewed, Torus((6, 6))))
-
-    rows = []
-    for name, graph, topo in instances:
-        row: dict = {"instance": name}
-        for mapper_name, mapper in (
-            ("random", mapper_from_spec("random", seed)),
-            ("bokhari", mapper_from_spec("bokhari", seed)),
-            ("topolb", mapper_from_spec("topolb", seed)),
-        ):
-            mapping = mapper.map(graph, topo)
-            row[f"{mapper_name}_hpb"] = mapping.hops_per_byte
-            row[f"{mapper_name}_card"] = cardinality(mapping)
-        row["edges"] = graph.num_edges
-        rows.append(row)
-    return ExperimentResult(
-        "objectives",
-        "optimization objective: Bokhari cardinality vs hop-bytes",
-        rows,
-        notes="Bokhari wins cardinality, TopoLB wins hop-bytes; the gap "
-        "opens on weight-skewed instances — why hop-bytes superseded the "
-        "1981 metric",
-    )
-
-
-def run_scaling(quick: bool = True, seed: int = 0) -> ExperimentResult:
-    """Mapper wall-clock vs machine size (the Section 4.4 complexity story)."""
-    import time
-
-    sides = (8, 16, 24) if quick else (8, 16, 24, 32, 48)
-    rows = []
-    for side in sides:
-        p = side * side
-        topo = Torus((side, side))
-        graph = mesh2d_pattern(side, side)
-        row: dict = {"processors": p}
-        for name, mapper in (
-            ("topocentlb", mapper_from_spec("topocentlb", seed)),
-            ("topolb_o2", mapper_from_spec("topolb", seed)),
-            ("refine", mapper_from_spec("refine:base=topolb", seed)),
-        ):
-            t0 = time.perf_counter()
-            mapping = mapper.map(graph, topo)
-            row[f"{name}_s"] = time.perf_counter() - t0
-            row[f"{name}_hpb"] = mapping.hops_per_byte
-        rows.append(row)
-    return ExperimentResult(
-        "scaling",
-        "mapper wall-clock vs machine size (constant-degree task graph)",
-        rows,
-        notes="the paper's O(p|Et|) ~ O(p^2) claim: time quadruples when p "
-        "quadruples; TopoCentLB's constant is ~10x smaller than TopoLB's",
     )
 
 
@@ -193,7 +116,8 @@ def run_flowcheck(quick: bool = True, seed: int = 0) -> ExperimentResult:
     estimator; the row reports the Spearman rank correlation of the two
     makespans, the worst bound/DES ratio (must stay <= 1: the flow makespan
     is a provable lower bound), and the speedup. This is the validity
-    evidence behind ``--netsim-mode flow``.
+    evidence behind the engine's ``flow_*`` metrics
+    (``MappingRequest.flow_metrics``).
     """
     import time
 

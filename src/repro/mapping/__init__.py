@@ -56,7 +56,6 @@ from repro.mapping.sfc import SFCMapper, hilbert_indices, morton_indices
 from repro.mapping.hybrid import HybridTopoLB, grow_processor_blocks
 from repro.mapping.bounds import hop_bytes_lower_bound, optimality_gap
 from repro.mapping.incremental import IncrementalRefineLB
-from repro.mapping.bokhari import BokhariMapper, cardinality
 
 __all__ = [
     "Mapper",
@@ -92,6 +91,4 @@ __all__ = [
     "hop_bytes_lower_bound",
     "optimality_gap",
     "IncrementalRefineLB",
-    "BokhariMapper",
-    "cardinality",
 ]

@@ -29,7 +29,7 @@ from repro.netsim.messages import (
 from repro.netsim.simulator import NetworkSimulator, RoutingPolicy
 from repro.netsim.appsim import IterativeApplication, AppResult
 from repro.netsim.stats import summarize_latencies, link_utilization, tail_summary
-from repro.netsim.flow import FlowResult, flow_evaluate, flow_summary, spearman
+from repro.netsim.flow import FlowResult, flow_evaluate, spearman
 
 __all__ = [
     "EventQueue",
@@ -46,6 +46,5 @@ __all__ = [
     "tail_summary",
     "FlowResult",
     "flow_evaluate",
-    "flow_summary",
     "spearman",
 ]

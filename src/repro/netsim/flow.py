@@ -59,7 +59,7 @@ from repro.mapping.base import Mapping
 from repro.topology.base import Topology
 from repro.topology.grid import GridTopology
 
-__all__ = ["FlowResult", "flow_evaluate", "flow_summary", "spearman"]
+__all__ = ["FlowResult", "flow_evaluate", "spearman"]
 
 
 @dataclasses.dataclass
@@ -87,10 +87,6 @@ class FlowResult:
     bottleneck_time_us: float
     #: max over messages of uncontended delivery latency, microseconds
     no_load_latency_us: float
-    #: mean over messages of uncontended delivery latency, microseconds
-    mean_no_load_latency_us: float
-    #: directed messages per iteration (local + remote)
-    messages_per_iteration: int
 
     @property
     def links_used(self) -> int:
@@ -334,14 +330,10 @@ def flow_evaluate(
     # Uncontended delivery latency of the slowest message (cut-through:
     # hops * alpha + size / bandwidth; co-located: local_latency).
     no_load = local_latency if (~remote).any() else 0.0
-    lat_sum = float((~remote).sum()) * local_latency
     if len(r_src):
         hops = topo.pair_distances(r_src, r_dst).astype(np.float64)
         lats = hops * alpha + r_sizes / bandwidth
         no_load = max(no_load, float(lats.max()))
-        lat_sum += float(lats.sum())
-    num_msgs = len(src)
-    mean_no_load = lat_sum / num_msgs if num_msgs else 0.0
 
     makespan = max(
         iterations * bottleneck,
@@ -358,56 +350,7 @@ def flow_evaluate(
         makespan_lower_bound=float(makespan),
         bottleneck_time_us=float(bottleneck),
         no_load_latency_us=float(no_load),
-        mean_no_load_latency_us=float(mean_no_load),
-        messages_per_iteration=int(num_msgs),
     )
-
-
-def flow_summary(result: FlowResult, top: int = 10) -> dict:
-    """JSON-able per-link summary in the shape of ``stats.link_summary``.
-
-    Where the DES summary reports *measured* occupancy/utilization, the
-    flow summary reports offered load: ``mean/max_utilization`` here are
-    per-link occupancy divided by the makespan lower bound — 1.0 means the
-    bound is tight on that link, i.e. it is the predicted bottleneck.
-    """
-    lb = result.link_bytes
-    if not lb:
-        return {
-            "mode": "flow",
-            "links_used": 0,
-            "total_bytes": 0.0,
-            "max_link_bytes": 0.0,
-            "mean_utilization": 0.0,
-            "max_utilization": 0.0,
-            "makespan_lower_bound_us": result.makespan_lower_bound,
-            "top_links": [],
-        }
-    occ = {
-        link: result.iterations
-        * (result.alpha * result.link_messages[link] + b / result.bandwidth)
-        for link, b in lb.items()
-    }
-    denom = result.makespan_lower_bound or 1.0
-    util = np.fromiter(occ.values(), dtype=np.float64, count=len(occ)) / denom
-    hottest = sorted(lb, key=lambda k: (-lb[k], str(k)))[:top]
-    return {
-        "mode": "flow",
-        "links_used": len(lb),
-        "total_bytes": float(result.total_bytes),
-        "max_link_bytes": float(result.max_link_bytes),
-        "mean_utilization": float(util.mean()),
-        "max_utilization": float(util.max()),
-        "makespan_lower_bound_us": float(result.makespan_lower_bound),
-        "top_links": [
-            {
-                "link": f"{link[0]}->{link[1]}",
-                "bytes": float(lb[link] * result.iterations),
-                "messages": int(result.link_messages[link] * result.iterations),
-            }
-            for link in hottest
-        ],
-    }
 
 
 def spearman(x, y) -> float:

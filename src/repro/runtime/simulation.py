@@ -13,11 +13,10 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.engine.core import MappingEngine, MappingRequest
-from repro.mapping.base import Mapping
 from repro.runtime.lbdb import LBDatabase
 from repro.topology.base import Topology
 
-__all__ = ["simulate_strategy", "replay_strategy", "compare_strategies"]
+__all__ = ["simulate_strategy", "compare_strategies"]
 
 
 def simulate_strategy(
@@ -29,24 +28,9 @@ def simulate_strategy(
     """Replay ``database`` under ``strategy``; return mapping-quality metrics.
 
     ``database`` may be an in-memory :class:`LBDatabase` or a path to a dump
-    file. The report contains hop-bytes, hops-per-byte, load imbalance and
-    dilation statistics of the placement the strategy produced.
-    """
-    return replay_strategy(database, topology, strategy, seed)[0]
-
-
-def replay_strategy(
-    database: LBDatabase | str | Path,
-    topology: Topology,
-    strategy: str,
-    seed: int | None = None,
-) -> tuple[dict[str, float], Mapping]:
-    """Like :func:`simulate_strategy` but also returns the produced mapping,
-    so callers that need the placement (the CLI, the profiler's netsim
-    replay) run the strategy exactly once.
-
-    The replay is one :meth:`~repro.engine.MappingEngine.run`, so the report
-    carries the engine's canonical metrics block (plus the paper's
+    file. The replay is one :meth:`~repro.engine.MappingEngine.run`, so the
+    report carries the engine's canonical metrics block (hop-bytes,
+    hops-per-byte, load imbalance, dilation statistics, plus the paper's
     group-level hop-bytes for pipeline strategies) under the same keys and
     values as any other entry point.
     """
@@ -56,13 +40,12 @@ def replay_strategy(
         graph=database.to_taskgraph(), topology=topology, mapper=strategy,
         seed=seed,
     ))
-    report = {
+    return {
         "strategy": strategy,
         "num_objects": result.metadata["num_objects"],
         "num_processors": result.metadata["num_processors"],
         **result.metrics,
     }
-    return report, result.mapping
 
 
 def compare_strategies(

@@ -175,20 +175,39 @@ def test_non_finite_graph_option_is_a_spec_error(bad):
 
 
 def test_canonical_command_includes_seed():
-    line = canonical_command("TopoLB", "torus:8x8", None)
+    line = canonical_command("mesh2d:8x8", "TopoLB", "torus:8x8", None)
+    assert line.startswith("repro-map --taskgraph mesh2d:8x8 ")
     assert "--strategy pipeline:inner=topolb" in line
     assert "--seed 0" in line
-    line = canonical_command("topolb:order=3", "mesh:4x4", 7)
+    line = canonical_command("file:app.json", "topolb:order=3", "mesh:4x4", 7)
     assert "--seed 7" in line
 
 
-def test_recorded_command_lines_survive_a_shell():
+def test_command_recorded_only_for_spec_requests():
+    """A live graph, topology or mapper has no command line."""
+    specs = {"graph": "mesh2d:4x4", "topology": "torus:4x4",
+             "mapper": "topolb"}
+    live = {"graph": mesh2d_pattern(4, 4), "topology": Torus((4, 4)),
+            "mapper": TopoLB()}
+    engine = MappingEngine()
+    assert "command" in engine.run(MappingRequest(**specs)).metadata
+    for field_name, obj in live.items():
+        meta = engine.run(MappingRequest(**{**specs, field_name: obj})).metadata
+        assert "command" not in meta, field_name
+
+
+def test_recorded_command_lines_survive_a_shell(tmp_path, capsys):
     """Both recorded command lines split, in a shell, into exactly the
     arguments their own parsers need: a degraded topology spec carries
-    ``;``, which an unquoted line would cut into two commands."""
+    ``;``, which an unquoted line would cut into two commands. The
+    ``command`` a result records, run through the shell into ``repro-map``,
+    prints the engine's hop-bytes for a file-backed and a generated graph
+    alike."""
     import subprocess
 
     from repro.cli import build_parser as map_parser
+    from repro.cli import main as map_main
+    from repro.taskgraph import save_taskgraph
     from repro.validate.cli import build_parser as validate_parser
     from repro.validate.core import replay_command
 
@@ -204,10 +223,11 @@ def test_recorded_command_lines_survive_a_shell():
         ).stdout
         return program, out.splitlines()
 
-    program, argv = shell_argv(canonical_command(mapper, topology, 3))
+    program, argv = shell_argv(canonical_command(graph, mapper, topology, 3))
     args = map_parser().parse_args(argv)
     assert program == "repro-map"
-    assert (args.strategy, args.topology, args.seed) == (mapper, topology, 3)
+    assert (args.taskgraph, args.strategy, args.topology, args.seed) \
+        == (graph, mapper, topology, 3)
 
     program, argv = shell_argv(replay_command(graph, topology, mapper, 3,
                                               "full"))
@@ -215,6 +235,20 @@ def test_recorded_command_lines_survive_a_shell():
     assert program == "repro-validate"
     assert (args.graph, args.topology, args.mapper, args.seed, args.level) \
         == (graph, topology, mapper, 3, "full")
+
+    path = tmp_path / "my app.json"  # a space the shell must keep
+    save_taskgraph(mesh2d_pattern(8, 8, message_bytes=1024), path)
+    for spec in (f"file:{path}", graph):
+        result = MappingEngine().run(MappingRequest(
+            graph=spec, topology=topology, mapper=mapper, seed=3,
+        ))
+        program, argv = shell_argv(result.metadata["command"])
+        assert program == "repro-map"
+        assert map_main(argv) == 0
+        printed = dict(line.split(None, 1) for line in
+                       capsys.readouterr().out.splitlines())
+        assert printed["hop_bytes"] == f"{result.metrics['hop_bytes']:.6g}"
+        assert printed["num_objects"] == "64"
 
 
 def test_request_path_never_imports_scipy():

@@ -24,7 +24,6 @@ ROUND_TRIP_SPECS = [
     "refine:base=topocentlb;passes=3",
     "refine:base=topolb,order=3;passes=2",
     "anneal:steps=500",
-    "bokhari:jumps=2",
     "recursive",
     "linear",
     "hybrid:blocks=4",
@@ -80,12 +79,12 @@ def test_kernel_is_not_a_spec_option(spec):
 
 def test_registry_contents_are_pinned():
     assert sorted(MAPPER_KINDS) == [
-        "anneal", "bokhari", "hybrid", "identity", "linear", "multilevel",
+        "anneal", "hybrid", "identity", "linear", "multilevel",
         "pipeline", "random", "recursive", "refine", "sfc", "topocentlb",
         "topolb",
     ]
     assert sorted(STRATEGY_SPECS) == [
-        "AnnealLB", "BokhariLB", "GreedyLB", "HybridTopoLB", "LinearOrderLB",
+        "AnnealLB", "GreedyLB", "HybridTopoLB", "LinearOrderLB",
         "MultilevelLB", "RandomLB", "RecursiveEmbedLB", "RefineTopoLB",
         "RefineTopoLB3", "TopoCentLB", "TopoLB", "TopoLB1", "TopoLB3",
     ]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -17,8 +16,7 @@ class TestRunnerCli:
             "fig7_8", "fig9", "fig10_11",
         }
         assert set(runner.EXPERIMENTS) == set(runner.PAPER_EXPERIMENTS) | {
-            "zoo", "bounds", "objectives", "scaling", "flowcheck",
-            "tailcheck",
+            "zoo", "bounds", "flowcheck", "tailcheck",
         }
 
     def test_runs_one_experiment(self, capsys, monkeypatch):
@@ -65,17 +63,13 @@ class TestRunnerCli:
         assert doc["context"]["experiments"] == ["fig1_2"]
         assert obs.active() is None  # runner restored the disabled state
 
-    def test_netsim_mode_flag_exports_env(self, capsys, monkeypatch):
-        # --netsim-mode travels via the environment so --jobs workers
-        # inherit it; monkeypatch.setenv restores the pre-test state.
-        from repro.experiments import fig01_02
-        from repro.experiments.common import NETSIM_MODE_ENV
-
-        monkeypatch.setattr(fig01_02, "QUICK_SIDES", (4,))
-        monkeypatch.setenv(NETSIM_MODE_ENV, "des")
-        assert runner.main(["fig1_2", "--netsim-mode", "flow"]) == 0
-        assert os.environ[NETSIM_MODE_ENV] == "flow"
-        assert "fig1_2" in capsys.readouterr().out
+    def test_netsim_mode_flag_is_gone(self, capsys):
+        # fig7_8 and fig9 always replay through the DES.
+        with pytest.raises(SystemExit) as exit_:
+            runner.main(["fig7_8", "--netsim-mode", "flow"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --netsim-mode" in (
+            capsys.readouterr().err)
 
     def test_rejects_jobs_below_one(self):
         with pytest.raises(SystemExit):
@@ -131,6 +125,25 @@ class TestParallelRunner:
         assert set(parallel["timers"]) == set(serial["timers"])
         for exp_id in ("fig1_2", "fig5"):
             assert f"experiment.{exp_id}" in parallel["timers"]
+
+    def test_jobs_two_profile_renders_with_stats(self, tmp_path, capsys):
+        """A parallel sweep's profile is a baseline artifact ``repro-map
+        --stats`` renders: the per-experiment timers and the mapper
+        counters merged from both workers."""
+        from repro.cli import main as map_main
+
+        prof_file = tmp_path / "experiments.json"
+        assert runner.main(
+            ["all", "--jobs", "2", "--profile", str(prof_file)]) == 0
+        capsys.readouterr()
+        assert map_main(["--stats", str(prof_file)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("profile: repro-experiments fig1_2 fig5\n")
+        assert "jobs=2" in out
+        assert "phase wall times:" in out
+        for name in ("experiment.fig1_2", "experiment.fig5", "topolb.map",
+                     "topolb.cycles"):
+            assert f"  {name} " in out, name
 
     def test_jobs_flag_with_single_experiment_stays_serial(self, capsys):
         # One experiment never spins up a pool; the flag is simply recorded.

@@ -38,37 +38,6 @@ class TestZoo:
         assert row["anneal"] < row["topolb"]
 
 
-class TestObjectives:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return supplementary.run_objectives(quick=True, seed=0)
-
-    def test_each_optimizer_wins_its_metric(self, result):
-        for row in result.rows:
-            assert row["bokhari_card"] >= row["random_card"]
-            assert row["topolb_hpb"] <= row["random_hpb"]
-
-    def test_hop_bytes_wins_on_skewed(self, result):
-        row = next(r for r in result.rows if "skewed" in r["instance"])
-        assert row["topolb_hpb"] < row["bokhari_hpb"]
-
-
-class TestScaling:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return supplementary.run_scaling(quick=True, seed=0)
-
-    def test_rows_and_quality(self, result):
-        assert [r["processors"] for r in result.rows] == [64, 256, 576]
-        for row in result.rows:
-            assert row["topolb_o2_hpb"] == pytest.approx(1.0)
-            assert row["refine_hpb"] <= row["topolb_o2_hpb"] + 1e-9
-
-    def test_times_grow_with_p(self, result):
-        times = result.column("topolb_o2_s")
-        assert times[-1] > times[0]
-
-
 class TestBounds:
     @pytest.fixture(scope="class")
     def result(self):

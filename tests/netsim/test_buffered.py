@@ -228,18 +228,24 @@ class TestCli:
                    "--simulate-iters", "2", "--buffer-bytes", "2048"])
         assert rc == 0
         out = capsys.readouterr().out
-        for key in ("sim_p999_us", "sim_dropped", "sim_retransmits"):
+        for key in ("des_p999_us", "des_dropped", "des_retransmits",
+                    "des_buffer_drops"):
             assert key in out
 
     def test_buffer_bytes_requires_des_mode(self, tmp_path, capsys):
+        """The flow estimator has no buffer model, and no flag selects it
+        instead of the DES any more."""
         from repro.cli import main
         from repro.taskgraph import mesh2d_pattern, save_taskgraph
 
         path = tmp_path / "app.json"
         save_taskgraph(mesh2d_pattern(4, 4), path)
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["--taskgraph", str(path), "--topology", "torus:4x4",
                   "--netsim-mode", "flow", "--buffer-bytes", "1024"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --netsim-mode" in (
+            capsys.readouterr().err)
 
     def test_buffer_bytes_requires_a_replay(self, tmp_path, capsys):
         from repro.cli import main

@@ -10,7 +10,7 @@ Three layers of evidence pin :mod:`repro.netsim.flow`:
   graphs, mappings, bandwidths and latencies);
 * **the ranking** — Spearman rank correlation of flow vs DES makespans
   across a mapping pool stays >= 0.9 on the pinned validation instances
-  (the envelope ``--netsim-mode flow`` advertises).
+  (the envelope the engine's ``flow_*`` metrics advertise).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.netsim.flow import (
     FlowResult,
     _generic_link_loads,
     flow_evaluate,
-    flow_summary,
     spearman,
 )
 from repro.taskgraph import mesh2d_pattern, random_taskgraph
@@ -202,7 +201,7 @@ class TestMakespanLowerBound:
 
 
 class TestRankCorrelation:
-    """Pinned validity-envelope fixtures behind ``--netsim-mode flow``."""
+    """Pinned validity-envelope fixtures behind the ``flow_*`` metrics."""
 
     FIXTURES = [
         ("jacobi6x6-torus6x6",
@@ -261,18 +260,6 @@ class TestResultSurface:
         return flow_evaluate(_mapping(graph, topo, seed=0),
                              iterations=iterations)
 
-    def test_summary_shape(self):
-        flow = self._flow()
-        summary = flow_summary(flow, top=3)
-        assert summary["mode"] == "flow"
-        assert summary["links_used"] == flow.links_used > 0
-        assert summary["max_link_bytes"] == flow.max_link_bytes
-        assert 0.0 < summary["max_utilization"] <= 1.0 + 1e-9
-        assert len(summary["top_links"]) == 3
-        tops = [entry["bytes"] for entry in summary["top_links"]]
-        assert tops == sorted(tops, reverse=True)
-        assert tops[0] == pytest.approx(flow.max_link_bytes)
-
     def test_load_histogram(self):
         flow = self._flow()
         hist = flow.load_histogram(bins=5)
@@ -287,7 +274,6 @@ class TestResultSurface:
         flow = flow_evaluate(_mapping(graph, topo))
         assert flow.links_used == 0
         assert flow.total_bytes == 0.0
-        assert flow_summary(flow)["top_links"] == []
         assert flow.load_histogram()["counts"] == []
 
     def test_parameter_validation(self):

@@ -172,9 +172,9 @@ class TestProfileArtifact:
             obs.validate_profile(bad)
 
     def test_flow_summary_shape_accepted(self):
-        # The flow estimator embeds a different netsim block: "mode",
-        # a makespan lower bound, and per-link message counts in place
-        # of measured busy times (see repro.netsim.flow.flow_summary).
+        # Older profiles may carry a flow-estimator netsim block: "mode",
+        # a makespan lower bound, and per-link message counts in place of
+        # measured busy times. They must still validate and render.
         prof = obs.Profiler()
         doc = obs.build_profile(
             prof,

@@ -40,9 +40,28 @@ class TestReproMap:
     def test_lb_dump_input(self, tmp_path, capsys):
         dump = tmp_path / "dump.json"
         LBDatabase.from_taskgraph(mesh2d_pattern(3, 3)).dump(dump)
-        rc = main(["--taskgraph", str(dump), "--lb-dump",
+        rc = main(["--taskgraph", f"lbdump:{dump}",
                    "--topology", "mesh:3x3", "--strategy", "RandomLB"])
         assert rc == 0
+        report = dict(line.split(None, 1) for line in
+                      capsys.readouterr().out.splitlines())
+        assert report["num_objects"] == "9"
+
+    def test_generated_graph_spec(self, capsys):
+        rc = main(["--taskgraph", "mesh2d:4x4;bytes=256",
+                   "--topology", "torus:4x4"])
+        assert rc == 0
+        assert "num_objects" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [["--lb-dump"],
+                                      ["--netsim-mode", "flow"],
+                                      ["--netsim-mode", "des"]])
+    def test_removed_flags_are_usage_errors(self, graph_file, flag, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--taskgraph", str(graph_file), "--topology", "torus:4x4",
+                  *flag])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
     def test_list_strategies(self, capsys):
         assert main(["--list-strategies"]) == 0
@@ -98,7 +117,8 @@ class TestProfileAndStats:
 
         doc = obs.load_profile(prof_file)  # validates against the schema
         assert doc["format"] == "repro-profile-v1"
-        for timer in ("cli.load", "cli.map", "cli.simulate", "topolb.map"):
+        for timer in ("engine.load", "engine.map", "engine.netsim",
+                      "engine.flow", "topolb.map"):
             assert timer in doc["timers"], timer
         assert doc["counters"]["topolb.cycles"] == 16
         assert doc["context"]["strategy"] == "RefineTopoLB"
@@ -106,6 +126,8 @@ class TestProfileAndStats:
         # --profile defaults to one simulated iteration -> netsim section.
         assert doc["netsim"]["links_used"] > 0
         assert doc["netsim"]["top_links"]
+        assert doc["netsim"]["tail"]["delivered"] > 0
+        assert doc["command"].startswith("repro-map --taskgraph file:")
 
     def test_profile_without_simulation(self, graph_file, tmp_path, capsys):
         prof_file = tmp_path / "prof.json"
@@ -114,13 +136,13 @@ class TestProfileAndStats:
         assert rc == 0
         doc = json.loads(prof_file.read_text())
         assert "netsim" not in doc
-        assert "sim_time_us" not in capsys.readouterr().out
+        assert "des_makespan_us" not in capsys.readouterr().out
 
     def test_simulate_iters_without_profile(self, graph_file, capsys):
         rc = main(["--taskgraph", str(graph_file), "--topology", "torus:4x4",
                    "--simulate-iters", "2"])
         assert rc == 0
-        assert "sim_time_us" in capsys.readouterr().out
+        assert "des_makespan_us" in capsys.readouterr().out
 
     def test_negative_simulate_iters_rejected(self, graph_file):
         with pytest.raises(SystemExit):
@@ -145,40 +167,54 @@ class TestProfileAndStats:
         assert "topolb.cycles" in out
         assert "hottest links" in out
 
-    def test_flow_mode_profile_and_stats(self, graph_file, tmp_path, capsys):
+    def test_flow_mode_profile_and_stats(self, tmp_path, capsys):
+        """Profiles written with a flow-estimator netsim section, before
+        repro-map always replayed through the DES, still load and render."""
         from repro import obs
 
         prof_file = tmp_path / "prof.json"
-        rc = main(["--taskgraph", str(graph_file), "--topology", "torus:4x4",
-                   "--strategy", "RefineTopoLB", "--netsim-mode", "flow",
-                   "--simulate-iters", "4", "--profile", str(prof_file)])
-        assert rc == 0
-        capsys.readouterr()
+        obs.save_profile(obs.build_profile(
+            obs.Profiler(),
+            command="repro-map --strategy pipeline:inner=topolb;refine=on "
+                    "--topology torus:4x4 --seed 0",
+            netsim={
+                "mode": "flow",
+                "links_used": 2,
+                "total_bytes": 3072.0,
+                "max_link_bytes": 2048.0,
+                "mean_utilization": 0.75,
+                "max_utilization": 1.0,
+                "makespan_lower_bound_us": 20.8,
+                "top_links": [
+                    {"link": "0->1", "bytes": 2048.0, "messages": 8},
+                    {"link": "1->0", "bytes": 1024.0, "messages": 4},
+                ],
+            },
+        ), prof_file)
 
         doc = obs.load_profile(prof_file)  # validates against the schema
         assert doc["netsim"]["mode"] == "flow"
-        assert doc["netsim"]["makespan_lower_bound_us"] > 0
-        assert all("messages" in e for e in doc["netsim"]["top_links"])
-
         assert main(["--stats", str(prof_file)]) == 0
         out = capsys.readouterr().out
-        assert "makespan >=" in out
+        assert "makespan >= 20.8 us" in out
         assert "hottest links (bytes / messages):" in out
 
     def test_flow_mode_replay_on_a_larger_torus(self, tmp_path, capsys):
-        """RefineTopoLB on a 3-D torus, replayed through the flow estimator
-        without a profile."""
+        """RefineTopoLB on a 3-D torus: the flow estimator's scalars beside
+        a four-iteration DES replay, without a profile."""
         path = tmp_path / "app8x8.json"
         save_taskgraph(mesh2d_pattern(8, 8, message_bytes=1024), path)
         rc = main(["--taskgraph", str(path), "--topology", "torus:4x4x4",
-                   "--strategy", "RefineTopoLB", "--netsim-mode", "flow",
-                   "--simulate-iters", "4"])
+                   "--strategy", "RefineTopoLB", "--simulate-iters", "4"])
         assert rc == 0
         report = dict(line.split(None, 1) for line in
                       capsys.readouterr().out.splitlines())
-        assert report["sim_mode"] == "flow"
-        assert report["sim_iterations"] == "4"
-        assert float(report["sim_time_us"]) > 0
+        assert float(report["flow_makespan_lower_bound_us"]) > 0
+        assert float(report["flow_max_link_bytes"]) > 0
+        # The flow makespan is a lower bound on the DES one (one iteration
+        # against four here, so strictly below).
+        assert (float(report["flow_makespan_lower_bound_us"])
+                < float(report["des_makespan_us"]))
 
     def test_stats_missing_file(self, tmp_path, capsys):
         rc = main(["--stats", str(tmp_path / "absent.json")])
@@ -200,18 +236,23 @@ class TestProfileAndStats:
 @pytest.mark.parametrize("mode", ["des", "flow"])
 def test_indirect_network_end_to_end(topology, rows, cols, mode, tmp_path,
                                      capsys):
-    """Map, then replay three iterations through the DES or the flow
-    estimator, on the switch-level machines. Full validation of TopoLB on
-    the same machines is pinned by the golden corpus."""
+    """Map on the switch-level machines, then report the flow estimator's
+    scalars alone (``flow``) or beside a three-iteration DES replay
+    (``des``). Full validation of TopoLB on the same machines is pinned by
+    the golden corpus."""
     path = tmp_path / "app.json"
     save_taskgraph(mesh2d_pattern(rows, cols, message_bytes=1024), path)
+    replay = ["--simulate-iters", "3"] if mode == "des" else []
     rc = main(["--taskgraph", str(path), "--topology", topology,
-               "--strategy", "TopoLB", "--netsim-mode", mode,
-               "--simulate-iters", "3"])
+               "--strategy", "TopoLB", *replay])
     assert rc == 0
     report = dict(line.split(None, 1) for line in
                   capsys.readouterr().out.splitlines())
-    assert report["sim_mode"] == mode
-    assert report["sim_iterations"] == "3"
-    assert float(report["sim_time_us"]) > 0
+    assert float(report["flow_makespan_lower_bound_us"]) > 0
+    assert float(report["flow_links_used"]) > 0
+    if mode == "des":
+        assert float(report["des_makespan_us"]) > 0
+        assert float(report["des_delivered"]) > 0
+    else:
+        assert not any(key.startswith("des_") for key in report)
     assert float(report["hops_per_byte"]) > 1

@@ -120,4 +120,4 @@ class TestArchitectureDoc:
             graph=request.graph, topology=meta["topology"],
             mapper=meta["spec"], seed=meta["seed"]))
         assert (again.assignment == result.assignment).all()
-        assert meta["command"].startswith("repro-map --strategy ")
+        assert meta["command"].startswith("repro-map --taskgraph ")

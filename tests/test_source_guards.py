@@ -55,12 +55,27 @@ class TestStrategyResolution:
 
 
 def test_cli_and_lbsim_replay_go_through_engine():
-    """repro-map and the LBSim replay map and measure through the engine."""
+    """repro-map and the LBSim replay map and measure through the engine:
+    neither replays a network, round-trips an LB database or assembles a
+    profile of its own."""
     hits = _grep(
         r"metrics_block\(|NetworkSimulator\(|get_strategy\(",
         "cli.py", "runtime/simulation.py",
     )
+    hits += _grep(
+        r"replay_closed_loop|flow_evaluate|build_profile|obs\.enable"
+        r"|LBDatabase",
+        "cli.py",
+    )
     assert hits == []
+
+
+@pytest.mark.parametrize("rel", ["experiments", "cli.py"])
+def test_no_netsim_mode_knob(rel):
+    """How a network is evaluated is not a process-global knob: no
+    environment variable or mode switch picks the DES or the flow
+    estimator."""
+    assert _grep(r"REPRO_NETSIM_MODE|netsim_mode", rel) == []
 
 
 @pytest.mark.parametrize("rel", ["netsim", "cli.py"])
