@@ -248,7 +248,7 @@ _NETSIM_INT_KEYS = frozenset({"iterations", "max_retries", "seed"})
 
 
 def _netsim_metrics(
-    mapping, knobs: dict, summarize: bool = False
+    mapping, knobs: dict, summarize: bool = False, kernel: str | None = None
 ) -> tuple[dict[str, float], dict | None]:
     """DES-replay a mapping per ``MappingRequest.netsim``.
 
@@ -257,7 +257,8 @@ def _netsim_metrics(
     flattened into scalar ``des_*`` metrics a golden triple can pin. With
     ``summarize`` the second return value is the profile's ``netsim``
     section (the per-link load summary plus the tail summary); otherwise it
-    is ``None``.
+    is ``None``. ``kernel`` picks the simulator's body; only the full-tier
+    ``des-kernel-differential`` oracle passes ``"reference"``.
     """
     from repro.netsim.appsim import replay_closed_loop
     from repro.netsim.stats import link_summary, tail_summary
@@ -288,7 +289,7 @@ def _netsim_metrics(
     sim_kwargs = {k: v for k, v in knobs.items()
                   if k not in ("iterations", "overload_policy")}
     sim, result = replay_closed_loop(
-        mapping, int(knobs.get("iterations", 2)), **sim_kwargs
+        mapping, int(knobs.get("iterations", 2)), kernel=kernel, **sim_kwargs
     )
     tail = tail_summary(sim, iteration_times=result.iteration_times)
     metrics = {
@@ -408,6 +409,7 @@ class MappingEngine:
                         if isinstance(request.topology, str) else None,
                         seed=request.seed,
                         metrics=metrics,
+                        netsim=request.netsim,
                     )
 
             metadata: dict[str, object] = {

@@ -1,35 +1,45 @@
-"""On-demand compiled kernels for the mappers' and partitioners' production paths.
+"""On-demand compiled kernels for the mappers', partitioners' and DES's production paths.
 
-``repro.mapping.refine_kernel.c`` holds six scalar C functions: RefineTopoLB's
-cost table and one sweep with the incremental delta structure, the cycle
-loop of first- and second-order TopoLB, the per-cycle recentre-and-argmin
-pass of third-order TopoLB, and the two loops of the phase-1 partitioner —
-one graph-growing bisection over a range of an order array, and one FM
-refinement pass. This module compiles the file with the system C compiler
-(``cc``/``gcc``/``clang``) the first time it is needed, caches the shared
-object under the system temp directory keyed by a hash of the source and
-build flags, and loads it through :mod:`ctypes` — no
+One shared object is built from two C files. ``repro.mapping.refine_kernel.c``
+holds six scalar entry points: RefineTopoLB's cost table and one sweep with
+the incremental delta structure, the cycle loop of first- and second-order
+TopoLB, the per-cycle recentre-and-argmin pass of third-order TopoLB, and
+the two loops of the phase-1 partitioner — one graph-growing bisection over
+a range of an order array, and one FM refinement pass.
+``repro.netsim.des_kernel.c`` holds the discrete-event simulator's per-hop
+event core behind five entry points (create, free, run, fail a channel,
+read the link tables), wrapped by :class:`DesEngine`: eleven in all.
+
+This module compiles both files with the system C compiler
+(``cc``/``gcc``/``clang``) the first time they are needed,
+caches the shared object under the system temp directory keyed by a hash of
+the sources and build flags, and loads it through :mod:`ctypes` — no
 third-party build dependency. ``-ffp-contract=off`` keeps the C arithmetic
 bitwise identical to the Python reference bodies — no fused multiply-adds.
 
 Every call site is compiled or reference, with nothing in between: when
 :func:`kernels_or_fallback` returns ``None`` (no C compiler, a failed build,
 or ``REPRO_NO_NATIVE`` set) it runs its bit-identical reference body — the
-``kernel="reference"`` loops of RefineTopoLB and TopoLB, and the
-partitioner's walks over ``csr_lists``. The wrappers check each array's size
-and dtype once, when a run binds them, and pass raw pointers on every call.
+``kernel="reference"`` loops of RefineTopoLB and TopoLB, the partitioner's
+walks over ``csr_lists``, and the simulator's Python event loop. The
+wrappers check each array's size and dtype once, when a run binds them, and
+pass raw pointers on every call.
 """
 
 from __future__ import annotations
 
+import array
 import ctypes
 import hashlib
+import math
 import os
 import shutil
+import struct
 import subprocess
 import tempfile
 import threading
 import warnings
+import weakref
 
 import numpy as np
 
@@ -37,7 +47,9 @@ from repro import obs
 
 __all__ = ["load", "available", "kernels_or_fallback"]
 
-_SOURCE = os.path.join(os.path.dirname(__file__), "refine_kernel.c")
+_HERE = os.path.dirname(__file__)
+_SOURCES = (os.path.join(_HERE, "refine_kernel.c"),
+            os.path.join(os.path.dirname(_HERE), "netsim", "des_kernel.c"))
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 _lock = threading.Lock()
@@ -74,6 +86,14 @@ class NativeKernels:
         self._refine_pass = bind("partition_refine_pass", i64,
                                  i64, *[ptr] * 8, ctypes.c_double,
                                  *[ptr] * 3)
+        self._des = (
+            bind("des_new", ptr, i64, i64, ptr, i64, ptr, ptr,
+                 *[ctypes.c_double] * 4),
+            bind("des_free", None, ptr),
+            bind("des_run", i64, ptr),
+            bind("des_fail", i64, ptr, i64, i64, ptr),
+            bind("des_links", None, ptr, *[ptr] * 6),
+        )
 
     def refine_cost_table(self, indptr, indices, weights, assign,
                           dist) -> np.ndarray:
@@ -118,6 +138,14 @@ class NativeKernels:
         (see :class:`PartitionBisector`)."""
         return PartitionBisector(self._bisect, indptr, indices,
                                  vertex_weights, order)
+
+    def des_engine(self, nic_channels: int, saturation_depth: int,
+                   profiled: bool, bandwidth: float, alpha: float,
+                   capacity: float | None, nic_bandwidth: float | None,
+                   overrides: dict) -> "DesEngine":
+        """A fresh compiled DES core (see :class:`DesEngine`)."""
+        return DesEngine(self._des, nic_channels, saturation_depth, profiled,
+                         bandwidth, alpha, capacity, nic_bandwidth, overrides)
 
     def partition_refine_pass(self, indptr, indices, edge_weights,
                               vertex_weights, groups, loads, counts, perm,
@@ -309,6 +337,234 @@ class PartitionBisector:
         return na
 
 
+# Slots of the io[] array shared with des_kernel.c, and des_run's return
+# codes (see its enums).
+(_IO_LOG, _IO_PENDING, _IO_PROCESSED, _IO_CHX, _IO_CHY, _IO_HOPS, _IO_USED,
+ _IO_LIMIT, _IO_UNTIL, _IO_NCHANS, _IO_CHANS, _IO_NROUTES, _IO_ROUTES,
+ _IO_NOPS, _IO_OPS, _IO_SIZE) = range(16)
+_RC_STOP, _RC_PY, _RC_DELIVER, _RC_FAULT, _RC_OVERFLOW, _RC_LOGFULL = range(6)
+_OP_PY, _OP_SEND, _OP_INJECT = 0.0, 1.0, 2.0  # push kinds
+
+
+class DesEngine:
+    """The compiled event core of one :class:`~repro.netsim.NetworkSimulator`.
+
+    It is also the simulator's ``queue``, with the API of
+    :class:`~repro.netsim.eventqueue.EventQueue`: ``call``, ``schedule``,
+    ``run``, ``step``, ``now``, ``pending`` and ``processed``. A Python
+    callback is a heap record pointing to a ``(fn, args)`` slot kept here;
+    injections, head arrivals, transmission starts and link frees run in C.
+    Route sets and every push are buffered here, in arrays that io[]
+    always describes, and C applies them at the start of the next
+    ``des_run`` call; so C is entered once per return, not once per
+    message.
+
+    A channel is named by two ints: ``(a, b)`` for a link, ``(-1, p)`` and
+    ``(-2, p)`` for processor ``p``'s NIC channels; C interns each name on
+    first sight with the default parameters given here, or with the
+    bandwidth of ``overrides`` (``{(a, b): bandwidth}``). The simulator sets
+    two hooks:
+
+    * ``on_return(code, msg_id, hops)`` handles a message C hands back:
+      :attr:`DELIVER`, :attr:`FAULT` or :attr:`OVERFLOW` (the full channel
+      is :attr:`overflow_channel`); ``hops`` is its route length, NIC
+      channels excluded;
+    * ``on_log(rows)`` replays the telemetry rows ``[kind, x, y, a, b]``
+      (``profiled`` only) at every return, before any Python event runs.
+    """
+
+    DELIVER, FAULT, OVERFLOW = _RC_DELIVER, _RC_FAULT, _RC_OVERFLOW
+    _LOG_ROWS = 1024
+    _PACK_OP = struct.Struct("5d").pack_into
+
+    __slots__ = ("on_return", "on_log", "_fns", "_late", "_h", "_io", "_dio",
+                 "_log", "_slots", "_next_slot", "_chans", "_routes", "_ops",
+                 "_nsets", "__weakref__")
+
+    def __init__(self, fns, nic_channels, saturation_depth, profiled,
+                 bandwidth, alpha, capacity, nic_bandwidth, overrides):
+        from repro.netsim.eventqueue import schedule_error
+
+        self._fns = fns
+        self._late = schedule_error
+        self._io = (ctypes.c_int64 * _IO_SIZE)()
+        self._dio = (ctypes.c_double * 2)()
+        self._log = np.zeros((self._LOG_ROWS, 5)) if profiled else None
+        log = None if self._log is None else self._log.ctypes.data
+        handle = fns[0](nic_channels, saturation_depth, log, self._LOG_ROWS,
+                        ctypes.addressof(self._io),
+                        ctypes.addressof(self._dio), bandwidth, alpha,
+                        -1.0 if capacity is None else capacity,
+                        -1.0 if nic_bandwidth is None else nic_bandwidth)
+        if not handle:  # pragma: no cover - allocation failure inside C
+            raise MemoryError("des_new")
+        self._h = ctypes.c_void_p(handle)
+        weakref.finalize(self, fns[1], handle)
+        self._slots: dict[int, tuple] = {}
+        self._next_slot = self._nsets = 0
+        # Applied at the next des_run: link overrides (3 doubles each), route
+        # sets (int64 words) and pushes (5 doubles each); io[] holds each
+        # buffer's address and the count C has not applied yet.
+        self._chans = array.array("d", [v for (a, b), bw in overrides.items()
+                                        for v in (a, b, bw)])
+        self._io[_IO_NCHANS] = len(self._chans) // 3
+        self._io[_IO_CHANS] = self._chans.buffer_info()[0]
+        self._routes = array.array("q")
+        self._ops = np.empty(5 * 64)
+        self._io[_IO_OPS] = self._ops.ctypes.data
+        self.on_return = self.on_log = None
+
+    # ------------------------------------------------------ EventQueue API
+    @property
+    def now(self) -> float:
+        """Current simulation time (time of the last fired event)."""
+        return self._dio[0]
+
+    @property
+    def pending(self) -> int:
+        """Number of events not yet fired, of both kinds."""
+        return self._io[_IO_PENDING] + self._io[_IO_NOPS]
+
+    @property
+    def processed(self) -> int:
+        """Number of events fired so far, of both kinds."""
+        return self._io[_IO_PROCESSED]
+
+    def call(self, time: float, fn, *args) -> None:
+        """Fire ``fn(*args)`` at simulation ``time``."""
+        if not time >= self._dio[0]:
+            raise self._late(time, self._dio[0])
+        slot = self._next_slot
+        self._next_slot = slot + 1
+        self._slots[slot] = (fn, args)
+        self._push(_OP_PY, slot, 0.0, 0.0, time)
+
+    def schedule(self, time: float, callback) -> None:
+        """Fire ``callback()`` at simulation ``time``."""
+        self.call(float(time), callback)
+
+    def run(self, max_events: int | None = None,
+            until: float | None = None) -> float:
+        """Fire events as :meth:`EventQueue.run` does; return the final time."""
+        io, slots = self._io, self._slots
+        io[_IO_LIMIT] = -1 if max_events is None else max(int(max_events), 0)
+        io[_IO_UNTIL] = until is not None
+        self._dio[1] = math.inf if until is None else until
+        run_c, h, on_return = self._fns[2], self._h, self.on_return
+        profiled = self._log is not None
+        while True:
+            r = run_c(h)
+            if profiled and io[_IO_LOG]:
+                rows = self._log[:io[_IO_LOG]].tolist()
+                io[_IO_LOG] = 0
+                self.on_log(rows)
+            code = r & 7
+            if code == _RC_PY:
+                fn, args = slots.pop(r >> 3)
+                fn(*args)
+            elif code == _RC_STOP:
+                return self._dio[0]
+            elif code < _RC_LOGFULL:
+                on_return(code, r >> 3, io[_IO_HOPS])
+            elif code > _RC_LOGFULL:  # pragma: no cover - out of memory in C
+                raise MemoryError("des_run")
+
+    def step(self) -> bool:
+        """Fire exactly one event; False when the queue is empty."""
+        before = self._io[_IO_PROCESSED]
+        self.run(1)
+        return self._io[_IO_PROCESSED] != before
+
+    # ------------------------------------------------------ network state
+    @property
+    def overflow_channel(self) -> tuple[int, int]:
+        """The name of the full channel of the last :attr:`OVERFLOW`."""
+        return self._io[_IO_CHX], self._io[_IO_CHY]
+
+    def add_routes(self, routes: list[list[int]]) -> int:
+        """Intern one route set, each route a flat list of channel names
+        ``[x0, y0, x1, y1, ...]``; its id."""
+        words = self._routes
+        if not self._io[_IO_NROUTES]:
+            del words[:]  # applied already
+        words.append(len(routes))
+        for route in routes:
+            words.append(len(route) // 2)
+            words.fromlist(route)
+        self._io[_IO_NROUTES] = len(words)
+        self._io[_IO_ROUTES] = words.buffer_info()[0]
+        self._nsets += 1
+        return self._nsets - 1
+
+    def send(self, msg: int, size: float, route_set: int, time: float) -> None:
+        """Send message ``msg``: push its injection at ``time``, or, with
+        ``route_set`` < 0 (same processor), its delivery."""
+        if not time >= self._dio[0]:
+            raise self._late(time, self._dio[0])
+        io = self._io
+        n = io[_IO_NOPS]
+        if 5 * n == self._ops.size:
+            self._grow_ops()
+        self._PACK_OP(self._ops, 40 * n, _OP_SEND, msg, size, route_set, time)
+        io[_IO_NOPS] = n + 1
+
+    def inject(self, msg: int, time: float) -> None:
+        """Push a re-injection of a sent message at ``time``."""
+        if not time >= self._dio[0]:
+            raise self._late(time, self._dio[0])
+        self._push(_OP_INJECT, msg, 0.0, 0.0, time)
+
+    def fail(self, x: int, y: int, sent: int) -> list[int]:
+        """Fail channel ``(x, y)``: flag the message it carries as faulted
+        and return its evicted FIFO, oldest first (``sent`` bounds its
+        size)."""
+        self._sync()
+        evicted = (ctypes.c_int64 * max(sent, 1))()
+        return evicted[:_checked(self._fns[3](self._h, x, y, evicted))]
+
+    def links(self) -> list[tuple]:
+        """``(x, y, busy, bytes, max_queue, buffered)`` per used channel, in
+        first-use order."""
+        self._sync()
+        n = self._io[_IO_USED]
+        xs, ys, peaks = (np.empty(n, np.int64) for _ in range(3))
+        busy, carried, buffered = (np.empty(n) for _ in range(3))
+        self._fns[4](self._h, *(a.ctypes.data for a in (
+            xs, ys, busy, carried, peaks, buffered)))
+        return list(zip(xs.tolist(), ys.tolist(), busy.tolist(),
+                        carried.tolist(), peaks.tolist(), buffered.tolist()))
+
+    def _push(self, kind: float, a, b, c, time: float) -> None:
+        """Buffer one push: a Python record, a send or a re-injection (the
+        hot :meth:`send` inlines this)."""
+        io = self._io
+        n = io[_IO_NOPS]
+        if 5 * n == self._ops.size:
+            self._grow_ops()
+        self._PACK_OP(self._ops, 40 * n, kind, a, b, c, time)
+        io[_IO_NOPS] = n + 1
+
+    def _grow_ops(self) -> None:
+        self._ops = np.concatenate((self._ops, self._ops))
+        self._io[_IO_OPS] = self._ops.ctypes.data
+
+    def _sync(self) -> None:
+        """Let C apply the buffered work without firing an event."""
+        io = self._io
+        run_limits = io[_IO_LIMIT], io[_IO_UNTIL]  # of a run this may be in
+        io[_IO_LIMIT] = io[_IO_UNTIL] = 0
+        if self._fns[2](self._h) & 7 > _RC_LOGFULL:  # pragma: no cover
+            raise MemoryError("des_run")
+        io[_IO_LIMIT], io[_IO_UNTIL] = run_limits
+
+
+def _checked(rc: int) -> int:
+    """``rc``, unless it is the C side's out-of-memory -1."""
+    if rc < 0:  # pragma: no cover - allocation failure inside C
+        raise MemoryError("des_kernel allocation")
+    return rc
+
+
 def _ptr(arr: np.ndarray, dtype, size: int, name: str, out: bool = False) -> int:
     """Raw data pointer of a C-contiguous ``dtype`` array of ``size``."""
     if not (arr.dtype == dtype and arr.flags.c_contiguous and arr.size == size
@@ -358,32 +614,36 @@ def _cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
 
 
-def _build() -> NativeKernels:
+def _build(extra_flags: tuple[str, ...] = (),
+           outdir: str | None = None) -> NativeKernels:
+    """Compile the sources (or reuse the cached object) and load them.
+
+    ``extra_flags`` and ``outdir`` let the sanitizer test build an
+    instrumented copy into a temporary directory; production builds use
+    neither."""
     cc = _compiler()
     if cc is None:
         raise RuntimeError("no C compiler (cc, gcc or clang) on PATH")
-    with open(_SOURCE, "rb") as fh:
-        source = fh.read()
-    key = hashlib.sha256(
-        source + repr((_CFLAGS, os.path.basename(cc))).encode()
-    ).hexdigest()[:16]
-    outdir = _cache_dir()
+    flags = (*_CFLAGS, *extra_flags)
+    digest = hashlib.sha256(repr((flags, os.path.basename(cc))).encode())
+    for path in _SOURCES:
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+    outdir = outdir or _cache_dir()
     os.makedirs(outdir, exist_ok=True)
-    so_path = os.path.join(outdir, f"refine_kernel_{key}.so")
+    so_path = os.path.join(outdir, f"repro_kernels_{digest.hexdigest()[:16]}.so")
     if not os.path.exists(so_path):
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=outdir)
         os.close(fd)
         try:
-            subprocess.run(
-                [cc, *_CFLAGS, "-o", tmp, _SOURCE],
-                check=True, capture_output=True, timeout=120,
-            )
+            subprocess.run([cc, *flags, "-o", tmp, *_SOURCES],
+                           check=True, capture_output=True, timeout=120)
             os.replace(tmp, so_path)  # atomic: concurrent builds both win
         except subprocess.CalledProcessError as exc:
             tail = exc.stderr.decode(errors="replace").strip()[-800:]
             raise RuntimeError(
-                f"{os.path.basename(cc)} failed to compile "
-                f"{os.path.basename(_SOURCE)} (exit {exc.returncode}): {tail}"
+                f"{os.path.basename(cc)} failed to compile the kernels "
+                f"(exit {exc.returncode}): {tail}"
             ) from None
         finally:
             if os.path.exists(tmp):

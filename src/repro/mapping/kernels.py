@@ -19,13 +19,21 @@ one reference oracle for their inner loops:
     pseudocode; the equivalence suite and the ``BENCH_kernels_*.json``
     before/after profiles are both recorded against this path.
 
-The kernel is the mapper's business, not the caller's: no request, spec,
-HTTP body or CLI flag selects it. Mappers take ``kernel=None`` to mean
-:data:`DEFAULT_KERNEL`, and the production body falls back to the reference
-body by itself when the compiled loops are unavailable. ``"reference"`` is
-built explicitly in two places only: the full-tier ``kernel-differential``
-oracle (through :meth:`repro.engine.specs.ParsedSpec.build`) and the tests.
-See ``docs/PERFORMANCE.md`` for the kernel design notes.
+The network simulator (:class:`~repro.netsim.NetworkSimulator`) has the
+same two bodies: ``"vectorized"`` runs the per-hop events in the compiled
+event core (``repro/netsim/des_kernel.c``), ``"reference"`` the Python
+event loop, bit-identical (``tests/netsim/test_des_digest.py`` replays its
+pinned cases under both).
+
+The kernel is the code's business, not the caller's: no request, spec,
+HTTP body or CLI flag selects it. Mappers and the simulator take
+``kernel=None`` to mean :data:`DEFAULT_KERNEL`, and the production body
+falls back to the reference body by itself when the compiled loops are
+unavailable. ``"reference"`` is built explicitly in two places only: the
+full-tier ``kernel-differential`` and ``des-kernel-differential`` oracles
+(through :meth:`repro.engine.specs.ParsedSpec.build` and the engine's
+replay) and the tests. See ``docs/PERFORMANCE.md`` for the kernel design
+notes.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ show that hop-byte reductions translate into lower message latencies and
 faster completion, especially as link bandwidth shrinks and contention sets
 in. This package provides the equivalent machinery:
 
-* :class:`EventQueue` — deterministic binary-heap DES core,
+* :class:`EventQueue` — deterministic binary-heap DES core (the reference
+  body; the production body runs the per-hop events in a compiled event
+  core with the same API, see :mod:`repro.netsim.simulator`),
 * :class:`NetworkSimulator` — per-link FIFO contention with virtual
   cut-through forwarding over dimension-ordered or adaptive routes, an
   optional per-node NIC bottleneck, finite tail-drop buffers with seeded

@@ -77,7 +77,8 @@ class IterativeApplication:
         Per-neighbor per-iteration message size. ``None`` derives it from the
         task graph: each undirected edge of weight ``w`` carries ``w/2`` per
         direction per iteration (matching the pattern generators, which store
-        ``2 * message_bytes`` per edge).
+        ``2 * message_bytes`` per edge); a zero-weight edge carries no
+        traffic, so it sends no message and no task waits on it.
     compute_time:
         Per-iteration compute cost in microseconds (scalar, or per-task
         array). The paper keeps this low so communication dominates.
@@ -106,11 +107,13 @@ class IterativeApplication:
             raise SimulationError("compute_time must be non-negative")
 
         # Per-task outgoing message sizes, aligned with the CSR neighbor
-        # lists. The per-message state below is kept in Python lists: the
-        # replay reads it one element at a time.
+        # lists of the edges that carry traffic. The per-message state below
+        # is kept in Python lists: the replay reads it one element at a time.
         indptr, indices, weights = graph.csr_arrays()
         if message_bytes is None:
-            sizes = weights / 2.0
+            sends = weights > 0
+            indptr = np.concatenate(([0], np.cumsum(sends)))[indptr]
+            indices, sizes = indices[sends], weights[sends] / 2.0
         else:
             if message_bytes <= 0:
                 raise SimulationError(f"message_bytes must be positive, got {message_bytes}")
@@ -120,11 +123,12 @@ class IterativeApplication:
         self._msg_sizes = sizes.tolist()
         self._assign = mapping.assignment.tolist()
 
-        # Execution state.
+        # Execution state. Edges are symmetric, so a task receives one
+        # message per neighbour it sends to.
         self._cur_iter = [0] * n
         self._compute_done = [False] * n
         self._arrived: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
-        self._expected = graph.degrees().tolist()
+        self._expected = np.diff(indptr).tolist()
         self._finished = 0
         self._iter_remaining = [n] * self._iterations
         self._iter_finish = np.zeros(self._iterations, dtype=np.float64)

@@ -17,7 +17,17 @@ from collections.abc import Callable
 
 from repro.exceptions import SimulationError
 
-__all__ = ["EventQueue"]
+__all__ = ["EventQueue", "schedule_error"]
+
+
+def schedule_error(time: float, now: float) -> SimulationError:
+    """The error for an event at ``time`` scheduled at ``now`` when
+    ``not time >= now``: a NaN time or a causality violation."""
+    if math.isnan(time):
+        return SimulationError(f"cannot schedule an event at t={time}")
+    return SimulationError(
+        f"causality violation: scheduling at t={time} < now={now}"
+    )
 
 
 class EventQueue:
@@ -47,11 +57,7 @@ class EventQueue:
         raises :class:`~repro.exceptions.SimulationError`.
         """
         if not time >= self.now:  # also true for NaN
-            if math.isnan(time):
-                raise SimulationError(f"cannot schedule an event at t={time}")
-            raise SimulationError(
-                f"causality violation: scheduling at t={time} < now={self.now}"
-            )
+            raise schedule_error(time, self.now)
         heapq.heappush(self._heap, (time, self._seq, fn, args))
         self._seq += 1
 

@@ -114,11 +114,14 @@ def _directed_messages(
     """(src_proc, dst_proc, size) for every directed inter-task message of
     one iteration — both directions of each undirected task edge, matching
     :class:`~repro.netsim.appsim.IterativeApplication`'s traffic (each edge
-    of weight ``w`` carries ``w/2`` per direction unless overridden)."""
+    of weight ``w`` carries ``w/2`` per direction unless overridden, and a
+    zero-weight edge sends nothing)."""
     u, v, w = mapping.graph.edge_arrays()
     assign = np.asarray(mapping.assignment)
     if message_bytes is None:
         sizes = np.asarray(w, dtype=np.float64) / 2.0
+        sends = sizes > 0
+        u, v, sizes = u[sends], v[sends], sizes[sends]
     else:
         if message_bytes <= 0:
             raise SimulationError(

@@ -20,6 +20,20 @@ cross many links, multiplying the per-link offered load; once a link's
 utilization saturates, FIFO queues grow and latencies blow up — exactly the
 Figure 7 behaviour. Messages between tasks on the same processor bypass the
 network for a fixed small ``local_latency``.
+
+Two bodies run this model, bit-identically. The production body
+(``kernel="vectorized"``, the default) keeps the per-hop events —
+injection with the adaptive route choice, head arrivals, transmission
+starts and link frees — in a compiled event core,
+:class:`repro.mapping._native.DesEngine` over ``des_kernel.c``, which is
+also ``sim.queue``. Python keeps everything that calls back or draws a
+random number: the caller's events, deliveries, buffer overflows and their
+seeded retransmits, faults, the watchdog, and routes, which still come
+from :meth:`Topology.route_links` and are interned the first time
+:meth:`send` sees a ``(src, dst)`` pair. The reference body
+(``kernel="reference"``, and the fallback without a C compiler) is the
+Python event loop below: :class:`EventQueue` and the ``_head_arrival`` /
+``_start_transmission`` / ``_link_free`` methods.
 """
 
 from __future__ import annotations
@@ -28,11 +42,13 @@ import enum
 import math
 from collections import deque
 from collections.abc import Callable
+from itertools import chain
 
 import numpy as np
 
 from repro import obs
 from repro.exceptions import SimulationError
+from repro.mapping.kernels import resolve_kernel
 from repro.netsim.eventqueue import EventQueue
 from repro.netsim.messages import Message, MessageStats
 from repro.topology.base import Topology
@@ -54,6 +70,22 @@ def channel_name(channel: tuple) -> str:
     if isinstance(channel[0], str):
         return f"{channel[0]}:{channel[1]}"
     return f"{channel[0]}->{channel[1]}"
+
+
+#: The compiled body names a channel by two ints: ``(a, b)`` for a link,
+#: ``(-1, p)`` / ``(-2, p)`` for processor ``p``'s NIC channels.
+_NIC_KINDS = {"nic_out": -1, "nic_in": -2}
+
+
+def _channel_key(channel: tuple) -> tuple[int, int]:
+    """The compiled body's two-int name of ``channel``."""
+    kind, node = channel
+    return (_NIC_KINDS[kind], node) if isinstance(kind, str) else channel
+
+
+def _channel_of(x: int, y: int) -> tuple:
+    """The channel tuple of the compiled body's name ``(x, y)``."""
+    return (x, y) if x >= 0 else ("nic_out" if x == -1 else "nic_in", y)
 
 
 class RoutingPolicy(enum.Enum):
@@ -164,6 +196,11 @@ class NetworkSimulator:
         drops) happened for a full window while events kept firing — so a
         drop/retry loop cannot spin forever. The same setting arms the
         post-run drain check (see :meth:`run`).
+    kernel:
+        ``None`` or ``"vectorized"``: the compiled body (falling back to
+        the reference body, counted and warned once, without a C
+        compiler); ``"reference"``: the Python event loop. Only tests and
+        the full-tier ``des-kernel-differential`` oracle pass it.
 
     Fault injection is deterministic: :meth:`schedule_link_failure` and
     :meth:`schedule_node_failure` go through the event queue, and recovery
@@ -197,6 +234,7 @@ class NetworkSimulator:
         retry_jitter: float = 0.0,
         seed: int = 0,
         stall_window: float | None = None,
+        kernel: str | None = None,
     ):
         # Every real knob must be finite: a NaN would otherwise flow into
         # event times and fire out of order. Checked once, here, so the
@@ -244,15 +282,32 @@ class NetworkSimulator:
         self._routing = RoutingPolicy(routing)
         # NIC channels wrap every network route, and do not count as hops.
         self._nic_channels = 0 if self._nic_bandwidth is None else 2
-        self.queue = EventQueue()
+        self._prof = obs.active()
+        # The compiled body runs the per-hop events in C (see
+        # des_kernel.c) and is also the event queue.
+        self._engine = None
+        if resolve_kernel(kernel) == "vectorized":
+            from repro.mapping._native import kernels_or_fallback
+
+            native = kernels_or_fallback()
+            if native is not None:
+                self._engine = native.des_engine(
+                    self._nic_channels, _SATURATION_DEPTH,
+                    self._prof is not None, self._bandwidth, self._alpha,
+                    self._buffer_bytes, self._nic_bandwidth,
+                    self._link_bandwidths)
+                self._engine.on_return = self._on_return
+                self._engine.on_log = self._replay_log
+        self.queue = self._engine if self._engine is not None else EventQueue()
         self._links: dict[tuple, _Link] = {}
+        # (src * num_procs + dst) -> the compiled body's route set id
+        self._route_sets: dict[int, int] = {}
         # Routes are tuples of channel tuples: all-atomic, so the cyclic
         # garbage collector stops tracking them.
         self._routes: dict[tuple[int, int], tuple] = {}
         self._route_choices: dict[tuple[int, int], list[tuple]] = {}
         self._next_id = 0
         self.stats = MessageStats()
-        self._prof = obs.active()
         # Fault-injection state (see fail_link / fail_node / _on_fault).
         self._max_retries = int(max_retries)
         self._unroutable_policy = unroutable_policy
@@ -260,10 +315,11 @@ class NetworkSimulator:
         self._failed_nodes: set[int] = set()
         self._seed = int(seed)
         self._rng = None  # lazily built np.random.Generator for retry jitter
-        # Every message from send() until delivery or final drop; lets the
-        # watchdog name the oldest stuck message and the drain check detect
-        # wedges (queue empty but traffic undelivered).
-        self._inflight: dict[int, Message] = {}
+        # Every message, with its delivery callback, from send() until
+        # delivery or final drop; lets the watchdog name the oldest stuck
+        # message and the drain check detect wedges (queue empty but
+        # traffic undelivered).
+        self._inflight: dict[int, tuple[Message, Callable | None]] = {}
         self._watch_mark = -1
         self._watchdog_armed = False
 
@@ -387,6 +443,23 @@ class NetworkSimulator:
         self._links[channel] = link
         return link
 
+    def _route_set(self, src: int, dst: int) -> int:
+        """Intern the compiled body's route set for ``src -> dst``: the DOR
+        route, or the adaptive candidates, as flat channel names (see
+        :func:`_channel_key`)."""
+        if self._routing is RoutingPolicy.ADAPTIVE:
+            routes = [[v for ch in route for v in _channel_key(ch)]
+                      for route in self._route_choices_for((src, dst))]
+        else:
+            route = list(chain.from_iterable(
+                self._topology.route_links(src, dst)))
+            if self._nic_bandwidth is not None:
+                route = [-1, src, *route, -2, dst]
+            routes = [route]
+        route_set = self._engine.add_routes(routes)
+        self._route_sets[src * self._num_procs + dst] = route_set
+        return route_set
+
     # ------------------------------------------------------------------ send
     def send(
         self,
@@ -413,14 +486,25 @@ class NetworkSimulator:
                 f"send endpoints must be processors in [0, {self._num_procs}), "
                 f"got {src} -> {dst}"
             )
-        msg = Message(self._next_id, src, dst, size_bytes, send_time)
-        self._next_id += 1
-        self._inflight[msg.msg_id] = msg
+        msg_id = self._next_id
+        msg = Message(msg_id, src, dst, size_bytes, send_time)
+        self._next_id = msg_id + 1
+        self._inflight[msg_id] = (msg, on_delivery)
         if self._prof is not None:
             self._prof.count("netsim.messages")
             if msg.src == msg.dst:
                 self._prof.count("netsim.local_messages")
 
+        engine = self._engine
+        if engine is not None:
+            if src == dst:
+                engine.send(msg_id, size_bytes, -1, send_time + self._local)
+            else:
+                route_set = self._route_sets.get(src * self._num_procs + dst)
+                if route_set is None:
+                    route_set = self._route_set(src, dst)
+                engine.send(msg_id, size_bytes, route_set, send_time)
+            return msg
         if msg.src == msg.dst:  # same processor: no network involved
             self.queue.call(send_time + self._local, self._deliver, msg, on_delivery)
             return msg
@@ -550,7 +634,14 @@ class NetworkSimulator:
         self.stats.retransmits += 1
         if self._prof is not None:
             self._prof.count(counter)
-        self.queue.call(self.queue.now + delay, self._inject, msg, on_delivery)
+        self._reinject(self.queue.now + delay, msg, on_delivery)
+
+    def _reinject(self, time: float, msg: Message, on_delivery) -> None:
+        """Inject ``msg`` again at ``time`` (a retransmit or a reroute)."""
+        if self._engine is not None:
+            self._engine.inject(msg.msg_id, time)
+        else:
+            self.queue.call(time, self._inject, msg, on_delivery)
 
     def _deliver(self, msg: Message, on_delivery) -> None:
         if msg.faulted:
@@ -667,6 +758,11 @@ class NetworkSimulator:
         if channel in self._failed_channels:
             return
         self._failed_channels.add(channel)
+        if self._engine is not None:
+            for msg_id in self._engine.fail(*_channel_key(channel),
+                                            self._next_id):
+                self._on_fault(*self._inflight[msg_id])
+            return
         link = self._links.get(channel)
         if link is None:
             return
@@ -707,7 +803,7 @@ class NetworkSimulator:
             # healthy candidate).
             if self._prof is not None:
                 self._prof.count("netsim.reroutes")
-            self.queue.call(self.queue.now, self._inject, msg, on_delivery)
+            self._reinject(self.queue.now, msg, on_delivery)
             return
         # No route around it: end-to-end retransmit with exponential backoff.
         self._retransmit(msg, on_delivery, "netsim.retries", 0.0)
@@ -738,9 +834,8 @@ class NetworkSimulator:
         return self.stats.count + self.stats.dropped
 
     def _oldest_inflight(self) -> Message:
-        return min(
-            self._inflight.values(), key=lambda m: (m.send_time, m.msg_id)
-        )
+        return min((msg for msg, _ in self._inflight.values()),
+                   key=lambda m: (m.send_time, m.msg_id))
 
     def _watchdog_tick(self) -> None:
         self._watchdog_armed = False
@@ -794,30 +889,72 @@ class NetworkSimulator:
                 f"message {oldest.msg_id} ({oldest.src} -> {oldest.dst}, "
                 f"sent at t={oldest.send_time}, attempts={oldest.attempts})"
             )
-        if self._prof is not None and self._links:
+        rows = self._link_rows() if self._prof is not None else None
+        if rows:
             # Per-run load summary so profiles capture link telemetry even
             # when the caller never touches the simulator again (e.g. the
             # experiment harnesses).
-            loads = [v.bytes_carried for v in self._links.values()]
+            loads = [row[2] for row in rows]
             self._prof.event(
                 "netsim.run_complete",
                 time_us=end,
-                links_used=len(self._links),
+                links_used=len(rows),
                 total_bytes=float(sum(loads)),
                 max_link_bytes=float(max(loads)),
-                max_queue_depth=int(max(v.max_queue for v in self._links.values())),
+                max_queue_depth=int(max(row[3] for row in rows)),
             )
         return end
 
+    # ------------------------------------------------------ compiled body
+    def _on_return(self, code: int, msg_id: int, hops: int) -> None:
+        """A message the compiled body hands back to Python."""
+        msg, on_delivery = self._inflight[msg_id]
+        msg.hops = hops
+        engine = self._engine
+        if code == engine.DELIVER:
+            self._deliver(msg, on_delivery)
+        elif code == engine.FAULT:
+            self._on_fault(msg, on_delivery)
+        else:
+            self._on_overflow(msg, _channel_of(*engine.overflow_channel),
+                              on_delivery)
+
+    def _replay_log(self, rows: list) -> None:
+        """Record the compiled body's telemetry rows as _head_arrival and
+        _start_transmission record it."""
+        prof = self._prof
+        for kind, x, y, a, b in rows:
+            channel = _channel_of(int(x), int(y))
+            if kind == 0:  # a transmission start at a, carrying b bytes
+                prof.count("netsim.transmissions")
+                prof.sample(f"link_bytes:{channel_name(channel)}", a, b)
+                continue
+            depth = int(a)  # an enqueue at time b
+            prof.count("netsim.enqueues")
+            prof.count_max("netsim.max_queue_depth", depth)
+            if kind == 2:  # ... that saturated the link
+                prof.count("netsim.saturation_events")
+                prof.event("netsim.link_saturated", time_us=b,
+                           link=channel_name(channel), depth=depth)
+
     # ----------------------------------------------------------------- stats
+    def _link_rows(self) -> list[tuple]:
+        """``(channel, busy, bytes, max_queue, buffered)`` per used channel,
+        in first-use order."""
+        if self._engine is not None:
+            return [(_channel_of(x, y), *rest)
+                    for x, y, *rest in self._engine.links()]
+        return [(k, v.busy_time, v.bytes_carried, v.max_queue,
+                 v.buffered_bytes) for k, v in self._links.items()]
+
     def link_busy_times(self) -> dict[tuple[int, int], float]:
         """Accumulated occupancy per directed link (microseconds)."""
-        return {k: v.busy_time for k, v in self._links.items()}
+        return {row[0]: row[1] for row in self._link_rows()}
 
     def link_bytes(self) -> dict[tuple[int, int], float]:
         """Payload bytes carried per directed link."""
-        return {k: v.bytes_carried for k, v in self._links.items()}
+        return {row[0]: row[2] for row in self._link_rows()}
 
     def link_queue_peaks(self) -> dict[tuple[int, int], int]:
         """Deepest FIFO backlog each directed link ever accumulated."""
-        return {k: v.max_queue for k, v in self._links.items()}
+        return {row[0]: row[3] for row in self._link_rows()}

@@ -351,6 +351,67 @@ def _check_kernel_differential(s: _Session, mapper_spec: str | None,
     s.record("kernel-differential", "ok")
 
 
+def _des_replay_skipped(s: _Session, invariant: str, netsim: dict | None,
+                        metrics: dict | None) -> bool:
+    """Record ``invariant`` skipped unless the request replayed the DES."""
+    if netsim is None:
+        s.record(invariant, "skipped", "the request carries no netsim replay")
+        return True
+    if metrics is None or "des_makespan_us" not in metrics:
+        s.record(invariant, "skipped", "no des_* metrics recorded")
+        return True
+    return False
+
+
+def _check_des_kernel_differential(s: _Session, netsim: dict | None,
+                                   metrics: dict | None) -> None:
+    from repro.engine.core import _netsim_metrics
+    from repro.mapping.base import Mapping
+
+    invariant = "des-kernel-differential"
+    if _des_replay_skipped(s, invariant, netsim, metrics):
+        return
+    # The request replayed on the production body; replay it on the
+    # reference event loop, which must agree bit for bit.
+    mapping = Mapping(s.graph, s.topology, s.assignment)
+    replayed, _ = _netsim_metrics(mapping, netsim, kernel="reference")
+    differ = [key for key, value in replayed.items()
+              if float(metrics.get(key, np.nan)).hex() != float(value).hex()]
+    if differ:
+        key = differ[0]
+        s.record(
+            invariant, "violated",
+            f"the reference DES body differs on {differ} (first: {key} = "
+            f"{replayed[key]!r}, production body {metrics.get(key)!r})",
+        )
+        return
+    s.record(invariant, "ok")
+
+
+def _check_flow_bound_below_des(s: _Session, netsim: dict | None,
+                                metrics: dict | None) -> None:
+    from repro.mapping.base import Mapping
+    from repro.netsim.flow import flow_evaluate
+
+    invariant = "flow-bound-below-des"
+    if _des_replay_skipped(s, invariant, netsim, metrics):
+        return
+    # The flow estimator's makespan lower bound at the request's own knobs
+    # must not exceed what the DES measured.
+    knobs = {k: netsim[k] for k in ("bandwidth", "alpha") if k in netsim}
+    flow = flow_evaluate(Mapping(s.graph, s.topology, s.assignment),
+                         iterations=int(netsim.get("iterations", 2)), **knobs)
+    makespan = metrics["des_makespan_us"]
+    if not flow.makespan_lower_bound <= makespan * (1 + _RTOL):
+        s.record(
+            invariant, "violated",
+            f"flow makespan lower bound {flow.makespan_lower_bound!r} us "
+            f"exceeds the DES makespan {makespan!r} us",
+        )
+        return
+    s.record(invariant, "ok")
+
+
 def _check_spec_rebuild(s: _Session, mapper_spec: str | None,
                         seed: int | None) -> None:
     from repro.engine.specs import canonical_mapper_spec
@@ -501,6 +562,7 @@ def validate_mapping(
     topology_spec: str | None = None,
     seed: int | None = None,
     metrics: dict | None = None,
+    netsim: dict | None = None,
     raise_on_violation: bool = True,
 ) -> ValidationReport:
     """Run the invariant tier ``level`` against one produced assignment.
@@ -509,7 +571,10 @@ def validate_mapping(
     oracle (a handful of O(edges) gathers). ``full`` additionally re-runs
     the mapper on the reference kernel and from its canonical spec, checks
     link-load conservation, the SubTopology distance oracle, and the
-    metamorphic properties. ``off`` returns an empty report.
+    metamorphic properties; when the request replayed the DES (``netsim``,
+    its knobs, with the ``des_*`` entries of ``metrics``) it replays again
+    on the reference event loop and checks the flow bound against the DES
+    makespan. ``off`` returns an empty report.
 
     When ``raise_on_violation`` (the default) any violation raises a
     :class:`~repro.exceptions.ValidationError` carrying the invariant name,
@@ -562,6 +627,8 @@ def validate_mapping(
         _check_link_load_conservation(s)
         _check_kernel_differential(s, mapper_spec, seed)
         _check_spec_rebuild(s, mapper_spec, seed)
+        _check_des_kernel_differential(s, netsim, metrics)
+        _check_flow_bound_below_des(s, netsim, metrics)
         _check_subtopology_distances(s)
         _check_relabel_invariance(s, seed)
         _check_scale_invariance(s)

@@ -205,3 +205,34 @@ class TestMappingEffects:
         mapping = IdentityMapper().map(pattern8x8, torus8x8)
         result = run_app(mapping, iterations=4)
         assert result.time_per_iteration == pytest.approx(result.total_time / 4)
+
+
+class TestZeroByteEdges:
+    """A zero-weight edge carries no traffic: the replay sends nothing on it
+    and no task waits for it, so it changes no bit of the run."""
+
+    @staticmethod
+    def _replay(graph, assignment, kernel):
+        mapping = Mapping(graph, Torus((4, 4)), assignment)
+        sim = NetworkSimulator(mapping.topology, bandwidth=50.0,
+                               buffer_bytes=4096.0, max_retries=64,
+                               retry_jitter=0.5, seed=3,
+                               unroutable_policy="drop", kernel=kernel)
+        result = IterativeApplication(mapping, sim, iterations=3).run()
+        # repr keeps every float bit.
+        return repr({
+            "stats": sim.stats.snapshot(),
+            "link_bytes": sim.link_bytes(),
+            "busy": sim.link_busy_times(),
+            "peaks": sim.link_queue_peaks(),
+            "finish": result.iteration_finish_times.tolist(),
+            "processed": sim.queue.processed,
+        })
+
+    def test_zero_edges_change_nothing(self, kernel):
+        base = mesh2d_pattern(4, 4, message_bytes=2048.0)
+        with_zeros = TaskGraph(
+            16, [*base.edges(), (0, 15, 0.0), (5, 10, 0.0), (3, 12, 0.0)])
+        assignment = RandomMapper(seed=2).map(base, Torus((4, 4))).assignment
+        assert (self._replay(with_zeros, assignment, kernel)
+                == self._replay(base, assignment, kernel))

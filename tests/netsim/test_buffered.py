@@ -24,24 +24,26 @@ def _random_load(sim, n=200, max_size=4000, nodes=16, seed=1):
 
 
 class TestConstruction:
-    def test_buffer_knobs_validated(self):
+    def test_buffer_knobs_validated(self, kernel):
         topo = Mesh((4,))
         with pytest.raises(SimulationError, match="buffer_bytes"):
-            NetworkSimulator(topo, buffer_bytes=0.0)
+            NetworkSimulator(topo, buffer_bytes=0.0, kernel=kernel)
         with pytest.raises(SimulationError, match="buffer_bytes"):
-            NetworkSimulator(topo, buffer_bytes=float("inf"))
+            NetworkSimulator(topo, buffer_bytes=float("inf"), kernel=kernel)
         with pytest.raises(SimulationError, match="retry_jitter"):
-            NetworkSimulator(topo, retry_jitter=-1.0)
+            NetworkSimulator(topo, retry_jitter=-1.0, kernel=kernel)
         with pytest.raises(SimulationError, match="stall_window"):
-            NetworkSimulator(topo, stall_window=0.0)
-        assert NetworkSimulator(topo, buffer_bytes=1024.0).buffer_bytes == 1024.0
-        assert NetworkSimulator(topo).buffer_bytes is None
+            NetworkSimulator(topo, stall_window=0.0, kernel=kernel)
+        sim = NetworkSimulator(topo, buffer_bytes=1024.0, kernel=kernel)
+        assert sim.buffer_bytes == 1024.0
+        assert NetworkSimulator(topo, kernel=kernel).buffer_bytes is None
 
 
 class TestDropPolicy:
-    def test_overflow_drops_and_retransmits_to_delivery(self):
+    def test_overflow_drops_and_retransmits_to_delivery(self, kernel):
         sim = NetworkSimulator(Torus((4, 4)), bandwidth=50.0,
-                               buffer_bytes=4096.0, max_retries=64, unroutable_policy="drop")
+                               buffer_bytes=4096.0, max_retries=64, unroutable_policy="drop",
+                               kernel=kernel)
         _random_load(sim)
         sim.run()
         stats = sim.stats
@@ -50,12 +52,13 @@ class TestDropPolicy:
         assert stats.count + stats.dropped == 200
         assert sim.in_flight == 0
 
-    def test_retry_exhaustion_follows_unroutable_policy(self):
+    def test_retry_exhaustion_follows_unroutable_policy(self, kernel):
         def build(policy):
             sim = NetworkSimulator(
                 Torus((4, 4)), bandwidth=10.0, buffer_bytes=512.0,
                 max_retries=0,
                 unroutable_policy=policy,
+                kernel=kernel,
             )
             _random_load(sim, n=80, max_size=500)
             return sim
@@ -67,13 +70,13 @@ class TestDropPolicy:
         with pytest.raises(SimulationError, match="buffer overflow"):
             build("raise").run()
 
-    def test_overflow_counters_profiled(self):
+    def test_overflow_counters_profiled(self, kernel):
         prof = obs.enable()
         try:
             sim = NetworkSimulator(Torus((4, 4)), bandwidth=50.0,
                                    buffer_bytes=4096.0,
                                    max_retries=64,
-                                   unroutable_policy="drop")
+                                   unroutable_policy="drop", kernel=kernel)
             _random_load(sim)
             sim.run()
             counters = prof.snapshot()["counters"]
@@ -84,11 +87,12 @@ class TestDropPolicy:
 
 
 class TestNicChannels:
-    def test_nic_channels_not_buffered(self):
+    def test_nic_channels_not_buffered(self, kernel):
         """NIC serialization stages queue without buffer admission — only
         network links are capacity-limited."""
         sim = NetworkSimulator(Mesh((4,)), bandwidth=100.0,
-                               nic_bandwidth=10.0, buffer_bytes=128.0)
+                               nic_bandwidth=10.0, buffer_bytes=128.0,
+                               kernel=kernel)
         # Many small messages from one node: they all pile into nic_out:0
         # (2,000 B against a 128 B buffer), whose queue is unbounded; the
         # slow NIC then trickles them into a link that never backs up.
@@ -102,13 +106,13 @@ class TestNicChannels:
 
 
 class TestDeterminism:
-    def test_jittered_retransmits_bit_identical_per_seed(self):
+    def test_jittered_retransmits_bit_identical_per_seed(self, kernel):
         def run(seed):
             sim = NetworkSimulator(Torus((4, 4)), bandwidth=50.0,
                                    buffer_bytes=2048.0,
                                    max_retries=64,
                                    retry_jitter=0.5, seed=seed,
-                                   unroutable_policy="drop")
+                                   unroutable_policy="drop", kernel=kernel)
             _random_load(sim)
             sim.run()
             return sim.stats.snapshot()
@@ -125,8 +129,8 @@ class TestTailStats:
         assert size_class_label(1) == "<=16KiB"
         assert size_class_label(len(SIZE_CLASS_EDGES)) == ">256KiB"
 
-    def test_percentiles_and_classes(self):
-        sim = NetworkSimulator(Mesh((4,)))
+    def test_percentiles_and_classes(self, kernel):
+        sim = NetworkSimulator(Mesh((4,)), kernel=kernel)
         sim.send(0, 1, 512.0)
         sim.send(0, 1, 2048.0)
         sim.send(0, 1, 300_000.0)
@@ -138,10 +142,10 @@ class TestTailStats:
         assert [r["class"] for r in rows] == ["<=1KiB", "<=16KiB", ">256KiB"]
         assert all(r["count"] == 1 for r in rows)
 
-    def test_tail_summary_shape(self):
+    def test_tail_summary_shape(self, kernel):
         sim = NetworkSimulator(Torus((4, 4)), bandwidth=50.0,
                                buffer_bytes=4096.0, max_retries=64,
-                               unroutable_policy="drop")
+                               unroutable_policy="drop", kernel=kernel)
         _random_load(sim)
         sim.run()
         tail = tail_summary(sim, iteration_times=[1.0, 2.0, 1.5])
@@ -151,8 +155,8 @@ class TestTailStats:
         assert tail["iterations"]["count"] == 3
         assert tail["iterations"]["max"] == 2.0
 
-    def test_empty_simulation_tail_summary(self):
-        sim = NetworkSimulator(Mesh((4,)))
+    def test_empty_simulation_tail_summary(self, kernel):
+        sim = NetworkSimulator(Mesh((4,)), kernel=kernel)
         tail = tail_summary(sim)
         assert tail["delivered"] == 0
         assert tail["latency"]["p999"] == 0.0

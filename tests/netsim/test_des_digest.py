@@ -129,7 +129,7 @@ PROFILED = {
 }
 
 
-def _replay(name: str) -> dict:
+def _replay(kernel, name: str) -> dict:
     topo_spec, graph_spec, placement, kwargs, faults, traffic = CASES[name]
     topology = topology_from_spec(topo_spec)
     mapping = None
@@ -144,7 +144,7 @@ def _replay(name: str) -> dict:
             mapping = Mapping(graph, topology, order % topology.num_nodes)
     prof = obs.enable() if name in PROFILED else None
     try:
-        sim = NetworkSimulator(topology, **kwargs)
+        sim = NetworkSimulator(topology, **kwargs, kernel=kernel)
         for fault in faults:
             if fault[0] == "link":
                 sim.schedule_link_failure(*fault[1:])
@@ -218,10 +218,10 @@ DIGESTS = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_des_replay_is_bit_identical(name):
-    assert _digest(_replay(name)) == DIGESTS[name]
+def test_des_replay_is_bit_identical(name, kernel):
+    assert _digest(_replay(kernel, name)) == DIGESTS[name]
 
 
 if __name__ == "__main__":  # pragma: no cover - regeneration helper
     for case in sorted(CASES):
-        print(f"    {case!r}: {_digest(_replay(case))!r},")
+        print(f"    {case!r}: {_digest(_replay('reference', case))!r},")

@@ -17,11 +17,13 @@ from repro.topology import Mesh, Torus
     routing=st.sampled_from(list(RoutingPolicy)),
 )
 @settings(max_examples=40, deadline=None)
-def test_property_all_messages_delivered_exactly_once(seed, n_msgs, routing):
+def test_property_all_messages_delivered_exactly_once(seed, n_msgs, routing,
+        kernel):
     """Conservation: every sent message is delivered exactly once, and the
     delivered byte total matches the injected byte total."""
     topo = Torus((3, 4))
-    sim = NetworkSimulator(topo, bandwidth=80.0, alpha=0.2, routing=routing)
+    sim = NetworkSimulator(topo, bandwidth=80.0, alpha=0.2, routing=routing,
+                           kernel=kernel)
     rng = np.random.default_rng(seed)
     delivered = []
     total_sent = 0.0
@@ -39,11 +41,11 @@ def test_property_all_messages_delivered_exactly_once(seed, n_msgs, routing):
 
 @given(seed=st.integers(0, 100_000))
 @settings(max_examples=30, deadline=None)
-def test_property_adaptive_routes_always_minimal(seed):
+def test_property_adaptive_routes_always_minimal(seed, kernel):
     """Whatever route adaptivity picks, observed hops == shortest distance."""
     topo = Torus((4, 4))
     sim = NetworkSimulator(topo, bandwidth=40.0, alpha=0.1,
-                           routing=RoutingPolicy.ADAPTIVE)
+                           routing=RoutingPolicy.ADAPTIVE, kernel=kernel)
     rng = np.random.default_rng(seed)
     msgs = []
     for _ in range(20):
@@ -56,10 +58,10 @@ def test_property_adaptive_routes_always_minimal(seed):
 
 @given(seed=st.integers(0, 50_000))
 @settings(max_examples=30, deadline=None)
-def test_property_link_bytes_match_hop_bytes(seed):
+def test_property_link_bytes_match_hop_bytes(seed, kernel):
     """Sum of per-link carried bytes == sum over messages of size * hops."""
     topo = Mesh((2, 5))
-    sim = NetworkSimulator(topo, bandwidth=60.0, alpha=0.1)
+    sim = NetworkSimulator(topo, bandwidth=60.0, alpha=0.1, kernel=kernel)
     rng = np.random.default_rng(seed)
     expected = 0.0
     for _ in range(15):
@@ -73,7 +75,7 @@ def test_property_link_bytes_match_hop_bytes(seed):
 
 @given(seed=st.integers(0, 50_000), scale=st.floats(1.5, 10.0))
 @settings(max_examples=25, deadline=None)
-def test_property_bandwidth_scaling_uncontended(seed, scale):
+def test_property_bandwidth_scaling_uncontended(seed, scale, kernel):
     """One message alone: delivery time strictly improves with bandwidth.
 
     Per-message monotonicity does NOT hold under contention — faster links
@@ -89,7 +91,7 @@ def test_property_bandwidth_scaling_uncontended(seed, scale):
     size = float(rng.uniform(10, 500))
     times = {}
     for bw in (50.0, 50.0 * scale):
-        sim = NetworkSimulator(topo, bandwidth=bw, alpha=0.2)
+        sim = NetworkSimulator(topo, bandwidth=bw, alpha=0.2, kernel=kernel)
         msg = sim.send(a, b, size)
         sim.run()
         times[bw] = msg.deliver_time
@@ -98,7 +100,7 @@ def test_property_bandwidth_scaling_uncontended(seed, scale):
 
 @given(seed=st.integers(0, 50_000), scale=st.floats(1.5, 10.0))
 @settings(max_examples=25, deadline=None)
-def test_property_bandwidth_scaling_makespan(seed, scale):
+def test_property_bandwidth_scaling_makespan(seed, scale, kernel):
     """Contended traffic: the *last* delivery never gets later with more
     bandwidth, and total link-busy time shrinks by exactly the scale factor
     (both hold even though individual deliveries may reorder)."""
@@ -111,7 +113,7 @@ def test_property_bandwidth_scaling_makespan(seed, scale):
     ]
     ends, busy = {}, {}
     for bw in (50.0, 50.0 * scale):
-        sim = NetworkSimulator(topo, bandwidth=bw, alpha=0.2)
+        sim = NetworkSimulator(topo, bandwidth=bw, alpha=0.2, kernel=kernel)
         msgs = [sim.send(a, b, s, at=t) for a, b, s, t in plan]
         end = sim.run()
         ends[bw] = max(m.deliver_time for m in msgs)

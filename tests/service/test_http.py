@@ -129,6 +129,22 @@ def test_map_overload_policy_other_than_drop_is_400(server):
     assert reply["result"]["metrics"]["des_delivered"] > 0
 
 
+def test_map_des_replay_of_a_zero_byte_edge_is_200(server, tmp_path):
+    """A zero-weight edge is valid and carries no traffic: the DES replay
+    sends nothing on it instead of failing the request."""
+    from repro.taskgraph import TaskGraph
+    from repro.taskgraph.io import save_taskgraph
+
+    path = tmp_path / "zero.json"
+    save_taskgraph(TaskGraph(4, [(0, 1, 0.0), (1, 2, 8.0), (2, 3, 8.0)]),
+                   path)
+    body = {"graph": f"file:{path}", "topology": "torus:2x2",
+            "mapper": "topolb", "netsim": {"iterations": 2}}
+    status, _, reply = _call(f"{server}/map", "POST", body)
+    assert status == 200, reply
+    assert reply["result"]["metrics"]["des_delivered"] == 8
+
+
 @pytest.mark.parametrize("graph", ["ring:16;bytes=-1", "mesh2d:4x4;bytes=nan"])
 def test_map_invalid_graph_is_400(server, graph):
     status, _, reply = _call(f"{server}/map", "POST",

@@ -23,6 +23,12 @@ def _status(report, invariant):
     return {c.invariant: c for c in report.checks}[invariant]
 
 
+def _native_unavailable() -> bool:
+    from repro.mapping import _native
+
+    return not _native.available()
+
+
 class TestMetricsConsistency:
     def test_agrees_with_standalone_functions(self, spec_run):
         graph, topo, assignment = spec_run
@@ -102,3 +108,58 @@ class TestSubTopologyOracle:
         graph, topo, assignment = spec_run
         report = validate_mapping(graph, topo, assignment, level="full")
         assert _status(report, "subtopology-distances").status == "skipped"
+
+
+class TestDesOracles:
+    """A request that replays the DES gets two more full-tier checks: the
+    replay on the reference event loop, and the flow bound."""
+
+    KNOBS = {"iterations": 2, "buffer_bytes": 4096, "bandwidth": 100.0,
+             "retry_jitter": 0.5, "seed": 3}
+
+    def _run(self, netsim):
+        from repro.engine import MappingEngine, MappingRequest
+
+        return MappingEngine().run(MappingRequest(
+            graph="mesh3d:4x4x4;bytes=4096", topology="torus:4x4x4",
+            mapper="random", seed=1, validate="full", netsim=netsim))
+
+    def _report(self, result, netsim):
+        mapping = result.mapping
+        return validate_mapping(
+            mapping.graph, mapping.topology, result.assignment, level="full",
+            mapper_spec="random", seed=1, metrics=result.metrics,
+            netsim=netsim, raise_on_violation=False)
+
+    def test_buffered_request_passes_both(self):
+        result = self._run(self.KNOBS)  # raises on any violation
+        assert result.metrics["des_buffer_drops"] > 0
+        report = self._report(result, self.KNOBS)
+        assert _status(report, "des-kernel-differential").status == "ok"
+        assert _status(report, "flow-bound-below-des").status == "ok"
+
+    @pytest.mark.skipif(_native_unavailable(), reason="no compiled DES")
+    def test_flipped_tie_in_the_compiled_body_is_caught(self, monkeypatch):
+        from repro.netsim.simulator import NetworkSimulator
+
+        def last_axis_first(self, src, dst):
+            # Break the tie among minimal routes the other way: the compiled
+            # body routes the last axis first, the reference the first.
+            route = self._route_choices_for((src, dst))[-1]
+            route_set = self._engine.add_routes(
+                [[v for link in route for v in link]])
+            self._route_sets[src * self._num_procs + dst] = route_set
+            return route_set
+
+        monkeypatch.setattr(NetworkSimulator, "_route_set", last_axis_first)
+        with pytest.raises(ValidationError) as err:
+            self._run(self.KNOBS)
+        assert err.value.invariant == "des-kernel-differential"
+        assert "des_makespan_us" in str(err.value)
+
+    def test_skipped_without_netsim(self):
+        report = self._report(self._run(None), None)
+        for invariant in ("des-kernel-differential", "flow-bound-below-des"):
+            check = _status(report, invariant)
+            assert check.status == "skipped"
+            assert "no netsim replay" in check.detail
