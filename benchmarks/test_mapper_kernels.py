@@ -1,11 +1,12 @@
 """Kernel micro-benchmark: production (compiled) vs reference mapper paths.
 
 CI's smoke job runs this to catch a production-kernel performance
-regression: the compiled kernels exist *only* to be faster. First- and
-second-order TopoLB run their whole cycle loop compiled and must beat the
+regression: the compiled kernels exist *only* to be faster. TopoLB runs
+its whole cycle loop compiled: first and second order must beat the
 reference by at least :data:`MIN_SPEEDUP` (about 8× locally at this
-scale); third-order TopoLB and RefineTopoLB must not be slower (with a
-generous noise margin — CI boxes are shared and single runs jitter).
+scale), third order by :data:`THIRD_ORDER_SPEEDUP`. RefineTopoLB must not
+be slower (with a generous noise margin — CI boxes are shared and single
+runs jitter).
 Without a C compiler the production kernel *is* the reference, so the
 speedup gates skip. ``docs/PERFORMANCE.md`` documents the full measurement
 protocol behind the recorded ``BENCH_kernels_*.json`` artifacts; this file
@@ -33,6 +34,10 @@ NOISE_MARGIN = 1.1
 #: Required reference/vectorized speedup of first- and second-order TopoLB.
 MIN_SPEEDUP = 3.0
 
+#: Required reference/vectorized speedup of third-order TopoLB: the measured
+#: 19.1–19.3× (best of five, 2-vCPU x86-64 VM) divided by the noise margin.
+THIRD_ORDER_SPEEDUP = 19.0 / NOISE_MARGIN
+
 #: Smoke-scale copy of the recorded benchmark config (512 tasks there).
 N_TASKS = 128
 
@@ -58,12 +63,11 @@ def _best_of(fn, repeats: int = 3) -> float:
 @pytest.mark.parametrize("order,speedup", [
     (EstimatorOrder.FIRST, MIN_SPEEDUP),
     (EstimatorOrder.SECOND, MIN_SPEEDUP),
-    (EstimatorOrder.THIRD, 1 / NOISE_MARGIN),
+    (EstimatorOrder.THIRD, THIRD_ORDER_SPEEDUP),
 ])
 def test_topolb_vectorized_faster(benchmark, instance, order, speedup):
-    """The compiled cycle loop must beat the reference by ``speedup``: the
-    whole loop for first and second order, the recentring pass for third."""
-    if speedup > 1 and not _native.available():
+    """The compiled cycle loop must beat the reference by ``speedup``."""
+    if not _native.available():
         pytest.skip("no C compiler: the production kernel is the reference")
     graph, topo = instance
     ref = TopoLB(order=order, kernel="reference")

@@ -177,7 +177,7 @@ def run_flowcheck(quick: bool = True, seed: int = 0) -> ExperimentResult:
         "flow-level estimator vs DES (rank correlation, bound tightness)",
         rows,
         notes="rank_corr >= 0.9 and max_bound_ratio <= 1.0 are the validity "
-        "envelope of --netsim-mode flow; see docs/ARCHITECTURE.md",
+        "envelope of the flow_metrics estimator; see docs/ARCHITECTURE.md",
     )
 
 

@@ -3,9 +3,9 @@
 One shared object is built from two C files. ``repro.mapping.refine_kernel.c``
 holds six scalar entry points: RefineTopoLB's cost table and one sweep with
 the incremental delta structure, the cycle loop of first- and second-order
-TopoLB, the per-cycle recentre-and-argmin pass of third-order TopoLB, and
-the two loops of the phase-1 partitioner — one graph-growing bisection over
-a range of an order array, and one FM refinement pass.
+TopoLB, the cycle loop of third-order TopoLB, and the two loops of the
+phase-1 partitioner — one graph-growing bisection over a range of an order
+array, and one FM refinement pass.
 ``repro.netsim.des_kernel.c`` holds the discrete-event simulator's per-hop
 event core behind five entry points (create, free, run, fail a channel,
 read the link tables), wrapped by :class:`DesEngine`: eleven in all.
@@ -76,11 +76,10 @@ class NativeKernels:
                                 i64, i64, *[ptr] * 6)
         self._sweep = bind("refine_sweep_incremental", i64,
                            i64, i64, *[ptr] * 11)
-        self._cycles = bind("topolb_cycles", i64,
-                            *[i64] * 5, *[ptr] * 18)
-        self._recentre = bind("topolb3_recentre", None,
-                              i64, ptr, ptr, i64, *[ptr] * 3, i64,
-                              ptr, ptr)
+        self._cycles = (bind("topolb_cycles", i64,
+                             *[i64] * 5, *[ptr] * 18),
+                        bind("topolb3_cycles", i64,
+                             *[i64] * 3, *[ptr] * 17))
         self._bisect = bind("partition_bisect", i64,
                             i64, *[ptr] * 6, *[i64] * 5, ctypes.c_double)
         self._refine_pass = bind("partition_refine_pass", i64,
@@ -118,19 +117,12 @@ class NativeKernels:
 
     def topolb_cycles(self, fest, dist, avg, indptr, indices, weights,
                       order: int, selection: str, score, avail_f,
-                      reserve: int) -> "TopoLBCycles":
-        """``topolb_cycles`` bound to one first- or second-order run (see
-        :class:`TopoLBCycles`)."""
+                      reserve: int, uc=None) -> "TopoLBCycles":
+        """``topolb_cycles`` (orders 1–2) or ``topolb3_cycles`` (order 3)
+        bound to one run (see :class:`TopoLBCycles`)."""
         return TopoLBCycles(self._cycles, fest, dist, avg, indptr, indices,
                             weights, order, selection, score, avail_f,
-                            reserve)
-
-    def topolb3_recentre(self, fest, uc, delta, free_buf, f_min,
-                         f_argmin) -> "Recentre":
-        """``topolb3_recentre`` bound to one third-order run (see
-        :class:`Recentre`)."""
-        return Recentre(self._recentre, fest, uc, delta, free_buf, f_min,
-                        f_argmin)
+                            reserve, uc)
 
     def partition_bisector(self, indptr, indices, vertex_weights,
                            order) -> "PartitionBisector":
@@ -208,54 +200,74 @@ class RefineSweeper:
 
 
 class TopoLBCycles:
-    """First- and second-order TopoLB's cycle loop over one ``fest`` table.
+    """TopoLB's cycle loop over one ``fest`` table.
 
     Each call runs cycles in C until the run ends, returning ``None``, or,
-    under the "gain" rule, until a cycle dirtied rows, returning their
-    ascending ids: the caller refreshes those rows' sums in ``score``
-    (``score[rows] = fest[rows] @ avail_f``) and calls again. ``score`` is
-    the free-column row sums under "gain", the static volumes under
-    "volume", and unread under "max_cost". ``avail_f`` (1.0 at a free
-    processor) and ``fest`` update in place. Afterwards ``assignment`` holds
-    the placement and :meth:`counters` the five ``topolb.*`` counters.
+    under the "gain" rule, until a cycle changed rows, returning them: the
+    caller refreshes their sums in ``score`` (``score[rows] = fest[rows] @
+    avail_f``) and calls again. ``score`` is the free-column row sums under
+    "gain", the static volumes under "volume", and unread under "max_cost".
+    ``avail_f`` (1.0 at a free processor) and ``fest`` update in place.
+    Afterwards ``assignment`` holds the placement and :meth:`counters` the
+    five ``topolb.*`` counters.
+
+    Orders 1–2 (``topolb_cycles``) keep ``reserve`` candidates per row and
+    return the dirty rows' ascending ids; ``avg`` is the fixed average
+    distance and ``uc`` unread. Order 3 (``topolb3_cycles``) rebuilds every
+    unplaced row each cycle and compacts those rows into ``fest[:m]``, in
+    ascending task order, so it returns ``slice(0, m)`` and ``score`` is
+    indexed by that row slot; ``avg`` (the free-processor average) and
+    ``uc`` (each task's volume to its unplaced neighbours) update in place.
     """
 
-    __slots__ = ("assignment", "_dirty", "_state", "_fn", "_args", "_keep")
+    __slots__ = ("assignment", "_rows", "_state", "_fn", "_args", "_keep")
 
     _SELECTIONS = ("gain", "max_cost", "volume")
 
-    def __init__(self, fn, fest, dist, avg, indptr, indices, weights, order,
-                 selection, score, avail_f, reserve):
+    def __init__(self, fns, fest, dist, avg, indptr, indices, weights, order,
+                 selection, score, avail_f, reserve, uc):
         n, p = fest.shape
         free_ids = np.flatnonzero(avail_f).astype(np.int64)
-        if not (order in (1, 2) and 0 < reserve and 0 < n <= free_ids.size):
+        if not ((order in (1, 2) or order == 3 and uc is not None)
+                and 0 < reserve and 0 < n <= free_ids.size):
             raise ValueError("topolb_cycles: bad order, reserve or sizes")
         self.assignment = np.full(n, -1, dtype=np.int64)
-        self._dirty = np.empty(2 * n, dtype=np.int64)
         self._state = np.zeros(6, dtype=np.int64)
         self._state[1] = free_ids.size
-        scratch = (np.empty(n), np.empty(n, dtype=np.int64),
-                   np.empty(n * reserve), np.empty(n * reserve, dtype=np.int64),
-                   np.empty(n, dtype=np.int64))
-        unassigned = np.ones(n, dtype=np.uint8)
-        self._fn = fn
-        self._keep = (fest, dist, avg, indptr, indices, weights, score,
-                      avail_f, free_ids, unassigned, scratch)
-        self._args = (n, p, reserve, order, self._SELECTIONS.index(selection),
-                      _ptr(fest, np.float64, n * p, "fest", out=True),
+        sel = self._SELECTIONS.index(selection)
+        if order == 3:
+            self._fn, lead, self._rows = fns[1], (n, p, sel), None
+            uc_ptr = [_ptr(uc, np.float64, n, "uc", out=True)]
+            # f_min, f_argmin, delta, slot_task, task_slot
+            own = (np.empty(n), np.empty(n, dtype=np.int64), np.zeros(p),
+                   np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64))
+        else:
+            self._fn, lead = fns[0], (n, p, reserve, order, sel)
+            self._rows = np.empty(2 * n, dtype=np.int64)
+            uc_ptr = []
+            # f_min, f_argmin, res_vals, res_ids, res_pos, unassigned, dirty
+            own = (np.empty(n), np.empty(n, dtype=np.int64),
+                   np.empty(n * reserve),
+                   np.empty(n * reserve, dtype=np.int64),
+                   np.empty(n, dtype=np.int64), np.ones(n, dtype=np.uint8),
+                   self._rows)
+        self._keep = (fest, dist, avg, indptr, indices, weights, score, uc,
+                      avail_f, free_ids, own)
+        self._args = (*lead, _ptr(fest, np.float64, n * p, "fest", out=True),
                       _ptr(dist, np.float64, p * p, "dist"),
-                      _ptr(avg, np.float64, p, "avg"),
+                      _ptr(avg, np.float64, p, "avg", out=order == 3),
                       *_csr_ptrs(indptr, indices, n, weights),
-                      _ptr(score, np.float64, n, "score", out=True),
-                      *(a.ctypes.data for a in scratch),
+                      _ptr(score, np.float64, n, "score", out=True), *uc_ptr,
+                      *(a.ctypes.data for a in own),
                       _ptr(avail_f, np.float64, p, "avail_f", out=True),
-                      free_ids.ctypes.data, unassigned.ctypes.data,
-                      self.assignment.ctypes.data, self._dirty.ctypes.data,
+                      free_ids.ctypes.data, self.assignment.ctypes.data,
                       self._state.ctypes.data)
 
-    def __call__(self) -> np.ndarray | None:
+    def __call__(self) -> np.ndarray | slice | None:
         k = self._fn(*self._args)
-        return self._dirty[:k] if k else None
+        if not k:
+            return None
+        return slice(0, k) if self._rows is None else self._rows[:k]
 
     def counters(self) -> dict[str, int]:
         cycles, _, hits, exhaustions, rebuilt, updates = self._state.tolist()
@@ -263,40 +275,6 @@ class TopoLBCycles:
                 "topolb.reserve_exhaustions": exhaustions,
                 "topolb.rows_rebuilt": rebuilt,
                 "topolb.neighbor_updates": updates}
-
-
-class Recentre:
-    """Third-order TopoLB's per-cycle pass over one ``fest`` table.
-
-    ``recentre(rows, nfree)`` recentres ``rows`` of ``fest`` by
-    ``uc[r] * delta`` over the free columns ``free_buf[:nfree]``
-    (ascending, non-empty) and writes each row's first minimum to ``f_min``
-    / ``f_argmin``. The caller writes each cycle's ``delta`` in place.
-    """
-
-    __slots__ = ("_fn", "_args", "_keep", "_p", "_nfree_max")
-
-    def __init__(self, fn, fest, uc, delta, free_buf, f_min, f_argmin):
-        n, p = fest.shape
-        if not 0 < free_buf.size <= p:
-            raise ValueError("topolb3_recentre: free_buf must be non-empty")
-        self._fn = fn
-        self._p, self._nfree_max = p, free_buf.size
-        self._keep = (fest, uc, delta, free_buf, f_min, f_argmin)
-        self._args = (_ptr(fest, np.float64, n * p, "fest", out=True),
-                      _ptr(uc, np.float64, n, "uc"),
-                      _ptr(delta, np.float64, p, "delta"),
-                      _ptr(free_buf, np.int64, free_buf.size, "free_buf"),
-                      _ptr(f_min, np.float64, n, "f_min", out=True),
-                      _ptr(f_argmin, np.int64, n, "f_argmin", out=True))
-
-    def recentre(self, rows: np.ndarray, nfree: int) -> None:
-        fest, uc, delta, free, f_min, f_argmin = self._args
-        if not 0 < nfree <= self._nfree_max:
-            raise ValueError("topolb3_recentre: nfree out of range")
-        self._fn(self._p, fest,
-                 _ptr(rows, np.int64, rows.size, "rows"), rows.size,
-                 uc, delta, free, nfree, f_min, f_argmin)
 
 
 class PartitionBisector:

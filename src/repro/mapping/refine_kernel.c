@@ -17,9 +17,12 @@
  * updates and the reserve rebuilds. Under the "gain" rule it pauses after
  * every cycle that dirtied rows so the caller can refresh their row sums.
  *
- * topolb3_recentre — the per-cycle O(n·p) step of third-order TopoLB:
- * re-centre every unassigned fest row on the shrunken free-processor
- * average and take its first minimum, over the free columns only.
+ * topolb3_cycles — the cycle loop of third-order TopoLB: selection, the
+ * neighbour-row updates, and the O(n·p) recentre of every unplaced row on
+ * the shrunken free-processor average with its first minimum, over the
+ * free columns only, compacting the unplaced rows to the top of fest.
+ * Under the "gain" rule it pauses after every cycle so the caller can
+ * refresh the row sums of that compacted prefix.
  *
  * partition_bisect — one graph-growing bisection of the phase-1
  * partitioner over a range of an order array, split stably in place.
@@ -333,9 +336,9 @@ i64 topolb_cycles(i64 n, i64 p, i64 R, i64 order, i64 selection,
                   const double *restrict weights, double *restrict score,
                   double *restrict f_min, i64 *restrict f_argmin,
                   double *restrict res_vals, i64 *restrict res_ids,
-                  i64 *restrict res_pos, double *restrict avail_f,
-                  i64 *restrict free_ids, unsigned char *restrict unassigned,
-                  i64 *restrict assignment, i64 *restrict dirty,
+                  i64 *restrict res_pos, unsigned char *restrict unassigned,
+                  i64 *restrict dirty, double *restrict avail_f,
+                  i64 *restrict free_ids, i64 *restrict assignment,
                   i64 *restrict state)
 {
     i64 cycle = state[0], count = state[1];
@@ -453,40 +456,180 @@ i64 topolb_cycles(i64 n, i64 p, i64 R, i64 order, i64 selection,
     return k;
 }
 
-/* Third-order TopoLB, one cycle: for each row r in rows[0..k) and each free
- * column q in free_ids[0..nfree) (ascending ids),
- *     fest[r, q] = fest[r, q] + uc[r] * delta[q]
- * — the reference's `fest[rows] += np.outer(uc[rows], delta)` element — and
- * the first minimum over those columns (np.argmin semantics: ties go to the
- * lowest id) into f_min[r] / f_argmin[r]. Consumed columns are left stale:
- * third order reads them again only through a zero weight in the free-set
- * row sums. nfree must be >= 1. */
-void topolb3_recentre(i64 p, double *restrict fest,
-                      const i64 *restrict rows, i64 k,
-                      const double *restrict uc,
-                      const double *restrict delta,
-                      const i64 *restrict free_ids, i64 nfree,
-                      double *restrict f_min, i64 *restrict f_argmin)
+/* One third-order row: dst[q] = src[q] + u * delta[f] for each free column
+ * q = free_ids[f], f < count (count >= 1, ids ascending), and the first
+ * minimum of the new values: its value is returned and its column stored
+ * in *argmin (ties go to the lowest id). Each of four lanes keeps its own
+ * first minimum over an ascending subsequence of the columns, and the
+ * lanes meet by (value, id): the same result as one scan, without one long
+ * compare-and-select chain. src and dst may be the same row. */
+static double recentre_row(const double *src, double *dst, double u,
+                           const double *restrict delta,
+                           const i64 *restrict free_ids, i64 count,
+                           i64 *restrict argmin)
 {
-    for (i64 i = 0; i < k; i++) {
-        const i64 r = rows[i];
-        double *restrict row = fest + r * p;
-        const double u = uc[r];
-        double bv = row[free_ids[0]] + u * delta[free_ids[0]];
-        row[free_ids[0]] = bv;
-        i64 bj = 0;
-        for (i64 j = 1; j < nfree; j++) {
-            const i64 q = free_ids[j];
-            const double v = row[q] + u * delta[q];
-            row[q] = v;
-            if (v < bv) {
-                bv = v;
-                bj = j;
+    double bv[4];
+    i64 bq[4];
+    const i64 lanes = count < 4 ? count : 4;
+    for (i64 k = 0; k < lanes; k++) {
+        const i64 q = free_ids[k];
+        bv[k] = dst[q] = src[q] + u * delta[k];
+        bq[k] = q;
+    }
+    i64 f = lanes;
+    for (; f + 4 <= count; f += 4)
+        for (i64 k = 0; k < 4; k++) {
+            const i64 q = free_ids[f + k];
+            const double v = src[q] + u * delta[f + k];
+            dst[q] = v;
+            if (v < bv[k]) {
+                bv[k] = v;
+                bq[k] = q;
             }
         }
-        f_min[r] = bv;
-        f_argmin[r] = free_ids[bj];
+    for (i64 k = 0; f < count; f++, k++) {
+        const i64 q = free_ids[f];
+        const double v = src[q] + u * delta[f];
+        dst[q] = v;
+        if (v < bv[k]) {
+            bv[k] = v;
+            bq[k] = q;
+        }
     }
+    i64 best = 0;
+    for (i64 k = 1; k < lanes; k++)
+        if (bv[k] < bv[best] || (bv[k] == bv[best] && bq[k] < bq[best]))
+            best = k;
+    *argmin = bq[best];
+    return bv[best];
+}
+
+/* TopoLB, third order: the cycle loop of topolb.py's _run_reference.
+ *
+ * Third order recentres every unplaced row on the shrinking free-processor
+ * average, so every unplaced row is rebuilt every cycle and no reserve is
+ * kept: a row whose argmin is consumed was rebuilt one cycle earlier, with
+ * at least two processors free, so the reference's walk always hits its
+ * next candidate. The unplaced rows live compacted in fest's first m row
+ * slots, in ascending task order: slot_task[i] is the task in slot i and
+ * task_slot[t] the slot of task t (-1 once placed). score, f_min and
+ * f_argmin are per slot; uc (each task's volume to its unplaced
+ * neighbours) is per task. A cycle:
+ *
+ * 1. selects the slot with the first maximum score, as topolb_cycles does,
+ *    and places its task tk on f_argmin;
+ * 2. takes pk out of the free set;
+ * 3. adds c * (dist[pk] - avg) to every unplaced neighbour row of tk, in
+ *    CSR order, and subtracts c from its uc;
+ * 4. shifts the free average, avg' = (avg * (count + 1) - dist[pk]) /
+ *    count, and keeps delta[f] = avg'[q] - avg[q] for q = free_ids[f];
+ * 5. recentres every other slot, fest[r, q] + uc[t] * delta[f], takes its
+ *    first minimum (ties go to the lowest id) and moves it down over tk's
+ *    slot; a slot whose argmin was pk counts as a reserve hit.
+ *
+ * Steps 3-5 read and write the free columns only (free_ids, ascending). A
+ * consumed or disallowed column of a slot keeps a stale but finite value,
+ * which is read again only through a zero weight in avail_f. Under "gain"
+ * the function returns m after every cycle that leaves m > 0 rows
+ * unplaced, so the caller can set score[:m] = fest[:m] @ avail_f: that
+ * prefix has the shape and row order of the reference's fest[rows], and
+ * BLAS rounding depends on the shape. It returns 0 once all cycles are
+ * done. state is topolb_cycles's, reserve exhaustions staying 0; delta
+ * (count doubles) must start zeroed. */
+i64 topolb3_cycles(i64 n, i64 p, i64 selection, double *restrict fest,
+                   const double *restrict dist, double *restrict avg,
+                   const i64 *restrict indptr, const i64 *restrict indices,
+                   const double *restrict weights, double *restrict score,
+                   double *restrict uc, double *restrict f_min,
+                   i64 *restrict f_argmin, double *restrict delta,
+                   i64 *restrict slot_task, i64 *restrict task_slot,
+                   double *restrict avail_f, i64 *restrict free_ids,
+                   i64 *restrict assignment, i64 *restrict state)
+{
+    i64 cycle = state[0], count = state[1];
+    if (cycle == 0) /* delta is all zero before the first cycle */
+        for (i64 i = 0; i < n; i++)
+            f_min[i] = recentre_row(fest + i * p, fest + i * p, 0.0, delta,
+                                    free_ids, count, f_argmin + i);
+    while (cycle < n && count > 0) {
+        const i64 m = n - cycle - 1; /* rows left unplaced by this cycle */
+        i64 sel = 0;
+        double best = 0.0;
+        for (i64 i = 0; i <= m; i++) {
+            const double s = selection == SEL_GAIN
+                                 ? score[i] / (double)count - f_min[i]
+                             : selection == SEL_MAX_COST ? f_min[i]
+                                                         : score[i];
+            if (i == 0 || s > best) {
+                best = s;
+                sel = i;
+            }
+        }
+        const i64 tk = slot_task[sel], pk = f_argmin[sel];
+        assignment[tk] = pk;
+        task_slot[tk] = -1;
+        avail_f[pk] = 0.0;
+        count--;
+        cycle++;
+        if (count == 0 || m == 0)
+            break;
+
+        i64 lo = 0, hi = count; /* pk's slot among count + 1 free ids */
+        while (lo < hi) {
+            const i64 mid = (lo + hi) / 2;
+            if (free_ids[mid] < pk)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        memmove(free_ids + lo, free_ids + lo + 1,
+                (size_t)(count - lo) * sizeof(i64));
+
+        const double *restrict dk = dist + pk * p;
+        for (i64 e = indptr[tk]; e < indptr[tk + 1]; e++) {
+            const i64 j = indices[e];
+            if (task_slot[j] < 0)
+                continue;
+            const double c = weights[e];
+            double *restrict row = fest + task_slot[j] * p;
+            for (i64 f = 0; f < count; f++) {
+                const i64 q = free_ids[f];
+                row[q] += c * (dk[q] - avg[q]);
+            }
+            uc[j] -= c;
+            state[5]++;
+        }
+
+        for (i64 f = 0; f < count; f++) {
+            const i64 q = free_ids[f];
+            const double next =
+                (avg[q] * (double)(count + 1) - dk[q]) / (double)count;
+            delta[f] = next - avg[q];
+            avg[q] = next;
+        }
+
+        for (i64 i = 0, d = 0; i <= m; i++) {
+            if (i == sel)
+                continue;
+            const i64 t = slot_task[i];
+            state[2] += f_argmin[i] == pk;
+            score[d] = score[i];
+            f_min[d] = recentre_row(fest + i * p, fest + d * p, uc[t], delta,
+                                    free_ids, count, f_argmin + d);
+            slot_task[d] = t;
+            task_slot[t] = d;
+            d++;
+        }
+        state[4] += m;
+        if (selection == SEL_GAIN) {
+            state[0] = cycle;
+            state[1] = count;
+            return m;
+        }
+    }
+    state[0] = cycle;
+    state[1] = count;
+    return 0;
 }
 
 /* Phase-1 partitioner: one graph-growing bisection of order[lo..hi), the

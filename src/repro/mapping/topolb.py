@@ -23,13 +23,13 @@ re-reduced (lazy repair) instead of rescanning the whole table.
 
 Two kernels implement the cycle body (see :mod:`repro.mapping.kernels`).
 ``"reference"`` keeps the original scalar loops, the executable
-specification. ``"vectorized"`` (the default) runs the cycle loop compiled
-(:mod:`repro.mapping._native`): for first and second order the whole loop,
-pausing only for the "gain" rule's BLAS row sums; for third order a loop
-that drops the reserve it never reads and runs its per-cycle
-recentre-and-argmin pass in C. Without a C compiler it runs the reference
-loop instead. All paths produce bit-identical assignments and counters — the
-equivalence suite enforces it.
+specification. ``"vectorized"`` (the default) runs the whole cycle loop
+compiled (:mod:`repro.mapping._native`), pausing only for the "gain" rule's
+BLAS row sums; third order's loop drops the reserve it never reads and
+keeps its unplaced rows compacted at the top of the table, so those sums
+need no gather. Without a C compiler it runs the reference loop instead.
+All paths produce bit-identical assignments and counters — the equivalence
+suite enforces it.
 """
 
 from __future__ import annotations
@@ -134,8 +134,6 @@ class TopoLB(Mapper):
         if (self._kernel == "reference"
                 or _native.kernels_or_fallback() is None):
             run = self._run_reference
-        elif self._order is EstimatorOrder.THIRD:
-            run = self._run_third_order
         else:
             run = self._run_compiled
         prof = obs.active()
@@ -176,7 +174,7 @@ class TopoLB(Mapper):
         # healthy one — which is a per-fault-pattern vector, computed fresh
         # (cheap, O(p * p'), and never shared-cached under the pristine key).
         avg_all = ctx.average_distance_vector(allowed)
-        avg_free = avg_all.copy()  # only consulted by the third-order path
+        avg_free = avg_all.copy()  # equal to avg_all until third order shifts it
 
         # fest table: rows = tasks, columns = processors (p columns; equal to
         # n in the classic unmasked case).
@@ -352,21 +350,26 @@ class TopoLB(Mapper):
         allowed: np.ndarray | None = None,
         ctx: MappingContext | None = None,
     ) -> np.ndarray:
-        """First- and second-order cycle body — bit-identical to the
-        reference, counters included.
+        """The compiled cycle loop — bit-identical to the reference,
+        counters included.
 
-        The cycle loop runs compiled (``topolb_cycles`` in
-        ``refine_kernel.c``): the reference's plain algorithm, with a
+        The whole loop runs in C (``refine_kernel.c``): ``topolb_cycles``
+        for first and second order, the reference's plain algorithm with a
         reserve that holds only free candidates, so a walk past its filled
-        entries is the reference's walk into penalized padding. Python keeps
-        the one expression whose rounding C cannot reproduce: the "gain"
-        rule's free-set row sums ``fest[rows] @ avail_f``, a BLAS product
-        whose rounding depends on the batch shape. The loop pauses after
-        each "gain" cycle that dirtied rows and hands their ascending ids
-        back for exactly that product.
+        entries is the reference's walk into penalized padding;
+        ``topolb3_cycles`` for third order, which rebuilds every unplaced
+        row each cycle and so keeps no reserve (see its header comment).
+        Python keeps the one expression whose rounding C cannot reproduce:
+        the "gain" rule's free-set row sums ``fest[rows] @ avail_f``, a BLAS
+        product whose rounding depends on the batch shape. The loop pauses
+        after each "gain" cycle that changed rows and hands them back for
+        exactly that product: ascending dirty ids for orders 1–2, and for
+        third order ``slice(0, m)``, the unplaced rows it keeps compacted
+        in ``fest[:m]`` in ascending task order — the reference's
+        ``fest[rows]`` without the gather.
         """
-        (dist, indptr, indices, weights, _,
-         avg_all, _, fest) = self._setup(graph, topology, n, allowed, ctx)
+        (dist, indptr, indices, weights, unplaced_comm,
+         _, avg_free, fest) = self._setup(graph, topology, n, allowed, ctx)
         p = topology.num_nodes
         avail_f = (np.ones(p) if allowed is None
                    else allowed.astype(np.float64))
@@ -375,137 +378,12 @@ class TopoLB(Mapper):
         else:  # "max_cost" never reads it
             score = graph.comm_volumes()
         cycles = _native.load().topolb_cycles(
-            fest, np.ascontiguousarray(dist), avg_all, indptr, indices,
+            fest, np.ascontiguousarray(dist), avg_free, indptr, indices,
             weights, int(self._order), self._selection, score, avail_f,
-            min(self._RESERVE, n))
+            min(self._RESERVE, n), unplaced_comm)
         while (rows := cycles()) is not None:
             score[rows] = fest[rows] @ avail_f
         if prof is not None:
             for name, value in cycles.counters().items():
                 prof.count(name, value)
         return cycles.assignment
-
-    def _run_third_order(
-        self,
-        graph: TaskGraph,
-        topology: Topology,
-        n: int,
-        prof: obs.Profiler | None = None,
-        allowed: np.ndarray | None = None,
-        ctx: MappingContext | None = None,
-    ) -> np.ndarray:
-        """Third-order cycle body — bit-identical assignments to the reference.
-
-        Third order recentres every unplaced row on the free-processor
-        average each cycle, so every unplaced row is rebuilt every cycle and
-        the reserve the reference keeps is never read:
-
-        * the initial ``f_min``/``f_argmin`` is one argmin over the free
-          columns — the head of the reference's reserve;
-        * a row whose argmin is consumed was rebuilt one cycle earlier, when
-          at least two processors were still free, so the reference's walk
-          always finds its next candidate one slot on: every stale row is a
-          reserve hit, and the row is overwritten by this cycle's rebuild
-          anyway.
-
-        The recentre-and-argmin pass runs compiled
-        (:mod:`repro.mapping._native`) over the ascending free columns only.
-        Consumed columns may go stale because they are read again only
-        through a zero weight in the free-set row sums
-        ``fest[rows] @ avail_f`` — which stay exactly that gather plus
-        matrix-vector product: BLAS rounding depends on the operand shape,
-        so ``(fest @ avail_f)[rows]`` would differ in the last bit.
-        """
-        (dist, indptr, indices, weights, unplaced_comm,
-         _, avg_free, fest) = self._setup(graph, topology, n, allowed, ctx)
-        selection = self._selection
-        p = topology.num_nodes
-
-        avail = np.ones(p, dtype=bool) if allowed is None else allowed
-        unassigned = np.ones(n, dtype=bool)
-        avail_count = int(avail.sum())
-        assignment = np.full(n, -1, dtype=np.int64)
-        avail_f = avail.astype(np.float64)
-        # Ascending free ids, consumed ids shifted out in place (ascending
-        # order is what makes "first minimum" mean "lowest id").
-        free_buf = np.flatnonzero(avail)
-        nfree = avail_count
-        free_ids = free_buf[:nfree]
-
-        sub = fest if allowed is None else fest[:, free_ids]
-        posm = sub.argmin(axis=1)
-        f_min = sub[np.arange(n), posm]
-        f_argmin = free_ids[posm]
-        del sub
-        track_sum = selection == "gain"
-        if track_sum:
-            f_sum = fest.sum(axis=1) if allowed is None else fest @ avail_f
-        f_min_poison = -np.inf if selection == "max_cost" else np.inf
-        if selection == "volume":
-            vol_score = graph.comm_volumes().astype(np.float64)
-        sbuf = np.empty(n, dtype=np.float64)
-        delta = np.empty(p)
-        recentre = _native.load().topolb3_recentre(
-            fest, unplaced_comm, delta, free_buf, f_min, f_argmin).recentre
-
-        cycles = reserve_hits = rows_rebuilt = neighbor_updates = 0
-        for _cycle in range(n):
-            if selection == "gain":
-                np.divide(f_sum, avail_count, out=sbuf)
-                sbuf -= f_min
-                tk = int(sbuf.argmax())
-            elif selection == "max_cost":
-                tk = int(f_min.argmax())
-            else:  # "volume"
-                tk = int(vol_score.argmax())
-            pk = int(f_argmin[tk])
-            assignment[tk] = pk
-            unassigned[tk] = False
-            avail_f[pk] = 0
-            avail_count -= 1
-            f_argmin[tk] = -1
-            f_min[tk] = f_min_poison
-            if selection == "volume":
-                vol_score[tk] = -np.inf
-            if prof is not None:
-                cycles += 1
-            if avail_count == 0:
-                break
-
-            pos_pk = int(np.searchsorted(free_ids, pk))
-            free_buf[pos_pk:nfree - 1] = free_buf[pos_pk + 1:nfree]
-            nfree -= 1
-            free_ids = free_buf[:nfree]
-            if prof is not None:
-                reserve_hits += int(np.count_nonzero(f_argmin == pk))
-
-            # --- neighbor rows: the (j, tk) edge cost becomes exact --------
-            lo, hi = indptr[tk], indptr[tk + 1]
-            nbrs = indices[lo:hi]
-            sel = unassigned[nbrs]
-            touched = nbrs[sel]
-            if touched.size:
-                ws = weights[lo:hi][sel]
-                fest[touched] += ws[:, None] * (dist[pk] - avg_free)
-                unplaced_comm[touched] -= ws
-            if prof is not None:
-                neighbor_updates += int(touched.size)
-
-            # --- recentre every unplaced row on the free average ----------
-            new_avg = (avg_free * (avail_count + 1) - dist[pk]) / avail_count
-            np.subtract(new_avg, avg_free, out=delta)
-            avg_free = new_avg
-            rows = np.flatnonzero(unassigned)
-            recentre(rows, nfree)
-            if track_sum:
-                f_sum[rows] = fest[rows] @ avail_f
-            if prof is not None:
-                rows_rebuilt += rows.size
-
-        if prof is not None:
-            prof.count("topolb.cycles", cycles)
-            prof.count("topolb.reserve_hits", reserve_hits)
-            prof.count("topolb.reserve_exhaustions", 0)
-            prof.count("topolb.rows_rebuilt", rows_rebuilt)
-            prof.count("topolb.neighbor_updates", neighbor_updates)
-        return assignment

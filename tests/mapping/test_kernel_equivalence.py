@@ -17,6 +17,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.exceptions import MappingError
@@ -32,8 +34,9 @@ from repro.mapping.kernels import (
 )
 from repro.mapping import _native
 from repro.taskgraph import mesh2d_pattern, mesh3d_pattern, random_taskgraph
+from repro.taskgraph.graph import TaskGraph
 from repro.taskgraph.random_graphs import geometric_taskgraph
-from repro.topology import Hypercube, Mesh, Torus
+from repro.topology import ArbitraryTopology, Hypercube, Mesh, Torus
 
 ORDERS = (EstimatorOrder.FIRST, EstimatorOrder.SECOND, EstimatorOrder.THIRD)
 SELECTIONS = ("gain", "max_cost", "volume")
@@ -207,10 +210,10 @@ def _path_instances():
     ]
 
 
-def _map_counted(graph, topo, order, selection, kernel):
+def _map_counted(graph, topo, order, selection, kernel, allowed=None):
     with obs.profiled() as prof:
         mapping = TopoLB(order=order, selection=selection,
-                         kernel=kernel).map(graph, topo)
+                         kernel=kernel).map(graph, topo, allowed)
     return mapping.assignment, {c: prof.counters[c] for c in COUNTERS}
 
 
@@ -268,10 +271,11 @@ class TestFirstSecondOrderPaths:
 
 
 class TestThirdOrderPaths:
-    """Third-order TopoLB has its own cycle loop: a compiled
-    recentre-and-argmin pass over the free columns. It is pinned to the
-    reference at a scale where every cycle recentres over a hundred rows, on
-    a pristine and a degraded machine, down to the lazy-repair counters."""
+    """Third-order TopoLB has its own compiled cycle loop, which recentres
+    every unplaced row each cycle and keeps those rows compacted at the top
+    of ``fest``. It is pinned to the reference at a scale where every cycle
+    recentres over a hundred rows, on a pristine and a degraded machine,
+    down to the lazy-repair counters."""
 
     @pytest.mark.parametrize("label,graph,topo", _path_instances()[:3],
                              ids=lambda v: v if isinstance(v, str) else "")
@@ -281,27 +285,78 @@ class TestThirdOrderPaths:
         _assert_paths_agree(label, graph, topo, EstimatorOrder.THIRD,
                             selection)
 
-    def test_compiled_pass_skips_consumed_columns_and_checks_sizes(self):
+    def test_bound_loop_checks_its_arguments(self):
+        """Every bad argument of the bound third-order loop is a
+        ``ValueError`` before any pointer reaches C."""
         native = _native.load()
         if native is None:
             pytest.skip("no C compiler on this host")
-        fest = np.zeros((4, 6))
-        rows = np.arange(4)
-        uc, f_min = np.ones(4), np.zeros(4)
-        delta = np.arange(6.0, 0.0, -1.0)
-        argmin = np.zeros(4, dtype=np.int64)
-        free = np.arange(1, 6)
-        native.topolb3_recentre(fest, uc, delta, free, f_min,
-                                argmin).recentre(rows, free.size)
-        np.testing.assert_array_equal(argmin, 5)
-        np.testing.assert_array_equal(fest[:, 0], 0.0)  # consumed: stale
-        for free_buf, d in ((np.arange(0), delta), (np.arange(6), uc)):
+        csr = mesh2d_pattern(2, 2).csr_arrays()
+
+        def bind(fest=np.zeros((4, 6)), uc=np.ones(4), score=np.zeros(4),
+                 avail_f=np.ones(6)):
+            return native.topolb_cycles(fest, np.zeros((6, 6)), np.zeros(6),
+                                        *csr, 3, "gain", score, avail_f, 2,
+                                        uc)
+
+        bind()
+        for bad in ({"fest": np.zeros((6, 4)).T},
+                    {"fest": np.zeros((4, 6), dtype=np.float32)},
+                    {"uc": np.ones(3)}, {"uc": None}, {"score": np.zeros(5)},
+                    {"avail_f": np.zeros(6)},
+                    {"avail_f": np.array([1.0, 1, 1, 0, 0, 0])}):
             with pytest.raises(ValueError):
-                native.topolb3_recentre(fest, uc, d, free_buf, f_min, argmin)
-        bound = native.topolb3_recentre(fest, uc, delta, free, f_min, argmin)
-        for nfree in (0, free.size + 1):
-            with pytest.raises(ValueError):
-                bound.recentre(rows, nfree)
+                bind(**bad)
+
+
+@st.composite
+def _random_instances(draw):
+    """(graph, topology, allowed): n <= p tasks on p processors — random
+    CSR graphs with isolated vertices and zero-weight edges, integer
+    weights that force ties, masks with fewer tasks than allowed
+    processors, and rings with fractional link lengths."""
+    if draw(st.booleans()):
+        topo = Torus(draw(st.sampled_from([(3, 3), (4, 2), (2, 2, 2),
+                                           (4, 3)])))
+    else:
+        p = draw(st.integers(4, 12))
+        lengths = st.sampled_from([0.5, 1.0, 1.25, 1.5, 2.75])
+        links = [(i, (i + 1) % p, draw(lengths)) for i in range(p)]
+        chords = draw(st.lists(st.tuples(st.integers(0, p - 1),
+                                         st.integers(0, p - 1), lengths),
+                               max_size=p))
+        topo = ArbitraryTopology(p, links + [c for c in chords
+                                             if c[0] != c[1]])
+    p = topo.num_nodes
+    allowed, n = None, p
+    if draw(st.booleans()):
+        allowed = np.array(draw(st.lists(st.booleans(), min_size=p,
+                                         max_size=p)))
+        allowed[draw(st.integers(0, p - 1))] = True
+        n = draw(st.integers(1, int(allowed.sum())))
+    weight = (st.integers(0, 3).map(float) if draw(st.booleans())
+              else st.floats(0.0, 8.0))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          max_size=3 * n))
+    edges = [(a, b, draw(weight)) for a, b in pairs if a != b]
+    return TaskGraph(n, edges), topo, allowed
+
+
+@pytest.mark.skipif(not _native.available(),
+                    reason="no C compiler: the production loop is the reference")
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instance=_random_instances(), order=st.sampled_from(ORDERS),
+       selection=st.sampled_from(SELECTIONS))
+def test_random_instances_match_reference(instance, order, selection):
+    """Differential: every compiled TopoLB loop returns the reference's
+    assignment and counters on random small instances."""
+    graph, topo, allowed = instance
+    ref = _map_counted(graph, topo, order, selection, "reference", allowed)
+    vec = _map_counted(graph, topo, order, selection, "vectorized", allowed)
+    np.testing.assert_array_equal(vec[0], ref[0])
+    assert vec[1] == ref[1]
 
 
 class TestCostTable:

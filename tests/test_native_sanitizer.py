@@ -32,6 +32,7 @@ TESTS = ["tests/netsim/test_des_digest.py", "tests/netsim/test_des_kernel.py",
          "tests/partition/test_partition_equivalence.py"]
 SELECT = ("(des_digest and not reference) or (bodies_agree and seed1)"
           " or (kernel_equivalence and gain and torus8x4x4)"
+          " or (ThirdOrderPaths and masked)"
           " or (RefineEquivalence and incremental) or sparse_random_phase1")
 
 SCRIPT = """
