@@ -8,7 +8,9 @@ Reproduces the Section 5.2.3 setup in miniature:
 2. capture it in a load-balancing database and *dump* it to disk
    (the ``+LBDump`` analog),
 3. *replay* the identical scenario under several strategies
-   (the ``+LBSim`` analog) on a 2D torus,
+   (the ``+LBSim`` analog) on a 2D torus: one engine request per strategy
+   with the graph spec ``lbdump:<path>``, as ``repro-map`` and the
+   service take it,
 4. report group-level hops-per-byte — the paper's Figure 5 metric —
    including the RefineTopoLB post-pass.
 
@@ -20,8 +22,9 @@ import tempfile
 from pathlib import Path
 
 from repro import Torus, leanmd_taskgraph
+from repro.engine import MappingEngine, MappingRequest
 from repro.experiments.common import near_square_factors
-from repro.runtime import LBDatabase, compare_strategies
+from repro.runtime import LBDatabase
 
 
 def main(p: int = 64) -> None:
@@ -37,11 +40,15 @@ def main(p: int = 64) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         dump = Path(tmp) / "leanmd_step0.json"
         LBDatabase.from_taskgraph(graph).dump(dump)
-        reports = compare_strategies(
-            dump, topology,
-            ["GreedyLB", "RandomLB", "TopoCentLB", "TopoLB", "RefineTopoLB"],
-            seed=0,
-        )
+        engine = MappingEngine()
+        reports = [
+            {"strategy": name, **engine.run(MappingRequest(
+                graph=f"lbdump:{dump}", topology=topology, mapper=name,
+                seed=0,
+            )).metrics}
+            for name in ["GreedyLB", "RandomLB", "TopoCentLB", "TopoLB",
+                         "RefineTopoLB"]
+        ]
 
     print(f"{'strategy':<14} {'group hops/byte':>16} {'imbalance':>10} "
           f"{'max dilation':>13}")

@@ -49,7 +49,6 @@ from repro.taskgraph import (
     all_to_all_pattern,
     random_taskgraph,
     geometric_taskgraph,
-    scale_free_taskgraph,
     leanmd_taskgraph,
     coalesce,
     save_taskgraph,
@@ -115,7 +114,6 @@ __all__ = [
     "all_to_all_pattern",
     "random_taskgraph",
     "geometric_taskgraph",
-    "scale_free_taskgraph",
     "leanmd_taskgraph",
     "coalesce",
     "save_taskgraph",

@@ -12,7 +12,7 @@ specs through the single factories (:func:`graph_from_spec`,
 requested — a ``repro-profile-v1`` document.
 
 Every entry point maps through :meth:`MappingEngine.run`: ``repro-map`` and
-the ``+LBSim`` replay (:mod:`repro.runtime.simulation`) in process, and the
+the ``+LBSim`` replay (an ``lbdump:<path>`` graph spec) in process, and the
 ``repro-serve`` daemon inside its pool workers, which own batching and
 retries. Same-shape topologies share distance tables through
 :mod:`repro.topology.cache`, so repeated runs on one machine pay the O(p^2)

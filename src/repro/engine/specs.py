@@ -267,12 +267,6 @@ def _build_linear(opts, seed, kernel):
     return LinearOrderingMapper()
 
 
-def _build_sfc(opts, seed, kernel):
-    from repro.mapping.sfc import SFCMapper
-
-    return SFCMapper(curve=str(opts.get("curve", "hilbert")))
-
-
 def _build_hybrid(opts, seed, kernel):
     from repro.mapping.hybrid import HybridTopoLB
 
@@ -369,15 +363,6 @@ MAPPER_KINDS: dict[str, MapperKind] = {
         MapperKind(
             "linear", "space-filling linear-ordering mapper",
             (), _build_linear,
-        ),
-        MapperKind(
-            "sfc", "space-filling-curve geometric mapper for "
-            "coordinate-bearing task graphs (Deveci et al.)",
-            (
-                _choice("curve", "space-filling curve through task coords",
-                        "hilbert", "hilbert", "morton"),
-            ),
-            _build_sfc,
         ),
         MapperKind(
             "hybrid", "blocked hybrid TopoLB",

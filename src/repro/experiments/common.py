@@ -73,6 +73,3 @@ class ExperimentResult:
     def column(self, name: str) -> list[Any]:
         """Extract one column across rows (for assertions in tests/benches)."""
         return [r[name] for r in self.rows]
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.to_text()

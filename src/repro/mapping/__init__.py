@@ -21,8 +21,6 @@ Available mappers:
 * :class:`RecursiveEmbeddingMapper` — ARM-style divisive embedding,
 * :class:`LinearOrderingMapper` — Taura/Chien-style linear arrangement onto
   a snake walk of the machine,
-* :class:`SFCMapper` — Hilbert/Morton space-filling-curve matching for
-  coordinate-bearing task graphs (Deveci et al.),
 * :class:`HybridTopoLB` — the paper's future-work semi-distributed scheme
   (groups → machine blocks, then tasks → block processors).
 """
@@ -52,9 +50,8 @@ from repro.mapping.analysis import expected_random_hops_per_byte
 from repro.mapping.annealing import SimulatedAnnealingMapper
 from repro.mapping.recursive_embedding import RecursiveEmbeddingMapper
 from repro.mapping.linear_order import LinearOrderingMapper, snake_order
-from repro.mapping.sfc import SFCMapper, hilbert_indices, morton_indices
 from repro.mapping.hybrid import HybridTopoLB, grow_processor_blocks
-from repro.mapping.bounds import hop_bytes_lower_bound, optimality_gap
+from repro.mapping.bounds import hop_bytes_lower_bound
 from repro.mapping.incremental import IncrementalRefineLB
 
 __all__ = [
@@ -83,12 +80,8 @@ __all__ = [
     "RecursiveEmbeddingMapper",
     "LinearOrderingMapper",
     "snake_order",
-    "SFCMapper",
-    "hilbert_indices",
-    "morton_indices",
     "HybridTopoLB",
     "grow_processor_blocks",
     "hop_bytes_lower_bound",
-    "optimality_gap",
     "IncrementalRefineLB",
 ]

@@ -30,7 +30,7 @@ from repro.topology.base import Topology
 from repro.topology.grid import GridTopology
 from repro.topology.hypercube import Hypercube
 
-__all__ = ["hop_bytes_lower_bound", "optimality_gap"]
+__all__ = ["hop_bytes_lower_bound"]
 
 
 def _vertex_transitive(topology: Topology) -> bool:
@@ -87,11 +87,3 @@ def hop_bytes_lower_bound(graph: TaskGraph, topology: Topology) -> float:
         total += float(np.dot(w_sorted, profile[: len(w_sorted)]))
     bound = total / 2.0
     return max(bound, graph.total_bytes)
-
-
-def optimality_gap(mapping) -> float:
-    """``hop_bytes / lower_bound`` (1.0 certifies optimality; inf if LB is 0)."""
-    bound = hop_bytes_lower_bound(mapping.graph, mapping.topology)
-    if bound == 0:
-        return float("inf") if mapping.hop_bytes > 0 else 1.0
-    return mapping.hop_bytes / bound

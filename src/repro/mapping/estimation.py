@@ -26,7 +26,7 @@ import numpy as np
 from repro.topology import cache
 from repro.topology.base import Topology
 
-__all__ = ["EstimatorOrder", "average_distance_vector", "centered_distance_matrix"]
+__all__ = ["EstimatorOrder", "average_distance_vector"]
 
 
 class EstimatorOrder(enum.IntEnum):
@@ -75,34 +75,3 @@ def average_distance_vector(
             cache.shared_put(skey, vec)
     topology._avg_distance_vector = vec
     return vec
-
-
-def centered_distance_matrix(
-    topology: Topology, dtype: np.dtype | type = np.float64
-) -> np.ndarray:
-    """``centered[q, j] = d(q, j) - avg[j]`` in ``dtype``, cached per dtype.
-
-    The second-order estimator subtracts the same expected-distance baseline
-    from a distance row on every placement cycle; this is that subtraction
-    hoisted all the way out of the mapper into the shared topology tables
-    (it is as much a pure function of the machine shape as the distance
-    matrix itself). Read-only, like every shared table.
-    """
-    dt = np.dtype(dtype)
-    mat = topology._centered_distance.get(dt)
-    if mat is not None:
-        return mat
-    key = topology.cache_key()
-    skey = (key, "centered_distance_matrix", dt.str) if key is not None else None
-    mat = cache.shared_get(skey) if skey is not None else None
-    if mat is None:
-        # Same cast-then-subtract the mappers used to do inline, so the
-        # cached table is bitwise what the kernels computed before.
-        dist = topology.distance_matrix(dt)
-        avg = average_distance_vector(topology).astype(dt, copy=False)
-        mat = dist - avg
-        mat.flags.writeable = False
-        if skey is not None:
-            cache.shared_put(skey, mat)
-    topology._centered_distance[dt] = mat
-    return mat

@@ -18,8 +18,8 @@ This mapper is that semi-distributed scheme:
 
 Each TopoLB instance sees a problem of size ``B`` or ``p/B`` instead of
 ``p``, so the cubic-ish constants shrink dramatically — the scalability
-win the paper anticipates — at a small hop-byte penalty (quantified in
-``benchmarks/test_ablation_hybrid.py``).
+win the paper anticipates — at a hop-byte penalty (the ``zoo``
+experiment reports it beside flat TopoLB).
 """
 
 from __future__ import annotations

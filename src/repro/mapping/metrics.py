@@ -33,7 +33,6 @@ __all__ = [
     "per_task_hop_bytes",
     "per_link_loads",
     "dilation_stats",
-    "dilation_histogram",
     "processor_loads",
     "load_imbalance",
     "metrics_block",
@@ -133,36 +132,6 @@ def dilation_stats(
         "mean": float(dist.mean()),
         "weighted_mean": float(np.dot(w, dist) / w.sum()) if w.sum() else 0.0,
     }
-
-
-def dilation_histogram(
-    graph: TaskGraph, topology: Topology, assignment: Sequence[int]
-) -> dict[int | float, float]:
-    """Bytes communicated at each hop distance: ``{distance: bytes}``.
-
-    The distributional view behind hops-per-byte: an ideal stencil mapping
-    concentrates all bytes at distance 1, a random mapping spreads them to
-    the machine's distance distribution. Distance 0 collects intra-processor
-    bytes (many-to-one mappings).
-
-    Key types: a key is ``int`` whenever the distance is integral — always
-    the case on hop-metric machines — and ``float`` only for fractional
-    distances on weighted machines. A weighted machine can therefore mix
-    both (e.g. links of cost 1.5 give keys ``1.5`` and ``3``); consumers
-    that need uniform keys should normalize with ``float(key)``, which is
-    lossless and collision-free because every ``int`` key is produced
-    *instead of* (never alongside) its ``float`` equivalent.
-    """
-    arr = _as_assignment(graph, topology, assignment)
-    u, v, w = graph.edge_arrays()
-    if len(w) == 0:
-        return {}
-    dist = topology.pair_distances(arr[u], arr[v]).astype(np.float64)
-    out: dict[int | float, float] = {}
-    for d in np.unique(dist):
-        key = int(d) if float(d).is_integer() else float(d)
-        out[key] = float(w[dist == d].sum())
-    return out
 
 
 def processor_loads(

@@ -14,7 +14,7 @@ in. This package provides the equivalent machinery:
   retransmits, scheduled link/node faults and a livelock watchdog,
 * :class:`IterativeApplication` — dependency-honouring replay of Jacobi-style
   compute/communicate iterations under any task mapping,
-* latency / link-utilization statistics,
+* tail-latency and per-link statistics,
 * :func:`flow_evaluate` — the flow-level contention estimator: static
   per-link loads from dimension-ordered routes plus a provable makespan
   lower bound, for machine scales where the DES is infeasible (see
@@ -30,7 +30,7 @@ from repro.netsim.messages import (
 )
 from repro.netsim.simulator import NetworkSimulator, RoutingPolicy
 from repro.netsim.appsim import IterativeApplication, AppResult
-from repro.netsim.stats import summarize_latencies, link_utilization, tail_summary
+from repro.netsim.stats import tail_summary
 from repro.netsim.flow import FlowResult, flow_evaluate, spearman
 
 __all__ = [
@@ -43,8 +43,6 @@ __all__ = [
     "RoutingPolicy",
     "IterativeApplication",
     "AppResult",
-    "summarize_latencies",
-    "link_utilization",
     "tail_summary",
     "FlowResult",
     "flow_evaluate",

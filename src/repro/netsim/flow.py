@@ -92,21 +92,6 @@ class FlowResult:
     def links_used(self) -> int:
         return len(self.link_bytes)
 
-    def load_histogram(self, bins: int = 10) -> dict:
-        """Histogram of whole-run per-link byte loads (used links only)."""
-        loads = np.fromiter(
-            self.link_bytes.values(), dtype=np.float64, count=len(self.link_bytes)
-        ) * self.iterations
-        if len(loads) == 0:
-            return {"counts": [], "edges": [], "mean": 0.0, "max": 0.0}
-        counts, edges = np.histogram(loads, bins=bins)
-        return {
-            "counts": [int(c) for c in counts],
-            "edges": [float(e) for e in edges],
-            "mean": float(loads.mean()),
-            "max": float(loads.max()),
-        }
-
 
 def _directed_messages(
     mapping: Mapping, message_bytes: float | None

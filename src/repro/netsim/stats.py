@@ -6,41 +6,7 @@ import numpy as np
 
 from repro.netsim.simulator import NetworkSimulator, channel_name
 
-__all__ = ["summarize_latencies", "link_utilization", "link_summary",
-           "tail_summary"]
-
-
-def summarize_latencies(sim: NetworkSimulator) -> dict[str, float]:
-    """Latency summary of all delivered messages (microseconds)."""
-    lat = sim.stats.latencies()
-    if len(lat) == 0:
-        return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
-    return {
-        "count": float(len(lat)),
-        "mean": float(lat.mean()),
-        "p50": float(np.percentile(lat, 50)),
-        "p95": float(np.percentile(lat, 95)),
-        "max": float(lat.max()),
-    }
-
-
-def link_utilization(sim: NetworkSimulator) -> dict[str, float]:
-    """Link occupancy summary over the simulated interval.
-
-    Utilization is occupancy time / total simulated time; the *max* link
-    utilization is the contention bottleneck (a value near 1.0 means some
-    link ran saturated — the congested regime of Figure 7).
-    """
-    total_time = sim.now
-    busy = np.asarray(list(sim.link_busy_times().values()), dtype=np.float64)
-    if total_time <= 0 or len(busy) == 0:
-        return {"links_used": float(len(busy)), "mean": 0.0, "max": 0.0}
-    util = busy / total_time
-    return {
-        "links_used": float(len(busy)),
-        "mean": float(util.mean()),
-        "max": float(util.max()),
-    }
+__all__ = ["link_summary", "tail_summary"]
 
 
 def tail_summary(sim: NetworkSimulator,

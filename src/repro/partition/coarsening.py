@@ -20,9 +20,7 @@ __all__ = [
     "contract",
     "pair_unmatched",
     "limit_pairs",
-    "coarsen_step",
     "coarsen_toward",
-    "coarsen_levels",
 ]
 
 
@@ -133,22 +131,6 @@ def limit_pairs(
     return match
 
 
-def coarsen_step(
-    graph: TaskGraph,
-    seed: int | np.random.Generator | None = 0,
-    force: bool = False,
-) -> tuple[TaskGraph, np.ndarray]:
-    """One coarsening level: match, optionally force-pair leftovers, contract.
-
-    Returns ``(coarse graph, fine→coarse map)``. With ``force`` the coarse
-    graph has exactly ``ceil(n/2)`` vertices.
-    """
-    match = heavy_edge_matching(graph, seed)
-    if force:
-        match = pair_unmatched(match)
-    return contract(graph, match)
-
-
 def coarsen_toward(
     graph: TaskGraph, target: int, seed: int | np.random.Generator | None = 0
 ) -> tuple[TaskGraph, np.ndarray]:
@@ -163,33 +145,3 @@ def coarsen_toward(
     match = pair_unmatched(heavy_edge_matching(graph, seed))
     match = limit_pairs(graph, match, graph.num_tasks - target)
     return contract(graph, match)
-
-
-def coarsen_levels(
-    graph: TaskGraph,
-    target: int,
-    seed: int = 0,
-    max_levels: int | None = None,
-    force: bool = True,
-) -> tuple[TaskGraph, list[np.ndarray]]:
-    """Coarsen until at most ``target`` vertices (or the level budget ends).
-
-    Returns ``(coarsest graph, maps)`` where ``maps`` lists the fine→coarse
-    vertex map of every level, finest first; composing them (``maps[-1][...
-    maps[0]]`` read right to left) prolongs a coarse labeling back to the
-    original vertices. With ``force`` (default) each level halves the vertex
-    count, so the loop terminates on stars, singleton clouds, zero-weight
-    edges, and any other graph that starves the matching.
-    """
-    target = max(1, int(target))
-    maps: list[np.ndarray] = []
-    g = graph
-    while g.num_tasks > target:
-        if max_levels is not None and len(maps) >= max_levels:
-            break
-        coarse, fine2coarse = coarsen_step(g, seed=seed + len(maps), force=force)
-        if coarse.num_tasks >= g.num_tasks:
-            break  # matching found nothing to merge and force is off
-        maps.append(fine2coarse)
-        g = coarse
-    return g, maps

@@ -33,31 +33,12 @@ class LBDatabase:
         self._comm: dict[tuple[int, int], float] = {}
         self._placement = np.zeros(self._n, dtype=np.int64)
         self._steps = 0
-        self._coords: np.ndarray | None = None
-
-    # ------------------------------------------------------------ recording
-    @property
-    def num_objects(self) -> int:
-        """Number of migratable objects tracked."""
-        return self._n
-
-    @property
-    def num_steps(self) -> int:
-        """Measurement steps accumulated so far."""
-        return self._steps
 
     def _check(self, obj: int) -> int:
         obj = int(obj)
         if not 0 <= obj < self._n:
             raise TaskGraphError(f"object {obj} out of range [0, {self._n})")
         return obj
-
-    def record_load(self, obj: int, load: float) -> None:
-        """Accumulate measured compute load for one object."""
-        obj = self._check(obj)
-        if load < 0:
-            raise TaskGraphError(f"load must be non-negative, got {load}")
-        self._loads[obj] += float(load)
 
     def record_comm(self, src: int, dst: int, num_bytes: float) -> None:
         """Accumulate measured communication between two objects."""
@@ -69,26 +50,12 @@ class LBDatabase:
         key = (src, dst) if src < dst else (dst, src)
         self._comm[key] = self._comm.get(key, 0.0) + float(num_bytes)
 
-    def end_step(self) -> None:
-        """Close one measurement step (bookkeeping only)."""
-        self._steps += 1
-
     def set_placement(self, placement) -> None:
         """Record the current object → processor placement."""
         arr = np.asarray(placement, dtype=np.int64)
         if arr.shape != (self._n,):
             raise TaskGraphError(f"placement must have shape ({self._n},)")
         self._placement = arr.copy()
-
-    @property
-    def placement(self) -> np.ndarray:
-        """Current object placement (copied)."""
-        return self._placement.copy()
-
-    @property
-    def loads(self) -> np.ndarray:
-        """Accumulated per-object loads (copied)."""
-        return self._loads.copy()
 
     # ----------------------------------------------------------- conversion
     def to_taskgraph(self) -> TaskGraph:
@@ -98,10 +65,7 @@ class LBDatabase:
         the Charm++ model where every migratable object is a vertex.
         """
         edges = [(a, b, w) for (a, b), w in sorted(self._comm.items())]
-        graph = TaskGraph(self._n, edges, self._loads)
-        if self._coords is not None:
-            graph.attach_coords(self._coords)
-        return graph
+        return TaskGraph(self._n, edges, self._loads)
 
     @classmethod
     def from_taskgraph(cls, graph: TaskGraph, placement=None) -> "LBDatabase":
@@ -110,8 +74,6 @@ class LBDatabase:
         db._loads = graph.vertex_weights.copy()
         db._comm = {(a, b): w for a, b, w in graph.edges()}
         db._steps = 1
-        if graph.coords is not None:
-            db._coords = graph.coords.copy()
         if placement is not None:
             db.set_placement(placement)
         return db
@@ -127,28 +89,29 @@ class LBDatabase:
             "placement": self._placement.tolist(),
             "comm": [[a, b, w] for (a, b), w in sorted(self._comm.items())],
         }
-        if self._coords is not None:
-            payload["coords"] = self._coords.tolist()
         Path(path).write_text(json.dumps(payload))
 
     @classmethod
     def load(cls, path: str | Path) -> "LBDatabase":
-        """Read a dump written by :meth:`dump` (the ``+LBSim`` input)."""
+        """Read a dump written by :meth:`dump` (the ``+LBSim`` input).
+
+        A file that is not a well-formed dump raises
+        :class:`~repro.exceptions.TaskGraphError`, as a malformed task-graph
+        file does.
+        """
         try:
             payload = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise TaskGraphError(f"invalid LB dump: {exc}") from exc
-        if payload.get("format") != _FORMAT:
+        if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
             raise TaskGraphError(f"not a {_FORMAT} dump file")
-        db = cls(int(payload["num_objects"]))
-        db._steps = int(payload["steps"])
-        db._loads = np.asarray(payload["loads"], dtype=np.float64)
-        db.set_placement(payload["placement"])
-        for a, b, w in payload["comm"]:
-            db.record_comm(int(a), int(b), float(w))
-        if "coords" in payload:
-            db._coords = np.asarray(payload["coords"], dtype=np.float64)
+        try:
+            db = cls(int(payload["num_objects"]))
+            db._steps = int(payload["steps"])
+            db._loads = np.asarray(payload["loads"], dtype=np.float64)
+            db.set_placement(payload["placement"])
+            for a, b, w in payload["comm"]:
+                db.record_comm(int(a), int(b), float(w))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TaskGraphError(f"malformed LB dump: {exc}") from exc
         return db
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<LBDatabase objects={self._n} pairs={len(self._comm)} steps={self._steps}>"

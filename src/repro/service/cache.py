@@ -182,10 +182,6 @@ class ResultCache:
         self.disk_hits = 0
         self.evictions = 0
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._mem)
-
     def _disk_path(self, key: str) -> Path:
         return self._dir / f"{key}.json"
 

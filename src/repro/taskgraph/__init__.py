@@ -17,15 +17,8 @@ from repro.taskgraph.patterns import (
 from repro.taskgraph.random_graphs import (
     random_taskgraph,
     geometric_taskgraph,
-    scale_free_taskgraph,
 )
 from repro.taskgraph.leanmd import leanmd_taskgraph
-from repro.taskgraph.applications import (
-    fft_pencil_pattern,
-    wavefront_pattern,
-    amr_pattern,
-    unstructured_halo_pattern,
-)
 from repro.taskgraph.coalesce import coalesce
 from repro.taskgraph.io import taskgraph_to_json, taskgraph_from_json, save_taskgraph, load_taskgraph
 
@@ -37,12 +30,7 @@ __all__ = [
     "all_to_all_pattern",
     "random_taskgraph",
     "geometric_taskgraph",
-    "scale_free_taskgraph",
     "leanmd_taskgraph",
-    "fft_pencil_pattern",
-    "wavefront_pattern",
-    "amr_pattern",
-    "unstructured_halo_pattern",
     "coalesce",
     "taskgraph_to_json",
     "taskgraph_from_json",

@@ -137,7 +137,6 @@ class TaskGraph:
 
     def _finish_edges(self) -> None:
         """Freeze the canonical edge arrays and derive the CSR adjacency."""
-        self._coords: np.ndarray | None = None
         for arr in (self._edge_u, self._edge_v, self._edge_w):
             arr.flags.writeable = False
 
@@ -161,13 +160,12 @@ class TaskGraph:
 
         Covers the task count, the canonical deduplicated edge arrays
         (sorted ``(min, max)`` keys with summed float64 weights — exactly
-        what the CSR adjacency derives from), the vertex weights, and the
-        coordinates when attached. Two graphs with equal structure hash
-        equally regardless of how they were built (``__init__`` vs
-        :meth:`from_arrays`, edge input order, duplicate merging), and the
-        digest is identical across processes and platforms because every
-        hashed array has a fixed dtype (int64/float64) and little-endian
-        byte order. This is the graph half of the content-addressed mapping
+        what the CSR adjacency derives from) and the vertex weights. Two
+        graphs with equal structure hash equally regardless of how they were
+        built (``__init__`` vs :meth:`from_arrays`, edge input order,
+        duplicate merging), and the digest is identical across processes and
+        platforms because every hashed array has a fixed dtype
+        (int64/float64) and little-endian byte order. This is the graph half of the content-addressed mapping
         cache key (see :mod:`repro.service.cache`).
         """
         import hashlib
@@ -188,9 +186,6 @@ class TaskGraph:
         _arr(b"ev", self._edge_v)
         _arr(b"ew", self._edge_w)
         _arr(b"vw", self._vertex_weights)
-        if self._coords is not None:
-            h.update(self._coords.shape[1].to_bytes(8, "little"))
-            _arr(b"xy", self._coords)
         return h.hexdigest()
 
     # ----------------------------------------------------------------- sizes
@@ -206,37 +201,6 @@ class TaskGraph:
 
     def __len__(self) -> int:
         return self._n
-
-    # ---------------------------------------------------------------- coords
-    @property
-    def coords(self) -> np.ndarray | None:
-        """Per-task geometric coordinates, shape ``(n, k)``, or ``None``.
-
-        Structured generators (:func:`~repro.taskgraph.patterns.mesh_pattern`)
-        attach them; geometric mappers (the space-filling-curve mapper)
-        require them. Read-only once attached.
-        """
-        return self._coords
-
-    def attach_coords(self, coords) -> "TaskGraph":
-        """Attach per-task coordinates (one row per task); returns ``self``.
-
-        Coordinates are auxiliary metadata — they do not participate in
-        equality or the edge structure — but mappers that order tasks
-        geometrically (Deveci et al.'s SFC baselines) need them.
-        """
-        arr = np.asarray(coords, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2 or arr.shape[0] != self._n:
-            raise TaskGraphError(
-                f"coords must have one row per task ({self._n}), "
-                f"got shape {arr.shape}"
-            )
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self._coords = arr
-        return self
 
     # --------------------------------------------------------------- weights
     @property
@@ -318,35 +282,6 @@ class TaskGraph:
         """Read-only ``(indptr, indices, weights)`` of the symmetric adjacency."""
         return self._indptr, self._indices, self._weights
 
-    # ------------------------------------------------------------ conversion
-    def to_networkx(self):
-        """Export as a ``networkx.Graph`` with ``weight`` edge and node attrs."""
-        import networkx as nx
-
-        g = nx.Graph()
-        for t in range(self._n):
-            g.add_node(t, weight=float(self._vertex_weights[t]))
-        for a, b, w in self.edges():
-            g.add_edge(a, b, weight=w)
-        return g
-
-    @classmethod
-    def from_networkx(cls, graph) -> "TaskGraph":
-        """Build from a ``networkx.Graph`` with nodes ``0..n-1``.
-
-        Edge attribute ``weight`` defaults to 1 byte; node attribute
-        ``weight`` defaults to 1.0 load.
-        """
-        nodes = sorted(graph.nodes())
-        if nodes != list(range(len(nodes))):
-            raise TaskGraphError("networkx graph nodes must be exactly 0..n-1")
-        vw = [float(graph.nodes[t].get("weight", 1.0)) for t in nodes]
-        edges = [
-            (a, b, float(data.get("weight", 1.0)))
-            for a, b, data in graph.edges(data=True)
-        ]
-        return cls(len(nodes), edges, vw)
-
     def induced(self, tasks: Sequence[int]) -> "TaskGraph":
         """Induced subgraph on ``tasks``, relabeled to local ids ``0..k-1``.
 
@@ -361,12 +296,9 @@ class TaskGraph:
         local[ids] = np.arange(len(ids))
         lu, lv = local[self._edge_u], local[self._edge_v]
         inside = (lu >= 0) & (lv >= 0)
-        sub = TaskGraph.from_arrays(len(ids), lu[inside], lv[inside],
-                                    self._edge_w[inside],
-                                    self._vertex_weights[ids])
-        if self._coords is not None:
-            sub.attach_coords(self._coords[ids])
-        return sub
+        return TaskGraph.from_arrays(len(ids), lu[inside], lv[inside],
+                                     self._edge_w[inside],
+                                     self._vertex_weights[ids])
 
     def relabel(self, permutation: Sequence[int]) -> "TaskGraph":
         """Return a copy with task ``t`` renamed to ``permutation[t]``."""
@@ -375,13 +307,8 @@ class TaskGraph:
             raise TaskGraphError("relabel requires a permutation of 0..n-1")
         new_vw = np.empty_like(self._vertex_weights)
         new_vw[perm] = self._vertex_weights
-        out = TaskGraph.from_arrays(self._n, perm[self._edge_u],
-                                    perm[self._edge_v], self._edge_w, new_vw)
-        if self._coords is not None:
-            new_coords = np.empty_like(self._coords)
-            new_coords[perm] = self._coords
-            out.attach_coords(new_coords)
-        return out
+        return TaskGraph.from_arrays(self._n, perm[self._edge_u],
+                                     perm[self._edge_v], self._edge_w, new_vw)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<TaskGraph n={self._n} edges={self.num_edges} bytes={self.total_bytes:g}>"

@@ -20,15 +20,12 @@ _FORMAT = "repro-taskgraph-v1"
 
 def taskgraph_to_json(graph: TaskGraph) -> str:
     """Serialize ``graph`` to a JSON string."""
-    payload = {
+    return json.dumps({
         "format": _FORMAT,
         "num_tasks": graph.num_tasks,
         "vertex_weights": [float(w) for w in graph.vertex_weights],
         "edges": [[a, b, w] for a, b, w in graph.edges()],
-    }
-    if graph.coords is not None:
-        payload["coords"] = [[float(c) for c in row] for row in graph.coords]
-    return json.dumps(payload)
+    })
 
 
 def taskgraph_from_json(text: str) -> TaskGraph:
@@ -40,14 +37,11 @@ def taskgraph_from_json(text: str) -> TaskGraph:
     if not isinstance(payload, dict) or payload.get("format") != _FORMAT:
         raise TaskGraphError(f"not a {_FORMAT} document")
     try:
-        graph = TaskGraph(
+        return TaskGraph(
             int(payload["num_tasks"]),
             [(int(a), int(b), float(w)) for a, b, w in payload["edges"]],
             [float(w) for w in payload["vertex_weights"]],
         )
-        if "coords" in payload:
-            graph.attach_coords(payload["coords"])
-        return graph
     except (KeyError, TypeError, ValueError) as exc:
         raise TaskGraphError(f"malformed task-graph document: {exc}") from exc
 

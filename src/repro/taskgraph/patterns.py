@@ -42,9 +42,6 @@ def mesh_pattern(
     ``2 * message_bytes``. Boundary tasks simply have fewer edges (the
     paper: "three or two for boundary and corner chares") unless
     ``periodic`` adds wrap-around partners.
-
-    Each task's grid position is attached as :attr:`TaskGraph.coords`, so
-    geometric mappers (``sfc:curve=hilbert``) can order the tasks spatially.
     """
     n = check_shape_volume(shape, TaskGraphError)
     shape = tuple(int(s) for s in shape)
@@ -62,8 +59,7 @@ def mesh_pattern(
             last = ids.take([shape[axis] - 1], axis=axis).ravel()
             edges.extend((int(x), int(y), w) for x, y in zip(last, first))
     loads = np.full(n, float(compute_load))
-    coords = np.stack(np.unravel_index(np.arange(n), shape), axis=1)
-    return TaskGraph(n, edges, loads).attach_coords(coords)
+    return TaskGraph(n, edges, loads)
 
 
 def mesh2d_pattern(rows: int, cols: int, message_bytes: float = 1.0, **kw) -> TaskGraph:

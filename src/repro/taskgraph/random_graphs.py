@@ -8,7 +8,7 @@ from repro.exceptions import TaskGraphError
 from repro.taskgraph.graph import TaskGraph
 from repro.utils.rng import as_rng
 
-__all__ = ["random_taskgraph", "geometric_taskgraph", "scale_free_taskgraph"]
+__all__ = ["random_taskgraph", "geometric_taskgraph"]
 
 
 def _ensure_connected_edges(n: int, edges: list[tuple[int, int, float]],
@@ -79,28 +79,4 @@ def geometric_taskgraph(
     vols = mean_bytes * (1.0 - d[mask] / radius) + 1.0
     edges = [(int(a), int(b), float(w)) for a, b, w in zip(iu[mask], ju[mask], vols)]
     _ensure_connected_edges(n, edges, rng, 1.0)
-    return TaskGraph(n, edges)
-
-
-def scale_free_taskgraph(
-    n: int,
-    attach: int = 2,
-    mean_bytes: float = 1024.0,
-    seed: int | np.random.Generator | None = None,
-) -> TaskGraph:
-    """Barabási–Albert preferential-attachment communication graph.
-
-    Hub-and-spoke communication (e.g. master/worker with shared reductions);
-    stresses the mappers' handling of very high-degree tasks.
-    """
-    import networkx as nx
-
-    if n < 3:
-        raise TaskGraphError(f"need >= 3 tasks, got {n}")
-    rng = as_rng(seed)
-    g = nx.barabasi_albert_graph(n, max(1, min(attach, n - 1)),
-                                 seed=int(rng.integers(0, 2**31)))
-    weights = rng.lognormal(mean=np.log(max(mean_bytes, 1e-9)), sigma=0.8,
-                            size=g.number_of_edges())
-    edges = [(int(a), int(b), float(w)) for (a, b), w in zip(g.edges(), weights)]
     return TaskGraph(n, edges)

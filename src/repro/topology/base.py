@@ -37,7 +37,6 @@ class Topology(abc.ABC):
         # distance_matrix() (possibly from the process-level shared cache).
         self._distance_matrices: dict[np.dtype, np.ndarray] = {}
         self._avg_distance_vector: np.ndarray | None = None
-        self._centered_distance: dict[np.dtype, np.ndarray] = {}
         self._link_graph = None  # lazily built by link_graph()
 
     # ------------------------------------------------------------------ size

@@ -80,7 +80,7 @@ def test_kernel_is_not_a_spec_option(spec):
 def test_registry_contents_are_pinned():
     assert sorted(MAPPER_KINDS) == [
         "anneal", "hybrid", "identity", "linear", "multilevel",
-        "pipeline", "random", "recursive", "refine", "sfc", "topocentlb",
+        "pipeline", "random", "recursive", "refine", "topocentlb",
         "topolb",
     ]
     assert sorted(STRATEGY_SPECS) == [

@@ -15,7 +15,6 @@ from repro.mapping import (
     RandomMapper,
     TopoLB,
     hop_bytes_lower_bound,
-    optimality_gap,
 )
 from repro.mapping.bounds import _distance_profile
 from repro.taskgraph import TaskGraph, mesh2d_pattern, mesh3d_pattern, random_taskgraph
@@ -33,12 +32,13 @@ class TestLowerBound:
         bound = hop_bytes_lower_bound(g, topo)
         assert bound == pytest.approx(g.total_bytes)
         mapping = IdentityMapper().map(g, topo)
-        assert optimality_gap(mapping) == pytest.approx(1.0)
+        assert mapping.hop_bytes / bound == pytest.approx(1.0)
 
     def test_topolb_certified_optimal(self):
         topo = Torus((8, 8))
         g = mesh2d_pattern(8, 8)
-        assert optimality_gap(TopoLB().map(g, topo)) == pytest.approx(1.0)
+        gap = TopoLB().map(g, topo).hop_bytes / hop_bytes_lower_bound(g, topo)
+        assert gap == pytest.approx(1.0)
 
     def test_bound_exceeds_total_bytes_for_high_degree(self):
         """A task with more partners than machine degree must reach past
@@ -66,7 +66,8 @@ class TestLowerBound:
     def test_gap_of_random_large(self):
         topo = Torus((8, 8))
         g = mesh2d_pattern(8, 8)
-        gap = optimality_gap(RandomMapper(seed=0).map(g, topo))
+        gap = (RandomMapper(seed=0).map(g, topo).hop_bytes
+               / hop_bytes_lower_bound(g, topo))
         assert gap > 3.0
 
 

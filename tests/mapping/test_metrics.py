@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import MappingError
 from repro.mapping.metrics import (
-    dilation_histogram,
     dilation_stats,
     hop_bytes,
     hops_per_byte,
@@ -19,7 +18,7 @@ from repro.mapping.metrics import (
     processor_loads,
 )
 from repro.taskgraph import TaskGraph, random_taskgraph
-from repro.topology import ArbitraryTopology, Hypercube, Mesh, Torus
+from repro.topology import Hypercube, Mesh, Torus
 
 
 class TestHopBytes:
@@ -101,57 +100,6 @@ class TestPerLinkLoads:
         assign = [0, 1, 2, 3]
         loads = per_link_loads(tiny_graph, topo, assign)
         assert sum(loads.values()) == pytest.approx(hop_bytes(tiny_graph, topo, assign))
-
-
-class TestDilationHistogram:
-    def test_identity_concentrates_at_one(self):
-        from repro.taskgraph import mesh2d_pattern
-
-        g = mesh2d_pattern(4, 4)
-        topo = Torus((4, 4))
-        hist = dilation_histogram(g, topo, np.arange(16))
-        assert set(hist) == {1}
-        assert hist[1] == pytest.approx(g.total_bytes)
-
-    def test_histogram_sums_to_total_bytes(self, tiny_graph, rng):
-        topo = Torus((2, 2))
-        hist = dilation_histogram(tiny_graph, topo, rng.permutation(4))
-        assert sum(hist.values()) == pytest.approx(tiny_graph.total_bytes)
-
-    def test_hop_bytes_identity(self, tiny_graph):
-        topo = Mesh((4,))
-        assign = [0, 1, 2, 3]
-        hist = dilation_histogram(tiny_graph, topo, assign)
-        assert sum(d * b for d, b in hist.items()) == pytest.approx(
-            hop_bytes(tiny_graph, topo, assign)
-        )
-
-    def test_colocation_bucket_zero(self, tiny_graph):
-        topo = Mesh((2, 2))
-        hist = dilation_histogram(tiny_graph, topo, [0, 0, 0, 0])
-        assert set(hist) == {0}
-
-    def test_empty_graph(self):
-        g = TaskGraph(3)
-        assert dilation_histogram(g, Mesh((3,)), [0, 1, 2]) == {}
-
-    def test_keys_are_ints_on_hop_metric_machines(self, tiny_graph):
-        """Regression for the documented key-type contract: integral
-        distances produce ``int`` keys, never ``float`` ones."""
-        hist = dilation_histogram(tiny_graph, Mesh((4,)), [0, 1, 2, 3])
-        assert hist  # non-trivial instance
-        assert all(type(k) is int for k in hist)
-
-    def test_keys_mix_float_and_int_on_weighted_machines(self):
-        """On a weighted machine fractional distances keep float keys while
-        integral ones still collapse to int (1.5 + 1.5 == 3)."""
-        topo = ArbitraryTopology(3, [(0, 1, 1.5), (1, 2, 1.5)])
-        g = TaskGraph(3, [(0, 1, 10.0), (0, 2, 20.0)])
-        hist = dilation_histogram(g, topo, [0, 1, 2])
-        assert hist[1.5] == 10.0
-        assert hist[3] == 20.0
-        assert type([k for k in hist if k == 1.5][0]) is float
-        assert type([k for k in hist if k == 3][0]) is int
 
 
 class TestDilationAndLoads:
@@ -244,18 +192,6 @@ def test_property_per_task_additivity(instance):
     graph, topo, assignment = instance
     per_task = per_task_hop_bytes(graph, topo, assignment)
     assert per_task.sum() / 2 == pytest.approx(hop_bytes(graph, topo, assignment))
-
-
-@given(_metric_instances())
-@settings(max_examples=60, deadline=None)
-def test_property_dilation_histogram_conserves_bytes(instance):
-    """Histogram values sum to total bytes; distance-weighted sum to hop-bytes."""
-    graph, topo, assignment = instance
-    hist = dilation_histogram(graph, topo, assignment)
-    assert sum(hist.values()) == pytest.approx(graph.total_bytes)
-    assert sum(d * b for d, b in hist.items()) == pytest.approx(
-        hop_bytes(graph, topo, assignment)
-    )
 
 
 @given(_metric_instances())

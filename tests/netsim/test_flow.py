@@ -260,12 +260,6 @@ class TestResultSurface:
         return flow_evaluate(_mapping(graph, topo, seed=0),
                              iterations=iterations)
 
-    def test_load_histogram(self):
-        flow = self._flow()
-        hist = flow.load_histogram(bins=5)
-        assert sum(hist["counts"]) == flow.links_used
-        assert hist["max"] == pytest.approx(flow.max_link_bytes)
-
     def test_empty_traffic(self):
         from repro.taskgraph import TaskGraph
 
@@ -274,7 +268,6 @@ class TestResultSurface:
         flow = flow_evaluate(_mapping(graph, topo))
         assert flow.links_used == 0
         assert flow.total_bytes == 0.0
-        assert flow.load_histogram()["counts"] == []
 
     def test_parameter_validation(self):
         graph, topo = mesh2d_pattern(4, 4), Torus((4, 4))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
 from repro.netsim import NetworkSimulator, RoutingPolicy
-from repro.netsim.stats import link_utilization, summarize_latencies
 from repro.topology import Mesh, Torus
 
 
@@ -189,18 +188,19 @@ class TestStats:
         for i in range(10):
             sim.send(0, 1 + (i % 3), 100.0)
         sim.run()
-        summary = summarize_latencies(sim)
-        assert summary["count"] == 10
-        assert summary["p50"] <= summary["p95"] <= summary["max"]
+        lat = sim.stats.latencies()
+        assert len(lat) == 10
+        p50, p95 = np.percentile(lat, [50, 95])
+        assert p50 <= p95 <= lat.max() == sim.stats.max_latency
 
     def test_link_utilization_range(self, kernel):
         sim = make_sim(kernel)
         for _ in range(5):
             sim.send(0, 7, 500.0)
         sim.run()
-        util = link_utilization(sim)
-        assert 0.0 < util["mean"] <= util["max"] + 1e-9
-        assert util["max"] <= 1.0 + 1e-9
+        util = np.asarray(list(sim.link_busy_times().values())) / sim.now
+        assert 0.0 < util.mean() <= util.max() + 1e-9
+        assert util.max() <= 1.0 + 1e-9
 
     def test_link_bytes_conservation(self, kernel):
         sim = make_sim(kernel)
@@ -211,7 +211,7 @@ class TestStats:
 
     def test_empty_stats(self, kernel):
         sim = make_sim(kernel)
-        assert summarize_latencies(sim)["count"] == 0
+        assert len(sim.stats.latencies()) == 0
         assert sim.stats.mean_latency == 0.0
         assert sim.stats.max_latency == 0.0
 

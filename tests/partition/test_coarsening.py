@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.partition.coarsening import (
-    coarsen_levels,
-    coarsen_step,
     coarsen_toward,
     contract,
     heavy_edge_matching,
@@ -23,6 +21,17 @@ from repro.utils.rng import as_rng
 
 def _star(n: int) -> TaskGraph:
     return TaskGraph(n, [(0, i, float(i)) for i in range(1, n)])
+
+
+def _coarsen_levels(graph: TaskGraph, target: int, seed: int = 0):
+    """Coarsen toward ``target`` level by level, as the multilevel mapper's
+    first phase does; returns ``(coarsest graph, fine→coarse maps)``."""
+    maps = []
+    g = graph
+    while g.num_tasks > target:
+        g, fine2coarse = coarsen_toward(g, target, seed=seed + len(maps))
+        maps.append(fine2coarse)
+    return g, maps
 
 
 def _matching_oracle(graph: TaskGraph, seed) -> np.ndarray:
@@ -111,7 +120,7 @@ class TestMatchingAndContraction:
 
     def test_forced_step_halves_exactly(self):
         graph = _star(11)
-        coarse, _ = coarsen_step(graph, seed=0, force=True)
+        coarse, _ = coarsen_toward(graph, 1, seed=0)
         assert coarse.num_tasks == 6  # ceil(11 / 2)
 
 
@@ -148,13 +157,13 @@ class TestCoarsenLevels:
         ids=["star", "singletons", "zero-weight"],
     )
     def test_terminates_on_pathological_graphs(self, graph):
-        coarsest, maps = coarsen_levels(graph, target=2, seed=0)
+        coarsest, maps = _coarsen_levels(graph, target=2, seed=0)
         assert coarsest.num_tasks <= 2
         assert len(maps) <= int(np.ceil(np.log2(graph.num_tasks))) + 1
 
     def test_noop_when_already_small_enough(self):
         graph = mesh2d_pattern(2, 2)
-        coarsest, maps = coarsen_levels(graph, target=8, seed=0)
+        coarsest, maps = _coarsen_levels(graph, target=8, seed=0)
         assert coarsest is graph
         assert maps == []
 
@@ -162,7 +171,7 @@ class TestCoarsenLevels:
     @settings(max_examples=25, deadline=None)
     def test_vertex_maps_compose_and_conserve_loads(self, seed):
         graph = random_taskgraph(int(10 + seed % 40), edge_prob=0.2, seed=seed)
-        coarsest, maps = coarsen_levels(graph, target=4, seed=seed)
+        coarsest, maps = _coarsen_levels(graph, target=4, seed=seed)
         comp = np.arange(graph.num_tasks, dtype=np.int64)
         for fine2coarse in maps:
             comp = fine2coarse[comp]

@@ -174,6 +174,34 @@ def test_map_malformed_graph_file_is_400(server, tmp_path, doc):
     assert "task-graph" in reply["error"] or "finite" in reply["error"]
 
 
+_DUMP_HEAD = '"format": "repro-lbdump-v1", "steps": 1, "placement": [0, 0]'
+
+
+@pytest.mark.parametrize("doc", [
+    '[1]',
+    '{"format": "repro-lbdump-v1"}',
+    '{' + _DUMP_HEAD + ', "num_objects": "two", "loads": [1, 1], '
+    '"comm": []}',
+    '{' + _DUMP_HEAD + ', "num_objects": 2, "loads": [1, 1], '
+    '"comm": [[0, 1]]}',
+], ids=["not-an-object", "missing-fields", "non-numeric-count", "short-comm-row"])
+def test_map_malformed_lbdump_is_400(server, tmp_path, doc):
+    """A malformed LB dump is the client's error: the engine raises
+    TaskGraphError and the service answers 400, as for a bad ``file:``."""
+    from repro.engine import MappingEngine, MappingRequest
+    from repro.exceptions import TaskGraphError
+
+    path = tmp_path / "dump.json"
+    path.write_text(doc)
+    graph = f"lbdump:{path}"
+    with pytest.raises(TaskGraphError, match="LB dump|lbdump"):
+        MappingEngine().run(MappingRequest(graph=graph, topology="torus:2x2",
+                                           mapper="topolb"))
+    status, _, reply = _call(f"{server}/map", "POST", {**BODY, "graph": graph})
+    assert status == 400, reply
+    assert "LB dump" in reply["error"] or "lbdump" in reply["error"]
+
+
 def test_method_mismatches_are_405(server):
     assert _call(f"{server}/map")[0] == 405
     assert _call(f"{server}/healthz", "POST", {})[0] == 405

@@ -81,17 +81,12 @@ class TestIO:
         g2 = load_taskgraph(path)
         assert list(g2.edges()) == list(tiny_graph.edges())
 
-    def test_roundtrip_preserves_coords(self):
-        from repro.taskgraph.patterns import mesh_pattern
-
-        g = mesh_pattern((3, 4))
-        g2 = taskgraph_from_json(taskgraph_to_json(g))
-        assert g2.coords is not None
-        assert (g2.coords == g.coords).all()
-
-    def test_coordless_graph_stays_coordless(self, tiny_graph):
-        g2 = taskgraph_from_json(taskgraph_to_json(tiny_graph))
-        assert g2.coords is None
+    def test_legacy_coords_key_is_ignored(self, tiny_graph):
+        """Files written with per-task ``coords`` still load, unchanged."""
+        payload = json.loads(taskgraph_to_json(tiny_graph))
+        payload["coords"] = [[float(t)] for t in range(tiny_graph.num_tasks)]
+        g2 = taskgraph_from_json(json.dumps(payload))
+        assert g2.content_digest() == tiny_graph.content_digest()
 
     def test_rejects_garbage(self):
         with pytest.raises(TaskGraphError):

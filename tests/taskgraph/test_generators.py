@@ -11,7 +11,6 @@ from repro.taskgraph import (
     geometric_taskgraph,
     leanmd_taskgraph,
     random_taskgraph,
-    scale_free_taskgraph,
 )
 from repro.taskgraph.leanmd import LEANMD_BASE_CHARES
 
@@ -59,15 +58,6 @@ class TestGeometricTaskgraph:
     def test_bad_radius(self):
         with pytest.raises(TaskGraphError):
             geometric_taskgraph(10, radius=0)
-
-
-class TestScaleFree:
-    def test_hub_exists(self):
-        g = scale_free_taskgraph(100, attach=2, seed=0)
-        assert g.degrees().max() >= 10  # preferential attachment grows hubs
-
-    def test_connected(self):
-        assert _is_connected(scale_free_taskgraph(50, seed=5))
 
 
 class TestLeanMD:

@@ -123,26 +123,6 @@ class TestAccessors:
 
 
 class TestConversion:
-    def test_networkx_roundtrip(self, tiny_graph):
-        g2 = TaskGraph.from_networkx(tiny_graph.to_networkx())
-        assert list(g2.edges()) == list(tiny_graph.edges())
-        assert g2.vertex_weights.tolist() == tiny_graph.vertex_weights.tolist()
-
-    def test_from_networkx_defaults(self):
-        import networkx as nx
-
-        g = TaskGraph.from_networkx(nx.path_graph(4))
-        assert g.total_bytes == 3.0
-        assert (g.vertex_weights == 1.0).all()
-
-    def test_from_networkx_bad_labels(self):
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_edge(1, 2)  # missing node 0
-        with pytest.raises(TaskGraphError):
-            TaskGraph.from_networkx(g)
-
     def test_relabel_preserves_structure(self, tiny_graph):
         perm = [3, 1, 0, 2]
         g2 = tiny_graph.relabel(perm)

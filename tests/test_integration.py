@@ -23,47 +23,41 @@ from repro import (
     per_link_loads,
     topology_from_spec,
 )
+from repro.engine import MappingEngine, MappingRequest
 from repro.netsim import IterativeApplication, NetworkSimulator
-from repro.runtime import ChareArray, LBDatabase, simulate_strategy
+from repro.runtime import LBDatabase
 
 
 class TestFullPipeline:
     def test_measure_balance_simulate(self, tmp_path):
-        """The complete Charm++-style workflow: instrument a program, dump
-        its load database, replay strategies offline, migrate, and verify
-        the execution improves in the network simulator."""
+        """The complete Charm++-style workflow: dump a program's load
+        database, replay strategies offline, migrate, and verify the
+        execution improves in the network simulator."""
         topo = topology_from_spec("torus:4x4")
         p = topo.num_nodes
 
-        # 1. run an instrumented "program": 64 chares in a 2D-jacobi pattern
-        arr = ChareArray(64, p)
+        # 1. the measured scenario: 64 chares in a 2D-jacobi pattern
         pattern = mesh2d_pattern(8, 8, message_bytes=512)
-
-        def body(c):
-            arr.work(c, 1.0)
-            for nbr in pattern.neighbors(c):
-                arr.send(c, nbr, 512.0)
-
-        arr.run_iteration(body)
 
         # 2. dump and replay under strategies (Section 5.1 mechanism)
         dump = tmp_path / "step0.json"
-        arr.database.dump(dump)
-        random_report = simulate_strategy(dump, topo, "RandomLB", seed=0)
-        topolb_report = simulate_strategy(dump, topo, "TopoLB", seed=0)
-        assert topolb_report["hop_bytes"] < random_report["hop_bytes"]
+        LBDatabase.from_taskgraph(pattern).dump(dump)
+        engine = MappingEngine()
+        reports = {
+            name: engine.run(MappingRequest(graph=f"lbdump:{dump}",
+                                            topology=topo, mapper=name,
+                                            seed=0))
+            for name in ("RandomLB", "TopoLB")
+        }
+        assert (reports["TopoLB"].metrics["hop_bytes"]
+                < reports["RandomLB"].metrics["hop_bytes"])
 
         # 3. migrate to the TopoLB placement
-        from repro.engine.specs import mapper_from_spec
-
-        placement = mapper_from_spec("TopoLB", 0).map(
-            LBDatabase.load(dump).to_taskgraph(), topo
-        ).assignment
-        arr.migrate(placement)
-        assert len(np.unique(arr.placement)) == p
+        placement = reports["TopoLB"].assignment
+        assert len(np.unique(placement)) == p
 
         # 4. both placements replayed through the DES: TopoLB finishes faster
-        graph = arr.database.to_taskgraph()
+        graph = LBDatabase.load(dump).to_taskgraph()
         times = {}
         for name, assign in (("random", np.random.default_rng(0).permutation(
                 np.repeat(np.arange(p), 4))), ("topolb", placement)):

@@ -55,12 +55,12 @@ class TestStrategyResolution:
 
 
 def test_cli_and_lbsim_replay_go_through_engine():
-    """repro-map and the LBSim replay map and measure through the engine:
-    neither replays a network, round-trips an LB database or assembles a
-    profile of its own."""
+    """repro-map, which is also the LBSim replay (``lbdump:`` specs), maps
+    and measures through the engine: it replays no network, round-trips no
+    LB database and assembles no profile of its own."""
     hits = _grep(
         r"metrics_block\(|NetworkSimulator\(|get_strategy\(",
-        "cli.py", "runtime/simulation.py",
+        "cli.py",
     )
     hits += _grep(
         r"replay_closed_loop|flow_evaluate|build_profile|obs\.enable"
@@ -68,6 +68,17 @@ def test_cli_and_lbsim_replay_go_through_engine():
         "cli.py",
     )
     assert hits == []
+
+
+def test_no_paths_that_no_paper_run_reaches():
+    """Task graphs carry no coordinates, no mapper orders tasks along a
+    space-filling curve, and an LB dump is replayed by the engine's
+    ``lbdump:`` spec, not by a chare-array model or a wrapper of its own."""
+    assert _grep(
+        r"attach_coords|\bSFCMapper\b|\bChareArray\b|simulate_strategy"
+        r"|compare_strategies",
+        ".", suffix=".py",
+    ) == []
 
 
 @pytest.mark.parametrize("rel", ["experiments", "cli.py"])
