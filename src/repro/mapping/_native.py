@@ -6,9 +6,9 @@ the incremental delta structure, the cycle loop of first- and second-order
 TopoLB, the cycle loop of third-order TopoLB, and the two loops of the
 phase-1 partitioner — one graph-growing bisection over a range of an order
 array, and one FM refinement pass.
-``repro.netsim.des_kernel.c`` holds the discrete-event simulator's per-hop
-event core behind five entry points (create, free, run, fail a channel,
-read the link tables), wrapped by :class:`DesEngine`: eleven in all.
+``repro.netsim.des_kernel.c`` holds the discrete-event simulator's event
+core and closed-loop replay behind nine entry points, wrapped by
+:class:`DesEngine`: fifteen in all.
 
 This module compiles both files with the system C compiler
 (``cc``/``gcc``/``clang``) the first time they are needed,
@@ -87,11 +87,16 @@ class NativeKernels:
                                  *[ptr] * 3)
         self._des = (
             bind("des_new", ptr, i64, i64, ptr, i64, ptr, ptr,
-                 *[ctypes.c_double] * 4),
+                 *[ctypes.c_double] * 4, i64, ctypes.c_double, i64,
+                 *[ctypes.c_double] * 2),
             bind("des_free", None, ptr),
             bind("des_run", i64, ptr),
             bind("des_fail", i64, ptr, i64, i64, ptr),
             bind("des_links", None, ptr, *[ptr] * 6),
+            bind("des_app", i64, ptr, i64, i64, *[ptr] * 9),
+            bind("des_message", i64, ptr, i64, ptr),
+            bind("des_drop", None, ptr, i64),
+            bind("des_stats", None, ptr, i64, ptr, ptr),
         )
 
     def refine_cost_table(self, indptr, indices, weights, assign,
@@ -131,13 +136,9 @@ class NativeKernels:
         return PartitionBisector(self._bisect, indptr, indices,
                                  vertex_weights, order)
 
-    def des_engine(self, nic_channels: int, saturation_depth: int,
-                   profiled: bool, bandwidth: float, alpha: float,
-                   capacity: float | None, nic_bandwidth: float | None,
-                   overrides: dict) -> "DesEngine":
+    def des_engine(self, *params) -> "DesEngine":
         """A fresh compiled DES core (see :class:`DesEngine`)."""
-        return DesEngine(self._des, nic_channels, saturation_depth, profiled,
-                         bandwidth, alpha, capacity, nic_bandwidth, overrides)
+        return DesEngine(self._des, *params)
 
     def partition_refine_pass(self, indptr, indices, edge_weights,
                               vertex_weights, groups, loads, counts, perm,
@@ -319,7 +320,8 @@ class PartitionBisector:
 # codes (see its enums).
 (_IO_LOG, _IO_PENDING, _IO_PROCESSED, _IO_CHX, _IO_CHY, _IO_HOPS, _IO_USED,
  _IO_LIMIT, _IO_UNTIL, _IO_NCHANS, _IO_CHANS, _IO_NROUTES, _IO_ROUTES,
- _IO_NOPS, _IO_OPS, _IO_SIZE) = range(16)
+ _IO_NOPS, _IO_OPS, _IO_NMSG, _IO_INFLIGHT, _IO_DELIVERED, _IO_RETRANSMITS,
+ _IO_BUFFER_DROPS, _IO_SIZE) = range(21)
 _RC_STOP, _RC_PY, _RC_DELIVER, _RC_FAULT, _RC_OVERFLOW, _RC_LOGFULL = range(6)
 _OP_PY, _OP_SEND, _OP_INJECT = 0.0, 1.0, 2.0  # push kinds
 
@@ -331,66 +333,77 @@ class DesEngine:
     :class:`~repro.netsim.eventqueue.EventQueue`: ``call``, ``schedule``,
     ``run``, ``step``, ``now``, ``pending`` and ``processed``. A Python
     callback is a heap record pointing to a ``(fn, args)`` slot kept here;
-    injections, head arrivals, transmission starts and link frees run in C.
-    Route sets and every push are buffered here, in arrays that io[]
+    the per-hop events, deliveries and :meth:`start_app`'s closed loops run
+    in C. Route sets and every push are buffered here, in arrays that io[]
     always describes, and C applies them at the start of the next
     ``des_run`` call; so C is entered once per return, not once per
-    message.
+    message. A profiled engine counts the returns :meth:`run` handles as
+    ``kernel.des_returns`` (telemetry-log flushes left out).
 
     A channel is named by two ints: ``(a, b)`` for a link, ``(-1, p)`` and
     ``(-2, p)`` for processor ``p``'s NIC channels; C interns each name on
     first sight with the default parameters given here, or with the
-    bandwidth of ``overrides`` (``{(a, b): bandwidth}``). The simulator sets
-    two hooks:
+    bandwidth of ``overrides`` (``{(a, b): bandwidth}``); the parameters
+    after it are ``des_new``'s. At each return the wrapper adds C's new
+    delivery records, retransmits and buffer drops to ``stats`` (a
+    :class:`~repro.netsim.messages.MessageStats`). The simulator sets two
+    hooks:
 
     * ``on_return(code, msg_id, hops)`` handles a message C hands back:
-      :attr:`DELIVER`, :attr:`FAULT` or :attr:`OVERFLOW` (the full channel
-      is :attr:`overflow_channel`); ``hops`` is its route length, NIC
-      channels excluded;
+      :attr:`DELIVER` (a ``send`` message, already recorded), :attr:`FAULT`
+      or :attr:`OVERFLOW` (the full channel is :attr:`overflow_channel`);
+      ``hops`` is its route length, NIC channels excluded;
     * ``on_log(rows)`` replays the telemetry rows ``[kind, x, y, a, b]``
       (``profiled`` only) at every return, before any Python event runs.
     """
 
     DELIVER, FAULT, OVERFLOW = _RC_DELIVER, _RC_FAULT, _RC_OVERFLOW
     _LOG_ROWS = 1024
-    _PACK_OP = struct.Struct("5d").pack_into
+    _PACK_OP = struct.Struct("6d").pack_into
 
-    __slots__ = ("on_return", "on_log", "_fns", "_late", "_h", "_io", "_dio",
-                 "_log", "_slots", "_next_slot", "_chans", "_routes", "_ops",
-                 "_nsets", "__weakref__")
+    __slots__ = ("on_return", "on_log", "stats", "_fns", "_late",
+                 "_h", "_io", "_dio", "_log", "_slots", "_next_slot",
+                 "_chans", "_routes", "_ops", "_nsets", "_local", "_keep",
+                 "__weakref__")
 
-    def __init__(self, fns, nic_channels, saturation_depth, profiled,
-                 bandwidth, alpha, capacity, nic_bandwidth, overrides):
+    def __init__(self, fns, stats, profiled, overrides, nic_channels,
+                 saturation_depth, bandwidth, alpha, capacity, nic_bandwidth,
+                 nprocs, local, max_retries, retry_delay, retry_backoff):
         from repro.netsim.eventqueue import schedule_error
 
         self._fns = fns
         self._late = schedule_error
+        self._local = local
         self._io = (ctypes.c_int64 * _IO_SIZE)()
-        self._dio = (ctypes.c_double * 2)()
+        self._dio = (ctypes.c_double * 4)()
         self._log = np.zeros((self._LOG_ROWS, 5)) if profiled else None
         log = None if self._log is None else self._log.ctypes.data
         handle = fns[0](nic_channels, saturation_depth, log, self._LOG_ROWS,
                         ctypes.addressof(self._io),
                         ctypes.addressof(self._dio), bandwidth, alpha,
                         -1.0 if capacity is None else capacity,
-                        -1.0 if nic_bandwidth is None else nic_bandwidth)
+                        -1.0 if nic_bandwidth is None else nic_bandwidth,
+                        nprocs, local, max_retries, retry_delay,
+                        retry_backoff)
         if not handle:  # pragma: no cover - allocation failure inside C
             raise MemoryError("des_new")
         self._h = ctypes.c_void_p(handle)
         weakref.finalize(self, fns[1], handle)
         self._slots: dict[int, tuple] = {}
         self._next_slot = self._nsets = 0
+        self._keep: list = []  # arrays C holds pointers into
         # Applied at the next des_run: link overrides (3 doubles each), route
-        # sets (int64 words) and pushes (5 doubles each); io[] holds each
+        # sets (int64 words) and pushes (6 doubles each); io[] holds each
         # buffer's address and the count C has not applied yet.
         self._chans = array.array("d", [v for (a, b), bw in overrides.items()
                                         for v in (a, b, bw)])
         self._io[_IO_NCHANS] = len(self._chans) // 3
         self._io[_IO_CHANS] = self._chans.buffer_info()[0]
         self._routes = array.array("q")
-        self._ops = np.empty(5 * 64)
+        self._ops = np.empty(6 * 64)
         self._io[_IO_OPS] = self._ops.ctypes.data
         self.on_return = self.on_log = None
+        self.stats = stats
 
     # ------------------------------------------------------ EventQueue API
     @property
@@ -415,7 +428,7 @@ class DesEngine:
         slot = self._next_slot
         self._next_slot = slot + 1
         self._slots[slot] = (fn, args)
-        self._push(_OP_PY, slot, 0.0, 0.0, time)
+        self._push(_OP_PY, slot, 0.0, 0.0, 0.0, time)
 
     def schedule(self, time: float, callback) -> None:
         """Fire ``callback()`` at simulation ``time``."""
@@ -436,7 +449,14 @@ class DesEngine:
                 rows = self._log[:io[_IO_LOG]].tolist()
                 io[_IO_LOG] = 0
                 self.on_log(rows)
+            if (io[_IO_DELIVERED] != self.stats.count or io[_IO_RETRANSMITS]
+                    or io[_IO_BUFFER_DROPS]):
+                self._pull_stats()
             code = r & 7
+            if code == _RC_LOGFULL:
+                continue
+            if profiled:
+                obs.count("kernel.des_returns")
             if code == _RC_PY:
                 fn, args = slots.pop(r >> 3)
                 fn(*args)
@@ -444,7 +464,7 @@ class DesEngine:
                 return self._dio[0]
             elif code < _RC_LOGFULL:
                 on_return(code, r >> 3, io[_IO_HOPS])
-            elif code > _RC_LOGFULL:  # pragma: no cover - out of memory in C
+            else:  # pragma: no cover - out of memory in C
                 raise MemoryError("des_run")
 
     def step(self) -> bool:
@@ -458,6 +478,16 @@ class DesEngine:
     def overflow_channel(self) -> tuple[int, int]:
         """The name of the full channel of the last :attr:`OVERFLOW`."""
         return self._io[_IO_CHX], self._io[_IO_CHY]
+
+    @property
+    def next_id(self) -> int:
+        """The id of the next message, sent by Python or by C."""
+        return self._io[_IO_NMSG]
+
+    @property
+    def inflight(self) -> int:
+        """Application messages neither delivered nor finally dropped."""
+        return self._io[_IO_INFLIGHT]
 
     def add_routes(self, routes: list[list[int]]) -> int:
         """Intern one route set, each route a flat list of channel names
@@ -474,30 +504,64 @@ class DesEngine:
         self._nsets += 1
         return self._nsets - 1
 
-    def send(self, msg: int, size: float, route_set: int, time: float) -> None:
-        """Send message ``msg``: push its injection at ``time``, or, with
-        ``route_set`` < 0 (same processor), its delivery."""
-        if not time >= self._dio[0]:
-            raise self._late(time, self._dio[0])
+    def send(self, msg: int, size: float, route_set: int, time: float,
+             pair: int) -> None:
+        """Send message ``msg`` (:attr:`next_id`) over ``pair = src * p +
+        dst`` at ``time``: push its injection, or its local delivery."""
+        at = time + self._local if route_set < 0 else time
+        if not at >= self._dio[0]:
+            raise self._late(at, self._dio[0])
         io = self._io
         n = io[_IO_NOPS]
-        if 5 * n == self._ops.size:
+        if 6 * n == self._ops.size:
             self._grow_ops()
-        self._PACK_OP(self._ops, 40 * n, _OP_SEND, msg, size, route_set, time)
+        self._PACK_OP(self._ops, 48 * n, _OP_SEND, msg, size, route_set,
+                      pair, time)
         io[_IO_NOPS] = n + 1
+        io[_IO_NMSG] = msg + 1
 
-    def inject(self, msg: int, time: float) -> None:
-        """Push a re-injection of a sent message at ``time``."""
+    def inject(self, msg: int, time: float, attempts: int) -> None:
+        """Push a re-injection at ``time`` of a sent message, which has
+        been retransmitted ``attempts`` times."""
         if not time >= self._dio[0]:
             raise self._late(time, self._dio[0])
-        self._push(_OP_INJECT, msg, 0.0, 0.0, time)
+        self._push(_OP_INJECT, msg, attempts, 0.0, 0.0, time)
 
-    def fail(self, x: int, y: int, sent: int) -> list[int]:
-        """Fail channel ``(x, y)``: flag the message it carries as faulted
-        and return its evicted FIFO, oldest first (``sent`` bounds its
-        size)."""
+    def start_app(self, iterations: int, arrays, sets, grid) -> None:
+        """Register a closed-loop application and push its first compute
+        steps: ``des_app``'s seven arrays (the last two written by C), and
+        each CSR entry's route set or a grid's description."""
+        n, nnz = arrays[3].size, int(arrays[0][-1])
+        sizes = (n + 1, nnz, nnz, n, n, iterations, iterations)
+        ptrs = [_ptr(a, dtype, size, "des_app", out=k > 4) for k, (a, dtype, size)
+                in enumerate(zip(arrays, "qqdqdqd", sizes))]
+        routes = [None if a is None else _ptr(a, np.int64, a.size, "des_app")
+                  for a in (sets, grid)]
+        self._keep.append(arrays)
         self._sync()
-        evicted = (ctypes.c_int64 * max(sent, 1))()
+        self._nsets = _checked(self._fns[5](self._h, n, iterations,
+                                            *ptrs[:5], *routes, *ptrs[5:]))
+
+    def message(self, msg: int):
+        """Application message ``msg`` as a :class:`~repro.netsim.messages.
+        Message`, or, with ``msg`` < 0, the one in flight sent first."""
+        from repro.netsim.messages import Message
+
+        out = (ctypes.c_double * 5)()
+        msg = self._fns[6](self._h, msg, out)
+        src, dst, size, sent, attempts = out
+        return Message(msg, int(src), int(dst), size, sent,
+                       attempts=int(attempts))
+
+    def drop(self, msg: int) -> None:
+        """Python finally dropped application message ``msg``."""
+        self._fns[7](self._h, msg)
+
+    def fail(self, x: int, y: int) -> list[int]:
+        """Fail channel ``(x, y)``: flag the message it carries as faulted
+        and return its evicted FIFO, oldest first."""
+        self._sync()
+        evicted = (ctypes.c_int64 * max(self._io[_IO_NMSG], 1))()
         return evicted[:_checked(self._fns[3](self._h, x, y, evicted))]
 
     def links(self) -> list[tuple]:
@@ -512,14 +576,26 @@ class DesEngine:
         return list(zip(xs.tolist(), ys.tolist(), busy.tolist(),
                         carried.tolist(), peaks.tolist(), buffered.tolist()))
 
-    def _push(self, kind: float, a, b, c, time: float) -> None:
+    def _pull_stats(self) -> None:
+        """Add C's new deliveries, retransmits and buffer drops to stats."""
+        io, stats = self._io, self.stats
+        start, n = stats.count, io[_IO_DELIVERED]
+        latency, size = np.empty(n - start), np.empty(n - start)
+        self._fns[8](self._h, start, latency.ctypes.data, size.ctypes.data)
+        stats.extend(latency.tolist(), size.tolist(), self._dio[2],
+                     self._dio[3])
+        stats.retransmits += io[_IO_RETRANSMITS]
+        stats.buffer_drops += io[_IO_BUFFER_DROPS]
+        io[_IO_RETRANSMITS] = io[_IO_BUFFER_DROPS] = 0
+
+    def _push(self, kind: float, a, b, c, d, time: float) -> None:
         """Buffer one push: a Python record, a send or a re-injection (the
         hot :meth:`send` inlines this)."""
         io = self._io
         n = io[_IO_NOPS]
-        if 5 * n == self._ops.size:
+        if 6 * n == self._ops.size:
             self._grow_ops()
-        self._PACK_OP(self._ops, 40 * n, kind, a, b, c, time)
+        self._PACK_OP(self._ops, 48 * n, kind, a, b, c, d, time)
         io[_IO_NOPS] = n + 1
 
     def _grow_ops(self) -> None:
@@ -614,7 +690,7 @@ def _build(extra_flags: tuple[str, ...] = (),
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=outdir)
         os.close(fd)
         try:
-            subprocess.run([cc, *flags, "-o", tmp, *_SOURCES],
+            subprocess.run([cc, *flags, "-o", tmp, *_SOURCES, "-lm"],
                            check=True, capture_output=True, timeout=120)
             os.replace(tmp, so_path)  # atomic: concurrent builds both win
         except subprocess.CalledProcessError as exc:

@@ -12,6 +12,11 @@ Tasks co-located on one processor exchange messages at the local latency and
 compute concurrently (the experiments of interest are bijective mappings
 where each processor hosts exactly one task, so compute serialization across
 co-located tasks is out of scope and documented as such).
+
+On the simulator's compiled body, :meth:`IterativeApplication.start`
+registers the application once and ``des_kernel.c`` runs the whole loop;
+the callbacks below are the reference body's. Inputs are checked at
+construction, on both bodies: the C loop makes no per-message checks.
 """
 
 from __future__ import annotations
@@ -92,19 +97,23 @@ class IterativeApplication:
         message_bytes: float | None = None,
         compute_time: float | np.ndarray = 1.0,
     ):
-        if iterations < 1:
-            raise SimulationError(f"iterations must be >= 1, got {iterations}")
+        if not isinstance(iterations, (int, np.integer)) or iterations < 1:
+            raise SimulationError(f"iterations must be an integer >= 1, got {iterations!r}")
         self._mapping = mapping
         self._sim = simulator
         self._iterations = int(iterations)
         graph = mapping.graph
         n = graph.num_tasks
 
-        compute = np.broadcast_to(
+        compute = np.ascontiguousarray(np.broadcast_to(
             np.asarray(compute_time, dtype=np.float64), (n,)
-        )
-        if (compute < 0).any():
-            raise SimulationError("compute_time must be non-negative")
+        ))
+        if not (np.isfinite(compute) & (compute >= 0)).all():
+            raise SimulationError("compute_time must be finite and non-negative")
+        assign = mapping.assignment
+        procs = simulator.topology.num_nodes
+        if n and not (0 <= assign.min() and assign.max() < procs):
+            raise SimulationError(f"the mapping uses processors outside [0, {procs})")
 
         # Per-task outgoing message sizes, aligned with the CSR neighbor
         # lists of the edges that carry traffic. The per-message state below
@@ -115,13 +124,13 @@ class IterativeApplication:
             indptr = np.concatenate(([0], np.cumsum(sends)))[indptr]
             indices, sizes = indices[sends], weights[sends] / 2.0
         else:
-            if message_bytes <= 0:
-                raise SimulationError(f"message_bytes must be positive, got {message_bytes}")
+            if not (message_bytes > 0 and np.isfinite(message_bytes)):
+                raise SimulationError(f"message_bytes must be finite and > 0, got {message_bytes}")
             sizes = np.full_like(weights, float(message_bytes))
         self._compute = compute.tolist()
         self._indptr, self._indices = indptr.tolist(), indices.tolist()
         self._msg_sizes = sizes.tolist()
-        self._assign = mapping.assignment.tolist()
+        self._assign = assign.tolist()
 
         # Execution state. Edges are symmetric, so a task receives one
         # message per neighbour it sends to.
@@ -129,10 +138,12 @@ class IterativeApplication:
         self._compute_done = [False] * n
         self._arrived: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(n)]
         self._expected = np.diff(indptr).tolist()
-        self._finished = 0
-        self._iter_remaining = [n] * self._iterations
+        self._iter_remaining = np.full(self._iterations, n, dtype=np.int64)
         self._iter_finish = np.zeros(self._iterations, dtype=np.float64)
         self._ran = False
+        # What the compiled body's loop reads, and the two arrays it writes.
+        self._arrays = (indptr, indices, sizes, assign, compute,
+                        self._iter_remaining, self._iter_finish)
 
     # ------------------------------------------------------------------ run
     def start(self) -> None:
@@ -145,6 +156,9 @@ class IterativeApplication:
         if self._ran:
             raise SimulationError("IterativeApplication may only be started once")
         self._ran = True
+        if self._sim._engine is not None:  # the compiled body runs the loop
+            self._sim._start_app(self._iterations, self._arrays)
+            return
         for t in range(self._mapping.graph.num_tasks):
             self._begin_compute(t)
 
@@ -153,9 +167,10 @@ class IterativeApplication:
         n = self._mapping.graph.num_tasks
         if not self._ran:
             raise SimulationError("application was never started")
-        if self._finished != n:
+        finished = n - int(self._iter_remaining[-1])
+        if finished != n:
             raise SimulationError(
-                f"deadlock: only {self._finished}/{n} tasks finished "
+                f"deadlock: only {finished}/{n} tasks finished "
                 "(dependency graph inconsistent, or the simulator has not run)"
             )
         stats = self._sim.stats
@@ -218,8 +233,6 @@ class IterativeApplication:
         if k + 1 < self._iterations:
             self._cur_iter[task] = k + 1
             self._begin_compute(task)
-        else:
-            self._finished += 1
 
 
 def replay_closed_loop(
@@ -230,10 +243,9 @@ def replay_closed_loop(
     ``sim_kwargs``; return the simulator (for link and tail summaries) and
     the application's result.
 
-    With ``buffer_bytes`` set the replay is buffered. The Jacobi loop is
-    closed — every task waits on its neighbour messages — so a finally
-    dropped message would wedge it: retransmission is made persistent
-    (``max_retries`` defaults to 64; the closed loop self-limits, so retries
+    With ``buffer_bytes`` set the replay is buffered. A finally dropped
+    message would wedge the closed loop, so retransmission is persistent
+    (``max_retries`` defaults to 64; the loop self-limits, so retries
     drain) and the unroutable backstop drops and counts instead of raising.
     """
     if sim_kwargs.get("buffer_bytes") is not None:

@@ -1,24 +1,42 @@
-/* des_kernel.c — the per-hop events of repro.netsim's discrete-event
- * simulator, compiled into the same shared object as
- * repro/mapping/refine_kernel.c.
+/* des_kernel.c — repro.netsim's discrete-event simulator: the per-hop
+ * events and the closed-loop Jacobi replay, compiled into the same shared
+ * object as repro/mapping/refine_kernel.c.
  *
  * The engine owns one binary heap of (time, seq, kind, id, hop) records
- * and runs four kinds of them itself: injections (the adaptive route
- * choice, then the head arrival at hop 0), head arrivals, transmission
- * starts and link frees. A fifth kind belongs to Python: a record that
+ * and runs five kinds of them itself: injections (the adaptive route
+ * choice, then the head arrival at hop 0), head arrivals (which start a
+ * transmission or queue), link frees, deliveries and the compute steps of
+ * registered applications. A sixth kind belongs to Python: a record that
  * points to a (fn, args) slot the caller keeps. One seq counter numbers
  * every push, so ties break exactly as in repro.netsim.eventqueue.
+ *
+ * An application (repro.netsim.appsim.IterativeApplication) registers once
+ * with des_app: its CSR neighbour lists of the edges that carry traffic,
+ * message sizes, assignment, compute times and iteration count. The
+ * engine then runs the whole closed loop: a finished compute sends to the
+ * neighbours in CSR order, a delivery counts an arrival, and a task whose
+ * compute and arrivals are in advances (a neighbour is never more than one
+ * iteration ahead, so two arrival counters per task suffice). Message ids
+ * come from one counter shared with Python's sends. Every delivery, of
+ * either kind of message, is recorded here in delivery order (latency,
+ * size, and the byte and hop-byte totals); the wrapper copies the records
+ * into MessageStats when des_run returns. On Torus/Mesh machines the
+ * engine walks an application's routes from the grid's shape itself, as
+ * GridTopology.route_axis_order does; other machines hand it route sets.
  *
  * Python does not call in per message. It appends its work to three
  * buffers (link bandwidth overrides, new route sets, and pushes: Python
  * records, sends and re-injections, in program order) and publishes them
  * in io[]; des_run applies them first, then pops records until something
  * needs Python and returns it, encoded as code | id << 3: a Python record
- * (id = slot), a delivery, an overflow at a full buffer, a fault-path hit
- * (a faulted message or a failed channel; id = message), a full telemetry
- * log, or a stop (empty heap, event limit or deadline). The popped record
- * is already counted. Route-set ids are sequential, so Python assigns them
- * itself.
+ * (id = slot), the delivery of a Python send, an overflow at a full buffer
+ * that needs the seeded jitter or ends in a final drop, a fault-path hit
+ * (a faulted message, a failed channel or a failed endpoint; id =
+ * message), a full telemetry log, or a stop (empty heap, event limit or
+ * deadline). An application message's overflow without jitter is
+ * retransmitted here, after retry_delay * pow(retry_backoff, attempts) as
+ * CPython's float ** computes it. The popped record is already counted.
+ * Route-set ids are sequential, so Python assigns them itself.
  *
  * A channel is named by two integers: (a, b) for the directed link a -> b,
  * (-1, p) for processor p's injection channel and (-2, p) for its
@@ -33,34 +51,45 @@
  *
  * Bit-identity contract: every floating-point expression mirrors
  * repro/netsim/simulator.py (_head_arrival, _start_transmission,
- * _link_free, _pick_adaptive_route) term for term, and the build uses
- * -ffp-contract=off. tests/netsim/test_des_digest.py replays 20 pinned
- * configurations under both bodies.
+ * _link_free, _pick_adaptive_route, _retransmit, _deliver and
+ * MessageStats.record) and repro/netsim/appsim.py term for term, and the
+ * build uses -ffp-contract=off. tests/netsim/test_des_digest.py replays 20
+ * pinned configurations under both bodies.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
 typedef int64_t i64;
 
-enum { EV_PY, EV_INJECT, EV_HEAD, EV_FREE, EV_DELIVER };
+enum { EV_PY, EV_INJECT, EV_HEAD, EV_FREE, EV_DELIVER, EV_COMPUTE };
 enum { RC_STOP, RC_PY, RC_DELIVER, RC_FAULT, RC_OVERFLOW, RC_LOGFULL,
        RC_NOMEM };
 /* io[] slots shared with the Python wrapper: outputs (the overflow
  * channel's name is IO_CHX, IO_CHY), then the run's inputs (the event
  * limit, left decremented; whether a deadline is set), then the published
- * buffers, each a count and an address. */
+ * buffers, each a count and an address, then the message id counter, the
+ * application messages in flight, the deliveries recorded and the
+ * retransmits and buffer drops made here since the wrapper last took
+ * them. */
 enum { IO_LOG, IO_PENDING, IO_PROCESSED, IO_CHX, IO_CHY, IO_HOPS, IO_USED,
        IO_LIMIT, IO_UNTIL, IO_NCHANS, IO_CHANS, IO_NROUTES, IO_ROUTES,
-       IO_NOPS, IO_OPS, IO_SIZE };
-/* dio[] slots: the clock, and the run's deadline. */
-enum { DIO_NOW, DIO_DEADLINE };
-/* Push kinds in the ops buffer; each op is 5 doubles (kind, a, b, c, t). */
+       IO_NOPS, IO_OPS, IO_NMSG, IO_INFLIGHT, IO_DELIVERED, IO_RETRANSMITS,
+       IO_BUFFER_DROPS, IO_SIZE };
+/* dio[] slots: the clock, the run's deadline, and the delivered bytes and
+ * hop-bytes. */
+enum { DIO_NOW, DIO_DEADLINE, DIO_BYTES, DIO_HOP_BYTES, DIO_SIZE };
+/* Push kinds in the ops buffer; each op is 6 doubles (kind, a, b, c, d,
+ * t). */
 enum { OP_PY, OP_SEND, OP_INJECT };
 /* Telemetry log record kinds; each record is 5 doubles (kind, the
- * channel's name, a, b). */
-enum { LOG_TRANSMIT, LOG_ENQUEUE, LOG_SATURATE };
+ * channel's name, a, b). The application kinds carry counts: a compute
+ * step's sends are one record (a sent, b of them local), a delivery counts
+ * a = 1, a retransmit a = b = 1 (a buffer drop and a retransmit). */
+enum { LOG_TRANSMIT, LOG_ENQUEUE, LOG_SATURATE, LOG_SENDS, LOG_DELIVER,
+       LOG_RETRANSMIT };
 
 /* A heap record: `key` packs seq << 24 | hop << 3 | kind, so comparing
  * (t, key) orders by (t, seq), seq being unique. */
@@ -78,11 +107,13 @@ typedef struct {
     uint8_t failed, saturated, created;
 } chan_t;
 
+/* `task` is the receiving task (a global task id) of an application
+ * message; a message Python sent has task < 0. */
 typedef struct {
-    double size;
-    i64 set, route;
-    int32_t hops;
-    uint8_t faulted;
+    double size, sent;
+    i64 set, route, task;
+    int32_t hops, attempts, src, dst, iter;
+    uint8_t faulted, done;
 } msg_t;
 
 typedef struct {
@@ -92,6 +123,24 @@ typedef struct {
 typedef struct {
     i64 off, len;
 } span_t;
+
+/* A registered application: its arrays (kept alive by the wrapper), and
+ * the route set of each CSR entry (-1: same processor). Task t of the
+ * application is global task off + t. */
+typedef struct {
+    i64 n, off, iterations;
+    const i64 *indptr, *indices, *assign;
+    const double *sizes, *compute;
+    i64 *sets, *remaining;
+    double *finish;
+} app_t;
+
+/* One task's progress: its iteration, whether its compute step is done,
+ * and its arrival counts for iterations of even and odd parity. */
+typedef struct {
+    i64 iter, arrived[2], app;
+    uint8_t computed;
+} task_t;
 
 typedef struct {
     ev_t *heap;
@@ -113,6 +162,17 @@ typedef struct {
     i64 nrch, rchcap, nr, rcap, ns, scap;
     msg_t *msg;
     i64 mcap;
+    /* deliveries: (latency, size) pairs in delivery order */
+    double *rec;
+    i64 reccap;
+    app_t *apps;
+    i64 napps, acap;
+    task_t *tasks;
+    i64 ntasks, tkcap;
+    /* retransmit knobs; max_retries < 0: every overflow goes to Python */
+    double local, retry_delay, retry_backoff;
+    i64 max_retries, nprocs, nfailed_procs;
+    uint8_t *proc_failed;
     i64 nic, sat_depth, log_cap;
     double *log;
     i64 *io;
@@ -181,18 +241,30 @@ static ev_t pop(des_t *d)
     return top;
 }
 
-/* A new engine sharing io[] and dio[] (zeroed here) with the caller. */
+/* A new engine sharing io[] and dio[] (zeroed here) with the caller, for
+ * a machine of `nprocs` processors. */
 des_t *des_new(i64 nic, i64 sat_depth, double *log, i64 log_cap, i64 *io,
                double *dio, double bandwidth, double alpha, double capacity,
-               double nic_bandwidth)
+               double nic_bandwidth, i64 nprocs, double local,
+               i64 max_retries, double retry_delay, double retry_backoff)
 {
     des_t *d = calloc(1, sizeof(des_t));
     if (!d)
         return NULL;
+    d->proc_failed = calloc((size_t)(nprocs > 0 ? nprocs : 1), 1);
+    if (!d->proc_failed) {
+        free(d);
+        return NULL;
+    }
     d->bandwidth = bandwidth;
     d->alpha = alpha;
     d->capacity = capacity;
     d->nic_bandwidth = nic_bandwidth;
+    d->nprocs = nprocs;
+    d->local = local;
+    d->max_retries = max_retries;
+    d->retry_delay = retry_delay;
+    d->retry_backoff = retry_backoff;
     d->nic = nic;
     d->sat_depth = sat_depth;
     d->log = log;
@@ -201,7 +273,7 @@ des_t *des_new(i64 nic, i64 sat_depth, double *log, i64 log_cap, i64 *io,
     d->dio = dio;
     d->pfree = -1;
     memset(io, 0, IO_SIZE * sizeof(i64));
-    dio[DIO_NOW] = 0.0;
+    memset(dio, 0, DIO_SIZE * sizeof(double));
     return d;
 }
 
@@ -209,6 +281,12 @@ void des_free(des_t *d)
 {
     if (!d)
         return;
+    for (i64 a = 0; a < d->napps; a++)
+        free(d->apps[a].sets);
+    free(d->apps);
+    free(d->tasks);
+    free(d->rec);
+    free(d->proc_failed);
     free(d->heap);
     free(d->ch);
     free(d->order);
@@ -294,6 +372,34 @@ static i64 channel_of(des_t *d, i64 x, i64 y, double bandwidth)
     return c;
 }
 
+/* Open a new, empty route set; add_route fills it. */
+static int new_set(des_t *d)
+{
+    if (reserve((void **)&d->sets, &d->scap, d->ns + 1, sizeof(span_t)))
+        return -1;
+    d->sets[d->ns++] = (span_t){d->nr, 0};
+    return 0;
+}
+
+/* Append the route of `len` channels named by `names` (two words each) to
+ * the last route set. */
+static int add_route(des_t *d, const i64 *names, i64 len)
+{
+    if (len < 1 || len >= HOP_LIMIT
+        || reserve((void **)&d->routes, &d->rcap, d->nr + 1, sizeof(span_t))
+        || reserve((void **)&d->rch, &d->rchcap, d->nrch + len, sizeof(i64)))
+        return -1;
+    d->routes[d->nr++] = (span_t){d->nrch, len};
+    d->sets[d->ns - 1].len++;
+    for (i64 h = 0; h < len; h++, names += 2) {
+        i64 c = channel_of(d, names[0], names[1], -1.0);
+        if (c < 0)
+            return -1;
+        d->rch[d->nrch++] = c;
+    }
+    return 0;
+}
+
 /* Intern the route set at *w (int64 words: the route count, then per
  * route its length and its channel names, two words each), advancing *w
  * past it. */
@@ -301,42 +407,39 @@ static int add_routes(des_t *d, const i64 **w)
 {
     const i64 *p = *w;
     i64 nroutes = *p++;
-    if (reserve((void **)&d->sets, &d->scap, d->ns + 1, sizeof(span_t))
-        || reserve((void **)&d->routes, &d->rcap, d->nr + nroutes,
-                   sizeof(span_t)))
+    if (new_set(d))
         return -1;
-    d->sets[d->ns++] = (span_t){d->nr, nroutes};
     for (i64 k = 0; k < nroutes; k++) {
         i64 len = *p++;
-        if (len < 1 || len >= HOP_LIMIT
-            || reserve((void **)&d->rch, &d->rchcap, d->nrch + len,
-                       sizeof(i64)))
+        if (add_route(d, p, len))
             return -1;
-        d->routes[d->nr++] = (span_t){d->nrch, len};
-        for (i64 h = 0; h < len; h++, p += 2) {
-            i64 c = channel_of(d, p[0], p[1], -1.0);
-            if (c < 0)
-                return -1;
-            d->rch[d->nrch++] = c;
-        }
+        p += 2 * len;
     }
     *w = p;
     return 0;
 }
 
-/* Register message `m` of `size` bytes on route set `set` and push its
- * injection at t; with set < 0 (same processor) push its delivery. */
-static int send_msg(des_t *d, i64 m, double size, i64 set, double t)
+/* Register message `m` of `size` bytes from processor src to dst, sent at
+ * t on route set `set` (< 0: same processor), for global task `task` (< 0:
+ * a Python send) at iteration `iter`, and push its injection at t or, on
+ * one processor, its delivery after the local latency. */
+static int send_msg(des_t *d, i64 m, double size, i64 set, i64 src, i64 dst,
+                    double t, i64 task, i64 iter)
 {
     if (reserve((void **)&d->msg, &d->mcap, m + 1, sizeof(msg_t)))
         return -1;
-    d->msg[m] = (msg_t){.size = size, .set = set, .route = -1};
-    return push(d, t, set < 0 ? EV_DELIVER : EV_INJECT, m, 0);
+    d->msg[m] = (msg_t){.size = size, .sent = t, .set = set, .route = -1,
+                        .task = task, .src = (int32_t)src,
+                        .dst = (int32_t)dst, .iter = (int32_t)iter};
+    if (set < 0)
+        return push(d, t + d->local, EV_DELIVER, m, 0);
+    return push(d, t, EV_INJECT, m, 0);
 }
 
 /* Apply the buffers Python published: link bandwidth overrides (3
- * doubles each: a, b, bandwidth), route sets (see add_routes) and
- * pushes. */
+ * doubles each: a, b, bandwidth), route sets (see add_routes) and pushes
+ * (a send carries its message, size, route set and src * nprocs + dst; a
+ * re-injection its message and attempt count). */
 static int apply_published(des_t *d)
 {
     i64 *io = d->io;
@@ -350,13 +453,19 @@ static int apply_published(des_t *d)
         if (add_routes(d, &w))
             return -1;
     const double *op = (const double *)(intptr_t)io[IO_OPS];
-    for (i64 k = 0; k < io[IO_NOPS]; k++, op += 5) {
+    for (i64 k = 0; k < io[IO_NOPS]; k++, op += 6) {
         i64 a = (i64)op[1];
         int rc;
-        if (op[0] == OP_SEND)
-            rc = send_msg(d, a, op[2], (i64)op[3], op[4]);
-        else
-            rc = push(d, op[4], op[0] == OP_PY ? EV_PY : EV_INJECT, a, 0);
+        if (op[0] == OP_SEND) {
+            i64 pair = (i64)op[4];
+            rc = send_msg(d, a, op[2], (i64)op[3], pair / d->nprocs,
+                          pair % d->nprocs, op[5], -1, 0);
+        } else if (op[0] == OP_INJECT) {
+            d->msg[a].attempts = (int32_t)op[2];
+            rc = push(d, op[5], EV_INJECT, a, 0);
+        } else {
+            rc = push(d, op[5], EV_PY, a, 0);
+        }
         if (rc)
             return -1;
     }
@@ -364,13 +473,13 @@ static int apply_published(des_t *d)
     return 0;
 }
 
-static inline void log_rec(des_t *d, int kind, const chan_t *ch, double a,
+static inline void log_rec(des_t *d, int kind, double x, double y, double a,
                            double b)
 {
     double *r = d->log + 5 * d->io[IO_LOG]++;
     r[0] = kind;
-    r[1] = (double)ch->x;
-    r[2] = (double)ch->y;
+    r[1] = x;
+    r[2] = y;
     r[3] = a;
     r[4] = b;
 }
@@ -384,7 +493,8 @@ static int start_transmission(des_t *d, i64 c, i64 m, i64 hop)
     ch->busy += occupancy;
     ch->bytes += size;
     if (d->log)
-        log_rec(d, LOG_TRANSMIT, ch, now, ch->bytes);
+        log_rec(d, LOG_TRANSMIT, (double)ch->x, (double)ch->y, now,
+                ch->bytes);
     double done = now + occupancy;
     int rc;
     if (hop == d->routes[d->msg[m].route].len - 1)
@@ -392,6 +502,27 @@ static int start_transmission(des_t *d, i64 c, i64 m, i64 hop)
     else
         rc = push(d, now + ch->alpha, EV_HEAD, m, hop + 1);
     return rc ? rc : push(d, done, EV_FREE, c, 0);
+}
+
+/* Message m overflowed a full buffer. An application message with
+ * retries left is retransmitted here when the retransmit needs no jitter
+ * (max_retries >= 0), as _on_overflow and _retransmit do; anything else,
+ * or a backoff that overflows a double, goes to Python. */
+static int retransmit(des_t *d, i64 m)
+{
+    msg_t *msg = &d->msg[m];
+    if (msg->task < 0 || msg->attempts >= d->max_retries)
+        return RC_OVERFLOW;
+    double backoff = pow(d->retry_backoff, (double)msg->attempts);
+    if (!isfinite(backoff))
+        return RC_OVERFLOW;
+    double delay = d->retry_delay * backoff;
+    msg->attempts++;
+    d->io[IO_BUFFER_DROPS]++;
+    d->io[IO_RETRANSMITS]++;
+    if (d->log)
+        log_rec(d, LOG_RETRANSMIT, 0.0, 0.0, 1.0, 1.0);
+    return push(d, d->now + delay, EV_INJECT, m, 0) ? -1 : RC_STOP;
 }
 
 /* The head of `m` reached the input of hop `hop` of its route. Returns an
@@ -418,7 +549,7 @@ static int head_arrival(des_t *d, i64 m, i64 hop)
         if (ch->buffered + msg->size > ch->capacity) {
             d->io[IO_CHX] = ch->x;
             d->io[IO_CHY] = ch->y;
-            return RC_OVERFLOW;
+            return retransmit(d, m);
         }
         ch->buffered += msg->size;
     }
@@ -447,7 +578,8 @@ static int head_arrival(des_t *d, i64 m, i64 hop)
             ch->saturated = 1;
             kind = LOG_SATURATE;
         }
-        log_rec(d, kind, ch, (double)depth, d->now);
+        log_rec(d, kind, (double)ch->x, (double)ch->y, (double)depth,
+                d->now);
     }
     return RC_STOP;
 }
@@ -517,6 +649,80 @@ static void choose_route(des_t *d, msg_t *msg)
     msg->hops = (int32_t)(d->routes[best].len - d->nic);
 }
 
+/* Task g's compute step is done, or one more of its arrivals is in: when
+ * both its compute and all arrivals of its iteration are, it finishes the
+ * iteration and starts the next one's compute (appsim's _maybe_advance). */
+static int advance(des_t *d, i64 g)
+{
+    task_t *t = &d->tasks[g];
+    const app_t *a = &d->apps[t->app];
+    i64 k = t->iter, i = g - a->off;
+    if (!t->computed || t->arrived[k & 1] < a->indptr[i + 1] - a->indptr[i])
+        return 0;
+    t->arrived[k & 1] = 0;
+    if (--a->remaining[k] == 0)
+        a->finish[k] = d->now;
+    if (k + 1 == a->iterations)
+        return 0;
+    t->iter = k + 1;
+    t->computed = 0;
+    return push(d, d->now + a->compute[i], EV_COMPUTE, g, 0);
+}
+
+/* Task g's compute step finished: send to its neighbours in CSR order,
+ * then try to advance (appsim's _compute_finished). */
+static int compute_done(des_t *d, i64 g)
+{
+    task_t *t = &d->tasks[g];
+    const app_t *a = &d->apps[t->app];
+    i64 i = g - a->off, src = a->assign[i], sent = 0, local = 0;
+    t->computed = 1;
+    for (i64 e = a->indptr[i]; e < a->indptr[i + 1]; e++) {
+        i64 nbr = a->indices[e], dst = a->assign[nbr];
+        if (send_msg(d, d->io[IO_NMSG]++, a->sizes[e], a->sets[e], src, dst,
+                     d->now, a->off + nbr, t->iter))
+            return -1;
+        d->io[IO_INFLIGHT]++;
+        sent++;
+        local += src == dst;
+    }
+    if (d->log && sent)
+        log_rec(d, LOG_SENDS, 0.0, 0.0, (double)sent, (double)local);
+    return advance(d, g);
+}
+
+/* The tail of message m reached its destination: a fault-path hit if the
+ * message was faulted or an endpoint failed; otherwise record it (as
+ * MessageStats.record does), then hand a Python send back, or count an
+ * application message's arrival. */
+static int deliver(des_t *d, i64 m)
+{
+    msg_t *msg = &d->msg[m];
+    if (msg->faulted) {
+        msg->faulted = 0;
+        return RC_FAULT;
+    }
+    if (d->nfailed_procs
+        && (d->proc_failed[msg->src] || d->proc_failed[msg->dst]))
+        return RC_FAULT;
+    i64 k = d->io[IO_DELIVERED];
+    if (reserve((void **)&d->rec, &d->reccap, 2 * k + 2, sizeof(double)))
+        return -1;
+    d->rec[2 * k] = d->now - msg->sent;
+    d->rec[2 * k + 1] = msg->size;
+    d->io[IO_DELIVERED] = k + 1;
+    d->dio[DIO_BYTES] += msg->size;
+    d->dio[DIO_HOP_BYTES] += msg->size * (double)msg->hops;
+    msg->done = 1;
+    if (msg->task < 0)
+        return RC_DELIVER;
+    d->io[IO_INFLIGHT]--;
+    if (d->log)
+        log_rec(d, LOG_DELIVER, 0.0, 0.0, 1.0, 0.0);
+    d->tasks[msg->task].arrived[msg->iter & 1]++;
+    return advance(d, msg->task) ? -1 : RC_STOP;
+}
+
 /* Apply the published buffers, then pop and run records until one needs
  * Python (see the file comment). io[IO_LIMIT] < 0 means no event limit.
  * With io[IO_UNTIL], records after dio[DIO_DEADLINE] stay queued and a
@@ -553,11 +759,10 @@ i64 des_run(des_t *d)
             r = RC_PY;
             break;
         case EV_DELIVER:
-            r = RC_DELIVER;
-            if (d->msg[id].faulted) {
-                d->msg[id].faulted = 0;
-                r = RC_FAULT;
-            }
+            r = deliver(d, id);
+            break;
+        case EV_COMPUTE:
+            r = compute_done(d, id) ? -1 : RC_STOP;
             break;
         case EV_INJECT:
             choose_route(d, &d->msg[id]);
@@ -589,12 +794,18 @@ i64 des_run(des_t *d)
 /* Fail channel (x, y), interning it if new: flag the message it is
  * transmitting as faulted and evict its FIFO into `evicted` (room for
  * every message sent), returning how many were evicted, in FIFO order,
- * or -1 when out of memory. */
+ * or -1 when out of memory. A processor's injection channel (-1, p) fails
+ * only with the processor, so it marks p failed too: deliveries from or to
+ * p then take the fault path. */
 i64 des_fail(des_t *d, i64 x, i64 y, i64 *evicted)
 {
     i64 c = channel_of(d, x, y, -1.0);
     if (c < 0)
         return -1;
+    if (x == -1 && y < d->nprocs && !d->proc_failed[y]) {
+        d->proc_failed[y] = 1;
+        d->nfailed_procs++;
+    }
     chan_t *ch = &d->ch[c];
     if (!ch->failed) {
         ch->failed = 1;
@@ -623,5 +834,198 @@ void des_links(const des_t *d, i64 *xs, i64 *ys, double *busy,
         bytes[k] = ch->bytes;
         max_queue[k] = ch->max_queue;
         buffered[k] = ch->buffered;
+    }
+}
+
+/* The route set of src -> dst on a grid of `ndim` axes (extents
+ * shape[], C-order strides stride[], wraparound links when `wrap`): one
+ * route per axis order, in lexicographic order, each walked as
+ * GridTopology.route_axis_order walks it and kept unless an earlier order
+ * gave the same links; only the first (dimension-ordered) one unless
+ * `adaptive`. `path` has room for the longest walk. */
+static int grid_set(des_t *d, const i64 *shape, const i64 *stride, i64 ndim,
+                    int wrap, int adaptive, i64 src, i64 dst, i64 *path)
+{
+    i64 order[8];
+    for (i64 k = 0; k < ndim; k++)
+        order[k] = k;
+    if (new_set(d))
+        return -1;
+    for (;;) {
+        i64 node = src, len = 0;
+        if (d->nic) {
+            path[len++] = -1;
+            path[len++] = src;
+        }
+        for (i64 j = 0; j < ndim; j++) {
+            i64 axis = order[j], extent = shape[axis], st = stride[axis];
+            i64 here = src / st % extent, there = dst / st % extent;
+            i64 forward = ((there - here) % extent + extent) % extent;
+            i64 steps = forward, step = 1;
+            if (wrap && forward > extent - forward) {
+                steps = extent - forward;
+                step = -1;
+            } else if (!wrap && there <= here) {
+                steps = here - there;
+                step = -1;
+            }
+            for (i64 s = 0; s < steps; s++) {
+                here += step;
+                path[len++] = node;
+                if (here == extent) {
+                    here = 0;
+                    node -= (extent - 1) * st;
+                } else if (here < 0) {
+                    here = extent - 1;
+                    node += (extent - 1) * st;
+                } else {
+                    node += step * st;
+                }
+                path[len++] = node;
+            }
+        }
+        if (d->nic) {
+            path[len++] = -2;
+            path[len++] = dst;
+        }
+        if (add_route(d, path, len / 2))
+            return -1;
+        /* Drop the new route if an earlier one has the same channels. */
+        span_t set = d->sets[d->ns - 1], mine = d->routes[d->nr - 1];
+        for (i64 r = set.off; r < set.off + set.len - 1; r++) {
+            span_t other = d->routes[r];
+            if (other.len == mine.len
+                && !memcmp(d->rch + other.off, d->rch + mine.off,
+                           (size_t)mine.len * sizeof(i64))) {
+                d->nr--;
+                d->nrch -= mine.len;
+                d->sets[d->ns - 1].len--;
+                break;
+            }
+        }
+        /* The next axis order (std::next_permutation), if any. */
+        i64 i = ndim - 2;
+        while (i >= 0 && order[i] > order[i + 1])
+            i--;
+        if (!adaptive || i < 0)
+            return 0;
+        i64 j = ndim - 1;
+        while (order[j] < order[i])
+            j--;
+        i64 tmp = order[i];
+        order[i] = order[j];
+        order[j] = tmp;
+        for (i64 lo = i + 1, hi = ndim - 1; lo < hi; lo++, hi--) {
+            tmp = order[lo];
+            order[lo] = order[hi];
+            order[hi] = tmp;
+        }
+    }
+}
+
+/* Register an application of n tasks and `iterations` rounds (see the
+ * file comment): CSR neighbour lists indptr/indices of the edges that
+ * carry traffic with per-entry message sizes, the task -> processor
+ * assignment and per-task compute times; `sets` gives each CSR entry's
+ * route set, or is NULL on a grid machine, described by grid[] = (ndim,
+ * wraparound, adaptive, extents...). The engine decrements remaining[k]
+ * as tasks finish iteration k and stores in finish[k] when the last one
+ * did. Pushes every task's first compute step, in task order. Returns the
+ * number of route sets, or -1 when out of memory or given a bad grid. */
+i64 des_app(des_t *d, i64 n, i64 iterations, const i64 *indptr,
+            const i64 *indices, const double *sizes, const i64 *assign,
+            const double *compute, const i64 *sets, const i64 *grid,
+            i64 *remaining, double *finish)
+{
+    if (reserve((void **)&d->apps, &d->acap, d->napps + 1, sizeof(app_t))
+        || reserve((void **)&d->tasks, &d->tkcap, d->ntasks + n,
+                   sizeof(task_t)))
+        return -1;
+    i64 nnz = indptr[n];
+    i64 *own = malloc((size_t)(nnz ? nnz : 1) * sizeof(i64));
+    if (!own)
+        return -1;
+    app_t *a = &d->apps[d->napps];
+    *a = (app_t){n, d->ntasks, iterations, indptr, indices, assign, sizes,
+                 compute, own, remaining, finish};
+    d->napps++;
+    if (sets) {
+        memcpy(own, sets, (size_t)nnz * sizeof(i64));
+    } else {
+        i64 ndim = grid[0], stride[8], room = 4;
+        if (ndim < 1 || ndim > 8)
+            return -1;
+        for (i64 k = ndim - 1, st = 1; k >= 0; k--) {
+            stride[k] = st;
+            st *= grid[3 + k];
+            room += 2 * grid[3 + k];
+        }
+        i64 *path = malloc((size_t)room * sizeof(i64));
+        if (!path)
+            return -1;
+        for (i64 t = 0; t < n; t++) {
+            for (i64 e = indptr[t]; e < indptr[t + 1]; e++) {
+                i64 src = assign[t], dst = assign[indices[e]];
+                own[e] = -1;
+                if (src == dst)
+                    continue;
+                if (grid_set(d, grid + 3, stride, ndim, (int)grid[1],
+                             (int)grid[2], src, dst, path)) {
+                    free(path);
+                    return -1;
+                }
+                own[e] = d->ns - 1;
+            }
+        }
+        free(path);
+    }
+    for (i64 t = 0; t < n; t++) {
+        d->tasks[d->ntasks + t] = (task_t){.app = d->napps - 1};
+        if (push(d, d->now + compute[t], EV_COMPUTE, d->ntasks + t, 0))
+            return -1;
+    }
+    d->ntasks += n;
+    return d->ns;
+}
+
+/* Message `id`'s (src, dst, size, send time, attempts) into out[]; with
+ * id < 0, those of the application message in flight that was sent
+ * first (lowest id on a tie), whose id is returned (-1: none). */
+i64 des_message(const des_t *d, i64 id, double *out)
+{
+    if (id < 0) {
+        for (i64 m = 0; m < d->io[IO_NMSG]; m++) {
+            const msg_t *msg = &d->msg[m];
+            if (msg->task >= 0 && !msg->done
+                && (id < 0 || msg->sent < d->msg[id].sent))
+                id = m;
+        }
+        if (id < 0)
+            return -1;
+    }
+    const msg_t *msg = &d->msg[id];
+    out[0] = msg->src;
+    out[1] = msg->dst;
+    out[2] = msg->size;
+    out[3] = msg->sent;
+    out[4] = msg->attempts;
+    return id;
+}
+
+/* Python finally dropped application message `id`. */
+void des_drop(des_t *d, i64 id)
+{
+    if (d->msg[id].task >= 0 && !d->msg[id].done) {
+        d->msg[id].done = 1;
+        d->io[IO_INFLIGHT]--;
+    }
+}
+
+/* Deliveries from..io[IO_DELIVERED]-1: their latencies and sizes. */
+void des_stats(const des_t *d, i64 from, double *latency, double *size)
+{
+    for (i64 k = from; k < d->io[IO_DELIVERED]; k++) {
+        latency[k - from] = d->rec[2 * k];
+        size[k - from] = d->rec[2 * k + 1];
     }
 }

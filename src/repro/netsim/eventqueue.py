@@ -100,10 +100,6 @@ class EventQueue:
 
     def step(self) -> bool:
         """Fire exactly one event; False when the queue is empty."""
-        if not self._heap:
-            return False
-        time, _seq, fn, args = heapq.heappop(self._heap)
-        self.now = time
-        self._processed += 1
-        fn(*args)
-        return True
+        before = self._processed
+        self.run(1)
+        return self._processed != before

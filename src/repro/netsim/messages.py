@@ -92,6 +92,13 @@ class MessageStats:
         self._bytes += message.size_bytes
         self._hop_bytes += message.size_bytes * message.hops
 
+    def extend(self, latencies: list, sizes: list, total_bytes: float,
+               hop_bytes: float) -> None:
+        """Account deliveries the compiled DES recorded, in order."""
+        self._latencies += latencies
+        self._sizes += sizes
+        self._bytes, self._hop_bytes = total_bytes, hop_bytes
+
     def record_drop(self, message: Message) -> None:
         """Account one finally-dropped (undeliverable) message."""
         self.dropped += 1

@@ -22,18 +22,17 @@ Figure 7 behaviour. Messages between tasks on the same processor bypass the
 network for a fixed small ``local_latency``.
 
 Two bodies run this model, bit-identically. The production body
-(``kernel="vectorized"``, the default) keeps the per-hop events —
-injection with the adaptive route choice, head arrivals, transmission
-starts and link frees — in a compiled event core,
+(``kernel="vectorized"``, the default) is a compiled event core,
 :class:`repro.mapping._native.DesEngine` over ``des_kernel.c``, which is
-also ``sim.queue``. Python keeps everything that calls back or draws a
-random number: the caller's events, deliveries, buffer overflows and their
-seeded retransmits, faults, the watchdog, and routes, which still come
-from :meth:`Topology.route_links` and are interned the first time
-:meth:`send` sees a ``(src, dst)`` pair. The reference body
-(``kernel="reference"``, and the fallback without a C compiler) is the
-Python event loop below: :class:`EventQueue` and the ``_head_arrival`` /
-``_start_transmission`` / ``_link_free`` methods.
+also ``sim.queue``. It runs the per-hop events, records every delivery,
+and runs an :class:`~repro.netsim.appsim.IterativeApplication`'s whole
+closed loop, with its unjittered retransmits and, on a Torus or Mesh, its
+routes. Python keeps the caller's events, :meth:`send` deliveries,
+jittered retransmits, final drops, faults, the watchdog, and the routes
+of :meth:`send` messages and of other machines' applications. The
+reference body (``kernel="reference"``, and the fallback without a C
+compiler) is the Python event loop below: :class:`EventQueue` and the
+``_head_arrival`` / ``_start_transmission`` / ``_link_free`` methods.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import enum
 import math
 from collections import deque
 from collections.abc import Callable
-from itertools import chain
+from itertools import permutations
 
 import numpy as np
 
@@ -52,6 +51,7 @@ from repro.mapping.kernels import resolve_kernel
 from repro.netsim.eventqueue import EventQueue
 from repro.netsim.messages import Message, MessageStats
 from repro.topology.base import Topology
+from repro.topology.grid import GridTopology
 
 __all__ = [
     "RoutingPolicy",
@@ -63,6 +63,11 @@ __all__ = [
 # grows to this depth a ``netsim.link_saturated`` event is recorded
 # (profiling only), cleared once the queue drains empty.
 _SATURATION_DEPTH = 8
+
+#: The counters behind the compiled body's application log rows, kinds 3-5.
+_APP_COUNTERS = (("netsim.messages", "netsim.local_messages"),
+                 ("netsim.delivered",),
+                 ("netsim.buffer_drops", "netsim.retransmits"))
 
 
 def channel_name(channel: tuple) -> str:
@@ -92,14 +97,12 @@ class RoutingPolicy(enum.Enum):
     """How a route is chosen for each message.
 
     ``DOR`` is deterministic dimension-ordered routing (the topology's
-    canonical route — what BlueGene/L uses in deterministic mode and what
-    the mapping metrics assume). ``ADAPTIVE`` approximates the machine's
-    adaptive mode: on grid topologies each message picks, at injection time,
-    the minimal route (one per axis order) whose links currently look least
-    congested. Adaptivity spreads a random mapping's traffic over more
-    links, narrowing the topo-aware-vs-random gap — the model deviation
-    EXPERIMENTS.md discusses — and the ``test_ablation_routing`` bench
-    quantifies exactly that.
+    canonical route, as on BlueGene/L in deterministic mode and in the
+    mapping metrics). ``ADAPTIVE`` approximates the adaptive mode: on grid
+    topologies each message picks, at injection time, the minimal route
+    (one per axis order) whose links look least congested. It spreads a
+    random mapping's traffic, narrowing the topo-aware-vs-random gap, which
+    the ``test_ablation_routing`` bench quantifies.
     """
 
     DOR = "dor"
@@ -120,11 +123,9 @@ def _knob(name: str, value, floor: float = 0.0, strict: bool = True) -> float:
 class _Link:
     """FIFO transmission state of one directed channel.
 
-    ``bandwidth``, ``alpha`` and ``capacity`` are fixed when the channel is
-    first used: a NIC channel serializes at the NIC bandwidth with no routing
-    latency and no buffer limit; a network link takes its (possibly
-    overridden) bandwidth, the per-hop ``alpha`` and the configured
-    ``buffer_bytes`` (``None``: unbounded).
+    ``bandwidth``, ``alpha`` and ``capacity`` are fixed on first use: the
+    NIC bandwidth, no routing latency and no buffer limit for a NIC channel;
+    the link's bandwidth, ``alpha`` and ``buffer_bytes`` for a link.
     """
 
     __slots__ = ("queue", "busy_time", "bytes_carried", "max_queue",
@@ -175,46 +176,36 @@ class NetworkSimulator:
         :class:`~repro.exceptions.SimulationError`; ``"drop"`` marks the
         message dropped and counts ``netsim.dropped``.
     buffer_bytes:
-        Per-link input buffer capacity in bytes. ``None`` (default) keeps
-        the seed model's unbounded FIFO queues — bit-identical event
-        ordering, zero behavior drift. When set, a message arriving at a
-        link whose queue cannot take its payload is tail-dropped there and
-        retransmitted end-to-end under the retry knobs (``max_retries``,
-        ``retry_delay``, ``retry_backoff``, ``retry_jitter``). NIC
-        channels are treated as infinitely buffered (the endpoint memory is
-        the buffer).
+        Per-link input buffer capacity in bytes (``None``, the default:
+        unbounded FIFO queues). A message arriving at a link whose queue
+        cannot take its payload is tail-dropped there and retransmitted
+        end-to-end under the retry knobs. NIC channels are unbounded (the
+        endpoint memory is the buffer).
     retry_jitter / seed:
-        Overload retransmits wait ``retry_delay * retry_backoff**k``
-        multiplied by ``1 + retry_jitter * U[0, 1)`` — the uniform draw
-        comes from a generator seeded with ``seed``, and because event
-        order is deterministic the whole schedule replays bit-identically
-        for the same seed.
+        Overload retransmits wait ``retry_delay * retry_backoff**k`` times
+        ``1 + retry_jitter * U[0, 1)``, drawn from a generator seeded with
+        ``seed``; event order is deterministic, so a seed replays bit for
+        bit.
     stall_window:
-        Livelock watchdog: when set, :meth:`run` arms a periodic check and
-        raises :class:`~repro.exceptions.SimulationError` naming the oldest
-        undelivered message if no delivery progress (deliveries + final
-        drops) happened for a full window while events kept firing — so a
-        drop/retry loop cannot spin forever. The same setting arms the
-        post-run drain check (see :meth:`run`).
+        Livelock watchdog: :meth:`run` raises a
+        :class:`~repro.exceptions.SimulationError` naming the oldest
+        undelivered message if a full window passes with events firing but
+        no delivery or final drop. It also arms the post-run drain check.
     kernel:
         ``None`` or ``"vectorized"``: the compiled body (falling back to
         the reference body, counted and warned once, without a C
-        compiler); ``"reference"``: the Python event loop. Only tests and
-        the full-tier ``des-kernel-differential`` oracle pass it.
+        compiler); ``"reference"``: the Python event loop (tests and the
+        ``des-kernel-differential`` oracle).
 
-    Fault injection is deterministic: :meth:`schedule_link_failure` and
-    :meth:`schedule_node_failure` go through the event queue, and recovery
-    involves no randomness, so identical fault schedules replay bit-identical
-    outcomes. With profiling enabled the counters ``faults.injected``,
-    ``netsim.reroutes``, ``netsim.retries`` and ``netsim.dropped`` account
-    every fault-path decision.
+    Fault injection is deterministic: scheduled faults go through the event
+    queue and recovery draws no random number. With profiling enabled,
+    ``faults.injected``, ``netsim.reroutes``, ``netsim.retries`` and
+    ``netsim.dropped`` count every fault-path decision.
 
     The simulator snapshots :func:`repro.obs.active` at construction time:
-    enable profiling (``obs.enable()`` / ``obs.profiled()``) *before*
-    building the simulator to record message counters, per-link byte
-    timelines, queue depths, and saturation events. With profiling disabled
-    (the default) no telemetry code runs beyond one high-water-mark compare
-    per enqueue.
+    enable profiling *before* building it to record message counters,
+    per-link byte timelines, queue depths and saturation events. With
+    profiling disabled (the default) no telemetry code runs.
     """
 
     def __init__(
@@ -283,8 +274,9 @@ class NetworkSimulator:
         # NIC channels wrap every network route, and do not count as hops.
         self._nic_channels = 0 if self._nic_bandwidth is None else 2
         self._prof = obs.active()
-        # The compiled body runs the per-hop events in C (see
-        # des_kernel.c) and is also the event queue.
+        self.stats = MessageStats()
+        # The compiled body runs the events in C (see des_kernel.c) and is
+        # also the event queue.
         self._engine = None
         if resolve_kernel(kernel) == "vectorized":
             from repro.mapping._native import kernels_or_fallback
@@ -292,12 +284,14 @@ class NetworkSimulator:
             native = kernels_or_fallback()
             if native is not None:
                 self._engine = native.des_engine(
-                    self._nic_channels, _SATURATION_DEPTH,
-                    self._prof is not None, self._bandwidth, self._alpha,
-                    self._buffer_bytes, self._nic_bandwidth,
-                    self._link_bandwidths)
-                self._engine.on_return = self._on_return
-                self._engine.on_log = self._replay_log
+                    self.stats, self._prof is not None, self._link_bandwidths,
+                    self._nic_channels, _SATURATION_DEPTH, self._bandwidth,
+                    self._alpha, self._buffer_bytes, self._nic_bandwidth,
+                    self._num_procs, self._local,
+                    -1 if self._retry_jitter else int(max_retries),
+                    self._retry_delay, self._retry_backoff)
+                self._engine.on_return, self._engine.on_log = (
+                    self._on_return, self._replay_log)
         self.queue = self._engine if self._engine is not None else EventQueue()
         self._links: dict[tuple, _Link] = {}
         # (src * num_procs + dst) -> the compiled body's route set id
@@ -307,7 +301,6 @@ class NetworkSimulator:
         self._routes: dict[tuple[int, int], tuple] = {}
         self._route_choices: dict[tuple[int, int], list[tuple]] = {}
         self._next_id = 0
-        self.stats = MessageStats()
         # Fault-injection state (see fail_link / fail_node / _on_fault).
         self._max_retries = int(max_retries)
         self._unroutable_policy = unroutable_policy
@@ -315,10 +308,10 @@ class NetworkSimulator:
         self._failed_nodes: set[int] = set()
         self._seed = int(seed)
         self._rng = None  # lazily built np.random.Generator for retry jitter
-        # Every message, with its delivery callback, from send() until
-        # delivery or final drop; lets the watchdog name the oldest stuck
-        # message and the drain check detect wedges (queue empty but
-        # traffic undelivered).
+        # Every send() message (on the compiled body; every message on the
+        # reference body), with its delivery callback, until delivery or
+        # final drop; lets the watchdog name the oldest stuck message and
+        # the drain check detect wedges (queue empty, traffic undelivered).
         self._inflight: dict[int, tuple[Message, Callable | None]] = {}
         self._watch_mark = -1
         self._watchdog_armed = False
@@ -347,7 +340,7 @@ class NetworkSimulator:
     @property
     def in_flight(self) -> int:
         """Messages sent but not yet delivered or finally dropped."""
-        return len(self._inflight)
+        return len(self._inflight) + (self._engine.inflight if self._engine else 0)
 
     def _route(self, src: int, dst: int) -> tuple:
         """Channel sequence for src -> dst: [NIC out], links..., [NIC in].
@@ -379,10 +372,6 @@ class NetworkSimulator:
         On grid topologies: one minimal route per axis order; elsewhere only
         the canonical route exists.
         """
-        from itertools import permutations
-
-        from repro.topology.grid import GridTopology
-
         choices = self._route_choices.get(key)
         if choices is None:
             src, dst = key
@@ -444,19 +433,16 @@ class NetworkSimulator:
         return link
 
     def _route_set(self, src: int, dst: int) -> int:
-        """Intern the compiled body's route set for ``src -> dst``: the DOR
-        route, or the adaptive candidates, as flat channel names (see
-        :func:`_channel_key`)."""
-        if self._routing is RoutingPolicy.ADAPTIVE:
-            routes = [[v for ch in route for v in _channel_key(ch)]
-                      for route in self._route_choices_for((src, dst))]
-        else:
-            route = list(chain.from_iterable(
-                self._topology.route_links(src, dst)))
-            if self._nic_bandwidth is not None:
-                route = [-1, src, *route, -2, dst]
-            routes = [route]
-        route_set = self._engine.add_routes(routes)
+        """The compiled body's route set for ``src -> dst``, interned on
+        first use: the DOR route, or the adaptive candidates, as flat
+        channel names (see :func:`_channel_key`)."""
+        route_set = self._route_sets.get(src * self._num_procs + dst)
+        if route_set is not None:
+            return route_set
+        routes = (self._route_choices_for((src, dst)) if self._routing is
+                  RoutingPolicy.ADAPTIVE else [self._route(src, dst)])
+        route_set = self._engine.add_routes(
+            [[v for ch in route for v in _channel_key(ch)] for route in routes])
         self._route_sets[src * self._num_procs + dst] = route_set
         return route_set
 
@@ -486,7 +472,8 @@ class NetworkSimulator:
                 f"send endpoints must be processors in [0, {self._num_procs}), "
                 f"got {src} -> {dst}"
             )
-        msg_id = self._next_id
+        engine = self._engine
+        msg_id = self._next_id if engine is None else engine.next_id
         msg = Message(msg_id, src, dst, size_bytes, send_time)
         self._next_id = msg_id + 1
         self._inflight[msg_id] = (msg, on_delivery)
@@ -495,15 +482,10 @@ class NetworkSimulator:
             if msg.src == msg.dst:
                 self._prof.count("netsim.local_messages")
 
-        engine = self._engine
         if engine is not None:
-            if src == dst:
-                engine.send(msg_id, size_bytes, -1, send_time + self._local)
-            else:
-                route_set = self._route_sets.get(src * self._num_procs + dst)
-                if route_set is None:
-                    route_set = self._route_set(src, dst)
-                engine.send(msg_id, size_bytes, route_set, send_time)
+            engine.send(msg_id, size_bytes,
+                        -1 if src == dst else self._route_set(src, dst),
+                        send_time, src * self._num_procs + dst)
             return msg
         if msg.src == msg.dst:  # same processor: no network involved
             self.queue.call(send_time + self._local, self._deliver, msg, on_delivery)
@@ -639,7 +621,7 @@ class NetworkSimulator:
     def _reinject(self, time: float, msg: Message, on_delivery) -> None:
         """Inject ``msg`` again at ``time`` (a retransmit or a reroute)."""
         if self._engine is not None:
-            self._engine.inject(msg.msg_id, time)
+            self._engine.inject(msg.msg_id, time, msg.attempts)
         else:
             self.queue.call(time, self._inject, msg, on_delivery)
 
@@ -656,8 +638,12 @@ class NetworkSimulator:
             self._on_fault(msg, on_delivery)
             return
         msg.deliver_time = self.queue.now
-        self._inflight.pop(msg.msg_id, None)
         self.stats.record(msg)
+        self._delivered(msg, on_delivery)
+
+    def _delivered(self, msg: Message, on_delivery) -> None:
+        """Release a checked and recorded delivery and call back."""
+        self._inflight.pop(msg.msg_id, None)
         if self._prof is not None:
             self._prof.count("netsim.delivered")
         if on_delivery is not None:
@@ -671,6 +657,12 @@ class NetworkSimulator:
                 f"failure time must be finite and >= 0, got {at}"
             )
         return at
+
+    def _check_node(self, node: int) -> int:
+        node, limit = int(node), self._topology.link_graph().num_nodes
+        if not 0 <= node < limit:
+            raise SimulationError(f"node {node} out of range [0, {limit})")
+        return node
 
     def _check_link(self, a: int, b: int) -> tuple[int, int]:
         if not self._topology.link_graph().has_link(a, b):
@@ -711,12 +703,8 @@ class NetworkSimulator:
         kills its links: traffic reroutes around it when a surviving
         minimal route exists.
         """
-        node = int(node)
+        node = self._check_node(node)
         graph = self._topology.link_graph()
-        if not 0 <= node < graph.num_nodes:
-            raise SimulationError(
-                f"node {node} out of range [0, {graph.num_nodes})"
-            )
         if node in self._failed_nodes:
             return
         if self._prof is not None:
@@ -747,11 +735,7 @@ class NetworkSimulator:
     def schedule_node_failure(self, at: float, node: int) -> None:
         """Fail node ``node`` at simulation time ``at`` (validated now)."""
         at = self._check_failure_time(at)
-        node = int(node)
-        limit = self._topology.link_graph().num_nodes
-        if not 0 <= node < limit:
-            raise SimulationError(f"node {node} out of range [0, {limit})")
-        self.queue.call(at, self.fail_node, node)
+        self.queue.call(at, self.fail_node, self._check_node(node))
 
     def _fail_channel(self, channel: tuple) -> None:
         """Mark one directed channel failed; evict its traffic."""
@@ -759,9 +743,8 @@ class NetworkSimulator:
             return
         self._failed_channels.add(channel)
         if self._engine is not None:
-            for msg_id in self._engine.fail(*_channel_key(channel),
-                                            self._next_id):
-                self._on_fault(*self._inflight[msg_id])
+            for msg_id in self._engine.fail(*_channel_key(channel)):
+                self._on_fault(*self._entry(msg_id))
             return
         link = self._links.get(channel)
         if link is None:
@@ -815,7 +798,8 @@ class NetworkSimulator:
                 f"undeliverable: {reason}"
             )
         msg.dropped = True
-        self._inflight.pop(msg.msg_id, None)
+        if self._inflight.pop(msg.msg_id, None) is None and self._engine:
+            self._engine.drop(msg.msg_id)
         self.stats.record_drop(msg)
         if self._prof is not None:
             self._prof.count("netsim.dropped")
@@ -834,19 +818,21 @@ class NetworkSimulator:
         return self.stats.count + self.stats.dropped
 
     def _oldest_inflight(self) -> Message:
-        return min((msg for msg, _ in self._inflight.values()),
-                   key=lambda m: (m.send_time, m.msg_id))
+        msgs = [msg for msg, _ in self._inflight.values()]
+        if self._engine is not None and self._engine.inflight:
+            msgs.append(self._entry(-1)[0])
+        return min(msgs, key=lambda m: (m.send_time, m.msg_id))
 
     def _watchdog_tick(self) -> None:
         self._watchdog_armed = False
-        if not self._inflight:
+        if not self.in_flight:
             return  # every message resolved; the watchdog retires
         progress = self._progress()
         if progress == self._watch_mark and self.queue.pending > 0:
             oldest = self._oldest_inflight()
             raise SimulationError(
                 f"livelock: no delivery progress for {self._stall_window} us "
-                f"({len(self._inflight)} message(s) in flight); oldest is "
+                f"({self.in_flight} message(s) in flight); oldest is "
                 f"message {oldest.msg_id} ({oldest.src} -> {oldest.dst}, "
                 f"sent at t={oldest.send_time}, attempts={oldest.attempts})"
             )
@@ -878,14 +864,14 @@ class NetworkSimulator:
                                 self._watchdog_tick)
         end = self.queue.run(max_events, until=until)
         if (
-            self._inflight
+            self.in_flight
             and self.queue.pending == 0
             and self._stall_window is not None
         ):
             oldest = self._oldest_inflight()
             raise SimulationError(
                 f"simulation wedged: event queue drained with "
-                f"{len(self._inflight)} undelivered message(s); oldest is "
+                f"{self.in_flight} undelivered message(s); oldest is "
                 f"message {oldest.msg_id} ({oldest.src} -> {oldest.dst}, "
                 f"sent at t={oldest.send_time}, attempts={oldest.attempts})"
             )
@@ -906,13 +892,41 @@ class NetworkSimulator:
         return end
 
     # ------------------------------------------------------ compiled body
+    def _entry(self, msg_id: int) -> tuple[Message, Callable | None]:
+        """``(message, on_delivery)`` of a message the compiled body hands
+        back: a :meth:`send` message, or an application message built from
+        C's record (``msg_id`` < 0: the oldest one in flight)."""
+        return self._inflight.get(msg_id) or (self._engine.message(msg_id), None)
+
+    def _start_app(self, iterations: int, arrays: tuple) -> None:
+        """Hand an application's closed loop to the compiled body (see
+        :meth:`IterativeApplication.start`): C walks a grid's routes, and
+        elsewhere each traffic-carrying pair's route set is interned here."""
+        indptr, indices, _, assign = arrays[:4]
+        sets, grid = None, self._grid()
+        if grid is None:
+            src = np.repeat(assign, np.diff(indptr)).tolist()
+            sets = np.array([-1 if a == b else self._route_set(a, b)
+                             for a, b in zip(src, assign[indices].tolist())],
+                            dtype=np.int64)
+        self._engine.start_app(iterations, arrays, sets, grid)
+
+    def _grid(self) -> np.ndarray | None:
+        """``(ndim, wraparound, adaptive, *shape)`` of a Torus or Mesh."""
+        topo = self._topology
+        if isinstance(topo, GridTopology) and topo.ndim <= 8:
+            return np.array([topo.ndim, topo.wraparound, self._routing
+                             is RoutingPolicy.ADAPTIVE, *topo.shape])
+        return None
+
     def _on_return(self, code: int, msg_id: int, hops: int) -> None:
         """A message the compiled body hands back to Python."""
-        msg, on_delivery = self._inflight[msg_id]
+        msg, on_delivery = self._entry(msg_id)
         msg.hops = hops
         engine = self._engine
-        if code == engine.DELIVER:
-            self._deliver(msg, on_delivery)
+        if code == engine.DELIVER:  # C made the checks and recorded it
+            msg.deliver_time = self.queue.now
+            self._delivered(msg, on_delivery)
         elif code == engine.FAULT:
             self._on_fault(msg, on_delivery)
         else:
@@ -928,6 +942,11 @@ class NetworkSimulator:
             if kind == 0:  # a transmission start at a, carrying b bytes
                 prof.count("netsim.transmissions")
                 prof.sample(f"link_bytes:{channel_name(channel)}", a, b)
+                continue
+            if kind >= 3:  # an application's sends, delivery, retransmit
+                for name, n in zip(_APP_COUNTERS[int(kind) - 3], (a, b)):
+                    if n:
+                        prof.count(name, int(n))
                 continue
             depth = int(a)  # an enqueue at time b
             prof.count("netsim.enqueues")

@@ -62,20 +62,9 @@ def link_summary(sim: NetworkSimulator, top: int = 10) -> dict:
     busy_by_link = sim.link_busy_times()
     peaks_by_link = sim.link_queue_peaks()
     sim_time = float(sim.now)
-    if not bytes_by_link:
-        return {
-            "mode": "des",
-            "links_used": 0,
-            "total_bytes": 0.0,
-            "max_link_bytes": 0.0,
-            "mean_utilization": 0.0,
-            "max_utilization": 0.0,
-            "max_queue_depth": 0,
-            "sim_time_us": sim_time,
-            "top_links": [],
-        }
-    loads = np.asarray(list(bytes_by_link.values()), dtype=np.float64)
-    busy = np.asarray(list(busy_by_link.values()), dtype=np.float64)
+    # A run that used no link reports zeros.
+    loads = np.asarray(list(bytes_by_link.values()) or [0.0], dtype=np.float64)
+    busy = np.asarray(list(busy_by_link.values()) or [0.0], dtype=np.float64)
     util = busy / sim_time if sim_time > 0 else np.zeros_like(busy)
     hottest = sorted(bytes_by_link, key=lambda k: (-bytes_by_link[k], str(k)))[:top]
     return {
@@ -85,7 +74,7 @@ def link_summary(sim: NetworkSimulator, top: int = 10) -> dict:
         "max_link_bytes": float(loads.max()),
         "mean_utilization": float(util.mean()),
         "max_utilization": float(util.max()),
-        "max_queue_depth": int(max(peaks_by_link.values())),
+        "max_queue_depth": int(max(peaks_by_link.values(), default=0)),
         "sim_time_us": sim_time,
         "top_links": [
             {

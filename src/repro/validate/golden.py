@@ -35,11 +35,12 @@ _REQUIRED_KEYS = ("format", "graph", "topology", "mapper", "seed",
 
 
 def iter_golden_paths(root: Path) -> list[Path]:
-    """All corpus files under ``root`` (a directory or one ``.json`` file)."""
+    """All corpus files under ``root`` (a directory or one ``.json`` file),
+    but not the paper experiments' pins beside them (``experiments.json``)."""
     root = Path(root)
     if root.is_file():
         return [root]
-    return sorted(root.glob("*.json"))
+    return sorted(p for p in root.glob("*.json") if p.name != "experiments.json")
 
 
 def load_golden(path: Path) -> dict:

@@ -2,6 +2,8 @@
 
 These run shrunken quick configurations (patched sweeps) so the whole file
 stays in tens of seconds; the benchmark suite runs the full quick configs.
+The DES-driven ones also check their full rows against the pins in
+``tests/golden/experiments.json`` (see ``tests/experiments/pins.py``).
 """
 
 from __future__ import annotations
@@ -9,12 +11,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments import fig01_02, fig03_04, fig05_06, fig07_08, fig09, fig10_11, table1
+from repro.experiments import fig01_02, fig03_04, fig05_06, table1
+from tests.experiments.pins import check_pinned, run_pinned
 
 
 class TestTable1Shape:
     def test_ratio_grows_and_exceeds_two(self):
-        result = table1.run(quick=True, side=4, iterations=10)
+        result = run_pinned("table1")
+        check_pinned("table1", result.rows)
         ratios = result.column("ratio")
         # monotone non-decreasing (tiny tolerance for extrapolation noise)
         assert all(b >= a - 0.05 for a, b in zip(ratios, ratios[1:]))
@@ -74,9 +78,9 @@ class TestFig56Shape:
 
 
 class TestFig789Shape:
-    def test_latency_ordering_and_blowup(self, monkeypatch):
-        monkeypatch.setattr(fig07_08, "QUICK_BANDWIDTHS", (100.0, 1000.0))
-        result = fig07_08.run(quick=True)
+    def test_latency_ordering_and_blowup(self):
+        result = run_pinned("fig7_8")
+        check_pinned("fig7_8", result.rows)
         for row in result.rows:
             assert row["TopoLB_latency_us"] < row["TopoCentLB_latency_us"]
             assert row["TopoCentLB_latency_us"] < row["GreedyLB_latency_us"]
@@ -89,18 +93,18 @@ class TestFig789Shape:
             low["TopoLB_latency_us"] - high["TopoLB_latency_us"]
         )
 
-    def test_completion_time_ordering(self, monkeypatch):
-        monkeypatch.setattr(fig09, "QUICK_BANDWIDTHS", (50.0, 200.0))
-        result = fig09.run(quick=True)
+    def test_completion_time_ordering(self):
+        result = run_pinned("fig9")
+        check_pinned("fig9", result.rows)
         for row in result.rows:
             assert row["random_over_topolb"] > 2.0  # paper: more than double
             assert row["cent_over_topolb"] > 1.0    # TopoLB beats TopoCentLB
 
 
 class TestFig1011Shape:
-    def test_torus_beats_mesh_random_hurt_most(self, monkeypatch):
-        monkeypatch.setattr(fig10_11, "QUICK_SHAPES", ((4, 4, 4),))
-        result = fig10_11.run(quick=True)
+    def test_torus_beats_mesh_random_hurt_most(self):
+        result = run_pinned("fig10_11")
+        check_pinned("fig10_11", result.rows)
         row = result.rows[0]
         # Topology-aware beats random on both networks.
         assert row["torus_TopoLB_s"] < row["torus_GreedyLB_s"]

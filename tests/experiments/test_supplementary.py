@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments import supplementary
+from tests.experiments.pins import check_pinned
 
 
 class TestZoo:
@@ -76,9 +77,9 @@ def test_flowcheck_runs_inside_its_validity_envelope(capsys):
 
 
 def test_tailcheck_profile_and_topolb_tail(capsys, tmp_path):
-    """``repro-experiments tailcheck --profile``: the profile is a valid
-    ``repro-profile-v1`` document, and on both instances TopoLB's p999
-    latency is below every random placement's."""
+    """``repro-experiments tailcheck --profile``: the rows are the pinned
+    ones, the profile is a valid ``repro-profile-v1`` document, and on both
+    instances TopoLB's p999 latency is below every random placement's."""
     import json
 
     from repro import obs
@@ -87,6 +88,7 @@ def test_tailcheck_profile_and_topolb_tail(capsys, tmp_path):
     path = tmp_path / "tailcheck.json"
     assert main(["tailcheck", "--json", "--profile", str(path)]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
+    check_pinned("tailcheck", rows)
     doc = obs.load_profile(path)  # validates against repro-profile-v1
     assert doc["format"] == "repro-profile-v1"
     instances = {row["instance"] for row in rows}

@@ -236,3 +236,23 @@ class TestZeroByteEdges:
         assignment = RandomMapper(seed=2).map(base, Torus((4, 4))).assignment
         assert (self._replay(with_zeros, assignment, kernel)
                 == self._replay(base, assignment, kernel))
+
+
+@pytest.mark.parametrize("bad, match", [
+    ({"compute_time": float("nan")}, "compute_time must be finite"),
+    ({"compute_time": float("inf")}, "compute_time must be finite"),
+    ({"compute_time": [1.0] * 15 + [float("nan")]}, "compute_time must be finite"),
+    ({"message_bytes": float("nan")}, "message_bytes must be finite"),
+    ({"message_bytes": float("inf")}, "message_bytes must be finite"),
+    ({"iterations": 2.7}, "iterations must be an integer"),
+], ids=["nan-compute", "inf-compute", "nan-in-compute-array", "nan-bytes",
+        "inf-bytes", "fractional-iterations"])
+def test_bad_inputs_raise_at_construction(kernel, bad, match):
+    """The compiled loop checks nothing per message, so every input is
+    checked before any event is queued, on both bodies."""
+    mapping = IdentityMapper().map(mesh2d_pattern(4, 4), Torus((4, 4)))
+    sim = NetworkSimulator(mapping.topology, kernel=kernel)
+    kwargs = {"iterations": 2, "message_bytes": 100.0, **bad}
+    with pytest.raises(SimulationError, match=match):
+        IterativeApplication(mapping, sim, **kwargs)
+    assert sim.queue.pending == 0 and sim.queue.processed == 0

@@ -15,7 +15,7 @@ import pytest
 from repro import obs
 from repro.engine import graph_from_spec
 from repro.mapping import RandomMapper, TopoLB, _native
-from repro.netsim import NetworkSimulator
+from repro.netsim import IterativeApplication, NetworkSimulator
 from repro.netsim.appsim import replay_closed_loop
 from repro.topology import Mesh, topology_from_spec
 
@@ -97,7 +97,28 @@ def test_profile_survives_a_full_telemetry_log(monkeypatch, knobs):
         with obs.profiled() as prof:
             sim, _ = replay_closed_loop(mapping, 2, kernel=kernel, **knobs)
         snap = prof.snapshot()
-        return repr((snap["counters"], snap.get("events"), snap.get("series"),
+        # kernel.des_returns counts the compiled body's returns only.
+        counters = {k: v for k, v in snap["counters"].items()
+                    if not k.startswith("kernel.")}
+        return repr((counters, snap.get("events"), snap.get("series"),
                      sim.stats.snapshot(), sim.queue.processed))
 
     assert profiled("vectorized") == profiled("reference")
+
+
+@pytest.mark.skipif(_native._compiler() is None, reason="no C compiler")
+@pytest.mark.parametrize("max_retries", [64, 1], ids=["persistent", "dropping"])
+def test_a_closed_loop_returns_once_plus_once_per_final_drop(max_retries):
+    """Without jitter the compiled body runs a buffered closed loop whole:
+    one return at the end, and one per final drop, which Python records."""
+    graph = graph_from_spec("mesh3d:4x4x4;bytes=4096")
+    mapping = RandomMapper(seed=5).map(graph, topology_from_spec("torus:4x4x4"))
+    with obs.profiled() as prof:
+        sim = NetworkSimulator(mapping.topology, bandwidth=100.0,
+                               buffer_bytes=4096.0, max_retries=max_retries,
+                               unroutable_policy="drop")
+        IterativeApplication(mapping, sim, iterations=2).start()
+        sim.run()
+    assert sim.stats.retransmits > 0
+    assert (sim.stats.dropped > 0) == (max_retries == 1)
+    assert prof.counters["kernel.des_returns"] == 1 + sim.stats.dropped

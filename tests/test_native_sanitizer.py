@@ -4,9 +4,11 @@ A subprocess that preloads ``libasan`` builds both C files with
 ``-fsanitize=address,undefined`` into a temporary directory, installs that
 build as the process's kernels, and runs the tests that drive every compiled
 entry point: the 20 DES digests on the compiled body, the DES differential
-at benchmark scale, and subsets of the mapper and partitioner equivalence
-suites. An out-of-bounds access or undefined behaviour aborts the run with
-the sanitizer's report, which names the file and line.
+at benchmark scale and on random small closed loops (a fixed small number
+of examples), the closed loop that ends in final drops, and subsets of the
+mapper and partitioner equivalence suites. An out-of-bounds access or
+undefined behaviour aborts the run with the sanitizer's report, which
+names the file and line.
 """
 
 from __future__ import annotations
@@ -22,15 +24,20 @@ from repro.mapping import _native
 
 ROOT = Path(__file__).resolve().parents[1]
 
+#: The DES differential's examples in the sanitized run.
+EXAMPLES = 8
+
 #: -O0 keeps the instrumented build fast to compile; -g1 gives the reports
 #: their file:line.
 SANITIZE = ("-O0", "-g1", "-fsanitize=address,undefined",
             "-fno-sanitize-recover=undefined")
 
 TESTS = ["tests/netsim/test_des_digest.py", "tests/netsim/test_des_kernel.py",
+         "tests/netsim/test_des_differential.py",
          "tests/mapping/test_kernel_equivalence.py",
          "tests/partition/test_partition_equivalence.py"]
 SELECT = ("(des_digest and not reference) or (bodies_agree and seed1)"
+          " or closed_loops or once_per_final_drop"
           " or (kernel_equivalence and gain and torus8x4x4)"
           " or (ThirdOrderPaths and masked)"
           " or (RefineEquivalence and incremental) or sparse_random_phase1")
@@ -39,8 +46,13 @@ SCRIPT = """
 import sys
 
 import pytest
+from hypothesis import settings
 
 from repro.mapping import _native
+
+# Caps the DES differential at a fixed small example count.
+settings.register_profile("sanitized", max_examples={examples})
+settings.load_profile("sanitized")
 
 _native._cached = _native._build({flags!r}, outdir={outdir!r})
 sys.exit(pytest.main({args!r}))
@@ -61,7 +73,8 @@ def test_compiled_kernels_are_clean_under_asan_and_ubsan(tmp_path):
     # --capture=sys leaves fd 2 alone, so a sanitizer's report reaches us.
     args = ["-x", "-p", "no:cacheprovider", "--capture=sys", *TESTS,
             "-k", SELECT]
-    code = SCRIPT.format(flags=SANITIZE, outdir=str(tmp_path), args=args)
+    code = SCRIPT.format(flags=SANITIZE, outdir=str(tmp_path), args=args,
+                         examples=EXAMPLES)
     env = {k: v for k, v in os.environ.items() if k != "REPRO_NO_NATIVE"}
     env.update(LD_PRELOAD=_libasan(), ASAN_OPTIONS="detect_leaks=0",
                PYTHONPATH=os.pathsep.join(
