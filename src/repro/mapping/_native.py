@@ -7,8 +7,8 @@ TopoLB, the cycle loop of third-order TopoLB, and the two loops of the
 phase-1 partitioner — one graph-growing bisection over a range of an order
 array, and one FM refinement pass.
 ``repro.netsim.des_kernel.c`` holds the discrete-event simulator's event
-core and closed-loop replay behind nine entry points, wrapped by
-:class:`DesEngine`: fifteen in all.
+core and closed-loop replay behind eight entry points, wrapped by
+:class:`DesEngine`: fourteen in all.
 
 This module compiles both files with the system C compiler
 (``cc``/``gcc``/``clang``) the first time they are needed,
@@ -91,7 +91,6 @@ class NativeKernels:
                  *[ctypes.c_double] * 2),
             bind("des_free", None, ptr),
             bind("des_run", i64, ptr),
-            bind("des_fail", i64, ptr, i64, i64, ptr),
             bind("des_links", None, ptr, *[ptr] * 6),
             bind("des_app", i64, ptr, i64, i64, *[ptr] * 9),
             bind("des_message", i64, ptr, i64, ptr),
@@ -322,7 +321,7 @@ class PartitionBisector:
  _IO_LIMIT, _IO_UNTIL, _IO_NCHANS, _IO_CHANS, _IO_NROUTES, _IO_ROUTES,
  _IO_NOPS, _IO_OPS, _IO_NMSG, _IO_INFLIGHT, _IO_DELIVERED, _IO_RETRANSMITS,
  _IO_BUFFER_DROPS, _IO_SIZE) = range(21)
-_RC_STOP, _RC_PY, _RC_DELIVER, _RC_FAULT, _RC_OVERFLOW, _RC_LOGFULL = range(6)
+_RC_STOP, _RC_PY, _RC_DELIVER, _RC_OVERFLOW, _RC_LOGFULL = range(5)
 _OP_PY, _OP_SEND, _OP_INJECT = 0.0, 1.0, 2.0  # push kinds
 
 
@@ -350,14 +349,14 @@ class DesEngine:
     hooks:
 
     * ``on_return(code, msg_id, hops)`` handles a message C hands back:
-      :attr:`DELIVER` (a ``send`` message, already recorded), :attr:`FAULT`
-      or :attr:`OVERFLOW` (the full channel is :attr:`overflow_channel`);
+      :attr:`DELIVER` (a ``send`` message, already recorded) or
+      :attr:`OVERFLOW` (the full channel is :attr:`overflow_channel`);
       ``hops`` is its route length, NIC channels excluded;
     * ``on_log(rows)`` replays the telemetry rows ``[kind, x, y, a, b]``
       (``profiled`` only) at every return, before any Python event runs.
     """
 
-    DELIVER, FAULT, OVERFLOW = _RC_DELIVER, _RC_FAULT, _RC_OVERFLOW
+    DELIVER, OVERFLOW = _RC_DELIVER, _RC_OVERFLOW
     _LOG_ROWS = 1024
     _PACK_OP = struct.Struct("6d").pack_into
 
@@ -539,7 +538,7 @@ class DesEngine:
                   for a in (sets, grid)]
         self._keep.append(arrays)
         self._sync()
-        self._nsets = _checked(self._fns[5](self._h, n, iterations,
+        self._nsets = _checked(self._fns[4](self._h, n, iterations,
                                             *ptrs[:5], *routes, *ptrs[5:]))
 
     def message(self, msg: int):
@@ -548,21 +547,14 @@ class DesEngine:
         from repro.netsim.messages import Message
 
         out = (ctypes.c_double * 5)()
-        msg = self._fns[6](self._h, msg, out)
+        msg = self._fns[5](self._h, msg, out)
         src, dst, size, sent, attempts = out
         return Message(msg, int(src), int(dst), size, sent,
                        attempts=int(attempts))
 
     def drop(self, msg: int) -> None:
         """Python finally dropped application message ``msg``."""
-        self._fns[7](self._h, msg)
-
-    def fail(self, x: int, y: int) -> list[int]:
-        """Fail channel ``(x, y)``: flag the message it carries as faulted
-        and return its evicted FIFO, oldest first."""
-        self._sync()
-        evicted = (ctypes.c_int64 * max(self._io[_IO_NMSG], 1))()
-        return evicted[:_checked(self._fns[3](self._h, x, y, evicted))]
+        self._fns[6](self._h, msg)
 
     def links(self) -> list[tuple]:
         """``(x, y, busy, bytes, max_queue, buffered)`` per used channel, in
@@ -571,7 +563,7 @@ class DesEngine:
         n = self._io[_IO_USED]
         xs, ys, peaks = (np.empty(n, np.int64) for _ in range(3))
         busy, carried, buffered = (np.empty(n) for _ in range(3))
-        self._fns[4](self._h, *(a.ctypes.data for a in (
+        self._fns[3](self._h, *(a.ctypes.data for a in (
             xs, ys, busy, carried, peaks, buffered)))
         return list(zip(xs.tolist(), ys.tolist(), busy.tolist(),
                         carried.tolist(), peaks.tolist(), buffered.tolist()))
@@ -581,7 +573,7 @@ class DesEngine:
         io, stats = self._io, self.stats
         start, n = stats.count, io[_IO_DELIVERED]
         latency, size = np.empty(n - start), np.empty(n - start)
-        self._fns[8](self._h, start, latency.ctypes.data, size.ctypes.data)
+        self._fns[7](self._h, start, latency.ctypes.data, size.ctypes.data)
         stats.extend(latency.tolist(), size.tolist(), self._dio[2],
                      self._dio[3])
         stats.retransmits += io[_IO_RETRANSMITS]

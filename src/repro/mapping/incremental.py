@@ -45,34 +45,16 @@ class IncrementalRefineLB:
         self._tol = float(imbalance_tol)
         self._max_moves = max_moves
 
-    def rebalance(
-        self, mapping: Mapping, allowed: np.ndarray | None = None
-    ) -> tuple[Mapping, np.ndarray]:
-        """Return (new mapping, bool mask of migrated tasks).
-
-        ``allowed`` restricts destinations to a boolean processor mask
-        (survivors of a node failure); the load mean is then taken over the
-        allowed processors only, so dead processors neither receive tasks
-        nor drag the balance target down.
-        """
+    def rebalance(self, mapping: Mapping) -> tuple[Mapping, np.ndarray]:
+        """Return (new mapping, bool mask of migrated tasks)."""
         graph, topology = mapping.graph, mapping.topology
         n, p = graph.num_tasks, topology.num_nodes
         assign = mapping.assignment.copy()
         weights = graph.vertex_weights
         dist = topology.distance_matrix().astype(np.float64, copy=False)
 
-        if allowed is not None:
-            allowed = np.asarray(allowed, dtype=bool)
-            if allowed.shape != (p,):
-                raise MappingError(
-                    f"allowed mask must have shape ({p},), got {allowed.shape}"
-                )
-            if not allowed.any():
-                raise MappingError("allowed mask permits no processors at all")
-
         loads = np.bincount(assign, weights=weights, minlength=p).astype(np.float64)
-        active = int(allowed.sum()) if allowed is not None else p
-        mean = (loads.sum() if allowed is None else loads[allowed].sum()) / active
+        mean = loads.sum() / p
         ceiling = self._tol * mean if mean > 0 else np.inf
         moved = np.zeros(n, dtype=bool)
         budget = self._max_moves if self._max_moves is not None else 2 * n
@@ -84,10 +66,7 @@ class IncrementalRefineLB:
             members = np.flatnonzero(assign == src)
             if len(members) <= 1:
                 break  # one giant task; nothing to split
-            if allowed is None:
-                under = np.flatnonzero(loads < mean)
-            else:
-                under = np.flatnonzero(allowed & (loads < mean))
+            under = np.flatnonzero(loads < mean)
             if len(under) == 0:
                 break
             best: tuple[float, int, int] | None = None

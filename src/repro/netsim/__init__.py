@@ -11,7 +11,7 @@ in. This package provides the equivalent machinery:
 * :class:`NetworkSimulator` — per-link FIFO contention with virtual
   cut-through forwarding over dimension-ordered or adaptive routes, an
   optional per-node NIC bottleneck, finite tail-drop buffers with seeded
-  retransmits, scheduled link/node faults and a livelock watchdog,
+  retransmits and a livelock watchdog,
 * :class:`IterativeApplication` — dependency-honouring replay of Jacobi-style
   compute/communicate iterations under any task mapping,
 * tail-latency and per-link statistics,

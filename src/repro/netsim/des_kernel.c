@@ -29,9 +29,8 @@
  * records, sends and re-injections, in program order) and publishes them
  * in io[]; des_run applies them first, then pops records until something
  * needs Python and returns it, encoded as code | id << 3: a Python record
- * (id = slot), the delivery of a Python send, an overflow at a full buffer
- * that needs the seeded jitter or ends in a final drop, a fault-path hit
- * (a faulted message, a failed channel or a failed endpoint; id =
+ * (id = slot), the delivery of a Python send or an overflow at a full
+ * buffer that needs the seeded jitter or ends in a final drop (id =
  * message), a full telemetry log, or a stop (empty heap, event limit or
  * deadline). An application message's overflow without jitter is
  * retransmitted here, after retry_delay * pow(retry_backoff, attempts) as
@@ -51,9 +50,9 @@
  *
  * Bit-identity contract: every floating-point expression mirrors
  * repro/netsim/simulator.py (_head_arrival, _start_transmission,
- * _link_free, _pick_adaptive_route, _retransmit, _deliver and
+ * _link_free, _pick_adaptive_route, _on_overflow, _deliver and
  * MessageStats.record) and repro/netsim/appsim.py term for term, and the
- * build uses -ffp-contract=off. tests/netsim/test_des_digest.py replays 20
+ * build uses -ffp-contract=off. tests/netsim/test_des_digest.py replays 16
  * pinned configurations under both bodies.
  */
 
@@ -65,8 +64,7 @@
 typedef int64_t i64;
 
 enum { EV_PY, EV_INJECT, EV_HEAD, EV_FREE, EV_DELIVER, EV_COMPUTE };
-enum { RC_STOP, RC_PY, RC_DELIVER, RC_FAULT, RC_OVERFLOW, RC_LOGFULL,
-       RC_NOMEM };
+enum { RC_STOP, RC_PY, RC_DELIVER, RC_OVERFLOW, RC_LOGFULL, RC_NOMEM };
 /* io[] slots shared with the Python wrapper: outputs (the overflow
  * channel's name is IO_CHX, IO_CHY), then the run's inputs (the event
  * limit, left decremented; whether a deadline is set), then the published
@@ -104,7 +102,7 @@ typedef struct {
 typedef struct {
     double busy, bytes, buffered, capacity, bandwidth, alpha;
     i64 x, y, current, max_queue, qhead, qtail, qlen;
-    uint8_t failed, saturated, created;
+    uint8_t saturated, created;
 } chan_t;
 
 /* `task` is the receiving task (a global task id) of an application
@@ -113,7 +111,7 @@ typedef struct {
     double size, sent;
     i64 set, route, task;
     int32_t hops, attempts, src, dst, iter;
-    uint8_t faulted, done;
+    uint8_t done;
 } msg_t;
 
 typedef struct {
@@ -148,7 +146,7 @@ typedef struct {
     double now;
     chan_t *ch;
     i64 *order; /* used channels, in first-use order */
-    i64 nch, chcap, used, nfailed;
+    i64 nch, chcap, used;
     /* channel names -> ids: open addressing, hkeys 0 = empty */
     uint64_t *hkeys;
     i64 *hvals, tcap;
@@ -171,8 +169,7 @@ typedef struct {
     i64 ntasks, tkcap;
     /* retransmit knobs; max_retries < 0: every overflow goes to Python */
     double local, retry_delay, retry_backoff;
-    i64 max_retries, nprocs, nfailed_procs;
-    uint8_t *proc_failed;
+    i64 max_retries, nprocs;
     i64 nic, sat_depth, log_cap;
     double *log;
     i64 *io;
@@ -251,11 +248,6 @@ des_t *des_new(i64 nic, i64 sat_depth, double *log, i64 log_cap, i64 *io,
     des_t *d = calloc(1, sizeof(des_t));
     if (!d)
         return NULL;
-    d->proc_failed = calloc((size_t)(nprocs > 0 ? nprocs : 1), 1);
-    if (!d->proc_failed) {
-        free(d);
-        return NULL;
-    }
     d->bandwidth = bandwidth;
     d->alpha = alpha;
     d->capacity = capacity;
@@ -286,7 +278,6 @@ void des_free(des_t *d)
     free(d->apps);
     free(d->tasks);
     free(d->rec);
-    free(d->proc_failed);
     free(d->heap);
     free(d->ch);
     free(d->order);
@@ -506,7 +497,7 @@ static int start_transmission(des_t *d, i64 c, i64 m, i64 hop)
 
 /* Message m overflowed a full buffer. An application message with
  * retries left is retransmitted here when the retransmit needs no jitter
- * (max_retries >= 0), as _on_overflow and _retransmit do; anything else,
+ * (max_retries >= 0), as _on_overflow does; anything else,
  * or a backoff that overflows a double, goes to Python. */
 static int retransmit(des_t *d, i64 m)
 {
@@ -530,14 +521,8 @@ static int retransmit(des_t *d, i64 m)
 static int head_arrival(des_t *d, i64 m, i64 hop)
 {
     msg_t *msg = &d->msg[m];
-    if (msg->faulted) {
-        msg->faulted = 0;
-        return RC_FAULT;
-    }
     i64 c = d->rch[d->routes[msg->route].off + hop];
     chan_t *ch = &d->ch[c];
-    if (ch->failed)
-        return RC_FAULT;
     if (!ch->created) {
         ch->created = 1;
         d->order[d->used++] = c;
@@ -614,32 +599,20 @@ static int link_free(des_t *d, i64 c)
 }
 
 /* The least-congested route of msg's set: queued plus busy over its
- * channels, first minimum, among the routes with no failed channel when
- * any survives. */
+ * channels, first minimum. */
 static void choose_route(des_t *d, msg_t *msg)
 {
     span_t set = d->sets[msg->set];
     i64 best = set.off;
     if (set.len > 1) {
-        int only_healthy = 0;
-        for (i64 r = set.off; d->nfailed && r < set.off + set.len; r++) {
-            int ok = 1;
-            for (i64 k = 0; k < d->routes[r].len && ok; k++)
-                ok = !d->ch[d->rch[d->routes[r].off + k]].failed;
-            if ((only_healthy = ok))
-                break;
-        }
         i64 best_score = -1;
         for (i64 r = set.off; r < set.off + set.len; r++) {
             i64 score = 0;
-            int ok = 1;
             for (i64 k = 0; k < d->routes[r].len; k++) {
                 const chan_t *ch = &d->ch[d->rch[d->routes[r].off + k]];
-                ok &= !ch->failed;
                 score += ch->qlen + (ch->current >= 0);
             }
-            if ((!only_healthy || ok)
-                && (best_score < 0 || score < best_score)) {
+            if (best_score < 0 || score < best_score) {
                 best = r;
                 best_score = score;
             }
@@ -691,20 +664,12 @@ static int compute_done(des_t *d, i64 g)
     return advance(d, g);
 }
 
-/* The tail of message m reached its destination: a fault-path hit if the
- * message was faulted or an endpoint failed; otherwise record it (as
+/* The tail of message m reached its destination: record it (as
  * MessageStats.record does), then hand a Python send back, or count an
  * application message's arrival. */
 static int deliver(des_t *d, i64 m)
 {
     msg_t *msg = &d->msg[m];
-    if (msg->faulted) {
-        msg->faulted = 0;
-        return RC_FAULT;
-    }
-    if (d->nfailed_procs
-        && (d->proc_failed[msg->src] || d->proc_failed[msg->dst]))
-        return RC_FAULT;
     i64 k = d->io[IO_DELIVERED];
     if (reserve((void **)&d->rec, &d->reccap, 2 * k + 2, sizeof(double)))
         return -1;
@@ -789,36 +754,6 @@ i64 des_run(des_t *d)
     if (limit >= 0)
         d->io[IO_LIMIT] = limit - fired;
     return rc | id << 3;
-}
-
-/* Fail channel (x, y), interning it if new: flag the message it is
- * transmitting as faulted and evict its FIFO into `evicted` (room for
- * every message sent), returning how many were evicted, in FIFO order,
- * or -1 when out of memory. A processor's injection channel (-1, p) fails
- * only with the processor, so it marks p failed too: deliveries from or to
- * p then take the fault path. */
-i64 des_fail(des_t *d, i64 x, i64 y, i64 *evicted)
-{
-    i64 c = channel_of(d, x, y, -1.0);
-    if (c < 0)
-        return -1;
-    if (x == -1 && y < d->nprocs && !d->proc_failed[y]) {
-        d->proc_failed[y] = 1;
-        d->nfailed_procs++;
-    }
-    chan_t *ch = &d->ch[c];
-    if (!ch->failed) {
-        ch->failed = 1;
-        d->nfailed++;
-    }
-    if (ch->current >= 0)
-        d->msg[ch->current].faulted = 1;
-    i64 n = 0, hop;
-    if (ch->qlen)
-        ch->buffered = 0.0;
-    while (ch->qlen)
-        dequeue(d, ch, &evicted[n++], &hop);
-    return n;
 }
 
 /* The used channels in first-use order: their names (x, y) and their

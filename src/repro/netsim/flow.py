@@ -56,6 +56,7 @@ import numpy as np
 
 from repro.exceptions import SimulationError
 from repro.mapping.base import Mapping
+from repro.netsim.simulator import _knob
 from repro.topology.base import Topology
 from repro.topology.grid import GridTopology
 
@@ -108,11 +109,7 @@ def _directed_messages(
         sends = sizes > 0
         u, v, sizes = u[sends], v[sends], sizes[sends]
     else:
-        if message_bytes <= 0:
-            raise SimulationError(
-                f"message_bytes must be positive, got {message_bytes}"
-            )
-        sizes = np.full(len(w), float(message_bytes))
+        sizes = np.full(len(w), message_bytes)
     src = np.concatenate((assign[u], assign[v]))
     dst = np.concatenate((assign[v], assign[u]))
     return src, dst, np.concatenate((sizes, sizes))
@@ -281,16 +278,18 @@ def flow_evaluate(
     Parameter defaults match :class:`~repro.netsim.simulator.
     NetworkSimulator` and :class:`~repro.netsim.appsim.IterativeApplication`
     so the makespan lower bound is directly comparable to
-    ``IterativeApplication.run().total_time`` on the same mapping.
+    ``IterativeApplication.run().total_time`` on the same mapping, and are
+    checked as those classes check them.
     """
-    if iterations < 1:
-        raise SimulationError(f"iterations must be >= 1, got {iterations}")
-    if bandwidth <= 0:
-        raise SimulationError(f"bandwidth must be positive, got {bandwidth}")
-    if alpha < 0 or local_latency < 0:
-        raise SimulationError("latencies must be non-negative")
-    if compute_time < 0:
-        raise SimulationError("compute_time must be non-negative")
+    if not isinstance(iterations, (int, np.integer)) or iterations < 1:
+        raise SimulationError(
+            f"iterations must be an integer >= 1, got {iterations!r}")
+    if message_bytes is not None:
+        message_bytes = _knob("message_bytes", message_bytes)
+    bandwidth = _knob("bandwidth", bandwidth)
+    alpha = _knob("alpha", alpha, strict=False)
+    local_latency = _knob("local_latency", local_latency, strict=False)
+    compute_time = _knob("compute_time", compute_time, strict=False)
 
     topo = mapping.topology
     src, dst, sizes = _directed_messages(mapping, message_bytes)

@@ -41,16 +41,11 @@ class Message:
     send_time: float
     deliver_time: float | None = None
     hops: int = 0
-    #: end-to-end retransmissions so far (fault injection and buffer
-    #: overflows; see simulator)
+    #: end-to-end retransmissions so far (buffer overflows; see simulator)
     attempts: int = 0
-    #: True once the simulator gave up on the message (faults or exhausted
-    #: overflow retries; never set under the default
-    #: unroutable_policy="raise")
+    #: True once the simulator gave up on the message (exhausted overflow
+    #: retries; never set under the default unroutable_policy="raise")
     dropped: bool = False
-    #: transient flag: a fault hit this message's current link; consumed by
-    #: the next already-scheduled progression event
-    faulted: bool = dataclasses.field(default=False, repr=False, compare=False)
 
     @property
     def latency(self) -> float:
@@ -77,7 +72,7 @@ class MessageStats:
         self._sizes: list[float] = []
         self._hop_bytes = 0.0
         self._bytes = 0.0
-        #: end-to-end retransmissions scheduled (buffer overflows + faults)
+        #: end-to-end retransmissions scheduled after buffer overflows
         self.retransmits = 0
         #: tail-drop events at a full finite buffer (each may retransmit)
         self.buffer_drops = 0

@@ -28,8 +28,8 @@ also ``sim.queue``. It runs the per-hop events, records every delivery,
 and runs an :class:`~repro.netsim.appsim.IterativeApplication`'s whole
 closed loop, with its unjittered retransmits and, on a Torus or Mesh, its
 routes. Python keeps the caller's events, :meth:`send` deliveries,
-jittered retransmits, final drops, faults, the watchdog, and the routes
-of :meth:`send` messages and of other machines' applications. The
+jittered retransmits, final drops, the watchdog, and the routes of
+:meth:`send` messages and of other machines' applications. The
 reference body (``kernel="reference"``, and the fallback without a C
 compiler) is the Python event loop below: :class:`EventQueue` and the
 ``_head_arrival`` / ``_start_transmission`` / ``_link_free`` methods.
@@ -157,8 +157,8 @@ class NetworkSimulator:
         (mesh/torus/hypercube/arbitrary) those are processor-processor
         links, on an indirect machine (fat-tree, dragonfly) they include
         switch-level links — switches forward traffic but never inject or
-        absorb it, and buffers and fault injection apply per switch link
-        exactly as they do per processor link.
+        absorb it, and buffers apply per switch link exactly as they do per
+        processor link.
     bandwidth:
         Link bandwidth in bytes per microsecond (1 byte/us == 1 MB/s).
     alpha:
@@ -166,15 +166,15 @@ class NetworkSimulator:
     local_latency:
         Delivery latency of intra-processor messages (no links used).
     max_retries / retry_delay / retry_backoff:
-        Fault-recovery knobs (see :meth:`fail_link` / :meth:`fail_node`): a
-        message interrupted by a fault with no surviving adaptive route is
-        retransmitted end-to-end after ``retry_delay * retry_backoff**k``
-        microseconds on its ``k``-th attempt, up to ``max_retries`` times.
+        Overflow-retransmit knobs (see ``buffer_bytes``): a message
+        tail-dropped at a full buffer is retransmitted end-to-end after
+        ``retry_delay * retry_backoff**k`` microseconds on its ``k``-th
+        attempt, up to ``max_retries`` times.
     unroutable_policy:
-        What happens when a message is truly undeliverable (dead endpoint,
-        retries exhausted): ``"raise"`` (default) surfaces a
-        :class:`~repro.exceptions.SimulationError`; ``"drop"`` marks the
-        message dropped and counts ``netsim.dropped``.
+        What happens when a message's retries run out: ``"raise"``
+        (default) surfaces a :class:`~repro.exceptions.SimulationError`;
+        ``"drop"`` marks the message dropped and counts
+        ``netsim.dropped``.
     buffer_bytes:
         Per-link input buffer capacity in bytes (``None``, the default:
         unbounded FIFO queues). A message arriving at a link whose queue
@@ -196,11 +196,6 @@ class NetworkSimulator:
         the reference body, counted and warned once, without a C
         compiler); ``"reference"``: the Python event loop (tests and the
         ``des-kernel-differential`` oracle).
-
-    Fault injection is deterministic: scheduled faults go through the event
-    queue and recovery draws no random number. With profiling enabled,
-    ``faults.injected``, ``netsim.reroutes``, ``netsim.retries`` and
-    ``netsim.dropped`` count every fault-path decision.
 
     The simulator snapshots :func:`repro.obs.active` at construction time:
     enable profiling *before* building it to record message counters,
@@ -301,11 +296,8 @@ class NetworkSimulator:
         self._routes: dict[tuple[int, int], tuple] = {}
         self._route_choices: dict[tuple[int, int], list[tuple]] = {}
         self._next_id = 0
-        # Fault-injection state (see fail_link / fail_node / _on_fault).
         self._max_retries = int(max_retries)
         self._unroutable_policy = unroutable_policy
-        self._failed_channels: set[tuple] = set()
-        self._failed_nodes: set[int] = set()
         self._seed = int(seed)
         self._rng = None  # lazily built np.random.Generator for retry jitter
         # Every send() message (on the compiled body; every message on the
@@ -394,21 +386,9 @@ class NetworkSimulator:
         """Least-congested minimal route at injection time.
 
         Congestion score of a route = queued messages + busy flags over its
-        links right now; routes crossing failed links are avoided whenever a
-        surviving candidate exists.
+        links right now; the first route with the lowest score wins.
         """
         choices = self._route_choices_for(key)
-        if self._failed_channels:
-            # Adaptive reroute-around-failure: restrict to candidates whose
-            # links all survive. When nothing survives, fall through with the
-            # full list — the message will hit the failed hop and take the
-            # retry/backoff path (it may be a transient the caller repairs).
-            healthy = [
-                route for route in choices
-                if not any(ch in self._failed_channels for ch in route)
-            ]
-            if healthy:
-                choices = healthy
         if len(choices) == 1:
             return choices[0]
         best, best_score = choices[0], None
@@ -505,16 +485,7 @@ class NetworkSimulator:
     # ------------------------------------------------------------ link logic
     def _head_arrival(self, msg: Message, route, hop: int, on_delivery) -> None:
         """The head of ``msg`` reached the input of ``route[hop]``."""
-        if msg.faulted:
-            # A fault hit this message's upstream link after its progression
-            # event was scheduled; the event carries the stale route.
-            msg.faulted = False
-            self._on_fault(msg, on_delivery)
-            return
         channel = route[hop]
-        if self._failed_channels and channel in self._failed_channels:
-            self._on_fault(msg, on_delivery)
-            return
         link = self._links.get(channel)
         if link is None:
             link = self._new_link(channel)
@@ -584,212 +555,47 @@ class NetworkSimulator:
 
     # ------------------------------------------------------ finite buffers
     def _on_overflow(self, msg: Message, channel: tuple, on_delivery) -> None:
-        """Tail-drop at a full buffer; retransmit end-to-end with backoff."""
+        """Tail-drop at a full buffer; retransmit end-to-end with backoff.
+
+        ``msg`` is re-injected after ``retry_delay * retry_backoff**attempts``,
+        stretched by ``1 + retry_jitter * U[0, 1)`` from the seeded generator
+        when jitter is on. Past ``max_retries`` it is dropped, and the reason
+        names the full link.
+        """
         self.stats.buffer_drops += 1
         if self._prof is not None:
             self._prof.count("netsim.buffer_drops")
-        self._retransmit(msg, on_delivery, "netsim.retransmits",
-                         self._retry_jitter, channel)
-
-    def _retransmit(self, msg: Message, on_delivery, counter: str,
-                    jitter: float, overflow_at: tuple | None = None) -> None:
-        """Re-inject ``msg`` after ``retry_delay * retry_backoff**attempts``.
-
-        A nonzero ``jitter`` (overflow retransmits only) stretches the delay
-        by ``1 + jitter * U[0, 1)`` from the seeded generator. ``counter``
-        names the profiler counter: ``netsim.retransmits`` for overflows,
-        ``netsim.retries`` for faults. Past ``max_retries`` the message is
-        dropped; ``overflow_at`` names the full link in the reason.
-        """
         if msg.attempts >= self._max_retries:
-            reason = f"retries exhausted after {msg.attempts} attempts"
-            if overflow_at is not None:
-                reason = f"buffer overflow at link {channel_name(overflow_at)}: {reason}"
-            self._drop(msg, reason)
+            self._drop(msg, f"buffer overflow at link {channel_name(channel)}: "
+                            f"retries exhausted after {msg.attempts} attempts")
             return
         delay = self._retry_delay * self._retry_backoff ** msg.attempts
-        if jitter:
+        if self._retry_jitter:
             if self._rng is None:
                 self._rng = np.random.default_rng(self._seed)
-            delay *= 1.0 + jitter * float(self._rng.random())
+            delay *= 1.0 + self._retry_jitter * float(self._rng.random())
         msg.attempts += 1
         self.stats.retransmits += 1
         if self._prof is not None:
-            self._prof.count(counter)
-        self._reinject(self.queue.now + delay, msg, on_delivery)
-
-    def _reinject(self, time: float, msg: Message, on_delivery) -> None:
-        """Inject ``msg`` again at ``time`` (a retransmit or a reroute)."""
+            self._prof.count("netsim.retransmits")
+        time = self.queue.now + delay
         if self._engine is not None:
             self._engine.inject(msg.msg_id, time, msg.attempts)
         else:
             self.queue.call(time, self._inject, msg, on_delivery)
 
     def _deliver(self, msg: Message, on_delivery) -> None:
-        if msg.faulted:
-            msg.faulted = False
-            self._on_fault(msg, on_delivery)
-            return
-        if self._failed_nodes and (
-            msg.src in self._failed_nodes or msg.dst in self._failed_nodes
-        ):
-            # Covers local (same-processor) messages and a destination that
-            # died while the tail was still arriving.
-            self._on_fault(msg, on_delivery)
-            return
         msg.deliver_time = self.queue.now
         self.stats.record(msg)
         self._delivered(msg, on_delivery)
 
     def _delivered(self, msg: Message, on_delivery) -> None:
-        """Release a checked and recorded delivery and call back."""
+        """Release a recorded delivery and call back."""
         self._inflight.pop(msg.msg_id, None)
         if self._prof is not None:
             self._prof.count("netsim.delivered")
         if on_delivery is not None:
             on_delivery(msg)
-
-    # ------------------------------------------------------------- faults
-    def _check_failure_time(self, at: float) -> float:
-        at = float(at)
-        if not math.isfinite(at) or at < 0:
-            raise SimulationError(
-                f"failure time must be finite and >= 0, got {at}"
-            )
-        return at
-
-    def _check_node(self, node: int) -> int:
-        node, limit = int(node), self._topology.link_graph().num_nodes
-        if not 0 <= node < limit:
-            raise SimulationError(f"node {node} out of range [0, {limit})")
-        return node
-
-    def _check_link(self, a: int, b: int) -> tuple[int, int]:
-        if not self._topology.link_graph().has_link(a, b):
-            raise SimulationError(
-                f"({a}, {b}) is not a link of {self._topology.name}"
-            )
-        return a, b
-
-    def fail_link(self, a: int, b: int) -> None:
-        """Fail the undirected link ``(a, b)`` immediately (both directions).
-
-        The in-flight message (if any) and every queued message on the link
-        take the fault path: adaptive reroute around the failure when a
-        surviving minimal route exists, otherwise an end-to-end retransmit
-        with exponential backoff; retry exhaustion follows
-        ``unroutable_policy``. Counted as ``faults.injected`` (one per
-        undirected link) when profiling is enabled.
-        """
-        a, b = self._check_link(int(a), int(b))
-        if (a, b) in self._failed_channels:
-            return
-        if self._prof is not None:
-            self._prof.count("faults.injected")
-            self._prof.event(
-                "netsim.link_failed", time_us=self.queue.now, link=f"{a}<->{b}"
-            )
-        self._fail_channel((a, b))
-        self._fail_channel((b, a))
-
-    def fail_node(self, node: int) -> None:
-        """Fail ``node`` (processor or switch): all its links go down.
-
-        A processor's NIC channels die with it. Messages already heading to
-        (or injected from) a dead processor become unroutable — no reroute
-        or retry can save them — and follow ``unroutable_policy`` ("raise"
-        surfaces a :class:`~repro.exceptions.SimulationError`; "drop"
-        records them and counts ``netsim.dropped``). Failing a switch only
-        kills its links: traffic reroutes around it when a surviving
-        minimal route exists.
-        """
-        node = self._check_node(node)
-        graph = self._topology.link_graph()
-        if node in self._failed_nodes:
-            return
-        if self._prof is not None:
-            self._prof.count("faults.injected")
-            self._prof.event(
-                "netsim.node_failed", time_us=self.queue.now, node=node
-            )
-        self._failed_nodes.add(node)
-        for nbr in graph.neighbors(node):
-            self._fail_channel((node, nbr))
-            self._fail_channel((nbr, node))
-        if not graph.is_switch(node):
-            self._fail_channel(("nic_out", node))
-            self._fail_channel(("nic_in", node))
-
-    def schedule_link_failure(self, at: float, a: int, b: int) -> None:
-        """Fail link ``(a, b)`` at simulation time ``at``.
-
-        Both the endpoints and the failure time are validated *now*, at
-        schedule time, so a typo'd link or a NaN deadline fails fast with a
-        clear :class:`~repro.exceptions.SimulationError` instead of
-        silently never firing (or detonating mid-run).
-        """
-        at = self._check_failure_time(at)
-        a, b = self._check_link(int(a), int(b))
-        self.queue.call(at, self.fail_link, a, b)
-
-    def schedule_node_failure(self, at: float, node: int) -> None:
-        """Fail node ``node`` at simulation time ``at`` (validated now)."""
-        at = self._check_failure_time(at)
-        self.queue.call(at, self.fail_node, self._check_node(node))
-
-    def _fail_channel(self, channel: tuple) -> None:
-        """Mark one directed channel failed; evict its traffic."""
-        if channel in self._failed_channels:
-            return
-        self._failed_channels.add(channel)
-        if self._engine is not None:
-            for msg_id in self._engine.fail(*_channel_key(channel)):
-                self._on_fault(*self._entry(msg_id))
-            return
-        link = self._links.get(channel)
-        if link is None:
-            return
-        if link.current is not None:
-            # The in-flight message already has a progression event scheduled
-            # (next head arrival or final delivery); flag it so that event
-            # takes the fault path instead of advancing a dead route. The
-            # link's busy interval still completes via the pending
-            # _link_free event, as on a real machine where the failure is
-            # detected at the next hop.
-            link.current.faulted = True
-        if link.queue:
-            pending = list(link.queue)
-            link.queue.clear()
-            link.buffered_bytes = 0.0  # evicted with the queue (finite mode)
-            for qmsg, _route, _hop, qcb in pending:
-                self._on_fault(qmsg, qcb)
-
-    def _has_healthy_route(self, src: int, dst: int) -> bool:
-        choices = self._route_choices_for((src, dst))
-        return any(
-            all(ch not in self._failed_channels for ch in route)
-            for route in choices
-        )
-
-    def _on_fault(self, msg: Message, on_delivery) -> None:
-        """A fault interrupted ``msg``; reroute, retry, or give up."""
-        if msg.src in self._failed_nodes or msg.dst in self._failed_nodes:
-            self._drop(msg, "endpoint processor failed")
-            return
-        if (
-            self._routing is RoutingPolicy.ADAPTIVE
-            and msg.src != msg.dst
-            and self._has_healthy_route(msg.src, msg.dst)
-        ):
-            # Adaptive routing sidesteps the failure with a surviving minimal
-            # route: re-inject now (injection re-picks the least-congested
-            # healthy candidate).
-            if self._prof is not None:
-                self._prof.count("netsim.reroutes")
-            self._reinject(self.queue.now, msg, on_delivery)
-            return
-        # No route around it: end-to-end retransmit with exponential backoff.
-        self._retransmit(msg, on_delivery, "netsim.retries", 0.0)
 
     def _drop(self, msg: Message, reason: str) -> None:
         if self._unroutable_policy == "raise":
@@ -924,11 +730,9 @@ class NetworkSimulator:
         msg, on_delivery = self._entry(msg_id)
         msg.hops = hops
         engine = self._engine
-        if code == engine.DELIVER:  # C made the checks and recorded it
+        if code == engine.DELIVER:  # C recorded it
             msg.deliver_time = self.queue.now
             self._delivered(msg, on_delivery)
-        elif code == engine.FAULT:
-            self._on_fault(msg, on_delivery)
         else:
             self._on_overflow(msg, _channel_of(*engine.overflow_channel),
                               on_delivery)

@@ -91,41 +91,6 @@ class LBStepReport:
     hop_bytes: float
     migrated_tasks: int
     migration_bytes: float    # PUP'd state volume moved this step
-    failed_nodes: tuple[int, ...] = ()  # processors that died this step
-    # hop-bytes degradation caused by this step's failures: cost right after
-    # evacuating the victims minus cost just before the failure (same loads)
-    hop_bytes_delta: float = 0.0
-
-
-def _evacuate_tasks(
-    graph: TaskGraph,
-    dist: np.ndarray,
-    placement: np.ndarray,
-    victims: np.ndarray,
-    alive: np.ndarray,
-) -> None:
-    """Move each victim task onto a surviving processor, in place.
-
-    Greedy first-order choice, in ascending task order: each victim goes to
-    the surviving processor minimizing the hop-bytes of its edges (neighbors
-    at their current placement), ties broken toward the least-loaded
-    processor, then the lowest id — fully deterministic.
-    """
-    weights = graph.vertex_weights
-    alive_ids = np.flatnonzero(alive)
-    loads = np.bincount(placement, weights=weights, minlength=dist.shape[0])
-    for t in victims:
-        t = int(t)
-        nbrs, wts = graph.neighbor_slice(t)
-        if len(nbrs):
-            cost = wts @ dist[placement[nbrs]][:, alive_ids]
-        else:
-            cost = np.zeros(len(alive_ids))
-        pick = np.lexsort((alive_ids, loads[alive_ids], cost))[0]
-        dst = int(alive_ids[pick])
-        loads[placement[t]] -= weights[t]
-        loads[dst] += weights[t]
-        placement[t] = dst
 
 
 def run_dynamic_lb(
@@ -137,18 +102,8 @@ def run_dynamic_lb(
     state_bytes_per_task: float | np.ndarray = 1024.0,
     imbalance_tol: float = 1.10,
     seed: int | None = 0,
-    node_failures: dict[int, int | list[int] | tuple[int, ...]] | None = None,
 ) -> list[LBStepReport]:
-    """Drive the measure/balance/migrate loop; return the step trajectory.
-
-    ``node_failures`` maps step number -> processor id(s) failing at the
-    start of that step. A failed processor's tasks are *evacuated*: an
-    incremental refine pass moves each one to the surviving processor where
-    its communication costs the fewest hop-bytes (counted as migrations —
-    restart state must move like any PUP'd object). Later balancing runs
-    over the survivors only; the per-step report records which nodes died
-    and the hop-bytes degradation the failure caused.
-    """
+    """Drive the measure/balance/migrate loop; return the step trajectory."""
     if steps < 1:
         raise MappingError(f"steps must be >= 1, got {steps}")
     if lb_period < 1:
@@ -158,25 +113,6 @@ def run_dynamic_lb(
     state_bytes = np.broadcast_to(
         np.asarray(state_bytes_per_task, dtype=np.float64), (n,)
     )
-
-    failures_at: dict[int, tuple[int, ...]] = {}
-    if node_failures:
-        for step_no, nodes in node_failures.items():
-            step_no = int(step_no)
-            if not 0 <= step_no < steps:
-                raise MappingError(
-                    f"node failure scheduled at step {step_no}, outside "
-                    f"[0, {steps})"
-                )
-            if isinstance(nodes, (int, np.integer)):
-                nodes = (int(nodes),)
-            nodes = tuple(int(v) for v in nodes)
-            for v in nodes:
-                if not 0 <= v < p:
-                    raise MappingError(
-                        f"failing node {v} out of range [0, {p})"
-                    )
-            failures_at[step_no] = nodes
 
     incremental: IncrementalRefineLB | None = None
     full_strategy: str | None = None
@@ -189,59 +125,23 @@ def run_dynamic_lb(
             f"balancer must be 'incremental' or 'full:<StrategyName>', got {balancer!r}"
         )
 
-    from repro import obs
-
     # Communication is persistent (fixed edges), so hop-bytes of every step
     # routes through one shared context over the base graph instead of
     # re-deriving edge arrays from each step's load snapshot. The per-step
     # snapshots dedup the same edge list in the same order, so the values
     # are bitwise identical.
     ctx = context_for(workload.base, topology)
-    dist = ctx.distance_matrix(np.float64)
-    alive = np.ones(p, dtype=bool)
-    any_failed = False
 
     placement = np.arange(n, dtype=np.int64) % p  # round-robin start
     reports: list[LBStepReport] = []
     for step in range(steps):
         graph = workload.advance()
         migrated = np.zeros(n, dtype=bool)
-
-        # --- node failures fire at the start of the step -------------------
-        failed_now = failures_at.get(step, ())
-        hb_delta = 0.0
-        if failed_now:
-            hb_before = ctx.hop_bytes(placement)
-            for v in failed_now:
-                alive[v] = False
-            if not alive.any():
-                raise MappingError("every processor has failed")
-            any_failed = True
-            victims = np.flatnonzero(~alive[placement])
-            if victims.size:
-                placement = placement.copy()
-                _evacuate_tasks(graph, dist, placement, victims, alive)
-                migrated[victims] = True
-            hb_delta = ctx.hop_bytes(placement) - hb_before
-            prof = obs.active()
-            if prof is not None:
-                prof.count("faults.injected", len(failed_now))
-                prof.count("runtime.evacuated_tasks", int(victims.size))
-                prof.event(
-                    "runtime.node_failed",
-                    step=step,
-                    nodes=list(failed_now),
-                    evacuated=int(victims.size),
-                    hop_bytes_delta=float(hb_delta),
-                )
-
         balanced = step % lb_period == 0
         if balanced:
             if incremental is not None:
-                mapping, mig = incremental.rebalance(
-                    Mapping(graph, topology, placement),
-                    allowed=alive if any_failed else None,
-                )
+                mapping, migrated = incremental.rebalance(
+                    Mapping(graph, topology, placement))
                 new_placement = np.asarray(mapping.assignment, dtype=np.int64)
             else:
                 from repro.engine.specs import mapper_from_spec
@@ -253,15 +153,7 @@ def run_dynamic_lb(
                     mapper.map(db.to_taskgraph(), topology).assignment.copy(),
                     dtype=np.int64,
                 )
-                # Registry strategies remap over the pristine machine; any
-                # task they put on a dead processor is evacuated right away
-                # (and pays migration for it).
-                if any_failed:
-                    stranded = np.flatnonzero(~alive[new_placement])
-                    if stranded.size:
-                        _evacuate_tasks(graph, dist, new_placement, stranded, alive)
-                mig = new_placement != placement
-            migrated |= mig
+                migrated = new_placement != placement
             placement = new_placement
         reports.append(
             LBStepReport(
@@ -271,8 +163,6 @@ def run_dynamic_lb(
                 hop_bytes=ctx.hop_bytes(placement),
                 migrated_tasks=int(migrated.sum()),
                 migration_bytes=float(state_bytes[migrated].sum()),
-                failed_nodes=tuple(failed_now),
-                hop_bytes_delta=float(hb_delta),
             )
         )
     return reports

@@ -1,7 +1,9 @@
-"""Pinned result rows of the DES-driven paper experiments.
+"""Pinned result rows of the paper experiments.
 
-``tests/golden/experiments.json`` holds, for ``table1``, ``fig7_8``,
-``fig9``, ``fig10_11`` and ``tailcheck``, the full result rows of the
+``tests/golden/experiments.json`` holds, for the hop-bytes figures
+(``fig1_2``, ``fig3_4``, ``fig5``, ``fig6``) and the DES-driven
+experiments (``table1``, ``fig7_8``, ``fig9``, ``fig10_11``,
+``tailcheck``), the full result rows of the
 shrunken configuration the shape tests run, every float stored as its
 ``repr`` (so every bit is pinned and a failure shows a readable diff), and
 a sha256 of the canonical JSON of those rows. The shape tests check their
@@ -25,6 +27,10 @@ PIN_FILE = Path(__file__).resolve().parents[1] / "golden" / "experiments.json"
 #: Experiment id -> the shrunken configuration the shape tests run: the
 #: ``run`` keywords, plus module constants patched for the run (upper case).
 CONFIGS: dict[str, dict] = {
+    "fig1_2": {"quick": True, "QUICK_SIDES": [8, 16]},
+    "fig3_4": {"quick": True, "QUICK_SIDES": [4, 6]},
+    "fig5": {"quick": True, "ndim": 2, "QUICK_P_2D": [18, 64]},
+    "fig6": {"quick": True, "ndim": 3, "QUICK_P_3D": [27, 64]},
     "table1": {"quick": True, "side": 4, "iterations": 10},
     "fig7_8": {"quick": True, "QUICK_BANDWIDTHS": [100.0, 1000.0]},
     "fig9": {"quick": True, "QUICK_BANDWIDTHS": [50.0, 200.0]},
@@ -34,10 +40,13 @@ CONFIGS: dict[str, dict] = {
 
 
 def _runner(exp_id: str):
-    from repro.experiments import (fig07_08, fig09, fig10_11, supplementary,
-                                   table1)
+    from repro.experiments import (fig01_02, fig03_04, fig05_06, fig07_08,
+                                   fig09, fig10_11, supplementary, table1)
 
-    return {"table1": (table1, table1.run), "fig7_8": (fig07_08, fig07_08.run),
+    return {"fig1_2": (fig01_02, fig01_02.run),
+            "fig3_4": (fig03_04, fig03_04.run),
+            "fig5": (fig05_06, fig05_06.run), "fig6": (fig05_06, fig05_06.run),
+            "table1": (table1, table1.run), "fig7_8": (fig07_08, fig07_08.run),
             "fig9": (fig09, fig09.run), "fig10_11": (fig10_11, fig10_11.run),
             "tailcheck": (supplementary, supplementary.run_tailcheck)}[exp_id]
 

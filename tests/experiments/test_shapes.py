@@ -2,7 +2,7 @@
 
 These run shrunken quick configurations (patched sweeps) so the whole file
 stays in tens of seconds; the benchmark suite runs the full quick configs.
-The DES-driven ones also check their full rows against the pins in
+Each figure and table test also checks its full rows against the pins in
 ``tests/golden/experiments.json`` (see ``tests/experiments/pins.py``).
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments import fig01_02, fig03_04, fig05_06, table1
+from repro.experiments import fig05_06, table1
 from tests.experiments.pins import check_pinned, run_pinned
 
 
@@ -31,9 +31,9 @@ class TestTable1Shape:
 
 
 class TestFig12Shape:
-    def test_random_tracks_analytic_and_topolb_optimal(self, monkeypatch):
-        monkeypatch.setattr(fig01_02, "QUICK_SIDES", (8, 16))
-        result = fig01_02.run(quick=True)
+    def test_random_tracks_analytic_and_topolb_optimal(self):
+        result = run_pinned("fig1_2")
+        check_pinned("fig1_2", result.rows)
         for row in result.rows:
             assert row["random"] == pytest.approx(row["E_random"], rel=0.15)
             assert row["topolb"] == pytest.approx(1.0, abs=0.05)
@@ -42,9 +42,9 @@ class TestFig12Shape:
 
 
 class TestFig34Shape:
-    def test_embeddable_case_and_ordering(self, monkeypatch):
-        monkeypatch.setattr(fig03_04, "QUICK_SIDES", (4, 6))
-        result = fig03_04.run(quick=True)
+    def test_embeddable_case_and_ordering(self):
+        result = run_pinned("fig3_4")
+        check_pinned("fig3_4", result.rows)
         rows = {r["processors"]: r for r in result.rows}
         # (8,8) mesh embeds into (4,4,4): TopoLB finds the optimum.
         assert rows[64]["topolb"] == pytest.approx(1.0, abs=0.05)
@@ -56,10 +56,10 @@ class TestFig34Shape:
 
 class TestFig56Shape:
     @pytest.mark.parametrize("ndim", [2, 3])
-    def test_ordering_and_refine_gain(self, monkeypatch, ndim):
-        monkeypatch.setattr(fig05_06, "QUICK_P_2D", (18, 64))
-        monkeypatch.setattr(fig05_06, "QUICK_P_3D", (27, 64))
-        result = fig05_06.run(quick=True, ndim=ndim)
+    def test_ordering_and_refine_gain(self, ndim):
+        exp_id = "fig5" if ndim == 2 else "fig6"
+        result = run_pinned(exp_id)
+        check_pinned(exp_id, result.rows)
         for row in result.rows:
             assert row["topolb"] < row["random"]
             assert row["topocentlb"] < row["random"]

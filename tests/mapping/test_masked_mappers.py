@@ -107,6 +107,18 @@ class TestDegradedMapping:
         with pytest.raises(MappingError, match="disallowed"):
             RefineTopoLB().refine(bad)
 
+    def test_mappers_on_a_spec_built_degraded_torus(self):
+        """A spec-built degraded 8x8 torus: each paper mapper places every
+        task on a healthy node."""
+        from repro.topology import topology_from_spec
+
+        deg = topology_from_spec(
+            "degraded:torus:8x8;seed=3;nodes=0.05;links=0.02")
+        graph = random_taskgraph(deg.num_healthy, edge_prob=0.1, seed=0)
+        allowed = deg.allowed_mask()
+        for name, mapper in _mappers():
+            assert allowed[mapper.map(graph, deg).assignment].all(), name
+
 
 class TestResolveAllowed:
     def test_none_on_pristine_is_none(self):

@@ -38,6 +38,17 @@ class TestConstruction:
         assert sim.buffer_bytes == 1024.0
         assert NetworkSimulator(topo, kernel=kernel).buffer_bytes is None
 
+    def test_retry_params_validated(self, kernel):
+        topo = Torus((4, 4))
+        with pytest.raises(SimulationError):
+            NetworkSimulator(topo, max_retries=-1, kernel=kernel)
+        with pytest.raises(SimulationError):
+            NetworkSimulator(topo, retry_delay=0.0, kernel=kernel)
+        with pytest.raises(SimulationError):
+            NetworkSimulator(topo, retry_backoff=0.5, kernel=kernel)
+        with pytest.raises(SimulationError):
+            NetworkSimulator(topo, unroutable_policy="ignore", kernel=kernel)
+
 
 class TestDropPolicy:
     def test_overflow_drops_and_retransmits_to_delivery(self, kernel):

@@ -5,11 +5,10 @@ itself, and machines whose routes Python interns), one or two Jacobi
 applications with random CSR graphs (isolated tasks, zero-weight edges,
 up to two tasks per processor), and a simulator configuration (DOR or
 adaptive routing, NIC channels, finite buffers with and without jitter,
-scheduled link and node faults, a stall window, the profiler). Both
-bodies replay it; everything they expose must agree to the bit: the
-statistics, the three link tables, each application's iteration finish
-times, the number of fired events, the profile, and the error text when
-the run raises.
+a stall window, the profiler). Both bodies replay it; everything they
+expose must agree to the bit: the statistics, the three link tables, each
+application's iteration finish times, the number of fired events, the
+profile, and the error text when the run raises.
 """
 
 from __future__ import annotations
@@ -81,28 +80,13 @@ def replays(draw):
         knobs["unroutable_policy"] = "drop"
     if not tied and draw(st.sampled_from([True, False, False])):
         knobs["stall_window"] = draw(st.sampled_from([5.0, 200.0]))
-    graph = topology.link_graph()
-    links = sorted({(min(a, b), max(a, b)) for a in range(graph.num_nodes)
-                    for b in graph.neighbors(a)})
-    faults = []
-    for _ in range(0 if tied else draw(st.integers(0, 2))):
-        at = float(rng.uniform(0, 20))
-        if draw(st.booleans()):
-            faults.append(("link", at, *links[rng.integers(len(links))]))
-        else:
-            faults.append(("node", at, int(rng.integers(graph.num_nodes))))
-    return topology, apps, knobs, faults, draw(st.booleans())
+    return topology, apps, knobs, draw(st.booleans())
 
 
-def _replay(kernel, topology, apps, knobs, faults, profiled) -> str:
+def _replay(kernel, topology, apps, knobs, profiled) -> str:
     prof = obs.enable() if profiled else None
     try:
         sim = NetworkSimulator(topology, **knobs, kernel=kernel)
-        for kind, at, *where in faults:
-            if kind == "link":
-                sim.schedule_link_failure(at, *where)
-            else:
-                sim.schedule_node_failure(at, *where)
         runs = [IterativeApplication(
             Mapping(app["graph"], topology, app["assignment"]), sim,
             iterations=app["iterations"], message_bytes=app["message_bytes"],

@@ -106,3 +106,31 @@ def test_engine_rejects_non_finite_netsim_value(knobs):
         MappingEngine().run(MappingRequest(
             graph="mesh2d:4x4", topology="torus:4x4", netsim=knobs,
         ))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"iterations": 2.5},       # reported 2 but scaled the bytes by 2.5
+    {"iterations": INF},       # OverflowError
+    {"bandwidth": NAN},        # bottleneck_time_us = 0.0
+    {"bandwidth": INF},
+    {"alpha": NAN},
+    {"message_bytes": NAN},    # max_link_bytes = 0.0
+    {"message_bytes": INF},
+    {"compute_time": NAN},     # silently ignored
+    {"local_latency": NAN},    # silently ignored
+], ids=lambda k: repr(k))
+def test_flow_evaluate_rejects_bad_input_before_any_work(kwargs, monkeypatch):
+    from repro.engine import graph_from_spec
+    from repro.mapping import RandomMapper
+    from repro.netsim import flow
+
+    topology = topology_from_spec("torus:4x4")
+    mapping = RandomMapper(seed=0).map(graph_from_spec("mesh2d:4x4"), topology)
+
+    def no_work(*args):
+        raise AssertionError("flow_evaluate started work on a bad input")
+
+    monkeypatch.setattr(flow, "_directed_messages", no_work)
+    (name,) = kwargs
+    with pytest.raises(SimulationError, match=name):
+        flow.flow_evaluate(mapping, **kwargs)

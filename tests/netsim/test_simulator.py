@@ -153,6 +153,48 @@ class TestHeterogeneousLinks:
             NetworkSimulator(Mesh((2,)), link_bandwidths={(0, 1): 0.0},
                              kernel=kernel)
 
+    def test_link_bandwidths_endpoints_validated(self, kernel):
+        topo = Torus((4, 4))
+        with pytest.raises(SimulationError, match="not a link"):
+            NetworkSimulator(topo, link_bandwidths={(0, 5): 1.0},
+                             kernel=kernel)
+        with pytest.raises(SimulationError, match="not a link"):
+            NetworkSimulator(topo, link_bandwidths={(0, 99): 1.0},
+                             kernel=kernel)
+        # real links (either orientation) are accepted
+        NetworkSimulator(topo, link_bandwidths={(0, 1): 1.0, (4, 0): 2.0},
+                         kernel=kernel)
+
+
+class TestDegradedEndToEnd:
+    def test_simulate_over_degraded_topology_with_slow_links(self, kernel):
+        """Map on a degraded machine, then simulate over its BFS routes with
+        the fault set's slow links applied as bandwidth overrides."""
+        from repro import obs
+        from repro.faults import DegradedTopology, FaultSet
+        from repro.mapping import TopoLB
+        from repro.taskgraph import random_taskgraph
+
+        base = Torus((8, 8))
+        faults = FaultSet.generate(base, seed=3, node_rate=0.05,
+                                   link_rate=0.02, slow_rate=0.05)
+        deg = DegradedTopology(base, faults)
+        graph = random_taskgraph(deg.num_healthy, edge_prob=0.1, seed=0)
+        assign = np.asarray(TopoLB().map(graph, deg).assignment)
+
+        prof = obs.enable()
+        try:
+            sim = NetworkSimulator(
+                deg, link_bandwidths=faults.bandwidth_overrides(100.0),
+                kernel=kernel)
+            for a, b, w in graph.edges():
+                sim.send(int(assign[a]), int(assign[b]), float(w))
+            sim.run()
+            c = prof.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert c["netsim.delivered"] == c["netsim.messages"]
+
 
 class TestValidation:
     def test_bad_bandwidth(self, kernel):

@@ -13,15 +13,16 @@ from repro.topology import Mesh, Torus
 
 class TestWatchdog:
     def _livelocked_sim(self, kernel):
-        """A retry loop that can never succeed: the only DOR route dies
-        mid-run, retransmits never back off (backoff 1.0) and never run out
-        (absurd max_retries) — without a watchdog this spins forever."""
-        sim = NetworkSimulator(Mesh((4,)), max_retries=10**9,
-                               retry_backoff=1.0, retry_delay=2.0,
-                               unroutable_policy="drop", stall_window=100.0,
-                               kernel=kernel)
-        sim.send(0, 3, 1000.0)
-        sim.schedule_link_failure(0.05, 1, 2)
+        """A retry loop that makes no progress for far longer than the
+        stall window: a 10^6-byte message holds the first link for 10^6 us,
+        and a 1000-byte message behind it never fits the 500-byte buffer,
+        so it retransmits every 2 us (backoff 1.0, absurd max_retries)."""
+        sim = NetworkSimulator(Mesh((4,)), bandwidth=1.0, buffer_bytes=500.0,
+                               max_retries=10**9, retry_backoff=1.0,
+                               retry_delay=2.0, unroutable_policy="drop",
+                               stall_window=100.0, kernel=kernel)
+        sim.send(0, 3, 1e6, at=0.0)
+        sim.send(0, 3, 1000.0, at=1.0)
         return sim
 
     def test_livelock_raises_structured_error(self, kernel):

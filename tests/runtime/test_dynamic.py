@@ -145,83 +145,3 @@ class TestRunDynamicLB:
                                  lb_period=1, state_bytes_per_task=state)
         for r in reports:
             assert r.migration_bytes <= state.sum()
-
-
-class TestNodeFailures:
-    def _workload(self, seed=0):
-        return DriftingWorkload(random_taskgraph(32, seed=5), seed=seed)
-
-    def test_tasks_evacuated_off_failed_nodes(self):
-        topo = Torus((4, 4))
-        reports = run_dynamic_lb(self._workload(), topo, "incremental",
-                                 steps=8, lb_period=3,
-                                 node_failures={2: 5, 5: [7, 9]})
-        failed_steps = {r.step: r for r in reports if r.failed_nodes}
-        assert set(failed_steps) == {2, 5}
-        assert failed_steps[2].failed_nodes == (5,)
-        assert failed_steps[5].failed_nodes == (7, 9)
-        # evacuations are migrations and the degradation is reported
-        assert failed_steps[2].migrated_tasks >= 1
-        assert failed_steps[2].migration_bytes > 0
-
-    @pytest.mark.parametrize("balancer", ["incremental", "full:TopoLB"])
-    def test_no_task_ever_on_dead_processor(self, balancer):
-        topo = Torus((4, 4))
-        dead = {5, 7}
-        prev_placed = []
-
-        # hop_bytes/imbalance read the final placement; re-derive per-step
-        # placements by rerunning with the same seeds and checking reports.
-        reports = run_dynamic_lb(self._workload(), topo, balancer,
-                                 steps=9, lb_period=2,
-                                 node_failures={1: 5, 4: 7})
-        for r in reports:
-            assert r.imbalance >= 1.0
-        # After the failures fire the trajectory keeps making progress
-        # without errors — the invariant is enforced inside run_dynamic_lb
-        # (evacuation + masked rebalancing); reaching here means no task
-        # was mapped to a dead processor (masked mappers raise otherwise).
-        assert len(reports) == 9
-
-    def test_failure_trajectory_deterministic(self):
-        topo = Torus((4, 4))
-
-        def go():
-            reports = run_dynamic_lb(self._workload(), topo, "incremental",
-                                     steps=8, node_failures={2: 5})
-            return [(r.imbalance, r.hop_bytes, r.migrated_tasks,
-                     r.failed_nodes, r.hop_bytes_delta) for r in reports]
-
-        assert go() == go()
-
-    def test_all_processors_failing_raises(self):
-        with pytest.raises(MappingError, match="every processor has failed"):
-            run_dynamic_lb(
-                DriftingWorkload(random_taskgraph(4, seed=0), seed=0),
-                Mesh((2,)), "incremental", steps=3,
-                node_failures={0: [0, 1]},
-            )
-
-    def test_out_of_range_failures_rejected(self):
-        wl = self._workload()
-        with pytest.raises(MappingError, match="outside"):
-            run_dynamic_lb(wl, Torus((4, 4)), "incremental", steps=3,
-                           node_failures={9: 0})
-        with pytest.raises(MappingError, match="out of range"):
-            run_dynamic_lb(wl, Torus((4, 4)), "incremental", steps=3,
-                           node_failures={0: 99})
-
-    def test_failure_counters_and_events_recorded(self):
-        from repro import obs
-
-        prof = obs.enable()
-        try:
-            run_dynamic_lb(self._workload(), Torus((4, 4)), "incremental",
-                           steps=6, node_failures={1: [3, 4]})
-            snap = prof.snapshot()
-        finally:
-            obs.disable()
-        assert snap["counters"]["faults.injected"] == 2
-        assert snap["counters"]["runtime.evacuated_tasks"] >= 1
-        names = [e["name"] for e in snap["events"]]
-        assert "runtime.node_failed" in names

@@ -95,8 +95,8 @@ class TestRobustnessDoc:
 
     def test_doc_names_real_counters(self):
         text = (ROOT / "docs/ROBUSTNESS.md").read_text()
-        for name in ("faults.injected", "netsim.reroutes", "netsim.retries",
-                     "netsim.dropped", "runtime.evacuated_tasks",
+        for name in ("netsim.buffer_drops", "netsim.retransmits",
+                     "netsim.dropped", "netsim.message_dropped",
                      "REPRO_EXPERIMENTS_FAIL"):
             assert name in text
 

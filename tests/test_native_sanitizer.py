@@ -3,7 +3,7 @@
 A subprocess that preloads ``libasan`` builds both C files with
 ``-fsanitize=address,undefined`` into a temporary directory, installs that
 build as the process's kernels, and runs the tests that drive every compiled
-entry point: the 20 DES digests on the compiled body, the DES differential
+entry point: the 16 DES digests on the compiled body, the DES differential
 at benchmark scale and on random small closed loops (a fixed small number
 of examples), the closed loop that ends in final drops, and subsets of the
 mapper and partitioner equivalence suites. An out-of-bounds access or

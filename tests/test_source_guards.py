@@ -103,6 +103,19 @@ def test_one_des_model(rel):
     assert _grep(pattern, rel) == []
 
 
+@pytest.mark.parametrize("rel", ["netsim", "mapping/_native.py", "runtime"])
+def test_no_simulated_failures(rel):
+    """The simulated machine stays healthy while it runs: no link or node
+    fault injection in either DES body, and no node-failure schedule in the
+    dynamic load-balancing driver. Degraded machines are built before a run
+    (``repro.faults``)."""
+    pattern = (
+        r"schedule_link_failure|schedule_node_failure|fail_link|fail_node"
+        r"|faulted|des_fail|RC_FAULT|node_failures"
+    )
+    assert _grep(pattern, rel) == []
+
+
 def test_partitioner_walks_csr_lists():
     """Phase-1 loops read ``csr_lists``, not a per-vertex accessor call."""
     assert _grep(r"\.neighbors\(|\.neighbor_slice\(", "partition") == []
