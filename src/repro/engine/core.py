@@ -2,8 +2,8 @@
 
 A :class:`MappingRequest` names the three inputs (task graph, topology,
 mapper) either as live objects or as spec strings, plus the run knobs (seed,
-allowed mask, profile flag). :meth:`MappingEngine.run` resolves the
-specs through the single factories (:func:`graph_from_spec`,
+profile flag, evaluation and validation options). :meth:`MappingEngine.run`
+resolves the specs through the single factories (:func:`graph_from_spec`,
 :func:`repro.topology.factory.topology_from_spec`,
 :func:`repro.engine.specs.mapper_from_spec`), builds the shared
 :class:`~repro.mapping.context.MappingContext`, maps, and returns a
@@ -152,7 +152,7 @@ def canonical_command(graph_spec: str, mapper_spec: str, topology_spec: str,
     """The fully reproducible ``repro-map`` command line for a run.
 
     Always includes the seed actually in effect, and shell-quotes every spec
-    (a graph spec or a degraded topology spec carries ``;``), so a recorded
+    (a graph spec or a dragonfly topology spec carries ``;``), so a recorded
     command replays the run exactly when pasted into a shell.
     """
     spec = parse_mapper_spec(mapper_spec).canonical
@@ -178,7 +178,6 @@ class MappingRequest:
     topology: object  # Topology | str
     mapper: object = "TopoLB"  # Mapper | str (spec or Charm++ alias)
     seed: int | None = None
-    allowed: np.ndarray | None = None
     #: Record telemetry for this run and return it as a ``repro-profile-v1``
     #: document in :attr:`MappingResult.profile`: the ``engine.load``,
     #: ``engine.map``, ``engine.flow`` and ``engine.netsim`` timers, the
@@ -360,10 +359,7 @@ class MappingEngine:
 
             ctx = context_for(graph, topology)
             with obs.timer("engine.map"):
-                if request.allowed is not None:
-                    mapping = mapper.map(graph, topology, allowed=request.allowed)
-                else:
-                    mapping = mapper.map(graph, topology)
+                mapping = mapper.map(graph, topology)
 
             metrics = metrics_block(graph, topology, mapping.assignment, ctx=ctx)
             # The paper evaluates hops-per-byte on the coalesced graph too —
@@ -401,7 +397,6 @@ class MappingEngine:
                         graph, topology, mapping.assignment,
                         level=request.validate,
                         ctx=ctx,
-                        allowed=request.allowed,
                         mapper_spec=spec,
                         graph_spec=request.graph
                         if isinstance(request.graph, str) else None,

@@ -362,7 +362,7 @@ class DesEngine:
 
     __slots__ = ("on_return", "on_log", "stats", "_fns", "_late",
                  "_h", "_io", "_dio", "_log", "_slots", "_next_slot",
-                 "_chans", "_routes", "_ops", "_nsets", "_local", "_keep",
+                 "_chans", "_routes", "_ops", "_nsets", "_keep",
                  "__weakref__")
 
     def __init__(self, fns, stats, profiled, overrides, nic_channels,
@@ -372,7 +372,6 @@ class DesEngine:
 
         self._fns = fns
         self._late = schedule_error
-        self._local = local
         self._io = (ctypes.c_int64 * _IO_SIZE)()
         self._dio = (ctypes.c_double * 4)()
         self._log = np.zeros((self._LOG_ROWS, 5)) if profiled else None
@@ -506,10 +505,8 @@ class DesEngine:
     def send(self, msg: int, size: float, route_set: int, time: float,
              pair: int) -> None:
         """Send message ``msg`` (:attr:`next_id`) over ``pair = src * p +
-        dst`` at ``time``: push its injection, or its local delivery."""
-        at = time + self._local if route_set < 0 else time
-        if not at >= self._dio[0]:
-            raise self._late(at, self._dio[0])
+        dst`` at ``time``: push its injection, or its local delivery. The
+        caller has checked that this is not in the past."""
         io = self._io
         n = io[_IO_NOPS]
         if 6 * n == self._ops.size:

@@ -11,36 +11,7 @@ from repro.exceptions import MappingError
 from repro.taskgraph.graph import TaskGraph
 from repro.topology.base import Topology
 
-__all__ = ["Mapping", "Mapper", "resolve_allowed"]
-
-
-def resolve_allowed(
-    topology: Topology, allowed: np.ndarray | Sequence[bool] | None
-) -> np.ndarray | None:
-    """Normalize a mapper's allowed-processor mask.
-
-    ``None`` on a :class:`~repro.faults.DegradedTopology` resolves to its
-    healthy-processor mask — so ``mapper.map(graph, degraded)`` "just works"
-    and never places a task on a dead processor. ``None`` on any other
-    topology stays ``None`` (the classic every-processor case). An explicit
-    mask is validated (shape ``(p,)``, at least one allowed processor) and
-    returned as a boolean copy.
-    """
-    if allowed is None:
-        from repro.faults import DegradedTopology
-
-        if isinstance(topology, DegradedTopology):
-            return topology.allowed_mask()
-        return None
-    mask = np.array(allowed, dtype=bool)
-    if mask.shape != (topology.num_nodes,):
-        raise MappingError(
-            f"allowed mask must have shape ({topology.num_nodes},), "
-            f"got {mask.shape}"
-        )
-    if not mask.any():
-        raise MappingError("allowed mask permits no processors at all")
-    return mask
+__all__ = ["Mapping", "Mapper"]
 
 
 class Mapping:
@@ -48,7 +19,8 @@ class Mapping:
 
     ``assignment[t]`` is the processor hosting task ``t``. Many-to-one
     assignments are allowed (the pipeline's expanded mappings put whole
-    groups on one processor); the phase-2 mappers always produce bijections.
+    groups on one processor); the phase-2 mappers always produce injective
+    ones (bijections when ``n == p``).
     """
 
     def __init__(self, graph: TaskGraph, topology: Topology, assignment: Sequence[int]):
@@ -80,10 +52,6 @@ class Mapping:
         """Read-only task → processor array."""
         return self._assignment
 
-    def processor_of(self, task: int) -> int:
-        """Processor hosting ``task``."""
-        return int(self._assignment[task])
-
     def is_bijection(self) -> bool:
         """True when every processor hosts exactly one task."""
         if self._graph.num_tasks != self._topology.num_nodes:
@@ -93,9 +61,8 @@ class Mapping:
     def is_injective(self) -> bool:
         """True when no processor hosts more than one task.
 
-        Weaker than :meth:`is_bijection`: on a degraded machine a valid
-        one-task-per-processor mapping covers only the healthy subset, so it
-        is injective without being a bijection over all ``p`` processors.
+        Weaker than :meth:`is_bijection`: ``n < p`` tasks placed one per
+        processor are injective without covering every processor.
         """
         return len(np.unique(self._assignment)) == self._graph.num_tasks
 
@@ -138,35 +105,28 @@ class Mapper(abc.ABC):
     """Strategy interface: produce a :class:`Mapping` for (graph, topology).
 
     Phase-2 mappers require ``graph.num_tasks == topology.num_nodes`` (one
-    group per processor, as the paper assumes after partitioning); they raise
-    :class:`~repro.exceptions.MappingError` otherwise.
+    group per processor, as the paper assumes after partitioning); those
+    whose class sets :attr:`places_underfull` also place ``n < p`` tasks,
+    one per processor. Either way they raise
+    :class:`~repro.exceptions.MappingError` on a size they cannot place.
     """
 
     #: Class-level strategy name used by the runtime registry.
     strategy_name: str = "mapper"
+    #: Whether :meth:`map` places ``n < p`` tasks injectively (``n == p``
+    #: is always a bijection).
+    places_underfull: bool = False
 
-    def _check_sizes(
-        self,
-        graph: TaskGraph,
-        topology: Topology,
-        allowed: np.ndarray | None = None,
-    ) -> int:
-        if allowed is not None:
-            capacity = int(allowed.sum())
-            if graph.num_tasks > capacity:
-                raise MappingError(
-                    f"{type(self).__name__} cannot place {graph.num_tasks} "
-                    f"tasks on {capacity} allowed processors of "
-                    f"{topology.name} (insufficient healthy capacity)"
-                )
-            return graph.num_tasks
-        if graph.num_tasks != topology.num_nodes:
-            raise MappingError(
-                f"{type(self).__name__} needs |tasks| == |processors|; "
-                f"got {graph.num_tasks} tasks on {topology.num_nodes} processors "
-                "(partition/coalesce first, e.g. via TwoPhaseMapper)"
-            )
-        return graph.num_tasks
+    def _check_sizes(self, graph: TaskGraph, topology: Topology) -> int:
+        n, p = graph.num_tasks, topology.num_nodes
+        if n == p or (self.places_underfull and n < p):
+            return n
+        relation = "<=" if self.places_underfull else "=="
+        raise MappingError(
+            f"{type(self).__name__} needs |tasks| {relation} |processors|; "
+            f"got {n} tasks on {p} processors "
+            "(partition/coalesce first, e.g. via TwoPhaseMapper)"
+        )
 
     @abc.abstractmethod
     def map(self, graph: TaskGraph, topology: Topology) -> Mapping:

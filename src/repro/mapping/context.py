@@ -1,12 +1,12 @@
 """MappingContext — shared per-(graph, topology) state for mappers and metrics.
 
 Every mapper used to re-derive the same inputs on entry: CSR edge arrays from
-the task graph, the topology distance matrix (per dtype), the average
-distance vector behind the estimation functions, and — on degraded
-machines — the allowed-processor mask. A :class:`MappingContext` computes each
-of these once per (graph, topology) pair and hands out the *same* arrays the
-underlying caches would have produced, so threading a context through a
-mapper is bit-for-bit equivalent to the mapper fetching its own state.
+the task graph, the topology distance matrix (per dtype) and the average
+distance vector behind the estimation functions. A :class:`MappingContext`
+computes each of these once per (graph, topology) pair and hands out the
+*same* arrays the underlying caches would have produced, so threading a
+context through a mapper is bit-for-bit equivalent to the mapper fetching
+its own state.
 
 The context is deliberately a thin veneer over the existing caches
 (``TaskGraph`` builds its CSR arrays once; ``repro.topology.cache`` shares
@@ -16,9 +16,7 @@ distance tables across same-shaped machines). What it adds:
 * memoized *derived* state that had no cache before — per-assignment edge
   distances and the canonical metrics block (hop-bytes, hops-per-byte, load
   imbalance, dilation) computed from a **single** distance gather instead of
-  one per metric;
-* the degraded-machine allowed mask, resolved once via
-  :func:`~repro.mapping.base.resolve_allowed`.
+  one per metric.
 
 Use :func:`context_for` to get the process-wide shared instance for a
 (graph, topology) pair; construct :class:`MappingContext` directly only for
@@ -50,8 +48,6 @@ class MappingContext:
     def __init__(self, graph: TaskGraph, topology: Topology):
         self._graph = graph
         self._topology = topology
-        self._allowed: np.ndarray | None | bool = False  # False = unresolved
-        self._avg_distance: dict[object, np.ndarray] = {}
 
     # ------------------------------------------------------------ identities
     @property
@@ -76,31 +72,12 @@ class MappingContext:
         """The topology's hop-distance matrix in ``dtype`` (shared cache)."""
         return self._topology.distance_matrix(dtype)
 
-    def average_distance_vector(
-        self, subset: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Mean distance from each processor to ``subset`` (default: all)."""
+    def average_distance_vector(self) -> np.ndarray:
+        """Mean distance from each processor to every processor (shared,
+        read-only; cached on the topology)."""
         from repro.mapping.estimation import average_distance_vector
 
-        key = None if subset is None else subset.tobytes()
-        vec = self._avg_distance.get(key)
-        if vec is None:
-            vec = average_distance_vector(self._topology, subset)
-            self._avg_distance[key] = vec
-        return vec
-
-    def allowed(self) -> np.ndarray | None:
-        """The degraded-machine healthy mask, or ``None`` when pristine.
-
-        Resolved once via :func:`~repro.mapping.base.resolve_allowed` with no
-        explicit mask — i.e. auto-derived from a
-        :class:`~repro.faults.DegradedTopology`.
-        """
-        if self._allowed is False:
-            from repro.mapping.base import resolve_allowed
-
-            self._allowed = resolve_allowed(self._topology, None)
-        return self._allowed
+        return average_distance_vector(self._topology)
 
     # ------------------------------------------------------- derived metrics
     def edge_distances(self, assignment: Sequence[int]) -> np.ndarray:

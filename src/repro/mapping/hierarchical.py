@@ -7,7 +7,7 @@ until the dense mappers fit, then walking back up:
 
 1. **Task coarsening** — heavy-edge matching + contraction
    (:mod:`repro.partition.coarsening`) until the task count fits the
-   machine's (healthy) capacity.
+   machine.
 2. **Joint coarsening** — while the machine is still larger than ``stop``,
    halve it with :func:`~repro.topology.aggregate.coarsen_machine` (grid
    machines halve their largest extent; groups stay geometric blocks) and
@@ -15,7 +15,7 @@ until the dense mappers fit, then walking back up:
 3. **Coarse mapping** — any inner mapper spec (default TopoLB) places the
    coarsest graph on the coarsest machine.
 4. **Uncoarsening** — level by level, each coarse task's children spread
-   injectively over their group's allowed processors (spill repairs to the
+   injectively over their group's processors (spill repairs to the
    nearest free processor), then a bounded
    :class:`~repro.mapping.refine.RefineTopoLB` pass polishes the fine
    level. Per-level cheap-tier validation guards every prolongation.
@@ -35,7 +35,7 @@ import numpy as np
 
 from repro import obs
 from repro.exceptions import MappingError
-from repro.mapping.base import Mapper, Mapping, resolve_allowed
+from repro.mapping.base import Mapper, Mapping
 from repro.mapping.context import MappingContext, context_for
 from repro.mapping.refine import RefineTopoLB
 from repro.partition.coarsening import coarsen_toward
@@ -54,12 +54,11 @@ _MATRIX_LIMIT = 8192
 class _Level:
     """One joint coarsening level, recorded fine-side."""
 
-    __slots__ = ("graph", "topology", "allowed", "fine2coarse", "groups")
+    __slots__ = ("graph", "topology", "fine2coarse", "groups")
 
-    def __init__(self, graph, topology, allowed, fine2coarse, groups):
+    def __init__(self, graph, topology, fine2coarse, groups):
         self.graph = graph
         self.topology = topology
-        self.allowed = allowed
         self.fine2coarse = fine2coarse  # task map to the coarser level (or None)
         self.groups = groups  # processor map to the coarser machine
 
@@ -71,9 +70,8 @@ class HierarchicalMapper(Mapper):
     ----------
     inner:
         Mapper for the coarsest level; defaults to second-order TopoLB
-        running ``kernel``.
-        Must accept an ``allowed`` mask whenever the run is masked or
-        non-bijective at the coarsest level (TopoLB and friends do).
+        running ``kernel``. When the coarsest level has fewer tasks than
+        processors it must place ``n < p`` (TopoLB and friends do).
     levels:
         ``"auto"`` (coarsen the machine until ``stop``) or a positive int
         capping the number of machine-coarsening levels.
@@ -92,7 +90,7 @@ class HierarchicalMapper(Mapper):
         oracle rebuilds the mapper with ``"reference"``).
 
     Every uncoarsened level is checked by cheap-tier validation (bounds,
-    injectivity, mask, additivity, metrics consistency).
+    injectivity, additivity, metrics consistency).
     """
 
     strategy_name = "Multilevel"
@@ -131,10 +129,10 @@ class HierarchicalMapper(Mapper):
         self._kernel = kernel
         self._last_groups: np.ndarray | None = None
         self._last_group_mapping: Mapping | None = None
-        #: per-level (num_tasks, num_procs, allowed, assignment) snapshots of
-        #: the most recent uncoarsening, coarsest first — the property tests
-        #: assert the level invariants on these.
-        self.last_level_assignments: list[tuple[int, int, np.ndarray | None, np.ndarray]] = []
+        #: per-level (num_tasks, num_procs, assignment) snapshots of the most
+        #: recent uncoarsening, coarsest first — the property tests assert
+        #: the level invariants on these.
+        self.last_level_assignments: list[tuple[int, int, np.ndarray]] = []
 
     # ------------------------------------------------------------- accessors
     @property
@@ -152,12 +150,10 @@ class HierarchicalMapper(Mapper):
         self,
         graph: TaskGraph,
         topology: Topology,
-        allowed: np.ndarray | None = None,
         *,
         ctx: MappingContext | None = None,
     ) -> Mapping:
-        allowed = resolve_allowed(topology, allowed)
-        capacity = topology.num_nodes if allowed is None else int(allowed.sum())
+        capacity = topology.num_nodes
         if graph.num_tasks < 1:
             raise MappingError("cannot map an empty task graph")
 
@@ -175,12 +171,11 @@ class HierarchicalMapper(Mapper):
         # Phase 2: joint machine + task coarsening.
         joint: list[_Level] = []
         topo: Topology = topology
-        mask = allowed
         shape = topology.shape if isinstance(topology, GridTopology) else None
         with obs.timer("multilevel.coarsen_machine"):
             while self._keep_coarsening(topo, len(joint)):
-                ctopo, groups, cmask, shape = coarsen_machine(topo, mask, shape=shape)
-                cap = ctopo.num_nodes if cmask is None else int(cmask.sum())
+                ctopo, groups, shape = coarsen_machine(topo, shape=shape)
+                cap = ctopo.num_nodes
                 if g.num_tasks > cap:
                     g2, fine2coarse = coarsen_toward(
                         g, cap, seed=self._seed + 101 + len(joint)
@@ -189,18 +184,18 @@ class HierarchicalMapper(Mapper):
                         break  # machine shrinks faster than the graph can
                 else:
                     g2, fine2coarse = g, None
-                joint.append(_Level(g, topo, mask, fine2coarse, groups))
-                g, topo, mask = g2, ctopo, cmask
+                joint.append(_Level(g, topo, fine2coarse, groups))
+                g, topo = g2, ctopo
 
         # Phase 3: map the coarsest level with the inner mapper.
         with obs.timer("multilevel.coarse_map"):
-            assignment = self._map_coarsest(g, topo, mask)
+            assignment = self._map_coarsest(g, topo)
 
         # Phase 4: uncoarsen, refining and validating each level.
         self.last_level_assignments = [
-            (g.num_tasks, topo.num_nodes, mask, assignment.copy())
+            (g.num_tasks, topo.num_nodes, assignment.copy())
         ]
-        self._check_level(g, topo, mask, assignment, level=len(joint))
+        self._check_level(g, topo, assignment, level=len(joint))
         with obs.timer("multilevel.uncoarsen"):
             for depth, level in enumerate(reversed(joint)):
                 assignment = self._prolong(level, assignment)
@@ -209,12 +204,11 @@ class HierarchicalMapper(Mapper):
                     (
                         level.graph.num_tasks,
                         level.topology.num_nodes,
-                        level.allowed,
                         assignment.copy(),
                     )
                 )
                 self._check_level(
-                    level.graph, level.topology, level.allowed, assignment,
+                    level.graph, level.topology, assignment,
                     level=len(joint) - 1 - depth,
                 )
 
@@ -234,43 +228,28 @@ class HierarchicalMapper(Mapper):
             return False
         return topo.num_nodes > 1
 
-    def _map_coarsest(
-        self, g: TaskGraph, topo: Topology, mask: np.ndarray | None
-    ) -> np.ndarray:
-        use_mask = mask is not None or g.num_tasks < topo.num_nodes
-        ictx = context_for(g, topo)
+    def _map_coarsest(self, g: TaskGraph, topo: Topology) -> np.ndarray:
         kwargs = {}
         if "ctx" in inspect.signature(self._inner.map).parameters:
-            kwargs["ctx"] = ictx
-        if use_mask:
-            if "allowed" not in inspect.signature(self._inner.map).parameters:
-                raise MappingError(
-                    f"{type(self._inner).__name__} does not support an "
-                    "allowed-processor mask; use TopoLB/TopoCentLB/"
-                    "RefineTopoLB as the multilevel inner mapper here"
-                )
-            arg = mask if mask is not None else np.ones(topo.num_nodes, dtype=bool)
-            mapping = self._inner.map(g, topo, allowed=arg, **kwargs)
-        else:
-            mapping = self._inner.map(g, topo, **kwargs)
+            kwargs["ctx"] = context_for(g, topo)
+        mapping = self._inner.map(g, topo, **kwargs)
         return np.asarray(mapping.assignment, dtype=np.int64).copy()
 
     def _prolong(self, level: _Level, coarse_assignment: np.ndarray) -> np.ndarray:
         """Place each coarse task's children inside its group's processors.
 
-        Children (ascending id) take the group's allowed members (ascending
-        id) one-to-one; any spill goes to the nearest free allowed processor
-        (ties to the smallest id), anchored at the group's first member.
+        Children (ascending id) take the group's members (ascending id)
+        one-to-one; any spill goes to the nearest free processor (ties to
+        the smallest id), anchored at the group's first member.
         Feasibility (`n_fine <= fine capacity`) is guaranteed by the lockstep
         coarsening loop, so the repair queue always drains.
         """
         fine_graph, fine_topo = level.graph, level.topology
         n = fine_graph.num_tasks
         p = fine_topo.num_nodes
-        allowed = level.allowed
         out = np.full(n, -1, dtype=np.int64)
 
-        # group id -> ascending member processors (allowed only, if masked)
+        # group id -> ascending member processors
         groups = level.groups
         order = np.argsort(groups, kind="stable")
         counts = np.bincount(groups, minlength=int(groups.max()) + 1)
@@ -290,19 +269,15 @@ class HierarchicalMapper(Mapper):
         for c, proc in enumerate(coarse_assignment.tolist()):
             kids = children[c]
             slots = members[proc]
-            if allowed is not None:
-                slots = slots[allowed[slots]]
             take = min(len(kids), len(slots))
             out[kids[:take]] = slots[:take]
             used[slots[:take]] = True
-            anchor = int(members[proc][0])
+            anchor = int(slots[0])
             for t in kids[take:].tolist():
                 spill.append((int(t), anchor))
 
         if spill:
             free = ~used
-            if allowed is not None:
-                free &= allowed
             for t, anchor in spill:
                 candidates = np.flatnonzero(free)
                 if len(candidates) == 0:
@@ -331,22 +306,18 @@ class HierarchicalMapper(Mapper):
         graph = level.graph
         fctx = context_for(graph, fine_topo)
         mapping = Mapping(graph, fine_topo, assignment)
-        mask = level.allowed
-        if mask is None and graph.num_tasks < fine_topo.num_nodes:
-            mask = np.ones(fine_topo.num_nodes, dtype=bool)
         refiner = RefineTopoLB(
             max_sweeps=self._refine_window,
             seed=self._seed + 201 + depth,
             kernel=self._kernel,
         )
-        refined = refiner.refine(mapping, allowed=mask, ctx=fctx)
+        refined = refiner.refine(mapping, ctx=fctx)
         return np.asarray(refined.assignment, dtype=np.int64).copy()
 
     def _check_level(
         self,
         graph: TaskGraph,
         topology: Topology,
-        allowed: np.ndarray | None,
         assignment: np.ndarray,
         level: int,
     ) -> None:
@@ -355,6 +326,6 @@ class HierarchicalMapper(Mapper):
 
         validate_mapping(
             graph, topology, assignment,
-            level="cheap", allowed=allowed,
+            level="cheap",
             topology_spec=f"multilevel level {level}: {topology.name}",
         )

@@ -6,8 +6,8 @@ one reference oracle for their inner loops:
 
 ``"vectorized"`` (the default, the production kernel)
     Compiled loops (:mod:`repro.mapping._native`). TopoLB: the whole cycle
-    loop for first and second order, and the per-cycle recentring for
-    third. RefineTopoLB: the cost table and the incremental sweep. Every
+    loop for every estimator order. RefineTopoLB: the cost table and the
+    incremental sweep. Every
     path produces **bit-identical assignments** to the reference kernel
     (enforced by ``tests/mapping/test_kernel_equivalence.py``); without a C
     compiler (or with ``REPRO_NO_NATIVE`` set) the mapper runs its

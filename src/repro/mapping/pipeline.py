@@ -11,13 +11,12 @@ optionally followed by the RefineTopoLB swap refiner. The returned
 
 from __future__ import annotations
 
-import numpy as np
-
 import inspect
 
+import numpy as np
+
 from repro import obs
-from repro.exceptions import MappingError
-from repro.mapping.base import Mapper, Mapping, resolve_allowed
+from repro.mapping.base import Mapper, Mapping
 from repro.mapping.context import MappingContext, context_for
 from repro.mapping.refine import RefineTopoLB
 from repro.partition.base import Partitioner
@@ -77,30 +76,17 @@ class TwoPhaseMapper(Mapper):
         self,
         graph: TaskGraph,
         topology: Topology,
-        allowed: np.ndarray | None = None,
         *,
         ctx: MappingContext | None = None,
     ) -> Mapping:
-        """Map ``graph``; on a degraded machine (or with an explicit
-        ``allowed`` mask) phase 1 partitions into one group per *healthy*
-        processor and phase 2 places groups on the allowed set only.
-
-        ``ctx`` is the shared context for ``(graph, topology)``; phase 2
-        derives (and shares) its own context for the coalesced quotient
-        graph, since that is the graph the mapper and refiner actually see.
+        """Map ``graph``. ``ctx`` is the shared context for
+        ``(graph, topology)``; phase 2 derives (and shares) its own context
+        for the coalesced quotient graph, since that is the graph the mapper
+        and refiner actually see.
         """
-        allowed = resolve_allowed(topology, allowed)
-        p = topology.num_nodes if allowed is None else int(allowed.sum())
-        if allowed is not None and not self._accepts_allowed(self._mapper):
-            raise MappingError(
-                f"{type(self._mapper).__name__} does not support an "
-                "allowed-processor mask; use TopoLB/TopoCentLB/RefineTopoLB "
-                "on degraded machines"
-            )
-        if graph.num_tasks == p or (allowed is not None and graph.num_tasks < p):
-            # One task per (healthy) processor — or fewer tasks than healthy
-            # processors, which the masked mappers place directly: phase 1
-            # is the identity.
+        p = topology.num_nodes
+        if graph.num_tasks == p:
+            # One task per processor: phase 1 is the identity.
             groups = np.arange(graph.num_tasks)
             quotient = graph
         else:
@@ -119,25 +105,14 @@ class TwoPhaseMapper(Mapper):
             qctx = context_for(quotient, topology)
         ctx_kwargs = {"ctx": qctx} if self._accepts_ctx(self._mapper) else {}
         with obs.timer("pipeline.map"):
-            if allowed is None:
-                group_mapping = self._mapper.map(quotient, topology, **ctx_kwargs)
-            else:
-                group_mapping = self._mapper.map(
-                    quotient, topology, allowed=allowed, **ctx_kwargs
-                )
+            group_mapping = self._mapper.map(quotient, topology, **ctx_kwargs)
         if self._refiner is not None:
             with obs.timer("pipeline.refine"):
-                group_mapping = self._refiner.refine(
-                    group_mapping, allowed=allowed, ctx=qctx
-                )
+                group_mapping = self._refiner.refine(group_mapping, ctx=qctx)
 
         self._last_groups = groups
         self._last_group_mapping = group_mapping
         return Mapping(graph, topology, group_mapping.assignment[groups])
-
-    @staticmethod
-    def _accepts_allowed(mapper: Mapper) -> bool:
-        return "allowed" in inspect.signature(mapper.map).parameters
 
     @staticmethod
     def _accepts_ctx(mapper: Mapper) -> bool:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.exceptions import MappingError
-from repro.mapping.base import Mapper, Mapping, resolve_allowed
+from repro.mapping.base import Mapper, Mapping
 from repro.taskgraph.graph import TaskGraph
 from repro.topology.base import Topology
 from repro.utils.rng import as_rng
@@ -20,7 +19,8 @@ __all__ = ["RandomMapper", "IdentityMapper"]
 
 
 class RandomMapper(Mapper):
-    """Uniformly random bijection task → processor.
+    """Uniformly random bijection task → processor (a uniformly random
+    injection when ``n < p``).
 
     Expected hops-per-byte equals the topology's expected random-pair
     distance (``sqrt(p)/2`` on a square 2D torus, ``3 cbrt(p)/4`` on a cubic
@@ -28,25 +28,18 @@ class RandomMapper(Mapper):
     """
 
     strategy_name = "RandomLB"
+    places_underfull = True
 
     def __init__(self, seed: int | np.random.Generator | None = None):
         self._seed = seed
 
-    def map(
-        self,
-        graph: TaskGraph,
-        topology: Topology,
-        allowed: np.ndarray | None = None,
-    ) -> Mapping:
-        allowed = resolve_allowed(topology, allowed)
-        n = self._check_sizes(graph, topology, allowed)
+    def map(self, graph: TaskGraph, topology: Topology) -> Mapping:
+        n = self._check_sizes(graph, topology)
         rng = as_rng(self._seed)
-        if allowed is None:
-            return Mapping(graph, topology, rng.permutation(n))
-        # Random injection into the allowed set: permute the healthy ids and
-        # take the first n (uniform over injective placements).
-        healthy = np.flatnonzero(allowed)
-        return Mapping(graph, topology, rng.permutation(healthy)[:n])
+        # The first n of a random permutation of all p processors: uniform
+        # over injective placements, and rng.permutation(n) when n == p.
+        return Mapping(graph, topology,
+                       rng.permutation(topology.num_nodes)[:n])
 
 
 class IdentityMapper(Mapper):

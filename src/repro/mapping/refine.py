@@ -46,7 +46,7 @@ import numpy as np
 from repro import obs
 from repro.exceptions import MappingError
 from repro.mapping import _native
-from repro.mapping.base import Mapper, Mapping, resolve_allowed
+from repro.mapping.base import Mapper, Mapping
 from repro.mapping.context import MappingContext, context_for
 from repro.mapping.kernels import resolve_kernel
 from repro.taskgraph.graph import TaskGraph
@@ -64,7 +64,8 @@ class RefineTopoLB(Mapper):
     base:
         Optional mapper producing the initial mapping when :meth:`map` is
         called directly (the paper runs TopoLB first). :meth:`refine` can
-        also polish any existing bijective :class:`Mapping`.
+        also polish any existing injective :class:`Mapping` of ``n <= p``
+        tasks.
     max_sweeps:
         Upper bound on full passes over the tasks.
     seed:
@@ -77,6 +78,7 @@ class RefineTopoLB(Mapper):
     """
 
     strategy_name = "RefineTopoLB"
+    places_underfull = True
 
     def __init__(self, base: Mapper | None = None, max_sweeps: int = 10,
                  seed: int | np.random.Generator | None = 0,
@@ -97,7 +99,6 @@ class RefineTopoLB(Mapper):
         self,
         graph: TaskGraph,
         topology: Topology,
-        allowed: np.ndarray | None = None,
         *,
         ctx: MappingContext | None = None,
     ) -> Mapping:
@@ -106,25 +107,17 @@ class RefineTopoLB(Mapper):
                 "RefineTopoLB.map needs a base mapper; either construct with "
                 "base=TopoLB() or call .refine(existing_mapping)"
             )
-        allowed = resolve_allowed(topology, allowed)
-        if allowed is None:
-            base_mapping = self._base.map(graph, topology)
-        else:
-            base_mapping = self._base.map(graph, topology, allowed=allowed)
-        return self.refine(base_mapping, allowed=allowed, ctx=ctx)
+        return self.refine(self._base.map(graph, topology), ctx=ctx)
 
     def refine(
-        self, mapping: Mapping, allowed: np.ndarray | None = None,
-        *, ctx: MappingContext | None = None,
+        self, mapping: Mapping, *, ctx: MappingContext | None = None,
     ) -> Mapping:
         """Return a refined copy of ``mapping`` (never worse in hop-bytes).
 
-        ``allowed`` (auto-derived on degraded machines) declares the legal
-        processors; the refiner only swaps tasks pairwise, so a mapping that
-        starts within the allowed set stays within it. ``ctx`` supplies
-        shared per-(graph, topology) tables.
+        The refiner only swaps the processors of two tasks, so the set of
+        occupied processors never changes. ``ctx`` supplies shared
+        per-(graph, topology) tables.
         """
-        allowed = resolve_allowed(mapping.topology, allowed)
         if (self._kernel == "vectorized"
                 and _native.kernels_or_fallback() is not None):
             run = self._refine_incremental_native
@@ -132,34 +125,22 @@ class RefineTopoLB(Mapper):
             run = self._refine_reference
         prof = obs.active()
         if prof is None:
-            return run(mapping, allowed=allowed, ctx=ctx)
+            return run(mapping, ctx=ctx)
         with prof.timer("refine.refine"):
-            return run(mapping, prof, allowed=allowed, ctx=ctx)
+            return run(mapping, prof, ctx=ctx)
 
-    def _setup(self, mapping: Mapping, allowed: np.ndarray | None = None,
-               ctx: MappingContext | None = None,
+    def _setup(self, mapping: Mapping, ctx: MappingContext | None = None,
                native: _native.NativeKernels | None = None):
         """Shared kernel state: distance matrix, CSR arrays, cost table."""
         graph, topology = mapping.graph, mapping.topology
         if ctx is None:
             ctx = context_for(graph, topology)
-        n = self._check_sizes(graph, topology, allowed)
-        if allowed is None:
-            if not mapping.is_bijection():
-                raise MappingError("RefineTopoLB requires a bijective mapping")
-        else:
-            # Masked runs relax bijectivity to "injective, within the allowed
-            # set": one task per processor, every task on a healthy one.
-            if not mapping.is_injective():
-                raise MappingError(
-                    "RefineTopoLB requires an injective mapping "
-                    "(one task per processor)"
-                )
-            if not allowed[mapping.assignment].all():
-                raise MappingError(
-                    "RefineTopoLB: mapping places tasks on disallowed "
-                    "(dead) processors"
-                )
+        n = self._check_sizes(graph, topology)
+        if not mapping.is_injective():
+            raise MappingError(
+                "RefineTopoLB requires an injective mapping (one task per "
+                "processor; bijective when n == p)"
+            )
         rng = as_rng(self._seed)
 
         dist = ctx.distance_matrix(np.float64)
@@ -213,18 +194,14 @@ class RefineTopoLB(Mapper):
 
     def _refine_reference(
         self, mapping: Mapping, prof: obs.Profiler | None = None,
-        allowed: np.ndarray | None = None,
         ctx: MappingContext | None = None,
     ) -> Mapping:
         """Row-at-a-time sweep — the executable specification of the
         production kernel, and its body wherever the compiled sweep is
-        unavailable; the equivalence suite pins the two to identical outputs.
-
-        Swaps only exchange the processors of two mapped tasks, so the sweep
-        body is mask-oblivious: a mapping that starts on allowed processors
-        can never leave them."""
+        unavailable; the equivalence suite pins the two to identical
+        outputs."""
         n, rng, dist, indptr, indices, weights, assign, cost = self._setup(
-            mapping, allowed, ctx
+            mapping, ctx
         )
 
         ids = np.arange(n)
@@ -269,7 +246,6 @@ class RefineTopoLB(Mapper):
 
     def _refine_incremental_native(
         self, mapping: Mapping, prof: obs.Profiler | None = None,
-        allowed: np.ndarray | None = None,
         ctx: MappingContext | None = None,
     ) -> Mapping:
         """Compiled incremental sweep. One C call runs one full sweep; the
@@ -283,7 +259,7 @@ class RefineTopoLB(Mapper):
         that NumPy call overhead dominates at paper scales (n ~ 512)."""
         native = _native.load()
         n, rng, dist, indptr, indices, weights, assign, cost = self._setup(
-            mapping, allowed, ctx, native
+            mapping, ctx, native
         )
         sweeper = native.refine_sweeper(cost, dist, assign, indptr, indices,
                                         weights)

@@ -528,7 +528,7 @@ static double recentre_row(const double *src, double *dst, double u,
  *    slot; a slot whose argmin was pk counts as a reserve hit.
  *
  * Steps 3-5 read and write the free columns only (free_ids, ascending). A
- * consumed or disallowed column of a slot keeps a stale but finite value,
+ * consumed column of a slot keeps a stale but finite value,
  * which is read again only through a zero weight in avail_f. Under "gain"
  * the function returns m after every cycle that leaves m > 0 rows
  * unplaced, so the caller can set score[:m] = fest[:m] @ avail_f: that

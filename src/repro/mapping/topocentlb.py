@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.mapping.base import Mapper, Mapping, resolve_allowed
+from repro.mapping.base import Mapper, Mapping
 from repro.mapping.context import MappingContext, context_for
 from repro.taskgraph.graph import TaskGraph
 from repro.topology.base import Topology
@@ -28,38 +28,35 @@ class TopoCentLB(Mapper):
     """Heap-driven greedy topology-aware mapper (comparison baseline)."""
 
     strategy_name = "TopoCentLB"
+    places_underfull = True
 
     def map(
         self,
         graph: TaskGraph,
         topology: Topology,
-        allowed: np.ndarray | None = None,
         *,
         ctx: MappingContext | None = None,
     ) -> Mapping:
-        """Map ``graph`` onto ``topology``; ``allowed`` restricts placement
-        to a processor mask (auto-derived on degraded machines). ``ctx``
-        supplies shared per-(graph, topology) tables."""
-        allowed = resolve_allowed(topology, allowed)
+        """Map ``n <= p`` tasks of ``graph`` onto ``topology``, one per
+        processor. ``ctx`` supplies shared per-(graph, topology) tables."""
         if ctx is None:
             ctx = context_for(graph, topology)
         prof = obs.active()
         if prof is None:
-            return self._run(graph, topology, allowed=allowed, ctx=ctx)
+            return self._run(graph, topology, ctx=ctx)
         with prof.timer("topocentlb.map"):
-            return self._run(graph, topology, prof, allowed=allowed, ctx=ctx)
+            return self._run(graph, topology, prof, ctx=ctx)
 
     def _run(
         self,
         graph: TaskGraph,
         topology: Topology,
         prof: obs.Profiler | None = None,
-        allowed: np.ndarray | None = None,
         ctx: MappingContext | None = None,
     ) -> Mapping:
         if ctx is None:
             ctx = context_for(graph, topology)
-        n = self._check_sizes(graph, topology, allowed)
+        n = self._check_sizes(graph, topology)
         p = topology.num_nodes
         # Exact cast either way: hop distances are small integers (or already
         # float64 on weighted machines), so the float64 view from the shared
@@ -67,9 +64,7 @@ class TopoCentLB(Mapper):
         dist = ctx.distance_matrix(np.float64)
         indptr, indices, weights = ctx.csr_arrays()
 
-        # Free-processor mask; a masked run simply starts with the dead
-        # processors already consumed — the greedy cycle body is unchanged.
-        avail = np.ones(p, dtype=bool) if allowed is None else allowed.copy()
+        avail = np.ones(p, dtype=bool)  # free processors
         assignment = np.full(n, -1, dtype=np.int64)
 
         # Heap key: communication volume to the placed set. Seed keys with a

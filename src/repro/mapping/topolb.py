@@ -39,7 +39,7 @@ import numpy as np
 from repro import obs
 from repro.exceptions import MappingError
 from repro.mapping import _native
-from repro.mapping.base import Mapper, Mapping, resolve_allowed
+from repro.mapping.base import Mapper, Mapping
 from repro.mapping.context import MappingContext, context_for
 from repro.mapping.estimation import EstimatorOrder
 from repro.mapping.kernels import resolve_kernel
@@ -79,6 +79,7 @@ class TopoLB(Mapper):
     """
 
     strategy_name = "TopoLB"
+    places_underfull = True
 
     def __init__(
         self,
@@ -113,22 +114,16 @@ class TopoLB(Mapper):
         self,
         graph: TaskGraph,
         topology: Topology,
-        allowed: np.ndarray | None = None,
         *,
         ctx: MappingContext | None = None,
     ) -> Mapping:
-        """Map ``graph`` onto ``topology``.
+        """Map ``graph`` onto ``topology``, one task per processor.
 
-        ``allowed`` restricts placement to a boolean processor mask (degraded
-        machines); ``None`` auto-derives the mask from a
-        :class:`~repro.faults.DegradedTopology` and means "every processor"
-        elsewhere. Masked runs place ``n <= p'`` tasks onto the ``p'``
-        allowed processors and raise :class:`MappingError` when capacity is
-        insufficient. ``ctx`` supplies shared per-(graph, topology) tables;
-        ``None`` uses the process-wide shared context.
+        ``n <= p`` tasks are placed injectively; ``n > p`` raises
+        :class:`MappingError`. ``ctx`` supplies shared per-(graph, topology)
+        tables; ``None`` uses the process-wide shared context.
         """
-        allowed = resolve_allowed(topology, allowed)
-        n = self._check_sizes(graph, topology, allowed)
+        n = self._check_sizes(graph, topology)
         if ctx is None:
             ctx = context_for(graph, topology)
         if (self._kernel == "reference"
@@ -138,10 +133,10 @@ class TopoLB(Mapper):
             run = self._run_compiled
         prof = obs.active()
         if prof is None:
-            assignment = run(graph, topology, n, allowed=allowed, ctx=ctx)
+            assignment = run(graph, topology, n, ctx=ctx)
         else:
             with prof.timer("topolb.map"):
-                assignment = run(graph, topology, n, prof, allowed=allowed, ctx=ctx)
+                assignment = run(graph, topology, n, prof, ctx=ctx)
         return Mapping(graph, topology, assignment)
 
     # ------------------------------------------------------------------ core
@@ -153,7 +148,6 @@ class TopoLB(Mapper):
     _RESERVE = 8
 
     def _setup(self, graph: TaskGraph, topology: Topology, n: int,
-               allowed: np.ndarray | None = None,
                ctx: MappingContext | None = None):
         """Shared kernel state: fest table, selection vectors, reserve arrays."""
         if ctx is None:
@@ -169,15 +163,11 @@ class TopoLB(Mapper):
 
         # avg_all is never mutated, so aliasing the shared read-only vector
         # is safe (avg_free, which the third-order path does mutate, is a
-        # real copy). Masked runs take the expectation over the *allowed*
-        # set — the "arbitrary processor" a deferred task could land on is a
-        # healthy one — which is a per-fault-pattern vector, computed fresh
-        # (cheap, O(p * p'), and never shared-cached under the pristine key).
-        avg_all = ctx.average_distance_vector(allowed)
+        # real copy).
+        avg_all = ctx.average_distance_vector()
         avg_free = avg_all.copy()  # equal to avg_all until third order shifts it
 
-        # fest table: rows = tasks, columns = processors (p columns; equal to
-        # n in the classic unmasked case).
+        # fest table: rows = tasks, columns = processors (n <= p).
         p = topology.num_nodes
         if order is EstimatorOrder.FIRST:
             fest = np.zeros((n, p), dtype=np.float64)
@@ -192,40 +182,27 @@ class TopoLB(Mapper):
         topology: Topology,
         n: int,
         prof: obs.Profiler | None = None,
-        allowed: np.ndarray | None = None,
         ctx: MappingContext | None = None,
     ) -> np.ndarray:
         """The original scalar cycle body — the executable specification the
         compiled loops are tested against, and their body wherever the
         compiled kernels are unavailable."""
         (dist, indptr, indices, weights, unplaced_comm,
-         avg_all, avg_free, fest) = self._setup(graph, topology, n, allowed, ctx)
+         avg_all, avg_free, fest) = self._setup(graph, topology, n, ctx)
         order = self._order
         p = topology.num_nodes
 
-        avail = np.ones(p, dtype=bool) if allowed is None else allowed.copy()
+        avail = np.ones(p, dtype=bool)
         unassigned = np.ones(n, dtype=bool)
         avail_count = int(avail.sum())
         assignment = np.full(n, -1, dtype=np.int64)
         # Additive penalty pushing consumed processors out of row minima
-        # (a fraction of the float64 range, so sums never overflow). Disallowed
-        # processors start penalized, which keeps them out of every reserve
-        # and argmin for the whole run — the reserve never needs more than
-        # n <= p' candidates, so the genuine (allowed) entries always fill it
-        # ahead of penalized ones.
+        # (a fraction of the float64 range, so sums never overflow).
         huge = np.finfo(np.float64).max / 16
         penalty = np.zeros(p, dtype=np.float64)
-        if allowed is not None:
-            penalty[~avail] = huge
 
-        # Row sums over the *free* columns: all p columns in the classic
-        # case, the allowed subset under a mask (disallowed columns are
-        # never consumed, so the incremental "-= fest[:, pk]" bookkeeping
-        # stays consistent only if they are excluded from the start).
-        if allowed is None:
-            f_sum = fest.sum(axis=1)
-        else:
-            f_sum = fest @ avail.astype(np.float64)
+        # Row sums over the free columns, kept incrementally below.
+        f_sum = fest.sum(axis=1)
         f_min = np.empty(n, dtype=np.float64)
         f_argmin = np.empty(n, dtype=np.int64)
 
@@ -347,7 +324,6 @@ class TopoLB(Mapper):
         topology: Topology,
         n: int,
         prof: obs.Profiler | None = None,
-        allowed: np.ndarray | None = None,
         ctx: MappingContext | None = None,
     ) -> np.ndarray:
         """The compiled cycle loop — bit-identical to the reference,
@@ -369,12 +345,10 @@ class TopoLB(Mapper):
         ``fest[rows]`` without the gather.
         """
         (dist, indptr, indices, weights, unplaced_comm,
-         _, avg_free, fest) = self._setup(graph, topology, n, allowed, ctx)
-        p = topology.num_nodes
-        avail_f = (np.ones(p) if allowed is None
-                   else allowed.astype(np.float64))
+         _, avg_free, fest) = self._setup(graph, topology, n, ctx)
+        avail_f = np.ones(topology.num_nodes)
         if self._selection == "gain":
-            score = fest.sum(axis=1) if allowed is None else fest @ avail_f
+            score = fest.sum(axis=1)
         else:  # "max_cost" never reads it
             score = graph.comm_volumes()
         cycles = _native.load().topolb_cycles(

@@ -47,11 +47,6 @@ class AppResult:
     iteration_finish_times: np.ndarray  # time the k-th iteration fully completed
 
     @property
-    def time_per_iteration(self) -> float:
-        """Average wall-clock (simulated) time per iteration, us."""
-        return self.total_time / self.iterations if self.iterations else 0.0
-
-    @property
     def iteration_times(self) -> np.ndarray:
         """Per-iteration durations (us): the barrier-synchronized tails.
 

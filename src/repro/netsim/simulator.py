@@ -48,7 +48,7 @@ import numpy as np
 from repro import obs
 from repro.exceptions import SimulationError
 from repro.mapping.kernels import resolve_kernel
-from repro.netsim.eventqueue import EventQueue
+from repro.netsim.eventqueue import EventQueue, schedule_error
 from repro.netsim.messages import Message, MessageStats
 from repro.topology.base import Topology
 from repro.topology.grid import GridTopology
@@ -452,6 +452,11 @@ class NetworkSimulator:
                 f"send endpoints must be processors in [0, {self._num_procs}), "
                 f"got {src} -> {dst}"
             )
+        # The event queue's causality check, made before the message exists
+        # so that a rejected send leaves nothing in flight.
+        first = send_time + self._local if src == dst else send_time
+        if not first >= self.queue.now:
+            raise schedule_error(first, self.queue.now)
         engine = self._engine
         msg_id = self._next_id if engine is None else engine.next_id
         msg = Message(msg_id, src, dst, size_bytes, send_time)

@@ -103,7 +103,7 @@ def limit_pairs(
     """Keep only the ``max_pairs`` heaviest matched pairs; unmatch the rest.
 
     A full contraction halves the graph, which overshoots when only a few
-    merges are needed (e.g. 64 tasks onto 61 healthy processors needs 3, not
+    merges are needed (e.g. 64 tasks onto 61 processors needs 3, not
     32). Ranking pairs by the weight of their connecting edge (0 for
     force-paired leftovers, ties to the smallest endpoint id) keeps the
     merges that hide the most communication volume and releases the rest, so

@@ -16,7 +16,9 @@ from
   shape identity the shared distance-table cache uses), falling back to the
   spec string for content-defined machines;
 * the seed and the result-shaping knobs (``flow_metrics`` / ``validate`` /
-  ``netsim`` / ``allowed``).
+  ``netsim``);
+* :data:`ALGORITHM_FINGERPRINT`, so an entry computed by an older algorithm
+  misses instead of being served.
 
 The mapper's kernel is not part of the key: the compiled and reference
 bodies produce identical assignments, no request can choose between them,
@@ -37,11 +39,10 @@ from collections import OrderedDict
 from functools import lru_cache
 from pathlib import Path
 
-import numpy as np
-
 from repro.exceptions import SpecError
 
 __all__ = [
+    "ALGORITHM_FINGERPRINT",
     "CACHE_KEY_VERSION",
     "RESULT_FORMAT",
     "request_cache_key",
@@ -51,6 +52,13 @@ __all__ = [
 
 CACHE_KEY_VERSION = "repro-mapkey-v1"
 RESULT_FORMAT = "repro-mapresult-v1"
+
+#: What the algorithms compute, as pinned by the tests: sha256 over the
+#: canonical JSON of every ``tests/golden/*.json`` and the DES replay
+#: digests. A change that moves any pin must regenerate it (the tier-1
+#: fingerprint test prints the command), which retires every cached entry;
+#: :data:`CACHE_KEY_VERSION` versions the key payload's shape instead.
+ALGORITHM_FINGERPRINT = "cd5d54b112f1fb8e55af14edf4b84555c5a75f43c6bdb62e9effa05c4b51a38e"
 
 #: Generative graph-spec kinds that are pure functions of the spec string —
 #: safe to memoize. ``file:``/``lbdump:`` specs point at mutable paths, so
@@ -118,17 +126,13 @@ def request_cache_key(request) -> str:
             "spec-string mappers have a canonical identity, so the result "
             "is not content-addressable"
         )
-    allowed_digest = None
-    if request.allowed is not None:
-        mask = np.asarray(request.allowed, dtype=bool)
-        allowed_digest = hashlib.sha256(np.packbits(mask).tobytes()).hexdigest()
     payload = {
         "v": CACHE_KEY_VERSION,
+        "algorithm": ALGORITHM_FINGERPRINT,
         "graph": _graph_digest(request.graph),
         "topology": _topology_token(request.topology),
         "mapper": canonical_mapper_spec(request.mapper),
         "seed": request.seed,
-        "allowed": allowed_digest,
         "flow_metrics": bool(request.flow_metrics),
         "validate": request.validate,
         "netsim": (

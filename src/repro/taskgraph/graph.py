@@ -228,10 +228,6 @@ class TaskGraph:
         for a, b, w in zip(self._edge_u, self._edge_v, self._edge_w):
             yield int(a), int(b), float(w)
 
-    def has_edge(self, a: int, b: int) -> bool:
-        """True if tasks ``a`` and ``b`` communicate directly."""
-        return b in set(self.neighbor_slice(a)[0].tolist())
-
     # ------------------------------------------------------------- adjacency
     def _check_task(self, task: int) -> int:
         task = int(task)

@@ -41,20 +41,11 @@ class GroupedTopology(Topology):
         representative chain composes down to the non-grouped root).
     groups:
         ``(parent.num_nodes,)`` int array, ``groups[i]`` = coarse node of
-        parent node ``i``. Every id in ``0..k-1`` must occur.
-    reps:
-        Optional explicit representative per group (must be a member).
-        Defaults to each group's smallest member id. :func:`coarsen_machine`
-        passes the smallest *allowed* member on degraded machines so
-        representative distances never read a dead processor's sentinel row.
+        parent node ``i``. Every id in ``0..k-1`` must occur. Each group's
+        representative is its smallest member id.
     """
 
-    def __init__(
-        self,
-        parent: Topology,
-        groups: np.ndarray,
-        reps: np.ndarray | None = None,
-    ):
+    def __init__(self, parent: Topology, groups: np.ndarray):
         groups = np.asarray(groups, dtype=np.int64)
         if groups.shape != (parent.num_nodes,):
             raise TopologyError(
@@ -73,15 +64,8 @@ class GroupedTopology(Topology):
         self._groups.flags.writeable = False
 
         p = parent.num_nodes
-        if reps is None:
-            reps_arr = np.full(k, p, dtype=np.int64)
-            np.minimum.at(reps_arr, self._groups, np.arange(p, dtype=np.int64))
-        else:
-            reps_arr = np.asarray(reps, dtype=np.int64).copy()
-            if reps_arr.shape != (k,):
-                raise TopologyError(f"reps must have shape ({k},), got {reps_arr.shape}")
-            if not np.array_equal(self._groups[reps_arr], np.arange(k)):
-                raise TopologyError("each representative must belong to its group")
+        reps_arr = np.full(k, p, dtype=np.int64)
+        np.minimum.at(reps_arr, self._groups, np.arange(p, dtype=np.int64))
         reps_arr.flags.writeable = False
         self._reps = reps_arr
 
@@ -174,38 +158,23 @@ class GroupedTopology(Topology):
         return f"grouped({self._parent.name}/{self._num_nodes})"
 
 
-def _grid_shape_of(topology: Topology) -> tuple[int, ...] | None:
-    """The coordinate shape to halve, when the machine is grid-structured."""
-    if isinstance(topology, GridTopology):
-        return topology.shape
-    from repro.faults import DegradedTopology
-
-    if isinstance(topology, DegradedTopology) and isinstance(
-        topology.base, GridTopology
-    ):
-        return topology.base.shape
-    return None
-
-
 def coarsen_machine(
     topology: Topology,
-    allowed: np.ndarray | None = None,
     shape: tuple[int, ...] | None = None,
-) -> tuple[GroupedTopology, np.ndarray, np.ndarray | None, tuple[int, ...] | None]:
+) -> tuple[GroupedTopology, np.ndarray, tuple[int, ...] | None]:
     """One machine-coarsening step: pair processors into coarse groups.
 
     Grid machines (and coarse machines derived from one — pass the virtual
     ``shape`` returned by the previous step) halve their largest extent, so
     groups are geometric neighbor pairs and subtori coarsen to subtori.
     Anything else pairs consecutive node ids. Returns ``(coarse topology,
-    fine→coarse groups, coarse allowed mask or None, coarse virtual shape or
-    None)``; a coarse node is allowed when any member is.
+    fine→coarse groups, coarse virtual shape or None)``.
     """
     p = topology.num_nodes
     if p < 2:
         raise TopologyError("cannot coarsen a single-node machine")
-    if shape is None:
-        shape = _grid_shape_of(topology)
+    if shape is None and isinstance(topology, GridTopology):
+        shape = topology.shape
     new_shape: tuple[int, ...] | None = None
     if shape is not None:
         shape = tuple(int(s) for s in shape)
@@ -228,20 +197,4 @@ def coarsen_machine(
     else:
         groups = np.arange(p, dtype=np.int64) // 2
 
-    coarse_allowed = None
-    reps = None
-    if allowed is not None:
-        k = int(groups.max()) + 1
-        coarse_allowed = np.zeros(k, dtype=bool)
-        coarse_allowed[groups[allowed]] = True
-        # Representative = smallest allowed member where one exists, so
-        # representative distances never come from a dead processor's row.
-        ids = np.arange(p, dtype=np.int64)
-        healthy_min = np.full(k, p, dtype=np.int64)
-        np.minimum.at(healthy_min, groups[allowed], ids[allowed])
-        all_min = np.full(k, p, dtype=np.int64)
-        np.minimum.at(all_min, groups, ids)
-        reps = np.where(healthy_min < p, healthy_min, all_min)
-
-    coarse = GroupedTopology(topology, groups, reps=reps)
-    return coarse, groups, coarse_allowed, new_shape
+    return GroupedTopology(topology, groups), groups, new_shape

@@ -51,49 +51,6 @@ def _parse_shape(text: str) -> tuple[int, ...]:
     return shape
 
 
-_DEGRADED_KEYS = ("seed", "nodes", "links", "slow", "slow_factor")
-
-
-def _parse_degraded(params: str) -> Topology:
-    """``degraded:<base spec>;key=value;...`` → a faulted wrapper topology."""
-    from repro.faults import FaultSet, DegradedTopology
-
-    parts = [part.strip() for part in params.split(";")]
-    if not parts or not parts[0]:
-        raise SpecError(
-            f"degraded spec needs a base topology, got {params!r} "
-            "(e.g. degraded:torus:8x8;seed=3;nodes=0.05)"
-        )
-    base = topology_from_spec(parts[0])
-    options: dict[str, float] = {}
-    for item in parts[1:]:
-        if not item:
-            continue
-        key, sep, value = item.partition("=")
-        key = key.strip()
-        if not sep or key not in _DEGRADED_KEYS:
-            raise SpecError(
-                f"bad degraded option {item!r}; expected key=value with key "
-                f"in {_DEGRADED_KEYS}"
-            )
-        try:
-            options[key] = float(value)
-        except ValueError as exc:
-            raise SpecError(f"bad degraded option value {item!r}") from exc
-    try:
-        faults = FaultSet.generate(
-            base,
-            seed=int(options.get("seed", 0)),
-            node_rate=options.get("nodes", 0.0),
-            link_rate=options.get("links", 0.0),
-            slow_rate=options.get("slow", 0.0),
-            slow_factor=options.get("slow_factor", 0.25),
-        )
-        return DegradedTopology(base, faults)
-    except TopologyError as exc:
-        raise SpecError(f"bad degraded spec {params!r}: {exc}") from exc
-
-
 def topology_from_spec(spec: str) -> Topology:
     """Build a topology from a ``kind:params`` spec string.
 
@@ -106,9 +63,6 @@ def topology_from_spec(spec: str) -> Topology:
         fattree:arity=..;levels=.. e.g. fattree:arity=2;levels=3
         dragonfly:groups=..;routers=..;hosts=..
                                    e.g. dragonfly:groups=4;routers=4;hosts=2
-        degraded:<base>[;opt=val]  e.g. degraded:torus:8x8;seed=3;nodes=0.05
-                                   opts: seed, nodes, links, slow, slow_factor
-                                   (rates are fractions; seeded, deterministic)
 
     Raises :class:`~repro.exceptions.SpecError` on anything else.
     """
@@ -117,8 +71,6 @@ def topology_from_spec(spec: str) -> Topology:
     kind, _, params = spec.partition(":")
     kind = kind.strip().lower()
     params = params.strip()
-    if kind == "degraded":
-        return _parse_degraded(params)
     if kind == "mesh":
         return Mesh(_parse_shape(params))
     if kind == "torus":

@@ -3,8 +3,6 @@
 from repro.utils.priority_queue import AddressableMaxHeap, AddressableMinHeap
 from repro.utils.rng import as_rng
 from repro.utils.validation import (
-    check_nonnegative,
-    check_positive,
     check_permutation,
     check_shape_volume,
 )
@@ -13,8 +11,6 @@ __all__ = [
     "AddressableMaxHeap",
     "AddressableMinHeap",
     "as_rng",
-    "check_nonnegative",
-    "check_positive",
     "check_permutation",
     "check_shape_volume",
 ]

@@ -10,23 +10,9 @@ import numpy as np
 from repro.exceptions import ReproError
 
 __all__ = [
-    "check_nonnegative",
-    "check_positive",
     "check_permutation",
     "check_shape_volume",
 ]
-
-
-def check_positive(name: str, value: float, err: type[ReproError] = ReproError) -> None:
-    """Raise ``err`` unless ``value > 0``."""
-    if not value > 0:
-        raise err(f"{name} must be positive, got {value!r}")
-
-
-def check_nonnegative(name: str, value: float, err: type[ReproError] = ReproError) -> None:
-    """Raise ``err`` unless ``value >= 0``."""
-    if not value >= 0:
-        raise err(f"{name} must be non-negative, got {value!r}")
 
 
 def check_permutation(assignment: np.ndarray, n: int, err: type[ReproError] = ReproError) -> None:

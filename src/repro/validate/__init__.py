@@ -9,8 +9,8 @@ cross-checks them continuously — the differential/metamorphic oracle layer
 SimGrid-class simulators use to keep metric implementations honest:
 
 * **invariant checkers** (``cheap`` tier) — structural facts every mapping
-  must satisfy: assignment bounds, injectivity when ``n <= p``, allowed-mask
-  respect on degraded machines, the per-task additivity identity
+  must satisfy: assignment bounds, injectivity when ``n <= p``, the
+  per-task additivity identity
   ``per_task_hop_bytes.sum()/2 == hop_bytes``, and
   ``hop_bytes >= hop_bytes_lower_bound``;
 * **differential oracles** (``full`` tier) — independent implementations

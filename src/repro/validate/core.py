@@ -117,14 +117,12 @@ class _Session:
     """One validate_mapping run: shared state + check bookkeeping."""
 
     def __init__(self, graph: TaskGraph, topology: Topology,
-                 assignment: np.ndarray, report: ValidationReport, ctx,
-                 allowed: np.ndarray | None):
+                 assignment: np.ndarray, report: ValidationReport, ctx):
         self.graph = graph
         self.topology = topology
         self.assignment = assignment
         self.report = report
         self.ctx = ctx
-        self.allowed = allowed
         self.hop_bytes: float | None = None  # set by the additivity check
 
     def record(self, invariant: str, status: str, detail: str = "") -> None:
@@ -155,45 +153,20 @@ def _check_bounds(s: _Session) -> None:
 
 def _check_injectivity(s: _Session) -> None:
     n, p = s.graph.num_tasks, s.topology.num_nodes
-    # Capacity counts *usable* processors: an explicit mask, else the
-    # auto-derived degraded-machine mask (as in _check_allowed_mask) — 64
-    # tasks on a 64-node machine with 3 dead nodes is necessarily
-    # many-to-one, not an injectivity violation.
-    mask = s.allowed if s.allowed is not None else s.ctx.allowed()
-    capacity = int(mask.sum()) if mask is not None else p
-    if n > capacity:
+    if n > p:
         s.record("injectivity", "skipped",
-                 f"{n} tasks on {capacity} processors is necessarily many-to-one")
+                 f"{n} tasks on {p} processors is necessarily many-to-one")
         return
     unique, counts = np.unique(s.assignment, return_counts=True)
     if len(unique) != n:
         crowded = unique[counts > 1][:8]
         s.record(
             "injectivity", "violated",
-            f"{n} tasks occupy only {len(unique)} processors with {capacity} "
+            f"{n} tasks occupy only {len(unique)} processors with {p} "
             f"available; shared processors: {crowded.tolist()}",
         )
         return
     s.record("injectivity", "ok")
-
-
-def _check_allowed_mask(s: _Session) -> None:
-    mask = s.allowed
-    if mask is None:
-        mask = s.ctx.allowed()  # auto-derived on degraded machines
-    if mask is None:
-        s.record("allowed-mask", "skipped", "no allowed mask (pristine machine)")
-        return
-    bad = np.flatnonzero(~mask[s.assignment])
-    if len(bad):
-        s.record(
-            "allowed-mask", "violated",
-            f"{len(bad)} tasks placed on disallowed processors; first "
-            f"offenders (task, processor): "
-            f"{[(int(t), int(s.assignment[t])) for t in bad[:8]]}",
-        )
-        return
-    s.record("allowed-mask", "ok")
 
 
 def _check_additivity(s: _Session) -> None:
@@ -324,10 +297,8 @@ def _map_with_spec(s: _Session, mapper_spec: str, seed: int | None,
                    kernel: str | None = None):
     from repro.engine.specs import parse_mapper_spec
 
-    mapper = parse_mapper_spec(mapper_spec).build(seed, kernel)
-    if s.allowed is not None:
-        return mapper.map(s.graph, s.topology, allowed=s.allowed)
-    return mapper.map(s.graph, s.topology)
+    return parse_mapper_spec(mapper_spec).build(seed, kernel).map(
+        s.graph, s.topology)
 
 
 def _check_kernel_differential(s: _Session, mapper_spec: str | None,
@@ -556,7 +527,6 @@ def validate_mapping(
     *,
     level: str = "cheap",
     ctx=None,
-    allowed: np.ndarray | None = None,
     mapper_spec: str | None = None,
     graph_spec: str | None = None,
     topology_spec: str | None = None,
@@ -608,7 +578,7 @@ def validate_mapping(
 
         ctx = context_for(graph, topology)
     arr = np.asarray(assignment)
-    s = _Session(graph, topology, arr, report, ctx, allowed)
+    s = _Session(graph, topology, arr, report, ctx)
 
     _check_bounds(s)
     if report.violations():
@@ -618,7 +588,6 @@ def validate_mapping(
     arr = s.assignment = arr.astype(np.int64, copy=False)
 
     _check_injectivity(s)
-    _check_allowed_mask(s)
     _check_additivity(s)
     _check_lower_bound(s)
     _check_metrics_consistency(s, metrics)

@@ -50,16 +50,11 @@ def test_golden_metrics(strategy):
     ("topocentlb", lambda seed: TopoCentLB()),
     ("refine:base=topolb", lambda seed: RefineTopoLB(base=TopoLB(), seed=seed)),
 ])
-@pytest.mark.parametrize("topology_spec", [
-    "torus:8x8",
-    "degraded:torus:8x8;seed=3;nodes=0.05",
-])
-def test_spec_vs_direct_bit_identical(spec, direct, topology_spec):
-    # The pristine torus wants |tasks| == p; the degraded one auto-restricts
-    # to its surviving processors, so the graph must fit under that count.
-    rows = 8 if topology_spec.startswith("torus") else 7
+@pytest.mark.parametrize("rows", [8, 7], ids=["torus:8x8", "torus:8x8-underfull"])
+def test_spec_vs_direct_bit_identical(spec, direct, rows):
+    # 8 rows fill the 8x8 torus; 7 rows place 56 tasks on its 64 processors.
     graph = mesh2d_pattern(rows, 8, message_bytes=1024)
-    topology = topology_from_spec(topology_spec)
+    topology = topology_from_spec("torus:8x8")
     seed = 0
     via_spec = mapper_from_spec(spec, seed).map(graph, topology).assignment
     via_direct = direct(seed).map(graph, topology).assignment
@@ -198,7 +193,7 @@ def test_command_recorded_only_for_spec_requests():
 
 def test_recorded_command_lines_survive_a_shell(tmp_path, capsys):
     """Both recorded command lines split, in a shell, into exactly the
-    arguments their own parsers need: a degraded topology spec carries
+    arguments their own parsers need: a dragonfly topology spec carries
     ``;``, which an unquoted line would cut into two commands. The
     ``command`` a result records, run through the shell into ``repro-map``,
     prints the engine's hop-bytes for a file-backed and a generated graph
@@ -212,7 +207,7 @@ def test_recorded_command_lines_survive_a_shell(tmp_path, capsys):
     from repro.validate.core import replay_command
 
     graph = "mesh2d:8x8;bytes=1024"
-    topology = "degraded:torus:8x8;seed=3;nodes=0.05;links=0.02"
+    topology = "dragonfly:groups=4;routers=4;hosts=2"
     mapper = "pipeline:inner=topolb,order=3;refine=on"
 
     def shell_argv(line):

@@ -93,7 +93,7 @@ def test_multilevel_never_materializes_big_tables(forbid_big_matrices):
     mapping = mapper.map(graph, topo)
     assert len(np.unique(mapping.assignment)) == 64
     # Levels above the limit were really traversed.
-    assert any(p > _MATRIX_LIMIT for _, p, _, _ in mapper.last_level_assignments)
+    assert any(p > _MATRIX_LIMIT for _, p, _ in mapper.last_level_assignments)
 
 
 def test_hop_bytes_exact_beyond_int32():
@@ -114,7 +114,7 @@ def test_grouped_distance_rows_never_touch_root_matrix(forbid_big_matrices):
     topo = Torus(BIG)
     level, shape = topo, None
     for _ in range(3):
-        level, _, _, shape = coarsen_machine(level, shape=shape)
+        level, _, shape = coarsen_machine(level, shape=shape)
     assert level.num_nodes == topo.num_nodes // 8
     row = level.distance_row(0)
     assert row.shape == (level.num_nodes,)

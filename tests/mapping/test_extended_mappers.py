@@ -121,9 +121,9 @@ class TestRecursiveEmbedding:
         m = RecursiveEmbeddingMapper(seed=0).map(g, topo)
         # intra-clique average distance well below the inter-clique distance
         d = topo.distance_matrix()
-        intra = np.mean([d[m.processor_of(i), m.processor_of(j)]
+        intra = np.mean([d[m.assignment[i], m.assignment[j]]
                          for i in range(8) for j in range(i + 1, 8)])
-        cross = np.mean([d[m.processor_of(i), m.processor_of(8 + j)]
+        cross = np.mean([d[m.assignment[i], m.assignment[8 + j]]
                          for i in range(8) for j in range(8)])
         assert intra < cross
 

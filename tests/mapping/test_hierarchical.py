@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import MappingError, TopologyError
-from repro.faults import DegradedTopology, FaultSet
 from repro.mapping import HierarchicalMapper, RandomMapper, TopoLB
 from repro.taskgraph import mesh2d_pattern, random_taskgraph
 from repro.topology import GroupedTopology, Mesh, Torus, coarsen_machine
@@ -55,15 +54,12 @@ class TestGroupedTopology:
             GroupedTopology(parent, np.array([0, 2, 2, 2]))  # id 1 empty
         with pytest.raises(TopologyError):
             GroupedTopology(parent, np.array([0, 0]))  # wrong shape
-        with pytest.raises(TopologyError):
-            GroupedTopology(parent, np.array([0, 0, 1, 1]),
-                            reps=np.array([2, 1]))  # rep 2 not in group 0
 
 
 class TestCoarsenMachine:
     def test_grid_halves_largest_extent(self):
         topo = Torus((4, 8))
-        coarse, groups, _, new_shape = coarsen_machine(topo)
+        coarse, groups, new_shape = coarsen_machine(topo)
         assert new_shape == (4, 4)
         assert coarse.num_nodes == 16
         # Groups pair neighbors along the halved axis: same row, cols 2k/2k+1.
@@ -78,22 +74,10 @@ class TestCoarsenMachine:
         shape = None
         level, p = topo, 16
         while p > 2:
-            level, _, _, shape = coarsen_machine(level, shape=shape)
+            level, _, shape = coarsen_machine(level, shape=shape)
             assert level.num_nodes < p
             p = level.num_nodes
         assert p == 2
-
-    def test_degraded_mask_propagates_and_reps_stay_healthy(self):
-        base = Torus((4, 4))
-        topo = DegradedTopology(base, FaultSet(dead_nodes=[0, 5]))
-        allowed = topo.allowed_mask()
-        coarse, groups, cmask, _ = coarsen_machine(topo, allowed)
-        for g in range(coarse.num_nodes):
-            members = np.flatnonzero(groups == g)
-            assert cmask[g] == bool(allowed[members].any())
-        reps = coarse.representatives
-        healthy = cmask.nonzero()[0]
-        assert allowed[reps[healthy]].all()
 
     def test_single_node_machine_refused(self):
         with pytest.raises(TopologyError):
@@ -134,8 +118,8 @@ class TestHierarchicalProperties:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_level_invariants_every_uncoarsening_step(self, seed):
-        """At every recorded level: bounds, injectivity (within capacity),
-        and the allowed mask hold."""
+        """At every recorded level: bounds and injectivity (within
+        capacity) hold."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(12, 80))
         graph = random_taskgraph(n, edge_prob=0.15, seed=seed)
@@ -144,24 +128,32 @@ class TestHierarchicalProperties:
         mapper = HierarchicalMapper(stop=4, seed=seed)
         mapper.map(graph, topo)
         assert mapper.last_level_assignments  # at least the coarsest level
-        for ln, lp, allowed, assign in mapper.last_level_assignments:
+        for ln, lp, assign in mapper.last_level_assignments:
             assert assign.shape == (ln,)
             assert assign.min() >= 0 and assign.max() < lp
-            capacity = lp if allowed is None else int(allowed.sum())
-            if ln <= capacity:
+            if ln <= lp:
                 assert len(np.unique(assign)) == ln  # injective
-            if allowed is not None:
-                assert allowed[assign].all()
 
-    def test_masked_run_uses_whole_healthy_machine(self):
-        """64 tasks, 61 healthy processors: the partial final contraction
-        must land on exactly 61 distinct processors, not a full halving."""
+    def test_partial_contraction_uses_whole_machine(self):
+        """64 tasks on 61 processors: the partial final contraction must
+        land on exactly 61 distinct processors, not a full halving."""
         graph = mesh2d_pattern(8, 8)
-        topo = DegradedTopology(Torus((8, 8)), FaultSet(dead_nodes=[3, 17, 42]))
+        topo = Torus((61,))
         mapping = HierarchicalMapper(stop=16, seed=0).map(graph, topo)
-        allowed = topo.allowed_mask()
-        assert allowed[mapping.assignment].all()
-        assert len(np.unique(mapping.assignment)) == int(allowed.sum())
+        assert len(np.unique(mapping.assignment)) == 61
+
+    def test_underfull_run_is_injective(self):
+        """Fewer tasks than processors on a pristine machine: TopoLB places
+        the coarsest level and RefineTopoLB polishes every finer one, each
+        one task per processor."""
+        graph = mesh2d_pattern(3, 4)
+        topo = Torus((8, 8))
+        mapper = HierarchicalMapper(stop=16, seed=0)
+        mapping = mapper.map(graph, topo)
+        assert len(np.unique(mapping.assignment)) == graph.num_tasks
+        assert [lp for _, lp, _ in mapper.last_level_assignments] == [16, 32, 64]
+        for ln, lp, assign in mapper.last_level_assignments:
+            assert ln == 12 and len(np.unique(assign)) == ln
 
     def test_many_to_one_groups_cover_machine(self):
         graph = random_taskgraph(100, edge_prob=0.05, seed=3)

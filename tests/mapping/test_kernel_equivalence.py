@@ -24,7 +24,6 @@ from repro import obs
 from repro.exceptions import MappingError
 from repro.engine.specs import mapper_from_spec, parse_mapper_spec
 from repro.mapping import RandomMapper, RefineTopoLB, TopoLB
-from repro.mapping.base import resolve_allowed
 from repro.mapping.estimation import EstimatorOrder
 from repro.mapping.kernels import (
     DEFAULT_KERNEL,
@@ -116,14 +115,11 @@ class TestIncrementalNative:
     @staticmethod
     def _calls():
         """``(label, run)`` per routed call site, ``run(kernel)`` returning
-        the mapping: RefineTopoLB and TopoLB of every order, each unmasked
-        and masked."""
-        from repro.faults import DegradedTopology, FaultSet
-
-        deg = DegradedTopology(Torus((4, 4)), FaultSet(dead_nodes=[5, 10]))
+        the mapping: RefineTopoLB and TopoLB of every order, each with
+        n == p and n < p."""
         cases = [("torus4x4", mesh2d_pattern(4, 4), Torus((4, 4))),
-                 ("masked", random_taskgraph(deg.num_healthy, edge_prob=0.3,
-                                             seed=6), deg)]
+                 ("underfull", random_taskgraph(14, edge_prob=0.3, seed=6),
+                  Torus((4, 4)))]
         for label, graph, topo in cases:
             start = RandomMapper(seed=11).map(graph, topo)
             yield f"refine-{label}", lambda k, s=start: RefineTopoLB(
@@ -191,29 +187,25 @@ COUNTERS = ("topolb.cycles", "topolb.reserve_hits",
 
 
 def _path_instances():
-    """A pristine, a masked and a masked-underfull machine, at a scale where
+    """A full machine and two underfull ones (n < p), at a scale where
     every cycle touches dozens of rows, plus a fully symmetric instance
     whose run is all tie-breaking."""
-    from repro.faults import DegradedTopology, FaultSet
-
     base = Torus((8, 4, 4))
-    deg = DegradedTopology(
-        base, FaultSet(dead_nodes=[3, 17, 64, 100], dead_links=[(0, 1)]))
+    p = base.num_nodes
     return [
-        ("torus8x4x4", geometric_taskgraph(128, radius=0.2, seed=42), base),
-        ("masked", geometric_taskgraph(deg.num_healthy, radius=0.2,
-                                       seed=42), deg),
-        ("masked-underfull", geometric_taskgraph(deg.num_healthy - 7,
-                                                 radius=0.2, seed=7), deg),
+        ("torus8x4x4", geometric_taskgraph(p, radius=0.2, seed=42), base),
+        ("underfull", geometric_taskgraph(p - 4, radius=0.2, seed=42), base),
+        ("underfull-7", geometric_taskgraph(p - 7, radius=0.2, seed=7),
+         base),
         ("symmetric", mesh3d_pattern(4, 4, 4, message_bytes=1.0),
          Torus((4, 4, 4))),
     ]
 
 
-def _map_counted(graph, topo, order, selection, kernel, allowed=None):
+def _map_counted(graph, topo, order, selection, kernel):
     with obs.profiled() as prof:
         mapping = TopoLB(order=order, selection=selection,
-                         kernel=kernel).map(graph, topo, allowed)
+                         kernel=kernel).map(graph, topo)
     return mapping.assignment, {c: prof.counters[c] for c in COUNTERS}
 
 
@@ -225,9 +217,7 @@ def _assert_paths_agree(label, graph, topo, order, selection):
     np.testing.assert_array_equal(
         vec, ref, err_msg=f"{label} order={order} selection={selection}")
     assert vec_counters == ref_counters
-    allowed = resolve_allowed(topo, None)
-    if allowed is not None:
-        assert allowed[vec].all()
+    assert len(np.unique(vec)) == graph.num_tasks
 
 
 class TestFirstSecondOrderPaths:
@@ -274,7 +264,7 @@ class TestThirdOrderPaths:
     """Third-order TopoLB has its own compiled cycle loop, which recentres
     every unplaced row each cycle and keeps those rows compacted at the top
     of ``fest``. It is pinned to the reference at a scale where every cycle
-    recentres over a hundred rows, on a pristine and a degraded machine,
+    recentres over a hundred rows, on a full and an underfull machine,
     down to the lazy-repair counters."""
 
     @pytest.mark.parametrize("label,graph,topo", _path_instances()[:3],
@@ -311,10 +301,10 @@ class TestThirdOrderPaths:
 
 @st.composite
 def _random_instances(draw):
-    """(graph, topology, allowed): n <= p tasks on p processors — random
-    CSR graphs with isolated vertices and zero-weight edges, integer
-    weights that force ties, masks with fewer tasks than allowed
-    processors, and rings with fractional link lengths."""
+    """(graph, topology): n <= p tasks on p processors — random CSR
+    graphs with isolated vertices and zero-weight edges, integer weights
+    that force ties, fewer tasks than processors, and rings with
+    fractional link lengths."""
     if draw(st.booleans()):
         topo = Torus(draw(st.sampled_from([(3, 3), (4, 2), (2, 2, 2),
                                            (4, 3)])))
@@ -328,19 +318,14 @@ def _random_instances(draw):
         topo = ArbitraryTopology(p, links + [c for c in chords
                                              if c[0] != c[1]])
     p = topo.num_nodes
-    allowed, n = None, p
-    if draw(st.booleans()):
-        allowed = np.array(draw(st.lists(st.booleans(), min_size=p,
-                                         max_size=p)))
-        allowed[draw(st.integers(0, p - 1))] = True
-        n = draw(st.integers(1, int(allowed.sum())))
+    n = draw(st.integers(1, p)) if draw(st.booleans()) else p
     weight = (st.integers(0, 3).map(float) if draw(st.booleans())
               else st.floats(0.0, 8.0))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
                                     st.integers(0, n - 1)),
                           max_size=3 * n))
     edges = [(a, b, draw(weight)) for a, b in pairs if a != b]
-    return TaskGraph(n, edges), topo, allowed
+    return TaskGraph(n, edges), topo
 
 
 @pytest.mark.skipif(not _native.available(),
@@ -352,9 +337,9 @@ def _random_instances(draw):
 def test_random_instances_match_reference(instance, order, selection):
     """Differential: every compiled TopoLB loop returns the reference's
     assignment and counters on random small instances."""
-    graph, topo, allowed = instance
-    ref = _map_counted(graph, topo, order, selection, "reference", allowed)
-    vec = _map_counted(graph, topo, order, selection, "vectorized", allowed)
+    graph, topo = instance
+    ref = _map_counted(graph, topo, order, selection, "reference")
+    vec = _map_counted(graph, topo, order, selection, "vectorized")
     np.testing.assert_array_equal(vec[0], ref[0])
     assert vec[1] == ref[1]
 
@@ -365,35 +350,30 @@ class TestCostTable:
 
     @staticmethod
     def _machines():
-        from repro.faults import DegradedTopology, FaultSet
-        from repro.topology import ArbitraryTopology
-
+        """(label, (topology, tasks)): a full machine, an underfull one
+        whose assignment leaves columns unused, and float distances."""
         rng = np.random.default_rng(5)
         ring = [(i, (i + 1) % 24, float(c))
                 for i, c in enumerate(rng.uniform(0.5, 3.0, 24))]
         chords = [(i, (i + 7) % 24, 1.7) for i in range(0, 24, 3)]
         return [
-            ("weighted", Torus((4, 4, 2))),
-            ("degraded", DegradedTopology(
-                Torus((6, 4)), FaultSet(dead_nodes=[1, 9],
-                                        dead_links=[(4, 5)]))),
-            ("float-distances", ArbitraryTopology(24, ring + chords)),
+            ("weighted", (Torus((4, 4, 2)), 32)),
+            ("underfull", (Torus((6, 4)), 22)),
+            ("float-distances", (ArbitraryTopology(24, ring + chords), 24)),
         ]
 
-    @pytest.mark.parametrize("label,topo", _machines(),
+    @pytest.mark.parametrize("label,case", _machines(),
                              ids=lambda v: v if isinstance(v, str) else "")
-    def test_matches_scipy(self, label, topo):
+    def test_matches_scipy(self, label, case):
+        topo, n = case
         import scipy.sparse as sp
 
         native = _native.load()
         if native is None:
             pytest.skip("no C compiler on this host")
-        allowed = resolve_allowed(topo, None)
-        slots = (np.arange(topo.num_nodes) if allowed is None
-                 else np.flatnonzero(allowed))
-        graph = geometric_taskgraph(slots.size, radius=0.4, seed=8)
+        graph = geometric_taskgraph(n, radius=0.4, seed=8)
         indptr, indices, weights = graph.csr_arrays()
-        assign = np.random.default_rng(1).permutation(slots)
+        assign = np.random.default_rng(1).permutation(topo.num_nodes)[:n]
         dist = np.ascontiguousarray(topo.distance_matrix(), dtype=np.float64)
         want = sp.csr_matrix((weights, assign[indices], indptr),
                              shape=(graph.num_tasks, topo.num_nodes)) @ dist
@@ -401,48 +381,32 @@ class TestCostTable:
         np.testing.assert_array_equal(got, want, err_msg=label)
 
 
-class TestMaskedEquivalence:
-    """The allowed-processor mask (degraded machines) preserves equivalence."""
-
-    def _degraded(self):
-        from repro.faults import DegradedTopology, FaultSet
-
-        base = Torus((4, 4))
-        faults = FaultSet(dead_nodes=[5, 10], dead_links=[(0, 1)])
-        return DegradedTopology(base, faults)
+class TestUnderfullEquivalence:
+    """Fewer tasks than processors (n < p) preserves equivalence."""
 
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("selection", SELECTIONS)
-    def test_topolb_masked_bit_identical(self, order, selection):
-        deg = self._degraded()
-        graph = random_taskgraph(deg.num_healthy, edge_prob=0.3, seed=2)
+    def test_topolb_identical(self, order, selection):
+        graph = random_taskgraph(13, edge_prob=0.3, seed=2)
         ref = TopoLB(order=order, selection=selection,
-                     kernel="reference").map(graph, deg)
+                     kernel="reference").map(graph, Torus((4, 4)))
         vec = TopoLB(order=order, selection=selection,
-                     kernel="vectorized").map(graph, deg)
+                     kernel="vectorized").map(graph, Torus((4, 4)))
         np.testing.assert_array_equal(
             vec.assignment, ref.assignment,
-            err_msg=f"masked order={order} selection={selection}",
+            err_msg=f"underfull order={order} selection={selection}",
         )
-        assert deg.allowed_mask()[vec.assignment].all()
+        assert len(np.unique(vec.assignment)) == graph.num_tasks
 
-    def test_topolb_masked_underfull(self):
-        """Fewer tasks than healthy processors (n < p')."""
-        deg = self._degraded()
-        graph = random_taskgraph(deg.num_healthy - 3, edge_prob=0.3, seed=4)
-        ref = TopoLB(kernel="reference").map(graph, deg)
-        vec = TopoLB(kernel="vectorized").map(graph, deg)
-        np.testing.assert_array_equal(vec.assignment, ref.assignment)
-
-    def test_refine_masked_incremental(self):
-        """Masked run: the compiled sweep matches the reference kernel."""
-        deg = self._degraded()
-        graph = random_taskgraph(deg.num_healthy, edge_prob=0.3, seed=6)
-        start = RandomMapper(seed=11).map(graph, deg)
+    def test_refine_underfull_incremental(self):
+        """n < p: the compiled sweep matches the reference kernel and never
+        moves a task onto an unoccupied processor."""
+        graph = random_taskgraph(13, edge_prob=0.3, seed=6)
+        start = RandomMapper(seed=11).map(graph, Torus((4, 4)))
         ref = RefineTopoLB(kernel="reference", seed=1).refine(start)
         native = RefineTopoLB(kernel="vectorized", seed=1).refine(start)
         np.testing.assert_array_equal(native.assignment, ref.assignment)
-        assert deg.allowed_mask()[native.assignment].all()
+        assert set(native.assignment) == set(start.assignment)
 
 
 class TestKernelSelection:

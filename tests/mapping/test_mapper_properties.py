@@ -118,7 +118,7 @@ def test_property_colocating_any_pair_never_below_lower_bound_logic(seed):
     expected = 0.0
     for j, c in zip(*graph.neighbor_slice(a)):
         j = int(j)
-        old = mat[base.processor_of(a), base.processor_of(j)]
+        old = mat[base.assignment[a], base.assignment[j]]
         new = mat[int(squashed[a]), int(squashed[j]) if j != a else int(squashed[a])]
         expected += c * (new - old)
     assert delta == pytest.approx(expected)

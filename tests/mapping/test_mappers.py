@@ -52,9 +52,12 @@ class TestBijectionInvariant:
 
     @pytest.mark.parametrize("mapper", ALL_MAPPERS, ids=lambda m: repr(m))
     def test_size_mismatch_rejected(self, mapper):
-        g = random_taskgraph(10, seed=0)
-        with pytest.raises(MappingError, match="partition"):
-            mapper.map(g, Torus((4, 4)))
+        # n > p always asks for partitioning; n < p only where the class
+        # cannot place fewer tasks than processors.
+        sizes = (20,) if mapper.places_underfull else (20, 10)
+        for n in sizes:
+            with pytest.raises(MappingError, match="partition"):
+                mapper.map(random_taskgraph(n, seed=0), Torus((4, 4)))
 
 
 class TestMappingObject:
@@ -62,7 +65,7 @@ class TestMappingObject:
         m = IdentityMapper().map(pattern8x8, torus8x8)
         assert m.hop_bytes == pytest.approx(pattern8x8.total_bytes)
         assert m.hops_per_byte == pytest.approx(1.0)
-        assert m.processor_of(5) == 5
+        assert m.assignment[5] == 5
 
     def test_assignment_readonly(self, pattern8x8, torus8x8):
         m = IdentityMapper().map(pattern8x8, torus8x8)
@@ -182,7 +185,7 @@ class TestTopoLB:
         )
         topo = Torus((8,))
         m = TopoLB().map(g, topo)
-        assert topo.distance(m.processor_of(0), m.processor_of(7)) == 1
+        assert topo.distance(m.assignment[0], m.assignment[7]) == 1
 
 
 class TestTopoCentLB:
@@ -207,9 +210,9 @@ class TestTopoCentLB:
         g = TaskGraph(9, [(0, j, 100.0) for j in range(1, 5)] + [(5, 6, 1.0), (7, 8, 1.0), (1, 5, 1.0), (2, 7, 1.0)])
         topo = Mesh((3, 3))
         m = TopoCentLB().map(g, topo)
-        hub = m.processor_of(0)
+        hub = m.assignment[0]
         for j in range(1, 5):
-            assert topo.distance(hub, m.processor_of(j)) == 1
+            assert topo.distance(hub, m.assignment[j]) == 1
 
     def test_ring_stays_local(self):
         topo = Torus((16,))

@@ -128,18 +128,15 @@ class TestSetupCostTable:
 
     @given(seed=st.integers(0, 5000), n=st.integers(2, 29))
     @settings(max_examples=25, deadline=None)
-    def test_masked_cost_table_is_bitwise_gather_product(self, seed, n):
-        """n < p on a masked machine: the table is (n, p) over every
-        processor, dead ones included."""
+    def test_underfull_cost_table_is_bitwise_gather_product(self, seed, n):
+        """n < p: the table is (n, p) over every processor, unoccupied ones
+        included."""
         topo = Torus((5, 6))
         rng = np.random.default_rng(seed)
-        allowed = np.zeros(30, dtype=bool)
-        allowed[rng.choice(30, size=n + int(rng.integers(0, 30 - n + 1)),
-                           replace=False)] = True
         g = random_taskgraph(n, edge_prob=0.4, seed=seed)
-        placed = rng.choice(np.flatnonzero(allowed), size=n, replace=False)
+        placed = rng.choice(30, size=n, replace=False)
         mapping = Mapping(g, topo, placed)
-        *_, assign, cost = RefineTopoLB(seed=seed)._setup(mapping, allowed)
+        *_, assign, cost = RefineTopoLB(seed=seed)._setup(mapping)
         dist = topo.distance_matrix(np.float64)
         expected = np.asarray(g.adjacency_csr() @ dist[assign])
         assert cost.shape == (n, 30)

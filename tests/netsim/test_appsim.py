@@ -201,11 +201,6 @@ class TestMappingEffects:
         slow = run_app(mapping, iterations=5, bandwidth=50.0, message_bytes=1000.0)
         assert slow.total_time >= fast.total_time
 
-    def test_time_per_iteration(self, pattern8x8, torus8x8):
-        mapping = IdentityMapper().map(pattern8x8, torus8x8)
-        result = run_app(mapping, iterations=4)
-        assert result.time_per_iteration == pytest.approx(result.total_time / 4)
-
 
 class TestZeroByteEdges:
     """A zero-weight edge carries no traffic: the replay sends nothing on it

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import SimulationError
+from repro.mapping.kernels import KERNELS
 from repro.netsim import NetworkSimulator, RoutingPolicy
 from repro.topology import Mesh, Torus
 
@@ -166,36 +167,6 @@ class TestHeterogeneousLinks:
                          kernel=kernel)
 
 
-class TestDegradedEndToEnd:
-    def test_simulate_over_degraded_topology_with_slow_links(self, kernel):
-        """Map on a degraded machine, then simulate over its BFS routes with
-        the fault set's slow links applied as bandwidth overrides."""
-        from repro import obs
-        from repro.faults import DegradedTopology, FaultSet
-        from repro.mapping import TopoLB
-        from repro.taskgraph import random_taskgraph
-
-        base = Torus((8, 8))
-        faults = FaultSet.generate(base, seed=3, node_rate=0.05,
-                                   link_rate=0.02, slow_rate=0.05)
-        deg = DegradedTopology(base, faults)
-        graph = random_taskgraph(deg.num_healthy, edge_prob=0.1, seed=0)
-        assign = np.asarray(TopoLB().map(graph, deg).assignment)
-
-        prof = obs.enable()
-        try:
-            sim = NetworkSimulator(
-                deg, link_bandwidths=faults.bandwidth_overrides(100.0),
-                kernel=kernel)
-            for a, b, w in graph.edges():
-                sim.send(int(assign[a]), int(assign[b]), float(w))
-            sim.run()
-            c = prof.snapshot()["counters"]
-        finally:
-            obs.disable()
-        assert c["netsim.delivered"] == c["netsim.messages"]
-
-
 class TestValidation:
     def test_bad_bandwidth(self, kernel):
         with pytest.raises(SimulationError):
@@ -213,6 +184,39 @@ class TestValidation:
         sim = make_sim(kernel)
         with pytest.raises(SimulationError):
             sim.send(0, 1, 0.0)
+
+
+class TestRejectedSend:
+    """A send into the past raises before the message exists: nothing is
+    left in flight or counted, and both bodies carry on identically."""
+
+    @staticmethod
+    def _run_after_rejected_send(kernel):
+        from repro import obs
+
+        with obs.profiled() as prof:
+            sim = NetworkSimulator(Torus((4, 4)), stall_window=50.0,
+                                   kernel=kernel)
+            sim.send(0, 5, 100.0, at=10.0)
+            sim.run()
+            before = (sim.in_flight, dict(prof.counters), sim.stats.snapshot())
+            for src, dst in ((0, 5), (3, 3)):  # remote and local
+                with pytest.raises(SimulationError, match="causality"):
+                    sim.send(src, dst, 100.0, at=1.0)
+            after = (sim.in_flight, dict(prof.counters), sim.stats.snapshot())
+            msg = sim.send(1, 2, 10.0)
+            end = sim.run()
+        return before, after, msg.msg_id, end, sim.stats.snapshot()
+
+    def test_nothing_left_in_flight(self, kernel):
+        before, after, msg_id, _, _ = self._run_after_rejected_send(kernel)
+        assert after == before
+        assert before[0] == 0
+        assert msg_id == 1
+
+    def test_bodies_finish_the_same_way(self):
+        runs = [self._run_after_rejected_send(k)[2:] for k in KERNELS]
+        assert runs[0] == runs[1]
 
 
 class TestStats:

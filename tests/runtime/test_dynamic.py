@@ -41,7 +41,7 @@ class TestIncrementalRefineLB:
         out, moved = IncrementalRefineLB(imbalance_tol=1.3).rebalance(mapping)
         assert moved.any()
         if moved[3]:
-            assert topo.distance(out.processor_of(3), 5) <= 2
+            assert topo.distance(out.assignment[3], 5) <= 2
 
     def test_never_moves_more_than_needed(self):
         g = TaskGraph(10, [], vertex_weights=np.ones(10))

@@ -49,7 +49,6 @@ def test_key_is_stable_and_spelling_independent(tmp_path):
     {"flow_metrics": True},
     {"validate": "full"},
     {"netsim": {"buffer_packets": 4}},
-    {"allowed": [True] * 15 + [False]},
 ])
 def test_key_changes_with_every_identity_field(overrides):
     assert request_cache_key(_req(**overrides)) != request_cache_key(_req())
@@ -64,7 +63,7 @@ def test_kernel_is_not_part_of_the_request():
 
 def test_key_rejects_non_addressable_requests():
     class LiveMapper:
-        def map(self, graph, topology, allowed=None):  # pragma: no cover
+        def map(self, graph, topology):  # pragma: no cover
             raise AssertionError
 
     with pytest.raises(SpecError, match="live object"):

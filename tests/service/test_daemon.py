@@ -195,7 +195,7 @@ def test_poisoned_request_does_not_take_down_batchmates():
 class ExitingMapper:
     """Kill the pool worker that runs it, as a segfault or the OOM killer would."""
 
-    def map(self, graph, topology, allowed=None):
+    def map(self, graph, topology):
         os._exit(1)
 
 

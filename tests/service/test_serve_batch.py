@@ -32,7 +32,7 @@ class FlakyMapper:
         self.attempts_path = str(attempts_path)
         self.exc_factory_name = exc_factory_name
 
-    def map(self, graph, topology, allowed=None):
+    def map(self, graph, topology):
         with open(self.attempts_path, "a") as fh:
             fh.write("attempt\n")
         if self.exc_factory_name == "validation":

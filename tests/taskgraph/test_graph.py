@@ -87,10 +87,6 @@ class TestAccessors:
         assert sorted(tiny_graph.neighbors(0)) == [1, 3]
         assert sorted(tiny_graph.neighbors(1)) == [0, 2]
 
-    def test_has_edge(self, tiny_graph):
-        assert tiny_graph.has_edge(0, 3)
-        assert not tiny_graph.has_edge(1, 3)
-
     def test_comm_volume(self, tiny_graph):
         assert tiny_graph.comm_volume(0) == 110.0
         assert tiny_graph.comm_volume(2) == 50.0
@@ -129,7 +125,7 @@ class TestConversion:
         assert g2.total_bytes == tiny_graph.total_bytes
         assert g2.vertex_weights[perm[0]] == tiny_graph.vertex_weights[0]
         # edge (0,1,10) becomes (3,1,10)
-        assert g2.has_edge(3, 1)
+        assert 1 in g2.neighbor_slice(3)[0]
 
     def test_relabel_requires_permutation(self, tiny_graph):
         with pytest.raises(TaskGraphError):
@@ -141,12 +137,12 @@ class TestConversion:
         assert sub.num_tasks == 3
         assert sub.total_bytes == 110.0
         assert sub.vertex_weights.tolist() == [1.0, 2.0, 4.0]
-        assert sub.has_edge(0, 2)  # local ids: 0->0, 1->1, 3->2
+        assert 2 in sub.neighbor_slice(0)[0]  # local ids: 0->0, 1->1, 3->2
 
     def test_induced_order_respected(self, tiny_graph):
         sub = tiny_graph.induced([3, 0])
         assert sub.vertex_weights.tolist() == [4.0, 1.0]
-        assert sub.has_edge(0, 1)
+        assert 1 in sub.neighbor_slice(0)[0]
 
     def test_induced_rejects_duplicates(self, tiny_graph):
         with pytest.raises(TaskGraphError, match="distinct"):

@@ -107,13 +107,20 @@ def test_one_des_model(rel):
 def test_no_simulated_failures(rel):
     """The simulated machine stays healthy while it runs: no link or node
     fault injection in either DES body, and no node-failure schedule in the
-    dynamic load-balancing driver. Degraded machines are built before a run
-    (``repro.faults``)."""
+    dynamic load-balancing driver."""
     pattern = (
         r"schedule_link_failure|schedule_node_failure|fail_link|fail_node"
         r"|faulted|des_fail|RC_FAULT|node_failures"
     )
     assert _grep(pattern, rel) == []
+
+
+def test_no_degraded_machines():
+    """The machines are pristine: no fault set, no degraded topology or
+    ``degraded:`` spec, and no allowed-processor mask for a mapper to
+    resolve. A mapper places n <= p tasks by its class, not by a mask."""
+    pattern = r"DegradedTopology|FaultSet|resolve_allowed|allowed_mask|degraded:"
+    assert _grep(pattern, ".") == []
 
 
 def test_partitioner_walks_csr_lists():

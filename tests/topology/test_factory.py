@@ -34,7 +34,8 @@ class TestFactory:
 
     @pytest.mark.parametrize(
         "bad",
-        ["torus", "mesh:", "mesh:axb", "hypercube:x", "fattree:4", "ring:5"],
+        ["torus", "mesh:", "mesh:axb", "hypercube:x", "fattree:4", "ring:5",
+         "degraded:torus:8x8"],
     )
     def test_rejects_bad_specs(self, bad):
         with pytest.raises(SpecError):
@@ -49,43 +50,3 @@ class TestFactory:
             topology_from_spec("torus:4x0")
         with pytest.raises(ReproError):
             topology_from_spec("torus:4x0")
-
-
-class TestDegradedSpec:
-    def test_builds_degraded_wrapper(self):
-        from repro.faults import DegradedTopology, FaultSet
-
-        topo = topology_from_spec("degraded:torus:8x8;seed=3;nodes=0.05;links=0.02")
-        assert isinstance(topo, DegradedTopology)
-        assert isinstance(topo.base, Torus)
-        assert topo.num_nodes == 64
-        assert topo.faults == FaultSet.generate(
-            topo.base, seed=3, node_rate=0.05, link_rate=0.02
-        )
-
-    def test_defaults_to_no_faults(self):
-        topo = topology_from_spec("degraded:mesh:4x4")
-        assert topo.faults.is_empty
-        assert topo.num_healthy == 16
-
-    def test_slow_links_option(self):
-        topo = topology_from_spec(
-            "degraded:torus:4x4;seed=1;slow=0.1;slow_factor=0.5"
-        )
-        assert all(f == 0.5 for _, f in topo.faults.slow_links)
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "degraded:",                       # no base topology
-            "degraded:ring:5",                 # unknown base kind
-            "degraded:torus:8x8;bogus=1",      # unknown option key
-            "degraded:torus:8x8;nodes",        # missing =value
-            "degraded:torus:8x8;nodes=abc",    # unparseable value
-            "degraded:torus:8x8;nodes=2.0",    # rate out of [0, 1]
-            "degraded:torus:8x8;nodes=1.0",    # would kill every processor
-        ],
-    )
-    def test_rejects_bad_degraded_specs(self, bad):
-        with pytest.raises(SpecError):
-            topology_from_spec(bad)

@@ -5,7 +5,7 @@ same values, same dtype. The expected distances come from outside the
 class: breadth-first search over ``link_graph()`` for the networks with
 links, the stored matrix for a matrix machine, Floyd-Warshall over the link
 costs for a weighted graph, and the oracle rows of the parent mapped by
-hand for the views (subset, grouped) and the degraded machine.
+hand for the views (subset, grouped).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from collections import deque
 import numpy as np
 import pytest
 
-from repro.faults import DegradedTopology, FaultSet
 from repro.topology import (
     ArbitraryTopology,
     Dragonfly,
@@ -29,11 +28,11 @@ from repro.topology import (
 )
 
 
-def bfs_oracle(topology, unreachable=None) -> np.ndarray:
+def bfs_oracle(topology) -> np.ndarray:
     """Processor-to-processor hop counts by BFS over ``link_graph()``."""
     graph = topology.link_graph()
     p = topology.num_nodes
-    out = np.full((p, p), -1 if unreachable is None else unreachable, np.int64)
+    out = np.full((p, p), -1, np.int64)
     for src in range(p):
         seen = {src: 0}
         frontier = deque([src])
@@ -46,7 +45,7 @@ def bfs_oracle(topology, unreachable=None) -> np.ndarray:
         for dst, hops in seen.items():
             if dst < p:
                 out[src, dst] = hops
-    assert (out >= 0).all(), "oracle found a disconnected pristine machine"
+    assert (out >= 0).all(), "oracle found a disconnected machine"
     return out
 
 
@@ -109,34 +108,14 @@ def _cases():
     level, shape = torus, None
     reps = np.arange(torus.num_nodes)
     for _ in range(2):
-        level, _, _, shape = coarsen_machine(level, shape=shape)
+        level, _, shape = coarsen_machine(level, shape=shape)
         reps = reps[level.representatives]
     yield "grouped-grid", level, bfs_oracle(torus)[np.ix_(reps, reps)]
 
     fattree = FatTree(2, 3)
-    grouped, _, _, _ = coarsen_machine(fattree)
+    grouped, _, _ = coarsen_machine(fattree)
     reps = grouped.representatives
     yield "grouped-fattree", grouped, bfs_oracle(fattree)[np.ix_(reps, reps)]
-
-    # A path 0-1-2-3-4-5 cut between 2 and 3 with node 5 dead: sentinel
-    # distances between the halves and to the dead node.
-    degraded = DegradedTopology(
-        Mesh((6,)), FaultSet(dead_nodes=[5], dead_links=[(2, 3)])
-    )
-    sentinel = degraded.unreachable_distance
-    truth = bfs_oracle(degraded, unreachable=sentinel)
-    truth[5, 5] = 0
-    assert (truth == sentinel).any()
-    yield "degraded", degraded, truth
-
-    dead = DegradedTopology(Torus((4, 4)), FaultSet(dead_nodes=[0, 6]))
-    allowed = dead.allowed_mask()
-    grouped, _, _, _ = coarsen_machine(dead, allowed=allowed)
-    reps = grouped.representatives
-    truth = bfs_oracle(dead, unreachable=dead.unreachable_distance)
-    for v in (0, 6):
-        truth[v, v] = 0
-    yield "grouped-degraded", grouped, truth[np.ix_(reps, reps)]
 
 
 CASES = list(_cases())

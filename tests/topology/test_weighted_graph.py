@@ -69,7 +69,7 @@ class TestWeightedTopology:
         # Tasks 0-1 exchange a lot; the rest barely talk.
         g = TaskGraph(6, [(0, 1, 1000.0), (2, 3, 1.0), (4, 5, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
         mapping = TopoLB().map(g, topo)
-        pa, pb = mapping.processor_of(0), mapping.processor_of(1)
+        pa, pb = mapping.assignment[0], mapping.assignment[1]
         # Their processors must be direct cheap neighbors (cost 1), never
         # straddling the expensive bridge.
         assert topo.distance(pa, pb) == pytest.approx(1.0)

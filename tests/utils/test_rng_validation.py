@@ -5,14 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import ReproError, TopologyError
+from repro.exceptions import ReproError
 from repro.utils.rng import as_rng
-from repro.utils.validation import (
-    check_nonnegative,
-    check_permutation,
-    check_positive,
-    check_shape_volume,
-)
+from repro.utils.validation import check_permutation, check_shape_volume
 
 
 class TestAsRng:
@@ -25,29 +20,6 @@ class TestAsRng:
     def test_generator_passthrough(self):
         gen = np.random.default_rng(7)
         assert as_rng(gen) is gen
-
-
-class TestCheckPositive:
-    def test_accepts_positive(self):
-        check_positive("x", 1e-9)
-
-    @pytest.mark.parametrize("bad", [0, -1, -0.5])
-    def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ReproError, match="x must be positive"):
-            check_positive("x", bad)
-
-    def test_custom_error_class(self):
-        with pytest.raises(TopologyError):
-            check_positive("x", 0, TopologyError)
-
-
-class TestCheckNonnegative:
-    def test_accepts_zero(self):
-        check_nonnegative("y", 0)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ReproError):
-            check_nonnegative("y", -1)
 
 
 class TestCheckPermutation:
