@@ -86,9 +86,8 @@ class NativeKernels:
                                  i64, *[ptr] * 8, ctypes.c_double,
                                  *[ptr] * 3)
         self._des = (
-            bind("des_new", ptr, i64, i64, ptr, i64, ptr, ptr,
-                 *[ctypes.c_double] * 4, i64, ctypes.c_double, i64,
-                 *[ctypes.c_double] * 2),
+            bind("des_new", ptr, i64, i64, ptr, ptr, *[ctypes.c_double] * 4,
+                 i64, ctypes.c_double, i64, *[ctypes.c_double] * 2),
             bind("des_free", None, ptr),
             bind("des_run", i64, ptr),
             bind("des_links", None, ptr, *[ptr] * 6),
@@ -317,12 +316,23 @@ class PartitionBisector:
 
 # Slots of the io[] array shared with des_kernel.c, and des_run's return
 # codes (see its enums).
-(_IO_LOG, _IO_PENDING, _IO_PROCESSED, _IO_CHX, _IO_CHY, _IO_HOPS, _IO_USED,
+(_IO_PENDING, _IO_PROCESSED, _IO_CHX, _IO_CHY, _IO_HOPS, _IO_USED,
  _IO_LIMIT, _IO_UNTIL, _IO_NCHANS, _IO_CHANS, _IO_NROUTES, _IO_ROUTES,
  _IO_NOPS, _IO_OPS, _IO_NMSG, _IO_INFLIGHT, _IO_DELIVERED, _IO_RETRANSMITS,
- _IO_BUFFER_DROPS, _IO_SIZE) = range(21)
-_RC_STOP, _RC_PY, _RC_DELIVER, _RC_OVERFLOW, _RC_LOGFULL = range(5)
+ _IO_TRANSMITS, _IO_ENQUEUES, _IO_SATURATIONS, _IO_SENDS, _IO_LOCAL_SENDS,
+ _IO_APP_DELIVERED, _IO_MAX_DEPTH, _IO_SIZE) = range(26)
+_RC_STOP, _RC_PY, _RC_DELIVER, _RC_OVERFLOW = range(4)
 _OP_PY, _OP_SEND, _OP_INJECT = 0.0, 1.0, 2.0  # push kinds
+#: The counters C keeps in io[] and the profiler counter each one adds to;
+#: C retransmits only after a buffer drop, so one count feeds two.
+_COUNTERS = ((_IO_RETRANSMITS, "netsim.buffer_drops"),
+             (_IO_RETRANSMITS, "netsim.retransmits"),
+             (_IO_TRANSMITS, "netsim.transmissions"),
+             (_IO_ENQUEUES, "netsim.enqueues"),
+             (_IO_SATURATIONS, "netsim.saturation_events"),
+             (_IO_SENDS, "netsim.messages"),
+             (_IO_LOCAL_SENDS, "netsim.local_messages"),
+             (_IO_APP_DELIVERED, "netsim.delivered"))
 
 
 class DesEngine:
@@ -336,36 +346,32 @@ class DesEngine:
     in C. Route sets and every push are buffered here, in arrays that io[]
     always describes, and C applies them at the start of the next
     ``des_run`` call; so C is entered once per return, not once per
-    message. A profiled engine counts the returns :meth:`run` handles as
-    ``kernel.des_returns`` (telemetry-log flushes left out).
+    message.
 
     A channel is named by two ints: ``(a, b)`` for a link, ``(-1, p)`` and
     ``(-2, p)`` for processor ``p``'s NIC channels; C interns each name on
     first sight with the default parameters given here, or with the
     bandwidth of ``overrides`` (``{(a, b): bandwidth}``); the parameters
-    after it are ``des_new``'s. At each return the wrapper adds C's new
-    delivery records, retransmits and buffer drops to ``stats`` (a
-    :class:`~repro.netsim.messages.MessageStats`). The simulator sets two
-    hooks:
-
-    * ``on_return(code, msg_id, hops)`` handles a message C hands back:
-      :attr:`DELIVER` (a ``send`` message, already recorded) or
-      :attr:`OVERFLOW` (the full channel is :attr:`overflow_channel`);
-      ``hops`` is its route length, NIC channels excluded;
-    * ``on_log(rows)`` replays the telemetry rows ``[kind, x, y, a, b]``
-      (``profiled`` only) at every return, before any Python event runs.
+    after it are ``des_new``'s. At each return, before any Python event
+    runs, the wrapper adds C's new delivery records, retransmits and buffer
+    drops to ``stats`` (a :class:`~repro.netsim.messages.MessageStats`)
+    and, given a profiler ``prof``, C's ``netsim.*`` counts to it; ``prof``
+    also counts the returns as ``kernel.des_returns``. The simulator sets
+    the hook ``on_return(code, msg_id, hops)``, which handles a message C
+    hands back: :attr:`DELIVER` (a ``send`` message, already recorded) or
+    :attr:`OVERFLOW` (the full channel is :attr:`overflow_channel`);
+    ``hops`` is its route length, NIC channels excluded.
     """
 
     DELIVER, OVERFLOW = _RC_DELIVER, _RC_OVERFLOW
-    _LOG_ROWS = 1024
     _PACK_OP = struct.Struct("6d").pack_into
 
-    __slots__ = ("on_return", "on_log", "stats", "_fns", "_late",
-                 "_h", "_io", "_dio", "_log", "_slots", "_next_slot",
+    __slots__ = ("on_return", "stats", "_prof", "_fns", "_late",
+                 "_h", "_io", "_dio", "_slots", "_next_slot",
                  "_chans", "_routes", "_ops", "_nsets", "_keep",
                  "__weakref__")
 
-    def __init__(self, fns, stats, profiled, overrides, nic_channels,
+    def __init__(self, fns, stats, prof, overrides, nic_channels,
                  saturation_depth, bandwidth, alpha, capacity, nic_bandwidth,
                  nprocs, local, max_retries, retry_delay, retry_backoff):
         from repro.netsim.eventqueue import schedule_error
@@ -374,9 +380,7 @@ class DesEngine:
         self._late = schedule_error
         self._io = (ctypes.c_int64 * _IO_SIZE)()
         self._dio = (ctypes.c_double * 4)()
-        self._log = np.zeros((self._LOG_ROWS, 5)) if profiled else None
-        log = None if self._log is None else self._log.ctypes.data
-        handle = fns[0](nic_channels, saturation_depth, log, self._LOG_ROWS,
+        handle = fns[0](nic_channels, saturation_depth,
                         ctypes.addressof(self._io),
                         ctypes.addressof(self._dio), bandwidth, alpha,
                         -1.0 if capacity is None else capacity,
@@ -400,8 +404,9 @@ class DesEngine:
         self._routes = array.array("q")
         self._ops = np.empty(6 * 64)
         self._io[_IO_OPS] = self._ops.ctypes.data
-        self.on_return = self.on_log = None
+        self.on_return = None
         self.stats = stats
+        self._prof = prof
 
     # ------------------------------------------------------ EventQueue API
     @property
@@ -440,27 +445,20 @@ class DesEngine:
         io[_IO_UNTIL] = until is not None
         self._dio[1] = math.inf if until is None else until
         run_c, h, on_return = self._fns[2], self._h, self.on_return
-        profiled = self._log is not None
+        prof = self._prof
         while True:
             r = run_c(h)
-            if profiled and io[_IO_LOG]:
-                rows = self._log[:io[_IO_LOG]].tolist()
-                io[_IO_LOG] = 0
-                self.on_log(rows)
-            if (io[_IO_DELIVERED] != self.stats.count or io[_IO_RETRANSMITS]
-                    or io[_IO_BUFFER_DROPS]):
+            if prof is not None:
+                self._pull_counters(prof)
+            if io[_IO_DELIVERED] != self.stats.count or io[_IO_RETRANSMITS]:
                 self._pull_stats()
             code = r & 7
-            if code == _RC_LOGFULL:
-                continue
-            if profiled:
-                obs.count("kernel.des_returns")
             if code == _RC_PY:
                 fn, args = slots.pop(r >> 3)
                 fn(*args)
             elif code == _RC_STOP:
                 return self._dio[0]
-            elif code < _RC_LOGFULL:
+            elif code <= _RC_OVERFLOW:
                 on_return(code, r >> 3, io[_IO_HOPS])
             else:  # pragma: no cover - out of memory in C
                 raise MemoryError("des_run")
@@ -565,6 +563,21 @@ class DesEngine:
         return list(zip(xs.tolist(), ys.tolist(), busy.tolist(),
                         carried.tolist(), peaks.tolist(), buffered.tolist()))
 
+    def _pull_counters(self, prof) -> None:
+        """Count this return as ``kernel.des_returns`` and add C's counts
+        since the last one to ``prof``: only the nonzero ones, so that no
+        counter appears at zero. Retransmits stay in io[] for
+        :meth:`_pull_stats`."""
+        io = self._io
+        prof.count("kernel.des_returns")
+        for slot, name in _COUNTERS:
+            if io[slot]:
+                prof.count(name, io[slot])
+                if slot != _IO_RETRANSMITS:
+                    io[slot] = 0
+        if io[_IO_MAX_DEPTH]:
+            prof.count_max("netsim.max_queue_depth", io[_IO_MAX_DEPTH])
+
     def _pull_stats(self) -> None:
         """Add C's new deliveries, retransmits and buffer drops to stats."""
         io, stats = self._io, self.stats
@@ -574,8 +587,8 @@ class DesEngine:
         stats.extend(latency.tolist(), size.tolist(), self._dio[2],
                      self._dio[3])
         stats.retransmits += io[_IO_RETRANSMITS]
-        stats.buffer_drops += io[_IO_BUFFER_DROPS]
-        io[_IO_RETRANSMITS] = io[_IO_BUFFER_DROPS] = 0
+        stats.buffer_drops += io[_IO_RETRANSMITS]
+        io[_IO_RETRANSMITS] = 0
 
     def _push(self, kind: float, a, b, c, d, time: float) -> None:
         """Buffer one push: a Python record, a send or a re-injection (the
@@ -596,7 +609,7 @@ class DesEngine:
         io = self._io
         run_limits = io[_IO_LIMIT], io[_IO_UNTIL]  # of a run this may be in
         io[_IO_LIMIT] = io[_IO_UNTIL] = 0
-        if self._fns[2](self._h) & 7 > _RC_LOGFULL:  # pragma: no cover
+        if self._fns[2](self._h) & 7 > _RC_OVERFLOW:  # pragma: no cover
             raise MemoryError("des_run")
         io[_IO_LIMIT], io[_IO_UNTIL] = run_limits
 

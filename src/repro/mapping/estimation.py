@@ -37,24 +37,10 @@ class EstimatorOrder(enum.IntEnum):
     THIRD = 3
 
 
-def average_distance_vector(
-    topology: Topology, subset: np.ndarray | None = None
-) -> np.ndarray:
-    """``avg[q] = mean over processors j (in subset) of d(q, j)``.
-
-    With ``subset=None`` the mean runs over all processors — the second-order
-    expectation ``E_{j ~ U[Vp]} d(q, j)``. Passing a boolean mask restricts
-    the mean to free processors — the third-order ``E_{j ~ U[Pk]} d(q, j)``.
+def average_distance_vector(topology: Topology) -> np.ndarray:
+    """``avg[q] = mean over all processors j of d(q, j)``: the second-order
+    expectation ``E_{j ~ U[Vp]} d(q, j)``.
     """
-    p = topology.num_nodes
-    if subset is not None:
-        mat = topology.distance_matrix(np.float64)
-        mask = np.asarray(subset, dtype=bool)
-        count = int(mask.sum())
-        if count == 0:
-            return np.zeros(p, dtype=np.float64)
-        return mat[:, mask].sum(axis=1) / count
-
     # The all-processors mean is a pure function of the topology shape, so it
     # is cached on the instance (and shared across instances of shape-defined
     # topologies) as a read-only vector — every TopoLB.map used to pay the

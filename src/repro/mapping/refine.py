@@ -166,25 +166,13 @@ class RefineTopoLB(Mapper):
         return n, rng, dist, indptr, indices, weights, assign, cost
 
     @staticmethod
-    def _record_sweep(prof: obs.Profiler, n: int, sweep: int,
-                      visits: int, accepted: int) -> None:
-        """Per-sweep accounting event. Every kernel visits the same tasks and
-        accepts the same swaps (bit-identity), so the event stream is
+    def _record_totals(prof: obs.Profiler | None, n: int, sweeps: int,
+                       evaluations: int, accepted: int) -> None:
+        """Whole-refine counter totals. Every kernel visits the same tasks
+        and accepts the same swaps (bit-identity), so the totals are
         kernel-independent: each visit weighs a task against its ``n - 1``
         candidate partners regardless of how much arithmetic the kernel
         actually spent producing the row."""
-        prof.event(
-            "refine.sweep",
-            sweep=sweep,
-            accepted=accepted,
-            evaluated_pairs=visits * (n - 1),
-        )
-
-    @staticmethod
-    def _record_totals(prof: obs.Profiler | None, n: int, sweeps: int,
-                       evaluations: int, accepted: int) -> None:
-        """Whole-refine counter totals, consistent with the per-sweep events
-        (``refine.pairs_evaluated`` == sum of the events' ``evaluated_pairs``)."""
         if prof is None:
             return
         prof.count("refine.sweeps", sweeps)
@@ -208,7 +196,6 @@ class RefineTopoLB(Mapper):
         sweeps = evaluations = accepted = 0
         for _sweep in range(self._max_sweeps):
             swapped = False
-            sweep_visits = sweep_accepted = 0
             if prof is not None:
                 sweeps += 1
             for a in rng.permutation(n):
@@ -229,15 +216,11 @@ class RefineTopoLB(Mapper):
                 improved = delta[b] < -1e-9
                 if prof is not None:
                     evaluations += 1
-                    sweep_visits += 1
                     if improved:
                         accepted += 1
-                        sweep_accepted += 1
                 if improved:
                     self._apply_swap(a, b, assign, cost, dist, indptr, indices, weights)
                     swapped = True
-            if prof is not None:
-                self._record_sweep(prof, n, sweeps, sweep_visits, sweep_accepted)
             if not swapped:
                 break
 
@@ -266,17 +249,9 @@ class RefineTopoLB(Mapper):
         stats = sweeper.stats  # visits, accepted, computed, folded
 
         sweeps = 0
-        seen_visits = seen_accepted = 0
         for _sweep in range(self._max_sweeps):
             swapped = sweeper.sweep(rng.permutation(n))
             sweeps += 1
-            if prof is not None:
-                visits, accepted = int(stats[0]), int(stats[1])
-                self._record_sweep(
-                    prof, n, sweeps,
-                    visits - seen_visits, accepted - seen_accepted,
-                )
-                seen_visits, seen_accepted = visits, accepted
             if not swapped:
                 break
 

@@ -31,11 +31,15 @@
  * needs Python and returns it, encoded as code | id << 3: a Python record
  * (id = slot), the delivery of a Python send or an overflow at a full
  * buffer that needs the seeded jitter or ends in a final drop (id =
- * message), a full telemetry log, or a stop (empty heap, event limit or
- * deadline). An application message's overflow without jitter is
- * retransmitted here, after retry_delay * pow(retry_backoff, attempts) as
- * CPython's float ** computes it. The popped record is already counted.
- * Route-set ids are sequential, so Python assigns them itself.
+ * message), or a stop (empty heap, event limit or deadline). An
+ * application message's overflow without jitter is retransmitted here,
+ * after retry_delay * pow(retry_backoff, attempts) as CPython's float **
+ * computes it. The popped record is already counted. Route-set ids are
+ * sequential, so Python assigns them itself.
+ *
+ * Telemetry is plain counts in io[], bumped on every run, profiled or not,
+ * where the Python body counts its netsim.* counters; a profiled wrapper
+ * takes them at every return.
  *
  * A channel is named by two integers: (a, b) for the directed link a -> b,
  * (-1, p) for processor p's injection channel and (-2, p) for its
@@ -64,30 +68,27 @@
 typedef int64_t i64;
 
 enum { EV_PY, EV_INJECT, EV_HEAD, EV_FREE, EV_DELIVER, EV_COMPUTE };
-enum { RC_STOP, RC_PY, RC_DELIVER, RC_OVERFLOW, RC_LOGFULL, RC_NOMEM };
+enum { RC_STOP, RC_PY, RC_DELIVER, RC_OVERFLOW, RC_NOMEM };
 /* io[] slots shared with the Python wrapper: outputs (the overflow
  * channel's name is IO_CHX, IO_CHY), then the run's inputs (the event
  * limit, left decremented; whether a deadline is set), then the published
  * buffers, each a count and an address, then the message id counter, the
- * application messages in flight, the deliveries recorded and the
- * retransmits and buffer drops made here since the wrapper last took
- * them. */
-enum { IO_LOG, IO_PENDING, IO_PROCESSED, IO_CHX, IO_CHY, IO_HOPS, IO_USED,
+ * application messages in flight and the deliveries recorded. Then the
+ * counts: retransmits made here (each after a buffer drop), transmission
+ * starts, enqueues, saturation crossings, an application's sends, local
+ * sends and deliveries, each since the wrapper last took it, and the
+ * deepest FIFO backlog so far. */
+enum { IO_PENDING, IO_PROCESSED, IO_CHX, IO_CHY, IO_HOPS, IO_USED,
        IO_LIMIT, IO_UNTIL, IO_NCHANS, IO_CHANS, IO_NROUTES, IO_ROUTES,
        IO_NOPS, IO_OPS, IO_NMSG, IO_INFLIGHT, IO_DELIVERED, IO_RETRANSMITS,
-       IO_BUFFER_DROPS, IO_SIZE };
+       IO_TRANSMITS, IO_ENQUEUES, IO_SATURATIONS, IO_SENDS, IO_LOCAL_SENDS,
+       IO_APP_DELIVERED, IO_MAX_DEPTH, IO_SIZE };
 /* dio[] slots: the clock, the run's deadline, and the delivered bytes and
  * hop-bytes. */
 enum { DIO_NOW, DIO_DEADLINE, DIO_BYTES, DIO_HOP_BYTES, DIO_SIZE };
 /* Push kinds in the ops buffer; each op is 6 doubles (kind, a, b, c, d,
  * t). */
 enum { OP_PY, OP_SEND, OP_INJECT };
-/* Telemetry log record kinds; each record is 5 doubles (kind, the
- * channel's name, a, b). The application kinds carry counts: a compute
- * step's sends are one record (a sent, b of them local), a delivery counts
- * a = 1, a retransmit a = b = 1 (a buffer drop and a retransmit). */
-enum { LOG_TRANSMIT, LOG_ENQUEUE, LOG_SATURATE, LOG_SENDS, LOG_DELIVER,
-       LOG_RETRANSMIT };
 
 /* A heap record: `key` packs seq << 24 | hop << 3 | kind, so comparing
  * (t, key) orders by (t, seq), seq being unique. */
@@ -170,8 +171,7 @@ typedef struct {
     /* retransmit knobs; max_retries < 0: every overflow goes to Python */
     double local, retry_delay, retry_backoff;
     i64 max_retries, nprocs;
-    i64 nic, sat_depth, log_cap;
-    double *log;
+    i64 nic, sat_depth;
     i64 *io;
     double *dio;
 } des_t;
@@ -240,10 +240,10 @@ static ev_t pop(des_t *d)
 
 /* A new engine sharing io[] and dio[] (zeroed here) with the caller, for
  * a machine of `nprocs` processors. */
-des_t *des_new(i64 nic, i64 sat_depth, double *log, i64 log_cap, i64 *io,
-               double *dio, double bandwidth, double alpha, double capacity,
-               double nic_bandwidth, i64 nprocs, double local,
-               i64 max_retries, double retry_delay, double retry_backoff)
+des_t *des_new(i64 nic, i64 sat_depth, i64 *io, double *dio, double bandwidth,
+               double alpha, double capacity, double nic_bandwidth,
+               i64 nprocs, double local, i64 max_retries, double retry_delay,
+               double retry_backoff)
 {
     des_t *d = calloc(1, sizeof(des_t));
     if (!d)
@@ -259,8 +259,6 @@ des_t *des_new(i64 nic, i64 sat_depth, double *log, i64 log_cap, i64 *io,
     d->retry_backoff = retry_backoff;
     d->nic = nic;
     d->sat_depth = sat_depth;
-    d->log = log;
-    d->log_cap = log ? log_cap : 0;
     d->io = io;
     d->dio = dio;
     d->pfree = -1;
@@ -464,17 +462,6 @@ static int apply_published(des_t *d)
     return 0;
 }
 
-static inline void log_rec(des_t *d, int kind, double x, double y, double a,
-                           double b)
-{
-    double *r = d->log + 5 * d->io[IO_LOG]++;
-    r[0] = kind;
-    r[1] = x;
-    r[2] = y;
-    r[3] = a;
-    r[4] = b;
-}
-
 static int start_transmission(des_t *d, i64 c, i64 m, i64 hop)
 {
     chan_t *ch = &d->ch[c];
@@ -483,9 +470,7 @@ static int start_transmission(des_t *d, i64 c, i64 m, i64 hop)
     ch->current = m;
     ch->busy += occupancy;
     ch->bytes += size;
-    if (d->log)
-        log_rec(d, LOG_TRANSMIT, (double)ch->x, (double)ch->y, now,
-                ch->bytes);
+    d->io[IO_TRANSMITS]++;
     double done = now + occupancy;
     int rc;
     if (hop == d->routes[d->msg[m].route].len - 1)
@@ -509,10 +494,7 @@ static int retransmit(des_t *d, i64 m)
         return RC_OVERFLOW;
     double delay = d->retry_delay * backoff;
     msg->attempts++;
-    d->io[IO_BUFFER_DROPS]++;
     d->io[IO_RETRANSMITS]++;
-    if (d->log)
-        log_rec(d, LOG_RETRANSMIT, 0.0, 0.0, 1.0, 1.0);
     return push(d, d->now + delay, EV_INJECT, m, 0) ? -1 : RC_STOP;
 }
 
@@ -557,14 +539,12 @@ static int head_arrival(des_t *d, i64 m, i64 hop)
     i64 depth = ++ch->qlen;
     if (depth > ch->max_queue)
         ch->max_queue = depth;
-    if (d->log) {
-        int kind = LOG_ENQUEUE;
-        if (depth >= d->sat_depth && !ch->saturated) {
-            ch->saturated = 1;
-            kind = LOG_SATURATE;
-        }
-        log_rec(d, kind, (double)ch->x, (double)ch->y, (double)depth,
-                d->now);
+    if (depth > d->io[IO_MAX_DEPTH])
+        d->io[IO_MAX_DEPTH] = depth;
+    d->io[IO_ENQUEUES]++;
+    if (depth >= d->sat_depth && !ch->saturated) {
+        ch->saturated = 1;
+        d->io[IO_SATURATIONS]++;
     }
     return RC_STOP;
 }
@@ -648,7 +628,7 @@ static int compute_done(des_t *d, i64 g)
 {
     task_t *t = &d->tasks[g];
     const app_t *a = &d->apps[t->app];
-    i64 i = g - a->off, src = a->assign[i], sent = 0, local = 0;
+    i64 i = g - a->off, src = a->assign[i];
     t->computed = 1;
     for (i64 e = a->indptr[i]; e < a->indptr[i + 1]; e++) {
         i64 nbr = a->indices[e], dst = a->assign[nbr];
@@ -656,11 +636,9 @@ static int compute_done(des_t *d, i64 g)
                      d->now, a->off + nbr, t->iter))
             return -1;
         d->io[IO_INFLIGHT]++;
-        sent++;
-        local += src == dst;
+        d->io[IO_SENDS]++;
+        d->io[IO_LOCAL_SENDS] += src == dst;
     }
-    if (d->log && sent)
-        log_rec(d, LOG_SENDS, 0.0, 0.0, (double)sent, (double)local);
     return advance(d, g);
 }
 
@@ -682,8 +660,7 @@ static int deliver(des_t *d, i64 m)
     if (msg->task < 0)
         return RC_DELIVER;
     d->io[IO_INFLIGHT]--;
-    if (d->log)
-        log_rec(d, LOG_DELIVER, 0.0, 0.0, 1.0, 0.0);
+    d->io[IO_APP_DELIVERED]++;
     d->tasks[msg->task].arrived[msg->iter & 1]++;
     return advance(d, msg->task) ? -1 : RC_STOP;
 }
@@ -706,10 +683,6 @@ i64 des_run(des_t *d)
                 d->now = deadline;
                 d->dio[DIO_NOW] = deadline;
             }
-            break;
-        }
-        if (d->log && d->io[IO_LOG] >= d->log_cap) {
-            rc = RC_LOGFULL;
             break;
         }
         ev_t ev = pop(d);

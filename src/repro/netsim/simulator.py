@@ -60,14 +60,9 @@ __all__ = [
 ]
 
 # FIFO backlog at which a link counts as saturated: when a link's queue first
-# grows to this depth a ``netsim.link_saturated`` event is recorded
-# (profiling only), cleared once the queue drains empty.
+# grows to this depth ``netsim.saturation_events`` counts one (profiling
+# only), cleared once the queue drains empty.
 _SATURATION_DEPTH = 8
-
-#: The counters behind the compiled body's application log rows, kinds 3-5.
-_APP_COUNTERS = (("netsim.messages", "netsim.local_messages"),
-                 ("netsim.delivered",),
-                 ("netsim.buffer_drops", "netsim.retransmits"))
 
 
 def channel_name(channel: tuple) -> str:
@@ -198,9 +193,9 @@ class NetworkSimulator:
         ``des-kernel-differential`` oracle).
 
     The simulator snapshots :func:`repro.obs.active` at construction time:
-    enable profiling *before* building it to record message counters,
-    per-link byte timelines, queue depths and saturation events. With
-    profiling disabled (the default) no telemetry code runs.
+    enable profiling *before* building it to record its ``netsim.*``
+    counters: messages, transmissions, queue depths and saturations. With
+    profiling disabled (the default) no telemetry code runs in Python.
     """
 
     def __init__(
@@ -279,14 +274,13 @@ class NetworkSimulator:
             native = kernels_or_fallback()
             if native is not None:
                 self._engine = native.des_engine(
-                    self.stats, self._prof is not None, self._link_bandwidths,
+                    self.stats, self._prof, self._link_bandwidths,
                     self._nic_channels, _SATURATION_DEPTH, self._bandwidth,
                     self._alpha, self._buffer_bytes, self._nic_bandwidth,
                     self._num_procs, self._local,
                     -1 if self._retry_jitter else int(max_retries),
                     self._retry_delay, self._retry_backoff)
-                self._engine.on_return, self._engine.on_log = (
-                    self._on_return, self._replay_log)
+                self._engine.on_return = self._on_return
         self.queue = self._engine if self._engine is not None else EventQueue()
         self._links: dict[tuple, _Link] = {}
         # (src * num_procs + dst) -> the compiled body's route set id
@@ -517,12 +511,6 @@ class NetworkSimulator:
             if depth >= _SATURATION_DEPTH and not link.saturated:
                 link.saturated = True
                 self._prof.count("netsim.saturation_events")
-                self._prof.event(
-                    "netsim.link_saturated",
-                    time_us=self.queue.now,
-                    link=channel_name(channel),
-                    depth=depth,
-                )
 
     def _start_transmission(self, link: _Link, msg: Message, route, hop: int,
                             on_delivery) -> None:
@@ -535,9 +523,6 @@ class NetworkSimulator:
         link.bytes_carried += size
         if self._prof is not None:
             self._prof.count("netsim.transmissions")
-            self._prof.sample(
-                f"link_bytes:{channel_name(route[hop])}", now, link.bytes_carried
-            )
         done = now + occupancy
         if hop == len(route) - 1:
             # Tail fully received at the destination once serialization ends.
@@ -614,14 +599,6 @@ class NetworkSimulator:
         self.stats.record_drop(msg)
         if self._prof is not None:
             self._prof.count("netsim.dropped")
-            self._prof.event(
-                "netsim.message_dropped",
-                time_us=self.queue.now,
-                msg_id=msg.msg_id,
-                src=msg.src,
-                dst=msg.dst,
-                reason=reason,
-            )
 
     # ------------------------------------------------------------------- run
     def _progress(self) -> int:
@@ -686,20 +663,6 @@ class NetworkSimulator:
                 f"message {oldest.msg_id} ({oldest.src} -> {oldest.dst}, "
                 f"sent at t={oldest.send_time}, attempts={oldest.attempts})"
             )
-        rows = self._link_rows() if self._prof is not None else None
-        if rows:
-            # Per-run load summary so profiles capture link telemetry even
-            # when the caller never touches the simulator again (e.g. the
-            # experiment harnesses).
-            loads = [row[2] for row in rows]
-            self._prof.event(
-                "netsim.run_complete",
-                time_us=end,
-                links_used=len(rows),
-                total_bytes=float(sum(loads)),
-                max_link_bytes=float(max(loads)),
-                max_queue_depth=int(max(row[3] for row in rows)),
-            )
         return end
 
     # ------------------------------------------------------ compiled body
@@ -741,29 +704,6 @@ class NetworkSimulator:
         else:
             self._on_overflow(msg, _channel_of(*engine.overflow_channel),
                               on_delivery)
-
-    def _replay_log(self, rows: list) -> None:
-        """Record the compiled body's telemetry rows as _head_arrival and
-        _start_transmission record it."""
-        prof = self._prof
-        for kind, x, y, a, b in rows:
-            channel = _channel_of(int(x), int(y))
-            if kind == 0:  # a transmission start at a, carrying b bytes
-                prof.count("netsim.transmissions")
-                prof.sample(f"link_bytes:{channel_name(channel)}", a, b)
-                continue
-            if kind >= 3:  # an application's sends, delivery, retransmit
-                for name, n in zip(_APP_COUNTERS[int(kind) - 3], (a, b)):
-                    if n:
-                        prof.count(name, int(n))
-                continue
-            depth = int(a)  # an enqueue at time b
-            prof.count("netsim.enqueues")
-            prof.count_max("netsim.max_queue_depth", depth)
-            if kind == 2:  # ... that saturated the link
-                prof.count("netsim.saturation_events")
-                prof.event("netsim.link_saturated", time_us=b,
-                           link=channel_name(channel), depth=depth)
 
     # ----------------------------------------------------------------- stats
     def _link_rows(self) -> list[tuple]:

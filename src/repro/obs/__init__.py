@@ -1,8 +1,8 @@
 """repro.obs — observability for the mapping and simulation hot layers.
 
-Counters, phase timers, event hooks, and bounded time series with a
-zero-overhead disabled path, plus the ``repro-profile-v1`` JSON artifact
-that captures one run's telemetry in a stable, schema-validated form.
+Counters and phase timers with a zero-overhead disabled path, plus the
+``repro-profile-v1`` JSON artifact that captures one run's telemetry in a
+stable, schema-validated form.
 
 Typical use::
 
@@ -23,12 +23,10 @@ profile schema.
 
 from repro.obs.core import (
     Profiler,
-    Series,
     active,
     count,
     disable,
     enable,
-    event,
     profiled,
     timer,
 )
@@ -44,14 +42,12 @@ from repro.obs.profile import (
 
 __all__ = [
     "Profiler",
-    "Series",
     "active",
     "enable",
     "disable",
     "profiled",
     "count",
     "timer",
-    "event",
     "PROFILE_FORMAT",
     "PROFILE_SCHEMA",
     "build_profile",

@@ -1,19 +1,16 @@
-"""Lightweight counters, phase timers, and event hooks for the hot layers.
+"""Lightweight counters and phase timers for the hot layers.
 
 The contract every instrumented call site relies on:
 
 * **Disabled is free.** ``active()`` returns ``None`` unless a profiler has
   been installed, so hot loops guard their accounting with a single
   ``if prof is not None`` branch and allocate nothing. The module-level
-  convenience wrappers (:func:`count`, :func:`timer`, :func:`event`) degrade
-  to a dict lookup plus, for :func:`timer`, a shared no-op context manager —
-  no per-call objects are created on the disabled path.
+  convenience wrappers (:func:`count`, :func:`timer`) degrade to a dict
+  lookup plus, for :func:`timer`, a shared no-op context manager — no
+  per-call objects are created on the disabled path.
 * **Everything is JSON-able.** :meth:`Profiler.snapshot` returns plain
-  dicts/lists/numbers, ready to drop into the ``repro-profile-v1`` artifact
+  dicts of numbers, ready to drop into the ``repro-profile-v1`` artifact
   (see :mod:`repro.obs.profile`).
-* **Memory is bounded.** Event logs are capped; time series decimate
-  themselves (keep every 2nd sample, double the stride) when full, so a
-  long netsim run cannot grow a profile without bound.
 
 The profiler is deliberately not thread-safe: every consumer in this
 repository is single-threaded, and a lock on the counter path would cost
@@ -28,14 +25,12 @@ from typing import Any
 
 __all__ = [
     "Profiler",
-    "Series",
     "active",
     "enable",
     "disable",
     "profiled",
     "count",
     "timer",
-    "event",
 ]
 
 
@@ -72,56 +67,12 @@ class _Timer:
         return False
 
 
-class Series:
-    """Bounded ``(t, value)`` samples that halve their resolution when full.
-
-    Once ``max_samples`` points are stored, every second point is dropped and
-    the stride doubles: only every ``stride``-th :meth:`add` is recorded from
-    then on. The result approximates the full timeline at progressively
-    coarser resolution while never exceeding the cap.
-    """
-
-    __slots__ = ("samples", "stride", "max_samples", "_skip")
-
-    def __init__(self, max_samples: int = 512):
-        if max_samples < 2:
-            raise ValueError(f"max_samples must be >= 2, got {max_samples}")
-        self.samples: list[tuple[float, float]] = []
-        self.stride = 1
-        self.max_samples = int(max_samples)
-        self._skip = 0
-
-    def add(self, t: float, value: float) -> None:
-        if self._skip:
-            self._skip -= 1
-            return
-        self.samples.append((float(t), float(value)))
-        if len(self.samples) >= self.max_samples:
-            del self.samples[1::2]
-            self.stride *= 2
-        self._skip = self.stride - 1
-
-
 class Profiler:
-    """Collects counters, timers, events, and time series for one run.
+    """Collects counters and timers for one run."""
 
-    Parameters
-    ----------
-    max_events:
-        Cap on stored events; later events are counted (``dropped_events``)
-        but not stored.
-    max_series_samples:
-        Per-series sample cap (see :class:`Series`).
-    """
-
-    def __init__(self, max_events: int = 1024, max_series_samples: int = 512):
+    def __init__(self):
         self.counters: dict[str, float] = {}
         self.timers: dict[str, list[float]] = {}  # name -> [total_seconds, count]
-        self.events: list[dict[str, Any]] = []
-        self.series: dict[str, Series] = {}
-        self.dropped_events = 0
-        self._max_events = int(max_events)
-        self._max_series_samples = int(max_series_samples)
 
     # ------------------------------------------------------------- recording
     def count(self, name: str, n: float = 1) -> None:
@@ -146,28 +97,12 @@ class Profiler:
         """Context manager timing a phase: ``with prof.timer("phase"): ...``."""
         return _Timer(self, name)
 
-    def event(self, name: str, **fields: Any) -> None:
-        """Record one structured event (bounded; overflow is counted)."""
-        if len(self.events) >= self._max_events:
-            self.dropped_events += 1
-            return
-        self.events.append({"name": name, **fields})
-
-    def sample(self, name: str, t: float, value: float) -> None:
-        """Append ``(t, value)`` to time series ``name`` (bounded)."""
-        series = self.series.get(name)
-        if series is None:
-            series = self.series[name] = Series(self._max_series_samples)
-        series.add(t, value)
-
     def merge(self, snapshot: dict[str, Any]) -> None:
         """Fold another profiler's :meth:`snapshot` into this one.
 
-        Counters and timer totals/counts add up, events concatenate under
-        the same bounded cap (overflow is counted, as for :meth:`event`),
-        and series samples are re-added through the normal decimation path.
-        This is how the parallel experiment runner folds per-worker
-        telemetry into the single artifact it writes.
+        Counters and timer totals/counts add up. This is how the parallel
+        experiment runner folds per-worker telemetry into the single
+        artifact it writes.
         """
         for name, value in snapshot.get("counters", {}).items():
             self.count(name, value)
@@ -178,53 +113,26 @@ class Profiler:
             else:
                 mine[0] += float(cell["total_s"])
                 mine[1] += int(cell["count"])
-        for ev in snapshot.get("events", []):
-            if len(self.events) >= self._max_events:
-                self.dropped_events += 1
-            else:
-                self.events.append(dict(ev))
-        self.dropped_events += int(snapshot.get("dropped_events", 0))
-        for name, sdata in snapshot.get("series", {}).items():
-            for t, value in sdata.get("samples", []):
-                self.sample(name, t, value)
 
     # ------------------------------------------------------------- reporting
     def snapshot(self) -> dict[str, Any]:
         """Plain-JSON view of everything recorded so far."""
-        snap: dict[str, Any] = {
+        return {
             "counters": dict(self.counters),
             "timers": {
                 name: {"total_s": total, "count": int(n)}
                 for name, (total, n) in self.timers.items()
             },
         }
-        if self.events or self.dropped_events:
-            snap["events"] = [dict(e) for e in self.events]
-            if self.dropped_events:
-                snap["dropped_events"] = self.dropped_events
-        if self.series:
-            snap["series"] = {
-                name: {
-                    "stride": s.stride,
-                    "samples": [[t, v] for t, v in s.samples],
-                }
-                for name, s in self.series.items()
-            }
-        return snap
 
     def reset(self) -> None:
         """Drop everything recorded so far."""
         self.counters.clear()
         self.timers.clear()
-        self.events.clear()
-        self.series.clear()
-        self.dropped_events = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<Profiler counters={len(self.counters)} timers={len(self.timers)} "
-            f"events={len(self.events)} series={len(self.series)}>"
-        )
+        return (f"<Profiler counters={len(self.counters)} "
+                f"timers={len(self.timers)}>")
 
 
 #: The installed profiler, or None (profiling disabled — the default).
@@ -285,9 +193,3 @@ def timer(name: str):
         return _NULL_CONTEXT
     return prof.timer(name)
 
-
-def event(name: str, **fields: Any) -> None:
-    """Module-level :meth:`Profiler.event`; no-op while disabled."""
-    prof = _active
-    if prof is not None:
-        prof.event(name, **fields)

@@ -58,31 +58,6 @@ PROFILE_SCHEMA: dict[str, Any] = {
                 },
             },
         },
-        "events": {
-            "type": "array",
-            "items": {"type": "object", "required": ["name"]},
-        },
-        "dropped_events": {"type": "integer", "minimum": 0},
-        "series": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["stride", "samples"],
-                "additionalProperties": False,
-                "properties": {
-                    "stride": {"type": "integer", "minimum": 1},
-                    "samples": {
-                        "type": "array",
-                        "items": {
-                            "type": "array",
-                            "minItems": 2,
-                            "maxItems": 2,
-                            "items": {"type": "number"},
-                        },
-                    },
-                },
-            },
-        },
         "netsim": {
             "type": "object",
             "required": ["links_used", "total_bytes", "max_link_bytes", "top_links"],
@@ -375,29 +350,4 @@ def summarize_profile(profile: dict[str, Any]) -> str:
                     f"p50={its['p50']:.6g} p99={its['p99']:.6g} "
                     f"max={its['max']:.6g} us"
                 )
-
-    events = profile.get("events", [])
-    if events:
-        by_name: dict[str, int] = {}
-        for evt in events:
-            by_name[evt["name"]] = by_name.get(evt["name"], 0) + 1
-        lines.append("")
-        lines.append("events: " + ", ".join(
-            f"{name} x{n}" for name, n in sorted(by_name.items())
-        ))
-        dropped = profile.get("dropped_events", 0)
-        if dropped:
-            lines.append(f"  (+{dropped} dropped past the event cap)")
-
-    series = profile.get("series", {})
-    if series:
-        lines.append("")
-        shown = sorted(series.items())[:8]
-        listing = ", ".join(
-            f"{name} ({len(s['samples'])} samples, stride {s['stride']})"
-            for name, s in shown
-        )
-        if len(series) > len(shown):
-            listing += f", ... +{len(series) - len(shown)} more"
-        lines.append(f"series ({len(series)}): {listing}")
     return "\n".join(lines)

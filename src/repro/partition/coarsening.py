@@ -47,28 +47,20 @@ def heavy_edge_matching(
 
 
 def contract(graph: TaskGraph, match: np.ndarray) -> tuple[TaskGraph, np.ndarray]:
-    """Contract matched pairs; return (coarse graph, fine→coarse map)."""
-    n = graph.num_tasks
+    """Contract matched pairs; return (coarse graph, fine→coarse map).
+
+    ``match`` is an involution (``match[match[v]] == v``), as
+    :func:`heavy_edge_matching`, :func:`pair_unmatched` and
+    :func:`limit_pairs` return it. Coarse ids are assigned by ascending
+    first member, i.e. the rank of each pair's smaller endpoint.
+    """
     match = np.asarray(match, dtype=np.int64)
-    ids = np.arange(n, dtype=np.int64)
-    if np.array_equal(match[match], ids):
-        # Symmetric matching (what heavy_edge_matching produces): coarse ids
-        # are assigned by ascending first member, i.e. the rank of each
-        # pair's smaller endpoint — same numbering the sequential scan gives.
-        rep = np.minimum(ids, match)
-        _, fine2coarse = np.unique(rep, return_inverse=True)
-        fine2coarse = fine2coarse.astype(np.int64)
-        next_id = int(fine2coarse.max()) + 1
-    else:
-        fine2coarse = np.full(n, -1, dtype=np.int64)
-        next_id = 0
-        for v in range(n):
-            if fine2coarse[v] >= 0:
-                continue
-            partner = int(match[v])
-            fine2coarse[v] = next_id
-            fine2coarse[partner] = next_id
-            next_id += 1
+    ids = np.arange(graph.num_tasks, dtype=np.int64)
+    if not np.array_equal(match[match], ids):
+        raise ValueError("contract: match must be an involution")
+    _, fine2coarse = np.unique(np.minimum(ids, match), return_inverse=True)
+    fine2coarse = fine2coarse.astype(np.int64)
+    next_id = int(fine2coarse.max()) + 1
 
     loads = np.bincount(fine2coarse, weights=graph.vertex_weights, minlength=next_id)
     u, vv, w = graph.edge_arrays()

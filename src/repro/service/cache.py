@@ -58,7 +58,7 @@ RESULT_FORMAT = "repro-mapresult-v1"
 #: digests. A change that moves any pin must regenerate it (the tier-1
 #: fingerprint test prints the command), which retires every cached entry;
 #: :data:`CACHE_KEY_VERSION` versions the key payload's shape instead.
-ALGORITHM_FINGERPRINT = "cd5d54b112f1fb8e55af14edf4b84555c5a75f43c6bdb62e9effa05c4b51a38e"
+ALGORITHM_FINGERPRINT = "e98ae73e7fad8cdd17c3fdfe626dc33af46586c743d591f8a5423b74ae6f84b6"
 
 #: Generative graph-spec kinds that are pure functions of the spec string —
 #: safe to memoize. ``file:``/``lbdump:`` specs point at mutable paths, so

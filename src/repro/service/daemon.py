@@ -119,6 +119,12 @@ def parse_request_body(body) -> tuple[object, bool]:
     seed = body.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ServiceRequestError(f"seed must be an integer, got {seed!r}")
+    flags = {name: body.get(name, default)
+             for name, default in (("flow_metrics", False), ("wait", True))}
+    for name, value in flags.items():
+        if not isinstance(value, bool):
+            raise ServiceRequestError(
+                f"{name} must be a JSON boolean, got {value!r}")
     netsim = body.get("netsim")
     if netsim is not None and not isinstance(netsim, dict):
         raise ServiceRequestError(f"netsim must be an object, got {netsim!r}")
@@ -133,11 +139,11 @@ def parse_request_body(body) -> tuple[object, bool]:
         topology=body["topology"],
         mapper=body.get("mapper", "TopoLB"),
         seed=seed,
-        flow_metrics=bool(body.get("flow_metrics", False)),
+        flow_metrics=flags["flow_metrics"],
         validate=validate,
         netsim=netsim,
     )
-    return request, bool(body.get("wait", True))
+    return request, flags["wait"]
 
 
 def _serve_batch(requests, timeout):

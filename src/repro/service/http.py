@@ -39,6 +39,14 @@ __all__ = ["serve", "ThreadedServer"]
 _MAX_BODY = 16 * 1024 * 1024
 
 
+class _BadRequest(Exception):
+    """A request the transport answers itself: ``status`` and the error."""
+
+    def __init__(self, status: int, error: str):
+        super().__init__(error)
+        self.status = status
+
+
 def _response(status: int, body: dict, extra_headers: dict | None = None) -> bytes:
     reasons = {200: "OK", 202: "Accepted", 400: "Bad Request",
                404: "Not Found", 405: "Method Not Allowed",
@@ -57,7 +65,9 @@ def _response(status: int, body: dict, extra_headers: dict | None = None) -> byt
 
 
 async def _read_request(reader) -> tuple[str, str, bytes] | None:
-    """Parse one request into (method, path, body); None on EOF/overflow."""
+    """Parse one request into (method, path, body); None on EOF. A request
+    line or a ``Content-Length`` that cannot be read, or a body past the
+    cap, raises :class:`_BadRequest`."""
     try:
         line = await reader.readline()
     except (ConnectionError, asyncio.LimitOverrunError):
@@ -66,7 +76,7 @@ async def _read_request(reader) -> tuple[str, str, bytes] | None:
         return None
     parts = line.decode("latin-1").split()
     if len(parts) < 2:
-        return None
+        raise _BadRequest(400, f"malformed request line {line[:80]!r}")
     method, path = parts[0].upper(), parts[1]
     length = 0
     while True:
@@ -75,12 +85,14 @@ async def _read_request(reader) -> tuple[str, str, bytes] | None:
             break
         name, _, value = header.decode("latin-1").partition(":")
         if name.strip().lower() == "content-length":
-            try:
-                length = int(value.strip())
-            except ValueError:
-                length = 0
+            value = value.strip()
+            if not (value.isascii() and value.isdigit()):
+                raise _BadRequest(
+                    400, f"Content-Length must be a non-negative integer, "
+                         f"got {value[:40]!r}")
+            length = int(value)
     if length > _MAX_BODY:
-        return method, path, b"\x00overflow"
+        raise _BadRequest(413, "request body too large")
     body = await reader.readexactly(length) if length else b""
     return method, path, body
 
@@ -88,14 +100,14 @@ async def _read_request(reader) -> tuple[str, str, bytes] | None:
 async def _handle(service: MappingService, stop: asyncio.Event,
                   reader, writer) -> None:
     try:
-        parsed = await _read_request(reader)
+        try:
+            parsed = await _read_request(reader)
+        except _BadRequest as exc:
+            writer.write(_response(exc.status, {"error": str(exc)}))
+            return
         if parsed is None:
             return
-        method, path, body = parsed
-        if body == b"\x00overflow":
-            writer.write(_response(413, {"error": "request body too large"}))
-            return
-        writer.write(await _route(service, stop, method, path, body))
+        writer.write(await _route(service, stop, *parsed))
     except Exception as exc:  # noqa: BLE001 — connection-level guard
         try:
             writer.write(_response(

@@ -28,27 +28,6 @@ class TestAverageDistanceVector:
         corner = topo.index((0, 0))
         assert avg[center] < avg[corner]
 
-    def test_subset_restriction(self):
-        topo = Mesh((4,))
-        mask = np.array([True, False, False, True])
-        avg = average_distance_vector(topo, mask)
-        # node 0: mean(d(0,0), d(0,3)) = 1.5 ; node 1: mean(1, 2) = 1.5
-        assert avg[0] == pytest.approx(1.5)
-        assert avg[2] == pytest.approx(1.5)
-
-    def test_empty_subset(self):
-        topo = Mesh((3,))
-        avg = average_distance_vector(topo, np.zeros(3, dtype=bool))
-        assert (avg == 0).all()
-
-    def test_third_order_shrinks_with_subset(self):
-        """Removing far processors lowers the expected distance."""
-        topo = Mesh((6,))
-        full = average_distance_vector(topo)
-        near = average_distance_vector(
-            topo, np.array([True, True, True, False, False, False])
-        )
-        assert near[0] < full[0]
 
 
 class TestEstimatorOrder:

@@ -8,7 +8,7 @@ adaptive routing, NIC channels, finite buffers with and without jitter,
 a stall window, the profiler). Both bodies replay it; everything they
 expose must agree to the bit: the statistics, the three link tables, each
 application's iteration finish times, the number of fired events, the
-profile, and the error text when the run raises.
+profiler's counters, and the error text when the run raises.
 """
 
 from __future__ import annotations
@@ -105,9 +105,9 @@ def _replay(kernel, topology, apps, knobs, profiled) -> str:
                  sim.queue.processed, sim.in_flight]
         if prof is not None:
             snap = prof.snapshot()
-            state.append([{k: v for k, v in snap["counters"].items()
-                           if not k.startswith("kernel.")},
-                          snap.get("events"), snap.get("series")])
+            # C's counts reach the profiler at a return, not in event order.
+            state.append(sorted((k, v) for k, v in snap["counters"].items()
+                                if not k.startswith("kernel.")))
     finally:
         if prof is not None:
             obs.disable()

@@ -3,12 +3,14 @@
 Each configuration replays a fixed workload and hashes everything the
 simulator exposes: ``stats.snapshot()``, the per-link byte, busy-time and
 queue-peak tables, the application's iteration finish times, the number of
-fired events and, for the profiled cases, the counters, events and series
-the profiler recorded. The pinned digests were computed by the simulator
+fired events and, for the profiled cases, the ``netsim.*`` counters the
+profiler recorded. The unprofiled digests were computed by the simulator
 that still carried ECN pacing, store-and-forward links and link/node fault
 injection, so they prove that deleting those features changed no surviving
-configuration; any change to event order, float arithmetic or telemetry
-changes a digest.
+configuration. The profiled ones were computed by the simulator that still
+recorded events and per-link byte series, with those left out of the
+digest, so they prove that deleting them changed no counter. Any change to
+event order, float arithmetic or telemetry changes a digest.
 
 Regenerate (only when a change of results is intended) with::
 
@@ -99,8 +101,8 @@ CASES = {
         "mesh:4x4x4", "mesh3d:4x4x4;bytes=4096", "random", {}, "app"),
 }
 
-#: Cases replayed with the profiler on, so counters, events and series
-#: (per-link byte timelines) are part of the digest.
+#: Cases replayed with the profiler on, so the counters are part of the
+#: digest.
 PROFILED = {
     "t444_random_dor", "t444_random_nic", "t444_random_drop_jitter",
     "t444_random_stall_window",
@@ -152,8 +154,7 @@ def _replay(kernel, name: str) -> dict:
             snap = prof.snapshot()
             counters = {k: v for k, v in snap["counters"].items()
                         if k.startswith("netsim.")}
-            state["profile"] = [counters, snap.get("events"),
-                                snap.get("series")]
+            state["profile"] = [counters]
     finally:
         if prof is not None:
             obs.disable()
@@ -169,16 +170,16 @@ def _digest(state: dict) -> str:
 
 DIGESTS = {
     'mesh444_random_dor': 'e98c7ba67a7588958309147cffdd9e37a5d86eb925beb5c8f1951fe6c09e6dd1',
-    't444_livelock_raises': '55b08b35ea292a0d8fbc2185492ddee7d9374225f9072021429df41b67239776',
+    't444_livelock_raises': '560cea44c1534d9a0e53454b4f7f42fd8459d1092f1facd1afc2c8e14003c1ac',
     't444_load_adaptive': 'd3993742501f953d4b2edba2c1f55f85b655cc1c570a9faf789c861df48c6c3e',
-    't444_load_buffered_jitter': '05cf5bc1a6566d7b7b9cf8727f387d0a8e3d4c1289f321011f1032668de64325',
+    't444_load_buffered_jitter': 'c7a593ef70feba68f4ec59d0d2854e84a3e75b5896c66ce557936fd6ba9c4b53',
     't444_oversubscribed_local': 'dd2d6b5fa8aa9d9acaddf7425befe583b0c71bb49817379d5808d86bf0f7d5f8',
     't444_random_adaptive': 'be28a932abc20124c752011d2c4628d0852412447f39c6e1ca832fdf7cdb10da',
-    't444_random_dor': '357b148f34bd5a7aae165f1323cc4ebd5ff608dba659aa07819d158ea48b34e1',
+    't444_random_dor': 'be589929c8bc89fc085258e71c42aa2f43ea930ceb0a6342370bb8c6b81a41dc',
     't444_random_drop_adaptive_nic': 'cc6c9bb61e12a404c51510bb7ba059274f836a7e292b2c0bcccc805b7d8b4149',
-    't444_random_drop_jitter': '59f9a1ef5ab1d019e5d546408bc950013f04bb0b812e90e76b7870f8f613475d',
-    't444_random_nic': '340e975b867fdacd08db97f745b9063d9d4e5c10965c877f9d9205dcb6b9f20e',
-    't444_random_stall_window': '1d6f479c4efc832e3143046cfd5b1ba3a9aeb6d7dfe1df66d1024801c524b982',
+    't444_random_drop_jitter': '6ae190f531404d41c37fea61b4c2e42a5b4e3375f08fcf61becdae0cd24273a3',
+    't444_random_nic': '91c2a549cad8de7e6c2d98f404866995bc7022b2b5d1c89a8642bf370533a857',
+    't444_random_stall_window': '7a42046657bad71a8dca9199b1eab1b65efd4864a22d964ff94acaa6a9434b23',
     't444_topolb_dor': '4f8bf6f5836895b394c503022451a878e256d38d8f8b74acb34133c01fec059b',
     't88_link_bandwidths': '02c87c48564d0e98fc19935d81aefa221fcf7fdca1376baca23196f51f6a42e0',
     't88_random_dor': 'cbf2a0780e634fd176a7aa86fa99a63274ddf8e243004cf561cd46d353edcb15',

@@ -28,6 +28,7 @@ from repro import (
     mesh2d_pattern,
 )
 from repro.netsim import NetworkSimulator
+from repro.netsim.stats import link_summary
 
 
 @pytest.fixture
@@ -84,14 +85,12 @@ class TestRefineCounters:
         assert "refine.refine" in prof.timers
 
 
-class TestRefineSweepEvents:
-    """Per-sweep ``refine.sweep`` events: totals-consistent and kernel-free.
+class TestRefineTotals:
+    """The ``refine.*`` totals: consistent, and kernel-free.
 
     Every kernel visits the same permutation and accepts the same swaps
-    (bit-identity is enforced by the equivalence suite), so the event stream
-    — one event per sweep with the sweep's accepted-swap and evaluated-pair
-    counts — must be byte-for-byte identical no matter which kernel produced
-    it.
+    (bit-identity is enforced by the equivalence suite), so the totals must
+    be identical no matter which kernel produced them.
     """
 
     def _instance(self):
@@ -103,35 +102,33 @@ class TestRefineSweepEvents:
         # and the accepted counts are nontrivial.
         return RandomMapper(seed=3).map(graph, topo)
 
-    def _sweep_events(self, kernel, start):
+    def _totals(self, kernel, start):
         with obs.profiled() as prof:
             RefineTopoLB(kernel=kernel, seed=1).refine(start)
-        events = [e for e in prof.events if e["name"] == "refine.sweep"]
-        return events, dict(prof.counters)
+        return {k: v for k, v in prof.counters.items()
+                if k in ("refine.sweeps", "refine.swaps_accepted",
+                         "refine.swaps_rejected", "refine.pairs_evaluated")}
 
     @pytest.mark.parametrize("kernel", ("reference", "vectorized"))
-    def test_events_sum_to_totals(self, kernel):
+    def test_totals_are_consistent(self, kernel):
         start = self._instance()
         n = start.graph.num_tasks
-        events, counters = self._sweep_events(kernel, start)
-
-        assert len(events) == counters["refine.sweeps"] >= 2
-        assert [e["sweep"] for e in events] == list(range(1, len(events) + 1))
-        assert sum(e["accepted"] for e in events) == \
-            counters["refine.swaps_accepted"]
-        assert sum(e["evaluated_pairs"] for e in events) == \
-            counters["refine.pairs_evaluated"]
+        c = self._totals(kernel, start)
+        assert c["refine.sweeps"] >= 2
+        assert c["refine.swaps_accepted"] > 0
         # Each visit weighs one task against its n - 1 candidate partners.
-        assert all(e["evaluated_pairs"] % (n - 1) == 0 for e in events)
-        # Convergence (not the sweep cap) ended the run: a final quiet sweep.
-        if len(events) < 10:
-            assert events[-1]["accepted"] == 0
+        visits = c["refine.swaps_accepted"] + c["refine.swaps_rejected"]
+        assert c["refine.pairs_evaluated"] == visits * (n - 1)
+        # Convergence (not the sweep cap) ended the run after a quiet
+        # sweep, so every sweep visited all n tasks.
+        if c["refine.sweeps"] < 10:
+            assert visits == c["refine.sweeps"] * n
 
-    def test_event_stream_is_kernel_independent(self):
+    def test_totals_are_kernel_independent(self):
         start = self._instance()
-        reference = self._sweep_events("reference", start)[0]
-        assert reference[0]["accepted"] > 0
-        assert self._sweep_events("vectorized", start)[0] == reference
+        reference = self._totals("reference", start)
+        assert len(reference) == 4
+        assert self._totals("vectorized", start) == reference
 
 
 class TestDisabledPath:
@@ -188,27 +185,26 @@ class TestNetsimInstrumentation:
         assert c["netsim.saturation_events"] == 1  # one crossing, FIFO never drains
         assert sim.link_queue_peaks()[(0, 1)] == 19
 
-    def test_saturation_event_payload(self, prof):
-        self._saturate()
-        sat = [e for e in prof.events if e["name"] == "netsim.link_saturated"]
-        assert len(sat) == 1
-        assert sat[0]["link"] == "0->1"
-        assert sat[0]["depth"] == 8  # fires at the configured threshold
+    @pytest.mark.parametrize("kernel", ("reference", "vectorized"))
+    @pytest.mark.parametrize("messages, crossings", [(8, 0), (9, 1)],
+                             ids=["below", "at"])
+    def test_saturation_counted_at_threshold(self, kernel, messages,
+                                             crossings):
+        """A crossing counts when a FIFO first grows to 8 messages."""
+        with obs.profiled() as prof:
+            sim = NetworkSimulator(Mesh((2,)), bandwidth=1.0, kernel=kernel)
+            for _ in range(messages):
+                sim.send(0, 1, 100.0)
+            sim.run()
+        assert prof.counters["netsim.max_queue_depth"] == messages - 1
+        assert prof.counters.get("netsim.saturation_events", 0) == crossings
 
-    def test_run_complete_summary_event(self, prof):
-        self._saturate()
-        done = [e for e in prof.events if e["name"] == "netsim.run_complete"]
-        assert len(done) == 1
-        assert done[0]["links_used"] == 1
-        assert done[0]["total_bytes"] == 2000.0
-        assert done[0]["max_queue_depth"] == 19
-
-    def test_link_bytes_series_recorded(self, prof):
-        self._saturate()
-        series = prof.series["link_bytes:0->1"]
-        values = [v for _, v in series.samples]
-        assert values[0] == 100.0
-        assert values == sorted(values)  # cumulative bytes only grow
+    def test_link_summary_reports_the_run(self, prof):
+        sim = self._saturate()
+        summary = link_summary(sim)
+        assert summary["links_used"] == 1
+        assert summary["total_bytes"] == 2000.0
+        assert summary["max_queue_depth"] == 19
 
     def test_local_messages_counted_separately(self, prof):
         sim = NetworkSimulator(Mesh((2,)))

@@ -1,4 +1,4 @@
-"""Tests for the repro.obs core: counters, timers, events, series, profiles."""
+"""Tests for the repro.obs core: counters, timers and profiles."""
 
 from __future__ import annotations
 
@@ -35,43 +35,21 @@ class TestProfiler:
         assert count == 2
         assert total >= 0.0
 
-    def test_events_are_bounded(self):
-        prof = obs.Profiler(max_events=3)
-        for i in range(5):
-            prof.event("evt", index=i)
-        assert len(prof.events) == 3
-        assert prof.dropped_events == 2
-
-    def test_series_decimates_past_cap(self):
-        prof = obs.Profiler(max_series_samples=8)
-        for i in range(100):
-            prof.sample("s", float(i), float(i))
-        series = prof.series["s"]
-        assert len(series.samples) <= 8
-        assert series.stride > 1
-        # Samples stay in time order and span the recorded range.
-        times = [t for t, _ in series.samples]
-        assert times == sorted(times)
-        assert times[0] == 0.0
-
     def test_snapshot_is_json_able(self):
         prof = obs.Profiler()
         prof.count("c", 2)
         with prof.timer("t"):
             pass
-        prof.event("e", detail="x")
-        prof.sample("s", 0.0, 1.0)
         snap = json.loads(json.dumps(prof.snapshot()))
         assert snap["counters"] == {"c": 2}
         assert snap["timers"]["t"]["count"] == 1
-        assert snap["events"][0]["name"] == "e"
-        assert snap["series"]["s"]["samples"] == [[0.0, 1.0]]
+        assert set(snap) == {"counters", "timers"}
 
     def test_reset_clears_everything(self):
         prof = obs.Profiler()
         prof.count("c")
-        prof.event("e")
-        prof.sample("s", 0.0, 1.0)
+        with prof.timer("t"):
+            pass
         prof.reset()
         assert prof.snapshot() == {"counters": {}, "timers": {}}
 
@@ -82,7 +60,6 @@ class TestActivation:
 
     def test_module_helpers_are_noops_while_disabled(self):
         obs.count("nope", 5)
-        obs.event("nope")
         with obs.timer("nope"):
             pass
         assert obs.active() is None
@@ -121,8 +98,7 @@ class TestProfileArtifact:
         prof.count("topolb.cycles", 16)
         with prof.timer("topolb.map"):
             pass
-        prof.event("netsim.link_saturated", time_us=1.0, link="0->1", depth=8)
-        prof.sample("link_bytes:0->1", 0.5, 100.0)
+        prof.count("netsim.saturation_events")
         return obs.build_profile(
             prof,
             command="unit-test",
@@ -196,6 +172,18 @@ class TestProfileArtifact:
         assert "makespan >= 2 us" in report
         assert "bytes / messages" in report
 
+    @pytest.mark.parametrize("key, value", [
+        ("events", [{"name": "netsim.run_complete"}]),
+        ("series", {"link_bytes:0->1": {"stride": 1, "samples": []}}),
+    ], ids=["events", "series"])
+    def test_validation_rejects_events_and_series(self, key, value):
+        """Profiles hold counters and timers only; a document recorded
+        with the old event log or per-link series no longer loads."""
+        bad = self._profile()
+        bad[key] = value
+        with pytest.raises(ProfileError, match=f"unexpected key '{key}'"):
+            obs.validate_profile(bad)
+
     def test_validation_rejects_malformed_netsim(self):
         bad = self._profile()
         del bad["netsim"]["top_links"]
@@ -214,8 +202,7 @@ class TestProfileArtifact:
         assert "topolb.cycles" in text
         assert "topolb.map" in text
         assert "0->1" in text
-        assert "netsim.link_saturated" in text
-        assert "link_bytes:0->1" in text
+        assert "netsim.saturation_events" in text
 
     def test_summarize_minimal_profile(self):
         minimal = {

@@ -109,6 +109,11 @@ class TestMatchingAndContraction:
                 next_id += 1
         assert np.array_equal(fast, slow)
 
+    def test_contract_rejects_a_non_involution(self):
+        graph = TaskGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        with pytest.raises(ValueError, match="involution"):
+            contract(graph, np.array([1, 2, 0]))
+
     @given(graph=_tied_graphs(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_matching_equals_neighbor_slice_oracle(self, graph, seed):

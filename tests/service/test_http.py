@@ -1,6 +1,7 @@
 """HTTP transport: routes, status codes, and the ThreadedServer harness."""
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -75,6 +76,46 @@ def test_map_malformed_json_is_400(server, raw):
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(request, timeout=30)
     assert err.value.code == 400
+
+
+def _raw(url, request: bytes) -> tuple[int, dict]:
+    """Send ``request`` bytes as they are; (status, parsed JSON) of the
+    reply, or (0, {}) when the server closes without one."""
+    host, port = url.rsplit("/", 1)[-1].split(":")
+    with socket.create_connection((host, int(port)), timeout=30) as conn:
+        conn.sendall(request)
+        reply = b""
+        while chunk := conn.recv(65536):
+            reply += chunk
+    if not reply:
+        return 0, {}
+    head, _, payload = reply.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload)
+
+
+@pytest.mark.parametrize("length", [b"-5", b"five", b"1.5", b"\xb2"])
+def test_map_bad_content_length_is_400(server, length):
+    body = json.dumps(BODY).encode()
+    status, reply = _raw(server, b"POST /map HTTP/1.1\r\nContent-Length: "
+                         + length + b"\r\n\r\n" + body)
+    assert status == 400
+    assert "Content-Length" in reply["error"]
+
+
+@pytest.mark.parametrize("line", [b"GET", b"\r\n"])
+def test_short_request_line_is_400(server, line):
+    status, reply = _raw(server, line.rstrip() + b"\r\n\r\n")
+    assert status == 400
+    assert "request line" in reply["error"]
+
+
+@pytest.mark.parametrize("field", ["flow_metrics", "wait"])
+@pytest.mark.parametrize("value", ["no", 0, 1, None])
+def test_map_non_boolean_flag_is_400(server, field, value):
+    status, _, reply = _call(f"{server}/map", "POST",
+                             {**BODY, field: value})
+    assert status == 400
+    assert f"{field} must be a JSON boolean" in reply["error"]
 
 
 def test_map_unknown_field_is_400(server):

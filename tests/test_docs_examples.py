@@ -83,7 +83,7 @@ class TestRobustnessDoc:
     def test_doc_names_real_counters(self):
         text = (ROOT / "docs/ROBUSTNESS.md").read_text()
         for name in ("netsim.buffer_drops", "netsim.retransmits",
-                     "netsim.dropped", "netsim.message_dropped",
+                     "netsim.dropped",
                      "REPRO_EXPERIMENTS_FAIL"):
             assert name in text
 
