@@ -246,21 +246,15 @@ _NETSIM_KEYS = frozenset({
 _NETSIM_INT_KEYS = frozenset({"iterations", "max_retries", "seed"})
 
 
-def _netsim_metrics(
-    mapping, knobs: dict, summarize: bool = False, kernel: str | None = None
-) -> tuple[dict[str, float], dict | None]:
-    """DES-replay a mapping per ``MappingRequest.netsim``.
+def _netsim_replay(mapping, knobs: dict, kernel: str | None = None):
+    """Check ``MappingRequest.netsim`` knobs and replay ``mapping`` with them.
 
-    The replay is the closed-loop evaluation
-    (:func:`repro.netsim.appsim.replay_closed_loop`), with the tail summary
-    flattened into scalar ``des_*`` metrics a golden triple can pin. With
-    ``summarize`` the second return value is the profile's ``netsim``
-    section (the per-link load summary plus the tail summary); otherwise it
-    is ``None``. ``kernel`` picks the simulator's body; only the full-tier
+    Returns the simulator and the application result of the closed-loop
+    replay (:func:`repro.netsim.appsim.replay_closed_loop`). ``kernel``
+    picks the simulator's body; only the full-tier
     ``des-kernel-differential`` oracle passes ``"reference"``.
     """
     from repro.netsim.appsim import replay_closed_loop
-    from repro.netsim.stats import link_summary, tail_summary
 
     unknown = set(knobs) - _NETSIM_KEYS
     if unknown:
@@ -287,9 +281,25 @@ def _netsim_metrics(
             )
     sim_kwargs = {k: v for k, v in knobs.items()
                   if k not in ("iterations", "overload_policy")}
-    sim, result = replay_closed_loop(
+    return replay_closed_loop(
         mapping, int(knobs.get("iterations", 2)), kernel=kernel, **sim_kwargs
     )
+
+
+def _netsim_metrics(
+    mapping, knobs: dict, summarize: bool = False, kernel: str | None = None
+) -> tuple[dict[str, float], dict | None]:
+    """DES-replay a mapping per ``MappingRequest.netsim``.
+
+    The replay is :func:`_netsim_replay`, with the tail summary flattened
+    into scalar ``des_*`` metrics a golden triple can pin. With
+    ``summarize`` the second return value is the profile's ``netsim``
+    section (the per-link load summary plus the tail summary); otherwise it
+    is ``None``. ``kernel`` picks the simulator's body.
+    """
+    from repro.netsim.stats import link_summary, tail_summary
+
+    sim, result = _netsim_replay(mapping, knobs, kernel)
     tail = tail_summary(sim, iteration_times=result.iteration_times)
     metrics = {
         "des_makespan_us": result.total_time,

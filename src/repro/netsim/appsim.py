@@ -92,7 +92,8 @@ class IterativeApplication:
         message_bytes: float | None = None,
         compute_time: float | np.ndarray = 1.0,
     ):
-        if not isinstance(iterations, (int, np.integer)) or iterations < 1:
+        if (isinstance(iterations, bool)
+                or not isinstance(iterations, (int, np.integer)) or iterations < 1):
             raise SimulationError(f"iterations must be an integer >= 1, got {iterations!r}")
         self._mapping = mapping
         self._sim = simulator

@@ -10,7 +10,8 @@ for the reproduction.
 The estimator charges every inter-processor message's bytes to the directed
 links of its deterministic dimension-ordered route and derives:
 
-* ``link_bytes`` / ``link_messages`` — offered load per directed link,
+* the offered load per directed link, as four link-indexed arrays
+  (``src``, ``dst``, ``bytes``, ``messages``; one entry per loaded link),
 * ``max_link_bytes`` — the contention bottleneck (what RefineTopoLB's
   hop-bytes objective is a proxy for),
 * ``makespan_lower_bound`` — a provable lower bound on the DES completion
@@ -28,8 +29,12 @@ and one cumulative sum per direction — O(messages · ndim + links) total,
 vectorized over the task graph's edge arrays. Every other machine — the
 hypercube, arbitrary graphs, and the *indirect* fat-tree/dragonfly whose
 routes traverse switch-level links — takes the generic link-indexed path:
-one ``route_links`` walk per unique processor pair, accumulated over the
-links of ``topology.link_graph()`` (still DES-free).
+one ``route`` walk per unique processor pair, accumulated over the links
+of ``topology.link_graph()`` (still DES-free). Both paths return the same
+link-indexed arrays, and the scalars are NumPy reductions over them; no
+per-link Python object is built. :meth:`FlowResult.link_loads` builds the
+``{(u, v): bytes}`` dict that tests and the ``flow-equals-des-links``
+oracle compare against ``NetworkSimulator.link_bytes()``.
 
 Makespan bound (times in microseconds, the DES convention):
 
@@ -62,22 +67,29 @@ from repro.topology.grid import GridTopology
 
 __all__ = ["FlowResult", "flow_evaluate", "spearman"]
 
+_NO_LINKS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+             np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.int64))
+
 
 @dataclasses.dataclass
 class FlowResult:
     """Static flow-level contention estimate of one mapped application.
 
-    ``link_bytes`` / ``link_messages`` are *per-iteration* offered loads on
-    the directed links the traffic touches (zero-load links are omitted,
-    matching ``NetworkSimulator.link_bytes()`` which only reports links that
-    carried traffic). Scalars already account for ``iterations``.
+    ``src``/``dst``/``bytes``/``messages`` are aligned per-link arrays: the
+    directed link ``src[i] -> dst[i]`` carries ``bytes[i]`` bytes in
+    ``messages[i]`` messages *per iteration*. Each directed link the traffic
+    touches appears exactly once, and zero-load links are omitted, matching
+    ``NetworkSimulator.link_bytes()`` which only reports links that carried
+    traffic. Scalars already account for ``iterations``.
     """
 
     iterations: int
     bandwidth: float
     alpha: float
-    link_bytes: dict[tuple[int, int], float]
-    link_messages: dict[tuple[int, int], int]
+    src: np.ndarray
+    dst: np.ndarray
+    bytes: np.ndarray
+    messages: np.ndarray
     #: bytes crossing the busiest link over the whole run
     max_link_bytes: float
     #: network bytes-on-links over the whole run (== hop_bytes * iterations)
@@ -91,7 +103,17 @@ class FlowResult:
 
     @property
     def links_used(self) -> int:
-        return len(self.link_bytes)
+        return len(self.src)
+
+    def link_loads(self) -> dict[tuple[int, int], float]:
+        """Per-iteration ``{(u, v): bytes}``, keyed like
+        ``NetworkSimulator.link_bytes()`` (for comparisons, not hot paths)."""
+        return dict(zip(zip(self.src.tolist(), self.dst.tolist()),
+                        self.bytes.tolist()))
+
+
+#: Per-link loads: (link tails, link heads, bytes, message counts).
+LinkLoads = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _directed_messages(
@@ -117,7 +139,7 @@ def _directed_messages(
 
 def _grid_link_loads(
     topo: GridTopology, src: np.ndarray, dst: np.ndarray, sizes: np.ndarray
-) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], int]]:
+) -> LinkLoads:
     """Per-link loads under dimension-ordered routing, without routes.
 
     For each axis ``a`` (corrected in axis order), a message's off-axis
@@ -126,7 +148,9 @@ def _grid_link_loads(
     one direction (the shorter way around on a torus, ties +1 — exactly
     ``GridTopology.route``). Runs are accumulated per (line, direction)
     with difference arrays, wrap-split on the torus, then one cumsum per
-    line turns run endpoints into per-position loads.
+    line turns run endpoints into per-position loads. The loaded links
+    come out per axis, direction, then flat position; no directed link
+    repeats, since a size-2 torus axis routes both ways forward (ties +1).
     """
     shape = topo.shape
     ndim = topo.ndim
@@ -134,9 +158,7 @@ def _grid_link_loads(
     csrc = coords[src].astype(np.int64)
     cdst = coords[dst].astype(np.int64)
 
-    bytes_out: dict[tuple[int, int], float] = {}
-    msgs_out: dict[tuple[int, int], int] = {}
-
+    parts: list[tuple[np.ndarray, ...]] = []
     for axis in range(ndim):
         s = shape[axis]
         if s <= 1:
@@ -215,28 +237,21 @@ def _grid_link_loads(
                 continue
             from_ids = np.ravel_multi_index(nz, shape)
             nbr = list(nz)
-            if is_fwd:
-                nbr[axis] = (nz[axis] + 1) % s
-                to_ids = np.ravel_multi_index(tuple(nbr), shape)
-                pairs = zip(from_ids, to_ids)
-            else:
-                # backward link i is (i+1 -> i): the stored position is the
-                # lower endpoint.
-                nbr[axis] = (nz[axis] + 1) % s
-                to_ids = np.ravel_multi_index(tuple(nbr), shape)
-                pairs = zip(to_ids, from_ids)
-            lvals = loads[nz]
-            cvals = counts[nz]
-            for (fr, to), lb, cm in zip(pairs, lvals, cvals):
-                key = (int(fr), int(to))
-                bytes_out[key] = bytes_out.get(key, 0.0) + float(lb)
-                msgs_out[key] = msgs_out.get(key, 0) + int(cm)
-    return bytes_out, msgs_out
+            nbr[axis] = (nz[axis] + 1) % s
+            to_ids = np.ravel_multi_index(tuple(nbr), shape)
+            # backward link i is (i+1 -> i): the stored position is the
+            # lower endpoint.
+            if not is_fwd:
+                from_ids, to_ids = to_ids, from_ids
+            parts.append((from_ids, to_ids, loads[nz], counts[nz]))
+    if not parts:
+        return _NO_LINKS
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _generic_link_loads(
     topo: Topology, src: np.ndarray, dst: np.ndarray, sizes: np.ndarray
-) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], int]]:
+) -> LinkLoads:
     """Generic link-indexed accumulation for non-grid machines.
 
     Works over the links of ``topo.link_graph()`` — including the
@@ -245,23 +260,40 @@ def _generic_link_loads(
     processor pair is routed once and its aggregate bytes/message count
     charged to every directed link of the route, so the cost is
     O(unique pairs * route length) rather than O(messages * route length).
+    Links come out in order of first use; ``np.add.at`` adds each link's
+    pair loads one at a time in pair order.
     """
-    bytes_out: dict[tuple[int, int], float] = {}
-    msgs_out: dict[tuple[int, int], int] = {}
     if not len(src):
-        return bytes_out, msgs_out
+        return _NO_LINKS
     p = topo.num_nodes
     keys = src.astype(np.int64) * p + dst.astype(np.int64)
     order = np.argsort(keys, kind="stable")
     uniq, starts = np.unique(keys[order], return_index=True)
     byte_sums = np.add.reduceat(sizes[order], starts)
     counts = np.diff(np.append(starts, len(keys)))
-    for key, b, c in zip(uniq, byte_sums, counts):
-        s, d = divmod(int(key), p)
-        for link in topo.route_links(s, d):
-            bytes_out[link] = bytes_out.get(link, 0.0) + float(b)
-            msgs_out[link] = msgs_out.get(link, 0) + int(c)
-    return bytes_out, msgs_out
+    tails: list[int] = []
+    heads: list[int] = []
+    hops = np.empty(len(uniq), dtype=np.int64)
+    for i, key in enumerate(uniq.tolist()):
+        path = topo.route(*divmod(key, p))
+        tails += path[:-1]
+        heads += path[1:]
+        hops[i] = len(path) - 1
+    tails = np.asarray(tails, dtype=np.int64)
+    heads = np.asarray(heads, dtype=np.int64)
+    pair = np.repeat(np.arange(len(uniq)), hops)
+    width = int(max(tails.max(), heads.max())) + 1
+    _, first, inverse = np.unique(tails * width + heads, return_index=True,
+                                  return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    slot = rank[inverse]
+    link_bytes = np.zeros(len(first), dtype=np.float64)
+    np.add.at(link_bytes, slot, byte_sums[pair])
+    link_msgs = np.zeros(len(first), dtype=np.int64)
+    np.add.at(link_msgs, slot, counts[pair])
+    firsts = np.sort(first)
+    return tails[firsts], heads[firsts], link_bytes, link_msgs
 
 
 def flow_evaluate(
@@ -281,7 +313,8 @@ def flow_evaluate(
     ``IterativeApplication.run().total_time`` on the same mapping, and are
     checked as those classes check them.
     """
-    if not isinstance(iterations, (int, np.integer)) or iterations < 1:
+    if (isinstance(iterations, bool)
+            or not isinstance(iterations, (int, np.integer)) or iterations < 1):
         raise SimulationError(
             f"iterations must be an integer >= 1, got {iterations!r}")
     if message_bytes is not None:
@@ -296,23 +329,21 @@ def flow_evaluate(
     remote = src != dst
     r_src, r_dst, r_sizes = src[remote], dst[remote], sizes[remote]
 
-    if isinstance(topo, GridTopology):
-        link_bytes, link_msgs = _grid_link_loads(topo, r_src, r_dst, r_sizes)
-    else:
-        link_bytes, link_msgs = _generic_link_loads(topo, r_src, r_dst, r_sizes)
+    accumulate = (_grid_link_loads if isinstance(topo, GridTopology)
+                  else _generic_link_loads)
+    link_src, link_dst, link_bytes, link_msgs = accumulate(
+        topo, r_src, r_dst, r_sizes)
 
     # Per-iteration bottleneck: the busiest link's occupancy (a link
-    # serializes, charging alpha + size/bandwidth per message).
-    bottleneck = 0.0
-    max_bytes = 0.0
-    total_bytes = 0.0
-    for link, b in link_bytes.items():
-        occ = alpha * link_msgs[link] + b / bandwidth
-        if occ > bottleneck:
-            bottleneck = occ
-        if b > max_bytes:
-            max_bytes = b
-        total_bytes += b
+    # serializes, charging alpha + size/bandwidth per message). The byte
+    # total is summed sequentially in link order (``np.cumsum``, not the
+    # pairwise ``sum``), so fractional loads keep their bits.
+    bottleneck = max_bytes = total_bytes = 0.0
+    if len(link_bytes):
+        occupancy = alpha * link_msgs + link_bytes / bandwidth
+        bottleneck = max(0.0, float(occupancy.max()))
+        max_bytes = max(0.0, float(link_bytes.max()))
+        total_bytes = float(np.cumsum(link_bytes)[-1])
 
     # Uncontended delivery latency of the slowest message (cut-through:
     # hops * alpha + size / bandwidth; co-located: local_latency).
@@ -330,8 +361,10 @@ def flow_evaluate(
         iterations=int(iterations),
         bandwidth=float(bandwidth),
         alpha=float(alpha),
-        link_bytes=link_bytes,
-        link_messages=link_msgs,
+        src=link_src,
+        dst=link_dst,
+        bytes=link_bytes,
+        messages=link_msgs,
         max_link_bytes=max_bytes * iterations,
         total_bytes=total_bytes * iterations,
         makespan_lower_bound=float(makespan),

@@ -134,48 +134,6 @@ class MessageStats:
         lat = self.latencies()
         return float(lat.max()) if len(lat) else 0.0
 
-    # ------------------------------------------------------------------ tails
-    def percentiles(self, qs: tuple[float, ...] = (50.0, 99.0, 99.9)) -> dict:
-        """Latency percentiles over all delivered traffic (microseconds)."""
-        lat = self.latencies()
-        if len(lat) == 0:
-            return {f"p{_q_label(q)}": 0.0 for q in qs}
-        return {
-            f"p{_q_label(q)}": float(np.percentile(lat, q)) for q in qs
-        }
-
-    def class_summary(
-        self, edges: tuple[float, ...] = SIZE_CLASS_EDGES
-    ) -> list[dict]:
-        """Per-size-class tail summary: one row per *occupied* class.
-
-        Barrier-synchronized applications feel the worst class, not the
-        mean — this is the table the ``tailcheck`` experiment and the
-        profile's ``netsim.tail.classes`` section report.
-        """
-        lat = self.latencies()
-        if len(lat) == 0:
-            return []
-        sizes = self.sizes()
-        buckets = np.digitize(sizes, np.asarray(edges, dtype=np.float64),
-                              right=True)
-        rows = []
-        for index in range(len(edges) + 1):
-            mask = buckets == index
-            n = int(mask.sum())
-            if n == 0:
-                continue
-            class_lat = lat[mask]
-            rows.append({
-                "class": size_class_label(index, edges),
-                "count": n,
-                "p50": float(np.percentile(class_lat, 50)),
-                "p99": float(np.percentile(class_lat, 99)),
-                "p999": float(np.percentile(class_lat, 99.9)),
-                "max": float(class_lat.max()),
-            })
-        return rows
-
     def snapshot(self) -> dict:
         """All aggregates as one JSON-able dict (bit-identical per seed)."""
         return {
@@ -190,9 +148,3 @@ class MessageStats:
             "sizes": list(self._sizes),
         }
 
-
-def _q_label(q: float) -> str:
-    """``50.0 -> "50"``, ``99.9 -> "999"`` (percentile key spelling)."""
-    if float(q).is_integer():
-        return str(int(q))
-    return str(q).replace(".", "")

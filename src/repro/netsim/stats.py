@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.netsim.messages import SIZE_CLASS_EDGES, size_class_label
 from repro.netsim.simulator import NetworkSimulator, channel_name
 
 __all__ = ["link_summary", "tail_summary"]
+
+#: The delivery-latency percentiles of every tail row (p50/p99/p999).
+_TAIL_QUANTILES = (50.0, 99.0, 99.9)
 
 
 def tail_summary(sim: NetworkSimulator,
@@ -22,32 +26,68 @@ def tail_summary(sim: NetworkSimulator,
     ``--stats``.
     """
     stats = sim.stats
-    pct = stats.percentiles()
+    # Each stats list becomes an array once; every percentile row is one
+    # ``np.percentile`` call.
+    lat = stats.latencies()
+    if len(lat):
+        p50, p99, p999 = np.percentile(lat, _TAIL_QUANTILES).tolist()
+        mean, worst = float(lat.mean()), float(lat.max())
+    else:
+        p50 = p99 = p999 = mean = worst = 0.0
     out = {
         "delivered": int(stats.count),
         "dropped": int(stats.dropped),
         "retransmits": int(stats.retransmits),
         "buffer_drops": int(stats.buffer_drops),
         "latency": {
-            "p50": pct["p50"],
-            "p99": pct["p99"],
-            "p999": pct["p999"],
-            "mean": stats.mean_latency,
-            "max": stats.max_latency,
+            "p50": p50,
+            "p99": p99,
+            "p999": p999,
+            "mean": mean,
+            "max": worst,
         },
-        "classes": stats.class_summary(),
+        "classes": _class_rows(lat, stats.sizes()),
     }
     if iteration_times is not None:
         its = np.asarray(iteration_times, dtype=np.float64)
         if len(its):
+            it_p50, it_p99 = np.percentile(its, (50, 99)).tolist()
             out["iterations"] = {
                 "count": int(len(its)),
-                "p50": float(np.percentile(its, 50)),
-                "p99": float(np.percentile(its, 99)),
+                "p50": it_p50,
+                "p99": it_p99,
                 "max": float(its.max()),
                 "mean": float(its.mean()),
             }
     return out
+
+
+def _class_rows(lat: np.ndarray, sizes: np.ndarray) -> list[dict]:
+    """Per-size-class tail rows, one per *occupied* class.
+
+    Barrier-synchronized applications feel the worst class, not the mean —
+    this is the table the ``tailcheck`` experiment and the profile's
+    ``netsim.tail.classes`` section report.
+    """
+    edges = np.asarray(SIZE_CLASS_EDGES, dtype=np.float64)
+    buckets = np.digitize(sizes, edges, right=True)
+    rows = []
+    for index in range(len(edges) + 1):
+        mask = buckets == index
+        n = int(mask.sum())
+        if n == 0:
+            continue
+        class_lat = lat[mask]
+        p50, p99, p999 = np.percentile(class_lat, _TAIL_QUANTILES).tolist()
+        rows.append({
+            "class": size_class_label(index),
+            "count": n,
+            "p50": p50,
+            "p99": p99,
+            "p999": p999,
+            "max": float(class_lat.max()),
+        })
+    return rows
 
 
 def link_summary(sim: NetworkSimulator, top: int = 10) -> dict:

@@ -383,6 +383,54 @@ def _check_flow_bound_below_des(s: _Session, netsim: dict | None,
     s.record(invariant, "ok")
 
 
+def _check_flow_equals_des_links(s: _Session, netsim: dict | None,
+                                 metrics: dict | None) -> None:
+    from repro.engine.core import _netsim_replay
+    from repro.mapping.base import Mapping
+    from repro.netsim.flow import flow_evaluate
+
+    invariant = "flow-equals-des-links"
+    if _des_replay_skipped(s, invariant, netsim, metrics):
+        return
+    if "flow_max_link_bytes" not in metrics:
+        s.record(invariant, "skipped", "the request carries no flow_metrics")
+        return
+    lost = [key for key in ("des_dropped", "des_retransmits",
+                            "des_buffer_drops") if metrics.get(key)]
+    if lost:
+        # A retransmitted message re-crosses the links its dropped attempt
+        # already used; flow charges every message once.
+        s.record(invariant, "skipped",
+                 f"the replay lost traffic ({', '.join(lost)} > 0), so the "
+                 f"DES carried bytes flow does not charge")
+        return
+    # Replay once more on the production body for its per-link bytes: every
+    # directed link carries the flow's per-iteration offered load times the
+    # iteration count, and no other link carries anything.
+    mapping = Mapping(s.graph, s.topology, s.assignment)
+    sim, _ = _netsim_replay(mapping, netsim)
+    des = sim.link_bytes()
+    iterations = int(netsim.get("iterations", 2))
+    flow = flow_evaluate(mapping).link_loads()
+    if flow.keys() != des.keys():
+        extra = sorted(set(flow) ^ set(des))
+        s.record(
+            invariant, "violated",
+            f"flow and the DES load different links: {len(extra)} differ "
+            f"(first: {extra[:4]})",
+        )
+        return
+    for link, measured in des.items():
+        if not _close(flow[link] * iterations, measured):
+            s.record(
+                invariant, "violated",
+                f"link {link} carried {measured!r} bytes in the DES but flow "
+                f"charges {flow[link]!r} x {iterations} iterations",
+            )
+            return
+    s.record(invariant, "ok")
+
+
 def _check_spec_rebuild(s: _Session, mapper_spec: str | None,
                         seed: int | None) -> None:
     from repro.engine.specs import canonical_mapper_spec
@@ -544,7 +592,9 @@ def validate_mapping(
     metamorphic properties; when the request replayed the DES (``netsim``,
     its knobs, with the ``des_*`` entries of ``metrics``) it replays again
     on the reference event loop and checks the flow bound against the DES
-    makespan. ``off`` returns an empty report.
+    makespan, and, when ``metrics`` also holds the ``flow_*`` entries, that
+    the DES's per-link bytes equal the flow estimator's. ``off`` returns an
+    empty report.
 
     When ``raise_on_violation`` (the default) any violation raises a
     :class:`~repro.exceptions.ValidationError` carrying the invariant name,
@@ -598,6 +648,7 @@ def validate_mapping(
         _check_spec_rebuild(s, mapper_spec, seed)
         _check_des_kernel_differential(s, netsim, metrics)
         _check_flow_bound_below_des(s, netsim, metrics)
+        _check_flow_equals_des_links(s, netsim, metrics)
         _check_subtopology_distances(s)
         _check_relabel_invariance(s, seed)
         _check_scale_invariance(s)

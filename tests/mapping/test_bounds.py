@@ -16,7 +16,7 @@ from repro.mapping import (
     TopoLB,
     hop_bytes_lower_bound,
 )
-from repro.mapping.bounds import _distance_profile
+from repro.mapping.bounds import _degree_matching_bound, _distance_profile
 from repro.taskgraph import TaskGraph, mesh2d_pattern, mesh3d_pattern, random_taskgraph
 from repro.topology import Hypercube, Mesh, Torus
 from repro.topology.aggregate import GroupedTopology
@@ -83,6 +83,71 @@ def test_property_bound_below_every_bijection(seed):
     for s in range(3):
         mapping = RandomMapper(seed=seed + s).map(g, topo)
         assert bound <= mapping.hop_bytes + 1e-9
+
+
+class TestBoundMemo:
+    """The bound is memoized per (graph content, machine shape)."""
+
+    def setup_method(self):
+        clear_topology_cache()
+
+    def teardown_method(self):
+        clear_topology_cache()
+
+    @staticmethod
+    def _hits(prof) -> int:
+        return prof.counters.get("topology.cache.hits", 0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Torus((4, 4)), lambda: Mesh((3, 4)), lambda: Hypercube(4),
+    ], ids=["torus", "mesh", "hypercube"])
+    def test_second_call_is_a_hit_with_the_unmemoized_value(self, make):
+        topo = make()
+        g = random_taskgraph(topo.num_nodes, edge_prob=0.5, seed=2)
+        with obs.profiled() as prof:
+            first = hop_bytes_lower_bound(g, topo)
+            hits = self._hits(prof)
+            # A fresh machine object and a rebuilt graph of equal content.
+            u, v, w = g.edge_arrays()
+            again = hop_bytes_lower_bound(
+                TaskGraph.from_arrays(g.num_tasks, u, v, w, g.vertex_weights),
+                make())
+            assert self._hits(prof) == hits + 1
+        assert first.hex() == again.hex()
+        assert first.hex() == _degree_matching_bound(g, topo).hex()
+
+    def test_different_content_digest_misses(self):
+        topo = Torus((4, 4))
+        g = random_taskgraph(16, edge_prob=0.5, seed=2)
+        u, v, w = g.edge_arrays()
+        heavier = TaskGraph.from_arrays(16, u, v, w * 3.0, g.vertex_weights)
+        assert heavier.content_digest() != g.content_digest()
+        hop_bytes_lower_bound(g, topo)
+        with obs.profiled() as prof:
+            bound = hop_bytes_lower_bound(heavier, topo)
+            assert self._hits(prof) == 0
+        assert bound == _degree_matching_bound(heavier, topo)
+
+    def test_clear_topology_cache_drops_the_entry(self):
+        topo = Torus((4, 4))
+        g = random_taskgraph(16, edge_prob=0.5, seed=2)
+        hop_bytes_lower_bound(g, topo)
+        clear_topology_cache()
+        with obs.profiled() as prof:
+            hop_bytes_lower_bound(g, topo)
+            assert self._hits(prof) == 0
+            assert prof.counters.get("topology.cache.misses", 0) == 1
+
+    def test_non_bijective_request_never_hashes_the_graph(self, monkeypatch):
+        def spy(self):
+            raise AssertionError("content_digest called on a non-bijective "
+                                 "request")
+
+        monkeypatch.setattr(TaskGraph, "content_digest", spy)
+        assert hop_bytes_lower_bound(mesh2d_pattern(4, 4), Torus((4, 8))) \
+            == 0.0
+        assert hop_bytes_lower_bound(mesh2d_pattern(4, 8), Torus((4, 4))) \
+            == 0.0
 
 
 def _min_over_rows_profile(topo) -> np.ndarray:

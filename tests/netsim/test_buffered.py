@@ -146,10 +146,11 @@ class TestTailStats:
         sim.send(0, 1, 2048.0)
         sim.send(0, 1, 300_000.0)
         sim.run()
-        pct = sim.stats.percentiles()
-        assert set(pct) == {"p50", "p99", "p999"}
-        assert pct["p50"] <= pct["p99"] <= pct["p999"]
-        rows = sim.stats.class_summary()
+        tail = tail_summary(sim)
+        pct = tail["latency"]
+        assert set(pct) == {"p50", "p99", "p999", "mean", "max"}
+        assert pct["p50"] <= pct["p99"] <= pct["p999"] <= pct["max"]
+        rows = tail["classes"]
         assert [r["class"] for r in rows] == ["<=1KiB", "<=16KiB", ">256KiB"]
         assert all(r["count"] == 1 for r in rows)
 

@@ -110,6 +110,7 @@ def test_engine_rejects_non_finite_netsim_value(knobs):
 
 @pytest.mark.parametrize("kwargs", [
     {"iterations": 2.5},       # reported 2 but scaled the bytes by 2.5
+    {"iterations": True},      # a bool is an int: ran one iteration
     {"iterations": INF},       # OverflowError
     {"bandwidth": NAN},        # bottleneck_time_us = 0.0
     {"bandwidth": INF},
@@ -134,3 +135,26 @@ def test_flow_evaluate_rejects_bad_input_before_any_work(kwargs, monkeypatch):
     (name,) = kwargs
     with pytest.raises(SimulationError, match=name):
         flow.flow_evaluate(mapping, **kwargs)
+
+
+@pytest.mark.parametrize("iterations", [True, 2.5, 0],
+                         ids=lambda v: repr(v))
+def test_iterative_application_rejects_bad_iterations_before_any_work(
+        iterations, monkeypatch):
+    from repro.engine import graph_from_spec
+    from repro.mapping import RandomMapper
+    from repro.netsim.appsim import IterativeApplication, replay_closed_loop
+    from repro.taskgraph.graph import TaskGraph
+
+    topology = topology_from_spec("torus:4x4")
+    mapping = RandomMapper(seed=0).map(graph_from_spec("mesh2d:4x4"), topology)
+
+    def no_work(*args):
+        raise AssertionError("the replay started work on a bad input")
+
+    monkeypatch.setattr(TaskGraph, "csr_arrays", no_work)
+    with pytest.raises(SimulationError, match="iterations"):
+        IterativeApplication(mapping, NetworkSimulator(topology),
+                             iterations=iterations)
+    with pytest.raises(SimulationError, match="iterations"):
+        replay_closed_loop(mapping, iterations)

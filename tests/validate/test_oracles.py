@@ -111,18 +111,22 @@ class TestSubTopologyOracle:
 
 
 class TestDesOracles:
-    """A request that replays the DES gets two more full-tier checks: the
-    replay on the reference event loop, and the flow bound."""
+    """A request that replays the DES gets more full-tier checks: the replay
+    on the reference event loop, the flow bound, and (with ``flow_metrics``)
+    the per-link bytes of flow against the DES."""
 
     KNOBS = {"iterations": 2, "buffer_bytes": 4096, "bandwidth": 100.0,
              "retry_jitter": 0.5, "seed": 3}
+    #: Unbuffered: nothing is dropped or retransmitted.
+    CLEAN = {"iterations": 3, "bandwidth": 100.0, "seed": 3}
 
-    def _run(self, netsim):
+    def _run(self, netsim, flow_metrics=False, validate="full"):
         from repro.engine import MappingEngine, MappingRequest
 
         return MappingEngine().run(MappingRequest(
             graph="mesh3d:4x4x4;bytes=4096", topology="torus:4x4x4",
-            mapper="random", seed=1, validate="full", netsim=netsim))
+            mapper="random", seed=1, validate=validate, netsim=netsim,
+            flow_metrics=flow_metrics))
 
     def _report(self, result, netsim):
         mapping = result.mapping
@@ -160,8 +164,47 @@ class TestDesOracles:
         assert "des_makespan_us" in str(err.value)
 
     def test_skipped_without_netsim(self):
-        report = self._report(self._run(None), None)
-        for invariant in ("des-kernel-differential", "flow-bound-below-des"):
+        report = self._report(self._run(None, flow_metrics=True), None)
+        for invariant in ("des-kernel-differential", "flow-bound-below-des",
+                          "flow-equals-des-links"):
             check = _status(report, invariant)
             assert check.status == "skipped"
             assert "no netsim replay" in check.detail
+
+    def test_flow_equals_des_links_on_a_clean_replay(self):
+        result = self._run(self.CLEAN, flow_metrics=True)
+        assert result.metrics["des_retransmits"] == 0
+        report = self._report(result, self.CLEAN)
+        assert _status(report, "flow-equals-des-links").status == "ok"
+
+    def test_flow_equals_des_links_needs_flow_metrics(self):
+        report = self._report(self._run(self.CLEAN), self.CLEAN)
+        check = _status(report, "flow-equals-des-links")
+        assert check.status == "skipped"
+        assert "no flow_metrics" in check.detail
+
+    def test_flow_equals_des_links_skips_a_lossy_replay(self):
+        result = self._run(self.KNOBS, flow_metrics=True)
+        assert result.metrics["des_retransmits"] > 0
+        check = _status(self._report(result, self.KNOBS),
+                        "flow-equals-des-links")
+        assert check.status == "skipped"
+        assert "des_retransmits" in check.detail
+
+    def test_shifted_flow_link_is_caught(self, monkeypatch):
+        from repro.netsim import flow
+
+        result = self._run(self.CLEAN, flow_metrics=True, validate="off")
+        honest = flow.flow_evaluate
+
+        def one_link_shifted(*args, **kwargs):
+            estimate = honest(*args, **kwargs)
+            estimate.bytes = estimate.bytes.copy()
+            estimate.bytes[len(estimate.bytes) // 2] += 64.0
+            return estimate
+
+        monkeypatch.setattr(flow, "flow_evaluate", one_link_shifted)
+        check = _status(self._report(result, self.CLEAN),
+                        "flow-equals-des-links")
+        assert check.status == "violated"
+        assert "flow charges" in check.detail
