@@ -70,6 +70,25 @@ GRAPH_KINDS = ("file", "lbdump", "mesh2d", "mesh3d", "ring", "alltoall",
                "random")
 
 
+#: The most tasks, edges or (for ``random:``) candidate pairs a generated
+#: graph spec may ask for: about three times the largest input any
+#: experiment, benchmark or test builds (``mesh3d:48x48x48``, 331,776
+#: edges). Specs are sized before anything is built, so that one request
+#: cannot exhaust the memory of the process that keys or serves it.
+MAX_GENERATED_SIZE = 1_000_000
+
+
+def _check_generated_size(spec: str, tasks: int, edges: int,
+                          what: str = "edges") -> None:
+    """Refuse a generated graph of more than :data:`MAX_GENERATED_SIZE`
+    tasks or ``what``."""
+    if max(tasks, edges) > MAX_GENERATED_SIZE:
+        raise SpecError(
+            f"graph spec {spec!r:.80} asks for {tasks:,} tasks and {edges:,} "
+            f"{what}; generated graphs are capped at "
+            f"{MAX_GENERATED_SIZE:,} of each")
+
+
 def graph_from_spec(spec: str):
     """Build a :class:`~repro.taskgraph.TaskGraph` from a spec string.
 
@@ -82,6 +101,9 @@ def graph_from_spec(spec: str):
         ring:<N>[;bytes=F]           ring pattern
         alltoall:<N>[;bytes=F]       complete graph
         random:<N>[;p=F][;seed=I]    Erdős–Rényi random graph
+
+    A generated kind is sized from its spec first and refused with a
+    :class:`SpecError` above :data:`MAX_GENERATED_SIZE` tasks or edges.
     """
     if not isinstance(spec, str) or ":" not in spec:
         raise SpecError(
@@ -112,6 +134,10 @@ def graph_from_spec(spec: str):
             raise SpecError(f"bad graph shape {head!r}: {exc}") from exc
         options = _parse_graph_options(rest, spec, ("bytes",))
         bytes_ = options.get("bytes", 1.0)
+        if min(shape) >= 1:
+            tasks = math.prod(shape)
+            _check_generated_size(spec, tasks, sum(
+                tasks // extent * (extent - 1) for extent in shape))
         if kind == "mesh2d":
             if len(shape) != 2:
                 raise SpecError(f"mesh2d needs RxC, got {head!r}")
@@ -127,6 +153,8 @@ def graph_from_spec(spec: str):
         except ValueError as exc:
             raise SpecError(f"bad task count {head!r}") from exc
         options = _parse_graph_options(rest, spec, ("bytes",))
+        _check_generated_size(
+            spec, n, n if kind == "ring" else n * (n - 1) // 2)
         maker = ring_pattern if kind == "ring" else all_to_all_pattern
         return maker(n, message_bytes=options.get("bytes", 1.0))
     if kind == "random":
@@ -137,6 +165,8 @@ def graph_from_spec(spec: str):
         except ValueError as exc:
             raise SpecError(f"bad task count {head!r}") from exc
         options = _parse_graph_options(rest, spec, ("p", "seed"))
+        # The generator draws once per candidate pair, whatever p is.
+        _check_generated_size(spec, n, n * (n - 1) // 2, "candidate pairs")
         return random_taskgraph(
             n,
             edge_prob=options.get("p", 0.1),

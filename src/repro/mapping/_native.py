@@ -1,14 +1,16 @@
 """On-demand compiled kernels for the mappers', partitioners' and DES's production paths.
 
 One shared object is built from two C files. ``repro.mapping.refine_kernel.c``
-holds six scalar entry points: RefineTopoLB's cost table and one sweep with
+holds seven scalar entry points: RefineTopoLB's cost table and one sweep with
 the incremental delta structure, the cycle loop of first- and second-order
-TopoLB, the cycle loop of third-order TopoLB, and the two loops of the
+TopoLB, the cycle loop of third-order TopoLB, and the three loops of the
 phase-1 partitioner — one graph-growing bisection over a range of an order
-array, and one FM refinement pass.
-``repro.netsim.des_kernel.c`` holds the discrete-event simulator's event
-core and closed-loop replay behind eight entry points, wrapped by
-:class:`DesEngine`: fourteen in all.
+array, the whole recursion of such bisections (drawing from the caller's
+``np.random.Generator`` through its bit generator), and one FM refinement
+pass. ``repro.netsim.des_kernel.c`` holds the discrete-event simulator's
+event core and closed-loop replay behind eight entry points, wrapped by
+:class:`DesEngine`, and the flow estimator's per-link loads on a grid:
+sixteen in all.
 
 This module compiles both files with the system C compiler
 (``cc``/``gcc``/``clang``) the first time they are needed,
@@ -82,6 +84,10 @@ class NativeKernels:
                              *[i64] * 3, *[ptr] * 17))
         self._bisect = bind("partition_bisect", i64,
                             i64, *[ptr] * 6, *[i64] * 5, ctypes.c_double)
+        self._recursive = bind("partition_recursive", i64,
+                               i64, *[ptr] * 7, i64, ptr, ptr)
+        self._link_loads = bind("grid_link_loads", i64,
+                                i64, ptr, i64, ptr, i64, *[ptr] * 7)
         self._refine_pass = bind("partition_refine_pass", i64,
                                  i64, *[ptr] * 8, ctypes.c_double,
                                  *[ptr] * 3)
@@ -131,8 +137,33 @@ class NativeKernels:
                            order) -> "PartitionBisector":
         """``partition_bisect`` bound to one graph and one ``order`` array
         (see :class:`PartitionBisector`)."""
-        return PartitionBisector(self._bisect, indptr, indices,
-                                 vertex_weights, order)
+        return PartitionBisector((self._bisect, self._recursive), indptr,
+                                 indices, vertex_weights, order)
+
+    def grid_link_loads(self, topo, src, dst, sizes) -> tuple:
+        """The flow estimator's per-link ``(tails, heads, bytes, messages)``
+        of the messages ``src[i] -> dst[i]`` of ``sizes[i]`` bytes under
+        dimension-ordered routing on the grid ``topo``, in one call: bitwise
+        equal to ``repro.netsim.flow._grid_link_loads``."""
+        shape = np.asarray(topo.shape, dtype=np.int64)
+        p, m = topo.num_nodes, len(src)
+        axes = np.ascontiguousarray(topo.coords_array().T, dtype=np.int32)
+        src = np.ascontiguousarray(src, dtype=np.int64)
+        dst = np.ascontiguousarray(dst, dtype=np.int64)
+        sizes = np.ascontiguousarray(sizes, dtype=np.float64)
+        if m and not (0 <= min(src.min(), dst.min())
+                      and max(src.max(), dst.max()) < p):
+            raise ValueError("grid_link_loads: messages must join processors")
+        cap = 2 * shape.size * p
+        out = (np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64),
+               np.empty(cap), np.empty(cap, dtype=np.int64))
+        k = _checked(self._link_loads(
+            shape.size, shape.ctypes.data, int(topo.wraparound),
+            _ptr(axes, np.int32, shape.size * p, "axes"), m,
+            _ptr(src, np.int64, m, "src"), _ptr(dst, np.int64, m, "dst"),
+            _ptr(sizes, np.float64, m, "sizes"),
+            *(a.ctypes.data for a in out)))
+        return tuple(a[:k].copy() for a in out)
 
     def des_engine(self, *params) -> "DesEngine":
         """A fresh compiled DES core (see :class:`DesEngine`)."""
@@ -283,13 +314,15 @@ class PartitionBisector:
     place, stably, side A first, and returns |A|. Side A grows by BFS from
     a pseudo-peripheral seed found from ``order[lo + r]`` until it holds
     ``target`` load, with at least ``k1`` members and leaving at least
-    ``k2``. Array sizes and dtypes are checked once, here; each call passes
-    raw pointers. ``state`` is the all-zero scratch every call restores.
+    ``k2``. :meth:`split` runs the whole recursion of such bisections in
+    one call. Array sizes and dtypes are checked once, here; each call
+    passes raw pointers. ``state`` is the all-zero scratch every call
+    restores.
     """
 
-    __slots__ = ("order", "state", "_fn", "_args", "_keep")
+    __slots__ = ("order", "state", "_fn", "_recursive", "_args", "_keep")
 
-    def __init__(self, fn, indptr, indices, vertex_weights, order):
+    def __init__(self, fns, indptr, indices, vertex_weights, order):
         n = vertex_weights.size
         if not (0 < order.size <= n and 0 <= order.min()
                 and order.max() < n):
@@ -298,7 +331,7 @@ class PartitionBisector:
         self.order = order
         self.state = np.zeros(n, dtype=np.uint8)
         queue = np.empty(n, dtype=np.int64)
-        self._fn = fn
+        self._fn, self._recursive = fns
         self._keep = (indptr, indices, vertex_weights, queue)
         self._args = (order.size, *graph,
                       _ptr(order, np.int64, order.size, "order", out=True),
@@ -312,6 +345,27 @@ class PartitionBisector:
                 f"partition_bisect: bad range [{lo}, {hi}) with r={r}, "
                 f"k1={k1}, k2={k2}")
         return na
+
+    def split(self, k: int, rng: np.random.Generator) -> np.ndarray:
+        """Recursively bisect all of ``order`` into ``k`` leaves and return
+        their sizes, in one call; ``order`` ends grouped leaf by leaf.
+
+        A range of ``k > 1`` leaves draws ``r = rng.integers(0, hi - lo)``
+        from ``rng``'s own bit generator, under its lock, targets side A at
+        the NumPy pairwise sum of the range's weights times ``k1 / k`` (``k1
+        = k // 2``), bisects, then splits side A and side B in that order:
+        the draws, the targets and ``rng``'s final state are those of
+        ``repro.partition.recursive_bisection._split_lists``."""
+        sizes = np.zeros(k, dtype=np.int64)
+        gather = np.empty(self.order.size)
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            rc = self._recursive(*self._args, gather.ctypes.data, k,
+                                 bitgen.ctypes.bit_generator, sizes.ctypes.data)
+        if rc < 0:
+            raise ValueError(f"partition_recursive: cannot split "
+                             f"{self.order.size} vertices into {k}")
+        return sizes
 
 
 # Slots of the io[] array shared with des_kernel.c, and des_run's return

@@ -1,7 +1,7 @@
 /* refine_kernel.c — compiled inner loops for the mapper and partitioner
  * production paths.
  *
- * Six entry points, one shared object:
+ * Seven entry points, one shared object:
  *
  * refine_cost_table — RefineTopoLB's first-order cost table, accumulated
  * in SciPy's csr_matvecs order.
@@ -27,21 +27,28 @@
  * partition_bisect — one graph-growing bisection of the phase-1
  * partitioner over a range of an order array, split stably in place.
  *
+ * partition_recursive — the phase-1 partitioner's whole recursion of
+ * partition_bisect splits, drawing each split's seed from the caller's
+ * np.random.Generator through NumPy's bitgen_t and summing each range's
+ * load pairwise as NumPy does.
+ *
  * partition_refine_pass — one FM pass of the phase-1 k-way refinement.
  *
  * Bit-identity contract: every floating-point expression mirrors the
  * reference path's element order exactly (see repro/mapping/refine.py,
  * _refine_reference and _apply_swap; repro/mapping/topolb.py,
  * _run_reference; and the list walks of repro/partition/
- * recursive_bisection.py and refinement.py), and the build uses
- * -ffp-contract=off so no fused-multiply-add changes rounding. The
+ * recursive_bisection.py and refinement.py, whose Generator.integers
+ * draws and ndarray.sum calls partition_recursive repeats), and the build
+ * uses -ffp-contract=off so no fused-multiply-add changes rounding. The
  * equivalence suites pin compiled and reference results to be bitwise
  * equal.
  *
  * Compiled on demand by repro.mapping._native via the system C compiler;
  * when no toolchain is available each call site runs its reference body
  * instead: the "reference" loops of refine.py and topolb.py, and the
- * partitioner's walks over csr_lists (_bisect_lists, refine_kway).
+ * partitioner's walks over csr_lists (_bisect_lists, _split_lists,
+ * _refine_pass_lists).
  */
 
 #include <stdint.h>
@@ -468,8 +475,8 @@ static double recentre_row(const double *src, double *dst, double u,
                            const i64 *restrict free_ids, i64 count,
                            i64 *restrict argmin)
 {
-    double bv[4];
-    i64 bq[4];
+    double bv[4] = {0.0, 0.0, 0.0, 0.0};
+    i64 bq[4] = {0, 0, 0, 0};
     const i64 lanes = count < 4 ? count : 4;
     for (i64 k = 0; k < lanes; k++) {
         const i64 q = free_ids[k];
@@ -724,6 +731,129 @@ i64 partition_bisect(i64 m, const i64 *restrict indptr,
     }
     memcpy(order + lo + na, queue, (size_t)nb * sizeof(i64));
     return na;
+}
+
+/* NumPy's bit generator interface (numpy/random/bitgen.h): the state of
+ * one np.random.Generator and its draw functions. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* Generator.integers(0, n) for 1 <= n <= 2^32, with the same draws:
+ * NumPy's random_bounded_uint64_fill for one value of range rng = n - 1,
+ * which takes no draw at rng 0, one plain 32-bit draw at rng 2^32 - 1,
+ * and otherwise Lemire's 32-bit multiply with rejection. */
+static i64 draw_below(bitgen_t *bitgen, i64 n)
+{
+    const uint32_t rng = (uint32_t)(n - 1);
+    if (rng == 0)
+        return 0;
+    if (rng == UINT32_MAX)
+        return bitgen->next_uint32(bitgen->state);
+    const uint32_t rng_excl = rng + 1;
+    uint64_t m = (uint64_t)bitgen->next_uint32(bitgen->state) * rng_excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < rng_excl) {
+        const uint32_t threshold = (UINT32_MAX - rng) % rng_excl;
+        while (leftover < threshold) {
+            m = (uint64_t)bitgen->next_uint32(bitgen->state) * rng_excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (i64)(m >> 32);
+}
+
+/* NumPy's pairwise float64 sum of a[0..n), the sum of a contiguous
+ * array: a plain loop below 8 elements, eight accumulators up to 128,
+ * else the two halves, split at a multiple of 8. */
+static double pairwise_sum(const double *a, i64 n)
+{
+    if (n < 8) {
+        double res = 0.;
+        for (i64 i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int k = 0; k < 8; k++)
+            r[k] = a[k];
+        i64 i;
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int k = 0; k < 8; k++)
+                r[k] += a[i + k];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                     + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    i64 n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* The split recursion of partition_recursive over order[lo..hi) into k
+ * leaves numbered from base. */
+typedef struct {
+    i64 m;
+    const i64 *indptr, *indices;
+    const double *vw;
+    i64 *order;
+    unsigned char *state;
+    i64 *queue;
+    double *gather;
+    bitgen_t *bitgen;
+    i64 *sizes;
+} split_t;
+
+static i64 split_range(const split_t *c, i64 lo, i64 hi, i64 k, i64 base)
+{
+    if (k == 1) {
+        c->sizes[base] = hi - lo;
+        return 0;
+    }
+    const i64 k1 = k / 2, k2 = k - k1;
+    const i64 r = draw_below(c->bitgen, hi - lo);
+    for (i64 i = lo; i < hi; i++)
+        c->gather[i - lo] = c->vw[c->order[i]];
+    const double target =
+        (0.0 + pairwise_sum(c->gather, hi - lo)) * (double)k1 / (double)k;
+    const i64 na = partition_bisect(c->m, c->indptr, c->indices, c->vw,
+                                    c->order, c->state, c->queue, lo, hi, r,
+                                    k1, k2, target);
+    if (na < 0 || split_range(c, lo, lo + na, k1, base) < 0)
+        return -1;
+    return split_range(c, lo + na, hi, k2, base + k1);
+}
+
+/* Phase-1 partitioner: the whole recursive bisection of order[0..m) into
+ * k leaves, the body of repro/partition/recursive_bisection.py's
+ * _split_lists. A range of k > 1 leaves splits into k1 = k / 2 and
+ * k2 = k - k1: it draws r as Generator.integers(0, hi - lo) through
+ * bitgen (the caller holds the Generator's lock), takes side A's target
+ * as NumPy's pairwise sum of the range's vertex weights in order times k1
+ * / k, and bisects with partition_bisect, side A then side B recursing
+ * in that order. Leaf sizes go to sizes[0..k), leaves in order; order
+ * ends grouped leaf by leaf. state and queue are partition_bisect's;
+ * gather (m doubles) is scratch. Returns 0, or -1 when k is out of range
+ * or a range is too large to draw from. */
+i64 partition_recursive(i64 m, const i64 *restrict indptr,
+                        const i64 *restrict indices,
+                        const double *restrict vw, i64 *restrict order,
+                        unsigned char *restrict state, i64 *restrict queue,
+                        double *restrict gather, i64 k, void *bitgen,
+                        i64 *restrict sizes)
+{
+    if (k < 1 || k > m || m - 1 > (i64)UINT32_MAX)
+        return -1;
+    const split_t c = {m, indptr, indices, vw, order, state, queue, gather,
+                       bitgen, sizes};
+    return split_range(&c, 0, m, k, 0);
 }
 
 /* One FM pass of repro/partition/refinement.py's refine_kway over

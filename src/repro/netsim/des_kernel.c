@@ -1,6 +1,16 @@
 /* des_kernel.c — repro.netsim's discrete-event simulator: the per-hop
  * events and the closed-loop Jacobi replay, compiled into the same shared
- * object as repro/mapping/refine_kernel.c.
+ * object as repro/mapping/refine_kernel.c, and the flow estimator's
+ * per-link loads on a grid.
+ *
+ * Nine entry points: des_new and des_free make and free an engine;
+ * des_run fires its events; des_app registers a closed-loop application;
+ * des_links, des_message and des_stats read its channels, one message and
+ * its delivery records; des_drop marks a message finally dropped.
+ * grid_link_loads, which needs no engine, is repro/netsim/flow.py's
+ * _grid_link_loads in one call: the loads each directed link of a mesh or
+ * torus carries under dimension-ordered routing, summed in the reference's
+ * order.
  *
  * The engine owns one binary heap of (time, seq, kind, id, hop) records
  * and runs five kinds of them itself: injections (the adaptive route
@@ -55,8 +65,9 @@
  * Bit-identity contract: every floating-point expression mirrors
  * repro/netsim/simulator.py (_head_arrival, _start_transmission,
  * _link_free, _pick_adaptive_route, _on_overflow, _deliver and
- * MessageStats.record) and repro/netsim/appsim.py term for term, and the
- * build uses -ffp-contract=off. tests/netsim/test_des_digest.py replays 16
+ * MessageStats.record) and repro/netsim/appsim.py term for term, and
+ * grid_link_loads adds its terms in _grid_link_loads's order; the build
+ * uses -ffp-contract=off. tests/netsim/test_des_digest.py replays 16
  * pinned configurations under both bodies.
  */
 
@@ -829,6 +840,145 @@ static int grid_set(des_t *d, const i64 *shape, const i64 *stride, i64 ndim,
             order[hi] = tmp;
         }
     }
+}
+
+/* The flow estimator's per-link loads on a grid: the body of
+ * repro/netsim/flow.py's _grid_link_loads, in its addition order. Message
+ * i goes src[i] -> dst[i] with sizes[i] bytes; axes[k * N + x] is node
+ * x's coordinate on axis k (N nodes, C order). Along each axis in order, a
+ * message whose coordinate changes covers one run of same-direction links
+ * on the line through its current position: the destination's coordinates
+ * on the axes before, the source's on the axes after. Per axis and
+ * direction (forward, then backward) the run endpoints go into difference
+ * arrays over the flat node ids in four passes, each in message order: the
+ * start terms, the cut ends, the wrap adds, then the wrap ends. One
+ * sequential prefix sum per line turns them into loads, and the loaded
+ * links (nonzero message count) are written in flat-position order.
+ * Backward link i is (i + 1 -> i) along the axis. out_* need room for
+ * 2 * ndim * N links. Returns the number written, or -1 when out of
+ * memory. */
+i64 grid_link_loads(i64 ndim, const i64 *shape, i64 wrap,
+                    const int32_t *axes, i64 m, const i64 *src,
+                    const i64 *dst, const double *sizes, i64 *out_src,
+                    i64 *out_dst, double *out_bytes, i64 *out_msgs)
+{
+    i64 nodes = 1;
+    for (i64 k = 0; k < ndim; k++)
+        nodes *= shape[k];
+    /* Per message: its current line position, and on the axis at hand the
+     * run's line (axis coordinate zeroed), its first link and its end
+     * position (a cut end, or a wrap end past the line's last link). The
+     * runs of each kind are listed by message id in three lists, forward
+     * runs from the front and backward ones from the back. */
+    i64 *line = malloc((size_t)(7 * m + 1) * sizeof(i64));
+    i64 *diff_m = malloc((size_t)nodes * sizeof(i64));
+    double *diff_b = malloc((size_t)nodes * sizeof(double));
+    if (!line || !diff_m || !diff_b) {
+        free(line);
+        free(diff_m);
+        free(diff_b);
+        return -1;
+    }
+    i64 *base = line + m, *first = line + 2 * m, *last = line + 3 * m;
+    i64 *runs = line + 4 * m, *cuts = line + 5 * m, *wraps = line + 6 * m;
+    memcpy(line, src, (size_t)m * sizeof(i64));
+
+    i64 count = 0, stride = nodes;
+    for (i64 a = 0; a < ndim; a++) {
+        const i64 s = shape[a];
+        const int32_t *col = axes + a * nodes;
+        /* list sizes: [forward, backward] */
+        i64 nrun[2] = {0, 0}, ncut[2] = {0, 0}, nwrap[2] = {0, 0};
+        stride /= s;
+        for (i64 i = 0; i < m; i++) {
+            const i64 cs = col[src[i]], cd = col[dst[i]];
+            base[i] = line[i] - cs * stride;
+            line[i] = base[i] + cd * stride;
+            if (cs == cd)
+                continue;
+            i64 len = cd - cs;
+            int forward;
+            if (wrap) { /* the shorter way around, ties +1 */
+                if (len < 0)
+                    len += s;
+                forward = len <= s - len;
+                if (!forward)
+                    len = s - len;
+            } else {
+                forward = len > 0;
+                if (!forward)
+                    len = -len;
+            }
+            i64 start = forward ? cs : cs - len;
+            if (start < 0)
+                start += s;
+            const i64 end = start + len, back = !forward;
+            first[i] = base[i] + start * stride;
+            last[i] = base[i] + (end < s ? end : end - s) * stride;
+            const i64 at = back ? m - 1 - nrun[1] : nrun[0];
+            runs[at] = i;
+            nrun[back]++;
+            if (end < s) {
+                cuts[back ? m - 1 - ncut[1] : ncut[0]] = i;
+                ncut[back]++;
+            } else if (end > s) {
+                wraps[back ? m - 1 - nwrap[1] : nwrap[0]] = i;
+                nwrap[back]++;
+            }
+        }
+        for (int back = 0; back < 2; back++) {
+            if (!nrun[back])
+                continue;
+            /* list position j of this direction, in message order */
+            const i64 from = back ? m - 1 : 0, step = back ? -1 : 1;
+            memset(diff_b, 0, (size_t)nodes * sizeof(double));
+            memset(diff_m, 0, (size_t)nodes * sizeof(i64));
+            for (i64 j = 0, k = from; j < nrun[back]; j++, k += step) {
+                const i64 i = runs[k];
+                diff_b[first[i]] += sizes[i];
+                diff_m[first[i]]++;
+            }
+            for (i64 j = 0, k = from; j < ncut[back]; j++, k += step) {
+                const i64 i = cuts[k];
+                diff_b[last[i]] += -sizes[i];
+                diff_m[last[i]]--;
+            }
+            for (i64 j = 0, k = from; j < nwrap[back]; j++, k += step) {
+                const i64 i = wraps[k];
+                diff_b[base[i]] += sizes[i];
+                diff_m[base[i]]++;
+            }
+            for (i64 j = 0, k = from; j < nwrap[back]; j++, k += step) {
+                const i64 i = wraps[k];
+                diff_b[last[i]] += -sizes[i];
+                diff_m[last[i]]--;
+            }
+            /* Flat order is (outer, t, j) with t the axis coordinate, so
+             * position f's prefix f - stride is already summed. */
+            for (i64 outer = 0; outer < nodes; outer += s * stride)
+                for (i64 t = 0; t < s; t++)
+                    for (i64 j = 0; j < stride; j++) {
+                        const i64 f = outer + t * stride + j;
+                        if (t) {
+                            diff_b[f] = diff_b[f - stride] + diff_b[f];
+                            diff_m[f] = diff_m[f - stride] + diff_m[f];
+                        }
+                        if (!diff_m[f])
+                            continue;
+                        const i64 next = t + 1 < s ? f + stride
+                                                   : f - t * stride;
+                        out_src[count] = back ? next : f;
+                        out_dst[count] = back ? f : next;
+                        out_bytes[count] = diff_b[f];
+                        out_msgs[count] = diff_m[f];
+                        count++;
+                    }
+        }
+    }
+    free(line);
+    free(diff_m);
+    free(diff_b);
+    return count;
 }
 
 /* Register an application of n tasks and `iterations` rounds (see the

@@ -25,8 +25,12 @@ means a message crosses, along each axis, one contiguous (possibly
 wrapping) run of same-direction links whose off-axis coordinates are the
 destination's for already-corrected axes and the source's for the rest. The
 per-axis loads are therefore accumulated with wrap-split difference arrays
-and one cumulative sum per direction — O(messages · ndim + links) total,
-vectorized over the task graph's edge arrays. Every other machine — the
+and one cumulative sum per direction — O(messages · ndim + links) total.
+That accumulation is compiled or reference: it runs ``grid_link_loads``
+(:mod:`repro.mapping._native`) in one call, or, when no C compiler is
+available or ``REPRO_NO_NATIVE`` is set, its reference body
+:func:`_grid_link_loads`, vectorized over the task graph's edge arrays;
+both add the same terms in the same order. Every other machine — the
 hypercube, arbitrary graphs, and the *indirect* fat-tree/dragonfly whose
 routes traverse switch-level links — takes the generic link-indexed path:
 one ``route`` walk per unique processor pair, accumulated over the links
@@ -60,6 +64,7 @@ import dataclasses
 import numpy as np
 
 from repro.exceptions import SimulationError
+from repro.mapping import _native
 from repro.mapping.base import Mapping
 from repro.netsim.simulator import _knob
 from repro.topology.base import Topology
@@ -140,7 +145,8 @@ def _directed_messages(
 def _grid_link_loads(
     topo: GridTopology, src: np.ndarray, dst: np.ndarray, sizes: np.ndarray
 ) -> LinkLoads:
-    """Per-link loads under dimension-ordered routing, without routes.
+    """Per-link loads under dimension-ordered routing, without routes —
+    the reference body of ``grid_link_loads``.
 
     For each axis ``a`` (corrected in axis order), a message's off-axis
     position is ``dst`` coordinates for axes < a and ``src`` coordinates
@@ -329,8 +335,11 @@ def flow_evaluate(
     remote = src != dst
     r_src, r_dst, r_sizes = src[remote], dst[remote], sizes[remote]
 
-    accumulate = (_grid_link_loads if isinstance(topo, GridTopology)
-                  else _generic_link_loads)
+    accumulate = _generic_link_loads
+    if isinstance(topo, GridTopology):
+        native = _native.kernels_or_fallback()
+        accumulate = (_grid_link_loads if native is None
+                      else native.grid_link_loads)
     link_src, link_dst, link_bytes, link_msgs = accumulate(
         topo, r_src, r_dst, r_sizes)
 

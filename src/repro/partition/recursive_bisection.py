@@ -8,13 +8,15 @@ comm-reducing property the paper asks of its phase-1 partitioner.
 
 The recursion works on ``(lo, hi)`` ranges of one ``order`` array: each
 bisection splits its range in place, stably, side A first, and the leaves'
-sizes fill ``groups`` once at the end. One bisection is compiled or
-reference: it runs ``partition_bisect`` (:mod:`repro.mapping._native`), or,
-when no C compiler is available or ``REPRO_NO_NATIVE`` is set, its
-reference body :func:`_bisect_lists`, a loop over :func:`csr_lists`. Python
-keeps the two inputs that must stay bit-identical to the reference: the
-seed draw ``rng.integers(0, hi - lo)`` and the NumPy pairwise load sum of
-the range.
+sizes fill ``groups`` once at the end. The recursion is compiled or
+reference: it runs ``partition_recursive`` (:mod:`repro.mapping._native`)
+in one call, which draws each split's seed ``rng.integers(0, hi - lo)``
+through the Generator's own bit generator and sums the range's load
+pairwise as NumPy does; or, when no C compiler is available or
+``REPRO_NO_NATIVE`` is set, its reference body :func:`_split_lists`, which
+makes those two steps in NumPy and bisects with :func:`_bisect_lists`, a
+loop over :func:`csr_lists`. :func:`grow_bisection` runs one bisection,
+``partition_bisect`` or :func:`_bisect_lists`.
 """
 
 from __future__ import annotations
@@ -51,22 +53,11 @@ class RecursiveBisectionPartitioner(Partitioner):
         n = graph.num_tasks
         rng = as_rng(self._seed)
         order = np.arange(n, dtype=np.int64)
-        sizes = np.zeros(k, dtype=np.int64)
         bisect = _bisector(graph, order)
-        weights = graph.vertex_weights
-
-        def split(lo: int, hi: int, k: int, base: int) -> None:
-            if k == 1:
-                sizes[base] = hi - lo
-                return
-            k1 = k // 2
-            k2 = k - k1
-            mid = lo + bisect(lo, hi, int(rng.integers(0, hi - lo)), k1, k2,
-                              _target(weights, order[lo:hi], k1, k2))
-            split(lo, mid, k1, base)
-            split(mid, hi, k2, base + k1)
-
-        split(0, n, k, 0)
+        if isinstance(bisect, partial):  # the reference walk
+            sizes = _split_lists(bisect, graph.vertex_weights, order, k, rng)
+        else:
+            sizes = bisect.split(k, rng)
         groups = np.empty(n, dtype=np.int64)
         groups[order] = np.repeat(np.arange(k), sizes)
         return self._validate_result(groups, n, k)
@@ -88,6 +79,30 @@ def grow_bisection(graph: TaskGraph, csr: tuple, subset: np.ndarray,
     side_a = np.zeros(graph.num_tasks, dtype=bool)
     side_a[order[:na]] = True
     return side_a[subset]
+
+
+def _split_lists(bisect: Bisect, weights: np.ndarray, order: np.ndarray,
+                 k: int, rng: np.random.Generator) -> np.ndarray:
+    """Leaf sizes of the recursive bisection of ``order`` into ``k``
+    leaves — the reference body of ``partition_recursive``. A range of
+    ``k > 1`` leaves draws its seed, bisects toward its :func:`_target`
+    into ``k // 2`` and the rest, then splits side A and side B in that
+    order."""
+    sizes = np.zeros(k, dtype=np.int64)
+
+    def split(lo: int, hi: int, k: int, base: int) -> None:
+        if k == 1:
+            sizes[base] = hi - lo
+            return
+        k1 = k // 2
+        k2 = k - k1
+        mid = lo + bisect(lo, hi, int(rng.integers(0, hi - lo)), k1, k2,
+                          _target(weights, order[lo:hi], k1, k2))
+        split(lo, mid, k1, base)
+        split(mid, hi, k2, base + k1)
+
+    split(0, len(order), k, 0)
+    return sizes
 
 
 def _target(weights: np.ndarray, members: np.ndarray, k1: int, k2: int) -> float:

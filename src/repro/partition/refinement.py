@@ -9,9 +9,10 @@ Fiduccia–Mattheyses used by multilevel partitioners.
 
 Each ``refine_kway`` pass is compiled or reference: it runs
 ``partition_refine_pass`` (:mod:`repro.mapping._native`), or, without a C
-compiler or with ``REPRO_NO_NATIVE`` set, its reference body, a loop over
-:func:`csr_lists`. Python keeps the pass count, the early stop and the
-``rng.permutation`` draw of each pass. ``rebalance_kway`` is only such a
+compiler or with ``REPRO_NO_NATIVE`` set, its reference body
+:func:`_refine_pass_lists`, a loop over :func:`csr_lists`. Python keeps
+the pass count, the early stop and the ``rng.permutation`` draw of each
+pass. ``rebalance_kway`` is only such a
 loop: it costs about 2 ms per LeanMD request, and it depends on NumPy's
 unstable heavy-first ``argsort``.
 """
@@ -122,39 +123,47 @@ def refine_kway(
         groups[:] = work
         return groups
 
-    indptr, indices, edge_w, weights = csr_lists(graph)
-    loads, counts = loads.tolist(), counts.tolist()
-    glist = groups.tolist()
-
+    csr = csr_lists(graph)
+    loads, counts, glist = loads.tolist(), counts.tolist(), groups.tolist()
     for _pass in range(passes):
-        moved = False
-        for v in rng.permutation(n).tolist():
-            src = glist[v]
-            lo, hi = indptr[v], indptr[v + 1]
-            if counts[src] <= 1 or lo == hi:
-                continue
-            conn: dict[int, float] = {}
-            for j in range(lo, hi):
-                g = glist[indices[j]]
-                conn[g] = conn.get(g, 0.0) + edge_w[j]
-            internal = conn.get(src, 0.0)
-            w = weights[v]
-            best_g, best_gain = -1, 0.0
-            for g, c in conn.items():
-                if g == src:
-                    continue
-                gain = c - internal
-                if gain > best_gain and loads[g] + w <= max_load:
-                    best_g, best_gain = g, gain
-            if best_g >= 0:
-                glist[v] = best_g
-                loads[src] -= w
-                loads[best_g] += w
-                counts[src] -= 1
-                counts[best_g] += 1
-                moved = True
-        if not moved:
+        if not _refine_pass_lists(csr, glist, loads, counts,
+                                  rng.permutation(n).tolist(), max_load):
             break
     groups[:] = glist
     return groups
 
+
+def _refine_pass_lists(csr: tuple, groups: list[int], loads: list[float],
+                       counts: list[int], perm: list[int],
+                       max_load: float) -> bool:
+    """One FM pass over ``perm``, in place on the lists ``groups``,
+    ``loads`` and ``counts``; True if a vertex moved — the reference body
+    of ``partition_refine_pass``."""
+    indptr, indices, edge_w, weights = csr
+    moved = False
+    for v in perm:
+        src = groups[v]
+        lo, hi = indptr[v], indptr[v + 1]
+        if counts[src] <= 1 or lo == hi:
+            continue
+        conn: dict[int, float] = {}
+        for j in range(lo, hi):
+            g = groups[indices[j]]
+            conn[g] = conn.get(g, 0.0) + edge_w[j]
+        internal = conn.get(src, 0.0)
+        w = weights[v]
+        best_g, best_gain = -1, 0.0
+        for g, c in conn.items():
+            if g == src:
+                continue
+            gain = c - internal
+            if gain > best_gain and loads[g] + w <= max_load:
+                best_g, best_gain = g, gain
+        if best_g >= 0:
+            groups[v] = best_g
+            loads[src] -= w
+            loads[best_g] += w
+            counts[src] -= 1
+            counts[best_g] += 1
+            moved = True
+    return moved

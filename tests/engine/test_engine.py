@@ -158,6 +158,26 @@ def test_graph_from_spec_errors(bad):
         graph_from_spec(bad)
 
 
+@pytest.mark.parametrize("spec", [
+    "alltoall:100000", "alltoall:1415", "ring:1000001", "mesh2d:1001x1000",
+    "mesh3d:100x100x100", "random:100000;p=0.00001", "random:1415",
+])
+def test_oversized_generated_graph_is_refused_before_it_is_built(spec):
+    """The size comes from the spec alone: ``random:`` draws once per
+    candidate pair whatever ``p`` is, so its pairs count."""
+    with pytest.raises(SpecError, match="capped at 1,000,000"):
+        graph_from_spec(spec)
+
+
+def test_generated_size_cap_is_above_every_paper_input():
+    """mesh3d:48x48x48 (the 110k-task run) and alltoall:1414 fit."""
+    from repro.engine.core import MAX_GENERATED_SIZE, _check_generated_size
+
+    assert MAX_GENERATED_SIZE >= 3 * 48 ** 3
+    _check_generated_size("mesh3d:48x48x48", 48 ** 3, 3 * 47 * 48 ** 2)
+    _check_generated_size("alltoall:1414", 1414, 1414 * 1413 // 2)
+
+
 @pytest.mark.parametrize("bad", ["mesh2d:4x4;bytes=nan", "ring:16;bytes=inf",
                                  "random:8;p=nan", "random:8;seed=inf"])
 def test_non_finite_graph_option_is_a_spec_error(bad):

@@ -14,6 +14,7 @@ runs the reference body, and the routing itself is pinned here too.
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.exceptions import MappingError
+from repro.engine import MappingEngine, MappingRequest
 from repro.engine.specs import mapper_from_spec, parse_mapper_spec
 from repro.mapping import RandomMapper, RefineTopoLB, TopoLB
 from repro.mapping.estimation import EstimatorOrder
@@ -32,7 +34,10 @@ from repro.mapping.kernels import (
     resolve_kernel,
 )
 from repro.mapping import _native
+from repro.netsim.flow import flow_evaluate
+from repro.partition.recursive_bisection import RecursiveBisectionPartitioner
 from repro.taskgraph import mesh2d_pattern, mesh3d_pattern, random_taskgraph
+from repro.taskgraph.leanmd import leanmd_taskgraph
 from repro.taskgraph.graph import TaskGraph
 from repro.taskgraph.random_graphs import geometric_taskgraph
 from repro.topology import ArbitraryTopology, Hypercube, Mesh, Torus
@@ -169,6 +174,43 @@ class TestIncrementalNative:
         if os.environ.get("REPRO_NO_NATIVE"):
             pytest.skip("REPRO_NO_NATIVE is set")
         assert _native.available(), _native._error
+
+    def test_one_library_call_per_partition_and_per_grid_flow(self, monkeypatch):
+        """The phase-1 recursion and a grid's flow link loads each cross
+        into C once: a LeanMD RandomLB request makes one
+        ``partition_recursive`` call, no ``partition_bisect`` call and one
+        ``grid_link_loads`` call; a non-grid machine makes none."""
+        native = _native.load()
+        if native is None:
+            pytest.skip("no C compiler on this host")
+        calls: Counter = Counter()
+
+        def counted(fn):
+            def call(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+            return call
+
+        for attr, fn in vars(native).items():
+            monkeypatch.setattr(native, attr, tuple(map(counted, fn))
+                                if isinstance(fn, tuple) else counted(fn))
+        graph = leanmd_taskgraph(512)
+        RecursiveBisectionPartitioner(seed=3).partition(graph, 512)
+        assert calls == {"partition_recursive": 1}
+
+        calls.clear()
+        result = MappingEngine().run(MappingRequest(
+            graph=graph, topology="torus:8x8x8", mapper="RandomLB", seed=3,
+            flow_metrics=True))
+        assert (calls["partition_recursive"], calls["partition_bisect"],
+                calls["grid_link_loads"]) == (1, 0, 1)
+
+        calls.clear()
+        flow_evaluate(result.mapping)
+        assert calls == {"grid_link_loads": 1}
+        calls.clear()
+        flow_evaluate(RandomMapper(seed=1).map(mesh2d_pattern(4, 4), Hypercube(4)))
+        assert not calls
 
     def test_native_loader_is_memoized_and_gated(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")

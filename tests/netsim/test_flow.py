@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.engine import mapper_from_spec
 from repro.exceptions import SimulationError
+from repro.mapping import _native
 from repro.mapping.base import Mapping
 from repro.mapping.metrics import per_link_loads
 from repro.netsim import NetworkSimulator
@@ -31,6 +32,7 @@ from repro.netsim.appsim import IterativeApplication
 from repro.netsim.flow import (
     FlowResult,
     _generic_link_loads,
+    _grid_link_loads,
     flow_evaluate,
     spearman,
 )
@@ -162,6 +164,56 @@ def test_each_directed_link_appears_once(label, make, pinned):
     assert len(links) == flow.links_used == len(flow.bytes) \
         == len(flow.messages), label
     assert (flow.messages > 0).all() and (flow.bytes > 0).all(), label
+
+
+def _assert_compiled_link_loads_match(topo, src, dst, sizes):
+    """``grid_link_loads`` against ``_grid_link_loads``: the same links in
+    the same order, with bit-identical loads and the same dtypes."""
+    native = _native.load()
+    if native is None:
+        pytest.skip("no C compiler on this host")
+    got = native.grid_link_loads(topo, src, dst, sizes)
+    want = _grid_link_loads(topo, src, dst, sizes)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def grid_traffic(draw):
+    """A mesh or torus of 1-3 axes (extents 1-6, so size-1 and size-2 axes
+    occur) and up to 80 messages, co-located ones included. The sizes are
+    fractional, so the order in which the start, cut and wrap terms reach
+    one position changes the rounding."""
+    shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)))
+    topo = draw(st.sampled_from([Mesh, Torus]))(shape)
+    m = draw(st.integers(0, 80))
+    nodes = st.lists(st.integers(0, topo.num_nodes - 1), min_size=m, max_size=m)
+    sizes = st.lists(st.sampled_from([0.1, 1 / 3, 0.7, 2.5, 1e-3, 1e6 + 0.1]),
+                     min_size=m, max_size=m)
+    return (topo, np.array(draw(nodes), dtype=np.int64),
+            np.array(draw(nodes), dtype=np.int64), np.array(draw(sizes)))
+
+
+@given(grid_traffic())
+@settings(max_examples=min(150, settings().max_examples), deadline=None)
+def test_compiled_link_loads_match_reference(case):
+    _assert_compiled_link_loads_match(*case)
+
+
+@pytest.mark.parametrize("graph,topo", [
+    (leanmd_taskgraph(512), Torus((8, 8, 8))),
+    (mesh3d_pattern(8, 8, 8, message_bytes=4096.0), Torus((8, 8, 8))),
+    (random_taskgraph(200, edge_prob=0.05, seed=2), Mesh((4, 5, 6))),
+], ids=["leanmd-torus8x8x8", "mesh3d-torus8x8x8", "random200-mesh4x5x6"])
+def test_compiled_link_loads_match_reference_at_scale(graph, topo):
+    """The paper-scale inputs, placed at random, with their sizes made
+    fractional: thousands of runs share each difference-array position."""
+    rng = np.random.default_rng(7)
+    u, v, w = graph.edge_arrays()
+    assign = rng.integers(0, topo.num_nodes, graph.num_tasks)
+    _assert_compiled_link_loads_match(
+        topo, np.concatenate((assign[u], assign[v])),
+        np.concatenate((assign[v], assign[u])), np.concatenate((w, w)) / 3.0 + 0.1)
 
 
 class TestGenericFallback:

@@ -15,6 +15,7 @@ vertices, and vertices heavier than the load ceiling.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 
 import numpy as np
 import pytest
@@ -28,9 +29,15 @@ from repro.partition.multilevel import MultilevelPartitioner
 from repro.partition.recursive_bisection import (
     RecursiveBisectionPartitioner,
     _bisect_lists,
+    _split_lists,
+    _target,
     grow_bisection,
 )
-from repro.partition.refinement import rebalance_kway, refine_kway
+from repro.partition.refinement import (
+    _refine_pass_lists,
+    rebalance_kway,
+    refine_kway,
+)
 from repro.taskgraph import TaskGraph, leanmd_taskgraph, random_taskgraph
 from repro.utils.rng import as_rng
 
@@ -353,12 +360,16 @@ def test_rebalance_large_overloaded_group_matches_oracle():
 
 
 # ------------------------------------------------------- compiled kernels
-@pytest.fixture
-def native():
+def _kernels():
     kernels = _native.load()
     if kernels is None:
         pytest.skip("no C compiler on this host")
     return kernels
+
+
+@pytest.fixture
+def native():
+    return _kernels()
 
 
 def _csr(g):
@@ -435,3 +446,155 @@ def test_compiled_partitioner_rejects_inconsistent_sizes(native):
         with pytest.raises(ValueError):
             native.partition_refine_pass(*args)
     assert native.partition_refine_pass(*good) in (True, False)
+
+
+# ------------------------------------- compiled entry points, differentially
+@st.composite
+def tie_graphs(draw, max_n: int = 30):
+    """Graphs with isolated vertices and integer vertex and edge weights,
+    zeros included, which force load and gain ties."""
+    n = draw(st.integers(2, max_n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1), st.integers(1, 3)),
+                          max_size=2 * n))
+    weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return TaskGraph(n, [(a, b, float(w)) for a, b, w in pairs if a != b],
+                     vertex_weights=[float(w) for w in weights])
+
+
+#: Bit generators with different 32-bit draws: PCG64 and SFC64 halve a
+#: 64-bit output, MT19937 and Philox have their own.
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox,
+                  np.random.SFC64)
+
+
+@given(tie_graphs(), st.data())
+@settings(max_examples=min(60, settings().max_examples), deadline=None)
+def test_compiled_bisector_matches_list_walk(g, data):
+    """``partition_bisect`` against ``_bisect_lists`` on a drawn range of
+    a drawn order: the same |A| and the same split of ``order``."""
+    kernels = _kernels()
+    n = g.num_tasks
+    order = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    lo = data.draw(st.integers(0, n - 2))
+    hi = data.draw(st.integers(lo + 2, n))
+    k1 = data.draw(st.integers(1, hi - lo - 1))
+    k2 = data.draw(st.integers(1, hi - lo - k1))
+    r = data.draw(st.integers(0, hi - lo - 1))
+    target = _target(g.vertex_weights, order[lo:hi], k1, k2)
+    lists = order.copy()
+    indptr, indices, _ = g.csr_arrays()
+    bisect = kernels.partition_bisector(indptr, indices, g.vertex_weights, order)
+    assert bisect(lo, hi, r, k1, k2, target) == _bisect_lists(
+        csr_lists(g), lists, lo, hi, r, k1, k2, target)
+    np.testing.assert_array_equal(order, lists)
+
+
+@given(tie_graphs(), st.data(), st.integers(0, 2**32 - 1))
+@settings(max_examples=min(60, settings().max_examples), deadline=None)
+def test_compiled_refine_pass_matches_list_walk(g, data, seed):
+    """``partition_refine_pass`` against ``_refine_pass_lists`` pass by
+    pass (groups, loads, counts and the moved flag), then ``refine_kway``
+    on both paths: the same groups and the same rng state afterwards."""
+    kernels = _kernels()
+    n = g.num_tasks
+    k = data.draw(st.integers(1, n))
+    start = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=n,
+                                        max_size=n)), dtype=np.int64)
+    max_load = data.draw(st.sampled_from([1.0, 1.1, 1.5])) * g.total_vertex_weight / k
+    groups = start.copy()
+    loads = np.bincount(groups, weights=g.vertex_weights, minlength=k)
+    counts = np.bincount(groups, minlength=k).astype(np.int64)
+    lists = (groups.tolist(), loads.tolist(), counts.tolist())
+    indptr, indices, edge_w = g.csr_arrays()
+    csr = csr_lists(g)
+    rng = np.random.default_rng(seed)
+    for _pass in range(3):
+        perm = rng.permutation(n)
+        moved = kernels.partition_refine_pass(
+            indptr, indices, edge_w, g.vertex_weights, groups, loads, counts,
+            perm, max_load)
+        assert moved == _refine_pass_lists(csr, *lists, perm.tolist(), max_load)
+        assert (groups.tolist(), loads.tolist(), counts.tolist()) == lists
+
+    runs = []
+    for no_native in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if no_native:
+                mp.setenv("REPRO_NO_NATIVE", "1")
+            rng = np.random.default_rng(seed)
+            out = refine_kway(g, start.copy(), k, max_load, passes=4, seed=rng)
+            runs.append((out.tolist(), rng.bit_generator.state))
+    assert runs[0] == runs[1]
+
+
+def _state(value):
+    """A bit generator's state with its arrays as lists, for ``==``."""
+    if isinstance(value, dict):
+        return {key: _state(v) for key, v in value.items()}
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _split_both(g, k, seed, bit_generator=np.random.PCG64):
+    """(sizes, order, rng state) of ``partition_recursive`` and of
+    ``_split_lists`` from the same seed."""
+    kernels = _kernels()
+    indptr, indices, _ = g.csr_arrays()
+    runs = []
+    for compiled in (True, False):
+        order = np.arange(g.num_tasks, dtype=np.int64)
+        rng = np.random.Generator(bit_generator(seed))
+        if compiled:
+            sizes = kernels.partition_bisector(
+                indptr, indices, g.vertex_weights, order).split(k, rng)
+        else:
+            bisect = partial(_bisect_lists, csr_lists(g), order)
+            sizes = _split_lists(bisect, g.vertex_weights, order, k, rng)
+        runs.append((sizes.tolist(), order.tolist(),
+                     _state(rng.bit_generator.state)))
+    return runs
+
+
+@given(tie_graphs(max_n=40) | graphs(), st.data(), st.integers(0, 2**32 - 1),
+       st.sampled_from(BIT_GENERATORS))
+@settings(max_examples=min(80, settings().max_examples), deadline=None)
+def test_compiled_recursion_matches_reference(g, data, seed, bit_generator):
+    """``partition_recursive`` against ``_split_lists``: the same leaf
+    sizes, the same order, and the Generator left in the same state, so
+    every seed drawn in C came from the Generator's own 32-bit draws."""
+    k = data.draw(st.integers(1, g.num_tasks))
+    compiled, reference = _split_both(g, k, seed, bit_generator)
+    assert compiled == reference
+
+
+def test_compiled_recursion_targets_the_pairwise_sum():
+    """On a 13-task path of weight 0.1, NumPy's pairwise sum of the loads
+    and a sequential one round apart, and the split lands on either side of
+    that difference: only the pairwise target reproduces the reference."""
+    g = TaskGraph(13, [(i, i + 1, 1.0) for i in range(12)], [0.1] * 13)
+    compiled, reference = _split_both(g, 2, 0)
+    assert compiled == reference
+
+    def sequential(weights, members, k1, k2):
+        total = 0.0
+        for w in weights[members].tolist():
+            total += w
+        return total * k1 / (k1 + k2)
+
+    order = np.arange(13, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.partition.recursive_bisection._target", sequential)
+        sizes = _split_lists(partial(_bisect_lists, csr_lists(g), order),
+                             g.vertex_weights, order, 2, np.random.default_rng(0))
+    assert sizes.tolist() != reference[0]
+
+
+def test_compiled_recursion_rejects_bad_k():
+    kernels = _kernels()
+    g = random_taskgraph(10, edge_prob=0.3, seed=1)
+    indptr, indices, _ = g.csr_arrays()
+    split = kernels.partition_bisector(indptr, indices, g.vertex_weights,
+                                       np.arange(10, dtype=np.int64)).split
+    for k in (0, 11):
+        with pytest.raises(ValueError):
+            split(k, np.random.default_rng(0))

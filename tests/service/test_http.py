@@ -2,6 +2,7 @@
 
 import json
 import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -205,7 +206,11 @@ def test_map_missing_graph_file_is_400(server, tmp_path):
     '{"format": "repro-taskgraph-v1", "num_tasks": 2}',
     '{"format": "repro-taskgraph-v1", "num_tasks": 2, '
     '"edges": [[0, 1, NaN]], "vertex_weights": [1.0, 1.0]}',
-], ids=["missing-fields", "nan-edge"])
+    '{"format": "repro-taskgraph-v1", "num_tasks": 2, '
+    '"edges": [[0, 99999999999999999999, 1.0]], "vertex_weights": [1.0, 1.0]}',
+    '{"format": "repro-taskgraph-v1", "num_tasks": 2.5, '
+    '"edges": [[0, 1, 1.0]], "vertex_weights": [1.0, 1.0]}',
+], ids=["missing-fields", "nan-edge", "overflowing-endpoint", "fractional-count"])
 def test_map_malformed_graph_file_is_400(server, tmp_path, doc):
     path = tmp_path / "app.json"
     path.write_text(doc)
@@ -213,6 +218,17 @@ def test_map_malformed_graph_file_is_400(server, tmp_path, doc):
                              {**BODY, "graph": f"file:{path}"})
     assert status == 400
     assert "task-graph" in reply["error"] or "finite" in reply["error"]
+
+
+@pytest.mark.parametrize("graph", ["alltoall:100000",
+                                   "random:100000;p=0.00001"])
+def test_map_oversized_graph_spec_is_400_at_once(server, graph):
+    """Keying the request sizes the spec instead of building it."""
+    start = time.perf_counter()
+    status, _, reply = _call(f"{server}/map", "POST", {**BODY, "graph": graph})
+    assert status == 400, reply
+    assert "capped" in reply["error"]
+    assert time.perf_counter() - start < 1.0
 
 
 _DUMP_HEAD = '"format": "repro-lbdump-v1", "steps": 1, "placement": [0, 0]'

@@ -109,6 +109,31 @@ class TestIO:
             with pytest.raises(TaskGraphError, match="finite"):
                 taskgraph_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("change", [
+        {"num_tasks": 2.5}, {"num_tasks": True}, {"num_tasks": "2"},
+        {"num_tasks": 3}, {"edges": [[0.5, 1, 1.0]]}, {"edges": [[True, 1, 1.0]]},
+        {"edges": [["0", 1, 1.0]]}, {"edges": [[0, 99999999999999999999, 1.0]]},
+        {"edges": [[0, 1, "1"]]}, {"edges": [[0, 1, True]]},
+        {"edges": [[0, 1, 10 ** 400]]}, {"vertex_weights": [1.0, None]},
+        {"edges": [[0, 1]]}, {"edges": {"0": 1}},
+    ], ids=["fractional-count", "bool-count", "string-count", "count-past-weights",
+            "fractional-endpoint", "bool-endpoint", "string-endpoint",
+            "overflowing-endpoint", "string-bytes", "bool-bytes",
+            "overflowing-bytes", "null-weight", "short-edge", "edges-not-a-list"])
+    def test_rejects_loose_values(self, change):
+        """Counts and endpoints are JSON integers, weights JSON numbers, each
+        range-checked before conversion: nothing is truncated or coerced."""
+        doc = {"format": "repro-taskgraph-v1", "num_tasks": 2,
+               "edges": [[0, 1, 1.0]], "vertex_weights": [1.0, 1.0], **change}
+        with pytest.raises(TaskGraphError, match="malformed task-graph"):
+            taskgraph_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100000])
+    def test_rejects_unparseable_json(self, text):
+        """Past Python's integer digit limit, or nested past the stack."""
+        with pytest.raises(TaskGraphError, match="invalid task-graph JSON"):
+            taskgraph_from_json(text)
+
     def test_rejects_malformed_payload(self):
         with pytest.raises(TaskGraphError):
             taskgraph_from_json(

@@ -1,4 +1,5 @@
-"""The compiled kernels under AddressSanitizer and UndefinedBehaviorSanitizer.
+"""The compiled kernels under AddressSanitizer and UndefinedBehaviorSanitizer,
+and under the compiler's warnings.
 
 A subprocess that preloads ``libasan`` builds both C files with
 ``-fsanitize=address,undefined`` into a temporary directory, installs that
@@ -6,9 +7,11 @@ build as the process's kernels, and runs the tests that drive every compiled
 entry point: the 16 DES digests on the compiled body, the DES differential
 at benchmark scale and on random small closed loops (a fixed small number
 of examples), the closed loop that ends in final drops, and subsets of the
-mapper and partitioner equivalence suites. An out-of-bounds access or
-undefined behaviour aborts the run with the sanitizer's report, which
-names the file and line.
+mapper and partitioner equivalence suites, and the differential tests of
+the phase-1 entry points and of the flow estimator's grid link loads. An
+out-of-bounds access or undefined behaviour aborts the run with the
+sanitizer's report, which names the file and line. A second build, with the
+production flags plus ``-Wall -Wextra -Werror``, fails on any warning.
 """
 
 from __future__ import annotations
@@ -35,12 +38,15 @@ SANITIZE = ("-O0", "-g1", "-fsanitize=address,undefined",
 TESTS = ["tests/netsim/test_des_digest.py", "tests/netsim/test_des_kernel.py",
          "tests/netsim/test_des_differential.py",
          "tests/mapping/test_kernel_equivalence.py",
-         "tests/partition/test_partition_equivalence.py"]
+         "tests/partition/test_partition_equivalence.py",
+         "tests/netsim/test_flow.py"]
 SELECT = ("(des_digest and not reference) or (bodies_agree and seed1)"
           " or closed_loops or once_per_final_drop"
           " or (kernel_equivalence and gain and torus8x4x4)"
           " or (ThirdOrderPaths and underfull)"
-          " or (RefineEquivalence and incremental) or sparse_random_phase1")
+          " or (RefineEquivalence and incremental) or sparse_random_phase1"
+          " or compiled_bisector or compiled_refine_pass"
+          " or compiled_recursion or compiled_link_loads")
 
 SCRIPT = """
 import sys
@@ -84,3 +90,11 @@ def test_compiled_kernels_are_clean_under_asan_and_ubsan(tmp_path):
     report = (run.stdout + run.stderr)[-6000:]
     assert run.returncode == 0, report
     assert " passed" in run.stdout and "deselected" in run.stdout, report
+
+
+@pytest.mark.skipif(_native._compiler() is None, reason="no C compiler")
+def test_compiled_kernels_build_without_warnings(tmp_path):
+    """Both C files compile with the production flags, whose -O3 flow
+    analysis finds maybe-uninitialized reads, under -Wall -Wextra -Werror;
+    a warning fails the build with the compiler's message."""
+    _native._build(("-Wall", "-Wextra", "-Werror"), outdir=str(tmp_path))
