@@ -232,7 +232,7 @@ def _build_topolb(opts, seed, kernel):
 def _build_topocentlb(opts, seed, kernel):
     from repro.mapping.topocentlb import TopoCentLB
 
-    return TopoCentLB()
+    return TopoCentLB(kernel=kernel)
 
 
 def _build_refine(opts, seed, kernel):

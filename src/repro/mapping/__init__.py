@@ -10,7 +10,7 @@ Available mappers:
 
 * :class:`TopoLB` — the paper's Algorithm 1 (criticality-gain greedy with
   first/second/third-order estimation functions),
-* :class:`TopoCentLB` — heap-driven greedy (max communication with the placed
+* :class:`TopoCentLB` — argmax greedy (max communication with the placed
   set, first-order placement cost),
 * :class:`RefineTopoLB` — hop-bytes-decreasing pairwise-swap refiner,
 * :class:`RandomMapper` / :class:`IdentityMapper` — baselines,

@@ -2,12 +2,11 @@
 
 One shared object is built from two C files. ``repro.mapping.refine_kernel.c``
 holds seven scalar entry points: RefineTopoLB's cost table and one sweep with
-the incremental delta structure, the cycle loop of first- and second-order
-TopoLB, the cycle loop of third-order TopoLB, and the three loops of the
-phase-1 partitioner — one graph-growing bisection over a range of an order
-array, the whole recursion of such bisections (drawing from the caller's
-``np.random.Generator`` through its bit generator), and one FM refinement
-pass. ``repro.netsim.des_kernel.c`` holds the discrete-event simulator's
+the incremental delta structure, the cycle loops of TopoLB (every order)
+and of TopoCentLB, and the three loops of the phase-1 partitioner — one
+graph-growing bisection over a range of an order array, the whole recursion
+of such bisections (drawing from the caller's ``np.random.Generator``
+through its bit generator), and one FM refinement pass. ``repro.netsim.des_kernel.c`` holds the discrete-event simulator's
 event core and closed-loop replay behind eight entry points, wrapped by
 :class:`DesEngine`, and the flow estimator's per-link loads on a grid:
 sixteen in all.
@@ -22,10 +21,12 @@ bitwise identical to the Python reference bodies — no fused multiply-adds.
 Every call site is compiled or reference, with nothing in between: when
 :func:`kernels_or_fallback` returns ``None`` (no C compiler, a failed build,
 or ``REPRO_NO_NATIVE`` set) it runs its bit-identical reference body — the
-``kernel="reference"`` loops of RefineTopoLB and TopoLB, the partitioner's
-walks over ``csr_lists``, and the simulator's Python event loop. The
-wrappers check each array's size and dtype once, when a run binds them, and
-pass raw pointers on every call.
+``kernel="reference"`` loops of RefineTopoLB and TopoLB, TopoCentLB's
+``_run``, the partitioner's walks over ``csr_lists``, and the simulator's
+Python event loop. The wrappers check each array's size and dtype once,
+when a run binds them, and pass raw pointers on every call. The two cycle
+loops, which TopoLB and TopoCentLB re-enter once per pause, take a single
+pointer: to an argument block built when the run binds them.
 """
 
 from __future__ import annotations
@@ -78,10 +79,8 @@ class NativeKernels:
                                 i64, i64, *[ptr] * 6)
         self._sweep = bind("refine_sweep_incremental", i64,
                            i64, i64, *[ptr] * 11)
-        self._cycles = (bind("topolb_cycles", i64,
-                             *[i64] * 5, *[ptr] * 18),
-                        bind("topolb3_cycles", i64,
-                             *[i64] * 3, *[ptr] * 17))
+        self._cycles = bind("topolb_cycles", i64, ptr)
+        self._topocent = bind("topocent_cycles", i64, ptr)
         self._bisect = bind("partition_bisect", i64,
                             i64, *[ptr] * 6, *[i64] * 5, ctypes.c_double)
         self._recursive = bind("partition_recursive", i64,
@@ -127,11 +126,17 @@ class NativeKernels:
     def topolb_cycles(self, fest, dist, avg, indptr, indices, weights,
                       order: int, selection: str, score, avail_f,
                       reserve: int, uc=None) -> "TopoLBCycles":
-        """``topolb_cycles`` (orders 1–2) or ``topolb3_cycles`` (order 3)
-        bound to one run (see :class:`TopoLBCycles`)."""
+        """``topolb_cycles`` bound to one run (see :class:`TopoLBCycles`)."""
         return TopoLBCycles(self._cycles, fest, dist, avg, indptr, indices,
                             weights, order, selection, score, avail_f,
                             reserve, uc)
+
+    def topocent_cycles(self, dist, indptr, indices, weights,
+                        keys) -> "TopoCentCycles":
+        """``topocent_cycles`` bound to one run (see
+        :class:`TopoCentCycles`)."""
+        return TopoCentCycles(self._topocent, dist, indptr, indices, weights,
+                              keys)
 
     def partition_bisector(self, indptr, indices, vertex_weights,
                            order) -> "PartitionBisector":
@@ -197,22 +202,27 @@ class RefineSweeper:
 
     ``sweep(perm)`` runs one sweep in the order ``perm`` and returns True
     if a swap was accepted; ``cost`` and ``assign`` update in place. The
-    best-swap caches persist across sweeps. ``stats`` is cumulative:
-    visits, accepted swaps, rows computed, rows folded.
+    best-swap caches ``caches = (best_b, best_val, valid)`` persist across
+    sweeps: a valid task's entries are the first minimum of its row of swap
+    deltas and its value. ``stats`` is cumulative: visits, accepted swaps,
+    rows computed, rows folded.
     """
 
-    __slots__ = ("stats", "_perm", "_fn", "_args", "_keep")
+    __slots__ = ("stats", "caches", "_perm", "_fn", "_args", "_keep")
 
     def __init__(self, fn, cost, dist, assign, indptr, indices, weights):
         n, p = cost.shape
+        if n and not (0 <= assign.min() and assign.max() < p):
+            raise ValueError("refine_sweep_incremental: assign must hold "
+                             "processors")
         self.stats = np.zeros(4, dtype=np.int64)
         self._perm = np.empty(n, dtype=np.int64)
         best_b = np.zeros(n, dtype=np.int64)
         best_val = np.zeros(n)
         valid = np.zeros(n, dtype=np.uint8)
+        self.caches = (best_b, best_val, valid)
         self._fn = fn
-        self._keep = (cost, dist, assign, indptr, indices, weights, best_b,
-                      best_val, valid)
+        self._keep = (cost, dist, assign, indptr, indices, weights)
         self._args = (n, p, _ptr(cost, np.float64, n * p, "cost", out=True),
                       _ptr(dist, np.float64, p * p, "dist"),
                       _ptr(assign, np.int64, n, "assign", out=True),
@@ -222,6 +232,10 @@ class RefineSweeper:
                       self.stats.ctypes.data)
 
     def sweep(self, perm: np.ndarray) -> bool:
+        n = self._perm.size
+        if perm.size != n or n and not (0 <= perm.min() and perm.max() < n):
+            raise ValueError(f"refine_sweep_incremental: perm must be {n} "
+                             "task ids")
         self._perm[:] = perm
         rc = self._fn(*self._args)
         if rc < 0:  # pragma: no cover - allocation failure inside C
@@ -241,20 +255,21 @@ class TopoLBCycles:
     Afterwards ``assignment`` holds the placement and :meth:`counters` the
     five ``topolb.*`` counters.
 
-    Orders 1–2 (``topolb_cycles``) keep ``reserve`` candidates per row and
-    return the dirty rows' ascending ids; ``avg`` is the fixed average
-    distance and ``uc`` unread. Order 3 (``topolb3_cycles``) rebuilds every
-    unplaced row each cycle and compacts those rows into ``fest[:m]``, in
-    ascending task order, so it returns ``slice(0, m)`` and ``score`` is
-    indexed by that row slot; ``avg`` (the free-processor average) and
-    ``uc`` (each task's volume to its unplaced neighbours) update in place.
+    Orders 1–2 keep ``reserve`` candidates per row and return the dirty
+    rows' ascending ids; ``avg`` is the fixed average distance and ``uc``
+    unread. Order 3 rebuilds every unplaced row each cycle and compacts
+    those rows into ``fest[:m]``, in ascending task order, so it returns
+    ``slice(0, m)`` and ``score`` is indexed by that row slot; ``avg`` (the
+    free-processor average) and ``uc`` (each task's volume to its unplaced
+    neighbours) update in place. Each call passes C one pointer, to the
+    argument block built here.
     """
 
-    __slots__ = ("assignment", "_rows", "_state", "_fn", "_args", "_keep")
+    __slots__ = ("assignment", "_rows", "_state", "_fn", "_addr", "_keep")
 
     _SELECTIONS = ("gain", "max_cost", "volume")
 
-    def __init__(self, fns, fest, dist, avg, indptr, indices, weights, order,
+    def __init__(self, fn, fest, dist, avg, indptr, indices, weights, order,
                  selection, score, avail_f, reserve, uc):
         n, p = fest.shape
         free_ids = np.flatnonzero(avail_f).astype(np.int64)
@@ -264,37 +279,38 @@ class TopoLBCycles:
         self.assignment = np.full(n, -1, dtype=np.int64)
         self._state = np.zeros(6, dtype=np.int64)
         self._state[1] = free_ids.size
-        sel = self._SELECTIONS.index(selection)
         if order == 3:
-            self._fn, lead, self._rows = fns[1], (n, p, sel), None
-            uc_ptr = [_ptr(uc, np.float64, n, "uc", out=True)]
-            # f_min, f_argmin, delta, slot_task, task_slot
-            own = (np.empty(n), np.empty(n, dtype=np.int64), np.zeros(p),
-                   np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64))
+            self._rows = None
+            uc_ptr = _ptr(uc, np.float64, n, "uc", out=True)
+            # delta, slot_task, task_slot; no reserve
+            own = (None,) * 5 + (np.zeros(p), np.arange(n, dtype=np.int64),
+                                 np.arange(n, dtype=np.int64))
         else:
-            self._fn, lead = fns[0], (n, p, reserve, order, sel)
             self._rows = np.empty(2 * n, dtype=np.int64)
-            uc_ptr = []
-            # f_min, f_argmin, res_vals, res_ids, res_pos, unassigned, dirty
-            own = (np.empty(n), np.empty(n, dtype=np.int64),
-                   np.empty(n * reserve),
+            uc_ptr = None
+            # res_vals, res_ids, res_pos, unassigned, dirty; no third-order
+            own = (np.empty(n * reserve),
                    np.empty(n * reserve, dtype=np.int64),
                    np.empty(n, dtype=np.int64), np.ones(n, dtype=np.uint8),
-                   self._rows)
+                   self._rows) + (None,) * 3
+        # f_min, f_argmin, then the order's own arrays
+        own = (np.empty(n), np.empty(n, dtype=np.int64)) + own
+        self._fn = fn
+        block = _block(
+            n, p, reserve, order, self._SELECTIONS.index(selection),
+            _ptr(fest, np.float64, n * p, "fest", out=True),
+            _ptr(dist, np.float64, p * p, "dist"),
+            _ptr(avg, np.float64, p, "avg", out=order == 3),
+            *_csr_ptrs(indptr, indices, n, weights),
+            _ptr(score, np.float64, n, "score", out=True), uc_ptr, *own,
+            _ptr(avail_f, np.float64, p, "avail_f", out=True), free_ids,
+            self.assignment, self._state)
         self._keep = (fest, dist, avg, indptr, indices, weights, score, uc,
-                      avail_f, free_ids, own)
-        self._args = (*lead, _ptr(fest, np.float64, n * p, "fest", out=True),
-                      _ptr(dist, np.float64, p * p, "dist"),
-                      _ptr(avg, np.float64, p, "avg", out=order == 3),
-                      *_csr_ptrs(indptr, indices, n, weights),
-                      _ptr(score, np.float64, n, "score", out=True), *uc_ptr,
-                      *(a.ctypes.data for a in own),
-                      _ptr(avail_f, np.float64, p, "avail_f", out=True),
-                      free_ids.ctypes.data, self.assignment.ctypes.data,
-                      self._state.ctypes.data)
+                      avail_f, free_ids, own, block)
+        self._addr = block.ctypes.data
 
     def __call__(self) -> np.ndarray | slice | None:
-        k = self._fn(*self._args)
+        k = self._fn(self._addr)
         if not k:
             return None
         return slice(0, k) if self._rows is None else self._rows[:k]
@@ -305,6 +321,67 @@ class TopoLBCycles:
                 "topolb.reserve_exhaustions": exhaustions,
                 "topolb.rows_rebuilt": rebuilt,
                 "topolb.neighbor_updates": updates}
+
+
+class TopoCentCycles:
+    """TopoCentLB's cycle loop over one run.
+
+    Each call runs C to its next pause and returns ``None`` once every task
+    is placed, else a pair. ``(w, G)``: the weights of the selected task's
+    ``k`` placed neighbours and the ``(k, m)`` distances from their
+    processors to the ``m`` free ones, a column-major view laid out as the
+    reference's gather ``dist[procs][:, free_ids]``, so that the caller's
+    ``cost[:m] = w @ G`` runs the same BLAS kernel. ``(None, free_ids)``:
+    the task has no placed neighbour, and the caller passes :meth:`seed`
+    its processor. ``keys`` updates in place. Afterwards ``assignment``
+    holds the placement and :meth:`counters` the ``topocentlb.*`` counters.
+    Each call passes C one pointer, to the argument block built here.
+    """
+
+    __slots__ = ("assignment", "cost", "_free", "_w", "_gather", "_state",
+                 "_fn", "_addr", "_keep")
+
+    def __init__(self, fn, dist, indptr, indices, weights, keys):
+        n, p = keys.size, dist.shape[0]
+        if n > p:
+            raise ValueError(f"topocent_cycles: {n} tasks on {p} processors")
+        degree = int(np.diff(indptr).max(initial=1))
+        self.assignment = np.full(n, -1, dtype=np.int64)
+        self.cost = np.empty(p)
+        self._free = np.arange(p, dtype=np.int64)
+        self._w, self._gather = np.empty(degree), np.empty(degree * p)
+        # cycles, free count, paused task, its k, anchor, key updates,
+        # seeds, the seed's processor (see refine_kernel.c)
+        self._state = np.array([0, p, -1, 0, -1, 0, 0, -1], dtype=np.int64)
+        self._fn = fn
+        block = _block(n, p, _ptr(dist, np.float64, p * p, "dist"),
+                       *_csr_ptrs(indptr, indices, n, weights),
+                       _ptr(keys, np.float64, n, "keys", out=True),
+                       self.assignment, self._free, self._w, self._gather,
+                       self.cost, self._state)
+        self._keep = (dist, indptr, indices, weights, keys, block)
+        self._addr = block.ctypes.data
+
+    def __call__(self) -> tuple | None:
+        rc = self._fn(self._addr)
+        if rc < 0:
+            raise ValueError("topocent_cycles: a seed must be a free "
+                             "processor")
+        _, m, _, k = self._state[:4].tolist()
+        if rc == 1:
+            return self._w[:k], self._gather[:k * m].reshape(m, k).T
+        return (None, self._free[:m]) if rc == 2 else None
+
+    def seed(self, proc: int) -> None:
+        """Place the paused task on ``proc``, checked to be free at the
+        next call."""
+        self._state[7] = proc
+
+    def counters(self) -> dict[str, int]:
+        cycles, _, _, _, _, updates, seeds, _ = self._state.tolist()
+        return {"topocentlb.cycles": cycles,
+                "topocentlb.key_updates": updates,
+                "topocentlb.seed_placements": seeds}
 
 
 class PartitionBisector:
@@ -683,6 +760,14 @@ def _ptr(arr: np.ndarray, dtype, size: int, name: str, out: bool = False) -> int
             f"{name}: expected {size} contiguous "
             f"{'writeable ' if out else ''}{np.dtype(dtype).name}")
     return arr.ctypes.data
+
+
+def _block(*words) -> np.ndarray:
+    """A C argument block: one int64 word per int, array (its data
+    pointer) or ``None`` (a null pointer), in the struct's field order."""
+    return np.array([0 if w is None
+                     else w.ctypes.data if isinstance(w, np.ndarray) else w
+                     for w in words], dtype=np.int64)
 
 
 def _csr_ptrs(indptr, indices, n: int, *weights) -> list[int]:

@@ -1,12 +1,14 @@
 """Kernel selection for the mapper hot paths.
 
 The performance-critical mappers (:class:`~repro.mapping.topolb.TopoLB`,
+:class:`~repro.mapping.topocentlb.TopoCentLB`,
 :class:`~repro.mapping.refine.RefineTopoLB`) ship one production kernel plus
 one reference oracle for their inner loops:
 
 ``"vectorized"`` (the default, the production kernel)
     Compiled loops (:mod:`repro.mapping._native`). TopoLB: the whole cycle
-    loop for every estimator order. RefineTopoLB: the cost table and the
+    loop for every estimator order. TopoCentLB: the cycle loop, pausing
+    for each cycle's BLAS cost row. RefineTopoLB: the cost table and the
     incremental sweep. Every
     path produces **bit-identical assignments** to the reference kernel
     (enforced by ``tests/mapping/test_kernel_equivalence.py``); without a C

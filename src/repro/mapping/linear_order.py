@@ -6,8 +6,8 @@ mapped in this order". This mapper reproduces that family:
 
 * the **task order** is a greedy linear arrangement — start from the most
   communicating task, repeatedly append the unplaced task with the largest
-  communication volume to the already-ordered suffix (an addressable
-  max-heap makes this O(|Et| log n));
+  communication volume to the already-ordered prefix (a first-maximum scan
+  over one key array, as in TopoCentLB, so ties go to the lowest id);
 * the **processor order** is a locality-preserving walk — a boustrophedon
   ("snake") sweep through grid coordinates for meshes/tori (consecutive
   processors are always one hop apart), and a BFS order from node 0 for
@@ -21,10 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mapping.base import Mapper, Mapping
+from repro.mapping.topocentlb import seed_keys
 from repro.taskgraph.graph import TaskGraph
 from repro.topology.base import Topology
 from repro.topology.grid import GridTopology
-from repro.utils.priority_queue import AddressableMaxHeap
 
 __all__ = ["LinearOrderingMapper", "snake_order"]
 
@@ -67,25 +67,18 @@ class LinearOrderingMapper(Mapper):
     def _task_order(graph: TaskGraph) -> np.ndarray:
         n = graph.num_tasks
         indptr, indices, weights = graph.csr_arrays()
-        volumes = graph.comm_volumes()
-        if graph.num_edges:
-            min_w = float(graph.edge_arrays()[2].min())
-            eps = 0.5 * min_w / (1.0 + float(volumes.max()))
-        else:
-            eps = 0.0
-        heap = AddressableMaxHeap((t, eps * volumes[t]) for t in range(n))
+        keys = seed_keys(graph)  # volume to the ordered prefix
         order = np.empty(n, dtype=np.int64)
         placed = np.zeros(n, dtype=bool)
         for i in range(n):
-            t, _ = heap.pop()
-            t = int(t)
+            t = int(np.argmax(keys))
             order[i] = t
             placed[t] = True
+            keys[t] = -np.inf
             lo, hi = indptr[t], indptr[t + 1]
-            for j, c in zip(indices[lo:hi], weights[lo:hi]):
-                j = int(j)
-                if not placed[j]:
-                    heap.update(j, heap.key(j) + float(c))
+            nbrs = indices[lo:hi]
+            out = ~placed[nbrs]
+            keys[nbrs[out]] += weights[lo:hi][out]
         return order
 
     # ------------------------------------------------------------ proc order

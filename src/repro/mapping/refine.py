@@ -200,18 +200,8 @@ class RefineTopoLB(Mapper):
                 sweeps += 1
             for a in rng.permutation(n):
                 a = int(a)
-                pa = assign[a]
-                # delta against every candidate partner b, vectorized.
-                delta = (
-                    cost[a, assign]            # C[a, pb] for every b
-                    + cost[ids, pa]            # C[b, pa]
-                    - cost[a, pa]
-                    - cost[ids, assign]        # C[b, pb]
-                )
-                lo, hi = indptr[a], indptr[a + 1]
-                nbrs, wts = indices[lo:hi], weights[lo:hi]
-                delta[nbrs] += 2.0 * wts * dist[pa, assign[nbrs]]
-                delta[a] = 0.0
+                delta = self._swap_deltas(a, ids, assign, cost, dist, indptr,
+                                          indices, weights)
                 b = int(np.argmin(delta))
                 improved = delta[b] < -1e-9
                 if prof is not None:
@@ -226,6 +216,25 @@ class RefineTopoLB(Mapper):
 
         self._record_totals(prof, n, sweeps, evaluations, accepted)
         return mapping.with_assignment(assign)
+
+    @staticmethod
+    def _swap_deltas(a: int, ids: np.ndarray, assign: np.ndarray,
+                     cost: np.ndarray, dist: np.ndarray, indptr: np.ndarray,
+                     indices: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Task ``a``'s row of swap deltas: the hop-bytes change of swapping
+        it with every task ``b`` (``ids`` is ``arange(n)``), 0 at ``a``."""
+        pa = assign[a]
+        delta = (
+            cost[a, assign]            # C[a, pb] for every b
+            + cost[ids, pa]            # C[b, pa]
+            - cost[a, pa]
+            - cost[ids, assign]        # C[b, pb]
+        )
+        lo, hi = indptr[a], indptr[a + 1]
+        nbrs, wts = indices[lo:hi], weights[lo:hi]
+        delta[nbrs] += 2.0 * wts * dist[pa, assign[nbrs]]
+        delta[a] = 0.0
+        return delta
 
     def _refine_incremental_native(
         self, mapping: Mapping, prof: obs.Profiler | None = None,

@@ -12,17 +12,20 @@
  * by the dirty set of each accepted swap ({a, b} ∪ N(a) ∪ N(b) — exactly
  * the rows/columns the cost-table patch mutates).
  *
- * topolb_cycles — the cycle loop of first- and second-order TopoLB: task
+ * topolb_cycles — TopoLB's cycle loop. First and second order: task
  * selection, the stale-argmin walk over a sorted reserve, the neighbour-row
- * updates and the reserve rebuilds. Under the "gain" rule it pauses after
+ * updates and the reserve rebuilds; under the "gain" rule it pauses after
  * every cycle that dirtied rows so the caller can refresh their row sums.
+ * Third order: selection, the neighbour-row updates, and the O(n·p)
+ * recentre of every unplaced row on the shrunken free-processor average
+ * with its first minimum, over the free columns only, compacting the
+ * unplaced rows to the top of fest; under "gain" it pauses after every
+ * cycle so the caller can refresh the row sums of that compacted prefix.
  *
- * topolb3_cycles — the cycle loop of third-order TopoLB: selection, the
- * neighbour-row updates, and the O(n·p) recentre of every unplaced row on
- * the shrunken free-processor average with its first minimum, over the
- * free columns only, compacting the unplaced rows to the top of fest.
- * Under the "gain" rule it pauses after every cycle so the caller can
- * refresh the row sums of that compacted prefix.
+ * topocent_cycles — TopoCentLB's cycle loop: the argmax selection, the
+ * gather of each cycle's cost operands, the placement with its tie-break
+ * and the key bumps; it pauses once per cycle for the caller's BLAS cost
+ * row, or, at a task with no placed neighbour, for its seed processor.
  *
  * partition_bisect — one graph-growing bisection of the phase-1
  * partitioner over a range of an order array, split stably in place.
@@ -37,20 +40,25 @@
  * Bit-identity contract: every floating-point expression mirrors the
  * reference path's element order exactly (see repro/mapping/refine.py,
  * _refine_reference and _apply_swap; repro/mapping/topolb.py,
- * _run_reference; and the list walks of repro/partition/
- * recursive_bisection.py and refinement.py, whose Generator.integers
- * draws and ndarray.sum calls partition_recursive repeats), and the build
- * uses -ffp-contract=off so no fused-multiply-add changes rounding. The
- * equivalence suites pin compiled and reference results to be bitwise
- * equal.
+ * _run_reference; repro/mapping/topocentlb.py, _run; and the list walks
+ * of repro/partition/recursive_bisection.py and refinement.py, whose
+ * Generator.integers draws and ndarray.sum calls partition_recursive
+ * repeats), and the build uses -ffp-contract=off so no fused-multiply-add
+ * changes rounding. The equivalence suites pin compiled and reference
+ * results to be bitwise equal.
  *
  * Compiled on demand by repro.mapping._native via the system C compiler;
  * when no toolchain is available each call site runs its reference body
- * instead: the "reference" loops of refine.py and topolb.py, and the
- * partitioner's walks over csr_lists (_bisect_lists, _split_lists,
- * _refine_pass_lists).
+ * instead: the "reference" loops of refine.py and topolb.py, TopoCentLB's
+ * _run, and the partitioner's walks over csr_lists (_bisect_lists,
+ * _split_lists, _refine_pass_lists).
+ *
+ * The two resumable loops, topolb_cycles and topocent_cycles, re-enter C
+ * many times a run, so each takes a single pointer to an argument block
+ * (a struct of 8-byte words) that the caller builds once per run.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -280,8 +288,8 @@ i64 refine_sweep_incremental(i64 n, i64 p, double *cost, const double *dist,
     return swapped;
 }
 
-/* TopoLB, first and second order: the cycle loop of topolb.py's
- * _run_reference.
+/* TopoLB, first and second order (topolb12_loop): the cycle loop of
+ * topolb.py's _run_reference.
  *
  * Per unassigned row t the reserve res_ids/res_vals[t * R ..] holds the
  * row's min(R, nfree) smallest free (value, id) entries, ascending, padded
@@ -336,17 +344,19 @@ static void reserve_rebuild(i64 R, const double *restrict row,
         ids[m] = -1;
 }
 
-i64 topolb_cycles(i64 n, i64 p, i64 R, i64 order, i64 selection,
-                  double *restrict fest, const double *restrict dist,
-                  const double *restrict avg, const i64 *restrict indptr,
-                  const i64 *restrict indices,
-                  const double *restrict weights, double *restrict score,
-                  double *restrict f_min, i64 *restrict f_argmin,
-                  double *restrict res_vals, i64 *restrict res_ids,
-                  i64 *restrict res_pos, unsigned char *restrict unassigned,
-                  i64 *restrict dirty, double *restrict avail_f,
-                  i64 *restrict free_ids, i64 *restrict assignment,
-                  i64 *restrict state)
+static i64 topolb12_loop(i64 n, i64 p, i64 R, i64 order, i64 selection,
+                         double *restrict fest, const double *restrict dist,
+                         const double *restrict avg,
+                         const i64 *restrict indptr,
+                         const i64 *restrict indices,
+                         const double *restrict weights,
+                         double *restrict score, double *restrict f_min,
+                         i64 *restrict f_argmin, double *restrict res_vals,
+                         i64 *restrict res_ids, i64 *restrict res_pos,
+                         unsigned char *restrict unassigned,
+                         i64 *restrict dirty, double *restrict avail_f,
+                         i64 *restrict free_ids, i64 *restrict assignment,
+                         i64 *restrict state)
 {
     i64 cycle = state[0], count = state[1];
     i64 *restrict rescan = dirty + n;
@@ -511,7 +521,8 @@ static double recentre_row(const double *src, double *dst, double u,
     return bv[best];
 }
 
-/* TopoLB, third order: the cycle loop of topolb.py's _run_reference.
+/* TopoLB, third order (topolb3_loop): the cycle loop of topolb.py's
+ * _run_reference.
  *
  * Third order recentres every unplaced row on the shrinking free-processor
  * average, so every unplaced row is rebuilt every cycle and no reserve is
@@ -523,7 +534,7 @@ static double recentre_row(const double *src, double *dst, double u,
  * f_argmin are per slot; uc (each task's volume to its unplaced
  * neighbours) is per task. A cycle:
  *
- * 1. selects the slot with the first maximum score, as topolb_cycles does,
+ * 1. selects the slot with the first maximum score, as topolb12_loop does,
  *    and places its task tk on f_argmin;
  * 2. takes pk out of the free set;
  * 3. adds c * (dist[pk] - avg) to every unplaced neighbour row of tk, in
@@ -541,17 +552,19 @@ static double recentre_row(const double *src, double *dst, double u,
  * unplaced, so the caller can set score[:m] = fest[:m] @ avail_f: that
  * prefix has the shape and row order of the reference's fest[rows], and
  * BLAS rounding depends on the shape. It returns 0 once all cycles are
- * done. state is topolb_cycles's, reserve exhaustions staying 0; delta
+ * done. state is topolb12_loop's, reserve exhaustions staying 0; delta
  * (count doubles) must start zeroed. */
-i64 topolb3_cycles(i64 n, i64 p, i64 selection, double *restrict fest,
-                   const double *restrict dist, double *restrict avg,
-                   const i64 *restrict indptr, const i64 *restrict indices,
-                   const double *restrict weights, double *restrict score,
-                   double *restrict uc, double *restrict f_min,
-                   i64 *restrict f_argmin, double *restrict delta,
-                   i64 *restrict slot_task, i64 *restrict task_slot,
-                   double *restrict avail_f, i64 *restrict free_ids,
-                   i64 *restrict assignment, i64 *restrict state)
+static i64 topolb3_loop(i64 n, i64 p, i64 selection, double *restrict fest,
+                        const double *restrict dist, double *restrict avg,
+                        const i64 *restrict indptr,
+                        const i64 *restrict indices,
+                        const double *restrict weights,
+                        double *restrict score, double *restrict uc,
+                        double *restrict f_min, i64 *restrict f_argmin,
+                        double *restrict delta, i64 *restrict slot_task,
+                        i64 *restrict task_slot, double *restrict avail_f,
+                        i64 *restrict free_ids, i64 *restrict assignment,
+                        i64 *restrict state)
 {
     i64 cycle = state[0], count = state[1];
     if (cycle == 0) /* delta is all zero before the first cycle */
@@ -637,6 +650,173 @@ i64 topolb3_cycles(i64 n, i64 p, i64 selection, double *restrict fest,
     state[0] = cycle;
     state[1] = count;
     return 0;
+}
+
+/* The argument block of topolb_cycles: 8-byte words in this order, built
+ * once per run by repro.mapping._native.TopoLBCycles. order 3 reads the
+ * third-order fields (uc, delta, slot_task, task_slot) and ignores
+ * reserve and the reserve arrays; orders 1-2 the other way round. */
+typedef struct {
+    i64 n, p, reserve, order, selection;
+    double *fest;
+    const double *dist;
+    double *avg;
+    const i64 *indptr, *indices;
+    const double *weights;
+    double *score, *uc, *f_min;
+    i64 *f_argmin;
+    double *res_vals;
+    i64 *res_ids, *res_pos;
+    unsigned char *unassigned;
+    i64 *dirty;
+    double *delta;
+    i64 *slot_task, *task_slot;
+    double *avail_f;
+    i64 *free_ids, *assignment, *state;
+} topolb_args;
+
+_Static_assert(sizeof(void *) == sizeof(i64),
+               "argument blocks are arrays of 8-byte words");
+_Static_assert(sizeof(topolb_args) == 27 * sizeof(i64),
+               "topolb_args is 27 words");
+
+/* TopoLB's cycle loop for any order: one resumable call per pause, with
+ * one pointer to the run's argument block. */
+i64 topolb_cycles(const topolb_args *a)
+{
+    if (a->order == 3)
+        return topolb3_loop(a->n, a->p, a->selection, a->fest, a->dist,
+                            a->avg, a->indptr, a->indices, a->weights,
+                            a->score, a->uc, a->f_min, a->f_argmin,
+                            a->delta, a->slot_task, a->task_slot,
+                            a->avail_f, a->free_ids, a->assignment,
+                            a->state);
+    return topolb12_loop(a->n, a->p, a->reserve, a->order, a->selection,
+                         a->fest, a->dist, a->avg, a->indptr, a->indices,
+                         a->weights, a->score, a->f_min, a->f_argmin,
+                         a->res_vals, a->res_ids, a->res_pos, a->unassigned,
+                         a->dirty, a->avail_f, a->free_ids, a->assignment,
+                         a->state);
+}
+
+/* TopoCentLB: the cycle loop of topocentlb.py's _run. A cycle
+ *
+ * 1. selects the task tk with the first maximum key (placed tasks hold
+ *    -inf, so ties go to the lowest id);
+ * 2. gathers tk's k placed neighbours, in CSR order: their weights into
+ *    w[0..k) and G[i, f] = dist[assignment[j_i], free_ids[f]] into gather,
+ *    column-major (gather[f * k + i]), for the m = state[1] free ids;
+ * 3. pauses: with k > 0 it returns TC_COST, and the caller writes the
+ *    BLAS product w @ G (its rounding depends on the operands' layout, so
+ *    it stays the caller's) into cost[0..m); with k = 0 it returns
+ *    TC_SEED, and the caller writes its processor into state[7];
+ * 4. on the next call places tk on the first free processor of least cost,
+ *    ties going to the least dist[anchor, q] (the anchor is the first
+ *    seed's processor), or on the seed's processor;
+ * 5. takes that processor out of free_ids (ascending), sets tk's key to
+ *    -inf and adds w_tj to the key of every unplaced neighbour j, in CSR
+ *    order.
+ *
+ * It returns TC_DONE once all n tasks are placed, and -1 when a seed's
+ * processor is not free. The resumable state: state[0] cycles run, [1]
+ * free processors, [2] the paused task (-1 before the first call), [3]
+ * its k, [4] the anchor (-1 before the first seed), [5] key updates, [6]
+ * seed placements, [7] the seed's processor. gather needs room for
+ * k * m doubles, w for the largest degree, cost for p. */
+typedef struct {
+    i64 n, p;
+    const double *dist;
+    const i64 *indptr, *indices;
+    const double *weights;
+    double *keys;
+    i64 *assignment, *free_ids;
+    double *w, *gather, *cost;
+    i64 *state;
+} topocent_args;
+
+_Static_assert(sizeof(topocent_args) == 13 * sizeof(i64),
+               "topocent_args is 13 words");
+
+enum { TC_DONE, TC_COST, TC_SEED };
+
+i64 topocent_cycles(const topocent_args *a)
+{
+    const i64 n = a->n, p = a->p;
+    const double *restrict dist = a->dist;
+    const i64 *restrict indptr = a->indptr;
+    const i64 *restrict indices = a->indices;
+    const double *restrict weights = a->weights;
+    double *restrict keys = a->keys;
+    i64 *restrict assignment = a->assignment;
+    i64 *restrict free_ids = a->free_ids;
+    i64 *restrict state = a->state;
+    i64 count = state[1];
+    const i64 tk = state[2];
+
+    if (tk >= 0) {
+        i64 f = 0;
+        if (state[3] == 0) {
+            const i64 pk = state[7];
+            i64 hi = count;
+            while (f < hi) { /* pk's slot among the free ids */
+                const i64 mid = (f + hi) / 2;
+                if (free_ids[mid] < pk)
+                    f = mid + 1;
+                else
+                    hi = mid;
+            }
+            if (f == count || free_ids[f] != pk)
+                return -1;
+            if (state[4] < 0)
+                state[4] = pk;
+            state[6]++;
+        } else {
+            const double *restrict cost = a->cost;
+            const double *restrict da = dist + state[4] * p;
+            for (i64 g = 1; g < count; g++)
+                if (cost[g] < cost[f] || (cost[g] == cost[f]
+                                          && da[free_ids[g]] < da[free_ids[f]]))
+                    f = g;
+        }
+        assignment[tk] = free_ids[f];
+        count--;
+        memmove(free_ids + f, free_ids + f + 1,
+                (size_t)(count - f) * sizeof(i64));
+        keys[tk] = -INFINITY;
+        for (i64 e = indptr[tk]; e < indptr[tk + 1]; e++)
+            if (assignment[indices[e]] < 0) {
+                keys[indices[e]] += weights[e];
+                state[5]++;
+            }
+        state[0]++;
+        state[1] = count;
+        state[2] = -1;
+    }
+    if (state[0] == n)
+        return TC_DONE;
+
+    i64 t = 0;
+    for (i64 u = 1; u < n; u++)
+        if (keys[u] > keys[t])
+            t = u;
+    double *restrict w = a->w;
+    i64 k = 0;
+    for (i64 e = indptr[t]; e < indptr[t + 1]; e++)
+        if (assignment[indices[e]] >= 0)
+            w[k++] = weights[e];
+    double *restrict gather = a->gather;
+    for (i64 e = indptr[t], i = 0; e < indptr[t + 1]; e++) {
+        const i64 j = indices[e];
+        if (assignment[j] < 0)
+            continue;
+        const double *restrict d = dist + assignment[j] * p;
+        for (i64 f = 0; f < count; f++)
+            gather[f * k + i] = d[free_ids[f]];
+        i++;
+    }
+    state[2] = t;
+    state[3] = k;
+    return k ? TC_COST : TC_SEED;
 }
 
 /* Phase-1 partitioner: one graph-growing bisection of order[lo..hi), the

@@ -58,7 +58,7 @@ RESULT_FORMAT = "repro-mapresult-v1"
 #: digests. A change that moves any pin must regenerate it (the tier-1
 #: fingerprint test prints the command), which retires every cached entry;
 #: :data:`CACHE_KEY_VERSION` versions the key payload's shape instead.
-ALGORITHM_FINGERPRINT = "e98ae73e7fad8cdd17c3fdfe626dc33af46586c743d591f8a5423b74ae6f84b6"
+ALGORITHM_FINGERPRINT = "f095309daddc9e255dfac83d66cd73c1316d5190bcf70e41e7dbe6422776e333"
 
 #: Generative graph-spec kinds that are pure functions of the spec string —
 #: safe to memoize. ``file:``/``lbdump:`` specs point at mutable paths, so

@@ -1,6 +1,5 @@
-"""Shared low-level utilities: heaps, RNG, validation."""
+"""Shared low-level utilities: RNG, validation."""
 
-from repro.utils.priority_queue import AddressableMaxHeap, AddressableMinHeap
 from repro.utils.rng import as_rng
 from repro.utils.validation import (
     check_permutation,
@@ -8,8 +7,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "AddressableMaxHeap",
-    "AddressableMinHeap",
     "as_rng",
     "check_permutation",
     "check_shape_volume",

@@ -69,11 +69,21 @@ def load_golden(path: Path) -> dict:
     return doc
 
 
-def _run_triple(doc: dict, *, validate: str):
+def _graph_spec(spec: str, root: Path) -> str:
+    """``spec``, with a relative ``file:``/``lbdump:`` path taken relative
+    to ``root``, the golden document's directory: the corpus replays from
+    any working directory."""
+    kind, sep, rest = spec.partition(":")
+    if kind in ("file", "lbdump") and sep and not Path(rest).is_absolute():
+        return f"{kind}:{root / rest}"
+    return spec
+
+
+def _run_triple(doc: dict, *, validate: str, root: Path):
     from repro.engine import MappingEngine, MappingRequest
 
     return MappingEngine().run(MappingRequest(
-        graph=doc["graph"],
+        graph=_graph_spec(doc["graph"], root),
         topology=doc["topology"],
         mapper=doc["mapper"],
         seed=doc["seed"],
@@ -88,6 +98,9 @@ def write_golden(path: Path, *, graph: str, topology: str, mapper: str,
                  netsim: dict | None = None) -> dict:
     """Run the triple at ``--validate full`` and pin its outputs to ``path``.
 
+    A relative ``file:`` or ``lbdump:`` graph path is taken relative to
+    ``path``'s directory, at write and at replay.
+
     With ``flow_metrics=True`` the engine also runs the flow-level
     contention estimator and the pinned metrics block gains the ``flow_*``
     keys — drift in the route accounting or the makespan bound then trips
@@ -100,7 +113,7 @@ def write_golden(path: Path, *, graph: str, topology: str, mapper: str,
     result = _run_triple(
         {"graph": graph, "topology": topology, "mapper": mapper, "seed": seed,
          "flow_metrics": flow_metrics, "netsim": netsim},
-        validate="full",
+        validate="full", root=Path(path).parent,
     )
     doc = {
         "format": GOLDEN_FORMAT,
@@ -138,9 +151,9 @@ def check_golden(path: Path, *, level: str = "full") -> dict:
     }
     from repro.validate.core import replay_command
 
-    replay = replay_command(doc["graph"], doc["topology"], doc["mapper"],
-                            doc["seed"], level)
-    result = _run_triple(doc, validate=level)
+    replay = replay_command(_graph_spec(doc["graph"], Path(path).parent),
+                            doc["topology"], doc["mapper"], doc["seed"], level)
+    result = _run_triple(doc, validate=level, root=Path(path).parent)
 
     pinned = np.asarray(doc["assignment"], dtype=np.int64)
     if not np.array_equal(result.assignment, pinned):

@@ -9,6 +9,9 @@ reimplementation would first diverge. Where the production body is
 compiled (RefineTopoLB's sweep, third-order TopoLB) it is compiled or
 reference: without a C compiler (``REPRO_NO_NATIVE=1``) ``"vectorized"``
 runs the reference body, and the routing itself is pinned here too.
+Hypothesis differentials pin every compiled mapper loop (TopoLB,
+TopoCentLB, RefineTopoLB's cost table and sweep) to its reference on random
+small instances.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from repro import obs
 from repro.exceptions import MappingError
 from repro.engine import MappingEngine, MappingRequest
 from repro.engine.specs import mapper_from_spec, parse_mapper_spec
-from repro.mapping import RandomMapper, RefineTopoLB, TopoLB
+from repro.mapping import RandomMapper, RefineTopoLB, TopoCentLB, TopoLB
 from repro.mapping.estimation import EstimatorOrder
 from repro.mapping.kernels import (
     DEFAULT_KERNEL,
@@ -120,8 +123,8 @@ class TestIncrementalNative:
     @staticmethod
     def _calls():
         """``(label, run)`` per routed call site, ``run(kernel)`` returning
-        the mapping: RefineTopoLB and TopoLB of every order, each with
-        n == p and n < p."""
+        the mapping: RefineTopoLB, TopoCentLB and TopoLB of every order,
+        each with n == p and n < p."""
         cases = [("torus4x4", mesh2d_pattern(4, 4), Torus((4, 4))),
                  ("underfull", random_taskgraph(14, edge_prob=0.3, seed=6),
                   Torus((4, 4)))]
@@ -129,6 +132,8 @@ class TestIncrementalNative:
             start = RandomMapper(seed=11).map(graph, topo)
             yield f"refine-{label}", lambda k, s=start: RefineTopoLB(
                 kernel=k, seed=1).refine(s)
+            yield (f"topocentlb-{label}",
+                   lambda k, g=graph, t=topo: TopoCentLB(kernel=k).map(g, t))
             for order in ORDERS:
                 yield (f"topolb{int(order)}-{label}",
                        lambda k, g=graph, t=topo, o=order: TopoLB(
@@ -139,16 +144,17 @@ class TestIncrementalNative:
         """Assignment, mapper counters and fallback count of one call."""
         with obs.profiled() as prof:
             assignment = run(kernel).assignment
+        prefixes = ("topolb.", "topocentlb.", "refine.")
         counters = {name: v for name, v in prof.counters.items()
-                    if name.startswith(("topolb.", "refine."))}
+                    if name.startswith(prefixes)}
         return (assignment, counters,
                 prof.counters.get("kernel.reference_fallbacks", 0))
 
     def test_no_native_runs_reference_bodies(self, monkeypatch):
         """Under ``REPRO_NO_NATIVE=1`` a ``"vectorized"`` call returns the
-        reference's assignment and ``topolb.*``/``refine.*`` counters and
-        counts one ``kernel.reference_fallbacks``; the process warns once,
-        naming the cause."""
+        reference's assignment and ``topolb.*``/``topocentlb.*``/``refine.*``
+        counters and counts one ``kernel.reference_fallbacks``; the process
+        warns once, naming the cause."""
         monkeypatch.setattr(_native, "_warned", False)
         calls = list(self._calls())
         want = {label: self._profiled(run, "reference") for label, run in calls}
@@ -423,6 +429,245 @@ class TestCostTable:
         np.testing.assert_array_equal(got, want, err_msg=label)
 
 
+REFINE_COUNTERS = ("refine.sweeps", "refine.swaps_accepted",
+                   "refine.swaps_rejected", "refine.pairs_evaluated")
+
+
+def _refine_counted(start, kernel):
+    with obs.profiled() as prof:
+        mapping = RefineTopoLB(kernel=kernel, seed=1).refine(start)
+    return mapping.assignment, {c: prof.counters.get(c, 0)
+                                for c in REFINE_COUNTERS}
+
+
+@pytest.mark.skipif(not _native.available(),
+                    reason="no C compiler: the production sweep is the reference")
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instance=_random_instances(), start_seed=st.integers(0, 3))
+def test_refine_random_instances_match_reference(instance, start_seed):
+    """Differential: the compiled cost table equals its SciPy oracle, and
+    the compiled incremental sweeps return ``_refine_reference``'s
+    assignment and its four ``refine.*`` totals, from a random start."""
+    import scipy.sparse as sp
+
+    graph, topo = instance
+    start = RandomMapper(seed=start_seed).map(graph, topo)
+    indptr, indices, weights = graph.csr_arrays()
+    dist = np.ascontiguousarray(topo.distance_matrix(), dtype=np.float64)
+    want = sp.csr_matrix((weights, start.assignment[indices], indptr),
+                         shape=(graph.num_tasks, topo.num_nodes)) @ dist
+    got = _native.load().refine_cost_table(indptr, indices, weights,
+                                           start.assignment, dist)
+    np.testing.assert_array_equal(got, want)
+    ref = _refine_counted(start, "reference")
+    vec = _refine_counted(start, "vectorized")
+    np.testing.assert_array_equal(vec[0], ref[0])
+    assert vec[1] == ref[1]
+
+
+@st.composite
+def _sparse_instances(draw):
+    """(graph, topology): 8 to 32 tasks on a torus or mesh of 16 to 32
+    processors, with at most as many edges as tasks — sparse enough that
+    an accepted swap dirties few rows, so the sweep folds its caches
+    instead of dropping them — and integer or fractional weights."""
+    shape = draw(st.sampled_from([(4, 4), (6, 4), (4, 4, 2), (8, 4)]))
+    topo = Torus(shape) if draw(st.booleans()) else Mesh(shape)
+    p = topo.num_nodes
+    n = draw(st.integers(p // 2, p))
+    weight = (st.integers(0, 3).map(float) if draw(st.booleans())
+              else st.floats(0.0, 8.0))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=n))
+    return TaskGraph(n, [(a, b, draw(weight)) for a, b in pairs if a != b]), topo
+
+
+@pytest.mark.skipif(not _native.available(),
+                    reason="no C compiler: the production sweep is the reference")
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instance=_sparse_instances(), start_seed=st.integers(0, 3))
+def test_refine_sweeper_caches_match_reference_rows(instance, start_seed):
+    """Differential: after every compiled sweep, each valid best-swap cache
+    entry is the first minimum of the task's swap-delta row as
+    ``_refine_reference`` computes it — so a fold that breaks a tie the
+    wrong way fails here even when no swap ever depends on it."""
+    graph, topo = instance
+    start = RandomMapper(seed=start_seed).map(graph, topo)
+    n = graph.num_tasks
+    csr = graph.csr_arrays()
+    dist = np.ascontiguousarray(topo.distance_matrix(), dtype=np.float64)
+    assign = start.assignment.copy()
+    native = _native.load()
+    cost = native.refine_cost_table(*csr, assign, dist)
+    sweeper = native.refine_sweeper(cost, dist, assign, *csr)
+    rng, ids = np.random.default_rng(start_seed), np.arange(n)
+    for _sweep in range(10):
+        swapped = sweeper.sweep(rng.permutation(n))
+        best_b, best_val, valid = sweeper.caches
+        for a in np.flatnonzero(valid):
+            delta = RefineTopoLB._swap_deltas(a, ids, assign, cost, dist,
+                                              *csr)
+            assert (best_b[a], best_val[a]) == (np.argmin(delta), delta.min())
+        if not swapped:
+            break
+
+
+class TestRefineSweeperArguments:
+    """The bound sweep rejects an assignment or a sweep order that would
+    index outside its tables with ``ValueError``, before any pointer
+    reaches C."""
+
+    @staticmethod
+    def _bind(assign):
+        native = _native.load()
+        if native is None:
+            pytest.skip("no C compiler on this host")
+        csr = mesh2d_pattern(2, 2).csr_arrays()
+        return native.refine_sweeper(np.zeros((4, 4)), np.zeros((4, 4)),
+                                     assign, *csr)
+
+    def test_assignment_outside_the_machine_is_rejected(self):
+        for bad in (10**9, 4, -1):
+            with pytest.raises(ValueError, match="assign"):
+                self._bind(np.array([0, 1, 2, bad], dtype=np.int64))
+
+    def test_perm_outside_the_tasks_is_rejected(self):
+        sweeper = self._bind(np.arange(4, dtype=np.int64))
+        for bad in (np.array([0, 1, 2, 10**9]), np.array([0, 1, -1, 2]),
+                    np.arange(3), np.arange(5), np.array([0])):
+            with pytest.raises(ValueError, match="perm"):
+                sweeper.sweep(bad)
+        assert sweeper.sweep(np.arange(4)) is False
+
+
+TOPOCENT_COUNTERS = ("topocentlb.cycles", "topocentlb.key_updates",
+                     "topocentlb.seed_placements")
+
+
+def _topocent_counted(graph, topo, kernel):
+    with obs.profiled() as prof:
+        mapping = TopoCentLB(kernel=kernel).map(graph, topo)
+    return mapping.assignment, {c: prof.counters.get(c, 0)
+                                for c in TOPOCENT_COUNTERS}
+
+
+def _assert_topocent_agrees(graph, topo):
+    ref = _topocent_counted(graph, topo, "reference")
+    vec = _topocent_counted(graph, topo, "vectorized")
+    np.testing.assert_array_equal(vec[0], ref[0])
+    assert vec[1] == ref[1]
+
+
+@pytest.mark.skipif(not _native.available(),
+                    reason="no C compiler: the production loop is the reference")
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instance=_random_instances())
+def test_topocent_random_instances_match_reference(instance):
+    """Differential: TopoCentLB's compiled cycle loop returns ``_run``'s
+    assignment and three counters — fractional and integer weights,
+    isolated vertices (each one a seed), n < p."""
+    _assert_topocent_agrees(*instance)
+
+
+class TestTopoCentLBPaths:
+    """TopoCentLB's compiled cycle loop, which pauses once a cycle for the
+    BLAS cost row ``w @ G``."""
+
+    @staticmethod
+    def _native():
+        native = _native.load()
+        if native is None:
+            pytest.skip("no C compiler on this host")
+        return native
+
+    @staticmethod
+    def _tenths(graph, seed):
+        """``graph`` with weights drawn from 0.1, ..., 0.9: on a torus,
+        distinct processors then have costs that are equal in exact
+        arithmetic and differ in the last bit in an order-dependent way,
+        so the tie-break sees exactly how BLAS rounded each cost row."""
+        u, v, w = graph.edge_arrays()
+        w = np.random.default_rng(seed).integers(1, 10, u.size) / 10
+        return TaskGraph(graph.num_tasks, zip(u.tolist(), v.tolist(),
+                                              w.tolist()))
+
+    @pytest.mark.parametrize("label,graph,topo", [
+        *_path_instances(),
+        ("lognormal", random_taskgraph(120, edge_prob=0.12, seed=2),
+         Torus((8, 4, 4))),
+        ("tenths-geometric", _tenths(geometric_taskgraph(128, radius=0.2,
+                                                         seed=42), 1),
+         Torus((8, 4, 4))),
+        ("tenths-mesh2d", _tenths(mesh2d_pattern(8, 8), 2), Torus((8, 8))),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_topocent_bit_identical_with_equal_counters(self, label, graph,
+                                                        topo):
+        """Cost rows of up to dozens of products, whose BLAS rounding
+        depends on the operands' layout; the tenths instances turn a
+        rounding difference into a different placement."""
+        self._native()
+        _assert_topocent_agrees(graph, topo)
+
+    def test_one_crossing_per_cycle_with_one_pointer(self, monkeypatch):
+        """A run enters C once per cycle, plus once to finish the last, and
+        every call of either cycle loop passes one pointer."""
+        native = self._native()
+        calls: Counter = Counter()
+
+        def counted(name, fn):
+            def call(*args):
+                assert len(args) == 1
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(native, "_topocent",
+                            counted("topocent", native._topocent))
+        monkeypatch.setattr(native, "_cycles", counted("topolb", native._cycles))
+        graph = TaskGraph(12, [(0, 1, 2.0), (1, 2, 1.0), (4, 5, 3.0)])
+        with obs.profiled() as prof:
+            TopoCentLB().map(graph, Torus((4, 4)))
+        assert calls == {"topocent": 13}
+        assert prof.counters["topocentlb.seed_placements"] == 9
+        TopoLB().map(graph, Torus((4, 4)))
+        assert calls["topolb"] >= 1
+
+    def test_bound_loop_checks_its_arguments(self):
+        native = self._native()
+        csr = mesh2d_pattern(2, 2).csr_arrays()
+
+        def bind(dist=np.zeros((6, 6)), keys=np.zeros(4), csr=csr):
+            return native.topocent_cycles(dist, *csr, keys)
+
+        bind()
+        for bad in ({"dist": np.zeros((6, 6), dtype=np.float32)},
+                    {"dist": np.zeros((6, 5))}, {"dist": np.zeros((3, 3))},
+                    {"dist": np.zeros((6, 6)).T[::1, ::-1]},
+                    {"keys": np.zeros(4, dtype=np.int64)},
+                    {"keys": np.zeros(5)}, {"keys": np.zeros(7)},
+                    {"csr": (csr[0].astype(np.int32), *csr[1:])},
+                    {"csr": (csr[0][:-1], *csr[1:])}):
+            with pytest.raises(ValueError):
+                bind(**bad)
+
+    def test_a_seed_must_be_free(self):
+        cycles = self._native().topocent_cycles(
+            np.zeros((4, 4)), *mesh2d_pattern(2, 2).csr_arrays(),
+            np.zeros(4))
+        w, free = cycles()
+        assert w is None and free.tolist() == [0, 1, 2, 3]
+        for bad in (4, -1, 10**9):
+            cycles.seed(bad)
+            with pytest.raises(ValueError, match="free"):
+                cycles()
+        cycles.seed(2)
+        w, g = cycles()
+        assert g.shape == (1, 3) and g.flags.f_contiguous
+
+
 class TestUnderfullEquivalence:
     """Fewer tasks than processors (n < p) preserves equivalence."""
 
@@ -519,3 +764,4 @@ class TestKernelArgumentReachesNestedMappers:
         refiner = reference("refine:base=topolb")
         assert refiner.kernel == refiner._base.kernel == "reference"
         assert reference("hybrid")._kernel == "reference"
+        assert reference("TopoCentLB")._mapper.kernel == "reference"

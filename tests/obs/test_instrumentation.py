@@ -5,9 +5,9 @@ The counter values asserted here are hand-checked against the algorithms:
 * TopoLB places exactly one task per cycle, so ``topolb.cycles == n``; each
   task-graph edge triggers exactly one fest update when its first endpoint
   is placed, so ``topolb.neighbor_updates == num_edges``.
-* TopoCentLB likewise runs one cycle per task, and pushes each edge onto the
-  frontier heap exactly once (when the already-placed endpoint's partner is
-  not yet placed), so ``topocentlb.heap_updates == num_edges``.
+* TopoCentLB likewise runs one cycle per task, and bumps a selection key
+  once per edge (the unplaced endpoint's, when its partner is placed), so
+  ``topocentlb.key_updates == num_edges``.
 * A 2-node path with 20 simultaneous messages on a slow link backs up a
   19-deep FIFO: one saturation crossing, 19 enqueues, 20 transmissions.
 """
@@ -67,7 +67,7 @@ class TestTopoCentLBCounters:
         TopoCentLB().map(graph, topo)
         c = prof.counters
         assert c["topocentlb.cycles"] == 16
-        assert c["topocentlb.heap_updates"] == graph.num_edges == 24
+        assert c["topocentlb.key_updates"] == graph.num_edges == 24
         # The connected stencil needs exactly one seed.
         assert c["topocentlb.seed_placements"] == 1
 

@@ -8,7 +8,8 @@ entry point: the 16 DES digests on the compiled body, the DES differential
 at benchmark scale and on random small closed loops (a fixed small number
 of examples), the closed loop that ends in final drops, and subsets of the
 mapper and partitioner equivalence suites, and the differential tests of
-the phase-1 entry points and of the flow estimator's grid link loads. An
+the phase-1 entry points, of the flow estimator's grid link loads, of
+TopoCentLB's cycle loop and of RefineTopoLB's cost table and sweep. An
 out-of-bounds access or undefined behaviour aborts the run with the
 sanitizer's report, which names the file and line. A second build, with the
 production flags plus ``-Wall -Wextra -Werror``, fails on any warning.
@@ -46,7 +47,8 @@ SELECT = ("(des_digest and not reference) or (bodies_agree and seed1)"
           " or (ThirdOrderPaths and underfull)"
           " or (RefineEquivalence and incremental) or sparse_random_phase1"
           " or compiled_bisector or compiled_refine_pass"
-          " or compiled_recursion or compiled_link_loads")
+          " or compiled_recursion or compiled_link_loads"
+          " or topocent or refine_random or refine_sweeper")
 
 SCRIPT = """
 import sys

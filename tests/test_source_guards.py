@@ -126,3 +126,11 @@ def test_no_degraded_machines():
 def test_partitioner_walks_csr_lists():
     """Phase-1 loops read ``csr_lists``, not a per-vertex accessor call."""
     assert _grep(r"\.neighbors\(|\.neighbor_slice\(", "partition") == []
+
+
+def test_no_addressable_heap():
+    """TopoCentLB and LinearOrderLB select by a first-maximum scan over a
+    key array; the addressable heap they used is deleted, and nothing
+    imports it back."""
+    assert not (SRC / "utils" / "priority_queue.py").exists()
+    assert _grep(r"priority_queue|AddressableM(ax|in)Heap", ".") == []
