@@ -78,6 +78,14 @@ GRAPH_KINDS = ("file", "lbdump", "mesh2d", "mesh3d", "ring", "alltoall",
 MAX_GENERATED_SIZE = 1_000_000
 
 
+#: The most Jacobi iterations a ``MappingRequest.netsim`` replay may ask
+#: for: above every experiment's count (``fig09`` replays at most 300) and
+#: the paper's longest run (4,000, which ``fig10_11`` extrapolates to).
+#: Checked when the request is built, before the replay allocates its
+#: per-iteration arrays or runs a single event.
+MAX_NETSIM_ITERATIONS = 10_000
+
+
 def _check_generated_size(spec: str, tasks: int, edges: int,
                           what: str = "edges") -> None:
     """Refuse a generated graph of more than :data:`MAX_GENERATED_SIZE`
@@ -230,9 +238,11 @@ class MappingRequest:
     #: Optional DES replay of the produced mapping: a dict of knobs merged
     #: into ``metrics`` under ``des_*`` keys (makespan, p50/p99/p999 tails,
     #: drop/retransmit counters). Recognized keys: ``iterations``
-    #: (default 2), ``buffer_bytes``, ``overload_policy`` (only ``"drop"``,
-    #: tail-drop, which is what a full buffer always does; any other value
-    #: raises :class:`~repro.exceptions.SpecError` at construction), and the
+    #: (default 2; more than :data:`MAX_NETSIM_ITERATIONS` raises
+    #: :class:`~repro.exceptions.SpecError` at construction),
+    #: ``buffer_bytes``, ``overload_policy`` (only ``"drop"``, tail-drop,
+    #: which is what a full buffer always does; any other value raises
+    #: :class:`~repro.exceptions.SpecError` at construction), and the
     #: passthrough simulator knobs ``bandwidth``, ``alpha``, ``max_retries``,
     #: ``retry_delay``, ``retry_backoff``, ``retry_jitter``, ``seed``,
     #: ``stall_window``. Unknown keys raise
@@ -247,6 +257,14 @@ class MappingRequest:
                 raise SpecError(
                     "MappingRequest.netsim key 'overload_policy' must be "
                     f"'drop', the only policy, got {policy!r}"
+                )
+            iterations = self.netsim.get("iterations")
+            # The type is checked with the other knobs, at the replay.
+            if (isinstance(iterations, numbers.Integral)
+                    and iterations > MAX_NETSIM_ITERATIONS):
+                raise SpecError(
+                    f"MappingRequest.netsim key 'iterations' is {iterations:,}; "
+                    f"replays are capped at {MAX_NETSIM_ITERATIONS:,} iterations"
                 )
 
 

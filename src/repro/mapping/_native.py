@@ -452,7 +452,8 @@ class PartitionBisector:
  _IO_NOPS, _IO_OPS, _IO_NMSG, _IO_INFLIGHT, _IO_DELIVERED, _IO_RETRANSMITS,
  _IO_TRANSMITS, _IO_ENQUEUES, _IO_SATURATIONS, _IO_SENDS, _IO_LOCAL_SENDS,
  _IO_APP_DELIVERED, _IO_MAX_DEPTH, _IO_SIZE) = range(26)
-_RC_STOP, _RC_PY, _RC_DELIVER, _RC_OVERFLOW = range(4)
+_RC_STOP, _RC_PY, _RC_DELIVER, _RC_OVERFLOW, _RC_NOMEM, _RC_TIME = range(6)
+_DIO_LATE, _DIO_SIZE = 4, 5  # dio[] slot of an RC_TIME's time; dio[] size
 _OP_PY, _OP_SEND, _OP_INJECT = 0.0, 1.0, 2.0  # push kinds
 #: The counters C keeps in io[] and the profiler counter each one adds to;
 #: C retransmits only after a buffer drop, so one count feeds two.
@@ -510,7 +511,7 @@ class DesEngine:
         self._fns = fns
         self._late = schedule_error
         self._io = (ctypes.c_int64 * _IO_SIZE)()
-        self._dio = (ctypes.c_double * 4)()
+        self._dio = (ctypes.c_double * _DIO_SIZE)()
         handle = fns[0](nic_channels, saturation_depth,
                         ctypes.addressof(self._io),
                         ctypes.addressof(self._dio), bandwidth, alpha,
@@ -557,7 +558,7 @@ class DesEngine:
 
     def call(self, time: float, fn, *args) -> None:
         """Fire ``fn(*args)`` at simulation ``time``."""
-        if not time >= self._dio[0]:
+        if not self._dio[0] <= time < math.inf:
             raise self._late(time, self._dio[0])
         slot = self._next_slot
         self._next_slot = slot + 1
@@ -591,6 +592,8 @@ class DesEngine:
                 return self._dio[0]
             elif code <= _RC_OVERFLOW:
                 on_return(code, r >> 3, io[_IO_HOPS])
+            elif code == _RC_TIME:
+                raise self._late(self._dio[_DIO_LATE], self._dio[0])
             else:  # pragma: no cover - out of memory in C
                 raise MemoryError("des_run")
 
@@ -648,7 +651,7 @@ class DesEngine:
     def inject(self, msg: int, time: float, attempts: int) -> None:
         """Push a re-injection at ``time`` of a sent message, which has
         been retransmitted ``attempts`` times."""
-        if not time >= self._dio[0]:
+        if not self._dio[0] <= time < math.inf:
             raise self._late(time, self._dio[0])
         self._push(_OP_INJECT, msg, attempts, 0.0, 0.0, time)
 
@@ -664,8 +667,11 @@ class DesEngine:
                   for a in (sets, grid)]
         self._keep.append(arrays)
         self._sync()
-        self._nsets = _checked(self._fns[4](self._h, n, iterations,
-                                            *ptrs[:5], *routes, *ptrs[5:]))
+        nsets = self._fns[4](self._h, n, iterations, *ptrs[:5], *routes,
+                             *ptrs[5:])
+        if nsets == -_RC_TIME:
+            raise self._late(self._dio[_DIO_LATE], self._dio[0])
+        self._nsets = _checked(nsets)
 
     def message(self, msg: int):
         """Application message ``msg`` as a :class:`~repro.netsim.messages.
@@ -715,8 +721,7 @@ class DesEngine:
         start, n = stats.count, io[_IO_DELIVERED]
         latency, size = np.empty(n - start), np.empty(n - start)
         self._fns[7](self._h, start, latency.ctypes.data, size.ctypes.data)
-        stats.extend(latency.tolist(), size.tolist(), self._dio[2],
-                     self._dio[3])
+        stats.extend(latency, size, self._dio[2], self._dio[3])
         stats.retransmits += io[_IO_RETRANSMITS]
         stats.buffer_drops += io[_IO_RETRANSMITS]
         io[_IO_RETRANSMITS] = 0

@@ -12,13 +12,22 @@
  * torus carries under dimension-ordered routing, summed in the reference's
  * order.
  *
- * The engine owns one binary heap of (time, seq, kind, id, hop) records
- * and runs five kinds of them itself: injections (the adaptive route
- * choice, then the head arrival at hop 0), head arrivals (which start a
- * transmission or queue), link frees, deliveries and the compute steps of
- * registered applications. A sixth kind belongs to Python: a record that
- * points to a (fn, args) slot the caller keeps. One seq counter numbers
- * every push, so ties break exactly as in repro.netsim.eventqueue.
+ * The engine owns one event queue of (kind, id, hop) records and runs five
+ * kinds of them itself: injections (the adaptive route choice, then the
+ * head arrival at hop 0), head arrivals (which start a transmission or
+ * queue), link frees, deliveries and the compute steps of registered
+ * applications. A sixth kind belongs to Python: a record that points to a
+ * (fn, args) slot the caller keeps. The queue is keyed by instant: a
+ * binary heap of the distinct pending times, a FIFO of records per time
+ * (index-linked over one node pool, like the channel FIFOs), and an exact
+ * map from a time's bits (-0.0 folded into +0.0) to its instant, which a
+ * push consults only when its time is not the last push's. Records pop in
+ * time order, and at one time in push order: the (time, seq) order of the
+ * heapq in repro.netsim.eventqueue. A replay fires many records per time
+ * (a zero-alpha head arrival lands at the current time, and equal
+ * transfers free their links together), so most pops and pushes touch no
+ * heap. An event that would be scheduled at a non-finite time stops the
+ * run with RC_TIME, which the wrapper raises as the reference does.
  *
  * An application (repro.netsim.appsim.IterativeApplication) registers once
  * with des_app: its CSR neighbour lists of the edges that carry traffic,
@@ -41,7 +50,7 @@
  * needs Python and returns it, encoded as code | id << 3: a Python record
  * (id = slot), the delivery of a Python send or an overflow at a full
  * buffer that needs the seeded jitter or ends in a final drop (id =
- * message), or a stop (empty heap, event limit or deadline). An
+ * message), or a stop (empty queue, event limit or deadline). An
  * application message's overflow without jitter is retransmitted here,
  * after retry_delay * pow(retry_backoff, attempts) as CPython's float **
  * computes it. The popped record is already counted. Route-set ids are
@@ -79,7 +88,7 @@
 typedef int64_t i64;
 
 enum { EV_PY, EV_INJECT, EV_HEAD, EV_FREE, EV_DELIVER, EV_COMPUTE };
-enum { RC_STOP, RC_PY, RC_DELIVER, RC_OVERFLOW, RC_NOMEM };
+enum { RC_STOP, RC_PY, RC_DELIVER, RC_OVERFLOW, RC_NOMEM, RC_TIME };
 /* io[] slots shared with the Python wrapper: outputs (the overflow
  * channel's name is IO_CHX, IO_CHY), then the run's inputs (the event
  * limit, left decremented; whether a deadline is set), then the published
@@ -94,22 +103,40 @@ enum { IO_PENDING, IO_PROCESSED, IO_CHX, IO_CHY, IO_HOPS, IO_USED,
        IO_NOPS, IO_OPS, IO_NMSG, IO_INFLIGHT, IO_DELIVERED, IO_RETRANSMITS,
        IO_TRANSMITS, IO_ENQUEUES, IO_SATURATIONS, IO_SENDS, IO_LOCAL_SENDS,
        IO_APP_DELIVERED, IO_MAX_DEPTH, IO_SIZE };
-/* dio[] slots: the clock, the run's deadline, and the delivered bytes and
- * hop-bytes. */
-enum { DIO_NOW, DIO_DEADLINE, DIO_BYTES, DIO_HOP_BYTES, DIO_SIZE };
+/* dio[] slots: the clock, the run's deadline, the delivered bytes and
+ * hop-bytes, and the non-finite time of the last RC_TIME. */
+enum { DIO_NOW, DIO_DEADLINE, DIO_BYTES, DIO_HOP_BYTES, DIO_LATE, DIO_SIZE };
 /* Push kinds in the ops buffer; each op is 6 doubles (kind, a, b, c, d,
  * t). */
 enum { OP_PY, OP_SEND, OP_INJECT };
 
-/* A heap record: `key` packs seq << 24 | hop << 3 | kind, so comparing
- * (t, key) orders by (t, seq), seq being unique. */
+/* An event record, one node of its instant's FIFO: `key` packs hop << 4
+ * | neg << 3 | kind, neg marking a record pushed at -0.0 (its instant is
+ * +0.0's), and `next` links the FIFO or the free list. */
 typedef struct {
-    double t;
     uint64_t key;
-    i64 id;
+    i64 id, next;
 } ev_t;
 
-#define HOP_LIMIT (1 << 21)
+/* An instant: a pending event time, its FIFO of records, oldest first
+ * (`head` links the free list when the instant is unused), and its slot in
+ * the time map. */
+typedef struct {
+    double t;
+    i64 head, tail, slot;
+} inst_t;
+
+/* A time map slot: a time's bits and its instant (-1: empty slot). */
+typedef struct {
+    uint64_t bits;
+    i64 at;
+} tslot_t;
+
+/* A time heap entry: an instant and a copy of its time. */
+typedef struct {
+    double t;
+    i64 at;
+} tnode_t;
 
 typedef struct {
     double busy, bytes, buffered, capacity, bandwidth, alpha;
@@ -153,8 +180,17 @@ typedef struct {
 } task_t;
 
 typedef struct {
-    ev_t *heap;
-    i64 hn, hcap, seq;
+    /* the event queue: records, instants, the heap of instants by time,
+     * the map from a time's bits to its instant (open addressing, at most
+     * half full) and the instant pushed to last (-1: none) */
+    ev_t *ev;
+    i64 evcap, evfree;
+    inst_t *inst;
+    i64 icap, ifree;
+    tnode_t *th;
+    i64 thn, thcap;
+    tslot_t *tmap;
+    i64 tmcap, tmshift, tmused, mru;
     double now;
     chan_t *ch;
     i64 *order; /* used channels, in first-use order */
@@ -204,49 +240,196 @@ static int reserve(void **arr, i64 *cap, i64 need, size_t size)
     return 0;
 }
 
-static inline int ev_less(const ev_t *a, const ev_t *b)
+/* The bits of t (push folds -0.0 into +0.0 first). */
+static inline uint64_t time_bits(double t)
 {
-    return a->t < b->t || (a->t == b->t && a->key < b->key);
+    uint64_t bits;
+    memcpy(&bits, &t, sizeof bits);
+    return bits;
 }
 
-static int push(des_t *d, double t, int kind, i64 id, i64 hop)
+static inline uint64_t time_home(const des_t *d, uint64_t bits)
 {
-    if (reserve((void **)&d->heap, &d->hcap, d->hn + 1, sizeof(ev_t)))
+    return bits * 0x9E3779B97F4A7C15ull >> d->tmshift;
+}
+
+/* The map slot of `bits`: its entry, or the empty slot where it goes. */
+static inline i64 time_slot(const des_t *d, uint64_t bits)
+{
+    uint64_t mask = (uint64_t)d->tmcap - 1, i = time_home(d, bits);
+    while (d->tmap[i].at >= 0 && d->tmap[i].bits != bits)
+        i = (i + 1) & mask;
+    return (i64)i;
+}
+
+/* Double the time map, keeping it at most half full. */
+static int time_rehash(des_t *d)
+{
+    tslot_t *old = d->tmap;
+    i64 n = d->tmcap, cap = n ? 2 * n : 64;
+    tslot_t *map = malloc((size_t)cap * sizeof(tslot_t));
+    if (!map)
         return -1;
-    ev_t ev = {t, (uint64_t)d->seq++ << 24 | (uint64_t)hop << 3 | kind, id};
-    i64 i = d->hn++;
-    while (i > 0) {
-        i64 parent = (i - 1) / 2;
-        if (!ev_less(&ev, &d->heap[parent]))
-            break;
-        d->heap[i] = d->heap[parent];
-        i = parent;
+    for (i64 k = 0; k < cap; k++)
+        map[k].at = -1;
+    d->tmap = map;
+    d->tmcap = cap;
+    for (d->tmshift = 64; cap > 1; cap >>= 1)
+        d->tmshift--;
+    for (i64 k = 0; k < n; k++) {
+        if (old[k].at >= 0) {
+            i64 i = time_slot(d, old[k].bits);
+            map[i] = old[k];
+            d->inst[old[k].at].slot = i;
+        }
     }
-    d->heap[i] = ev;
-    d->io[IO_PENDING] = d->hn;
+    free(old);
     return 0;
 }
 
-static ev_t pop(des_t *d)
+/* The instant at time t (already folded), made and queued if new; -1 when
+ * out of memory. */
+static i64 instant_of(des_t *d, double t)
 {
-    ev_t top = d->heap[0];
-    ev_t last = d->heap[--d->hn];
-    i64 i = 0, n = d->hn;
+    uint64_t bits = time_bits(t);
+    i64 slot = -1;
+    if (d->tmcap) {
+        slot = time_slot(d, bits);
+        if (d->tmap[slot].at >= 0)
+            return d->tmap[slot].at;
+    }
+    if (d->ifree < 0) {
+        i64 old = d->icap;
+        if (reserve((void **)&d->inst, &d->icap, old + 1, sizeof(inst_t)))
+            return -1;
+        for (i64 k = old; k < d->icap; k++)
+            d->inst[k].head = k + 1 < d->icap ? k + 1 : -1;
+        d->ifree = old;
+    }
+    if (reserve((void **)&d->th, &d->thcap, d->thn + 1, sizeof(tnode_t)))
+        return -1;
+    if (2 * (d->tmused + 1) > d->tmcap) {
+        if (time_rehash(d))
+            return -1;
+        slot = time_slot(d, bits);
+    }
+    i64 at = d->ifree;
+    d->ifree = d->inst[at].head;
+    d->inst[at] = (inst_t){t, -1, -1, slot};
+    d->tmap[slot] = (tslot_t){bits, at};
+    d->tmused++;
+    i64 i = d->thn++;
+    while (i > 0) {
+        i64 parent = (i - 1) / 2;
+        if (!(t < d->th[parent].t))
+            break;
+        d->th[i] = d->th[parent];
+        i = parent;
+    }
+    d->th[i] = (tnode_t){t, at};
+    return at;
+}
+
+/* Retire the earliest instant, which is empty: off the time heap and out
+ * of the map (backward-shift deletion), onto the free list. */
+static void drop_instant(des_t *d)
+{
+    i64 at = d->th[0].at;
+    tnode_t last = d->th[--d->thn];
+    i64 i = 0, n = d->thn;
     for (;;) {
         i64 child = 2 * i + 1;
         if (child >= n)
             break;
-        if (child + 1 < n && ev_less(&d->heap[child + 1], &d->heap[child]))
+        if (child + 1 < n && d->th[child + 1].t < d->th[child].t)
             child++;
-        if (!ev_less(&d->heap[child], &last))
+        if (!(d->th[child].t < last.t))
             break;
-        d->heap[i] = d->heap[child];
+        d->th[i] = d->th[child];
         i = child;
     }
     if (n)
-        d->heap[i] = last;
-    d->io[IO_PENDING] = d->hn;
-    return top;
+        d->th[i] = last;
+
+    uint64_t mask = (uint64_t)d->tmcap - 1, hole = (uint64_t)d->inst[at].slot;
+    for (uint64_t j = (hole + 1) & mask; d->tmap[j].at >= 0;
+         j = (j + 1) & mask) {
+        uint64_t home = time_home(d, d->tmap[j].bits);
+        /* the entry at j stays unless its home is cyclically outside
+         * (hole, j] */
+        if (hole <= j ? hole < home && home <= j : hole < home || home <= j)
+            continue;
+        d->tmap[hole] = d->tmap[j];
+        d->inst[d->tmap[hole].at].slot = (i64)hole;
+        hole = j;
+    }
+    d->tmap[hole].at = -1;
+    d->tmused--;
+
+    d->inst[at].head = d->ifree;
+    d->ifree = at;
+    if (d->mru == at)
+        d->mru = -1;
+}
+
+/* Queue record (kind, id, hop) at time t, behind every record already at
+ * t: returns 0, RC_TIME for a non-finite t (kept in dio[DIO_LATE]) or
+ * RC_NOMEM. */
+static int push(des_t *d, double t, int kind, i64 id, i64 hop)
+{
+    if (!isfinite(t)) {
+        d->dio[DIO_LATE] = t;
+        return RC_TIME;
+    }
+    uint64_t key = (uint64_t)hop << 4 | (uint64_t)kind;
+    if (t == 0.0) {
+        key |= (uint64_t)(signbit(t) != 0) << 3;
+        t = 0.0;
+    }
+    i64 at = d->mru;
+    if (at < 0 || d->inst[at].t != t) {
+        at = instant_of(d, t);
+        if (at < 0)
+            return RC_NOMEM;
+        d->mru = at;
+    }
+    if (d->evfree < 0) {
+        i64 old = d->evcap;
+        if (reserve((void **)&d->ev, &d->evcap, old + 1, sizeof(ev_t)))
+            return RC_NOMEM;
+        for (i64 k = old; k < d->evcap; k++)
+            d->ev[k].next = k + 1 < d->evcap ? k + 1 : -1;
+        d->evfree = old;
+    }
+    i64 node = d->evfree;
+    d->evfree = d->ev[node].next;
+    d->ev[node] = (ev_t){key, id, -1};
+    inst_t *in = &d->inst[at];
+    if (in->tail >= 0)
+        d->ev[in->tail].next = node;
+    else
+        in->head = node;
+    in->tail = node;
+    d->io[IO_PENDING]++;
+    return 0;
+}
+
+/* Unlink the oldest record of the earliest instant, and set the clock to
+ * its time. */
+static ev_t pop(des_t *d)
+{
+    i64 at = d->th[0].at;
+    inst_t *in = &d->inst[at];
+    i64 node = in->head;
+    ev_t ev = d->ev[node];
+    d->now = ev.key & 8 ? -0.0 : in->t;
+    in->head = ev.next;
+    d->ev[node].next = d->evfree;
+    d->evfree = node;
+    d->io[IO_PENDING]--;
+    if (in->head < 0)
+        drop_instant(d);
+    return ev;
 }
 
 /* A new engine sharing io[] and dio[] (zeroed here) with the caller, for
@@ -272,7 +455,7 @@ des_t *des_new(i64 nic, i64 sat_depth, i64 *io, double *dio, double bandwidth,
     d->sat_depth = sat_depth;
     d->io = io;
     d->dio = dio;
-    d->pfree = -1;
+    d->pfree = d->evfree = d->ifree = d->mru = -1;
     memset(io, 0, IO_SIZE * sizeof(i64));
     memset(dio, 0, DIO_SIZE * sizeof(double));
     return d;
@@ -287,7 +470,10 @@ void des_free(des_t *d)
     free(d->apps);
     free(d->tasks);
     free(d->rec);
-    free(d->heap);
+    free(d->ev);
+    free(d->inst);
+    free(d->th);
+    free(d->tmap);
     free(d->ch);
     free(d->order);
     free(d->pool);
@@ -385,7 +571,7 @@ static int new_set(des_t *d)
  * the last route set. */
 static int add_route(des_t *d, const i64 *names, i64 len)
 {
-    if (len < 1 || len >= HOP_LIMIT
+    if (len < 1
         || reserve((void **)&d->routes, &d->rcap, d->nr + 1, sizeof(span_t))
         || reserve((void **)&d->rch, &d->rchcap, d->nrch + len, sizeof(i64)))
         return -1;
@@ -427,7 +613,7 @@ static int send_msg(des_t *d, i64 m, double size, i64 set, i64 src, i64 dst,
                     double t, i64 task, i64 iter)
 {
     if (reserve((void **)&d->msg, &d->mcap, m + 1, sizeof(msg_t)))
-        return -1;
+        return RC_NOMEM;
     d->msg[m] = (msg_t){.size = size, .sent = t, .set = set, .route = -1,
                         .task = task, .src = (int32_t)src,
                         .dst = (int32_t)dst, .iter = (int32_t)iter};
@@ -439,19 +625,20 @@ static int send_msg(des_t *d, i64 m, double size, i64 set, i64 src, i64 dst,
 /* Apply the buffers Python published: link bandwidth overrides (3
  * doubles each: a, b, bandwidth), route sets (see add_routes) and pushes
  * (a send carries its message, size, route set and src * nprocs + dst; a
- * re-injection its message and attempt count). */
+ * re-injection its message and attempt count). Returns 0 or push's error
+ * code. */
 static int apply_published(des_t *d)
 {
     i64 *io = d->io;
     const double *ch = (const double *)(intptr_t)io[IO_CHANS];
     for (i64 k = 0; k < io[IO_NCHANS]; k++, ch += 3)
         if (channel_of(d, (i64)ch[0], (i64)ch[1], ch[2]) < 0)
-            return -1;
+            return RC_NOMEM;
     const i64 *w = (const i64 *)(intptr_t)io[IO_ROUTES];
     const i64 *end = w + io[IO_NROUTES];
     while (w < end)
         if (add_routes(d, &w))
-            return -1;
+            return RC_NOMEM;
     const double *op = (const double *)(intptr_t)io[IO_OPS];
     for (i64 k = 0; k < io[IO_NOPS]; k++, op += 6) {
         i64 a = (i64)op[1];
@@ -467,7 +654,7 @@ static int apply_published(des_t *d)
             rc = push(d, op[5], EV_PY, a, 0);
         }
         if (rc)
-            return -1;
+            return rc;
     }
     io[IO_NCHANS] = io[IO_NROUTES] = io[IO_NOPS] = 0;
     return 0;
@@ -506,11 +693,12 @@ static int retransmit(des_t *d, i64 m)
     double delay = d->retry_delay * backoff;
     msg->attempts++;
     d->io[IO_RETRANSMITS]++;
-    return push(d, d->now + delay, EV_INJECT, m, 0) ? -1 : RC_STOP;
+    return push(d, d->now + delay, EV_INJECT, m, 0);
 }
 
 /* The head of `m` reached the input of hop `hop` of its route. Returns an
- * RC_* code that needs Python, RC_STOP when handled here, or -1. */
+ * RC_* code that needs Python, RC_STOP when handled here, or an error code
+ * (RC_NOMEM, RC_TIME); so do the other event handlers. */
 static int head_arrival(des_t *d, i64 m, i64 hop)
 {
     msg_t *msg = &d->msg[m];
@@ -522,7 +710,7 @@ static int head_arrival(des_t *d, i64 m, i64 hop)
         d->io[IO_USED] = d->used;
     }
     if (ch->current < 0)
-        return start_transmission(d, c, m, hop) ? -1 : RC_STOP;
+        return start_transmission(d, c, m, hop);
     if (ch->capacity >= 0) {
         if (ch->buffered + msg->size > ch->capacity) {
             d->io[IO_CHX] = ch->x;
@@ -534,7 +722,7 @@ static int head_arrival(des_t *d, i64 m, i64 hop)
     if (d->pfree < 0) {
         i64 old = d->pcap;
         if (reserve((void **)&d->pool, &d->pcap, old + 1, sizeof(qnode_t)))
-            return -1;
+            return RC_NOMEM;
         for (i64 k = old; k < d->pcap; k++)
             d->pool[k].next = k + 1 < d->pcap ? k + 1 : -1;
         d->pfree = old;
@@ -643,9 +831,10 @@ static int compute_done(des_t *d, i64 g)
     t->computed = 1;
     for (i64 e = a->indptr[i]; e < a->indptr[i + 1]; e++) {
         i64 nbr = a->indices[e], dst = a->assign[nbr];
-        if (send_msg(d, d->io[IO_NMSG]++, a->sizes[e], a->sets[e], src, dst,
-                     d->now, a->off + nbr, t->iter))
-            return -1;
+        int rc = send_msg(d, d->io[IO_NMSG]++, a->sizes[e], a->sets[e], src,
+                          dst, d->now, a->off + nbr, t->iter);
+        if (rc)
+            return rc;
         d->io[IO_INFLIGHT]++;
         d->io[IO_SENDS]++;
         d->io[IO_LOCAL_SENDS] += src == dst;
@@ -661,7 +850,7 @@ static int deliver(des_t *d, i64 m)
     msg_t *msg = &d->msg[m];
     i64 k = d->io[IO_DELIVERED];
     if (reserve((void **)&d->rec, &d->reccap, 2 * k + 2, sizeof(double)))
-        return -1;
+        return RC_NOMEM;
     d->rec[2 * k] = d->now - msg->sent;
     d->rec[2 * k + 1] = msg->size;
     d->io[IO_DELIVERED] = k + 1;
@@ -673,7 +862,7 @@ static int deliver(des_t *d, i64 m)
     d->io[IO_INFLIGHT]--;
     d->io[IO_APP_DELIVERED]++;
     d->tasks[msg->task].arrived[msg->iter & 1]++;
-    return advance(d, msg->task) ? -1 : RC_STOP;
+    return advance(d, msg->task);
 }
 
 /* Apply the published buffers, then pop and run records until one needs
@@ -682,23 +871,22 @@ static int deliver(des_t *d, i64 m)
  * stop advances the clock to it when nothing is left at or before it. */
 i64 des_run(des_t *d)
 {
-    i64 limit = d->io[IO_LIMIT], fired = 0, rc = RC_STOP, id = 0;
+    i64 limit = d->io[IO_LIMIT], fired = 0, rc = apply_published(d), id = 0;
     double deadline = d->dio[DIO_DEADLINE];
-    if (apply_published(d))
-        return RC_NOMEM;
+    if (rc)
+        return rc;
     for (;;) {
-        if (!d->hn || (limit >= 0 && fired >= limit)
-            || d->heap[0].t > deadline) {
+        if (!d->thn || (limit >= 0 && fired >= limit)
+            || d->th[0].t > deadline) {
             if (d->io[IO_UNTIL] && d->now < deadline
-                && (!d->hn || d->heap[0].t > deadline)) {
+                && (!d->thn || d->th[0].t > deadline)) {
                 d->now = deadline;
                 d->dio[DIO_NOW] = deadline;
             }
             break;
         }
         ev_t ev = pop(d);
-        d->now = ev.t;
-        d->dio[DIO_NOW] = ev.t;
+        d->dio[DIO_NOW] = d->now;
         d->io[IO_PROCESSED]++;
         fired++;
         id = ev.id;
@@ -711,26 +899,22 @@ i64 des_run(des_t *d)
             r = deliver(d, id);
             break;
         case EV_COMPUTE:
-            r = compute_done(d, id) ? -1 : RC_STOP;
+            r = compute_done(d, id);
             break;
         case EV_INJECT:
             choose_route(d, &d->msg[id]);
             r = head_arrival(d, id, 0);
             break;
         case EV_HEAD:
-            r = head_arrival(d, id, (i64)(ev.key >> 3 & (HOP_LIMIT - 1)));
+            r = head_arrival(d, id, (i64)(ev.key >> 4));
             break;
         case EV_FREE:
-            r = link_free(d, id) ? -1 : RC_STOP;
-            break;
-        }
-        if (r < 0) {
-            rc = RC_NOMEM;
+            r = link_free(d, id);
             break;
         }
         if (r != RC_STOP) {
             rc = r;
-            if (r != RC_PY)
+            if (r == RC_DELIVER || r == RC_OVERFLOW)
                 d->io[IO_HOPS] = d->msg[id].hops;
             break;
         }
@@ -1039,8 +1223,9 @@ i64 des_app(des_t *d, i64 n, i64 iterations, const i64 *indptr,
     }
     for (i64 t = 0; t < n; t++) {
         d->tasks[d->ntasks + t] = (task_t){.app = d->napps - 1};
-        if (push(d, d->now + compute[t], EV_COMPUTE, d->ntasks + t, 0))
-            return -1;
+        int rc = push(d, d->now + compute[t], EV_COMPUTE, d->ntasks + t, 0);
+        if (rc)
+            return -rc;
     }
     d->ntasks += n;
     return d->ns;

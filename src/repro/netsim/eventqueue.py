@@ -22,8 +22,9 @@ __all__ = ["EventQueue", "schedule_error"]
 
 def schedule_error(time: float, now: float) -> SimulationError:
     """The error for an event at ``time`` scheduled at ``now`` when
-    ``not time >= now``: a NaN time or a causality violation."""
-    if math.isnan(time):
+    ``not now <= time < inf``: a NaN or infinite time, or a causality
+    violation."""
+    if not math.isfinite(time):
         return SimulationError(f"cannot schedule an event at t={time}")
     return SimulationError(
         f"causality violation: scheduling at t={time} < now={now}"
@@ -53,10 +54,11 @@ class EventQueue:
     def call(self, time: float, fn: Callable[..., None], *args) -> None:
         """Fire ``fn(*args)`` at simulation ``time`` (a float).
 
-        Scheduling into the past (a causality violation) or at a NaN time
-        raises :class:`~repro.exceptions.SimulationError`.
+        Scheduling into the past (a causality violation) or at a
+        non-finite time (a NaN, or a clock that overflowed) raises
+        :class:`~repro.exceptions.SimulationError`.
         """
-        if not time >= self.now:  # also true for NaN
+        if not self.now <= time < math.inf:  # also true for NaN
             raise schedule_error(time, self.now)
         heapq.heappush(self._heap, (time, self._seq, fn, args))
         self._seq += 1

@@ -68,8 +68,12 @@ class MessageStats:
     """
 
     def __init__(self):
-        self._latencies: list[float] = []
-        self._sizes: list[float] = []
+        # Deliveries in order: chunks of (latencies, sizes) float64 arrays,
+        # then the values record() appended since the last chunk. Reading
+        # joins them into one chunk, which stays until the next change.
+        self._chunks: list[tuple[np.ndarray, np.ndarray]] = []
+        self._tail: tuple[list[float], list[float]] = ([], [])
+        self._count = 0
         self._hop_bytes = 0.0
         self._bytes = 0.0
         #: end-to-end retransmissions scheduled after buffer overflows
@@ -82,17 +86,26 @@ class MessageStats:
 
     def record(self, message: Message) -> None:
         """Account one delivered message."""
-        self._latencies.append(message.latency)
-        self._sizes.append(message.size_bytes)
+        self._tail[0].append(message.latency)
+        self._tail[1].append(message.size_bytes)
+        self._count += 1
         self._bytes += message.size_bytes
         self._hop_bytes += message.size_bytes * message.hops
 
-    def extend(self, latencies: list, sizes: list, total_bytes: float,
-               hop_bytes: float) -> None:
-        """Account deliveries the compiled DES recorded, in order."""
-        self._latencies += latencies
-        self._sizes += sizes
+    def extend(self, latencies: np.ndarray, sizes: np.ndarray,
+               total_bytes: float, hop_bytes: float) -> None:
+        """Account deliveries the compiled DES recorded, in order: float64
+        arrays this object keeps, and the new byte and hop-byte totals."""
+        self._flush_tail()
+        self._chunks.append((latencies, sizes))
+        self._count += len(latencies)
         self._bytes, self._hop_bytes = total_bytes, hop_bytes
+
+    def _flush_tail(self) -> None:
+        if self._tail[0]:
+            self._chunks.append(tuple(np.array(v, dtype=np.float64)
+                                      for v in self._tail))
+            self._tail = ([], [])
 
     def record_drop(self, message: Message) -> None:
         """Account one finally-dropped (undeliverable) message."""
@@ -102,7 +115,7 @@ class MessageStats:
     @property
     def count(self) -> int:
         """Delivered messages so far."""
-        return len(self._latencies)
+        return self._count
 
     @property
     def total_bytes(self) -> float:
@@ -114,13 +127,25 @@ class MessageStats:
         """Observed average hops per byte over delivered traffic."""
         return self._hop_bytes / self._bytes if self._bytes else 0.0
 
+    def _delivered(self) -> tuple[np.ndarray, np.ndarray]:
+        """(latencies, sizes) of every delivery, as one read-only chunk."""
+        self._flush_tail()
+        if len(self._chunks) != 1:
+            chunks = self._chunks or [(np.zeros(0), np.zeros(0))]
+            self._chunks = [tuple(np.concatenate(parts)
+                                  for parts in zip(*chunks))]
+        for arr in self._chunks[0]:
+            arr.flags.writeable = False
+        return self._chunks[0]
+
     def latencies(self) -> np.ndarray:
-        """Delivered latencies as an array (microseconds)."""
-        return np.asarray(self._latencies, dtype=np.float64)
+        """Delivered latencies as a read-only array (microseconds)."""
+        return self._delivered()[0]
 
     def sizes(self) -> np.ndarray:
-        """Delivered message sizes as an array (bytes), latency-aligned."""
-        return np.asarray(self._sizes, dtype=np.float64)
+        """Delivered message sizes as a read-only array (bytes),
+        latency-aligned."""
+        return self._delivered()[1]
 
     @property
     def mean_latency(self) -> float:
@@ -144,7 +169,7 @@ class MessageStats:
             "dropped_bytes": self.dropped_bytes,
             "retransmits": self.retransmits,
             "buffer_drops": self.buffer_drops,
-            "latencies": list(self._latencies),
-            "sizes": list(self._sizes),
+            "latencies": self.latencies().tolist(),
+            "sizes": self.sizes().tolist(),
         }
 

@@ -449,7 +449,7 @@ class NetworkSimulator:
         # The event queue's causality check, made before the message exists
         # so that a rejected send leaves nothing in flight.
         first = send_time + self._local if src == dst else send_time
-        if not first >= self.queue.now:
+        if not self.queue.now <= first < math.inf:
             raise schedule_error(first, self.queue.now)
         engine = self._engine
         msg_id = self._next_id if engine is None else engine.next_id

@@ -178,6 +178,38 @@ def test_generated_size_cap_is_above_every_paper_input():
     _check_generated_size("alltoall:1414", 1414, 1414 * 1413 // 2)
 
 
+@pytest.mark.parametrize("iterations", [10 ** 12, 10 ** 8, 10_001,
+                                        np.int64(10 ** 12)],
+                         ids=["1e12", "1e8", "cap+1", "numpy-1e12"])
+def test_oversized_netsim_iterations_are_refused_when_the_request_is_built(
+        iterations):
+    """Before a graph is built or the replay allocates its per-iteration
+    arrays."""
+    with pytest.raises(SpecError, match="capped at 10,000 iterations"):
+        MappingRequest(graph="mesh2d:4x4", topology="torus:4x4",
+                       netsim={"iterations": iterations})
+
+
+def test_netsim_iteration_cap_is_above_every_experiment():
+    """Every experiment's replay length (``iterations = <quick> if quick
+    else <full>``) and the paper's longest run, fig10_11's 4,000
+    iterations, fit under the cap; a request at the cap is accepted."""
+    import re
+    from pathlib import Path
+
+    from repro import experiments
+    from repro.engine.core import MAX_NETSIM_ITERATIONS
+
+    counts = [int(n) for path in Path(experiments.__file__).parent.glob("*.py")
+              for pair in re.findall(r"iterations = (\d+) if quick else (\d+)",
+                                     path.read_text())
+              for n in pair]
+    assert len(counts) >= 10 and max(counts) == 300
+    assert MAX_NETSIM_ITERATIONS >= max(4000, *counts)
+    MappingRequest(graph="mesh2d:4x4", topology="torus:4x4",
+                   netsim={"iterations": MAX_NETSIM_ITERATIONS})
+
+
 @pytest.mark.parametrize("bad", ["mesh2d:4x4;bytes=nan", "ring:16;bytes=inf",
                                  "random:8;p=nan", "random:8;seed=inf"])
 def test_non_finite_graph_option_is_a_spec_error(bad):

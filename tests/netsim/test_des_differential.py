@@ -7,8 +7,9 @@ up to two tasks per processor), and a simulator configuration (DOR or
 adaptive routing, NIC channels, finite buffers with and without jitter,
 a stall window, the profiler). Both bodies replay it; everything they
 expose must agree to the bit: the statistics, the three link tables, each
-application's iteration finish times, the number of fired events, the
-profiler's counters, and the error text when the run raises.
+application's iteration finish times, the numbers of fired and pending
+events, the profiler's counters, and the error text when the run raises.
+Fixed replays whose clock overflows compare the two error texts.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def _replay(kernel, topology, apps, knobs, profiled) -> str:
             error = str(exc)
         state = [error, finish, sim.stats.snapshot(), sim.link_bytes(),
                  sim.link_busy_times(), sim.link_queue_peaks(),
-                 sim.queue.processed, sim.in_flight]
+                 sim.queue.processed, sim.queue.pending, sim.in_flight]
         if prof is not None:
             snap = prof.snapshot()
             # C's counts reach the profiler at a return, not in event order.
@@ -120,3 +121,25 @@ def _replay(kernel, topology, apps, knobs, profiled) -> str:
 @given(replays())
 def test_random_closed_loops_match_reference(replay):
     assert _replay("vectorized", *replay) == _replay("reference", *replay)
+
+
+@pytest.mark.skipif(_native._compiler() is None, reason="no C compiler")
+@pytest.mark.parametrize("overflow", [
+    {"knobs": {"alpha": 1e308}},  # a transfer's head and its link free
+    {"app": {"compute_time": 1e308}},  # the next iteration's compute step
+    {"knobs": {"buffer_bytes": 800.0, "retry_delay": 1e308}},  # a retransmit
+], ids=["alpha", "compute", "retry"])
+def test_an_overflowing_clock_raises_one_error_on_both_bodies(overflow):
+    """An event that would be scheduled at t=inf is refused with one
+    SimulationError text, at the same event on both bodies."""
+    topology = topology_from_spec("torus:4x4")
+    graph = TaskGraph(16, [(u, v, 3000.0) for u in range(16)
+                           for v in range(u + 1, 16)])
+    app = {"graph": graph, "assignment": np.arange(16), "iterations": 2,
+           "message_bytes": None, "compute_time": 1.0,
+           **overflow.get("app", {})}
+    replay = (topology, [app], {"bandwidth": 100.0, **overflow.get("knobs", {})},
+              False)
+    reference = _replay("reference", *replay)
+    assert _replay("vectorized", *replay) == reference
+    assert reference.startswith("['cannot schedule an event at t=inf'")

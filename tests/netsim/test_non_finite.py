@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
 import pytest
 
 from repro.exceptions import SimulationError, SpecError
@@ -158,3 +159,45 @@ def test_iterative_application_rejects_bad_iterations_before_any_work(
                              iterations=iterations)
     with pytest.raises(SimulationError, match="iterations"):
         replay_closed_loop(mapping, iterations)
+
+
+@pytest.mark.parametrize("time", [INF, NAN, -INF])
+def test_schedule_rejects_non_finite_time(time, kernel):
+    """An event at a non-finite time is refused on both bodies' queues."""
+    sim = NetworkSimulator(Torus((4, 4)), kernel=kernel)
+    with pytest.raises(SimulationError, match=f"cannot schedule an event at t={time}"):
+        sim.queue.call(time, print)
+    assert sim.queue.pending == 0
+
+
+def test_an_overflowing_clock_is_an_error_not_a_result(kernel):
+    """``alpha`` 1e308 is finite, but a second hop lands at t=inf: the
+    replay raises instead of reporting an infinite makespan and NaN
+    percentiles."""
+    from repro.engine import graph_from_spec
+    from repro.mapping import RandomMapper
+    from repro.netsim.appsim import replay_closed_loop
+
+    topology = topology_from_spec("torus:4x4")
+    mapping = RandomMapper(seed=0).map(graph_from_spec("mesh2d:4x4"), topology)
+    with pytest.raises(SimulationError, match=r"cannot schedule an event at t=inf"):
+        replay_closed_loop(mapping, 2, alpha=1e308, kernel=kernel)
+
+
+def test_an_application_started_at_a_late_clock_is_refused(kernel):
+    """The first compute steps of an application started at t=1e308 would
+    end at t=inf; both bodies refuse them when it starts."""
+    from repro.mapping import Mapping
+    from repro.netsim.appsim import IterativeApplication
+    from repro.taskgraph import TaskGraph
+
+    topology = Torus((4,))
+    sim = NetworkSimulator(topology, kernel=kernel)
+    sim.queue.call(1e308, lambda: None)
+    sim.run()
+    app = IterativeApplication(
+        Mapping(TaskGraph(2, [(0, 1, 8.0)]), topology, np.array([0, 1])), sim,
+        iterations=1, compute_time=1e308)
+    with pytest.raises(SimulationError, match=r"cannot schedule an event at t=inf"):
+        app.start()
+    assert sim.queue.pending == 0

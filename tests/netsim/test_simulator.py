@@ -261,6 +261,24 @@ class TestStats:
         assert sim.stats.mean_latency == 0.0
         assert sim.stats.max_latency == 0.0
 
+    def test_delivery_arrays_keep_order_across_chunks(self):
+        """Recorded and extended deliveries read back in order, as one
+        read-only array built once per change."""
+        from repro.netsim.messages import Message, MessageStats
+
+        stats = MessageStats()
+        msg = Message(0, 0, 1, 8.0, 0.0, deliver_time=1.5)
+        stats.record(msg)
+        stats.extend(np.array([2.0, 3.0]), np.array([4.0, 5.0]), 17.0, 0.0)
+        stats.record(msg)
+        lat = stats.latencies()
+        assert lat.tolist() == [1.5, 2.0, 3.0, 1.5]
+        assert stats.sizes().tolist() == [8.0, 4.0, 5.0, 8.0]
+        assert stats.latencies() is lat and not lat.flags.writeable
+        stats.extend(np.array([0.5]), np.array([1.0]), 26.0, 0.0)
+        assert stats.latencies().tolist() == [1.5, 2.0, 3.0, 1.5, 0.5]
+        assert stats.count == 5 and stats.max_latency == 3.0
+
     def test_undelivered_latency_raises(self, kernel):
         sim = make_sim(kernel)
         msg = sim.send(0, 5, 10.0)

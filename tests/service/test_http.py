@@ -160,6 +160,30 @@ def test_map_nan_netsim_knob_is_4xx(server):
     assert "must be finite" in reply["error"]
 
 
+def test_map_overflowing_clock_is_422_in_valid_json(server):
+    """``alpha`` 1e308 passes validation, then a replay event would land at
+    t=inf: the request fails instead of answering ``Infinity`` and ``NaN``,
+    which are not JSON."""
+    body = json.dumps({**BODY, "netsim": {"alpha": 1e308}}).encode()
+    request = urllib.request.Request(f"{server}/map", data=body, method="POST")
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(request, timeout=60)
+    assert err.value.code == 422
+    raw = err.value.read()
+    assert b"NaN" not in raw and b"Infinity" not in raw
+    assert "cannot schedule an event at t=inf" in json.loads(raw)["error"]
+
+
+@pytest.mark.parametrize("iterations", [10 ** 12, 10 ** 8])
+def test_map_oversized_netsim_iterations_is_400_at_once(server, iterations):
+    start = time.perf_counter()
+    status, _, reply = _call(f"{server}/map", "POST",
+                             {**BODY, "netsim": {"iterations": iterations}})
+    assert status == 400, reply
+    assert "capped at 10,000 iterations" in reply["error"]
+    assert time.perf_counter() - start < 1.0
+
+
 def test_map_overload_policy_other_than_drop_is_400(server):
     body = {**BODY, "netsim": {"overload_policy": "ecn"}}
     status, _, reply = _call(f"{server}/map", "POST", body)

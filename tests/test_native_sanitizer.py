@@ -6,7 +6,9 @@ A subprocess that preloads ``libasan`` builds both C files with
 build as the process's kernels, and runs the tests that drive every compiled
 entry point: the 16 DES digests on the compiled body, the DES differential
 at benchmark scale and on random small closed loops (a fixed small number
-of examples), the closed loop that ends in final drops, and subsets of the
+of examples), the closed loop that ends in final drops, the event queue's
+cases (one instant, a drained and refilled instant, exact times, many live
+instants, bounded runs, a clock that overflows), and subsets of the
 mapper and partitioner equivalence suites, and the differential tests of
 the phase-1 entry points, of the flow estimator's grid link loads, of
 TopoCentLB's cycle loop and of RefineTopoLB's cost table and sweep. An
@@ -48,7 +50,8 @@ SELECT = ("(des_digest and not reference) or (bodies_agree and seed1)"
           " or (RefineEquivalence and incremental) or sparse_random_phase1"
           " or compiled_bisector or compiled_refine_pass"
           " or compiled_recursion or compiled_link_loads"
-          " or topocent or refine_random or refine_sweeper")
+          " or topocent or refine_random or refine_sweeper"
+          " or QueueByInstant or overflowing_clock")
 
 SCRIPT = """
 import sys
