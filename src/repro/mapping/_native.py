@@ -24,7 +24,9 @@ or ``REPRO_NO_NATIVE`` set) it runs its bit-identical reference body — the
 ``kernel="reference"`` loops of RefineTopoLB and TopoLB, TopoCentLB's
 ``_run``, the partitioner's walks over ``csr_lists``, and the simulator's
 Python event loop. The wrappers check each array's size and dtype once,
-when a run binds them, and pass raw pointers on every call. The two cycle
+when a run binds them, and pass raw pointers on every call. A distance
+table is passed in the machine's own dtype, int32 or float64, with a word
+that tells C which (see ``_table``). The two cycle
 loops, which TopoLB and TopoCentLB re-enter once per pause, take a single
 pointer: to an argument block built when the run binds them.
 """
@@ -76,9 +78,9 @@ class NativeKernels:
             return fn
 
         self._cost_table = bind("refine_cost_table", None,
-                                i64, i64, *[ptr] * 6)
+                                i64, i64, *[ptr] * 5, i64, ptr)
         self._sweep = bind("refine_sweep_incremental", i64,
-                           i64, i64, *[ptr] * 11)
+                           i64, i64, ptr, ptr, i64, *[ptr] * 9)
         self._cycles = bind("topolb_cycles", i64, ptr)
         self._topocent = bind("topocent_cycles", i64, ptr)
         self._bisect = bind("partition_bisect", i64,
@@ -105,14 +107,15 @@ class NativeKernels:
     def refine_cost_table(self, indptr, indices, weights, assign,
                           dist) -> np.ndarray:
         """RefineTopoLB's ``(n, p)`` cost table, bitwise equal to
-        ``csr_matrix((weights, assign[indices], indptr)) @ dist``."""
+        ``csr_matrix((weights, assign[indices], indptr)) @ dist`` with
+        ``dist`` widened to float64."""
+        table = _table(dist)
         n, p = assign.size, dist.shape[0]
         if not (0 <= assign.min() and assign.max() < p):
             raise ValueError("refine_cost_table: assign must hold processors")
         cost = np.empty((n, p))
         self._cost_table(n, p, *_csr_ptrs(indptr, indices, n, weights),
-                         _ptr(assign, np.int64, n, "assign"),
-                         _ptr(dist, np.float64, p * p, "dist"),
+                         _ptr(assign, np.int64, n, "assign"), *table,
                          cost.ctypes.data)
         return cost
 
@@ -224,7 +227,7 @@ class RefineSweeper:
         self._fn = fn
         self._keep = (cost, dist, assign, indptr, indices, weights)
         self._args = (n, p, _ptr(cost, np.float64, n * p, "cost", out=True),
-                      _ptr(dist, np.float64, p * p, "dist"),
+                      *_table(dist, p),
                       _ptr(assign, np.int64, n, "assign", out=True),
                       *_csr_ptrs(indptr, indices, n, weights),
                       self._perm.ctypes.data, best_b.ctypes.data,
@@ -299,7 +302,7 @@ class TopoLBCycles:
         block = _block(
             n, p, reserve, order, self._SELECTIONS.index(selection),
             _ptr(fest, np.float64, n * p, "fest", out=True),
-            _ptr(dist, np.float64, p * p, "dist"),
+            *_table(dist, p),
             _ptr(avg, np.float64, p, "avg", out=order == 3),
             *_csr_ptrs(indptr, indices, n, weights),
             _ptr(score, np.float64, n, "score", out=True), uc_ptr, *own,
@@ -342,6 +345,7 @@ class TopoCentCycles:
                  "_fn", "_addr", "_keep")
 
     def __init__(self, fn, dist, indptr, indices, weights, keys):
+        table = _table(dist)
         n, p = keys.size, dist.shape[0]
         if n > p:
             raise ValueError(f"topocent_cycles: {n} tasks on {p} processors")
@@ -354,7 +358,7 @@ class TopoCentCycles:
         # seeds, the seed's processor (see refine_kernel.c)
         self._state = np.array([0, p, -1, 0, -1, 0, 0, -1], dtype=np.int64)
         self._fn = fn
-        block = _block(n, p, _ptr(dist, np.float64, p * p, "dist"),
+        block = _block(n, p, *table,
                        *_csr_ptrs(indptr, indices, n, weights),
                        _ptr(keys, np.float64, n, "keys", out=True),
                        self.assignment, self._free, self._w, self._gather,
@@ -765,6 +769,21 @@ def _ptr(arr: np.ndarray, dtype, size: int, name: str, out: bool = False) -> int
             f"{name}: expected {size} contiguous "
             f"{'writeable ' if out else ''}{np.dtype(dtype).name}")
     return arr.ctypes.data
+
+
+def _table(dist, p: int | None = None) -> list[int]:
+    """Data pointer and ``f64`` word of a C-contiguous ``p x p`` distance
+    table (``p`` defaults to its row count), as the kernels' ``dtable``
+    reads it: int32 on machines whose distances are integers, float64 on
+    those whose distances may be fractional."""
+    square = isinstance(dist, np.ndarray) and dist.ndim == 2
+    if p is None and square:
+        p = dist.shape[0]
+    if not (square and dist.shape == (p, p) and dist.flags.c_contiguous
+            and dist.dtype in (np.int32, np.float64)):
+        raise ValueError(f"dist: expected a contiguous ({p}, {p}) int32 or "
+                         "float64 table")
+    return [dist.ctypes.data, int(dist.dtype == np.float64)]
 
 
 def _block(*words) -> np.ndarray:

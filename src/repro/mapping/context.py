@@ -68,8 +68,10 @@ class MappingContext:
         return self._graph.edge_arrays()
 
     # ------------------------------------------------------- topology tables
-    def distance_matrix(self, dtype: np.dtype | type = np.int32) -> np.ndarray:
-        """The topology's hop-distance matrix in ``dtype`` (shared cache)."""
+    def distance_matrix(self, dtype: np.dtype | type | None = None) -> np.ndarray:
+        """The topology's hop-distance matrix in ``dtype`` (shared cache),
+        by default in the machine's own dtype: int32 where distances are
+        integers, float64 where they may be fractional."""
         return self._topology.distance_matrix(dtype)
 
     def average_distance_vector(self) -> np.ndarray:

@@ -52,10 +52,11 @@ def average_distance_vector(topology: Topology) -> np.ndarray:
     skey = (key, "average_distance_vector") if key is not None else None
     vec = cache.shared_get(skey) if skey is not None else None
     if vec is None:
-        # Request float64 directly: hop distances are exact small integers in
-        # any float dtype, and the mappers want the float64 matrix anyway, so
-        # this shares one cached table instead of also building an int one.
-        vec = topology.distance_matrix(np.float64).mean(axis=1)
+        # The machine's own table, the one the mappers read too, so no
+        # second copy is built. On an integer machine the row sums are exact
+        # integers in float64 whatever the summation order, so the mean is
+        # bitwise the mean of a float64 copy.
+        vec = topology.distance_matrix().mean(axis=1)
         vec.flags.writeable = False
         if skey is not None:
             cache.shared_put(skey, vec)

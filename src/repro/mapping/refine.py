@@ -131,7 +131,11 @@ class RefineTopoLB(Mapper):
 
     def _setup(self, mapping: Mapping, ctx: MappingContext | None = None,
                native: _native.NativeKernels | None = None):
-        """Shared kernel state: distance matrix, CSR arrays, cost table."""
+        """Shared kernel state: distance matrix, CSR arrays, cost table.
+
+        The compiled kernels read the machine's own table (int32 on integer
+        machines) and widen each entry on load; the reference keeps its
+        float64 table."""
         graph, topology = mapping.graph, mapping.topology
         if ctx is None:
             ctx = context_for(graph, topology)
@@ -143,7 +147,7 @@ class RefineTopoLB(Mapper):
             )
         rng = as_rng(self._seed)
 
-        dist = ctx.distance_matrix(np.float64)
+        dist = ctx.distance_matrix(np.float64 if native is None else None)
         indptr, indices, weights = ctx.csr_arrays()
         assign = mapping.assignment.copy()
 

@@ -56,6 +56,10 @@
  * The two resumable loops, topolb_cycles and topocent_cycles, re-enter C
  * many times a run, so each takes a single pointer to an argument block
  * (a struct of 8-byte words) that the caller builds once per run.
+ *
+ * The four mapper entry points read the machine's distance table in its
+ * own dtype, int32 or float64 (dtable, below): one source per kernel, no
+ * float64 copy of an integer table.
  */
 
 #include <math.h>
@@ -65,6 +69,22 @@
 
 typedef int64_t i64;
 
+/* A p x p distance table in the machine's own dtype: int32 where hop
+ * distances are integers, float64 where they may be fractional (explicit
+ * matrices, weighted graphs). Every kernel reads it through dist_at, which
+ * widens an entry to double on load. Widening an int32 is exact, so each
+ * expression sees the doubles a float64 copy of the table would hold. */
+typedef struct {
+    const void *data;
+    i64 f64; /* 1: double entries; 0: int32 entries */
+} dtable;
+
+static inline double dist_at(dtable d, i64 i)
+{
+    return d.f64 ? ((const double *)d.data)[i]
+                 : (double)((const int32_t *)d.data)[i];
+}
+
 /* RefineTopoLB's cost table C[t, q] = sum over neighbours j of
  * w_tj * dist[assign[j], q], row by row in CSR order: zero the row, then
  * add w * dist[assign[j]] per nonzero — the order of SciPy's csr_matvecs,
@@ -72,17 +92,18 @@ typedef int64_t i64;
 void refine_cost_table(i64 n, i64 p, const i64 *restrict indptr,
                        const i64 *restrict indices,
                        const double *restrict weights,
-                       const i64 *restrict assign,
-                       const double *restrict dist, double *restrict cost)
+                       const i64 *restrict assign, const void *dist_data,
+                       i64 dist_f64, double *restrict cost)
 {
+    const dtable dist = {dist_data, dist_f64};
     for (i64 t = 0; t < n; t++) {
         double *restrict row = cost + t * p;
         memset(row, 0, (size_t)p * sizeof(double));
         for (i64 k = indptr[t]; k < indptr[t + 1]; k++) {
             const double w = weights[k];
-            const double *restrict d = dist + assign[indices[k]] * p;
+            const i64 d = assign[indices[k]] * p;
             for (i64 q = 0; q < p; q++)
-                row[q] += w * d[q];
+                row[q] += w * dist_at(dist, d + q);
         }
     }
 }
@@ -92,7 +113,7 @@ void refine_cost_table(i64 n, i64 p, const i64 *restrict indptr,
  * Term order per element:  ((C[a,pb] + C[b,pa]) - C[a,pa]) - C[b,pb],
  * then += (2.0 * w) * dist[pa, pb'] at neighbor positions, then
  * buf[a] = 0.0. */
-static void compute_row(i64 n, i64 p, const double *cost, const double *dist,
+static void compute_row(i64 n, i64 p, const double *cost, dtable dist,
                         const i64 *assign, const i64 *indptr,
                         const i64 *indices, const double *weights,
                         double *buf, i64 a, i64 *bb_out, double *bv_out)
@@ -104,10 +125,9 @@ static void compute_row(i64 n, i64 p, const double *cost, const double *dist,
         const i64 pb = assign[b];
         buf[b] = ((arow[pb] + cost[b * p + pa]) - capa) - cost[b * p + pb];
     }
-    const double *drow = dist + pa * p;
     for (i64 k = indptr[a]; k < indptr[a + 1]; k++) {
         const i64 b = indices[k];
-        buf[b] += (2.0 * weights[k]) * drow[assign[b]];
+        buf[b] += (2.0 * weights[k]) * dist_at(dist, pa * p + assign[b]);
     }
     buf[a] = 0.0;
     i64 bb = 0;
@@ -126,7 +146,7 @@ static void compute_row(i64 n, i64 p, const double *cost, const double *dist,
  * RefineTopoLB._apply_swap: move[q] = d[pb,q] - d[pa,q] once per swap, then
  * cost[r, q] += (sign * w_r) * move[q] for every neighbor r of a (sign +1)
  * and of b (sign -1). `move` is caller-owned scratch of p doubles. */
-static void apply_swap(i64 p, double *cost, const double *dist, i64 *assign,
+static void apply_swap(i64 p, double *cost, dtable dist, i64 *assign,
                        const i64 *indptr, const i64 *indices,
                        const double *weights, double *move, i64 a, i64 b)
 {
@@ -135,10 +155,8 @@ static void apply_swap(i64 p, double *cost, const double *dist, i64 *assign,
         return;
     assign[a] = pb;
     assign[b] = pa;
-    const double *db = dist + pb * p;
-    const double *da = dist + pa * p;
     for (i64 q = 0; q < p; q++)
-        move[q] = db[q] - da[q];
+        move[q] = dist_at(dist, pb * p + q) - dist_at(dist, pa * p + q);
     for (int side = 0; side < 2; side++) {
         const i64 t = side ? b : a;
         const double sign = side ? -1.0 : 1.0;
@@ -161,12 +179,14 @@ static int cmp_i64(const void *x, const void *y)
  * across calls (the caller owns them, zero-initialised before sweep 1).
  * stats (cumulative): [0] visits, [1] accepted swaps, [2] rows computed
  * from scratch, [3] rows folded. Returns 1 if any swap was accepted. */
-i64 refine_sweep_incremental(i64 n, i64 p, double *cost, const double *dist,
+i64 refine_sweep_incremental(i64 n, i64 p, double *cost,
+                             const void *dist_data, i64 dist_f64,
                              i64 *assign, const i64 *indptr,
                              const i64 *indices, const double *weights,
                              const i64 *perm, i64 *best_b, double *best_val,
                              unsigned char *valid, i64 *stats)
 {
+    const dtable dist = {dist_data, dist_f64};
     double *buf = (double *)malloc((size_t)n * sizeof(double));
     i64 *touched = (i64 *)malloc((size_t)(2 * n + 2) * sizeof(i64));
     i64 *pos = (i64 *)calloc((size_t)n, sizeof(i64));
@@ -240,11 +260,11 @@ i64 refine_sweep_incremental(i64 n, i64 p, double *cost, const double *dist,
             const i64 pr = assign[r];
             const double crr = cost[r * p + pr];
             const double *rrow = cost + r * p;
-            const double *drow = dist + pr * p;
             for (i64 t = indptr[r]; t < indptr[r + 1]; t++) {
                 const i64 j = pos[indices[t]];
                 if (j) {
-                    corr[j - 1] = (2.0 * weights[t]) * drow[assign[indices[t]]];
+                    corr[j - 1] = (2.0 * weights[t])
+                                  * dist_at(dist, pr * p + assign[indices[t]]);
                     cset[j - 1] = 1;
                 }
             }
@@ -345,7 +365,7 @@ static void reserve_rebuild(i64 R, const double *restrict row,
 }
 
 static i64 topolb12_loop(i64 n, i64 p, i64 R, i64 order, i64 selection,
-                         double *restrict fest, const double *restrict dist,
+                         double *restrict fest, dtable dist,
                          const double *restrict avg,
                          const i64 *restrict indptr,
                          const i64 *restrict indices,
@@ -430,7 +450,7 @@ static i64 topolb12_loop(i64 n, i64 p, i64 R, i64 order, i64 selection,
 
         /* Neighbour rows, merged with the ascending exhaustion list into
          * the ascending, duplicate-free rebuild set. */
-        const double *restrict dk = dist + pk * p;
+        const i64 dk = pk * p;
         i64 i = 0;
         k = 0;
         for (i64 e = indptr[tk]; e < indptr[tk + 1]; e++) {
@@ -441,10 +461,10 @@ static i64 topolb12_loop(i64 n, i64 p, i64 R, i64 order, i64 selection,
             double *restrict row = fest + j * p;
             if (order == 1)
                 for (i64 q = 0; q < p; q++)
-                    row[q] += c * dk[q];
+                    row[q] += c * dist_at(dist, dk + q);
             else
                 for (i64 q = 0; q < p; q++)
-                    row[q] += c * (dk[q] - avg[q]);
+                    row[q] += c * (dist_at(dist, dk + q) - avg[q]);
             state[5]++;
             while (i < nr && rescan[i] < j)
                 dirty[k++] = rescan[i++];
@@ -555,7 +575,7 @@ static double recentre_row(const double *src, double *dst, double u,
  * done. state is topolb12_loop's, reserve exhaustions staying 0; delta
  * (count doubles) must start zeroed. */
 static i64 topolb3_loop(i64 n, i64 p, i64 selection, double *restrict fest,
-                        const double *restrict dist, double *restrict avg,
+                        dtable dist, double *restrict avg,
                         const i64 *restrict indptr,
                         const i64 *restrict indices,
                         const double *restrict weights,
@@ -605,7 +625,7 @@ static i64 topolb3_loop(i64 n, i64 p, i64 selection, double *restrict fest,
         memmove(free_ids + lo, free_ids + lo + 1,
                 (size_t)(count - lo) * sizeof(i64));
 
-        const double *restrict dk = dist + pk * p;
+        const i64 dk = pk * p;
         for (i64 e = indptr[tk]; e < indptr[tk + 1]; e++) {
             const i64 j = indices[e];
             if (task_slot[j] < 0)
@@ -614,7 +634,7 @@ static i64 topolb3_loop(i64 n, i64 p, i64 selection, double *restrict fest,
             double *restrict row = fest + task_slot[j] * p;
             for (i64 f = 0; f < count; f++) {
                 const i64 q = free_ids[f];
-                row[q] += c * (dk[q] - avg[q]);
+                row[q] += c * (dist_at(dist, dk + q) - avg[q]);
             }
             uc[j] -= c;
             state[5]++;
@@ -623,7 +643,8 @@ static i64 topolb3_loop(i64 n, i64 p, i64 selection, double *restrict fest,
         for (i64 f = 0; f < count; f++) {
             const i64 q = free_ids[f];
             const double next =
-                (avg[q] * (double)(count + 1) - dk[q]) / (double)count;
+                (avg[q] * (double)(count + 1) - dist_at(dist, dk + q))
+                / (double)count;
             delta[f] = next - avg[q];
             avg[q] = next;
         }
@@ -659,7 +680,7 @@ static i64 topolb3_loop(i64 n, i64 p, i64 selection, double *restrict fest,
 typedef struct {
     i64 n, p, reserve, order, selection;
     double *fest;
-    const double *dist;
+    dtable dist;
     double *avg;
     const i64 *indptr, *indices;
     const double *weights;
@@ -677,8 +698,8 @@ typedef struct {
 
 _Static_assert(sizeof(void *) == sizeof(i64),
                "argument blocks are arrays of 8-byte words");
-_Static_assert(sizeof(topolb_args) == 27 * sizeof(i64),
-               "topolb_args is 27 words");
+_Static_assert(sizeof(topolb_args) == 28 * sizeof(i64),
+               "topolb_args is 28 words");
 
 /* TopoLB's cycle loop for any order: one resumable call per pause, with
  * one pointer to the run's argument block. */
@@ -725,7 +746,7 @@ i64 topolb_cycles(const topolb_args *a)
  * k * m doubles, w for the largest degree, cost for p. */
 typedef struct {
     i64 n, p;
-    const double *dist;
+    dtable dist;
     const i64 *indptr, *indices;
     const double *weights;
     double *keys;
@@ -734,15 +755,15 @@ typedef struct {
     i64 *state;
 } topocent_args;
 
-_Static_assert(sizeof(topocent_args) == 13 * sizeof(i64),
-               "topocent_args is 13 words");
+_Static_assert(sizeof(topocent_args) == 14 * sizeof(i64),
+               "topocent_args is 14 words");
 
 enum { TC_DONE, TC_COST, TC_SEED };
 
 i64 topocent_cycles(const topocent_args *a)
 {
     const i64 n = a->n, p = a->p;
-    const double *restrict dist = a->dist;
+    const dtable dist = a->dist;
     const i64 *restrict indptr = a->indptr;
     const i64 *restrict indices = a->indices;
     const double *restrict weights = a->weights;
@@ -772,10 +793,12 @@ i64 topocent_cycles(const topocent_args *a)
             state[6]++;
         } else {
             const double *restrict cost = a->cost;
-            const double *restrict da = dist + state[4] * p;
+            const i64 da = state[4] * p;
             for (i64 g = 1; g < count; g++)
-                if (cost[g] < cost[f] || (cost[g] == cost[f]
-                                          && da[free_ids[g]] < da[free_ids[f]]))
+                if (cost[g] < cost[f]
+                    || (cost[g] == cost[f]
+                        && dist_at(dist, da + free_ids[g])
+                               < dist_at(dist, da + free_ids[f])))
                     f = g;
         }
         assignment[tk] = free_ids[f];
@@ -809,9 +832,9 @@ i64 topocent_cycles(const topocent_args *a)
         const i64 j = indices[e];
         if (assignment[j] < 0)
             continue;
-        const double *restrict d = dist + assignment[j] * p;
+        const i64 d = assignment[j] * p;
         for (i64 f = 0; f < count; f++)
-            gather[f * k + i] = d[free_ids[f]];
+            gather[f * k + i] = dist_at(dist, d + free_ids[f]);
         i++;
     }
     state[2] = t;

@@ -159,8 +159,11 @@ class TopoCentLB(Mapper):
         included. C selects, gathers, places and bumps the keys; at its
         pauses Python computes the two expressions whose rounding C does not
         reproduce: each cycle's cost row ``w @ G``, a BLAS product whose
-        kernel depends on the operands' layout, and a seed's centrality."""
-        dist = np.ascontiguousarray(ctx.distance_matrix(np.float64))
+        kernel depends on the operands' layout, and a seed's centrality. C
+        gathers ``G`` from the machine's own table (int32 on integer
+        machines) as doubles, so BLAS sees :meth:`_run`'s operands; the
+        centrality's row means of integers are exact in any order."""
+        dist = np.ascontiguousarray(ctx.distance_matrix())
         cycles = _native.load().topocent_cycles(dist, *ctx.csr_arrays(),
                                                 seed_keys(graph))
         cost = cycles.cost

@@ -148,11 +148,12 @@ class TopoLB(Mapper):
     _RESERVE = 8
 
     def _setup(self, graph: TaskGraph, topology: Topology, n: int,
-               ctx: MappingContext | None = None):
-        """Shared kernel state: fest table, selection vectors, reserve arrays."""
+               ctx: MappingContext | None = None, dtype=None):
+        """Shared kernel state: the distance table (in ``dtype``, default
+        the machine's own), the fest table and the selection vectors."""
         if ctx is None:
             ctx = context_for(graph, topology)
-        dist = ctx.distance_matrix(np.float64)
+        dist = ctx.distance_matrix(dtype)
         indptr, indices, weights = ctx.csr_arrays()
 
         order = self._order
@@ -188,7 +189,8 @@ class TopoLB(Mapper):
         compiled loops are tested against, and their body wherever the
         compiled kernels are unavailable."""
         (dist, indptr, indices, weights, unplaced_comm,
-         avg_all, avg_free, fest) = self._setup(graph, topology, n, ctx)
+         avg_all, avg_free, fest) = self._setup(graph, topology, n, ctx,
+                                                np.float64)
         order = self._order
         p = topology.num_nodes
 
@@ -342,7 +344,9 @@ class TopoLB(Mapper):
         exactly that product: ascending dirty ids for orders 1–2, and for
         third order ``slice(0, m)``, the unplaced rows it keeps compacted
         in ``fest[:m]`` in ascending task order — the reference's
-        ``fest[rows]`` without the gather.
+        ``fest[rows]`` without the gather. C reads the machine's own
+        distance table (int32 on integer machines), widening each entry to
+        the double the reference's float64 table holds.
         """
         (dist, indptr, indices, weights, unplaced_comm,
          _, avg_free, fest) = self._setup(graph, topology, n, ctx)

@@ -48,18 +48,18 @@ def mesh_pattern(
     if message_bytes <= 0:
         raise TaskGraphError(f"message_bytes must be positive, got {message_bytes}")
     ids = np.arange(n).reshape(shape)
-    edges: list[tuple[int, int, float]] = []
-    w = 2.0 * float(message_bytes)
+    us: list[np.ndarray] = []
+    vs: list[np.ndarray] = []
     for axis in range(len(shape)):
-        a = ids.take(range(shape[axis] - 1), axis=axis).ravel()
-        b = ids.take(range(1, shape[axis]), axis=axis).ravel()
-        edges.extend((int(x), int(y), w) for x, y in zip(a, b))
+        us.append(ids.take(range(shape[axis] - 1), axis=axis).ravel())
+        vs.append(ids.take(range(1, shape[axis]), axis=axis).ravel())
         if periodic and shape[axis] > 2:
-            first = ids.take([0], axis=axis).ravel()
-            last = ids.take([shape[axis] - 1], axis=axis).ravel()
-            edges.extend((int(x), int(y), w) for x, y in zip(last, first))
+            us.append(ids.take([shape[axis] - 1], axis=axis).ravel())
+            vs.append(ids.take([0], axis=axis).ravel())
+    u, v = np.concatenate(us), np.concatenate(vs)
+    w = np.full(u.size, 2.0 * float(message_bytes))
     loads = np.full(n, float(compute_load))
-    return TaskGraph(n, edges, loads)
+    return TaskGraph.from_arrays(n, u, v, w, loads)
 
 
 def mesh2d_pattern(rows: int, cols: int, message_bytes: float = 1.0, **kw) -> TaskGraph:
@@ -76,9 +76,9 @@ def ring_pattern(n: int, message_bytes: float = 1.0) -> TaskGraph:
     """n tasks in a cycle; the smallest nontrivial structured pattern."""
     if n < 3:
         raise TaskGraphError(f"ring needs >= 3 tasks, got {n}")
-    w = 2.0 * float(message_bytes)
-    edges = [(i, (i + 1) % n, w) for i in range(n)]
-    return TaskGraph(n, edges)
+    u = np.arange(n)
+    return TaskGraph.from_arrays(n, u, (u + 1) % n,
+                                 np.full(n, 2.0 * float(message_bytes)))
 
 
 def all_to_all_pattern(n: int, message_bytes: float = 1.0) -> TaskGraph:
@@ -91,6 +91,6 @@ def all_to_all_pattern(n: int, message_bytes: float = 1.0) -> TaskGraph:
     """
     if n < 2:
         raise TaskGraphError(f"all-to-all needs >= 2 tasks, got {n}")
-    w = 2.0 * float(message_bytes)
-    edges = [(i, j, w) for i in range(n) for j in range(i + 1, n)]
-    return TaskGraph(n, edges)
+    u, v = np.triu_indices(n, 1)
+    return TaskGraph.from_arrays(n, u, v,
+                                 np.full(u.size, 2.0 * float(message_bytes)))

@@ -124,6 +124,8 @@ class GroupedTopology(Topology):
         return self._pair_row(node)
 
     def _build_distance_matrix(self, dtype: np.dtype) -> np.ndarray:
+        if isinstance(self._root, GridTopology):
+            return self._root._gather_matrix(self._root_reps, dtype)
         return self._pair_matrix(dtype)
 
     # ------------------------------------------------------------ connectivity

@@ -120,7 +120,9 @@ class Topology(abc.ABC):
 
     def distance_matrix(self, dtype: np.dtype | type | None = None) -> np.ndarray:
         """All-pairs distance matrix in ``dtype`` (default
-        :attr:`distance_dtype`), cached per dtype.
+        :attr:`distance_dtype`), cached per dtype. The mappers' compiled
+        kernels read the default table, so a request on an integer machine
+        builds no float64 copy.
 
         The matrix is ``p x p``, symmetric and **read-only** (it is shared
         between callers — and, for shape-defined topologies, between

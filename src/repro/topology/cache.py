@@ -2,7 +2,7 @@
 
 Every experiment config builds a *fresh* topology object for the same
 machine shape, and every mapper call needs the same ``O(p^2)`` derived
-tables — the all-pairs distance matrix (per float dtype) and the per-node
+tables — the all-pairs distance matrix (per dtype) and the per-node
 average-distance vector. This module shares those tables across topology
 instances: a topology that can prove two instances are interchangeable
 advertises a :meth:`~repro.topology.base.Topology.cache_key` (e.g.
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 #: Entry cap; at the paper's scales one distance matrix is the dominant cost
-#: (a 4096-node float64 matrix is 128 MiB), so the cap bounds worst-case
+#: (a 4096-node int32 matrix is 64 MiB), so the cap bounds worst-case
 #: memory at "a few dozen machines' worth", evicting least-recently-used.
 MAX_ENTRIES = 32
 

@@ -94,8 +94,52 @@ class GridTopology(Topology):
     def distance_row(self, node: int) -> np.ndarray:
         return self._pair_row(node)
 
+    def _axis_tables(self, dtype: np.dtype) -> list[np.ndarray]:
+        """One ``s x s`` hop table per axis of extent ``s``: ``|a - b|``,
+        or on a torus the ring distance ``min(|a - b|, s - |a - b|)``."""
+        tables = []
+        for extent in self._shape:
+            line = np.arange(extent)
+            table = np.abs(line[:, None] - line[None, :])
+            if self.wraparound:
+                table = np.minimum(table, extent - table)
+            tables.append(table.astype(dtype))
+        return tables
+
     def _build_distance_matrix(self, dtype: np.dtype) -> np.ndarray:
-        return self._pair_matrix(dtype)
+        # d(a, b) = sum over axes k of T_k[a_k, b_k]. Broadcast into a
+        # shape + shape array, entry [a_0, .., a_n, b_0, .., b_n], each axis
+        # table lands in place without a p x p temporary, and C order makes
+        # the (p, p) reshape a view.
+        nd = self.ndim
+        out = np.empty(self._shape * 2, dtype=dtype)
+        for k, table in enumerate(self._axis_tables(dtype)):
+            dims = [1] * (2 * nd)
+            dims[k] = dims[nd + k] = self._shape[k]
+            if k:
+                out += table.reshape(dims)
+            else:
+                out[...] = table.reshape(dims)
+        return out.reshape(self._num_nodes, self._num_nodes)
+
+    def _gather_matrix(self, nodes: np.ndarray, dtype: np.dtype) -> np.ndarray:
+        """The ``m x m`` table of distances between the ``m`` processors
+        ``nodes``, gathered from the per-axis tables by their coordinates
+        in row blocks (each block's temporaries are at most 64K entries)."""
+        m = len(nodes)
+        coords = self._axes[:, nodes]
+        tables = self._axis_tables(dtype)
+        out = np.empty((m, m), dtype=dtype)
+        rows = max(1, (1 << 16) // m)
+        for lo in range(0, m, rows):
+            block = out[lo:lo + rows]
+            for k, (table, column) in enumerate(zip(tables, coords)):
+                part = table[column[lo:lo + rows]][:, column]
+                if k:
+                    block += part
+                else:
+                    block[...] = part
+        return out
 
     def diameter(self) -> int:
         # Closed form: sum over axes of the per-axis maximum displacement.

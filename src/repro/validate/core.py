@@ -462,7 +462,7 @@ def _check_subtopology_distances(s: _Session) -> None:
     parent_nodes = topo.parent_nodes
     # Recompute through the parent's distance_matrix — a different code path
     # than SubTopology.distance_row's per-row gather.
-    mat = parent.distance_matrix(np.float64)
+    mat = parent.distance_matrix()
     nodes = range(topo.num_nodes)
     if topo.num_nodes > _SUBTOPOLOGY_SAMPLE:
         nodes = np.linspace(

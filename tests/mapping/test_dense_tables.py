@@ -1,6 +1,8 @@
 """Dense-table audit: above ``_MATRIX_LIMIT`` processors, no code path
-outside the dense mappers may materialize a full p x p distance matrix, and
-byte totals must stay exact past int32 range."""
+outside the dense mappers may materialize a full p x p distance matrix;
+below it, a request on an integer machine keeps one int32 table per machine
+and never a float64 copy; and byte totals must stay exact past int32
+range."""
 
 from __future__ import annotations
 
@@ -9,13 +11,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.mapping import HierarchicalMapper
-from repro.mapping.context import context_for
+from repro.engine import MappingEngine, MappingRequest
+from repro.mapping import HierarchicalMapper, _native
+from repro.mapping.context import MappingContext, context_for
 from repro.mapping.hierarchical import _MATRIX_LIMIT
 from repro.mapping.metrics import hop_bytes, metrics_block
 from repro.taskgraph import TaskGraph, mesh2d_pattern, mesh3d_pattern
-from repro.topology import Torus
+from repro.topology import MatrixTopology, Torus
 from repro.topology.base import Topology
+from repro.topology.cache import (
+    clear_topology_cache,
+    shared_get,
+    topology_cache_info,
+)
 from repro.topology.grid import GridTopology
 from repro.validate import validate_mapping
 
@@ -119,3 +127,42 @@ def test_grouped_distance_rows_never_touch_root_matrix(forbid_big_matrices):
     row = level.distance_row(0)
     assert row.shape == (level.num_nodes,)
     assert row[0] == 0 and row.max() > 0
+
+
+@pytest.mark.skipif(not _native.available(),
+                    reason="no C compiler: the reference bodies read float64")
+def test_integer_machine_request_builds_no_float64_table():
+    """A multilevel request on torus:16x16x8 (one grouped 1024-node level)
+    leaves one int32 table per machine in the shared cache and no float64
+    one. Its traced peak, about 56 MiB, is mostly the finest level's
+    32 MiB refine cost table and the 16 MiB int32 table; the float64 copy
+    that any mapper asking for one would build again adds 16 MiB or more
+    and breaks the 64 MiB bound."""
+    clear_topology_cache()
+    request = MappingRequest(
+        graph="mesh3d:16x16x16;bytes=1024", topology="torus:16x16x8",
+        mapper="multilevel:inner=topolb;levels=auto", seed=0,
+        flow_metrics=True, validate="cheap")
+    engine = MappingEngine()
+    tracemalloc.start()
+    try:
+        engine.run(request)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tables = [shared_get(key) for key in topology_cache_info()["keys"]
+              if key[1] == "distance_matrix"]
+    assert sorted(t.shape[0] for t in tables) == [1024, 2048]
+    assert all(t.dtype == np.int32 for t in tables)
+    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_context_distance_matrix_keeps_fractional_distances():
+    """The context's default table is the machine's own: float64 on a
+    matrix machine with fractional distances, never truncated to int."""
+    mat = np.array([[0.0, 0.5, 1.25], [0.5, 0.0, 2.0], [1.25, 2.0, 0.0]])
+    ctx = MappingContext(mesh2d_pattern(1, 3), MatrixTopology(mat))
+    assert ctx.distance_matrix().dtype == np.float64
+    np.testing.assert_array_equal(ctx.distance_matrix(), mat)
+    assert MappingContext(mesh2d_pattern(2, 2), Torus((2, 2))).distance_matrix(
+    ).dtype == np.int32

@@ -16,6 +16,7 @@ small instances.
 
 from __future__ import annotations
 
+import copy
 import os
 from collections import Counter
 
@@ -29,6 +30,7 @@ from repro.exceptions import MappingError
 from repro.engine import MappingEngine, MappingRequest
 from repro.engine.specs import mapper_from_spec, parse_mapper_spec
 from repro.mapping import RandomMapper, RefineTopoLB, TopoCentLB, TopoLB
+from repro.mapping.base import Mapping
 from repro.mapping.estimation import EstimatorOrder
 from repro.mapping.kernels import (
     DEFAULT_KERNEL,
@@ -43,7 +45,13 @@ from repro.taskgraph import mesh2d_pattern, mesh3d_pattern, random_taskgraph
 from repro.taskgraph.leanmd import leanmd_taskgraph
 from repro.taskgraph.graph import TaskGraph
 from repro.taskgraph.random_graphs import geometric_taskgraph
-from repro.topology import ArbitraryTopology, Hypercube, Mesh, Torus
+from repro.topology import (
+    ArbitraryTopology,
+    Hypercube,
+    MatrixTopology,
+    Mesh,
+    Torus,
+)
 
 ORDERS = (EstimatorOrder.FIRST, EstimatorOrder.SECOND, EstimatorOrder.THIRD)
 SELECTIONS = ("gain", "max_cost", "volume")
@@ -348,14 +356,31 @@ class TestThirdOrderPaths:
 
 
 @st.composite
+def _fractional_matrix(draw, p: int) -> MatrixTopology:
+    """A ``p``-processor explicit metric with fractional distances,
+    quantized to quarters half of the time so that distances tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    mat = rng.uniform(0.25, 4.0, (p, p))
+    mat = (mat + mat.T) / 2
+    if draw(st.booleans()):
+        mat = np.round(mat * 4) / 4
+    np.fill_diagonal(mat, 0.0)
+    return MatrixTopology(mat)
+
+
+@st.composite
 def _random_instances(draw):
     """(graph, topology): n <= p tasks on p processors — random CSR
     graphs with isolated vertices and zero-weight edges, integer weights
-    that force ties, fewer tasks than processors, and rings with
-    fractional link lengths."""
-    if draw(st.booleans()):
+    that force ties, fewer tasks than processors, on tori (int32 distance
+    tables), rings with fractional link lengths and explicit fractional
+    metrics (float64 tables)."""
+    machine = draw(st.sampled_from(("torus", "ring", "matrix")))
+    if machine == "torus":
         topo = Torus(draw(st.sampled_from([(3, 3), (4, 2), (2, 2, 2),
                                            (4, 3)])))
+    elif machine == "matrix":
+        topo = draw(_fractional_matrix(draw(st.integers(2, 12))))
     else:
         p = draw(st.integers(4, 12))
         lengths = st.sampled_from([0.5, 1.0, 1.25, 1.5, 2.75])
@@ -413,6 +438,8 @@ class TestCostTable:
     @pytest.mark.parametrize("label,case", _machines(),
                              ids=lambda v: v if isinstance(v, str) else "")
     def test_matches_scipy(self, label, case):
+        """On the machine's own table (int32 on the tori) and on a float64
+        copy, against the oracle on the float64 copy."""
         topo, n = case
         import scipy.sparse as sp
 
@@ -422,11 +449,13 @@ class TestCostTable:
         graph = geometric_taskgraph(n, radius=0.4, seed=8)
         indptr, indices, weights = graph.csr_arrays()
         assign = np.random.default_rng(1).permutation(topo.num_nodes)[:n]
-        dist = np.ascontiguousarray(topo.distance_matrix(), dtype=np.float64)
+        dist64 = topo.distance_matrix(np.float64)
         want = sp.csr_matrix((weights, assign[indices], indptr),
-                             shape=(graph.num_tasks, topo.num_nodes)) @ dist
-        got = native.refine_cost_table(indptr, indices, weights, assign, dist)
-        np.testing.assert_array_equal(got, want, err_msg=label)
+                             shape=(graph.num_tasks, topo.num_nodes)) @ dist64
+        for dist in (topo.distance_matrix(), dist64):
+            got = native.refine_cost_table(indptr, indices, weights, assign,
+                                           dist)
+            np.testing.assert_array_equal(got, want, err_msg=label)
 
 
 REFINE_COUNTERS = ("refine.sweeps", "refine.swaps_accepted",
@@ -454,9 +483,10 @@ def test_refine_random_instances_match_reference(instance, start_seed):
     graph, topo = instance
     start = RandomMapper(seed=start_seed).map(graph, topo)
     indptr, indices, weights = graph.csr_arrays()
-    dist = np.ascontiguousarray(topo.distance_matrix(), dtype=np.float64)
+    dist = topo.distance_matrix()
     want = sp.csr_matrix((weights, start.assignment[indices], indptr),
-                         shape=(graph.num_tasks, topo.num_nodes)) @ dist
+                         shape=(graph.num_tasks, topo.num_nodes)) @ (
+                             dist.astype(np.float64))
     got = _native.load().refine_cost_table(indptr, indices, weights,
                                            start.assignment, dist)
     np.testing.assert_array_equal(got, want)
@@ -497,7 +527,8 @@ def test_refine_sweeper_caches_match_reference_rows(instance, start_seed):
     start = RandomMapper(seed=start_seed).map(graph, topo)
     n = graph.num_tasks
     csr = graph.csr_arrays()
-    dist = np.ascontiguousarray(topo.distance_matrix(), dtype=np.float64)
+    dist = topo.distance_matrix()  # int32: the sweeper widens on load
+    dist64 = topo.distance_matrix(np.float64)
     assign = start.assignment.copy()
     native = _native.load()
     cost = native.refine_cost_table(*csr, assign, dist)
@@ -507,7 +538,7 @@ def test_refine_sweeper_caches_match_reference_rows(instance, start_seed):
         swapped = sweeper.sweep(rng.permutation(n))
         best_b, best_val, valid = sweeper.caches
         for a in np.flatnonzero(valid):
-            delta = RefineTopoLB._swap_deltas(a, ids, assign, cost, dist,
+            delta = RefineTopoLB._swap_deltas(a, ids, assign, cost, dist64,
                                               *csr)
             assert (best_b[a], best_val[a]) == (np.argmin(delta), delta.min())
         if not swapped:
@@ -666,6 +697,119 @@ class TestTopoCentLBPaths:
         cycles.seed(2)
         w, g = cycles()
         assert g.shape == (1, 3) and g.flags.f_contiguous
+
+
+def _compiled_runs(graph, topo, start):
+    """Assignments and counters of every compiled mapper loop on ``topo``:
+    TopoLB of each order, TopoCentLB, and RefineTopoLB from the assignment
+    ``start``."""
+    with obs.profiled() as prof:
+        out = [TopoLB(order=order).map(graph, topo).assignment.tolist()
+               for order in ORDERS]
+        out.append(TopoCentLB().map(graph, topo).assignment.tolist())
+        out.append(RefineTopoLB(seed=1).refine(
+            Mapping(graph, topo, start)).assignment.tolist())
+    return out, {name: value for name, value in prof.counters.items()
+                 if not name.startswith("topology.")}
+
+
+@pytest.mark.skipif(not _native.available(),
+                    reason="no C compiler: the production loops are the "
+                           "reference")
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instance=_random_instances().filter(
+    lambda instance: isinstance(instance[1], Torus)),
+       start_seed=st.integers(0, 3))
+def test_int32_table_and_its_float64_copy_agree(instance, start_seed):
+    """Differential: a torus's compiled runs read its int32 table; the same
+    metric as a ``MatrixTopology`` hands them a float64 table. Widening
+    an int32 on load is exact, so every loop returns the same assignments
+    and counters on both."""
+    graph, torus = instance
+    copy64 = MatrixTopology(torus.distance_matrix(np.float64))
+    assert torus.distance_matrix().dtype == np.int32
+    start = RandomMapper(seed=start_seed).map(graph, torus).assignment
+    assert _compiled_runs(graph, torus, start) == _compiled_runs(
+        graph, copy64, start)
+
+
+def _no_c(*_args):
+    raise AssertionError("a pointer reached C")
+
+
+@st.composite
+def _bad_tables(draw):
+    """(p, table): a distance table for p processors that every entry
+    point must refuse: a wrong dtype, a strided or transposed view, or a
+    wrong shape."""
+    p = draw(st.integers(2, 6))
+    kind = draw(st.sampled_from(("dtype", "strided", "transposed", "shape")))
+    good = np.arange(p * p).reshape(p, p)
+    if kind == "dtype":
+        return p, good.astype(draw(st.sampled_from(
+            [np.int64, np.float32, np.int16, np.uint32, np.float16,
+             np.bool_])))
+    dtype = draw(st.sampled_from([np.int32, np.float64]))
+    if kind == "strided":
+        return p, np.zeros((p, 2 * p), dtype)[:, ::2]
+    if kind == "transposed":
+        return p, good.astype(dtype).T
+    shape = draw(st.sampled_from([(p, p + 1), (p + 1, p), (p * p,),
+                                  (p, p, 1), (1, p * p), ()]))
+    return p, np.zeros(shape, dtype)
+
+
+def _table_entry_points(native, p, dist):
+    """One bind (or call) of each entry point that takes a ``p x p``
+    distance table, on a path graph of ``p - 1`` tasks."""
+    n = p - 1
+    csr = TaskGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)]).csr_arrays()
+    assign = np.arange(n, dtype=np.int64)
+    calls = [
+        lambda: native.refine_cost_table(*csr, assign, dist),
+        lambda: native.refine_sweeper(np.zeros((n, p)), dist, assign.copy(),
+                                      *csr),
+        lambda: native.topocent_cycles(dist, *csr, np.zeros(n)),
+    ]
+    for order in (1, 2, 3):
+        calls.append(lambda order=order: native.topolb_cycles(
+            np.zeros((n, p)), dist, np.zeros(p), *csr, order, "gain",
+            np.zeros(n), np.ones(p), 2, np.ones(n)))
+    return calls
+
+
+class TestTableArguments:
+    """Every entry point that reads a distance table takes the machine's
+    int32 or float64 table and refuses anything else with ``ValueError``
+    before any pointer reaches C."""
+
+    @staticmethod
+    def _guarded():
+        native = _native.load()
+        if native is None:
+            pytest.skip("no C compiler on this host")
+        native = copy.copy(native)
+        native._cost_table = native._sweep = _no_c
+        native._cycles = native._topocent = _no_c
+        return native
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float64])
+    def test_int32_and_float64_tables_bind(self, dtype):
+        native = _native.load()
+        if native is None:
+            pytest.skip("no C compiler on this host")
+        dist = Torus((5,)).distance_matrix(dtype)
+        for call in _table_entry_points(native, 5, dist):
+            call()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_bad_tables())
+    def test_bad_tables_are_refused_before_c(self, case):
+        p, dist = case
+        for call in _table_entry_points(self._guarded(), p, dist):
+            with pytest.raises(ValueError, match="dist"):
+                call()
 
 
 class TestUnderfullEquivalence:

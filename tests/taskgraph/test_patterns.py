@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import TaskGraphError
 from repro.taskgraph import all_to_all_pattern, mesh2d_pattern, mesh3d_pattern, ring_pattern
+from repro.taskgraph.graph import TaskGraph
 from repro.taskgraph.patterns import mesh_pattern
 
 
@@ -89,3 +91,48 @@ class TestAllToAll:
     def test_too_small(self):
         with pytest.raises(TaskGraphError):
             all_to_all_pattern(1)
+
+
+def _tuple_mesh(shape, message_bytes, periodic):
+    """The generator's former body: one ``(u, v, w)`` tuple per edge."""
+    shape = tuple(shape)
+    n = int(np.prod(shape))
+    ids = np.arange(n).reshape(shape)
+    edges = []
+    w = 2.0 * float(message_bytes)
+    for axis in range(len(shape)):
+        a = ids.take(range(shape[axis] - 1), axis=axis).ravel()
+        b = ids.take(range(1, shape[axis]), axis=axis).ravel()
+        edges.extend((int(x), int(y), w) for x, y in zip(a, b))
+        if periodic and shape[axis] > 2:
+            first = ids.take([0], axis=axis).ravel()
+            last = ids.take([shape[axis] - 1], axis=axis).ravel()
+            edges.extend((int(x), int(y), w) for x, y in zip(last, first))
+    return TaskGraph(n, edges, np.full(n, 1.0))
+
+
+def _assert_same_graph(got, want):
+    assert got.content_digest() == want.content_digest()
+    for a, b in zip(got.csr_arrays(), want.csr_arrays()):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+class TestArrayBuiltPatterns:
+    """The generators hand edge arrays to ``TaskGraph.from_arrays``; the
+    graphs equal the per-edge tuple construction, digest and CSR."""
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (6,), (1, 4), (2, 2),
+                                       (3, 5), (2, 3, 4), (4, 4, 4)],
+                             ids=str)
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_mesh_equals_tuple_construction(self, shape, periodic):
+        _assert_same_graph(mesh_pattern(shape, 3.5, periodic=periodic),
+                           _tuple_mesh(shape, 3.5, periodic))
+
+    @pytest.mark.parametrize("n", [3, 4, 9])
+    def test_ring_and_all_to_all_equal_tuple_construction(self, n):
+        _assert_same_graph(ring_pattern(n, 2.5), TaskGraph(
+            n, [(i, (i + 1) % n, 5.0) for i in range(n)]))
+        _assert_same_graph(all_to_all_pattern(n, 2.5), TaskGraph(
+            n, [(i, j, 5.0) for i in range(n) for j in range(i + 1, n)]))

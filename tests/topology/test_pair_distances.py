@@ -154,3 +154,36 @@ def test_weighted_graph_keeps_fractional_distances():
     got = topo.pair_distances(np.array([0, 2]), np.array([2, 1]))
     assert got.dtype == np.float64
     assert got.tolist() == [0.75, 0.25]
+
+
+GRID_SHAPES = [(1,), (2,), (7,), (1, 5), (2, 2), (4, 3), (2, 1, 3),
+               (3, 2, 2), (4, 4, 2), (5, 1, 4)]
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES, ids=str)
+@pytest.mark.parametrize("cls", [Mesh, Torus])
+@pytest.mark.parametrize("dtype", [np.int32, np.float64])
+def test_grid_table_from_axis_tables_equals_pair_matrix(cls, shape, dtype):
+    """The broadcast sum of per-axis tables is the row-chunked
+    ``pair_distances`` table, on 1- to 3-axis grids with axes of size 1
+    and 2, in both dtypes."""
+    topology = cls(shape)
+    got = topology._build_distance_matrix(np.dtype(dtype))
+    want = topology._pair_matrix(np.dtype(dtype))
+    assert got.dtype == want.dtype and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 3), (3, 2, 2), (6, 4, 2)],
+                         ids=str)
+@pytest.mark.parametrize("cls", [Mesh, Torus])
+def test_grouped_grid_table_gathers_representatives(cls, shape):
+    """A grouped grid's table, gathered from the root's per-axis tables by
+    representative coordinates, equals its ``pair_distances`` table at
+    every coarsening level."""
+    level, virtual = cls(shape), None
+    while level.num_nodes > 1:
+        level, _, virtual = coarsen_machine(level, shape=virtual)
+        dtype = np.dtype(np.int32)
+        np.testing.assert_array_equal(level._build_distance_matrix(dtype),
+                                      level._pair_matrix(dtype))
