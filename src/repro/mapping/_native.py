@@ -12,11 +12,19 @@ event core and closed-loop replay behind eight entry points, wrapped by
 sixteen in all.
 
 This module compiles both files with the system C compiler
-(``cc``/``gcc``/``clang``) the first time they are needed,
-caches the shared object under the system temp directory keyed by a hash of
-the sources and build flags, and loads it through :mod:`ctypes` — no
-third-party build dependency. ``-ffp-contract=off`` keeps the C arithmetic
-bitwise identical to the Python reference bodies — no fused multiply-adds.
+(``cc``/``gcc``/``clang``) the first time they are needed and loads the
+shared object through :mod:`ctypes` — no third-party build dependency. The
+flags are ``-O3 -ffp-contract=off -march=native``. ``-ffp-contract=off``
+keeps the C arithmetic bitwise identical to the Python reference bodies —
+no fused multiply-adds. ``-march=native`` lets the compiler use the host's
+widest vector unit; without ``-ffast-math`` it computes each vector lane as
+the scalar expression and reassociates no sum, so results do not depend on
+the instruction set. A compiler that rejects ``-march=native`` builds once
+more without it. The object is cached under ``REPRO_NATIVE_CACHE``
+(default: a per-user directory under the system temp directory), named by
+a hash of the sources, the flags, the compiler's name and the host's
+instruction-set identity (machine name and CPU feature flags), so a cache
+shared between hosts never serves an object built for another CPU.
 
 Every call site is compiled or reference, with nothing in between: when
 :func:`kernels_or_fallback` returns ``None`` (no C compiler, a failed build,
@@ -38,6 +46,7 @@ import ctypes
 import hashlib
 import math
 import os
+import platform
 import shutil
 import struct
 import subprocess
@@ -56,6 +65,8 @@ _HERE = os.path.dirname(__file__)
 _SOURCES = (os.path.join(_HERE, "refine_kernel.c"),
             os.path.join(os.path.dirname(_HERE), "netsim", "des_kernel.c"))
 _CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+#: Targets the host's vector units; dropped if the compiler rejects it.
+_NATIVE = "-march=native"
 
 _lock = threading.Lock()
 _UNSET = object()
@@ -152,13 +163,14 @@ class NativeKernels:
         """The flow estimator's per-link ``(tails, heads, bytes, messages)``
         of the messages ``src[i] -> dst[i]`` of ``sizes[i]`` bytes under
         dimension-ordered routing on the grid ``topo``, in one call: bitwise
-        equal to ``repro.netsim.flow._grid_link_loads``."""
+        equal to ``repro.netsim.flow._grid_link_loads``. ``src`` and ``dst``
+        are contiguous int64 processors and ``sizes`` contiguous float64,
+        all of one length."""
         shape = np.asarray(topo.shape, dtype=np.int64)
         p, m = topo.num_nodes, len(src)
         axes = np.ascontiguousarray(topo.coords_array().T, dtype=np.int32)
-        src = np.ascontiguousarray(src, dtype=np.int64)
-        dst = np.ascontiguousarray(dst, dtype=np.int64)
-        sizes = np.ascontiguousarray(sizes, dtype=np.float64)
+        msgs = [_ptr(src, np.int64, m, "src"), _ptr(dst, np.int64, m, "dst"),
+                _ptr(sizes, np.float64, m, "sizes")]
         if m and not (0 <= min(src.min(), dst.min())
                       and max(src.max(), dst.max()) < p):
             raise ValueError("grid_link_loads: messages must join processors")
@@ -167,9 +179,7 @@ class NativeKernels:
                np.empty(cap), np.empty(cap, dtype=np.int64))
         k = _checked(self._link_loads(
             shape.size, shape.ctypes.data, int(topo.wraparound),
-            _ptr(axes, np.int32, shape.size * p, "axes"), m,
-            _ptr(src, np.int64, m, "src"), _ptr(dst, np.int64, m, "dst"),
-            _ptr(sizes, np.float64, m, "sizes"),
+            _ptr(axes, np.int32, shape.size * p, "axes"), m, *msgs,
             *(a.ctypes.data for a in out)))
         return tuple(a[:k].copy() for a in out)
 
@@ -185,14 +195,15 @@ class NativeKernels:
         k; True if a vertex moved."""
         n = vertex_weights.size
         k = loads.size
-        if not (counts.size == k and 0 <= groups.min() and groups.max() < k
-                and 0 <= perm.min() and perm.max() < n):
-            raise ValueError("partition_refine_pass: inconsistent array sizes")
         ptrs = _graph_ptrs(indptr, indices, vertex_weights, edge_weights)
         ptrs += [_ptr(groups, np.int64, n, "groups", out=True),
                  _ptr(loads, np.float64, k, "loads", out=True),
                  _ptr(counts, np.int64, k, "counts", out=True),
                  _ptr(perm, np.int64, n, "perm")]
+        if n and not (0 <= groups.min() and groups.max() < k
+                      and 0 <= perm.min() and perm.max() < n):
+            raise ValueError("partition_refine_pass: groups must hold groups "
+                             "and perm vertices")
         conn = np.zeros(k)
         seen = np.zeros(k, dtype=np.uint8)
         cand = np.empty(k, dtype=np.int64)
@@ -260,12 +271,15 @@ class TopoLBCycles:
 
     Orders 1–2 keep ``reserve`` candidates per row and return the dirty
     rows' ascending ids; ``avg`` is the fixed average distance and ``uc``
-    unread. Order 3 rebuilds every unplaced row each cycle and compacts
-    those rows into ``fest[:m]``, in ascending task order, so it returns
-    ``slice(0, m)`` and ``score`` is indexed by that row slot; ``avg`` (the
-    free-processor average) and ``uc`` (each task's volume to its unplaced
-    neighbours) update in place. Each call passes C one pointer, to the
-    argument block built here.
+    unread. Order 3 starts with every processor free. It rebuilds every
+    unplaced row each cycle, over all ``p`` columns, and compacts those
+    rows into ``fest[:m]``, in ascending task order, so it returns
+    ``slice(0, m)`` and ``score`` is indexed by that row slot; a consumed
+    processor's column holds the reference's finite penalty
+    ``np.finfo(np.float64).max / 16`` in every unplaced row, which meets
+    its zero in ``avail_f``. ``avg`` (the free-processor average) and
+    ``uc`` (each task's volume to its unplaced neighbours) update in place.
+    Each call passes C one pointer, to the argument block built here.
     """
 
     __slots__ = ("assignment", "_rows", "_state", "_fn", "_addr", "_keep")
@@ -276,7 +290,8 @@ class TopoLBCycles:
                  selection, score, avail_f, reserve, uc):
         n, p = fest.shape
         free_ids = np.flatnonzero(avail_f).astype(np.int64)
-        if not ((order in (1, 2) or order == 3 and uc is not None)
+        if not ((order in (1, 2) or order == 3 and uc is not None
+                 and free_ids.size == p)
                 and 0 < reserve and 0 < n <= free_ids.size):
             raise ValueError("topolb_cycles: bad order, reserve or sizes")
         self.assignment = np.full(n, -1, dtype=np.int64)
@@ -833,18 +848,37 @@ def _cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
 
 
+def _host_isa() -> str:
+    """The host's instruction-set identity for the cache key: the machine
+    name and the CPU's feature flags (the ``flags`` line of
+    ``/proc/cpuinfo``, ``Features`` on Arm; empty where there is none)."""
+    flags = ""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith(("flags", "Features")):
+                    flags = line.partition(":")[2].strip()
+                    break
+    except OSError:
+        pass
+    return f"{platform.machine()} {flags}"
+
+
 def _build(extra_flags: tuple[str, ...] = (),
            outdir: str | None = None) -> NativeKernels:
     """Compile the sources (or reuse the cached object) and load them.
 
-    ``extra_flags`` and ``outdir`` let the sanitizer test build an
-    instrumented copy into a temporary directory; production builds use
-    neither."""
+    The build targets the host (``-march=native``) and is built once more
+    without that flag if the compiler rejects it. ``extra_flags`` and
+    ``outdir`` let the tests build an instrumented or a baseline-ISA copy
+    (a later ``-march`` wins) into a temporary directory; production
+    builds use neither."""
     cc = _compiler()
     if cc is None:
         raise RuntimeError("no C compiler (cc, gcc or clang) on PATH")
-    flags = (*_CFLAGS, *extra_flags)
-    digest = hashlib.sha256(repr((flags, os.path.basename(cc))).encode())
+    flags = (*_CFLAGS, _NATIVE, *extra_flags)
+    digest = hashlib.sha256(
+        repr((flags, os.path.basename(cc), _host_isa())).encode())
     for path in _SOURCES:
         with open(path, "rb") as fh:
             digest.update(fh.read())
@@ -852,22 +886,30 @@ def _build(extra_flags: tuple[str, ...] = (),
     os.makedirs(outdir, exist_ok=True)
     so_path = os.path.join(outdir, f"repro_kernels_{digest.hexdigest()[:16]}.so")
     if not os.path.exists(so_path):
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=outdir)
-        os.close(fd)
         try:
-            subprocess.run([cc, *flags, "-o", tmp, *_SOURCES, "-lm"],
-                           check=True, capture_output=True, timeout=120)
-            os.replace(tmp, so_path)  # atomic: concurrent builds both win
-        except subprocess.CalledProcessError as exc:
-            tail = exc.stderr.decode(errors="replace").strip()[-800:]
-            raise RuntimeError(
-                f"{os.path.basename(cc)} failed to compile the kernels "
-                f"(exit {exc.returncode}): {tail}"
-            ) from None
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            _compile(cc, flags, so_path)
+        except RuntimeError:
+            _compile(cc, (*_CFLAGS, *extra_flags), so_path)
     return NativeKernels(ctypes.CDLL(so_path))
+
+
+def _compile(cc: str, flags: tuple[str, ...], so_path: str) -> None:
+    """Build the shared object at ``so_path``, atomically."""
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(so_path))
+    os.close(fd)
+    try:
+        subprocess.run([cc, *flags, "-o", tmp, *_SOURCES, "-lm"],
+                       check=True, capture_output=True, timeout=120)
+        os.replace(tmp, so_path)  # atomic: concurrent builds both win
+    except subprocess.CalledProcessError as exc:
+        tail = exc.stderr.decode(errors="replace").strip()[-800:]
+        raise RuntimeError(
+            f"{os.path.basename(cc)} failed to compile the kernels "
+            f"(exit {exc.returncode}): {tail}"
+        ) from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load() -> NativeKernels | None:

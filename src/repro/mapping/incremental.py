@@ -84,7 +84,7 @@ class IncrementalRefineLB:
                     deltas = cost_vec - cur_cost
                 else:
                     deltas = np.zeros(len(under))
-                for idx in np.argsort(deltas)[:3]:  # few best destinations
+                for idx in np.argsort(deltas, kind="stable")[:3]:  # few best destinations
                     dst = int(under[idx])
                     if loads[dst] + w > ceiling and loads[dst] + w >= loads[src]:
                         continue

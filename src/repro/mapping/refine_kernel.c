@@ -18,9 +18,11 @@
  * every cycle that dirtied rows so the caller can refresh their row sums.
  * Third order: selection, the neighbour-row updates, and the O(n·p)
  * recentre of every unplaced row on the shrunken free-processor average
- * with its first minimum, over the free columns only, compacting the
- * unplaced rows to the top of fest; under "gain" it pauses after every
- * cycle so the caller can refresh the row sums of that compacted prefix.
+ * with its first minimum, one contiguous vector pass over all p columns of
+ * each row (a consumed column holds the reference's finite penalty),
+ * compacting the unplaced rows to the top of fest; under "gain" it pauses
+ * after every cycle so the caller can refresh the row sums of that
+ * compacted prefix.
  *
  * topocent_cycles — TopoCentLB's cycle loop: the argmax selection, the
  * gather of each cycle's cost operands, the placement with its tie-break
@@ -44,8 +46,12 @@
  * of repro/partition/recursive_bisection.py and refinement.py, whose
  * Generator.integers draws and ndarray.sum calls partition_recursive
  * repeats), and the build uses -ffp-contract=off so no fused-multiply-add
- * changes rounding. The equivalence suites pin compiled and reference
- * results to be bitwise equal.
+ * changes rounding. It targets the host's instruction set (-march=native)
+ * without -ffast-math: a vectorized loop computes each lane's element as
+ * the scalar expression does and no sum is reassociated, so no result
+ * depends on the vector width. The equivalence suites pin compiled and
+ * reference results to be bitwise equal, and compiled results to be equal
+ * at -march=native and at baseline x86-64.
  *
  * Compiled on demand by repro.mapping._native via the system C compiler;
  * when no toolchain is available each call site runs its reference body
@@ -62,6 +68,7 @@
  * float64 copy of an integer table.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -493,52 +500,88 @@ static i64 topolb12_loop(i64 n, i64 p, i64 R, i64 order, i64 selection,
     return k;
 }
 
-/* One third-order row: dst[q] = src[q] + u * delta[f] for each free column
- * q = free_ids[f], f < count (count >= 1, ids ascending), and the first
- * minimum of the new values: its value is returned and its column stored
- * in *argmin (ties go to the lowest id). Each of four lanes keeps its own
- * first minimum over an ascending subsequence of the columns, and the
- * lanes meet by (value, id): the same result as one scan, without one long
- * compare-and-select chain. src and dst may be the same row. */
+/* A consumed processor's column in every unplaced third-order row: the
+ * reference's additive penalty (topolb.py's huge, a sixteenth of the
+ * float64 range). It is finite, so it meets a zero weight in the caller's
+ * row sums as an exact zero, and no update of the row moves it: every term
+ * added is far below half its ulp (about 1e291). */
+#define CONSUMED (DBL_MAX / 16)
+
+/* Vectors of the widest unit the build targets (-march), used only where
+ * every lane's arithmetic is the scalar expression's: no reduction is
+ * reassociated, so no result depends on the width. vdouble_u loads and
+ * stores rows at any 8-byte alignment. */
+#if defined(__AVX512F__)
+#define VW 8
+#elif defined(__AVX__)
+#define VW 4
+#else
+#define VW 2
+#endif
+typedef double vdouble __attribute__((vector_size(VW * 8)));
+typedef double vdouble_u __attribute__((vector_size(VW * 8), aligned(8)));
+typedef long long vlong __attribute__((vector_size(VW * 8)));
+
+/* One third-order row over all p columns (p >= 1): dst[q] = src[q] +
+ * u * delta[q], and the first minimum of the new values: its value is
+ * returned and its column stored in *argmin (ties go to the lowest id).
+ * Consumed columns hold CONSUMED, so they never win while a column is
+ * free. Four vector accumulators of VW lanes each keep the first minimum
+ * of the columns q = 4 * VW * s + a * VW + lane; they meet by (value, id),
+ * and the tail past the last full block of 4 * VW columns continues that
+ * scan: the same result as one scan, without one long compare-and-select
+ * chain. src and dst may be the same row. */
 static double recentre_row(const double *src, double *dst, double u,
-                           const double *restrict delta,
-                           const i64 *restrict free_ids, i64 count,
+                           const double *restrict delta, i64 p,
                            i64 *restrict argmin)
 {
-    double bv[4] = {0.0, 0.0, 0.0, 0.0};
-    i64 bq[4] = {0, 0, 0, 0};
-    const i64 lanes = count < 4 ? count : 4;
-    for (i64 k = 0; k < lanes; k++) {
-        const i64 q = free_ids[k];
-        bv[k] = dst[q] = src[q] + u * delta[k];
-        bq[k] = q;
-    }
-    i64 f = lanes;
-    for (; f + 4 <= count; f += 4)
-        for (i64 k = 0; k < 4; k++) {
-            const i64 q = free_ids[f + k];
-            const double v = src[q] + u * delta[f + k];
-            dst[q] = v;
-            if (v < bv[k]) {
-                bv[k] = v;
-                bq[k] = q;
+    enum { BLOCK = 4 * VW };
+    double best = 0.0;
+    i64 bq = -1, q = 0;
+    if (p >= BLOCK) {
+        vdouble vu, bv[4];
+        vlong id[4], bid[4];
+        for (int l = 0; l < VW; l++)
+            vu[l] = u;
+        for (int a = 0; a < 4; a++) {
+            for (int l = 0; l < VW; l++)
+                id[a][l] = a * VW + l;
+            const vdouble v = *(const vdouble_u *)(src + a * VW)
+                              + vu * *(const vdouble_u *)(delta + a * VW);
+            *(vdouble_u *)(dst + a * VW) = v;
+            bv[a] = v;
+            bid[a] = id[a];
+        }
+        for (q = BLOCK; q + BLOCK <= p; q += BLOCK)
+            for (int a = 0; a < 4; a++) {
+                const i64 c = q + a * VW;
+                id[a] += BLOCK;
+                const vdouble v = *(const vdouble_u *)(src + c)
+                                  + vu * *(const vdouble_u *)(delta + c);
+                *(vdouble_u *)(dst + c) = v;
+                const vlong lt = v < bv[a];
+                bv[a] = (vdouble)(((vlong)v & lt) | ((vlong)bv[a] & ~lt));
+                bid[a] = (id[a] & lt) | (bid[a] & ~lt);
             }
-        }
-    for (i64 k = 0; f < count; f++, k++) {
-        const i64 q = free_ids[f];
-        const double v = src[q] + u * delta[f];
+        best = bv[0][0];
+        bq = bid[0][0];
+        for (int a = 0; a < 4; a++)
+            for (int l = 0; l < VW; l++)
+                if (bv[a][l] < best || (bv[a][l] == best && bid[a][l] < bq)) {
+                    best = bv[a][l];
+                    bq = bid[a][l];
+                }
+    }
+    for (; q < p; q++) {
+        const double v = src[q] + u * delta[q];
         dst[q] = v;
-        if (v < bv[k]) {
-            bv[k] = v;
-            bq[k] = q;
+        if (bq < 0 || v < best) {
+            best = v;
+            bq = q;
         }
     }
-    i64 best = 0;
-    for (i64 k = 1; k < lanes; k++)
-        if (bv[k] < bv[best] || (bv[k] == bv[best] && bq[k] < bq[best]))
-            best = k;
-    *argmin = bq[best];
-    return bv[best];
+    *argmin = bq;
+    return best;
 }
 
 /* TopoLB, third order (topolb3_loop): the cycle loop of topolb.py's
@@ -552,28 +595,29 @@ static double recentre_row(const double *src, double *dst, double u,
  * slots, in ascending task order: slot_task[i] is the task in slot i and
  * task_slot[t] the slot of task t (-1 once placed). score, f_min and
  * f_argmin are per slot; uc (each task's volume to its unplaced
- * neighbours) is per task. A cycle:
+ * neighbours) is per task. Every processor is free when the run starts. A
+ * cycle:
  *
  * 1. selects the slot with the first maximum score, as topolb12_loop does,
  *    and places its task tk on f_argmin;
- * 2. takes pk out of the free set;
+ * 2. takes pk out of the free set: column pk of every unplaced slot
+ *    becomes CONSUMED, the reference's penalized value;
  * 3. adds c * (dist[pk] - avg) to every unplaced neighbour row of tk, in
  *    CSR order, and subtracts c from its uc;
  * 4. shifts the free average, avg' = (avg * (count + 1) - dist[pk]) /
- *    count, and keeps delta[f] = avg'[q] - avg[q] for q = free_ids[f];
- * 5. recentres every other slot, fest[r, q] + uc[t] * delta[f], takes its
- *    first minimum (ties go to the lowest id) and moves it down over tk's
- *    slot; a slot whose argmin was pk counts as a reserve hit.
+ *    count, and keeps delta = avg' - avg, both per column;
+ * 5. recentres every other slot, fest[r, q] + uc[t] * delta[q], takes its
+ *    first minimum (recentre_row) and moves it down over tk's slot; a slot
+ *    whose argmin was pk counts as a reserve hit.
  *
- * Steps 3-5 read and write the free columns only (free_ids, ascending). A
- * consumed column of a slot keeps a stale but finite value,
- * which is read again only through a zero weight in avail_f. Under "gain"
- * the function returns m after every cycle that leaves m > 0 rows
+ * Steps 3-5 make contiguous passes over all p columns of a row, the
+ * consumed ones included, whose CONSUMED value they leave unchanged. Under
+ * "gain" the function returns m after every cycle that leaves m > 0 rows
  * unplaced, so the caller can set score[:m] = fest[:m] @ avail_f: that
- * prefix has the shape and row order of the reference's fest[rows], and
- * BLAS rounding depends on the shape. It returns 0 once all cycles are
- * done. state is topolb12_loop's, reserve exhaustions staying 0; delta
- * (count doubles) must start zeroed. */
+ * prefix has the shape and row order of the reference's fest[rows], BLAS
+ * rounding depends on the shape, and 0 * CONSUMED adds an exact zero. It
+ * returns 0 once all cycles are done. state is topolb12_loop's, reserve
+ * exhaustions staying 0; delta (p doubles) must start zeroed. */
 static i64 topolb3_loop(i64 n, i64 p, i64 selection, double *restrict fest,
                         dtable dist, double *restrict avg,
                         const i64 *restrict indptr,
@@ -583,14 +627,13 @@ static i64 topolb3_loop(i64 n, i64 p, i64 selection, double *restrict fest,
                         double *restrict f_min, i64 *restrict f_argmin,
                         double *restrict delta, i64 *restrict slot_task,
                         i64 *restrict task_slot, double *restrict avail_f,
-                        i64 *restrict free_ids, i64 *restrict assignment,
-                        i64 *restrict state)
+                        i64 *restrict assignment, i64 *restrict state)
 {
     i64 cycle = state[0], count = state[1];
     if (cycle == 0) /* delta is all zero before the first cycle */
         for (i64 i = 0; i < n; i++)
             f_min[i] = recentre_row(fest + i * p, fest + i * p, 0.0, delta,
-                                    free_ids, count, f_argmin + i);
+                                    p, f_argmin + i);
     while (cycle < n && count > 0) {
         const i64 m = n - cycle - 1; /* rows left unplaced by this cycle */
         i64 sel = 0;
@@ -613,17 +656,8 @@ static i64 topolb3_loop(i64 n, i64 p, i64 selection, double *restrict fest,
         cycle++;
         if (count == 0 || m == 0)
             break;
-
-        i64 lo = 0, hi = count; /* pk's slot among count + 1 free ids */
-        while (lo < hi) {
-            const i64 mid = (lo + hi) / 2;
-            if (free_ids[mid] < pk)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        memmove(free_ids + lo, free_ids + lo + 1,
-                (size_t)(count - lo) * sizeof(i64));
+        for (i64 i = 0; i <= m; i++)
+            fest[i * p + pk] = CONSUMED;
 
         const i64 dk = pk * p;
         for (i64 e = indptr[tk]; e < indptr[tk + 1]; e++) {
@@ -632,20 +666,17 @@ static i64 topolb3_loop(i64 n, i64 p, i64 selection, double *restrict fest,
                 continue;
             const double c = weights[e];
             double *restrict row = fest + task_slot[j] * p;
-            for (i64 f = 0; f < count; f++) {
-                const i64 q = free_ids[f];
+            for (i64 q = 0; q < p; q++)
                 row[q] += c * (dist_at(dist, dk + q) - avg[q]);
-            }
             uc[j] -= c;
             state[5]++;
         }
 
-        for (i64 f = 0; f < count; f++) {
-            const i64 q = free_ids[f];
+        for (i64 q = 0; q < p; q++) {
             const double next =
                 (avg[q] * (double)(count + 1) - dist_at(dist, dk + q))
                 / (double)count;
-            delta[f] = next - avg[q];
+            delta[q] = next - avg[q];
             avg[q] = next;
         }
 
@@ -656,7 +687,7 @@ static i64 topolb3_loop(i64 n, i64 p, i64 selection, double *restrict fest,
             state[2] += f_argmin[i] == pk;
             score[d] = score[i];
             f_min[d] = recentre_row(fest + i * p, fest + d * p, uc[t], delta,
-                                    free_ids, count, f_argmin + d);
+                                    p, f_argmin + d);
             slot_task[d] = t;
             task_slot[t] = d;
             d++;
@@ -676,7 +707,8 @@ static i64 topolb3_loop(i64 n, i64 p, i64 selection, double *restrict fest,
 /* The argument block of topolb_cycles: 8-byte words in this order, built
  * once per run by repro.mapping._native.TopoLBCycles. order 3 reads the
  * third-order fields (uc, delta, slot_task, task_slot) and ignores
- * reserve and the reserve arrays; orders 1-2 the other way round. */
+ * reserve, the reserve arrays and free_ids; orders 1-2 the other way
+ * round. */
 typedef struct {
     i64 n, p, reserve, order, selection;
     double *fest;
@@ -710,8 +742,7 @@ i64 topolb_cycles(const topolb_args *a)
                             a->avg, a->indptr, a->indices, a->weights,
                             a->score, a->uc, a->f_min, a->f_argmin,
                             a->delta, a->slot_task, a->task_slot,
-                            a->avail_f, a->free_ids, a->assignment,
-                            a->state);
+                            a->avail_f, a->assignment, a->state);
     return topolb12_loop(a->n, a->p, a->reserve, a->order, a->selection,
                          a->fest, a->dist, a->avg, a->indptr, a->indices,
                          a->weights, a->score, a->f_min, a->f_argmin,

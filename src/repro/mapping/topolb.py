@@ -335,7 +335,7 @@ class TopoLB(Mapper):
         for first and second order, the reference's plain algorithm with a
         reserve that holds only free candidates, so a walk past its filled
         entries is the reference's walk into penalized padding;
-        ``topolb3_cycles`` for third order, which rebuilds every unplaced
+        ``topolb3_loop`` for third order, which rebuilds every unplaced
         row each cycle and so keeps no reserve (see its header comment).
         Python keeps the one expression whose rounding C cannot reproduce:
         the "gain" rule's free-set row sums ``fest[rows] @ avail_f``, a BLAS
@@ -344,7 +344,10 @@ class TopoLB(Mapper):
         exactly that product: ascending dirty ids for orders 1–2, and for
         third order ``slice(0, m)``, the unplaced rows it keeps compacted
         in ``fest[:m]`` in ascending task order — the reference's
-        ``fest[rows]`` without the gather. C reads the machine's own
+        ``fest[rows]`` without the gather. Third order passes over every
+        column of those rows; a consumed processor's column holds the
+        reference's penalty ``huge``, which is finite, so ``0 * huge`` adds
+        an exact zero to the product. C reads the machine's own
         distance table (int32 on integer machines), widening each entry to
         the double the reference's float64 table holds.
         """

@@ -13,8 +13,9 @@ compiler or with ``REPRO_NO_NATIVE`` set, its reference body
 :func:`_refine_pass_lists`, a loop over :func:`csr_lists`. Python keeps
 the pass count, the early stop and the ``rng.permutation`` draw of each
 pass. ``rebalance_kway`` is only such a
-loop: it costs about 2 ms per LeanMD request, and it depends on NumPy's
-unstable heavy-first ``argsort``.
+loop: it costs about 2 ms per LeanMD request. Its heavy-first order is a
+stable ``argsort`` reversed, so among equal weights the highest id goes
+first on every NumPy build.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ def rebalance_kway(
         if loads[src] <= max_load or counts[src] <= 1:
             break
         members = np.flatnonzero(groups == src)
-        order = members[np.argsort(graph.vertex_weights[members])[::-1]]  # heavy first
+        order = members[np.argsort(graph.vertex_weights[members],
+                                    kind="stable")[::-1]]  # heavy first
         lightest = int(np.argmin(loads))
         best: tuple[float, int, int] | None = None  # (cut_delta, vertex, dst)
         for v in order.tolist():

@@ -316,14 +316,25 @@ class TestFirstSecondOrderPaths:
                 bind(**bad)
 
 
+def _third_order_instances():
+    """The full and underfull machines of :func:`_path_instances`, and
+    ``lane-tail``: 100 tasks on 105 processors, no multiple of a vector
+    block (8, 16 or 32 columns), so every row pass ends in its scalar
+    tail."""
+    return _path_instances()[:3] + [
+        ("lane-tail", geometric_taskgraph(100, radius=0.25, seed=3),
+         Torus((7, 5, 3)))]
+
+
 class TestThirdOrderPaths:
     """Third-order TopoLB has its own compiled cycle loop, which recentres
-    every unplaced row each cycle and keeps those rows compacted at the top
-    of ``fest``. It is pinned to the reference at a scale where every cycle
-    recentres over a hundred rows, on a full and an underfull machine,
-    down to the lazy-repair counters."""
+    every unplaced row each cycle, over all its columns, and keeps those
+    rows compacted at the top of ``fest``. It is pinned to the reference at
+    a scale where every cycle recentres over a hundred rows, on a full and
+    an underfull machine and on one whose row passes end in a tail, down
+    to the lazy-repair counters."""
 
-    @pytest.mark.parametrize("label,graph,topo", _path_instances()[:3],
+    @pytest.mark.parametrize("label,graph,topo", _third_order_instances(),
                              ids=lambda v: v if isinstance(v, str) else "")
     @pytest.mark.parametrize("selection", SELECTIONS)
     def test_bit_identical_with_equal_counters(self, label, graph, topo,
@@ -333,7 +344,9 @@ class TestThirdOrderPaths:
 
     def test_bound_loop_checks_its_arguments(self):
         """Every bad argument of the bound third-order loop is a
-        ``ValueError`` before any pointer reaches C."""
+        ``ValueError`` before any pointer reaches C, a start with a
+        processor already taken included: the loop writes a consumed
+        column's penalty only when it takes the processor."""
         native = _native.load()
         if native is None:
             pytest.skip("no C compiler on this host")
@@ -350,7 +363,8 @@ class TestThirdOrderPaths:
                     {"fest": np.zeros((4, 6), dtype=np.float32)},
                     {"uc": np.ones(3)}, {"uc": None}, {"score": np.zeros(5)},
                     {"avail_f": np.zeros(6)},
-                    {"avail_f": np.array([1.0, 1, 1, 0, 0, 0])}):
+                    {"avail_f": np.array([1.0, 1, 1, 0, 0, 0])},
+                    {"avail_f": np.array([1.0, 1, 1, 1, 1, 0])}):
             with pytest.raises(ValueError):
                 bind(**bad)
 

@@ -17,6 +17,8 @@ Three layers of evidence pin :mod:`repro.netsim.flow`:
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,6 +216,65 @@ def test_compiled_link_loads_match_reference_at_scale(graph, topo):
     _assert_compiled_link_loads_match(
         topo, np.concatenate((assign[u], assign[v])),
         np.concatenate((assign[v], assign[u])), np.concatenate((w, w)) / 3.0 + 0.1)
+
+
+def _no_c(*_args):
+    raise AssertionError("a pointer reached C")
+
+
+@st.composite
+def bad_messages(draw):
+    """(topo, src, dst, sizes) that ``grid_link_loads`` must refuse: one of
+    the three arrays of a wrong dtype, strided or of a wrong length, or a
+    processor outside ``0..p-1``."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    topo = draw(st.sampled_from([Mesh, Torus]))(shape)
+    p, m = topo.num_nodes, draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    arrays = [rng.integers(0, p, m), rng.integers(0, p, m),
+              rng.uniform(0.1, 9.0, m)]
+    which = draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(
+        ("dtype", "strided", "length") + (("range",) if which < 2 else ())))
+    a = arrays[which]
+    if kind == "dtype":
+        arrays[which] = a.astype(draw(st.sampled_from(
+            [np.int32, np.uint64, np.float64, np.int16] if which < 2
+            else [np.float32, np.int64, np.float16, np.longdouble])))
+    elif kind == "strided":
+        arrays[which] = np.repeat(a, 2)[::2]
+    elif kind == "length":
+        arrays[which] = np.resize(a, m + draw(st.sampled_from([-1, 1])))
+    else:
+        a[draw(st.integers(0, m - 1))] = draw(st.sampled_from([-1, p, p + 7]))
+    return (topo, *arrays)
+
+
+class TestLinkLoadArguments:
+    """``grid_link_loads`` takes contiguous int64 processors and float64
+    sizes of one length, and refuses anything else with ``ValueError``
+    before any pointer reaches C."""
+
+    @staticmethod
+    def _guarded():
+        native = _native.load()
+        if native is None:
+            pytest.skip("no C compiler on this host")
+        native = copy.copy(native)
+        native._link_loads = _no_c
+        return native
+
+    def test_good_messages_reach_c(self):
+        topo = Torus((3, 4))
+        src, dst = np.arange(12), np.arange(12)[::-1].copy()
+        with pytest.raises(AssertionError, match="reached C"):
+            self._guarded().grid_link_loads(topo, src, dst, np.ones(12))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=bad_messages())
+    def test_bad_messages_are_refused_before_c(self, case):
+        with pytest.raises(ValueError):
+            self._guarded().grid_link_loads(*case)
 
 
 class TestGenericFallback:

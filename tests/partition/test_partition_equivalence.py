@@ -14,6 +14,7 @@ vertices, and vertices heavier than the load ceiling.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from functools import partial
 
@@ -141,7 +142,7 @@ def _rebalance_kway_oracle(graph, groups, k, max_load, max_moves=None):
         if counts[src] <= 1:
             break
         best = None
-        order = members[np.argsort(weights[members])[::-1]]
+        order = members[np.argsort(weights[members], kind="stable")[::-1]]
         for v in order:
             v = int(v)
             w = float(weights[v])
@@ -348,7 +349,8 @@ def test_sparse_random_phase1_matches_oracle():
 
 
 def test_rebalance_large_overloaded_group_matches_oracle():
-    """Groups past 16 members take NumPy's unstable heavy-first argsort path."""
+    """Groups past 16 members, where an unstable heavy-first argsort would
+    order equal weights differently from a short one."""
     rng = np.random.default_rng(7)
     base = random_taskgraph(300, edge_prob=0.02, seed=7)
     u, v, w = base.edge_arrays()
@@ -460,6 +462,76 @@ def tie_graphs(draw, max_n: int = 30):
     weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     return TaskGraph(n, [(a, b, float(w)) for a, b, w in pairs if a != b],
                      vertex_weights=[float(w) for w in weights])
+
+
+def _no_c(*_args):
+    raise AssertionError("a pointer reached C")
+
+
+@st.composite
+def bad_refine_pass_args(draw):
+    """Arguments of ``partition_refine_pass`` it must refuse: one of
+    ``groups``, ``loads``, ``counts`` and ``perm`` of a wrong dtype,
+    strided, of a wrong length or read-only where it is written, or a
+    group outside ``0..k-1`` or a vertex outside ``0..n-1``."""
+    g = draw(tie_graphs())
+    n = g.num_tasks
+    k = draw(st.integers(2, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    indptr, indices, edge_w, vw = _csr(g)
+    groups = rng.integers(0, k, n)
+    arrays = [groups, np.bincount(groups, weights=vw, minlength=k),
+              np.bincount(groups, minlength=k).astype(np.int64),
+              rng.permutation(n)]
+    which = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(
+        ("dtype", "strided", "length")
+        + (("read-only",) if which < 3 else ())
+        + (("range",) if which in (0, 3) else ())))
+    a = arrays[which]
+    if kind == "dtype":
+        arrays[which] = a.astype(draw(st.sampled_from(
+            [np.float32, np.int64, np.float16] if which == 1
+            else [np.int32, np.uint64, np.float64, np.int16])))
+    elif kind == "strided":
+        arrays[which] = np.repeat(a, 2)[::2]
+    elif kind == "length":
+        arrays[which] = np.resize(a, a.size + draw(st.sampled_from([-1, 1])))
+    elif kind == "read-only":
+        a.setflags(write=False)
+    else:
+        bound = k if which == 0 else n
+        a[draw(st.integers(0, n - 1))] = draw(st.sampled_from([-1, bound]))
+    return (indptr, indices, edge_w, vw, *arrays, np.inf)
+
+
+class TestRefinePassArguments:
+    """``partition_refine_pass`` refuses a bad ``groups``, ``loads``,
+    ``counts`` or ``perm`` with ``ValueError`` before any pointer reaches
+    C; the CSR contents stay trusted, as ``_csr_ptrs`` documents."""
+
+    @staticmethod
+    def _guarded():
+        native = copy.copy(_kernels())
+        native._refine_pass = _no_c
+        return native
+
+    def test_good_arguments_reach_c(self):
+        g = random_taskgraph(10, edge_prob=0.3, seed=1)
+        indptr, indices, edge_w, vw = _csr(g)
+        groups = np.arange(10, dtype=np.int64) % 2
+        loads = np.bincount(groups, weights=vw, minlength=2)
+        counts = np.bincount(groups, minlength=2).astype(np.int64)
+        with pytest.raises(AssertionError, match="reached C"):
+            self._guarded().partition_refine_pass(
+                indptr, indices, edge_w, vw, groups, loads, counts,
+                np.arange(10), np.inf)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=bad_refine_pass_args())
+    def test_bad_arguments_are_refused_before_c(self, case):
+        with pytest.raises(ValueError):
+            self._guarded().partition_refine_pass(*case)
 
 
 #: Bit generators with different 32-bit draws: PCG64 and SFC64 halve a

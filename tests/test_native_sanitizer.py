@@ -47,7 +47,7 @@ TESTS = ["tests/netsim/test_des_digest.py", "tests/netsim/test_des_kernel.py",
 SELECT = ("(des_digest and not reference) or (bodies_agree and seed1)"
           " or closed_loops or once_per_final_drop"
           " or (kernel_equivalence and gain and torus8x4x4)"
-          " or (ThirdOrderPaths and underfull)"
+          " or (ThirdOrderPaths and (underfull or lane))"
           " or (RefineEquivalence and incremental) or sparse_random_phase1"
           " or compiled_bisector or compiled_refine_pass"
           " or compiled_recursion or compiled_link_loads"
