@@ -419,7 +419,7 @@ class MappingEngine:
             with obs.timer("engine.map"):
                 mapping = mapper.map(graph, topology)
 
-            metrics = metrics_block(graph, topology, mapping.assignment, ctx=ctx)
+            metrics = metrics_block(graph, topology, mapping.assignment)
             # The paper evaluates hops-per-byte on the coalesced graph too —
             # intra-group bytes never enter the network.
             group_mapping = getattr(mapper, "last_group_mapping", None)

@@ -54,6 +54,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import ExperimentResult
 from repro.utils.guard import guarded_call
+from repro.utils.validation import finite_float
 
 __all__ = ["main", "EXPERIMENTS", "PAPER_EXPERIMENTS", "ExperimentOutcome"]
 
@@ -248,7 +249,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="record telemetry and write a repro-profile-v1 JSON here")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="run experiments in N worker processes (default: 1)")
-    parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+    parser.add_argument("--timeout", type=finite_float, default=None,
+                        metavar="SECONDS",
                         help="wall-clock deadline per experiment, enforced "
                              "inside the process that runs it")
     parser.add_argument("--keep-going", action="store_true",

@@ -68,19 +68,11 @@ class Mapping:
 
     @property
     def hop_bytes(self) -> float:
-        """Total hop-bytes of this mapping (cached).
-
-        Computed through the shared :class:`~repro.mapping.context
-        .MappingContext` for this (graph, topology) pair, so repeated
-        mappings of the same instance reuse one set of edge/distance tables
-        instead of re-deriving them per Mapping object.
-        """
+        """Total hop-bytes of this mapping (cached)."""
         if self._hop_bytes is None:
-            from repro.mapping.context import context_for
+            from repro.mapping.metrics import hop_bytes
 
-            self._hop_bytes = context_for(
-                self._graph, self._topology
-            ).hop_bytes(self._assignment)
+            self._hop_bytes = hop_bytes(self._graph, self._topology, self._assignment)
         return self._hop_bytes
 
     @property

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.mapping.metrics import ordered_sum
 from repro.taskgraph.graph import TaskGraph
 from repro.topology import cache
 from repro.topology.base import Topology
@@ -104,6 +105,6 @@ def _degree_matching_bound(graph: TaskGraph, topology: Topology) -> float:
             continue
         # Heaviest edges get the smallest available distances.
         w_sorted = np.sort(weights)[::-1]
-        total += float(np.dot(w_sorted, profile[: len(w_sorted)]))
+        total += ordered_sum(w_sorted * profile[: len(w_sorted)])
     bound = total / 2.0
     return max(bound, graph.total_bytes)

@@ -13,10 +13,8 @@ The context is deliberately a thin veneer over the existing caches
 distance tables across same-shaped machines). What it adds:
 
 * one object to pass around instead of four lookups per mapper;
-* memoized *derived* state that had no cache before — per-assignment edge
-  distances and the canonical metrics block (hop-bytes, hops-per-byte, load
-  imbalance, dilation) computed from a **single** distance gather instead of
-  one per metric.
+* per-assignment edge distances and hop-bytes, through the one gather and
+  the one ordered sum of :mod:`repro.mapping.metrics`.
 
 Use :func:`context_for` to get the process-wide shared instance for a
 (graph, topology) pair; construct :class:`MappingContext` directly only for
@@ -83,23 +81,17 @@ class MappingContext:
 
     # ------------------------------------------------------- derived metrics
     def edge_distances(self, assignment: Sequence[int]) -> np.ndarray:
-        """Hop distance of each task-graph edge under ``assignment``.
+        """Hop distance of each task-graph edge under ``assignment``
+        (:func:`repro.mapping.metrics.edge_distances`)."""
+        from repro.mapping.metrics import edge_distances
 
-        The single gather every metric shares; see
-        :func:`repro.mapping.metrics.metrics_block`.
-        """
-        from repro.mapping.metrics import _as_assignment
-
-        arr = _as_assignment(self._graph, self._topology, assignment)
-        u, v, _ = self.edge_arrays()
-        return self._topology.pair_distances(arr[u], arr[v]).astype(np.float64)
+        return edge_distances(self._graph, self._topology, assignment)[1]
 
     def hop_bytes(self, assignment: Sequence[int]) -> float:
         """Total hop-bytes of ``assignment`` (the paper's Section 3 metric)."""
-        _, _, w = self.edge_arrays()
-        if len(w) == 0:
-            return 0.0
-        return float(np.dot(w, self.edge_distances(assignment)))
+        from repro.mapping.metrics import hop_bytes
+
+        return hop_bytes(self._graph, self._topology, assignment)
 
 
 #: Process-wide (graph, topology) -> MappingContext cache. Strong references

@@ -7,15 +7,16 @@ here minimizes::
 
 Each edge's distance comes from :meth:`~repro.topology.base.Topology.
 pair_distances` — one distance per task-graph edge, never the ``p x p``
-table — so the metrics cost the same on any machine size. Per-link loads
-additionally resolve each task-graph edge onto the links of its
-deterministic route — the quantity whose maximum drives contention.
+table — so the metrics cost the same on any machine size. That gather is
+:func:`edge_distances`, and every hop-bytes sum is an :func:`ordered_sum`,
+so a metric has the same bits on every host. Per-link loads additionally
+resolve each task-graph edge onto the links of its deterministic route —
+the quantity whose maximum drives contention.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,10 +24,9 @@ from repro.exceptions import MappingError
 from repro.taskgraph.graph import TaskGraph
 from repro.topology.base import Topology
 
-if TYPE_CHECKING:  # circular at runtime: context imports metrics helpers
-    from repro.mapping.context import MappingContext
-
 __all__ = [
+    "edge_distances",
+    "ordered_sum",
     "hop_bytes",
     "hops_per_byte",
     "hops_ratio",
@@ -49,14 +49,27 @@ def _as_assignment(graph: TaskGraph, topology: Topology, assignment: Sequence[in
     return arr
 
 
-def hop_bytes(graph: TaskGraph, topology: Topology, assignment: Sequence[int]) -> float:
-    """Total hop-bytes of ``assignment`` (Section 3 metric)."""
+def edge_distances(
+    graph: TaskGraph, topology: Topology, assignment: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(w, d)``: each task-graph edge's bytes and its hop distance under
+    ``assignment``, in :meth:`~repro.taskgraph.graph.TaskGraph.edge_arrays`
+    order. The one gather every metric reads."""
     arr = _as_assignment(graph, topology, assignment)
     u, v, w = graph.edge_arrays()
-    if len(w) == 0:
-        return 0.0
-    dist = topology.pair_distances(arr[u], arr[v]).astype(np.float64)
-    return float(np.dot(w, dist))
+    return w, topology.pair_distances(arr[u], arr[v]).astype(np.float64)
+
+
+def ordered_sum(x: np.ndarray) -> float:
+    """``x[0] + x[1] + ...`` left to right, unlike a BLAS dot, whose order
+    (and so whose last bits) the host's CPU picks."""
+    return float(np.cumsum(x)[-1]) if len(x) else 0.0
+
+
+def hop_bytes(graph: TaskGraph, topology: Topology, assignment: Sequence[int]) -> float:
+    """Total hop-bytes of ``assignment`` (Section 3 metric)."""
+    w, d = edge_distances(graph, topology, assignment)
+    return ordered_sum(w * d)
 
 
 def hops_ratio(hop_bytes_value: float, total_bytes: float) -> float:
@@ -83,13 +96,12 @@ def per_task_hop_bytes(
     graph: TaskGraph, topology: Topology, assignment: Sequence[int]
 ) -> np.ndarray:
     """HB(t) per task; ``sum / 2 == hop_bytes`` (the paper's additivity identity)."""
-    arr = _as_assignment(graph, topology, assignment)
-    u, v, w = graph.edge_arrays()
+    w, d = edge_distances(graph, topology, assignment)
+    u, v, _ = graph.edge_arrays()
     out = np.zeros(graph.num_tasks, dtype=np.float64)
-    if len(w):
-        contrib = w * topology.pair_distances(arr[u], arr[v]).astype(np.float64)
-        np.add.at(out, u, contrib)
-        np.add.at(out, v, contrib)
+    contrib = w * d
+    np.add.at(out, u, contrib)
+    np.add.at(out, v, contrib)
     return out
 
 
@@ -122,16 +134,9 @@ def dilation_stats(
     graph: TaskGraph, topology: Topology, assignment: Sequence[int]
 ) -> dict[str, float]:
     """Edge-dilation summary: max / mean / byte-weighted mean hop distance."""
-    arr = _as_assignment(graph, topology, assignment)
-    u, v, w = graph.edge_arrays()
-    if len(w) == 0:
-        return {"max": 0.0, "mean": 0.0, "weighted_mean": 0.0}
-    dist = topology.pair_distances(arr[u], arr[v]).astype(np.float64)
-    return {
-        "max": float(dist.max()),
-        "mean": float(dist.mean()),
-        "weighted_mean": float(np.dot(w, dist) / w.sum()) if w.sum() else 0.0,
-    }
+    block = metrics_block(graph, topology, assignment)
+    return {"max": block["max_dilation"], "mean": block["mean_dilation"],
+            "weighted_mean": block["weighted_dilation"]}
 
 
 def processor_loads(
@@ -154,47 +159,27 @@ def load_imbalance(
 
 
 def metrics_block(
-    graph: TaskGraph,
-    topology: Topology,
-    assignment: Sequence[int],
-    *,
-    ctx: MappingContext | None = None,
+    graph: TaskGraph, topology: Topology, assignment: Sequence[int]
 ) -> dict[str, float]:
     """The canonical per-mapping metrics block, from one distance gather.
 
-    Every consumer that used to call :func:`hop_bytes`,
-    :func:`hops_per_byte`, :func:`load_imbalance`, and
-    :func:`dilation_stats` separately paid one edge-distance gather per
-    metric; this computes the gather once and derives all of them with the
-    same floating-point expressions, so values are bitwise identical to the
-    individual functions.
+    Bitwise identical to :func:`hop_bytes`, :func:`hops_per_byte` and
+    :func:`load_imbalance` (the same gather and the same sum);
+    :func:`dilation_stats` reads it.
 
     Keys: ``hop_bytes``, ``hops_per_byte``, ``load_imbalance``,
     ``max_dilation``, ``mean_dilation``, ``weighted_dilation``.
     """
-    if ctx is None:
-        from repro.mapping.context import context_for
-
-        ctx = context_for(graph, topology)
     arr = _as_assignment(graph, topology, assignment)
-    u, v, w = ctx.edge_arrays()
-    total = graph.total_bytes
-    if len(w) == 0:
-        hb = 0.0
-        dil = {"max": 0.0, "mean": 0.0, "weighted_mean": 0.0}
-    else:
-        dist = topology.pair_distances(arr[u], arr[v]).astype(np.float64)
-        hb = float(np.dot(w, dist))
-        dil = {
-            "max": float(dist.max()),
-            "mean": float(dist.mean()),
-            "weighted_mean": float(np.dot(w, dist) / w.sum()) if w.sum() else 0.0,
-        }
+    w, d = edge_distances(graph, topology, arr)
+    hb = ordered_sum(w * d)
+    # The byte-weighted mean dilation is hop-bytes per byte by definition.
+    hpb = hops_ratio(hb, graph.total_bytes)
     return {
         "hop_bytes": hb,
-        "hops_per_byte": hops_ratio(hb, total),
+        "hops_per_byte": hpb,
         "load_imbalance": load_imbalance(graph, topology, arr),
-        "max_dilation": dil["max"],
-        "mean_dilation": dil["mean"],
-        "weighted_dilation": dil["weighted_mean"],
+        "max_dilation": float(d.max(initial=0.0)),
+        "mean_dilation": float(d.mean()) if len(d) else 0.0,
+        "weighted_dilation": hpb,
     }

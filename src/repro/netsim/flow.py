@@ -292,7 +292,7 @@ def _generic_link_loads(
     _, first, inverse = np.unique(tails * width + heads, return_index=True,
                                   return_inverse=True)
     rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
+    rank[np.argsort(first, kind="stable")] = np.arange(len(first))
     slot = rank[inverse]
     link_bytes = np.zeros(len(first), dtype=np.float64)
     np.add.at(link_bytes, slot, byte_sums[pair])

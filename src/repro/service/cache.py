@@ -58,7 +58,7 @@ RESULT_FORMAT = "repro-mapresult-v1"
 #: digests. A change that moves any pin must regenerate it (the tier-1
 #: fingerprint test prints the command), which retires every cached entry;
 #: :data:`CACHE_KEY_VERSION` versions the key payload's shape instead.
-ALGORITHM_FINGERPRINT = "f095309daddc9e255dfac83d66cd73c1316d5190bcf70e41e7dbe6422776e333"
+ALGORITHM_FINGERPRINT = "01ba79f9d637c68715ef9c3bd5bc0c7e275183be8bc10570f0755d3c3b88f1ff"
 
 #: Generative graph-spec kinds that are pure functions of the spec string —
 #: safe to memoize. ``file:``/``lbdump:`` specs point at mutable paths, so

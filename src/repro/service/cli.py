@@ -18,6 +18,7 @@ from pathlib import Path
 
 from repro.service.daemon import ServiceConfig
 from repro.service.http import serve
+from repro.utils.validation import finite_float
 
 __all__ = ["main"]
 
@@ -37,13 +38,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="queued misses before 429 backpressure")
     parser.add_argument("--batch-size", type=int, default=8,
                         help="max requests per worker batch")
-    parser.add_argument("--timeout", type=float, default=30.0,
+    parser.add_argument("--timeout", type=finite_float, default=30.0,
                         help="per-request wall bound in seconds (0 disables)")
     parser.add_argument("--cache-entries", type=int, default=1024,
                         help="in-memory result-cache capacity")
     parser.add_argument("--cache-dir", type=Path, default=None,
                         help="optional on-disk result-cache directory")
-    parser.add_argument("--retry-after", type=float, default=1.0,
+    parser.add_argument("--retry-after", type=finite_float, default=1.0,
                         help="seconds advertised in 429 Retry-After")
     return parser
 
@@ -81,6 +82,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.queue_limit < 1 or args.batch_size < 1 or args.cache_entries < 1:
         build_parser().error("--queue-limit/--batch-size/--cache-entries must be >= 1")
+    if args.jobs < 0:
+        build_parser().error("--jobs must be >= 0")
     try:
         asyncio.run(_amain(args))
     except KeyboardInterrupt:

@@ -26,6 +26,7 @@ hits and misses separately — as a ``repro-profile-v1`` document.
 from __future__ import annotations
 
 import asyncio
+import re
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ProcessPoolExecutor
@@ -90,6 +91,9 @@ class BackpressureError(ReproError):
 class ServiceRequestError(ReproError):
     """A request body that can never be served (unknown field, bad spec)."""
 
+
+#: What :func:`request_cache_key` returns: a sha256 hexdigest.
+_RESULT_ID = re.compile(r"[0-9a-f]{64}")
 
 _BODY_KEYS = frozenset({
     "graph", "topology", "mapper", "seed", "flow_metrics",
@@ -315,7 +319,13 @@ class MappingService:
                 "kind": outcome["kind"]}
 
     async def result(self, key: str) -> dict | None:
-        """Poll a previously submitted request: done / error / pending / None."""
+        """Poll a previously submitted request: done / error / pending / None.
+
+        An id that is no :func:`request_cache_key` is unknown before the
+        cache (and so the cache directory) is asked.
+        """
+        if not _RESULT_ID.fullmatch(key):
+            return None
         payload = self.cache.get(key)
         if payload is not None:
             return {"id": key, "status": "done", "cached": True,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import math
 from collections.abc import Sequence
 
@@ -12,6 +13,7 @@ from repro.exceptions import ReproError
 __all__ = [
     "check_permutation",
     "check_shape_volume",
+    "finite_float",
 ]
 
 
@@ -37,3 +39,12 @@ def check_shape_volume(shape: Sequence[int], err: type[ReproError] = ReproError)
         if int(extent) != extent or extent < 1:
             raise err(f"shape extents must be positive integers, got {shape!r}")
     return int(math.prod(int(e) for e in shape))
+
+
+def finite_float(text: str) -> float:
+    """An argparse ``type`` for a float flag: ``nan`` and ``inf`` are usage
+    errors (exit 2), not values that fail every later call."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value

@@ -221,8 +221,7 @@ def _check_metrics_consistency(s: _Session, metrics: dict | None) -> None:
     )
 
     block = metrics if metrics is not None else metrics_block(
-        s.graph, s.topology, s.assignment, ctx=s.ctx
-    )
+        s.graph, s.topology, s.assignment)
     standalone = {
         "hop_bytes": hop_bytes(s.graph, s.topology, s.assignment),
         "hops_per_byte": hops_per_byte(s.graph, s.topology, s.assignment),
@@ -235,7 +234,7 @@ def _check_metrics_consistency(s: _Session, metrics: dict | None) -> None:
     for key, want in standalone.items():
         got = block.get(key)
         # metrics_block documents bitwise identity with the standalone
-        # functions (same expressions, same gather) — compare exactly.
+        # functions (same gather, same ordered sums) — compare exactly.
         if got != want:
             s.record(
                 "metrics-block-consistency", "violated",
@@ -243,14 +242,6 @@ def _check_metrics_consistency(s: _Session, metrics: dict | None) -> None:
                 f"function computes {want!r}",
             )
             return
-    ctx_hb = s.ctx.hop_bytes(s.assignment)
-    if ctx_hb != standalone["hop_bytes"]:
-        s.record(
-            "metrics-block-consistency", "violated",
-            f"MappingContext.hop_bytes = {ctx_hb!r} but metrics.hop_bytes "
-            f"= {standalone['hop_bytes']!r}",
-        )
-        return
     s.record("metrics-block-consistency", "ok")
 
 

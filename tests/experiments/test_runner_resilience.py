@@ -102,6 +102,12 @@ class TestRetries:
         with pytest.raises(SystemExit):
             runner.main(["fig1_2", "--timeout", "0"])
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_timeout_is_a_usage_error(self, value):
+        with pytest.raises(SystemExit) as exc:
+            runner.main(["fig1_2", "--timeout", value])
+        assert exc.value.code == 2
+
 
 class TestTimeout:
     def test_serial_timeout_records_status(self, monkeypatch, tmp_path, capsys):

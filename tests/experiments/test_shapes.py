@@ -8,6 +8,12 @@ Each figure and table test also checks its full rows against the pins in
 
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -67,6 +73,21 @@ class TestFig56Shape:
         # Larger machines leave more room for the mapper (sparser quotient).
         gains = result.column("topolb_vs_random_pct")
         assert gains[-1] > gains[0]
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="OpenBLAS core types name x86-64 kernels")
+    def test_pinned_rows_hold_under_another_blas_kernel(self):
+        """The rows do not depend on which dot kernel the host's BLAS
+        picks (docs/VALIDATION.md, "Results do not depend on the host")."""
+        root = Path(__file__).resolve().parents[2]
+        code = ("from tests.experiments.pins import check_pinned, run_pinned\n"
+                "for exp_id in ('fig5', 'fig6'):\n"
+                "    check_pinned(exp_id, run_pinned(exp_id).rows)\n")
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell",
+               "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+        proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_dense_small_case_hard_for_everyone(self, monkeypatch):
         monkeypatch.setattr(fig05_06, "QUICK_P_2D", (18,))

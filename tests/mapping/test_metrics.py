@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import MappingError
+from repro.mapping.context import MappingContext
 from repro.mapping.metrics import (
     dilation_stats,
+    edge_distances,
     hop_bytes,
     hops_per_byte,
     load_imbalance,
+    metrics_block,
     per_link_loads,
     per_task_hop_bytes,
     processor_loads,
@@ -62,6 +65,22 @@ class TestHopBytes:
         topo = Torus((6, 6))
         g = mesh2d_pattern(6, 6)
         assert hops_per_byte(g, topo, np.arange(36)) == pytest.approx(1.0)
+
+
+    def test_every_hop_bytes_is_the_left_to_right_sum(self):
+        """One gather and one summation order for every consumer, so a
+        fractional-weight instance gives the same bits on every host."""
+        g = random_taskgraph(64, edge_prob=0.1, seed=1)
+        topo = Torus((8, 8))
+        assign = np.random.default_rng(0).permutation(64)
+        w, d = edge_distances(g, topo, assign)
+        total = 0.0
+        for x in (w * d).tolist():
+            total += x
+        assert hop_bytes(g, topo, assign) == total
+        assert metrics_block(g, topo, assign)["hop_bytes"] == total
+        assert MappingContext(g, topo).hop_bytes(assign) == total
+        assert dilation_stats(g, topo, assign)["weighted_mean"] == total / w.sum()
 
 
 class TestPerTaskHopBytes:

@@ -258,3 +258,18 @@ def test_stop_resolves_inflight_futures():
         assert future.result()["kind"] == "shutdown"
 
     asyncio.run(_with_service(_config(), scenario))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--timeout", "nan"], ["--timeout", "inf"],
+    ["--retry-after", "nan"], ["--retry-after", "-inf"],
+    ["--jobs", "-1"],
+])
+def test_serve_rejects_bad_numbers_at_parse_time(argv):
+    """A non-finite timeout or Retry-After, or a negative pool size, is a
+    usage error before the daemon starts, not a 422 or 500 per request."""
+    from repro.service.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -69,6 +69,24 @@ def test_result_unknown_is_404(server):
     assert "unknown" in reply["error"]
 
 
+@pytest.mark.parametrize("rid", ["../secret", "..%2Fsecret", "0" * 63,
+                                 "A" * 64, "0" * 64 + ".json"])
+def test_result_id_is_a_cache_key_or_404(tmp_path, rid):
+    """``/result/<id>`` reads only files the cache wrote: an id that is not
+    64 lowercase hex digits is 404 before the cache is asked."""
+    (tmp_path / "secret.json").write_text('{"payload": {"leaked": true}}')
+    (tmp_path / "cache").mkdir()
+    for name in ("0" * 63, "A" * 64, "0" * 64 + ".json"):
+        (tmp_path / "cache" / f"{name}.json").write_text(
+            '{"payload": {"leaked": true}}')
+    with ThreadedServer(ServiceConfig(jobs=0,
+                                      cache_dir=tmp_path / "cache")) as url:
+        before = _call(f"{url}/healthz")[2]["cache"]
+        status, reply = _raw(url, f"GET /result/{rid} HTTP/1.1\r\n\r\n".encode())
+        assert (status, reply) == (404, {"error": "unknown result id"})
+        assert _call(f"{url}/healthz")[2]["cache"] == before
+
+
 @pytest.mark.parametrize("raw", [b"{not json", b""])
 def test_map_malformed_json_is_400(server, raw):
     request = urllib.request.Request(

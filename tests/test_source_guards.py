@@ -7,7 +7,9 @@ offending ``path:line`` so the message says where to look.
 
 from __future__ import annotations
 
+import functools
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -134,3 +136,77 @@ def test_no_addressable_heap():
     imports it back."""
     assert not (SRC / "utils" / "priority_queue.py").exists()
     assert _grep(r"priority_queue|AddressableM(ax|in)Heap", ".") == []
+
+
+#: The matrix products left in the result-deciding packages, by file: how
+#: many ``@`` operators each holds, and why.
+MATMUL_SITES = {
+    # Dense BLAS products, to become ordered sums in ROADMAP item 22 step 2.
+    "repro/mapping/topolb.py": (2, "TopoLB's free-set row sums"),
+    "repro/mapping/topocentlb.py": (2, "TopoCentLB's cost row"),
+    "repro/mapping/incremental.py": (2, "the rebalancer's move deltas"),
+    # scipy.sparse CSR products: one row-by-row order on every host.
+    "repro/mapping/refine.py": (1, "the reference cost table"),
+    "repro/mapping/annealing.py": (1, "the annealer's cost table"),
+}
+
+
+@functools.cache
+def _code_tokens(*rels: str) -> list[tuple[str, list[tokenize.TokenInfo]]]:
+    """``(path, tokens)`` per Python file under ``rels``, comments dropped.
+    A string or docstring is one token, so no text inside it matches."""
+    skip = (tokenize.COMMENT, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENCODING, tokenize.ENDMARKER)
+    files = []
+    for rel in rels:
+        for path in sorted((SRC / rel).rglob("*.py")):
+            with path.open("rb") as fh:
+                tokens = [t for t in tokenize.tokenize(fh.readline)
+                          if t.type not in skip]
+            files.append((str(path.relative_to(SRC.parent)), tokens))
+    return files
+
+
+class TestHostIndependentResults:
+    """No sum whose order BLAS or the CPU's SIMD level picks, and no sort
+    whose ties they break, in the packages that compute results (see
+    docs/VALIDATION.md, "Results do not depend on the host")."""
+
+    PACKAGES = ("mapping", "netsim", "partition")
+
+    def test_no_blas_dot(self):
+        hits = [
+            f"{rel}:{tok.start[0]}: {tok.line.strip()}"
+            for rel, tokens in _code_tokens(*self.PACKAGES)
+            for prev, tok in zip(tokens, tokens[1:])
+            if prev.string == "." and tok.string in ("dot", "matmul", "inner", "vdot")
+        ]
+        assert hits == []
+
+    def test_every_argsort_is_stable(self):
+        nesting = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
+        hits = []
+        for rel, tokens in _code_tokens(*self.PACKAGES):
+            for i, tok in enumerate(tokens):
+                if tok.string != "argsort":
+                    continue
+                depth, args = 0, []
+                for t in tokens[i + 1:]:
+                    depth += nesting.get(t.string, 0)
+                    args.append(t.string.replace("'", '"'))
+                    if depth == 0:
+                        break
+                if 'kind = "stable"' not in " ".join(args):
+                    hits.append(f"{rel}:{tok.start[0]}: {tok.line.strip()}")
+        assert hits == []
+
+    def test_matmul_only_at_the_listed_sites(self):
+        found: dict[str, int] = {}
+        for rel, tokens in _code_tokens(*self.PACKAGES):
+            for prev, tok in zip(tokens, tokens[1:]):
+                # A decorator's ``@`` opens a line; a product's follows an
+                # operand.
+                if tok.string == "@" and prev.type not in (tokenize.NEWLINE,
+                                                           tokenize.NL):
+                    found[rel] = found.get(rel, 0) + 1
+        assert found == {rel: n for rel, (n, _) in MATMUL_SITES.items()}
