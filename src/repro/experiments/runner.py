@@ -8,27 +8,28 @@ all mapper/netsim telemetry the run produced into a schema-validated
 ``repro-profile-v1`` artifact — the machine-readable baseline the
 ``BENCH_*.json`` trajectory consumes (see ``docs/OBSERVABILITY.md``).
 
-``--jobs N`` fans independent experiments across a process pool, at most
-``N`` in flight; a worker that dies fails only the experiments in flight on
-its pool, which is replaced for the rest of the sweep. Each worker runs
-with its own profiler; the parent folds the per-worker snapshots into one
-artifact via :meth:`repro.obs.Profiler.merge`, so the profile a parallel
-run writes has the same schema (and, up to scheduling noise in the wall
-times, the same content) as a serial one. Reports are
-printed in submission order regardless of completion order.
+``--jobs N`` fans independent experiments across a
+:class:`~repro.utils.pool.WorkerPool`, at most ``N`` in flight; a worker
+that dies fails only the experiment it ran. Each worker runs with its own
+profiler; the parent folds the per-worker snapshots into one artifact via
+:meth:`repro.obs.Profiler.merge`, so the profile a parallel run writes has
+the same schema (and, up to scheduling noise in the wall times, the same
+content) as a serial one. Reports are printed in submission order
+regardless of completion order.
 
 The runner is crash-resilient (see ``docs/ROBUSTNESS.md``): every
-experiment runs exactly once through :func:`repro.utils.guard.guarded_call`,
-which captures the failure with its traceback instead of letting one
-crashed experiment abort the sweep. Experiments are seeded, so a failure
-replays identically and is not retried. ``--keep-going`` finishes the
-remaining experiments after a failure; ``--timeout S`` is a deadline inside
-whichever process runs the experiment (the parent or a pool worker), so a
-timed-out experiment really stops; ``--resume PATH`` reads a previous
-``--profile`` artifact and re-executes only the experiments that did not
-complete in it. Failures are recorded per experiment (status, error,
-traceback) in the profile's ``context.experiment_status``, and the exit
-code is nonzero whenever any experiment did not finish.
+experiment runs through :func:`repro.utils.guard.guarded_call`, which
+captures the failure with its traceback instead of letting one crashed
+experiment abort the sweep. Experiments are seeded, so a failure replays
+identically and is not retried; only an experiment that a neighbour's
+crash killed, which never finished, runs once more, alone. ``--keep-going``
+finishes the remaining experiments after a failure; ``--timeout S`` is a
+deadline inside whichever process runs the experiment (the parent or a pool
+worker), so a timed-out experiment really stops; ``--resume PATH`` reads a
+previous ``--profile`` artifact and re-executes only the experiments that
+did not complete in it. Failures are recorded per experiment (status,
+error, traceback) in the profile's ``context.experiment_status``, and the
+exit code is nonzero whenever any experiment did not finish.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ import argparse
 import dataclasses
 import os
 import sys
-import traceback as traceback_module
 from collections.abc import Callable
+from concurrent.futures import FIRST_COMPLETED, wait
 from pathlib import Path
 
 from repro.exceptions import ProfileError
@@ -53,7 +54,7 @@ from repro.experiments import (
     table1,
 )
 from repro.experiments.common import ExperimentResult
-from repro.utils.guard import guarded_call
+from repro.utils.pool import WorkerPool
 from repro.utils.validation import finite_float
 
 __all__ = ["main", "EXPERIMENTS", "PAPER_EXPERIMENTS", "ExperimentOutcome"]
@@ -133,85 +134,31 @@ def _outcome(exp_id: str, call: dict) -> ExperimentOutcome:
                              traceback=call["traceback"])
 
 
-def _run_serial(to_run: list[str], run_args: tuple, timeout: float | None,
-                keep_going: bool) -> dict[str, ExperimentOutcome]:
-    """Run experiments in this process, stopping at the first failure unless
-    ``keep_going``; experiments never started are absent from the result."""
-    outcomes: dict[str, ExperimentOutcome] = {}
-    for exp_id in to_run:
-        outcome = _outcome(exp_id, guarded_call(_run_one, exp_id, *run_args,
-                                                timeout=timeout))
-        outcomes[exp_id] = outcome
-        if outcome.status != "ok" and not keep_going:
-            break
-    return outcomes
-
-
-def _run_pooled(to_run: list[str], jobs: int, run_args: tuple,
-                timeout: float | None,
-                keep_going: bool) -> dict[str, ExperimentOutcome]:
-    """Run experiments in a process pool, at most ``jobs`` in flight.
-
-    A worker that dies (``os._exit``, a signal, the OOM killer) breaks its
-    whole pool: the experiments in flight on it fail with
-    ``BrokenProcessPool``, the pool is shut down without waiting and a fresh
-    one runs the experiments still queued. Without ``keep_going`` the first
-    failure stops new submissions; what is in flight still finishes.
-    Experiments never started are absent from the result.
-    """
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    workers = min(jobs, len(to_run))
-    pool = ProcessPoolExecutor(max_workers=workers)
-
-    def replace(broken: ProcessPoolExecutor) -> None:
-        # Experiments failing on an already-replaced pool replace nothing.
-        nonlocal pool
-        if broken is pool:
-            broken.shutdown(wait=False, cancel_futures=True)
-            pool = ProcessPoolExecutor(max_workers=workers)
-
-    def submit(exp_id: str):
-        return pool.submit(guarded_call, _run_one, exp_id, *run_args,
-                           timeout=timeout)
-
-    rank = {exp_id: i for i, exp_id in enumerate(to_run)}
+def _run(to_run: list[str], jobs: int, run_args: tuple, timeout: float | None,
+         keep_going: bool) -> dict[str, ExperimentOutcome]:
+    """Run experiments, at most ``jobs`` at a time, and in this process when
+    that is one. Without ``keep_going`` the first failure stops new
+    submissions; experiments never started are absent from the result."""
+    jobs = min(jobs, len(to_run))
+    pool = WorkerPool(jobs if jobs > 1 else 0)
     queued = list(reversed(to_run))
-    inflight: dict = {}  # future -> (experiment id, the pool it runs on)
+    inflight: dict = {}  # future -> experiment id
     outcomes: dict[str, ExperimentOutcome] = {}
     stop = False
     try:
         while inflight or (queued and not stop):
-            while queued and not stop and len(inflight) < workers:
+            while queued and not stop and len(inflight) < jobs:
                 exp_id = queued.pop()
-                try:
-                    future = submit(exp_id)
-                except BrokenProcessPool:
-                    # The pool broke after the last wait: nothing of exp_id
-                    # ran, so it goes to the fresh pool.
-                    replace(pool)
-                    future = submit(exp_id)
-                inflight[future] = (exp_id, pool)
+                inflight[pool.submit(_run_one, exp_id, *run_args,
+                                     timeout=timeout)] = exp_id
             done, _ = wait(inflight, return_when=FIRST_COMPLETED)
-            for future in sorted(done, key=lambda f: rank[inflight[f][0]]):
-                exp_id, owner = inflight.pop(future)
-                try:
-                    call = future.result()
-                except Exception as exc:  # noqa: BLE001 - dead worker, pickling
-                    if isinstance(exc, BrokenProcessPool):
-                        replace(owner)
-                    call = {
-                        "ok": False,
-                        "kind": type(exc).__name__,
-                        "error": f"[{exp_id}] {type(exc).__name__}: {exc}",
-                        "traceback": traceback_module.format_exc(),
-                    }
-                outcome = outcomes[exp_id] = _outcome(exp_id, call)
+            for future in done:
+                exp_id = inflight.pop(future)
+                outcome = outcomes[exp_id] = _outcome(exp_id, future.result())
                 if outcome.status != "ok" and not keep_going:
                     stop = True
     finally:
-        pool.shutdown(cancel_futures=True)
+        pool.shutdown()
     return outcomes
 
 
@@ -271,7 +218,6 @@ def main(argv: list[str] | None = None) -> int:
     ids = list(PAPER_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     quick = not args.full
     prof = obs.Profiler() if args.profile is not None else None
-    profiled = prof is not None
 
     outcomes: dict[str, ExperimentOutcome] = {}
     if args.resume is not None:
@@ -284,13 +230,8 @@ def main(argv: list[str] | None = None) -> int:
                 outcomes[exp_id] = ExperimentOutcome(exp_id, "ok", resumed=True)
     to_run = [exp_id for exp_id in ids if exp_id not in outcomes]
 
-    run_args = (quick, args.seed, profiled)
-    if args.jobs > 1 and len(to_run) > 1:
-        outcomes.update(_run_pooled(to_run, args.jobs, run_args, args.timeout,
-                                    args.keep_going))
-    else:
-        outcomes.update(_run_serial(to_run, run_args, args.timeout,
-                                    args.keep_going))
+    outcomes.update(_run(to_run, args.jobs, (quick, args.seed, prof is not None),
+                         args.timeout, args.keep_going))
     for exp_id in to_run:
         outcomes.setdefault(exp_id, ExperimentOutcome(
             exp_id, "skipped",

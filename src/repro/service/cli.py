@@ -84,6 +84,8 @@ def main(argv: list[str] | None = None) -> int:
         build_parser().error("--queue-limit/--batch-size/--cache-entries must be >= 1")
     if args.jobs < 0:
         build_parser().error("--jobs must be >= 0")
+    if not 0 <= args.port <= 65535:
+        build_parser().error("--port must be in 0..65535")
     try:
         asyncio.run(_amain(args))
     except KeyboardInterrupt:

@@ -9,12 +9,12 @@ travels::
            ├─ in flight  → coalesced onto the existing future
            ├─ queue full → BackpressureError (HTTP 429 + Retry-After)
            └─ enqueue    → batcher drains ≤ batch_size requests at a time
-                           into a process-pool worker (jobs=0: thread
-                           executor, for tests); each request inside the
-                           worker runs exactly once through
-                           repro.utils.guard.guarded_call (per-request
-                           SIGALRM deadline; a seeded request fails the
-                           same way every time, so nothing is retried)
+                           into a repro.utils.pool.WorkerPool (jobs=0: a
+                           thread executor, for tests); each request runs
+                           through repro.utils.guard.guarded_call under a
+                           SIGALRM deadline. A seeded failure would only
+                           repeat and is not retried; a batch that a
+                           neighbour's crash killed runs once more, alone
 
 Everything is measured: ``service.*`` counters/timers accumulate in a
 dedicated :class:`~repro.obs.core.Profiler`, and
@@ -26,11 +26,10 @@ hits and misses separately — as a ``repro-profile-v1`` document.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import re
 import time
 from collections import OrderedDict, deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,6 +41,7 @@ from repro.service.cache import (
     result_to_payload,
 )
 from repro.utils.guard import guarded_call
+from repro.utils.pool import WorkerPool
 
 __all__ = [
     "ServiceConfig",
@@ -155,8 +155,8 @@ def _serve_batch(requests, timeout):
 
     Runs inside a pool worker's main thread, so the SIGALRM deadline bounds
     each request's wall time individually; errors are captured per request
-    (one poisoned request cannot take down its batchmates). Each request
-    runs exactly once: it is seeded, so a failure would only repeat.
+    (one poisoned request cannot take down its batchmates). A request's own
+    failure is not retried: it is seeded, so it would only repeat.
     """
     from repro.engine.core import MappingEngine
 
@@ -189,7 +189,7 @@ class MappingService:
         self._inflight: dict[str, asyncio.Future] = {}
         self._errors: OrderedDict[str, dict] = OrderedDict()
         self._queue: asyncio.Queue | None = None
-        self._executor = None
+        self._pool: WorkerPool | None = None
         self._batcher: asyncio.Task | None = None
         self._dispatch_tasks: set[asyncio.Task] = set()
         self._latencies: dict[str, deque] = {
@@ -201,31 +201,23 @@ class MappingService:
 
     # --------------------------------------------------------------- lifecycle
     async def start(self) -> None:
-        """Spin up the executor and the batch-dispatch task."""
+        """Spin up the worker pool and the batch-dispatch task."""
         if self._queue is not None:
             return
         self._queue = asyncio.Queue()
-        if self.config.jobs > 0:
-            self._executor = ProcessPoolExecutor(max_workers=self.config.jobs)
+        self._pool = WorkerPool(self.config.jobs)
         self._sem = asyncio.Semaphore(max(1, self.config.jobs))
         self._batcher = asyncio.create_task(self._batch_loop())
         self._started_at = time.monotonic()
 
     async def stop(self) -> None:
         """Drain nothing, cancel the batcher, shut the pool down."""
-        if self._batcher is not None:
-            self._batcher.cancel()
-            try:
-                await self._batcher
-            except asyncio.CancelledError:
-                pass
-            self._batcher = None
-        for task in list(self._dispatch_tasks):
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
+        for task in (self._batcher, *self._dispatch_tasks):
+            if task is not None:
+                task.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await task
+        self._batcher = None
         for future in self._inflight.values():
             if not future.done():
                 # A result (not an exception): wait=False submitters never
@@ -236,9 +228,9 @@ class MappingService:
                     "error": "service stopped before the request completed",
                 })
         self._inflight.clear()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
         self._queue = None
 
     # ----------------------------------------------------------------- submit
@@ -353,38 +345,29 @@ class MappingService:
             task.add_done_callback(self._dispatch_tasks.discard)
 
     async def _dispatch(self, batch) -> None:
-        loop = asyncio.get_running_loop()
-        keys = [key for key, _, _ in batch]
         requests = [request for _, request, _ in batch]
         cfg = self.config
         self.profiler.count("service.batches")
         self.profiler.count("service.batched_requests", len(batch))
-        executor = self._executor
+        if cfg.jobs:
+            worker_call = asyncio.wrap_future(
+                self._pool.submit(_serve_batch, requests, cfg.timeout))
+            self.profiler.count_max("service.pool_restarts",
+                                    self._pool.restarts)
+        else:
+            worker_call = asyncio.get_running_loop().run_in_executor(
+                None, guarded_call, _serve_batch, requests, cfg.timeout)
+        # Belt over the per-request SIGALRM suspenders: a worker that hangs
+        # in uninterruptible code still cannot wedge the daemon.
+        guard = None if cfg.timeout is None else cfg.timeout * len(batch) + 5
         try:
-            worker_call = loop.run_in_executor(
-                executor, _serve_batch, requests, cfg.timeout,
-            )
-            # Belt over the per-request SIGALRM suspenders: a worker that
-            # hangs in uninterruptible code still cannot wedge the daemon.
-            if cfg.timeout is not None:
-                guard = cfg.timeout * len(batch) + 5.0
-                outcomes = await asyncio.wait_for(worker_call, timeout=guard)
-            else:
-                outcomes = await worker_call
+            call = await asyncio.wait_for(worker_call, timeout=guard)
         except asyncio.TimeoutError:
-            outcomes = [
-                {"ok": False, "kind": "timeout",
-                 "error": f"batch timed out after {cfg.timeout}s per request"}
-            ] * len(batch)
-        except Exception as exc:  # noqa: BLE001 — pool/pickling failures
-            if isinstance(exc, BrokenProcessPool):
-                self._replace_pool(executor)
-            outcomes = [
-                {"ok": False, "kind": type(exc).__name__,
-                 "error": f"{type(exc).__name__}: {exc}"}
-            ] * len(batch)
+            call = {"ok": False, "kind": "timeout",
+                    "error": f"batch timed out after {cfg.timeout}s per request"}
         finally:
             self._sem.release()
+        outcomes = call["value"] if call["ok"] else [call] * len(batch)
 
         now = time.perf_counter()
         for (key, _, enqueued_at), outcome in zip(batch, outcomes):
@@ -404,20 +387,6 @@ class MappingService:
             future = self._inflight.pop(key, None)
             if future is not None and not future.done():
                 future.set_result(outcome)
-
-    def _replace_pool(self, broken) -> None:
-        """Swap a pool whose worker died for a fresh one.
-
-        A dead worker (``os._exit``, a signal, the OOM killer) breaks the
-        whole pool: it refuses every later submit. Only the batches that
-        were on it fail; with ``jobs=1`` that is the batch that crashed.
-        Concurrent batches on the same pool replace it once.
-        """
-        if self._executor is not broken:
-            return
-        broken.shutdown(wait=False, cancel_futures=True)
-        self._executor = ProcessPoolExecutor(max_workers=self.config.jobs)
-        self.profiler.count("service.pool_restarts")
 
     # ------------------------------------------------------------------ status
     def healthz(self) -> dict:

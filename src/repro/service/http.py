@@ -66,48 +66,50 @@ def _response(status: int, body: dict, extra_headers: dict | None = None) -> byt
 
 async def _read_request(reader) -> tuple[str, str, bytes] | None:
     """Parse one request into (method, path, body); None on EOF. A request
-    line or a ``Content-Length`` that cannot be read, or a body past the
-    cap, raises :class:`_BadRequest`."""
+    line, header or ``Content-Length`` that cannot be read, or a body past
+    the cap or shorter than its length, raises :class:`_BadRequest`."""
     try:
         line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+        if not line:
+            return None
+        parts = line.decode("latin-1").split()
+        if len(parts) < 2:
+            raise _BadRequest(400, f"malformed request line {line[:80]!r}")
+        method, path = parts[0].upper(), parts[1]
+        length = 0
+        while True:
+            header = await reader.readline()
+            if header in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = header.decode("latin-1").partition(":")
+            if name.strip().lower() == "content-length":
+                value = value.strip()
+                if not (value.isascii() and value.isdigit()):
+                    raise _BadRequest(
+                        400, f"Content-Length must be a non-negative "
+                             f"integer, got {value[:40]!r}")
+                length = int(value)
+        if length > _MAX_BODY:
+            raise _BadRequest(413, "request body too large")
+        body = await reader.readexactly(length) if length else b""
+    except ConnectionError:
         return None
-    if not line:
-        return None
-    parts = line.decode("latin-1").split()
-    if len(parts) < 2:
-        raise _BadRequest(400, f"malformed request line {line[:80]!r}")
-    method, path = parts[0].upper(), parts[1]
-    length = 0
-    while True:
-        header = await reader.readline()
-        if header in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = header.decode("latin-1").partition(":")
-        if name.strip().lower() == "content-length":
-            value = value.strip()
-            if not (value.isascii() and value.isdigit()):
-                raise _BadRequest(
-                    400, f"Content-Length must be a non-negative integer, "
-                         f"got {value[:40]!r}")
-            length = int(value)
-    if length > _MAX_BODY:
-        raise _BadRequest(413, "request body too large")
-    body = await reader.readexactly(length) if length else b""
+    except ValueError:  # the stream's 64 KiB line limit
+        raise _BadRequest(400, "request line or header over 64 KiB") from None
+    except asyncio.IncompleteReadError as exc:
+        raise _BadRequest(400, f"body ended after {len(exc.partial)} of "
+                               f"{exc.expected} bytes") from None
     return method, path, body
 
 
 async def _handle(service: MappingService, stop: asyncio.Event,
                   reader, writer) -> None:
     try:
-        try:
-            parsed = await _read_request(reader)
-        except _BadRequest as exc:
-            writer.write(_response(exc.status, {"error": str(exc)}))
-            return
-        if parsed is None:
-            return
-        writer.write(await _route(service, stop, *parsed))
+        parsed = await _read_request(reader)
+        if parsed is not None:
+            writer.write(await _route(service, stop, *parsed))
+    except _BadRequest as exc:
+        writer.write(_response(exc.status, {"error": str(exc)}))
     except Exception as exc:  # noqa: BLE001 — connection-level guard
         try:
             writer.write(_response(
@@ -131,7 +133,7 @@ async def _route(service: MappingService, stop: asyncio.Event,
             return _response(405, {"error": "POST only"})
         try:
             doc = json.loads(body.decode() or "null")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # too deep, too long
             return _response(400, {"error": f"invalid JSON body: {exc}"})
         try:
             reply = await service.submit(doc)

@@ -2,9 +2,9 @@
 
 Every experiment and mapping request is seeded, so a failure replays
 identically and re-running it buys nothing. :func:`guarded_call` therefore
-runs a unit of work exactly once, under :func:`deadline`, and turns whatever
-happens into a picklable outcome dict — the record the experiment runner and
-the service's batch worker ship back to their parent.
+runs a unit of work once, under :func:`deadline`, and turns whatever happens
+into a picklable outcome dict; :func:`failure` builds every failed one, also
+for an error raised outside the call, such as a dead pool worker.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import signal
 import threading
 import traceback
 
-__all__ = ["DeadlineExceeded", "deadline", "guarded_call"]
+__all__ = ["DeadlineExceeded", "deadline", "failure", "guarded_call"]
 
 
 class DeadlineExceeded(Exception):
@@ -49,6 +49,13 @@ def deadline(seconds: float | None):
         signal.signal(signal.SIGALRM, previous)
 
 
+def failure(exc: BaseException) -> dict:
+    """The failed outcome record of ``exc``; its ``kind`` is the type name."""
+    return {"ok": False, "kind": type(exc).__name__,
+            "error": f"{type(exc).__name__}: {exc}",
+            "traceback": "".join(traceback.format_exception(exc))}
+
+
 def guarded_call(fn, *args, timeout: float | None = None) -> dict:
     """Run ``fn(*args)`` once under :func:`deadline`; never raises.
 
@@ -63,7 +70,5 @@ def guarded_call(fn, *args, timeout: float | None = None) -> dict:
         return {"ok": False, "kind": "timeout",
                 "error": f"timed out after {timeout}s", "traceback": None}
     except Exception as exc:  # noqa: BLE001 - the guard is the point
-        return {"ok": False, "kind": type(exc).__name__,
-                "error": f"{type(exc).__name__}: {exc}",
-                "traceback": traceback.format_exc()}
+        return failure(exc)
     return {"ok": True, "value": value}

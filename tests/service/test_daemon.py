@@ -1,11 +1,12 @@
 """MappingService core: submit/coalesce/backpressure/error-replay/metrics.
 
-All tests but the dead-worker one run the service with ``jobs=0`` (thread
+All tests but the dead-worker ones run the service with ``jobs=0`` (thread
 executor in-process) so no pool spins up; each wraps its scenario in
 ``asyncio.run`` since the suite has no async test plugin.
 """
 
 import asyncio
+import multiprocessing
 import os
 import time
 
@@ -195,7 +196,11 @@ def test_poisoned_request_does_not_take_down_batchmates():
 class ExitingMapper:
     """Kill the pool worker that runs it, as a segfault or the OOM killer would."""
 
+    def __init__(self, delay=0.0):
+        self.delay = delay
+
     def map(self, graph, topology):
+        time.sleep(self.delay)
         os._exit(1)
 
 
@@ -218,6 +223,32 @@ def test_dead_pool_worker_fails_only_its_batch():
     assert outcome["kind"] == "BrokenProcessPool"
     assert reply["status"] == "done"
     assert counters["service.pool_restarts"] == 1
+
+
+def test_crash_fails_only_itself_beside_an_innocent_batch():
+    """The innocent batch in flight beside the crash runs once more, alone;
+    it is served, and not replayed as an error when it comes again."""
+    crash = MappingRequest(graph="mesh2d:4x4", topology="torus:4x4",
+                           mapper=ExitingMapper(delay=0.05))
+    innocent = {"graph": "mesh2d:32x32;bytes=1024", "topology": "torus:32x32",
+                "mapper": "refine:base=topolb", "seed": 0}
+
+    async def scenario(service):
+        first = asyncio.ensure_future(service.submit(dict(innocent)))
+        crashed = asyncio.get_running_loop().create_future()
+        service._inflight["crash"] = crashed
+        service._queue.put_nowait(("crash", crash, time.perf_counter()))
+        replies = [await crashed, await first,
+                   await service.submit(dict(innocent)),
+                   await service.submit(dict(BODY))]  # on a fresh pool
+        return replies, service.metrics_profile()["counters"]
+
+    (crashed, *replies), counters = run(scenario, jobs=2, batch_size=1)
+    assert crashed["kind"] == "BrokenProcessPool"
+    assert [reply["status"] for reply in replies] == ["done"] * 3
+    assert replies[1]["cached"] is True
+    assert counters["service.pool_restarts"] == 1
+    assert multiprocessing.active_children() == []
 
 
 # ------------------------------------------------------------------ metrics
@@ -263,11 +294,12 @@ def test_stop_resolves_inflight_futures():
 @pytest.mark.parametrize("argv", [
     ["--timeout", "nan"], ["--timeout", "inf"],
     ["--retry-after", "nan"], ["--retry-after", "-inf"],
-    ["--jobs", "-1"],
+    ["--jobs", "-1"], ["--port", "70000"], ["--port", "-5"],
 ])
 def test_serve_rejects_bad_numbers_at_parse_time(argv):
-    """A non-finite timeout or Retry-After, or a negative pool size, is a
-    usage error before the daemon starts, not a 422 or 500 per request."""
+    """A non-finite timeout or Retry-After, a negative pool size or a port
+    out of range is a usage error before the daemon starts, not a 422 or
+    500 per request or a traceback from ``bind()``."""
     from repro.service.cli import main
 
     with pytest.raises(SystemExit) as exc:

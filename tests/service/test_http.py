@@ -97,12 +97,15 @@ def test_map_malformed_json_is_400(server, raw):
     assert err.value.code == 400
 
 
-def _raw(url, request: bytes) -> tuple[int, dict]:
-    """Send ``request`` bytes as they are; (status, parsed JSON) of the
-    reply, or (0, {}) when the server closes without one."""
+def _raw(url, request: bytes, half_close=False) -> tuple[int, dict]:
+    """Send ``request`` bytes as they are, then maybe shut the sending side;
+    (status, parsed JSON) of the reply, or (0, {}) when the server closes
+    without one."""
     host, port = url.rsplit("/", 1)[-1].split(":")
     with socket.create_connection((host, int(port)), timeout=30) as conn:
         conn.sendall(request)
+        if half_close:
+            conn.shutdown(socket.SHUT_WR)
         reply = b""
         while chunk := conn.recv(65536):
             reply += chunk
@@ -126,6 +129,38 @@ def test_short_request_line_is_400(server, line):
     status, reply = _raw(server, line.rstrip() + b"\r\n\r\n")
     assert status == 400
     assert "request line" in reply["error"]
+
+
+def _post_map(url, body: bytes) -> tuple[int, dict]:
+    return _raw(url, b"POST /map HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % len(body) + body)
+
+
+def test_header_line_over_64_kib_is_400(server):
+    status, reply = _raw(server, b"GET /healthz HTTP/1.1\r\nX-Pad: "
+                         + b"a" * 70_000 + b"\r\n\r\n")
+    assert status == 400
+    assert "64 KiB" in reply["error"]
+
+
+def test_body_shorter_than_its_content_length_is_400(server):
+    status, reply = _raw(server, b"POST /map HTTP/1.1\r\nContent-Length: "
+                         b"100\r\n\r\n{}", half_close=True)
+    assert status == 400
+    assert "body ended after 2 of 100 bytes" in reply["error"]
+
+
+def test_deeply_nested_json_body_is_400(server):
+    status, reply = _post_map(server, b"[" * 100_000)
+    assert status == 400
+    assert "invalid JSON body" in reply["error"]
+
+
+def test_seed_past_the_integer_digit_limit_is_400(server):
+    body = json.dumps({**BODY, "seed": "SEED"}).encode()
+    status, reply = _post_map(server, body.replace(b'"SEED"', b"9" * 5000))
+    assert status == 400
+    assert "invalid JSON body" in reply["error"]
 
 
 @pytest.mark.parametrize("field", ["flow_metrics", "wait"])

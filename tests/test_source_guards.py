@@ -125,6 +125,13 @@ def test_no_degraded_machines():
     assert _grep(pattern, ".") == []
 
 
+def test_one_pool_supervisor():
+    """Only ``repro.utils.pool`` holds a process pool, so no module grows a
+    second copy of the broken-pool replacement."""
+    hits = _grep(r"ProcessPoolExecutor|BrokenProcessPool", ".", suffix=".py")
+    assert [h for h in hits if not h.startswith("repro/utils/pool.py:")] == []
+
+
 def test_partitioner_walks_csr_lists():
     """Phase-1 loops read ``csr_lists``, not a per-vertex accessor call."""
     assert _grep(r"\.neighbors\(|\.neighbor_slice\(", "partition") == []
