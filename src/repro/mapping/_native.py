@@ -32,9 +32,10 @@ or ``REPRO_NO_NATIVE`` set) it runs its bit-identical reference body — the
 ``kernel="reference"`` loops of RefineTopoLB and TopoLB, TopoCentLB's
 ``_run``, the partitioner's walks over ``csr_lists``, and the simulator's
 Python event loop. The wrappers check each array's size and dtype once,
-when a run binds them, and pass raw pointers on every call. A distance
-table is passed in the machine's own dtype, int32 or float64, with a word
-that tells C which (see ``_table``). The two cycle
+when a run binds them, and pass raw pointers on every call. A machine's
+distances are passed as a pointer and a word that tells C their kind: a
+table in the machine's own dtype, int32 or float64, or a grid machine's
+per-axis tables (see ``_Table``). The two cycle
 loops, which TopoLB and TopoCentLB re-enter once per pause, take a single
 pointer: to an argument block built when the run binds them.
 """
@@ -58,6 +59,7 @@ import weakref
 import numpy as np
 
 from repro import obs
+from repro.topology.grid import AxisDistances
 
 __all__ = ["load", "available", "kernels_or_fallback"]
 
@@ -89,7 +91,7 @@ class NativeKernels:
             return fn
 
         self._cost_table = bind("refine_cost_table", None,
-                                i64, i64, *[ptr] * 5, i64, ptr)
+                                i64, i64, *[ptr] * 5, i64, ptr, ptr)
         self._sweep = bind("refine_sweep_incremental", i64,
                            i64, i64, ptr, ptr, i64, *[ptr] * 9)
         self._cycles = bind("topolb_cycles", i64, ptr)
@@ -119,15 +121,15 @@ class NativeKernels:
                           dist) -> np.ndarray:
         """RefineTopoLB's ``(n, p)`` cost table, bitwise equal to
         ``csr_matrix((weights, assign[indices], indptr)) @ dist`` with
-        ``dist`` widened to float64."""
-        table = _table(dist)
-        n, p = assign.size, dist.shape[0]
+        ``dist`` (a table or a grid's per-axis tables) widened to float64."""
+        table = _Table(dist)
+        n, p = assign.size, table.p
         if not (0 <= assign.min() and assign.max() < p):
             raise ValueError("refine_cost_table: assign must hold processors")
         cost = np.empty((n, p))
         self._cost_table(n, p, *_csr_ptrs(indptr, indices, n, weights),
-                         _ptr(assign, np.int64, n, "assign"), *table,
-                         cost.ctypes.data)
+                         _ptr(assign, np.int64, n, "assign"), *table.words,
+                         cost.ctypes.data, table.rowbuf.ctypes.data)
         return cost
 
     def refine_sweeper(self, cost, dist, assign, indptr,
@@ -236,9 +238,10 @@ class RefineSweeper:
         valid = np.zeros(n, dtype=np.uint8)
         self.caches = (best_b, best_val, valid)
         self._fn = fn
-        self._keep = (cost, dist, assign, indptr, indices, weights)
+        table = _Table(dist, p)
+        self._keep = (cost, table, assign, indptr, indices, weights)
         self._args = (n, p, _ptr(cost, np.float64, n * p, "cost", out=True),
-                      *_table(dist, p),
+                      *table.words,
                       _ptr(assign, np.int64, n, "assign", out=True),
                       *_csr_ptrs(indptr, indices, n, weights),
                       self._perm.ctypes.data, best_b.ctypes.data,
@@ -314,16 +317,17 @@ class TopoLBCycles:
         # f_min, f_argmin, then the order's own arrays
         own = (np.empty(n), np.empty(n, dtype=np.int64)) + own
         self._fn = fn
+        table = _Table(dist, p)
         block = _block(
             n, p, reserve, order, self._SELECTIONS.index(selection),
             _ptr(fest, np.float64, n * p, "fest", out=True),
-            *_table(dist, p),
+            *table.words,
             _ptr(avg, np.float64, p, "avg", out=order == 3),
             *_csr_ptrs(indptr, indices, n, weights),
             _ptr(score, np.float64, n, "score", out=True), uc_ptr, *own,
             _ptr(avail_f, np.float64, p, "avail_f", out=True), free_ids,
-            self.assignment, self._state)
-        self._keep = (fest, dist, avg, indptr, indices, weights, score, uc,
+            self.assignment, table.rowbuf, self._state)
+        self._keep = (fest, table, avg, indptr, indices, weights, score, uc,
                       avail_f, free_ids, own, block)
         self._addr = block.ctypes.data
 
@@ -360,8 +364,8 @@ class TopoCentCycles:
                  "_fn", "_addr", "_keep")
 
     def __init__(self, fn, dist, indptr, indices, weights, keys):
-        table = _table(dist)
-        n, p = keys.size, dist.shape[0]
+        table = _Table(dist)
+        n, p = keys.size, table.p
         if n > p:
             raise ValueError(f"topocent_cycles: {n} tasks on {p} processors")
         degree = int(np.diff(indptr).max(initial=1))
@@ -373,12 +377,12 @@ class TopoCentCycles:
         # seeds, the seed's processor (see refine_kernel.c)
         self._state = np.array([0, p, -1, 0, -1, 0, 0, -1], dtype=np.int64)
         self._fn = fn
-        block = _block(n, p, *table,
+        block = _block(n, p, *table.words,
                        *_csr_ptrs(indptr, indices, n, weights),
                        _ptr(keys, np.float64, n, "keys", out=True),
                        self.assignment, self._free, self._w, self._gather,
-                       self.cost, self._state)
-        self._keep = (dist, indptr, indices, weights, keys, block)
+                       self.cost, table.rowbuf, self._state)
+        self._keep = (table, indptr, indices, weights, keys, block)
         self._addr = block.ctypes.data
 
     def __call__(self) -> tuple | None:
@@ -786,19 +790,73 @@ def _ptr(arr: np.ndarray, dtype, size: int, name: str, out: bool = False) -> int
     return arr.ctypes.data
 
 
-def _table(dist, p: int | None = None) -> list[int]:
-    """Data pointer and ``f64`` word of a C-contiguous ``p x p`` distance
-    table (``p`` defaults to its row count), as the kernels' ``dtable``
-    reads it: int32 on machines whose distances are integers, float64 on
-    those whose distances may be fractional."""
-    square = isinstance(dist, np.ndarray) and dist.ndim == 2
-    if p is None and square:
-        p = dist.shape[0]
-    if not (square and dist.shape == (p, p) and dist.flags.c_contiguous
-            and dist.dtype in (np.int32, np.float64)):
-        raise ValueError(f"dist: expected a contiguous ({p}, {p}) int32 or "
-                         "float64 table")
-    return [dist.ctypes.data, int(dist.dtype == np.float64)]
+class _Table:
+    """A machine's distances as the kernels' ``dtable`` reads them:
+    ``words`` are its data pointer and kind, ``p`` its processor count
+    (``p`` defaults to the table's), and ``rowbuf`` is the ``2p + 1`` int32
+    a kernel expands a grid row in. Kinds: a C-contiguous ``p x p`` int32
+    or float64 table (0 and 1, by dtype), or a grid's per-axis description
+    (2), an :class:`~repro.topology.grid.AxisDistances`: every axis table a
+    C-contiguous square int32 array, the coordinates one C-contiguous,
+    writeable ``(ndim, p)`` int32 array, each row inside its axis, and the
+    extents' product ``p``. The grid kind passes one int64 block: ``ndim``, the
+    extents, the table pointers, the coordinate pointers. Anything else is
+    refused with ``ValueError`` here, before a pointer reaches C."""
+
+    __slots__ = ("words", "p", "rowbuf", "_keep")
+
+    def __init__(self, dist, p: int | None = None):
+        if isinstance(dist, np.ndarray):
+            square = dist.ndim == 2
+            if p is None and square:
+                p = dist.shape[0]
+            if not (square and dist.shape == (p, p)
+                    and dist.flags.c_contiguous
+                    and dist.dtype in (np.int32, np.float64)):
+                raise ValueError(f"dist: expected a contiguous ({p}, {p}) "
+                                 "int32 or float64 table")
+            self.words = [dist.ctypes.data, int(dist.dtype == np.float64)]
+            self._keep = dist
+        elif isinstance(dist, AxisDistances):
+            block, p = self._grid(dist, p)
+            self.words = [block.ctypes.data, 2]
+            self._keep = (block, dist.tables, dist.coords)
+        else:
+            raise ValueError("dist: expected a distance table or a grid's "
+                             "AxisDistances")
+        self.p = p
+        self.rowbuf = np.empty(2 * p + 1, dtype=np.int32)
+
+    @staticmethod
+    def _grid(axes, p: int | None) -> tuple[np.ndarray, int]:
+        """The checked word block of ``axes`` and its processor count."""
+        shape = tuple(int(s) for s in axes.shape)
+        tables, coords = tuple(axes.tables), axes.coords
+        nd = len(shape)
+        if not (isinstance(coords, np.ndarray) and coords.ndim == 2):
+            raise ValueError("dist: grid coordinates must be a 2-D array")
+        if p is None:
+            p = coords.shape[1]
+        if not (nd and len(tables) == nd and len(coords) == nd
+                and math.prod(shape) == p and min(shape) > 0):
+            raise ValueError(f"dist: axis extents {shape} must have one "
+                             f"table and one coordinate row each, and "
+                             f"cover {p} processors")
+        for k, (extent, table) in enumerate(zip(shape, tables)):
+            if not (isinstance(table, np.ndarray) and table.dtype == np.int32
+                    and table.shape == (extent, extent)
+                    and table.flags.c_contiguous):
+                raise ValueError(f"dist: axis {k} needs a contiguous "
+                                 f"({extent}, {extent}) int32 table")
+        base = _ptr(coords, np.int32, nd * p, "dist: grid coordinates",
+                    out=True)
+        if not ((coords.min(axis=1) >= 0).all()
+                and (coords.max(axis=1) < shape).all()):
+            raise ValueError(f"dist: a coordinate lies outside its axis "
+                             f"of {shape}")
+        rows = [base + 4 * p * k for k in range(nd)]
+        return np.array([nd, *shape, *(t.ctypes.data for t in tables),
+                         *rows], dtype=np.int64), p
 
 
 def _block(*words) -> np.ndarray:

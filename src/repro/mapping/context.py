@@ -72,6 +72,16 @@ class MappingContext:
         integers, float64 where they may be fractional."""
         return self._topology.distance_matrix(dtype)
 
+    def kernel_distances(self):
+        """The machine's distances as the compiled mapper kernels read
+        them: its per-axis description on a mesh, a torus or a grouped
+        level of one (:meth:`~repro.topology.base.Topology.axis_distances`),
+        which builds no ``p x p`` table; else its table in its own dtype."""
+        axes = self._topology.axis_distances()
+        if axes is not None:
+            return axes
+        return np.ascontiguousarray(self._topology.distance_matrix())
+
     def average_distance_vector(self) -> np.ndarray:
         """Mean distance from each processor to every processor (shared,
         read-only; cached on the topology)."""

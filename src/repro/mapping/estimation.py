@@ -52,11 +52,15 @@ def average_distance_vector(topology: Topology) -> np.ndarray:
     skey = (key, "average_distance_vector") if key is not None else None
     vec = cache.shared_get(skey) if skey is not None else None
     if vec is None:
-        # The machine's own table, the one the mappers read too, so no
-        # second copy is built. On an integer machine the row sums are exact
-        # integers in float64 whatever the summation order, so the mean is
-        # bitwise the mean of a float64 copy.
-        vec = topology.distance_matrix().mean(axis=1)
+        # On an integer machine the row sums are exact integers in float64
+        # whatever the summation order, so the mean is bitwise the mean of a
+        # float64 table. A grid machine sums per axis and builds no table;
+        # any other reads its own table, the one the mappers read too.
+        axes = topology.axis_distances()
+        if axes is not None:
+            vec = axes.row_sums() / topology.num_nodes
+        else:
+            vec = topology.distance_matrix().mean(axis=1)
         vec.flags.writeable = False
         if skey is not None:
             cache.shared_put(skey, vec)

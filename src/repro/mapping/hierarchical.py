@@ -46,8 +46,10 @@ from repro.topology.grid import GridTopology
 
 __all__ = ["HierarchicalMapper"]
 
-#: Above this processor count a level skips RefineTopoLB, which needs the
-#: dense p x p distance matrix and an n x p cost table.
+#: Above this processor count a level skips RefineTopoLB, whose n x p cost
+#: table grows with the square of the level (512 MiB of float64 at 8192
+#: tasks). Its distances are no limit: on a grid machine and its grouped
+#: levels the compiled kernels read per-axis tables.
 _MATRIX_LIMIT = 8192
 
 
@@ -78,7 +80,8 @@ class HierarchicalMapper(Mapper):
     refine_window:
         RefineTopoLB sweeps after each uncoarsening step; 0 disables
         refinement. Refinement is skipped on levels whose machine exceeds
-        the dense-table limit (it needs the full distance matrix).
+        ``_MATRIX_LIMIT`` processors, for the size of its ``n x p`` cost
+        table.
     stop:
         Machine size at which joint coarsening stops — the size the inner
         mapper actually runs at.

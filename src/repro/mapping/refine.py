@@ -131,11 +131,12 @@ class RefineTopoLB(Mapper):
 
     def _setup(self, mapping: Mapping, ctx: MappingContext | None = None,
                native: _native.NativeKernels | None = None):
-        """Shared kernel state: distance matrix, CSR arrays, cost table.
+        """Shared kernel state: distances, CSR arrays, cost table.
 
-        The compiled kernels read the machine's own table (int32 on integer
-        machines) and widen each entry on load; the reference keeps its
-        float64 table."""
+        The compiled kernels read the machine's distances as
+        :meth:`MappingContext.kernel_distances` hands them over (per-axis
+        tables on a grid machine, else its own table, widened on load); the
+        reference keeps its float64 table."""
         graph, topology = mapping.graph, mapping.topology
         if ctx is None:
             ctx = context_for(graph, topology)
@@ -147,7 +148,6 @@ class RefineTopoLB(Mapper):
             )
         rng = as_rng(self._seed)
 
-        dist = ctx.distance_matrix(np.float64 if native is None else None)
         indptr, indices, weights = ctx.csr_arrays()
         assign = mapping.assignment.copy()
 
@@ -159,12 +159,13 @@ class RefineTopoLB(Mapper):
         if native is None:
             import scipy.sparse as sp
 
+            dist = ctx.distance_matrix(np.float64)
             placed = sp.csr_matrix(
                 (weights, assign[indices], indptr), shape=(n, dist.shape[0])
             )
             cost = np.asarray(placed @ dist)  # (n, p)
         else:
-            dist = np.ascontiguousarray(dist)
+            dist = ctx.kernel_distances()
             cost = native.refine_cost_table(indptr, indices, weights, assign,
                                             dist)
         return n, rng, dist, indptr, indices, weights, assign, cost

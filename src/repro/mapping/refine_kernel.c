@@ -63,9 +63,9 @@
  * many times a run, so each takes a single pointer to an argument block
  * (a struct of 8-byte words) that the caller builds once per run.
  *
- * The four mapper entry points read the machine's distance table in its
- * own dtype, int32 or float64 (dtable, below): one source per kernel, no
- * float64 copy of an integer table.
+ * The four mapper entry points read the machine's distances through one
+ * dtable (below): its p x p table in its own dtype, int32 or float64, or,
+ * on a grid machine, its per-axis tables, so that no p x p table is built.
  */
 
 #include <float.h>
@@ -76,41 +76,137 @@
 
 typedef int64_t i64;
 
-/* A p x p distance table in the machine's own dtype: int32 where hop
- * distances are integers, float64 where they may be fractional (explicit
- * matrices, weighted graphs). Every kernel reads it through dist_at, which
- * widens an entry to double on load. Widening an int32 is exact, so each
- * expression sees the doubles a float64 copy of the table would hold. */
+/* A machine's distances, of one of three kinds:
+ *
+ * DT_I32, DT_F64 — a p x p table in the machine's own dtype: int32 where
+ * hop distances are integers, float64 where they may be fractional
+ * (explicit matrices, weighted graphs);
+ * DT_GRID — a C-order product grid, d(i, j) = sum_k T_k[i_k, j_k], which
+ * data points to as a block of 8-byte words: ndim, the ndim extents s_k,
+ * then ndim pointers to the s_k x s_k int32 tables T_k, then ndim pointers
+ * to the p int32 coordinates of every node on axis k.
+ *
+ * Random lookups read dist_pair; a loop over all p columns of one row reads
+ * the row dist_row returns, a table row, or for a grid a row it expands into
+ * the caller's scratch of 2p + 1 int32, once for all the rows it feeds.
+ * Entries widen to double on load; integer distances are summed as integers
+ * first, so every kind gives each expression the doubles a float64 copy of
+ * the table would hold. */
+enum { DT_I32, DT_F64, DT_GRID };
+
 typedef struct {
     const void *data;
-    i64 f64; /* 1: double entries; 0: int32 entries */
+    i64 kind;
+    i64 p;
 } dtable;
 
-static inline double dist_at(dtable d, i64 i)
+/* One row of distances: int32 or double entries. */
+typedef struct {
+    const void *data;
+    i64 f64;
+} drow;
+
+static inline double row_at(drow r, i64 q)
 {
-    return d.f64 ? ((const double *)d.data)[i]
-                 : (double)((const int32_t *)d.data)[i];
+    return r.f64 ? ((const double *)r.data)[q]
+                 : (double)((const int32_t *)r.data)[q];
+}
+
+static inline const int32_t *grid_ptr(const i64 *g, i64 word)
+{
+    return (const int32_t *)(intptr_t)g[word];
+}
+
+static inline double dist_pair(dtable d, i64 i, i64 j)
+{
+    if (d.kind == DT_GRID) {
+        const i64 *g = (const i64 *)d.data;
+        const i64 nd = g[0];
+        i64 sum = 0;
+        for (i64 k = 0; k < nd; k++) {
+            const int32_t *c = grid_ptr(g, 1 + 2 * nd + k);
+            sum += grid_ptr(g, 1 + nd + k)[(i64)c[i] * g[1 + k] + c[j]];
+        }
+        return (double)sum;
+    }
+    return row_at((drow){d.data, d.kind == DT_F64}, i * d.p + j);
+}
+
+/* The partial sums of a grid row a over axes [k0, k1) into out, in C order
+ * over those axes: after axis k the first s_k0 * .. * s_k entries hold the
+ * sums over axes k0..k, each entry i spreading into entries i * s_k ..
+ * i * s_k + s_k - 1 (high i first, so no entry is overwritten before it is
+ * read). Returns the entry count. */
+static i64 grid_partial(const i64 *g, i64 a, i64 k0, i64 k1,
+                        int32_t *restrict out)
+{
+    const i64 nd = g[0];
+    i64 len = 1;
+    out[0] = 0;
+    for (i64 k = k0; k < k1; k++) {
+        const i64 ext = g[1 + k];
+        const int32_t *restrict t = grid_ptr(g, 1 + nd + k)
+                                    + (i64)grid_ptr(g, 1 + 2 * nd + k)[a] * ext;
+        for (i64 i = len - 1; i >= 0; i--) {
+            const int32_t base = out[i];
+            for (i64 j = 0; j < ext; j++)
+                out[i * ext + j] = base + t[j];
+        }
+        len *= ext;
+    }
+    return len;
+}
+
+/* Row a of the distances. A grid row is the outer sum of two partial rows:
+ * lead over the leading axes and trail over the trailing ones, split where
+ * trail first holds at least sqrt(p) entries, so the last pass is lead's
+ * entry count of contiguous loops, each trail's length long. scratch holds
+ * 2p + 1 int32: the row, then lead and trail. */
+static drow dist_row(dtable d, i64 a, int32_t *scratch)
+{
+    if (d.kind != DT_GRID)
+        return (drow){d.kind == DT_F64
+                          ? (const void *)((const double *)d.data + a * d.p)
+                          : (const void *)((const int32_t *)d.data + a * d.p),
+                      d.kind == DT_F64};
+    const i64 *g = (const i64 *)d.data;
+    i64 split = g[0], tail = 1;
+    while (split > 0 && tail * tail < d.p)
+        tail *= g[1 + --split];
+    int32_t *lead = scratch + d.p;
+    const i64 nl = grid_partial(g, a, 0, split, lead);
+    int32_t *restrict trail = lead + nl;
+    grid_partial(g, a, split, g[0], trail);
+    for (i64 i = 0; i < nl; i++) {
+        const int32_t base = lead[i];
+        int32_t *restrict out = scratch + i * tail;
+        for (i64 m = 0; m < tail; m++)
+            out[m] = base + trail[m];
+    }
+    return (drow){scratch, 0};
 }
 
 /* RefineTopoLB's cost table C[t, q] = sum over neighbours j of
  * w_tj * dist[assign[j], q], row by row in CSR order: zero the row, then
  * add w * dist[assign[j]] per nonzero — the order of SciPy's csr_matvecs,
- * so the table is bitwise equal to `csr_matrix(...) @ dist`. */
+ * so the table is bitwise equal to `csr_matrix(...) @ dist`. scratch is
+ * dist_row's. */
 void refine_cost_table(i64 n, i64 p, const i64 *restrict indptr,
                        const i64 *restrict indices,
                        const double *restrict weights,
                        const i64 *restrict assign, const void *dist_data,
-                       i64 dist_f64, double *restrict cost)
+                       i64 dist_kind, double *restrict cost,
+                       int32_t *restrict scratch)
 {
-    const dtable dist = {dist_data, dist_f64};
+    const dtable dist = {dist_data, dist_kind, p};
     for (i64 t = 0; t < n; t++) {
         double *restrict row = cost + t * p;
         memset(row, 0, (size_t)p * sizeof(double));
         for (i64 k = indptr[t]; k < indptr[t + 1]; k++) {
             const double w = weights[k];
-            const i64 d = assign[indices[k]] * p;
+            const drow d = dist_row(dist, assign[indices[k]], scratch);
             for (i64 q = 0; q < p; q++)
-                row[q] += w * dist_at(dist, d + q);
+                row[q] += w * row_at(d, q);
         }
     }
 }
@@ -134,7 +230,7 @@ static void compute_row(i64 n, i64 p, const double *cost, dtable dist,
     }
     for (i64 k = indptr[a]; k < indptr[a + 1]; k++) {
         const i64 b = indices[k];
-        buf[b] += (2.0 * weights[k]) * dist_at(dist, pa * p + assign[b]);
+        buf[b] += (2.0 * weights[k]) * dist_pair(dist, pa, assign[b]);
     }
     buf[a] = 0.0;
     i64 bb = 0;
@@ -152,18 +248,22 @@ static void compute_row(i64 n, i64 p, const double *cost, dtable dist,
 /* Swap the processors of a and b and patch the cost table, mirroring
  * RefineTopoLB._apply_swap: move[q] = d[pb,q] - d[pa,q] once per swap, then
  * cost[r, q] += (sign * w_r) * move[q] for every neighbor r of a (sign +1)
- * and of b (sign -1). `move` is caller-owned scratch of p doubles. */
+ * and of b (sign -1). `move` is caller-owned scratch of p doubles, `rows`
+ * of 2 (2p + 1) int32 (two dist_row scratches). */
 static void apply_swap(i64 p, double *cost, dtable dist, i64 *assign,
                        const i64 *indptr, const i64 *indices,
-                       const double *weights, double *move, i64 a, i64 b)
+                       const double *weights, double *move, int32_t *rows,
+                       i64 a, i64 b)
 {
     const i64 pa = assign[a], pb = assign[b];
     if (a == b || pa == pb)
         return;
     assign[a] = pb;
     assign[b] = pa;
+    const drow rb = dist_row(dist, pb, rows);
+    const drow ra = dist_row(dist, pa, rows + 2 * p + 1);
     for (i64 q = 0; q < p; q++)
-        move[q] = dist_at(dist, pb * p + q) - dist_at(dist, pa * p + q);
+        move[q] = row_at(rb, q) - row_at(ra, q);
     for (int side = 0; side < 2; side++) {
         const i64 t = side ? b : a;
         const double sign = side ? -1.0 : 1.0;
@@ -187,22 +287,23 @@ static int cmp_i64(const void *x, const void *y)
  * stats (cumulative): [0] visits, [1] accepted swaps, [2] rows computed
  * from scratch, [3] rows folded. Returns 1 if any swap was accepted. */
 i64 refine_sweep_incremental(i64 n, i64 p, double *cost,
-                             const void *dist_data, i64 dist_f64,
+                             const void *dist_data, i64 dist_kind,
                              i64 *assign, const i64 *indptr,
                              const i64 *indices, const double *weights,
                              const i64 *perm, i64 *best_b, double *best_val,
                              unsigned char *valid, i64 *stats)
 {
-    const dtable dist = {dist_data, dist_f64};
+    const dtable dist = {dist_data, dist_kind, p};
     double *buf = (double *)malloc((size_t)n * sizeof(double));
     i64 *touched = (i64 *)malloc((size_t)(2 * n + 2) * sizeof(i64));
     i64 *pos = (i64 *)calloc((size_t)n, sizeof(i64));
     double *corr = (double *)malloc((size_t)n * sizeof(double));
     unsigned char *cset = (unsigned char *)calloc((size_t)n, 1);
     double *move = (double *)malloc((size_t)p * sizeof(double));
-    if (!buf || !touched || !pos || !corr || !cset || !move) {
+    int32_t *rows = (int32_t *)malloc((size_t)(4 * p + 2) * sizeof(int32_t));
+    if (!buf || !touched || !pos || !corr || !cset || !move || !rows) {
         free(buf); free(touched); free(pos); free(corr); free(cset);
-        free(move);
+        free(move); free(rows);
         return -1;
     }
 
@@ -221,7 +322,8 @@ i64 refine_sweep_incremental(i64 n, i64 p, double *cost,
         const i64 b = best_b[a];
         stats[1]++;
         swapped = 1;
-        apply_swap(p, cost, dist, assign, indptr, indices, weights, move, a, b);
+        apply_swap(p, cost, dist, assign, indptr, indices, weights, move,
+                   rows, a, b);
 
         /* Dirty set: a, b and their neighbors — sorted unique so the fold
          * scans candidates in ascending task order (argmin tie-break). */
@@ -271,7 +373,7 @@ i64 refine_sweep_incremental(i64 n, i64 p, double *cost,
                 const i64 j = pos[indices[t]];
                 if (j) {
                     corr[j - 1] = (2.0 * weights[t])
-                                  * dist_at(dist, pr * p + assign[indices[t]]);
+                                  * dist_pair(dist, pr, assign[indices[t]]);
                     cset[j - 1] = 1;
                 }
             }
@@ -312,6 +414,7 @@ i64 refine_sweep_incremental(i64 n, i64 p, double *cost,
     free(corr);
     free(cset);
     free(move);
+    free(rows);
     return swapped;
 }
 
@@ -333,7 +436,8 @@ i64 refine_sweep_incremental(i64 n, i64 p, double *cost,
  *    exhaustion (the reference's penalized padding), and the row joins the
  *    rebuild set;
  * 4. adds c * dist[pk] (first order) or c * (dist[pk] - avg) (second
- *    order) to every unassigned neighbour row of tk, in CSR order;
+ *    order) to every unassigned neighbour row of tk, in CSR order, reading
+ *    one dist_row of pk (expanded into rowbuf on a grid) for them all;
  * 5. rebuilds the reserve of every exhausted or touched row, ascending,
  *    into dirty[0..k).
  *
@@ -383,7 +487,7 @@ static i64 topolb12_loop(i64 n, i64 p, i64 R, i64 order, i64 selection,
                          unsigned char *restrict unassigned,
                          i64 *restrict dirty, double *restrict avail_f,
                          i64 *restrict free_ids, i64 *restrict assignment,
-                         i64 *restrict state)
+                         int32_t *restrict rowbuf, i64 *restrict state)
 {
     i64 cycle = state[0], count = state[1];
     i64 *restrict rescan = dirty + n;
@@ -456,22 +560,25 @@ static i64 topolb12_loop(i64 n, i64 p, i64 R, i64 order, i64 selection,
         state[3] += nr;
 
         /* Neighbour rows, merged with the ascending exhaustion list into
-         * the ascending, duplicate-free rebuild set. */
-        const i64 dk = pk * p;
+         * the ascending, duplicate-free rebuild set. pk's row is read at
+         * the first unassigned neighbour. */
+        drow dk = {NULL, 0};
         i64 i = 0;
         k = 0;
         for (i64 e = indptr[tk]; e < indptr[tk + 1]; e++) {
             const i64 j = indices[e];
             if (!unassigned[j])
                 continue;
+            if (!dk.data)
+                dk = dist_row(dist, pk, rowbuf);
             const double c = weights[e];
             double *restrict row = fest + j * p;
             if (order == 1)
                 for (i64 q = 0; q < p; q++)
-                    row[q] += c * dist_at(dist, dk + q);
+                    row[q] += c * row_at(dk, q);
             else
                 for (i64 q = 0; q < p; q++)
-                    row[q] += c * (dist_at(dist, dk + q) - avg[q]);
+                    row[q] += c * (row_at(dk, q) - avg[q]);
             state[5]++;
             while (i < nr && rescan[i] < j)
                 dirty[k++] = rescan[i++];
@@ -603,7 +710,8 @@ static double recentre_row(const double *src, double *dst, double u,
  * 2. takes pk out of the free set: column pk of every unplaced slot
  *    becomes CONSUMED, the reference's penalized value;
  * 3. adds c * (dist[pk] - avg) to every unplaced neighbour row of tk, in
- *    CSR order, and subtracts c from its uc;
+ *    CSR order, and subtracts c from its uc, reading one dist_row of pk
+ *    (expanded into rowbuf on a grid) here and in step 4;
  * 4. shifts the free average, avg' = (avg * (count + 1) - dist[pk]) /
  *    count, and keeps delta = avg' - avg, both per column;
  * 5. recentres every other slot, fest[r, q] + uc[t] * delta[q], takes its
@@ -627,7 +735,8 @@ static i64 topolb3_loop(i64 n, i64 p, i64 selection, double *restrict fest,
                         double *restrict f_min, i64 *restrict f_argmin,
                         double *restrict delta, i64 *restrict slot_task,
                         i64 *restrict task_slot, double *restrict avail_f,
-                        i64 *restrict assignment, i64 *restrict state)
+                        i64 *restrict assignment, int32_t *restrict rowbuf,
+                        i64 *restrict state)
 {
     i64 cycle = state[0], count = state[1];
     if (cycle == 0) /* delta is all zero before the first cycle */
@@ -659,7 +768,7 @@ static i64 topolb3_loop(i64 n, i64 p, i64 selection, double *restrict fest,
         for (i64 i = 0; i <= m; i++)
             fest[i * p + pk] = CONSUMED;
 
-        const i64 dk = pk * p;
+        const drow dk = dist_row(dist, pk, rowbuf);
         for (i64 e = indptr[tk]; e < indptr[tk + 1]; e++) {
             const i64 j = indices[e];
             if (task_slot[j] < 0)
@@ -667,14 +776,14 @@ static i64 topolb3_loop(i64 n, i64 p, i64 selection, double *restrict fest,
             const double c = weights[e];
             double *restrict row = fest + task_slot[j] * p;
             for (i64 q = 0; q < p; q++)
-                row[q] += c * (dist_at(dist, dk + q) - avg[q]);
+                row[q] += c * (row_at(dk, q) - avg[q]);
             uc[j] -= c;
             state[5]++;
         }
 
         for (i64 q = 0; q < p; q++) {
             const double next =
-                (avg[q] * (double)(count + 1) - dist_at(dist, dk + q))
+                (avg[q] * (double)(count + 1) - row_at(dk, q))
                 / (double)count;
             delta[q] = next - avg[q];
             avg[q] = next;
@@ -708,11 +817,13 @@ static i64 topolb3_loop(i64 n, i64 p, i64 selection, double *restrict fest,
  * once per run by repro.mapping._native.TopoLBCycles. order 3 reads the
  * third-order fields (uc, delta, slot_task, task_slot) and ignores
  * reserve, the reserve arrays and free_ids; orders 1-2 the other way
- * round. */
+ * round. dist and dist_kind are a dtable's first two fields; rowbuf is
+ * dist_row's scratch. */
 typedef struct {
     i64 n, p, reserve, order, selection;
     double *fest;
-    dtable dist;
+    const void *dist;
+    i64 dist_kind;
     double *avg;
     const i64 *indptr, *indices;
     const double *weights;
@@ -725,30 +836,33 @@ typedef struct {
     double *delta;
     i64 *slot_task, *task_slot;
     double *avail_f;
-    i64 *free_ids, *assignment, *state;
+    i64 *free_ids, *assignment;
+    int32_t *rowbuf;
+    i64 *state;
 } topolb_args;
 
 _Static_assert(sizeof(void *) == sizeof(i64),
                "argument blocks are arrays of 8-byte words");
-_Static_assert(sizeof(topolb_args) == 28 * sizeof(i64),
-               "topolb_args is 28 words");
+_Static_assert(sizeof(topolb_args) == 29 * sizeof(i64),
+               "topolb_args is 29 words");
 
 /* TopoLB's cycle loop for any order: one resumable call per pause, with
  * one pointer to the run's argument block. */
 i64 topolb_cycles(const topolb_args *a)
 {
+    const dtable dist = {a->dist, a->dist_kind, a->p};
     if (a->order == 3)
-        return topolb3_loop(a->n, a->p, a->selection, a->fest, a->dist,
+        return topolb3_loop(a->n, a->p, a->selection, a->fest, dist,
                             a->avg, a->indptr, a->indices, a->weights,
                             a->score, a->uc, a->f_min, a->f_argmin,
                             a->delta, a->slot_task, a->task_slot,
-                            a->avail_f, a->assignment, a->state);
+                            a->avail_f, a->assignment, a->rowbuf, a->state);
     return topolb12_loop(a->n, a->p, a->reserve, a->order, a->selection,
-                         a->fest, a->dist, a->avg, a->indptr, a->indices,
+                         a->fest, dist, a->avg, a->indptr, a->indices,
                          a->weights, a->score, a->f_min, a->f_argmin,
                          a->res_vals, a->res_ids, a->res_pos, a->unassigned,
                          a->dirty, a->avail_f, a->free_ids, a->assignment,
-                         a->state);
+                         a->rowbuf, a->state);
 }
 
 /* TopoCentLB: the cycle loop of topocentlb.py's _run. A cycle
@@ -757,7 +871,8 @@ i64 topolb_cycles(const topolb_args *a)
  *    -inf, so ties go to the lowest id);
  * 2. gathers tk's k placed neighbours, in CSR order: their weights into
  *    w[0..k) and G[i, f] = dist[assignment[j_i], free_ids[f]] into gather,
- *    column-major (gather[f * k + i]), for the m = state[1] free ids;
+ *    column-major (gather[f * k + i]), for the m = state[1] free ids, from
+ *    one dist_row per neighbour (expanded into rowbuf on a grid);
  * 3. pauses: with k > 0 it returns TC_COST, and the caller writes the
  *    BLAS product w @ G (its rounding depends on the operands' layout, so
  *    it stays the caller's) into cost[0..m); with k = 0 it returns
@@ -774,27 +889,30 @@ i64 topolb_cycles(const topolb_args *a)
  * free processors, [2] the paused task (-1 before the first call), [3]
  * its k, [4] the anchor (-1 before the first seed), [5] key updates, [6]
  * seed placements, [7] the seed's processor. gather needs room for
- * k * m doubles, w for the largest degree, cost for p. */
+ * k * m doubles, w for the largest degree, cost for p; rowbuf is dist_row's
+ * scratch. dist and dist_kind are a dtable's first two fields. */
 typedef struct {
     i64 n, p;
-    dtable dist;
+    const void *dist;
+    i64 dist_kind;
     const i64 *indptr, *indices;
     const double *weights;
     double *keys;
     i64 *assignment, *free_ids;
     double *w, *gather, *cost;
+    int32_t *rowbuf;
     i64 *state;
 } topocent_args;
 
-_Static_assert(sizeof(topocent_args) == 14 * sizeof(i64),
-               "topocent_args is 14 words");
+_Static_assert(sizeof(topocent_args) == 15 * sizeof(i64),
+               "topocent_args is 15 words");
 
 enum { TC_DONE, TC_COST, TC_SEED };
 
 i64 topocent_cycles(const topocent_args *a)
 {
     const i64 n = a->n, p = a->p;
-    const dtable dist = a->dist;
+    const dtable dist = {a->dist, a->dist_kind, p};
     const i64 *restrict indptr = a->indptr;
     const i64 *restrict indices = a->indices;
     const double *restrict weights = a->weights;
@@ -824,12 +942,12 @@ i64 topocent_cycles(const topocent_args *a)
             state[6]++;
         } else {
             const double *restrict cost = a->cost;
-            const i64 da = state[4] * p;
+            const i64 anchor = state[4];
             for (i64 g = 1; g < count; g++)
                 if (cost[g] < cost[f]
                     || (cost[g] == cost[f]
-                        && dist_at(dist, da + free_ids[g])
-                               < dist_at(dist, da + free_ids[f])))
+                        && dist_pair(dist, anchor, free_ids[g])
+                               < dist_pair(dist, anchor, free_ids[f])))
                     f = g;
         }
         assignment[tk] = free_ids[f];
@@ -863,9 +981,9 @@ i64 topocent_cycles(const topocent_args *a)
         const i64 j = indices[e];
         if (assignment[j] < 0)
             continue;
-        const i64 d = assignment[j] * p;
+        const drow d = dist_row(dist, assignment[j], a->rowbuf);
         for (i64 f = 0; f < count; f++)
-            gather[f * k + i] = dist_at(dist, d + free_ids[f]);
+            gather[f * k + i] = row_at(d, free_ids[f]);
         i++;
     }
     state[2] = t;

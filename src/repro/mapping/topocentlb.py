@@ -27,6 +27,7 @@ from repro.mapping.context import MappingContext, context_for
 from repro.mapping.kernels import resolve_kernel
 from repro.taskgraph.graph import TaskGraph
 from repro.topology.base import Topology
+from repro.topology.grid import AxisDistances
 
 __all__ = ["TopoCentLB", "seed_keys"]
 
@@ -47,11 +48,17 @@ def seed_keys(graph: TaskGraph) -> np.ndarray:
     return eps * volumes
 
 
-def _most_central(dist: np.ndarray, free_ids: np.ndarray) -> int:
+def _most_central(dist, free_ids: np.ndarray) -> int:
     """The free processor of least mean distance to the free set: where a
     task with no placed neighbor (the first, or an isolated component's)
-    goes, so that growth has room."""
-    centrality = dist[np.ix_(free_ids, free_ids)].mean(axis=1)
+    goes, so that growth has room. ``dist`` is a distance table or a grid's
+    :class:`~repro.topology.grid.AxisDistances`, whose exact integer row
+    sums over the free set divided by its size are the table's row means
+    bit for bit."""
+    if isinstance(dist, AxisDistances):
+        centrality = dist.row_sums(free_ids) / len(free_ids)
+    else:
+        centrality = dist[np.ix_(free_ids, free_ids)].mean(axis=1)
     return int(free_ids[np.argmin(centrality)])
 
 
@@ -160,10 +167,11 @@ class TopoCentLB(Mapper):
         pauses Python computes the two expressions whose rounding C does not
         reproduce: each cycle's cost row ``w @ G``, a BLAS product whose
         kernel depends on the operands' layout, and a seed's centrality. C
-        gathers ``G`` from the machine's own table (int32 on integer
-        machines) as doubles, so BLAS sees :meth:`_run`'s operands; the
-        centrality's row means of integers are exact in any order."""
-        dist = np.ascontiguousarray(ctx.distance_matrix())
+        gathers ``G`` from the machine's per-axis tables on a grid machine,
+        else from its own table (int32 on integer machines), as doubles, so
+        BLAS sees :meth:`_run`'s operands; the centrality's row means of
+        integers are exact in any order."""
+        dist = ctx.kernel_distances()
         cycles = _native.load().topocent_cycles(dist, *ctx.csr_arrays(),
                                                 seed_keys(graph))
         cost = cycles.cost

@@ -148,12 +148,14 @@ class TopoLB(Mapper):
     _RESERVE = 8
 
     def _setup(self, graph: TaskGraph, topology: Topology, n: int,
-               ctx: MappingContext | None = None, dtype=None):
-        """Shared kernel state: the distance table (in ``dtype``, default
-        the machine's own), the fest table and the selection vectors."""
+               ctx: MappingContext | None = None, compiled: bool = False):
+        """Shared kernel state: the distances (the compiled loop's
+        :meth:`MappingContext.kernel_distances`, the reference's float64
+        table), the fest table and the selection vectors."""
         if ctx is None:
             ctx = context_for(graph, topology)
-        dist = ctx.distance_matrix(dtype)
+        dist = (ctx.kernel_distances() if compiled
+                else ctx.distance_matrix(np.float64))
         indptr, indices, weights = ctx.csr_arrays()
 
         order = self._order
@@ -189,8 +191,7 @@ class TopoLB(Mapper):
         compiled loops are tested against, and their body wherever the
         compiled kernels are unavailable."""
         (dist, indptr, indices, weights, unplaced_comm,
-         avg_all, avg_free, fest) = self._setup(graph, topology, n, ctx,
-                                                np.float64)
+         avg_all, avg_free, fest) = self._setup(graph, topology, n, ctx)
         order = self._order
         p = topology.num_nodes
 
@@ -347,21 +348,22 @@ class TopoLB(Mapper):
         ``fest[rows]`` without the gather. Third order passes over every
         column of those rows; a consumed processor's column holds the
         reference's penalty ``huge``, which is finite, so ``0 * huge`` adds
-        an exact zero to the product. C reads the machine's own
-        distance table (int32 on integer machines), widening each entry to
-        the double the reference's float64 table holds.
+        an exact zero to the product. C reads the machine's per-axis
+        tables on a grid machine, else its own table (int32 on integer
+        machines), widening each distance to the double the reference's
+        float64 table holds.
         """
         (dist, indptr, indices, weights, unplaced_comm,
-         _, avg_free, fest) = self._setup(graph, topology, n, ctx)
+         _, avg_free, fest) = self._setup(graph, topology, n, ctx, True)
         avail_f = np.ones(topology.num_nodes)
         if self._selection == "gain":
             score = fest.sum(axis=1)
         else:  # "max_cost" never reads it
             score = graph.comm_volumes()
         cycles = _native.load().topolb_cycles(
-            fest, np.ascontiguousarray(dist), avg_free, indptr, indices,
-            weights, int(self._order), self._selection, score, avail_f,
-            min(self._RESERVE, n), unplaced_comm)
+            fest, dist, avg_free, indptr, indices, weights, int(self._order),
+            self._selection, score, avail_f, min(self._RESERVE, n),
+            unplaced_comm)
         while (rows := cycles()) is not None:
             score[rows] = fest[rows] @ avail_f
         if prof is not None:

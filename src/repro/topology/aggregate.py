@@ -17,7 +17,9 @@ this is what keeps 10^5+-processor tori coarsenable.
 :func:`coarsen_machine` builds the standard halving step: grid machines
 halve their largest extent (subtorus pairing, so groups stay geometric
 blocks), everything else pairs consecutive node ids (a dimension collapse
-on hypercubes).
+on hypercubes). A grid machine's levels are C-order product grids on
+their virtual shapes, so they describe their distances per axis, as the
+grid does (:class:`~repro.topology.grid.AxisDistances`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from repro.exceptions import TopologyError
 from repro.topology.base import Topology
-from repro.topology.grid import GridTopology
+from repro.topology.grid import AxisDistances, GridTopology
 
 __all__ = ["GroupedTopology", "coarsen_machine"]
 
@@ -43,9 +45,16 @@ class GroupedTopology(Topology):
         ``(parent.num_nodes,)`` int array, ``groups[i]`` = coarse node of
         parent node ``i``. Every id in ``0..k-1`` must occur. Each group's
         representative is its smallest member id.
+    shape:
+        On a grid root, the level's virtual grid shape
+        (:func:`coarsen_machine` passes it): the representatives must then
+        form a C-order product grid on it, one root coordinate per virtual
+        coordinate on each axis, and the level describes its distances per
+        axis (:meth:`axis_distances`). ``None`` for any other grouping.
     """
 
-    def __init__(self, parent: Topology, groups: np.ndarray):
+    def __init__(self, parent: Topology, groups: np.ndarray,
+                 shape: tuple[int, ...] | None = None):
         groups = np.asarray(groups, dtype=np.int64)
         if groups.shape != (parent.num_nodes,):
             raise TopologyError(
@@ -78,6 +87,37 @@ class GroupedTopology(Topology):
             self._root = parent
             self._root_reps = self._reps
         self._neighbor_lists: list[list[int]] | None = None
+        self._axis_distances: AxisDistances | None = None
+        if shape is not None and isinstance(self._root, GridTopology):
+            self._axis_distances = self._product_axes(tuple(shape))
+
+    def _product_axes(self, shape: tuple[int, ...]) -> AxisDistances:
+        """The root's axis tables at the representatives' coordinates,
+        ``T_k[rep_k][:, rep_k]``, after checking that node ``c`` (C order
+        on ``shape``) has root coordinate ``rep_k[c_k]`` on every axis."""
+        root = self._root
+        if len(shape) != root.ndim or int(np.prod(shape)) != self._num_nodes:
+            raise TopologyError(
+                f"virtual shape {shape} does not fit {self._num_nodes} "
+                f"groups of {root.name}"
+            )
+        coords = root.coords_array()[self._root_reps].T.reshape(-1, *shape)
+        tables = []
+        for k, (grid, table) in enumerate(
+                zip(coords, root.axis_distances().tables)):
+            line = grid[(0,) * k + (slice(None),) + (0,) * (len(shape) - k - 1)]
+            dims = [1] * len(shape)
+            dims[k] = shape[k]
+            if not np.array_equal(grid, np.broadcast_to(line.reshape(dims),
+                                                        shape)):
+                raise TopologyError(
+                    f"the groups of {root.name} are no product grid on the "
+                    f"virtual shape {shape} (axis {k})"
+                )
+            sub = np.ascontiguousarray(table[np.ix_(line, line)])
+            sub.flags.writeable = False
+            tables.append(sub)
+        return AxisDistances(shape, tables)
 
     # ------------------------------------------------------------- structure
     @property
@@ -123,9 +163,12 @@ class GroupedTopology(Topology):
     def distance_row(self, node: int) -> np.ndarray:
         return self._pair_row(node)
 
+    def axis_distances(self) -> AxisDistances | None:
+        return self._axis_distances
+
     def _build_distance_matrix(self, dtype: np.dtype) -> np.ndarray:
-        if isinstance(self._root, GridTopology):
-            return self._root._gather_matrix(self._root_reps, dtype)
+        if self._axis_distances is not None:
+            return self._axis_distances.matrix(dtype)
         return self._pair_matrix(dtype)
 
     # ------------------------------------------------------------ connectivity
@@ -199,4 +242,4 @@ def coarsen_machine(
     else:
         groups = np.arange(p, dtype=np.int64) // 2
 
-    return GroupedTopology(topology, groups), groups, new_shape
+    return GroupedTopology(topology, groups, new_shape), groups, new_shape

@@ -74,6 +74,13 @@ class Topology(abc.ABC):
         """
         return None
 
+    def axis_distances(self):
+        """The machine's distances as a product of per-axis tables (a
+        :class:`~repro.topology.grid.AxisDistances`), or ``None`` when they
+        are not one. Mesh, torus and their grouped levels have one; the
+        compiled mapper kernels read it in place of a ``p x p`` table."""
+        return None
+
     def distance(self, a: int, b: int) -> int:
         """Shortest-path hop distance between processors ``a`` and ``b``."""
         a = self._check_node(a)

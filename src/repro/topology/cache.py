@@ -38,9 +38,14 @@ __all__ = [
     "MAX_ENTRIES",
 ]
 
-#: Entry cap; at the paper's scales one distance matrix is the dominant cost
-#: (a 4096-node int32 matrix is 64 MiB), so the cap bounds worst-case
-#: memory at "a few dozen machines' worth", evicting least-recently-used.
+#: Entry cap, evicting least-recently-used. The mappers on a mesh, a torus or
+#: a grouped level of one read per-axis tables and cache no distance matrix,
+#: so their entries are vectors (average distances, bound profiles) of
+#: ``O(p)`` each. A matrix is cached only for machines without a per-axis
+#: description (fat-tree, dragonfly, hypercube, graphs) or when a caller
+#: asks for one (reference bodies, tests), and it still dominates: a
+#: 4096-node int32 matrix is 64 MiB, so the cap bounds worst-case memory at
+#: "a few dozen machines' worth".
 MAX_ENTRIES = 32
 
 _cache: OrderedDict[Hashable, np.ndarray] = OrderedDict()

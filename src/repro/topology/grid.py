@@ -6,10 +6,15 @@ coordinate arrays — vectorized per the hop-distance formulas:
 
 * mesh:  ``d = sum_k |a_k - b_k|``
 * torus: ``d = sum_k min(|a_k - b_k|, s_k - |a_k - b_k|)``
+
+:class:`AxisDistances` is the same sum as data: one small ``s_k x s_k``
+table per axis, which is what the compiled mapper kernels read on a grid
+machine in place of a ``p x p`` table.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -18,7 +23,78 @@ from repro.exceptions import TopologyError
 from repro.topology.base import Topology
 from repro.utils.validation import check_shape_volume
 
-__all__ = ["GridTopology"]
+__all__ = ["AxisDistances", "GridTopology"]
+
+
+class AxisDistances:
+    """Hop distances on a C-order product grid of ``shape``:
+    ``d(a, b) = sum_k tables[k][a_k, b_k]``, where ``a_k`` is node ``a``'s
+    coordinate on axis ``k`` (``numpy.unravel_index`` order).
+
+    ``tables`` holds one read-only ``s_k x s_k`` int32 table per axis;
+    ``coords`` is the ``(ndim, p)`` int32 coordinate table, one contiguous
+    row per axis. A mesh or torus describes itself this way, and so does a
+    grouped level of one (:func:`~repro.topology.aggregate.coarsen_machine`),
+    whose axis tables are the root's at its representatives' coordinates.
+    """
+
+    __slots__ = ("shape", "tables", "coords")
+
+    def __init__(self, shape: Sequence[int], tables: Sequence[np.ndarray],
+                 coords: np.ndarray | None = None):
+        self.shape = tuple(int(s) for s in shape)
+        self.tables = tuple(tables)
+        if coords is None:
+            coords = np.stack(np.unravel_index(
+                np.arange(int(np.prod(self.shape))), self.shape)
+            ).astype(np.int32)
+        self.coords = coords
+
+    @property
+    def num_nodes(self) -> int:
+        return self.coords.shape[1]
+
+    def row_sums(self, nodes: np.ndarray | None = None) -> np.ndarray:
+        """Exact int64 sums ``sum_{j in nodes} d(i, j)`` for each ``i`` in
+        ``nodes`` (default: every node). The sum splits over the axes, so
+        each axis adds its table times the count of ``nodes`` at each of
+        its coordinates: ``O(|nodes| ndim + sum_k s_k^2)``, no pair loop."""
+        coords = self.coords if nodes is None else self.coords[:, nodes]
+        total = np.zeros(coords.shape[1], dtype=np.int64)
+        for table, column, extent in zip(self.tables, coords, self.shape):
+            counts = np.bincount(column, minlength=extent)
+            total += (table.astype(np.int64) @ counts)[column]
+        return total
+
+    def matrix(self, dtype: np.dtype) -> np.ndarray:
+        """The ``p x p`` table in ``dtype``. Broadcast into a shape + shape
+        array, entry ``[a_0, .., a_n, b_0, .., b_n]``, each axis table lands
+        in place without a ``p x p`` temporary, and C order makes the
+        ``(p, p)`` reshape a view."""
+        nd, p = len(self.shape), self.num_nodes
+        out = np.empty(self.shape * 2, dtype=dtype)
+        for k, table in enumerate(self.tables):
+            dims = [1] * (2 * nd)
+            dims[k] = dims[nd + k] = self.shape[k]
+            if k:
+                out += table.astype(dtype).reshape(dims)
+            else:
+                out[...] = table.astype(dtype).reshape(dims)
+        return out.reshape(p, p)
+
+
+@functools.lru_cache(maxsize=64)
+def _axis_table(extent: int, wraparound: bool) -> np.ndarray:
+    """The read-only ``s x s`` int32 hop table of one axis of extent ``s``:
+    ``|a - b|``, or with wrap-around links the ring distance
+    ``min(|a - b|, s - |a - b|)``. Shared by every grid with such an axis."""
+    line = np.arange(extent)
+    table = np.abs(line[:, None] - line[None, :])
+    if wraparound:
+        table = np.minimum(table, extent - table)
+    table = table.astype(np.int32)
+    table.flags.writeable = False
+    return table
 
 
 class GridTopology(Topology):
@@ -43,6 +119,7 @@ class GridTopology(Topology):
             int(np.prod(self._shape[k + 1:], dtype=np.int64))
             for k in range(len(self._shape))
         )
+        self._axis_distances: AxisDistances | None = None
 
     # ------------------------------------------------------------------ shape
     @property
@@ -94,52 +171,27 @@ class GridTopology(Topology):
     def distance_row(self, node: int) -> np.ndarray:
         return self._pair_row(node)
 
-    def _axis_tables(self, dtype: np.dtype) -> list[np.ndarray]:
-        """One ``s x s`` hop table per axis of extent ``s``: ``|a - b|``,
-        or on a torus the ring distance ``min(|a - b|, s - |a - b|)``."""
-        tables = []
-        for extent in self._shape:
-            line = np.arange(extent)
-            table = np.abs(line[:, None] - line[None, :])
-            if self.wraparound:
-                table = np.minimum(table, extent - table)
-            tables.append(table.astype(dtype))
-        return tables
+    def distance(self, a: int, b: int) -> int:
+        # Closed form on two coordinate tuples: no row, no table.
+        a = self._check_node(a)
+        b = self._check_node(b)
+        total = 0
+        for column, extent in zip(self._axes, self._shape):
+            delta = abs(int(column[a]) - int(column[b]))
+            total += min(delta, extent - delta) if self.wraparound else delta
+        return total
+
+    def axis_distances(self) -> AxisDistances:
+        """The per-axis description of this grid (see :func:`_axis_table`)."""
+        axes = self._axis_distances
+        if axes is None:
+            tables = [_axis_table(s, self.wraparound) for s in self._shape]
+            axes = self._axis_distances = AxisDistances(
+                self._shape, tables, self._axes)
+        return axes
 
     def _build_distance_matrix(self, dtype: np.dtype) -> np.ndarray:
-        # d(a, b) = sum over axes k of T_k[a_k, b_k]. Broadcast into a
-        # shape + shape array, entry [a_0, .., a_n, b_0, .., b_n], each axis
-        # table lands in place without a p x p temporary, and C order makes
-        # the (p, p) reshape a view.
-        nd = self.ndim
-        out = np.empty(self._shape * 2, dtype=dtype)
-        for k, table in enumerate(self._axis_tables(dtype)):
-            dims = [1] * (2 * nd)
-            dims[k] = dims[nd + k] = self._shape[k]
-            if k:
-                out += table.reshape(dims)
-            else:
-                out[...] = table.reshape(dims)
-        return out.reshape(self._num_nodes, self._num_nodes)
-
-    def _gather_matrix(self, nodes: np.ndarray, dtype: np.dtype) -> np.ndarray:
-        """The ``m x m`` table of distances between the ``m`` processors
-        ``nodes``, gathered from the per-axis tables by their coordinates
-        in row blocks (each block's temporaries are at most 64K entries)."""
-        m = len(nodes)
-        coords = self._axes[:, nodes]
-        tables = self._axis_tables(dtype)
-        out = np.empty((m, m), dtype=dtype)
-        rows = max(1, (1 << 16) // m)
-        for lo in range(0, m, rows):
-            block = out[lo:lo + rows]
-            for k, (table, column) in enumerate(zip(tables, coords)):
-                part = table[column[lo:lo + rows]][:, column]
-                if k:
-                    block += part
-                else:
-                    block[...] = part
-        return out
+        return self.axis_distances().matrix(dtype)
 
     def diameter(self) -> int:
         # Closed form: sum over axes of the per-axis maximum displacement.

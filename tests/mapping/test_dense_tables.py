@@ -1,7 +1,7 @@
 """Dense-table audit: above ``_MATRIX_LIMIT`` processors, no code path
 outside the dense mappers may materialize a full p x p distance matrix;
-below it, a request on an integer machine keeps one int32 table per machine
-and never a float64 copy; and byte totals must stay exact past int32
+below it, a request on a grid machine reads per-axis tables and builds no
+p x p table of any dtype; and byte totals must stay exact past int32
 range."""
 
 from __future__ import annotations
@@ -19,11 +19,7 @@ from repro.mapping.metrics import hop_bytes, metrics_block, ordered_sum
 from repro.taskgraph import TaskGraph, mesh2d_pattern, mesh3d_pattern
 from repro.topology import MatrixTopology, Torus
 from repro.topology.base import Topology
-from repro.topology.cache import (
-    clear_topology_cache,
-    shared_get,
-    topology_cache_info,
-)
+from repro.topology.cache import clear_topology_cache, topology_cache_info
 from repro.topology.grid import GridTopology
 from repro.validate import validate_mapping
 
@@ -129,15 +125,20 @@ def test_grouped_distance_rows_never_touch_root_matrix(forbid_big_matrices):
     assert row[0] == 0 and row.max() > 0
 
 
+#: The traced peak of the request below is 35.7 MiB: mostly the finest
+#: level's 32 MiB refine cost table (2048 x 2048 float64). The bound leaves
+#: 4.3 MiB (12%) of headroom; the 16 MiB int32 table of that level, were a
+#: mapper to build it again, breaks it.
+GRID_REQUEST_PEAK = 40 * 2**20
+
+
 @pytest.mark.skipif(not _native.available(),
                     reason="no C compiler: the reference bodies read float64")
-def test_integer_machine_request_builds_no_float64_table():
+def test_grid_machine_request_builds_no_distance_table():
     """A multilevel request on torus:16x16x8 (one grouped 1024-node level)
-    leaves one int32 table per machine in the shared cache and no float64
-    one. Its traced peak, about 56 MiB, is mostly the finest level's
-    32 MiB refine cost table and the 16 MiB int32 table; the float64 copy
-    that any mapper asking for one would build again adds 16 MiB or more
-    and breaks the 64 MiB bound."""
+    reads the per-axis tables of the torus and of its grouped level, so it
+    leaves no distance table of any dtype in the shared cache, and its
+    traced peak stays under ``GRID_REQUEST_PEAK``."""
     clear_topology_cache()
     request = MappingRequest(
         graph="mesh3d:16x16x16;bytes=1024", topology="torus:16x16x8",
@@ -150,11 +151,10 @@ def test_integer_machine_request_builds_no_float64_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    tables = [shared_get(key) for key in topology_cache_info()["keys"]
+    tables = [key for key in topology_cache_info()["keys"]
               if key[1] == "distance_matrix"]
-    assert sorted(t.shape[0] for t in tables) == [1024, 2048]
-    assert all(t.dtype == np.int32 for t in tables)
-    assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+    assert tables == []
+    assert peak < GRID_REQUEST_PEAK, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def test_context_distance_matrix_keeps_fractional_distances():

@@ -11,7 +11,8 @@ RefineTopoLB, which must return equal assignments and counters. The
 instances have more processors than one vector block of the widest build,
 and a count that is no multiple of it, so each row pass ends in its
 scalar tail; some have fewer tasks than processors, and their distances
-tie (integer tori, metrics quantized to quarters).
+tie (integer tori and meshes, metrics quantized to quarters). Tori, meshes
+and grouped torus levels hand the kernels their per-axis tables.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from repro.mapping import RandomMapper, RefineTopoLB, TopoCentLB, TopoLB
 from repro.mapping import _native
 from repro.mapping.estimation import EstimatorOrder
 from repro.taskgraph.graph import TaskGraph
-from repro.topology import MatrixTopology, Torus
+from repro.topology import MatrixTopology, Mesh, Torus, coarsen_machine
 
-#: Tori of 35, 45, 54, 80 and 105 processors: none a multiple of 32.
+#: Grids of 35, 45, 54, 80 and 105 processors: none a multiple of 32.
 SHAPES = [(5, 7), (3, 3, 5), (6, 9), (4, 4, 5), (7, 5, 3)]
 
 
@@ -44,10 +45,16 @@ def builds(tmp_path_factory):
 @st.composite
 def _instances(draw):
     """(graph, topology, start): n <= p tasks with integer edge weights on
-    a torus or on a quarter-quantized explicit metric, 33 <= p <= 105 and
-    p % 32 != 0, and a random start for RefineTopoLB."""
-    if draw(st.booleans()):
+    a torus, a mesh, a grouped level of ``torus:6x6x5`` or a
+    quarter-quantized explicit metric, 33 <= p <= 105 and p % 32 != 0, and
+    a random start for RefineTopoLB."""
+    machine = draw(st.sampled_from(("torus", "mesh", "level", "matrix")))
+    if machine == "torus":
         topo = Torus(draw(st.sampled_from(SHAPES)))
+    elif machine == "mesh":
+        topo = Mesh(draw(st.sampled_from(SHAPES)))
+    elif machine == "level":
+        topo = coarsen_machine(Torus((6, 6, 5)))[0]  # 90 processors
     else:
         p = draw(st.integers(33, 80).filter(lambda p: p % 32))
         rng = np.random.default_rng(draw(st.integers(0, 2**16)))

@@ -11,7 +11,8 @@ reference: without a C compiler (``REPRO_NO_NATIVE=1``) ``"vectorized"``
 runs the reference body, and the routing itself is pinned here too.
 Hypothesis differentials pin every compiled mapper loop (TopoLB,
 TopoCentLB, RefineTopoLB's cost table and sweep) to its reference on random
-small instances.
+small instances, and, on grid machines, the kernels' per-axis reads to
+their reads of the machine's int32 table.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from __future__ import annotations
 import copy
 import os
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro import obs
@@ -31,6 +33,7 @@ from repro.engine import MappingEngine, MappingRequest
 from repro.engine.specs import mapper_from_spec, parse_mapper_spec
 from repro.mapping import RandomMapper, RefineTopoLB, TopoCentLB, TopoLB
 from repro.mapping.base import Mapping
+from repro.mapping.context import MappingContext
 from repro.mapping.estimation import EstimatorOrder
 from repro.mapping.kernels import (
     DEFAULT_KERNEL,
@@ -51,7 +54,9 @@ from repro.topology import (
     MatrixTopology,
     Mesh,
     Torus,
+    coarsen_machine,
 )
+from repro.topology.grid import AxisDistances
 
 ORDERS = (EstimatorOrder.FIRST, EstimatorOrder.SECOND, EstimatorOrder.THIRD)
 SELECTIONS = ("gain", "max_cost", "volume")
@@ -748,6 +753,85 @@ def test_int32_table_and_its_float64_copy_agree(instance, start_seed):
         graph, copy64, start)
 
 
+@st.composite
+def _grid_instances(draw):
+    """(graph, topology, start): n <= p tasks, n < p half the time, with
+    integer or fractional weights, on a mesh or torus of one to three axes
+    of sizes 1, 2, 3 and 5, or on a ``coarsen_machine`` level of
+    ``torus:4x3x5`` (all eight levels, 60 processors down to one), and a
+    random start for RefineTopoLB."""
+    if draw(st.booleans()):
+        shape = draw(st.lists(st.sampled_from([1, 2, 3, 5]), min_size=1,
+                              max_size=3))
+        topo = draw(st.sampled_from([Mesh, Torus]))(shape)
+    else:
+        topo, virtual = Torus((4, 3, 5)), None
+        for _ in range(draw(st.integers(0, 7))):
+            topo, _, virtual = coarsen_machine(topo, shape=virtual)
+    p = topo.num_nodes
+    n = draw(st.integers(1, p)) if draw(st.booleans()) else p
+    weight = (st.integers(0, 3).map(float) if draw(st.booleans())
+              else st.floats(0.0, 8.0))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          max_size=3 * n))
+    graph = TaskGraph(n, [(a, b, draw(weight)) for a, b in pairs if a != b])
+    start = RandomMapper(seed=draw(st.integers(0, 3))).map(graph, topo)
+    return graph, topo, start.assignment
+
+
+def _kernel_runs(graph, topo, start, dist, selection):
+    """Everything the compiled mapper loops compute on ``topo`` with
+    ``dist`` as the machine's distances: TopoLB's assignment per order,
+    TopoCentLB's and RefineTopoLB's, their counters, the refine cost table,
+    and after each of up to five incremental sweeps the sweeper's
+    assignment, cost table, best-swap caches and statistics."""
+    with mock.patch.object(MappingContext, "kernel_distances",
+                           lambda _self: dist), obs.profiled() as prof:
+        out = [TopoLB(order=order, selection=selection).map(
+            graph, topo).assignment.tolist() for order in ORDERS]
+        out.append(TopoCentLB().map(graph, topo).assignment.tolist())
+        out.append(RefineTopoLB(seed=1).refine(
+            Mapping(graph, topo, start)).assignment.tolist())
+    out.append({name: value for name, value in prof.counters.items()
+                if not name.startswith("topology.")})
+    native, csr = _native.load(), graph.csr_arrays()
+    assign = start.copy()
+    cost = native.refine_cost_table(*csr, assign, dist)
+    out.append(cost.tolist())
+    sweeper = native.refine_sweeper(cost, dist, assign, *csr)
+    rng = np.random.default_rng(0)
+    for _sweep in range(5):
+        swapped = sweeper.sweep(rng.permutation(graph.num_tasks))
+        out.append((assign.tolist(), cost.tolist(),
+                    [a.tolist() for a in sweeper.caches],
+                    sweeper.stats.tolist()))
+        if not swapped:
+            break
+    return out
+
+
+@pytest.mark.skipif(not _native.available(),
+                    reason="no C compiler: the production loops are the "
+                           "reference")
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instance=_grid_instances(), selection=st.sampled_from(SELECTIONS))
+def test_grid_kind_and_int32_table_agree(instance, selection):
+    """Differential: on a mesh, a torus and every grouped level of one, the
+    compiled loops read the per-axis tables (the grid kind) or the same
+    machine's int32 table, and return equal assignments, counters, cost
+    tables and sweeper states. Integer distances summed per axis are the
+    table's entries exactly."""
+    graph, topo, start = instance
+    axes = topo.axis_distances()
+    assert isinstance(axes, AxisDistances)
+    table = topo.distance_matrix()
+    assert table.dtype == np.int32
+    assert _kernel_runs(graph, topo, start, axes, selection) == _kernel_runs(
+        graph, topo, start, table, selection)
+
+
 def _no_c(*_args):
     raise AssertionError("a pointer reached C")
 
@@ -774,6 +858,41 @@ def _bad_tables(draw):
     return p, np.zeros(shape, dtype)
 
 
+@st.composite
+def _bad_grids(draw):
+    """(p, axes): a grid description for p processors that every entry
+    point must refuse: an axis table of a wrong dtype or not square, a
+    coordinate outside its axis, extents whose product is not p, or a
+    strided or read-only coordinate row."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    good = Torus(shape).axis_distances()
+    p = good.num_nodes
+    tables, coords = list(good.tables), good.coords.copy()
+    k = draw(st.integers(0, len(shape) - 1))
+    kind = draw(st.sampled_from(("dtype", "square", "coordinate", "volume",
+                                 "strided", "read-only")))
+    if kind == "dtype":
+        tables[k] = tables[k].astype(draw(st.sampled_from(
+            [np.int64, np.float64, np.int16, np.uint32, np.float32])))
+    elif kind == "square":
+        s = shape[k]
+        tables[k] = np.zeros(draw(st.sampled_from(
+            [(s, s + 1), (s + 1, s), (s * s,), (s, s, 1)])), np.int32)
+    elif kind == "coordinate":
+        coords[k, draw(st.integers(0, p - 1))] = draw(st.sampled_from(
+            [-1, shape[k], shape[k] + 7, 2**31 - 1]))
+    elif kind == "volume":
+        grow = shape[k] == 1 or draw(st.booleans())
+        shape = shape[:k] + (shape[k] + (1 if grow else -1),) + shape[k + 1:]
+    elif kind == "strided":
+        wide = np.zeros((len(shape), 2 * p), np.int32)
+        wide[:, ::2] = coords
+        coords = wide[:, ::2]
+    else:
+        coords.flags.writeable = False
+    return p, AxisDistances(shape, tables, coords)
+
+
 def _table_entry_points(native, p, dist):
     """One bind (or call) of each entry point that takes a ``p x p``
     distance table, on a path graph of ``p - 1`` tasks."""
@@ -794,9 +913,9 @@ def _table_entry_points(native, p, dist):
 
 
 class TestTableArguments:
-    """Every entry point that reads a distance table takes the machine's
-    int32 or float64 table and refuses anything else with ``ValueError``
-    before any pointer reaches C."""
+    """Every entry point that reads a machine's distances takes its int32
+    or float64 table or a grid's per-axis description and refuses anything
+    else with ``ValueError`` before any pointer reaches C."""
 
     @staticmethod
     def _guarded():
@@ -822,6 +941,26 @@ class TestTableArguments:
     def test_bad_tables_are_refused_before_c(self, case):
         p, dist = case
         for call in _table_entry_points(self._guarded(), p, dist):
+            with pytest.raises(ValueError, match="dist"):
+                call()
+
+    @pytest.mark.parametrize("machine", [Torus((5,)), Mesh((3, 2)),
+                                         coarsen_machine(Torus((3, 2)))[0]],
+                             ids=lambda t: t.name)
+    def test_grid_kind_binds(self, machine):
+        native = _native.load()
+        if native is None:
+            pytest.skip("no C compiler on this host")
+        axes = machine.axis_distances()
+        for call in _table_entry_points(native, machine.num_nodes, axes):
+            call()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_bad_grids())
+    def test_bad_grids_are_refused_before_c(self, case):
+        p, axes = case
+        assume(p > 1)  # the entry points' path graph needs a task
+        for call in _table_entry_points(self._guarded(), p, axes):
             with pytest.raises(ValueError, match="dist"):
                 call()
 

@@ -158,6 +158,25 @@ MATMUL_SITES = {
 }
 
 
+#: The calls that build or fetch a ``p x p`` distance table under
+#: ``repro/mapping``, by file: how many ``distance_matrix(`` calls each
+#: holds, and why. The compiled mappers read ``kernel_distances()``, which
+#: is per-axis tables on a grid machine, so a new call here would bring a
+#: dense table back to the production path.
+DENSE_TABLE_SITES = {
+    "repro/mapping/topolb.py": (1, "the reference body's float64 table"),
+    "repro/mapping/refine.py": (1, "the reference body's float64 table"),
+    "repro/mapping/topocentlb.py": (1, "the reference body's float64 table"),
+    "repro/mapping/context.py": (2, "the accessor, and the kernels' table "
+                                    "on a machine that is no grid"),
+    "repro/mapping/estimation.py": (1, "the average distances of a machine "
+                                       "that is no grid"),
+    "repro/mapping/annealing.py": (1, "the annealer's cost table"),
+    "repro/mapping/hybrid.py": (1, "the block metric's mean distances"),
+    "repro/mapping/incremental.py": (1, "the rebalancer's move deltas"),
+}
+
+
 @functools.cache
 def _code_tokens(*rels: str) -> list[tuple[str, list[tokenize.TokenInfo]]]:
     """``(path, tokens)`` per Python file under ``rels``, comments dropped.
@@ -217,3 +236,16 @@ class TestHostIndependentResults:
                                                            tokenize.NL):
                     found[rel] = found.get(rel, 0) + 1
         assert found == {rel: n for rel, (n, _) in MATMUL_SITES.items()}
+
+
+def test_dense_tables_only_at_the_listed_sites():
+    """Every ``distance_matrix(`` call under ``repro/mapping`` is one of
+    ``DENSE_TABLE_SITES``: a new production call fails here, not in a
+    memory benchmark."""
+    found: dict[str, int] = {}
+    for rel, tokens in _code_tokens("mapping"):
+        for prev, tok, nxt in zip(tokens, tokens[1:], tokens[2:]):
+            if (tok.string == "distance_matrix" and nxt.string == "("
+                    and prev.string != "def"):
+                found[rel] = found.get(rel, 0) + 1
+    assert found == {rel: n for rel, (n, _) in DENSE_TABLE_SITES.items()}

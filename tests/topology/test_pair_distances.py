@@ -187,3 +187,60 @@ def test_grouped_grid_table_gathers_representatives(cls, shape):
         dtype = np.dtype(np.int32)
         np.testing.assert_array_equal(level._build_distance_matrix(dtype),
                                       level._pair_matrix(dtype))
+
+
+@pytest.mark.parametrize("shape", GRID_SHAPES, ids=str)
+@pytest.mark.parametrize("cls", [Mesh, Torus])
+def test_grid_distance_is_closed_form(cls, shape, monkeypatch):
+    """``distance(a, b)`` on a mesh or torus sums the axis offsets of two
+    coordinate tuples: it equals ``pair_distances`` on every pair, with
+    axes of size 1, 2 and odd sizes, and reads no row and no table."""
+    topology = cls(shape)
+    p = topology.num_nodes
+    pu, pv = np.divmod(np.arange(p * p), p)
+    want = topology.pair_distances(pu, pv).tolist()
+
+    def no_table(*_args):
+        raise AssertionError("distance() read a row or a table")
+
+    monkeypatch.setattr(type(topology), "distance_row", no_table)
+    monkeypatch.setattr(type(topology), "_build_distance_matrix", no_table)
+    got = [topology.distance(a, b) for a, b in zip(pu.tolist(), pv.tolist())]
+    assert got == want
+    assert all(type(d) is int for d in got)
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 3), (3, 2, 2), (6, 4, 2)],
+                         ids=str)
+@pytest.mark.parametrize("cls", [Mesh, Torus])
+def test_axis_row_sums_are_exact(cls, shape):
+    """``AxisDistances.row_sums`` of a grid and of each of its grouped
+    levels equals the integer row sums of the ``pair_distances`` table,
+    over every node and over a subset of the nodes."""
+    level, virtual = cls(shape), None
+    rng = np.random.default_rng(0)
+    while True:
+        axes = level.axis_distances()
+        table = level._pair_matrix(np.dtype(np.int64))
+        np.testing.assert_array_equal(axes.row_sums(), table.sum(axis=1))
+        nodes = np.flatnonzero(rng.random(level.num_nodes) < 0.5)
+        np.testing.assert_array_equal(
+            axes.row_sums(nodes), table[np.ix_(nodes, nodes)].sum(axis=1))
+        if level.num_nodes == 1:
+            break
+        level, _, virtual = coarsen_machine(level, shape=virtual)
+
+
+def test_grouped_grid_checks_its_virtual_shape():
+    """A grouped level of a grid describes itself per axis only on the
+    virtual shape its representatives form; any other shape is refused."""
+    from repro.exceptions import TopologyError
+    from repro.topology import GroupedTopology
+
+    root = Torus((4, 4))
+    level, groups, virtual = coarsen_machine(root)
+    assert virtual == (2, 4) and level.axis_distances().shape == (2, 4)
+    for bad in ((4, 2), (8,), (2, 2, 2), (2, 3)):
+        with pytest.raises(TopologyError):
+            GroupedTopology(root, groups, bad)
+    assert GroupedTopology(root, groups).axis_distances() is None
