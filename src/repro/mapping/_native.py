@@ -91,9 +91,9 @@ class NativeKernels:
             return fn
 
         self._cost_table = bind("refine_cost_table", None,
-                                i64, i64, *[ptr] * 5, i64, ptr, ptr)
+                                i64, i64, *[ptr] * 5, i64, ptr, i64, ptr)
         self._sweep = bind("refine_sweep_incremental", i64,
-                           i64, i64, ptr, ptr, i64, *[ptr] * 9)
+                           i64, i64, ptr, i64, ptr, i64, *[ptr] * 9)
         self._cycles = bind("topolb_cycles", i64, ptr)
         self._topocent = bind("topocent_cycles", i64, ptr)
         self._bisect = bind("partition_bisect", i64,
@@ -119,17 +119,21 @@ class NativeKernels:
 
     def refine_cost_table(self, indptr, indices, weights, assign,
                           dist) -> np.ndarray:
-        """RefineTopoLB's ``(n, p)`` cost table, bitwise equal to
+        """RefineTopoLB's ``(n, p)`` cost table, equal to
         ``csr_matrix((weights, assign[indices], indptr)) @ dist`` with
-        ``dist`` (a table or a grid's per-axis tables) widened to float64."""
+        ``dist`` (a table or a grid's per-axis tables) widened to float64:
+        int32 where :func:`_cost_dtype` allows, so every entry is exact,
+        else that product bit for bit."""
         table = _Table(dist)
         n, p = assign.size, table.p
         if not (0 <= assign.min() and assign.max() < p):
             raise ValueError("refine_cost_table: assign must hold processors")
-        cost = np.empty((n, p))
-        self._cost_table(n, p, *_csr_ptrs(indptr, indices, n, weights),
-                         _ptr(assign, np.int64, n, "assign"), *table.words,
-                         cost.ctypes.data, table.rowbuf.ctypes.data)
+        csr = _csr_ptrs(indptr, indices, n, weights)
+        cost = np.empty((n, p), _cost_dtype(indptr, weights, table))
+        self._cost_table(n, p, *csr, _ptr(assign, np.int64, n, "assign"),
+                         *table.words, cost.ctypes.data,
+                         int(cost.dtype == np.int32),
+                         table.rowbuf.ctypes.data)
         return cost
 
     def refine_sweeper(self, cost, dist, assign, indptr,
@@ -218,6 +222,9 @@ class RefineSweeper:
 
     ``sweep(perm)`` runs one sweep in the order ``perm`` and returns True
     if a swap was accepted; ``cost`` and ``assign`` update in place. The
+    table is float64, or int32 when :func:`_cost_dtype` allows it for these
+    weights and distances, as :meth:`NativeKernels.refine_cost_table`
+    builds it; an int32 table that breaks that rule is refused. The
     best-swap caches ``caches = (best_b, best_val, valid)`` persist across
     sweeps: a valid task's entries are the first minimum of its row of swap
     deltas and its value. ``stats`` is cumulative: visits, accepted swaps,
@@ -227,10 +234,21 @@ class RefineSweeper:
     __slots__ = ("stats", "caches", "_perm", "_fn", "_args", "_keep")
 
     def __init__(self, fn, cost, dist, assign, indptr, indices, weights):
+        if not (isinstance(cost, np.ndarray) and cost.ndim == 2
+                and cost.dtype in (np.int32, np.float64)):
+            raise ValueError("cost: expected an (n, p) int32 or float64 "
+                             "table")
         n, p = cost.shape
         if n and not (0 <= assign.min() and assign.max() < p):
             raise ValueError("refine_sweep_incremental: assign must hold "
                              "processors")
+        table = _Table(dist, p)
+        cost_ptr = _ptr(cost, cost.dtype, n * p, "cost", out=True)
+        csr = _csr_ptrs(indptr, indices, n, weights)
+        i32 = cost.dtype == np.int32
+        if i32 and _cost_dtype(indptr, weights, table) != np.int32:
+            raise ValueError("cost: an int32 table needs integer weights and "
+                             "distances whose costs fit in int32")
         self.stats = np.zeros(4, dtype=np.int64)
         self._perm = np.empty(n, dtype=np.int64)
         best_b = np.zeros(n, dtype=np.int64)
@@ -238,12 +256,9 @@ class RefineSweeper:
         valid = np.zeros(n, dtype=np.uint8)
         self.caches = (best_b, best_val, valid)
         self._fn = fn
-        table = _Table(dist, p)
         self._keep = (cost, table, assign, indptr, indices, weights)
-        self._args = (n, p, _ptr(cost, np.float64, n * p, "cost", out=True),
-                      *table.words,
-                      _ptr(assign, np.int64, n, "assign", out=True),
-                      *_csr_ptrs(indptr, indices, n, weights),
+        self._args = (n, p, cost_ptr, int(i32), *table.words,
+                      _ptr(assign, np.int64, n, "assign", out=True), *csr,
                       self._perm.ctypes.data, best_b.ctypes.data,
                       best_val.ctypes.data, valid.ctypes.data,
                       self.stats.ctypes.data)
@@ -827,6 +842,16 @@ class _Table:
         self.p = p
         self.rowbuf = np.empty(2 * p + 1, dtype=np.int32)
 
+    def max_distance(self) -> float:
+        """The largest ``|d(i, j)|``: over an integer table its entries, over
+        a grid the sum of its axis tables' (no ``p x p`` table is built);
+        ``inf`` for a float64 table."""
+        if self.words[1] == 1:
+            return math.inf
+        tables = (self._keep,) if self.words[1] == 0 else self._keep[1]
+        return sum(max(int(t.max(initial=0)), -int(t.min(initial=0)))
+                   for t in tables)
+
     @staticmethod
     def _grid(axes, p: int | None) -> tuple[np.ndarray, int]:
         """The checked word block of ``axes`` and its processor count."""
@@ -857,6 +882,30 @@ class _Table:
         rows = [base + 4 * p * k for k in range(nd)]
         return np.array([nd, *shape, *(t.ctypes.data for t in tables),
                          *rows], dtype=np.int64), p
+
+
+#: The largest cost an int32 cost table holds.
+_INT32_COST = 2**31 - 1
+
+
+def _cost_dtype(indptr, weights, table: _Table) -> type:
+    """RefineTopoLB's cost-table dtype for these weights and distances.
+
+    int32 when every weight is an integer, the distances are integers (an
+    int32 table or a grid) and ``max_t sum_j |w_tj| * max(dmax, 1)`` fits
+    in int32, with ``dmax`` the largest ``|d|``: then every value the
+    float64 table would hold, the initial table and each half-applied swap
+    patch alike, is a sum of products ``w_tj * d`` over one row, an exact
+    integer of at most that size, so int32 holds it exactly. Else float64.
+    """
+    dmax = table.max_distance()
+    size = np.abs(weights)
+    if dmax == math.inf or not (size == np.trunc(size)).all():
+        return np.float64
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    heaviest = np.bincount(rows, weights=size,
+                           minlength=indptr.size - 1).max(initial=0.0)
+    return np.int32 if heaviest * max(dmax, 1) <= _INT32_COST else np.float64
 
 
 def _block(*words) -> np.ndarray:

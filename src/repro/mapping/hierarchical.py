@@ -47,9 +47,11 @@ from repro.topology.grid import GridTopology
 __all__ = ["HierarchicalMapper"]
 
 #: Above this processor count a level skips RefineTopoLB, whose n x p cost
-#: table grows with the square of the level (512 MiB of float64 at 8192
-#: tasks). Its distances are no limit: on a grid machine and its grouped
-#: levels the compiled kernels read per-axis tables.
+#: table grows with the square of the level: 256 MiB of int32 at 8192 tasks
+#: with integer weights and distances, 512 MiB of float64 otherwise. Its
+#: distances are no limit: on a grid machine and its grouped levels the
+#: compiled kernels read per-axis tables. Raising the limit would refine
+#: more levels and change results.
 _MATRIX_LIMIT = 8192
 
 

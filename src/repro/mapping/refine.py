@@ -35,6 +35,16 @@ lowest-index tie-breaking, while rows inside the dirty set, and rows whose
 cached argmin fell in it, are recomputed in full. A converged sweep is n
 cache reads.
 
+The compiled kernel keeps its cost table in int32 when the inputs allow
+it, at half the bytes of float64: every edge weight an integer, the
+machine's distances integers (an int32 table or per-axis tables), and
+``B = max_t sum_j w_tj * max(dmax, 1)`` at most ``2**31 - 1``, with
+``dmax`` read from those distances. Then every value the float64 table
+would hold (the initial table, each half-applied swap patch) is an exact
+integer in ``[0, B]``, and the kernel widens each entry to double on load,
+so the sweeps are bit-identical. Fractional weights, a float64 machine or
+a larger ``B`` keep the float64 table; the reference sweep always does.
+
 Without a C compiler (or under ``REPRO_NO_NATIVE``) the production kernel
 runs the reference sweep instead.
 """
@@ -155,7 +165,8 @@ class RefineTopoLB(Mapper):
         # the adjacency with each neighbor column relabelled to its processor,
         # times the distance matrix. SciPy's csr_matvecs accumulates the same
         # rows in the same order as ``adjacency @ dist[assign]`` without the
-        # (n, p) gather, and the compiled table repeats that order.
+        # (n, p) gather, and the compiled table repeats that order, in int32
+        # where every entry is an exact integer that fits (module docstring).
         if native is None:
             import scipy.sparse as sp
 

@@ -4,7 +4,8 @@
  * Seven entry points, one shared object:
  *
  * refine_cost_table — RefineTopoLB's first-order cost table, accumulated
- * in SciPy's csr_matvecs order.
+ * in SciPy's csr_matvecs order, in double or, when every value it can hold
+ * is an exact integer in int32 range, in int32_t.
  *
  * refine_sweep_incremental — ONE full sweep of RefineTopoLB's pairwise-swap
  * refiner with the incremental delta structure: per-task best-swap caches
@@ -186,29 +187,77 @@ static drow dist_row(dtable d, i64 a, int32_t *scratch)
     return (drow){scratch, 0};
 }
 
+/* RefineTopoLB's cost table, of one of two element types: double, or
+ * int32_t where every value the double table would ever hold (the initial
+ * table, each half-applied swap patch) is an exact integer that int32
+ * holds, a rule repro.mapping._native checks before it binds a table. The
+ * four loops that touch the table (the build, compute_row, apply_swap and
+ * the fold) have one body each, which the entry points instantiate for
+ * both types through a constant `i32`: each load widens to double and each
+ * store narrows an exact integer back, so both types compute every
+ * expression on the same doubles, in the same term order. */
+enum { CT_F64, CT_I32 };
+
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+
+typedef struct {
+    void *data;
+    int i32;
+} ctable;
+
+static ALWAYS_INLINE double cost_at(ctable c, i64 i)
+{
+    return c.i32 ? (double)((const int32_t *)c.data)[i]
+                 : ((const double *)c.data)[i];
+}
+
+static ALWAYS_INLINE void cost_put(ctable c, i64 i, double v)
+{
+    if (c.i32)
+        ((int32_t *)c.data)[i] = (int32_t)v;
+    else
+        ((double *)c.data)[i] = v;
+}
+
 /* RefineTopoLB's cost table C[t, q] = sum over neighbours j of
  * w_tj * dist[assign[j], q], row by row in CSR order: zero the row, then
  * add w * dist[assign[j]] per nonzero — the order of SciPy's csr_matvecs,
  * so the table is bitwise equal to `csr_matrix(...) @ dist`. scratch is
  * dist_row's. */
-void refine_cost_table(i64 n, i64 p, const i64 *restrict indptr,
-                       const i64 *restrict indices,
-                       const double *restrict weights,
-                       const i64 *restrict assign, const void *dist_data,
-                       i64 dist_kind, double *restrict cost,
-                       int32_t *restrict scratch)
+static ALWAYS_INLINE void cost_table(i64 n, i64 p, const i64 *restrict indptr,
+                                     const i64 *restrict indices,
+                                     const double *restrict weights,
+                                     const i64 *restrict assign, dtable dist,
+                                     ctable cost, int32_t *restrict scratch)
 {
-    const dtable dist = {dist_data, dist_kind, p};
     for (i64 t = 0; t < n; t++) {
-        double *restrict row = cost + t * p;
-        memset(row, 0, (size_t)p * sizeof(double));
+        const i64 row = t * p;
+        for (i64 q = 0; q < p; q++)
+            cost_put(cost, row + q, 0.0);
         for (i64 k = indptr[t]; k < indptr[t + 1]; k++) {
             const double w = weights[k];
             const drow d = dist_row(dist, assign[indices[k]], scratch);
             for (i64 q = 0; q < p; q++)
-                row[q] += w * row_at(d, q);
+                cost_put(cost, row + q, cost_at(cost, row + q)
+                                            + w * row_at(d, q));
         }
     }
+}
+
+void refine_cost_table(i64 n, i64 p, const i64 *restrict indptr,
+                       const i64 *restrict indices,
+                       const double *restrict weights,
+                       const i64 *restrict assign, const void *dist_data,
+                       i64 dist_kind, void *cost, i64 cost_kind,
+                       int32_t *restrict scratch)
+{
+    const dtable dist = {dist_data, dist_kind, p};
+    if (cost_kind == CT_I32)
+        cost_table(n, p, indptr, indices, weights, assign, dist,
+                   (ctable){cost, 1}, scratch);
+    else
+        cost_table(n, p, indptr, indices, weights, assign, dist,
+                   (ctable){cost, 0}, scratch);
 }
 
 /* Reference row evaluation for task `a`: delta against every candidate b,
@@ -216,17 +265,18 @@ void refine_cost_table(i64 n, i64 p, const i64 *restrict indptr,
  * Term order per element:  ((C[a,pb] + C[b,pa]) - C[a,pa]) - C[b,pb],
  * then += (2.0 * w) * dist[pa, pb'] at neighbor positions, then
  * buf[a] = 0.0. */
-static void compute_row(i64 n, i64 p, const double *cost, dtable dist,
-                        const i64 *assign, const i64 *indptr,
-                        const i64 *indices, const double *weights,
-                        double *buf, i64 a, i64 *bb_out, double *bv_out)
+static ALWAYS_INLINE void compute_row(i64 n, i64 p, ctable cost, dtable dist,
+                                      const i64 *assign, const i64 *indptr,
+                                      const i64 *indices,
+                                      const double *weights, double *buf,
+                                      i64 a, i64 *bb_out, double *bv_out)
 {
     const i64 pa = assign[a];
-    const double capa = cost[a * p + pa];
-    const double *arow = cost + a * p;
+    const double capa = cost_at(cost, a * p + pa);
     for (i64 b = 0; b < n; b++) {
         const i64 pb = assign[b];
-        buf[b] = ((arow[pb] + cost[b * p + pa]) - capa) - cost[b * p + pb];
+        buf[b] = ((cost_at(cost, a * p + pb) + cost_at(cost, b * p + pa))
+                  - capa) - cost_at(cost, b * p + pb);
     }
     for (i64 k = indptr[a]; k < indptr[a + 1]; k++) {
         const i64 b = indices[k];
@@ -250,10 +300,11 @@ static void compute_row(i64 n, i64 p, const double *cost, dtable dist,
  * cost[r, q] += (sign * w_r) * move[q] for every neighbor r of a (sign +1)
  * and of b (sign -1). `move` is caller-owned scratch of p doubles, `rows`
  * of 2 (2p + 1) int32 (two dist_row scratches). */
-static void apply_swap(i64 p, double *cost, dtable dist, i64 *assign,
-                       const i64 *indptr, const i64 *indices,
-                       const double *weights, double *move, int32_t *rows,
-                       i64 a, i64 b)
+static ALWAYS_INLINE void apply_swap(i64 p, ctable cost, dtable dist,
+                                     i64 *assign, const i64 *indptr,
+                                     const i64 *indices,
+                                     const double *weights, double *move,
+                                     int32_t *rows, i64 a, i64 b)
 {
     const i64 pa = assign[a], pb = assign[b];
     if (a == b || pa == pb)
@@ -268,10 +319,10 @@ static void apply_swap(i64 p, double *cost, dtable dist, i64 *assign,
         const i64 t = side ? b : a;
         const double sign = side ? -1.0 : 1.0;
         for (i64 k = indptr[t]; k < indptr[t + 1]; k++) {
-            double *crow = cost + indices[k] * p;
+            const i64 row = indices[k] * p;
             const double sw = sign * weights[k];
             for (i64 q = 0; q < p; q++)
-                crow[q] += sw * move[q];
+                cost_put(cost, row + q, cost_at(cost, row + q) + sw * move[q]);
         }
     }
 }
@@ -285,15 +336,15 @@ static int cmp_i64(const void *x, const void *y)
 /* Run one sweep over perm[0..n). Caches best_b/best_val/valid persist
  * across calls (the caller owns them, zero-initialised before sweep 1).
  * stats (cumulative): [0] visits, [1] accepted swaps, [2] rows computed
- * from scratch, [3] rows folded. Returns 1 if any swap was accepted. */
-i64 refine_sweep_incremental(i64 n, i64 p, double *cost,
-                             const void *dist_data, i64 dist_kind,
-                             i64 *assign, const i64 *indptr,
-                             const i64 *indices, const double *weights,
-                             const i64 *perm, i64 *best_b, double *best_val,
-                             unsigned char *valid, i64 *stats)
+ * from scratch, [3] rows folded. Returns 1 if any swap was accepted, -1 if
+ * the scratch allocation fails. */
+static ALWAYS_INLINE i64 sweep(i64 n, i64 p, ctable cost, dtable dist,
+                               i64 *assign, const i64 *indptr,
+                               const i64 *indices, const double *weights,
+                               const i64 *perm, i64 *best_b,
+                               double *best_val, unsigned char *valid,
+                               i64 *stats)
 {
-    const dtable dist = {dist_data, dist_kind, p};
     double *buf = (double *)malloc((size_t)n * sizeof(double));
     i64 *touched = (i64 *)malloc((size_t)(2 * n + 2) * sizeof(i64));
     i64 *pos = (i64 *)calloc((size_t)n, sizeof(i64));
@@ -367,8 +418,7 @@ i64 refine_sweep_incremental(i64 n, i64 p, double *cost,
                 continue;
             }
             const i64 pr = assign[r];
-            const double crr = cost[r * p + pr];
-            const double *rrow = cost + r * p;
+            const double crr = cost_at(cost, r * p + pr);
             for (i64 t = indptr[r]; t < indptr[r + 1]; t++) {
                 const i64 j = pos[indices[t]];
                 if (j) {
@@ -383,8 +433,9 @@ i64 refine_sweep_incremental(i64 n, i64 p, double *cost,
             for (i64 j = 0; j < m; j++) {
                 const i64 d = touched[j];
                 const i64 pd = assign[d];
-                double v = ((rrow[pd] + cost[d * p + pr]) - crr)
-                           - cost[d * p + pd];
+                double v = ((cost_at(cost, r * p + pd)
+                             + cost_at(cost, d * p + pr)) - crr)
+                           - cost_at(cost, d * p + pd);
                 if (cset[j])
                     v += corr[j];
                 if (v < bv || (v == bv && d < bb)) {
@@ -416,6 +467,22 @@ i64 refine_sweep_incremental(i64 n, i64 p, double *cost,
     free(move);
     free(rows);
     return swapped;
+}
+
+/* One sweep (above) over a cost table of kind cost_kind. */
+i64 refine_sweep_incremental(i64 n, i64 p, void *cost, i64 cost_kind,
+                             const void *dist_data, i64 dist_kind,
+                             i64 *assign, const i64 *indptr,
+                             const i64 *indices, const double *weights,
+                             const i64 *perm, i64 *best_b, double *best_val,
+                             unsigned char *valid, i64 *stats)
+{
+    const dtable dist = {dist_data, dist_kind, p};
+    if (cost_kind == CT_I32)
+        return sweep(n, p, (ctable){cost, 1}, dist, assign, indptr, indices,
+                     weights, perm, best_b, best_val, valid, stats);
+    return sweep(n, p, (ctable){cost, 0}, dist, assign, indptr, indices,
+                 weights, perm, best_b, best_val, valid, stats);
 }
 
 /* TopoLB, first and second order (topolb12_loop): the cycle loop of

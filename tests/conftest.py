@@ -7,9 +7,16 @@ from multiprocessing import get_context
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro import Mesh, TaskGraph, Torus, mesh2d_pattern
 from repro.service.daemon import _serve_batch
+
+#: ``--hypothesis-profile=deep``: ten times the default examples, for the
+#: differentials that scale their own counts by the profile (see ``DEPTH``
+#: in tests/mapping/test_kernel_equivalence.py).
+settings.register_profile(
+    "deep", max_examples=10 * settings.get_profile("default").max_examples)
 
 
 @pytest.fixture

@@ -125,36 +125,58 @@ def test_grouped_distance_rows_never_touch_root_matrix(forbid_big_matrices):
     assert row[0] == 0 and row.max() > 0
 
 
-#: The traced peak of the request below is 35.7 MiB: mostly the finest
-#: level's 32 MiB refine cost table (2048 x 2048 float64). The bound leaves
-#: 4.3 MiB (12%) of headroom; the 16 MiB int32 table of that level, were a
-#: mapper to build it again, breaks it.
-GRID_REQUEST_PEAK = 40 * 2**20
+#: The traced peak of the request below is 19.9 MiB: mostly the finest
+#: level's 16 MiB refine cost table (2048 x 2048 int32). The bound leaves
+#: 4.1 MiB (20%) of headroom; that table in float64 (35.7 MiB), or the
+#: level's 16 MiB int32 distance table, were a mapper to build it again,
+#: breaks it.
+GRID_REQUEST_PEAK = 24 * 2**20
+
+#: The same request's refine counters, pinned: the int32 table sweeps as
+#: the float64 one did.
+GRID_REQUEST_REFINE = {"refine.sweeps": 2, "refine.swaps_accepted": 1495,
+                       "refine.rows_computed": 4020,
+                       "refine.rows_folded": 258767}
 
 
 @pytest.mark.skipif(not _native.available(),
                     reason="no C compiler: the reference bodies read float64")
-def test_grid_machine_request_builds_no_distance_table():
+def test_grid_machine_request_builds_no_distance_table(monkeypatch):
     """A multilevel request on torus:16x16x8 (one grouped 1024-node level)
     reads the per-axis tables of the torus and of its grouped level, so it
-    leaves no distance table of any dtype in the shared cache, and its
-    traced peak stays under ``GRID_REQUEST_PEAK``."""
+    leaves no distance table of any dtype in the shared cache. Its weights
+    and distances are integers, so its one refine cost table is int32, its
+    traced peak stays under ``GRID_REQUEST_PEAK`` and its refine counters
+    are ``GRID_REQUEST_REFINE``."""
+    tables_built = []
+    build = _native.NativeKernels.refine_cost_table
+
+    def recorded(self, *args):
+        cost = build(self, *args)
+        tables_built.append((cost.shape, cost.dtype))
+        return cost
+
+    monkeypatch.setattr(_native.NativeKernels, "refine_cost_table", recorded)
     clear_topology_cache()
     request = MappingRequest(
         graph="mesh3d:16x16x16;bytes=1024", topology="torus:16x16x8",
         mapper="multilevel:inner=topolb;levels=auto", seed=0,
-        flow_metrics=True, validate="cheap")
+        flow_metrics=True, validate="cheap", profile=True)
     engine = MappingEngine()
     tracemalloc.start()
     try:
-        engine.run(request)
+        result = engine.run(request)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     tables = [key for key in topology_cache_info()["keys"]
               if key[1] == "distance_matrix"]
     assert tables == []
+    assert tables_built == [((2048, 2048), np.int32)]
     assert peak < GRID_REQUEST_PEAK, f"traced peak {peak / 2**20:.1f} MiB"
+    counters = result.profile["counters"]
+    assert {name: counters[name] for name in GRID_REQUEST_REFINE} == (
+        GRID_REQUEST_REFINE)
 
 
 def test_context_distance_matrix_keeps_fractional_distances():

@@ -12,7 +12,9 @@ instances have more processors than one vector block of the widest build,
 and a count that is no multiple of it, so each row pass ends in its
 scalar tail; some have fewer tasks than processors, and their distances
 tie (integer tori and meshes, metrics quantized to quarters). Tori, meshes
-and grouped torus levels hand the kernels their per-axis tables.
+and grouped torus levels hand the kernels their per-axis tables. Their
+weights are integers or quarters, so RefineTopoLB sweeps both an int32 and
+a float64 cost table on both builds.
 """
 
 from __future__ import annotations
@@ -44,10 +46,11 @@ def builds(tmp_path_factory):
 
 @st.composite
 def _instances(draw):
-    """(graph, topology, start): n <= p tasks with integer edge weights on
-    a torus, a mesh, a grouped level of ``torus:6x6x5`` or a
-    quarter-quantized explicit metric, 33 <= p <= 105 and p % 32 != 0, and
-    a random start for RefineTopoLB."""
+    """(graph, topology, start): n <= p tasks with integer edge weights, or
+    on half the integer machines quarter-quantized ones, on a torus, a
+    mesh, a grouped level of ``torus:6x6x5`` or a quarter-quantized
+    explicit metric, 33 <= p <= 105 and p % 32 != 0, and a random start
+    for RefineTopoLB."""
     machine = draw(st.sampled_from(("torus", "mesh", "level", "matrix")))
     if machine == "torus":
         topo = Torus(draw(st.sampled_from(SHAPES)))
@@ -67,9 +70,11 @@ def _instances(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     u, v = rng.integers(0, n, size=(2, 3 * n))
     keep = u != v
+    weights = rng.integers(1, 4, keep.sum()).astype(float)
+    if machine != "matrix" and draw(st.booleans()):
+        weights /= 4  # fractional: a float64 cost table
     graph = TaskGraph(n, list(zip(u[keep].tolist(), v[keep].tolist(),
-                                  rng.integers(1, 4, keep.sum()).astype(
-                                      float).tolist())))
+                                  weights.tolist())))
     start = RandomMapper(seed=draw(st.integers(0, 3))).map(graph, topo)
     return graph, topo, start
 

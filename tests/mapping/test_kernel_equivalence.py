@@ -11,8 +11,10 @@ reference: without a C compiler (``REPRO_NO_NATIVE=1``) ``"vectorized"``
 runs the reference body, and the routing itself is pinned here too.
 Hypothesis differentials pin every compiled mapper loop (TopoLB,
 TopoCentLB, RefineTopoLB's cost table and sweep) to its reference on random
-small instances, and, on grid machines, the kernels' per-axis reads to
-their reads of the machine's int32 table.
+small instances; on grid machines, the kernels' per-axis reads to their
+reads of the machine's int32 table; and RefineTopoLB's sweeps over an int32
+cost table to the same sweeps over its float64 copy. The refine and
+cost-table differentials run ``DEPTH`` times their examples.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ from repro.topology.grid import AxisDistances
 
 ORDERS = (EstimatorOrder.FIRST, EstimatorOrder.SECOND, EstimatorOrder.THIRD)
 SELECTIONS = ("gain", "max_cost", "volume")
+
+#: 1, or 10 under ``--hypothesis-profile=deep`` (see tests/conftest.py): the
+#: refine and cost-table differentials scale their examples by it.
+DEPTH = max(1, settings().max_examples
+            // settings.get_profile("default").max_examples)
 
 
 def _instances():
@@ -458,7 +465,8 @@ class TestCostTable:
                              ids=lambda v: v if isinstance(v, str) else "")
     def test_matches_scipy(self, label, case):
         """On the machine's own table (int32 on the tori) and on a float64
-        copy, against the oracle on the float64 copy."""
+        copy, against the oracle on the float64 copy; an int32 cost table
+        is widened, exactly, to be compared."""
         topo, n = case
         import scipy.sparse as sp
 
@@ -474,7 +482,8 @@ class TestCostTable:
         for dist in (topo.distance_matrix(), dist64):
             got = native.refine_cost_table(indptr, indices, weights, assign,
                                            dist)
-            np.testing.assert_array_equal(got, want, err_msg=label)
+            np.testing.assert_array_equal(got.astype(np.float64), want,
+                                          err_msg=label)
 
 
 REFINE_COUNTERS = ("refine.sweeps", "refine.swaps_accepted",
@@ -490,7 +499,7 @@ def _refine_counted(start, kernel):
 
 @pytest.mark.skipif(not _native.available(),
                     reason="no C compiler: the production sweep is the reference")
-@settings(max_examples=80, deadline=None,
+@settings(max_examples=80 * DEPTH, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(instance=_random_instances(), start_seed=st.integers(0, 3))
 def test_refine_random_instances_match_reference(instance, start_seed):
@@ -508,7 +517,7 @@ def test_refine_random_instances_match_reference(instance, start_seed):
                              dist.astype(np.float64))
     got = _native.load().refine_cost_table(indptr, indices, weights,
                                            start.assignment, dist)
-    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got.astype(np.float64), want)
     ref = _refine_counted(start, "reference")
     vec = _refine_counted(start, "vectorized")
     np.testing.assert_array_equal(vec[0], ref[0])
@@ -534,7 +543,7 @@ def _sparse_instances(draw):
 
 @pytest.mark.skipif(not _native.available(),
                     reason="no C compiler: the production sweep is the reference")
-@settings(max_examples=60, deadline=None,
+@settings(max_examples=60 * DEPTH, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(instance=_sparse_instances(), start_seed=st.integers(0, 3))
 def test_refine_sweeper_caches_match_reference_rows(instance, start_seed):
@@ -557,17 +566,180 @@ def test_refine_sweeper_caches_match_reference_rows(instance, start_seed):
         swapped = sweeper.sweep(rng.permutation(n))
         best_b, best_val, valid = sweeper.caches
         for a in np.flatnonzero(valid):
-            delta = RefineTopoLB._swap_deltas(a, ids, assign, cost, dist64,
-                                              *csr)
+            delta = RefineTopoLB._swap_deltas(
+                a, ids, assign, cost.astype(np.float64), dist64, *csr)
             assert (best_b[a], best_val[a]) == (np.argmin(delta), delta.min())
         if not swapped:
             break
 
 
+#: The largest cost an int32 cost table holds.
+INT32_COST = 2**31 - 1
+
+
+@st.composite
+def _integral_instances(draw):
+    """(graph, topology, start, bound): 2 <= n <= p tasks, n < p half the
+    time, with integer weights, on a mesh or torus of one to three axes of
+    sizes 2, 3 and 5, a grouped level of ``torus:4x3x5`` or a hypercube (an
+    int32 table), and a random start. ``bound`` is None, or "at" or "past":
+    then an edge between tasks 0 and 1 weighs so much that the heaviest
+    row's ``B = sum_j w_tj * max(dmax, 1)`` is the largest multiple of
+    ``max(dmax, 1)`` that is at most ``2**31 - 1`` (``2**31 - 1`` itself
+    where ``dmax`` is 1), or the next one, past it."""
+    machine = draw(st.sampled_from(("grid", "level", "hypercube")))
+    if machine == "grid":
+        shape = draw(st.lists(st.sampled_from([2, 3, 5]), min_size=1,
+                              max_size=3))
+        topo = draw(st.sampled_from([Mesh, Torus]))(shape)
+    elif machine == "level":
+        topo, virtual = Torus((4, 3, 5)), None
+        for _ in range(draw(st.integers(1, 5))):
+            topo, _, virtual = coarsen_machine(topo, shape=virtual)
+    else:
+        topo = Hypercube(draw(st.integers(1, 4)))
+    p = topo.num_nodes
+    n = draw(st.integers(2, p)) if draw(st.booleans()) else p
+    bound = draw(st.sampled_from((None, "at", "past")))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          max_size=3 * n))
+    edges = [(a, b, float(draw(st.integers(0, 3)))) for a, b in pairs
+             if a != b and (bound is None or {a, b} != {0, 1})]
+    if bound is not None:
+        indptr, _, weights = TaskGraph(n, edges).csr_arrays()
+        rows = np.bincount(np.repeat(np.arange(n), np.diff(indptr)),
+                           weights=weights, minlength=n)
+        heaviest = INT32_COST // max(int(topo.distance_matrix().max()), 1)
+        heavy = heaviest - max(rows[0], rows[1]) + (bound == "past")
+        edges.append((0, 1, float(heavy)))
+    graph = TaskGraph(n, edges)
+    start = RandomMapper(seed=draw(st.integers(0, 3))).map(graph, topo)
+    return graph, topo, start.assignment, bound
+
+
+@pytest.mark.skipif(not _native.available(),
+                    reason="no C compiler: the production sweep is the reference")
+@settings(max_examples=60 * DEPTH, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instance=_integral_instances())
+def test_int32_cost_table_sweeps_match_float64(instance):
+    """Differential: on integer weights and distances the compiled cost
+    table is int32, up to a bound exactly at ``2**31 - 1``; the compiled
+    sweeps over it and over a float64 copy keep equal assignments, tables,
+    best-swap caches and statistics after every sweep. One past the bound
+    the table is float64, and an int32 table is refused."""
+    graph, topo, start, bound = instance
+    native, csr = _native.load(), graph.csr_arrays()
+    dist = MappingContext(graph, topo).kernel_distances()
+    cost = native.refine_cost_table(*csr, start, dist)
+    if bound == "past":
+        assert cost.dtype == np.float64
+        with pytest.raises(ValueError, match="cost"):
+            native.refine_sweeper(np.zeros(cost.shape, np.int32), dist,
+                                  start.copy(), *csr)
+        return
+    assert cost.dtype == np.int32
+    copy64 = cost.astype(np.float64)
+    assigns = (start.copy(), start.copy())
+    sweepers = [native.refine_sweeper(table, dist, assign, *csr)
+                for table, assign in zip((cost, copy64), assigns)]
+    rng = np.random.default_rng(0)
+    for _sweep in range(10):
+        perm = rng.permutation(graph.num_tasks)
+        swapped = {sweeper.sweep(perm) for sweeper in sweepers}
+        assert len(swapped) == 1
+        np.testing.assert_array_equal(*assigns)
+        np.testing.assert_array_equal(cost.astype(np.float64), copy64)
+        narrow, wide = ([a.tolist() for a in sweeper.caches]
+                        for sweeper in sweepers)
+        assert narrow == wide
+        assert sweepers[0].stats.tolist() == sweepers[1].stats.tolist()
+        if swapped == {False}:
+            break
+
+
+class TestCostTableDtype:
+    """The inputs decide the cost table's dtype: int32 only when every
+    weight and distance is an integer and ``B = max_t sum_j w_tj *
+    max(dmax, 1)`` is at most ``2**31 - 1``; RefineTopoLB returns the
+    reference's assignment either way."""
+
+    @staticmethod
+    def _path(weights):
+        """Tasks 0-1-2 with these two edge weights."""
+        return TaskGraph(3, [(0, 1, weights[0]), (1, 2, weights[1])])
+
+    @pytest.mark.parametrize("label,weights,topo,dtype", [
+        ("integral", (3.0, 4.0), Torus((3, 3)), np.int32),
+        ("at-bound", (INT32_COST - 1.0, 1.0), Torus((3,)), np.int32),
+        ("at-bound-dmax-2", (INT32_COST // 2 - 1.0, 1.0), Torus((4,)),
+         np.int32),
+        ("past-bound", (INT32_COST * 1.0, 1.0), Torus((3,)), np.float64),
+        ("past-bound-dmax-2", (INT32_COST // 2 * 1.0, 1.0), Torus((4,)),
+         np.float64),
+        ("fractional-weight", (3.0, 0.5), Torus((3, 3)), np.float64),
+        ("float64-machine", (3.0, 4.0),
+         MatrixTopology(Torus((3, 3)).distance_matrix(np.float64)),
+         np.float64),
+        ("int32-table", (3.0, 4.0), Hypercube(2), np.int32),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_dtype_follows_the_inputs(self, label, weights, topo, dtype):
+        native = _native.load()
+        if native is None:
+            pytest.skip("no C compiler on this host")
+        graph = self._path(weights)
+        start = np.array([0, 2, 1][:graph.num_tasks], dtype=np.int64)
+        dist = MappingContext(graph, topo).kernel_distances()
+        cost = native.refine_cost_table(*graph.csr_arrays(), start, dist)
+        assert cost.dtype == dtype, label
+        mapping = Mapping(graph, topo, start)
+        np.testing.assert_array_equal(
+            RefineTopoLB(seed=1).refine(mapping).assignment,
+            RefineTopoLB(kernel="reference", seed=1).refine(mapping).assignment,
+            err_msg=label)
+
+
+@st.composite
+def _bad_costs(draw):
+    """(cost, dist, weights): a cost table for the 4 tasks of a 2x2 mesh on
+    ``torus:2x2`` that the sweeper must refuse: a wrong dtype; a strided,
+    transposed or read-only view; a wrong shape; or an int32 table whose
+    inputs break the int32 rule (a fractional weight, a row that
+    overflows, a float64 distance table)."""
+    dist = Torus((2, 2)).distance_matrix()
+    weights = mesh2d_pattern(2, 2).csr_arrays()[2].copy()
+    kind = draw(st.sampled_from(("dtype", "strided", "transposed",
+                                 "read-only", "shape", "rule")))
+    dtype = draw(st.sampled_from([np.int32, np.float64]))
+    if kind == "dtype":
+        cost = np.zeros((4, 4), draw(st.sampled_from(
+            [np.int64, np.float32, np.int16, np.bool_])))
+    elif kind == "strided":
+        cost = np.zeros((4, 8), dtype)[:, ::2]
+    elif kind == "transposed":
+        cost = np.zeros((4, 4), dtype).T
+    elif kind == "read-only":
+        cost = np.zeros((4, 4), dtype)
+        cost.flags.writeable = False
+    elif kind == "shape":
+        cost = np.zeros(draw(st.sampled_from(
+            [(4, 5), (5, 4), (3, 4), (16,), (4, 4, 1), ()])), dtype)
+    else:
+        cost = np.zeros((4, 4), np.int32)
+        broken = draw(st.sampled_from(("fraction", "overflow", "float64")))
+        if broken == "float64":
+            dist = dist.astype(np.float64)
+        else:
+            weights[draw(st.integers(0, weights.size - 1))] = (
+                0.5 if broken == "fraction" else 2.0**30)
+    return cost, dist, weights
+
+
 class TestRefineSweeperArguments:
-    """The bound sweep rejects an assignment or a sweep order that would
-    index outside its tables with ``ValueError``, before any pointer
-    reaches C."""
+    """The bound sweep rejects an assignment, a sweep order or a cost table
+    that would index outside its tables, or that breaks the int32 rule,
+    with ``ValueError``, before any pointer reaches C."""
 
     @staticmethod
     def _bind(assign):
@@ -590,6 +762,21 @@ class TestRefineSweeperArguments:
             with pytest.raises(ValueError, match="perm"):
                 sweeper.sweep(bad)
         assert sweeper.sweep(np.arange(4)) is False
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_bad_costs())
+    def test_bad_cost_tables_are_refused_before_c(self, case):
+        native = _native.load()
+        if native is None:
+            pytest.skip("no C compiler on this host")
+        native = copy.copy(native)
+        native._sweep = _no_c
+        cost, dist, weights = case
+        indptr, indices, _ = mesh2d_pattern(2, 2).csr_arrays()
+        with pytest.raises(ValueError):
+            native.refine_sweeper(cost, dist, np.arange(4, dtype=np.int64),
+                                  indptr, indices, weights).sweep(
+                                      np.arange(4))
 
 
 TOPOCENT_COUNTERS = ("topocentlb.cycles", "topocentlb.key_updates",

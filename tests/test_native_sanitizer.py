@@ -13,7 +13,9 @@ mapper and partitioner equivalence suites, and the differential tests of
 the phase-1 entry points, of the flow estimator's grid link loads, of
 TopoLB's and TopoCentLB's cycle loops and of RefineTopoLB's cost table and
 sweep, on int32 tables, on their float64 copies, on fractional metrics and
-on grid machines' per-axis tables (with the grid kind's argument checks). An
+on grid machines' per-axis tables (with the grid kind's argument checks),
+and of the sweep over an int32 cost table against its float64 copy (with
+the dtype choice and the cost table's argument checks). An
 out-of-bounds access or undefined behaviour aborts the run with the
 sanitizer's report, which names the file and line. A second build, with the
 production flags plus ``-Wall -Wextra -Werror``, fails on any warning.
@@ -54,6 +56,7 @@ SELECT = ("(des_digest and not reference) or (bodies_agree and seed1)"
           " or compiled_recursion or compiled_link_loads"
           " or topocent or refine_random or refine_sweeper"
           " or int32_table or grid_kind or bad_grids"
+          " or int32_cost or CostTableDtype or bad_cost_tables"
           " or QueueByInstant or overflowing_clock")
 
 SCRIPT = """
